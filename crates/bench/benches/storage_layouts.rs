@@ -1,12 +1,16 @@
 //! Microbench: single-bitmap read cost under the three storage schemes —
 //! the access asymmetry behind Section 9.2's conclusions (BS reads one
-//! file; CS/IS read and transpose a whole row-major file).
+//! file; CS/IS read and transpose a whole row-major file) — and the
+//! stages of one verified literal-slot read (`crc32`, bytes↔words, and
+//! the whole uncached `read_repr`), each as bytes per second over one
+//! 256 KiB slot so they compare with the `bitvec_ops` memcpy/AND rows.
 
 use bindex::compress::CodecKind;
 use bindex::relation::gen;
-use bindex::storage::{MemStore, StorageScheme, StoredIndex};
-use bindex::{Base, BitmapIndex, Encoding, IndexSpec};
-use bindex_bench::microbench::Criterion;
+use bindex::storage::checksum::crc32;
+use bindex::storage::{MemStore, SharedIndexReader, StorageScheme, StoredIndex};
+use bindex::{Base, BitVec, BitmapIndex, Encoding, IndexSpec};
+use bindex_bench::microbench::{Criterion, Throughput};
 use bindex_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 
@@ -50,6 +54,48 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(s.read_bitmap(1, 3).unwrap().count_ones()))
         });
     }
+    g.finish();
+    bench_verified_read(c);
+}
+
+/// Rows of the `serve_cold` benchmark workload: one slot is 256 KiB.
+const SLOT_ROWS: usize = 1 << 21;
+
+/// One literal slot's worth of incompressible bits (uniform values, one
+/// range-encoded digit bitmap), so the v4 encoder stores it literal.
+fn slot_bitmap() -> BitVec {
+    let col = gen::uniform(SLOT_ROWS, 2, 11);
+    BitVec::from_fn(SLOT_ROWS, |i| col.values()[i] == 0)
+}
+
+fn bench_verified_read(c: &mut Criterion) {
+    let bm = slot_bitmap();
+    let bytes = bm.to_bytes();
+    let per_iter = Throughput::Bytes(bytes.len() as u64);
+
+    let mut g = c.benchmark_group("crc32");
+    g.throughput(per_iter);
+    g.bench_function("256KiB", |b| b.iter(|| crc32(black_box(&bytes))));
+    g.finish();
+
+    let mut g = c.benchmark_group("bitvec_from_bytes");
+    g.throughput(per_iter);
+    g.bench_function("256KiB", |b| {
+        b.iter(|| BitVec::from_bytes(SLOT_ROWS, black_box(&bytes)))
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("bitvec_to_bytes");
+    g.throughput(per_iter);
+    g.bench_function("256KiB", |b| b.iter(|| black_box(&bm).to_bytes()));
+    g.finish();
+
+    let stored = StoredIndex::create_v4(MemStore::new(), &[vec![bm]], CodecKind::None).unwrap();
+    let reader = SharedIndexReader::new(stored);
+    assert!(!reader.read_repr(1, 0).unwrap().is_compressed());
+    let mut g = c.benchmark_group("read_repr_uncached");
+    g.throughput(per_iter);
+    g.bench_function("256KiB", |b| b.iter(|| reader.read_repr(1, 0).unwrap()));
     g.finish();
 }
 

@@ -287,7 +287,7 @@ pub fn load_permutation<S: ByteStore>(
         Err(e) => return Err(storage_error(StorageError::Io(e))),
     };
     let payload = format::unframe(PERMUTATION_FILE, &bytes).map_err(storage_error)?;
-    RowPermutation::from_bytes(&payload).map(Some)
+    RowPermutation::from_bytes(payload).map(Some)
 }
 
 /// Online repair of a damaged stored index: scrubs the store, rebuilds

@@ -329,17 +329,11 @@ impl BitVec {
     ///
     /// Tail bits in the final byte are zero (canonical form carries over).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let nbytes = self.len.div_ceil(8);
-        let mut out = Vec::with_capacity(nbytes);
-        'outer: for w in &self.words {
-            for b in w.to_le_bytes() {
-                if out.len() == nbytes {
-                    break 'outer;
-                }
-                out.push(b);
-            }
+        let mut out = Vec::with_capacity(self.words.len() * 8);
+        for w in &self.words {
+            out.extend_from_slice(&w.to_le_bytes());
         }
-        out.resize(nbytes, 0);
+        out.truncate(self.len.div_ceil(8));
         out
     }
 
@@ -354,9 +348,18 @@ impl BitVec {
             "need {nbytes} bytes for {len} bits, got {}",
             bytes.len()
         );
-        let mut words = vec![0u64; words_for(len)];
-        for (i, &b) in bytes[..nbytes].iter().enumerate() {
-            words[i / 8] |= (b as u64) << ((i % 8) * 8);
+        let mut chunks = bytes[..nbytes].chunks_exact(8);
+        let mut words: Vec<u64> = Vec::with_capacity(words_for(len));
+        words.extend(
+            chunks
+                .by_ref()
+                .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8"))),
+        );
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            words.push(u64::from_le_bytes(last));
         }
         let mut v = Self { words, len };
         v.mask_tail();
@@ -717,12 +720,46 @@ mod tests {
         assert_eq!(v.first_one(), Some(0));
     }
 
+    /// The per-byte loops the word-wise `to_bytes`/`from_bytes` replaced,
+    /// kept as the reference they must agree with.
+    fn to_bytes_bytewise(v: &BitVec) -> Vec<u8> {
+        (0..v.len().div_ceil(8))
+            .map(|i| (v.words()[i / 8] >> ((i % 8) * 8)) as u8)
+            .collect()
+    }
+
+    fn from_bytes_bytewise(len: usize, bytes: &[u8]) -> BitVec {
+        let mut words = vec![0u64; words_for(len)];
+        for (i, &b) in bytes[..len.div_ceil(8)].iter().enumerate() {
+            words[i / 8] |= (b as u64) << ((i % 8) * 8);
+        }
+        BitVec::from_words(words, len)
+    }
+
     #[test]
-    fn bytes_roundtrip() {
-        let v = BitVec::from_fn(77, |i| i % 5 == 2);
-        let bytes = v.to_bytes();
-        assert_eq!(bytes.len(), 10);
-        assert_eq!(BitVec::from_bytes(77, &bytes), v);
+    fn bytes_roundtrip_matches_bytewise_reference() {
+        let big = 1usize << 18;
+        let lens = (0..=200).chain([big - 63, big - 1, big, big + 1, big + 63]);
+        for len in lens {
+            let v = BitVec::from_fn(len, |i| (i * i + i / 7) % 5 < 2);
+            let bytes = v.to_bytes();
+            assert_eq!(bytes.len(), len.div_ceil(8), "len {len}");
+            assert_eq!(bytes, to_bytes_bytewise(&v), "len {len}");
+            assert_eq!(BitVec::from_bytes(len, &bytes), v, "len {len}");
+
+            // Trailing bytes past ceil(len / 8) are ignored, and garbage
+            // above `len` in the final byte is masked off.
+            let mut noisy = bytes.clone();
+            if !len.is_multiple_of(8) {
+                *noisy.last_mut().expect("len > 0") |= 0xFFu8 << (len % 8);
+            }
+            noisy.extend_from_slice(&[0xFF; 9]);
+            let got = BitVec::from_bytes(len, &noisy);
+            assert_eq!(got, from_bytes_bytewise(len, &noisy), "len {len}");
+            assert_eq!(got, v, "len {len}");
+            assert_eq!(got.count_ones(), v.count_ones(), "len {len}");
+            assert_eq!(got.words().len(), words_for(len), "len {len}");
+        }
     }
 
     #[test]

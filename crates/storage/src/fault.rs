@@ -12,9 +12,9 @@ use std::sync::Mutex;
 
 use crate::store::ByteStore;
 
-/// SplitMix64, private to the fault layer so the storage crate stays
+/// SplitMix64, private to this crate so the storage crate stays
 /// dependency-free (the relation crate's `Rng` would invert the layering).
-fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

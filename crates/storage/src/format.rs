@@ -10,7 +10,9 @@
 //! ```
 //!
 //! Compression happens first and the frame wraps the compressed bytes, so
-//! verification reads exactly the stored size. Version 1 stores predate
+//! verification reads exactly the stored size. [`unframe`] hands back the
+//! payload as a slice of the buffer it was given, so a reader decodes
+//! straight out of the bytes the store returned. Version 1 stores predate
 //! the frame (raw payloads, plain-text manifest) and are still readable;
 //! [`sniff`] tells the two apart by the magic.
 
@@ -41,9 +43,10 @@ pub fn sniff(data: &[u8]) -> bool {
     data.len() >= MAGIC.len() && data[..MAGIC.len()] == MAGIC
 }
 
-/// Verifies the frame around `data` and returns the payload. `file` names
-/// the source in errors.
-pub fn unframe(file: &str, data: &[u8]) -> Result<Vec<u8>, StorageError> {
+/// Verifies the frame around `data` and returns the payload, borrowed
+/// from `data` — verification is one checksum pass and no copy. `file`
+/// names the source in errors.
+pub fn unframe<'a>(file: &str, data: &'a [u8]) -> Result<&'a [u8], StorageError> {
     if data.len() < HEADER_LEN {
         return Err(StorageError::corrupt(
             file,
@@ -83,7 +86,7 @@ pub fn unframe(file: &str, data: &[u8]) -> Result<Vec<u8>, StorageError> {
             actual,
         });
     }
-    Ok(payload.to_vec())
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -98,6 +101,22 @@ mod tests {
             assert!(sniff(&framed));
             assert_eq!(unframe("t", &framed).unwrap(), payload);
         }
+    }
+
+    /// Bytes recorded from the commit before the CRC kernel was rewritten:
+    /// the frame (and so every stored file's size and checksum) must not
+    /// move when the checksum implementation does.
+    #[test]
+    fn frame_bytes_are_frozen() {
+        let framed = frame(b"bitmap index design and evaluation");
+        assert_eq!(
+            framed,
+            [
+                66, 73, 88, 70, 2, 0, 0, 0, 34, 0, 0, 0, 0, 0, 0, 0, 106, 158, 254, 156, 98, 105,
+                116, 109, 97, 112, 32, 105, 110, 100, 101, 120, 32, 100, 101, 115, 105, 103, 110,
+                32, 97, 110, 100, 32, 101, 118, 97, 108, 117, 97, 116, 105, 111, 110
+            ]
+        );
     }
 
     #[test]

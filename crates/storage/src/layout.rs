@@ -429,9 +429,9 @@ impl<S: ByteStore> StoredIndex<S> {
         let payload = if framed {
             format::unframe(MANIFEST_FILE, &data)?
         } else {
-            data
+            &data
         };
-        let text = std::str::from_utf8(&payload)
+        let text = std::str::from_utf8(payload)
             .map_err(|_| StorageError::corrupt(MANIFEST_FILE, "manifest not UTF-8"))?;
         let (meta, version) = StoredIndexMeta::from_manifest(text)?;
         if framed != (version >= 2) {
@@ -646,8 +646,10 @@ impl<S: ByteStore> StoredIndex<S> {
         if self.slot_coded() {
             self.read_nn_slot(&name, delta).map(Some)
         } else {
-            let raw = self.read_and_decompress(&name, self.meta.n_rows.div_ceil(8), delta)?;
-            Ok(Some(BitVec::from_bytes(self.meta.n_rows, &raw)))
+            let n_rows = self.meta.n_rows;
+            self.read_and_decompress(&name, n_rows.div_ceil(8), delta, |raw| {
+                Some(BitVec::from_bytes(n_rows, raw))
+            })
         }
     }
 
@@ -698,7 +700,7 @@ impl<S: ByteStore> StoredIndex<S> {
         delta.reads += 1;
         delta.bytes_read += data.len() as u64;
         let payload = format::unframe(&name, &data).ok()?;
-        let summaries = decode_summary_block(&payload)?;
+        let summaries = decode_summary_block(payload)?;
         // Shape check against the manifest: a summary block that
         // disagrees with the stored layout must never prune anything.
         let shape: Vec<usize> = self
@@ -757,27 +759,9 @@ impl<S: ByteStore> StoredIndex<S> {
             SLOT_TAG_WAH => WahBitmap::from_bytes(n_rows, rest)
                 .map(Repr::wah)
                 .map_err(|e| StorageError::corrupt(name, e.to_string())),
-            SLOT_TAG_LITERAL => {
-                let raw_len = n_rows.div_ceil(8);
-                let raw = if self.meta.codec == CodecKind::None {
-                    rest.to_vec()
-                } else {
-                    let out = self
-                        .meta
-                        .codec
-                        .decompress(rest, raw_len)
-                        .map_err(|e| StorageError::corrupt(name, e.to_string()))?;
-                    delta.bytes_decompressed += out.len() as u64;
-                    out
-                };
-                if raw.len() != raw_len {
-                    return Err(StorageError::corrupt(
-                        name,
-                        format!("slot holds {} bytes, expected {raw_len}", raw.len()),
-                    ));
-                }
-                Ok(Repr::literal(BitVec::from_bytes(n_rows, &raw)))
-            }
+            SLOT_TAG_LITERAL => self.decode_raw(name, rest, n_rows.div_ceil(8), delta, |raw| {
+                Repr::literal(BitVec::from_bytes(n_rows, raw))
+            }),
             other => Err(StorageError::corrupt(
                 name,
                 format!("unknown slot representation tag {other}"),
@@ -807,29 +791,29 @@ impl<S: ByteStore> StoredIndex<S> {
                     }
                 }
             }
-            StorageScheme::BitmapLevel => {
-                let raw = self.read_and_decompress(
-                    &self.slot_file(comp, slot),
-                    n_rows.div_ceil(8),
-                    delta,
-                )?;
-                Ok(BitVec::from_bytes(n_rows, &raw))
-            }
+            StorageScheme::BitmapLevel => self.read_and_decompress(
+                &self.slot_file(comp, slot),
+                n_rows.div_ceil(8),
+                delta,
+                |raw| BitVec::from_bytes(n_rows, raw),
+            ),
             StorageScheme::ComponentLevel => {
                 let raw_len = (n_rows * n_i).div_ceil(8);
-                let raw = self.read_and_decompress(&component_file(comp), raw_len, delta)?;
-                Ok(extract_column(&raw, n_rows, n_i, slot))
+                self.read_and_decompress(&component_file(comp), raw_len, delta, |raw| {
+                    extract_column(raw, n_rows, n_i, slot)
+                })
             }
             StorageScheme::IndexLevel => {
                 let n = self.meta.total_bitmaps() as usize;
                 let raw_len = (n_rows * n).div_ceil(8);
-                let raw = self.read_and_decompress(INDEX_FILE, raw_len, delta)?;
                 let global: usize = self.meta.bitmaps_per_component[..comp - 1]
                     .iter()
                     .map(|&x| x as usize)
                     .sum::<usize>()
                     + slot;
-                Ok(extract_column(&raw, n_rows, n, global))
+                self.read_and_decompress(INDEX_FILE, raw_len, delta, |raw| {
+                    extract_column(raw, n_rows, n, global)
+                })
             }
         }
     }
@@ -1139,30 +1123,55 @@ impl<S: ByteStore> StoredIndex<S> {
         self.meta.to_manifest(self.version)
     }
 
-    fn read_and_decompress(
+    /// Reads `name`, verifies its frame (when the format has one) and
+    /// hands its `raw_len` dense bytes to `decode`.
+    fn read_and_decompress<T>(
         &self,
         name: &str,
         raw_len: usize,
         delta: &mut IoStats,
-    ) -> Result<Vec<u8>, StorageError> {
+        decode: impl FnOnce(&[u8]) -> T,
+    ) -> Result<T, StorageError> {
         let data = read_with_retry(&self.store, name, self.retry, &mut delta.retries)?;
         delta.reads += 1;
         delta.bytes_read += data.len() as u64;
         let payload = if self.framed() {
             format::unframe(name, &data)?
         } else {
-            data
+            &data
         };
+        self.decode_raw(name, payload, raw_len, delta, decode)
+    }
+
+    /// Undoes the store's byte codec on `payload` and hands exactly
+    /// `raw_len` dense bytes to `decode`, borrowed from `payload` itself
+    /// when nothing is compressed. A payload of any other length is
+    /// [`StorageError::Corrupt`]: `decode` indexes by the manifest's
+    /// shape, so it must never see a short buffer.
+    fn decode_raw<T>(
+        &self,
+        name: &str,
+        payload: &[u8],
+        raw_len: usize,
+        delta: &mut IoStats,
+        decode: impl FnOnce(&[u8]) -> T,
+    ) -> Result<T, StorageError> {
         if self.meta.codec == CodecKind::None {
-            return Ok(payload);
+            if payload.len() != raw_len {
+                return Err(StorageError::corrupt(
+                    name,
+                    format!("payload holds {} bytes, expected {raw_len}", payload.len()),
+                ));
+            }
+            return Ok(decode(payload));
         }
         let out = self
             .meta
             .codec
-            .decompress(&payload, raw_len)
+            .decompress(payload, raw_len)
             .map_err(|e| StorageError::corrupt(name, e.to_string()))?;
         delta.bytes_decompressed += out.len() as u64;
-        Ok(out)
+        Ok(decode(&out))
     }
 }
 
@@ -1821,40 +1830,121 @@ mod tests {
         ));
     }
 
-    /// Builds a version-1 store by hand (raw payloads, plain manifest).
-    fn v1_store(comps: &[Vec<BitVec>], codec: CodecKind) -> MemStore {
-        let mut store = MemStore::new();
-        for (ci, comp) in comps.iter().enumerate() {
-            for (j, bm) in comp.iter().enumerate() {
-                store
-                    .write_file(&bitmap_file(ci + 1, j), &codec.compress(&bm.to_bytes()))
-                    .unwrap();
-            }
+    /// Builds a version-1 store by hand: the v2 payloads with their frames
+    /// stripped, and a plain-text manifest.
+    fn v1_store(comps: &[Vec<BitVec>], scheme: StorageScheme, codec: CodecKind) -> MemStore {
+        let stored = StoredIndex::create(MemStore::new(), comps, scheme, codec).unwrap();
+        let manifest = stored.meta().to_manifest(1);
+        let mut store = stored.into_store();
+        for name in store.file_names().unwrap() {
+            let framed = store.read_file(&name).unwrap();
+            store
+                .write_file(&name, &framed[format::HEADER_LEN..])
+                .unwrap();
         }
-        let manifest = format!(
-            "version=1\nn_rows=20\nscheme=bs\ncodec={}\ncomponents=3,2\n",
-            codec.name()
-        );
         store
             .write_file(MANIFEST_FILE, manifest.as_bytes())
             .unwrap();
         store
     }
 
+    const SCHEMES: [StorageScheme; 3] = [
+        StorageScheme::BitmapLevel,
+        StorageScheme::ComponentLevel,
+        StorageScheme::IndexLevel,
+    ];
+
     #[test]
     fn v1_stores_still_open_and_read() {
         let comps = sample_components();
-        for codec in [CodecKind::None, CodecKind::Deflate] {
-            let mut stored = StoredIndex::open(v1_store(&comps, codec)).unwrap();
-            assert_eq!(stored.format_version(), 1);
-            for (ci, comp) in comps.iter().enumerate() {
-                for (j, bm) in comp.iter().enumerate() {
-                    assert_eq!(&stored.read_bitmap(ci + 1, j).unwrap(), bm, "{codec:?}");
+        for scheme in SCHEMES {
+            for codec in [CodecKind::None, CodecKind::Deflate] {
+                let mut stored = StoredIndex::open(v1_store(&comps, scheme, codec)).unwrap();
+                assert_eq!(stored.format_version(), 1);
+                for (ci, comp) in comps.iter().enumerate() {
+                    for (j, bm) in comp.iter().enumerate() {
+                        assert_eq!(
+                            &stored.read_bitmap(ci + 1, j).unwrap(),
+                            bm,
+                            "{scheme:?} {codec:?}"
+                        );
+                    }
+                }
+                // v1 files carry no checksums: scrub only checks readability.
+                assert!(stored.scrub().unwrap().is_clean());
+            }
+        }
+    }
+
+    /// An unframed, uncompressed v1 file has nothing but its length to
+    /// vouch for it: a truncated one must be a typed error under every
+    /// scheme, never an out-of-bounds index while decoding.
+    #[test]
+    fn truncated_v1_files_are_corrupt_not_a_panic() {
+        let comps = sample_components();
+        for scheme in SCHEMES {
+            let mut store = v1_store(&comps, scheme, CodecKind::None);
+            for name in store.file_names().unwrap() {
+                if name != MANIFEST_FILE {
+                    let data = store.read_file(&name).unwrap();
+                    store.write_file(&name, &data[..data.len() - 1]).unwrap();
                 }
             }
-            // v1 files carry no checksums: scrub only checks readability.
-            assert!(stored.scrub().unwrap().is_clean());
+            let mut stored = StoredIndex::open(store).unwrap();
+            for (ci, comp) in comps.iter().enumerate() {
+                for j in 0..comp.len() {
+                    assert!(
+                        matches!(
+                            stored.read_bitmap(ci + 1, j),
+                            Err(StorageError::Corrupt { .. })
+                        ),
+                        "{scheme:?} c{} b{j}",
+                        ci + 1
+                    );
+                }
+            }
         }
+    }
+
+    /// A correctly framed payload of the wrong length (a v2 file rewritten
+    /// with a valid checksum over too few bytes) is just as corrupt.
+    #[test]
+    fn framed_payload_of_wrong_length_is_corrupt() {
+        let comps = sample_components();
+        for scheme in SCHEMES {
+            let mut store = StoredIndex::create(MemStore::new(), &comps, scheme, CodecKind::None)
+                .unwrap()
+                .into_store();
+            for name in store.file_names().unwrap() {
+                if name != MANIFEST_FILE {
+                    store.write_file(&name, &format::frame(&[0xFF])).unwrap();
+                }
+            }
+            let mut stored = StoredIndex::open(store).unwrap();
+            assert!(
+                matches!(stored.read_bitmap(1, 0), Err(StorageError::Corrupt { .. })),
+                "{scheme:?}"
+            );
+        }
+    }
+
+    /// Bytes recorded from the commit before the CRC and bytes↔words
+    /// kernels were rewritten: a v4 literal slot file (frame header, tag
+    /// byte, dense bytes) must stay byte-identical, so stored size per row
+    /// cannot move.
+    #[test]
+    fn v4_slot_file_bytes_are_frozen() {
+        let bm = BitVec::from_fn(300, |i| i % 3 == 0 || i % 7 == 1);
+        let stored = StoredIndex::create_v4(MemStore::new(), &[vec![bm]], CodecKind::None).unwrap();
+        assert_eq!(
+            stored.store().read_file("c1_b0.bmp").unwrap(),
+            [
+                66, 73, 88, 70, 2, 0, 0, 0, 39, 0, 0, 0, 0, 0, 0, 0, 120, 103, 196, 243, 0, 75,
+                147, 100, 105, 146, 44, 77, 146, 165, 73, 178, 52, 73, 150, 38, 201, 210, 36, 89,
+                154, 36, 75, 147, 100, 105, 146, 44, 77, 146, 165, 73, 178, 52, 73, 150, 38, 201,
+                2
+            ]
+        );
     }
 
     #[test]
