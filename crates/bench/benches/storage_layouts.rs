@@ -49,7 +49,7 @@ fn bench(c: &mut Criterion) {
         ),
         ("is_read_bitmap", StorageScheme::IndexLevel, CodecKind::None),
     ] {
-        let mut s = stored(scheme, codec);
+        let s = stored(scheme, codec);
         g.bench_function(name, |b| {
             b.iter(|| black_box(s.read_bitmap(1, 3).unwrap().count_ones()))
         });

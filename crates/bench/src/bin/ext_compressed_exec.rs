@@ -12,7 +12,7 @@
 //! 3. **End-to-end** — full selection workloads through a version-3
 //!    per-slot-coded store vs the all-literal layout, for a sparse
 //!    (equality-encoded) and a dense (range-encoded) index.
-//! 4. **Pool residency** — how many slots a byte-budgeted [`BufferPool`]
+//! 4. **Pool residency** — how many slots a byte-budgeted [`ShardedPool`]
 //!    keeps resident when the store serves WAH reprs instead of dense
 //!    bitmaps.
 //!
@@ -28,8 +28,8 @@ use bindex::core::eval::{evaluate, Algorithm};
 use bindex::core::DEFAULT_WAH_CROSSOVER;
 use bindex::relation::query::full_space;
 use bindex::relation::{gen, Column};
-use bindex::storage::{BufferPool, MemStore, StorageScheme, StoredIndex};
-use bindex::stored::{persist_index, persist_index_v3, StorageSource};
+use bindex::storage::{MemStore, ShardedPool, StorageScheme, StoredIndex};
+use bindex::stored::{persist_index, persist_index_v3, SharedSource};
 use bindex::{Base, BitVec, BitmapIndex, Encoding, IndexSpec};
 use bindex_bench::{f2, print_table, results_dir, Csv, RunProvenance};
 
@@ -153,7 +153,7 @@ fn measured_crossover(rows: &[SweepRow]) -> Option<f64> {
 /// Best-of-`reps` seconds to answer the full query space against a stored
 /// index (fresh source per rep; pool-less, so every rep pays storage I/O).
 fn workload_seconds(
-    stored: &mut StoredIndex<MemStore>,
+    stored: &StoredIndex<MemStore>,
     spec: &IndexSpec,
     cardinality: u32,
     reps: usize,
@@ -162,7 +162,7 @@ fn workload_seconds(
     let mut best = f64::MAX;
     let mut sink = 0usize;
     for _ in 0..reps {
-        let mut src = StorageSource::try_new(stored, spec.clone()).expect("spec matches");
+        let mut src = SharedSource::try_unpooled(stored, spec.clone()).expect("spec matches");
         let start = Instant::now();
         for &q in &queries {
             let (found, _) = evaluate(&mut src, q, Algorithm::Auto).expect("evaluates");
@@ -199,16 +199,16 @@ fn clustered_column(rows: usize, cardinality: u32) -> Column {
 fn end_to_end(col: &Column, cfg: &Config, encoding: Encoding, label: &'static str) -> EndToEnd {
     let spec = IndexSpec::new(Base::single(cfg.cardinality).unwrap(), encoding);
     let idx = BitmapIndex::build(col, spec.clone()).unwrap();
-    let mut literal = persist_index(
+    let literal = persist_index(
         &idx,
         MemStore::new(),
         StorageScheme::BitmapLevel,
         CodecKind::None,
     )
     .unwrap();
-    let mut v3 = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
-    let literal_s = workload_seconds(&mut literal, &spec, cfg.cardinality, cfg.workload_reps);
-    let v3_s = workload_seconds(&mut v3, &spec, cfg.cardinality, cfg.workload_reps);
+    let v3 = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+    let literal_s = workload_seconds(&literal, &spec, cfg.cardinality, cfg.workload_reps);
+    let v3_s = workload_seconds(&v3, &spec, cfg.cardinality, cfg.workload_reps);
     EndToEnd {
         label,
         literal_s,
@@ -227,21 +227,21 @@ struct PoolResidency {
 fn pool_residency(col: &Column, cfg: &Config) -> PoolResidency {
     let spec = IndexSpec::new(Base::single(cfg.cardinality).unwrap(), Encoding::Equality);
     let idx = BitmapIndex::build(col, spec).unwrap();
-    let mut literal = persist_index(
+    let literal = persist_index(
         &idx,
         MemStore::new(),
         StorageScheme::BitmapLevel,
         CodecKind::None,
     )
     .unwrap();
-    let mut v3 = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+    let v3 = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
     // A budget of a quarter of the literal heap: the dense store must
     // evict, the compressed store should fit far more slots.
     let slot_bytes = cfg.rows.div_ceil(64) * 8;
     let byte_budget = slot_bytes * cfg.cardinality as usize / 4;
 
-    let sweep = |stored: &mut StoredIndex<MemStore>| {
-        let pool = BufferPool::with_byte_budget(byte_budget);
+    let sweep = |stored: &StoredIndex<MemStore>| {
+        let pool = ShardedPool::with_byte_budget(byte_budget, 1);
         let shape: Vec<usize> = stored
             .meta()
             .bitmaps_per_component
@@ -258,8 +258,8 @@ fn pool_residency(col: &Column, cfg: &Config) -> PoolResidency {
     };
     PoolResidency {
         byte_budget,
-        literal_resident: sweep(&mut literal),
-        v3_resident: sweep(&mut v3),
+        literal_resident: sweep(&literal),
+        v3_resident: sweep(&v3),
     }
 }
 

@@ -1,51 +1,19 @@
-//! **Extension** — Cost of fault tolerance: query-time overhead of the
-//! checksummed version-2 file format against a raw version-1 store, plus
-//! retry behaviour under injected transient faults and a scrub audit of a
-//! deliberately corrupted store.
-//!
-//! The paper's access-cost model (Section 9) charges every read its
-//! physical bytes; the version-2 frame adds a fixed 20-byte header and one
-//! CRC32 pass per file read. This experiment measures what that integrity
-//! guarantee costs on the BS scheme, where per-read payloads are smallest
-//! and the relative overhead is therefore largest.
+//! **Extension** — Fault tolerance in action: retry behaviour under
+//! injected transient faults and a scrub audit of a deliberately corrupted
+//! store. (What the checksummed frame costs per read is measured directly
+//! by the `benchmark/` probes `storage.crc_mbps` and
+//! `storage.read_repr_us`.)
 
 use bindex::compress::CodecKind;
 use bindex::core::eval::{evaluate, naive, Algorithm};
 use bindex::relation::{gen, query};
-use bindex::storage::{
-    ByteStore, DiskStore, FaultPlan, FaultStore, MemStore, StorageScheme, StoredIndex, TempDir,
-};
-use bindex::stored::{persist_index, StorageSource};
+use bindex::storage::{ByteStore, FaultPlan, FaultStore, MemStore, StorageScheme, StoredIndex};
+use bindex::stored::{persist_index, SharedSource};
 use bindex::{Base, BitmapIndex, Encoding, IndexSpec};
-use bindex_bench::{average_wall_time, f2, pct, print_table, results_dir, Csv, RunProvenance};
+use bindex_bench::{results_dir, RunProvenance};
 
 const N_ROWS: usize = 100_000;
 const CARDINALITY: u32 = 50;
-
-/// Writes the index as a version-1 store by hand: raw (unframed) payload
-/// files and a plain-text `version=1` manifest.
-fn write_v1<S: ByteStore>(idx: &BitmapIndex, mut store: S, codec: CodecKind) -> S {
-    let comps = idx.components();
-    for (ci, comp) in comps.iter().enumerate() {
-        for (j, bm) in comp.iter().enumerate() {
-            let name = format!("c{}_b{j}.bmp", ci + 1);
-            store
-                .write_file(&name, &codec.compress(&bm.to_bytes()))
-                .unwrap();
-        }
-    }
-    let counts: Vec<String> = comps.iter().map(|c| c.len().to_string()).collect();
-    let manifest = format!(
-        "version=1\nn_rows={}\nscheme=bs\ncodec={}\ncomponents={}\n",
-        idx.n_rows(),
-        codec.name(),
-        counts.join(",")
-    );
-    store
-        .write_file("manifest.bixm", manifest.as_bytes())
-        .unwrap();
-    store
-}
 
 fn main() {
     let column = gen::uniform(N_ROWS, CARDINALITY, 7);
@@ -53,78 +21,7 @@ fn main() {
     let idx = BitmapIndex::build(&column, spec.clone()).unwrap();
     let queries = query::full_space(CARDINALITY);
 
-    // -- Part 1: v2 (checksummed frame) vs v1 (raw) query overhead --------
-    let mut csv = Csv::create(
-        "ext_fault_tolerance",
-        &[
-            "codec",
-            "v1_ms",
-            "v2_ms",
-            "overhead",
-            "v1_bytes_read",
-            "v2_bytes_read",
-        ],
-    )
-    .unwrap();
-    let mut rows = Vec::new();
-    for codec in [CodecKind::None, CodecKind::Deflate] {
-        let tmp_v2 = TempDir::new("ext-ft-v2").unwrap();
-        let mut v2 = persist_index(
-            &idx,
-            DiskStore::open(tmp_v2.path()).unwrap(),
-            StorageScheme::BitmapLevel,
-            codec,
-        )
-        .unwrap();
-        let mut src = StorageSource::try_new(&mut v2, spec.clone()).unwrap();
-        let v2_secs = average_wall_time(&mut src, &queries, Algorithm::RangeEvalOpt);
-        let v2_io = v2.take_stats();
-
-        let tmp_v1 = TempDir::new("ext-ft-v1").unwrap();
-        let v1_store = write_v1(&idx, DiskStore::open(tmp_v1.path()).unwrap(), codec);
-        let mut v1 = StoredIndex::open(v1_store).unwrap();
-        assert_eq!(v1.format_version(), 1);
-        let mut src = StorageSource::try_new(&mut v1, spec.clone()).unwrap();
-        let v1_secs = average_wall_time(&mut src, &queries, Algorithm::RangeEvalOpt);
-        let v1_io = v1.take_stats();
-
-        let nq = queries.len() as u64;
-        let overhead = (v2_secs - v1_secs) / v1_secs * 100.0;
-        csv.row(&[
-            &codec.name(),
-            &format!("{:.3}", v1_secs * 1e3),
-            &format!("{:.3}", v2_secs * 1e3),
-            &f2(overhead),
-            &(v1_io.bytes_read / nq),
-            &(v2_io.bytes_read / nq),
-        ])
-        .unwrap();
-        rows.push(vec![
-            codec.name().to_string(),
-            format!("{:.3}", v1_secs * 1e3),
-            format!("{:.3}", v2_secs * 1e3),
-            pct(overhead),
-            (v1_io.bytes_read / nq).to_string(),
-            (v2_io.bytes_read / nq).to_string(),
-        ]);
-    }
-    print_table(
-        &format!(
-            "Checksummed (v2) vs raw (v1) stores, BS scheme (N = {N_ROWS}, C = {CARDINALITY})"
-        ),
-        &[
-            "codec",
-            "v1 avg time (ms)",
-            "v2 avg time (ms)",
-            "overhead",
-            "v1 bytes/query",
-            "v2 bytes/query",
-        ],
-        &rows,
-    );
-    println!("CSV: {}", csv.path().display());
-
-    // -- Part 2: retry behaviour under injected transient faults ----------
+    // -- Part 1: retry behaviour under injected transient faults ----------
     let store = persist_index(
         &idx,
         MemStore::new(),
@@ -134,8 +31,8 @@ fn main() {
     .unwrap()
     .into_store();
     let faulty = FaultStore::new(store, FaultPlan::new(42).with_transient_every_nth_read(5));
-    let mut stored = StoredIndex::open(faulty).unwrap();
-    let mut src = StorageSource::try_new(&mut stored, spec.clone()).unwrap();
+    let stored = StoredIndex::open(faulty).unwrap();
+    let mut src = SharedSource::try_unpooled(&stored, spec.clone()).unwrap();
     let mut correct = 0usize;
     for &q in &queries {
         let (found, _) = evaluate(&mut src, q, Algorithm::RangeEvalOpt)
@@ -146,7 +43,7 @@ fn main() {
     }
     let injected = stored.store().counters();
     let retries = stored.stats().retries;
-    println!("\n== Retry under transient faults (every 5th read fails once) ==");
+    println!("== Retry under transient faults (every 5th read fails once) ==");
     println!(
         "queries: {} ({correct} correct), reads: {}, injected transient errors: {}, retries: {}",
         queries.len(),
@@ -156,7 +53,7 @@ fn main() {
     );
     assert_eq!(correct, queries.len(), "every query must survive retry");
 
-    // -- Part 3: scrub audit of a corrupted store --------------------------
+    // -- Part 2: scrub audit of a corrupted store --------------------------
     let mut store = persist_index(
         &idx,
         MemStore::new(),

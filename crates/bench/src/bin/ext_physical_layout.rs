@@ -5,12 +5,15 @@
 //!   natural on shuffled-cluster and Zipf columns: persisted v4 bytes,
 //!   shrink ratio, and proof (bit-for-bit, after externalizing through
 //!   the persisted permutation) that answers are unchanged.
-//! * **Query-config sweep** — {v3 baseline, v4, v4+prune, v4+mmap,
-//!   v4+prune+mmap} over sparse and clustered half-dead domains: average
+//! * **Query-config sweep** — {v3 baseline, v4, v4+prune, v4+pool,
+//!   v4+prune+pool} over sparse and clustered half-dead domains: average
 //!   wall time per workload pass, end-to-end speedup vs the v3 baseline,
 //!   `segments_pruned`, bytes read, and bytes *not* fetched (v3 bytes
-//!   minus config bytes). Every configuration's answers are asserted
-//!   bit-identical to v3's before anything is timed.
+//!   minus config bytes). `+pool` puts a [`ShardedPool`] that holds every
+//!   slot in front of the store, so the timed passes read nothing: what
+//!   the cache buys and what pruning buys are separate rows. Every
+//!   configuration's answers are asserted bit-identical to v3's before
+//!   anything is timed.
 //!
 //! Emits `BENCH_physical_layout.json` at the workspace root and the
 //! usual CSV under `results/`. `--smoke` (alias `--quick`) shrinks the
@@ -23,11 +26,10 @@ use bindex::core::eval::{evaluate_segmented_in, Algorithm};
 use bindex::core::ExecContext;
 use bindex::relation::query::{full_space, SelectionQuery};
 use bindex::relation::{gen, Column};
-use bindex::storage::{ByteStore, MemStore, StoredIndex};
-use bindex::stored::{persist_index_v3, persist_index_v4, persist_permutation, StorageSource};
+use bindex::storage::{ByteStore, MemStore, ShardedPool, SharedIndexReader};
+use bindex::stored::{persist_index_v3, persist_index_v4, persist_permutation, SharedSource};
 use bindex::{
-    build_reordered, Base, BitVec, BuildOptions, Encoding, IndexSpec, MappedStore, RowOrder,
-    SUMMARY_WINDOW_BITS,
+    build_reordered, Base, BitVec, BuildOptions, Encoding, IndexSpec, RowOrder, SUMMARY_WINDOW_BITS,
 };
 use bindex_bench::{f2, print_table, results_dir, Csv, RunProvenance};
 
@@ -46,7 +48,7 @@ struct LayoutConfig {
     name: &'static str,
     v4: bool,
     prune: bool,
-    mmap: bool,
+    pool: bool,
 }
 
 const CONFIGS: [LayoutConfig; 5] = [
@@ -54,31 +56,31 @@ const CONFIGS: [LayoutConfig; 5] = [
         name: "v3",
         v4: false,
         prune: false,
-        mmap: false,
+        pool: false,
     },
     LayoutConfig {
         name: "v4",
         v4: true,
         prune: false,
-        mmap: false,
+        pool: false,
     },
     LayoutConfig {
         name: "v4+prune",
         v4: true,
         prune: true,
-        mmap: false,
+        pool: false,
     },
     LayoutConfig {
-        name: "v4+mmap",
+        name: "v4+pool",
         v4: true,
         prune: false,
-        mmap: true,
+        pool: true,
     },
     LayoutConfig {
-        name: "v4+prune+mmap",
+        name: "v4+prune+pool",
         v4: true,
         prune: true,
-        mmap: true,
+        pool: true,
     },
 ];
 
@@ -112,18 +114,14 @@ fn spec(cfg: &Config) -> IndexSpec {
 /// One full workload pass; returns per-query answers plus the pass's
 /// pruned-segment count.
 fn run_pass(
-    stored: &mut StoredIndex<MemStore>,
+    reader: &SharedIndexReader<MemStore>,
     spec: &IndexSpec,
-    mmap: Option<&MappedStore>,
     prune: bool,
     queries: &[SelectionQuery],
 ) -> (Vec<BitVec>, usize) {
     let mut answers = Vec::with_capacity(queries.len());
     let mut pruned = 0usize;
-    let mut src = StorageSource::try_new(stored, spec.clone()).expect("spec matches");
-    if let Some(m) = mmap {
-        src = src.with_mmap(m);
-    }
+    let mut src = SharedSource::try_new(reader, spec.clone()).expect("spec matches");
     for &q in queries {
         let mut ctx = ExecContext::new(&mut src).with_pruning(prune);
         let found = evaluate_segmented_in(&mut ctx, q, Algorithm::EqualityEval, SEGMENT_BITS)
@@ -136,9 +134,8 @@ fn run_pass(
 
 /// Best-of-`reps` wall seconds for one workload pass.
 fn time_pass(
-    stored: &mut StoredIndex<MemStore>,
+    reader: &SharedIndexReader<MemStore>,
     spec: &IndexSpec,
-    mmap: Option<&MappedStore>,
     prune: bool,
     queries: &[SelectionQuery],
     reps: usize,
@@ -147,7 +144,7 @@ fn time_pass(
     let mut sink = 0usize;
     for _ in 0..reps {
         let start = Instant::now();
-        let (answers, _) = run_pass(stored, spec, mmap, prune, queries);
+        let (answers, _) = run_pass(reader, spec, prune, queries);
         best = best.min(start.elapsed().as_secs_f64());
         sink ^= answers.iter().map(BitVec::count_ones).sum::<usize>();
     }
@@ -159,7 +156,7 @@ struct SweepPoint {
     data: &'static str,
     config: &'static str,
     pruning: bool,
-    mmap: bool,
+    pool: bool,
     seconds: f64,
     speedup_vs_v3: f64,
     segments_pruned: usize,
@@ -167,7 +164,7 @@ struct SweepPoint {
     bytes_not_fetched: u64,
 }
 
-/// The {v3, v4} × {pruning} × {mmap} sweep over one dataset. Answers are
+/// The {v3, v4} × {pruning} × {pool} sweep over one dataset. Answers are
 /// asserted bit-identical to the v3 baseline before timing; the pruning
 /// configurations must read strictly fewer bytes.
 fn query_sweep(cfg: &Config, data: &'static str, col: &Column) -> Vec<SweepPoint> {
@@ -179,16 +176,22 @@ fn query_sweep(cfg: &Config, data: &'static str, col: &Column) -> Vec<SweepPoint
     for lc in &CONFIGS {
         // A fresh store per configuration: cold-path byte accounting must
         // not be contaminated by a previous configuration's reads.
-        let mut stored = if lc.v4 {
+        let stored = if lc.v4 {
             persist_index_v4(&idx, MemStore::new(), CodecKind::None).expect("persist v4")
         } else {
             persist_index_v3(&idx, MemStore::new(), CodecKind::None).expect("persist v3")
         };
-        let mapped = MappedStore::new();
-        let mmap = lc.mmap.then_some(&mapped);
-        let (answers, pruned) = run_pass(&mut stored, &spec, mmap, lc.prune, &queries);
-        let bytes_read = stored.stats().bytes_read;
-        let seconds = time_pass(&mut stored, &spec, mmap, lc.prune, &queries, cfg.reps);
+        let reader = if lc.pool {
+            // Holds every slot: nothing is evicted, so after the first
+            // pass below each slot has been read and verified once.
+            let fits = ShardedPool::new(stored.meta().total_bitmaps() as usize, 1);
+            SharedIndexReader::with_pool(stored, fits)
+        } else {
+            SharedIndexReader::new(stored)
+        };
+        let (answers, pruned) = run_pass(&reader, &spec, lc.prune, &queries);
+        let bytes_read = reader.stats().bytes_read;
+        let seconds = time_pass(&reader, &spec, lc.prune, &queries, cfg.reps);
         let (v3_answers, v3_bytes, v3_seconds) = baseline.get_or_insert_with(|| {
             assert_eq!(lc.name, "v3", "v3 runs first");
             (answers.clone(), bytes_read, seconds)
@@ -212,7 +215,7 @@ fn query_sweep(cfg: &Config, data: &'static str, col: &Column) -> Vec<SweepPoint
             data,
             config: lc.name,
             pruning: lc.prune,
-            mmap: lc.mmap,
+            pool: lc.pool,
             seconds,
             speedup_vs_v3: *v3_seconds / seconds,
             segments_pruned: pruned,
@@ -259,7 +262,7 @@ fn reorder_sweep(cfg: &Config, data: &'static str, col: &Column) -> Vec<ReorderP
             .total_bytes()
             .expect("store size")
             .saturating_sub(stored_bytes);
-        let (answers, _) = run_pass(&mut stored, &spec, None, true, &queries);
+        let (answers, _) = run_pass(&SharedIndexReader::new(stored), &spec, true, &queries);
         let externalized: Vec<BitVec> = match &perm {
             None => answers,
             Some(p) => answers.iter().map(|a| p.externalize(a)).collect(),
@@ -441,13 +444,13 @@ fn main() {
         .iter()
         .map(|p| {
             format!(
-                "    {{\"data\": \"{}\", \"config\": \"{}\", \"pruning\": {}, \"mmap\": {}, \
+                "    {{\"data\": \"{}\", \"config\": \"{}\", \"pruning\": {}, \"pool\": {}, \
                  \"seconds\": {:.6}, \"speedup_vs_v3\": {:.3}, \"segments_pruned\": {}, \
                  \"bytes_read\": {}, \"bytes_not_fetched\": {}}}",
                 p.data,
                 p.config,
                 p.pruning,
-                p.mmap,
+                p.pool,
                 p.seconds,
                 p.speedup_vs_v3,
                 p.segments_pruned,

@@ -14,7 +14,7 @@ use bindex::core::design::space_opt::space_optimal;
 use bindex::core::eval::Algorithm;
 use bindex::relation::{query, tpcd};
 use bindex::storage::{DiskStore, StorageScheme, TempDir};
-use bindex::stored::{persist_index, StorageSource};
+use bindex::stored::{persist_index, SharedSource};
 use bindex::{BitmapIndex, Encoding, IndexSpec};
 use bindex_bench::{average_wall_time, f2, print_table, Csv};
 
@@ -53,7 +53,7 @@ fn main() {
             let store = DiskStore::open(tmp.path()).unwrap();
             let mut stored = persist_index(&idx, store, scheme, codec).unwrap();
             let space_mb = stored.total_stored_bytes() as f64 / 1e6;
-            let mut src = StorageSource::try_new(&mut stored, spec.clone()).unwrap();
+            let mut src = SharedSource::try_unpooled(&stored, spec.clone()).unwrap();
             let secs = average_wall_time(&mut src, &queries, Algorithm::RangeEvalOpt);
             let io = stored.take_stats();
             let nq = queries.len() as u64;

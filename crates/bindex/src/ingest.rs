@@ -40,7 +40,7 @@ use bindex_relation::Column;
 use bindex_storage::wal::{self, WalOp};
 use bindex_storage::{ByteStore, StoredIndex};
 
-use crate::stored::{storage_error, StorageSource};
+use crate::stored::{check_layout, storage_error, SharedSource};
 
 /// Environment variable: group-commit fsync interval in milliseconds.
 /// Unset means fsync on every commit (every ack is immediate); a
@@ -176,17 +176,7 @@ impl<'a, S: ByteStore> IngestIndex<'a, S> {
         options: IngestOptions,
     ) -> Result<Self, Error> {
         spec.check_covers(cardinality)?;
-        let expect: Vec<u32> = (1..=spec.n_components())
-            .map(|i| spec.stored_in_component(i))
-            .collect();
-        if stored.meta().bitmaps_per_component != expect {
-            return Err(Error::CorruptIndex(format!(
-                "stored layout does not match the index spec: store holds {:?} bitmaps per \
-                 component, spec expects {:?}",
-                stored.meta().bitmaps_per_component,
-                expect
-            )));
-        }
+        check_layout(stored, &spec)?;
         let base_rows = stored.meta().n_rows;
         let wal_applied = stored.meta().wal_applied;
         let bytes = match stored.store().read_file(wal::WAL_FILE) {
@@ -410,7 +400,7 @@ impl<'a, S: ByteStore> IngestIndex<'a, S> {
     ) -> Result<(BitVec, EvalStats), Error> {
         let overlay = self.overlay()?;
         let base_nn = self.stored.read_nn().map_err(storage_error)?;
-        let mut source = StorageSource::try_new(&mut *self.stored, self.spec.clone())?;
+        let mut source = SharedSource::try_unpooled(&*self.stored, self.spec.clone())?;
         if let Some(nn) = base_nn {
             source = source.with_nn(nn);
         }

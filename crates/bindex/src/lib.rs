@@ -47,9 +47,8 @@ pub use bindex_core::{
 };
 pub use bindex_relation::query::{Op, SelectionQuery};
 pub use bindex_relation::Column;
-pub use bindex_storage::{mmap_enabled, MappedStore, MmapStats, MMAP_ENV};
 pub use ingest::{IngestAck, IngestIndex, IngestOptions};
 pub use stored::{
     load_permutation, persist_index, persist_index_v3, persist_index_v4, persist_permutation,
-    scrub_and_repair_index, SharedSource, StorageSource, PERMUTATION_FILE,
+    scrub_and_repair_index, SharedSource, PERMUTATION_FILE,
 };

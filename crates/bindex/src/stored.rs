@@ -1,6 +1,7 @@
 //! Glue between the logical index ([`bindex_core`]) and physical storage
-//! ([`bindex_storage`]): a [`BitmapSource`] that reads bitmaps from a
-//! [`StoredIndex`], optionally through a [`BufferPool`].
+//! ([`bindex_storage`]): [`SharedSource`], the one [`BitmapSource`] that
+//! reads bitmaps from a [`StoredIndex`] — through a [`SharedIndexReader`]'s
+//! pool when there is one, straight from the index when there is not.
 //!
 //! This is what the Section 9 experiments evaluate queries through: the
 //! same evaluation algorithms, but every `fetch` is a real file read (and
@@ -19,8 +20,7 @@ use bindex_core::{
 };
 use bindex_relation::Column;
 use bindex_storage::{
-    format, BufferPool, ByteStore, IoStats, MappedStore, RepairReport, SharedIndexReader,
-    StorageError, StorageScheme, StoredIndex,
+    format, ByteStore, RepairReport, SharedIndexReader, StorageError, StorageScheme, StoredIndex,
 };
 
 /// File holding the row permutation of a reordered index, framed like
@@ -38,118 +38,38 @@ pub(crate) fn storage_error(e: StorageError) -> Error {
     }
 }
 
-/// A [`BitmapSource`] backed by a [`StoredIndex`].
-pub struct StorageSource<'a, S: ByteStore> {
-    stored: &'a mut StoredIndex<S>,
-    spec: IndexSpec,
-    pool: Option<&'a BufferPool>,
-    mmap: Option<&'a MappedStore>,
-    nn: Option<BitVec>,
+/// Checks that `spec` describes the layout `index` was written with; a
+/// mismatch against the stored metadata is [`Error::CorruptIndex`].
+pub(crate) fn check_layout<S: ByteStore>(
+    index: &StoredIndex<S>,
+    spec: &IndexSpec,
+) -> Result<(), Error> {
+    let expect: Vec<u32> = (1..=spec.n_components())
+        .map(|i| spec.stored_in_component(i))
+        .collect();
+    if index.meta().bitmaps_per_component != expect {
+        return Err(Error::CorruptIndex(format!(
+            "stored layout does not match the index spec: store holds {:?} bitmaps per \
+             component, spec expects {:?}",
+            index.meta().bitmaps_per_component,
+            expect
+        )));
+    }
+    Ok(())
 }
 
-impl<'a, S: ByteStore> StorageSource<'a, S> {
-    /// Wraps a stored index. `spec` must describe the layout the index was
-    /// written with; a mismatch against the stored metadata is reported as
-    /// [`Error::CorruptIndex`].
-    pub fn try_new(stored: &'a mut StoredIndex<S>, spec: IndexSpec) -> Result<Self, Error> {
-        let expect: Vec<u32> = (1..=spec.n_components())
-            .map(|i| spec.stored_in_component(i))
-            .collect();
-        if stored.meta().bitmaps_per_component != expect {
-            return Err(Error::CorruptIndex(format!(
-                "stored layout does not match the index spec: store holds {:?} bitmaps per \
-                 component, spec expects {:?}",
-                stored.meta().bitmaps_per_component,
-                expect
-            )));
-        }
-        Ok(Self {
-            stored,
-            spec,
-            pool: None,
-            mmap: None,
-            nn: None,
-        })
-    }
-
-    /// Routes fetches through a buffer pool (bitmaps resident in the pool
-    /// cost no file read).
-    pub fn with_pool(mut self, pool: &'a BufferPool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Routes execution-representation fetches through a pinned region
-    /// cache ([`MappedStore`]): after a slot's first checksummed load,
-    /// reads are `Arc` clones with no pool admission and no byte copy.
-    /// Takes precedence over the buffer pool for `try_fetch_repr`.
-    pub fn with_mmap(mut self, mmap: &'a MappedStore) -> Self {
-        self.mmap = Some(mmap);
-        self
-    }
-
-    /// Attaches a non-null bitmap (kept in memory; columns with nulls).
-    pub fn with_nn(mut self, nn: BitVec) -> Self {
-        self.nn = Some(nn);
-        self
-    }
-
-    /// Cumulative I/O statistics of the underlying store.
-    pub fn io_stats(&self) -> &IoStats {
-        self.stored.stats()
-    }
-}
-
-impl<S: ByteStore> BitmapSource for StorageSource<'_, S> {
-    fn spec(&self) -> &IndexSpec {
-        &self.spec
-    }
-
-    fn n_rows(&self) -> usize {
-        self.stored.meta().n_rows
-    }
-
-    fn try_fetch(&mut self, comp: usize, slot: usize) -> Result<BitVec, Error> {
-        let stored = &mut *self.stored;
-        match self.pool {
-            Some(pool) => pool.get_or_load::<Error>((comp, slot), || {
-                stored.read_bitmap(comp, slot).map_err(storage_error)
-            }),
-            None => stored.read_bitmap(comp, slot).map_err(storage_error),
-        }
-    }
-
-    fn try_fetch_nn(&mut self) -> Result<Option<BitVec>, Error> {
-        Ok(self.nn.clone())
-    }
-
-    fn try_fetch_repr(&mut self, comp: usize, slot: usize) -> Result<Repr, Error> {
-        let stored = &mut *self.stored;
-        if let Some(mmap) = self.mmap {
-            return mmap
-                .get_or_map((comp, slot), || stored.read_repr(comp, slot))
-                .map_err(storage_error);
-        }
-        match self.pool {
-            Some(pool) => pool.get_or_load_repr::<Error>((comp, slot), || {
-                stored.read_repr(comp, slot).map_err(storage_error)
-            }),
-            None => stored.read_repr(comp, slot).map_err(storage_error),
-        }
-    }
-
-    fn try_fetch_summary(&mut self) -> Option<Arc<IndexSummaries>> {
-        self.stored.read_summaries()
-    }
-}
-
-/// A `Send + Sync` [`BitmapSource`] over a [`SharedIndexReader`]: the
-/// storage-backed read path of the parallel batch engine. Each worker
-/// thread builds one `SharedSource` borrowing the same reader; bitmap
-/// reads go through the reader's sharded cache (when attached) and its
-/// atomic I/O counters, so no worker needs `&mut` access to the store.
+/// The [`BitmapSource`] over a stored index. `Send + Sync`, and every read
+/// is a `&self` read of the [`StoredIndex`], so the parallel batch engine
+/// builds one per worker thread over the same index. Built over a
+/// [`SharedIndexReader`] ([`SharedSource::try_new`]) fetches go through
+/// the reader's sharded cache; built over a bare index
+/// ([`SharedSource::try_unpooled`]) every fetch is a store read. Either
+/// way the I/O is accounted in the index's own atomic counters
+/// ([`StoredIndex::stats`]).
 pub struct SharedSource<'a, S: ByteStore> {
-    reader: &'a SharedIndexReader<S>,
+    index: &'a StoredIndex<S>,
+    /// The reader whose pool serves the fetches; `None` over a bare index.
+    reader: Option<&'a SharedIndexReader<S>>,
     spec: IndexSpec,
     nn: Option<BitVec>,
 }
@@ -159,19 +79,18 @@ impl<'a, S: ByteStore> SharedSource<'a, S> {
     /// was written with; a mismatch against the stored metadata is
     /// reported as [`Error::CorruptIndex`].
     pub fn try_new(reader: &'a SharedIndexReader<S>, spec: IndexSpec) -> Result<Self, Error> {
-        let expect: Vec<u32> = (1..=spec.n_components())
-            .map(|i| spec.stored_in_component(i))
-            .collect();
-        if reader.meta().bitmaps_per_component != expect {
-            return Err(Error::CorruptIndex(format!(
-                "stored layout does not match the index spec: store holds {:?} bitmaps per \
-                 component, spec expects {:?}",
-                reader.meta().bitmaps_per_component,
-                expect
-            )));
-        }
+        let mut source = Self::try_unpooled(reader.index(), spec)?;
+        source.reader = Some(reader);
+        Ok(source)
+    }
+
+    /// Wraps a stored index directly, with no cache in front of it. Same
+    /// `spec` check as [`SharedSource::try_new`].
+    pub fn try_unpooled(index: &'a StoredIndex<S>, spec: IndexSpec) -> Result<Self, Error> {
+        check_layout(index, &spec)?;
         Ok(Self {
-            reader,
+            index,
+            reader: None,
             spec,
             nn: None,
         })
@@ -182,11 +101,6 @@ impl<'a, S: ByteStore> SharedSource<'a, S> {
         self.nn = Some(nn);
         self
     }
-
-    /// The shared reader behind this source.
-    pub fn reader(&self) -> &SharedIndexReader<S> {
-        self.reader
-    }
 }
 
 impl<S: ByteStore> BitmapSource for SharedSource<'_, S> {
@@ -195,11 +109,15 @@ impl<S: ByteStore> BitmapSource for SharedSource<'_, S> {
     }
 
     fn n_rows(&self) -> usize {
-        self.reader.meta().n_rows
+        self.index.meta().n_rows
     }
 
     fn try_fetch(&mut self, comp: usize, slot: usize) -> Result<BitVec, Error> {
-        self.reader.read_bitmap(comp, slot).map_err(storage_error)
+        match self.reader {
+            Some(reader) => reader.read_bitmap(comp, slot),
+            None => self.index.read_bitmap(comp, slot),
+        }
+        .map_err(storage_error)
     }
 
     fn try_fetch_nn(&mut self) -> Result<Option<BitVec>, Error> {
@@ -207,17 +125,21 @@ impl<S: ByteStore> BitmapSource for SharedSource<'_, S> {
     }
 
     fn try_fetch_repr(&mut self, comp: usize, slot: usize) -> Result<Repr, Error> {
-        self.reader.read_repr(comp, slot).map_err(storage_error)
+        match self.reader {
+            Some(reader) => reader.read_repr(comp, slot),
+            None => self.index.read_repr(comp, slot),
+        }
+        .map_err(storage_error)
     }
 
     fn try_fetch_summary(&mut self) -> Option<Arc<IndexSummaries>> {
-        self.reader.read_summaries()
+        self.index.read_summaries()
     }
 }
 
 /// Writes an in-memory [`BitmapIndex`] into `store` under `scheme`,
 /// compressed with `codec`; returns the stored index ready for
-/// [`StorageSource`].
+/// [`SharedSource`].
 pub fn persist_index<S: ByteStore>(
     index: &BitmapIndex,
     store: S,
@@ -231,8 +153,8 @@ pub fn persist_index<S: ByteStore>(
 /// per-slot-coded store (bitmap-level layout): sparse slots are kept
 /// WAH-compressed and served to the executor without decompression, dense
 /// slots fall back to `codec`-compressed bytes. The returned index feeds
-/// [`StorageSource`]/[`SharedSource`] like any other; the evaluators see
-/// compressed slots through `try_fetch_repr` automatically.
+/// [`SharedSource`] like any other; the evaluators see compressed slots
+/// through `try_fetch_repr` automatically.
 pub fn persist_index_v3<S: ByteStore>(
     index: &BitmapIndex,
     store: S,
@@ -343,8 +265,8 @@ fn reconstruct_slot<S: ByteStore>(
         let mut acc: Option<BitVec> = None;
         let mut all_readable = true;
         for s in (0..b).filter(|&s| s != slot) {
-            match stored.read_bitmap_shared(comp, s) {
-                Ok((bm, _)) => match acc.as_mut() {
+            match stored.read_bitmap(comp, s) {
+                Ok(bm) => match acc.as_mut() {
                     Some(a) => a.or_assign(&bm),
                     None => acc = Some(bm),
                 },
@@ -375,7 +297,7 @@ mod tests {
     use bindex_core::{Base, Encoding};
     use bindex_relation::query::full_space;
     use bindex_relation::{gen, Column};
-    use bindex_storage::MemStore;
+    use bindex_storage::{MemStore, ShardedPool};
 
     fn column() -> Column {
         gen::uniform(500, 20, 42)
@@ -385,8 +307,8 @@ mod tests {
         let col = column();
         let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), encoding);
         let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-        let mut stored = persist_index(&idx, MemStore::new(), scheme, codec).unwrap();
-        let mut src = StorageSource::try_new(&mut stored, spec).unwrap();
+        let stored = persist_index(&idx, MemStore::new(), scheme, codec).unwrap();
+        let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
         for q in full_space(20) {
             let (got, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
             let want = bindex_core::eval::naive::evaluate(&col, q);
@@ -415,9 +337,9 @@ mod tests {
             for encoding in [Encoding::Equality, Encoding::Range, Encoding::Interval] {
                 let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), encoding);
                 let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-                let mut stored = persist_index_v3(&idx, MemStore::new(), codec).unwrap();
+                let stored = persist_index_v3(&idx, MemStore::new(), codec).unwrap();
                 assert_eq!(stored.format_version(), 3);
-                let mut src = StorageSource::try_new(&mut stored, spec).unwrap();
+                let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
                 for q in full_space(20) {
                     let (got, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
                     let want = bindex_core::eval::naive::evaluate(&col, q);
@@ -439,7 +361,7 @@ mod tests {
         assert!(report.fully_repaired(), "{report:?}");
         assert!(report.repaired.contains(&victim), "{report:?}");
         assert!(stored.scrub().unwrap().is_clean());
-        let mut src = StorageSource::try_new(&mut stored, spec).unwrap();
+        let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
         for q in full_space(20) {
             let (got, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
             assert_eq!(got, bindex_core::eval::naive::evaluate(&col, q), "{q}");
@@ -455,17 +377,16 @@ mod tests {
         let col = Column::new(values, 64);
         let spec = IndexSpec::new(Base::single(64).unwrap(), Encoding::Equality);
         let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-        let mut stored = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
-        let pool = BufferPool::with_byte_budget(1 << 20);
-        let mut src = StorageSource::try_new(&mut stored, spec)
-            .unwrap()
-            .with_pool(&pool);
+        let stored = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+        let reader =
+            SharedIndexReader::with_pool(stored, ShardedPool::with_byte_budget(1 << 20, 1));
+        let mut src = SharedSource::try_new(&reader, spec).unwrap();
         let repr = bindex_core::BitmapSource::try_fetch_repr(&mut src, 1, 3).unwrap();
         assert!(repr.is_compressed(), "sparse v3 slot must arrive as WAH");
         // Second fetch is a pool hit and preserves the representation.
         let again = bindex_core::BitmapSource::try_fetch_repr(&mut src, 1, 3).unwrap();
         assert!(again.is_compressed());
-        assert_eq!(pool.stats().hits, 1);
+        assert_eq!(reader.pool_stats().unwrap().hits, 1);
         assert_eq!(*repr.to_bitvec(), idx.components()[0][3]);
     }
 
@@ -474,30 +395,27 @@ mod tests {
         let col = column();
         let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), Encoding::Range);
         let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-        let mut stored = persist_index(
+        let stored = persist_index(
             &idx,
             MemStore::new(),
             StorageScheme::BitmapLevel,
             CodecKind::None,
         )
         .unwrap();
-        let pool = BufferPool::new(16);
-        let mut src = StorageSource::try_new(&mut stored, spec)
-            .unwrap()
-            .with_pool(&pool);
+        let reader = SharedIndexReader::with_pool(stored, ShardedPool::new(16, 1));
+        let mut src = SharedSource::try_new(&reader, spec).unwrap();
         let q = bindex_relation::query::SelectionQuery::new(bindex_relation::query::Op::Le, 7);
         let _ = evaluate(&mut src, q, Algorithm::Auto).unwrap();
         let _ = evaluate(&mut src, q, Algorithm::Auto).unwrap();
-        let stats = pool.stats();
+        let stats = reader.pool_stats().unwrap();
         assert!(stats.hits >= stats.misses, "{stats:?}");
         // second pass reads nothing from storage
-        assert_eq!(src.io_stats().reads as usize, stats.misses as usize);
+        assert_eq!(reader.stats().reads, stats.misses);
     }
 
     #[test]
     fn shared_source_evaluates_concurrently() {
         use bindex_engine::batch::{evaluate_selection_workload, BatchOptions};
-        use bindex_storage::ShardedPool;
 
         let col = column();
         let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), Encoding::Range);
@@ -556,9 +474,9 @@ mod tests {
         for encoding in [Encoding::Equality, Encoding::Range, Encoding::Interval] {
             let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), encoding);
             let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-            let mut stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
+            let stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
             assert_eq!(stored.format_version(), 4);
-            let mut src = StorageSource::try_new(&mut stored, spec).unwrap();
+            let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
             let summaries =
                 bindex_core::BitmapSource::try_fetch_summary(&mut src).expect("v4 has summaries");
             assert_eq!(summaries.n_rows(), col.len());
@@ -575,36 +493,9 @@ mod tests {
         let col = column();
         let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), Encoding::Range);
         let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-        let mut stored = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
-        let mut src = StorageSource::try_new(&mut stored, spec).unwrap();
+        let stored = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+        let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
         assert!(bindex_core::BitmapSource::try_fetch_summary(&mut src).is_none());
-    }
-
-    #[test]
-    fn mmap_source_pins_reprs_and_preserves_answers() {
-        let col = column();
-        let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), Encoding::Range);
-        let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-        let mut stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
-        let mmap = MappedStore::new();
-        let mut src = StorageSource::try_new(&mut stored, spec)
-            .unwrap()
-            .with_mmap(&mmap);
-        let a = bindex_core::BitmapSource::try_fetch_repr(&mut src, 1, 0).unwrap();
-        let reads_after_first = src.io_stats().reads;
-        let b = bindex_core::BitmapSource::try_fetch_repr(&mut src, 1, 0).unwrap();
-        assert_eq!(a.to_bitvec(), b.to_bitvec());
-        assert_eq!(
-            src.io_stats().reads,
-            reads_after_first,
-            "mapped re-read must not touch storage"
-        );
-        let stats = mmap.stats();
-        assert_eq!((stats.maps, stats.hits), (1, 1));
-        for q in full_space(20) {
-            let (got, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
-            assert_eq!(got, bindex_core::eval::naive::evaluate(&col, q), "{q}");
-        }
     }
 
     #[test]
@@ -634,7 +525,7 @@ mod tests {
             .expect("sidecar must load");
         // Externalized answers through the store match the natural-order
         // ground truth.
-        let mut src = StorageSource::try_new(&mut stored, spec).unwrap();
+        let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
         for q in full_space(20) {
             let (internal, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
             let got = loaded.externalize(&internal);
@@ -712,7 +603,7 @@ mod tests {
         assert!(report.fully_repaired(), "{report:?}");
         assert!(report.repaired.contains(&victim), "{report:?}");
         assert!(stored.scrub().unwrap().is_clean());
-        let mut src = StorageSource::try_new(&mut stored, spec).unwrap();
+        let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
         for q in full_space(20) {
             let (got, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
             assert_eq!(got, bindex_core::eval::naive::evaluate(&col, q), "{q}");
@@ -747,7 +638,7 @@ mod tests {
                     stored.scrub().unwrap().is_clean(),
                     "{scheme:?}/{encoding:?}"
                 );
-                let mut src = StorageSource::try_new(&mut stored, spec).unwrap();
+                let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
                 for q in full_space(20) {
                     let (got, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
                     let want = bindex_core::eval::naive::evaluate(&col, q);
@@ -784,7 +675,7 @@ mod tests {
         let col = column();
         let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), Encoding::Range);
         let idx = BitmapIndex::build(&col, spec).unwrap();
-        let mut stored = persist_index(
+        let stored = persist_index(
             &idx,
             MemStore::new(),
             StorageScheme::BitmapLevel,
@@ -792,7 +683,7 @@ mod tests {
         )
         .unwrap();
         let wrong = IndexSpec::new(Base::from_msb(&[5, 4]).unwrap(), Encoding::Range);
-        match StorageSource::try_new(&mut stored, wrong) {
+        match SharedSource::try_unpooled(&stored, wrong) {
             Err(Error::CorruptIndex(msg)) => assert!(msg.contains("does not match"), "{msg}"),
             other => panic!("expected CorruptIndex, got {:?}", other.err()),
         }

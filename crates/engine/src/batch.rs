@@ -10,12 +10,13 @@
 //! `&self`-based `SharedIndexReader` of the storage crate buy: worker
 //! threads borrow one table (or build one [`BitmapSource`] each from a
 //! shared factory) and drain tasks from a work-stealing [`StealQueue`]:
-//! each worker owns a deque seeded with a contiguous block of the
-//! workload and steals half of a victim's remaining tail when its own
-//! runs dry, so a skewed mix (one huge query among many cheap ones)
-//! rebalances instead of convoying behind whichever worker drew the
-//! expensive block. Workers that find nothing to steal spin briefly, then
-//! park with a timeout until the workload drains.
+//! tasks are dealt round-robin over per-worker deques, so the oldest
+//! tasks are in flight on every worker first, and a worker steals half of
+//! a victim's remaining tail when its own deque runs dry, so a skewed mix
+//! (one huge query among many cheap ones) rebalances instead of convoying
+//! behind whichever worker drew the expensive task. Workers that find
+//! nothing to steal spin briefly, then park with a timeout until the
+//! workload drains.
 //!
 //! Independence cuts the other way too: one query hitting a corrupt
 //! bitmap — or a bug that panics — is no reason to throw away the other
@@ -464,8 +465,8 @@ const IDLE_SPINS: u32 = 64;
 /// that the last worker to finish never strands the others noticeably.
 const PARK_INTERVAL: Duration = Duration::from_micros(100);
 
-/// Work-stealing task queue: per-worker deques of task indices, seeded
-/// with contiguous blocks of the workload in index order.
+/// Work-stealing task queue: per-worker deques of task indices, dealt
+/// round-robin (task `i` to deque `i % workers`) in index order.
 ///
 /// A worker pops its own deque from the front (preserving input order, so
 /// early tasks — which seed caches and op accounting — run early) and, on
@@ -486,19 +487,17 @@ struct StealQueue {
 }
 
 impl StealQueue {
-    /// Distributes `0..n_tasks` over `workers` deques in contiguous
-    /// blocks. Contiguity is deliberate: it keeps each worker streaming
-    /// adjacent tasks (locality), and it means a skewed workload lands on
-    /// one deque — exactly the shape stealing exists to fix.
+    /// Deals task `i` of `0..n_tasks` to deque `i % workers`. Tasks are
+    /// ordered oldest query first (a query's morsels are adjacent), so the
+    /// deal puts the oldest query's morsels in flight on every worker at
+    /// once and finishes queries in arrival order; contiguous blocks would
+    /// instead run one query's morsels back to back on one worker while the
+    /// others start on queries from the middle of the batch, and under a
+    /// deadline nothing finishes.
     fn new(n_tasks: usize, workers: usize) -> Self {
         let workers = workers.max(1);
-        let chunk = n_tasks.div_ceil(workers).max(1);
         let deques = (0..workers)
-            .map(|w| {
-                let lo = (w * chunk).min(n_tasks);
-                let hi = ((w + 1) * chunk).min(n_tasks);
-                Mutex::new((lo..hi).collect::<VecDeque<usize>>())
-            })
+            .map(|w| Mutex::new((w..n_tasks).step_by(workers).collect::<VecDeque<usize>>()))
             .collect();
         Self {
             deques,
@@ -877,11 +876,11 @@ struct QueryCell {
 /// query-major order) seed a work-stealing [`StealQueue`], and workers
 /// drain it — so a workload of one huge query and a workload of many
 /// small ones saturate the same pool (inter-query and intra-query
-/// parallelism are the same mechanism). Because distribution is
-/// contiguous, one pathologically expensive query initially lands on one
-/// worker's deque — and gets stolen away morsel by morsel as the others
-/// run dry, which is what keeps wall-clock near the longest single query
-/// rather than the longest initial block.
+/// parallelism are the same mechanism). The queue deals morsels
+/// round-robin, so a query's morsels start on every worker at once and
+/// queries complete oldest first — under a deadline the head of the batch
+/// finishes and only the tail is shed — while a pathologically expensive
+/// morsel's deque-mates get stolen away as the other workers run dry.
 ///
 /// Generic over the per-morsel evaluation: `eval_range(ctx, query_index,
 /// row_lo, row_hi, out)` runs the segments of `[row_lo, row_hi)` into
@@ -1607,23 +1606,23 @@ mod tests {
 
     #[test]
     fn steal_queue_semantics() {
-        // Contiguous block distribution: 10 tasks over 3 workers.
+        // Round-robin deal: 10 tasks over 3 workers.
         let q = StealQueue::new(10, 3);
         assert!(!q.drained());
-        // Worker 0 owns 0..4 and pops them in order.
-        for want in 0..4 {
+        // Worker 0 owns {0,3,6,9} and pops them in order.
+        for want in [0, 3, 6, 9] {
             assert_eq!(q.claim(0), Some(want));
             q.finish_task();
         }
         // Its deque is dry: the next claim steals half of worker 1's
-        // remaining tail {4,5,6,7} → takes {6,7}, runs 6 first.
-        assert_eq!(q.claim(0), Some(6));
+        // remaining tail {1,4,7} → takes {4,7}, runs 4 first.
+        assert_eq!(q.claim(0), Some(4));
         q.finish_task();
         assert_eq!(q.steals(), 1);
         assert_eq!(q.claim(0), Some(7));
         q.finish_task();
         // Worker 1 still holds its unstolen front.
-        assert_eq!(q.claim(1), Some(4));
+        assert_eq!(q.claim(1), Some(1));
         q.finish_task();
         // Drain the rest from anywhere; claim returns None only when
         // every deque is empty.
@@ -1633,7 +1632,7 @@ mod tests {
             q.finish_task();
         }
         rest.sort_unstable();
-        assert_eq!(rest, vec![5, 8, 9]);
+        assert_eq!(rest, vec![2, 5, 8]);
         assert!(q.drained());
         assert_eq!(q.claim(0), None);
     }

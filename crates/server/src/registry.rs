@@ -262,7 +262,7 @@ impl ServedIndex {
         // Columns with nulls (including rows masked out by an ingest
         // delete) carry a stored not-null bitmap; `Ne` and negated
         // predicates are wrong without it.
-        let nn = guard.index().read_nn_shared().map_err(storage_error)?.0;
+        let nn = guard.index().read_nn().map_err(storage_error)?;
         let make_source = || {
             let source = SharedSource::try_new(&guard, spec.clone())
                 .expect("layout validated at registration");

@@ -1,5 +1,6 @@
 //! A bitmap-granularity buffer pool (Section 10's unit of buffering),
-//! with an LRU eviction policy and hit/miss accounting.
+//! with an LRU eviction policy and hit/miss accounting — the one cache on
+//! the stored read path.
 //!
 //! The analytic side of Section 10 lives in `bindex-core::buffer`; this
 //! pool is the runtime counterpart used by the storage-backed experiments:
@@ -7,17 +8,18 @@
 //! buffered bitmap costs no file read.
 //!
 //! Entries are stored as [`Repr`] — dense or WAH-compressed, whichever
-//! form the store handed out — and the pool can be budgeted either in
-//! *slots* (the paper's `m` bitmaps) or in *bytes*
-//! ([`BufferPool::with_byte_budget`]). Byte budgeting is what makes the
-//! compressed execution path pay off twice: a WAH entry is charged its
-//! compressed footprint, so a fixed memory budget keeps more sparse
-//! bitmaps resident than the same budget over dense words.
+//! form the store handed out — and handed back as `Arc` clones, so a hit
+//! copies no words. The pool can be budgeted either in *slots* (the
+//! paper's `m` bitmaps) or in *bytes* ([`ShardedPool::with_byte_budget`]).
+//! Byte budgeting is what makes the compressed execution path pay off
+//! twice: a WAH entry is charged its compressed footprint, so a fixed
+//! memory budget keeps more sparse bitmaps resident than the same budget
+//! over dense words. A pool whose budget covers every slot never evicts:
+//! it is the pinned cache (each slot verified once, then shared).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
-use bindex_bitvec::BitVec;
 use bindex_compress::Repr;
 
 /// Buffer pool statistics.
@@ -62,9 +64,9 @@ impl Inner {
     }
 }
 
-/// LRU cache of bitmaps under a slot or byte budget. Thread-safe,
-/// matching the shared buffer pool of a database server.
-pub struct BufferPool {
+/// One shard of a [`ShardedPool`]: an LRU cache of bitmaps under a slot or
+/// byte budget behind its own lock.
+struct BufferPool {
     budget: Budget,
     inner: Mutex<Inner>,
 }
@@ -89,34 +91,12 @@ impl BufferPool {
         }
     }
 
-    /// Creates a pool holding at most `capacity` bitmaps (`m` in the
-    /// paper's notation). Zero capacity disables caching.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_budget(Budget::Slots(capacity))
-    }
-
-    /// Creates a pool bounded by resident heap bytes instead of a bitmap
-    /// count: each entry is charged its [`Repr::heap_bytes`], so compressed
-    /// entries cost what they actually occupy. Zero disables caching; an
-    /// entry larger than the whole budget is served but never cached.
-    pub fn with_byte_budget(bytes: usize) -> Self {
-        Self::with_budget(Budget::Bytes(bytes))
-    }
-
-    /// Maximum resident bitmaps for a slot-budgeted pool; `usize::MAX`
-    /// for a byte-budgeted pool (no slot bound).
-    pub fn capacity(&self) -> usize {
+    /// Maximum resident bitmaps for a slot-budgeted shard; `usize::MAX`
+    /// for a byte-budgeted one (no slot bound).
+    fn capacity(&self) -> usize {
         match self.budget {
             Budget::Slots(n) => n,
             Budget::Bytes(_) => usize::MAX,
-        }
-    }
-
-    /// The byte budget, when this pool is byte-budgeted.
-    pub fn byte_budget(&self) -> Option<usize> {
-        match self.budget {
-            Budget::Slots(_) => None,
-            Budget::Bytes(b) => Some(b),
         }
     }
 
@@ -124,10 +104,7 @@ impl BufferPool {
         matches!(self.budget, Budget::Slots(0) | Budget::Bytes(0))
     }
 
-    /// Fetches the representation for `key`, loading it with `load` on a
-    /// miss. The returned [`Repr`] is an `Arc`-backed handle — a hit costs
-    /// a reference bump, not a bitmap copy.
-    pub fn get_or_load_repr<E>(
+    fn get_or_load_repr<E>(
         &self,
         key: (usize, usize),
         load: impl FnOnce() -> Result<Repr, E>,
@@ -182,91 +159,19 @@ impl BufferPool {
         Ok(repr)
     }
 
-    /// Fetches the bitmap for `key` in dense form, loading it with `load`
-    /// on a miss. Compressed entries are decompressed on the way out; the
-    /// cached copy keeps its stored representation.
-    pub fn get_or_load<E>(
-        &self,
-        key: (usize, usize),
-        load: impl FnOnce() -> Result<BitVec, E>,
-    ) -> Result<BitVec, E> {
-        let repr = self.get_or_load_repr(key, || load().map(Repr::literal))?;
-        Ok(match repr {
-            Repr::Literal(b) => Arc::try_unwrap(b).unwrap_or_else(|a| (*a).clone()),
-            Repr::Wah(w) => w.to_bitvec(),
-        })
-    }
-
-    /// Fetches the bitmap for `key` as a **shared dense handle**: a hit on
-    /// a dense entry is a reference-count bump, never a word copy. This is
-    /// the read path for segment-at-a-time workers — many morsels of one
-    /// query touching the same slot share a single resident copy.
-    ///
-    /// A cached compressed entry is decompressed once and the cache entry
-    /// is upgraded in place to the dense form (re-charged at its dense
-    /// footprint, evicting colder entries if the byte budget demands it),
-    /// so concurrent readers of a hot slot do not repeat the decode.
-    pub fn get_or_load_arc<E>(
-        &self,
-        key: (usize, usize),
-        load: impl FnOnce() -> Result<BitVec, E>,
-    ) -> Result<Arc<BitVec>, E> {
-        let repr = self.get_or_load_repr(key, || load().map(Repr::literal))?;
-        let upgraded_from = repr.heap_bytes();
-        let dense = match repr {
-            Repr::Literal(b) => return Ok(b),
-            Repr::Wah(w) => Arc::new(w.to_bitvec()),
-        };
-        let new_repr = Repr::Literal(Arc::clone(&dense));
-        let new_bytes = new_repr.heap_bytes();
-        let mut inner = self.lock();
-        // Upgrade only if the compressed entry is still resident (it may
-        // have been evicted or replaced while we decoded).
-        let still_compressed = inner
-            .entries
-            .get(&key)
-            .is_some_and(|(r, _)| r.is_compressed());
-        if still_compressed {
-            if let Budget::Bytes(cap) = self.budget {
-                if new_bytes > cap {
-                    // Dense form oversized for the whole pool: keep the
-                    // compressed entry, serve the decode uncached.
-                    return Ok(dense);
-                }
-            }
-            if let Some((slot, _)) = inner.entries.get_mut(&key) {
-                *slot = new_repr;
-            }
-            inner.resident_bytes = inner.resident_bytes - upgraded_from + new_bytes;
-            if let Budget::Bytes(cap) = self.budget {
-                while inner.resident_bytes > cap {
-                    if !inner.evict_lru() {
-                        break;
-                    }
-                }
-            }
-        }
-        Ok(dense)
-    }
-
-    /// Current statistics.
-    pub fn stats(&self) -> PoolStats {
+    fn stats(&self) -> PoolStats {
         self.lock().stats
     }
 
-    /// Number of bitmaps currently resident.
-    pub fn resident(&self) -> usize {
+    fn resident(&self) -> usize {
         self.lock().entries.len()
     }
 
-    /// Total heap bytes of the resident entries (each charged in its
-    /// stored representation).
-    pub fn resident_bytes(&self) -> usize {
+    fn resident_bytes(&self) -> usize {
         self.lock().resident_bytes
     }
 
-    /// Empties the pool and resets statistics.
-    pub fn clear(&self) {
+    fn clear(&self) {
         let mut inner = self.lock();
         inner.entries.clear();
         inner.resident_bytes = 0;
@@ -274,18 +179,18 @@ impl BufferPool {
     }
 }
 
-/// A sharded bitmap cache for the parallel read path: `n_shards`
-/// independent [`BufferPool`]s, with each `(component, slot)` key pinned
-/// to one shard, so concurrent readers contend only when they touch the
-/// same shard rather than on one global lock.
+/// The bitmap cache of the stored read path: `n_shards` independent LRU
+/// shards, with each `(component, slot)` key pinned to one shard, so
+/// concurrent readers contend only when they touch the same shard rather
+/// than on one global lock. One shard is a plain LRU buffer pool.
 pub struct ShardedPool {
     shards: Vec<BufferPool>,
 }
 
 impl ShardedPool {
-    /// Creates a pool of `capacity` bitmaps total, spread over `n_shards`
-    /// shards (each shard holds `⌈capacity / n_shards⌉` at most; zero
-    /// capacity disables caching).
+    /// Creates a pool of `capacity` bitmaps total (`m` in the paper's
+    /// notation), spread over `n_shards` shards (each shard holds
+    /// `⌈capacity / n_shards⌉` at most; zero capacity disables caching).
     ///
     /// # Panics
     /// Panics if `n_shards` is zero.
@@ -297,12 +202,17 @@ impl ShardedPool {
             capacity.div_ceil(n_shards)
         };
         Self {
-            shards: (0..n_shards).map(|_| BufferPool::new(per_shard)).collect(),
+            shards: (0..n_shards)
+                .map(|_| BufferPool::with_budget(Budget::Slots(per_shard)))
+                .collect(),
         }
     }
 
-    /// Creates a byte-budgeted pool of `bytes` total, spread over
-    /// `n_shards` shards.
+    /// Creates a pool bounded by resident heap bytes instead of a bitmap
+    /// count, `bytes` total spread over `n_shards` shards: each entry is
+    /// charged its [`Repr::heap_bytes`], so compressed entries cost what
+    /// they actually occupy. Zero disables caching; an entry larger than
+    /// its shard's whole budget is served but never cached.
     ///
     /// # Panics
     /// Panics if `n_shards` is zero.
@@ -315,7 +225,7 @@ impl ShardedPool {
         };
         Self {
             shards: (0..n_shards)
-                .map(|_| BufferPool::with_byte_budget(per_shard))
+                .map(|_| BufferPool::with_budget(Budget::Bytes(per_shard)))
                 .collect(),
         }
     }
@@ -342,27 +252,9 @@ impl ShardedPool {
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
 
-    /// Fetches the bitmap for `key` from its shard, loading on a miss.
-    pub fn get_or_load<E>(
-        &self,
-        key: (usize, usize),
-        load: impl FnOnce() -> Result<BitVec, E>,
-    ) -> Result<BitVec, E> {
-        self.shard_of(key).get_or_load(key, load)
-    }
-
-    /// Fetches the bitmap for `key` from its shard as a shared dense
-    /// handle (see [`BufferPool::get_or_load_arc`]).
-    pub fn get_or_load_arc<E>(
-        &self,
-        key: (usize, usize),
-        load: impl FnOnce() -> Result<BitVec, E>,
-    ) -> Result<Arc<BitVec>, E> {
-        self.shard_of(key).get_or_load_arc(key, load)
-    }
-
-    /// Fetches the representation for `key` from its shard, loading on a
-    /// miss.
+    /// Fetches the representation for `key` from its shard, loading it
+    /// with `load` on a miss. The returned [`Repr`] is an `Arc`-backed
+    /// handle — a hit costs a reference bump, not a bitmap copy.
     pub fn get_or_load_repr<E>(
         &self,
         key: (usize, usize),
@@ -404,84 +296,79 @@ impl ShardedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bindex_bitvec::BitVec;
     use bindex_compress::wah::WahBitmap;
 
     fn bm(tag: usize) -> BitVec {
         BitVec::from_fn(64, |i| (i + tag).is_multiple_of(3))
     }
 
+    /// Loads `bits` as a literal under `key` (a miss) or serves the hit.
+    fn load(pool: &ShardedPool, key: (usize, usize), bits: BitVec) -> Repr {
+        pool.get_or_load_repr::<()>(key, || Ok(Repr::literal(bits)))
+            .unwrap()
+    }
+
+    /// Fetches `key`, which must already be resident.
+    fn hit(pool: &ShardedPool, key: (usize, usize)) -> Repr {
+        pool.get_or_load_repr::<()>(key, || panic!("{key:?} must hit"))
+            .unwrap()
+    }
+
     #[test]
     fn hit_after_load() {
-        let pool = BufferPool::new(4);
-        let a = pool.get_or_load::<()>((1, 0), || Ok(bm(1))).unwrap();
-        let b = pool
-            .get_or_load::<()>((1, 0), || panic!("must hit"))
-            .unwrap();
-        assert_eq!(a, b);
+        let pool = ShardedPool::new(4, 1);
+        let a = load(&pool, (1, 0), bm(1));
+        let b = hit(&pool, (1, 0));
+        // Both handles point at the same resident words — no deep copy.
+        match (&a, &b) {
+            (Repr::Literal(a), Repr::Literal(b)) => assert!(std::sync::Arc::ptr_eq(a, b)),
+            other => panic!("expected two literals, got {other:?}"),
+        }
+        assert_eq!(*b.to_bitvec(), bm(1));
         let s = pool.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]
     fn lru_evicts_oldest() {
-        let pool = BufferPool::new(2);
-        pool.get_or_load::<()>((1, 0), || Ok(bm(0))).unwrap();
-        pool.get_or_load::<()>((1, 1), || Ok(bm(1))).unwrap();
-        pool.get_or_load::<()>((1, 0), || panic!("hot")).unwrap(); // refresh (1,0)
-        pool.get_or_load::<()>((1, 2), || Ok(bm(2))).unwrap(); // evicts (1,1)
+        let pool = ShardedPool::new(2, 1);
+        load(&pool, (1, 0), bm(0));
+        load(&pool, (1, 1), bm(1));
+        hit(&pool, (1, 0)); // refresh (1,0)
+        load(&pool, (1, 2), bm(2)); // evicts (1,1)
         assert_eq!(pool.resident(), 2);
         assert_eq!(pool.stats().evictions, 1);
         // (1,1) must reload; (1,0) must still hit.
-        pool.get_or_load::<()>((1, 0), || panic!("still hot"))
-            .unwrap();
+        hit(&pool, (1, 0));
         let mut reloaded = false;
-        pool.get_or_load::<()>((1, 1), || {
+        pool.get_or_load_repr::<()>((1, 1), || {
             reloaded = true;
-            Ok(bm(1))
+            Ok(Repr::literal(bm(1)))
         })
         .unwrap();
         assert!(reloaded);
     }
 
     #[test]
-    fn zero_capacity_never_caches() {
-        let pool = BufferPool::new(0);
-        for _ in 0..3 {
-            pool.get_or_load::<()>((1, 0), || Ok(bm(0))).unwrap();
-        }
-        assert_eq!(pool.stats().misses, 3);
-        assert_eq!(pool.resident(), 0);
-    }
-
-    #[test]
     fn load_errors_propagate() {
-        let pool = BufferPool::new(2);
-        let r = pool.get_or_load::<&str>((9, 9), || Err("boom"));
+        let pool = ShardedPool::new(2, 1);
+        let r = pool.get_or_load_repr::<&str>((9, 9), || Err("boom"));
         assert_eq!(r.unwrap_err(), "boom");
         assert_eq!(pool.resident(), 0);
     }
 
     #[test]
-    fn clear_resets() {
-        let pool = BufferPool::new(2);
-        pool.get_or_load::<()>((1, 0), || Ok(bm(0))).unwrap();
-        pool.clear();
-        assert_eq!(pool.resident(), 0);
-        assert_eq!(pool.stats(), PoolStats::default());
-    }
-
-    #[test]
     fn byte_budget_charges_heap_bytes() {
         // Each 64-bit literal costs 8 bytes: a 24-byte budget holds 3.
-        let pool = BufferPool::with_byte_budget(24);
-        assert_eq!(pool.byte_budget(), Some(24));
+        let pool = ShardedPool::with_byte_budget(24, 1);
         for slot in 0..3 {
-            pool.get_or_load::<()>((1, slot), || Ok(bm(slot))).unwrap();
+            load(&pool, (1, slot), bm(slot));
         }
         assert_eq!(pool.resident(), 3);
         assert_eq!(pool.resident_bytes(), 24);
         // A fourth entry must evict the LRU first.
-        pool.get_or_load::<()>((1, 3), || Ok(bm(3))).unwrap();
+        load(&pool, (1, 3), bm(3));
         assert_eq!(pool.resident(), 3);
         assert_eq!(pool.resident_bytes(), 24);
         assert_eq!(pool.stats().evictions, 1);
@@ -494,12 +381,10 @@ mod tests {
         // entry resident but only one dense one.
         let sparse = |tag: usize| BitVec::from_fn(4096, move |i| i == tag);
         let budget = 600;
-        let dense = BufferPool::with_byte_budget(budget);
-        let compressed = BufferPool::with_byte_budget(budget);
+        let dense = ShardedPool::with_byte_budget(budget, 1);
+        let compressed = ShardedPool::with_byte_budget(budget, 1);
         for slot in 0..8 {
-            dense
-                .get_or_load::<()>((1, slot), || Ok(sparse(slot)))
-                .unwrap();
+            load(&dense, (1, slot), sparse(slot));
             compressed
                 .get_or_load_repr::<()>((1, slot), || {
                     Ok(Repr::wah(WahBitmap::from_bitvec(&sparse(slot))))
@@ -513,81 +398,27 @@ mod tests {
 
     #[test]
     fn oversized_entry_served_not_cached() {
-        let pool = BufferPool::with_byte_budget(8);
+        let pool = ShardedPool::with_byte_budget(8, 1);
         let big = BitVec::from_fn(1024, |i| i % 2 == 0); // 128 bytes
-        let got = pool.get_or_load::<()>((1, 0), || Ok(big.clone())).unwrap();
-        assert_eq!(got, big);
+        let got = load(&pool, (1, 0), big.clone());
+        assert_eq!(*got.to_bitvec(), big);
         assert_eq!(pool.resident(), 0);
         assert_eq!(pool.stats().evictions, 0);
     }
 
     #[test]
     fn repr_hits_preserve_representation() {
-        let pool = BufferPool::new(4);
+        let pool = ShardedPool::new(4, 1);
         let bits = BitVec::from_fn(2048, |i| i == 7);
         let wah = WahBitmap::from_bitvec(&bits);
         pool.get_or_load_repr::<()>((2, 0), || Ok(Repr::wah(wah)))
             .unwrap();
-        let hit = pool
-            .get_or_load_repr::<()>((2, 0), || panic!("must hit"))
-            .unwrap();
-        assert!(hit.is_compressed());
-        assert_eq!(*hit.to_bitvec(), bits);
-        // The dense accessor decompresses on the way out but keeps the
-        // compressed copy cached.
-        let dense = pool
-            .get_or_load::<()>((2, 0), || panic!("must hit"))
-            .unwrap();
-        assert_eq!(dense, bits);
+        let got = hit(&pool, (2, 0));
+        assert!(got.is_compressed());
+        assert_eq!(*got.to_bitvec(), bits);
+        // Materializing a hit leaves the compressed copy cached.
+        assert!(hit(&pool, (2, 0)).is_compressed());
         assert!(pool.resident_bytes() < bits.words().len() * 8);
-    }
-
-    #[test]
-    fn arc_hits_share_one_copy() {
-        let pool = BufferPool::new(4);
-        let a = pool.get_or_load_arc::<()>((1, 0), || Ok(bm(1))).unwrap();
-        let b = pool
-            .get_or_load_arc::<()>((1, 0), || panic!("must hit"))
-            .unwrap();
-        // Both handles point at the same resident words — no deep copy.
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(*a, bm(1));
-    }
-
-    #[test]
-    fn arc_read_upgrades_compressed_entry_once() {
-        let pool = BufferPool::new(4);
-        let bits = BitVec::from_fn(4096, |i| i == 9);
-        let wah = WahBitmap::from_bitvec(&bits);
-        pool.get_or_load_repr::<()>((3, 0), || Ok(Repr::wah(wah)))
-            .unwrap();
-        let first = pool
-            .get_or_load_arc::<()>((3, 0), || panic!("must hit"))
-            .unwrap();
-        assert_eq!(*first, bits);
-        // The entry is now dense: the next arc read shares the decode.
-        let second = pool
-            .get_or_load_arc::<()>((3, 0), || panic!("must hit"))
-            .unwrap();
-        assert!(Arc::ptr_eq(&first, &second));
-        // Byte accounting now charges the dense footprint.
-        assert_eq!(pool.resident_bytes(), bits.words().len() * 8);
-    }
-
-    #[test]
-    fn arc_upgrade_respects_byte_budget() {
-        // Budget fits the compressed form but not the dense one: the
-        // decode is served, the compressed entry stays.
-        let bits = BitVec::from_fn(4096, |i| i == 5);
-        let pool = BufferPool::with_byte_budget(64);
-        pool.get_or_load_repr::<()>((1, 0), || Ok(Repr::wah(WahBitmap::from_bitvec(&bits))))
-            .unwrap();
-        let before = pool.resident_bytes();
-        let got = pool
-            .get_or_load_arc::<()>((1, 0), || panic!("must hit"))
-            .unwrap();
-        assert_eq!(*got, bits);
-        assert_eq!(pool.resident_bytes(), before, "entry must stay compressed");
     }
 
     #[test]
@@ -596,13 +427,10 @@ mod tests {
         assert_eq!(pool.n_shards(), 4);
         assert_eq!(pool.capacity(), 16);
         for slot in 0..8 {
-            pool.get_or_load::<()>((1, slot), || Ok(bm(slot))).unwrap();
+            load(&pool, (1, slot), bm(slot));
         }
         for slot in 0..8 {
-            let got = pool
-                .get_or_load::<()>((1, slot), || panic!("must hit"))
-                .unwrap();
-            assert_eq!(got, bm(slot));
+            assert_eq!(*hit(&pool, (1, slot)).to_bitvec(), bm(slot));
         }
         let s = pool.stats();
         assert_eq!((s.hits, s.misses), (8, 8));
@@ -616,20 +444,21 @@ mod tests {
     fn sharded_byte_budget_accounts_bytes() {
         let pool = ShardedPool::with_byte_budget(1024, 4);
         for slot in 0..8 {
-            pool.get_or_load::<()>((1, slot), || Ok(bm(slot))).unwrap();
+            load(&pool, (1, slot), bm(slot));
         }
         assert_eq!(pool.resident(), 8);
         assert_eq!(pool.resident_bytes(), 64);
     }
 
     #[test]
-    fn sharded_pool_zero_capacity_never_caches() {
-        let pool = ShardedPool::new(0, 4);
-        for _ in 0..3 {
-            pool.get_or_load::<()>((2, 1), || Ok(bm(1))).unwrap();
+    fn zero_capacity_never_caches() {
+        for pool in [ShardedPool::new(0, 1), ShardedPool::new(0, 4)] {
+            for _ in 0..3 {
+                load(&pool, (2, 1), bm(1));
+            }
+            assert_eq!(pool.stats().misses, 3);
+            assert_eq!(pool.resident(), 0);
         }
-        assert_eq!(pool.stats().misses, 3);
-        assert_eq!(pool.resident(), 0);
     }
 
     #[test]
@@ -640,8 +469,8 @@ mod tests {
                 let pool = &pool;
                 scope.spawn(move || {
                     for slot in 0..16 {
-                        pool.get_or_load::<()>((t, slot), || Ok(bm(slot))).unwrap();
-                        pool.get_or_load::<()>((t, slot), || Ok(bm(slot))).unwrap();
+                        load(pool, (t, slot), bm(slot));
+                        load(pool, (t, slot), bm(slot));
                     }
                 });
             }

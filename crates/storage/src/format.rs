@@ -12,9 +12,8 @@
 //! Compression happens first and the frame wraps the compressed bytes, so
 //! verification reads exactly the stored size. [`unframe`] hands back the
 //! payload as a slice of the buffer it was given, so a reader decodes
-//! straight out of the bytes the store returned. Version 1 stores predate
-//! the frame (raw payloads, plain-text manifest) and are still readable;
-//! [`sniff`] tells the two apart by the magic.
+//! straight out of the bytes the store returned. A file without the frame
+//! — anything that does not start with the magic — is corrupt.
 
 use crate::checksum::crc32;
 use crate::error::StorageError;
@@ -35,12 +34,6 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
-}
-
-/// `true` if `data` begins with the frame magic (a v2+ file); `false`
-/// means a bare v1 payload.
-pub fn sniff(data: &[u8]) -> bool {
-    data.len() >= MAGIC.len() && data[..MAGIC.len()] == MAGIC
 }
 
 /// Verifies the frame around `data` and returns the payload, borrowed
@@ -98,7 +91,6 @@ mod tests {
         for payload in [&b""[..], b"x", &[0xAB; 1000][..]] {
             let framed = frame(payload);
             assert_eq!(framed.len(), HEADER_LEN + payload.len());
-            assert!(sniff(&framed));
             assert_eq!(unframe("t", &framed).unwrap(), payload);
         }
     }
@@ -120,10 +112,17 @@ mod tests {
     }
 
     #[test]
-    fn sniff_rejects_raw_payloads() {
-        assert!(!sniff(b""));
-        assert!(!sniff(b"BIX"));
-        assert!(!sniff(b"version=1\nn_rows=3\n"));
+    fn unframed_payloads_are_corrupt() {
+        for raw in [
+            &b""[..],
+            b"BIX",
+            b"version=1\nn_rows=3\nscheme=bs\ncodec=none\n",
+        ] {
+            assert!(matches!(
+                unframe("t", raw),
+                Err(StorageError::Corrupt { .. })
+            ));
+        }
     }
 
     #[test]

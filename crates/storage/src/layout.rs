@@ -1,11 +1,16 @@
 //! The three physical organizations of Section 9.1 and the stored-index
 //! reader with I/O accounting, checksummed framing, and bounded retry.
 //!
-//! Version 2 stores wrap every file — bitmap payloads and the manifest —
-//! in the checksummed frame of [`format`](crate::format), so a read either
-//! returns the bytes that were written or a typed
-//! [`StorageError`]. Version 1 stores (raw payloads, plain-text manifest)
-//! remain readable; the manifest's leading bytes tell the two apart.
+//! Every store wraps every file — bitmap payloads and the manifest — in
+//! the checksummed frame of [`format`](crate::format), so a read either
+//! returns the bytes that were written or a typed [`StorageError`].
+//! Version 2 is the oldest format: one codec-compressed payload per file
+//! under any of the three schemes.
+//!
+//! There is one read path. [`StoredIndex::read_repr`] is the primitive —
+//! `&self`, so any number of threads read one index, with the I/O cost of
+//! every read accumulated in atomic counters the index owns — and
+//! [`StoredIndex::read_bitmap`] is that read materialized to dense words.
 //!
 //! Version 3 ([`StoredIndex::create_v3`]) keeps the checksummed frame but
 //! chooses a representation *per slot* at build time: each bitmap file's
@@ -26,6 +31,7 @@
 //! fetch-and-check ([`StoredIndex::read_summaries`] returns `None`) —
 //! never to a wrong answer.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bindex_bitvec::{BitVec, IndexSummaries, SlotSummary, SUMMARY_WINDOW_BITS};
@@ -174,9 +180,8 @@ impl StoredIndexMeta {
         text
     }
 
-    /// Parses a manifest produced by [`StoredIndexMeta::to_manifest`] (or
-    /// its version-1 predecessor), returning the metadata and the store's
-    /// format version.
+    /// Parses a manifest produced by [`StoredIndexMeta::to_manifest`],
+    /// returning the metadata and the store's format version.
     fn from_manifest(text: &str) -> Result<(Self, u32), StorageError> {
         let bad = |msg: &str| StorageError::corrupt(MANIFEST_FILE, format!("manifest: {msg}"));
         let mut n_rows = None;
@@ -235,7 +240,6 @@ impl StoredIndexMeta {
             }
         }
         let version = match version.as_deref() {
-            Some("1") => 1,
             Some("2") => 2,
             Some("3") => 3,
             Some("4") => 4,
@@ -258,6 +262,29 @@ impl StoredIndexMeta {
     }
 }
 
+/// Lock-free accumulator for [`IoStats`], one counter per field, so reads
+/// through `&StoredIndex` from any number of threads are all accounted.
+/// Relaxed ordering throughout: the counters are independent monotonic
+/// sums read only for reporting, never for synchronization.
+#[derive(Debug, Default)]
+struct AtomicIoStats {
+    reads: AtomicU64,
+    bytes_read: AtomicU64,
+    bytes_decompressed: AtomicU64,
+    retries: AtomicU64,
+}
+
+impl AtomicIoStats {
+    fn snapshot(&self) -> IoStats {
+        IoStats {
+            reads: self.reads.load(Ordering::Relaxed),
+            bytes_read: self.bytes_read.load(Ordering::Relaxed),
+            bytes_decompressed: self.bytes_decompressed.load(Ordering::Relaxed),
+            retries: self.retries.load(Ordering::Relaxed),
+        }
+    }
+}
+
 /// An index laid out in a [`ByteStore`] under one of the three schemes,
 /// readable bitmap-by-bitmap with byte-level I/O accounting. Reads retry
 /// transient failures per the [`RetryPolicy`]; checksum and structure
@@ -266,8 +293,8 @@ impl StoredIndexMeta {
 pub struct StoredIndex<S: ByteStore> {
     store: S,
     meta: StoredIndexMeta,
-    stats: IoStats,
-    /// On-disk format version: 1 raw, 2 framed, 3 framed + per-slot codec,
+    stats: AtomicIoStats,
+    /// On-disk format version: 2 one payload per file, 3 per-slot codec,
     /// 4 per-slot codec + summary block.
     version: u32,
     retry: RetryPolicy,
@@ -334,7 +361,7 @@ impl<S: ByteStore> StoredIndex<S> {
         Ok(Self {
             store,
             meta,
-            stats: IoStats::default(),
+            stats: AtomicIoStats::default(),
             version: format::FORMAT_VERSION,
             retry: RetryPolicy::default(),
             summaries: OnceLock::new(),
@@ -411,7 +438,7 @@ impl<S: ByteStore> StoredIndex<S> {
         Ok(Self {
             store,
             meta,
-            stats: IoStats::default(),
+            stats: AtomicIoStats::default(),
             version,
             retry: RetryPolicy::default(),
             summaries: OnceLock::new(),
@@ -419,39 +446,33 @@ impl<S: ByteStore> StoredIndex<S> {
     }
 
     /// Re-opens an index previously written with [`StoredIndex::create`],
-    /// reading its shape from the manifest file — no rebuild needed.
-    /// Version-1 stores (unframed files) open transparently.
+    /// reading its shape from the manifest file — no rebuild needed. An
+    /// unframed (version-1) manifest, or a framed one declaring a version
+    /// this build does not read, is [`StorageError::Corrupt`].
     pub fn open(store: S) -> Result<Self, StorageError> {
         let retry = RetryPolicy::default();
         let mut retries = 0;
         let data = read_with_retry(&store, MANIFEST_FILE, retry, &mut retries)?;
-        let framed = format::sniff(&data);
-        let payload = if framed {
-            format::unframe(MANIFEST_FILE, &data)?
-        } else {
-            &data
-        };
+        let payload = format::unframe(MANIFEST_FILE, &data)?;
         let text = std::str::from_utf8(payload)
             .map_err(|_| StorageError::corrupt(MANIFEST_FILE, "manifest not UTF-8"))?;
         let (meta, version) = StoredIndexMeta::from_manifest(text)?;
-        if framed != (version >= 2) {
-            return Err(StorageError::corrupt(
-                MANIFEST_FILE,
-                format!("manifest framing does not match declared version {version}"),
-            ));
-        }
         if version >= 3 && meta.scheme != StorageScheme::BitmapLevel {
             return Err(StorageError::corrupt(
                 MANIFEST_FILE,
                 "version 3 requires the bitmap-level scheme",
             ));
         }
+        // The manifest is outside input: a shape whose bit matrix does not
+        // fit the address space must never reach the read path's sizing.
+        let width = usize::try_from(meta.total_bitmaps()).unwrap_or(usize::MAX);
+        row_major_len(MANIFEST_FILE, meta.n_rows, width)?;
         let mut index = Self {
             store,
             meta,
-            stats: IoStats {
-                retries,
-                ..IoStats::default()
+            stats: AtomicIoStats {
+                retries: AtomicU64::new(retries),
+                ..AtomicIoStats::default()
             },
             version,
             retry,
@@ -490,18 +511,13 @@ impl<S: ByteStore> StoredIndex<S> {
     }
 
     /// On-disk format version: 4 for summary-carrying stores, 3 for
-    /// per-slot-coded stores, 2 for checksum-framed stores, 1 for legacy.
+    /// per-slot-coded stores, 2 for one-payload-per-file stores.
     pub fn format_version(&self) -> u32 {
         self.version
     }
 
-    /// `true` when files carry the checksummed frame (versions ≥ 2).
-    fn framed(&self) -> bool {
-        self.version >= 2
-    }
-
     /// `true` when each slot payload starts with a representation tag
-    /// (version 3).
+    /// (versions ≥ 3).
     fn slot_coded(&self) -> bool {
         self.version >= 3
     }
@@ -552,17 +568,22 @@ impl<S: ByteStore> StoredIndex<S> {
             .sum()
     }
 
-    /// Cumulative I/O statistics.
-    pub fn stats(&self) -> &IoStats {
-        &self.stats
+    /// Cumulative I/O statistics of every read through this handle, from
+    /// any thread.
+    pub fn stats(&self) -> IoStats {
+        self.stats.snapshot()
     }
 
     /// Returns and resets the I/O statistics.
     pub fn take_stats(&mut self) -> IoStats {
-        std::mem::take(&mut self.stats)
+        std::mem::take(&mut self.stats).snapshot()
     }
 
-    /// Reads stored bitmap `slot` of component `comp` (1-based component).
+    /// Reads stored bitmap `slot` of component `comp` (1-based component)
+    /// in its *stored execution representation*: on a slot-coded (v3/v4)
+    /// store a WAH-tagged slot comes back still compressed
+    /// ([`Repr::Wah`]), skipping decompression entirely; every other slot
+    /// (and every v2 store) is a dense [`Repr::Literal`].
     ///
     /// Under BS this reads one bitmap file; under CS it reads and
     /// transposes the whole component file; under IS the whole index file
@@ -572,133 +593,100 @@ impl<S: ByteStore> StoredIndex<S> {
     /// transient store failures are retried up to the policy bound and
     /// then propagate; corruption is reported as a permanent error, never
     /// as a wrong bitmap.
-    pub fn read_bitmap(&mut self, comp: usize, slot: usize) -> Result<BitVec, StorageError> {
-        let mut delta = IoStats::default();
-        let out = self.read_bitmap_into(comp, slot, &mut delta);
-        self.stats.add(&delta);
-        out
+    pub fn read_repr(&self, comp: usize, slot: usize) -> Result<Repr, StorageError> {
+        let n_i = self.check_slot(comp, slot)?;
+        if self.slot_coded() {
+            return self.read_slot_repr(&self.slot_file(comp, slot));
+        }
+        let n_rows = self.meta.n_rows;
+        let bitmap = match self.meta.scheme {
+            StorageScheme::BitmapLevel => {
+                self.read_and_decompress(&self.slot_file(comp, slot), n_rows.div_ceil(8), |raw| {
+                    BitVec::from_bytes(n_rows, raw)
+                })
+            }
+            StorageScheme::ComponentLevel => {
+                let name = component_file(comp);
+                let raw_len = row_major_len(&name, n_rows, n_i)?;
+                self.read_and_decompress(&name, raw_len, |raw| {
+                    extract_column(raw, n_rows, n_i, slot)
+                })
+            }
+            StorageScheme::IndexLevel => {
+                let n = self.meta.total_bitmaps() as usize;
+                let raw_len = row_major_len(INDEX_FILE, n_rows, n)?;
+                let global: usize = self.meta.bitmaps_per_component[..comp - 1]
+                    .iter()
+                    .map(|&x| x as usize)
+                    .sum::<usize>()
+                    + slot;
+                self.read_and_decompress(INDEX_FILE, raw_len, |raw| {
+                    extract_column(raw, n_rows, n, global)
+                })
+            }
+        }?;
+        Ok(Repr::literal(bitmap))
     }
 
-    /// Shared-state variant of [`StoredIndex::read_bitmap`]: takes `&self`
-    /// and returns the bitmap together with the I/O cost of this one read,
-    /// instead of accumulating into the index's own counters. This is the
-    /// read path of [`SharedIndexReader`](crate::shared::SharedIndexReader),
-    /// which lets many threads read one stored index concurrently and merge
-    /// the per-read deltas into atomic totals.
-    pub fn read_bitmap_shared(
-        &self,
-        comp: usize,
-        slot: usize,
-    ) -> Result<(BitVec, IoStats), StorageError> {
-        let mut delta = IoStats::default();
-        let bm = self.read_bitmap_into(comp, slot, &mut delta)?;
-        Ok((bm, delta))
+    /// [`StoredIndex::read_repr`], materialized to dense words.
+    pub fn read_bitmap(&self, comp: usize, slot: usize) -> Result<BitVec, StorageError> {
+        self.read_repr(comp, slot)
+            .map(|repr| self.materialize(repr))
     }
 
-    /// Like [`StoredIndex::read_bitmap`], but returns the slot in its
-    /// *stored execution representation*: on a version-3 store a
-    /// WAH-tagged slot comes back still compressed
-    /// ([`Repr::Wah`]), skipping decompression entirely; every other
-    /// slot (and every pre-v3 store) materializes to [`Repr::Literal`].
-    pub fn read_repr(&mut self, comp: usize, slot: usize) -> Result<Repr, StorageError> {
-        let mut delta = IoStats::default();
-        let out = self.read_repr_into(comp, slot, &mut delta);
-        self.stats.add(&delta);
-        out
-    }
-
-    /// Shared-state variant of [`StoredIndex::read_repr`], mirroring
-    /// [`StoredIndex::read_bitmap_shared`].
-    pub fn read_repr_shared(
-        &self,
-        comp: usize,
-        slot: usize,
-    ) -> Result<(Repr, IoStats), StorageError> {
-        let mut delta = IoStats::default();
-        let repr = self.read_repr_into(comp, slot, &mut delta)?;
-        Ok((repr, delta))
+    /// The dense form of a representation this index handed out. A WAH
+    /// decode is charged as `bytes_decompressed` — the slot-coded analogue
+    /// of a codec decompression.
+    pub(crate) fn materialize(&self, repr: Repr) -> BitVec {
+        match repr {
+            Repr::Literal(b) => Arc::unwrap_or_clone(b),
+            Repr::Wah(w) => {
+                let dense_bytes = self.meta.n_rows.div_ceil(8) as u64;
+                self.stats
+                    .bytes_decompressed
+                    .fetch_add(dense_bytes, Ordering::Relaxed);
+                w.to_bitvec()
+            }
+        }
     }
 
     /// Reads the persisted non-null bitmap, if this generation stored one
     /// ([`StoredIndexMeta::has_nn`]). Deleted rows are persisted as nulls,
     /// so evaluators mask them out through the ordinary null-handling
     /// path.
-    pub fn read_nn(&mut self) -> Result<Option<BitVec>, StorageError> {
-        let mut delta = IoStats::default();
-        let out = self.read_nn_into(&mut delta);
-        self.stats.add(&delta);
-        out
-    }
-
-    /// Shared-state variant of [`StoredIndex::read_nn`], mirroring
-    /// [`StoredIndex::read_bitmap_shared`].
-    pub fn read_nn_shared(&self) -> Result<(Option<BitVec>, IoStats), StorageError> {
-        let mut delta = IoStats::default();
-        let nn = self.read_nn_into(&mut delta)?;
-        Ok((nn, delta))
-    }
-
-    fn read_nn_into(&self, delta: &mut IoStats) -> Result<Option<BitVec>, StorageError> {
+    pub fn read_nn(&self) -> Result<Option<BitVec>, StorageError> {
         if !self.meta.has_nn {
             return Ok(None);
         }
         let name = gen_nn_file(self.meta.generation);
         if self.slot_coded() {
-            self.read_nn_slot(&name, delta).map(Some)
+            let repr = self.read_slot_repr(&name)?;
+            Ok(Some(self.materialize(repr)))
         } else {
             let n_rows = self.meta.n_rows;
-            self.read_and_decompress(&name, n_rows.div_ceil(8), delta, |raw| {
+            self.read_and_decompress(&name, n_rows.div_ceil(8), |raw| {
                 Some(BitVec::from_bytes(n_rows, raw))
             })
         }
     }
 
-    /// Materializes a v3-tagged nn file.
-    fn read_nn_slot(&self, name: &str, delta: &mut IoStats) -> Result<BitVec, StorageError> {
-        match self.read_slot_repr(name, delta)? {
-            Repr::Literal(b) => Ok(std::sync::Arc::try_unwrap(b).unwrap_or_else(|a| (*a).clone())),
-            Repr::Wah(w) => {
-                delta.bytes_decompressed += self.meta.n_rows.div_ceil(8) as u64;
-                Ok(w.to_bitvec())
-            }
-        }
-    }
-
     /// The v4 summary block, loaded and shape-validated once per store
-    /// handle. `None` for pre-v4 stores and whenever the block is missing,
-    /// unreadable, corrupt, or disagrees with the stored shape — callers
-    /// degrade to fetch-and-check, never to a wrong answer. (That makes
-    /// summary loss strictly a performance event, which is why this path
-    /// is infallible rather than `Result`-typed.)
-    pub fn read_summaries(&mut self) -> Option<Arc<IndexSummaries>> {
-        let (out, delta) = self.read_summaries_shared();
-        self.stats.add(&delta);
-        out
+    /// handle (only the call that loads it costs I/O). `None` for pre-v4
+    /// stores and whenever the block is missing, unreadable, corrupt, or
+    /// disagrees with the stored shape — callers degrade to
+    /// fetch-and-check, never to a wrong answer. (That makes summary loss
+    /// strictly a performance event, which is why this path is infallible
+    /// rather than `Result`-typed.)
+    pub fn read_summaries(&self) -> Option<Arc<IndexSummaries>> {
+        self.summaries.get_or_init(|| self.load_summaries()).clone()
     }
 
-    /// Shared-state variant of [`StoredIndex::read_summaries`], mirroring
-    /// [`StoredIndex::read_bitmap_shared`]. The I/O delta is non-zero only
-    /// on the first call that actually loads the block.
-    pub fn read_summaries_shared(&self) -> (Option<Arc<IndexSummaries>>, IoStats) {
-        let mut delta = IoStats::default();
-        let out = self
-            .summaries
-            .get_or_init(|| self.load_summaries(&mut delta))
-            .clone();
-        (out, delta)
-    }
-
-    fn load_summaries(&self, delta: &mut IoStats) -> Option<Arc<IndexSummaries>> {
+    fn load_summaries(&self) -> Option<Arc<IndexSummaries>> {
         if self.version < 4 {
             return None;
         }
         let name = summary_file(self.meta.generation);
-        let data = match read_with_retry(&self.store, &name, self.retry, &mut delta.retries) {
-            Ok(data) => data,
-            Err(_) => return None,
-        };
-        delta.reads += 1;
-        delta.bytes_read += data.len() as u64;
+        let data = self.read_file(&name).ok()?;
         let payload = format::unframe(&name, &data).ok()?;
         let summaries = decode_summary_block(payload)?;
         // Shape check against the manifest: a summary block that
@@ -713,20 +701,6 @@ impl<S: ByteStore> StoredIndex<S> {
             return None;
         }
         Some(Arc::new(summaries))
-    }
-
-    fn read_repr_into(
-        &self,
-        comp: usize,
-        slot: usize,
-        delta: &mut IoStats,
-    ) -> Result<Repr, StorageError> {
-        if self.slot_coded() {
-            self.check_slot(comp, slot)?;
-            self.read_slot_repr(&self.slot_file(comp, slot), delta)
-        } else {
-            self.read_bitmap_into(comp, slot, delta).map(Repr::literal)
-        }
     }
 
     /// Validates a `(component, slot)` address against the stored shape.
@@ -744,13 +718,11 @@ impl<S: ByteStore> StoredIndex<S> {
         Ok(n_i)
     }
 
-    /// Reads one version-3 slot file: unframe, dispatch on the leading
+    /// Reads one slot-coded file: unframe, dispatch on the leading
     /// representation tag.
-    fn read_slot_repr(&self, name: &str, delta: &mut IoStats) -> Result<Repr, StorageError> {
+    fn read_slot_repr(&self, name: &str) -> Result<Repr, StorageError> {
         let n_rows = self.meta.n_rows;
-        let data = read_with_retry(&self.store, name, self.retry, &mut delta.retries)?;
-        delta.reads += 1;
-        delta.bytes_read += data.len() as u64;
+        let data = self.read_file(name)?;
         let payload = format::unframe(name, &data)?;
         let (&tag, rest) = payload
             .split_first()
@@ -759,7 +731,7 @@ impl<S: ByteStore> StoredIndex<S> {
             SLOT_TAG_WAH => WahBitmap::from_bytes(n_rows, rest)
                 .map(Repr::wah)
                 .map_err(|e| StorageError::corrupt(name, e.to_string())),
-            SLOT_TAG_LITERAL => self.decode_raw(name, rest, n_rows.div_ceil(8), delta, |raw| {
+            SLOT_TAG_LITERAL => self.decode_raw(name, rest, n_rows.div_ceil(8), |raw| {
                 Repr::literal(BitVec::from_bytes(n_rows, raw))
             }),
             other => Err(StorageError::corrupt(
@@ -769,75 +741,24 @@ impl<S: ByteStore> StoredIndex<S> {
         }
     }
 
-    fn read_bitmap_into(
-        &self,
-        comp: usize,
-        slot: usize,
-        delta: &mut IoStats,
-    ) -> Result<BitVec, StorageError> {
-        let n_i = self.check_slot(comp, slot)?;
-        let n_rows = self.meta.n_rows;
-        match self.meta.scheme {
-            StorageScheme::BitmapLevel if self.slot_coded() => {
-                match self.read_slot_repr(&self.slot_file(comp, slot), delta)? {
-                    Repr::Literal(b) => {
-                        Ok(std::sync::Arc::try_unwrap(b).unwrap_or_else(|a| (*a).clone()))
-                    }
-                    Repr::Wah(w) => {
-                        // Decompressing WAH to dense words is the v3
-                        // analogue of a codec decompression.
-                        delta.bytes_decompressed += n_rows.div_ceil(8) as u64;
-                        Ok(w.to_bitvec())
-                    }
-                }
-            }
-            StorageScheme::BitmapLevel => self.read_and_decompress(
-                &self.slot_file(comp, slot),
-                n_rows.div_ceil(8),
-                delta,
-                |raw| BitVec::from_bytes(n_rows, raw),
-            ),
-            StorageScheme::ComponentLevel => {
-                let raw_len = (n_rows * n_i).div_ceil(8);
-                self.read_and_decompress(&component_file(comp), raw_len, delta, |raw| {
-                    extract_column(raw, n_rows, n_i, slot)
-                })
-            }
-            StorageScheme::IndexLevel => {
-                let n = self.meta.total_bitmaps() as usize;
-                let raw_len = (n_rows * n).div_ceil(8);
-                let global: usize = self.meta.bitmaps_per_component[..comp - 1]
-                    .iter()
-                    .map(|&x| x as usize)
-                    .sum::<usize>()
-                    + slot;
-                self.read_and_decompress(INDEX_FILE, raw_len, delta, |raw| {
-                    extract_column(raw, n_rows, n, global)
-                })
-            }
-        }
-    }
-
     /// Verifies every file in the store against its frame header and
-    /// reports (rather than fails on) each corrupt file. Version-1 stores
-    /// carry no checksums, so only readability is checked there.
+    /// reports (rather than fails on) each corrupt file.
     pub fn scrub(&mut self) -> Result<ScrubReport, StorageError> {
         let mut names = self.store.file_names()?;
         names.sort();
         let mut report = ScrubReport::default();
         for name in &names {
             report.files_checked += 1;
-            let outcome = read_with_retry(&self.store, name, self.retry, &mut self.stats.retries)
-                .and_then(|data| {
+            let retries = self.stats.retries.get_mut();
+            let outcome =
+                read_with_retry(&self.store, name, self.retry, retries).and_then(|data| {
                     if name == crate::wal::WAL_FILE {
                         // The WAL is length-framed per record, not
                         // checksum-framed per file; a torn tail is a normal
                         // crash artifact, only a corrupt header fails.
                         crate::wal::replay(&data).map(|_| ())
-                    } else if self.framed() {
-                        format::unframe(name, &data).map(|_| ())
                     } else {
-                        Ok(())
+                        format::unframe(name, &data).map(|_| ())
                     }
                 });
             if let Err(e) = outcome {
@@ -946,12 +867,8 @@ impl<S: ByteStore> StoredIndex<S> {
                 };
                 self.meta.codec.compress(&raw)
             };
-            let data = if self.framed() {
-                format::frame(&payload)
-            } else {
-                payload
-            };
-            self.store.write_file(&failure.file, &data)?;
+            self.store
+                .write_file(&failure.file, &format::frame(&payload))?;
             report.repaired.push(failure.file);
         }
         if summary_dirty {
@@ -970,13 +887,10 @@ impl<S: ByteStore> StoredIndex<S> {
         }
         if !report.repaired.is_empty() {
             self.meta.repairs.extend(report.repaired.iter().cloned());
-            let text = self.manifest_text();
-            let data = if self.framed() {
-                format::frame(text.as_bytes())
-            } else {
-                text.into_bytes()
-            };
-            self.store.write_file(MANIFEST_FILE, &data)?;
+            // Repairs never change a store's format version.
+            let text = self.meta.to_manifest(self.version);
+            self.store
+                .write_file(MANIFEST_FILE, &format::frame(text.as_bytes()))?;
             // Repairs may have rewritten slots or the summary block; drop
             // any summaries resolved before the repair.
             self.summaries = OnceLock::new();
@@ -990,21 +904,19 @@ impl<S: ByteStore> StoredIndex<S> {
     /// unreadable; the block then stays corrupt and reads keep degrading
     /// to fetch-and-check.
     fn rebuild_summary_block(&mut self) -> Result<(), StorageError> {
-        let mut delta = IoStats::default();
         let shape = self.meta.bitmaps_per_component.clone();
         let mut enc = SlotEncoder::new(self.meta.codec);
         for (ci, &n_i) in shape.iter().enumerate() {
             enc.begin_component();
             for slot in 0..n_i as usize {
-                let bm = self.read_bitmap_into(ci + 1, slot, &mut delta)?;
+                let bm = self.read_bitmap(ci + 1, slot)?;
                 let _ = enc.encode_slot(&bm);
             }
         }
-        if let Some(nn) = self.read_nn_into(&mut delta)? {
+        if let Some(nn) = self.read_nn()? {
             let _ = enc.encode_nn(&nn);
         }
         let payload = enc.summary_payload(self.meta.n_rows);
-        self.stats.add(&delta);
         self.store.write_file(
             &summary_file(self.meta.generation),
             &format::frame(&payload),
@@ -1034,21 +946,13 @@ impl<S: ByteStore> StoredIndex<S> {
     /// `wal_applied`, so records appended concurrently with a lagging
     /// compaction are never dropped.
     ///
-    /// Returns the new generation number. Version-1 stores (no checksummed
-    /// frames, hence no atomic-commit guarantee worth the name) are
-    /// rejected.
+    /// Returns the new generation number.
     pub fn install_generation(
         &mut self,
         components: &[Vec<BitVec>],
         nn: Option<&BitVec>,
         wal_applied: u64,
     ) -> Result<u64, StorageError> {
-        if self.version < 2 {
-            return Err(StorageError::corrupt(
-                MANIFEST_FILE,
-                "version 1 stores cannot install compacted generations",
-            ));
-        }
         let n_rows = components
             .first()
             .and_then(|c| c.first())
@@ -1117,30 +1021,32 @@ impl<S: ByteStore> StoredIndex<S> {
         Ok(next)
     }
 
-    /// The manifest serialization matching this store's format version
-    /// (repairs never change a store's version).
-    fn manifest_text(&self) -> String {
-        self.meta.to_manifest(self.version)
+    /// Reads `name` with bounded retry, charging the read, its bytes and
+    /// every retry (also those of a read that failed in the end) to the
+    /// index's counters.
+    fn read_file(&self, name: &str) -> Result<Vec<u8>, StorageError> {
+        let mut retries = 0;
+        let data = read_with_retry(&self.store, name, self.retry, &mut retries);
+        self.stats.retries.fetch_add(retries, Ordering::Relaxed);
+        let data = data?;
+        self.stats.reads.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .bytes_read
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        Ok(data)
     }
 
-    /// Reads `name`, verifies its frame (when the format has one) and
-    /// hands its `raw_len` dense bytes to `decode`.
+    /// Reads `name`, verifies its frame and hands its `raw_len` dense
+    /// bytes to `decode`.
     fn read_and_decompress<T>(
         &self,
         name: &str,
         raw_len: usize,
-        delta: &mut IoStats,
         decode: impl FnOnce(&[u8]) -> T,
     ) -> Result<T, StorageError> {
-        let data = read_with_retry(&self.store, name, self.retry, &mut delta.retries)?;
-        delta.reads += 1;
-        delta.bytes_read += data.len() as u64;
-        let payload = if self.framed() {
-            format::unframe(name, &data)?
-        } else {
-            &data
-        };
-        self.decode_raw(name, payload, raw_len, delta, decode)
+        let data = self.read_file(name)?;
+        let payload = format::unframe(name, &data)?;
+        self.decode_raw(name, payload, raw_len, decode)
     }
 
     /// Undoes the store's byte codec on `payload` and hands exactly
@@ -1153,7 +1059,6 @@ impl<S: ByteStore> StoredIndex<S> {
         name: &str,
         payload: &[u8],
         raw_len: usize,
-        delta: &mut IoStats,
         decode: impl FnOnce(&[u8]) -> T,
     ) -> Result<T, StorageError> {
         if self.meta.codec == CodecKind::None {
@@ -1170,7 +1075,9 @@ impl<S: ByteStore> StoredIndex<S> {
             .codec
             .decompress(payload, raw_len)
             .map_err(|e| StorageError::corrupt(name, e.to_string()))?;
-        delta.bytes_decompressed += out.len() as u64;
+        self.stats
+            .bytes_decompressed
+            .fetch_add(out.len() as u64, Ordering::Relaxed);
         Ok(decode(&out))
     }
 }
@@ -1480,6 +1387,21 @@ fn row_major_refs(bitmaps: &[&BitVec], n_rows: usize) -> Vec<u8> {
     out
 }
 
+/// Byte length of a row-major file of `width` bitmaps over `n_rows` rows.
+/// Both factors come from the manifest, so a product that overflows is a
+/// corrupt manifest (named as `file`), not arithmetic to wrap or panic on.
+fn row_major_len(file: &str, n_rows: usize, width: usize) -> Result<usize, StorageError> {
+    n_rows
+        .checked_mul(width)
+        .map(|bits| bits.div_ceil(8))
+        .ok_or_else(|| {
+            StorageError::corrupt(
+                file,
+                format!("{n_rows} rows x {width} bitmaps overflows the address space"),
+            )
+        })
+}
+
 /// Extracts column `j` from a row-major buffer of `width` bitmaps.
 fn extract_column(raw: &[u8], n_rows: usize, width: usize, j: usize) -> BitVec {
     let mut out = BitVec::zeros(n_rows);
@@ -1510,7 +1432,7 @@ mod tests {
 
     fn roundtrip(scheme: StorageScheme, codec: CodecKind) {
         let comps = sample_components();
-        let mut stored = StoredIndex::create(MemStore::new(), &comps, scheme, codec).unwrap();
+        let stored = StoredIndex::create(MemStore::new(), &comps, scheme, codec).unwrap();
         for (ci, comp) in comps.iter().enumerate() {
             for (j, bm) in comp.iter().enumerate() {
                 let got = stored.read_bitmap(ci + 1, j).unwrap();
@@ -1641,7 +1563,7 @@ mod tests {
             .unwrap();
             stored.store
         };
-        let mut reopened = StoredIndex::open(store).unwrap();
+        let reopened = StoredIndex::open(store).unwrap();
         assert_eq!(reopened.meta().n_rows, 20);
         assert_eq!(reopened.meta().bitmaps_per_component, vec![3, 2]);
         assert_eq!(reopened.meta().scheme, StorageScheme::ComponentLevel);
@@ -1676,9 +1598,6 @@ mod tests {
         let (parsed, version) = StoredIndexMeta::from_manifest(&text).unwrap();
         assert_eq!(parsed, meta);
         assert_eq!(version, 2);
-        // Version-1 manifests still parse.
-        let v1 = text.replace("version=2", "version=1");
-        assert_eq!(StoredIndexMeta::from_manifest(&v1).unwrap(), (meta, 1));
         assert!(StoredIndexMeta::from_manifest("").is_err());
         assert!(StoredIndexMeta::from_manifest("version=9\n").is_err());
         assert!(StoredIndexMeta::from_manifest(&text.replace("lzss", "zip")).is_err());
@@ -1809,7 +1728,7 @@ mod tests {
     #[test]
     fn bad_slot_is_typed_error() {
         let comps = sample_components();
-        let mut s = StoredIndex::create(
+        let s = StoredIndex::create(
             MemStore::new(),
             &comps,
             StorageScheme::BitmapLevel,
@@ -1830,80 +1749,80 @@ mod tests {
         ));
     }
 
-    /// Builds a version-1 store by hand: the v2 payloads with their frames
-    /// stripped, and a plain-text manifest.
-    fn v1_store(comps: &[Vec<BitVec>], scheme: StorageScheme, codec: CodecKind) -> MemStore {
-        let stored = StoredIndex::create(MemStore::new(), comps, scheme, codec).unwrap();
-        let manifest = stored.meta().to_manifest(1);
-        let mut store = stored.into_store();
-        for name in store.file_names().unwrap() {
-            let framed = store.read_file(&name).unwrap();
-            store
-                .write_file(&name, &framed[format::HEADER_LEN..])
-                .unwrap();
-        }
-        store
-            .write_file(MANIFEST_FILE, manifest.as_bytes())
-            .unwrap();
-        store
-    }
-
     const SCHEMES: [StorageScheme; 3] = [
         StorageScheme::BitmapLevel,
         StorageScheme::ComponentLevel,
         StorageScheme::IndexLevel,
     ];
 
+    /// Version-1 stores (unframed files, plain-text manifest) are no longer
+    /// read: the manifest — unframed as v1 wrote it, or framed by hand —
+    /// is a typed error at open, never a panic or a misread store.
     #[test]
-    fn v1_stores_still_open_and_read() {
+    fn version_1_manifests_are_corrupt_not_a_panic() {
         let comps = sample_components();
         for scheme in SCHEMES {
-            for codec in [CodecKind::None, CodecKind::Deflate] {
-                let mut stored = StoredIndex::open(v1_store(&comps, scheme, codec)).unwrap();
-                assert_eq!(stored.format_version(), 1);
-                for (ci, comp) in comps.iter().enumerate() {
-                    for (j, bm) in comp.iter().enumerate() {
-                        assert_eq!(
-                            &stored.read_bitmap(ci + 1, j).unwrap(),
-                            bm,
-                            "{scheme:?} {codec:?}"
-                        );
-                    }
-                }
-                // v1 files carry no checksums: scrub only checks readability.
-                assert!(stored.scrub().unwrap().is_clean());
+            let stored =
+                StoredIndex::create(MemStore::new(), &comps, scheme, CodecKind::None).unwrap();
+            let v1 = stored.meta().to_manifest(1);
+            let mut store = stored.into_store();
+            for manifest in [v1.as_bytes().to_vec(), format::frame(v1.as_bytes())] {
+                store.write_file(MANIFEST_FILE, &manifest).unwrap();
+                assert!(
+                    matches!(
+                        StoredIndex::open(store.clone()),
+                        Err(StorageError::Corrupt { .. })
+                    ),
+                    "{scheme:?}"
+                );
             }
         }
     }
 
-    /// An unframed, uncompressed v1 file has nothing but its length to
-    /// vouch for it: a truncated one must be a typed error under every
-    /// scheme, never an out-of-bounds index while decoding.
+    /// A validly framed manifest whose row count makes the row-major file
+    /// length overflow: open must reject it, not wrap `raw_len` to 0 and
+    /// allocate 2^62 bits for the column on the first read.
     #[test]
-    fn truncated_v1_files_are_corrupt_not_a_panic() {
-        let comps = sample_components();
-        for scheme in SCHEMES {
-            let mut store = v1_store(&comps, scheme, CodecKind::None);
-            for name in store.file_names().unwrap() {
-                if name != MANIFEST_FILE {
-                    let data = store.read_file(&name).unwrap();
-                    store.write_file(&name, &data[..data.len() - 1]).unwrap();
-                }
-            }
-            let mut stored = StoredIndex::open(store).unwrap();
-            for (ci, comp) in comps.iter().enumerate() {
-                for j in 0..comp.len() {
-                    assert!(
-                        matches!(
-                            stored.read_bitmap(ci + 1, j),
-                            Err(StorageError::Corrupt { .. })
-                        ),
-                        "{scheme:?} c{} b{j}",
-                        ci + 1
-                    );
-                }
-            }
+    fn manifest_shape_overflow_is_corrupt_at_open() {
+        for scheme in ["cs", "is"] {
+            let manifest = format!(
+                "version=2\nn_rows=4611686018427387904\nscheme={scheme}\ncodec=none\ncomponents=8\n"
+            );
+            let mut store = MemStore::new();
+            store
+                .write_file(MANIFEST_FILE, &format::frame(manifest.as_bytes()))
+                .unwrap();
+            store.write_file("c1.cmp", &format::frame(&[])).unwrap();
+            store.write_file(INDEX_FILE, &format::frame(&[])).unwrap();
+            assert!(
+                matches!(StoredIndex::open(store), Err(StorageError::Corrupt { .. })),
+                "{scheme}"
+            );
         }
+    }
+
+    #[test]
+    fn concurrent_reads_account_every_read() {
+        let comps = sample_components();
+        let stored = StoredIndex::create(
+            MemStore::new(),
+            &comps,
+            StorageScheme::BitmapLevel,
+            CodecKind::None,
+        )
+        .unwrap();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let stored = &stored;
+                scope.spawn(move || {
+                    for slot in 0..2 {
+                        stored.read_bitmap(1, slot).unwrap();
+                        stored.read_repr(2, slot).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(stored.stats().reads, 16);
     }
 
     /// A correctly framed payload of the wrong length (a v2 file rewritten
@@ -1920,7 +1839,7 @@ mod tests {
                     store.write_file(&name, &format::frame(&[0xFF])).unwrap();
                 }
             }
-            let mut stored = StoredIndex::open(store).unwrap();
+            let stored = StoredIndex::open(store).unwrap();
             assert!(
                 matches!(stored.read_bitmap(1, 0), Err(StorageError::Corrupt { .. })),
                 "{scheme:?}"
@@ -1993,7 +1912,7 @@ mod tests {
         store
             .write_file(INDEX_FILE, &data[..data.len() / 2])
             .unwrap();
-        let mut reopened = StoredIndex::open(store).unwrap();
+        let reopened = StoredIndex::open(store).unwrap();
         assert!(matches!(
             reopened.read_bitmap(1, 0),
             Err(StorageError::Corrupt { .. })
@@ -2065,7 +1984,7 @@ mod tests {
             assert!(report.fully_repaired(), "{scheme:?}");
             assert!(stored.scrub().unwrap().is_clean(), "{scheme:?}");
             // A fresh open reads every bitmap clean and sees the journal.
-            let mut reopened = StoredIndex::open(stored.into_store()).unwrap();
+            let reopened = StoredIndex::open(stored.into_store()).unwrap();
             assert_eq!(reopened.meta().repairs, vec![name], "{scheme:?}");
             for (ci, comp) in comps.iter().enumerate() {
                 for (j, bm) in comp.iter().enumerate() {
@@ -2114,7 +2033,7 @@ mod tests {
         .into_store();
         // Two transient failures, then success: within the default 3 attempts.
         let faulty = FaultStore::new(store, FaultPlan::new(5).with_transient_reads("c1_b0", 2));
-        let mut stored = StoredIndex::open(faulty).unwrap();
+        let stored = StoredIndex::open(faulty).unwrap();
         let bm = stored.read_bitmap(1, 0).unwrap();
         assert_eq!(&bm, &comps[0][0]);
         assert_eq!(stored.stats().retries, 2);
@@ -2129,7 +2048,7 @@ mod tests {
         .unwrap()
         .into_store();
         let faulty2 = FaultStore::new(store2, FaultPlan::new(5).with_transient_reads("c1_b0", 3));
-        let mut stored2 = StoredIndex::open(faulty2).unwrap();
+        let stored2 = StoredIndex::open(faulty2).unwrap();
         let err = stored2.read_bitmap(1, 0).unwrap_err();
         assert!(err.is_transient());
         // A follow-up read succeeds (the budget is spent).
@@ -2154,7 +2073,7 @@ mod tests {
         for codec in [CodecKind::None, CodecKind::Deflate] {
             let stored = StoredIndex::create_v3(MemStore::new(), &comps, codec).unwrap();
             assert_eq!(stored.format_version(), 3);
-            let mut reopened = StoredIndex::open(stored.into_store()).unwrap();
+            let reopened = StoredIndex::open(stored.into_store()).unwrap();
             assert_eq!(reopened.format_version(), 3);
             for (j, bm) in comps[0].iter().enumerate() {
                 assert_eq!(
@@ -2169,7 +2088,7 @@ mod tests {
     #[test]
     fn v3_repr_keeps_sparse_slots_compressed() {
         let comps = mixed_density_components();
-        let mut stored = StoredIndex::create_v3(MemStore::new(), &comps, CodecKind::None).unwrap();
+        let stored = StoredIndex::create_v3(MemStore::new(), &comps, CodecKind::None).unwrap();
         let sparse = stored.read_repr(1, 0).unwrap();
         assert!(sparse.is_compressed(), "sparse slot should stay WAH");
         let dense = stored.read_repr(1, 1).unwrap();
@@ -2232,7 +2151,7 @@ mod tests {
     #[test]
     fn pre_v3_read_repr_is_always_literal() {
         let comps = sample_components();
-        let mut v2 = StoredIndex::create(
+        let v2 = StoredIndex::create(
             MemStore::new(),
             &comps,
             StorageScheme::ComponentLevel,
@@ -2265,7 +2184,7 @@ mod tests {
         let comps = windowed_components();
         let stored = StoredIndex::create_v4(MemStore::new(), &comps, CodecKind::None).unwrap();
         assert_eq!(stored.format_version(), 4);
-        let mut reopened = StoredIndex::open(stored.into_store()).unwrap();
+        let reopened = StoredIndex::open(stored.into_store()).unwrap();
         assert_eq!(reopened.format_version(), 4);
         for (ci, comp) in comps.iter().enumerate() {
             for (j, bm) in comp.iter().enumerate() {
@@ -2293,7 +2212,7 @@ mod tests {
     #[test]
     fn v3_stores_have_no_summaries() {
         let comps = windowed_components();
-        let mut stored = StoredIndex::create_v3(MemStore::new(), &comps, CodecKind::None).unwrap();
+        let stored = StoredIndex::create_v3(MemStore::new(), &comps, CodecKind::None).unwrap();
         assert!(stored.read_summaries().is_none());
     }
 
@@ -2341,7 +2260,7 @@ mod tests {
         store
             .write_file(SUMMARY_FILE, &format::frame(&wrong))
             .unwrap();
-        let mut stored = StoredIndex::open(store).unwrap();
+        let stored = StoredIndex::open(store).unwrap();
         assert!(stored.read_summaries().is_none());
     }
 
@@ -2428,7 +2347,7 @@ mod tests {
         store
             .write_file("c1_b0.bmp", &format::frame(&[9u8, 0, 0, 0, 0]))
             .unwrap();
-        let mut stored = StoredIndex::open(store).unwrap();
+        let stored = StoredIndex::open(store).unwrap();
         match stored.read_repr(1, 0) {
             Err(StorageError::Corrupt { file, .. }) => assert_eq!(file, "c1_b0.bmp"),
             other => panic!("expected corrupt, got {other:?}"),
@@ -2438,7 +2357,7 @@ mod tests {
         store
             .write_file("c1_b0.bmp", &format::frame(&[SLOT_TAG_WAH, 1, 2, 3]))
             .unwrap();
-        let mut stored = StoredIndex::open(store).unwrap();
+        let stored = StoredIndex::open(store).unwrap();
         assert!(matches!(
             stored.read_repr(1, 0),
             Err(StorageError::Corrupt { .. })

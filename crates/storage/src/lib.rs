@@ -3,7 +3,9 @@
 //! Physical bitmap storage for Section 9 of the paper: the three storage
 //! schemes (**BS** bitmap-level, **CS** component-level, **IS**
 //! index-level), optional per-file compression, byte-level I/O accounting,
-//! and a bitmap buffer pool.
+//! and a bitmap buffer pool. There is one read path — [`ByteStore`] →
+//! [`StoredIndex`] (`&self` reads, atomic [`IoStats`]) → [`ShardedPool`]
+//! (the one cache, attached by [`SharedIndexReader`]).
 //!
 //! An index whose component `i` holds `n_i` bitmaps over an `N`-row
 //! relation is an `N × n` bit matrix (`n = Σ n_i`). The schemes differ in
@@ -37,15 +39,13 @@ mod error;
 mod fault;
 pub mod format;
 mod layout;
-pub mod mmap;
 pub mod shared;
 mod store;
 pub mod wal;
 
-pub use buffer_pool::{BufferPool, PoolStats, ShardedPool};
+pub use buffer_pool::{PoolStats, ShardedPool};
 pub use error::{RepairReport, RetryPolicy, ScrubFailure, ScrubReport, StorageError};
 pub use fault::{FaultCounters, FaultPlan, FaultStore};
 pub use layout::{StorageScheme, StoredIndex, StoredIndexMeta};
-pub use mmap::{mmap_enabled, MappedStore, MmapStats, MMAP_ENV};
 pub use shared::SharedIndexReader;
 pub use store::{ByteStore, DiskStore, IoStats, MemStore, TempDir};

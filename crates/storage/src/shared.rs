@@ -1,18 +1,15 @@
-//! A thread-safe read path over a stored index: many readers, one store,
-//! atomic I/O accounting, and an optional sharded bitmap cache.
+//! A stored index behind its cache: one [`StoredIndex`], an optional
+//! [`ShardedPool`] in front of it, and a repair epoch.
 //!
-//! [`StoredIndex`] accumulates its [`IoStats`] in plain fields, so reading
-//! it requires `&mut self` — fine for the single-threaded experiments, but
-//! a dead end for the parallel batch engine, where every worker thread
-//! evaluates queries against the same stored index. [`SharedIndexReader`]
-//! wraps a `StoredIndex` in a `&self` interface: each read goes through
-//! [`StoredIndex::read_bitmap_shared`], which returns the per-read
-//! [`IoStats`] delta, and the delta is folded into atomic totals. With a
-//! [`ShardedPool`] attached, hot bitmaps are served from the cache without
-//! touching the store at all.
+//! [`StoredIndex`] reads take `&self` and account their I/O in atomics, so
+//! sharing one index between threads needs nothing from this module.
+//! [`SharedIndexReader`] adds the two things a long-lived shared index
+//! wants on top: hot bitmaps served from the pool without touching the
+//! store, and one place ([`SharedIndexReader::repair_index`]) through
+//! which every mutation of the store goes, so the pool is emptied and the
+//! epoch bumped whenever the bytes underneath may have changed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use bindex_bitvec::BitVec;
 use bindex_compress::Repr;
@@ -20,54 +17,17 @@ use bindex_compress::Repr;
 use crate::buffer_pool::{PoolStats, ShardedPool};
 use crate::error::StorageError;
 use crate::layout::{StoredIndex, StoredIndexMeta};
-use crate::mmap::{MappedStore, MmapStats};
 use crate::store::{ByteStore, IoStats};
 
-/// Lock-free accumulator for [`IoStats`], one counter per field.
-#[derive(Debug, Default)]
-struct AtomicIoStats {
-    reads: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_decompressed: AtomicU64,
-    retries: AtomicU64,
-}
-
-impl AtomicIoStats {
-    fn add(&self, delta: &IoStats) {
-        // Relaxed is enough: the counters are independent monotonic sums
-        // read only for reporting, never for synchronization.
-        self.reads.fetch_add(delta.reads, Ordering::Relaxed);
-        self.bytes_read
-            .fetch_add(delta.bytes_read, Ordering::Relaxed);
-        self.bytes_decompressed
-            .fetch_add(delta.bytes_decompressed, Ordering::Relaxed);
-        self.retries.fetch_add(delta.retries, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> IoStats {
-        IoStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_decompressed: self.bytes_decompressed.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// A `Send + Sync` reader over a [`StoredIndex`]: shared-reference reads
-/// with atomic I/O statistics and an optional sharded bitmap cache.
+/// through an optional sharded bitmap cache.
 ///
 /// Cloning is not needed — worker threads borrow one reader
 /// (`&SharedIndexReader<S>`), which is `Sync` whenever the underlying
 /// [`ByteStore`] is.
 pub struct SharedIndexReader<S: ByteStore> {
     index: StoredIndex<S>,
-    stats: AtomicIoStats,
     pool: Option<ShardedPool>,
-    /// Pinned-region mapped read path (`BINDEX_MMAP=1`): repr reads are
-    /// served as zero-copy views from once-verified resident regions,
-    /// bypassing pool admission. Cleared on every repair.
-    mmap: Option<MappedStore>,
     /// Bumped by [`repair_index`](Self::repair_index) every time the
     /// underlying store is mutated, so layers above (result caches,
     /// circuit breakers) can tell "same bytes as before" from "the index
@@ -80,33 +40,22 @@ impl<S: ByteStore> SharedIndexReader<S> {
     pub fn new(index: StoredIndex<S>) -> Self {
         Self {
             index,
-            stats: AtomicIoStats::default(),
             pool: None,
-            mmap: None,
             repair_epoch: AtomicU64::new(0),
         }
     }
 
     /// Wraps `index` with a sharded bitmap cache: reads of cached bitmaps
-    /// cost no store I/O, and cache hits/misses are counted per shard.
+    /// cost no store I/O, and cache hits/misses are counted per shard. A
+    /// pool whose capacity covers every slot never evicts — each slot is
+    /// read and checksum-verified once, then served as an `Arc` handle
+    /// until the next repair.
     pub fn with_pool(index: StoredIndex<S>, pool: ShardedPool) -> Self {
         Self {
             index,
-            stats: AtomicIoStats::default(),
             pool: Some(pool),
-            mmap: None,
             repair_epoch: AtomicU64::new(0),
         }
-    }
-
-    /// Routes repr reads through a [`MappedStore`]: each slot is loaded
-    /// (checksum-verified) once and thereafter served as a zero-copy
-    /// `Arc` view from the pinned region, skipping the pool entirely.
-    /// Takes precedence over the sharded pool for
-    /// [`read_repr`](Self::read_repr).
-    pub fn with_mmap(mut self, mmap: MappedStore) -> Self {
-        self.mmap = Some(mmap);
-        self
     }
 
     /// Shape metadata of the wrapped index.
@@ -124,80 +73,33 @@ impl<S: ByteStore> SharedIndexReader<S> {
         self.index
     }
 
-    /// Reads stored bitmap `slot` of component `comp` (1-based), serving
-    /// from the cache when one is attached. Concurrent callers are safe;
-    /// I/O costs accumulate into the shared atomic totals.
-    pub fn read_bitmap(&self, comp: usize, slot: usize) -> Result<BitVec, StorageError> {
-        match &self.pool {
-            Some(pool) => pool.get_or_load((comp, slot), || self.read_uncached(comp, slot)),
-            None => self.read_uncached(comp, slot),
-        }
-    }
-
-    fn read_uncached(&self, comp: usize, slot: usize) -> Result<BitVec, StorageError> {
-        let (bm, delta) = self.index.read_bitmap_shared(comp, slot)?;
-        self.stats.add(&delta);
-        Ok(bm)
-    }
-
-    /// Reads stored bitmap `slot` of component `comp` as a shared dense
-    /// handle. With a pool attached, concurrent readers of a hot slot —
-    /// the segment-at-a-time engine's morsel workers all walking the same
-    /// query — share one resident copy per pool shard instead of deep-
-    /// copying it per read; a cached compressed slot is decompressed once
-    /// and upgraded in place (see `BufferPool::get_or_load_arc`).
-    pub fn read_bitmap_arc(&self, comp: usize, slot: usize) -> Result<Arc<BitVec>, StorageError> {
-        match &self.pool {
-            Some(pool) => pool.get_or_load_arc((comp, slot), || self.read_uncached(comp, slot)),
-            None => self.read_uncached(comp, slot).map(Arc::new),
-        }
-    }
-
-    /// Reads stored bitmap `slot` of component `comp` in its stored
-    /// execution representation: a WAH-coded v3 slot comes back
-    /// compressed, everything else as a dense literal. With a pool
-    /// attached, the cached entry keeps that representation — so a cached
-    /// sparse bitmap occupies its compressed footprint.
+    /// Reads stored bitmap `slot` of component `comp` (1-based) in its
+    /// stored execution representation (see [`StoredIndex::read_repr`]),
+    /// serving from the cache when one is attached. The cached entry keeps
+    /// that representation — so a cached sparse bitmap occupies its
+    /// compressed footprint. Concurrent callers are safe.
     pub fn read_repr(&self, comp: usize, slot: usize) -> Result<Repr, StorageError> {
-        if let Some(mmap) = &self.mmap {
-            return mmap.get_or_map((comp, slot), || self.read_repr_uncached(comp, slot));
-        }
         match &self.pool {
-            Some(pool) => {
-                pool.get_or_load_repr((comp, slot), || self.read_repr_uncached(comp, slot))
-            }
-            None => self.read_repr_uncached(comp, slot),
+            Some(pool) => pool.get_or_load_repr((comp, slot), || self.index.read_repr(comp, slot)),
+            None => self.index.read_repr(comp, slot),
         }
     }
 
-    fn read_repr_uncached(&self, comp: usize, slot: usize) -> Result<Repr, StorageError> {
-        let (repr, delta) = self.index.read_repr_shared(comp, slot)?;
-        self.stats.add(&delta);
-        Ok(repr)
+    /// [`SharedIndexReader::read_repr`], materialized to dense words.
+    pub fn read_bitmap(&self, comp: usize, slot: usize) -> Result<BitVec, StorageError> {
+        self.read_repr(comp, slot)
+            .map(|repr| self.index.materialize(repr))
     }
 
-    /// The v4 summary block, loaded once and shape-validated; `None`
-    /// degrades pruning to fetch-and-check. See
-    /// [`StoredIndex::read_summaries`].
-    pub fn read_summaries(&self) -> Option<Arc<bindex_bitvec::IndexSummaries>> {
-        let (out, delta) = self.index.read_summaries_shared();
-        self.stats.add(&delta);
-        out
-    }
-
-    /// Snapshot of the I/O statistics accumulated across all threads.
+    /// Snapshot of the wrapped index's I/O statistics, accumulated across
+    /// all threads.
     pub fn stats(&self) -> IoStats {
-        self.stats.snapshot()
+        self.index.stats()
     }
 
     /// Cache statistics, if a pool is attached.
     pub fn pool_stats(&self) -> Option<PoolStats> {
         self.pool.as_ref().map(ShardedPool::stats)
-    }
-
-    /// Mapped-read statistics, if the mapped path is attached.
-    pub fn mmap_stats(&self) -> Option<MmapStats> {
-        self.mmap.as_ref().map(MappedStore::stats)
     }
 
     /// How many times [`repair_index`](Self::repair_index) has mutated the
@@ -218,11 +120,6 @@ impl<S: ByteStore> SharedIndexReader<S> {
         let out = f(&mut self.index);
         if let Some(pool) = &self.pool {
             pool.clear();
-        }
-        if let Some(mmap) = &self.mmap {
-            // Pinned regions were verified against the pre-repair bytes;
-            // none may survive the rewrite.
-            mmap.clear();
         }
         self.repair_epoch.fetch_add(1, Ordering::Release);
         out
@@ -259,9 +156,9 @@ mod tests {
     }
 
     #[test]
-    fn shared_reads_match_exclusive_reads() {
+    fn reader_reads_match_direct_reads() {
         let reader = sample_reader(None);
-        let mut exclusive = StoredIndex::open(reader.index().store().clone()).unwrap();
+        let exclusive = StoredIndex::open(reader.index().store().clone()).unwrap();
         for comp in 1..=2usize {
             let n = reader.meta().bitmaps_per_component[comp - 1] as usize;
             for slot in 0..n {
@@ -273,22 +170,6 @@ mod tests {
         }
         assert_eq!(reader.stats().reads, 7);
         assert!(reader.stats().bytes_read > 0);
-    }
-
-    #[test]
-    fn concurrent_reads_account_every_read() {
-        let reader = sample_reader(None);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let reader = &reader;
-                scope.spawn(move || {
-                    for slot in 0..4 {
-                        reader.read_bitmap(1, slot).unwrap();
-                    }
-                });
-            }
-        });
-        assert_eq!(reader.stats().reads, 16);
     }
 
     #[test]
@@ -324,61 +205,32 @@ mod tests {
         assert_eq!(*reader.read_repr(1, 1).unwrap().to_bitvec(), comps[0][1]);
     }
 
+    /// A pool sized to the slot count is the pinned cache: every slot is
+    /// read from the store once however often it is swept, nothing is ever
+    /// evicted, the stored representation survives caching, and a repair
+    /// empties it.
     #[test]
-    fn arc_reads_share_the_resident_copy() {
-        let reader = sample_reader(Some(ShardedPool::new(16, 4)));
-        let a = reader.read_bitmap_arc(1, 0).unwrap();
-        let b = reader.read_bitmap_arc(1, 0).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(*a, reader.read_bitmap(1, 0).unwrap());
-        // One store read for any number of shared handles.
-        assert_eq!(reader.stats().reads, 1);
-        // Without a pool each arc read is its own store read.
-        let bare = sample_reader(None);
-        let x = bare.read_bitmap_arc(1, 0).unwrap();
-        let y = bare.read_bitmap_arc(1, 0).unwrap();
-        assert!(!Arc::ptr_eq(&x, &y));
-        assert_eq!(bare.stats().reads, 2);
-    }
-
-    #[test]
-    fn mapped_reads_share_pinned_regions_and_clear_on_repair() {
+    fn pool_that_fits_reads_each_slot_once_and_clears_on_repair() {
         let comps = vec![vec![
             BitVec::from_fn(4096, |i| i % 777 == 0),
             BitVec::from_fn(4096, |i| (i.wrapping_mul(2_654_435_761)) % 3 == 0),
         ]];
         let idx = StoredIndex::create_v3(MemStore::new(), &comps, CodecKind::None).unwrap();
-        let mut reader = SharedIndexReader::new(idx).with_mmap(MappedStore::new());
-        let a = reader.read_repr(1, 0).unwrap();
-        let b = reader.read_repr(1, 0).unwrap();
-        assert!(a.is_compressed() && b.is_compressed());
-        // One store read, second served from the pinned region.
-        assert_eq!(reader.stats().reads, 1);
-        let stats = reader.mmap_stats().unwrap();
-        assert_eq!((stats.maps, stats.hits), (1, 1));
-        // Repair unpins everything: the next read reloads from the store.
-        reader.repair_index(|_| ());
-        assert_eq!(reader.mmap_stats().unwrap().resident_bytes, 0);
-        let c = reader.read_repr(1, 0).unwrap();
-        assert_eq!(*c.to_bitvec(), comps[0][0]);
+        let mut reader = SharedIndexReader::with_pool(idx, ShardedPool::new(2, 1));
+        for _ in 0..3 {
+            assert!(reader.read_repr(1, 0).unwrap().is_compressed());
+            assert!(!reader.read_repr(1, 1).unwrap().is_compressed());
+        }
         assert_eq!(reader.stats().reads, 2);
-    }
-
-    #[test]
-    fn reader_serves_v4_summaries_once() {
-        let comps = vec![vec![
-            BitVec::from_indices(100_000, &[3]),
-            BitVec::zeros(100_000),
-        ]];
-        let idx = StoredIndex::create_v4(MemStore::new(), &comps, CodecKind::None).unwrap();
-        let reader = SharedIndexReader::new(idx);
-        let summaries = reader.read_summaries().expect("v4 summaries");
-        assert!(summaries.get(1, 0).unwrap().range_any(0, 64));
-        assert!(!summaries.get(1, 1).unwrap().range_any(0, 100_000));
-        let reads = reader.stats().reads;
-        let again = reader.read_summaries().unwrap();
-        assert!(Arc::ptr_eq(&summaries, &again));
-        assert_eq!(reader.stats().reads, reads, "cached block, no new I/O");
+        let pool = reader.pool_stats().unwrap();
+        assert_eq!((pool.hits, pool.misses, pool.evictions), (4, 2, 0));
+        // Repair empties the pool: the next sweep reloads from the store.
+        reader.repair_index(|_| ());
+        assert_eq!(reader.pool_stats().unwrap(), PoolStats::default());
+        for (slot, bm) in comps[0].iter().enumerate() {
+            assert_eq!(*reader.read_repr(1, slot).unwrap().to_bitvec(), *bm);
+        }
+        assert_eq!(reader.stats().reads, 4);
     }
 
     #[test]

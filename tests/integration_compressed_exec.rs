@@ -14,10 +14,10 @@ use bindex::engine::{evaluate_selection_workload, BatchOptions};
 use bindex::relation::query::{full_space, Op, SelectionQuery};
 use bindex::relation::{gen, Column};
 use bindex::storage::{
-    BufferPool, ByteStore, MemStore, SharedIndexReader, StorageScheme, StoredIndex,
+    ByteStore, MemStore, ShardedPool, SharedIndexReader, StorageScheme, StoredIndex,
 };
-use bindex::stored::{persist_index, persist_index_v3, scrub_and_repair_index, StorageSource};
-use bindex::{Base, BitmapIndex, BitmapSource, Encoding, IndexSpec, RecoveryPolicy};
+use bindex::stored::{persist_index, persist_index_v3, scrub_and_repair_index, SharedSource};
+use bindex::{Base, BitmapIndex, Encoding, IndexSpec, RecoveryPolicy};
 
 const CARDINALITY: u32 = 24;
 const CODECS: [CodecKind; 2] = [CodecKind::None, CodecKind::Deflate];
@@ -62,19 +62,18 @@ fn v3_bit_identical_across_encodings_codecs_and_algorithms() {
         for encoding in [Encoding::Range, Encoding::Equality, Encoding::Interval] {
             let idx = BitmapIndex::build(col, spec(encoding)).unwrap();
             for codec in CODECS {
-                let mut lit =
-                    persist_index(&idx, MemStore::new(), StorageScheme::BitmapLevel, codec)
-                        .unwrap();
-                let mut v3 = persist_index_v3(&idx, MemStore::new(), codec).unwrap();
+                let lit = persist_index(&idx, MemStore::new(), StorageScheme::BitmapLevel, codec)
+                    .unwrap();
+                let v3 = persist_index_v3(&idx, MemStore::new(), codec).unwrap();
                 assert_eq!(v3.format_version(), 3);
                 for q in full_space(CARDINALITY) {
                     let want = naive::evaluate(col, q);
                     for &algo in algorithms(encoding) {
                         let label = format!("{kind} {encoding:?} {codec:?} {algo:?} {q}");
-                        let mut src = StorageSource::try_new(&mut lit, spec(encoding)).unwrap();
+                        let mut src = SharedSource::try_unpooled(&lit, spec(encoding)).unwrap();
                         let (found, _) = evaluate(&mut src, q, algo).unwrap();
                         assert_eq!(found, want, "literal {label}");
-                        let mut src = StorageSource::try_new(&mut v3, spec(encoding)).unwrap();
+                        let mut src = SharedSource::try_unpooled(&v3, spec(encoding)).unwrap();
                         let (found, _) = evaluate(&mut src, q, algo).unwrap();
                         assert_eq!(found, want, "v3 {label}");
                     }
@@ -101,7 +100,7 @@ fn v3_batch_engine_matches_oracle_under_all_recovery_policies() {
     ] {
         let options = BatchOptions::with_threads(4).with_recovery(policy.clone());
         let report = evaluate_selection_workload(
-            || bindex::stored::SharedSource::try_new(&reader, spec(Encoding::Equality)).unwrap(),
+            || SharedSource::try_new(&reader, spec(Encoding::Equality)).unwrap(),
             &queries,
             Algorithm::Auto,
             &options,
@@ -144,7 +143,7 @@ fn v3_degrades_and_repairs_like_literal_stores() {
 
     let column = Arc::new(col.clone());
     let mut stored = StoredIndex::open(store).unwrap();
-    let mut src = StorageSource::try_new(&mut stored, spec(Encoding::Equality)).unwrap();
+    let mut src = SharedSource::try_unpooled(&stored, spec(Encoding::Equality)).unwrap();
     let mut ctx = ExecContext::new(&mut src)
         .with_recovery(RecoveryPolicy::ReconstructOrScan(Arc::clone(&column)));
     let mut degraded = 0usize;
@@ -161,7 +160,7 @@ fn v3_degrades_and_repairs_like_literal_stores() {
     let mut fresh = StoredIndex::open(stored.into_store()).unwrap();
     assert!(fresh.scrub().unwrap().is_clean());
     assert_eq!(fresh.format_version(), 3, "repair keeps the v3 layout");
-    let mut src = StorageSource::try_new(&mut fresh, spec(Encoding::Equality)).unwrap();
+    let mut src = SharedSource::try_unpooled(&fresh, spec(Encoding::Equality)).unwrap();
     let mut ctx = ExecContext::new(&mut src);
     for q in full_space(CARDINALITY) {
         let found = bindex::core::eval::evaluate_in(&mut ctx, q, Algorithm::Auto).unwrap();
@@ -187,33 +186,33 @@ fn v3_pool_holds_more_slots_for_the_same_byte_budget() {
 
     // Budget: a quarter of the literal index (each slot rows/8 bytes).
     let budget = n_slots * (rows / 8) / 4;
-    let sweep = |stored: &mut StoredIndex<MemStore>| {
-        let pool = BufferPool::with_byte_budget(budget);
-        let mut src = StorageSource::try_new(stored, spec.clone())
-            .unwrap()
-            .with_pool(&pool);
+    let sweep = |stored: &StoredIndex<MemStore>| {
+        let pool = ShardedPool::with_byte_budget(budget, 1);
         let mut compressed = 0usize;
         for slot in 0..n_slots {
             // Component addresses are 1-based at the storage layer.
-            if src.try_fetch_repr(1, slot).unwrap().is_compressed() {
+            let repr = pool
+                .get_or_load_repr((1, slot), || stored.read_repr(1, slot))
+                .unwrap();
+            if repr.is_compressed() {
                 compressed += 1;
             }
         }
         (pool.resident(), compressed)
     };
 
-    let mut lit = persist_index(
+    let lit = persist_index(
         &idx,
         MemStore::new(),
         StorageScheme::BitmapLevel,
         CodecKind::None,
     )
     .unwrap();
-    let (lit_resident, lit_compressed) = sweep(&mut lit);
+    let (lit_resident, lit_compressed) = sweep(&lit);
     assert_eq!(lit_compressed, 0, "v2 serves only literal reprs");
 
-    let mut v3 = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
-    let (v3_resident, v3_compressed) = sweep(&mut v3);
+    let v3 = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+    let (v3_resident, v3_compressed) = sweep(&v3);
     assert!(
         v3_compressed > n_slots / 2,
         "clustered slots should be stored WAH ({v3_compressed}/{n_slots})"
@@ -240,8 +239,8 @@ fn v3_adaptive_execution_uses_compressed_ops() {
     // handful of runs — the operands the WAH kernels are for.
     let spec = IndexSpec::new(Base::single(CARDINALITY).unwrap(), Encoding::Equality);
     let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-    let mut stored = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
-    let mut src = StorageSource::try_new(&mut stored, spec).unwrap();
+    let stored = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+    let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
     let mut ctx = ExecContext::new(&mut src);
     let mut compressed_ops = 0usize;
     // `Le` probes OR a run of sibling slots — the k-ary compressed path.

@@ -13,7 +13,7 @@ use bindex::relation::{gen, Column};
 use bindex::storage::{
     ByteStore, FaultPlan, FaultStore, MemStore, RetryPolicy, StorageScheme, StoredIndex,
 };
-use bindex::stored::{persist_index, StorageSource};
+use bindex::stored::{persist_index, SharedSource};
 use bindex::{Base, BitmapIndex, Encoding, IndexSpec};
 
 const SCHEMES: [StorageScheme; 3] = [
@@ -66,8 +66,8 @@ fn transient_faults_are_retried_to_the_correct_answer() {
             // Every 3rd read fails once; the immediate retry (read 3k+1)
             // succeeds, well within the default 3-attempt policy.
             let faulty = FaultStore::new(store, FaultPlan::new(9).with_transient_every_nth_read(3));
-            let mut stored = StoredIndex::open(faulty).unwrap();
-            let mut src = StorageSource::try_new(&mut stored, spec()).unwrap();
+            let stored = StoredIndex::open(faulty).unwrap();
+            let mut src = SharedSource::try_unpooled(&stored, spec()).unwrap();
             for q in probing_queries() {
                 let (got, _) = evaluate(&mut src, q, Algorithm::Auto)
                     .unwrap_or_else(|e| panic!("{scheme:?}/{codec:?} {q}: {e}"));
@@ -91,7 +91,7 @@ fn transient_faults_beyond_the_policy_surface_as_storage_errors() {
     let faulty = FaultStore::new(store, FaultPlan::new(3).with_transient_reads("c1_b0", 10));
     let mut stored = StoredIndex::open(faulty).unwrap();
     stored.set_retry_policy(RetryPolicy::default());
-    let mut src = StorageSource::try_new(&mut stored, spec()).unwrap();
+    let mut src = SharedSource::try_unpooled(&stored, spec()).unwrap();
     // Eq 0 must read c1_b0 under range encoding.
     match evaluate(&mut src, SelectionQuery::new(Op::Eq, 0), Algorithm::Auto) {
         Err(Error::Storage(msg)) => assert!(msg.contains("injected"), "{msg}"),
@@ -108,8 +108,8 @@ fn bit_flips_yield_typed_errors_never_wrong_answers() {
                 store,
                 FaultPlan::new(11).with_bit_flip(data_pattern(scheme)),
             );
-            let mut stored = StoredIndex::open(faulty).unwrap();
-            let mut src = StorageSource::try_new(&mut stored, spec()).unwrap();
+            let stored = StoredIndex::open(faulty).unwrap();
+            let mut src = SharedSource::try_unpooled(&stored, spec()).unwrap();
             for q in probing_queries() {
                 match evaluate(&mut src, q, Algorithm::Auto) {
                     // A flip in the payload is a checksum mismatch; one in
@@ -139,8 +139,8 @@ fn truncated_reads_yield_clean_errors() {
                     store.clone(),
                     FaultPlan::new(13).with_truncated_reads(data_pattern(scheme), keep),
                 );
-                let mut stored = StoredIndex::open(faulty).unwrap();
-                let mut src = StorageSource::try_new(&mut stored, spec()).unwrap();
+                let stored = StoredIndex::open(faulty).unwrap();
+                let mut src = SharedSource::try_unpooled(&stored, spec()).unwrap();
                 for q in probing_queries() {
                     match evaluate(&mut src, q, Algorithm::Auto) {
                         Err(Error::Storage(_)) | Err(Error::ChecksumMismatch(_)) => {}
@@ -203,8 +203,8 @@ fn clean_faultstore_changes_nothing() {
     for scheme in SCHEMES {
         let (col, store) = persisted(scheme, CodecKind::None);
         let faulty = FaultStore::new(store, FaultPlan::new(1));
-        let mut stored = StoredIndex::open(faulty).unwrap();
-        let mut src = StorageSource::try_new(&mut stored, spec()).unwrap();
+        let stored = StoredIndex::open(faulty).unwrap();
+        let mut src = SharedSource::try_unpooled(&stored, spec()).unwrap();
         for q in probing_queries() {
             let (got, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
             assert_eq!(got, naive::evaluate(&col, q));

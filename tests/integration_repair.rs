@@ -12,7 +12,7 @@ use bindex::core::ExecContext;
 use bindex::relation::query::{Op, SelectionQuery};
 use bindex::relation::{gen, Column};
 use bindex::storage::{ByteStore, FaultPlan, FaultStore, MemStore, StorageScheme, StoredIndex};
-use bindex::stored::{persist_index, scrub_and_repair_index, StorageSource};
+use bindex::stored::{persist_index, scrub_and_repair_index, SharedSource};
 use bindex::{Base, BitmapIndex, Encoding, IndexSpec, RecoveryPolicy};
 
 const SCHEMES: [StorageScheme; 3] = [
@@ -105,7 +105,7 @@ fn repair_and_verify(store: MemStore, col: &Column, damaged: &[String], label: &
     assert!(fresh.scrub().unwrap().is_clean(), "{label}");
     assert_eq!(fresh.meta().repairs, damaged, "{label}: journal");
 
-    let mut src = StorageSource::try_new(&mut fresh, spec()).unwrap();
+    let mut src = SharedSource::try_unpooled(&fresh, spec()).unwrap();
     let mut ctx = ExecContext::new(&mut src);
     for q in probing_queries() {
         let found = evaluate_in(&mut ctx, q, Algorithm::Auto).unwrap();
@@ -179,7 +179,7 @@ fn degraded_until_repaired_then_clean() {
     let column = Arc::new(col.clone());
 
     let mut stored = StoredIndex::open(store).unwrap();
-    let mut src = StorageSource::try_new(&mut stored, spec()).unwrap();
+    let mut src = SharedSource::try_unpooled(&stored, spec()).unwrap();
     let mut ctx = ExecContext::new(&mut src)
         .with_recovery(RecoveryPolicy::ReconstructOrScan(Arc::clone(&column)));
     let mut degraded_queries = 0;
@@ -196,8 +196,8 @@ fn degraded_until_repaired_then_clean() {
     let report = scrub_and_repair_index(&mut stored, &spec(), Some(&col), None).unwrap();
     assert!(report.fully_repaired(), "{report:?}");
 
-    let mut fresh = StoredIndex::open(stored.into_store()).unwrap();
-    let mut src = StorageSource::try_new(&mut fresh, spec()).unwrap();
+    let fresh = StoredIndex::open(stored.into_store()).unwrap();
+    let mut src = SharedSource::try_unpooled(&fresh, spec()).unwrap();
     let mut ctx = ExecContext::new(&mut src)
         .with_recovery(RecoveryPolicy::ReconstructOrScan(Arc::clone(&column)));
     for q in bindex::relation::query::full_space(30) {
@@ -226,7 +226,7 @@ fn bs_equality_repair_needs_no_column() {
 
     let mut fresh = StoredIndex::open(stored.into_store()).unwrap();
     assert!(fresh.scrub().unwrap().is_clean());
-    let mut src = StorageSource::try_new(&mut fresh, spec()).unwrap();
+    let mut src = SharedSource::try_unpooled(&fresh, spec()).unwrap();
     let mut ctx = ExecContext::new(&mut src);
     for q in probing_queries() {
         let found = evaluate_in(&mut ctx, q, Algorithm::Auto).unwrap();

@@ -5,8 +5,10 @@
 use bindex::compress::CodecKind;
 use bindex::core::eval::{evaluate, naive, Algorithm};
 use bindex::relation::{gen, query};
-use bindex::storage::{BufferPool, DiskStore, MemStore, StorageScheme, StoredIndex, TempDir};
-use bindex::stored::{persist_index, StorageSource};
+use bindex::storage::{
+    DiskStore, MemStore, ShardedPool, SharedIndexReader, StorageScheme, StoredIndex, TempDir,
+};
+use bindex::stored::{persist_index, SharedSource};
 use bindex::{Base, BitmapIndex, Encoding, IndexSpec};
 
 fn build() -> (bindex::Column, IndexSpec, BitmapIndex) {
@@ -32,8 +34,8 @@ fn disk_roundtrip_all_schemes() {
         ] {
             let tmp = TempDir::new("int-storage").unwrap();
             let store = DiskStore::open(tmp.path()).unwrap();
-            let mut stored = persist_index(&idx, store, scheme, codec).unwrap();
-            let mut src = StorageSource::try_new(&mut stored, spec.clone()).unwrap();
+            let stored = persist_index(&idx, store, scheme, codec).unwrap();
+            let mut src = SharedSource::try_unpooled(&stored, spec.clone()).unwrap();
             for q in query::sample(30, 40, 5) {
                 let (found, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
                 assert_eq!(found, naive::evaluate(&col, q), "{scheme:?}/{codec:?} {q}");
@@ -55,7 +57,7 @@ fn bs_reads_only_needed_bitmaps_cs_reads_component() {
         CodecKind::None,
     )
     .unwrap();
-    let mut src = StorageSource::try_new(&mut bs, spec.clone()).unwrap();
+    let mut src = SharedSource::try_unpooled(&bs, spec.clone()).unwrap();
     let (_, stats) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
     let io = bs.take_stats();
     assert_eq!(io.reads as usize, stats.scans);
@@ -73,7 +75,7 @@ fn bs_reads_only_needed_bitmaps_cs_reads_component() {
         CodecKind::None,
     )
     .unwrap();
-    let mut src = StorageSource::try_new(&mut cs, spec.clone()).unwrap();
+    let mut src = SharedSource::try_unpooled(&cs, spec.clone()).unwrap();
     let _ = evaluate(&mut src, q, Algorithm::Auto).unwrap();
     let cs_io = cs.take_stats();
     // CS reads whole row-major component files: strictly more bytes.
@@ -111,50 +113,49 @@ fn compression_reduces_stored_bytes_on_clustered_data() {
 #[test]
 fn buffer_pool_eliminates_repeat_reads() {
     let (col, spec, idx) = build();
-    let mut stored = persist_index(
+    let stored = persist_index(
         &idx,
         MemStore::new(),
         StorageScheme::BitmapLevel,
         CodecKind::None,
     )
     .unwrap();
-    let pool = BufferPool::new(64); // holds the whole index
-    let mut src = StorageSource::try_new(&mut stored, spec)
-        .unwrap()
-        .with_pool(&pool);
+    // The pool holds the whole index.
+    let reader = SharedIndexReader::with_pool(stored, ShardedPool::new(64, 1));
+    let mut src = SharedSource::try_new(&reader, spec).unwrap();
     let queries = query::full_space(30);
     for &q in &queries {
         let (found, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
         assert_eq!(found, naive::evaluate(&col, q));
     }
     // replay: zero additional storage reads
-    let before = src.io_stats().reads;
+    let before = reader.stats().reads;
     for &q in &queries {
         let _ = evaluate(&mut src, q, Algorithm::Auto).unwrap();
     }
-    assert_eq!(src.io_stats().reads, before, "pool should serve the replay");
+    assert_eq!(reader.stats().reads, before, "pool should serve the replay");
 }
 
 #[test]
 fn small_pool_evicts_but_stays_correct() {
     let (col, spec, idx) = build();
-    let mut stored = persist_index(
+    let stored = persist_index(
         &idx,
         MemStore::new(),
         StorageScheme::BitmapLevel,
         CodecKind::Lzss,
     )
     .unwrap();
-    let pool = BufferPool::new(2);
-    let mut src = StorageSource::try_new(&mut stored, spec)
-        .unwrap()
-        .with_pool(&pool);
+    let reader = SharedIndexReader::with_pool(stored, ShardedPool::new(2, 1));
+    let mut src = SharedSource::try_new(&reader, spec).unwrap();
     for q in query::full_space(30) {
         let (found, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
         assert_eq!(found, naive::evaluate(&col, q), "{q}");
     }
-    assert!(pool.stats().evictions > 0);
-    assert!(pool.resident() <= 2);
+    let pool = reader.pool_stats().unwrap();
+    assert!(pool.evictions > 0);
+    // Every miss admits one entry and every eviction removes one.
+    assert!(pool.misses - pool.evictions <= 2, "{pool:?}");
 }
 
 #[test]
@@ -163,14 +164,14 @@ fn equality_encoded_index_through_storage() {
     let spec = IndexSpec::new(Base::from_msb(&[5, 6]).unwrap(), Encoding::Equality);
     let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
     let tmp = TempDir::new("int-storage-eq").unwrap();
-    let mut stored = persist_index(
+    let stored = persist_index(
         &idx,
         DiskStore::open(tmp.path()).unwrap(),
         StorageScheme::ComponentLevel,
         CodecKind::Lzss,
     )
     .unwrap();
-    let mut src = StorageSource::try_new(&mut stored, spec).unwrap();
+    let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
     for q in query::full_space(30) {
         let (found, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
         assert_eq!(found, naive::evaluate(&col, q), "{q}");

@@ -1,6 +1,6 @@
 //! Property tests for the compression-aware physical layout (v4 stores):
 //! over seeded random bases, columns, and row counts, every combination of
-//! {v3, v4} × {pruning on/off} × {mmap on/off} must produce bit-identical
+//! {v3, v4} × {pruning on/off} × {unpooled, pool-that-fits} must produce bit-identical
 //! answers — and identical `EvalStats` once the counters that pruning is
 //! *allowed* to move (`segments_pruned`, `segments_skipped`,
 //! `materializations`) are set aside — for every evaluator and recovery
@@ -18,10 +18,10 @@ use bindex::core::eval::{evaluate_segmented_in, Algorithm};
 use bindex::core::{EvalStats, ExecContext};
 use bindex::relation::query::{full_space, Op, SelectionQuery};
 use bindex::relation::{Column, Rng};
-use bindex::storage::{ByteStore, MappedStore, MemStore, StoredIndex};
+use bindex::storage::{ByteStore, MemStore, ShardedPool, SharedIndexReader, StoredIndex};
 use bindex::stored::{
     load_permutation, persist_index_v3, persist_index_v4, persist_permutation,
-    scrub_and_repair_index, StorageSource,
+    scrub_and_repair_index, SharedSource,
 };
 use bindex::{
     build_reordered, Base, BitVec, BitmapIndex, BuildOptions, Encoding, IndexSpec, RecoveryPolicy,
@@ -99,7 +99,7 @@ struct Config {
     name: &'static str,
     v4: bool,
     prune: bool,
-    mmap: bool,
+    pool: bool,
 }
 
 const CONFIGS: &[Config] = &[
@@ -107,55 +107,62 @@ const CONFIGS: &[Config] = &[
         name: "v3",
         v4: false,
         prune: false,
-        mmap: false,
+        pool: false,
     },
     Config {
         name: "v3+prune", // no summary block: pruning must be inert
         v4: false,
         prune: true,
-        mmap: false,
+        pool: false,
     },
     Config {
         name: "v4",
         v4: true,
         prune: false,
-        mmap: false,
+        pool: false,
     },
     Config {
         name: "v4+prune",
         v4: true,
         prune: true,
-        mmap: false,
+        pool: false,
     },
     Config {
-        name: "v4+mmap",
+        name: "v4+pool",
         v4: true,
         prune: false,
-        mmap: true,
+        pool: true,
     },
     Config {
-        name: "v4+prune+mmap",
+        name: "v4+prune+pool",
         v4: true,
         prune: true,
-        mmap: true,
+        pool: true,
     },
 ];
 
-#[allow(clippy::too_many_arguments)]
+/// The cache axis over one store: a reader with no pool, and a second
+/// handle on the same bytes behind a pool that holds every slot (so it
+/// never evicts — each slot is read and verified once, then shared).
+fn unpooled_and_pooled(store: MemStore) -> [SharedIndexReader<MemStore>; 2] {
+    let pooled = StoredIndex::open(store.clone()).unwrap();
+    let fits = ShardedPool::new(pooled.meta().total_bitmaps() as usize, 1);
+    [
+        SharedIndexReader::new(StoredIndex::open(store).unwrap()),
+        SharedIndexReader::with_pool(pooled, fits),
+    ]
+}
+
 fn run_config(
-    stored: &mut StoredIndex<MemStore>,
+    reader: &SharedIndexReader<MemStore>,
     spec: &IndexSpec,
-    mmap: Option<&MappedStore>,
     prune: bool,
     q: SelectionQuery,
     algo: Algorithm,
     policy: &RecoveryPolicy,
     segment_bits: usize,
 ) -> EvalOutcome {
-    let mut src = StorageSource::try_new(stored, spec.clone()).unwrap();
-    if let Some(m) = mmap {
-        src = src.with_mmap(m);
-    }
+    let mut src = SharedSource::try_new(reader, spec.clone()).unwrap();
     let mut ctx = ExecContext::new(&mut src)
         .with_recovery(policy.clone())
         .with_pruning(prune);
@@ -178,9 +185,11 @@ fn layout_matrix_is_bit_identical() {
         for encoding in [Encoding::Range, Encoding::Equality, Encoding::Interval] {
             let spec = IndexSpec::new(base.clone(), encoding);
             let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-            let mut v3 = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
-            let mut v4 = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
-            let mapped = MappedStore::new();
+            let v3 = SharedIndexReader::new(
+                persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap(),
+            );
+            let v4 = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
+            let [v4, v4_pooled] = unpooled_and_pooled(v4.into_store());
             let policies = [
                 RecoveryPolicy::Fail,
                 RecoveryPolicy::Reconstruct,
@@ -199,12 +208,14 @@ fn layout_matrix_is_bit_identical() {
                         for &segment_bits in sweep {
                             let mut outcomes: Vec<(&str, EvalOutcome)> = Vec::new();
                             for cfg in CONFIGS {
-                                let stored = if cfg.v4 { &mut v4 } else { &mut v3 };
-                                let mmap = cfg.mmap.then_some(&mapped);
+                                let reader = match (cfg.v4, cfg.pool) {
+                                    (false, _) => &v3,
+                                    (true, false) => &v4,
+                                    (true, true) => &v4_pooled,
+                                };
                                 let out = run_config(
-                                    stored,
+                                    reader,
                                     &spec,
-                                    mmap,
                                     cfg.prune,
                                     q,
                                     algo,
@@ -259,7 +270,7 @@ fn layout_matrix_is_bit_identical() {
 /// failure into a success (a provably-dead slot is never fetched, and
 /// zeros are its exact content) but must never produce a wrong answer,
 /// and whenever the unpruned run succeeds the pruned run matches it
-/// bit-for-bit.
+/// bit-for-bit — with and without a pool in front of the store.
 #[test]
 fn corrupted_data_files_never_yield_wrong_answers() {
     for seed in seeds() {
@@ -284,7 +295,7 @@ fn corrupted_data_files_never_yield_wrong_answers() {
         let last = data.len() - 1;
         data[last] ^= 0x08;
         store.write_file(&victim, &data).unwrap();
-        let mut stored = StoredIndex::open(store).unwrap();
+        let readers = unpooled_and_pooled(store);
 
         let policies = [
             RecoveryPolicy::Fail,
@@ -294,23 +305,25 @@ fn corrupted_data_files_never_yield_wrong_answers() {
         for q in full_space(base.product() as u32) {
             for &algo in algorithms(Encoding::Equality) {
                 for policy in &policies {
-                    let label = format!("seed {seed} {victim} {algo:?} {policy:?} {q}");
-                    let want = bindex::core::eval::naive::evaluate(&col, q);
-                    let plain = run_config(&mut stored, &spec, None, false, q, algo, policy, 64);
-                    let pruned = run_config(&mut stored, &spec, None, true, q, algo, policy, 64);
-                    match (&plain, &pruned) {
-                        (Ok((p_found, _)), Ok((r_found, _))) => {
-                            assert_eq!(p_found, &want, "{label}: unpruned answer");
-                            assert_eq!(r_found, &want, "{label}: pruned answer");
-                        }
-                        (Err(_), Ok((r_found, _))) => {
-                            // Pruning skipped the corrupt fetch entirely —
-                            // legal only because the answer is still exact.
-                            assert_eq!(r_found, &want, "{label}: pruned-past-corruption");
-                        }
-                        (Err(_), Err(_)) => {}
-                        (Ok(_), Err(e)) => {
-                            panic!("{label}: pruning introduced a failure: {e}")
+                    for (reader, cache) in readers.iter().zip(["unpooled", "pooled"]) {
+                        let label = format!("seed {seed} {victim} {cache} {algo:?} {policy:?} {q}");
+                        let want = bindex::core::eval::naive::evaluate(&col, q);
+                        let plain = run_config(reader, &spec, false, q, algo, policy, 64);
+                        let pruned = run_config(reader, &spec, true, q, algo, policy, 64);
+                        match (&plain, &pruned) {
+                            (Ok((p_found, _)), Ok((r_found, _))) => {
+                                assert_eq!(p_found, &want, "{label}: unpruned answer");
+                                assert_eq!(r_found, &want, "{label}: pruned answer");
+                            }
+                            (Err(_), Ok((r_found, _))) => {
+                                // Pruning skipped the corrupt fetch entirely —
+                                // legal only because the answer is still exact.
+                                assert_eq!(r_found, &want, "{label}: pruned-past-corruption");
+                            }
+                            (Err(_), Err(_)) => {}
+                            (Ok(_), Err(e)) => {
+                                panic!("{label}: pruning introduced a failure: {e}")
+                            }
                         }
                     }
                 }
@@ -343,15 +356,14 @@ fn corrupted_summary_degrades_then_repairs() {
     let last = data.len() - 1;
     data[last] ^= 0x01;
     store.write_file(&victim, &data).unwrap();
-    let mut stored = StoredIndex::open(store).unwrap();
+    let mut reader = SharedIndexReader::new(StoredIndex::open(store).unwrap());
 
     let mut pruned_total = 0usize;
     for q in full_space(card) {
         let want = bindex::core::eval::naive::evaluate(&col, q);
         let out = run_config(
-            &mut stored,
+            &reader,
             &spec,
-            None,
             true,
             q,
             Algorithm::EqualityEval,
@@ -365,14 +377,15 @@ fn corrupted_summary_degrades_then_repairs() {
     assert_eq!(pruned_total, 0, "a corrupt summary block must not prune");
 
     // Scrub-and-repair rebuilds the block from the (intact) slot files.
-    let report = scrub_and_repair_index(&mut stored, &spec, Some(&col), None).unwrap();
+    let report = reader
+        .repair_index(|stored| scrub_and_repair_index(stored, &spec, Some(&col), None))
+        .unwrap();
     assert!(report.fully_repaired(), "{report:?}");
     for q in full_space(card) {
         let want = bindex::core::eval::naive::evaluate(&col, q);
         let out = run_config(
-            &mut stored,
+            &reader,
             &spec,
-            None,
             true,
             q,
             Algorithm::EqualityEval,
@@ -405,14 +418,15 @@ fn window_pruning_reads_strictly_fewer_bytes() {
     let queries: Vec<SelectionQuery> = (0..card).map(|v| SelectionQuery::new(Op::Eq, v)).collect();
 
     let run = |prune: bool| -> (Vec<BitVec>, usize, u64) {
-        let mut stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
+        let reader = SharedIndexReader::new(
+            persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap(),
+        );
         let mut founds = Vec::new();
         let mut pruned = 0usize;
         for &q in &queries {
             let out = run_config(
-                &mut stored,
+                &reader,
                 &spec,
-                None,
                 prune,
                 q,
                 Algorithm::EqualityEval,
@@ -423,7 +437,7 @@ fn window_pruning_reads_strictly_fewer_bytes() {
             founds.push(found);
             pruned += stats.segments_pruned;
         }
-        let bytes = stored.stats().bytes_read;
+        let bytes = reader.stats().bytes_read;
         (founds, pruned, bytes)
     };
     let (plain_founds, plain_pruned, plain_bytes) = run(false);
@@ -440,7 +454,7 @@ fn window_pruning_reads_strictly_fewer_bytes() {
 /// Row reordering end to end: a frequency-sorted or Gray-ordered index
 /// persisted as v4 (with its permutation sidecar) answers every query of
 /// the full space identically to natural order once externalized —
-/// including under pruning and mmap.
+/// including under pruning and a pool that holds every slot.
 #[test]
 fn reordered_stores_answer_identically_after_externalization() {
     for seed in seeds() {
@@ -458,12 +472,11 @@ fn reordered_stores_answer_identically_after_externalization() {
                 let mut stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
                 persist_permutation(&mut stored, &perm).unwrap();
                 let loaded = load_permutation(&stored).unwrap().expect("sidecar");
-                let mapped = MappedStore::new();
+                let [_, reader] = unpooled_and_pooled(stored.into_store());
                 for q in full_space(base.product() as u32) {
                     let out = run_config(
-                        &mut stored,
+                        &reader,
                         &spec,
-                        Some(&mapped),
                         true,
                         q,
                         Algorithm::Auto,

@@ -17,7 +17,7 @@ use bindex::core::{EvalStats, ExecContext};
 use bindex::relation::query::full_space;
 use bindex::relation::{Column, Rng};
 use bindex::storage::{ByteStore, MemStore, StorageScheme, StoredIndex};
-use bindex::stored::{persist_index, persist_index_v3, StorageSource};
+use bindex::stored::{persist_index, persist_index_v3, SharedSource};
 use bindex::{Base, BitVec, BitmapIndex, BitmapSource, Encoding, IndexSpec, RecoveryPolicy};
 
 fn seeds() -> Vec<u64> {
@@ -192,9 +192,11 @@ fn segmented_matches_whole_on_clean_stores() {
                                 &SEGMENT_SIZES[..1]
                             };
                             for &segment_bits in sweep {
-                                let mut src = StorageSource::try_new(stored, spec.clone()).unwrap();
+                                let mut src =
+                                    SharedSource::try_unpooled(stored, spec.clone()).unwrap();
                                 let whole = run_whole(&mut src, q, algo, policy);
-                                let mut src = StorageSource::try_new(stored, spec.clone()).unwrap();
+                                let mut src =
+                                    SharedSource::try_unpooled(stored, spec.clone()).unwrap();
                                 let seg = run_segmented(&mut src, q, algo, policy, segment_bits);
                                 let label = format!(
                                     "seed {seed} {store_name} {encoding:?} {algo:?} \
@@ -239,7 +241,7 @@ fn segmented_matches_whole_on_corrupted_stores() {
         let last = data.len() - 1;
         data[last] ^= 0x08;
         store.write_file(&victim, &data).unwrap();
-        let mut stored = StoredIndex::open(store).unwrap();
+        let stored = StoredIndex::open(store).unwrap();
 
         let policies = [
             RecoveryPolicy::Fail,
@@ -252,9 +254,9 @@ fn segmented_matches_whole_on_corrupted_stores() {
             for &algo in algorithms(Encoding::Equality) {
                 for policy in &policies {
                     for &segment_bits in SEGMENT_SIZES {
-                        let mut src = StorageSource::try_new(&mut stored, spec.clone()).unwrap();
+                        let mut src = SharedSource::try_unpooled(&stored, spec.clone()).unwrap();
                         let whole = run_whole(&mut src, q, algo, policy);
-                        let mut src = StorageSource::try_new(&mut stored, spec.clone()).unwrap();
+                        let mut src = SharedSource::try_unpooled(&stored, spec.clone()).unwrap();
                         let seg = run_segmented(&mut src, q, algo, policy, segment_bits);
                         let label = format!(
                             "seed {seed} corrupted {victim} {algo:?} {policy:?} \

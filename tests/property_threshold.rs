@@ -1,6 +1,6 @@
 //! Property tests for threshold (k-of-N) queries: over seeded random
 //! bases, columns, and predicate sets, every layout configuration of
-//! {v3, v4} × {pruning on/off} × {mmap on/off} must produce foundsets
+//! {v3, v4} × {pruning on/off} × {unpooled, pool-that-fits} must produce foundsets
 //! bit-identical to the per-row reference (`ThresholdQuery::matches`
 //! over the column values) — and identical `EvalStats`, including the
 //! `threshold_combines` charge, once the counters pruning is *allowed*
@@ -27,8 +27,8 @@ use bindex::core::eval::{
 use bindex::core::{Error, EvalStats, ExecContext};
 use bindex::relation::query::{Op, SelectionQuery, ThresholdQuery};
 use bindex::relation::{Column, Rng};
-use bindex::storage::{ByteStore, MappedStore, MemStore, StoredIndex};
-use bindex::stored::{persist_index_v3, persist_index_v4, StorageSource};
+use bindex::storage::{ByteStore, MemStore, ShardedPool, SharedIndexReader, StoredIndex};
+use bindex::stored::{persist_index_v3, persist_index_v4, SharedSource};
 use bindex::{
     Base, BitVec, BitmapIndex, Encoding, IndexSpec, IngestIndex, IngestOptions, KernelDispatch,
     RecoveryPolicy,
@@ -122,7 +122,7 @@ struct Config {
     name: &'static str,
     v4: bool,
     prune: bool,
-    mmap: bool,
+    pool: bool,
 }
 
 const CONFIGS: &[Config] = &[
@@ -130,54 +130,61 @@ const CONFIGS: &[Config] = &[
         name: "v3",
         v4: false,
         prune: false,
-        mmap: false,
+        pool: false,
     },
     Config {
         name: "v3+prune", // no summary block: pruning must be inert
         v4: false,
         prune: true,
-        mmap: false,
+        pool: false,
     },
     Config {
         name: "v4",
         v4: true,
         prune: false,
-        mmap: false,
+        pool: false,
     },
     Config {
         name: "v4+prune",
         v4: true,
         prune: true,
-        mmap: false,
+        pool: false,
     },
     Config {
-        name: "v4+mmap",
+        name: "v4+pool",
         v4: true,
         prune: false,
-        mmap: true,
+        pool: true,
     },
     Config {
-        name: "v4+prune+mmap",
+        name: "v4+prune+pool",
         v4: true,
         prune: true,
-        mmap: true,
+        pool: true,
     },
 ];
 
-#[allow(clippy::too_many_arguments)]
+/// The cache axis over one store: a reader with no pool, and a second
+/// handle on the same bytes behind a pool that holds every slot (so it
+/// never evicts — each slot is read and verified once, then shared).
+fn unpooled_and_pooled(store: MemStore) -> [SharedIndexReader<MemStore>; 2] {
+    let pooled = StoredIndex::open(store.clone()).unwrap();
+    let fits = ShardedPool::new(pooled.meta().total_bitmaps() as usize, 1);
+    [
+        SharedIndexReader::new(StoredIndex::open(store).unwrap()),
+        SharedIndexReader::with_pool(pooled, fits),
+    ]
+}
+
 fn run_config(
-    stored: &mut StoredIndex<MemStore>,
+    reader: &SharedIndexReader<MemStore>,
     spec: &IndexSpec,
-    mmap: Option<&MappedStore>,
     prune: bool,
     q: &ThresholdQuery,
     policy: &RecoveryPolicy,
     segment_bits: usize,
 ) -> EvalOutcome {
-    let mut src = StorageSource::try_new(stored, spec.clone()).unwrap();
-    if let Some(m) = mmap {
-        src = src.with_mmap(m);
-    }
+    let mut src = SharedSource::try_new(reader, spec.clone()).unwrap();
     let mut ctx = ExecContext::new(&mut src)
         .with_recovery(policy.clone())
         .with_pruning(prune);
@@ -202,9 +209,11 @@ fn threshold_layout_matrix_is_bit_identical() {
         for encoding in [Encoding::Range, Encoding::Equality, Encoding::Interval] {
             let spec = IndexSpec::new(base.clone(), encoding);
             let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-            let mut v3 = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
-            let mut v4 = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
-            let mapped = MappedStore::new();
+            let v3 = SharedIndexReader::new(
+                persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap(),
+            );
+            let v4 = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
+            let [v4, v4_pooled] = unpooled_and_pooled(v4.into_store());
             let policies = [
                 RecoveryPolicy::Fail,
                 RecoveryPolicy::Reconstruct,
@@ -223,10 +232,12 @@ fn threshold_layout_matrix_is_bit_identical() {
                     for &segment_bits in sweep {
                         let mut outcomes: Vec<(&str, EvalOutcome)> = Vec::new();
                         for cfg in CONFIGS {
-                            let stored = if cfg.v4 { &mut v4 } else { &mut v3 };
-                            let mmap = cfg.mmap.then_some(&mapped);
-                            let out =
-                                run_config(stored, &spec, mmap, cfg.prune, q, policy, segment_bits);
+                            let reader = match (cfg.v4, cfg.pool) {
+                                (false, _) => &v3,
+                                (true, false) => &v4,
+                                (true, true) => &v4_pooled,
+                            };
+                            let out = run_config(reader, &spec, cfg.prune, q, policy, segment_bits);
                             outcomes.push((cfg.name, out));
                         }
                         let label =
@@ -391,7 +402,7 @@ fn threshold_over_delta_overlay_matches_selection_foundsets() {
         let founds: Vec<BitVec> = preds
             .iter()
             .map(|&p| {
-                let mut src = StorageSource::try_new(&mut stored, spec.clone()).unwrap();
+                let mut src = SharedSource::try_unpooled(&stored, spec.clone()).unwrap();
                 let mut ctx = ExecContext::new(&mut src).with_overlay(Some(Arc::clone(&overlay)));
                 evaluate_in(&mut ctx, p, Algorithm::Auto).unwrap()
             })
@@ -404,7 +415,7 @@ fn threshold_over_delta_overlay_matches_selection_foundsets() {
             let want = BitVec::from_fn(n_rows, |r| {
                 founds.iter().filter(|f| f.get(r)).count() >= k as usize
             });
-            let mut src = StorageSource::try_new(&mut stored, spec.clone()).unwrap();
+            let mut src = SharedSource::try_unpooled(&stored, spec.clone()).unwrap();
             let mut ctx = ExecContext::new(&mut src).with_overlay(Some(Arc::clone(&overlay)));
             let whole = evaluate_threshold_in(&mut ctx, &q, Algorithm::Auto).unwrap();
             assert_eq!(whole, want, "seed {seed} whole {q}");
@@ -416,7 +427,8 @@ fn threshold_over_delta_overlay_matches_selection_foundsets() {
 
 /// Corrupted data files under every recovery policy: a threshold may
 /// fail (typed, on `Fail`) and pruning may turn a failure into a success
-/// on a provably-dead window, but no path ever yields a wrong answer.
+/// on a provably-dead window, but no path — with or without a pool in
+/// front of the store — ever yields a wrong answer.
 #[test]
 fn corrupted_stores_never_yield_wrong_threshold_answers() {
     for seed in seeds() {
@@ -442,7 +454,7 @@ fn corrupted_stores_never_yield_wrong_threshold_answers() {
         let last = data.len() - 1;
         data[last] ^= 0x08;
         store.write_file(&victim, &data).unwrap();
-        let mut stored = StoredIndex::open(store).unwrap();
+        let readers = unpooled_and_pooled(store);
 
         let policies = [
             RecoveryPolicy::Fail,
@@ -452,22 +464,24 @@ fn corrupted_stores_never_yield_wrong_threshold_answers() {
         for q in &queries {
             let want = reference(&col, q);
             for policy in &policies {
-                let label = format!("seed {seed} {victim} {policy:?} {q}");
-                let plain = run_config(&mut stored, &spec, None, false, q, policy, 64);
-                let pruned = run_config(&mut stored, &spec, None, true, q, policy, 64);
-                match (&plain, &pruned) {
-                    (Ok((p_found, _)), Ok((r_found, _))) => {
-                        assert_eq!(p_found, &want, "{label}: unpruned answer");
-                        assert_eq!(r_found, &want, "{label}: pruned answer");
-                    }
-                    (Err(_), Ok((r_found, _))) => {
-                        // Pruning skipped the corrupt fetch entirely —
-                        // legal only because the answer is still exact.
-                        assert_eq!(r_found, &want, "{label}: pruned-past-corruption");
-                    }
-                    (Err(_), Err(_)) => {}
-                    (Ok(_), Err(e)) => {
-                        panic!("{label}: pruning introduced a failure: {e}")
+                for (reader, cache) in readers.iter().zip(["unpooled", "pooled"]) {
+                    let label = format!("seed {seed} {victim} {cache} {policy:?} {q}");
+                    let plain = run_config(reader, &spec, false, q, policy, 64);
+                    let pruned = run_config(reader, &spec, true, q, policy, 64);
+                    match (&plain, &pruned) {
+                        (Ok((p_found, _)), Ok((r_found, _))) => {
+                            assert_eq!(p_found, &want, "{label}: unpruned answer");
+                            assert_eq!(r_found, &want, "{label}: pruned answer");
+                        }
+                        (Err(_), Ok((r_found, _))) => {
+                            // Pruning skipped the corrupt fetch entirely —
+                            // legal only because the answer is still exact.
+                            assert_eq!(r_found, &want, "{label}: pruned-past-corruption");
+                        }
+                        (Err(_), Err(_)) => {}
+                        (Ok(_), Err(e)) => {
+                            panic!("{label}: pruning introduced a failure: {e}")
+                        }
                     }
                 }
             }
@@ -476,7 +490,7 @@ fn corrupted_stores_never_yield_wrong_threshold_answers() {
 }
 
 /// Malformed thresholds are `Error::InvalidQuery` on every storage path
-/// (whole-bitmap and segmented, pruned and mmapped) — never a panic and
+/// (whole-bitmap and segmented, pruned and pooled) — never a panic and
 /// never an empty foundset. The raw kernels, by contrast, are total on
 /// degenerate k; the typed boundary lives in the query layer.
 #[test]
@@ -484,8 +498,8 @@ fn degenerate_thresholds_are_typed_errors_on_stored_indexes() {
     let col = Column::new((0..200u32).map(|i| i % 12).collect(), 12);
     let spec = IndexSpec::new(Base::from_msb(&[3, 4]).unwrap(), Encoding::Range);
     let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-    let mut stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
-    let mapped = MappedStore::new();
+    let stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
+    let [_, reader] = unpooled_and_pooled(stored.into_store());
     let p = SelectionQuery::new(Op::Le, 4);
     for bad in [
         ThresholdQuery::new(0, vec![p]),
@@ -493,9 +507,7 @@ fn degenerate_thresholds_are_typed_errors_on_stored_indexes() {
         ThresholdQuery::new(1, Vec::new()),
     ] {
         assert!(bad.validate().is_err(), "{bad} must not validate");
-        let mut src = StorageSource::try_new(&mut stored, spec.clone())
-            .unwrap()
-            .with_mmap(&mapped);
+        let mut src = SharedSource::try_new(&reader, spec.clone()).unwrap();
         let mut ctx = ExecContext::new(&mut src).with_pruning(true);
         let whole = evaluate_threshold_in(&mut ctx, &bad, Algorithm::Auto);
         assert!(
