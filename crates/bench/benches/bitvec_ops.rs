@@ -1,7 +1,7 @@
 //! Microbench: throughput of the bit-vector substrate's logical operations
 //! and popcount on 1M-bit bitmaps — the inner loop of every query.
 
-use bindex::bitvec::kernels;
+use bindex::bitvec::kernels::{self, Fold, FoldStep};
 use bindex::bitvec::rank::RankIndex;
 use bindex::BitVec;
 use bindex_bench::microbench::{BatchSize, Criterion, Throughput};
@@ -109,6 +109,72 @@ fn bench(c: &mut Criterion) {
         });
     }
     d.finish();
+
+    // The one-pass fold vs the pass-per-operator calls it replaced, on
+    // bitmaps past L2 (2^23 bits, 1 MiB): a RangeEval-Opt `≤` chain over
+    // `fan_in` operands, then the three-interior-digit `=` chain. Bytes
+    // are what the query has to move: every operand once plus the result.
+    const FOLD_BITS: usize = 1 << 23;
+    let wide: Vec<BitVec> = (0..6)
+        .map(|seed| BitVec::from_fn(FOLD_BITS, |i| (i * 2654435761 + seed) % 7 < 3))
+        .collect();
+    let mut f = c.benchmark_group("fold");
+    for fan_in in 2..=6 {
+        f.throughput(Throughput::Bytes(((fan_in + 1) * FOLD_BITS / 8) as u64));
+        f.bench_function(format!("le_chain_{fan_in}_pairwise"), |bench| {
+            bench.iter(|| {
+                let mut acc = wide[0].view().to_bitvec();
+                for (k, op) in wide[1..fan_in].iter().enumerate() {
+                    if k % 2 == 0 {
+                        acc.and_assign(black_box(op));
+                    } else {
+                        acc.or_assign(black_box(op));
+                    }
+                }
+                black_box(acc)
+            })
+        });
+        let program = Fold {
+            seed: Some(&wide[0]),
+            steps: wide[1..fan_in]
+                .iter()
+                .enumerate()
+                .map(|(k, op)| {
+                    if k % 2 == 0 {
+                        FoldStep::And(op)
+                    } else {
+                        FoldStep::Or(op)
+                    }
+                })
+                .collect(),
+            ..Fold::default()
+        };
+        f.bench_function(format!("le_chain_{fan_in}_fold"), |bench| {
+            bench.iter(|| black_box(kernels::fold(FOLD_BITS, black_box(&program))))
+        });
+    }
+    f.throughput(Throughput::Bytes((7 * FOLD_BITS / 8) as u64));
+    f.bench_function("eq_chain_6_pairwise", |bench| {
+        bench.iter(|| {
+            let ones = BitVec::ones(FOLD_BITS);
+            let xors: Vec<BitVec> = wide
+                .chunks(2)
+                .map(|p| kernels::xor_all(&[&p[0], &p[1]]))
+                .collect();
+            black_box(kernels::and_all(&[&ones, &xors[0], &xors[1], &xors[2]]))
+        })
+    });
+    let program = Fold {
+        steps: wide
+            .chunks(2)
+            .map(|p| FoldStep::AndXor(&p[0], &p[1]))
+            .collect(),
+        ..Fold::default()
+    };
+    f.bench_function("eq_chain_6_fold", |bench| {
+        bench.iter(|| black_box(kernels::fold(FOLD_BITS, black_box(&program))))
+    });
+    f.finish();
 }
 
 criterion_group!(benches, bench);

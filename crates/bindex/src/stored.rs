@@ -96,8 +96,10 @@ impl<'a, S: ByteStore> SharedSource<'a, S> {
         })
     }
 
-    /// Attaches a non-null bitmap (kept in memory; columns with nulls).
-    pub fn with_nn(mut self, nn: BitVec) -> Self {
+    /// Attaches a non-null bitmap (kept in memory; columns with nulls),
+    /// frozen so that every query's `B_nn` fetch shares it.
+    pub fn with_nn(mut self, mut nn: BitVec) -> Self {
+        nn.freeze();
         self.nn = Some(nn);
         self
     }

@@ -1,9 +1,25 @@
 //! The [`BitVec`] type: a length-aware, canonically masked dense bit vector.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
+use std::sync::Arc;
 
 use crate::{words_for, WORD_BITS};
+
+/// The word buffer of a [`BitVec`], copy-on-write.
+///
+/// A bitmap being built or mutated owns a plain `Vec`, so `set`/`push`
+/// pay one predictable branch and never an atomic. [`BitVec::freeze`]
+/// moves the `Vec` behind an `Arc`; from then on `clone()` is a
+/// reference-count bump, and the first mutation of a shared buffer takes
+/// it back ([`BitVec::words_mut`]), copying only if another handle still
+/// holds it.
+#[derive(Clone)]
+enum Words {
+    Owned(Vec<u64>),
+    Shared(Arc<Vec<u64>>),
+}
 
 /// A dense vector of bits backed by `u64` words.
 ///
@@ -14,10 +30,46 @@ use crate::{words_for, WORD_BITS};
 /// Binary operations require both operands to have the same `len`; this is a
 /// logic error and panics, matching the paper's setting where every bitmap of
 /// an index has exactly the relation cardinality `N` bits.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+///
+/// The word buffer is copy-on-write: a [frozen](BitVec::freeze) bitmap
+/// clones by reference count, which is how an in-memory index hands its
+/// stored bitmaps to the evaluators without copying them. Equality and
+/// hashing see only the bits, never whether the buffer is shared.
+#[derive(Clone)]
 pub struct BitVec {
-    words: Vec<u64>,
+    words: Words,
     len: usize,
+}
+
+/// Takes a frozen buffer back: by move when `shared` is its last handle,
+/// by copy while other handles still read it (they keep the original).
+#[cold]
+fn thaw(shared: &mut Arc<Vec<u64>>) -> Vec<u64> {
+    match Arc::get_mut(shared) {
+        Some(last_handle) => std::mem::take(last_handle),
+        None => Vec::clone(shared),
+    }
+}
+
+impl Default for BitVec {
+    fn default() -> Self {
+        Self::from_parts(Vec::new(), 0)
+    }
+}
+
+impl PartialEq for BitVec {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.words() == other.words()
+    }
+}
+
+impl Eq for BitVec {}
+
+impl Hash for BitVec {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.words().hash(state);
+        self.len.hash(state);
+    }
 }
 
 impl BitVec {
@@ -28,33 +80,35 @@ impl BitVec {
 
     /// Creates a bit vector of `len` bits, all zero.
     pub fn zeros(len: usize) -> Self {
-        Self {
-            words: vec![0; words_for(len)],
-            len,
-        }
+        Self::from_parts(vec![0; words_for(len)], len)
     }
 
     /// Creates a bit vector of `len` bits, all one.
     pub fn ones(len: usize) -> Self {
-        let mut v = Self {
-            words: vec![u64::MAX; words_for(len)],
-            len,
-        };
+        let mut v = Self::from_parts(vec![u64::MAX; words_for(len)], len);
         v.mask_tail();
         v
+    }
+
+    /// An owned bitmap over `words`; callers uphold the canonical form.
+    #[inline]
+    fn from_parts(words: Vec<u64>, len: usize) -> Self {
+        Self {
+            words: Words::Owned(words),
+            len,
+        }
     }
 
     /// Wraps already-canonical words (crate-internal; used by the fused
     /// kernels, whose combinations of canonical operands are canonical).
     pub(crate) fn from_words_unmasked(words: Vec<u64>, len: usize) -> Self {
         debug_assert_eq!(words.len(), words_for(len));
-        let v = Self { words, len };
         debug_assert!(
             len.is_multiple_of(WORD_BITS)
-                || v.words.last().is_none_or(|w| w >> (len % WORD_BITS) == 0),
+                || words.last().is_none_or(|w| w >> (len % WORD_BITS) == 0),
             "tail bits past len must be zero"
         );
-        v
+        Self::from_parts(words, len)
     }
 
     /// Creates a bit vector of `len` bits from packed words (bit `i` lives
@@ -65,7 +119,7 @@ impl BitVec {
     /// assemble whole words (e.g. WAH decompression).
     pub fn from_words(mut words: Vec<u64>, len: usize) -> Self {
         words.resize(words_for(len), 0);
-        let mut v = Self { words, len };
+        let mut v = Self::from_parts(words, len);
         v.mask_tail();
         v
     }
@@ -80,7 +134,7 @@ impl BitVec {
             assert!(i < len, "bit index {i} out of range (len {len})");
             words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
         }
-        Self { words, len }
+        Self::from_parts(words, len)
     }
 
     /// Creates a bit vector from a boolean slice (`slice[i]` becomes bit `i`).
@@ -93,10 +147,7 @@ impl BitVec {
             }
             words.push(w);
         }
-        Self {
-            words,
-            len: bits.len(),
-        }
+        Self::from_parts(words, bits.len())
     }
 
     /// Collects the bits produced by `f(i)` for `i in 0..len`.
@@ -113,7 +164,7 @@ impl BitVec {
         if !len.is_multiple_of(WORD_BITS) {
             words.push(w);
         }
-        Self { words, len }
+        Self::from_parts(words, len)
     }
 
     /// Number of bits.
@@ -131,7 +182,35 @@ impl BitVec {
     /// Read-only view of the backing words (canonically masked).
     #[inline]
     pub fn words(&self) -> &[u64] {
-        &self.words
+        match &self.words {
+            Words::Owned(words) => words,
+            Words::Shared(words) => words,
+        }
+    }
+
+    /// Freezes the word buffer behind a reference count: the buffer moves
+    /// (no copy), and every later `clone()` shares it instead of copying
+    /// it. A no-op on an already frozen bitmap. Mutating a frozen bitmap
+    /// is still allowed — it takes the buffer back first, copying it only
+    /// while another handle shares it.
+    pub fn freeze(&mut self) {
+        if let Words::Owned(words) = &mut self.words {
+            self.words = Words::Shared(Arc::new(std::mem::take(words)));
+        }
+    }
+
+    /// The word buffer for mutation: one predictable branch on an owned
+    /// buffer, a thaw on a frozen one.
+    #[inline]
+    fn words_mut(&mut self) -> &mut Vec<u64> {
+        if let Words::Shared(shared) = &mut self.words {
+            let words = thaw(shared);
+            self.words = Words::Owned(words);
+        }
+        match &mut self.words {
+            Words::Owned(words) => words,
+            Words::Shared(_) => unreachable!("thawed above"),
+        }
     }
 
     /// Returns bit `i`.
@@ -145,7 +224,7 @@ impl BitVec {
             "bit index {i} out of range (len {})",
             self.len
         );
-        (self.words[i / WORD_BITS] >> (i % WORD_BITS)) & 1 == 1
+        (self.words()[i / WORD_BITS] >> (i % WORD_BITS)) & 1 == 1
     }
 
     /// Sets bit `i` to `value`.
@@ -159,19 +238,19 @@ impl BitVec {
             "bit index {i} out of range (len {})",
             self.len
         );
-        let w = i / WORD_BITS;
+        let word = &mut self.words_mut()[i / WORD_BITS];
         let mask = 1u64 << (i % WORD_BITS);
         if value {
-            self.words[w] |= mask;
+            *word |= mask;
         } else {
-            self.words[w] &= !mask;
+            *word &= !mask;
         }
     }
 
     /// Appends a bit at the end.
     pub fn push(&mut self, value: bool) {
         if self.len.is_multiple_of(WORD_BITS) {
-            self.words.push(0);
+            self.words_mut().push(0);
         }
         self.len += 1;
         if value {
@@ -189,25 +268,27 @@ impl BitVec {
             return;
         }
         let rem = self.len % WORD_BITS;
+        self.len += other.len;
+        let n_words = words_for(self.len);
+        let words = self.words_mut();
         if rem == 0 {
-            self.words.extend_from_slice(&other.words);
+            words.extend_from_slice(other.words());
         } else {
             let shift = WORD_BITS - rem;
-            self.words.reserve(other.words.len());
-            for (splice, &w) in (self.words.len() - 1..).zip(other.words.iter()) {
-                self.words[splice] |= w << rem;
-                self.words.push(w >> shift);
+            words.reserve(other.words().len());
+            for (splice, &w) in (words.len() - 1..).zip(other.words()) {
+                words[splice] |= w << rem;
+                words.push(w >> shift);
             }
         }
-        self.len += other.len;
         // Both inputs are canonical, so the spliced words carry no bits
         // past the new length; only the word count can overshoot by one.
-        self.words.truncate(words_for(self.len));
+        words.truncate(n_words);
     }
 
     /// Number of set bits (the foundset cardinality of a result bitmap).
     pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Number of clear bits.
@@ -217,7 +298,7 @@ impl BitVec {
 
     /// `true` if at least one bit is set.
     pub fn any(&self) -> bool {
-        self.words.iter().any(|&w| w != 0)
+        self.words().iter().any(|&w| w != 0)
     }
 
     /// `true` if no bit is set.
@@ -232,7 +313,7 @@ impl BitVec {
 
     /// Position of the first set bit, if any.
     pub fn first_one(&self) -> Option<usize> {
-        for (wi, &w) in self.words.iter().enumerate() {
+        for (wi, &w) in self.words().iter().enumerate() {
             if w != 0 {
                 return Some(wi * WORD_BITS + w.trailing_zeros() as usize);
             }
@@ -242,10 +323,11 @@ impl BitVec {
 
     /// Iterates over the positions of the set bits, ascending.
     pub fn iter_ones(&self) -> OnesIter<'_> {
+        let words = self.words();
         OnesIter {
-            words: &self.words,
+            words,
             word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
+            current: words.first().copied().unwrap_or(0),
         }
     }
 
@@ -259,10 +341,7 @@ impl BitVec {
     /// # Panics
     /// Panics if lengths differ.
     pub fn and_assign(&mut self, rhs: &Self) {
-        self.check_len(rhs);
-        for (a, b) in self.words.iter_mut().zip(&rhs.words) {
-            *a &= *b;
-        }
+        self.and_assign_view(rhs.view());
     }
 
     /// In-place OR with `rhs`.
@@ -270,10 +349,7 @@ impl BitVec {
     /// # Panics
     /// Panics if lengths differ.
     pub fn or_assign(&mut self, rhs: &Self) {
-        self.check_len(rhs);
-        for (a, b) in self.words.iter_mut().zip(&rhs.words) {
-            *a |= *b;
-        }
+        self.or_assign_view(rhs.view());
     }
 
     /// In-place XOR with `rhs`.
@@ -281,10 +357,7 @@ impl BitVec {
     /// # Panics
     /// Panics if lengths differ.
     pub fn xor_assign(&mut self, rhs: &Self) {
-        self.check_len(rhs);
-        for (a, b) in self.words.iter_mut().zip(&rhs.words) {
-            *a ^= *b;
-        }
+        self.xor_assign_view(rhs.view());
     }
 
     /// In-place AND with the complement of `rhs` (`self & !rhs`).
@@ -292,15 +365,12 @@ impl BitVec {
     /// # Panics
     /// Panics if lengths differ.
     pub fn and_not_assign(&mut self, rhs: &Self) {
-        self.check_len(rhs);
-        for (a, b) in self.words.iter_mut().zip(&rhs.words) {
-            *a &= !*b;
-        }
+        self.and_not_assign_view(rhs.view());
     }
 
     /// In-place complement of all `len` bits.
     pub fn not_assign(&mut self) {
-        for w in &mut self.words {
+        for w in self.words_mut() {
             *w = !*w;
         }
         self.mask_tail();
@@ -309,19 +379,19 @@ impl BitVec {
     /// Owned complement.
     #[must_use = "complement returns a new bitmap without modifying self"]
     pub fn complement(&self) -> Self {
-        let mut out = self.clone();
-        out.not_assign();
+        let mut out = Self::from_parts(self.words().iter().map(|w| !w).collect(), self.len);
+        out.mask_tail();
         out
     }
 
     /// Sets all bits to zero, keeping the length.
     pub fn clear_all(&mut self) {
-        self.words.fill(0);
+        self.words_mut().fill(0);
     }
 
     /// Sets all bits to one, keeping the length.
     pub fn set_all(&mut self) {
-        self.words.fill(u64::MAX);
+        self.words_mut().fill(u64::MAX);
         self.mask_tail();
     }
 
@@ -329,8 +399,8 @@ impl BitVec {
     ///
     /// Tail bits in the final byte are zero (canonical form carries over).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.words.len() * 8);
-        for w in &self.words {
+        let mut out = Vec::with_capacity(self.words().len() * 8);
+        for w in self.words() {
             out.extend_from_slice(&w.to_le_bytes());
         }
         out.truncate(self.len.div_ceil(8));
@@ -361,7 +431,7 @@ impl BitVec {
             last[..tail.len()].copy_from_slice(tail);
             words.push(u64::from_le_bytes(last));
         }
-        let mut v = Self { words, len };
+        let mut v = Self::from_parts(words, len);
         v.mask_tail();
         v
     }
@@ -370,7 +440,7 @@ impl BitVec {
     #[inline]
     pub fn view(&self) -> SegmentView<'_> {
         SegmentView {
-            words: &self.words,
+            words: self.words(),
             len: self.len,
         }
     }
@@ -399,7 +469,7 @@ impl BitVec {
             "segment end {end} must be word-aligned or the vector end"
         );
         SegmentView {
-            words: &self.words[start / WORD_BITS..words_for(end)],
+            words: &self.words()[start / WORD_BITS..words_for(end)],
             len: end - start,
         }
     }
@@ -410,7 +480,7 @@ impl BitVec {
     /// Panics if lengths differ.
     pub fn and_assign_view(&mut self, rhs: SegmentView<'_>) {
         self.check_view_len(rhs);
-        for (a, &b) in self.words.iter_mut().zip(rhs.words) {
+        for (a, &b) in self.words_mut().iter_mut().zip(rhs.words) {
             *a &= b;
         }
     }
@@ -421,7 +491,7 @@ impl BitVec {
     /// Panics if lengths differ.
     pub fn or_assign_view(&mut self, rhs: SegmentView<'_>) {
         self.check_view_len(rhs);
-        for (a, &b) in self.words.iter_mut().zip(rhs.words) {
+        for (a, &b) in self.words_mut().iter_mut().zip(rhs.words) {
             *a |= b;
         }
     }
@@ -432,7 +502,7 @@ impl BitVec {
     /// Panics if lengths differ.
     pub fn xor_assign_view(&mut self, rhs: SegmentView<'_>) {
         self.check_view_len(rhs);
-        for (a, &b) in self.words.iter_mut().zip(rhs.words) {
+        for (a, &b) in self.words_mut().iter_mut().zip(rhs.words) {
             *a ^= b;
         }
     }
@@ -444,7 +514,7 @@ impl BitVec {
     /// Panics if lengths differ.
     pub fn and_not_assign_view(&mut self, rhs: SegmentView<'_>) {
         self.check_view_len(rhs);
-        for (a, &b) in self.words.iter_mut().zip(rhs.words) {
+        for (a, &b) in self.words_mut().iter_mut().zip(rhs.words) {
             *a &= !b;
         }
     }
@@ -463,19 +533,10 @@ impl BitVec {
     fn mask_tail(&mut self) {
         let rem = self.len % WORD_BITS;
         if rem != 0 {
-            if let Some(last) = self.words.last_mut() {
+            if let Some(last) = self.words_mut().last_mut() {
                 *last &= (1u64 << rem) - 1;
             }
         }
-    }
-
-    #[inline]
-    fn check_len(&self, rhs: &Self) {
-        assert_eq!(
-            self.len, rhs.len,
-            "bitmap length mismatch: {} vs {}",
-            self.len, rhs.len
-        );
     }
 }
 
@@ -584,11 +645,11 @@ macro_rules! owned_binop {
             /// Sizes the output once and writes each combined word
             /// directly — no clone-then-assign double pass.
             fn $method(self, rhs: &BitVec) -> BitVec {
-                self.check_len(rhs);
+                self.check_view_len(rhs.view());
                 let words: Vec<u64> = self
-                    .words
+                    .words()
                     .iter()
-                    .zip(&rhs.words)
+                    .zip(rhs.words())
                     .map(|(&a, &b)| a $op b)
                     .collect();
                 BitVec::from_words_unmasked(words, self.len)
@@ -808,6 +869,101 @@ mod tests {
                 // Canonical form survives: complement + count agree.
                 assert_eq!(got.complement().count_ones(), got.count_zeros());
             }
+        }
+    }
+
+    #[test]
+    fn frozen_clone_shares_words_until_mutated() {
+        let mut v = BitVec::from_fn(1000, |i| i % 3 == 0);
+        let owned_copy = v.clone();
+        assert_ne!(owned_copy.words().as_ptr(), v.words().as_ptr());
+        let before = v.words().as_ptr();
+        v.freeze();
+        assert_eq!(v.words().as_ptr(), before, "freezing moves the buffer");
+        let shared = v.clone();
+        assert_eq!(shared.words().as_ptr(), v.words().as_ptr());
+        v.freeze();
+        assert_eq!(v.words().as_ptr(), before, "freezing twice is a no-op");
+
+        // The first mutation of a shared handle copies; the other handle
+        // keeps the original buffer.
+        let mut writer = shared.clone();
+        writer.set(1, true);
+        assert_ne!(writer.words().as_ptr(), before);
+        assert_eq!(shared.words().as_ptr(), before);
+        assert_eq!(shared, owned_copy);
+
+        // The last handle takes the buffer back by move.
+        drop(shared);
+        v.set(1, true);
+        assert_eq!(v.words().as_ptr(), before);
+        assert_eq!(v, writer);
+    }
+
+    #[test]
+    fn every_mutator_leaves_a_shared_original_untouched() {
+        let len = 200;
+        let other = BitVec::from_fn(len, |i| i % 5 == 1);
+        type Mutator = fn(&mut BitVec, &BitVec);
+        let mutators: [(&str, Mutator); 14] = [
+            ("set", |v, _| v.set(7, true)),
+            ("push", |v, _| v.push(true)),
+            ("extend_from", |v, o| v.extend_from(o)),
+            ("and_assign", |v, o| v.and_assign(o)),
+            ("or_assign", |v, o| v.or_assign(o)),
+            ("xor_assign", |v, o| v.xor_assign(o)),
+            ("and_not_assign", |v, o| v.and_not_assign(o)),
+            ("and_assign_view", |v, o| v.and_assign_view(o.view())),
+            ("or_assign_view", |v, o| v.or_assign_view(o.view())),
+            ("xor_assign_view", |v, o| v.xor_assign_view(o.view())),
+            ("and_not_assign_view", |v, o| {
+                v.and_not_assign_view(o.view())
+            }),
+            ("not_assign", |v, _| v.not_assign()),
+            ("clear_all", |v, _| v.clear_all()),
+            ("set_all", |v, _| v.set_all()),
+        ];
+        for (name, mutate) in mutators {
+            let pristine = BitVec::from_fn(len, |i| i % 3 == 0);
+            let mut original = pristine.clone();
+            original.freeze();
+            // The same mutation on a frozen clone and on a plain owned copy.
+            let mut shared = original.clone();
+            let mut owned = pristine.clone();
+            mutate(&mut shared, &other);
+            mutate(&mut owned, &other);
+            assert_eq!(original, pristine, "{name} wrote through to the original");
+            assert_ne!(shared, original, "{name} changed nothing");
+            assert_eq!(shared, owned, "{name} differs on a frozen bitmap");
+        }
+    }
+
+    #[test]
+    fn eq_hash_and_bytes_ignore_owned_vs_shared() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |v: &BitVec| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        for len in [0usize, 1, 64, 65, 777] {
+            let owned = BitVec::from_fn(len, |i| (i * 7 + i / 3) % 4 == 0);
+            let mut frozen = owned.clone();
+            frozen.freeze();
+            assert_eq!(owned, frozen, "len {len}");
+            assert_eq!(frozen, frozen.clone(), "len {len}");
+            assert_eq!(hash(&owned), hash(&frozen), "len {len}");
+            assert_eq!(format!("{owned:?}"), format!("{frozen:?}"), "len {len}");
+            let bytes = frozen.to_bytes();
+            assert_eq!(bytes, owned.to_bytes(), "len {len}");
+            assert_eq!(BitVec::from_bytes(len, &bytes), frozen, "len {len}");
+            assert_eq!(frozen.complement(), owned.complement(), "len {len}");
+            assert_eq!(frozen.count_ones(), owned.count_ones(), "len {len}");
+            assert_eq!(
+                frozen.iter_ones().collect::<Vec<_>>(),
+                owned.iter_ones().collect::<Vec<_>>(),
+                "len {len}"
+            );
         }
     }
 

@@ -17,6 +17,12 @@
 //! fixed-size stack buffer, without materializing the result bitmap at all
 //! (the "symmetric functions over bitmaps" shape).
 //!
+//! [`fold`] does for a *chain of different operators* what the k-ary
+//! kernels do for one operator: a seed, a list of `&=`, `|=`, `&= !`,
+//! `&= a ^ b` steps, an optional complement and mask — the whole of a
+//! RangeEval-Opt query — evaluated block by block, so no operator costs a
+//! sweep over the accumulator and no derived bitmap is ever allocated.
+//!
 //! # Dispatch tiers
 //!
 //! Every kernel exists in two implementations selected by
@@ -180,6 +186,14 @@ impl WordOp for OpAndNot {
     #[inline(always)]
     fn apply(a: u64, b: u64) -> u64 {
         a & !b
+    }
+}
+/// `!a & b`: complement the accumulator and mask it, in one step.
+struct OpNotAnd;
+impl WordOp for OpNotAnd {
+    #[inline(always)]
+    fn apply(a: u64, b: u64) -> u64 {
+        !a & b
     }
 }
 
@@ -565,6 +579,155 @@ pub fn count_and_not_with<T: KernelOperand + Copy>(dispatch: KernelDispatch, a: 
     count_blocks::<T, OpAndNot>(&[a, b], dispatch)
 }
 
+/// One accumulator update of a [`Fold`].
+#[derive(Debug, Clone, Copy)]
+pub enum FoldStep<T> {
+    /// `acc &= b`.
+    And(T),
+    /// `acc |= b`.
+    Or(T),
+    /// `acc &= !b`.
+    AndNot(T),
+    /// `acc &= a ^ b`.
+    AndXor(T, T),
+}
+
+/// A straight-line Boolean function of bitmaps, evaluated by [`fold`] in
+/// one pass: the accumulator starts as `seed`, takes every step in order,
+/// and is then complemented and/or masked. This is the shape of the
+/// paper's RangeEval-Opt listing — a `≤` chain is `And`/`Or` steps over a
+/// seed, an `=` chain is `And`/`AndNot`/`AndXor` steps over all ones, and
+/// `>`, `≥`, `≠` and the `B_nn` mask are the trailer.
+#[derive(Debug, Clone)]
+pub struct Fold<T> {
+    /// The accumulator's first value; `None` is all ones.
+    pub seed: Option<T>,
+    /// The updates, applied in order.
+    pub steps: Vec<FoldStep<T>>,
+    /// Whether the folded accumulator is complemented.
+    pub complement: bool,
+    /// ANDed in last (after the complement).
+    pub mask: Option<T>,
+}
+
+/// The constant all-ones function: no seed, no step, no trailer.
+impl<T> Default for Fold<T> {
+    fn default() -> Self {
+        Self {
+            seed: None,
+            steps: Vec::new(),
+            complement: false,
+            mask: None,
+        }
+    }
+}
+
+impl<T> Fold<T> {
+    /// The same program over operands converted by `f` (an owned handle
+    /// to a borrow, a whole bitmap to its segment window).
+    pub fn map<'a, U>(&'a self, mut f: impl FnMut(&'a T) -> U) -> Fold<U> {
+        Fold {
+            seed: self.seed.as_ref().map(&mut f),
+            steps: self
+                .steps
+                .iter()
+                .map(|step| match step {
+                    FoldStep::And(b) => FoldStep::And(f(b)),
+                    FoldStep::Or(b) => FoldStep::Or(f(b)),
+                    FoldStep::AndNot(b) => FoldStep::AndNot(f(b)),
+                    FoldStep::AndXor(a, b) => FoldStep::AndXor(f(a), f(b)),
+                })
+                .collect(),
+            complement: self.complement,
+            mask: self.mask.as_ref().map(&mut f),
+        }
+    }
+}
+
+/// `!w` over a block. `inline(never)`: see [`combine_scalar`].
+#[inline(never)]
+fn complement_words(dst: &mut [u64]) {
+    for w in dst {
+        *w = !*w;
+    }
+}
+
+/// Evaluates `program` over `len`-bit operands in a single pass: block by
+/// block, the accumulator block is seeded, updated by every step and
+/// finished while it sits in L1, so each operand word is read once and
+/// each result word is written once, into the one allocation returned.
+/// Composing the same function from binary operations would sweep the
+/// accumulator through memory once per operator and allocate a temporary
+/// per `a ^ b` and per complement — evaluating the whole function at once
+/// is the method of Kaser & Lemire, *Compressed bitmap indexes: beyond
+/// unions and intersections*.
+///
+/// `len` is explicit because a program may have no operand at all (all
+/// ones, or its complement).
+///
+/// # Panics
+/// Panics if any operand is not `len` bits long.
+#[must_use]
+pub fn fold<T: KernelOperand>(len: usize, program: &Fold<T>) -> BitVec {
+    fold_with(KernelDispatch::active(), len, program)
+}
+
+/// [`fold`] pinned to a dispatch tier (benches and property tests).
+#[must_use]
+pub fn fold_with<T: KernelOperand>(
+    dispatch: KernelDispatch,
+    len: usize,
+    program: &Fold<T>,
+) -> BitVec {
+    let program = program.map(|op| {
+        assert_eq!(
+            len,
+            op.len(),
+            "bitmap length mismatch: {len} vs {}",
+            op.len()
+        );
+        op.words()
+    });
+    // `ones & b` is `b`: seed from a leading AND instead of filling ones.
+    let (seed, steps) = match (program.seed, program.steps.split_first()) {
+        (None, Some((&FoldStep::And(b), rest))) => (Some(b), rest),
+        _ => (program.seed, &program.steps[..]),
+    };
+    let n_words = crate::words_for(len);
+    let mut out: Vec<u64> = Vec::with_capacity(n_words);
+    let mut xor = [0u64; BLOCK_WORDS];
+    let mut start = 0;
+    while start < n_words {
+        let end = (start + BLOCK_WORDS).min(n_words);
+        match seed {
+            Some(seed) => out.extend_from_slice(&seed[start..end]),
+            None => out.resize(end, u64::MAX),
+        }
+        let acc = &mut out[start..end];
+        for step in steps {
+            match *step {
+                FoldStep::And(b) => combine::<OpAnd>(dispatch, acc, &b[start..end]),
+                FoldStep::Or(b) => combine::<OpOr>(dispatch, acc, &b[start..end]),
+                FoldStep::AndNot(b) => combine::<OpAndNot>(dispatch, acc, &b[start..end]),
+                FoldStep::AndXor(a, b) => {
+                    let xor = &mut xor[..end - start];
+                    combine2::<OpXor>(dispatch, xor, &a[start..end], &b[start..end]);
+                    combine::<OpAnd>(dispatch, acc, xor);
+                }
+            }
+        }
+        match (program.complement, program.mask) {
+            (true, Some(mask)) => combine::<OpNotAnd>(dispatch, acc, &mask[start..end]),
+            (true, None) => complement_words(acc),
+            (false, Some(mask)) => combine::<OpAnd>(dispatch, acc, &mask[start..end]),
+            (false, None) => {}
+        }
+        start = end;
+    }
+    // An all-ones seed and an unmasked complement set bits past `len`.
+    BitVec::from_words(out, len)
+}
+
 /// Most counter levels a bit-sliced threshold counter can carry: 8 bits
 /// count fan-ins up to [`MAX_THRESHOLD_FAN_IN`] operands. The counter
 /// state of one chunk is `levels × LANES` words — at 8 levels still a
@@ -944,6 +1107,146 @@ mod tests {
             assert_eq!(and_not_with(dispatch, &a, &b), want);
             assert_eq!(count_and_not_with(dispatch, &a, &b), want.count_ones());
         }
+    }
+
+    /// `program` composed from the binary `BitVec` operations, one pass
+    /// and one temporary per operator — what [`fold`] replaces.
+    fn fold_pairwise(len: usize, program: &Fold<&BitVec>) -> BitVec {
+        let mut acc = program
+            .seed
+            .map_or_else(|| BitVec::ones(len), BitVec::clone);
+        for step in &program.steps {
+            match *step {
+                FoldStep::And(b) => acc.and_assign(b),
+                FoldStep::Or(b) => acc.or_assign(b),
+                FoldStep::AndNot(b) => acc.and_assign(&b.complement()),
+                FoldStep::AndXor(a, b) => acc.and_assign(&(a ^ b)),
+            }
+        }
+        if program.complement {
+            acc.not_assign();
+        }
+        if let Some(mask) = program.mask {
+            acc.and_assign(mask);
+        }
+        acc
+    }
+
+    #[test]
+    fn fold_matches_pairwise_composition_on_both_tiers() {
+        // Lengths around the word, lane and block boundaries, several
+        // blocks, and the empty bitmap.
+        let block = 64 * BLOCK_WORDS;
+        for len in [
+            0usize,
+            1,
+            63,
+            64,
+            65,
+            777,
+            block - 1,
+            block,
+            block + 65,
+            3 * block + 7,
+        ] {
+            let owned: Vec<BitVec> = (0..7).map(|k| sample(len, 40 + k)).collect();
+            let o: Vec<&BitVec> = owned.iter().collect();
+            let step_lists = [
+                vec![],
+                vec![FoldStep::And(o[1])],
+                vec![FoldStep::Or(o[1])],
+                vec![
+                    FoldStep::And(o[1]),
+                    FoldStep::Or(o[2]),
+                    FoldStep::And(o[3]),
+                    FoldStep::Or(o[4]),
+                ],
+                vec![
+                    FoldStep::AndNot(o[1]),
+                    FoldStep::AndXor(o[2], o[3]),
+                    FoldStep::And(o[4]),
+                ],
+                vec![
+                    FoldStep::AndXor(o[1], o[2]),
+                    FoldStep::AndXor(o[3], o[4]),
+                    FoldStep::AndXor(o[5], o[6]),
+                ],
+            ];
+            for steps in &step_lists {
+                for seed in [None, Some(o[0])] {
+                    for complement in [false, true] {
+                        for mask in [None, Some(o[6])] {
+                            let program = Fold {
+                                seed,
+                                steps: steps.clone(),
+                                complement,
+                                mask,
+                            };
+                            let want = fold_pairwise(len, &program);
+                            for dispatch in [KernelDispatch::Scalar, KernelDispatch::Unrolled] {
+                                let got = fold_with(dispatch, len, &program);
+                                assert_eq!(got, want, "len {len} {dispatch:?} {program:?}");
+                                assert_eq!(got.words().len(), crate::words_for(len));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_keeps_the_tail_canonical_and_folds_views() {
+        // All ones, and the complement of all zeros, on a ragged length.
+        let ones = fold::<&BitVec>(65, &Fold::default());
+        assert_eq!(ones, BitVec::ones(65));
+        assert_eq!(ones.words()[1], 1);
+        let zeros = BitVec::zeros(65);
+        let not_zeros = fold(
+            65,
+            &Fold {
+                seed: Some(&zeros),
+                complement: true,
+                ..Fold::default()
+            },
+        );
+        assert_eq!(not_zeros.words()[1], 1);
+
+        // Window by window over views, the fold reassembles the whole.
+        let owned: Vec<BitVec> = (0..4).map(|k| sample(64 * 1024 + 37, 70 + k)).collect();
+        let program = Fold {
+            seed: Some(&owned[0]),
+            steps: vec![
+                FoldStep::And(&owned[1]),
+                FoldStep::AndXor(&owned[2], &owned[3]),
+            ],
+            complement: true,
+            mask: Some(&owned[1]),
+        };
+        let whole = fold(owned[0].len(), &program);
+        let mut got = Vec::new();
+        let mut lo = 0;
+        while lo < owned[0].len() {
+            let hi = (lo + 4096).min(owned[0].len());
+            let windowed = program.map(|b| b.view_range(lo, hi));
+            got.extend_from_slice(fold(hi - lo, &windowed).words());
+            lo = hi;
+        }
+        assert_eq!(BitVec::from_words(got, owned[0].len()), whole);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn fold_mismatched_lengths_panic() {
+        let (a, b) = (BitVec::zeros(128), BitVec::zeros(192));
+        let _ = fold(
+            128,
+            &Fold {
+                seed: Some(&a),
+                steps: vec![FoldStep::Or(&b)],
+                ..Fold::default()
+            },
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{code_lengths, Decoder, Encoder};
 use crate::lz77::{self, Token, MIN_MATCH};
-use crate::{varint, Codec, DecodeError};
+use crate::{output_buffer, varint, Codec, DecodeError};
 
 /// Number of length buckets (lengths 4 ..= 65536).
 const LEN_CODES: usize = 32;
@@ -179,7 +179,7 @@ impl Codec for Deflate {
                 let lens_tab = len_table();
                 let dists_tab = dist_table();
                 let mut r = BitReader::new(&rest[need..]);
-                let mut out = Vec::with_capacity(original_len);
+                let mut out = output_buffer(rest, original_len);
                 for _ in 0..n_tokens {
                     let sym = main_dec.read(&mut r)?;
                     if sym < 256 {
@@ -237,6 +237,17 @@ mod tests {
         let c = codec.compress(data);
         assert_eq!(codec.decompress(&c, data.len()).unwrap(), data);
         c.len()
+    }
+
+    #[test]
+    fn hostile_declared_length_is_a_typed_error() {
+        // A well-formed stream under a declared isize::MAX bytes: the
+        // length check fails, the allocator is never asked for that much.
+        let codec = Deflate::default();
+        let stream = codec.compress(&[7u8; 500]);
+        let err = codec.decompress(&stream, usize::MAX / 2).unwrap_err();
+        assert!(err.0.contains("produced 500 bytes"), "{err}");
+        assert!(codec.decompress(&[1, 0x80, 0x01], usize::MAX / 2).is_err());
     }
 
     #[test]

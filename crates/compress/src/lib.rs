@@ -49,6 +49,21 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Output bytes a decoder reserves per input byte before it has decoded
+/// anything. Bitmap files legitimately expand far more than this (a
+/// megabyte of zeros is four bytes of RLE); such streams grow their buffer
+/// as the runs and matches that justify it are decoded.
+const RESERVE_PER_INPUT_BYTE: usize = 64;
+
+/// The up-front reservation for decoding `input` to a declared
+/// `original_len` bytes. The declared length comes from a manifest, not
+/// from the stream, so on its own it must never size an allocation: a
+/// corrupt manifest would otherwise abort the process on a three-byte
+/// file.
+fn output_buffer(input: &[u8], original_len: usize) -> Vec<u8> {
+    Vec::with_capacity(original_len.min(input.len().saturating_mul(RESERVE_PER_INPUT_BYTE)))
+}
+
 /// A lossless byte-stream codec.
 pub trait Codec {
     /// Short stable name used in experiment output (e.g. `"lzss"`).

@@ -14,7 +14,7 @@
 //! is all the paper's Section 9 conclusions rest on (see DESIGN.md §5).
 
 use crate::lz77::{self, Token};
-use crate::{varint, Codec, DecodeError};
+use crate::{output_buffer, varint, Codec, DecodeError};
 
 /// LZSS codec. `max_chain` bounds the match-finder effort (default 64,
 /// a zlib-level-6-like compromise).
@@ -65,7 +65,7 @@ impl Codec for Lzss {
     }
 
     fn decompress(&self, input: &[u8], original_len: usize) -> Result<Vec<u8>, DecodeError> {
-        let mut out = Vec::with_capacity(original_len);
+        let mut out = output_buffer(input, original_len);
         let mut pos = 0usize;
         while pos < input.len() {
             let token = varint::read(input, &mut pos)?;
@@ -88,6 +88,11 @@ impl Codec for Lzss {
                         "lzss: bad distance {dist} at output length {}",
                         out.len()
                     )));
+                }
+                // The match length is untrusted: refuse it before copying,
+                // not after the copy has outgrown memory.
+                if len > original_len.saturating_sub(out.len()) {
+                    return Err(DecodeError("lzss: output longer than declared".into()));
                 }
                 // Chunked copy: each `extend_from_within` chunk is at most
                 // `dist` long, so overlapping matches replicate correctly.
@@ -136,6 +141,23 @@ mod tests {
         roundtrip(&[]);
         roundtrip(&[42]);
         roundtrip(&[1, 2, 3]);
+    }
+
+    #[test]
+    fn hostile_lengths_are_typed_errors() {
+        let codec = Lzss::default();
+        // A declared isize::MAX bytes on three bytes of input, and on a
+        // well-formed stream: decoding fails, the allocator is never asked.
+        assert!(codec.decompress(&[2, 0xAA, 0x03], usize::MAX / 2).is_err());
+        let stream = codec.compress(&[7u8; 500]);
+        let err = codec.decompress(&stream, usize::MAX / 2).unwrap_err();
+        assert!(err.0.contains("produced 500 bytes"), "{err}");
+        // A match longer than the declared output is refused up front.
+        let mut input = vec![2, 0xAA];
+        varint::write(&mut input, u64::MAX);
+        varint::write(&mut input, 1);
+        let err = codec.decompress(&input, 10).unwrap_err();
+        assert!(err.0.contains("longer than declared"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! useful lower bound on what LZ77-family codecs achieve on bitmap files,
 //! which are dominated by long runs of `0x00` / `0xff` bytes.
 
-use crate::{varint, Codec, DecodeError};
+use crate::{output_buffer, varint, Codec, DecodeError};
 
 /// Run-length codec over bytes. Stateless; see module docs for the format.
 #[derive(Debug, Clone, Copy, Default)]
@@ -32,18 +32,22 @@ impl Codec for Rle {
     }
 
     fn decompress(&self, input: &[u8], original_len: usize) -> Result<Vec<u8>, DecodeError> {
-        let mut out = Vec::with_capacity(original_len);
+        let mut out = output_buffer(input, original_len);
         let mut pos = 0;
         while pos < input.len() {
-            let run = varint::read(input, &mut pos)? as usize;
+            let run = varint::read(input, &mut pos)?;
             let &byte = input
                 .get(pos)
                 .ok_or_else(|| DecodeError("rle: missing run byte".into()))?;
             pos += 1;
-            if out.len() + run > original_len {
-                return Err(DecodeError("rle: output longer than declared".into()));
-            }
-            out.resize(out.len() + run, byte);
+            // The run length is untrusted: `out.len() + run` must neither
+            // wrap nor pass the declared length before anything is resized.
+            let new_len = usize::try_from(run)
+                .ok()
+                .and_then(|run| out.len().checked_add(run))
+                .filter(|&new_len| new_len <= original_len)
+                .ok_or_else(|| DecodeError("rle: output longer than declared".into()))?;
+            out.resize(new_len, byte);
         }
         if out.len() != original_len {
             return Err(DecodeError(format!(
@@ -99,6 +103,28 @@ mod tests {
         let c = Rle.compress(&[1, 1, 1]);
         assert!(Rle.decompress(&c, 2).is_err());
         assert!(Rle.decompress(&c, 4).is_err());
+    }
+
+    #[test]
+    fn hostile_run_length_is_a_typed_error() {
+        // A run of u64::MAX after one real byte: `out.len() + run` wraps
+        // to 0 in a release build and panics in a debug one.
+        let mut input = vec![1, 0xAA];
+        varint::write(&mut input, u64::MAX);
+        input.push(0xBB);
+        for declared in [0, 1, 2, usize::MAX / 2, usize::MAX] {
+            assert!(Rle.decompress(&input, declared).is_err(), "{declared}");
+        }
+    }
+
+    #[test]
+    fn hostile_declared_length_reserves_nothing() {
+        // Three bytes of input cannot back a declared isize::MAX bytes:
+        // the error must come from decoding, not from the allocator.
+        let err = Rle.decompress(&[2, 0xAA, 0x80], usize::MAX / 2);
+        assert!(err.is_err());
+        let err = Rle.decompress(&[3, 0xAA], usize::MAX / 2).unwrap_err();
+        assert!(err.0.contains("produced 3 bytes"), "{err}");
     }
 
     #[test]

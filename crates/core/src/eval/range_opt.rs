@@ -21,6 +21,9 @@
 //! for `A ≤ c` — half the operations and one fewer scan than RangeEval,
 //! which is Table 1's headline.
 
+use std::sync::Arc;
+
+use bindex_bitvec::kernels::{Fold, FoldStep};
 use bindex_bitvec::BitVec;
 use bindex_relation::query::{Op, SelectionQuery};
 
@@ -30,123 +33,89 @@ use crate::index::BitmapSource;
 
 use super::digits_of;
 
+/// The operator chain of one query, over fetched bitmaps.
+type Chain = Fold<Arc<BitVec>>;
+
 /// Evaluates `query` with RangeEval-Opt. The index must be range-encoded
 /// (enforced by the dispatcher in [`super::evaluate`]). Storage failures
 /// from the underlying source propagate as errors.
+///
+/// The listing's chain — the `≤` or `=` recurrence, the complement for
+/// `>`, `≥`, `≠`, and the `B_nn` mask — is built as one step list and run
+/// by [`ExecContext::fold`] in a single pass over its operands: the "one
+/// intermediate bitmap" of the paper is the result itself.
 pub fn evaluate<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     query: SelectionQuery,
 ) -> Result<BitVec> {
-    // Width of the current evaluation window: the full relation in whole
-    // mode, one segment under segmented execution.
-    let n_rows = ctx.view_len();
     let v = query.constant;
-
-    // Reduce to a `≤` evaluation plus an optional final complement.
-    let (le_value, complement) = match query.op {
-        Op::Le => (Some(v), false),
-        Op::Gt => (Some(v), true),
-        Op::Lt => {
-            if v == 0 {
-                // A < 0 is empty: no scan, no operation.
-                return Ok(BitVec::zeros(n_rows));
-            }
-            (Some(v - 1), false)
-        }
-        Op::Ge => {
-            if v == 0 {
-                // A >= 0 is every non-null row.
-                let mut all = BitVec::ones(n_rows);
-                if let Some(nn) = ctx.fetch_nn()? {
-                    ctx.and(&mut all, &nn);
-                }
-                return Ok(all);
-            }
-            (Some(v - 1), true)
-        }
-        Op::Eq => (None, false),
-        Op::Ne => (None, true),
+    // Reduce to a `≤` or `=` chain plus an optional final complement.
+    let (mut chain, complement) = match query.op {
+        Op::Le => (le_chain(ctx, v)?, false),
+        Op::Gt => (le_chain(ctx, v)?, true),
+        // A < 0 is empty: no scan, no operation.
+        Op::Lt if v == 0 => return Ok(BitVec::zeros(ctx.view_len())),
+        Op::Lt => (le_chain(ctx, v - 1)?, false),
+        // A >= 0 is every non-null row: all ones under the mask.
+        Op::Ge if v == 0 => (Chain::default(), false),
+        Op::Ge => (le_chain(ctx, v - 1)?, true),
+        Op::Eq => (eq_chain(ctx, v)?, false),
+        Op::Ne => (eq_chain(ctx, v)?, true),
     };
-
-    let mut b = match le_value {
-        Some(le) => le_chain(ctx, le)?,
-        None => eq_chain(ctx, v)?,
-    };
-
-    if complement {
-        ctx.not(&mut b);
-    }
-    if let Some(nn) = ctx.fetch_nn()? {
-        ctx.and(&mut b, &nn);
-    }
-    Ok(b)
+    chain.complement = complement;
+    chain.mask = ctx.fetch_nn()?;
+    Ok(ctx.fold(&chain))
 }
 
 /// The `A ≤ le` chain (lines 4–8 of the listing).
-fn le_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<BitVec> {
+fn le_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<Chain> {
     let digits = digits_of(ctx, le);
     let n = ctx.spec().n_components();
-    let n_rows = ctx.view_len();
+    let mut chain = Chain::default();
 
-    let b1 = ctx.spec().base.component(1);
-    let mut b = if digits[0] < b1 - 1 {
-        let bm = ctx.fetch(1, digits[0] as usize)?;
-        ctx.to_window(&bm)
-    } else {
-        // v_1 = b_1 − 1: B_1^{v_1} is the unstored all-ones bitmap.
-        BitVec::ones(n_rows)
-    };
-
+    // v_1 = b_1 − 1: B_1^{v_1} is the unstored all-ones bitmap.
+    if digits[0] < ctx.spec().base.component(1) - 1 {
+        chain.seed = Some(ctx.fetch(1, digits[0] as usize)?);
+    }
     for i in 2..=n {
         let bi = ctx.spec().base.component(i);
         let vi = digits[i - 1];
         if vi != bi - 1 {
-            let bm = ctx.fetch(i, vi as usize)?;
-            ctx.and(&mut b, &bm);
+            chain.steps.push(FoldStep::And(ctx.fetch(i, vi as usize)?));
         }
         if vi != 0 {
-            let bm = ctx.fetch(i, vi as usize - 1)?;
-            ctx.or(&mut b, &bm);
+            chain
+                .steps
+                .push(FoldStep::Or(ctx.fetch(i, vi as usize - 1)?));
         }
     }
-    Ok(b)
+    Ok(chain)
 }
 
 /// The `A = v` chain (lines 10–13 of the listing). `B` starts as the
-/// all-ones `B_1` and is ANDed with every per-digit equality bitmap; the
-/// final AND chain runs through the fused k-ary kernel with the all-ones
-/// seed as first operand, so exactly `n` ANDs are charged — identical to
-/// the pairwise listing (the NOT/XOR charges for deriving interior and
-/// top-digit bitmaps are likewise unchanged).
-fn eq_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, v: u32) -> Result<BitVec> {
+/// all-ones `B_1` and is ANDed with every per-digit equality bitmap —
+/// stored `B_i^0` directly, `¬B_i^{b_i−2}` for the top digit and
+/// `B_i^{v_i} ⊕ B_i^{v_i−1}` in between, derived inside the pass — so
+/// exactly `n` ANDs are charged, plus one NOT per top digit and one XOR
+/// per interior digit.
+fn eq_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, v: u32) -> Result<Chain> {
     let digits = digits_of(ctx, v);
     let n = ctx.spec().n_components();
-    let ones = BitVec::ones(ctx.view_len());
-
-    // Per-digit equality bitmaps: stored `B_i^0` directly (shared via the
-    // fetch cache), derived `¬B` / `B ⊕ B` as counted fresh bitmaps.
-    let mut shared = Vec::new();
-    let mut derived = Vec::new();
+    let mut chain = Chain::default();
     for i in 1..=n {
         let bi = ctx.spec().base.component(i);
         let vi = digits[i - 1];
-        if vi == 0 {
-            shared.push(ctx.fetch(i, 0)?);
+        chain.steps.push(if vi == 0 {
+            FoldStep::And(ctx.fetch(i, 0)?)
         } else if vi == bi - 1 {
-            let bm = ctx.fetch(i, bi as usize - 2)?;
-            derived.push(ctx.not_of(&bm));
+            FoldStep::AndNot(ctx.fetch(i, bi as usize - 2)?)
         } else {
             let hi = ctx.fetch(i, vi as usize)?;
             let lo = ctx.fetch(i, vi as usize - 1)?;
-            derived.push(ctx.xor(&hi, &lo));
-        }
+            FoldStep::AndXor(hi, lo)
+        });
     }
-
-    let mut operands: Vec<&BitVec> = Vec::with_capacity(1 + n);
-    operands.push(&ones);
-    operands.extend(shared.iter().map(|a| a.as_ref()));
-    operands.extend(derived.iter());
-    Ok(ctx.and_all(&operands))
+    Ok(chain)
 }
 
 #[cfg(test)]
@@ -157,6 +126,222 @@ mod tests {
     use crate::eval::naive;
     use crate::index::BitmapIndex;
     use bindex_relation::{query, Column};
+
+    /// The pass-per-operator evaluation the fold replaced, kept as its
+    /// oracle: the same reduction to a `≤`/`=` chain, but every operator
+    /// is its own counted sweep over the accumulator.
+    fn evaluate_pairwise<S: BitmapSource>(
+        ctx: &mut ExecContext<'_, S>,
+        query: SelectionQuery,
+    ) -> Result<BitVec> {
+        let n_rows = ctx.view_len();
+        let v = query.constant;
+        let (le_value, complement) = match query.op {
+            Op::Le => (Some(v), false),
+            Op::Gt => (Some(v), true),
+            Op::Lt if v == 0 => return Ok(BitVec::zeros(n_rows)),
+            Op::Lt => (Some(v - 1), false),
+            Op::Ge if v == 0 => {
+                let mut all = BitVec::ones(n_rows);
+                if let Some(nn) = ctx.fetch_nn()? {
+                    ctx.and(&mut all, &nn);
+                }
+                return Ok(all);
+            }
+            Op::Ge => (Some(v - 1), true),
+            Op::Eq => (None, false),
+            Op::Ne => (None, true),
+        };
+        let mut b = match le_value {
+            Some(le) => le_chain_pairwise(ctx, le)?,
+            None => eq_chain_pairwise(ctx, v)?,
+        };
+        if complement {
+            ctx.not(&mut b);
+        }
+        if let Some(nn) = ctx.fetch_nn()? {
+            ctx.and(&mut b, &nn);
+        }
+        Ok(b)
+    }
+
+    fn le_chain_pairwise<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<BitVec> {
+        let digits = digits_of(ctx, le);
+        let n = ctx.spec().n_components();
+        let b1 = ctx.spec().base.component(1);
+        let mut b = if digits[0] < b1 - 1 {
+            let bm = ctx.fetch(1, digits[0] as usize)?;
+            ctx.to_window(&bm)
+        } else {
+            BitVec::ones(ctx.view_len())
+        };
+        for i in 2..=n {
+            let bi = ctx.spec().base.component(i);
+            let vi = digits[i - 1];
+            if vi != bi - 1 {
+                let bm = ctx.fetch(i, vi as usize)?;
+                ctx.and(&mut b, &bm);
+            }
+            if vi != 0 {
+                let bm = ctx.fetch(i, vi as usize - 1)?;
+                ctx.or(&mut b, &bm);
+            }
+        }
+        Ok(b)
+    }
+
+    fn eq_chain_pairwise<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, v: u32) -> Result<BitVec> {
+        let digits = digits_of(ctx, v);
+        let n = ctx.spec().n_components();
+        let ones = BitVec::ones(ctx.view_len());
+        let mut shared = Vec::new();
+        let mut derived = Vec::new();
+        for i in 1..=n {
+            let bi = ctx.spec().base.component(i);
+            let vi = digits[i - 1];
+            if vi == 0 {
+                shared.push(ctx.fetch(i, 0)?);
+            } else if vi == bi - 1 {
+                let bm = ctx.fetch(i, bi as usize - 2)?;
+                let mut not = ctx.to_window(&bm);
+                ctx.not(&mut not);
+                derived.push(not);
+            } else {
+                let hi = ctx.fetch(i, vi as usize)?;
+                let lo = ctx.fetch(i, vi as usize - 1)?;
+                derived.push(ctx.xor(&hi, &lo));
+            }
+        }
+        let mut operands: Vec<&BitVec> = Vec::with_capacity(1 + n);
+        operands.push(&ones);
+        operands.extend(shared.iter().map(|a| a.as_ref()));
+        operands.extend(derived.iter());
+        Ok(ctx.and_all(&operands))
+    }
+
+    type Evaluator<S> = fn(&mut ExecContext<'_, S>, SelectionQuery) -> Result<BitVec>;
+
+    /// Runs `eval` whole (`None`) or window by window the way
+    /// `evaluate_segment_range_in` drives `evaluate`, and returns the
+    /// foundset with the paper-model counters.
+    fn run<S: BitmapSource>(
+        ctx: &mut ExecContext<'_, S>,
+        segment_bits: Option<usize>,
+        eval: Evaluator<S>,
+        q: SelectionQuery,
+    ) -> (BitVec, [usize; 5]) {
+        let found = match segment_bits {
+            None => eval(ctx, q).unwrap(),
+            Some(bits) => {
+                let n_rows = ctx.n_rows();
+                let mut words = Vec::new();
+                for (index, lo) in (0..n_rows).step_by(bits).enumerate() {
+                    let hi = (lo + bits).min(n_rows);
+                    ctx.begin_segment(lo, hi, index);
+                    let part = eval(ctx, q).unwrap();
+                    ctx.end_segment();
+                    assert_eq!(part.len(), hi - lo);
+                    words.extend_from_slice(part.words());
+                }
+                ctx.exit_segments();
+                BitVec::from_words(words, n_rows)
+            }
+        };
+        let s = ctx.take_stats();
+        (found, [s.scans, s.ands, s.ors, s.xors, s.nots])
+    }
+
+    /// Fold ≡ pairwise on one base: identical foundsets and identical
+    /// scan/AND/OR/XOR/NOT charges, for all six operators, with and
+    /// without nulls, whole and segmented, with and without a delta
+    /// overlay, at row counts that are a multiple of neither 64 nor the
+    /// kernel block. 199 = 3 × 64 + 7 rows take every constant at every
+    /// segment size; 70,001 = 65,536 + 69 × 64 + 49 rows (two kernel
+    /// blocks, two 65,536-bit segments, a ragged last word) take every
+    /// `stride`-th constant and skip the 64-bit segments, whose 1,094
+    /// windows per query would be most of the suite's time.
+    fn check_fold_against_pairwise(msb: &[u32], card: u32, stride: u32) {
+        use crate::delta::DeltaOverlay;
+        use std::sync::Arc;
+
+        let values = |n: usize, salt: u64| -> Vec<u32> {
+            let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ salt;
+            (0..n)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((x >> 33) % u64::from(card)) as u32
+                })
+                .collect()
+        };
+        let spec = IndexSpec::new(Base::from_msb(msb).unwrap(), Encoding::Range);
+        let all_modes = [None, Some(64), Some(512), Some(65_536)];
+        for (n_rows, stride, modes) in [
+            (199usize, 1, &all_modes[..]),
+            (70_001, stride, &[None, Some(512), Some(65_536)]),
+        ] {
+            let delta_rows = 50;
+            let base_rows = n_rows - delta_rows;
+            let col = Column::new(values(base_rows, 1), card);
+            let delta_col = Column::new(values(delta_rows, 2), card);
+            for with_nulls in [false, true] {
+                let build = |col: &Column, null_every: usize| {
+                    if with_nulls {
+                        let nulls = BitVec::from_fn(col.len(), |i| i % null_every == 2);
+                        BitmapIndex::build_with_nulls(col, &nulls, spec.clone())
+                    } else {
+                        BitmapIndex::build(col, spec.clone())
+                    }
+                    .unwrap()
+                };
+                let (idx, delta) = (build(&col, 11), build(&delta_col, 7));
+                let deleted = BitVec::from_fn(n_rows, |i| i % 97 == 5);
+                let overlay =
+                    Arc::new(DeltaOverlay::from_index(base_rows, &delta, deleted).unwrap());
+                for overlay in [None, Some(overlay)] {
+                    for q in query::full_space(card)
+                        .into_iter()
+                        .filter(|q| q.constant % stride == 0 || q.constant == card - 1)
+                    {
+                        for &mode in modes {
+                            let (mut fold_src, mut pair_src) = (idx.source(), idx.source());
+                            let mut fold_ctx =
+                                ExecContext::new(&mut fold_src).with_overlay(overlay.clone());
+                            let mut pair_ctx =
+                                ExecContext::new(&mut pair_src).with_overlay(overlay.clone());
+                            assert_eq!(
+                                run(&mut fold_ctx, mode, evaluate, q),
+                                run(&mut pair_ctx, mode, evaluate_pairwise, q),
+                                "{q} rows {n_rows} nulls {with_nulls} overlay {} segment {mode:?}",
+                                overlay.is_some()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_matches_pairwise_base_10_10_10() {
+        check_fold_against_pairwise(&[10, 10, 10], 1000, 199);
+    }
+
+    #[test]
+    fn fold_matches_pairwise_base_3_3() {
+        check_fold_against_pairwise(&[3, 3], 9, 4);
+    }
+
+    #[test]
+    fn fold_matches_pairwise_base_2_5() {
+        check_fold_against_pairwise(&[2, 5], 10, 4);
+    }
+
+    #[test]
+    fn fold_matches_pairwise_base_9() {
+        check_fold_against_pairwise(&[9], 9, 4);
+    }
 
     fn check_all_queries(column: &Column, base: Base) {
         let spec = IndexSpec::new(base, Encoding::Range);

@@ -13,11 +13,13 @@
 //! cost no scan. If a [`BufferSet`] is attached, fetches of resident
 //! bitmaps cost no scan either (Section 10's buffering model).
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bindex_bitvec::{kernels, BitVec, IndexSummaries};
+use bindex_bitvec::kernels::{self, Fold, FoldStep};
+use bindex_bitvec::{BitVec, IndexSummaries};
 use bindex_compress::{wah, Repr};
 use bindex_relation::Column;
 
@@ -974,17 +976,6 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         acc.not_assign();
     }
 
-    /// Counted NOT returning a fresh bitmap (one NOT charged). The result
-    /// is at the current evaluation width.
-    pub fn not_of(&mut self, a: &BitVec) -> BitVec {
-        if self.charge_ops() {
-            self.stats.nots += 1;
-        }
-        let mut out = self.opv(a).to_bitvec();
-        out.not_assign();
-        out
-    }
-
     /// Counted AND-NOT: `acc &= !rhs` (one AND plus one NOT, as the paper's
     /// algorithms spell it). Short-circuits like [`ExecContext::and`].
     pub fn and_not(&mut self, acc: &mut BitVec, rhs: &BitVec) {
@@ -1012,14 +1003,6 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             return BitVec::zeros(va.len());
         }
         kernels::and_all(&[va, vb])
-    }
-
-    /// Counted OR returning a fresh bitmap (one OR charged).
-    pub fn or_pair(&mut self, a: &BitVec, b: &BitVec) -> BitVec {
-        if self.charge_ops() {
-            self.stats.ors += 1;
-        }
-        kernels::or_all(&[self.opv(a), self.opv(b)])
     }
 
     /// Counted AND-NOT returning a fresh bitmap: `a ∧ ¬b`. Charges one AND
@@ -1068,6 +1051,42 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         }
         let views: Vec<_> = operands.iter().map(|b| self.opv(b)).collect();
         kernels::or_all(&views)
+    }
+
+    /// Counted one-pass evaluation of a whole operator chain
+    /// ([`kernels::fold`]): every operand is read once and the result is
+    /// written once, at the current evaluation width — operands go
+    /// through the same windowing as every other op, so whole-bitmap and
+    /// segmented execution are one code path. Charges what the chain
+    /// spelled out operator by operator would: one AND per `And` step, one
+    /// OR per `Or`, AND + NOT per `AndNot`, AND + XOR per `AndXor`, one
+    /// NOT for the complement and one AND for the mask — an all-ones seed
+    /// is the listing's `B_1`, an operand of the first AND, not an
+    /// operation.
+    ///
+    /// # Panics
+    /// Panics on mismatched operand lengths.
+    pub fn fold<B: Borrow<BitVec>>(&mut self, program: &Fold<B>) -> BitVec {
+        if self.charge_ops() {
+            for step in &program.steps {
+                match step {
+                    FoldStep::And(_) => self.stats.ands += 1,
+                    FoldStep::Or(_) => self.stats.ors += 1,
+                    FoldStep::AndNot(_) => {
+                        self.stats.ands += 1;
+                        self.stats.nots += 1;
+                    }
+                    FoldStep::AndXor(..) => {
+                        self.stats.ands += 1;
+                        self.stats.xors += 1;
+                    }
+                }
+            }
+            self.stats.nots += usize::from(program.complement);
+            self.stats.ands += usize::from(program.mask.is_some());
+        }
+        let windowed = program.map(|b| self.opv(b.borrow()));
+        kernels::fold(self.view_len(), &windowed)
     }
 
     /// Counted k-ary threshold: a fresh bitmap with bit `r` set when at
@@ -1311,13 +1330,10 @@ mod tests {
         assert_eq!(one, a);
         // Pair helpers charge exactly one logical op (AND-NOT = AND + NOT).
         let d = ctx.and_pair(&a, &b);
-        let e = ctx.or_pair(&a, &b);
         let f = ctx.and_not_pair(&a, &b);
         assert_eq!(ctx.stats().ands, 4);
-        assert_eq!(ctx.stats().ors, 3);
         assert_eq!(ctx.stats().nots, 1);
         assert_eq!(d, BitVec::from_indices(8, &[1, 2]));
-        assert_eq!(e, BitVec::from_indices(8, &[0, 1, 2, 3]));
         assert_eq!(f, BitVec::from_indices(8, &[0]));
     }
 

@@ -1,7 +1,7 @@
 //! In-memory bitmap index construction and the [`BitmapSource`] abstraction
 //! the evaluators read bitmaps through.
 
-use bindex_bitvec::BitVec;
+use bindex_bitvec::{words_for, BitVec, WORD_BITS};
 use bindex_relation::Column;
 
 use crate::encoding::{Encoding, IndexSpec};
@@ -96,8 +96,15 @@ impl BitmapIndex {
         spec.check_covers(column.cardinality())?;
         let n_rows = column.len();
         let n = spec.n_components();
-        let mut components: Vec<Vec<BitVec>> = (1..=n)
-            .map(|i| vec![BitVec::zeros(n_rows); spec.stored_in_component(i) as usize])
+        // Built as bare word buffers: a row ORs one mask into one word of
+        // each bitmap it belongs to, with no per-bit bookkeeping.
+        let n_words = words_for(n_rows);
+        let mut components: Vec<Vec<Vec<u64>>> = (1..=n)
+            .map(|i| {
+                (0..spec.stored_in_component(i))
+                    .map(|_| vec![0u64; n_words])
+                    .collect()
+            })
             .collect();
 
         // Precompute digit decompositions of each attribute value once.
@@ -113,6 +120,7 @@ impl BitmapIndex {
                     continue;
                 }
             }
+            let (word, bit) = (rid / WORD_BITS, 1u64 << (rid % WORD_BITS));
             let digits = &digit_table[v as usize];
             for (ci, &digit) in digits.iter().enumerate() {
                 let b = spec.base.component(ci + 1);
@@ -121,17 +129,17 @@ impl BitmapIndex {
                     Encoding::Equality => {
                         if b == 2 {
                             if digit == 1 {
-                                bitmaps[0].set(rid, true);
+                                bitmaps[0][word] |= bit;
                             }
                         } else {
-                            bitmaps[digit as usize].set(rid, true);
+                            bitmaps[digit as usize][word] |= bit;
                         }
                     }
                     Encoding::Range => {
                         // B^j set for all j >= digit (digit <= j), j stored
                         // up to b-2.
                         for j in digit..b - 1 {
-                            bitmaps[j as usize].set(rid, true);
+                            bitmaps[j as usize][word] |= bit;
                         }
                     }
                     Encoding::Interval => {
@@ -139,14 +147,29 @@ impl BitmapIndex {
                         let m = b.div_ceil(2);
                         let lo = digit.saturating_sub(m - 1);
                         for j in lo..=digit.min(m - 1) {
-                            bitmaps[j as usize].set(rid, true);
+                            bitmaps[j as usize][word] |= bit;
                         }
                     }
                 }
             }
         }
 
-        let nn = null_mask.map(BitVec::complement);
+        // Frozen, the bitmaps are handed to the evaluators by reference
+        // count ([`MemorySource`]) instead of by copy.
+        let frozen = |mut bm: BitVec| {
+            bm.freeze();
+            bm
+        };
+        let components = components
+            .into_iter()
+            .map(|slots| {
+                slots
+                    .into_iter()
+                    .map(|words| frozen(BitVec::from_words(words, n_rows)))
+                    .collect()
+            })
+            .collect();
+        let nn = null_mask.map(|mask| frozen(mask.complement()));
         Ok(Self {
             spec,
             n_rows,
@@ -197,15 +220,20 @@ impl BitmapIndex {
         self.stored_bitmaps() as usize * self.n_rows.div_ceil(8)
     }
 
-    /// A [`BitmapSource`] view of this index (clones bitmaps on fetch,
-    /// modelling a scan from storage into working memory).
+    /// A [`BitmapSource`] view of this index. A fetch is still one bitmap
+    /// scan to the cost model, but it shares the index's word buffer —
+    /// the bitmaps are frozen at build time, so the `clone()` behind a
+    /// fetch is a reference-count bump, not a copy.
     pub fn source(&self) -> MemorySource<'_> {
         MemorySource { index: self }
     }
 
     /// Appends one row with the given attribute value, extending every
     /// stored bitmap by one bit (the read-mostly maintenance path: DSS
-    /// loads append in bulk between query windows).
+    /// loads append in bulk between query windows). The first append
+    /// takes each frozen buffer back, copying it only if an earlier fetch
+    /// still shares it (which keeps what it fetched); the index's bitmaps
+    /// are plain owned buffers from then on, so later fetches copy.
     ///
     /// Fails if `value` is not representable under the index's base.
     pub fn append(&mut self, value: u32) -> Result<()> {
@@ -509,6 +537,60 @@ mod tests {
         let found = crate::eval::range_opt::evaluate(&mut ctx, q).unwrap();
         assert_eq!(found.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2, 4]);
         let _ = grown;
+    }
+
+    #[test]
+    fn fetches_share_the_index_buffers() {
+        let col = Column::new(vec![3, 2, 1, 2, 8, 2], 9);
+        let nulls = BitVec::from_indices(6, &[1, 4]);
+        let spec = IndexSpec::new(Base::from_msb(&[3, 3]).unwrap(), Encoding::Range);
+        let idx = BitmapIndex::build_with_nulls(&col, &nulls, spec).unwrap();
+        let mut src = idx.source();
+        for comp in 1..=2 {
+            for slot in 0..2 {
+                let stored = idx.bitmap(comp, slot).words().as_ptr();
+                for _ in 0..2 {
+                    let fetched = src.try_fetch(comp, slot).unwrap();
+                    assert_eq!(fetched.words().as_ptr(), stored, "c{comp} b{slot}");
+                }
+            }
+        }
+        let nn = src.try_fetch_nn().unwrap().unwrap();
+        assert_eq!(nn.words().as_ptr(), idx.nn().unwrap().words().as_ptr());
+        // Through the executor too: the cached operand is the index's buffer.
+        let mut ctx = crate::exec::ExecContext::new(&mut src);
+        let operand = ctx.fetch(2, 1).unwrap();
+        assert_eq!(operand.words().as_ptr(), idx.bitmap(2, 1).words().as_ptr());
+        let nn = ctx.fetch_nn().unwrap().unwrap();
+        assert_eq!(nn.words().as_ptr(), idx.nn().unwrap().words().as_ptr());
+    }
+
+    #[test]
+    fn append_after_fetch_leaves_the_fetched_bitmaps_untouched() {
+        let col = Column::new(vec![3, 2, 1, 2, 8, 2], 9);
+        let nulls = BitVec::from_indices(6, &[1]);
+        let spec = IndexSpec::new(Base::from_msb(&[3, 3]).unwrap(), Encoding::Range);
+        let mut idx = BitmapIndex::build_with_nulls(&col, &nulls, spec).unwrap();
+        let before = idx.clone();
+        let fetched = idx.source().try_fetch(1, 1).unwrap();
+        let fetched_nn = idx.source().try_fetch_nn().unwrap().unwrap();
+        let (ptr, nn_ptr) = (fetched.words().as_ptr(), fetched_nn.words().as_ptr());
+
+        idx.append(0).unwrap();
+        idx.append_null();
+
+        // The held fetches (and the cloned index) still read the old rows
+        // from the old buffers; the index thawed into buffers of its own.
+        assert_eq!(fetched.words().as_ptr(), ptr);
+        assert_eq!(fetched_nn.words().as_ptr(), nn_ptr);
+        assert_eq!(&fetched, before.bitmap(1, 1));
+        assert_eq!(&fetched_nn, before.nn().unwrap());
+        assert_eq!(fetched.len(), 6);
+        assert_ne!(idx.bitmap(1, 1).words().as_ptr(), ptr);
+        assert_eq!(idx.bitmap(1, 1).len(), 8);
+        idx.verify(&Column::new(vec![3, 2, 1, 2, 8, 2, 0, 0], 9))
+            .unwrap();
+        before.verify(&col).unwrap();
     }
 
     #[test]
