@@ -15,6 +15,12 @@
 //! 4. **Pool residency** — how many slots a byte-budgeted [`ShardedPool`]
 //!    keeps resident when the store serves WAH reprs instead of dense
 //!    bitmaps.
+//! 5. **Served range queries** — RangeEval-Opt over a v4 store of a
+//!    run-clustered column behind a warm pool, the way the server
+//!    evaluates it: decode-then-fold (every operand's windows decoded,
+//!    folded densely) against the compressed-domain fold, for a count
+//!    reply and for a dense result, across cluster lengths — which is
+//!    where the executor's 1/16 size rule switches between the two.
 //!
 //! Emits `BENCH_compressed_exec.json` at the workspace root and the usual
 //! CSV under `results/`. `--quick` shrinks everything for CI smoke runs.
@@ -24,12 +30,14 @@ use std::time::Instant;
 use bindex::bitvec::kernels;
 use bindex::compress::wah::{self, WahBitmap};
 use bindex::compress::CodecKind;
-use bindex::core::eval::{evaluate, Algorithm};
-use bindex::core::DEFAULT_WAH_CROSSOVER;
-use bindex::relation::query::full_space;
+use bindex::core::eval::{
+    evaluate, evaluate_repr_in, evaluate_segment_range_in, evaluate_segmented_in, Algorithm,
+};
+use bindex::core::{ExecContext, DEFAULT_WAH_CROSSOVER};
+use bindex::relation::query::{full_space, SelectionQuery};
 use bindex::relation::{gen, Column};
-use bindex::storage::{MemStore, ShardedPool, StorageScheme, StoredIndex};
-use bindex::stored::{persist_index, persist_index_v3, SharedSource};
+use bindex::storage::{MemStore, ShardedPool, SharedIndexReader, StorageScheme, StoredIndex};
+use bindex::stored::{persist_index, persist_index_v3, persist_index_v4, SharedSource};
 use bindex::{Base, BitVec, BitmapIndex, Encoding, IndexSpec};
 use bindex_bench::{f2, print_table, results_dir, Csv, RunProvenance};
 
@@ -40,6 +48,9 @@ struct Config {
     rows: usize,
     cardinality: u32,
     workload_reps: usize,
+    served_rows: usize,
+    served_clusters: &'static [usize],
+    served_queries: usize,
 }
 
 const OPERANDS: usize = 4;
@@ -263,6 +274,145 @@ fn pool_residency(col: &Column, cfg: &Config) -> PoolResidency {
     }
 }
 
+/// The served index of the `served_range` section: the benchmark's
+/// (`ingest_mixed`): C = 1000 under base <10,10,10>, range-encoded, 27
+/// stored bitmaps.
+const SERVED_CARDINALITY: u32 = 1000;
+/// The server's default segment size.
+const SERVED_SEGMENT_BITS: usize = 1 << 16;
+/// The cluster length of the benchmark's column.
+const BENCHMARK_CLUSTER: usize = 4096;
+
+/// Mean µs per query of three ways to answer the same queries.
+#[derive(Clone, Copy, Default)]
+struct ServedTimes {
+    /// Decode-then-fold: window-by-window dense evaluation, every
+    /// compressed operand decoded (what every query paid before the
+    /// compressed fold existed, and what a declined one pays now).
+    decode_fold: f64,
+    /// As the executor chooses, the foundset left as evaluation produced
+    /// it and counted — a count reply.
+    count: f64,
+    /// As the executor chooses, the foundset decoded to dense words.
+    dense: f64,
+}
+
+struct ServedRow {
+    cluster_len: usize,
+    wah_slots: usize,
+    /// Mean compressed ÷ literal size over the stored slots.
+    mean_ratio: f64,
+    /// Share of queries the executor folded in the compressed domain.
+    folded_share: f64,
+    all: ServedTimes,
+    /// The folded queries alone (`None` when there were none).
+    folded: Option<ServedTimes>,
+    /// The declined queries alone.
+    declined: Option<ServedTimes>,
+}
+
+/// One cluster length of the served-range sweep: builds the column and
+/// its v4 store, warms a pool that holds every slot, and answers `queries`
+/// each of the three ways, best of `reps` per query.
+fn served_range_row(
+    rows: usize,
+    cluster_len: usize,
+    queries: &[SelectionQuery],
+    reps: usize,
+) -> ServedRow {
+    let spec = IndexSpec::new(Base::uniform(10, 3).unwrap(), Encoding::Range);
+    let col = gen::clustered(rows, SERVED_CARDINALITY, cluster_len, 1);
+    let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
+    let stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
+    let reader = SharedIndexReader::with_pool(stored, ShardedPool::new(64, 8));
+    let (mut wah_slots, mut ratio_sum, mut slots) = (0usize, 0.0, 0usize);
+    for comp in 1..=3 {
+        for slot in 0..9 {
+            let repr = reader.read_repr(comp, slot).expect("slot reads");
+            wah_slots += usize::from(repr.is_compressed());
+            ratio_sum += repr.heap_bytes() as f64 / (rows.div_ceil(64) * 8) as f64;
+            slots += 1;
+        }
+    }
+
+    // One source and context per query, as the server builds them.
+    let time = |f: &mut dyn FnMut(&mut ExecContext<'_, SharedSource<'_, MemStore>>) -> usize| {
+        let mut best = f64::MAX;
+        for _ in 0..reps {
+            let mut src = SharedSource::try_new(&reader, spec.clone()).expect("spec matches");
+            let mut ctx = ExecContext::new(&mut src);
+            let start = Instant::now();
+            let ones = f(&mut ctx);
+            best = best.min(start.elapsed().as_secs_f64());
+            std::hint::black_box(ones);
+        }
+        best * 1e6
+    };
+    let mut per_query: Vec<(bool, ServedTimes)> = Vec::with_capacity(queries.len());
+    for &q in queries {
+        let want = bindex::core::eval::naive::evaluate(&col, q).count_ones();
+        let mut folded = false;
+        let times = ServedTimes {
+            decode_fold: time(&mut |ctx| {
+                let mut out = vec![0u64; rows.div_ceil(64)];
+                let bits = SERVED_SEGMENT_BITS;
+                evaluate_segment_range_in(ctx, q, Algorithm::Auto, bits, 0, rows, &mut out)
+                    .expect("evaluates");
+                let ones = BitVec::from_words(out, rows).count_ones();
+                assert_eq!(ones, want, "decode-then-fold {q}");
+                ones
+            }),
+            count: time(&mut |ctx| {
+                let found = evaluate_repr_in(ctx, q, Algorithm::Auto, Some(SERVED_SEGMENT_BITS))
+                    .expect("evaluates");
+                folded = found.is_compressed();
+                let ones = found.count_ones();
+                assert_eq!(ones, want, "count {q}");
+                ones
+            }),
+            dense: time(&mut |ctx| {
+                evaluate_segmented_in(ctx, q, Algorithm::Auto, SERVED_SEGMENT_BITS)
+                    .expect("evaluates")
+                    .count_ones()
+            }),
+        };
+        per_query.push((folded, times));
+    }
+    let mean = |keep: &dyn Fn(bool) -> bool| {
+        let kept: Vec<&ServedTimes> = per_query
+            .iter()
+            .filter(|(folded, _)| keep(*folded))
+            .map(|(_, t)| t)
+            .collect();
+        let n = kept.len() as f64;
+        (!kept.is_empty()).then(|| ServedTimes {
+            decode_fold: kept.iter().map(|t| t.decode_fold).sum::<f64>() / n,
+            count: kept.iter().map(|t| t.count).sum::<f64>() / n,
+            dense: kept.iter().map(|t| t.dense).sum::<f64>() / n,
+        })
+    };
+    let n_folded = per_query.iter().filter(|(folded, _)| *folded).count();
+    ServedRow {
+        cluster_len,
+        wah_slots,
+        mean_ratio: ratio_sum / slots as f64,
+        folded_share: n_folded as f64 / queries.len() as f64,
+        all: mean(&|_| true).expect("at least one query"),
+        folded: mean(&|folded| folded),
+        declined: mean(&|folded| !folded),
+    }
+}
+
+fn served_times_json(t: Option<ServedTimes>) -> String {
+    match t {
+        Some(t) => format!(
+            "{{\"decode_then_fold_us\": {:.2}, \"count_us\": {:.2}, \"dense_result_us\": {:.2}}}",
+            t.decode_fold, t.count, t.dense
+        ),
+        None => "null".into(),
+    }
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let provenance = RunProvenance::capture(1);
@@ -274,6 +424,9 @@ fn main() {
             rows: 20_000,
             cardinality: 20,
             workload_reps: 2,
+            served_rows: 1 << 18,
+            served_clusters: &[256, BENCHMARK_CLUSTER],
+            served_queries: 300,
         }
     } else {
         Config {
@@ -283,6 +436,9 @@ fn main() {
             rows: 200_000,
             cardinality: 50,
             workload_reps: 3,
+            served_rows: 1 << 21,
+            served_clusters: &[64, 128, 256, 512, 1024, 2048, BENCHMARK_CLUSTER, 16_384],
+            served_queries: 2000,
         }
     };
 
@@ -358,7 +514,88 @@ fn main() {
     );
     println!("  (budget: {} bytes)", pool.byte_budget);
 
-    // CSV: the kernel sweep.
+    // 5: served range queries across cluster lengths.
+    let space = full_space(SERVED_CARDINALITY);
+    let served_queries: Vec<SelectionQuery> = space
+        .iter()
+        .copied()
+        .step_by(space.len() / cfg.served_queries)
+        .collect();
+    let served: Vec<ServedRow> = cfg
+        .served_clusters
+        .iter()
+        .map(|&len| served_range_row(cfg.served_rows, len, &served_queries, cfg.workload_reps))
+        .collect();
+    let us = |t: Option<ServedTimes>, f: fn(&ServedTimes) -> f64| {
+        t.map_or("-".into(), |t| format!("{:.1}", f(&t)))
+    };
+    print_table(
+        &format!(
+            "served RangeEval-Opt, {} rows, C = {SERVED_CARDINALITY} <10,10,10>, v4 + warm pool \
+             (us/query; folded = the queries the 1/16 rule sent to the compressed fold)",
+            cfg.served_rows
+        ),
+        &[
+            "cluster",
+            "WAH slots",
+            "size ratio",
+            "folded",
+            "decode+fold",
+            "count",
+            "dense result",
+            "folded: decode+fold",
+            "folded: count",
+            "folded: dense",
+        ],
+        &served
+            .iter()
+            .map(|r| {
+                vec![
+                    r.cluster_len.to_string(),
+                    r.wah_slots.to_string(),
+                    format!("{:.4}", r.mean_ratio),
+                    format!("{:.3}", r.folded_share),
+                    us(Some(r.all), |t| t.decode_fold),
+                    us(Some(r.all), |t| t.count),
+                    us(Some(r.all), |t| t.dense),
+                    us(r.folded, |t| t.decode_fold),
+                    us(r.folded, |t| t.count),
+                    us(r.folded, |t| t.dense),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+    // Wherever the rule sends most queries to the compressed fold, the
+    // fold must be the faster side even when the caller wants dense words
+    // (a row straddling the switch folds a handful of queries at break-even
+    // and says nothing either way); at the benchmark's cluster length that
+    // is every query that reads a bitmap.
+    let fold_faster_where_rule_folds = served
+        .iter()
+        .filter(|r| r.folded_share > 0.5)
+        .filter_map(|r| r.folded)
+        .all(|t| t.dense < t.decode_fold && t.count < t.decode_fold);
+    let switch = served
+        .windows(2)
+        .find(|w| w[0].folded_share <= 0.5 && w[1].folded_share > 0.5)
+        .map_or("null".into(), |w| {
+            format!("[{}, {}]", w[0].cluster_len, w[1].cluster_len)
+        });
+    let at_benchmark = served
+        .iter()
+        .find(|r| r.cluster_len == BENCHMARK_CLUSTER)
+        .expect("the sweep includes the benchmark's cluster length");
+    let fold_faster_at_benchmark_ratio = at_benchmark.folded_share > 0.99
+        && at_benchmark.all.dense < at_benchmark.all.decode_fold
+        && at_benchmark.all.count < at_benchmark.all.decode_fold;
+    println!("rule switches to the compressed fold between cluster lengths: {switch}");
+    println!("compressed fold faster wherever the rule folds: {fold_faster_where_rule_folds}");
+    println!(
+        "compressed fold faster than decode-then-fold at cluster {BENCHMARK_CLUSTER}: \
+         {fold_faster_at_benchmark_ratio}"
+    );
+
+    // CSV: the kernel sweep.    // CSV: the kernel sweep.
     let mut csv = Csv::create(
         "ext_compressed_exec",
         &[
@@ -436,6 +673,23 @@ fn main() {
             )
         })
         .collect();
+    let served_json: Vec<String> = served
+        .iter()
+        .map(|r| {
+            format!(
+                "      {{\"cluster_len\": {}, \"wah_slots\": {}, \"mean_compressed_ratio\": {:.5}, \
+                 \"folded_share\": {:.4}, \"all_queries\": {}, \"folded_queries\": {}, \
+                 \"declined_queries\": {}}}",
+                r.cluster_len,
+                r.wah_slots,
+                r.mean_ratio,
+                r.folded_share,
+                served_times_json(Some(r.all)),
+                served_times_json(r.folded),
+                served_times_json(r.declined),
+            )
+        })
+        .collect();
     let json = format!(
         "{{\n  \"experiment\": \"compressed_exec\",\n  \"quick\": {quick},\n  {prov},\n  \
          \"bits\": {bits},\n  \"operands\": {OPERANDS},\n  \
@@ -445,7 +699,17 @@ fn main() {
          \"end_to_end\": [\n{end}\n  ],\n  \
          \"adaptive_high_density_loss_le_5pct\": {adaptive_ok},\n  \
          \"pool\": {{\"byte_budget\": {budget}, \"literal_resident_slots\": {lit_res}, \
-         \"v3_resident_slots\": {v3_res}}}\n}}\n",
+         \"v3_resident_slots\": {v3_res}}},\n  \
+         \"served_range\": {{\n    \"rows\": {served_rows}, \"cardinality\": {SERVED_CARDINALITY}, \
+         \"base\": \"<10,10,10>\", \"queries\": {served_n}, \
+         \"segment_bits\": {SERVED_SEGMENT_BITS}, \"max_folded_ratio\": 0.0625, \
+         \"benchmark_cluster_len\": {BENCHMARK_CLUSTER},\n    \"sweep\": [\n{served}\n    ],\n    \
+         \"rule_switches_between_cluster_lens\": {switch},\n    \
+         \"fold_faster_where_rule_folds\": {fold_faster_where_rule_folds},\n    \
+         \"fold_faster_at_benchmark_ratio\": {fold_faster_at_benchmark_ratio}\n  }}\n}}\n",
+        served_rows = cfg.served_rows,
+        served_n = served_queries.len(),
+        served = served_json.join(",\n"),
         prov = provenance.json_fields(),
         bits = cfg.bits,
         crossover = crossover.map_or("null".into(), |d| format!("{d:.3}")),

@@ -71,7 +71,7 @@ pub struct SharedSource<'a, S: ByteStore> {
     /// The reader whose pool serves the fetches; `None` over a bare index.
     reader: Option<&'a SharedIndexReader<S>>,
     spec: IndexSpec,
-    nn: Option<BitVec>,
+    nn: Option<Repr>,
 }
 
 impl<'a, S: ByteStore> SharedSource<'a, S> {
@@ -96,11 +96,11 @@ impl<'a, S: ByteStore> SharedSource<'a, S> {
         })
     }
 
-    /// Attaches a non-null bitmap (kept in memory; columns with nulls),
-    /// frozen so that every query's `B_nn` fetch shares it.
-    pub fn with_nn(mut self, mut nn: BitVec) -> Self {
-        nn.freeze();
-        self.nn = Some(nn);
+    /// Attaches a non-null bitmap (columns with nulls): a [`BitVec`], or
+    /// the shared handle [`SharedIndexReader::read_nn_repr`] returns, which
+    /// may still be compressed. Every query's `B_nn` fetch shares it.
+    pub fn with_nn(mut self, nn: impl Into<Repr>) -> Self {
+        self.nn = Some(nn.into());
         self
     }
 }
@@ -123,6 +123,13 @@ impl<S: ByteStore> BitmapSource for SharedSource<'_, S> {
     }
 
     fn try_fetch_nn(&mut self) -> Result<Option<BitVec>, Error> {
+        Ok(self.nn.as_ref().map(|nn| match nn {
+            Repr::Literal(bits) => (**bits).clone(),
+            Repr::Wah(wah) => wah.to_bitvec(),
+        }))
+    }
+
+    fn try_fetch_nn_repr(&mut self) -> Result<Option<Repr>, Error> {
         Ok(self.nn.clone())
     }
 

@@ -626,21 +626,36 @@ impl<T> Fold<T> {
     /// The same program over operands converted by `f` (an owned handle
     /// to a borrow, a whole bitmap to its segment window).
     pub fn map<'a, U>(&'a self, mut f: impl FnMut(&'a T) -> U) -> Fold<U> {
-        Fold {
-            seed: self.seed.as_ref().map(&mut f),
+        match self.try_map(|op| Ok::<U, std::convert::Infallible>(f(op))) {
+            Ok(mapped) => mapped,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`Fold::map`] with a conversion that can fail (a slot address to
+    /// the bitmap fetched from it): operands are converted in program
+    /// order — seed, steps, mask — and the first error ends the walk.
+    pub fn try_map<'a, U, E>(
+        &'a self,
+        mut f: impl FnMut(&'a T) -> Result<U, E>,
+    ) -> Result<Fold<U>, E> {
+        Ok(Fold {
+            seed: self.seed.as_ref().map(&mut f).transpose()?,
             steps: self
                 .steps
                 .iter()
-                .map(|step| match step {
-                    FoldStep::And(b) => FoldStep::And(f(b)),
-                    FoldStep::Or(b) => FoldStep::Or(f(b)),
-                    FoldStep::AndNot(b) => FoldStep::AndNot(f(b)),
-                    FoldStep::AndXor(a, b) => FoldStep::AndXor(f(a), f(b)),
+                .map(|step| {
+                    Ok(match step {
+                        FoldStep::And(b) => FoldStep::And(f(b)?),
+                        FoldStep::Or(b) => FoldStep::Or(f(b)?),
+                        FoldStep::AndNot(b) => FoldStep::AndNot(f(b)?),
+                        FoldStep::AndXor(a, b) => FoldStep::AndXor(f(a)?, f(b)?),
+                    })
                 })
-                .collect(),
+                .collect::<Result<_, E>>()?,
             complement: self.complement,
-            mask: self.mask.as_ref().map(&mut f),
-        }
+            mask: self.mask.as_ref().map(&mut f).transpose()?,
+        })
     }
 }
 

@@ -15,17 +15,21 @@
 //!
 //! Beyond the binary ops, this module provides the compressed-domain
 //! counterparts of [`bindex_bitvec::kernels`]: k-ary [`and_all`] /
-//! [`or_all`] / [`xor_all`], [`and_not`], and the fused counting variants
-//! ([`count_and`], [`count_or`], …) that never materialize a result at
-//! all. All of them walk the operands' run decompositions in lockstep —
-//! aligned fill runs are folded `min(count)` groups at a time, so the work
-//! is proportional to the *compressed* size of the operands, not the bit
-//! length. On sparse bitmaps that is the entire point: a RangeEval
-//! predicate over WAH slots touches a handful of words per operand where
-//! the dense kernels sweep the whole relation.
+//! [`or_all`] / [`xor_all`], [`and_not`], the whole-function [`fold`], and
+//! the fused counting variants ([`count_and`], [`count_or`], …) that never
+//! materialize a result at all. All of them walk the operands' run
+//! decompositions in lockstep — aligned fill runs are folded `min(count)`
+//! groups at a time, so the work is proportional to the number of *runs*
+//! in the operands, not the bit length. What makes a bitmap cheap here is
+//! long runs, not few set bits: a range-encoded slot of a clustered or
+//! time-ordered column is 10–90 % ones and still a few hundred words,
+//! because its ones and its zeros both come in runs of thousands of rows.
+//! A RangeEval-Opt predicate over such slots touches those few hundred
+//! words per operand where the dense kernels sweep the whole relation.
 
 use std::sync::Arc;
 
+use bindex_bitvec::kernels::{Fold, FoldStep};
 use bindex_bitvec::{words_for, BitVec};
 
 use crate::DecodeError;
@@ -308,6 +312,66 @@ pub fn xor_all(operands: &[&WahBitmap]) -> WahBitmap {
 #[must_use]
 pub fn and_not(a: &WahBitmap, b: &WahBitmap) -> WahBitmap {
     fold_groups(&[a, b], |x, y| x & !y, ANDNOT_ALGEBRA)
+}
+
+/// Evaluates `program` over `len`-bit operands entirely in the compressed
+/// domain — the run-merge twin of [`bindex_bitvec::kernels::fold`], over
+/// the same [`Fold`] program: seed (or all ones), `And` / `Or` / `AndNot` /
+/// `AndXor` steps in order, then the complement and the mask. Every
+/// operand's runs are walked once, in lockstep; over each stretch where no
+/// operand changes run the whole function is evaluated on one 31-bit group
+/// and emitted as one fill or literal, so the work is proportional to the
+/// operands' run counts and no intermediate bitmap exists per operator
+/// (Kaser & Lemire, *Compressed bitmap indexes: beyond unions and
+/// intersections*).
+///
+/// `len` is explicit because a program may have no operand at all (all
+/// ones, or its complement).
+///
+/// # Panics
+/// Panics if any operand is not `len` bits long.
+#[must_use]
+pub fn fold(len: usize, program: &Fold<&WahBitmap>) -> WahBitmap {
+    // One cursor per operand occurrence; the program refers to them by
+    // position.
+    let mut cursors: Vec<Cursor<'_>> = Vec::new();
+    let program = program.map(|w| {
+        assert_eq!(len, w.len, "WAH length mismatch: {len} vs {}", w.len);
+        cursors.push(Cursor::new(&w.words));
+        cursors.len() - 1
+    });
+    let mut words = Vec::new();
+    let mut left = len.div_ceil(GROUP_BITS) as u64;
+    while left > 0 {
+        let value = |i: usize| cursors[i].value;
+        let mut acc = program.seed.map_or(GROUP_MASK, value);
+        for step in &program.steps {
+            acc = match *step {
+                FoldStep::And(b) => acc & value(b),
+                FoldStep::Or(b) => acc | value(b),
+                FoldStep::AndNot(b) => acc & !value(b),
+                FoldStep::AndXor(a, b) => acc & (value(a) ^ value(b)),
+            };
+        }
+        if program.complement {
+            acc = !acc;
+        }
+        if let Some(mask) = program.mask {
+            acc &= value(mask);
+        }
+        // Every operand holds its value for `take` more groups; with no
+        // operand at all the function is one constant fill.
+        let take = cursors.iter().map(|c| c.remaining).min();
+        let take = u64::from(take.unwrap_or(u32::MAX)).min(left) as u32;
+        push_fill_or_literals(&mut words, acc & GROUP_MASK, take);
+        for c in &mut cursors {
+            c.advance(take);
+        }
+        left -= u64::from(take);
+    }
+    let mut out = WahBitmap { words, len };
+    out.mask_tail();
+    out
 }
 
 /// `|operands[0] ∧ operands[1] ∧ …|` without producing a result bitmap:
@@ -1248,6 +1312,54 @@ mod tests {
         assert_eq!(or_all(&ops), fold(WahBitmap::or));
         assert_eq!(xor_all(&ops), fold(WahBitmap::xor));
         assert_eq!(and_all(&[&wahs[0]]), wahs[0]);
+    }
+
+    /// The `=` chain of RangeEval-Opt with every step kind, complemented
+    /// and masked, at ragged lengths: same bits as the dense fold, and
+    /// the canonical encoding of them.
+    #[test]
+    fn fold_matches_the_dense_fold() {
+        for len in [0usize, 1, 31, 62, 64, 100, 4097] {
+            let owned: Vec<BitVec> = (0..6)
+                .map(|k| BitVec::from_fn(len, |i| (i / 97 + k) % 3 == 0 || i % (11 + k) == 0))
+                .collect();
+            let wahs: Vec<WahBitmap> = owned.iter().map(WahBitmap::from_bitvec).collect();
+            let program = Fold {
+                seed: None,
+                steps: vec![
+                    FoldStep::And(0usize),
+                    FoldStep::Or(1),
+                    FoldStep::AndNot(2),
+                    FoldStep::AndXor(3, 4),
+                ],
+                complement: true,
+                mask: Some(5),
+            };
+            let want = bindex_bitvec::kernels::fold(len, &program.map(|&i| &owned[i]));
+            let got = fold(len, &program.map(|&i| &wahs[i]));
+            assert_eq!(got, WahBitmap::from_bitvec(&want), "len {len}");
+            assert_eq!(got.count_ones(), want.count_ones(), "len {len}");
+            // No operand at all: the constant functions.
+            let ones = fold(len, &Fold::default());
+            assert_eq!(
+                ones,
+                WahBitmap::from_bitvec(&BitVec::ones(len)),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn fold_rejects_mismatched_lengths() {
+        let a = WahBitmap::from_bitvec(&BitVec::zeros(10));
+        let b = WahBitmap::from_bitvec(&BitVec::zeros(11));
+        let program = Fold {
+            seed: Some(&a),
+            steps: vec![FoldStep::And(&b)],
+            ..Fold::default()
+        };
+        let _ = fold(10, &program);
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub use threshold::{
 };
 
 use bindex_bitvec::BitVec;
+use bindex_compress::Repr;
 use bindex_relation::query::SelectionQuery;
 
 use crate::encoding::Encoding;
@@ -96,8 +97,68 @@ pub fn evaluate_buffered<S: BitmapSource>(
 }
 
 /// Evaluates within an existing context (stats accumulate; call
-/// `ctx.take_stats()` between queries).
+/// `ctx.take_stats()` between queries). [`evaluate_repr_in`] with a
+/// whole-bitmap fallback, its result decoded if it came back compressed.
 pub fn evaluate_in<S: BitmapSource>(
+    ctx: &mut ExecContext<'_, S>,
+    query: SelectionQuery,
+    algorithm: Algorithm,
+) -> Result<BitVec> {
+    let found = evaluate_repr_in(ctx, query, algorithm, None)?;
+    Ok(ctx.materialize(found))
+}
+
+/// Evaluates one query to a foundset in whichever representation the
+/// evaluation produced — the entry point for callers that may never need
+/// dense words (a count, a cache). The choice is made here, per query, from
+/// what the operands are:
+///
+/// * RangeEval-Opt whose every operand (`B_nn` included) is served
+///   [`Repr::Wah`] at no more than 1/16 of its literal size, with no delta
+///   overlay attached, is folded in the compressed domain in one pass over
+///   the operands' runs ([`ExecContext::fold_wah`]); the result is
+///   [`Repr::Wah`] and nothing was decoded.
+/// * Everything else — another evaluator, a literal or poorly compressed
+///   operand, a reconstructed slot, an overlay — runs over dense words as
+///   before: whole-bitmap when `segment_bits` is `None`, window by window
+///   (with summary pruning and cooperative deadline checks) otherwise, and
+///   comes back [`Repr::Literal`].
+///
+/// Answers and the paper-model counters (scans, ANDs, ORs, XORs, NOTs) are
+/// identical on both sides; only where the operations ran
+/// ([`EvalStats::compressed_ops`], [`EvalStats::materializations`], the
+/// `segments_*` counters) tells them apart.
+///
+/// # Panics
+/// Panics if `segment_bits` is `Some` of zero or of a non-multiple of 64.
+pub fn evaluate_repr_in<S: BitmapSource>(
+    ctx: &mut ExecContext<'_, S>,
+    query: SelectionQuery,
+    algorithm: Algorithm,
+    segment_bits: Option<usize>,
+) -> Result<Repr> {
+    let encoding = ctx.spec().encoding;
+    if encoding == Encoding::Range && algorithm.resolve(encoding) == Algorithm::RangeEvalOpt {
+        if let Some(found) = range_opt::evaluate_compressed(ctx, query)? {
+            return Ok(Repr::wah(found));
+        }
+    }
+    let Some(segment_bits) = segment_bits else {
+        return evaluate_windowed(ctx, query, algorithm).map(Repr::literal);
+    };
+    let n_rows = ctx.n_rows();
+    let mut out = vec![0u64; bindex_bitvec::words_for(n_rows)];
+    let res = evaluate_segment_range_in(ctx, query, algorithm, segment_bits, 0, n_rows, &mut out);
+    ctx.exit_segments();
+    res?;
+    Ok(Repr::literal(BitVec::from_words(out, n_rows)))
+}
+
+/// The dense evaluation of one query at the context's current width: the
+/// whole relation, or the current segment's window under segmented
+/// execution (which is how [`evaluate_segment_range_in`] and the threshold
+/// evaluator drive it).
+pub(crate) fn evaluate_windowed<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     query: SelectionQuery,
     algorithm: Algorithm,
@@ -132,7 +193,9 @@ pub fn evaluate_in<S: BitmapSource>(
 /// only, which reproduces the whole-bitmap counts exactly because the
 /// evaluators' control flow depends only on the query, never on bitmap
 /// contents), plus the segment counters
-/// [`EvalStats::segments_evaluated`] / [`EvalStats::segments_skipped`].
+/// [`EvalStats::segments_evaluated`] / [`EvalStats::segments_skipped`] —
+/// which stay zero when the query ran in the compressed domain instead
+/// (see [`evaluate_repr_in`]).
 ///
 /// # Panics
 /// Panics if `segment_bits` is zero or not a multiple of 64.
@@ -151,6 +214,8 @@ pub fn evaluate_segmented<S: BitmapSource>(
 /// Segment-at-a-time evaluation within an existing context; see
 /// [`evaluate_segmented`]. The context's fetch cache persists across
 /// segments (and across queries, as in [`evaluate_in`]).
+/// [`evaluate_repr_in`] with a segmented fallback, its result decoded if
+/// it came back compressed.
 ///
 /// # Panics
 /// Panics if `segment_bits` is zero or not a multiple of 64.
@@ -160,12 +225,8 @@ pub fn evaluate_segmented_in<S: BitmapSource>(
     algorithm: Algorithm,
     segment_bits: usize,
 ) -> Result<BitVec> {
-    let n_rows = ctx.n_rows();
-    let mut out = vec![0u64; bindex_bitvec::words_for(n_rows)];
-    let res = evaluate_segment_range_in(ctx, query, algorithm, segment_bits, 0, n_rows, &mut out);
-    ctx.exit_segments();
-    res?;
-    Ok(BitVec::from_words(out, n_rows))
+    let found = evaluate_repr_in(ctx, query, algorithm, Some(segment_bits))?;
+    Ok(ctx.materialize(found))
 }
 
 /// Evaluates the segments covering rows `[row_lo, row_hi)` into `out`, a
@@ -209,7 +270,7 @@ pub fn evaluate_segment_range_in<S: BitmapSource>(
         // Degenerate relation: run one empty segment so stats are charged
         // exactly as whole-bitmap mode would.
         ctx.begin_segment(0, 0, 0);
-        let r = evaluate_in(ctx, query, algorithm);
+        let r = evaluate_windowed(ctx, query, algorithm);
         ctx.end_segment();
         r?;
         return Ok(());
@@ -224,7 +285,7 @@ pub fn evaluate_segment_range_in<S: BitmapSource>(
         }
         let hi = (lo + segment_bits).min(n_rows);
         ctx.begin_segment(lo, hi, lo / segment_bits);
-        let part = evaluate_in(ctx, query, algorithm)?;
+        let part = evaluate_windowed(ctx, query, algorithm)?;
         debug_assert_eq!(
             part.len(),
             hi - lo,
@@ -303,6 +364,7 @@ mod tests {
     use crate::base::Base;
     use crate::encoding::IndexSpec;
     use crate::index::BitmapIndex;
+    use bindex_compress::wah::WahBitmap;
     use bindex_relation::{query, Column};
 
     fn spec_for(encoding: Encoding) -> IndexSpec {
@@ -346,6 +408,352 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An in-memory index served the way a slot-coded store serves it:
+    /// every slot (and `B_nn`) WAH-compressed unless listed otherwise, every
+    /// fetch recorded.
+    struct CodedSource<'a> {
+        index: &'a BitmapIndex,
+        literal_slots: Vec<(usize, usize)>,
+        literal_nn: bool,
+        broken_slots: Vec<(usize, usize)>,
+        fetched: Vec<(usize, usize)>,
+    }
+
+    impl<'a> CodedSource<'a> {
+        fn new(index: &'a BitmapIndex) -> Self {
+            Self {
+                index,
+                literal_slots: Vec::new(),
+                literal_nn: false,
+                broken_slots: Vec::new(),
+                fetched: Vec::new(),
+            }
+        }
+    }
+
+    impl BitmapSource for CodedSource<'_> {
+        fn spec(&self) -> &IndexSpec {
+            self.index.spec()
+        }
+        fn n_rows(&self) -> usize {
+            self.index.n_rows()
+        }
+        fn try_fetch(&mut self, comp: usize, slot: usize) -> Result<BitVec> {
+            self.try_fetch_repr(comp, slot)
+                .map(|repr| (*repr.to_bitvec()).clone())
+        }
+        fn try_fetch_nn(&mut self) -> Result<Option<BitVec>> {
+            Ok(self.index.nn().cloned())
+        }
+        fn try_fetch_repr(&mut self, comp: usize, slot: usize) -> Result<Repr> {
+            self.fetched.push((comp, slot));
+            if self.broken_slots.contains(&(comp, slot)) {
+                return Err(Error::ChecksumMismatch(format!("c{comp}_b{slot}.bmp")));
+            }
+            let bits = self.index.bitmap(comp, slot);
+            Ok(if self.literal_slots.contains(&(comp, slot)) {
+                Repr::literal(bits.clone())
+            } else {
+                Repr::wah(WahBitmap::from_bitvec(bits))
+            })
+        }
+        fn try_fetch_nn_repr(&mut self) -> Result<Option<Repr>> {
+            Ok(self.index.nn().map(|nn| {
+                if self.literal_nn {
+                    Repr::literal(nn.clone())
+                } else {
+                    Repr::wah(WahBitmap::from_bitvec(nn))
+                }
+            }))
+        }
+    }
+
+    const CARD: u32 = 20;
+    const ROWS: usize = 50_021;
+
+    /// Base <4,5> over runs of 1,500 equal values: every range bitmap is a
+    /// few dozen runs, about 1/30 of its literal size.
+    fn clustered_column() -> Column {
+        bindex_relation::gen::clustered(ROWS, CARD, 1500, 7)
+    }
+
+    /// One null run per 8,000 rows.
+    fn clustered_nulls() -> BitVec {
+        BitVec::from_fn(ROWS, |i| i % 8000 < 300)
+    }
+
+    fn clustered_index(nulls: Option<&BitVec>) -> BitmapIndex {
+        let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), Encoding::Range);
+        match nulls {
+            Some(nulls) => BitmapIndex::build_with_nulls(&clustered_column(), nulls, spec),
+            None => BitmapIndex::build(&clustered_column(), spec),
+        }
+        .unwrap()
+    }
+
+    fn paper_counters(s: &EvalStats) -> [usize; 5] {
+        [s.scans, s.ands, s.ors, s.xors, s.nots]
+    }
+
+    /// The dense evaluation of `q` over the same index served literal:
+    /// the foundset and counters every other path must reproduce.
+    fn literal_reference(idx: &BitmapIndex, q: SelectionQuery) -> (BitVec, [usize; 5]) {
+        let (found, stats) = evaluate(&mut idx.source(), q, Algorithm::Auto).unwrap();
+        assert_eq!(stats.compressed_ops, 0);
+        (found, paper_counters(&stats))
+    }
+
+    /// Over compressed slots every query that reads a bitmap is folded in
+    /// the WAH domain — from the whole-bitmap and the segmented entry
+    /// point alike — with the per-row answer and the dense path's charges,
+    /// every operation counted as compressed, nothing decoded by the
+    /// `Repr` entry and exactly the result by the `BitVec` wrappers.
+    #[test]
+    fn compressed_slots_are_folded_in_the_wah_domain() {
+        let col = clustered_column();
+        for nulls in [None, Some(clustered_nulls())] {
+            let idx = clustered_index(nulls.as_ref());
+            for q in query::full_space(CARD) {
+                let want = match &nulls {
+                    Some(nulls) => naive::evaluate_with_nulls(&col, nulls, q),
+                    None => naive::evaluate(&col, q),
+                };
+                let (dense, counters) = literal_reference(&idx, q);
+                assert_eq!(dense, want, "{q}");
+                for segment_bits in [None, Some(4096)] {
+                    let label = format!("{q} nulls {} seg {segment_bits:?}", nulls.is_some());
+                    let mut src = CodedSource::new(&idx);
+                    let mut ctx = ExecContext::new(&mut src);
+                    let found =
+                        evaluate_repr_in(&mut ctx, q, Algorithm::Auto, segment_bits).unwrap();
+                    let stats = ctx.take_stats();
+                    assert_eq!(*found.to_bitvec(), want, "{label}");
+                    assert_eq!(paper_counters(&stats), counters, "{label}");
+                    // `A < 0` and, without nulls, `A >= 0` read nothing.
+                    assert_eq!(found.is_compressed(), stats.scans > 0, "{label}");
+                    assert_eq!(stats.compressed_ops, stats.total_ops(), "{label}");
+                    assert_eq!(stats.materializations, 0, "{label}");
+                    if found.is_compressed() {
+                        assert_eq!(stats.segments_evaluated, 0, "{label}");
+                    }
+
+                    let mut ctx = ExecContext::new(&mut src);
+                    let bits = match segment_bits {
+                        None => evaluate_in(&mut ctx, q, Algorithm::Auto),
+                        Some(bits) => evaluate_segmented_in(&mut ctx, q, Algorithm::Auto, bits),
+                    }
+                    .unwrap();
+                    let wrapped = ctx.take_stats();
+                    assert_eq!(bits, want, "{label}");
+                    assert_eq!(
+                        wrapped.materializations,
+                        usize::from(found.is_compressed()),
+                        "{label}"
+                    );
+                    assert_eq!(paper_counters(&wrapped), counters, "{label}");
+                }
+            }
+        }
+    }
+
+    /// Runs every query over `src_for()` whole and segmented and checks the
+    /// answer and the paper counters against the literal-served index.
+    /// `declines(fetched slots)` says whether the query must have been
+    /// evaluated densely (no compressed operation, a literal result) or in
+    /// the WAH domain. Returns how many queries went each way.
+    fn check_selection<'a>(
+        idx: &'a BitmapIndex,
+        configure: impl Fn(&mut CodedSource<'a>),
+        declines: impl Fn(&[(usize, usize)]) -> bool,
+    ) -> (usize, usize) {
+        let (mut dense, mut compressed) = (0, 0);
+        for q in query::full_space(CARD) {
+            let (want, counters) = literal_reference(idx, q);
+            for segment_bits in [None, Some(4096)] {
+                let mut src = CodedSource::new(idx);
+                configure(&mut src);
+                let mut ctx = ExecContext::new(&mut src);
+                let found = evaluate_repr_in(&mut ctx, q, Algorithm::Auto, segment_bits).unwrap();
+                let stats = ctx.take_stats();
+                let label = format!("{q} seg {segment_bits:?}");
+                assert_eq!(*found.to_bitvec(), want, "{label}");
+                assert_eq!(paper_counters(&stats), counters, "{label}");
+                if stats.scans == 0 {
+                    continue;
+                }
+                if declines(&src.fetched) {
+                    dense += 1;
+                    assert!(!found.is_compressed(), "{label}");
+                    assert_eq!(stats.compressed_ops, 0, "{label}");
+                    // Each slot was still read once, not once per path.
+                    let mut distinct = src.fetched.clone();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    assert_eq!(distinct.len(), src.fetched.len(), "{label}");
+                } else {
+                    compressed += 1;
+                    assert!(found.is_compressed(), "{label}");
+                    assert_eq!(stats.compressed_ops, stats.total_ops(), "{label}");
+                }
+            }
+        }
+        (dense, compressed)
+    }
+
+    /// One literal operand among compressed ones sends the query down the
+    /// dense path; queries that do not read it stay compressed.
+    #[test]
+    fn a_literal_operand_declines_the_compressed_fold() {
+        let idx = clustered_index(None);
+        let literal = (2, 1);
+        let (dense, compressed) = check_selection(
+            &idx,
+            |src| src.literal_slots.push(literal),
+            |fetched| fetched.contains(&literal),
+        );
+        assert!(
+            dense > 0 && compressed > 0,
+            "{dense} dense, {compressed} compressed"
+        );
+    }
+
+    /// A slot that compresses to more than 1/16 of its literal size is not
+    /// worth merging run by run: here the low digit flips every row (its
+    /// bitmaps are all literal groups) while the high digit stays clustered.
+    #[test]
+    fn a_poorly_compressed_operand_declines_the_compressed_fold() {
+        let values: Vec<u32> = clustered_column()
+            .values()
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| v / 5 * 5 + (i as u32).wrapping_mul(2_654_435_761) % 5)
+            .collect();
+        let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), Encoding::Range);
+        let idx = BitmapIndex::build(&Column::new(values, CARD), spec).unwrap();
+        let (dense, compressed) = check_selection(
+            &idx,
+            |_| (),
+            |fetched| fetched.iter().any(|&(comp, _)| comp == 1),
+        );
+        assert!(
+            dense > 0 && compressed > 0,
+            "{dense} dense, {compressed} compressed"
+        );
+    }
+
+    /// A literal `B_nn` is an operand like any other.
+    #[test]
+    fn a_literal_null_mask_declines_the_compressed_fold() {
+        let idx = clustered_index(Some(&clustered_nulls()));
+        let (dense, compressed) = check_selection(&idx, |src| src.literal_nn = true, |_| true);
+        assert!(dense > 0 && compressed == 0);
+    }
+
+    /// An attached overlay's rows exist only as dense words: every query
+    /// is evaluated densely over base ⊕ delta, with the per-row answer.
+    #[test]
+    fn an_overlay_declines_the_compressed_fold() {
+        use crate::delta::DeltaOverlay;
+        use std::sync::Arc;
+
+        let idx = clustered_index(None);
+        let delta_col = bindex_relation::gen::clustered(3000, CARD, 1500, 9);
+        let delta = BitmapIndex::build(&delta_col, idx.spec().clone()).unwrap();
+        let deleted = BitVec::from_fn(ROWS + 3000, |i| i % 9973 == 5);
+        let overlay = Arc::new(DeltaOverlay::from_index(ROWS, &delta, deleted.clone()).unwrap());
+        let merged: Vec<u32> = clustered_column()
+            .values()
+            .iter()
+            .chain(delta_col.values())
+            .copied()
+            .collect();
+        let merged = Column::new(merged, CARD);
+        for q in query::full_space(CARD) {
+            for segment_bits in [None, Some(4096)] {
+                let mut src = CodedSource::new(&idx);
+                let mut ctx = ExecContext::new(&mut src).with_overlay(Some(overlay.clone()));
+                let found = evaluate_repr_in(&mut ctx, q, Algorithm::Auto, segment_bits).unwrap();
+                let stats = ctx.take_stats();
+                assert!(!found.is_compressed(), "{q}");
+                assert_eq!(stats.compressed_ops, 0, "{q}");
+                assert_eq!(
+                    *found.to_bitvec(),
+                    naive::evaluate_with_nulls(&merged, &deleted, q),
+                    "{q} seg {segment_bits:?}"
+                );
+                // A quiesced overlay is no overlay.
+                let quiesced = DeltaOverlay::from_index(
+                    ROWS,
+                    &BitmapIndex::build(&Column::new(Vec::new(), CARD), idx.spec().clone())
+                        .unwrap(),
+                    BitVec::zeros(ROWS),
+                )
+                .unwrap();
+                let mut ctx = ExecContext::new(&mut src).with_overlay(Some(Arc::new(quiesced)));
+                let found = evaluate_repr_in(&mut ctx, q, Algorithm::Auto, segment_bits).unwrap();
+                assert_eq!(found.is_compressed(), ctx.take_stats().scans > 0, "{q}");
+            }
+        }
+    }
+
+    /// An unreadable slot rebuilt from the relation is dense words: the
+    /// query is answered exactly, flagged degraded, on the dense path. A
+    /// policy that cannot rebuild a range-encoded slot fails the query on
+    /// either path.
+    #[test]
+    fn a_reconstructed_operand_declines_the_compressed_fold() {
+        use crate::exec::RecoveryPolicy;
+        use std::sync::Arc;
+
+        let idx = clustered_index(None);
+        let column = Arc::new(clustered_column());
+        let broken = (2, 1);
+        for q in query::full_space(CARD) {
+            let (want, counters) = literal_reference(&idx, q);
+            for segment_bits in [None, Some(4096)] {
+                let mut src = CodedSource::new(&idx);
+                src.broken_slots.push(broken);
+                let mut ctx = ExecContext::new(&mut src)
+                    .with_recovery(RecoveryPolicy::ReconstructOrScan(column.clone()));
+                let found = evaluate_repr_in(&mut ctx, q, Algorithm::Auto, segment_bits).unwrap();
+                let stats = ctx.take_stats();
+                assert_eq!(*found.to_bitvec(), want, "{q}");
+                let hit = src.fetched.contains(&broken);
+                assert_eq!(stats.degraded_fetches, usize::from(hit), "{q}");
+                // The rebuilt slot is a degraded fetch instead of a scan.
+                let mut charged = paper_counters(&stats);
+                charged[0] += stats.degraded_fetches;
+                assert_eq!(charged, counters, "{q}");
+                if hit {
+                    assert!(!found.is_compressed(), "{q}");
+                    assert_eq!(stats.compressed_ops, 0, "{q}");
+                }
+
+                let mut src = CodedSource::new(&idx);
+                src.broken_slots.push(broken);
+                let mut ctx = ExecContext::new(&mut src).with_recovery(RecoveryPolicy::Reconstruct);
+                let outcome = evaluate_repr_in(&mut ctx, q, Algorithm::Auto, segment_bits);
+                assert_eq!(outcome.is_err(), hit, "{q}");
+            }
+        }
+    }
+
+    /// The other evaluators never take the compressed fold.
+    #[test]
+    fn only_range_eval_opt_folds_compressed() {
+        let idx = clustered_index(None);
+        let q = query::SelectionQuery::new(query::Op::Le, 7);
+        let mut src = CodedSource::new(&idx);
+        let mut ctx = ExecContext::new(&mut src);
+        let found = evaluate_repr_in(&mut ctx, q, Algorithm::RangeEval, None).unwrap();
+        assert!(!found.is_compressed());
+        assert_eq!(*found.to_bitvec(), naive::evaluate(&clustered_column(), q));
+        assert!(matches!(
+            evaluate_repr_in(&mut ctx, q, Algorithm::EqualityEval, None),
+            Err(Error::EncodingMismatch { .. })
+        ));
     }
 
     /// An empty relation still runs one (empty) segment so statistics are

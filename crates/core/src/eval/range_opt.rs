@@ -25,20 +25,38 @@ use std::sync::Arc;
 
 use bindex_bitvec::kernels::{Fold, FoldStep};
 use bindex_bitvec::BitVec;
+use bindex_compress::wah::WahBitmap;
+use bindex_compress::Repr;
 use bindex_relation::query::{Op, SelectionQuery};
 
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::exec::ExecContext;
 use crate::index::BitmapSource;
 
 use super::digits_of;
 
-/// The operator chain of one query, over fetched bitmaps.
-type Chain = Fold<Arc<BitVec>>;
+/// Address of a stored bitmap: `(component, slot)`.
+type Slot = (usize, usize);
 
-/// Evaluates `query` with RangeEval-Opt. The index must be range-encoded
-/// (enforced by the dispatcher in [`super::evaluate`]). Storage failures
-/// from the underlying source propagate as errors.
+/// The operator chain of one query, over the addresses of the stored
+/// bitmaps it reads. It is a function of the query's digits and the base
+/// alone; the bitmaps are fetched by whoever runs it, in program order.
+type Plan = Fold<Slot>;
+
+/// A compressed operand takes part in the compressed-domain fold only if
+/// it is at most 1/16 of its literal size. Run-merging costs per run and
+/// the dense fold per word, so what matters is the number of runs, not the
+/// number of set bits (a range bitmap of a clustered column is 10–90 %
+/// ones). `BENCH_compressed_exec.json` has the k-ary compressed AND at 11×
+/// and the OR at 3× over decompress-then-operate at ratio 0.06, the OR
+/// losing at 0.30; its `served_range` sweep shows the whole chain crossing
+/// between the two, with 1/16 on the winning side.
+const WAH_FOLD_MAX_RATIO: usize = 16;
+
+/// Evaluates `query` with RangeEval-Opt over dense words, at the context's
+/// current width. The index must be range-encoded (enforced by the
+/// dispatcher in [`super::evaluate_windowed`]). Storage failures from the
+/// underlying source propagate as errors.
 ///
 /// The listing's chain — the `≤` or `=` recurrence, the complement for
 /// `>`, `≥`, `≠`, and the `B_nn` mask — is built as one step list and run
@@ -48,48 +66,97 @@ pub fn evaluate<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     query: SelectionQuery,
 ) -> Result<BitVec> {
-    let v = query.constant;
-    // Reduce to a `≤` or `=` chain plus an optional final complement.
-    let (mut chain, complement) = match query.op {
-        Op::Le => (le_chain(ctx, v)?, false),
-        Op::Gt => (le_chain(ctx, v)?, true),
-        // A < 0 is empty: no scan, no operation.
-        Op::Lt if v == 0 => return Ok(BitVec::zeros(ctx.view_len())),
-        Op::Lt => (le_chain(ctx, v - 1)?, false),
-        // A >= 0 is every non-null row: all ones under the mask.
-        Op::Ge if v == 0 => (Chain::default(), false),
-        Op::Ge => (le_chain(ctx, v - 1)?, true),
-        Op::Eq => (eq_chain(ctx, v)?, false),
-        Op::Ne => (eq_chain(ctx, v)?, true),
+    let Some(plan) = plan(ctx, query) else {
+        return Ok(BitVec::zeros(ctx.view_len()));
     };
-    chain.complement = complement;
+    let mut chain = plan.try_map(|&(comp, slot)| ctx.fetch(comp, slot))?;
     chain.mask = ctx.fetch_nn()?;
     Ok(ctx.fold(&chain))
 }
 
+/// Evaluates `query` with RangeEval-Opt in the WAH domain
+/// ([`ExecContext::fold_wah`]) when that is possible and worth it: whole
+/// bitmaps, no delta overlay (its rows exist only as dense words), and
+/// every operand of the chain — `B_nn` included — served compressed within
+/// [`WAH_FOLD_MAX_RATIO`]. `Ok(None)` declines; the caller then evaluates
+/// densely. Operands are fetched in the order the dense evaluation fetches
+/// them and the walk stops at the first one that rules the fold out, so
+/// declining costs no read that evaluation would not have made — what was
+/// fetched stays in the context's per-query cache.
+pub(crate) fn evaluate_compressed<S: BitmapSource>(
+    ctx: &mut ExecContext<'_, S>,
+    query: SelectionQuery,
+) -> Result<Option<WahBitmap>> {
+    if ctx.is_segmented() || ctx.overlay().is_some() {
+        return Ok(None);
+    }
+    let Some(plan) = plan(ctx, query) else {
+        return Ok(None);
+    };
+    // `Err(None)` declines, `Err(Some(_))` is a failed fetch.
+    let foldable = |repr: Repr| match repr {
+        Repr::Wah(w) if w.compressed_bytes() * 8 * WAH_FOLD_MAX_RATIO <= w.len() => Ok(w),
+        _ => Err(None::<Error>),
+    };
+    let chain = plan.try_map(|&(comp, slot)| foldable(ctx.fetch_repr(comp, slot).map_err(Some)?));
+    let mut chain: Fold<Arc<WahBitmap>> = match chain {
+        Ok(chain) => chain,
+        Err(None) => return Ok(None),
+        Err(Some(e)) => return Err(e),
+    };
+    if let Some(nn) = ctx.fetch_nn_repr()? {
+        match foldable(nn) {
+            Ok(nn) => chain.mask = Some(nn),
+            Err(_) => return Ok(None),
+        }
+    }
+    // `A ≥ 0` without nulls reads nothing: there is no operand to judge by.
+    if chain.seed.is_none() && chain.steps.is_empty() && chain.mask.is_none() {
+        return Ok(None);
+    }
+    Ok(Some(ctx.fold_wah(&chain)))
+}
+
+/// Reduces `query` to a `≤` or `=` chain plus an optional final
+/// complement; `None` is the empty foundset of `A < 0` (no scan, no
+/// operation).
+fn plan<S: BitmapSource>(ctx: &ExecContext<'_, S>, query: SelectionQuery) -> Option<Plan> {
+    let v = query.constant;
+    let (mut plan, complement) = match query.op {
+        Op::Le => (le_plan(ctx, v), false),
+        Op::Gt => (le_plan(ctx, v), true),
+        Op::Lt if v == 0 => return None,
+        Op::Lt => (le_plan(ctx, v - 1), false),
+        // A >= 0 is every non-null row: all ones under the mask.
+        Op::Ge if v == 0 => (Plan::default(), false),
+        Op::Ge => (le_plan(ctx, v - 1), true),
+        Op::Eq => (eq_plan(ctx, v), false),
+        Op::Ne => (eq_plan(ctx, v), true),
+    };
+    plan.complement = complement;
+    Some(plan)
+}
+
 /// The `A ≤ le` chain (lines 4–8 of the listing).
-fn le_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<Chain> {
+fn le_plan<S: BitmapSource>(ctx: &ExecContext<'_, S>, le: u32) -> Plan {
     let digits = digits_of(ctx, le);
-    let n = ctx.spec().n_components();
-    let mut chain = Chain::default();
+    let base = &ctx.spec().base;
+    let mut plan = Plan::default();
 
     // v_1 = b_1 − 1: B_1^{v_1} is the unstored all-ones bitmap.
-    if digits[0] < ctx.spec().base.component(1) - 1 {
-        chain.seed = Some(ctx.fetch(1, digits[0] as usize)?);
+    if digits[0] < base.component(1) - 1 {
+        plan.seed = Some((1, digits[0] as usize));
     }
-    for i in 2..=n {
-        let bi = ctx.spec().base.component(i);
+    for i in 2..=ctx.spec().n_components() {
         let vi = digits[i - 1];
-        if vi != bi - 1 {
-            chain.steps.push(FoldStep::And(ctx.fetch(i, vi as usize)?));
+        if vi != base.component(i) - 1 {
+            plan.steps.push(FoldStep::And((i, vi as usize)));
         }
         if vi != 0 {
-            chain
-                .steps
-                .push(FoldStep::Or(ctx.fetch(i, vi as usize - 1)?));
+            plan.steps.push(FoldStep::Or((i, vi as usize - 1)));
         }
     }
-    Ok(chain)
+    plan
 }
 
 /// The `A = v` chain (lines 10–13 of the listing). `B` starts as the
@@ -98,24 +165,21 @@ fn le_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<Ch
 /// `B_i^{v_i} ⊕ B_i^{v_i−1}` in between, derived inside the pass — so
 /// exactly `n` ANDs are charged, plus one NOT per top digit and one XOR
 /// per interior digit.
-fn eq_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, v: u32) -> Result<Chain> {
+fn eq_plan<S: BitmapSource>(ctx: &ExecContext<'_, S>, v: u32) -> Plan {
     let digits = digits_of(ctx, v);
-    let n = ctx.spec().n_components();
-    let mut chain = Chain::default();
-    for i in 1..=n {
+    let mut plan = Plan::default();
+    for i in 1..=ctx.spec().n_components() {
         let bi = ctx.spec().base.component(i);
-        let vi = digits[i - 1];
-        chain.steps.push(if vi == 0 {
-            FoldStep::And(ctx.fetch(i, 0)?)
-        } else if vi == bi - 1 {
-            FoldStep::AndNot(ctx.fetch(i, bi as usize - 2)?)
+        let vi = digits[i - 1] as usize;
+        plan.steps.push(if vi == 0 {
+            FoldStep::And((i, 0))
+        } else if vi == bi as usize - 1 {
+            FoldStep::AndNot((i, vi - 1))
         } else {
-            let hi = ctx.fetch(i, vi as usize)?;
-            let lo = ctx.fetch(i, vi as usize - 1)?;
-            FoldStep::AndXor(hi, lo)
+            FoldStep::AndXor((i, vi), (i, vi - 1))
         });
     }
-    Ok(chain)
+    plan
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ use bindex_bitvec::BitVec;
 use bindex_relation::query::ThresholdQuery;
 
 use crate::error::{Error, Result};
-use crate::eval::{evaluate_in, Algorithm};
+use crate::eval::{evaluate_windowed, Algorithm};
 use crate::exec::{EvalStats, ExecContext};
 use crate::index::BitmapSource;
 
@@ -90,7 +90,7 @@ fn evaluate_threshold_unchecked<S: BitmapSource>(
     if n == 1 {
         // A single-predicate threshold (k must be 1 post-validation) is
         // exactly that predicate.
-        return evaluate_in(ctx, query.predicates[0], algorithm);
+        return evaluate_windowed(ctx, query.predicates[0], algorithm);
     }
     let window = ctx.view_len();
     let mut found: Vec<BitVec> = Vec::with_capacity(n);
@@ -115,7 +115,7 @@ fn evaluate_threshold_unchecked<S: BitmapSource>(
                 return Ok(BitVec::ones(window));
             }
         }
-        let f = evaluate_in(ctx, p, algorithm)?;
+        let f = evaluate_windowed(ctx, p, algorithm)?;
         if !charging {
             let ones = f.count_ones();
             if ones > 0 {

@@ -189,6 +189,9 @@ impl RecoveryPolicy {
     }
 }
 
+/// Fetch-cache key of `B_nn`, outside every `(component, slot)` address.
+const NN_KEY: (usize, usize) = (0, usize::MAX);
+
 /// Whether a fetch error is worth a recovery attempt: permanent storage
 /// damage, not caller errors like an out-of-shape slot address.
 fn recoverable(e: &Error) -> bool {
@@ -916,24 +919,33 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     /// Fetches the non-null bitmap if the index has one. Charged as a scan
     /// (it is a stored bitmap) the first time per query.
     pub fn fetch_nn(&mut self) -> Result<Option<Arc<BitVec>>> {
-        const NN_KEY: (usize, usize) = (0, usize::MAX);
-        if let Some(repr) = self.fetched.get(&NN_KEY).cloned() {
-            return Ok(Some(self.materialize_cached(NN_KEY, &repr)));
+        Ok(self
+            .fetch_nn_repr()?
+            .map(|repr| self.materialize_cached(NN_KEY, &repr)))
+    }
+
+    /// [`ExecContext::fetch_nn`] in the stored execution representation —
+    /// a compressed `B_nn` stays compressed (with an overlay attached the
+    /// merged mask is always dense).
+    pub fn fetch_nn_repr(&mut self) -> Result<Option<Repr>> {
+        if let Some(repr) = self.fetched.get(&NN_KEY) {
+            return Ok(Some(repr.clone()));
         }
-        let base = self.source.try_fetch_nn()?;
+        let base = self.source.try_fetch_nn_repr()?;
         if base.is_some() {
             self.stats.scans += 1;
         }
-        let merged = match &self.overlay {
-            Some(o) => o.merge_nn(base.as_ref()),
+        let merged = match self.overlay.clone() {
+            Some(o) => {
+                let base = base.map(|repr| self.materialize(repr));
+                o.merge_nn(base.as_ref()).map(Repr::literal)
+            }
             None => base,
         };
-        let Some(nn) = merged else {
-            return Ok(None);
-        };
-        let bm = Arc::new(nn);
-        self.fetched.insert(NN_KEY, Repr::Literal(Arc::clone(&bm)));
-        Ok(Some(bm))
+        if let Some(nn) = &merged {
+            self.fetched.insert(NN_KEY, nn.clone());
+        }
+        Ok(merged)
     }
 
     /// Counted AND: `acc &= rhs`. `rhs` may be full-length under segmented
@@ -1068,25 +1080,50 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     /// Panics on mismatched operand lengths.
     pub fn fold<B: Borrow<BitVec>>(&mut self, program: &Fold<B>) -> BitVec {
         if self.charge_ops() {
-            for step in &program.steps {
-                match step {
-                    FoldStep::And(_) => self.stats.ands += 1,
-                    FoldStep::Or(_) => self.stats.ors += 1,
-                    FoldStep::AndNot(_) => {
-                        self.stats.ands += 1;
-                        self.stats.nots += 1;
-                    }
-                    FoldStep::AndXor(..) => {
-                        self.stats.ands += 1;
-                        self.stats.xors += 1;
-                    }
-                }
-            }
-            self.stats.nots += usize::from(program.complement);
-            self.stats.ands += usize::from(program.mask.is_some());
+            self.charge_fold(program);
         }
         let windowed = program.map(|b| self.opv(b.borrow()));
         kernels::fold(self.view_len(), &windowed)
+    }
+
+    /// [`ExecContext::fold`] over whole compressed operands
+    /// ([`wah::fold`]): the same charges, every one of them also counted
+    /// in [`EvalStats::compressed_ops`], and a compressed result — nothing
+    /// is decoded.
+    ///
+    /// # Panics
+    /// Panics on mismatched operand lengths, or under segmented execution
+    /// (a compressed operand has no window).
+    pub fn fold_wah<W: Borrow<wah::WahBitmap>>(&mut self, program: &Fold<W>) -> wah::WahBitmap {
+        assert!(
+            self.seg.is_none(),
+            "the compressed fold operates on whole bitmaps"
+        );
+        let before = self.stats.total_ops();
+        self.charge_fold(program);
+        self.stats.compressed_ops += self.stats.total_ops() - before;
+        wah::fold(self.n_rows(), &program.map(|w| w.borrow()))
+    }
+
+    /// What a [`Fold`] costs spelled out operator by operator — the one
+    /// place both representations are charged from.
+    fn charge_fold<T>(&mut self, program: &Fold<T>) {
+        for step in &program.steps {
+            match step {
+                FoldStep::And(_) => self.stats.ands += 1,
+                FoldStep::Or(_) => self.stats.ors += 1,
+                FoldStep::AndNot(_) => {
+                    self.stats.ands += 1;
+                    self.stats.nots += 1;
+                }
+                FoldStep::AndXor(..) => {
+                    self.stats.ands += 1;
+                    self.stats.xors += 1;
+                }
+            }
+        }
+        self.stats.nots += usize::from(program.complement);
+        self.stats.ands += usize::from(program.mask.is_some());
     }
 
     /// Counted k-ary threshold: a fresh bitmap with bit `r` set when at

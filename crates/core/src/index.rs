@@ -47,6 +47,13 @@ pub trait BitmapSource {
         self.try_fetch(comp, slot).map(bindex_compress::Repr::from)
     }
 
+    /// `B_nn` in its stored execution representation, for sources that
+    /// keep it compressed or behind a shared handle; the default wraps
+    /// [`BitmapSource::try_fetch_nn`].
+    fn try_fetch_nn_repr(&mut self) -> Result<Option<bindex_compress::Repr>> {
+        Ok(self.try_fetch_nn()?.map(bindex_compress::Repr::from))
+    }
+
     /// The index's hierarchical summary bitmaps, if the backing store
     /// carries them (the v4 layout). Infallible by design: a missing,
     /// corrupt, or shape-mismatched summary block returns `None`, which

@@ -35,13 +35,13 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use bindex_bitvec::BitVec;
 use bindex_core::error::{Error, Result};
-use bindex_core::eval::{evaluate_in, Algorithm};
-use bindex_core::{BitmapSource, DeltaOverlay, EvalStats, ExecContext, RecoveryPolicy};
+use bindex_core::eval::{evaluate_repr_in, Algorithm};
+use bindex_core::{BitmapSource, DeltaOverlay, EvalStats, ExecContext, RecoveryPolicy, Repr};
 use bindex_relation::query::{SelectionQuery, ThresholdQuery};
 
 use crate::plan::{self, ConjunctiveQuery, ExecutionStats};
@@ -280,9 +280,12 @@ impl BatchOptions {
     /// [`requested_threads`](Self::requested_threads).
     pub fn with_threads(threads: usize) -> Self {
         let requested = threads.max(1);
-        let cap =
-            std::thread::available_parallelism().map_or(requested, std::num::NonZeroUsize::get);
-        let effective = requested.min(cap);
+        // One thread needs no clamp — and a served request builds its
+        // options through here, so it must not probe the machine.
+        let effective = match requested {
+            1 => 1,
+            _ => requested.min(available_parallelism().unwrap_or(requested)),
+        };
         if effective < requested {
             eprintln!(
                 "warning: clamping worker count {requested} to available parallelism {effective}"
@@ -329,9 +332,7 @@ impl BatchOptions {
             "a positive integer",
             crate::envcfg::positive_usize,
         )
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
+        .unwrap_or_else(|| available_parallelism().unwrap_or(1));
         let mut options = Self::with_threads(threads);
         options.segment_bits = crate::envcfg::parse_env(
             SEGMENT_BITS_ENV,
@@ -452,6 +453,19 @@ impl BatchOptions {
     pub fn pruning(&self) -> bool {
         !self.no_pruning
     }
+}
+
+/// [`std::thread::available_parallelism`], asked once per process: the
+/// probe re-reads the cgroup CPU quota files on every call (17–19 µs
+/// here), and the answer is not expected to change under a running
+/// engine.
+fn available_parallelism() -> Option<usize> {
+    static CAP: OnceLock<Option<usize>> = OnceLock::new();
+    *CAP.get_or_init(|| {
+        std::thread::available_parallelism()
+            .ok()
+            .map(std::num::NonZeroUsize::get)
+    })
 }
 
 /// Failed claim attempts a worker spins through (with
@@ -584,6 +598,56 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The gate a query passes before it starts: [`QueryOutcome::Skipped`]
+/// once `failures` has reached the cap, [`QueryOutcome::TimedOut`] if the
+/// deadline has already passed, `None` to go ahead.
+fn refuse<T>(options: &BatchOptions, failures: &AtomicUsize) -> Option<QueryOutcome<T>> {
+    if options
+        .max_failures()
+        .is_some_and(|cap| failures.load(Ordering::Relaxed) >= cap)
+    {
+        Some(QueryOutcome::Skipped)
+    } else if options.deadline().is_some_and(|d| d.expired()) {
+        Some(QueryOutcome::TimedOut)
+    } else {
+        None
+    }
+}
+
+/// Runs `step` under [`catch_unwind`]; a panic comes back as
+/// [`Error::WorkerPanic`], and whatever state `step` was mutating must
+/// then be rebuilt by the caller before it is used again.
+fn isolate<T>(step: impl FnOnce() -> Result<T>) -> Result<T> {
+    catch_unwind(AssertUnwindSafe(step))
+        .unwrap_or_else(|payload| Err(Error::WorkerPanic(panic_message(payload.as_ref()))))
+}
+
+/// One query as one task under the workload's policy: [`refuse`]d, or run
+/// [`isolate`]d, `step` returning the answer plus a flag marking it
+/// degraded. A `step` that cancels itself with [`Error::DeadlineExceeded`]
+/// (segmented evaluation checks the deadline between segments) is
+/// [`QueryOutcome::DeadlineExceeded`] and — the deadline working as
+/// designed, not a storage fault — is not charged to `failures`; every
+/// other error, a panic included, is.
+fn run_query<T>(
+    options: &BatchOptions,
+    failures: &AtomicUsize,
+    step: impl FnOnce() -> Result<(T, bool)>,
+) -> QueryOutcome<T> {
+    if let Some(refused) = refuse(options, failures) {
+        return refused;
+    }
+    match isolate(step) {
+        Ok((v, false)) => QueryOutcome::Ok(v),
+        Ok((v, true)) => QueryOutcome::Degraded(v),
+        Err(Error::DeadlineExceeded) => QueryOutcome::DeadlineExceeded,
+        Err(e) => {
+            failures.fetch_add(1, Ordering::Relaxed);
+            QueryOutcome::Failed(e)
+        }
+    }
+}
+
 /// The resilient workload driver behind [`execute_workload`] and
 /// [`evaluate_selection_workload`]. Runs `step(state, i)` for every
 /// `i in 0..n` across the configured workers, keeping outcomes in input
@@ -592,15 +656,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// expensive queries gets redistributed.
 ///
 /// Each worker owns one `init()`-built state (a table handle, a bitmap
-/// source). Every step runs under [`catch_unwind`]: a panic becomes that
-/// query's [`QueryOutcome::Failed`]\([`Error::WorkerPanic`]\) and the
+/// source). Every step runs through [`run_query`]; after a panic the
 /// worker rebuilds its state — which the panic may have left inconsistent
-/// — before claiming the next query. `step` returns the answer plus a
-/// flag marking it degraded. Deadline and failure-cap checks happen
-/// between queries; a `step` that cancels itself mid-query by returning
-/// [`Error::DeadlineExceeded`] (segment-at-a-time evaluation checks the
-/// deadline between morsels) is reported as
-/// [`QueryOutcome::DeadlineExceeded`] without charging the failure cap.
+/// — before claiming the next query.
 fn run_workload<St, T, I, W>(
     n: usize,
     options: &BatchOptions,
@@ -614,37 +672,15 @@ where
 {
     let threads = options.threads().min(n.max(1));
     let failures = AtomicUsize::new(0);
-    // One query's worth of work, shared by the sequential and parallel
-    // paths so both charge failures and isolate panics identically.
+    // Shared by the sequential and parallel paths. Unwind safety: after a
+    // panic the worker state is discarded and rebuilt from `init`, so no
+    // broken invariant is observed.
     let run_one = |state: &mut St, i: usize| -> QueryOutcome<T> {
-        if options
-            .max_failures()
-            .is_some_and(|cap| failures.load(Ordering::Relaxed) >= cap)
-        {
-            return QueryOutcome::Skipped;
+        let outcome = run_query(options, &failures, || step(state, i));
+        if matches!(outcome, QueryOutcome::Failed(Error::WorkerPanic(_))) {
+            *state = init();
         }
-        if options.deadline().is_some_and(|d| d.expired()) {
-            return QueryOutcome::TimedOut;
-        }
-        // Unwind safety: on panic the worker state is discarded and
-        // rebuilt from `init`, so no broken invariant is observed.
-        match catch_unwind(AssertUnwindSafe(|| step(state, i))) {
-            Ok(Ok((v, false))) => QueryOutcome::Ok(v),
-            Ok(Ok((v, true))) => QueryOutcome::Degraded(v),
-            // Cooperative cancellation is the deadline working as designed,
-            // not a storage fault: report it without charging the failure
-            // cap, so shed queries never trip `max_failures`.
-            Ok(Err(Error::DeadlineExceeded)) => QueryOutcome::DeadlineExceeded,
-            Ok(Err(e)) => {
-                failures.fetch_add(1, Ordering::Relaxed);
-                QueryOutcome::Failed(e)
-            }
-            Err(payload) => {
-                failures.fetch_add(1, Ordering::Relaxed);
-                *state = init();
-                QueryOutcome::Failed(Error::WorkerPanic(panic_message(payload.as_ref())))
-            }
-        }
+        outcome
     };
     let queue = StealQueue::new(n, threads);
     let worker = |w: usize, out: &mut Vec<(usize, QueryOutcome<T>)>| {
@@ -732,6 +768,57 @@ pub fn execute_workload(
     )
 }
 
+/// The context every query of a workload evaluates in.
+fn query_context<'a, S: BitmapSource>(
+    source: &'a mut S,
+    options: &BatchOptions,
+) -> ExecContext<'a, S> {
+    ExecContext::new(source)
+        .with_recovery(options.recovery().clone())
+        .with_deadline(options.deadline())
+        .with_overlay(options.overlay().cloned())
+        .with_pruning(options.pruning())
+}
+
+/// Evaluates one selection query as one task ([`run_query`]'s `step`):
+/// whole-bitmap, or window by window at `options.segment_bits()`, or in
+/// the compressed domain, as [`evaluate_repr_in`] decides. `finish` turns
+/// the foundset into what the caller returns while the context can still
+/// account for it.
+fn selection_step<S: BitmapSource, T>(
+    source: &mut S,
+    query: SelectionQuery,
+    algorithm: Algorithm,
+    options: &BatchOptions,
+    finish: impl FnOnce(&mut ExecContext<'_, S>, Repr) -> T,
+) -> Result<((T, EvalStats), bool)> {
+    let mut ctx = query_context(source, options);
+    let found = evaluate_repr_in(&mut ctx, query, algorithm, options.segment_bits())?;
+    let found = finish(&mut ctx, found);
+    let stats = ctx.take_stats();
+    Ok(((found, stats), stats.degraded_fetches > 0))
+}
+
+/// Evaluates one selection query on the calling thread under the policy of
+/// `options` (deadline, recovery, overlay, pruning, segment size; the
+/// worker count plays no part) — what a one-query workload does, without
+/// the workload: no outcome vector, and the foundset comes back in the
+/// representation evaluation produced, so a caller that only counts it or
+/// caches it never pays for dense words
+/// ([`Repr::count_ones`] is O(compressed words) on [`Repr::Wah`]). The
+/// ending is classified exactly as in a workload; after
+/// [`Error::WorkerPanic`] the caller should rebuild `source`.
+pub fn evaluate_selection_query<S: BitmapSource>(
+    source: &mut S,
+    query: SelectionQuery,
+    algorithm: Algorithm,
+    options: &BatchOptions,
+) -> QueryOutcome<(Repr, EvalStats)> {
+    run_query(options, &AtomicUsize::new(0), || {
+        selection_step(source, query, algorithm, options, |_, found| found)
+    })
+}
+
 /// Evaluates a workload of single-attribute selection queries, one
 /// [`BitmapSource`] per worker from `make_source` (e.g. a closure opening
 /// a source backed by the storage crate's `SharedIndexReader`). Returns
@@ -739,6 +826,11 @@ pub fn execute_workload(
 /// order. With a [`RecoveryPolicy`] in `options`, queries that had to
 /// reconstruct an unreadable bitmap come back
 /// [`QueryOutcome::Degraded`] — still bit-exact.
+///
+/// A query is one task ([`evaluate_selection_query`]'s evaluation, its
+/// foundset decoded to dense words) except under segment-at-a-time
+/// execution on more than one thread, where it is cut into morsels
+/// ([`evaluate_segmented_workload`]).
 pub fn evaluate_selection_workload<S, F>(
     make_source: F,
     queries: &[SelectionQuery],
@@ -749,7 +841,7 @@ where
     S: BitmapSource,
     F: Fn() -> S + Sync,
 {
-    if let Some(segment_bits) = options.segment_bits() {
+    if let Some(segment_bits) = options.segment_bits().filter(|_| options.threads() > 1) {
         return evaluate_segmented_workload(
             make_source,
             queries.len(),
@@ -769,14 +861,9 @@ where
         );
     }
     run_workload(queries.len(), options, &make_source, |source, i| {
-        let mut ctx = ExecContext::new(source)
-            .with_recovery(options.recovery().clone())
-            .with_deadline(options.deadline())
-            .with_overlay(options.overlay().cloned())
-            .with_pruning(options.pruning());
-        let found = evaluate_in(&mut ctx, queries[i], algorithm)?;
-        let stats = ctx.take_stats();
-        Ok(((found, stats), stats.degraded_fetches > 0))
+        selection_step(source, queries[i], algorithm, options, |ctx, found| {
+            ctx.materialize(found)
+        })
     })
 }
 
@@ -801,7 +888,7 @@ where
     F: Fn() -> S + Sync,
 {
     use bindex_core::eval::threshold;
-    if let Some(segment_bits) = options.segment_bits() {
+    if let Some(segment_bits) = options.segment_bits().filter(|_| options.threads() > 1) {
         return evaluate_segmented_workload(
             make_source,
             queries.len(),
@@ -822,12 +909,13 @@ where
         );
     }
     run_workload(queries.len(), options, &make_source, |source, i| {
-        let mut ctx = ExecContext::new(source)
-            .with_recovery(options.recovery().clone())
-            .with_deadline(options.deadline())
-            .with_overlay(options.overlay().cloned())
-            .with_pruning(options.pruning());
-        let found = threshold::evaluate_threshold_in(&mut ctx, &queries[i], algorithm)?;
+        let mut ctx = query_context(source, options);
+        let found = match options.segment_bits() {
+            Some(bits) => {
+                threshold::evaluate_threshold_segmented_in(&mut ctx, &queries[i], algorithm, bits)
+            }
+            None => threshold::evaluate_threshold_in(&mut ctx, &queries[i], algorithm),
+        }?;
         let stats = ctx.take_stats();
         Ok(((found, stats), stats.degraded_fetches > 0))
     })
@@ -871,8 +959,8 @@ struct QueryCell {
     verdict: Mutex<Option<QueryOutcome<(BitVec, EvalStats)>>>,
 }
 
-/// The segmented workload driver: every query is cut into at most
-/// `threads` contiguous segment-aligned morsels, the morsels (in
+/// The segmented workload driver for more than one thread: every query is
+/// cut into at most `threads` contiguous segment-aligned morsels, the morsels (in
 /// query-major order) seed a work-stealing [`StealQueue`], and workers
 /// drain it — so a workload of one huge query and a workload of many
 /// small ones saturate the same pool (inter-query and intra-query
@@ -953,16 +1041,7 @@ where
             // Deadline / failure-cap gate, decided once per query on its
             // first claimed morsel.
             if cell.state.load(Ordering::Acquire) == FRESH {
-                let kill = if options
-                    .max_failures()
-                    .is_some_and(|cap| failures.load(Ordering::Relaxed) >= cap)
-                {
-                    Some(QueryOutcome::Skipped)
-                } else if options.deadline().is_some_and(|d| d.expired()) {
-                    Some(QueryOutcome::TimedOut)
-                } else {
-                    None
-                };
+                let kill = refuse(options, &failures);
                 let target = if kill.is_some() { DEAD } else { RUNNING };
                 if cell
                     .state
@@ -990,24 +1069,20 @@ where
                 let span = bindex_bitvec::words_for(morsel.row_hi) - words_lo;
                 // Unwind safety: on panic the morsel buffer and context
                 // are discarded and the source is rebuilt.
-                let ran = catch_unwind(AssertUnwindSafe(|| {
-                    let mut ctx = ExecContext::new(&mut source)
-                        .with_recovery(options.recovery().clone())
-                        .with_deadline(options.deadline())
-                        .with_overlay(options.overlay().cloned())
-                        .with_pruning(options.pruning());
+                let ran = isolate(|| {
+                    let mut ctx = query_context(&mut source, options);
                     let mut local = vec![0u64; span];
-                    let res = eval_range(
+                    eval_range(
                         &mut ctx,
                         morsel.query,
                         morsel.row_lo,
                         morsel.row_hi,
                         &mut local,
-                    );
-                    (res.map(|()| local), ctx.take_stats())
-                }));
+                    )?;
+                    Ok((local, ctx.take_stats()))
+                });
                 match ran {
-                    Ok((Ok(local), stats)) => {
+                    Ok((local, stats)) => {
                         let contributed = if morsel.row_lo == 0 {
                             stats
                         } else {
@@ -1025,24 +1100,19 @@ where
                         cell.words.lock().unwrap()[words_lo..words_lo + span]
                             .copy_from_slice(&local);
                     }
-                    Ok((Err(Error::DeadlineExceeded), _)) => {
+                    Err(Error::DeadlineExceeded) => {
                         // Mid-morsel cooperative cancellation: the eval
                         // loop noticed the deadline between segments.
                         if kill_query_quiet(cell) {
                             *cell.verdict.lock().unwrap() = Some(QueryOutcome::DeadlineExceeded);
                         }
                     }
-                    Ok((Err(e), _)) => {
+                    Err(e) => {
+                        if matches!(e, Error::WorkerPanic(_)) {
+                            source = make_source();
+                        }
                         if kill_query(cell, &failures) {
                             *cell.verdict.lock().unwrap() = Some(QueryOutcome::Failed(e));
-                        }
-                    }
-                    Err(payload) => {
-                        source = make_source();
-                        if kill_query(cell, &failures) {
-                            *cell.verdict.lock().unwrap() = Some(QueryOutcome::Failed(
-                                Error::WorkerPanic(panic_message(payload.as_ref())),
-                            ));
                         }
                     }
                 }
@@ -1068,27 +1138,23 @@ where
     };
 
     let mut collected: Vec<(usize, QueryOutcome<(BitVec, EvalStats)>)> = Vec::new();
-    if threads <= 1 {
-        worker(0, &mut collected);
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let worker = &worker;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        worker(w, &mut out);
-                        out
-                    })
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let worker = &worker;
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    worker(w, &mut out);
+                    out
                 })
-                .collect();
-            for h in handles {
-                if let Ok(chunk) = h.join() {
-                    collected.extend(chunk);
-                }
+            })
+            .collect();
+        for h in handles {
+            if let Ok(chunk) = h.join() {
+                collected.extend(chunk);
             }
-        });
-    }
+        }
+    });
     let steals = queue.steals();
 
     let mut slots: Vec<Option<QueryOutcome<(BitVec, EvalStats)>>> =
@@ -1492,6 +1558,147 @@ mod tests {
         assert!(BatchOptions::with_threads(1).threads() == 1);
         assert!(BatchOptions::from_env().threads() >= 1);
         assert!(BatchOptions::from_env().threads() <= cores);
+    }
+
+    #[test]
+    fn one_thread_is_never_clamped_and_oversubscription_still_is() {
+        let one = BatchOptions::with_threads(1);
+        assert_eq!((one.threads(), one.requested_threads()), (1, 1));
+        assert!(!one.oversubscribed());
+        assert_eq!(BatchOptions::single_threaded().threads(), 1);
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        // Twice: the second request reads the cap resolved by the first.
+        for _ in 0..2 {
+            let over = BatchOptions::with_threads(cores + 3);
+            assert_eq!(over.threads(), cores);
+            assert_eq!(over.requested_threads(), cores + 3);
+            assert!(over.oversubscribed());
+        }
+        assert_eq!(
+            BatchOptions::with_threads_unclamped(cores + 3).threads(),
+            cores + 3
+        );
+    }
+
+    /// A clustered range index served the way a slot-coded store serves
+    /// it: every slot WAH-compressed, one of them optionally unreadable.
+    struct WahSource<'a> {
+        index: &'a bindex_core::BitmapIndex,
+        broken: Option<(usize, usize)>,
+        fetches: usize,
+    }
+
+    impl BitmapSource for WahSource<'_> {
+        fn spec(&self) -> &IndexSpec {
+            self.index.spec()
+        }
+        fn n_rows(&self) -> usize {
+            self.index.n_rows()
+        }
+        fn try_fetch(&mut self, comp: usize, slot: usize) -> Result<BitVec> {
+            self.try_fetch_repr(comp, slot)
+                .map(|repr| (*repr.to_bitvec()).clone())
+        }
+        fn try_fetch_nn(&mut self) -> Result<Option<BitVec>> {
+            Ok(None)
+        }
+        fn try_fetch_repr(&mut self, comp: usize, slot: usize) -> Result<Repr> {
+            self.fetches += 1;
+            if self.broken == Some((comp, slot)) {
+                return Err(Error::ChecksumMismatch(format!("c{comp}_b{slot}.bmp")));
+            }
+            Ok(Repr::wah(bindex_compress::wah::WahBitmap::from_bitvec(
+                self.index.bitmap(comp, slot),
+            )))
+        }
+    }
+
+    /// The single-query entry answers like a one-query workload — in the
+    /// representation evaluation produced — and classifies every ending
+    /// the way a workload does.
+    #[test]
+    fn single_query_entry_matches_a_one_query_workload() {
+        let col = gen::clustered(40_000, 40, 2000, 5);
+        let idx = bindex_core::BitmapIndex::build(
+            &col,
+            IndexSpec::new(
+                bindex_core::Base::from_msb(&[5, 8]).unwrap(),
+                bindex_core::Encoding::Range,
+            ),
+        )
+        .unwrap();
+        let wah = |broken| WahSource {
+            index: &idx,
+            broken,
+            fetches: 0,
+        };
+        let options = BatchOptions::single_threaded().with_segment_bits(4096);
+        for v in 0..40 {
+            let q = SelectionQuery::new([Op::Le, Op::Gt, Op::Eq, Op::Ne][v as usize % 4], v);
+            let want = naive::evaluate(&col, q);
+            // Compressed slots: a compressed foundset, nothing decoded; the
+            // workload decodes exactly the result at its `BitVec` boundary.
+            let outcome = evaluate_selection_query(&mut wah(None), q, Algorithm::Auto, &options);
+            let (found, stats) = outcome.into_result().expect("answered");
+            assert!(found.is_compressed(), "{q}");
+            assert_eq!(found.count_ones(), want.count_ones(), "{q}");
+            assert_eq!(stats.materializations, 0, "{q}");
+            let report = evaluate_selection_workload(
+                || wah(None),
+                std::slice::from_ref(&q),
+                Algorithm::Auto,
+                &options,
+            );
+            let (bits, batch_stats) = report.into_results().unwrap().remove(0);
+            assert_eq!(bits, want, "{q}");
+            assert_eq!(
+                batch_stats,
+                EvalStats {
+                    materializations: 1,
+                    ..stats
+                },
+                "{q}"
+            );
+            // Literal slots: the segmented dense evaluation, as before.
+            let outcome = evaluate_selection_query(&mut idx.source(), q, Algorithm::Auto, &options);
+            let (found, stats) = outcome.into_result().expect("answered");
+            assert!(!found.is_compressed(), "{q}");
+            assert_eq!(*found.to_bitvec(), want, "{q}");
+            assert_eq!(stats.segments_evaluated, 40_000usize.div_ceil(4096), "{q}");
+        }
+
+        let q = SelectionQuery::new(Op::Le, 17);
+        // An expired deadline refuses the query before it touches the source.
+        let mut source = wah(None);
+        let expired = options
+            .clone()
+            .with_deadline(Deadline::after(Duration::ZERO));
+        assert!(matches!(
+            evaluate_selection_query(&mut source, q, Algorithm::Auto, &expired),
+            QueryOutcome::TimedOut
+        ));
+        assert_eq!(source.fetches, 0);
+        // An unreadable slot fails the query, or degrades it under a policy
+        // that can rebuild the slot — to dense words, so on the dense path.
+        let broken = Some((2, 1));
+        let outcome = evaluate_selection_query(&mut wah(broken), q, Algorithm::Auto, &options);
+        assert!(matches!(outcome.error(), Some(Error::ChecksumMismatch(_))));
+        let recovering = options
+            .clone()
+            .with_recovery(RecoveryPolicy::ReconstructOrScan(Arc::new(col.clone())));
+        let outcome = evaluate_selection_query(&mut wah(broken), q, Algorithm::Auto, &recovering);
+        assert!(outcome.is_degraded());
+        let (found, stats) = outcome.into_result().unwrap();
+        assert!(!found.is_compressed());
+        assert_eq!(*found.to_bitvec(), naive::evaluate(&col, q));
+        assert_eq!((stats.degraded_fetches, stats.compressed_ops), (1, 0));
+        // A panic is that query's failure, not the caller's.
+        let mut panicky = PanickySource {
+            spec: idx.spec().clone(),
+            n_rows: 100,
+        };
+        let outcome = evaluate_selection_query(&mut panicky, q, Algorithm::Auto, &options);
+        assert!(matches!(outcome.error(), Some(Error::WorkerPanic(_))));
     }
 
     #[test]

@@ -21,10 +21,10 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
+use bindex::compress::Repr;
 use bindex::relation::query::{Op, SelectionQuery};
-use bindex::BitVec;
 
 /// Canonical form of a predicate: the key under which its foundset is
 /// cached.
@@ -72,11 +72,13 @@ pub fn normalize_threshold(k: u32, predicates: &[SelectionQuery]) -> NormKey {
     NormKey::Threshold(k, preds)
 }
 
-/// A cached foundset: shared bits plus the precomputed cardinality.
+/// A cached foundset — a shared handle in the representation evaluation
+/// produced, so a foundset computed over compressed slots occupies its
+/// compressed footprint — plus the precomputed cardinality.
 #[derive(Debug, Clone)]
 pub struct CachedAnswer {
     /// The foundset.
-    pub bits: Arc<BitVec>,
+    pub bits: Repr,
     /// `bits.count_ones()`, computed once at insert.
     pub cardinality: u64,
 }
@@ -188,10 +190,11 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bindex::BitVec;
 
     fn answer(n: u64) -> CachedAnswer {
         CachedAnswer {
-            bits: Arc::new(BitVec::from_fn(64, |i| (i as u64) < n)),
+            bits: Repr::literal(BitVec::from_fn(64, |i| (i as u64) < n)),
             cardinality: n,
         }
     }

@@ -16,10 +16,11 @@
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
+use bindex::compress::Repr;
 use bindex::core::eval::Algorithm;
-use bindex::core::Deadline;
+use bindex::core::{Deadline, EvalStats};
 use bindex::engine::batch::{
-    evaluate_selection_workload, evaluate_threshold_workload, BatchOptions, QueryOutcome,
+    evaluate_selection_query, evaluate_threshold_workload, BatchOptions, QueryOutcome,
 };
 use bindex::relation::query::{SelectionQuery, ThresholdQuery};
 use bindex::storage::{
@@ -83,14 +84,17 @@ impl Default for IndexTuning {
 /// One query's answer, ready for the wire.
 #[derive(Debug, Clone)]
 pub struct QueryAnswer {
-    /// The foundset.
-    pub bits: Arc<BitVec>,
+    /// The foundset, in the representation evaluation produced: a count
+    /// reply never needs it, a bitmap reply calls [`Repr::to_bitvec`].
+    pub bits: Repr,
     /// `bits.count_ones()`.
     pub cardinality: u64,
     /// Answer was produced through bitmap reconstruction (breaker open).
     pub degraded: bool,
     /// Answer came from the result cache.
     pub cached: bool,
+    /// What evaluating it did; all zeros for a cached answer.
+    pub stats: EvalStats,
 }
 
 /// What [`ServedIndex::ingest`] returns for an applied batch.
@@ -242,6 +246,7 @@ impl ServedIndex {
                 cardinality: hit.cardinality,
                 degraded: false,
                 cached: true,
+                stats: EvalStats::default(),
             });
         }
         let recovery = if self.breaker.degraded_serving() {
@@ -261,8 +266,9 @@ impl ServedIndex {
         let spec = &self.spec;
         // Columns with nulls (including rows masked out by an ingest
         // delete) carry a stored not-null bitmap; `Ne` and negated
-        // predicates are wrong without it.
-        let nn = guard.index().read_nn().map_err(storage_error)?;
+        // predicates are wrong without it. The reader holds it between
+        // repairs, so this is a handle, not a read.
+        let nn = guard.read_nn_repr().map_err(storage_error)?;
         let make_source = || {
             let source = SharedSource::try_new(&guard, spec.clone())
                 .expect("layout validated at registration");
@@ -271,34 +277,31 @@ impl ServedIndex {
                 None => source,
             }
         };
-        let report = match &query {
-            ServedQuery::Selection(q) => evaluate_selection_workload(
-                make_source,
-                std::slice::from_ref(q),
-                Algorithm::Auto,
-                &options,
-            ),
-            ServedQuery::Threshold(q) => evaluate_threshold_workload(
-                make_source,
-                std::slice::from_ref(q),
-                Algorithm::Auto,
-                &options,
+        let outcome = match &query {
+            ServedQuery::Selection(q) => {
+                evaluate_selection_query(&mut make_source(), *q, Algorithm::Auto, &options)
+            }
+            ServedQuery::Threshold(q) => literal_outcome(
+                evaluate_threshold_workload(
+                    make_source,
+                    std::slice::from_ref(q),
+                    Algorithm::Auto,
+                    &options,
+                )
+                .outcomes
+                .into_iter()
+                .next()
+                .expect("one query in, one outcome out"),
             ),
         };
-        let outcome = report
-            .outcomes
-            .into_iter()
-            .next()
-            .expect("one query in, one outcome out");
         match outcome {
-            QueryOutcome::Ok((bits, _stats)) => {
+            QueryOutcome::Ok((bits, stats)) => {
                 self.breaker.record_success();
                 let cardinality = bits.count_ones() as u64;
-                let bits = Arc::new(bits);
                 self.cache.insert(
                     key,
                     CachedAnswer {
-                        bits: Arc::clone(&bits),
+                        bits: bits.clone(),
                         cardinality,
                     },
                     epoch,
@@ -308,18 +311,20 @@ impl ServedIndex {
                     cardinality,
                     degraded: false,
                     cached: false,
+                    stats,
                 })
             }
-            QueryOutcome::Degraded((bits, _stats)) => {
+            QueryOutcome::Degraded((bits, stats)) => {
                 // Exact answer, faulty store: count it against the
                 // breaker, serve it, never cache it.
                 self.breaker.record_fault();
                 let cardinality = bits.count_ones() as u64;
                 Ok(QueryAnswer {
-                    bits: Arc::new(bits),
+                    bits,
                     cardinality,
                     degraded: true,
                     cached: false,
+                    stats,
                 })
             }
             QueryOutcome::Failed(e) => {
@@ -431,6 +436,20 @@ impl ServedIndex {
 
 fn storage_error(e: StorageError) -> Error {
     Error::Storage(e.to_string())
+}
+
+/// A dense foundset's outcome as the serving path carries foundsets.
+fn literal_outcome(outcome: QueryOutcome<(BitVec, EvalStats)>) -> QueryOutcome<(Repr, EvalStats)> {
+    match outcome {
+        QueryOutcome::Ok((bits, stats)) => QueryOutcome::Ok((Repr::literal(bits), stats)),
+        QueryOutcome::Degraded((bits, stats)) => {
+            QueryOutcome::Degraded((Repr::literal(bits), stats))
+        }
+        QueryOutcome::Failed(e) => QueryOutcome::Failed(e),
+        QueryOutcome::TimedOut => QueryOutcome::TimedOut,
+        QueryOutcome::DeadlineExceeded => QueryOutcome::DeadlineExceeded,
+        QueryOutcome::Skipped => QueryOutcome::Skipped,
+    }
 }
 
 /// The set of indexes one server instance serves, by name.

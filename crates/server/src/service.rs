@@ -313,7 +313,7 @@ fn worker_loop(shared: &Shared) {
                             degraded: answer.degraded,
                             cached: answer.cached,
                             n_bits: answer.bits.len() as u64,
-                            words: answer.bits.words().to_vec(),
+                            words: answer.bits.to_bitvec().words().to_vec(),
                         }
                     } else {
                         Response::Count {

@@ -3,6 +3,7 @@
 //! wire, overload shedding, per-request deadlines, chaos under load with
 //! online repair, result-cache semantics, and graceful drain.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,11 +13,11 @@ use bindex::core::eval::Algorithm;
 use bindex::relation::gen;
 use bindex::relation::query::{Op, SelectionQuery, ThresholdQuery};
 use bindex::storage::{ByteStore, MemStore, StorageScheme};
-use bindex::stored::{persist_index, persist_index_v3};
-use bindex::{Base, BitmapIndex, Column, Encoding, IndexSpec};
+use bindex::stored::{persist_index, persist_index_v3, persist_index_v4};
+use bindex::{Base, BitVec, BitmapIndex, Column, Encoding, IndexSpec};
 use bindex_server::{
-    BreakerState, Client, ErrorCode, IndexTuning, Registry, Response, ServedIndex, Server,
-    ServerConfig,
+    BreakerState, Client, ErrorCode, IndexTuning, Registry, Response, ServedIndex, ServedQuery,
+    Server, ServerConfig,
 };
 
 const N_ROWS: usize = 8192;
@@ -737,6 +738,204 @@ fn ingest_batch_invalidates_cached_counts_over_the_wire() {
     assert_eq!(stats.ingests, 2, "stats: {stats:?}");
     assert!(stats.cache_hits >= 1, "stats: {stats:?}");
     server.shutdown();
+}
+
+/// A clustered column behind a v4 store is served from its compressed
+/// slots: counts without a dense word anywhere, bitmaps decoded once for
+/// the wire, repeats from a cache that holds compressed foundsets — and
+/// all of it again after an ingest that adds a cluster, a null and a
+/// delete (so `B_nn` joins the chain). Every answer is the per-row one.
+#[test]
+fn clustered_index_is_served_from_compressed_slots() {
+    const ROWS: usize = 60_000;
+    const CLUSTER: usize = 2048;
+    let mut values = gen::clustered(ROWS, CARDINALITY, CLUSTER, 31)
+        .values()
+        .to_vec();
+    let mut nulls = BitVec::zeros(ROWS);
+    let store = {
+        let index = BitmapIndex::build(&Column::new(values.clone(), CARDINALITY), spec()).unwrap();
+        persist_index_v4(&index, MemStore::new(), CodecKind::None)
+            .unwrap()
+            .into_store()
+    };
+    let mut registry = Registry::new();
+    registry.insert(
+        ServedIndex::new(
+            "t",
+            spec(),
+            Box::new(store),
+            None,
+            None,
+            IndexTuning::default(),
+        )
+        .unwrap(),
+    );
+    let served = registry.get("t").unwrap();
+    let server = start_server(registry, ServerConfig::default());
+    let mut client = connect(&server);
+
+    let queries: Vec<SelectionQuery> = [Op::Lt, Op::Le, Op::Gt, Op::Ge, Op::Eq, Op::Ne]
+        .into_iter()
+        .flat_map(|op| [1, 7, 19, 30, 55, 63].map(|v| SelectionQuery::new(op, v)))
+        .collect();
+    for round in 0..2 {
+        let column = Column::new(values.clone(), CARDINALITY);
+        for &q in &queries {
+            let want = bindex::core::eval::naive::evaluate_with_nulls(&column, &nulls, q);
+            // In process: the foundset never left the compressed domain.
+            let answer = served.execute_any(ServedQuery::Selection(q), None).unwrap();
+            assert!(answer.bits.is_compressed(), "round {round} {q}");
+            assert_eq!(answer.cardinality, want.count_ones() as u64, "{q}");
+            assert!(!answer.cached && !answer.degraded, "{q}");
+            assert_eq!(answer.stats.materializations, 0, "{q}");
+            assert_eq!(answer.stats.compressed_ops, answer.stats.total_ops(), "{q}");
+            assert_eq!(answer.stats.segments_evaluated, 0, "{q}");
+            // Over the wire: the count, from the cache this time.
+            match client.query("t", q, false, 0).expect("transport") {
+                Response::Count {
+                    cardinality,
+                    cached,
+                    degraded,
+                } => {
+                    assert_eq!(cardinality, want.count_ones() as u64, "round {round} {q}");
+                    assert!(cached && !degraded, "{q}");
+                }
+                other => panic!("unexpected response {other:?}"),
+            }
+            // And the bitmap, decoded from the cached compressed foundset.
+            match client.query("t", q, true, 0).expect("transport") {
+                Response::Bitmap {
+                    cardinality,
+                    n_bits,
+                    words,
+                    cached,
+                    ..
+                } => {
+                    assert!(cached, "{q}");
+                    assert_eq!(cardinality, want.count_ones() as u64, "{q}");
+                    assert_eq!(n_bits as usize, want.len(), "{q}");
+                    assert_eq!(words, want.words(), "round {round} {q}");
+                }
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        if round == 0 {
+            // One more cluster, a null, and a delete inside the old rows.
+            let mut appends: Vec<Option<u32>> = vec![Some(7); CLUSTER];
+            appends.push(None);
+            let (_, generation, n_rows) = client.ingest("t", &appends, &[12_345]).expect("ingest");
+            assert_eq!(generation, 1);
+            assert_eq!(n_rows as usize, ROWS + CLUSTER + 1);
+            values.extend(appends.iter().map(|v| v.unwrap_or(0)));
+            nulls = BitVec::from_fn(values.len(), |i| i == 12_345 || i == ROWS + CLUSTER);
+        }
+    }
+    server.shutdown();
+}
+
+/// A `ByteStore` that counts `read_file` calls.
+struct CountingStore {
+    inner: MemStore,
+    reads: Arc<AtomicU64>,
+}
+
+impl ByteStore for CountingStore {
+    fn write_file(&mut self, name: &str, data: &[u8]) -> std::io::Result<()> {
+        self.inner.write_file(name, data)
+    }
+
+    fn read_file(&self, name: &str) -> std::io::Result<Vec<u8>> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.read_file(name)
+    }
+
+    fn file_size(&self, name: &str) -> std::io::Result<u64> {
+        self.inner.file_size(name)
+    }
+
+    fn file_names(&self) -> std::io::Result<Vec<String>> {
+        self.inner.file_names()
+    }
+
+    fn append_file(&mut self, name: &str, data: &[u8]) -> std::io::Result<()> {
+        self.inner.append_file(name, data)
+    }
+
+    fn remove_file(&mut self, name: &str) -> std::io::Result<()> {
+        self.inner.remove_file(name)
+    }
+}
+
+/// An index with nulls and deletes reads `B_nn` from the store once per
+/// generation, not once per request: behind a pool that holds every slot,
+/// warm requests cost no store read at all, and the next one after a
+/// repair or an ingest does.
+#[test]
+fn null_mask_is_read_once_per_generation() {
+    let (column, _index, store) = build();
+    let reads = Arc::new(AtomicU64::new(0));
+    let store = CountingStore {
+        inner: store,
+        reads: Arc::clone(&reads),
+    };
+    let served = ServedIndex::new(
+        "t",
+        spec(),
+        Box::new(store),
+        Some(Arc::new(column.clone())),
+        None,
+        IndexTuning {
+            cache_capacity: 0,
+            ..IndexTuning::default()
+        },
+    )
+    .unwrap();
+    served.ingest(&[None, Some(3)], &[17]).unwrap();
+    let mut values = column.values().to_vec();
+    values.extend([0, 3]);
+    let column = Column::new(values, CARDINALITY);
+    let nulls = BitVec::from_fn(column.len(), |i| i == 17 || i == N_ROWS);
+
+    // `!=` needs the mask; between them the constants touch every slot.
+    let sweep = |label: &str| {
+        for v in 0..CARDINALITY {
+            let q = SelectionQuery::new(Op::Ne, v);
+            let want = bindex::core::eval::naive::evaluate_with_nulls(&column, &nulls, q);
+            let answer = served.execute(q, None).unwrap();
+            assert_eq!(answer.cardinality, want.count_ones() as u64, "{label} {q}");
+            assert_eq!(*answer.bits.to_bitvec(), want, "{label} {q}");
+        }
+    };
+    sweep("cold");
+    let warm = reads.load(Ordering::Relaxed);
+    for _ in 0..10 {
+        served
+            .execute(SelectionQuery::new(Op::Ne, 9), None)
+            .unwrap();
+    }
+    sweep("warm");
+    assert_eq!(
+        reads.load(Ordering::Relaxed),
+        warm,
+        "warm requests must be served from the pool and the held mask"
+    );
+    // A repair may have rewritten any file: the mask is read again.
+    served.repair().unwrap();
+    let after_repair = reads.load(Ordering::Relaxed);
+    served
+        .execute(SelectionQuery::new(Op::Ne, 9), None)
+        .unwrap();
+    assert!(reads.load(Ordering::Relaxed) > after_repair);
+    sweep("repaired");
+    // So may an ingest — and this one changes the mask.
+    served.ingest(&[], &[18]).unwrap();
+    let after_ingest = reads.load(Ordering::Relaxed);
+    let q = SelectionQuery::new(Op::Ne, 9);
+    let nulls = BitVec::from_fn(column.len(), |i| i == 17 || i == 18 || i == N_ROWS);
+    let want = bindex::core::eval::naive::evaluate_with_nulls(&column, &nulls, q);
+    assert_eq!(*served.execute(q, None).unwrap().bits.to_bitvec(), want);
+    assert!(reads.load(Ordering::Relaxed) > after_ingest);
 }
 
 #[test]

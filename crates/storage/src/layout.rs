@@ -655,19 +655,23 @@ impl<S: ByteStore> StoredIndex<S> {
     /// so evaluators mask them out through the ordinary null-handling
     /// path.
     pub fn read_nn(&self) -> Result<Option<BitVec>, StorageError> {
+        Ok(self.read_nn_repr()?.map(|repr| self.materialize(repr)))
+    }
+
+    /// [`StoredIndex::read_nn`] in the stored execution representation
+    /// (see [`StoredIndex::read_repr`]).
+    pub fn read_nn_repr(&self) -> Result<Option<Repr>, StorageError> {
         if !self.meta.has_nn {
             return Ok(None);
         }
         let name = gen_nn_file(self.meta.generation);
         if self.slot_coded() {
-            let repr = self.read_slot_repr(&name)?;
-            Ok(Some(self.materialize(repr)))
-        } else {
-            let n_rows = self.meta.n_rows;
-            self.read_and_decompress(&name, n_rows.div_ceil(8), |raw| {
-                Some(BitVec::from_bytes(n_rows, raw))
-            })
+            return self.read_slot_repr(&name).map(Some);
         }
+        let n_rows = self.meta.n_rows;
+        self.read_and_decompress(&name, n_rows.div_ceil(8), |raw| {
+            Some(Repr::literal(BitVec::from_bytes(n_rows, raw)))
+        })
     }
 
     /// The v4 summary block, loaded and shape-validated once per store

@@ -10,6 +10,7 @@
 //! epoch bumped whenever the bytes underneath may have changed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use bindex_bitvec::BitVec;
 use bindex_compress::Repr;
@@ -28,6 +29,11 @@ use crate::store::{ByteStore, IoStats};
 pub struct SharedIndexReader<S: ByteStore> {
     index: StoredIndex<S>,
     pool: Option<ShardedPool>,
+    /// `B_nn` of the bytes currently in the store, read on first use and
+    /// dropped with the pool's contents: every query of an index with
+    /// nulls or deletes wants it, and it is not a `(component, slot)` the
+    /// pool could key.
+    nn: OnceLock<Option<Repr>>,
     /// Bumped by [`repair_index`](Self::repair_index) every time the
     /// underlying store is mutated, so layers above (result caches,
     /// circuit breakers) can tell "same bytes as before" from "the index
@@ -41,6 +47,7 @@ impl<S: ByteStore> SharedIndexReader<S> {
         Self {
             index,
             pool: None,
+            nn: OnceLock::new(),
             repair_epoch: AtomicU64::new(0),
         }
     }
@@ -54,6 +61,7 @@ impl<S: ByteStore> SharedIndexReader<S> {
         Self {
             index,
             pool: Some(pool),
+            nn: OnceLock::new(),
             repair_epoch: AtomicU64::new(0),
         }
     }
@@ -91,6 +99,28 @@ impl<S: ByteStore> SharedIndexReader<S> {
             .map(|repr| self.index.materialize(repr))
     }
 
+    /// The stored non-null bitmap, if the index has one, in its stored
+    /// execution representation (see [`StoredIndex::read_nn_repr`]). Read
+    /// and checksum-verified once, then served as a shared handle — a
+    /// literal one frozen, so taking a `BitVec` out of it copies nothing —
+    /// until the next [`repair_index`](Self::repair_index). A failed read
+    /// is not remembered.
+    pub fn read_nn_repr(&self) -> Result<Option<Repr>, StorageError> {
+        if let Some(nn) = self.nn.get() {
+            return Ok(nn.clone());
+        }
+        let nn = self.index.read_nn_repr()?.map(|repr| match repr {
+            Repr::Literal(bits) => {
+                let mut bits = std::sync::Arc::unwrap_or_clone(bits);
+                bits.freeze();
+                Repr::literal(bits)
+            }
+            wah => wah,
+        });
+        // Two first readers may both load; they load the same bytes.
+        Ok(self.nn.get_or_init(|| nn).clone())
+    }
+
     /// Snapshot of the wrapped index's I/O statistics, accumulated across
     /// all threads.
     pub fn stats(&self) -> IoStats {
@@ -121,6 +151,7 @@ impl<S: ByteStore> SharedIndexReader<S> {
         if let Some(pool) = &self.pool {
             pool.clear();
         }
+        self.nn = OnceLock::new();
         self.repair_epoch.fetch_add(1, Ordering::Release);
         out
     }
@@ -231,6 +262,49 @@ mod tests {
             assert_eq!(*reader.read_repr(1, slot).unwrap().to_bitvec(), *bm);
         }
         assert_eq!(reader.stats().reads, 4);
+    }
+
+    /// `B_nn` is read from the store once per generation, in its stored
+    /// representation, and handed out as the same shared handle until a
+    /// repair may have rewritten it.
+    #[test]
+    fn nn_is_read_once_and_dropped_on_repair() {
+        let mut reader = sample_reader(Some(ShardedPool::new(16, 4)));
+        assert!(reader.read_nn_repr().unwrap().is_none(), "no nulls stored");
+        let comps: Vec<Vec<BitVec>> = vec![
+            (0..4)
+                .map(|j| BitVec::from_fn(4096, move |i| i / 512 <= j))
+                .collect(),
+            (0..3)
+                .map(|j| BitVec::from_fn(4096, move |i| i % 5 <= j))
+                .collect(),
+        ];
+        let nn = BitVec::from_fn(4096, |i| i != 77);
+        reader.repair_index(|stored| stored.install_generation(&comps, Some(&nn), 0).unwrap());
+        let before = reader.stats().reads;
+        let first = reader.read_nn_repr().unwrap().expect("nulls stored");
+        assert!(first.is_compressed(), "one cleared bit: stored as WAH");
+        assert_eq!(*first.to_bitvec(), nn);
+        assert_eq!(reader.stats().reads, before + 1);
+        for _ in 0..5 {
+            let again = reader.read_nn_repr().unwrap().unwrap();
+            match (&first, &again) {
+                (Repr::Wah(a), Repr::Wah(b)) => assert!(std::sync::Arc::ptr_eq(a, b)),
+                other => panic!("representation changed: {other:?}"),
+            }
+        }
+        assert_eq!(reader.stats().reads, before + 1);
+        // A mask with runs too short to compress comes back literal, frozen.
+        let noisy = BitVec::from_fn(4096, |i| i.wrapping_mul(2_654_435_761) % 3 != 0);
+        reader.repair_index(|stored| stored.install_generation(&comps, Some(&noisy), 0).unwrap());
+        let before = reader.stats().reads;
+        let literal = reader.read_nn_repr().unwrap().unwrap();
+        assert!(!literal.is_compressed());
+        assert_eq!(*literal.to_bitvec(), noisy);
+        let copy = (*literal.to_bitvec()).clone();
+        assert_eq!(copy.words().as_ptr(), literal.to_bitvec().words().as_ptr());
+        reader.read_nn_repr().unwrap();
+        assert_eq!(reader.stats().reads, before + 1);
     }
 
     #[test]

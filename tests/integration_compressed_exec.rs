@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use bindex::compress::CodecKind;
-use bindex::core::eval::{evaluate, naive, Algorithm};
+use bindex::core::eval::{evaluate, evaluate_segmented_in, naive, Algorithm};
 use bindex::core::ExecContext;
 use bindex::engine::{evaluate_selection_workload, BatchOptions};
 use bindex::relation::query::{full_space, Op, SelectionQuery};
@@ -16,7 +16,9 @@ use bindex::relation::{gen, Column};
 use bindex::storage::{
     ByteStore, MemStore, ShardedPool, SharedIndexReader, StorageScheme, StoredIndex,
 };
-use bindex::stored::{persist_index, persist_index_v3, scrub_and_repair_index, SharedSource};
+use bindex::stored::{
+    persist_index, persist_index_v3, persist_index_v4, scrub_and_repair_index, SharedSource,
+};
 use bindex::{Base, BitmapIndex, Encoding, IndexSpec, RecoveryPolicy};
 
 const CARDINALITY: u32 = 24;
@@ -254,4 +256,65 @@ fn v3_adaptive_execution_uses_compressed_ops() {
         compressed_ops > 0,
         "sparse WAH slots must execute in the compressed domain"
     );
+}
+
+/// RangeEval-Opt over a stored v4 index, through the segmented entry
+/// point a server uses: run-clustered slots (stored WAH, a few dozen runs
+/// each) are folded in the compressed domain and only the result is
+/// decoded; uniform slots (stored literal) decline at the first operand
+/// and run window by window as before. Either way every slot the plan
+/// names is read from the store exactly once — deciding costs no read —
+/// and answers and paper counters are those of the in-memory index.
+#[test]
+fn stored_range_eval_opt_folds_compressed_slots_and_reads_each_once() {
+    const ROWS: usize = 40_000;
+    const SEGMENT_BITS: usize = 8192;
+    let columns = [
+        (
+            "clustered",
+            gen::clustered(ROWS, CARDINALITY, 2500, 17),
+            true,
+        ),
+        ("uniform", gen::uniform(ROWS, CARDINALITY, 17), false),
+    ];
+    for (kind, col, compressed) in &columns {
+        let idx = BitmapIndex::build(col, spec(Encoding::Range)).unwrap();
+        let stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
+        // The summary block is read once per store handle; take that read
+        // out of the per-query accounting.
+        assert!(stored.read_summaries().is_some());
+        for q in full_space(CARDINALITY) {
+            let (want, mem) = evaluate(&mut idx.source(), q, Algorithm::Auto).unwrap();
+            assert_eq!(want, naive::evaluate(col, q), "{kind} {q}");
+            let reads_before = stored.stats().reads;
+            let mut src = SharedSource::try_unpooled(&stored, spec(Encoding::Range)).unwrap();
+            let mut ctx = ExecContext::new(&mut src);
+            let found = evaluate_segmented_in(&mut ctx, q, Algorithm::Auto, SEGMENT_BITS).unwrap();
+            let stats = ctx.take_stats();
+            assert_eq!(found, want, "{kind} {q}");
+            assert_eq!(
+                (stats.scans, stats.ands, stats.ors, stats.xors, stats.nots),
+                (mem.scans, mem.ands, mem.ors, mem.xors, mem.nots),
+                "{kind} {q}"
+            );
+            assert_eq!(
+                stored.stats().reads - reads_before,
+                stats.scans as u64,
+                "{kind} {q}: one store read per scanned slot"
+            );
+            if *compressed && stats.scans > 0 {
+                assert_eq!(stats.compressed_ops, stats.total_ops(), "{kind} {q}");
+                assert_eq!(stats.materializations, 1, "{kind} {q}: the result");
+                assert_eq!(stats.segments_evaluated, 0, "{kind} {q}");
+            } else {
+                assert_eq!(stats.compressed_ops, 0, "{kind} {q}");
+                assert_eq!(stats.materializations, 0, "{kind} {q}");
+                assert_eq!(
+                    stats.segments_evaluated,
+                    ROWS.div_ceil(SEGMENT_BITS),
+                    "{kind} {q}"
+                );
+            }
+        }
+    }
 }

@@ -1,15 +1,16 @@
 //! Property-style tests for the WAH compressed-domain kernels, focused on
 //! the encoding's edge geometry: the `MAX_FILL` (2³⁰ − 1 groups) run-length
 //! boundary, partial tail groups at every offset in `[1, 31]`, degenerate
-//! all-ones/all-zeros inputs, and randomized round-trip plus k-ary op
-//! equivalence against the dense [`BitVec`] kernels.
+//! all-ones/all-zeros inputs, and randomized round-trip plus k-ary op and
+//! whole-function [`wah::fold`] equivalence against the dense [`BitVec`]
+//! kernels.
 //!
 //! The `MAX_FILL` cases build bitmaps of ~33 billion bits directly from
 //! serialized fill words ([`WahBitmap::from_bytes`]), so they run in O(1)
 //! space — the compressed kernels never expand fills, which is exactly the
 //! property under test. `to_bitvec` is never called on those inputs.
 
-use bindex::bitvec::kernels;
+use bindex::bitvec::kernels::{self, Fold, FoldStep};
 use bindex::compress::wah::{self, WahBitmap};
 use bindex::relation::Rng;
 use bindex::BitVec;
@@ -283,4 +284,141 @@ fn random_kary_ops_match_dense_kernels() {
             "seed {seed}"
         );
     }
+}
+
+// ---- the whole-function fold ----
+
+/// One operand of the given shape: runs of thousands of bits (what a
+/// clustered column's range bitmaps look like), a few isolated bits,
+/// coin flips (every group a literal), all zeros, all ones.
+fn shaped_bitvec(rng: &mut Rng, len: usize, shape: usize) -> BitVec {
+    match shape % 5 {
+        0 => {
+            let mut bools = Vec::with_capacity(len);
+            let mut value = rng.next_bool();
+            while bools.len() < len {
+                let run = rng.range_usize(1, 3000).min(len - bools.len());
+                bools.extend(std::iter::repeat_n(value, run));
+                value = !value;
+            }
+            BitVec::from_bools(&bools)
+        }
+        1 => rand_bitvec_density(rng, len, 3),
+        2 => rand_bitvec_len(rng, len),
+        3 => BitVec::zeros(len),
+        _ => BitVec::ones(len),
+    }
+}
+
+/// A random program over operand indices `0..n_operands`: 0–6 steps of
+/// every kind, with or without a seed, a complement and a mask.
+fn random_program(rng: &mut Rng, n_operands: usize) -> Fold<usize> {
+    let pick = |rng: &mut Rng| rng.below_usize(n_operands);
+    let seed = rng.next_bool().then(|| pick(rng));
+    let steps = (0..rng.below_usize(7))
+        .map(|_| match rng.below_u32(4) {
+            0 => FoldStep::And(pick(rng)),
+            1 => FoldStep::Or(pick(rng)),
+            2 => FoldStep::AndNot(pick(rng)),
+            _ => FoldStep::AndXor(pick(rng), pick(rng)),
+        })
+        .collect();
+    Fold {
+        seed,
+        steps,
+        complement: rng.next_bool(),
+        mask: rng.next_bool().then(|| pick(rng)),
+    }
+}
+
+/// `wah::fold` is `kernels::fold` over the decoded operands: same bits,
+/// same count, and the canonical encoding of them (tail bits clear after
+/// a complement, fills merged) — at lengths that are multiples of neither
+/// 31 nor 64, at the degenerate ones, and past one 31 × 64-bit period.
+#[test]
+fn random_folds_match_the_dense_fold() {
+    let lengths = [0usize, 1, 31, 62, 64, 100, 1000, 1985, 4099, 20_011];
+    for seed in 0..4 * CASES {
+        let mut rng = Rng::seed_from_u64(0x5_0000 + seed);
+        let len = lengths[seed as usize % lengths.len()];
+        let dense: Vec<BitVec> = (0..5)
+            .map(|i| {
+                // Mostly run-shaped operands, one of each other shape
+                // rotating through.
+                let shape = if i < 3 { 0 } else { seed as usize + i };
+                shaped_bitvec(&mut rng, len, shape)
+            })
+            .collect();
+        let wahs: Vec<WahBitmap> = dense.iter().map(WahBitmap::from_bitvec).collect();
+        let program = random_program(&mut rng, dense.len());
+        let want = kernels::fold(len, &program.map(|&i| &dense[i]));
+        let got = wah::fold(len, &program.map(|&i| &wahs[i]));
+        let ctx = format!("seed {seed} len {len} program {program:?}");
+        assert_eq!(got.to_bitvec(), want, "{ctx}");
+        assert_eq!(got.count_ones(), want.count_ones(), "{ctx}");
+        assert_eq!(got, WahBitmap::from_bitvec(&want), "canonical: {ctx}");
+    }
+}
+
+/// Without an operand the fold is a constant function of the length.
+#[test]
+fn operandless_folds_are_constant_fills() {
+    for len in [0usize, 1, 31, 62, 64, 1000] {
+        let ones: Fold<&WahBitmap> = Fold::default();
+        let zeros = Fold {
+            complement: true,
+            ..Fold::default()
+        };
+        assert_eq!(
+            wah::fold(len, &ones),
+            WahBitmap::from_bitvec(&BitVec::ones(len))
+        );
+        assert_eq!(
+            wah::fold(len, &zeros),
+            WahBitmap::from_bitvec(&BitVec::zeros(len))
+        );
+    }
+}
+
+/// Runs at and across the `MAX_FILL` boundary fold arithmetically: the
+/// operands are ~33 Gbit, nothing is ever expanded.
+#[test]
+fn fold_at_the_max_fill_boundary() {
+    let extra = 5u32;
+    let len = (MAX_FILL as usize + extra as usize) * GROUP_BITS;
+    let ones = wah_from_words(len, &[fill_word(true, MAX_FILL), fill_word(true, extra)]);
+    let shifted = wah_from_words(
+        len,
+        &[fill_word(true, MAX_FILL - 1), fill_word(false, extra + 1)],
+    );
+    let program = Fold {
+        seed: Some(&ones),
+        steps: vec![FoldStep::AndNot(&shifted), FoldStep::Or(&shifted)],
+        complement: true,
+        mask: Some(&ones),
+    };
+    // (ones ∧ ¬shifted) ∨ shifted = ones; its complement is empty.
+    assert_eq!(wah::fold(len, &program).count_ones(), 0);
+    let program = Fold {
+        seed: None,
+        steps: vec![FoldStep::AndXor(&ones, &shifted)],
+        ..Fold::default()
+    };
+    assert_eq!(
+        wah::fold(len, &program).count_ones(),
+        (extra as usize + 1) * GROUP_BITS
+    );
+}
+
+#[test]
+#[should_panic(expected = "length mismatch")]
+fn fold_panics_on_mismatched_operand_lengths() {
+    let a = WahBitmap::from_bitvec(&BitVec::zeros(100));
+    let b = WahBitmap::from_bitvec(&BitVec::zeros(101));
+    let program = Fold {
+        seed: Some(&a),
+        steps: vec![FoldStep::Or(&b)],
+        ..Fold::default()
+    };
+    let _ = wah::fold(100, &program);
 }
