@@ -85,30 +85,13 @@ fn bench(c: &mut Criterion) {
     k.bench_function("count_or_16way_fused", |bench| {
         bench.iter(|| black_box(kernels::count_or(black_box(&refs))))
     });
+    k.bench_function("and_16way_fused", |bench| {
+        bench.iter(|| black_box(kernels::and_all(black_box(&refs))))
+    });
+    k.bench_function("count_and_16way_fused", |bench| {
+        bench.iter(|| black_box(kernels::count_and(black_box(&refs))))
+    });
     k.finish();
-
-    // Scalar vs unrolled dispatch tiers on the same 16-way operands: the
-    // explicit `[u64; LANES]` tier against the autovectorized reference.
-    let mut d = c.benchmark_group("kernel_dispatch");
-    d.throughput(Throughput::Bytes((16 * BITS / 8) as u64));
-    for dispatch in [
-        bindex::KernelDispatch::Scalar,
-        bindex::KernelDispatch::Unrolled,
-    ] {
-        d.bench_function(format!("and_16way_{}", dispatch.name()), |bench| {
-            bench.iter(|| black_box(kernels::and_all_with(dispatch, black_box(&refs))))
-        });
-        d.bench_function(format!("or_16way_{}", dispatch.name()), |bench| {
-            bench.iter(|| black_box(kernels::or_all_with(dispatch, black_box(&refs))))
-        });
-        d.bench_function(format!("count_or_16way_{}", dispatch.name()), |bench| {
-            bench.iter(|| black_box(kernels::count_or_with(dispatch, black_box(&refs))))
-        });
-        d.bench_function(format!("count_and_16way_{}", dispatch.name()), |bench| {
-            bench.iter(|| black_box(kernels::count_and_with(dispatch, black_box(&refs))))
-        });
-    }
-    d.finish();
 
     // The one-pass fold vs the pass-per-operator calls it replaced, on
     // bitmaps past L2 (2^23 bits, 1 MiB): a RangeEval-Opt `≤` chain over

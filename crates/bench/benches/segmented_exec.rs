@@ -3,8 +3,8 @@
 //! vs cache-blocked at several morsel sizes, plus the segmented evaluator
 //! end-to-end against the whole-bitmap path.
 
-use bindex::core::eval::{evaluate, evaluate_segmented, Algorithm};
-use bindex::core::DEFAULT_SEGMENT_BITS;
+use bindex::core::eval::{evaluate, evaluate_segmented_in, Algorithm};
+use bindex::core::{ExecContext, DEFAULT_SEGMENT_BITS};
 use bindex::relation::gen;
 use bindex::{Base, BitVec, BitmapIndex, Encoding, IndexSpec};
 use bindex_bench::microbench::{Criterion, Throughput};
@@ -76,14 +76,13 @@ fn bench(c: &mut Criterion) {
     g.bench_function("range_opt_seg_default_256k", |bench| {
         bench.iter(|| {
             let mut src = index.source();
-            evaluate_segmented(
-                &mut src,
+            evaluate_segmented_in(
+                &mut ExecContext::new(&mut src),
                 black_box(query),
                 Algorithm::RangeEvalOpt,
                 DEFAULT_SEGMENT_BITS,
             )
             .unwrap()
-            .0
             .count_ones()
         })
     });

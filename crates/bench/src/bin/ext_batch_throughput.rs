@@ -1,8 +1,8 @@
 //! Extension experiment: batch query throughput — single- vs
 //! multi-threaded queries/sec through `engine::batch`, fused k-ary
 //! kernels vs the pairwise folds they replace, and the kernel-bandwidth
-//! ceiling: GB/s per kernel × fan-in × dispatch tier against `memcpy`
-//! and STREAM-triad baselines.
+//! ceiling: GB/s per kernel × fan-in against `memcpy` and STREAM-triad
+//! baselines.
 //!
 //! Not a figure from the paper: the paper prices queries in scans and
 //! operations, and this experiment tracks how fast the runtime actually
@@ -23,7 +23,7 @@ use bindex::engine::batch::{execute_workload, BatchOptions};
 use bindex::engine::{ConjunctiveQuery, IndexChoice, Table};
 use bindex::relation::gen;
 use bindex::relation::query::{Op, SelectionQuery};
-use bindex::{BitVec, KernelDispatch};
+use bindex::BitVec;
 use bindex_bench::{f2, print_table, results_dir, synthetic_bitmaps, Csv, RunProvenance};
 
 struct Config {
@@ -137,13 +137,12 @@ fn union_times(bits: usize, reps: usize) -> (f64, f64, f64, f64) {
 struct BwRow {
     kernel: &'static str,
     fan_in: usize,
-    dispatch: KernelDispatch,
     seconds: f64,
     gbps: f64,
 }
 
-/// GB/s per kernel × fan-in × dispatch tier, plus `memcpy` and
-/// STREAM-triad baselines measured on the same working set.
+/// GB/s per kernel × fan-in, plus `memcpy` and STREAM-triad baselines
+/// measured on the same working set.
 ///
 /// Byte accounting is stream-based: a fold kernel moves
 /// `(fan_in + 1) × bits/8` bytes (k operand reads + 1 output write), a
@@ -160,69 +159,61 @@ fn kernel_bandwidth(bits: usize, reps: usize) -> (Vec<BwRow>, f64, f64) {
     let inner = inner_iters(bits);
 
     let mut rows = Vec::new();
-    for dispatch in [KernelDispatch::Scalar, KernelDispatch::Unrolled] {
-        for fan_in in [2usize, 8, 16] {
-            let ops = &refs[..fan_in];
-            // Sink on a single output word: counting the result would add
-            // an unaccounted read pass to every fold measurement.
-            let s = best_of(reps, inner, &mut || {
-                kernels::and_all_with(dispatch, ops).words()[0] as usize
-            });
-            rows.push(BwRow {
-                kernel: "and_all",
-                fan_in,
-                dispatch,
-                seconds: s,
-                gbps: gbps(fan_in + 1, s),
-            });
-            let s = best_of(reps, inner, &mut || {
-                kernels::or_all_with(dispatch, ops).words()[0] as usize
-            });
-            rows.push(BwRow {
-                kernel: "or_all",
-                fan_in,
-                dispatch,
-                seconds: s,
-                gbps: gbps(fan_in + 1, s),
-            });
-            let s = best_of(reps, inner, &mut || {
-                kernels::xor_all_with(dispatch, ops).words()[0] as usize
-            });
-            rows.push(BwRow {
-                kernel: "xor_all",
-                fan_in,
-                dispatch,
-                seconds: s,
-                gbps: gbps(fan_in + 1, s),
-            });
-            let s = best_of(reps, inner, &mut || kernels::count_and_with(dispatch, ops));
-            rows.push(BwRow {
-                kernel: "count_and",
-                fan_in,
-                dispatch,
-                seconds: s,
-                gbps: gbps(fan_in, s),
-            });
-            let s = best_of(reps, inner, &mut || kernels::count_or_with(dispatch, ops));
-            rows.push(BwRow {
-                kernel: "count_or",
-                fan_in,
-                dispatch,
-                seconds: s,
-                gbps: gbps(fan_in, s),
-            });
-        }
+    for fan_in in [2usize, 8, 16] {
+        let ops = &refs[..fan_in];
+        // Sink on a single output word: counting the result would add
+        // an unaccounted read pass to every fold measurement.
         let s = best_of(reps, inner, &mut || {
-            kernels::and_not_with(dispatch, refs[0], refs[1]).words()[0] as usize
+            kernels::and_all(ops).words()[0] as usize
         });
         rows.push(BwRow {
-            kernel: "and_not",
-            fan_in: 2,
-            dispatch,
+            kernel: "and_all",
+            fan_in,
             seconds: s,
-            gbps: gbps(3, s),
+            gbps: gbps(fan_in + 1, s),
+        });
+        let s = best_of(reps, inner, &mut || {
+            kernels::or_all(ops).words()[0] as usize
+        });
+        rows.push(BwRow {
+            kernel: "or_all",
+            fan_in,
+            seconds: s,
+            gbps: gbps(fan_in + 1, s),
+        });
+        let s = best_of(reps, inner, &mut || {
+            kernels::xor_all(ops).words()[0] as usize
+        });
+        rows.push(BwRow {
+            kernel: "xor_all",
+            fan_in,
+            seconds: s,
+            gbps: gbps(fan_in + 1, s),
+        });
+        let s = best_of(reps, inner, &mut || kernels::count_and(ops));
+        rows.push(BwRow {
+            kernel: "count_and",
+            fan_in,
+            seconds: s,
+            gbps: gbps(fan_in, s),
+        });
+        let s = best_of(reps, inner, &mut || kernels::count_or(ops));
+        rows.push(BwRow {
+            kernel: "count_or",
+            fan_in,
+            seconds: s,
+            gbps: gbps(fan_in, s),
         });
     }
+    let s = best_of(reps, inner, &mut || {
+        kernels::and_not(refs[0], refs[1]).words()[0] as usize
+    });
+    rows.push(BwRow {
+        kernel: "and_not",
+        fan_in: 2,
+        seconds: s,
+        gbps: gbps(3, s),
+    });
 
     // memcpy baseline: 1 read + 1 write stream.
     let src = operands[0].words().to_vec();
@@ -361,7 +352,6 @@ fn main() {
             vec![
                 r.kernel.to_string(),
                 r.fan_in.to_string(),
-                r.dispatch.name().to_string(),
                 f2(r.gbps),
                 f2(r.gbps / memcpy_gbps),
             ]
@@ -369,7 +359,7 @@ fn main() {
         .collect();
     print_table(
         "kernel bandwidth (GB/s)",
-        &["kernel", "fan_in", "dispatch", "GB/s", "vs memcpy"],
+        &["kernel", "fan_in", "GB/s", "vs memcpy"],
         &bw_rows,
     );
     println!(
@@ -413,13 +403,9 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "      {{\"kernel\": \"{}\", \"fan_in\": {}, \"dispatch\": \"{}\", \
-                 \"seconds\": {:.6}, \"gbps\": {:.3}}}",
-                r.kernel,
-                r.fan_in,
-                r.dispatch.name(),
-                r.seconds,
-                r.gbps
+                "      {{\"kernel\": \"{}\", \"fan_in\": {}, \"seconds\": {:.6}, \
+                 \"gbps\": {:.3}}}",
+                r.kernel, r.fan_in, r.seconds, r.gbps
             )
         })
         .collect();

@@ -34,7 +34,7 @@ use bindex::core::eval::{
     evaluate, evaluate_repr_in, evaluate_segment_range_in, evaluate_segmented_in, Algorithm,
 };
 use bindex::core::{ExecContext, DEFAULT_WAH_CROSSOVER};
-use bindex::relation::query::{full_space, SelectionQuery};
+use bindex::relation::query::{full_space, Query, SelectionQuery};
 use bindex::relation::{gen, Column};
 use bindex::storage::{MemStore, ShardedPool, SharedIndexReader, StorageScheme, StoredIndex};
 use bindex::stored::{persist_index, persist_index_v3, persist_index_v4, SharedSource};
@@ -351,20 +351,22 @@ fn served_range_row(
     let mut per_query: Vec<(bool, ServedTimes)> = Vec::with_capacity(queries.len());
     for &q in queries {
         let want = bindex::core::eval::naive::evaluate(&col, q).count_ones();
+        let query = Query::Selection(q);
         let mut folded = false;
         let times = ServedTimes {
             decode_fold: time(&mut |ctx| {
                 let mut out = vec![0u64; rows.div_ceil(64)];
                 let bits = SERVED_SEGMENT_BITS;
-                evaluate_segment_range_in(ctx, q, Algorithm::Auto, bits, 0, rows, &mut out)
+                evaluate_segment_range_in(ctx, &query, Algorithm::Auto, bits, 0, rows, &mut out)
                     .expect("evaluates");
                 let ones = BitVec::from_words(out, rows).count_ones();
                 assert_eq!(ones, want, "decode-then-fold {q}");
                 ones
             }),
             count: time(&mut |ctx| {
-                let found = evaluate_repr_in(ctx, q, Algorithm::Auto, Some(SERVED_SEGMENT_BITS))
-                    .expect("evaluates");
+                let found =
+                    evaluate_repr_in(ctx, &query, Algorithm::Auto, Some(SERVED_SEGMENT_BITS))
+                        .expect("evaluates");
                 folded = found.is_compressed();
                 let ones = found.count_ones();
                 assert_eq!(ones, want, "count {q}");

@@ -9,8 +9,8 @@
 //!    re-streams the full-length accumulator once per operand; blocking
 //!    keeps it cache-resident, which is where the single-thread win
 //!    lives once the working set outgrows L2.
-//! 2. **Evaluator sweep** — full query spaces through `evaluate` vs
-//!    `evaluate_segmented` for all four concrete algorithms, so the
+//! 2. **Evaluator sweep** — full query spaces through `evaluate_in` vs
+//!    `evaluate_segmented_in` for all four concrete algorithms, so the
 //!    end-to-end overhead of windowed fetches and per-segment dispatch
 //!    is on the record.
 //! 3. **Density sweep** — equality-encoded indexes across cardinalities
@@ -23,8 +23,8 @@
 use std::time::Instant;
 
 use bindex::bitvec::{kernels, SegmentView};
-use bindex::core::eval::{evaluate, evaluate_segmented, Algorithm};
-use bindex::core::DEFAULT_SEGMENT_BITS;
+use bindex::core::eval::{evaluate_in, evaluate_segmented_in, Algorithm};
+use bindex::core::{ExecContext, DEFAULT_SEGMENT_BITS};
 use bindex::relation::gen;
 use bindex::relation::query::{full_space, Op, SelectionQuery};
 use bindex::{Base, BitVec, BitmapIndex, Encoding, IndexSpec};
@@ -214,10 +214,12 @@ fn workload_seconds(
         let mut sink = 0usize;
         let mut src = index.source();
         for &q in &queries {
-            let (found, _) = match segment_bits {
-                None => evaluate(&mut src, q, algorithm).expect("evaluates"),
-                Some(seg) => evaluate_segmented(&mut src, q, algorithm, seg).expect("evaluates"),
-            };
+            let mut ctx = ExecContext::new(&mut src);
+            let found = match segment_bits {
+                None => evaluate_in(&mut ctx, q, algorithm),
+                Some(seg) => evaluate_segmented_in(&mut ctx, q, algorithm, seg),
+            }
+            .expect("evaluates");
             sink ^= found.count_ones();
         }
         sink
@@ -326,11 +328,14 @@ fn density_sweep(cfg: &Config, quick: bool) -> Vec<DensityPoint> {
                 let mut sink = 0usize;
                 let mut src = index.source();
                 for &q in &queries {
-                    let (found, _) = match segment_bits {
-                        None => evaluate(&mut src, q, Algorithm::EqualityEval).expect("evaluates"),
-                        Some(seg) => evaluate_segmented(&mut src, q, Algorithm::EqualityEval, seg)
-                            .expect("evaluates"),
-                    };
+                    let mut ctx = ExecContext::new(&mut src);
+                    let found = match segment_bits {
+                        None => evaluate_in(&mut ctx, q, Algorithm::EqualityEval),
+                        Some(seg) => {
+                            evaluate_segmented_in(&mut ctx, q, Algorithm::EqualityEval, seg)
+                        }
+                    }
+                    .expect("evaluates");
                     sink ^= found.count_ones();
                 }
                 sink

@@ -40,7 +40,7 @@ pub use bindex_storage as storage;
 pub mod ingest;
 pub mod stored;
 
-pub use bindex_bitvec::{BitVec, IndexSummaries, KernelDispatch, SUMMARY_WINDOW_BITS};
+pub use bindex_bitvec::{BitVec, IndexSummaries, SUMMARY_WINDOW_BITS};
 pub use bindex_core::{
     build_reordered, Algorithm, Base, BitmapIndex, BitmapSource, BufferSet, BuildOptions, Encoding,
     Error, EvalStats, IndexSpec, RecoveryPolicy, RowOrder, RowPermutation,

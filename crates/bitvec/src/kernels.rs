@@ -23,31 +23,22 @@
 //! RangeEval-Opt query — evaluated block by block, so no operator costs a
 //! sweep over the accumulator and no derived bitmap is ever allocated.
 //!
-//! # Dispatch tiers
+//! # One loop per kernel
 //!
-//! Every kernel exists in two implementations selected by
-//! [`KernelDispatch`]:
+//! The inner combine loop runs over fixed-size `[u64; LANES]` arrays
+//! (u64x8), which the compiler lowers to vector loads/stores and vector
+//! bitwise ops on any target with SIMD (SSE2, AVX2, NEON) without `unsafe`
+//! or nightly `std::simd`. The counting kernels additionally accumulate
+//! popcounts through a 4-way carry-save adder (the Harley–Seal shape): only
+//! every fourth combined word pays a full popcount, the rest fold into
+//! `ones`/`twos` carry words.
 //!
-//! * **`Scalar`** — plain chunked `u64` iteration, no explicit widening.
-//!   The reference implementation and guaranteed-available fallback.
-//! * **`Unrolled`** — the inner combine loop runs over fixed-size
-//!   `[u64; LANES]` arrays (u64x8), which the compiler lowers to vector
-//!   loads/stores and vector bitwise ops on any target with SIMD (SSE2,
-//!   AVX2, NEON) without `unsafe` or nightly `std::simd`. The counting
-//!   kernels additionally accumulate popcounts through a 4-way carry-save
-//!   adder (the Harley–Seal shape): only every fourth combined word pays a
-//!   full popcount, the rest fold into `ones`/`twos` carry words.
-//!
-//! The two tiers are **bit-identical by construction**: AND/OR/XOR/ANDNOT
-//! are lane-independent, so any blocking or unrolling of the same operand
-//! walk produces the same words, and the carry-save accumulation is exact
-//! integer arithmetic. `property_kernels_dispatch` proves it over random
-//! operands, ragged tails, and segment views.
-//!
-//! The process-wide tier is chosen once, on first use, from the
-//! `BINDEX_KERNEL` environment variable (`scalar` | `unrolled`, default
-//! `unrolled`); benches and tests can pin it with
-//! [`KernelDispatch::force`] or call the explicit `*_with` entry points.
+//! AND/OR/XOR/ANDNOT are lane-independent, so any blocking or unrolling of
+//! the same operand walk produces the same words, and the carry-save
+//! accumulation is exact integer arithmetic. The word-at-a-time loops these
+//! replaced survive only as the reference this module's tests compare
+//! against, over operand lengths straddling lane, word and block
+//! boundaries, empty and all-ones operands, and segment views.
 //!
 //! # Panics
 //! Every kernel panics on an empty operand list or mismatched operand
@@ -55,16 +46,10 @@
 //! `N`, so a mismatch is a logic error (matching [`BitVec`]'s own binary
 //! operations).
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
 use crate::bitvec::{BitVec, SegmentView};
 
-/// Environment variable selecting the process-wide dispatch tier
-/// (`scalar` | `unrolled`). Read once, on the first kernel call.
-pub const KERNEL_ENV: &str = "BINDEX_KERNEL";
-
-/// Words per SIMD lane group of the unrolled tier: `[u64; 8]` is 512 bits,
-/// one AVX-512 register or two AVX2 / four NEON registers — wide enough
+/// Words per SIMD lane group: `[u64; 8]` is 512 bits, one AVX-512
+/// register or two AVX2 / four NEON registers — wide enough
 /// that the compiler vectorizes the fixed-size loop on every common
 /// target, narrow enough that the ragged tail costs at most 7 scalar ops.
 pub const LANES: usize = 8;
@@ -80,81 +65,7 @@ const BLOCK_WORDS: usize = 1024;
 /// `count_fused_speedup < 1.0` regression in `BENCH_batch_throughput.json`.
 const COUNT_BLOCK_WORDS: usize = 1024;
 
-/// Which kernel implementation tier runs (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelDispatch {
-    /// Plain chunked `u64` loops — the reference tier, always available.
-    Scalar,
-    /// `[u64; LANES]` array arithmetic plus carry-save popcount
-    /// accumulation — the default tier.
-    Unrolled,
-}
-
-/// The process-wide tier: 0 = undecided, else `code()` of the choice.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-impl KernelDispatch {
-    /// Parses an environment-variable value (case-insensitive, trimmed).
-    pub fn parse(raw: &str) -> Option<Self> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(Self::Scalar),
-            "unrolled" => Some(Self::Unrolled),
-            _ => None,
-        }
-    }
-
-    /// The tier's name as accepted by [`KernelDispatch::parse`].
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Scalar => "scalar",
-            Self::Unrolled => "unrolled",
-        }
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            Self::Scalar => 1,
-            Self::Unrolled => 2,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<Self> {
-        match code {
-            1 => Some(Self::Scalar),
-            2 => Some(Self::Unrolled),
-            _ => None,
-        }
-    }
-
-    /// The process-wide dispatch tier, decided once: `BINDEX_KERNEL` if
-    /// set and valid (an invalid value warns to stderr rather than
-    /// silently changing the tier), otherwise [`KernelDispatch::Unrolled`].
-    pub fn active() -> Self {
-        if let Some(d) = Self::from_code(ACTIVE.load(Ordering::Relaxed)) {
-            return d;
-        }
-        let chosen = match std::env::var(KERNEL_ENV) {
-            Ok(raw) => Self::parse(&raw).unwrap_or_else(|| {
-                eprintln!(
-                    "warning: {KERNEL_ENV}={raw:?} is not \"scalar\" or \
-                     \"unrolled\"; using the unrolled tier"
-                );
-                Self::Unrolled
-            }),
-            Err(_) => Self::Unrolled,
-        };
-        ACTIVE.store(chosen.code(), Ordering::Relaxed);
-        chosen
-    }
-
-    /// Overrides the process-wide tier (tests and benches that compare
-    /// tiers in one process; production code should set `BINDEX_KERNEL`).
-    pub fn force(self) {
-        ACTIVE.store(self.code(), Ordering::Relaxed);
-    }
-}
-
-/// A word-level binary operation, monomorphized into both dispatch tiers.
+/// A word-level binary operation, monomorphized into every kernel loop.
 trait WordOp {
     fn apply(a: u64, b: u64) -> u64;
 }
@@ -245,27 +156,19 @@ fn check_operands<T: KernelOperand>(operands: &[T]) -> usize {
     first.len()
 }
 
-/// Scalar combine: one word at a time, relying on autovectorization.
+/// `dst[i] = O::apply(dst[i], src[i])` over `[u64; LANES]` groups the
+/// compiler lowers to vector loads, vector bitwise ops, and vector stores;
+/// the ragged tail (at most `LANES − 1` words, only ever in the final
+/// block) runs word at a time.
 ///
-/// `inline(never)` on this and the other per-block combine loops is
-/// deliberate: inlined into large callers they land in arbitrary
-/// codegen-unit contexts where the vectorizer sometimes gives up (measured
-/// ~35% throughput swings between identical instantiations). As
-/// standalone symbols every instantiation compiles to the same vector
-/// loop, and one call per 8 KiB block is free.
+/// `inline(never)` on this and the other per-block loops is deliberate:
+/// inlined into large callers they land in arbitrary codegen-unit contexts
+/// where the vectorizer sometimes gives up (measured ~35% throughput swings
+/// between identical instantiations). As standalone symbols every
+/// instantiation compiles to the same vector loop, and one call per 8 KiB
+/// block is free.
 #[inline(never)]
-fn combine_scalar<O: WordOp>(dst: &mut [u64], src: &[u64]) {
-    for (a, &b) in dst.iter_mut().zip(src) {
-        *a = O::apply(*a, b);
-    }
-}
-
-/// Unrolled combine: `[u64; LANES]` groups the compiler lowers to vector
-/// loads, vector bitwise ops, and vector stores; the ragged tail (at most
-/// `LANES − 1` words, only ever in the final block) runs scalar.
-/// `inline(never)`: see [`combine_scalar`].
-#[inline(never)]
-fn combine_unrolled<O: WordOp>(dst: &mut [u64], src: &[u64]) {
+fn combine<O: WordOp>(dst: &mut [u64], src: &[u64]) {
     let n = dst.len().min(src.len());
     let split = n - n % LANES;
     let (dst_body, dst_tail) = dst[..n].split_at_mut(split);
@@ -285,57 +188,27 @@ fn combine_unrolled<O: WordOp>(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-#[inline]
-fn combine<O: WordOp>(dispatch: KernelDispatch, dst: &mut [u64], src: &[u64]) {
-    match dispatch {
-        KernelDispatch::Scalar => combine_scalar::<O>(dst, src),
-        KernelDispatch::Unrolled => combine_unrolled::<O>(dst, src),
-    }
-}
-
 /// `dst[i] = O::apply(a[i], b[i])`: seeds the count buffer from the first
 /// two operands in one pass, where copy-then-combine would take two.
-/// `inline(never)`: see [`combine_scalar`].
+/// `inline(never)`: see [`combine`].
 #[inline(never)]
-fn combine2<O: WordOp>(dispatch: KernelDispatch, dst: &mut [u64], a: &[u64], b: &[u64]) {
-    match dispatch {
-        KernelDispatch::Scalar => {
-            for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                *d = O::apply(x, y);
-            }
-        }
-        KernelDispatch::Unrolled => {
-            let n = dst.len();
-            let split = n - n % LANES;
-            for ((dc, xc), yc) in dst[..split]
-                .chunks_exact_mut(LANES)
-                .zip(a[..split].chunks_exact(LANES))
-                .zip(b[..split].chunks_exact(LANES))
-            {
-                let d: &mut [u64; LANES] = dc.try_into().expect("exact chunk");
-                let x: &[u64; LANES] = xc.try_into().expect("exact chunk");
-                let y: &[u64; LANES] = yc.try_into().expect("exact chunk");
-                for l in 0..LANES {
-                    d[l] = O::apply(x[l], y[l]);
-                }
-            }
-            for ((d, &x), &y) in dst[split..n].iter_mut().zip(&a[split..n]).zip(&b[split..n]) {
-                *d = O::apply(x, y);
-            }
+fn combine2<O: WordOp>(dst: &mut [u64], a: &[u64], b: &[u64]) {
+    let n = dst.len();
+    let split = n - n % LANES;
+    for ((dc, xc), yc) in dst[..split]
+        .chunks_exact_mut(LANES)
+        .zip(a[..split].chunks_exact(LANES))
+        .zip(b[..split].chunks_exact(LANES))
+    {
+        let d: &mut [u64; LANES] = dc.try_into().expect("exact chunk");
+        let x: &[u64; LANES] = xc.try_into().expect("exact chunk");
+        let y: &[u64; LANES] = yc.try_into().expect("exact chunk");
+        for l in 0..LANES {
+            d[l] = O::apply(x[l], y[l]);
         }
     }
-}
-
-/// Fused combine-and-popcount of two word slices, per dispatch tier.
-#[inline]
-fn count2<O: WordOp>(dispatch: KernelDispatch, a: &[u64], b: &[u64]) -> usize {
-    match dispatch {
-        KernelDispatch::Scalar => a
-            .iter()
-            .zip(b)
-            .map(|(&x, &y)| O::apply(x, y).count_ones() as usize)
-            .sum(),
-        KernelDispatch::Unrolled => csa_count_fused::<O>(a, b),
+    for ((d, &x), &y) in dst[split..n].iter_mut().zip(&a[split..n]).zip(&b[split..n]) {
+        *d = O::apply(x, y);
     }
 }
 
@@ -354,9 +227,9 @@ fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
 /// full popcount. A scalar carry would serialize the loop on the
 /// `ones`/`twos` dependency chain; keeping the carries lane-wide lets the
 /// compiler run the chain in vector registers. Exact by construction —
-/// carry-save addition loses no bits — hence bit-identical to the scalar
-/// sweep. Counting a single bitmap reuses this with `OpOr` and `a == b`
-/// (`w | w == w`). `inline(never)`: see [`combine_scalar`].
+/// carry-save addition loses no bits — hence bit-identical to a
+/// word-at-a-time sweep. Counting a single bitmap reuses this with `OpOr`
+/// and `a == b` (`w | w == w`). `inline(never)`: see [`combine`].
 #[inline(never)]
 fn csa_count_fused<O: WordOp>(a: &[u64], b: &[u64]) -> usize {
     const STEP: usize = 4 * LANES;
@@ -404,7 +277,7 @@ fn csa_count_fused<O: WordOp>(a: &[u64], b: &[u64]) -> usize {
 /// Folds `operands` into a fresh output vector with `O`, one block at a
 /// time so the output block stays in L1 while each operand streams
 /// through exactly once.
-fn fold_blocks<T: KernelOperand, O: WordOp>(operands: &[T], dispatch: KernelDispatch) -> BitVec {
+fn fold_blocks<T: KernelOperand, O: WordOp>(operands: &[T]) -> BitVec {
     let len = check_operands(operands);
     let mut words = operands[0].words().to_vec();
     let n_words = words.len();
@@ -413,7 +286,7 @@ fn fold_blocks<T: KernelOperand, O: WordOp>(operands: &[T], dispatch: KernelDisp
         let end = (start + BLOCK_WORDS).min(n_words);
         let dst = &mut words[start..end];
         for op in &operands[1..] {
-            combine::<O>(dispatch, dst, &op.words()[start..end]);
+            combine::<O>(dst, &op.words()[start..end]);
         }
         start = end;
     }
@@ -425,28 +298,25 @@ fn fold_blocks<T: KernelOperand, O: WordOp>(operands: &[T], dispatch: KernelDisp
 /// popcounted and discarded.
 ///
 /// The buffer is seeded by [`combine2`] (first two operands in one pass)
-/// and the last operand's combine is fused with the popcount, so a
-/// `k`-operand count makes `k − 2` buffer-writing passes plus one counting
-/// pass where materialize-then-count makes an allocation, `k` passes, and
-/// a cold final sweep — fused counting is strictly less work, never a
-/// loss. One- and two-operand counts skip the buffer entirely and count
-/// straight off the input slices. Under the unrolled tier the counting
-/// pass accumulates through [`csa_count_fused`].
-fn count_blocks<T: KernelOperand, O: WordOp>(operands: &[T], dispatch: KernelDispatch) -> usize {
+/// and the last operand's combine is fused with the popcount
+/// ([`csa_count_fused`]), so a `k`-operand count makes `k − 2`
+/// buffer-writing passes plus one counting pass where
+/// materialize-then-count makes an allocation, `k` passes, and a cold final
+/// sweep — fused counting is strictly less work, never a loss. One- and
+/// two-operand counts skip the buffer entirely and count straight off the
+/// input slices.
+fn count_blocks<T: KernelOperand, O: WordOp>(operands: &[T]) -> usize {
     check_operands(operands);
     let (last, rest) = operands.split_last().expect("checked non-empty");
     let (first, second, mids) = match rest {
         [] => {
             // Single operand: no combining at all, just a popcount sweep
-            // (the unrolled tier reuses the CSA path with `w | w == w`).
+            // (the CSA path with `w | w == w`).
             let words = last.words();
-            return match dispatch {
-                KernelDispatch::Scalar => words.iter().map(|w| w.count_ones() as usize).sum(),
-                KernelDispatch::Unrolled => csa_count_fused::<OpOr>(words, words),
-            };
+            return csa_count_fused::<OpOr>(words, words);
         }
         // Two operands: one fused pass over the inputs, no buffer.
-        [first] => return count2::<O>(dispatch, first.words(), last.words()),
+        [first] => return csa_count_fused::<O>(first.words(), last.words()),
         [first, second, mids @ ..] => (first, second, mids),
     };
     let n_words = first.words().len();
@@ -457,15 +327,14 @@ fn count_blocks<T: KernelOperand, O: WordOp>(operands: &[T], dispatch: KernelDis
         let end = (start + COUNT_BLOCK_WORDS).min(n_words);
         let width = end - start;
         combine2::<O>(
-            dispatch,
             &mut buf[..width],
             &first.words()[start..end],
             &second.words()[start..end],
         );
         for op in mids {
-            combine::<O>(dispatch, &mut buf[..width], &op.words()[start..end]);
+            combine::<O>(&mut buf[..width], &op.words()[start..end]);
         }
-        ones += count2::<O>(dispatch, &buf[..width], &last.words()[start..end]);
+        ones += csa_count_fused::<O>(&buf[..width], &last.words()[start..end]);
         start = end;
     }
     ones
@@ -479,37 +348,19 @@ fn count_blocks<T: KernelOperand, O: WordOp>(operands: &[T], dispatch: KernelDis
 /// execution drives exactly this kernel over cache-sized slices.
 #[must_use]
 pub fn and_all<T: KernelOperand>(operands: &[T]) -> BitVec {
-    and_all_with(KernelDispatch::active(), operands)
-}
-
-/// [`and_all`] pinned to a dispatch tier (benches and property tests).
-#[must_use]
-pub fn and_all_with<T: KernelOperand>(dispatch: KernelDispatch, operands: &[T]) -> BitVec {
-    fold_blocks::<T, OpAnd>(operands, dispatch)
+    fold_blocks::<T, OpAnd>(operands)
 }
 
 /// OR of all operands in a single pass with one output allocation.
 #[must_use]
 pub fn or_all<T: KernelOperand>(operands: &[T]) -> BitVec {
-    or_all_with(KernelDispatch::active(), operands)
-}
-
-/// [`or_all`] pinned to a dispatch tier.
-#[must_use]
-pub fn or_all_with<T: KernelOperand>(dispatch: KernelDispatch, operands: &[T]) -> BitVec {
-    fold_blocks::<T, OpOr>(operands, dispatch)
+    fold_blocks::<T, OpOr>(operands)
 }
 
 /// XOR of all operands in a single pass with one output allocation.
 #[must_use]
 pub fn xor_all<T: KernelOperand>(operands: &[T]) -> BitVec {
-    xor_all_with(KernelDispatch::active(), operands)
-}
-
-/// [`xor_all`] pinned to a dispatch tier.
-#[must_use]
-pub fn xor_all_with<T: KernelOperand>(dispatch: KernelDispatch, operands: &[T]) -> BitVec {
-    fold_blocks::<T, OpXor>(operands, dispatch)
+    fold_blocks::<T, OpXor>(operands)
 }
 
 /// `a ∧ ¬b` with the output sized once — the owned counterpart of
@@ -519,49 +370,25 @@ pub fn xor_all_with<T: KernelOperand>(dispatch: KernelDispatch, operands: &[T]) 
 /// Panics if lengths differ.
 #[must_use]
 pub fn and_not<T: KernelOperand + Copy>(a: T, b: T) -> BitVec {
-    and_not_with(KernelDispatch::active(), a, b)
-}
-
-/// [`and_not`] pinned to a dispatch tier.
-#[must_use]
-pub fn and_not_with<T: KernelOperand + Copy>(dispatch: KernelDispatch, a: T, b: T) -> BitVec {
-    fold_blocks::<T, OpAndNot>(&[a, b], dispatch)
+    fold_blocks::<T, OpAndNot>(&[a, b])
 }
 
 /// `|operands[0] ∧ operands[1] ∧ …|` without materializing the result.
 #[must_use]
 pub fn count_and<T: KernelOperand>(operands: &[T]) -> usize {
-    count_and_with(KernelDispatch::active(), operands)
-}
-
-/// [`count_and`] pinned to a dispatch tier.
-#[must_use]
-pub fn count_and_with<T: KernelOperand>(dispatch: KernelDispatch, operands: &[T]) -> usize {
-    count_blocks::<T, OpAnd>(operands, dispatch)
+    count_blocks::<T, OpAnd>(operands)
 }
 
 /// `|operands[0] ∨ operands[1] ∨ …|` without materializing the result.
 #[must_use]
 pub fn count_or<T: KernelOperand>(operands: &[T]) -> usize {
-    count_or_with(KernelDispatch::active(), operands)
-}
-
-/// [`count_or`] pinned to a dispatch tier.
-#[must_use]
-pub fn count_or_with<T: KernelOperand>(dispatch: KernelDispatch, operands: &[T]) -> usize {
-    count_blocks::<T, OpOr>(operands, dispatch)
+    count_blocks::<T, OpOr>(operands)
 }
 
 /// `|operands[0] ⊕ operands[1] ⊕ …|` without materializing the result.
 #[must_use]
 pub fn count_xor<T: KernelOperand>(operands: &[T]) -> usize {
-    count_xor_with(KernelDispatch::active(), operands)
-}
-
-/// [`count_xor`] pinned to a dispatch tier.
-#[must_use]
-pub fn count_xor_with<T: KernelOperand>(dispatch: KernelDispatch, operands: &[T]) -> usize {
-    count_blocks::<T, OpXor>(operands, dispatch)
+    count_blocks::<T, OpXor>(operands)
 }
 
 /// `|a ∧ ¬b|` without materializing the difference.
@@ -570,13 +397,7 @@ pub fn count_xor_with<T: KernelOperand>(dispatch: KernelDispatch, operands: &[T]
 /// Panics if lengths differ.
 #[must_use]
 pub fn count_and_not<T: KernelOperand + Copy>(a: T, b: T) -> usize {
-    count_and_not_with(KernelDispatch::active(), a, b)
-}
-
-/// [`count_and_not`] pinned to a dispatch tier.
-#[must_use]
-pub fn count_and_not_with<T: KernelOperand + Copy>(dispatch: KernelDispatch, a: T, b: T) -> usize {
-    count_blocks::<T, OpAndNot>(&[a, b], dispatch)
+    count_blocks::<T, OpAndNot>(&[a, b])
 }
 
 /// One accumulator update of a [`Fold`].
@@ -659,7 +480,7 @@ impl<T> Fold<T> {
     }
 }
 
-/// `!w` over a block. `inline(never)`: see [`combine_scalar`].
+/// `!w` over a block. `inline(never)`: see [`combine`].
 #[inline(never)]
 fn complement_words(dst: &mut [u64]) {
     for w in dst {
@@ -684,16 +505,6 @@ fn complement_words(dst: &mut [u64]) {
 /// Panics if any operand is not `len` bits long.
 #[must_use]
 pub fn fold<T: KernelOperand>(len: usize, program: &Fold<T>) -> BitVec {
-    fold_with(KernelDispatch::active(), len, program)
-}
-
-/// [`fold`] pinned to a dispatch tier (benches and property tests).
-#[must_use]
-pub fn fold_with<T: KernelOperand>(
-    dispatch: KernelDispatch,
-    len: usize,
-    program: &Fold<T>,
-) -> BitVec {
     let program = program.map(|op| {
         assert_eq!(
             len,
@@ -721,20 +532,20 @@ pub fn fold_with<T: KernelOperand>(
         let acc = &mut out[start..end];
         for step in steps {
             match *step {
-                FoldStep::And(b) => combine::<OpAnd>(dispatch, acc, &b[start..end]),
-                FoldStep::Or(b) => combine::<OpOr>(dispatch, acc, &b[start..end]),
-                FoldStep::AndNot(b) => combine::<OpAndNot>(dispatch, acc, &b[start..end]),
+                FoldStep::And(b) => combine::<OpAnd>(acc, &b[start..end]),
+                FoldStep::Or(b) => combine::<OpOr>(acc, &b[start..end]),
+                FoldStep::AndNot(b) => combine::<OpAndNot>(acc, &b[start..end]),
                 FoldStep::AndXor(a, b) => {
                     let xor = &mut xor[..end - start];
-                    combine2::<OpXor>(dispatch, xor, &a[start..end], &b[start..end]);
-                    combine::<OpAnd>(dispatch, acc, xor);
+                    combine2::<OpXor>(xor, &a[start..end], &b[start..end]);
+                    combine::<OpAnd>(acc, xor);
                 }
             }
         }
         match (program.complement, program.mask) {
-            (true, Some(mask)) => combine::<OpNotAnd>(dispatch, acc, &mask[start..end]),
+            (true, Some(mask)) => combine::<OpNotAnd>(acc, &mask[start..end]),
             (true, None) => complement_words(acc),
-            (false, Some(mask)) => combine::<OpAnd>(dispatch, acc, &mask[start..end]),
+            (false, Some(mask)) => combine::<OpAnd>(acc, &mask[start..end]),
             (false, None) => {}
         }
         start = end;
@@ -774,15 +585,13 @@ fn counter_levels(n: usize) -> usize {
 ///
 /// Processes `chunks` chunks of exactly `L` words starting at word
 /// `start`; returns the popcount of the result and, when `MATERIALIZE`,
-/// writes the result words into `out`. With `EXACT` the comparison is
-/// `count == k` instead of `count ≥ k`.
+/// writes the result words into `out`.
 ///
 /// Callers guarantee `1 ≤ k ≤ n < 2^levels`, so bit positions past a
 /// bitmap's canonical length (count 0) can never satisfy the predicate
-/// and the output needs no re-masking. `inline(never)`: see
-/// [`combine_scalar`].
+/// and the output needs no re-masking. `inline(never)`: see [`combine`].
 #[inline(never)]
-fn threshold_block<const L: usize, const MATERIALIZE: bool, const EXACT: bool>(
+fn threshold_block<const L: usize, const MATERIALIZE: bool>(
     ops: &[&[u64]],
     start: usize,
     chunks: usize,
@@ -823,21 +632,17 @@ fn threshold_block<const L: usize, const MATERIALIZE: bool, const EXACT: bool>(
                 }
             }
         }
-        // Bit-sliced comparison against the constant k: a borrow-chain
-        // subtraction for `count ≥ k`, an XNOR-AND fold for `count == k`.
-        let mut acc = if EXACT { [u64::MAX; L] } else { [0u64; L] };
+        // Bit-sliced comparison against the constant k: the borrow chain
+        // of `count − k`, whose final borrow is `count < k`.
+        let mut acc = [0u64; L];
         for (lvl, row) in cnt.iter().enumerate().take(levels) {
             let kmask = if (k >> lvl) & 1 == 1 { u64::MAX } else { 0u64 };
             for i in 0..L {
-                if EXACT {
-                    acc[i] &= !(row[i] ^ kmask);
-                } else {
-                    acc[i] = (!row[i] & kmask) | ((!row[i] | kmask) & acc[i]);
-                }
+                acc[i] = (!row[i] & kmask) | ((!row[i] | kmask) & acc[i]);
             }
         }
         for i in 0..L {
-            let w = if EXACT { acc[i] } else { !acc[i] };
+            let w = !acc[i];
             total += w.count_ones() as usize;
             if MATERIALIZE {
                 out[pos + i] = w;
@@ -848,36 +653,26 @@ fn threshold_block<const L: usize, const MATERIALIZE: bool, const EXACT: bool>(
     total
 }
 
-/// Drives [`threshold_block`] over a full word range under a dispatch
-/// tier: the unrolled tier runs `[u64; LANES]` chunks with a scalar
-/// ragged tail, the scalar tier runs everything word at a time.
-fn threshold_words<const MATERIALIZE: bool, const EXACT: bool>(
-    dispatch: KernelDispatch,
+/// Drives [`threshold_block`] over a full word range: `[u64; LANES]`
+/// chunks, then the ragged tail word at a time.
+fn threshold_words<const MATERIALIZE: bool>(
     ops: &[&[u64]],
     k: u64,
     levels: usize,
     out: &mut [u64],
 ) -> usize {
     let n_words = ops[0].len();
-    match dispatch {
-        KernelDispatch::Scalar => {
-            threshold_block::<1, MATERIALIZE, EXACT>(ops, 0, n_words, k, levels, out)
-        }
-        KernelDispatch::Unrolled => {
-            let body = n_words / LANES;
-            let mut total =
-                threshold_block::<LANES, MATERIALIZE, EXACT>(ops, 0, body, k, levels, out);
-            total += threshold_block::<1, MATERIALIZE, EXACT>(
-                ops,
-                body * LANES,
-                n_words - body * LANES,
-                k,
-                levels,
-                out,
-            );
-            total
-        }
-    }
+    let body = n_words / LANES;
+    let mut total = threshold_block::<LANES, MATERIALIZE>(ops, 0, body, k, levels, out);
+    total += threshold_block::<1, MATERIALIZE>(
+        ops,
+        body * LANES,
+        n_words - body * LANES,
+        k,
+        levels,
+        out,
+    );
+    total
 }
 
 /// Gathers operand word slices and checks the fan-in bound.
@@ -905,16 +700,6 @@ fn threshold_operand_words<T: KernelOperand>(operands: &[T]) -> Vec<&[u64]> {
 /// than [`MAX_THRESHOLD_FAN_IN`] operands.
 #[must_use]
 pub fn threshold_k<T: KernelOperand>(operands: &[T], k: usize) -> BitVec {
-    threshold_k_with(KernelDispatch::active(), operands, k)
-}
-
-/// [`threshold_k`] pinned to a dispatch tier (benches and property tests).
-#[must_use]
-pub fn threshold_k_with<T: KernelOperand>(
-    dispatch: KernelDispatch,
-    operands: &[T],
-    k: usize,
-) -> BitVec {
     let len = check_operands(operands);
     let n = operands.len();
     if k == 0 {
@@ -924,14 +709,14 @@ pub fn threshold_k_with<T: KernelOperand>(
         return BitVec::zeros(len);
     }
     if k == 1 {
-        return or_all_with(dispatch, operands);
+        return or_all(operands);
     }
     if k == n {
-        return and_all_with(dispatch, operands);
+        return and_all(operands);
     }
     let ops = threshold_operand_words(operands);
     let mut out = vec![0u64; crate::words_for(len)];
-    threshold_words::<true, false>(dispatch, &ops, k as u64, counter_levels(n), &mut out);
+    threshold_words::<true>(&ops, k as u64, counter_levels(n), &mut out);
     BitVec::from_words_unmasked(out, len)
 }
 
@@ -944,16 +729,6 @@ pub fn threshold_k_with<T: KernelOperand>(
 /// than [`MAX_THRESHOLD_FAN_IN`] operands.
 #[must_use]
 pub fn count_threshold_k<T: KernelOperand>(operands: &[T], k: usize) -> usize {
-    count_threshold_k_with(KernelDispatch::active(), operands, k)
-}
-
-/// [`count_threshold_k`] pinned to a dispatch tier.
-#[must_use]
-pub fn count_threshold_k_with<T: KernelOperand>(
-    dispatch: KernelDispatch,
-    operands: &[T],
-    k: usize,
-) -> usize {
     let len = check_operands(operands);
     let n = operands.len();
     if k == 0 {
@@ -963,68 +738,13 @@ pub fn count_threshold_k_with<T: KernelOperand>(
         return 0;
     }
     if k == 1 {
-        return count_blocks::<T, OpOr>(operands, dispatch);
+        return count_or(operands);
     }
     if k == n {
-        return count_blocks::<T, OpAnd>(operands, dispatch);
+        return count_and(operands);
     }
     let ops = threshold_operand_words(operands);
-    threshold_words::<false, false>(dispatch, &ops, k as u64, counter_levels(n), &mut [])
-}
-
-/// "Exactly `k` of the operands set" — the symmetric-function companion
-/// of [`threshold_k`], evaluated in the same single counter-network pass
-/// with an equality comparison instead of the borrow chain.
-///
-/// `k = 0` is the complement of the union; `k > n` is all zeros.
-///
-/// # Panics
-/// Panics on an empty operand list, mismatched operand lengths, or more
-/// than [`MAX_THRESHOLD_FAN_IN`] operands.
-#[must_use]
-pub fn exact_k<T: KernelOperand>(operands: &[T], k: usize) -> BitVec {
-    exact_k_with(KernelDispatch::active(), operands, k)
-}
-
-/// [`exact_k`] pinned to a dispatch tier.
-#[must_use]
-pub fn exact_k_with<T: KernelOperand>(
-    dispatch: KernelDispatch,
-    operands: &[T],
-    k: usize,
-) -> BitVec {
-    let len = check_operands(operands);
-    let n = operands.len();
-    if k > n {
-        return BitVec::zeros(len);
-    }
-    if k == 0 {
-        return or_all_with(dispatch, operands).complement();
-    }
-    if k == n {
-        return and_all_with(dispatch, operands);
-    }
-    let ops = threshold_operand_words(operands);
-    let mut out = vec![0u64; crate::words_for(len)];
-    threshold_words::<true, true>(dispatch, &ops, k as u64, counter_levels(n), &mut out);
-    BitVec::from_words_unmasked(out, len)
-}
-
-/// Majority vote over the operands: set where **more than half** are set
-/// (`k = ⌊n/2⌋ + 1`), the classic symmetric-function fast path.
-///
-/// # Panics
-/// Panics on an empty operand list, mismatched operand lengths, or more
-/// than [`MAX_THRESHOLD_FAN_IN`] operands.
-#[must_use]
-pub fn majority<T: KernelOperand>(operands: &[T]) -> BitVec {
-    majority_with(KernelDispatch::active(), operands)
-}
-
-/// [`majority`] pinned to a dispatch tier.
-#[must_use]
-pub fn majority_with<T: KernelOperand>(dispatch: KernelDispatch, operands: &[T]) -> BitVec {
-    threshold_k_with(dispatch, operands, operands.len() / 2 + 1)
+    threshold_words::<false>(&ops, k as u64, counter_levels(n), &mut [])
 }
 
 #[cfg(test)]
@@ -1048,29 +768,50 @@ mod tests {
         acc
     }
 
+    /// The word-at-a-time tier: `f` folded over the operands' words one
+    /// word at a time, no blocking, no lanes, no carry-save counting. What
+    /// the blocked kernels compute, by the loop they replaced; its
+    /// `count_ones` is the word-at-a-time popcount.
+    fn wordwise<T: KernelOperand>(operands: &[T], f: impl Fn(u64, u64) -> u64) -> BitVec {
+        let mut words = operands[0].words().to_vec();
+        for op in &operands[1..] {
+            for (a, &b) in words.iter_mut().zip(op.words()) {
+                *a = f(*a, b);
+            }
+        }
+        BitVec::from_words(words, operands[0].len())
+    }
+
+    /// Lengths straddling word, lane (`LANES`·64 bits) and 1,024-word block
+    /// boundaries, including the tail-word cases len % 64 ∈ {0, 1, 63} and
+    /// ragged lane tails.
+    fn boundary_lengths() -> Vec<usize> {
+        let lane = LANES * 64;
+        let block = BLOCK_WORDS * 64;
+        let mut lens = vec![1, 63, 64, 65, 127, 128];
+        lens.extend([lane - 64, lane, lane + 1, lane + 63, 3 * lane + 17]);
+        lens.extend([8 * 1024, block, block + 9, block + 63, 99_991]);
+        lens
+    }
+
+    /// The blocked kernels and the word-at-a-time tier both produce the
+    /// pairwise fold, at every boundary length and fan-ins 1–16.
     #[test]
     fn kary_matches_pairwise_fold_on_both_tiers() {
-        // Lengths straddling block, lane, and word boundaries, including
-        // the tail-word cases len % 64 ∈ {0, 1, 63} and ragged lane tails.
-        for len in [1usize, 63, 64, 65, 127, 128, 8 * 1024, 64 * 1024 + 63] {
-            let owned: Vec<BitVec> = (0..9).map(|k| sample(len, k as u64)).collect();
-            let ops: Vec<&BitVec> = owned.iter().collect();
-            for dispatch in [KernelDispatch::Scalar, KernelDispatch::Unrolled] {
-                assert_eq!(
-                    and_all_with(dispatch, &ops),
-                    pairwise(&ops, |a, b| a.and_assign(b)),
-                    "and len {len} {dispatch:?}"
-                );
-                assert_eq!(
-                    or_all_with(dispatch, &ops),
-                    pairwise(&ops, |a, b| a.or_assign(b)),
-                    "or len {len} {dispatch:?}"
-                );
-                assert_eq!(
-                    xor_all_with(dispatch, &ops),
-                    pairwise(&ops, |a, b| a.xor_assign(b)),
-                    "xor len {len} {dispatch:?}"
-                );
+        for len in boundary_lengths() {
+            let owned: Vec<BitVec> = (0..16).map(|k| sample(len, k as u64)).collect();
+            for fan_in in [1usize, 2, 3, 7, 9, 16] {
+                let ops: Vec<&BitVec> = owned[..fan_in].iter().collect();
+                let label = format!("len {len} fan-in {fan_in}");
+                let want = pairwise(&ops, |a, b| a.and_assign(b));
+                assert_eq!(and_all(&ops), want, "and {label}");
+                assert_eq!(wordwise(&ops, |a, b| a & b), want, "and {label}");
+                let want = pairwise(&ops, |a, b| a.or_assign(b));
+                assert_eq!(or_all(&ops), want, "or {label}");
+                assert_eq!(wordwise(&ops, |a, b| a | b), want, "or {label}");
+                let want = pairwise(&ops, |a, b| a.xor_assign(b));
+                assert_eq!(xor_all(&ops), want, "xor {label}");
+                assert_eq!(wordwise(&ops, |a, b| a ^ b), want, "xor {label}");
             }
         }
     }
@@ -1081,32 +822,35 @@ mod tests {
         assert_eq!(and_all(&[&v]), v);
         assert_eq!(or_all(&[&v]), v);
         assert_eq!(xor_all(&[&v]), v);
-        for dispatch in [KernelDispatch::Scalar, KernelDispatch::Unrolled] {
-            assert_eq!(count_and_with(dispatch, &[&v]), v.count_ones());
-        }
+        assert_eq!(count_and(&[&v]), v.count_ones());
     }
 
+    /// The fused counts equal the popcount of the materialized kernel
+    /// result and of the word-at-a-time tier's.
     #[test]
     fn fused_counts_match_materialized_on_both_tiers() {
-        for len in [65usize, 4096, 16 * 1024 + 1] {
-            let owned: Vec<BitVec> = (0..5).map(|k| sample(len, 17 + k as u64)).collect();
-            let ops: Vec<&BitVec> = owned.iter().collect();
-            let (and, or, xor) = (
-                and_all(&ops).count_ones(),
-                or_all(&ops).count_ones(),
-                xor_all(&ops).count_ones(),
-            );
-            for dispatch in [KernelDispatch::Scalar, KernelDispatch::Unrolled] {
+        for len in boundary_lengths() {
+            let owned: Vec<BitVec> = (0..16).map(|k| sample(len, 17 + k as u64)).collect();
+            for fan_in in [1usize, 2, 3, 5, 16] {
+                let ops: Vec<&BitVec> = owned[..fan_in].iter().collect();
+                let label = format!("len {len} fan-in {fan_in}");
+                assert_eq!(count_and(&ops), and_all(&ops).count_ones(), "{label}");
                 assert_eq!(
-                    count_and_with(dispatch, &ops),
-                    and,
-                    "len {len} {dispatch:?}"
+                    count_and(&ops),
+                    wordwise(&ops, |a, b| a & b).count_ones(),
+                    "{label}"
                 );
-                assert_eq!(count_or_with(dispatch, &ops), or, "len {len} {dispatch:?}");
+                assert_eq!(count_or(&ops), or_all(&ops).count_ones(), "{label}");
                 assert_eq!(
-                    count_xor_with(dispatch, &ops),
-                    xor,
-                    "len {len} {dispatch:?}"
+                    count_or(&ops),
+                    wordwise(&ops, |a, b| a | b).count_ones(),
+                    "{label}"
+                );
+                assert_eq!(count_xor(&ops), xor_all(&ops).count_ones(), "{label}");
+                assert_eq!(
+                    count_xor(&ops),
+                    wordwise(&ops, |a, b| a ^ b).count_ones(),
+                    "{label}"
                 );
             }
         }
@@ -1114,13 +858,14 @@ mod tests {
 
     #[test]
     fn and_not_matches_assign() {
-        let a = sample(777, 1);
-        let b = sample(777, 2);
-        let mut want = a.clone();
-        want.and_not_assign(&b);
-        for dispatch in [KernelDispatch::Scalar, KernelDispatch::Unrolled] {
-            assert_eq!(and_not_with(dispatch, &a, &b), want);
-            assert_eq!(count_and_not_with(dispatch, &a, &b), want.count_ones());
+        for len in boundary_lengths() {
+            let a = sample(len, 1);
+            let b = sample(len, 2);
+            let mut want = a.clone();
+            want.and_not_assign(&b);
+            assert_eq!(and_not(&a, &b), want, "len {len}");
+            assert_eq!(wordwise(&[&a, &b], |a, b| a & !b), want, "len {len}");
+            assert_eq!(count_and_not(&a, &b), want.count_ones(), "len {len}");
         }
     }
 
@@ -1147,6 +892,8 @@ mod tests {
         acc
     }
 
+    /// [`fold`] against [`fold_pairwise`], whose plain `BitVec` loops are
+    /// the word-at-a-time tier here.
     #[test]
     fn fold_matches_pairwise_composition_on_both_tiers() {
         // Lengths around the word, lane and block boundaries, several
@@ -1197,12 +944,9 @@ mod tests {
                                 complement,
                                 mask,
                             };
-                            let want = fold_pairwise(len, &program);
-                            for dispatch in [KernelDispatch::Scalar, KernelDispatch::Unrolled] {
-                                let got = fold_with(dispatch, len, &program);
-                                assert_eq!(got, want, "len {len} {dispatch:?} {program:?}");
-                                assert_eq!(got.words().len(), crate::words_for(len));
-                            }
+                            let got = fold(len, &program);
+                            assert_eq!(got, fold_pairwise(len, &program), "len {len} {program:?}");
+                            assert_eq!(got.words().len(), crate::words_for(len));
                         }
                     }
                 }
@@ -1274,6 +1018,28 @@ mod tests {
         assert_eq!(o.words()[1], 1);
         let x = xor_all(&[&a, &b]);
         assert_eq!(x.count_ones(), 0);
+        // Empty, all-zeros and all-ones operands mixed, at tail lengths
+        // where the canonical-form mask matters.
+        for len in [0usize, 1, 64, 65, 512 + 7] {
+            let zeros = BitVec::zeros(len);
+            let ones = BitVec::ones(len);
+            for ops in [
+                vec![&zeros, &zeros],
+                vec![&ones, &ones],
+                vec![&zeros, &ones, &zeros],
+                vec![&ones, &zeros, &ones, &ones],
+            ] {
+                let label = format!("len {len} fan-in {}", ops.len());
+                assert_eq!(or_all(&ops), wordwise(&ops, |a, b| a | b), "or {label}");
+                assert_eq!(xor_all(&ops), wordwise(&ops, |a, b| a ^ b), "xor {label}");
+                assert_eq!(
+                    count_and(&ops),
+                    wordwise(&ops, |a, b| a & b).count_ones(),
+                    "count {label}"
+                );
+            }
+            assert_eq!(or_all(&[&ones, &ones]), ones, "len {len}");
+        }
     }
 
     #[test]
@@ -1322,6 +1088,28 @@ mod tests {
         let mut want = a.view_range(64, 4096 + 64).to_bitvec();
         want.or_assign(&b.view_range(64, 4096 + 64).to_bitvec());
         assert_eq!(acc, want);
+        // Word-aligned windows, a ragged final one included, against the
+        // word-at-a-time tier and against their materialized copies.
+        let len = owned[0].len();
+        for (lo, hi) in [(0usize, 4096), (4096, 8192 + 64), (63 * 1024, len)] {
+            let views: Vec<_> = owned.iter().map(|b| b.view_range(lo, hi)).collect();
+            let label = format!("view {lo}..{hi}");
+            assert_eq!(and_all(&views), wordwise(&views, |a, b| a & b), "{label}");
+            assert_eq!(or_all(&views), wordwise(&views, |a, b| a | b), "{label}");
+            assert_eq!(
+                count_or(&views),
+                wordwise(&views, |a, b| a | b).count_ones(),
+                "{label}"
+            );
+            assert_eq!(
+                and_not(views[0], views[1]),
+                wordwise(&views[..2], |a, b| a & !b),
+                "{label}"
+            );
+            let mats: Vec<BitVec> = views.iter().map(|v| v.to_bitvec()).collect();
+            let mat_refs: Vec<&BitVec> = mats.iter().collect();
+            assert_eq!(or_all(&views), or_all(&mat_refs), "{label}");
+        }
     }
 
     #[test]
@@ -1374,39 +1162,50 @@ mod tests {
     }
 
     /// Per-row popcount reference for the threshold kernels.
-    fn threshold_reference(ops: &[&BitVec], k: usize, exact: bool) -> BitVec {
-        let len = ops[0].len();
-        BitVec::from_fn(len, |i| {
-            let c = ops.iter().filter(|b| b.get(i)).count();
-            if exact {
-                c == k
-            } else {
-                c >= k
-            }
+    fn threshold_reference(ops: &[&BitVec], k: usize) -> BitVec {
+        BitVec::from_fn(ops[0].len(), |i| {
+            ops.iter().filter(|b| b.get(i)).count() >= k
         })
+    }
+
+    /// The word-at-a-time tier of the threshold kernels: the one-word
+    /// counter network they keep for the ragged tail, driven over every
+    /// word. Returns the bitmap and the count it reports. `1 ≤ k ≤ n`.
+    fn threshold_wordwise<T: KernelOperand>(operands: &[T], k: usize) -> (BitVec, usize) {
+        let ops = threshold_operand_words(operands);
+        let mut out = vec![0u64; ops[0].len()];
+        let levels = counter_levels(ops.len());
+        let count = threshold_block::<1, true>(&ops, 0, ops[0].len(), k as u64, levels, &mut out);
+        (BitVec::from_words(out, operands[0].len()), count)
     }
 
     #[test]
     fn threshold_matches_per_row_reference_on_both_tiers() {
-        for len in [1usize, 63, 64, 65, 127, 128, 4096, 8 * 1024 + 7] {
-            for n in [1usize, 2, 3, 4, 7, 8, 13] {
+        for len in [
+            1usize,
+            63,
+            64,
+            65,
+            127,
+            128,
+            1024,
+            4096,
+            4096 + 17,
+            8 * 1024 + 7,
+        ] {
+            for n in [1usize, 2, 3, 4, 5, 7, 8, 13, 16] {
                 let owned: Vec<BitVec> = (0..n).map(|j| sample(len, 0xA0 + j as u64)).collect();
                 let ops: Vec<&BitVec> = owned.iter().collect();
                 for k in 0..=(n + 1) {
-                    let want = threshold_reference(&ops, k, false);
-                    let want_exact = threshold_reference(&ops, k, true);
-                    for dispatch in [KernelDispatch::Scalar, KernelDispatch::Unrolled] {
-                        let got = threshold_k_with(dispatch, &ops, k);
-                        assert_eq!(got, want, "len {len} n {n} k {k} {dispatch:?}");
+                    let label = format!("len {len} n {n} k {k}");
+                    let want = threshold_reference(&ops, k);
+                    assert_eq!(threshold_k(&ops, k), want, "{label}");
+                    assert_eq!(count_threshold_k(&ops, k), want.count_ones(), "{label}");
+                    if (1..=n).contains(&k) {
                         assert_eq!(
-                            count_threshold_k_with(dispatch, &ops, k),
-                            want.count_ones(),
-                            "count len {len} n {n} k {k} {dispatch:?}"
-                        );
-                        assert_eq!(
-                            exact_k_with(dispatch, &ops, k),
-                            want_exact,
-                            "exact len {len} n {n} k {k} {dispatch:?}"
+                            threshold_wordwise(&ops, k),
+                            (want.clone(), want.count_ones()),
+                            "word at a time {label}"
                         );
                     }
                 }
@@ -1423,14 +1222,9 @@ mod tests {
         assert_eq!(count_threshold_k(&ops, 0), 500);
         assert_eq!(threshold_k(&ops, 4), BitVec::zeros(500));
         assert_eq!(count_threshold_k(&ops, 4), 0);
-        assert_eq!(exact_k(&ops, 4), BitVec::zeros(500));
         // k = 1 / k = n collapse to the union / intersection kernels.
         assert_eq!(threshold_k(&ops, 1), or_all(&ops));
         assert_eq!(threshold_k(&ops, 3), and_all(&ops));
-        // exact 0 is the complement of the union.
-        assert_eq!(exact_k(&ops, 0), or_all(&ops).complement());
-        // Majority of three = at least two.
-        assert_eq!(majority(&ops), threshold_k(&ops, 2));
     }
 
     #[test]
@@ -1439,13 +1233,10 @@ mod tests {
         // masked past `len` so equality against canonical bitmaps holds.
         let ops: Vec<BitVec> = (0..5).map(|_| BitVec::ones(65)).collect();
         let refs: Vec<&BitVec> = ops.iter().collect();
-        for dispatch in [KernelDispatch::Scalar, KernelDispatch::Unrolled] {
-            let got = threshold_k_with(dispatch, &refs, 3);
-            assert_eq!(got, BitVec::ones(65), "{dispatch:?}");
-            assert_eq!(got.words()[1], 1, "{dispatch:?}");
-            assert_eq!(count_threshold_k_with(dispatch, &refs, 3), 65);
-            assert_eq!(exact_k_with(dispatch, &refs, 5), BitVec::ones(65));
-        }
+        let got = threshold_k(&refs, 3);
+        assert_eq!(got, BitVec::ones(65));
+        assert_eq!(got.words()[1], 1);
+        assert_eq!(count_threshold_k(&refs, 3), 65);
     }
 
     #[test]
@@ -1469,6 +1260,18 @@ mod tests {
             lo = hi;
         }
         assert_eq!(BitVec::from_words(got, owned[0].len()), whole);
+        // Windows, a ragged final one included, against the word-at-a-time
+        // tier and against their materialized copies.
+        for (lo, hi) in [(0usize, 4096), (60 * 1024, owned[0].len())] {
+            let views: Vec<_> = owned.iter().map(|b| b.view_range(lo, hi)).collect();
+            let mats: Vec<BitVec> = views.iter().map(|v| v.to_bitvec()).collect();
+            let mat_refs: Vec<&BitVec> = mats.iter().collect();
+            for k in [2usize, 4, 5] {
+                let got = threshold_k(&views, k);
+                assert_eq!(got, threshold_wordwise(&views, k).0, "{lo}..{hi} k {k}");
+                assert_eq!(got, threshold_k(&mat_refs, k), "{lo}..{hi} k {k}");
+            }
+        }
     }
 
     #[test]
@@ -1483,23 +1286,5 @@ mod tests {
         let a = BitVec::zeros(10);
         let b = BitVec::zeros(11);
         let _ = threshold_k(&[&a, &b], 1);
-    }
-
-    #[test]
-    fn dispatch_parse_and_names() {
-        assert_eq!(
-            KernelDispatch::parse("scalar"),
-            Some(KernelDispatch::Scalar)
-        );
-        assert_eq!(
-            KernelDispatch::parse(" UNROLLED "),
-            Some(KernelDispatch::Unrolled)
-        );
-        assert_eq!(KernelDispatch::parse("avx9000"), None);
-        assert_eq!(KernelDispatch::parse(""), None);
-        assert_eq!(KernelDispatch::Scalar.name(), "scalar");
-        assert_eq!(KernelDispatch::Unrolled.name(), "unrolled");
-        // active() always resolves to a concrete tier and is stable.
-        assert_eq!(KernelDispatch::active(), KernelDispatch::active());
     }
 }

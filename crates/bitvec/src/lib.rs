@@ -31,7 +31,6 @@ pub mod rank;
 pub mod summary;
 
 pub use crate::bitvec::{BitVec, OnesIter, SegmentView};
-pub use crate::kernels::{KernelDispatch, KERNEL_ENV, LANES};
 pub use crate::summary::{IndexSummaries, SlotSummary, SUMMARY_WINDOW_BITS};
 
 /// Number of bits in one storage word.

@@ -25,18 +25,13 @@ pub mod range_eval;
 pub mod range_opt;
 pub mod threshold;
 
-pub use threshold::{
-    evaluate_threshold, evaluate_threshold_in, evaluate_threshold_segment_range_in,
-    evaluate_threshold_segmented, evaluate_threshold_segmented_in,
-};
-
 use bindex_bitvec::BitVec;
 use bindex_compress::Repr;
-use bindex_relation::query::SelectionQuery;
+use bindex_relation::query::{Query, SelectionQuery};
 
 use crate::encoding::Encoding;
 use crate::error::{Error, Result};
-use crate::exec::{BufferSet, EvalStats, ExecContext};
+use crate::exec::{EvalStats, ExecContext};
 use crate::index::BitmapSource;
 
 /// Which evaluation algorithm to run.
@@ -69,28 +64,16 @@ impl Algorithm {
     }
 }
 
-/// Evaluates one query against a bitmap source, returning the foundset and
-/// the exact evaluation statistics.
+/// Evaluates one query — a [`SelectionQuery`], a
+/// [`ThresholdQuery`](bindex_relation::query::ThresholdQuery) or a
+/// [`Query`] — against a bitmap source, returning the foundset and the
+/// exact evaluation statistics. [`evaluate_in`] in a context of its own.
 pub fn evaluate<S: BitmapSource>(
     source: &mut S,
-    query: SelectionQuery,
+    query: impl Into<Query>,
     algorithm: Algorithm,
 ) -> Result<(BitVec, EvalStats)> {
     let mut ctx = ExecContext::new(source);
-    let found = evaluate_in(&mut ctx, query, algorithm)?;
-    let stats = ctx.take_stats();
-    Ok((found, stats))
-}
-
-/// Like [`evaluate`], with a buffer pool whose resident bitmaps scan for
-/// free (Section 10).
-pub fn evaluate_buffered<S: BitmapSource>(
-    source: &mut S,
-    buffer: &BufferSet,
-    query: SelectionQuery,
-    algorithm: Algorithm,
-) -> Result<(BitVec, EvalStats)> {
-    let mut ctx = ExecContext::with_buffer(source, buffer);
     let found = evaluate_in(&mut ctx, query, algorithm)?;
     let stats = ctx.take_stats();
     Ok((found, stats))
@@ -101,16 +84,18 @@ pub fn evaluate_buffered<S: BitmapSource>(
 /// whole-bitmap fallback, its result decoded if it came back compressed.
 pub fn evaluate_in<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
-    query: SelectionQuery,
+    query: impl Into<Query>,
     algorithm: Algorithm,
 ) -> Result<BitVec> {
-    let found = evaluate_repr_in(ctx, query, algorithm, None)?;
+    let found = evaluate_repr_in(ctx, &query.into(), algorithm, None)?;
     Ok(ctx.materialize(found))
 }
 
-/// Evaluates one query to a foundset in whichever representation the
-/// evaluation produced — the entry point for callers that may never need
-/// dense words (a count, a cache). The choice is made here, per query, from
+/// *The* evaluator: one query of either kind to a foundset in whichever
+/// representation the evaluation produced — the entry point for callers
+/// that may never need dense words (a count, a cache); [`evaluate`],
+/// [`evaluate_in`] and [`evaluate_segmented_in`] are this plus
+/// [`ExecContext::materialize`]. The choice is made here, per query, from
 /// what the operands are:
 ///
 /// * RangeEval-Opt whose every operand (`B_nn` included) is served
@@ -119,32 +104,38 @@ pub fn evaluate_in<S: BitmapSource>(
 ///   the operands' runs ([`ExecContext::fold_wah`]); the result is
 ///   [`Repr::Wah`] and nothing was decoded.
 /// * Everything else — another evaluator, a literal or poorly compressed
-///   operand, a reconstructed slot, an overlay — runs over dense words as
-///   before: whole-bitmap when `segment_bits` is `None`, window by window
-///   (with summary pruning and cooperative deadline checks) otherwise, and
-///   comes back [`Repr::Literal`].
+///   operand, a reconstructed slot, an overlay, any threshold — runs over
+///   dense words: whole-bitmap when `segment_bits` is `None`, window by
+///   window (with summary pruning, the threshold early-exit bound and
+///   cooperative deadline checks; [`evaluate_segment_range_in`] over the
+///   whole row range) otherwise, and comes back [`Repr::Literal`].
 ///
-/// Answers and the paper-model counters (scans, ANDs, ORs, XORs, NOTs) are
-/// identical on both sides; only where the operations ran
-/// ([`EvalStats::compressed_ops`], [`EvalStats::materializations`], the
-/// `segments_*` counters) tells them apart.
+/// Answers and the paper-model counters (scans, ANDs, ORs, XORs, NOTs,
+/// threshold combines) are identical on every path; only where the
+/// operations ran ([`EvalStats::compressed_ops`],
+/// [`EvalStats::materializations`], the `segments_*` counters) tells them
+/// apart. A malformed threshold (`k = 0`, `k > N`, no predicates) is
+/// [`Error::InvalidQuery`] before anything is fetched.
 ///
 /// # Panics
 /// Panics if `segment_bits` is `Some` of zero or of a non-multiple of 64.
 pub fn evaluate_repr_in<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
-    query: SelectionQuery,
+    query: &Query,
     algorithm: Algorithm,
     segment_bits: Option<usize>,
 ) -> Result<Repr> {
-    let encoding = ctx.spec().encoding;
-    if encoding == Encoding::Range && algorithm.resolve(encoding) == Algorithm::RangeEvalOpt {
-        if let Some(found) = range_opt::evaluate_compressed(ctx, query)? {
-            return Ok(Repr::wah(found));
+    validate(query)?;
+    if let Query::Selection(q) = *query {
+        let encoding = ctx.spec().encoding;
+        if encoding == Encoding::Range && algorithm.resolve(encoding) == Algorithm::RangeEvalOpt {
+            if let Some(found) = range_opt::evaluate_compressed(ctx, q)? {
+                return Ok(Repr::wah(found));
+            }
         }
     }
     let Some(segment_bits) = segment_bits else {
-        return evaluate_windowed(ctx, query, algorithm).map(Repr::literal);
+        return evaluate_windowed(ctx, query, algorithm, true).map(Repr::literal);
     };
     let n_rows = ctx.n_rows();
     let mut out = vec![0u64; bindex_bitvec::words_for(n_rows)];
@@ -154,11 +145,35 @@ pub fn evaluate_repr_in<S: BitmapSource>(
     Ok(Repr::literal(BitVec::from_words(out, n_rows)))
 }
 
-/// The dense evaluation of one query at the context's current width: the
-/// whole relation, or the current segment's window under segmented
-/// execution (which is how [`evaluate_segment_range_in`] and the threshold
-/// evaluator drive it).
-pub(crate) fn evaluate_windowed<S: BitmapSource>(
+/// A selection is always well-formed; a malformed threshold is the typed
+/// [`Error::InvalidQuery`].
+fn validate(query: &Query) -> Result<()> {
+    match query {
+        Query::Selection(_) => Ok(()),
+        Query::Threshold(q) => threshold::validate(q),
+    }
+}
+
+/// The dense evaluation of one (validated) query at the context's current
+/// width: the whole relation, or the current segment's window under
+/// segmented execution. `charging` is `true` for the run that must execute
+/// the full data-independent operator sequence (whole mode, or segment 0);
+/// only a threshold looks at it.
+fn evaluate_windowed<S: BitmapSource>(
+    ctx: &mut ExecContext<'_, S>,
+    query: &Query,
+    algorithm: Algorithm,
+    charging: bool,
+) -> Result<BitVec> {
+    match query {
+        Query::Selection(q) => evaluate_predicate(ctx, *q, algorithm),
+        Query::Threshold(q) => threshold::evaluate_window(ctx, q, algorithm, charging),
+    }
+}
+
+/// One selection predicate, densely, at the context's current width, by
+/// the evaluator `algorithm` resolves to.
+pub(crate) fn evaluate_predicate<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     query: SelectionQuery,
     algorithm: Algorithm,
@@ -185,47 +200,29 @@ pub(crate) fn evaluate_windowed<S: BitmapSource>(
     }
 }
 
-/// Evaluates one query segment-at-a-time: the operator tree runs over
-/// fixed-size morsels of `segment_bits` bits so every intermediate stays
-/// cache-resident, then the per-segment foundsets are stitched into the
-/// full-length result. Bit-identical to [`evaluate`]; [`EvalStats`] match
-/// on every paper-model counter (ops are charged on the first segment
-/// only, which reproduces the whole-bitmap counts exactly because the
-/// evaluators' control flow depends only on the query, never on bitmap
-/// contents), plus the segment counters
-/// [`EvalStats::segments_evaluated`] / [`EvalStats::segments_skipped`] —
-/// which stay zero when the query ran in the compressed domain instead
-/// (see [`evaluate_repr_in`]).
-///
-/// # Panics
-/// Panics if `segment_bits` is zero or not a multiple of 64.
-pub fn evaluate_segmented<S: BitmapSource>(
-    source: &mut S,
-    query: SelectionQuery,
-    algorithm: Algorithm,
-    segment_bits: usize,
-) -> Result<(BitVec, EvalStats)> {
-    let mut ctx = ExecContext::new(source);
-    let found = evaluate_segmented_in(&mut ctx, query, algorithm, segment_bits)?;
-    let stats = ctx.take_stats();
-    Ok((found, stats))
-}
-
-/// Segment-at-a-time evaluation within an existing context; see
-/// [`evaluate_segmented`]. The context's fetch cache persists across
-/// segments (and across queries, as in [`evaluate_in`]).
-/// [`evaluate_repr_in`] with a segmented fallback, its result decoded if
-/// it came back compressed.
+/// Segment-at-a-time evaluation within an existing context: the operator
+/// tree runs over fixed-size morsels of `segment_bits` bits so every
+/// intermediate stays cache-resident, then the per-segment foundsets are
+/// stitched into the full-length result. [`evaluate_repr_in`] with a
+/// segmented fallback, its result decoded if it came back compressed.
+/// Bit-identical to [`evaluate_in`]; [`EvalStats`] match on every
+/// paper-model counter (ops are charged on the first segment only, which
+/// reproduces the whole-bitmap counts exactly because the evaluators'
+/// control flow depends only on the query, never on bitmap contents), plus
+/// the segment counters [`EvalStats::segments_evaluated`] /
+/// [`EvalStats::segments_skipped`] — which stay zero when the query ran in
+/// the compressed domain instead. The context's fetch cache persists
+/// across segments (and across queries, as in [`evaluate_in`]).
 ///
 /// # Panics
 /// Panics if `segment_bits` is zero or not a multiple of 64.
 pub fn evaluate_segmented_in<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
-    query: SelectionQuery,
+    query: impl Into<Query>,
     algorithm: Algorithm,
     segment_bits: usize,
 ) -> Result<BitVec> {
-    let found = evaluate_repr_in(ctx, query, algorithm, Some(segment_bits))?;
+    let found = evaluate_repr_in(ctx, &query.into(), algorithm, Some(segment_bits))?;
     Ok(ctx.materialize(found))
 }
 
@@ -233,22 +230,25 @@ pub fn evaluate_segmented_in<S: BitmapSource>(
 /// word buffer covering exactly that row range (`out[0]` holds row
 /// `row_lo`; `row_lo` is segment- and therefore word-aligned).
 /// `row_hi` must be segment-aligned or equal to the row count. This is the
-/// engine's morsel primitive: several workers each drive a disjoint chunk
-/// of one query into their own buffers, then stitch.
+/// one morsel primitive, for either kind of query: the segmented path of
+/// [`evaluate_repr_in`] is the chunk `[0, n_rows)`, and the engine has
+/// several workers each drive a disjoint chunk of one query into their own
+/// buffers, then stitches.
 ///
-/// Op-charge parity holds per chunk: only the chunk containing segment 0
-/// accumulates the paper-model op counts, so a caller summing stats across
-/// chunks of one query reproduces the whole-bitmap numbers. The caller
-/// must invoke [`ExecContext::take_stats`] (or `exit_segments`) before
-/// reusing the context in whole-bitmap mode; `evaluate_segmented_in` does
-/// this itself.
+/// Op-charge parity holds per chunk: only segment 0 — so only the chunk
+/// containing it — accumulates the paper-model op counts (a threshold runs
+/// every predicate there; its later segments may take the early-exit
+/// bound), so a caller summing stats across chunks of one query reproduces
+/// the whole-bitmap numbers. The caller must invoke
+/// [`ExecContext::take_stats`] (or `exit_segments`) before reusing the
+/// context in whole-bitmap mode; `evaluate_segmented_in` does this itself.
 ///
 /// # Panics
 /// Panics if `segment_bits` is zero or not a multiple of 64, or the row
 /// range is not segment-aligned as described.
 pub fn evaluate_segment_range_in<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
-    query: SelectionQuery,
+    query: &Query,
     algorithm: Algorithm,
     segment_bits: usize,
     row_lo: usize,
@@ -266,11 +266,12 @@ pub fn evaluate_segment_range_in<S: BitmapSource>(
         "chunk bounds must be segment-aligned"
     );
     assert!(row_lo <= row_hi && row_hi <= n_rows, "chunk out of range");
+    validate(query)?;
     if n_rows == 0 {
         // Degenerate relation: run one empty segment so stats are charged
         // exactly as whole-bitmap mode would.
         ctx.begin_segment(0, 0, 0);
-        let r = evaluate_windowed(ctx, query, algorithm);
+        let r = evaluate_windowed(ctx, query, algorithm, true);
         ctx.end_segment();
         r?;
         return Ok(());
@@ -284,8 +285,9 @@ pub fn evaluate_segment_range_in<S: BitmapSource>(
             return Err(Error::DeadlineExceeded);
         }
         let hi = (lo + segment_bits).min(n_rows);
-        ctx.begin_segment(lo, hi, lo / segment_bits);
-        let part = evaluate_windowed(ctx, query, algorithm)?;
+        let index = lo / segment_bits;
+        ctx.begin_segment(lo, hi, index);
+        let part = evaluate_windowed(ctx, query, algorithm, index == 0)?;
         debug_assert_eq!(
             part.len(),
             hi - lo,
@@ -297,45 +299,6 @@ pub fn evaluate_segment_range_in<S: BitmapSource>(
         lo = hi;
     }
     Ok(())
-}
-
-/// Average per-query statistics over a workload.
-pub fn workload_average<S: BitmapSource>(
-    source: &mut S,
-    queries: &[SelectionQuery],
-    algorithm: Algorithm,
-) -> Result<WorkloadStats> {
-    let mut ctx = ExecContext::new(source);
-    let mut total = EvalStats::default();
-    for &q in queries {
-        evaluate_in(&mut ctx, q, algorithm)?;
-        total.add(&ctx.take_stats());
-    }
-    Ok(WorkloadStats {
-        queries: queries.len(),
-        total,
-    })
-}
-
-/// Aggregated statistics over a query workload.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkloadStats {
-    /// Number of queries evaluated.
-    pub queries: usize,
-    /// Sum of per-query statistics.
-    pub total: EvalStats,
-}
-
-impl WorkloadStats {
-    /// Average bitmap scans per query — the paper's **time metric**.
-    pub fn avg_scans(&self) -> f64 {
-        self.total.scans as f64 / self.queries.max(1) as f64
-    }
-
-    /// Average bitmap operations per query.
-    pub fn avg_ops(&self) -> f64 {
-        self.total.total_ops() as f64 / self.queries.max(1) as f64
-    }
 }
 
 fn require(actual: Encoding, expected: Encoding) -> Result<()> {
@@ -379,31 +342,107 @@ mod tests {
         }
     }
 
-    /// Segmented evaluation is bit-identical to whole-bitmap evaluation
-    /// and charges the same paper-model statistics, for every evaluator,
-    /// operator, constant, and several segment sizes (including sizes
-    /// larger than the relation and a non-dividing size).
+    /// Every algorithm × the full selection space, then thresholds over
+    /// fan-ins 1, 2, 3 and 7 at every `k`.
+    fn morsel_inputs(encoding: Encoding) -> Vec<(Query, Algorithm)> {
+        use query::{Op, ThresholdQuery};
+        let mut inputs = Vec::new();
+        for algorithm in algorithms(encoding) {
+            for q in query::full_space(12) {
+                inputs.push((Query::Selection(q), algorithm));
+            }
+        }
+        let preds = [
+            SelectionQuery::new(Op::Le, 4),
+            SelectionQuery::new(Op::Ge, 3),
+            SelectionQuery::new(Op::Ne, 7),
+            SelectionQuery::new(Op::Eq, 2),
+            SelectionQuery::new(Op::Lt, 10),
+            SelectionQuery::new(Op::Gt, 1),
+            SelectionQuery::new(Op::Le, 8),
+        ];
+        for n in [1usize, 2, 3, 7] {
+            for k in 1..=n {
+                let q = ThresholdQuery::new(k as u32, preds[..n].to_vec());
+                inputs.push((Query::Threshold(q), Algorithm::Auto));
+            }
+        }
+        inputs
+    }
+
+    /// Scans, buffer hits and the operator charges: what segmentation must
+    /// not move.
+    fn model_counters(s: &EvalStats) -> [usize; 7] {
+        [
+            s.scans,
+            s.buffer_hits,
+            s.ands,
+            s.ors,
+            s.xors,
+            s.nots,
+            s.threshold_combines,
+        ]
+    }
+
+    /// The morsel contract of [`evaluate_segment_range_in`], for every
+    /// encoding and evaluator and both kinds of query, at several segment
+    /// sizes (one larger than the relation, one that does not divide it):
+    /// cut the relation into chunks of one, three or all of its segments,
+    /// evaluate each chunk in a context of its own into a buffer of its
+    /// own — as the engine's workers do — and the stitched words are the
+    /// whole-bitmap foundset (itself the per-row answer), the chunk holding
+    /// segment 0 alone carries the whole-bitmap scan and operator charges,
+    /// no other chunk charges an operator, and `segments_evaluated` sums to
+    /// the segment count.
     #[test]
     fn segmented_matches_whole() {
-        let values: Vec<u32> = (0..777u32).map(|i| (i * 37 + i / 5) % 12).collect();
+        const ROWS: usize = 777;
+        let values: Vec<u32> = (0..ROWS as u32).map(|i| (i * 37 + i / 5) % 12).collect();
         let col = Column::new(values, 12);
         for encoding in [Encoding::Range, Encoding::Equality, Encoding::Interval] {
             let idx = BitmapIndex::build(&col, spec_for(encoding)).unwrap();
-            for algorithm in algorithms(encoding) {
-                for q in query::full_space(12) {
-                    let (want, ws) = evaluate(&mut idx.source(), q, algorithm).unwrap();
-                    for seg_bits in [64usize, 128, 512, 1 << 20] {
-                        let (got, ss) =
-                            evaluate_segmented(&mut idx.source(), q, algorithm, seg_bits).unwrap();
-                        assert_eq!(got, want, "{encoding:?} {algorithm:?} {q} seg={seg_bits}");
-                        let core =
-                            |s: &EvalStats| (s.scans, s.ands, s.ors, s.xors, s.nots, s.buffer_hits);
-                        assert_eq!(
-                            core(&ss),
-                            core(&ws),
-                            "stats parity {encoding:?} {algorithm:?} {q} seg={seg_bits}"
+            for (query, algorithm) in morsel_inputs(encoding) {
+                let (want, whole) = evaluate(&mut idx.source(), query.clone(), algorithm).unwrap();
+                let per_row = match &query {
+                    Query::Selection(q) => naive::evaluate(&col, *q),
+                    Query::Threshold(q) => BitVec::from_fn(ROWS, |r| q.matches(col.values()[r])),
+                };
+                assert_eq!(want, per_row, "{encoding:?} {algorithm:?} {query}");
+                for seg_bits in [64usize, 128, 256, 512, 1 << 20] {
+                    let n_segments = ROWS.div_ceil(seg_bits);
+                    for chunk_segments in [1, 3, n_segments] {
+                        let label = format!(
+                            "{encoding:?} {algorithm:?} {query} seg={seg_bits} \
+                             chunk={chunk_segments}"
                         );
-                        assert_eq!(ss.segments_evaluated, 777usize.div_ceil(seg_bits));
+                        let mut words = vec![0u64; bindex_bitvec::words_for(ROWS)];
+                        let mut segments_evaluated = 0;
+                        let mut row_lo = 0;
+                        while row_lo < ROWS {
+                            let row_hi = (row_lo + chunk_segments * seg_bits).min(ROWS);
+                            let mut source = idx.source();
+                            let mut ctx = ExecContext::new(&mut source);
+                            let w0 = row_lo / 64;
+                            let out = &mut words[w0..bindex_bitvec::words_for(row_hi)];
+                            evaluate_segment_range_in(
+                                &mut ctx, &query, algorithm, seg_bits, row_lo, row_hi, out,
+                            )
+                            .unwrap();
+                            let stats = ctx.take_stats();
+                            if row_lo == 0 {
+                                assert_eq!(
+                                    model_counters(&stats),
+                                    model_counters(&whole),
+                                    "{label}"
+                                );
+                            } else {
+                                assert_eq!(model_counters(&stats)[2..], [0; 5], "{label} {row_lo}");
+                            }
+                            segments_evaluated += stats.segments_evaluated;
+                            row_lo = row_hi;
+                        }
+                        assert_eq!(BitVec::from_words(words, ROWS), want, "{label}");
+                        assert_eq!(segments_evaluated, n_segments, "{label}");
                     }
                 }
             }
@@ -527,7 +566,8 @@ mod tests {
                     let mut src = CodedSource::new(&idx);
                     let mut ctx = ExecContext::new(&mut src);
                     let found =
-                        evaluate_repr_in(&mut ctx, q, Algorithm::Auto, segment_bits).unwrap();
+                        evaluate_repr_in(&mut ctx, &q.into(), Algorithm::Auto, segment_bits)
+                            .unwrap();
                     let stats = ctx.take_stats();
                     assert_eq!(*found.to_bitvec(), want, "{label}");
                     assert_eq!(paper_counters(&stats), counters, "{label}");
@@ -575,7 +615,8 @@ mod tests {
                 let mut src = CodedSource::new(idx);
                 configure(&mut src);
                 let mut ctx = ExecContext::new(&mut src);
-                let found = evaluate_repr_in(&mut ctx, q, Algorithm::Auto, segment_bits).unwrap();
+                let found =
+                    evaluate_repr_in(&mut ctx, &q.into(), Algorithm::Auto, segment_bits).unwrap();
                 let stats = ctx.take_stats();
                 let label = format!("{q} seg {segment_bits:?}");
                 assert_eq!(*found.to_bitvec(), want, "{label}");
@@ -674,7 +715,8 @@ mod tests {
             for segment_bits in [None, Some(4096)] {
                 let mut src = CodedSource::new(&idx);
                 let mut ctx = ExecContext::new(&mut src).with_overlay(Some(overlay.clone()));
-                let found = evaluate_repr_in(&mut ctx, q, Algorithm::Auto, segment_bits).unwrap();
+                let found =
+                    evaluate_repr_in(&mut ctx, &q.into(), Algorithm::Auto, segment_bits).unwrap();
                 let stats = ctx.take_stats();
                 assert!(!found.is_compressed(), "{q}");
                 assert_eq!(stats.compressed_ops, 0, "{q}");
@@ -692,7 +734,8 @@ mod tests {
                 )
                 .unwrap();
                 let mut ctx = ExecContext::new(&mut src).with_overlay(Some(Arc::new(quiesced)));
-                let found = evaluate_repr_in(&mut ctx, q, Algorithm::Auto, segment_bits).unwrap();
+                let found =
+                    evaluate_repr_in(&mut ctx, &q.into(), Algorithm::Auto, segment_bits).unwrap();
                 assert_eq!(found.is_compressed(), ctx.take_stats().scans > 0, "{q}");
             }
         }
@@ -717,7 +760,8 @@ mod tests {
                 src.broken_slots.push(broken);
                 let mut ctx = ExecContext::new(&mut src)
                     .with_recovery(RecoveryPolicy::ReconstructOrScan(column.clone()));
-                let found = evaluate_repr_in(&mut ctx, q, Algorithm::Auto, segment_bits).unwrap();
+                let found =
+                    evaluate_repr_in(&mut ctx, &q.into(), Algorithm::Auto, segment_bits).unwrap();
                 let stats = ctx.take_stats();
                 assert_eq!(*found.to_bitvec(), want, "{q}");
                 let hit = src.fetched.contains(&broken);
@@ -734,7 +778,7 @@ mod tests {
                 let mut src = CodedSource::new(&idx);
                 src.broken_slots.push(broken);
                 let mut ctx = ExecContext::new(&mut src).with_recovery(RecoveryPolicy::Reconstruct);
-                let outcome = evaluate_repr_in(&mut ctx, q, Algorithm::Auto, segment_bits);
+                let outcome = evaluate_repr_in(&mut ctx, &q.into(), Algorithm::Auto, segment_bits);
                 assert_eq!(outcome.is_err(), hit, "{q}");
             }
         }
@@ -747,11 +791,11 @@ mod tests {
         let q = query::SelectionQuery::new(query::Op::Le, 7);
         let mut src = CodedSource::new(&idx);
         let mut ctx = ExecContext::new(&mut src);
-        let found = evaluate_repr_in(&mut ctx, q, Algorithm::RangeEval, None).unwrap();
+        let found = evaluate_repr_in(&mut ctx, &q.into(), Algorithm::RangeEval, None).unwrap();
         assert!(!found.is_compressed());
         assert_eq!(*found.to_bitvec(), naive::evaluate(&clustered_column(), q));
         assert!(matches!(
-            evaluate_repr_in(&mut ctx, q, Algorithm::EqualityEval, None),
+            evaluate_repr_in(&mut ctx, &q.into(), Algorithm::EqualityEval, None),
             Err(Error::EncodingMismatch { .. })
         ));
     }
@@ -768,7 +812,10 @@ mod tests {
         .unwrap();
         let q = query::SelectionQuery::new(query::Op::Le, 2);
         let (want, ws) = evaluate(&mut idx.source(), q, Algorithm::Auto).unwrap();
-        let (got, ss) = evaluate_segmented(&mut idx.source(), q, Algorithm::Auto, 4096).unwrap();
+        let mut source = idx.source();
+        let mut ctx = ExecContext::new(&mut source);
+        let got = evaluate_segmented_in(&mut ctx, q, Algorithm::Auto, 4096).unwrap();
+        let ss = ctx.take_stats();
         assert_eq!(got, want);
         assert_eq!(ss.scans, ws.scans);
         assert_eq!(ss.segments_evaluated, 1);

@@ -55,7 +55,7 @@ const WAH_FOLD_MAX_RATIO: usize = 16;
 
 /// Evaluates `query` with RangeEval-Opt over dense words, at the context's
 /// current width. The index must be range-encoded (enforced by the
-/// dispatcher in [`super::evaluate_windowed`]). Storage failures from the
+/// dispatcher in [`super::evaluate_predicate`]). Storage failures from the
 /// underlying source propagate as errors.
 ///
 /// The listing's chain — the `≤` or `=` recurrence, the complement for

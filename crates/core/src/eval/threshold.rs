@@ -28,14 +28,16 @@
 //! the lower bound. The exit is taken only on non-charging segments
 //! (segment 0 always runs every predicate), so every slot's first-touch
 //! scan charge and the whole op tally stay bit-identical to whole-bitmap
-//! evaluation — only [`EvalStats::segments_skipped`] observes the skip.
+//! evaluation — only
+//! [`EvalStats::segments_skipped`](crate::exec::EvalStats::segments_skipped)
+//! observes the skip.
 
 use bindex_bitvec::BitVec;
 use bindex_relation::query::ThresholdQuery;
 
 use crate::error::{Error, Result};
-use crate::eval::{evaluate_windowed, Algorithm};
-use crate::exec::{EvalStats, ExecContext};
+use crate::eval::{evaluate_predicate, Algorithm};
+use crate::exec::ExecContext;
 use crate::index::BitmapSource;
 
 /// Validates a threshold query, converting a malformed one into the
@@ -44,42 +46,19 @@ pub fn validate(query: &ThresholdQuery) -> Result<()> {
     query.validate().map_err(Error::InvalidQuery)
 }
 
-/// Evaluates a threshold query whole-bitmap, returning the foundset and
-/// the exact evaluation statistics.
-pub fn evaluate_threshold<S: BitmapSource>(
-    source: &mut S,
-    query: &ThresholdQuery,
-    algorithm: Algorithm,
-) -> Result<(BitVec, EvalStats)> {
-    let mut ctx = ExecContext::new(source);
-    let found = evaluate_threshold_in(&mut ctx, query, algorithm)?;
-    let stats = ctx.take_stats();
-    Ok((found, stats))
-}
-
-/// Evaluates a threshold query within an existing context (stats
-/// accumulate; call `ctx.take_stats()` between queries).
+/// One (validated) threshold at the context's current width — the whole
+/// relation or the current segment's window; the evaluator's entry points
+/// in [`crate::eval`] drive it. `charging` is `true` when this run must
+/// execute the full data-independent op sequence (whole mode, or
+/// segment 0); only non-charging runs may take the early exits.
 ///
 /// Each predicate foundset costs whatever the underlying evaluator
 /// charges; the combine then costs `N − 1`
-/// [`EvalStats::threshold_combines`] — except the exact-plan
-/// degenerations: a single predicate is evaluated directly, `k = 1`
-/// charges `N − 1` ORs, and `k = N` charges `N − 1` ANDs, exactly as if
-/// the caller had asked for the disjunction or conjunction.
-pub fn evaluate_threshold_in<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    query: &ThresholdQuery,
-    algorithm: Algorithm,
-) -> Result<BitVec> {
-    validate(query)?;
-    evaluate_threshold_unchecked(ctx, query, algorithm, true)
-}
-
-/// The per-segment (or whole-bitmap) evaluation body. `charging` is
-/// `true` when this run must execute the full data-independent op
-/// sequence (whole mode, or segment 0); only non-charging runs may take
-/// the early exits.
-fn evaluate_threshold_unchecked<S: BitmapSource>(
+/// [`EvalStats::threshold_combines`](crate::exec::EvalStats::threshold_combines)
+/// — except the exact-plan degenerations: a single predicate is evaluated
+/// directly, `k = 1` charges `N − 1` ORs, and `k = N` charges `N − 1` ANDs,
+/// exactly as if the caller had asked for the disjunction or conjunction.
+pub(crate) fn evaluate_window<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     query: &ThresholdQuery,
     algorithm: Algorithm,
@@ -90,7 +69,7 @@ fn evaluate_threshold_unchecked<S: BitmapSource>(
     if n == 1 {
         // A single-predicate threshold (k must be 1 post-validation) is
         // exactly that predicate.
-        return evaluate_windowed(ctx, query.predicates[0], algorithm);
+        return evaluate_predicate(ctx, query.predicates[0], algorithm);
     }
     let window = ctx.view_len();
     let mut found: Vec<BitVec> = Vec::with_capacity(n);
@@ -115,7 +94,7 @@ fn evaluate_threshold_unchecked<S: BitmapSource>(
                 return Ok(BitVec::ones(window));
             }
         }
-        let f = evaluate_windowed(ctx, p, algorithm)?;
+        let f = evaluate_predicate(ctx, p, algorithm)?;
         if !charging {
             let ones = f.count_ones();
             if ones > 0 {
@@ -145,116 +124,13 @@ fn evaluate_threshold_unchecked<S: BitmapSource>(
     }
 }
 
-/// Segment-at-a-time threshold evaluation; see
-/// [`evaluate_threshold_segmented_in`].
-pub fn evaluate_threshold_segmented<S: BitmapSource>(
-    source: &mut S,
-    query: &ThresholdQuery,
-    algorithm: Algorithm,
-    segment_bits: usize,
-) -> Result<(BitVec, EvalStats)> {
-    let mut ctx = ExecContext::new(source);
-    let found = evaluate_threshold_segmented_in(&mut ctx, query, algorithm, segment_bits)?;
-    let stats = ctx.take_stats();
-    Ok((found, stats))
-}
-
-/// Evaluates a threshold query segment-at-a-time within an existing
-/// context. Bit-identical to [`evaluate_threshold_in`] with identical
-/// scan/op charges (segment 0 runs the full op sequence; later segments
-/// may take the early-exit bound, recorded in
-/// [`EvalStats::segments_skipped`] only).
-///
-/// # Panics
-/// Panics if `segment_bits` is zero or not a multiple of 64.
-pub fn evaluate_threshold_segmented_in<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    query: &ThresholdQuery,
-    algorithm: Algorithm,
-    segment_bits: usize,
-) -> Result<BitVec> {
-    validate(query)?;
-    let n_rows = ctx.n_rows();
-    let mut out = vec![0u64; bindex_bitvec::words_for(n_rows)];
-    let res = evaluate_threshold_segment_range_in(
-        ctx,
-        query,
-        algorithm,
-        segment_bits,
-        0,
-        n_rows,
-        &mut out,
-    );
-    ctx.exit_segments();
-    res?;
-    Ok(BitVec::from_words(out, n_rows))
-}
-
-/// Threshold counterpart of
-/// [`evaluate_segment_range_in`](crate::eval::evaluate_segment_range_in):
-/// evaluates the segments covering rows `[row_lo, row_hi)` into `out`,
-/// the engine's morsel primitive. Op-charge parity holds per chunk —
-/// only the chunk containing segment 0 accumulates op counts. The query
-/// must already be validated (the public entry points do this).
-///
-/// # Panics
-/// Panics if `segment_bits` is zero or not a multiple of 64, or the row
-/// range is not segment-aligned.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_threshold_segment_range_in<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    query: &ThresholdQuery,
-    algorithm: Algorithm,
-    segment_bits: usize,
-    row_lo: usize,
-    row_hi: usize,
-    out: &mut [u64],
-) -> Result<()> {
-    assert!(
-        segment_bits > 0 && segment_bits.is_multiple_of(64),
-        "segment size must be a positive multiple of 64 bits"
-    );
-    let n_rows = ctx.n_rows();
-    assert!(
-        row_lo.is_multiple_of(segment_bits)
-            && (row_hi.is_multiple_of(segment_bits) || row_hi == n_rows),
-        "chunk bounds must be segment-aligned"
-    );
-    assert!(row_lo <= row_hi && row_hi <= n_rows, "chunk out of range");
-    if n_rows == 0 {
-        ctx.begin_segment(0, 0, 0);
-        let r = evaluate_threshold_unchecked(ctx, query, algorithm, true);
-        ctx.end_segment();
-        r?;
-        return Ok(());
-    }
-    let mut lo = row_lo;
-    while lo < row_hi {
-        if lo > row_lo && ctx.deadline_expired() {
-            return Err(Error::DeadlineExceeded);
-        }
-        let hi = (lo + segment_bits).min(n_rows);
-        let index = lo / segment_bits;
-        ctx.begin_segment(lo, hi, index);
-        let part = evaluate_threshold_unchecked(ctx, query, algorithm, index == 0)?;
-        debug_assert_eq!(
-            part.len(),
-            hi - lo,
-            "threshold evaluator returned a non-window result"
-        );
-        ctx.end_segment();
-        let w0 = (lo - row_lo) / 64;
-        out[w0..w0 + part.words().len()].copy_from_slice(part.words());
-        lo = hi;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::base::Base;
     use crate::encoding::{Encoding, IndexSpec};
+    use crate::eval::{evaluate, evaluate_segmented_in};
+    use crate::exec::EvalStats;
     use crate::index::BitmapIndex;
     use bindex_relation::query::{Op, SelectionQuery};
     use bindex_relation::Column;
@@ -274,67 +150,16 @@ mod tests {
         BitVec::from_fn(col.len(), |r| q.matches(col.values()[r]))
     }
 
-    fn test_queries() -> Vec<ThresholdQuery> {
-        let preds = [
-            SelectionQuery::new(Op::Le, 4),
-            SelectionQuery::new(Op::Ge, 3),
-            SelectionQuery::new(Op::Ne, 7),
-            SelectionQuery::new(Op::Eq, 2),
-            SelectionQuery::new(Op::Lt, 10),
-            SelectionQuery::new(Op::Gt, 1),
-            SelectionQuery::new(Op::Le, 8),
-        ];
-        let mut out = Vec::new();
-        for n in [1usize, 2, 3, 7] {
-            for k in 1..=n {
-                out.push(ThresholdQuery::new(k as u32, preds[..n].to_vec()));
-            }
-        }
-        out
-    }
-
-    /// Whole-bitmap and segmented threshold evaluation match the per-row
-    /// reference bit for bit, for every encoding, and the segmented
-    /// paper-model stats match whole-bitmap exactly.
-    #[test]
-    fn threshold_matches_reference_whole_and_segmented() {
-        let col = column(777, 12);
-        for encoding in [Encoding::Range, Encoding::Equality, Encoding::Interval] {
-            let idx = BitmapIndex::build(&col, spec_for(encoding)).unwrap();
-            for q in test_queries() {
-                let want = reference(&col, &q);
-                let (whole, ws) =
-                    evaluate_threshold(&mut idx.source(), &q, Algorithm::Auto).unwrap();
-                assert_eq!(whole, want, "{encoding:?} {q}");
-                for seg_bits in [64usize, 256, 1 << 20] {
-                    let (got, ss) = evaluate_threshold_segmented(
-                        &mut idx.source(),
-                        &q,
-                        Algorithm::Auto,
-                        seg_bits,
-                    )
-                    .unwrap();
-                    assert_eq!(got, want, "{encoding:?} {q} seg={seg_bits}");
-                    let core = |s: &EvalStats| {
-                        (
-                            s.scans,
-                            s.ands,
-                            s.ors,
-                            s.xors,
-                            s.nots,
-                            s.threshold_combines,
-                            s.buffer_hits,
-                        )
-                    };
-                    assert_eq!(
-                        core(&ss),
-                        core(&ws),
-                        "stats parity {encoding:?} {q} seg={seg_bits}"
-                    );
-                    assert_eq!(ss.segments_evaluated, 777usize.div_ceil(seg_bits));
-                }
-            }
-        }
+    /// Segment-at-a-time evaluation in a context of its own.
+    fn segmented(
+        idx: &BitmapIndex,
+        q: &ThresholdQuery,
+        segment_bits: usize,
+    ) -> Result<(BitVec, EvalStats)> {
+        let mut source = idx.source();
+        let mut ctx = ExecContext::new(&mut source);
+        let found = evaluate_segmented_in(&mut ctx, q.clone(), Algorithm::Auto, segment_bits)?;
+        Ok((found, ctx.take_stats()))
     }
 
     /// The combine charge shape: N − 1 threshold combines for interior
@@ -353,31 +178,31 @@ mod tests {
         let per_pred = {
             let mut sum = EvalStats::default();
             for &p in &preds {
-                let (_, s) = crate::eval::evaluate(&mut idx.source(), p, Algorithm::Auto).unwrap();
+                let (_, s) = evaluate(&mut idx.source(), p, Algorithm::Auto).unwrap();
                 sum.add(&s);
             }
             sum
         };
-        let (_, s2) = evaluate_threshold(
+        let (_, s2) = evaluate(
             &mut idx.source(),
-            &ThresholdQuery::new(2, preds.clone()),
+            ThresholdQuery::new(2, preds.clone()),
             Algorithm::Auto,
         )
         .unwrap();
         assert_eq!(s2.threshold_combines, 3);
         assert_eq!(s2.ands, per_pred.ands);
         assert_eq!(s2.ors, per_pred.ors);
-        let (_, s1) = evaluate_threshold(
+        let (_, s1) = evaluate(
             &mut idx.source(),
-            &ThresholdQuery::new(1, preds.clone()),
+            ThresholdQuery::new(1, preds.clone()),
             Algorithm::Auto,
         )
         .unwrap();
         assert_eq!(s1.threshold_combines, 0);
         assert_eq!(s1.ors, per_pred.ors + 3);
-        let (_, s4) = evaluate_threshold(
+        let (_, s4) = evaluate(
             &mut idx.source(),
-            &ThresholdQuery::new(4, preds),
+            ThresholdQuery::new(4, preds),
             Algorithm::Auto,
         )
         .unwrap();
@@ -397,13 +222,12 @@ mod tests {
             ThresholdQuery::new(2, vec![p]),
             ThresholdQuery::new(1, Vec::new()),
         ] {
-            let err = evaluate_threshold(&mut idx.source(), &bad, Algorithm::Auto).unwrap_err();
+            let err = evaluate(&mut idx.source(), bad.clone(), Algorithm::Auto).unwrap_err();
             assert!(
                 matches!(err, Error::InvalidQuery(_)),
                 "expected InvalidQuery, got {err:?}"
             );
-            let err = evaluate_threshold_segmented(&mut idx.source(), &bad, Algorithm::Auto, 256)
-                .unwrap_err();
+            let err = segmented(&idx, &bad, 256).unwrap_err();
             assert!(matches!(err, Error::InvalidQuery(_)));
         }
     }
@@ -429,10 +253,9 @@ mod tests {
         let want = reference(&col, &q);
         for encoding in [Encoding::Range, Encoding::Equality, Encoding::Interval] {
             let idx = BitmapIndex::build(&col, spec_for(encoding)).unwrap();
-            let (whole, ws) = evaluate_threshold(&mut idx.source(), &q, Algorithm::Auto).unwrap();
+            let (whole, ws) = evaluate(&mut idx.source(), q.clone(), Algorithm::Auto).unwrap();
             assert_eq!(whole, want);
-            let (got, ss) =
-                evaluate_threshold_segmented(&mut idx.source(), &q, Algorithm::Auto, 512).unwrap();
+            let (got, ss) = segmented(&idx, &q, 512).unwrap();
             assert_eq!(got, want, "{encoding:?}");
             assert_eq!(
                 (ss.scans, ss.threshold_combines),
@@ -462,8 +285,7 @@ mod tests {
         );
         let want = reference(&col, &q);
         let idx = BitmapIndex::build(&col, spec_for(Encoding::Equality)).unwrap();
-        let (got, ss) =
-            evaluate_threshold_segmented(&mut idx.source(), &q, Algorithm::Auto, 1024).unwrap();
+        let (got, ss) = segmented(&idx, &q, 1024).unwrap();
         assert_eq!(got, want);
         assert!(
             ss.segments_skipped > 0,
@@ -484,9 +306,8 @@ mod tests {
                 SelectionQuery::new(Op::Ne, 7),
             ],
         );
-        let (whole, ws) = evaluate_threshold(&mut idx.source(), &q, Algorithm::Auto).unwrap();
-        let (got, ss) =
-            evaluate_threshold_segmented(&mut idx.source(), &q, Algorithm::Auto, 4096).unwrap();
+        let (whole, ws) = evaluate(&mut idx.source(), q.clone(), Algorithm::Auto).unwrap();
+        let (got, ss) = segmented(&idx, &q, 4096).unwrap();
         assert_eq!(whole.len(), 0);
         assert_eq!(got, whole);
         assert_eq!(ss.scans, ws.scans);

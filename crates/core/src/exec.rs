@@ -112,12 +112,13 @@ impl EvalStats {
 /// of bitmap (4096 words), chosen by the `ext_segmented_exec` sweep —
 /// small enough that one accumulator plus a handful of operand segments
 /// stay cache-resident, large enough that per-segment overhead (operator
-/// re-dispatch, window bookkeeping) is amortized to noise. Tunable via
-/// `BINDEX_SEGMENT_BITS` (see `engine::batch::BatchOptions::from_env`).
+/// re-dispatch, window bookkeeping) is amortized to noise. Callers choose
+/// another with `engine::batch::BatchOptions::with_segment_bits`.
 pub const DEFAULT_SEGMENT_BITS: usize = 1 << 18;
 
-/// Default density above which a WAH operand is decompressed before
-/// operating (see [`ExecContext::with_wah_crossover`]). Calibrated by the
+/// Density above which a WAH operand is decompressed before operating
+/// ([`ExecContext::and_all_reprs`] / [`ExecContext::or_all_reprs`]: WAH
+/// operands at or below it stay compressed). Calibrated by the
 /// `ext_compressed_exec` experiment: below ~5 % density the run-merging
 /// kernels beat the dense word loops; above it the compressed form stops
 /// paying for its branchy decode.
@@ -288,9 +289,6 @@ pub struct ExecContext<'a, S: BitmapSource> {
     buffer: Option<&'a BufferSet>,
     stats: EvalStats,
     recovery: RecoveryPolicy,
-    /// Density threshold for the adaptive representation choice: WAH
-    /// operands at or below it stay compressed, denser ones materialize.
-    wah_crossover: f64,
     /// Per-query cache of fetched bitmaps in their current representation,
     /// so repeated references within one evaluation cost a single scan.
     /// `Arc`-backed (not `Rc`) so that contexts — and the sources behind
@@ -333,7 +331,6 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             buffer: None,
             stats: EvalStats::default(),
             recovery: RecoveryPolicy::Fail,
-            wah_crossover: DEFAULT_WAH_CROSSOVER,
             fetched: HashMap::new(),
             seg: None,
             deadline: None,
@@ -352,7 +349,6 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             buffer: Some(buffer),
             stats: EvalStats::default(),
             recovery: RecoveryPolicy::Fail,
-            wah_crossover: DEFAULT_WAH_CROSSOVER,
             fetched: HashMap::new(),
             seg: None,
             deadline: None,
@@ -427,19 +423,6 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
         self.recovery = recovery;
         self
-    }
-
-    /// Sets the adaptive-materialization density crossover. `0.0` forces
-    /// every compressed operand dense before operating (the literal path);
-    /// `1.0` keeps compressed operands compressed unconditionally.
-    pub fn with_wah_crossover(mut self, crossover: f64) -> Self {
-        self.wah_crossover = crossover;
-        self
-    }
-
-    /// The adaptive-materialization density crossover in effect.
-    pub fn wah_crossover(&self) -> f64 {
-        self.wah_crossover
     }
 
     /// The index layout being evaluated.
@@ -1148,9 +1131,8 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
 
     /// `true` when a k-ary op over `operands` should run in the WAH
     /// compressed domain: every operand is compressed, none is denser
-    /// than the crossover, and every compressed form is at most a
-    /// quarter of its literal size. Density is the tunable knob (see
-    /// [`ExecContext::with_wah_crossover`]); the ratio guard filters
+    /// than [`DEFAULT_WAH_CROSSOVER`], and every compressed form is at most
+    /// a quarter of its literal size. The ratio guard filters
     /// poorly-clustered bitmaps whose WAH form is run-dense — in the
     /// `ext_compressed_exec` sweep, operands compressing to 0.75–1.0 of
     /// literal size ran ~25% slower in the compressed domain than
@@ -1158,7 +1140,9 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     /// crossover.
     fn stay_compressed(&self, operands: &[Repr]) -> bool {
         operands.iter().all(|r| {
-            r.is_compressed() && r.density() <= self.wah_crossover && r.heap_bytes() * 32 <= r.len()
+            r.is_compressed()
+                && r.density() <= DEFAULT_WAH_CROSSOVER
+                && r.heap_bytes() * 32 <= r.len()
         })
     }
 
@@ -1177,8 +1161,8 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     }
 
     /// Counted adaptive k-ary AND: runs in the WAH compressed domain while
-    /// every operand is compressed and sparse (see
-    /// [`ExecContext::with_wah_crossover`]), otherwise materializes and
+    /// every operand is compressed and sparse (at most
+    /// [`DEFAULT_WAH_CROSSOVER`] dense), otherwise materializes and
     /// uses the fused dense kernel. Charges `operands.len() − 1` ANDs
     /// either way — the representation changes where the op runs, never
     /// what the cost model sees.
@@ -1482,9 +1466,9 @@ mod tests {
         assert_eq!(s.materializations, 3);
         let refs: Vec<&BitVec> = dense.iter().collect();
         assert_eq!(*or.to_bitvec(), kernels::or_all(&refs));
-        // Crossover 1.0 keeps dense-but-compressible operands (long runs)
-        // compressed; the alternating bitmaps above would still fall back
-        // because their WAH form is larger than a quarter of literal size.
+        // Long runs compress as well as the sparse operands of the test
+        // above; at 50% density it is the crossover alone that sends them
+        // to the dense kernel.
         let runs: Vec<BitVec> = (0..3)
             .map(|k| BitVec::from_fn(n, move |i| (i / 512 + k) % 2 == 0))
             .collect();
@@ -1492,22 +1476,13 @@ mod tests {
             .iter()
             .map(|b| Repr::wah(wah::WahBitmap::from_bitvec(b)))
             .collect();
-        let mut ctx = ExecContext::new(&mut src).with_wah_crossover(1.0);
-        let or = ctx.or_all_reprs(&run_reprs);
-        assert!(or.is_compressed());
-        assert_eq!(ctx.stats().compressed_ops, 2);
-        let run_refs: Vec<&BitVec> = runs.iter().collect();
-        assert_eq!(*or.to_bitvec(), kernels::or_all(&run_refs));
-        let incompressible = ctx.or_all_reprs(&reprs);
-        assert!(
-            !incompressible.is_compressed(),
-            "run-dense WAH falls back even with crossover 1.0"
-        );
-        // Crossover 0.0 forces the literal path even for sparse operands.
-        let sparse = Repr::wah(wah::WahBitmap::from_bitvec(&BitVec::from_fn(n, |i| i == 3)));
-        let mut ctx = ExecContext::new(&mut src).with_wah_crossover(0.0);
-        let and = ctx.and_all_reprs(&[sparse.clone(), sparse]);
+        assert!(run_reprs.iter().all(|r| r.heap_bytes() * 32 <= r.len()));
+        let mut ctx = ExecContext::new(&mut src);
+        let and = ctx.and_all_reprs(&run_reprs);
         assert!(!and.is_compressed());
+        assert_eq!(ctx.stats().compressed_ops, 0);
+        let run_refs: Vec<&BitVec> = runs.iter().collect();
+        assert_eq!(*and.to_bitvec(), kernels::and_all(&run_refs));
     }
 
     #[test]

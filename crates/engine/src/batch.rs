@@ -27,7 +27,8 @@
 //! hammered. The caller gets every per-query outcome plus a
 //! [`BatchHealth`] summary instead of a first-error abort.
 //!
-//! Built on `std::thread::scope` — no runtime, no dependency, no unsafe.
+//! Built on the standard library's scoped threads — no runtime, no
+//! dependency, no unsafe.
 //! `threads = 1` runs inline on the calling thread, so single-threaded
 //! baselines measure the sequential path itself rather than a one-worker
 //! thread pool.
@@ -40,9 +41,9 @@ use std::time::Duration;
 
 use bindex_bitvec::BitVec;
 use bindex_core::error::{Error, Result};
-use bindex_core::eval::{evaluate_repr_in, Algorithm};
+use bindex_core::eval::{evaluate_repr_in, evaluate_segment_range_in, Algorithm};
 use bindex_core::{BitmapSource, DeltaOverlay, EvalStats, ExecContext, RecoveryPolicy, Repr};
-use bindex_relation::query::{SelectionQuery, ThresholdQuery};
+use bindex_relation::query::{Query, SelectionQuery, ThresholdQuery};
 
 use crate::plan::{self, ConjunctiveQuery, ExecutionStats};
 use crate::table::Table;
@@ -51,32 +52,9 @@ use crate::table::Table;
 /// (`all_experiments --threads N` forwards it to every experiment).
 pub const THREADS_ENV: &str = "BINDEX_THREADS";
 
-/// Environment variable selecting the morsel size (in bits) for
-/// segment-at-a-time workload execution. Unset means whole-bitmap
-/// evaluation; a valid value (a power of two, at least
-/// [`MIN_SEGMENT_BITS`]) switches [`evaluate_selection_workload`] to the
-/// segmented path with that segment size.
-pub const SEGMENT_BITS_ENV: &str = "BINDEX_SEGMENT_BITS";
-
 /// Smallest accepted segment size: anything below 512 bits spends more
 /// time on per-segment bookkeeping than on bit operations.
 pub const MIN_SEGMENT_BITS: usize = 512;
-
-/// Environment variable gating summary-based segment pruning (v4 stores
-/// only): set to `0` to force every fetch through storage even when the
-/// summary block proves a window dead. On by default — pruning never
-/// changes an answer, a scan/buffer-hit charge, or an op count.
-pub const PRUNING_ENV: &str = "BINDEX_PRUNE";
-
-/// Validates a `BINDEX_SEGMENT_BITS` value: a positive power of two of at
-/// least [`MIN_SEGMENT_BITS`]. (A value larger than the relation is fine —
-/// the query just runs as one segment.) Returns `None` on anything else so
-/// callers can warn and fall back rather than aborting a workload over a
-/// typo.
-pub fn parse_segment_bits(raw: &str) -> Option<usize> {
-    let n = raw.trim().parse::<usize>().ok()?;
-    (n.is_power_of_two() && n >= MIN_SEGMENT_BITS).then_some(n)
-}
 
 /// A wall-clock cut-off for a workload — now defined in `bindex-core`
 /// (see [`bindex_core::Deadline`]) so segment-at-a-time evaluation can
@@ -322,10 +300,10 @@ impl BatchOptions {
     }
 
     /// Reads the worker count from the `BINDEX_THREADS` environment
-    /// variable (falling back to the machine's available parallelism) and
-    /// the segment size from `BINDEX_SEGMENT_BITS` — with a warning to
-    /// stderr, via [`crate::envcfg::parse_env`], when either variable is
-    /// set to something unusable, rather than silently ignoring it.
+    /// variable (falling back to the machine's available parallelism) —
+    /// with a warning to stderr, via [`crate::envcfg::parse_env`], when the
+    /// variable is set to something unusable, rather than silently
+    /// ignoring it.
     pub fn from_env() -> Self {
         let threads = crate::envcfg::parse_env(
             THREADS_ENV,
@@ -333,22 +311,7 @@ impl BatchOptions {
             crate::envcfg::positive_usize,
         )
         .unwrap_or_else(|| available_parallelism().unwrap_or(1));
-        let mut options = Self::with_threads(threads);
-        options.segment_bits = crate::envcfg::parse_env(
-            SEGMENT_BITS_ENV,
-            &format!("a power of two >= {MIN_SEGMENT_BITS}"),
-            parse_segment_bits,
-        );
-        if let Some(enabled) =
-            crate::envcfg::parse_env(PRUNING_ENV, "0 or 1", |raw| match raw.trim() {
-                "0" => Some(false),
-                "1" => Some(true),
-                _ => None,
-            })
-        {
-            options.no_pruning = !enabled;
-        }
-        options
+        Self::with_threads(threads)
     }
 
     /// Sets a wall-clock deadline; queries claimed after it expires come
@@ -372,13 +335,14 @@ impl BatchOptions {
         self
     }
 
-    /// Switches [`evaluate_selection_workload`] to segment-at-a-time
-    /// execution with morsels of `bits` bits.
+    /// Switches the workload drivers and [`evaluate_query`] to
+    /// segment-at-a-time execution with morsels of `bits` bits. (A size
+    /// larger than the relation is fine — the query just runs as one
+    /// segment.)
     ///
     /// # Panics
     /// Panics unless `bits` is a power of two of at least
-    /// [`MIN_SEGMENT_BITS`] (use [`parse_segment_bits`] to validate
-    /// untrusted input).
+    /// [`MIN_SEGMENT_BITS`]; check a value from outside first.
     pub fn with_segment_bits(mut self, bits: usize) -> Self {
         assert!(
             bits.is_power_of_two() && bits >= MIN_SEGMENT_BITS,
@@ -648,12 +612,74 @@ fn run_query<T>(
     }
 }
 
-/// The resilient workload driver behind [`execute_workload`] and
-/// [`evaluate_selection_workload`]. Runs `step(state, i)` for every
-/// `i in 0..n` across the configured workers, keeping outcomes in input
-/// order. Workers claim indices from a work-stealing [`StealQueue`], so
-/// long queries don't stall the queue behind them and a skewed block of
-/// expensive queries gets redistributed.
+/// What a worker hands back: `(index, outcome)` pairs in the order it
+/// finished them.
+type Finished<T> = Vec<(usize, QueryOutcome<T>)>;
+
+/// Runs `worker(w, &mut finished)` for every `w in 0..workers` — inline
+/// for one worker, so a single-worker run measures the sequential
+/// algorithm rather than a one-worker thread pool; on scoped threads
+/// otherwise — and assembles what they finished, in whatever order, into
+/// the `n` outcomes of a [`WorkloadReport`] in input order.
+fn run_workers<T: Send>(
+    n: usize,
+    workers: usize,
+    queue: &StealQueue,
+    worker: impl Fn(usize, &mut Finished<T>) + Sync,
+) -> WorkloadReport<T> {
+    let mut finished: Finished<T> = Vec::with_capacity(n);
+    if workers <= 1 {
+        worker(0, &mut finished);
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let worker = &worker;
+                    scope.spawn(move || {
+                        let mut out = Vec::new();
+                        worker(w, &mut out);
+                        out
+                    })
+                })
+                .collect();
+            for h in handles {
+                // A worker can only die outside `catch_unwind` (its state
+                // factory panicked). Its claimed-but-unreported queries
+                // surface below as WorkerPanic outcomes.
+                if let Ok(chunk) = h.join() {
+                    finished.extend(chunk);
+                }
+            }
+        });
+    }
+    let mut slots: Vec<Option<QueryOutcome<T>>> = std::iter::repeat_with(|| None).take(n).collect();
+    for (i, o) in finished {
+        slots[i] = Some(o);
+    }
+    let outcomes: Vec<QueryOutcome<T>> = slots
+        .into_iter()
+        .map(|s| {
+            s.unwrap_or_else(|| {
+                QueryOutcome::Failed(Error::WorkerPanic(
+                    "worker thread died before reporting its results".into(),
+                ))
+            })
+        })
+        .collect();
+    let health = BatchHealth::tally(&outcomes);
+    WorkloadReport {
+        outcomes,
+        health,
+        steals: queue.steals(),
+    }
+}
+
+/// The resilient query-per-task driver behind [`execute_workload`] and
+/// [`evaluate_queries`]. Runs `step(state, i)` for every `i in 0..n`
+/// across the configured workers, keeping outcomes in input order. Workers
+/// claim indices from a work-stealing [`StealQueue`], so long queries don't
+/// stall the queue behind them and a skewed block of expensive queries
+/// gets redistributed.
 ///
 /// Each worker owns one `init()`-built state (a table handle, a bitmap
 /// source). Every step runs through [`run_query`]; after a panic the
@@ -672,76 +698,19 @@ where
 {
     let threads = options.threads().min(n.max(1));
     let failures = AtomicUsize::new(0);
-    // Shared by the sequential and parallel paths. Unwind safety: after a
-    // panic the worker state is discarded and rebuilt from `init`, so no
-    // broken invariant is observed.
-    let run_one = |state: &mut St, i: usize| -> QueryOutcome<T> {
-        let outcome = run_query(options, &failures, || step(state, i));
-        if matches!(outcome, QueryOutcome::Failed(Error::WorkerPanic(_))) {
-            *state = init();
-        }
-        outcome
-    };
     let queue = StealQueue::new(n, threads);
-    let worker = |w: usize, out: &mut Vec<(usize, QueryOutcome<T>)>| {
+    run_workers(n, threads, &queue, |w, finished| {
         let mut state = init();
-        queue.drain(w, |i| out.push((i, run_one(&mut state, i))));
-    };
-
-    let mut collected: Vec<(usize, QueryOutcome<T>)> = Vec::new();
-    let mut steals = 0usize;
-    if threads <= 1 {
-        // Straight-line sequential path: no shared queue, no thread
-        // scope — a single-worker run measures the sequential algorithm,
-        // not a one-worker thread pool.
-        let mut state = init();
-        for i in 0..n {
-            collected.push((i, run_one(&mut state, i)));
-        }
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let worker = &worker;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        worker(w, &mut out);
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                // A worker can only die outside `catch_unwind` (its state
-                // factory panicked). Its claimed-but-unreported queries
-                // surface below as WorkerPanic outcomes.
-                if let Ok(chunk) = h.join() {
-                    collected.extend(chunk);
-                }
+        queue.drain(w, |i| {
+            let outcome = run_query(options, &failures, || step(&mut state, i));
+            // Unwind safety: the state a panic interrupted is discarded
+            // and rebuilt, so no broken invariant is observed.
+            if matches!(outcome, QueryOutcome::Failed(Error::WorkerPanic(_))) {
+                state = init();
             }
+            finished.push((i, outcome));
         });
-        steals = queue.steals();
-    }
-
-    let mut slots: Vec<Option<QueryOutcome<T>>> = std::iter::repeat_with(|| None).take(n).collect();
-    for (i, o) in collected {
-        slots[i] = Some(o);
-    }
-    let outcomes: Vec<QueryOutcome<T>> = slots
-        .into_iter()
-        .map(|s| {
-            s.unwrap_or_else(|| {
-                QueryOutcome::Failed(Error::WorkerPanic(
-                    "worker thread died before reporting its results".into(),
-                ))
-            })
-        })
-        .collect();
-    let health = BatchHealth::tally(&outcomes);
-    WorkloadReport {
-        outcomes,
-        health,
-        steals,
-    }
+    })
 }
 
 /// Executes a workload of conjunctive queries against `table`, choosing
@@ -780,14 +749,14 @@ fn query_context<'a, S: BitmapSource>(
         .with_pruning(options.pruning())
 }
 
-/// Evaluates one selection query as one task ([`run_query`]'s `step`):
+/// Evaluates one query as one task ([`run_query`]'s `step`):
 /// whole-bitmap, or window by window at `options.segment_bits()`, or in
 /// the compressed domain, as [`evaluate_repr_in`] decides. `finish` turns
 /// the foundset into what the caller returns while the context can still
 /// account for it.
-fn selection_step<S: BitmapSource, T>(
+fn query_step<S: BitmapSource, T>(
     source: &mut S,
-    query: SelectionQuery,
+    query: &Query,
     algorithm: Algorithm,
     options: &BatchOptions,
     finish: impl FnOnce(&mut ExecContext<'_, S>, Repr) -> T,
@@ -799,23 +768,25 @@ fn selection_step<S: BitmapSource, T>(
     Ok(((found, stats), stats.degraded_fetches > 0))
 }
 
-/// Evaluates one selection query on the calling thread under the policy of
-/// `options` (deadline, recovery, overlay, pruning, segment size; the
-/// worker count plays no part) — what a one-query workload does, without
-/// the workload: no outcome vector, and the foundset comes back in the
-/// representation evaluation produced, so a caller that only counts it or
-/// caches it never pays for dense words
-/// ([`Repr::count_ones`] is O(compressed words) on [`Repr::Wah`]). The
-/// ending is classified exactly as in a workload; after
+/// Evaluates one query of either kind on the calling thread under the
+/// policy of `options` (deadline, recovery, overlay, pruning, segment size;
+/// the worker count plays no part) — what a one-query workload does,
+/// without the workload: no outcome vector, and the foundset comes back in
+/// the representation evaluation produced, so a caller that only counts it
+/// or caches it never pays for dense words ([`Repr::count_ones`] is
+/// O(compressed words) on [`Repr::Wah`]; a threshold's is always
+/// [`Repr::Literal`]). The ending is classified exactly as in a workload —
+/// a malformed threshold is
+/// [`QueryOutcome::Failed`]\([`Error::InvalidQuery`]\); after
 /// [`Error::WorkerPanic`] the caller should rebuild `source`.
-pub fn evaluate_selection_query<S: BitmapSource>(
+pub fn evaluate_query<S: BitmapSource>(
     source: &mut S,
-    query: SelectionQuery,
+    query: &Query,
     algorithm: Algorithm,
     options: &BatchOptions,
 ) -> QueryOutcome<(Repr, EvalStats)> {
     run_query(options, &AtomicUsize::new(0), || {
-        selection_step(source, query, algorithm, options, |_, found| found)
+        query_step(source, query, algorithm, options, |_, found| found)
     })
 }
 
@@ -827,10 +798,9 @@ pub fn evaluate_selection_query<S: BitmapSource>(
 /// reconstruct an unreadable bitmap come back
 /// [`QueryOutcome::Degraded`] — still bit-exact.
 ///
-/// A query is one task ([`evaluate_selection_query`]'s evaluation, its
-/// foundset decoded to dense words) except under segment-at-a-time
-/// execution on more than one thread, where it is cut into morsels
-/// ([`evaluate_segmented_workload`]).
+/// A query is one task ([`evaluate_query`]'s evaluation, its foundset
+/// decoded to dense words) except under segment-at-a-time execution on
+/// more than one thread, where it is cut into morsels.
 pub fn evaluate_selection_workload<S, F>(
     make_source: F,
     queries: &[SelectionQuery],
@@ -841,30 +811,8 @@ where
     S: BitmapSource,
     F: Fn() -> S + Sync,
 {
-    if let Some(segment_bits) = options.segment_bits().filter(|_| options.threads() > 1) {
-        return evaluate_segmented_workload(
-            make_source,
-            queries.len(),
-            |ctx, i, row_lo, row_hi, out| {
-                bindex_core::eval::evaluate_segment_range_in(
-                    ctx,
-                    queries[i],
-                    algorithm,
-                    segment_bits,
-                    row_lo,
-                    row_hi,
-                    out,
-                )
-            },
-            options,
-            segment_bits,
-        );
-    }
-    run_workload(queries.len(), options, &make_source, |source, i| {
-        selection_step(source, queries[i], algorithm, options, |ctx, found| {
-            ctx.materialize(found)
-        })
-    })
+    let queries: Vec<Query> = queries.iter().map(|&q| Query::Selection(q)).collect();
+    evaluate_queries(make_source, &queries, algorithm, options)
 }
 
 /// Evaluates a workload of k-of-N [`ThresholdQuery`]s against one index,
@@ -887,37 +835,31 @@ where
     S: BitmapSource,
     F: Fn() -> S + Sync,
 {
-    use bindex_core::eval::threshold;
+    let queries: Vec<Query> = queries.iter().cloned().map(Query::Threshold).collect();
+    evaluate_queries(make_source, &queries, algorithm, options)
+}
+
+/// The one driver behind both workload entry points: a query is one task
+/// of [`run_workload`], or — under segment-at-a-time execution on more
+/// than one thread — as many morsels as there are workers
+/// ([`evaluate_morsels`]).
+fn evaluate_queries<S, F>(
+    make_source: F,
+    queries: &[Query],
+    algorithm: Algorithm,
+    options: &BatchOptions,
+) -> WorkloadReport<(BitVec, EvalStats)>
+where
+    S: BitmapSource,
+    F: Fn() -> S + Sync,
+{
     if let Some(segment_bits) = options.segment_bits().filter(|_| options.threads() > 1) {
-        return evaluate_segmented_workload(
-            make_source,
-            queries.len(),
-            |ctx, i, row_lo, row_hi, out| {
-                threshold::validate(&queries[i])?;
-                threshold::evaluate_threshold_segment_range_in(
-                    ctx,
-                    &queries[i],
-                    algorithm,
-                    segment_bits,
-                    row_lo,
-                    row_hi,
-                    out,
-                )
-            },
-            options,
-            segment_bits,
-        );
+        return evaluate_morsels(make_source, queries, algorithm, options, segment_bits);
     }
     run_workload(queries.len(), options, &make_source, |source, i| {
-        let mut ctx = query_context(source, options);
-        let found = match options.segment_bits() {
-            Some(bits) => {
-                threshold::evaluate_threshold_segmented_in(&mut ctx, &queries[i], algorithm, bits)
-            }
-            None => threshold::evaluate_threshold_in(&mut ctx, &queries[i], algorithm),
-        }?;
-        let stats = ctx.take_stats();
-        Ok(((found, stats), stats.degraded_fetches > 0))
+        query_step(source, &queries[i], algorithm, options, |ctx, found| {
+            ctx.materialize(found)
+        })
     })
 }
 
@@ -970,22 +912,20 @@ struct QueryCell {
 /// finishes and only the tail is shed — while a pathologically expensive
 /// morsel's deque-mates get stolen away as the other workers run dry.
 ///
-/// Generic over the per-morsel evaluation: `eval_range(ctx, query_index,
-/// row_lo, row_hi, out)` runs the segments of `[row_lo, row_hi)` into
-/// `out` (a word buffer covering exactly that range), so selection and
-/// threshold workloads share one driver.
-fn evaluate_segmented_workload<S, F, E>(
+/// A morsel is one call of [`evaluate_segment_range_in`] into a buffer
+/// covering exactly its rows, in a context of its own.
+fn evaluate_morsels<S, F>(
     make_source: F,
-    n: usize,
-    eval_range: E,
+    queries: &[Query],
+    algorithm: Algorithm,
     options: &BatchOptions,
     segment_bits: usize,
 ) -> WorkloadReport<(BitVec, EvalStats)>
 where
     S: BitmapSource,
     F: Fn() -> S + Sync,
-    E: Fn(&mut ExecContext<'_, S>, usize, usize, usize, &mut [u64]) -> Result<()> + Sync,
 {
+    let n = queries.len();
     if n == 0 {
         return WorkloadReport {
             outcomes: Vec::new(),
@@ -1033,7 +973,7 @@ where
     let failures = AtomicUsize::new(0);
     let workers = threads.min(morsels.len()).max(1);
     let queue = StealQueue::new(morsels.len(), workers);
-    let worker = |w: usize, out: &mut Vec<(usize, QueryOutcome<(BitVec, EvalStats)>)>| {
+    run_workers(n, workers, &queue, |w, finished| {
         let mut source = make_source();
         queue.drain(w, |mi| {
             let morsel = morsels[mi];
@@ -1072,9 +1012,11 @@ where
                 let ran = isolate(|| {
                     let mut ctx = query_context(&mut source, options);
                     let mut local = vec![0u64; span];
-                    eval_range(
+                    evaluate_segment_range_in(
                         &mut ctx,
-                        morsel.query,
+                        &queries[morsel.query],
+                        algorithm,
+                        segment_bits,
                         morsel.row_lo,
                         morsel.row_hi,
                         &mut local,
@@ -1132,52 +1074,10 @@ where
                         }
                     }
                 };
-                out.push((morsel.query, outcome));
+                finished.push((morsel.query, outcome));
             }
         });
-    };
-
-    let mut collected: Vec<(usize, QueryOutcome<(BitVec, EvalStats)>)> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let worker = &worker;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    worker(w, &mut out);
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            if let Ok(chunk) = h.join() {
-                collected.extend(chunk);
-            }
-        }
-    });
-    let steals = queue.steals();
-
-    let mut slots: Vec<Option<QueryOutcome<(BitVec, EvalStats)>>> =
-        std::iter::repeat_with(|| None).take(n).collect();
-    for (i, o) in collected {
-        slots[i] = Some(o);
-    }
-    let outcomes: Vec<_> = slots
-        .into_iter()
-        .map(|s| {
-            s.unwrap_or_else(|| {
-                QueryOutcome::Failed(Error::WorkerPanic(
-                    "worker thread died before reporting its results".into(),
-                ))
-            })
-        })
-        .collect();
-    let health = BatchHealth::tally(&outcomes);
-    WorkloadReport {
-        outcomes,
-        health,
-        steals,
-    }
+    })
 }
 
 /// Transitions a query to `DEAD`, charging the workload failure counter.
@@ -1528,15 +1428,6 @@ mod tests {
 
     #[test]
     fn segment_bits_validation() {
-        assert_eq!(parse_segment_bits("512"), Some(512));
-        assert_eq!(parse_segment_bits(" 262144 "), Some(262_144));
-        assert_eq!(parse_segment_bits("1024"), Some(1024));
-        // Not a power of two, too small, junk, negative, empty.
-        assert_eq!(parse_segment_bits("1000"), None);
-        assert_eq!(parse_segment_bits("256"), None);
-        assert_eq!(parse_segment_bits("banana"), None);
-        assert_eq!(parse_segment_bits("-512"), None);
-        assert_eq!(parse_segment_bits(""), None);
         let opts = BatchOptions::single_threaded().with_segment_bits(4096);
         assert_eq!(opts.segment_bits(), Some(4096));
         assert!(BatchOptions::single_threaded().segment_bits().is_none());
@@ -1638,7 +1529,7 @@ mod tests {
             let want = naive::evaluate(&col, q);
             // Compressed slots: a compressed foundset, nothing decoded; the
             // workload decodes exactly the result at its `BitVec` boundary.
-            let outcome = evaluate_selection_query(&mut wah(None), q, Algorithm::Auto, &options);
+            let outcome = evaluate_query(&mut wah(None), &q.into(), Algorithm::Auto, &options);
             let (found, stats) = outcome.into_result().expect("answered");
             assert!(found.is_compressed(), "{q}");
             assert_eq!(found.count_ones(), want.count_ones(), "{q}");
@@ -1660,7 +1551,7 @@ mod tests {
                 "{q}"
             );
             // Literal slots: the segmented dense evaluation, as before.
-            let outcome = evaluate_selection_query(&mut idx.source(), q, Algorithm::Auto, &options);
+            let outcome = evaluate_query(&mut idx.source(), &q.into(), Algorithm::Auto, &options);
             let (found, stats) = outcome.into_result().expect("answered");
             assert!(!found.is_compressed(), "{q}");
             assert_eq!(*found.to_bitvec(), want, "{q}");
@@ -1674,19 +1565,19 @@ mod tests {
             .clone()
             .with_deadline(Deadline::after(Duration::ZERO));
         assert!(matches!(
-            evaluate_selection_query(&mut source, q, Algorithm::Auto, &expired),
+            evaluate_query(&mut source, &q.into(), Algorithm::Auto, &expired),
             QueryOutcome::TimedOut
         ));
         assert_eq!(source.fetches, 0);
         // An unreadable slot fails the query, or degrades it under a policy
         // that can rebuild the slot — to dense words, so on the dense path.
         let broken = Some((2, 1));
-        let outcome = evaluate_selection_query(&mut wah(broken), q, Algorithm::Auto, &options);
+        let outcome = evaluate_query(&mut wah(broken), &q.into(), Algorithm::Auto, &options);
         assert!(matches!(outcome.error(), Some(Error::ChecksumMismatch(_))));
         let recovering = options
             .clone()
             .with_recovery(RecoveryPolicy::ReconstructOrScan(Arc::new(col.clone())));
-        let outcome = evaluate_selection_query(&mut wah(broken), q, Algorithm::Auto, &recovering);
+        let outcome = evaluate_query(&mut wah(broken), &q.into(), Algorithm::Auto, &recovering);
         assert!(outcome.is_degraded());
         let (found, stats) = outcome.into_result().unwrap();
         assert!(!found.is_compressed());
@@ -1697,8 +1588,36 @@ mod tests {
             spec: idx.spec().clone(),
             n_rows: 100,
         };
-        let outcome = evaluate_selection_query(&mut panicky, q, Algorithm::Auto, &options);
+        let outcome = evaluate_query(&mut panicky, &q.into(), Algorithm::Auto, &options);
         assert!(matches!(outcome.error(), Some(Error::WorkerPanic(_))));
+
+        // A threshold takes the same entry: the one-query workload's dense
+        // foundset and statistics, and a malformed one is its own failure.
+        let preds = vec![
+            SelectionQuery::new(Op::Le, 17),
+            SelectionQuery::new(Op::Ge, 9),
+            SelectionQuery::new(Op::Ne, 12),
+        ];
+        let threshold = ThresholdQuery::new(2, preds.clone());
+        let report = evaluate_threshold_workload(
+            || wah(None),
+            std::slice::from_ref(&threshold),
+            Algorithm::Auto,
+            &options,
+        );
+        let (bits, batch_stats) = report.into_results().unwrap().remove(0);
+        assert_eq!(
+            bits,
+            BitVec::from_fn(col.len(), |r| threshold.matches(col.values()[r]))
+        );
+        let query = Query::Threshold(threshold);
+        let outcome = evaluate_query(&mut wah(None), &query, Algorithm::Auto, &options);
+        let (found, stats) = outcome.into_result().expect("answered");
+        assert!(!found.is_compressed());
+        assert_eq!((&*found.to_bitvec(), stats), (&bits, batch_stats));
+        let malformed = Query::Threshold(ThresholdQuery::new(4, preds));
+        let outcome = evaluate_query(&mut wah(None), &malformed, Algorithm::Auto, &options);
+        assert!(matches!(outcome.error(), Some(Error::InvalidQuery(_))));
     }
 
     #[test]

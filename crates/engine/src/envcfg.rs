@@ -6,9 +6,9 @@
 //! required, overflow) prints one warning to stderr and falls back to the
 //! default — a typo in a job script must never abort a workload or,
 //! worse, be silently ignored. [`parse_env`] is that contract in one
-//! place; `BatchOptions::from_env` (`BINDEX_THREADS`,
-//! `BINDEX_SEGMENT_BITS`) and the server's `ServerConfig::from_env`
-//! (`BINDEX_QUEUE_DEPTH`, `BINDEX_DEADLINE_MS`) all route through it.
+//! place; `BatchOptions::from_env` (`BINDEX_THREADS`) and the server's
+//! `ServerConfig::from_env` (`BINDEX_QUEUE_DEPTH`, `BINDEX_DEADLINE_MS`)
+//! route through it.
 
 /// Reads `var` and validates it with `parse`. Returns `None` when the
 /// variable is unset (caller uses its default, silently) **or** set to

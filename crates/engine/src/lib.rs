@@ -36,9 +36,8 @@ pub mod plan;
 mod table;
 
 pub use batch::{
-    evaluate_selection_query, evaluate_selection_workload, execute_workload, parse_segment_bits,
-    BatchHealth, BatchOptions, Deadline, QueryOutcome, WorkloadReport, MIN_SEGMENT_BITS,
-    SEGMENT_BITS_ENV,
+    evaluate_query, evaluate_selection_workload, execute_workload, BatchHealth, BatchOptions,
+    Deadline, QueryOutcome, WorkloadReport, MIN_SEGMENT_BITS,
 };
 pub use plan::{ConjunctiveQuery, ExecutionStats, Plan, PlanCost};
 pub use table::{IndexChoice, Table, TableBuilder};

@@ -218,6 +218,40 @@ impl std::fmt::Display for ThresholdQuery {
     }
 }
 
+/// One query on the indexed attribute, of either kind: a single selection
+/// predicate or a "≥ k of N" threshold over several. The evaluator, the
+/// batch engine and the server all take this one type, so neither kind has
+/// entry points of its own; a threshold is one more Boolean function over
+/// the same bitmaps.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum Query {
+    /// `A op v`.
+    Selection(SelectionQuery),
+    /// At least `k` of the contained predicates hold.
+    Threshold(ThresholdQuery),
+}
+
+impl From<SelectionQuery> for Query {
+    fn from(query: SelectionQuery) -> Self {
+        Query::Selection(query)
+    }
+}
+
+impl From<ThresholdQuery> for Query {
+    fn from(query: ThresholdQuery) -> Self {
+        Query::Threshold(query)
+    }
+}
+
+impl std::fmt::Display for Query {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Query::Selection(q) => q.fmt(f),
+            Query::Threshold(q) => q.fmt(f),
+        }
+    }
+}
+
 /// The full uniform query space `Q`: all 6·C queries (Section 4).
 pub fn full_space(cardinality: u32) -> Vec<SelectionQuery> {
     let mut out = Vec::with_capacity(6 * cardinality as usize);

@@ -19,9 +19,7 @@ use std::time::Duration;
 use bindex::compress::Repr;
 use bindex::core::eval::Algorithm;
 use bindex::core::{Deadline, EvalStats};
-use bindex::engine::batch::{
-    evaluate_selection_query, evaluate_threshold_workload, BatchOptions, QueryOutcome,
-};
+use bindex::engine::batch::{evaluate_query, BatchOptions, QueryOutcome, MIN_SEGMENT_BITS};
 use bindex::relation::query::{SelectionQuery, ThresholdQuery};
 use bindex::storage::{
     ByteStore, RepairReport, ShardedPool, SharedIndexReader, StorageError, StoredIndex,
@@ -37,13 +35,7 @@ use crate::cache::{normalize, normalize_threshold, CachedAnswer, ResultCache};
 /// One query as served over the wire: a single selection predicate or a
 /// "≥ k of N" threshold over several. Both run through the same serving
 /// policy — cache, breaker, deadline, segment-at-a-time evaluation.
-#[derive(Debug, Clone)]
-pub enum ServedQuery {
-    /// `A op v`.
-    Selection(SelectionQuery),
-    /// At least `k` of the contained predicates hold.
-    Threshold(ThresholdQuery),
-}
+pub use bindex::relation::query::Query as ServedQuery;
 
 /// The one store type the server deals in; anything `ByteStore + Send +
 /// Sync` boxes into it.
@@ -128,9 +120,11 @@ pub struct ServedIndex {
 
 impl ServedIndex {
     /// Opens the stored index in `store` and wraps it for serving.
-    /// `spec` must be the layout the index was written with (validated
-    /// here, so query-time construction cannot fail); `column` and
-    /// `null_mask` feed reconstruction and repair when present.
+    /// `spec` must be the layout the index was written with and
+    /// `tuning.segment_bits` a power of two of at least
+    /// [`MIN_SEGMENT_BITS`] (both validated here, so query-time
+    /// construction cannot fail); `column` and `null_mask` feed
+    /// reconstruction and repair when present.
     pub fn new(
         name: impl Into<String>,
         spec: IndexSpec,
@@ -139,6 +133,14 @@ impl ServedIndex {
         null_mask: Option<BitVec>,
         tuning: IndexTuning,
     ) -> Result<Self, Error> {
+        // `BatchOptions::with_segment_bits` asserts this on every query —
+        // on a pool worker, outside any `catch_unwind`.
+        if !(tuning.segment_bits.is_power_of_two() && tuning.segment_bits >= MIN_SEGMENT_BITS) {
+            return Err(Error::Infeasible(format!(
+                "segment size must be a power of two >= {MIN_SEGMENT_BITS} bits, got {}",
+                tuning.segment_bits
+            )));
+        }
         let stored = StoredIndex::open(store).map_err(storage_error)?;
         let reader = if tuning.pool_capacity > 0 {
             SharedIndexReader::with_pool(stored, ShardedPool::new(tuning.pool_capacity, 8))
@@ -269,32 +271,12 @@ impl ServedIndex {
         // predicates are wrong without it. The reader holds it between
         // repairs, so this is a handle, not a read.
         let nn = guard.read_nn_repr().map_err(storage_error)?;
-        let make_source = || {
-            let source = SharedSource::try_new(&guard, spec.clone())
-                .expect("layout validated at registration");
-            match &nn {
-                Some(nn) => source.with_nn(nn.clone()),
-                None => source,
-            }
-        };
-        let outcome = match &query {
-            ServedQuery::Selection(q) => {
-                evaluate_selection_query(&mut make_source(), *q, Algorithm::Auto, &options)
-            }
-            ServedQuery::Threshold(q) => literal_outcome(
-                evaluate_threshold_workload(
-                    make_source,
-                    std::slice::from_ref(q),
-                    Algorithm::Auto,
-                    &options,
-                )
-                .outcomes
-                .into_iter()
-                .next()
-                .expect("one query in, one outcome out"),
-            ),
-        };
-        match outcome {
+        let mut source =
+            SharedSource::try_new(&guard, spec.clone()).expect("layout validated at registration");
+        if let Some(nn) = nn {
+            source = source.with_nn(nn);
+        }
+        match evaluate_query(&mut source, &query, Algorithm::Auto, &options) {
             QueryOutcome::Ok((bits, stats)) => {
                 self.breaker.record_success();
                 let cardinality = bits.count_ones() as u64;
@@ -436,20 +418,6 @@ impl ServedIndex {
 
 fn storage_error(e: StorageError) -> Error {
     Error::Storage(e.to_string())
-}
-
-/// A dense foundset's outcome as the serving path carries foundsets.
-fn literal_outcome(outcome: QueryOutcome<(BitVec, EvalStats)>) -> QueryOutcome<(Repr, EvalStats)> {
-    match outcome {
-        QueryOutcome::Ok((bits, stats)) => QueryOutcome::Ok((Repr::literal(bits), stats)),
-        QueryOutcome::Degraded((bits, stats)) => {
-            QueryOutcome::Degraded((Repr::literal(bits), stats))
-        }
-        QueryOutcome::Failed(e) => QueryOutcome::Failed(e),
-        QueryOutcome::TimedOut => QueryOutcome::TimedOut,
-        QueryOutcome::DeadlineExceeded => QueryOutcome::DeadlineExceeded,
-        QueryOutcome::Skipped => QueryOutcome::Skipped,
-    }
 }
 
 /// The set of indexes one server instance serves, by name.

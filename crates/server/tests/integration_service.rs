@@ -185,11 +185,51 @@ fn end_to_end_answers_are_exact_over_the_wire() {
     assert_eq!(report.shed_overload, 0);
 }
 
+/// A segment size the engine asserts on at query time — on a pool worker,
+/// which the panic kills, one per request — is refused when the index is
+/// registered; a server over a valid index answers more requests than it
+/// has workers.
+#[test]
+fn invalid_segment_bits_is_refused_at_registration() {
+    let (_column, index, store) = build();
+    for segment_bits in [0, 100, 513] {
+        let tuning = IndexTuning {
+            segment_bits,
+            ..IndexTuning::default()
+        };
+        let refused = ServedIndex::new("t", spec(), Box::new(store.clone()), None, None, tuning);
+        assert!(
+            matches!(refused, Err(bindex::Error::Infeasible(_))),
+            "segment_bits {segment_bits} must be refused"
+        );
+    }
+    let mut registry = Registry::new();
+    registry.insert(
+        ServedIndex::new("t", spec(), Box::new(store), None, None, uncached_tuning()).unwrap(),
+    );
+    let config = ServerConfig {
+        workers: 1,
+        queue_depth: 4,
+        default_deadline: Duration::from_secs(10),
+    };
+    let server = start_server(registry, config);
+    let mut client = connect(&server);
+    let query = SelectionQuery::new(Op::Le, 40);
+    for _ in 0..3 {
+        match client.query("t", query, false, 0).expect("query") {
+            Response::Count { cardinality, .. } => {
+                assert_eq!(cardinality, direct_count(&index, query));
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
 fn direct_threshold(index: &BitmapIndex, k: u32, predicates: &[SelectionQuery]) -> bindex::BitVec {
     let query = ThresholdQuery::new(k, predicates.to_vec());
     let (bits, _) =
-        bindex::core::eval::evaluate_threshold(&mut index.source(), &query, Algorithm::Auto)
-            .unwrap();
+        bindex::core::eval::evaluate(&mut index.source(), query, Algorithm::Auto).unwrap();
     bits
 }
 

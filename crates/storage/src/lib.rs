@@ -24,7 +24,7 @@
 //! `cCS`, `cIS` in the paper's notation.
 //!
 //! Every stored file — bitmap payloads and the manifest — is wrapped in a
-//! checksummed frame ([`format`], [`checksum`]) verified on every read, so
+//! checksummed frame ([`mod@format`], [`checksum`]) verified on every read, so
 //! corruption surfaces as a typed [`StorageError`] rather than a silently
 //! wrong bitmap. Transient I/O failures are retried per [`RetryPolicy`];
 //! [`FaultStore`] injects deterministic faults for robustness testing; and

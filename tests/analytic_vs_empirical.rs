@@ -4,8 +4,8 @@
 //! must equal the workload averages.
 
 use bindex::core::cost;
-use bindex::core::eval::{evaluate, evaluate_buffered, Algorithm};
-use bindex::core::{buffer, BufferSet};
+use bindex::core::eval::{evaluate, evaluate_in, Algorithm};
+use bindex::core::{buffer, BufferSet, ExecContext};
 use bindex::relation::{gen, query};
 use bindex::{Base, BitmapIndex, Encoding, IndexSpec};
 
@@ -116,8 +116,10 @@ fn buffered_measurement_matches_buffered_predictor() {
         let mut total = 0usize;
         let queries = query::full_space(c);
         for &q in &queries {
-            let (_, stats) =
-                evaluate_buffered(&mut idx.source(), &set, q, Algorithm::RangeEvalOpt).unwrap();
+            let mut source = idx.source();
+            let mut ctx = ExecContext::with_buffer(&mut source, &set);
+            evaluate_in(&mut ctx, q, Algorithm::RangeEvalOpt).unwrap();
+            let stats = ctx.take_stats();
             assert_eq!(
                 stats.scans,
                 cost::predicted_scans_range_opt_buffered(&base, &f, q),

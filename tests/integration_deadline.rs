@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bindex::core::eval::{evaluate_segmented, Algorithm};
+use bindex::core::eval::{evaluate_segmented_in, Algorithm};
 use bindex::core::{Deadline, ExecContext};
 use bindex::engine::batch::{evaluate_selection_workload, BatchOptions, QueryOutcome};
 use bindex::relation::gen;
@@ -71,9 +71,7 @@ fn core_segmented_eval_cancels_between_segments() {
         ExecContext::new(&mut slow).with_deadline(Some(Deadline::after(Duration::from_millis(1))));
     let query = SelectionQuery::new(Op::Le, 40);
     let started = Instant::now();
-    let err =
-        bindex::core::eval::evaluate_segmented_in(&mut ctx, query, Algorithm::Auto, SEGMENT_BITS)
-            .unwrap_err();
+    let err = evaluate_segmented_in(&mut ctx, query, Algorithm::Auto, SEGMENT_BITS).unwrap_err();
     assert_eq!(err, Error::DeadlineExceeded);
     let stats = ctx.take_stats();
     assert!(
@@ -95,8 +93,9 @@ fn core_segmented_eval_without_deadline_is_unaffected() {
     let query = SelectionQuery::new(Op::Le, 40);
     let (want, _) =
         bindex::core::eval::evaluate(&mut index.source(), query, Algorithm::Auto).unwrap();
-    let (got, _) =
-        evaluate_segmented(&mut index.source(), query, Algorithm::Auto, SEGMENT_BITS).unwrap();
+    let mut source = index.source();
+    let mut ctx = ExecContext::new(&mut source);
+    let got = evaluate_segmented_in(&mut ctx, query, Algorithm::Auto, SEGMENT_BITS).unwrap();
     assert_eq!(got, want);
 }
 

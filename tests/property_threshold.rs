@@ -4,38 +4,29 @@
 //! bit-identical to the per-row reference (`ThresholdQuery::matches`
 //! over the column values) — and identical `EvalStats`, including the
 //! `threshold_combines` charge, once the counters pruning is *allowed*
-//! to move are set aside — for every recovery policy. The CSA kernel
-//! tiers must agree bit for bit with each other and with the per-row
-//! popcount definition; a delta overlay must make a threshold exactly
-//! the symmetric function of its predicates' overlaid foundsets; a
-//! corrupted store may fail a threshold but never answer it wrongly;
-//! and malformed thresholds are typed errors on every storage path.
+//! to move are set aside — for every recovery policy. A delta overlay
+//! must make a threshold exactly the symmetric function of its
+//! predicates' overlaid foundsets; a corrupted store may fail a threshold
+//! but never answer it wrongly; and malformed thresholds are typed errors
+//! on every storage path. (The CSA kernel itself is checked against the
+//! per-row popcount definition in `bitvec::kernels`' own tests.)
 //!
 //! `BINDEX_CHAOS_SEED` pins one seed (the chaos-smoke CI knob); unset, a
-//! default matrix runs. CI's kernel matrix additionally runs this binary
-//! under both `BINDEX_KERNEL` tiers, exercising default dispatch; the
-//! in-process tier comparisons below pin tiers through the `*_with`
-//! entry points and never touch the process-global dispatch.
+//! default matrix runs.
 
 use std::sync::Arc;
 
 use bindex::bitvec::kernels;
 use bindex::compress::CodecKind;
-use bindex::core::eval::{
-    evaluate_in, evaluate_threshold_in, evaluate_threshold_segmented_in, Algorithm,
-};
+use bindex::core::eval::{evaluate_in, evaluate_segmented_in, Algorithm};
 use bindex::core::{Error, EvalStats, ExecContext};
 use bindex::relation::query::{Op, SelectionQuery, ThresholdQuery};
 use bindex::relation::{Column, Rng};
 use bindex::storage::{ByteStore, MemStore, ShardedPool, SharedIndexReader, StoredIndex};
 use bindex::stored::{persist_index_v3, persist_index_v4, SharedSource};
 use bindex::{
-    Base, BitVec, BitmapIndex, Encoding, IndexSpec, IngestIndex, IngestOptions, KernelDispatch,
-    RecoveryPolicy,
+    Base, BitVec, BitmapIndex, Encoding, IndexSpec, IngestIndex, IngestOptions, RecoveryPolicy,
 };
-
-const SCALAR: KernelDispatch = KernelDispatch::Scalar;
-const UNROLLED: KernelDispatch = KernelDispatch::Unrolled;
 
 fn seeds() -> Vec<u64> {
     match std::env::var("BINDEX_CHAOS_SEED") {
@@ -188,7 +179,7 @@ fn run_config(
     let mut ctx = ExecContext::new(&mut src)
         .with_recovery(policy.clone())
         .with_pruning(prune);
-    match evaluate_threshold_segmented_in(&mut ctx, q, Algorithm::Auto, segment_bits) {
+    match evaluate_segmented_in(&mut ctx, q.clone(), Algorithm::Auto, segment_bits) {
         Ok(found) => Ok((found, ctx.take_stats())),
         Err(e) => Err(e.to_string()),
     }
@@ -280,92 +271,6 @@ fn threshold_layout_matrix_is_bit_identical() {
     }
 }
 
-/// CSA kernel tiers agree bit for bit with each other and with the
-/// per-row popcount definition — interior k, total degenerate k (0 and
-/// n + 1), fused counts, exact-k, and majority — over ragged operand
-/// lengths and `SegmentView` operands.
-#[test]
-fn kernel_tiers_agree_on_symmetric_functions() {
-    for seed in seeds() {
-        let mut rng = Rng::seed_from_u64(0x7B20 + seed);
-        let random_bitvec =
-            |rng: &mut Rng, len: usize| BitVec::from_fn(len, |_| rng.below_u32(2) == 1);
-        for len in [1usize, 63, 64, 65, 127, 1024, 4096 + 17] {
-            for n in [2usize, 3, 5, 8, 16] {
-                let owned: Vec<BitVec> = (0..n).map(|_| random_bitvec(&mut rng, len)).collect();
-                let ops: Vec<&BitVec> = owned.iter().collect();
-                let row_count = |r: usize| owned.iter().filter(|b| b.get(r)).count();
-                for k in [0usize, 1, n / 2, n / 2 + 1, n - 1, n, n + 1] {
-                    let label = format!("seed {seed} len {len} n {n} k {k}");
-                    let want = BitVec::from_fn(len, |r| row_count(r) >= k);
-                    let scalar = kernels::threshold_k_with(SCALAR, &ops, k);
-                    let unrolled = kernels::threshold_k_with(UNROLLED, &ops, k);
-                    assert_eq!(scalar, want, "{label}: scalar vs per-row");
-                    assert_eq!(unrolled, want, "{label}: unrolled vs per-row");
-                    assert_eq!(
-                        kernels::threshold_k(&ops, k),
-                        want,
-                        "{label}: default dispatch"
-                    );
-                    assert_eq!(
-                        kernels::count_threshold_k_with(SCALAR, &ops, k),
-                        want.count_ones(),
-                        "{label}: scalar count"
-                    );
-                    assert_eq!(
-                        kernels::count_threshold_k_with(UNROLLED, &ops, k),
-                        want.count_ones(),
-                        "{label}: unrolled count"
-                    );
-                    let exact_want = BitVec::from_fn(len, |r| row_count(r) == k);
-                    assert_eq!(
-                        kernels::exact_k_with(SCALAR, &ops, k),
-                        exact_want,
-                        "{label}: scalar exact"
-                    );
-                    assert_eq!(
-                        kernels::exact_k_with(UNROLLED, &ops, k),
-                        exact_want,
-                        "{label}: unrolled exact"
-                    );
-                }
-                let maj = BitVec::from_fn(len, |r| row_count(r) > n / 2);
-                assert_eq!(
-                    kernels::majority_with(SCALAR, &ops),
-                    maj,
-                    "seed {seed} len {len} n {n}: scalar majority"
-                );
-                assert_eq!(
-                    kernels::majority_with(UNROLLED, &ops),
-                    maj,
-                    "seed {seed} len {len} n {n}: unrolled majority"
-                );
-            }
-        }
-        // Word-aligned segment views (including a ragged final window)
-        // agree across tiers and with their materialized copies.
-        let len = 8 * 1024 + 37;
-        let owned: Vec<BitVec> = (0..7).map(|_| random_bitvec(&mut rng, len)).collect();
-        for (lo, hi) in [(0usize, 4096), (4096, len)] {
-            let views: Vec<_> = owned.iter().map(|b| b.view_range(lo, hi)).collect();
-            let mats: Vec<BitVec> = views.iter().map(|v| v.to_bitvec()).collect();
-            let mat_refs: Vec<&BitVec> = mats.iter().collect();
-            for k in [2usize, 4, 7] {
-                assert_eq!(
-                    kernels::threshold_k_with(SCALAR, &views, k),
-                    kernels::threshold_k_with(UNROLLED, &views, k),
-                    "view {lo}..{hi} k {k}: tiers"
-                );
-                assert_eq!(
-                    kernels::threshold_k_with(UNROLLED, &views, k),
-                    kernels::threshold_k_with(UNROLLED, &mat_refs, k),
-                    "view {lo}..{hi} k {k}: view vs materialized"
-                );
-            }
-        }
-    }
-}
-
 /// Threshold over a live delta overlay (appended rows plus deletes) is
 /// exactly the per-row symmetric function of its predicates' overlaid
 /// foundsets, whole-bitmap and segmented alike.
@@ -417,9 +322,9 @@ fn threshold_over_delta_overlay_matches_selection_foundsets() {
             });
             let mut src = SharedSource::try_unpooled(&stored, spec.clone()).unwrap();
             let mut ctx = ExecContext::new(&mut src).with_overlay(Some(Arc::clone(&overlay)));
-            let whole = evaluate_threshold_in(&mut ctx, &q, Algorithm::Auto).unwrap();
+            let whole = evaluate_in(&mut ctx, q.clone(), Algorithm::Auto).unwrap();
             assert_eq!(whole, want, "seed {seed} whole {q}");
-            let seg = evaluate_threshold_segmented_in(&mut ctx, &q, Algorithm::Auto, 64).unwrap();
+            let seg = evaluate_segmented_in(&mut ctx, q.clone(), Algorithm::Auto, 64).unwrap();
             assert_eq!(seg, want, "seed {seed} segmented {q}");
         }
     }
@@ -509,12 +414,12 @@ fn degenerate_thresholds_are_typed_errors_on_stored_indexes() {
         assert!(bad.validate().is_err(), "{bad} must not validate");
         let mut src = SharedSource::try_new(&reader, spec.clone()).unwrap();
         let mut ctx = ExecContext::new(&mut src).with_pruning(true);
-        let whole = evaluate_threshold_in(&mut ctx, &bad, Algorithm::Auto);
+        let whole = evaluate_in(&mut ctx, bad.clone(), Algorithm::Auto);
         assert!(
             matches!(whole, Err(Error::InvalidQuery(_))),
             "whole {bad}: {whole:?}"
         );
-        let seg = evaluate_threshold_segmented_in(&mut ctx, &bad, Algorithm::Auto, 64);
+        let seg = evaluate_segmented_in(&mut ctx, bad.clone(), Algorithm::Auto, 64);
         assert!(
             matches!(seg, Err(Error::InvalidQuery(_))),
             "segmented {bad}: {seg:?}"
