@@ -1,14 +1,15 @@
 //! Extension experiment: compressed-domain query execution.
 //!
-//! Four measurements back the adaptive-materialization design:
+//! Five measurements back compressed-domain execution and its one rule
+//! (an operand is folded compressed at no more than 1/16 of its literal
+//! size — `max_folded_ratio`):
 //!
 //! 1. **Kernel density sweep** — k-ary AND/OR on WAH-compressed operands
 //!    vs decompress-then-operate (the cost the executor pays when it
 //!    materializes), across densities 0.001–0.5.
 //! 2. **Crossover calibration** — the same sweep also times the dense
 //!    kernels on pre-materialized operands (the steady-state alternative),
-//!    locating the density where staying compressed stops paying. That
-//!    measured point justifies `DEFAULT_WAH_CROSSOVER`.
+//!    locating the density where staying compressed stops paying.
 //! 3. **End-to-end** — full selection workloads through a version-3
 //!    per-slot-coded store vs the all-literal layout, for a sparse
 //!    (equality-encoded) and a dense (range-encoded) index.
@@ -33,7 +34,7 @@ use bindex::compress::CodecKind;
 use bindex::core::eval::{
     evaluate, evaluate_repr_in, evaluate_segment_range_in, evaluate_segmented_in, Algorithm,
 };
-use bindex::core::{ExecContext, DEFAULT_WAH_CROSSOVER};
+use bindex::core::ExecContext;
 use bindex::relation::query::{full_space, Query, SelectionQuery};
 use bindex::relation::{gen, Column};
 use bindex::storage::{MemStore, ShardedPool, SharedIndexReader, StorageScheme, StoredIndex};
@@ -471,7 +472,7 @@ fn main() {
     );
     let crossover = measured_crossover(&sweep);
     println!(
-        "  measured crossover: {} (executor default {DEFAULT_WAH_CROSSOVER})",
+        "  measured crossover: {}",
         crossover.map_or("beyond sweep".into(), |d| format!("{d:.3}")),
     );
 
@@ -695,7 +696,6 @@ fn main() {
     let json = format!(
         "{{\n  \"experiment\": \"compressed_exec\",\n  \"quick\": {quick},\n  {prov},\n  \
          \"bits\": {bits},\n  \"operands\": {OPERANDS},\n  \
-         \"default_crossover\": {DEFAULT_WAH_CROSSOVER},\n  \
          \"measured_crossover\": {crossover},\n  \"kernel_sweep\": [\n{sweep}\n  ],\n  \
          \"sparse_speedup_at_most_1pct_ge_1_5x\": {sparse_ok},\n  \
          \"end_to_end\": [\n{end}\n  ],\n  \

@@ -9,7 +9,7 @@
 //! record is appended *and* fsynced, so an acknowledged batch survives
 //! any crash: reopening replays the WAL's valid prefix and reconstructs
 //! the exact delta state. Fsyncs can be batched (group commit) with
-//! [`IngestOptions::with_fsync_interval`] / `BINDEX_WAL_FSYNC_MS`,
+//! [`IngestOptions::with_fsync_interval`],
 //! trading bounded staleness of the acknowledgement for throughput —
 //! never correctness: an unsynced batch is simply not yet acknowledged.
 //!
@@ -25,8 +25,8 @@
 //! best-effort cleanup. A crash at *any* byte of compaction leaves
 //! either the old generation (WAL intact, delta replayed on reopen) or
 //! the new one (WAL covered by `wal_applied`, replay skips it) — never
-//! a torn mix. `BINDEX_DELTA_MAX_ROWS` bounds the delta and triggers
-//! compaction automatically from [`IngestIndex::commit`].
+//! a torn mix. [`IngestOptions::with_delta_max_rows`] bounds the delta and
+//! triggers compaction automatically from [`IngestIndex::commit`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,24 +34,12 @@ use std::time::{Duration, Instant};
 use bindex_bitvec::BitVec;
 use bindex_core::eval::evaluate_in;
 use bindex_core::{Algorithm, BitmapIndex, DeltaOverlay, Error, EvalStats, ExecContext, IndexSpec};
-use bindex_engine::envcfg;
 use bindex_relation::query::SelectionQuery;
 use bindex_relation::Column;
 use bindex_storage::wal::{self, WalOp};
 use bindex_storage::{ByteStore, StoredIndex};
 
 use crate::stored::{check_layout, storage_error, SharedSource};
-
-/// Environment variable: group-commit fsync interval in milliseconds.
-/// Unset means fsync on every commit (every ack is immediate); a
-/// positive value batches fsyncs, so commits inside the window come back
-/// with [`IngestAck::durable`] `false` until the next sync.
-pub const WAL_FSYNC_MS_ENV: &str = "BINDEX_WAL_FSYNC_MS";
-
-/// Environment variable: delta-segment row cap. When a commit pushes the
-/// delta past this many appended rows, [`IngestIndex::commit`] runs an
-/// automatic [`IngestIndex::compact`]. Unset means compaction is manual.
-pub const DELTA_MAX_ROWS_ENV: &str = "BINDEX_DELTA_MAX_ROWS";
 
 /// Tuning knobs for an [`IngestIndex`].
 #[derive(Debug, Clone, Default)]
@@ -66,26 +54,9 @@ impl IngestOptions {
         Self::default()
     }
 
-    /// Reads `BINDEX_WAL_FSYNC_MS` and `BINDEX_DELTA_MAX_ROWS` — with a
-    /// warning to stderr, via [`envcfg::parse_env`], when either is set
-    /// to something unusable, rather than silently ignoring it.
-    pub fn from_env() -> Self {
-        Self {
-            fsync_interval: envcfg::parse_env(
-                WAL_FSYNC_MS_ENV,
-                "a positive integer (milliseconds)",
-                envcfg::positive_u64,
-            )
-            .map(Duration::from_millis),
-            delta_max_rows: envcfg::parse_env(
-                DELTA_MAX_ROWS_ENV,
-                "a positive integer",
-                envcfg::positive_usize,
-            ),
-        }
-    }
-
-    /// Sets the group-commit window; `None` fsyncs every commit.
+    /// Sets the group-commit window; `None` fsyncs every commit, so every
+    /// ack is immediate. Commits inside a window come back with
+    /// [`IngestAck::durable`] `false` until the next sync.
     pub fn with_fsync_interval(mut self, interval: Option<Duration>) -> Self {
         self.fsync_interval = interval;
         self
@@ -120,7 +91,7 @@ pub struct IngestAck {
     /// forces one).
     pub durable: bool,
     /// The new storage generation, when this commit tripped the
-    /// `BINDEX_DELTA_MAX_ROWS` cap and compacted.
+    /// [`IngestOptions::with_delta_max_rows`] cap and compacted.
     pub compacted: Option<u64>,
 }
 
@@ -548,59 +519,5 @@ impl<'a, S: ByteStore> IngestIndex<'a, S> {
             .map_err(|e| Error::Storage(e.to_string()))?;
         self.wal_dirty = false;
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// One test covers every interaction with `BINDEX_WAL_FSYNC_MS` and
-    /// `BINDEX_DELTA_MAX_ROWS` — set, unset, and malformed (which warns
-    /// via `envcfg::parse_env` and falls back to the default) — so
-    /// parallel test threads never race on the process environment: these
-    /// two variables are read nowhere else in this test binary.
-    #[test]
-    fn env_knobs_configure_fsync_window_and_delta_cap() {
-        // Unset: fsync every commit, manual compaction.
-        std::env::remove_var(WAL_FSYNC_MS_ENV);
-        std::env::remove_var(DELTA_MAX_ROWS_ENV);
-        let opts = IngestOptions::from_env();
-        assert_eq!(opts.fsync_interval(), None);
-        assert_eq!(opts.delta_max_rows(), None);
-
-        // Set: both knobs land, with the documented units.
-        std::env::set_var(WAL_FSYNC_MS_ENV, "250");
-        std::env::set_var(DELTA_MAX_ROWS_ENV, " 4096 ");
-        let opts = IngestOptions::from_env();
-        assert_eq!(opts.fsync_interval(), Some(Duration::from_millis(250)));
-        assert_eq!(opts.delta_max_rows(), Some(4096));
-
-        // Malformed values warn and fall back rather than misconfigure:
-        // zero is not a usable window or cap, text is not a number.
-        for bad in ["0", "soon", "-5", "1.5"] {
-            std::env::set_var(WAL_FSYNC_MS_ENV, bad);
-            std::env::set_var(DELTA_MAX_ROWS_ENV, bad);
-            let opts = IngestOptions::from_env();
-            assert_eq!(opts.fsync_interval(), None, "{bad:?} must fall back");
-            assert_eq!(opts.delta_max_rows(), None, "{bad:?} must fall back");
-        }
-
-        // A bad window does not poison a good cap (independent knobs).
-        std::env::set_var(WAL_FSYNC_MS_ENV, "never");
-        std::env::set_var(DELTA_MAX_ROWS_ENV, "100000");
-        let opts = IngestOptions::from_env();
-        assert_eq!(opts.fsync_interval(), None);
-        assert_eq!(opts.delta_max_rows(), Some(100_000));
-
-        std::env::remove_var(WAL_FSYNC_MS_ENV);
-        std::env::remove_var(DELTA_MAX_ROWS_ENV);
-
-        // The builder mirrors the env path.
-        let opts = IngestOptions::new()
-            .with_fsync_interval(Some(Duration::from_millis(7)))
-            .with_delta_max_rows(Some(32));
-        assert_eq!(opts.fsync_interval(), Some(Duration::from_millis(7)));
-        assert_eq!(opts.delta_max_rows(), Some(32));
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! The storage layer's v3 format keeps each slot in whichever form is
 //! smaller, and the evaluators operate on whichever form they were handed
-//! — staying in the compressed domain while operands are sparse and
-//! materializing once density crosses the measured threshold. [`Repr`] is
-//! the currency both layers trade in: a cheaply clonable handle
-//! (`Arc`-backed, like the executor's fetch cache) that knows its length,
-//! density, and heap footprint in either form.
+//! — folding a chain in the compressed domain while every operand is a
+//! small fraction of its literal size, over dense words otherwise.
+//! [`Repr`] is the currency both layers trade in: a cheaply clonable
+//! handle (`Arc`-backed, like the executor's fetch cache) that knows its
+//! length, population count and heap footprint in either form.
 
 use std::sync::Arc;
 
@@ -63,16 +63,6 @@ impl Repr {
         }
     }
 
-    /// Fraction of set bits (0 for an empty bitmap).
-    pub fn density(&self) -> f64 {
-        let len = self.len();
-        if len == 0 {
-            0.0
-        } else {
-            self.count_ones() as f64 / len as f64
-        }
-    }
-
     /// Bytes of heap this representation actually occupies — the quantity
     /// a byte-accounted buffer pool charges: dense words for a literal,
     /// compressed words for WAH.
@@ -125,7 +115,6 @@ mod tests {
         assert_eq!(*wah.to_bitvec(), bits);
         assert!(!lit.is_compressed());
         assert!(wah.is_compressed());
-        assert!((lit.density() - wah.density()).abs() < 1e-12);
     }
 
     #[test]
@@ -138,8 +127,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_bitmap_density_zero() {
-        assert_eq!(Repr::literal(BitVec::zeros(0)).density(), 0.0);
+    fn empty_bitmap_is_empty() {
         assert!(Repr::literal(BitVec::zeros(0)).is_empty());
     }
 }

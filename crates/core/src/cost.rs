@@ -36,8 +36,7 @@ use bindex_relation::query::{Op, SelectionQuery};
 
 use crate::base::Base;
 use crate::encoding::{Encoding, IndexSpec};
-use crate::eval::equality;
-use crate::eval::Algorithm;
+use crate::eval::{equality, reduce, Algorithm, Chain, Reduced};
 
 /// `Space(I)`: number of bitmaps stored (Theorem 5.1, Eqs. 1 and 3).
 pub fn space(spec: &IndexSpec) -> u64 {
@@ -46,31 +45,20 @@ pub fn space(spec: &IndexSpec) -> u64 {
 
 /// Scan count of one query under RangeEval-Opt, from digits alone.
 pub fn predicted_scans_range_opt(base: &Base, query: SelectionQuery) -> usize {
-    let v = query.constant;
-    let le_value = match query.op {
-        Op::Le | Op::Gt => Some(v),
-        Op::Lt | Op::Ge => {
-            if v == 0 {
-                return 0; // trivial empty / all-rows result
-            }
-            Some(v - 1)
-        }
-        Op::Eq | Op::Ne => None,
+    let le = match reduce(query) {
+        Reduced::Empty | Reduced::NonNull => return 0, // trivial empty / all-rows result
+        Reduced::Chain(Chain::Eq(v), _) => return eq_digit_scans(base, v),
+        Reduced::Chain(Chain::Le(le), _) => le,
     };
-    match le_value {
-        Some(le) => {
-            let digits = base.decompose(le).expect("constant out of range");
-            let b1 = base.component(1);
-            let mut scans = usize::from(digits[0] != b1 - 1);
-            for i in 2..=base.n_components() {
-                let bi = base.component(i);
-                let vi = digits[i - 1];
-                scans += usize::from(vi != bi - 1) + usize::from(vi != 0);
-            }
-            scans
-        }
-        None => eq_digit_scans(base, v),
+    let digits = base.decompose(le).expect("constant out of range");
+    let b1 = base.component(1);
+    let mut scans = usize::from(digits[0] != b1 - 1);
+    for i in 2..=base.n_components() {
+        let bi = base.component(i);
+        let vi = digits[i - 1];
+        scans += usize::from(vi != bi - 1) + usize::from(vi != 0);
     }
+    scans
 }
 
 /// Scan count of one query under RangeEval (O'Neil & Quass), from digits
@@ -224,21 +212,11 @@ pub fn time_range_buffered_paper(base: &Base, f: &[u32]) -> f64 {
 /// component is referenced with equal probability, so *which* `f_i` slots
 /// are resident does not change the expectation).
 pub fn predicted_scans_range_opt_buffered(base: &Base, f: &[u32], query: SelectionQuery) -> usize {
-    let v = query.constant;
-    let le_value = match query.op {
-        Op::Le | Op::Gt => Some(v),
-        Op::Lt | Op::Ge => {
-            if v == 0 {
-                return 0;
-            }
-            Some(v - 1)
-        }
-        Op::Eq | Op::Ne => None,
-    };
     // Slot j of component i is resident iff j < f_i.
     let miss = |i: usize, slot: u32| usize::from(slot >= f[i - 1]);
-    match le_value {
-        Some(le) => {
+    match reduce(query) {
+        Reduced::Empty | Reduced::NonNull => 0,
+        Reduced::Chain(Chain::Le(le), _) => {
             let digits = base.decompose(le).expect("constant out of range");
             let b1 = base.component(1);
             let mut scans = 0;
@@ -257,7 +235,7 @@ pub fn predicted_scans_range_opt_buffered(base: &Base, f: &[u32], query: Selecti
             }
             scans
         }
-        None => {
+        Reduced::Chain(Chain::Eq(v), _) => {
             let digits = base.decompose(v).expect("constant out of range");
             let mut scans = 0;
             for i in 1..=base.n_components() {

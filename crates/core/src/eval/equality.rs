@@ -20,63 +20,71 @@
 //! Range operators reduce to a `≤` chain exactly as in RangeEval-Opt:
 //! `R_1 = (d_1 ≤ v_1)`, `R_i = (d_i < v_i) ∨ ((d_i = v_i) ∧ R_{i−1})`.
 
+use bindex_bitvec::kernels::FoldStep;
 use bindex_bitvec::BitVec;
-use bindex_compress::Repr;
-use bindex_relation::query::{Op, SelectionQuery};
+use bindex_relation::query::SelectionQuery;
 
+use crate::base::Base;
 use crate::error::Result;
-use crate::exec::ExecContext;
+use crate::exec::{ExecContext, Plan};
 use crate::index::BitmapSource;
 
-use super::digits_of;
+use super::{digits_of, evaluate_chain, reduce, Chain, Reduced};
 
-/// Evaluates `query` on an equality-encoded index. The encoding is
-/// enforced by the dispatcher in [`super::evaluate`]. Storage failures
-/// from the underlying source propagate as errors.
+/// Evaluates `query` on an equality-encoded index over dense words, at
+/// the context's current width. The encoding is enforced by the dispatcher
+/// in [`super::evaluate_repr_in`]. Storage failures from the underlying
+/// source propagate as errors.
 pub fn evaluate<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     query: SelectionQuery,
 ) -> Result<BitVec> {
-    // Width of the current evaluation window: the full relation in whole
-    // mode, one segment under segmented execution.
-    let n_rows = ctx.view_len();
-    let v = query.constant;
-
-    let (le_value, complement) = match query.op {
-        Op::Le => (Some(v), false),
-        Op::Gt => (Some(v), true),
-        Op::Lt => {
-            if v == 0 {
-                return Ok(BitVec::zeros(n_rows));
-            }
-            (Some(v - 1), false)
+    evaluate_chain(ctx, query, |ctx, chain| match chain {
+        Chain::Le(v) => le_chain(ctx, v),
+        Chain::Eq(v) => {
+            let plan = eq_plan(&ctx.spec().base, v);
+            ctx.fold_plan(&plan, false)
         }
-        Op::Ge => {
-            if v == 0 {
-                let mut all = BitVec::ones(n_rows);
-                if let Some(nn) = ctx.fetch_nn()? {
-                    ctx.and(&mut all, &nn);
-                }
-                return Ok(all);
-            }
-            (Some(v - 1), true)
+    })
+}
+
+/// `A = v` / `A ≠ v` as one plan — the queries whose whole evaluation is
+/// linear, so [`super::evaluate_repr_in`] can fold them in the WAH domain;
+/// `None` for the range operators.
+pub(crate) fn plan(base: &Base, query: SelectionQuery) -> Option<Plan> {
+    match reduce(query) {
+        Reduced::Chain(Chain::Eq(v), complement) => Some(Plan {
+            complement,
+            ..eq_plan(base, v)
+        }),
+        _ => None,
+    }
+}
+
+/// `A = v`: the AND of the per-component equality bitmaps, one scan each.
+/// The first plain stored slot seeds the fold and the rest are `And`
+/// steps, so `n − 1` ANDs are charged, as the pairwise chain would; a
+/// base-2 digit 0 is `AndNot` of the one stored bitmap (`E^0 = ¬E^1`, one
+/// NOT). Only when no component has a plain slot — every base number 2 and
+/// `v = 0` — does the fold start from the all-ones bitmap and charge `n`.
+fn eq_plan(base: &Base, v: u32) -> Plan {
+    let digits = digits_of(base, v);
+    let mut plan = Plan::default();
+    for i in 1..=base.n_components() {
+        // Base 2 stores `E^1` alone, as slot 0.
+        let (slot, negated) = match (base.component(i), digits[i - 1]) {
+            (2, j) => ((i, 0), j == 0),
+            (_, j) => ((i, j as usize), false),
+        };
+        if negated {
+            plan.steps.push(FoldStep::AndNot(slot));
+        } else if plan.seed.is_none() {
+            plan.seed = Some(slot);
+        } else {
+            plan.steps.push(FoldStep::And(slot));
         }
-        Op::Eq => (None, false),
-        Op::Ne => (None, true),
-    };
-
-    let mut b = match le_value {
-        Some(le) => le_chain(ctx, le)?,
-        None => eq_chain(ctx, v)?,
-    };
-
-    if complement {
-        ctx.not(&mut b);
     }
-    if let Some(nn) = ctx.fetch_nn()? {
-        ctx.and(&mut b, &nn);
-    }
-    Ok(b)
+    plan
 }
 
 /// Fetches the equality bitmap `E_i^j`, deriving `E^0 = ¬E^1` for base-2
@@ -98,34 +106,26 @@ fn eq_bitmap<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, comp: usize, j: u32)
     }
 }
 
-/// OR of `E_i^{lo} … E_i^{hi}` (inclusive) via the adaptive k-ary kernel:
-/// slots fetched in their stored representation, folded in the WAH
-/// compressed domain while they are sparse, `hi − lo` ORs charged —
-/// identical to the pairwise fold it replaces. Assumes `lo <= hi` and the
-/// component has base > 2 (callers special-case base 2).
+/// OR of `E_i^{lo} … E_i^{hi}` (inclusive) — a plan of its own, so the
+/// slots are folded in one pass, in the WAH domain when they are served
+/// compressed within the executor's rule: `hi − lo` ORs charged, as the
+/// pairwise fold would. Assumes `lo <= hi` and the component has base > 2
+/// (callers special-case base 2).
 fn or_range<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     comp: usize,
     lo: u32,
     hi: u32,
 ) -> Result<BitVec> {
-    if ctx.is_segmented() {
-        // Segmented execution works on dense cache-resident windows, so
-        // the fold runs through the dense k-ary kernel. Scans (fetch
-        // cache) and the `hi − lo` OR charges are identical; only the
-        // representation metrics (`compressed_ops`/`materializations`)
-        // legitimately differ from the whole-bitmap plan.
-        let windows: Vec<_> = (lo..=hi)
-            .map(|j| ctx.fetch(comp, j as usize))
-            .collect::<Result<Vec<_>>>()?;
-        let refs: Vec<&BitVec> = windows.iter().map(|a| a.as_ref()).collect();
-        return Ok(ctx.or_all(&refs));
-    }
-    let slots: Vec<_> = (lo..=hi)
-        .map(|j| ctx.fetch_repr(comp, j as usize))
-        .collect::<Result<_>>()?;
-    let folded = ctx.or_all_reprs(&slots);
-    Ok(ctx.materialize(folded))
+    let plan = Plan {
+        seed: Some((comp, lo as usize)),
+        steps: (lo + 1..=hi)
+            .map(|j| FoldStep::Or((comp, j as usize)))
+            .collect(),
+        ..Plan::default()
+    };
+    let found = ctx.run_plan(&plan, false)?;
+    Ok(ctx.materialize(found))
 }
 
 /// `d_1 ≤ v_1` for component 1, choosing the cheaper of the direct OR-prefix
@@ -184,7 +184,7 @@ fn lt_eq_component<S: BitmapSource>(
 
 /// `A ≤ le` over all components.
 fn le_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<BitVec> {
-    let digits = digits_of(ctx, le);
+    let digits = digits_of(&ctx.spec().base, le);
     let n = ctx.spec().n_components();
     let mut b = le_component1(ctx, digits[0])?;
     for i in 2..=n {
@@ -198,88 +198,45 @@ fn le_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<Bi
     Ok(b)
 }
 
-/// `A = v`: adaptive fused AND of the per-component equality bitmaps
-/// (`n − 1` ANDs charged, as the pairwise chain would). Equality bitmaps
-/// of a compressed store are exactly the sparse case the WAH kernels win
-/// on, so the fold stays compressed until the final materialization.
-fn eq_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, v: u32) -> Result<BitVec> {
-    let digits = digits_of(ctx, v);
-    let n = ctx.spec().n_components();
-    if ctx.is_segmented() {
-        // Dense windowed fold; `n − 1` ANDs charged exactly as the
-        // adaptive repr kernel would (see `or_range`).
-        let bitmaps: Vec<BitVec> = (1..=n)
-            .map(|i| eq_bitmap(ctx, i, digits[i - 1]))
-            .collect::<Result<_>>()?;
-        let operands: Vec<&BitVec> = bitmaps.iter().collect();
-        return Ok(ctx.and_all(&operands));
-    }
-    let operands: Vec<Repr> = (1..=n)
-        .map(|i| {
-            let j = digits[i - 1];
-            if ctx.spec().base.component(i) == 2 {
-                // Base-2 components derive E^0 = ¬E^1 densely.
-                eq_bitmap(ctx, i, j).map(Repr::from)
-            } else {
-                ctx.fetch_repr(i, j as usize)
-            }
-        })
-        .collect::<Result<_>>()?;
-    let folded = ctx.and_all_reprs(&operands);
-    Ok(ctx.materialize(folded))
-}
-
 /// Predicted number of bitmap scans for one query on an equality-encoded
 /// index — digit arithmetic only, no bitmaps touched. Mirrors the plans
 /// above exactly; validated against the measured
 /// [`EvalStats`](crate::exec::EvalStats) scan counts in the test suite.
-pub fn predicted_scans(base: &crate::base::Base, query: SelectionQuery) -> usize {
-    let v = query.constant;
-    let le_value = match query.op {
-        Op::Le | Op::Gt => Some(v),
-        Op::Lt | Op::Ge => {
-            if v == 0 {
-                return 0;
-            }
-            Some(v - 1)
-        }
-        Op::Eq | Op::Ne => None,
-    };
+pub fn predicted_scans(base: &Base, query: SelectionQuery) -> usize {
     let n = base.n_components();
-    match le_value {
-        None => n, // one scan per component
-        Some(le) => {
-            let digits = base.decompose(le).expect("constant out of range");
-            let mut scans = 0usize;
-            // component 1
-            let b1 = base.component(1);
-            let v1 = digits[0];
-            if v1 != b1 - 1 {
-                scans += if b1 == 2 {
-                    1
-                } else {
-                    (v1 + 1).min(b1 - 1 - v1) as usize
-                };
-            }
-            // components 2..n
-            for i in 2..=n {
-                let b = base.component(i);
-                let vi = digits[i - 1];
-                scans += if vi == 0 || b == 2 {
-                    1
-                } else {
-                    (vi + 1).min(b - vi) as usize
-                };
-            }
-            scans
-        }
+    let le = match reduce(query) {
+        Reduced::Empty | Reduced::NonNull => return 0,
+        Reduced::Chain(Chain::Eq(_), _) => return n, // one scan per component
+        Reduced::Chain(Chain::Le(le), _) => le,
+    };
+    let digits = base.decompose(le).expect("constant out of range");
+    let mut scans = 0usize;
+    // component 1
+    let b1 = base.component(1);
+    let v1 = digits[0];
+    if v1 != b1 - 1 {
+        scans += if b1 == 2 {
+            1
+        } else {
+            (v1 + 1).min(b1 - 1 - v1) as usize
+        };
     }
+    // components 2..n
+    for i in 2..=n {
+        let b = base.component(i);
+        let vi = digits[i - 1];
+        scans += if vi == 0 || b == 2 {
+            1
+        } else {
+            (vi + 1).min(b - vi) as usize
+        };
+    }
+    scans
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::base::Base;
     use crate::encoding::{Encoding, IndexSpec};
     use crate::eval::naive;
     use crate::index::BitmapIndex;

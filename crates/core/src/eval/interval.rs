@@ -27,67 +27,32 @@
 //! `R_i = (d_i < v_i) ∨ ((d_i = v_i) ∧ R_{i−1})`.
 
 use bindex_bitvec::BitVec;
-use bindex_relation::query::{Op, SelectionQuery};
+use bindex_relation::query::SelectionQuery;
 
 use crate::base::Base;
 use crate::error::Result;
 use crate::exec::ExecContext;
 use crate::index::BitmapSource;
 
-use super::digits_of;
+use super::{digits_of, evaluate_chain, reduce, Chain, Reduced};
 
 /// Number of window bitmaps for a component with base `b`.
 pub fn windows_of(b: u32) -> u32 {
     b.div_ceil(2)
 }
 
-/// Evaluates `query` on an interval-encoded index. The encoding is
-/// enforced by the dispatcher in [`super::evaluate`]. Storage failures
-/// from the underlying source propagate as errors.
+/// Evaluates `query` on an interval-encoded index over dense words, at
+/// the context's current width. The encoding is enforced by the dispatcher
+/// in [`super::evaluate_repr_in`]. Storage failures from the underlying
+/// source propagate as errors.
 pub fn evaluate<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     query: SelectionQuery,
 ) -> Result<BitVec> {
-    // Width of the current evaluation window: the full relation in whole
-    // mode, one segment under segmented execution.
-    let n_rows = ctx.view_len();
-    let v = query.constant;
-
-    let (le_value, complement) = match query.op {
-        Op::Le => (Some(v), false),
-        Op::Gt => (Some(v), true),
-        Op::Lt => {
-            if v == 0 {
-                return Ok(BitVec::zeros(n_rows));
-            }
-            (Some(v - 1), false)
-        }
-        Op::Ge => {
-            if v == 0 {
-                let mut all = BitVec::ones(n_rows);
-                if let Some(nn) = ctx.fetch_nn()? {
-                    ctx.and(&mut all, &nn);
-                }
-                return Ok(all);
-            }
-            (Some(v - 1), true)
-        }
-        Op::Eq => (None, false),
-        Op::Ne => (None, true),
-    };
-
-    let mut b = match le_value {
-        Some(le) => le_chain(ctx, le)?,
-        None => eq_chain(ctx, v)?,
-    };
-
-    if complement {
-        ctx.not(&mut b);
-    }
-    if let Some(nn) = ctx.fetch_nn()? {
-        ctx.and(&mut b, &nn);
-    }
-    Ok(b)
+    evaluate_chain(ctx, query, |ctx, chain| match chain {
+        Chain::Le(v) => le_chain(ctx, v),
+        Chain::Eq(v) => eq_chain(ctx, v),
+    })
 }
 
 /// `d_i = v` for one component (see module table).
@@ -173,7 +138,7 @@ fn le_digit<S: BitmapSource>(
 }
 
 fn le_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<BitVec> {
-    let digits = digits_of(ctx, le);
+    let digits = digits_of(&ctx.spec().base, le);
     let n = ctx.spec().n_components();
     let mut b = match le_digit(ctx, 1, digits[0])? {
         Some(bm) => bm,
@@ -198,7 +163,7 @@ fn le_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<Bi
 /// `A = v`: fused AND of the per-component digit bitmaps (`n − 1` ANDs
 /// charged, exactly as the pairwise chain would).
 fn eq_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, v: u32) -> Result<BitVec> {
-    let digits = digits_of(ctx, v);
+    let digits = digits_of(&ctx.spec().base, v);
     let n = ctx.spec().n_components();
     let bitmaps: Vec<BitVec> = (1..=n)
         .map(|i| eq_digit(ctx, i, digits[i - 1]))
@@ -240,33 +205,21 @@ fn le_slots(b: u32, v: u32) -> Vec<u32> {
 /// the evaluator exactly, including slot sharing between the `=` and `<`
 /// digit terms; validated against measured stats in the test suite.
 pub fn predicted_scans(base: &Base, query: SelectionQuery) -> usize {
-    let v = query.constant;
-    let le_value = match query.op {
-        Op::Le | Op::Gt => Some(v),
-        Op::Lt | Op::Ge => {
-            if v == 0 {
-                return 0;
-            }
-            Some(v - 1)
-        }
-        Op::Eq | Op::Ne => None,
+    let distinct = |mut slots: Vec<u32>| {
+        slots.sort_unstable();
+        slots.dedup();
+        slots.len()
     };
     let n = base.n_components();
-    match le_value {
-        None => {
+    match reduce(query) {
+        Reduced::Empty | Reduced::NonNull => 0,
+        Reduced::Chain(Chain::Eq(v), _) => {
             let digits = base.decompose(v).expect("constant out of range");
             (1..=n)
-                .map(|i| {
-                    let b = base.component(i);
-                    let mut slots = eq_slots(b, digits[i - 1]);
-                    slots.dedup();
-                    slots.sort_unstable();
-                    slots.dedup();
-                    slots.len()
-                })
+                .map(|i| distinct(eq_slots(base.component(i), digits[i - 1])))
                 .sum()
         }
-        Some(le) => {
+        Reduced::Chain(Chain::Le(le), _) => {
             let digits = base.decompose(le).expect("constant out of range");
             let mut scans = le_slots(base.component(1), digits[0]).len();
             for i in 2..=n {
@@ -276,9 +229,7 @@ pub fn predicted_scans(base: &Base, query: SelectionQuery) -> usize {
                 if vi > 0 {
                     slots.extend(le_slots(b, vi - 1));
                 }
-                slots.sort_unstable();
-                slots.dedup();
-                scans += slots.len();
+                scans += distinct(slots);
             }
             scans
         }

@@ -27,11 +27,12 @@ pub mod threshold;
 
 use bindex_bitvec::BitVec;
 use bindex_compress::Repr;
-use bindex_relation::query::{Query, SelectionQuery};
+use bindex_relation::query::{Op, Query, SelectionQuery};
 
-use crate::encoding::Encoding;
+use crate::base::Base;
+use crate::encoding::{Encoding, IndexSpec};
 use crate::error::{Error, Result};
-use crate::exec::{EvalStats, ExecContext};
+use crate::exec::{EvalStats, ExecContext, Plan};
 use crate::index::BitmapSource;
 
 /// Which evaluation algorithm to run.
@@ -98,12 +99,14 @@ pub fn evaluate_in<S: BitmapSource>(
 /// [`ExecContext::materialize`]. The choice is made here, per query, from
 /// what the operands are:
 ///
-/// * RangeEval-Opt whose every operand (`B_nn` included) is served
-///   [`Repr::Wah`] at no more than 1/16 of its literal size, with no delta
-///   overlay attached, is folded in the compressed domain in one pass over
-///   the operands' runs ([`ExecContext::fold_wah`]); the result is
-///   [`Repr::Wah`] and nothing was decoded.
-/// * Everything else — another evaluator, a literal or poorly compressed
+/// * A selection whose whole evaluation is one plan — any RangeEval-Opt
+///   query, `A = v` / `A ≠ v` on an equality-encoded index — and whose
+///   every operand (`B_nn` included) is served [`Repr::Wah`] at no more
+///   than 1/16 of its literal size, with no delta overlay attached, is
+///   folded in the compressed domain in one pass over the operands' runs
+///   ([`ExecContext::run_plan`]); the result is [`Repr::Wah`] and nothing
+///   was decoded.
+/// * Everything else — a non-linear chain, a literal or poorly compressed
 ///   operand, a reconstructed slot, an overlay, any threshold — runs over
 ///   dense words: whole-bitmap when `segment_bits` is `None`, window by
 ///   window (with summary pruning, the threshold early-exit bound and
@@ -114,8 +117,8 @@ pub fn evaluate_in<S: BitmapSource>(
 /// threshold combines) are identical on every path; only where the
 /// operations ran ([`EvalStats::compressed_ops`],
 /// [`EvalStats::materializations`], the `segments_*` counters) tells them
-/// apart. A malformed threshold (`k = 0`, `k > N`, no predicates) is
-/// [`Error::InvalidQuery`] before anything is fetched.
+/// apart. A query [`validate`] rejects is its typed error before anything
+/// is fetched.
 ///
 /// # Panics
 /// Panics if `segment_bits` is `Some` of zero or of a non-multiple of 64.
@@ -125,11 +128,10 @@ pub fn evaluate_repr_in<S: BitmapSource>(
     algorithm: Algorithm,
     segment_bits: Option<usize>,
 ) -> Result<Repr> {
-    validate(query)?;
+    validate(ctx.spec(), query)?;
     if let Query::Selection(q) = *query {
-        let encoding = ctx.spec().encoding;
-        if encoding == Encoding::Range && algorithm.resolve(encoding) == Algorithm::RangeEvalOpt {
-            if let Some(found) = range_opt::evaluate_compressed(ctx, q)? {
+        if let Some(plan) = whole_plan(ctx.spec(), q, algorithm) {
+            if let Some(found) = ctx.fold_plan_wah(&plan, true)? {
                 return Ok(Repr::wah(found));
             }
         }
@@ -145,12 +147,107 @@ pub fn evaluate_repr_in<S: BitmapSource>(
     Ok(Repr::literal(BitVec::from_words(out, n_rows)))
 }
 
-/// A selection is always well-formed; a malformed threshold is the typed
-/// [`Error::InvalidQuery`].
-fn validate(query: &Query) -> Result<()> {
+/// A well-formed query for an index of layout `spec`, decided before
+/// anything is fetched: a malformed threshold (`k = 0`, `k > N`, no
+/// predicates) is [`Error::InvalidQuery`], and a predicate — a selection,
+/// or any of a threshold's — whose chain constant the base cannot
+/// decompose (`A ≤ v` or `A = v` with `v ≥ Π b_i`, so `A < Π b_i` is fine)
+/// is [`Error::ValueOutOfRange`]. Both are the caller's mistake, never a
+/// fault of the index.
+pub fn validate(spec: &IndexSpec, query: &Query) -> Result<()> {
+    let product = spec.base.product();
+    let in_range = |q: &SelectionQuery| match reduce(*q) {
+        Reduced::Chain(Chain::Le(v) | Chain::Eq(v), _) if u128::from(v) >= product => {
+            Err(Error::ValueOutOfRange {
+                value: q.constant,
+                cardinality: u32::try_from(product).unwrap_or(u32::MAX),
+            })
+        }
+        _ => Ok(()),
+    };
     match query {
-        Query::Selection(_) => Ok(()),
-        Query::Threshold(q) => threshold::validate(q),
+        Query::Selection(q) => in_range(q),
+        Query::Threshold(q) => {
+            threshold::validate(q)?;
+            q.predicates.iter().try_for_each(in_range)
+        }
+    }
+}
+
+/// The chain a selection runs once [`reduce`]d: the `≤` or the `=`
+/// recurrence over the constant's digits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Chain {
+    /// `A ≤ v`.
+    Le(u32),
+    /// `A = v`.
+    Eq(u32),
+}
+
+/// What the six operators reduce to (§3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reduced {
+    /// `A < 0`: the empty foundset — no scan, no operation.
+    Empty,
+    /// `A ≥ 0`: every non-null row — all ones under the `B_nn` mask.
+    NonNull,
+    /// The chain, complemented when the flag is set, then masked by `B_nn`.
+    Chain(Chain, bool),
+}
+
+/// The operator reduction every index evaluator but RangeEval starts
+/// from, and every scan predictor: `A < v ≡ A ≤ v−1`, `A > v ≡ ¬(A ≤ v)`,
+/// `A ≥ v ≡ ¬(A ≤ v−1)`, `A ≠ v ≡ ¬(A = v)`, with the two constant-free
+/// edges.
+pub(crate) fn reduce(query: SelectionQuery) -> Reduced {
+    let v = query.constant;
+    match query.op {
+        Op::Le => Reduced::Chain(Chain::Le(v), false),
+        Op::Gt => Reduced::Chain(Chain::Le(v), true),
+        Op::Lt if v == 0 => Reduced::Empty,
+        Op::Lt => Reduced::Chain(Chain::Le(v - 1), false),
+        Op::Ge if v == 0 => Reduced::NonNull,
+        Op::Ge => Reduced::Chain(Chain::Le(v - 1), true),
+        Op::Eq => Reduced::Chain(Chain::Eq(v), false),
+        Op::Ne => Reduced::Chain(Chain::Eq(v), true),
+    }
+}
+
+/// The chain driver of the evaluators whose chains are built operator by
+/// operator: the reduction, then `chain` at the context's current width,
+/// then the complement and the `B_nn` mask as counted operations.
+pub(crate) fn evaluate_chain<S: BitmapSource>(
+    ctx: &mut ExecContext<'_, S>,
+    query: SelectionQuery,
+    chain: impl FnOnce(&mut ExecContext<'_, S>, Chain) -> Result<BitVec>,
+) -> Result<BitVec> {
+    let mut found = match reduce(query) {
+        Reduced::Empty => return Ok(BitVec::zeros(ctx.view_len())),
+        Reduced::NonNull => BitVec::ones(ctx.view_len()),
+        Reduced::Chain(c, complement) => {
+            let mut found = chain(ctx, c)?;
+            if complement {
+                ctx.not(&mut found);
+            }
+            found
+        }
+    };
+    if let Some(nn) = ctx.fetch_nn()? {
+        ctx.and(&mut found, &nn);
+    }
+    Ok(found)
+}
+
+/// `query`'s whole evaluation — chain, complement, and the `B_nn` mask
+/// whoever runs it attaches — as one plan, for the evaluators that have
+/// one: RangeEval-Opt always (bar the empty `A < 0`), the equality
+/// evaluator for `=` and `≠`. An algorithm that does not fit the encoding
+/// has none; [`evaluate_predicate`] reports the mismatch.
+fn whole_plan(spec: &IndexSpec, query: SelectionQuery, algorithm: Algorithm) -> Option<Plan> {
+    match (algorithm.resolve(spec.encoding), spec.encoding) {
+        (Algorithm::RangeEvalOpt, Encoding::Range) => range_opt::plan(&spec.base, query),
+        (Algorithm::EqualityEval, Encoding::Equality) => equality::plan(&spec.base, query),
+        _ => None,
     }
 }
 
@@ -182,7 +279,10 @@ pub(crate) fn evaluate_predicate<S: BitmapSource>(
     match algorithm.resolve(encoding) {
         Algorithm::RangeEvalOpt => {
             require(encoding, Encoding::Range)?;
-            range_opt::evaluate(ctx, query)
+            match range_opt::plan(&ctx.spec().base, query) {
+                Some(plan) => ctx.fold_plan(&plan, true),
+                None => Ok(BitVec::zeros(ctx.view_len())),
+            }
         }
         Algorithm::RangeEval => {
             require(encoding, Encoding::Range)?;
@@ -266,7 +366,7 @@ pub fn evaluate_segment_range_in<S: BitmapSource>(
         "chunk bounds must be segment-aligned"
     );
     assert!(row_lo <= row_hi && row_hi <= n_rows, "chunk out of range");
-    validate(query)?;
+    validate(ctx.spec(), query)?;
     if n_rows == 0 {
         // Degenerate relation: run one empty segment so stats are charged
         // exactly as whole-bitmap mode would.
@@ -313,12 +413,9 @@ fn require(actual: Encoding, expected: Encoding) -> Result<()> {
 }
 
 /// Digit decomposition of a predicate constant, least significant first.
-/// Constants are `< C ≤ Π b_i`, so decomposition cannot fail.
-pub(crate) fn digits_of<S: BitmapSource>(ctx: &ExecContext<'_, S>, v: u32) -> Vec<u32> {
-    ctx.spec()
-        .base
-        .decompose(v)
-        .expect("predicate constant exceeds base product")
+/// [`validate`] has rejected the constants the base cannot decompose.
+pub(crate) fn digits_of(base: &Base, v: u32) -> Vec<u32> {
+    base.decompose(v).expect("validated predicate constant")
 }
 
 #[cfg(test)]
@@ -512,8 +609,34 @@ mod tests {
     const CARD: u32 = 20;
     const ROWS: usize = 50_021;
 
-    /// Base <4,5> over runs of 1,500 equal values: every range bitmap is a
-    /// few dozen runs, about 1/30 of its literal size.
+    /// The layouts compressed execution is checked over, bases most
+    /// significant first: RangeEval-Opt's, and the equality evaluator's on
+    /// one component, on two, and with a base-2 low component (whose digit
+    /// 0 is the complement of its one stored bitmap).
+    fn layouts() -> Vec<IndexSpec> {
+        [
+            (Encoding::Range, &[4, 5][..]),
+            (Encoding::Equality, &[20]),
+            (Encoding::Equality, &[4, 5]),
+            (Encoding::Equality, &[10, 2]),
+        ]
+        .map(|(encoding, msb)| IndexSpec::new(Base::from_msb(msb).unwrap(), encoding))
+        .to_vec()
+    }
+
+    fn range_spec() -> IndexSpec {
+        layouts().swap_remove(0)
+    }
+
+    /// Whether `q`'s whole evaluation is one plan under `encoding` — the
+    /// queries that may be answered in the WAH domain.
+    fn is_whole_plan(encoding: Encoding, q: SelectionQuery) -> bool {
+        use query::Op;
+        encoding == Encoding::Range || matches!(q.op, Op::Eq | Op::Ne)
+    }
+
+    /// Runs of 1,500 equal values: every bitmap of every layout is a few
+    /// dozen runs, about 1/30 of its literal size or less.
     fn clustered_column() -> Column {
         bindex_relation::gen::clustered(ROWS, CARD, 1500, 7)
     }
@@ -523,8 +646,7 @@ mod tests {
         BitVec::from_fn(ROWS, |i| i % 8000 < 300)
     }
 
-    fn clustered_index(nulls: Option<&BitVec>) -> BitmapIndex {
-        let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), Encoding::Range);
+    fn clustered_index(spec: IndexSpec, nulls: Option<&BitVec>) -> BitmapIndex {
         match nulls {
             Some(nulls) => BitmapIndex::build_with_nulls(&clustered_column(), nulls, spec),
             None => BitmapIndex::build(&clustered_column(), spec),
@@ -544,25 +666,33 @@ mod tests {
         (found, paper_counters(&stats))
     }
 
-    /// Over compressed slots every query that reads a bitmap is folded in
-    /// the WAH domain — from the whole-bitmap and the segmented entry
-    /// point alike — with the per-row answer and the dense path's charges,
-    /// every operation counted as compressed, nothing decoded by the
-    /// `Repr` entry and exactly the result by the `BitVec` wrappers.
+    /// Over compressed slots every query gives the per-row answer and the
+    /// dense path's charges from the whole-bitmap and the segmented entry
+    /// point alike, and one whose whole evaluation is a plan — every
+    /// RangeEval-Opt query that reads a bitmap, `=` and `≠` on an
+    /// equality-encoded index — is folded in the WAH domain: every
+    /// operation counted as compressed, nothing decoded by the `Repr`
+    /// entry and exactly the result by the `BitVec` wrappers.
     #[test]
     fn compressed_slots_are_folded_in_the_wah_domain() {
         let col = clustered_column();
-        for nulls in [None, Some(clustered_nulls())] {
-            let idx = clustered_index(nulls.as_ref());
+        for (spec, nulls) in layouts()
+            .into_iter()
+            .flat_map(|spec| [(spec.clone(), None), (spec, Some(clustered_nulls()))])
+        {
+            let idx = clustered_index(spec.clone(), nulls.as_ref());
             for q in query::full_space(CARD) {
                 let want = match &nulls {
                     Some(nulls) => naive::evaluate_with_nulls(&col, nulls, q),
                     None => naive::evaluate(&col, q),
                 };
                 let (dense, counters) = literal_reference(&idx, q);
-                assert_eq!(dense, want, "{q}");
+                assert_eq!(dense, want, "{spec:?} {q}");
                 for segment_bits in [None, Some(4096)] {
-                    let label = format!("{q} nulls {} seg {segment_bits:?}", nulls.is_some());
+                    let label = format!(
+                        "{spec:?} {q} nulls {} seg {segment_bits:?}",
+                        nulls.is_some()
+                    );
                     let mut src = CodedSource::new(&idx);
                     let mut ctx = ExecContext::new(&mut src);
                     let found =
@@ -572,10 +702,11 @@ mod tests {
                     assert_eq!(*found.to_bitvec(), want, "{label}");
                     assert_eq!(paper_counters(&stats), counters, "{label}");
                     // `A < 0` and, without nulls, `A >= 0` read nothing.
-                    assert_eq!(found.is_compressed(), stats.scans > 0, "{label}");
-                    assert_eq!(stats.compressed_ops, stats.total_ops(), "{label}");
-                    assert_eq!(stats.materializations, 0, "{label}");
-                    if found.is_compressed() {
+                    let folds = is_whole_plan(spec.encoding, q) && stats.scans > 0;
+                    assert_eq!(found.is_compressed(), folds, "{label}");
+                    if folds {
+                        assert_eq!(stats.compressed_ops, stats.total_ops(), "{label}");
+                        assert_eq!(stats.materializations, 0, "{label}");
                         assert_eq!(stats.segments_evaluated, 0, "{label}");
                     }
 
@@ -587,22 +718,22 @@ mod tests {
                     .unwrap();
                     let wrapped = ctx.take_stats();
                     assert_eq!(bits, want, "{label}");
-                    assert_eq!(
-                        wrapped.materializations,
-                        usize::from(found.is_compressed()),
-                        "{label}"
-                    );
                     assert_eq!(paper_counters(&wrapped), counters, "{label}");
+                    if is_whole_plan(spec.encoding, q) {
+                        assert_eq!(wrapped.materializations, usize::from(folds), "{label}");
+                    }
                 }
             }
         }
     }
 
-    /// Runs every query over `src_for()` whole and segmented and checks the
-    /// answer and the paper counters against the literal-served index.
-    /// `declines(fetched slots)` says whether the query must have been
-    /// evaluated densely (no compressed operation, a literal result) or in
-    /// the WAH domain. Returns how many queries went each way.
+    /// Runs every query over `idx` served through a `configure`d source,
+    /// whole and segmented, and checks the answer and the paper counters
+    /// against the literal-served index and that no slot was read twice.
+    /// `declines(fetched slots)` says whether a query whose whole
+    /// evaluation is a plan must have been evaluated densely (no compressed
+    /// operation, a literal result) or in the WAH domain. Returns how many
+    /// of those queries went each way.
     fn check_selection<'a>(
         idx: &'a BitmapIndex,
         configure: impl Fn(&mut CodedSource<'a>),
@@ -618,25 +749,25 @@ mod tests {
                 let found =
                     evaluate_repr_in(&mut ctx, &q.into(), Algorithm::Auto, segment_bits).unwrap();
                 let stats = ctx.take_stats();
-                let label = format!("{q} seg {segment_bits:?}");
+                let label = format!("{:?} {q} seg {segment_bits:?}", idx.spec());
                 assert_eq!(*found.to_bitvec(), want, "{label}");
                 assert_eq!(paper_counters(&stats), counters, "{label}");
-                if stats.scans == 0 {
-                    continue;
-                }
-                if declines(&src.fetched) {
+                // Each slot was read once, not once per path tried.
+                let mut distinct = src.fetched.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(distinct.len(), src.fetched.len(), "{label}");
+                if stats.scans == 0 || !is_whole_plan(idx.spec().encoding, q) {
+                    assert!(!found.is_compressed(), "{label}");
+                } else if declines(&src.fetched) {
                     dense += 1;
                     assert!(!found.is_compressed(), "{label}");
                     assert_eq!(stats.compressed_ops, 0, "{label}");
-                    // Each slot was still read once, not once per path.
-                    let mut distinct = src.fetched.clone();
-                    distinct.sort_unstable();
-                    distinct.dedup();
-                    assert_eq!(distinct.len(), src.fetched.len(), "{label}");
                 } else {
                     compressed += 1;
                     assert!(found.is_compressed(), "{label}");
                     assert_eq!(stats.compressed_ops, stats.total_ops(), "{label}");
+                    assert_eq!(stats.materializations, 0, "{label}");
                 }
             }
         }
@@ -647,49 +778,69 @@ mod tests {
     /// dense path; queries that do not read it stay compressed.
     #[test]
     fn a_literal_operand_declines_the_compressed_fold() {
-        let idx = clustered_index(None);
-        let literal = (2, 1);
-        let (dense, compressed) = check_selection(
-            &idx,
-            |src| src.literal_slots.push(literal),
-            |fetched| fetched.contains(&literal),
-        );
-        assert!(
-            dense > 0 && compressed > 0,
-            "{dense} dense, {compressed} compressed"
-        );
+        for spec in layouts() {
+            let literal = (spec.n_components(), 1);
+            let idx = clustered_index(spec, None);
+            let (dense, compressed) = check_selection(
+                &idx,
+                |src| src.literal_slots.push(literal),
+                |fetched| fetched.contains(&literal),
+            );
+            assert!(
+                dense > 0 && compressed > 0,
+                "{:?}: {dense} dense, {compressed} compressed",
+                idx.spec()
+            );
+        }
     }
 
     /// A slot that compresses to more than 1/16 of its literal size is not
-    /// worth merging run by run: here the low digit flips every row (its
-    /// bitmaps are all literal groups) while the high digit stays clustered.
+    /// worth merging run by run: here the rows of the runs valued 0, 2 or 4
+    /// take one of those three values at random, so the bitmaps that tell
+    /// them apart are literal groups over those rows while every other
+    /// stays clustered.
     #[test]
     fn a_poorly_compressed_operand_declines_the_compressed_fold() {
         let values: Vec<u32> = clustered_column()
             .values()
             .iter()
             .enumerate()
-            .map(|(i, &v)| v / 5 * 5 + (i as u32).wrapping_mul(2_654_435_761) % 5)
+            .map(|(i, &v)| match v {
+                0 | 2 | 4 => (i as u32).wrapping_mul(2_654_435_761) % 3 * 2,
+                v => v,
+            })
             .collect();
-        let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), Encoding::Range);
-        let idx = BitmapIndex::build(&Column::new(values, CARD), spec).unwrap();
-        let (dense, compressed) = check_selection(
-            &idx,
-            |_| (),
-            |fetched| fetched.iter().any(|&(comp, _)| comp == 1),
-        );
-        assert!(
-            dense > 0 && compressed > 0,
-            "{dense} dense, {compressed} compressed"
-        );
+        let col = Column::new(values, CARD);
+        for spec in layouts() {
+            let idx = BitmapIndex::build(&col, spec).unwrap();
+            let over_ratio: Vec<(usize, usize)> = (1..=idx.spec().n_components())
+                .flat_map(|comp| (0..idx.components()[comp - 1].len()).map(move |s| (comp, s)))
+                .filter(|&(comp, slot)| {
+                    let wah = WahBitmap::from_bitvec(idx.bitmap(comp, slot));
+                    wah.compressed_bytes() * 8 * 16 > ROWS
+                })
+                .collect();
+            let (dense, compressed) = check_selection(
+                &idx,
+                |_| (),
+                |fetched| fetched.iter().any(|slot| over_ratio.contains(slot)),
+            );
+            assert!(
+                dense > 0 && compressed > 0,
+                "{:?}: {dense} dense, {compressed} compressed",
+                idx.spec()
+            );
+        }
     }
 
     /// A literal `B_nn` is an operand like any other.
     #[test]
     fn a_literal_null_mask_declines_the_compressed_fold() {
-        let idx = clustered_index(Some(&clustered_nulls()));
-        let (dense, compressed) = check_selection(&idx, |src| src.literal_nn = true, |_| true);
-        assert!(dense > 0 && compressed == 0);
+        for spec in layouts() {
+            let idx = clustered_index(spec, Some(&clustered_nulls()));
+            let (dense, compressed) = check_selection(&idx, |src| src.literal_nn = true, |_| true);
+            assert!(dense > 0 && compressed == 0, "{:?}", idx.spec());
+        }
     }
 
     /// An attached overlay's rows exist only as dense words: every query
@@ -699,7 +850,7 @@ mod tests {
         use crate::delta::DeltaOverlay;
         use std::sync::Arc;
 
-        let idx = clustered_index(None);
+        let idx = clustered_index(range_spec(), None);
         let delta_col = bindex_relation::gen::clustered(3000, CARD, 1500, 9);
         let delta = BitmapIndex::build(&delta_col, idx.spec().clone()).unwrap();
         let deleted = BitVec::from_fn(ROWS + 3000, |i| i % 9973 == 5);
@@ -750,7 +901,7 @@ mod tests {
         use crate::exec::RecoveryPolicy;
         use std::sync::Arc;
 
-        let idx = clustered_index(None);
+        let idx = clustered_index(range_spec(), None);
         let column = Arc::new(clustered_column());
         let broken = (2, 1);
         for q in query::full_space(CARD) {
@@ -784,10 +935,12 @@ mod tests {
         }
     }
 
-    /// The other evaluators never take the compressed fold.
+    /// RangeEval's three accumulators are no plan: it never takes the
+    /// compressed fold, and neither does an algorithm that does not fit
+    /// the encoding.
     #[test]
-    fn only_range_eval_opt_folds_compressed() {
-        let idx = clustered_index(None);
+    fn range_eval_never_folds_compressed() {
+        let idx = clustered_index(range_spec(), None);
         let q = query::SelectionQuery::new(query::Op::Le, 7);
         let mut src = CodedSource::new(&idx);
         let mut ctx = ExecContext::new(&mut src);
@@ -798,6 +951,49 @@ mod tests {
             evaluate_repr_in(&mut ctx, &q.into(), Algorithm::EqualityEval, None),
             Err(Error::EncodingMismatch { .. })
         ));
+    }
+
+    /// A constant the base cannot decompose is the caller's typed error —
+    /// for a selection and inside a threshold, on every encoding and entry
+    /// point, before anything is fetched — and the largest constant
+    /// each operator's chain can take is answered.
+    #[test]
+    fn an_undecomposable_constant_is_a_typed_error() {
+        use query::{Op, ThresholdQuery};
+        let col = Column::new((0..50).collect(), 50);
+        for encoding in [Encoding::Range, Encoding::Equality, Encoding::Interval] {
+            let spec = IndexSpec::new(Base::from_msb(&[8, 8]).unwrap(), encoding);
+            let idx = BitmapIndex::build(&col, spec).unwrap();
+            let out_of_range = Err(Error::ValueOutOfRange {
+                value: 99,
+                cardinality: 64,
+            });
+            for op in Op::ALL {
+                let bad = SelectionQuery::new(op, 99);
+                let threshold = ThresholdQuery::new(1, vec![SelectionQuery::new(Op::Le, 3), bad]);
+                for query in [Query::Selection(bad), Query::Threshold(threshold)] {
+                    for segment_bits in [None, Some(64)] {
+                        let mut src = CodedSource::new(&idx);
+                        let mut ctx = ExecContext::new(&mut src);
+                        let got = evaluate_repr_in(&mut ctx, &query, Algorithm::Auto, segment_bits);
+                        assert_eq!(got.map(|_| ()), out_of_range, "{encoding:?} {query}");
+                        assert!(src.fetched.is_empty(), "{encoding:?} {query}");
+                    }
+                    let got = evaluate(&mut idx.source(), query.clone(), Algorithm::Auto);
+                    assert_eq!(got.map(|_| ()), out_of_range, "{encoding:?} {query}");
+                }
+                // `A < 64` and `A ≥ 64` are chains over 63 — for every
+                // evaluator but RangeEval, which decomposes 64 itself.
+                if encoding == Encoding::Range && matches!(op, Op::Lt | Op::Ge) {
+                    let q = SelectionQuery::new(op, 64);
+                    let got = evaluate(&mut idx.source(), q, Algorithm::RangeEval);
+                    assert!(matches!(got, Err(Error::ValueOutOfRange { .. })), "{q}");
+                }
+                let edge = SelectionQuery::new(op, 63 + u32::from(matches!(op, Op::Lt | Op::Ge)));
+                let (found, _) = evaluate(&mut idx.source(), edge, Algorithm::Auto).unwrap();
+                assert_eq!(found, naive::evaluate(&col, edge), "{encoding:?} {edge}");
+            }
+        }
     }
 
     /// An empty relation still runs one (empty) segment so statistics are

@@ -16,8 +16,6 @@ use crate::error::Result;
 use crate::exec::ExecContext;
 use crate::index::BitmapSource;
 
-use super::digits_of;
-
 /// Evaluates `query` with RangeEval. The index must be range-encoded
 /// (enforced by the dispatcher in [`super::evaluate`]). Storage failures
 /// from the underlying source propagate as errors.
@@ -29,7 +27,10 @@ pub fn evaluate<S: BitmapSource>(
     // mode, one segment under segmented execution.
     let n_rows = ctx.view_len();
     let n = ctx.spec().n_components();
-    let digits = digits_of(ctx, query.constant);
+    // RangeEval decomposes the constant itself, not a reduced `v − 1`: the
+    // one constant validation lets through that it cannot take (`A < Π b_i`,
+    // `A ≥ Π b_i`) is the typed error here.
+    let digits = ctx.spec().base.decompose(query.constant)?;
 
     let needs_lt = matches!(query.op, Op::Lt | Op::Le);
     let needs_gt = matches!(query.op, Op::Gt | Op::Ge);
@@ -114,7 +115,7 @@ mod tests {
     use super::*;
     use crate::base::Base;
     use crate::encoding::{Encoding, IndexSpec};
-    use crate::eval::{naive, range_opt};
+    use crate::eval::{evaluate_predicate, naive, Algorithm};
     use crate::index::BitmapIndex;
     use bindex_relation::{query, Column};
 
@@ -164,7 +165,7 @@ mod tests {
 
         let mut src2 = idx.source();
         let mut ctx2 = ExecContext::new(&mut src2);
-        range_opt::evaluate(&mut ctx2, q).unwrap();
+        evaluate_predicate(&mut ctx2, q, Algorithm::RangeEvalOpt).unwrap();
         let opt = ctx2.take_stats();
         assert!(opt.scans < stats.scans);
         assert!(opt.total_ops() * 2 <= stats.total_ops());
@@ -184,7 +185,7 @@ mod tests {
             let a = c1.take_stats();
             let mut s2 = idx.source();
             let mut c2 = ExecContext::new(&mut s2);
-            range_opt::evaluate(&mut c2, q).unwrap();
+            evaluate_predicate(&mut c2, q, Algorithm::RangeEvalOpt).unwrap();
             let b = c2.take_stats();
             assert_eq!(a.scans, b.scans, "v={v}");
             assert_eq!(a.total_ops(), b.total_ops(), "v={v}");

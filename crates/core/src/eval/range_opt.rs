@@ -21,133 +21,46 @@
 //! for `A ≤ c` — half the operations and one fewer scan than RangeEval,
 //! which is Table 1's headline.
 
-use std::sync::Arc;
+use bindex_bitvec::kernels::FoldStep;
+use bindex_relation::query::SelectionQuery;
 
-use bindex_bitvec::kernels::{Fold, FoldStep};
-use bindex_bitvec::BitVec;
-use bindex_compress::wah::WahBitmap;
-use bindex_compress::Repr;
-use bindex_relation::query::{Op, SelectionQuery};
+use crate::base::Base;
+use crate::exec::Plan;
 
-use crate::error::{Error, Result};
-use crate::exec::ExecContext;
-use crate::index::BitmapSource;
+use super::{digits_of, reduce, Chain, Reduced};
 
-use super::digits_of;
-
-/// Address of a stored bitmap: `(component, slot)`.
-type Slot = (usize, usize);
-
-/// The operator chain of one query, over the addresses of the stored
-/// bitmaps it reads. It is a function of the query's digits and the base
-/// alone; the bitmaps are fetched by whoever runs it, in program order.
-type Plan = Fold<Slot>;
-
-/// A compressed operand takes part in the compressed-domain fold only if
-/// it is at most 1/16 of its literal size. Run-merging costs per run and
-/// the dense fold per word, so what matters is the number of runs, not the
-/// number of set bits (a range bitmap of a clustered column is 10–90 %
-/// ones). `BENCH_compressed_exec.json` has the k-ary compressed AND at 11×
-/// and the OR at 3× over decompress-then-operate at ratio 0.06, the OR
-/// losing at 0.30; its `served_range` sweep shows the whole chain crossing
-/// between the two, with 1/16 on the winning side.
-const WAH_FOLD_MAX_RATIO: usize = 16;
-
-/// Evaluates `query` with RangeEval-Opt over dense words, at the context's
-/// current width. The index must be range-encoded (enforced by the
-/// dispatcher in [`super::evaluate_predicate`]). Storage failures from the
-/// underlying source propagate as errors.
-///
-/// The listing's chain — the `≤` or `=` recurrence, the complement for
-/// `>`, `≥`, `≠`, and the `B_nn` mask — is built as one step list and run
-/// by [`ExecContext::fold`] in a single pass over its operands: the "one
-/// intermediate bitmap" of the paper is the result itself.
-pub fn evaluate<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    query: SelectionQuery,
-) -> Result<BitVec> {
-    let Some(plan) = plan(ctx, query) else {
-        return Ok(BitVec::zeros(ctx.view_len()));
+/// `query`'s whole evaluation as one plan: the listing's chain — the `≤`
+/// or `=` recurrence and the complement for `>`, `≥`, `≠` — as one step
+/// list that [`ExecContext::run_plan`](crate::exec::ExecContext::run_plan)
+/// runs in a single pass over its operands, compressed or dense: the "one
+/// intermediate bitmap" of the paper is the result itself. `None` is the
+/// empty foundset of `A < 0` (no scan, no operation). The index must be
+/// range-encoded (enforced by the dispatcher in
+/// [`super::evaluate_predicate`]).
+pub(crate) fn plan(base: &Base, query: SelectionQuery) -> Option<Plan> {
+    let (chain, complement) = match reduce(query) {
+        Reduced::Empty => return None,
+        Reduced::NonNull => return Some(Plan::default()),
+        Reduced::Chain(chain, complement) => (chain, complement),
     };
-    let mut chain = plan.try_map(|&(comp, slot)| ctx.fetch(comp, slot))?;
-    chain.mask = ctx.fetch_nn()?;
-    Ok(ctx.fold(&chain))
-}
-
-/// Evaluates `query` with RangeEval-Opt in the WAH domain
-/// ([`ExecContext::fold_wah`]) when that is possible and worth it: whole
-/// bitmaps, no delta overlay (its rows exist only as dense words), and
-/// every operand of the chain — `B_nn` included — served compressed within
-/// [`WAH_FOLD_MAX_RATIO`]. `Ok(None)` declines; the caller then evaluates
-/// densely. Operands are fetched in the order the dense evaluation fetches
-/// them and the walk stops at the first one that rules the fold out, so
-/// declining costs no read that evaluation would not have made — what was
-/// fetched stays in the context's per-query cache.
-pub(crate) fn evaluate_compressed<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    query: SelectionQuery,
-) -> Result<Option<WahBitmap>> {
-    if ctx.is_segmented() || ctx.overlay().is_some() {
-        return Ok(None);
-    }
-    let Some(plan) = plan(ctx, query) else {
-        return Ok(None);
-    };
-    // `Err(None)` declines, `Err(Some(_))` is a failed fetch.
-    let foldable = |repr: Repr| match repr {
-        Repr::Wah(w) if w.compressed_bytes() * 8 * WAH_FOLD_MAX_RATIO <= w.len() => Ok(w),
-        _ => Err(None::<Error>),
-    };
-    let chain = plan.try_map(|&(comp, slot)| foldable(ctx.fetch_repr(comp, slot).map_err(Some)?));
-    let mut chain: Fold<Arc<WahBitmap>> = match chain {
-        Ok(chain) => chain,
-        Err(None) => return Ok(None),
-        Err(Some(e)) => return Err(e),
-    };
-    if let Some(nn) = ctx.fetch_nn_repr()? {
-        match foldable(nn) {
-            Ok(nn) => chain.mask = Some(nn),
-            Err(_) => return Ok(None),
-        }
-    }
-    // `A ≥ 0` without nulls reads nothing: there is no operand to judge by.
-    if chain.seed.is_none() && chain.steps.is_empty() && chain.mask.is_none() {
-        return Ok(None);
-    }
-    Ok(Some(ctx.fold_wah(&chain)))
-}
-
-/// Reduces `query` to a `≤` or `=` chain plus an optional final
-/// complement; `None` is the empty foundset of `A < 0` (no scan, no
-/// operation).
-fn plan<S: BitmapSource>(ctx: &ExecContext<'_, S>, query: SelectionQuery) -> Option<Plan> {
-    let v = query.constant;
-    let (mut plan, complement) = match query.op {
-        Op::Le => (le_plan(ctx, v), false),
-        Op::Gt => (le_plan(ctx, v), true),
-        Op::Lt if v == 0 => return None,
-        Op::Lt => (le_plan(ctx, v - 1), false),
-        // A >= 0 is every non-null row: all ones under the mask.
-        Op::Ge if v == 0 => (Plan::default(), false),
-        Op::Ge => (le_plan(ctx, v - 1), true),
-        Op::Eq => (eq_plan(ctx, v), false),
-        Op::Ne => (eq_plan(ctx, v), true),
+    let mut plan = match chain {
+        Chain::Le(v) => le_plan(base, v),
+        Chain::Eq(v) => eq_plan(base, v),
     };
     plan.complement = complement;
     Some(plan)
 }
 
 /// The `A ≤ le` chain (lines 4–8 of the listing).
-fn le_plan<S: BitmapSource>(ctx: &ExecContext<'_, S>, le: u32) -> Plan {
-    let digits = digits_of(ctx, le);
-    let base = &ctx.spec().base;
+fn le_plan(base: &Base, le: u32) -> Plan {
+    let digits = digits_of(base, le);
     let mut plan = Plan::default();
 
     // v_1 = b_1 − 1: B_1^{v_1} is the unstored all-ones bitmap.
     if digits[0] < base.component(1) - 1 {
         plan.seed = Some((1, digits[0] as usize));
     }
-    for i in 2..=ctx.spec().n_components() {
+    for i in 2..=base.n_components() {
         let vi = digits[i - 1];
         if vi != base.component(i) - 1 {
             plan.steps.push(FoldStep::And((i, vi as usize)));
@@ -165,11 +78,11 @@ fn le_plan<S: BitmapSource>(ctx: &ExecContext<'_, S>, le: u32) -> Plan {
 /// `B_i^{v_i} ⊕ B_i^{v_i−1}` in between, derived inside the pass — so
 /// exactly `n` ANDs are charged, plus one NOT per top digit and one XOR
 /// per interior digit.
-fn eq_plan<S: BitmapSource>(ctx: &ExecContext<'_, S>, v: u32) -> Plan {
-    let digits = digits_of(ctx, v);
+fn eq_plan(base: &Base, v: u32) -> Plan {
+    let digits = digits_of(base, v);
     let mut plan = Plan::default();
-    for i in 1..=ctx.spec().n_components() {
-        let bi = ctx.spec().base.component(i);
+    for i in 1..=base.n_components() {
+        let bi = base.component(i);
         let vi = digits[i - 1] as usize;
         plan.steps.push(if vi == 0 {
             FoldStep::And((i, 0))
@@ -185,11 +98,21 @@ fn eq_plan<S: BitmapSource>(ctx: &ExecContext<'_, S>, v: u32) -> Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::base::Base;
     use crate::encoding::{Encoding, IndexSpec};
-    use crate::eval::naive;
-    use crate::index::BitmapIndex;
+    use crate::error::Result;
+    use crate::eval::{evaluate_chain, evaluate_predicate, naive, Algorithm};
+    use crate::exec::ExecContext;
+    use crate::index::{BitmapIndex, BitmapSource};
+    use bindex_bitvec::BitVec;
     use bindex_relation::{query, Column};
+
+    /// RangeEval-Opt densely, at the context's current width.
+    fn evaluate<S: BitmapSource>(
+        ctx: &mut ExecContext<'_, S>,
+        query: SelectionQuery,
+    ) -> Result<BitVec> {
+        evaluate_predicate(ctx, query, Algorithm::RangeEvalOpt)
+    }
 
     /// The pass-per-operator evaluation the fold replaced, kept as its
     /// oracle: the same reduction to a `≤`/`=` chain, but every operator
@@ -198,39 +121,14 @@ mod tests {
         ctx: &mut ExecContext<'_, S>,
         query: SelectionQuery,
     ) -> Result<BitVec> {
-        let n_rows = ctx.view_len();
-        let v = query.constant;
-        let (le_value, complement) = match query.op {
-            Op::Le => (Some(v), false),
-            Op::Gt => (Some(v), true),
-            Op::Lt if v == 0 => return Ok(BitVec::zeros(n_rows)),
-            Op::Lt => (Some(v - 1), false),
-            Op::Ge if v == 0 => {
-                let mut all = BitVec::ones(n_rows);
-                if let Some(nn) = ctx.fetch_nn()? {
-                    ctx.and(&mut all, &nn);
-                }
-                return Ok(all);
-            }
-            Op::Ge => (Some(v - 1), true),
-            Op::Eq => (None, false),
-            Op::Ne => (None, true),
-        };
-        let mut b = match le_value {
-            Some(le) => le_chain_pairwise(ctx, le)?,
-            None => eq_chain_pairwise(ctx, v)?,
-        };
-        if complement {
-            ctx.not(&mut b);
-        }
-        if let Some(nn) = ctx.fetch_nn()? {
-            ctx.and(&mut b, &nn);
-        }
-        Ok(b)
+        evaluate_chain(ctx, query, |ctx, chain| match chain {
+            Chain::Le(v) => le_chain_pairwise(ctx, v),
+            Chain::Eq(v) => eq_chain_pairwise(ctx, v),
+        })
     }
 
     fn le_chain_pairwise<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<BitVec> {
-        let digits = digits_of(ctx, le);
+        let digits = digits_of(&ctx.spec().base, le);
         let n = ctx.spec().n_components();
         let b1 = ctx.spec().base.component(1);
         let mut b = if digits[0] < b1 - 1 {
@@ -255,7 +153,7 @@ mod tests {
     }
 
     fn eq_chain_pairwise<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, v: u32) -> Result<BitVec> {
-        let digits = digits_of(ctx, v);
+        let digits = digits_of(&ctx.spec().base, v);
         let n = ctx.spec().n_components();
         let ones = BitVec::ones(ctx.view_len());
         let mut shared = Vec::new();

@@ -60,9 +60,9 @@ pub struct EvalStats {
     /// of the AND/OR/XOR/NOT tallies above — compressed execution changes
     /// where an op runs, never how many the cost model charges).
     pub compressed_ops: usize,
-    /// WAH bitmaps decompressed to dense words — on adaptive fallback,
-    /// on a dense-form fetch of a compressed slot, or when a compressed
-    /// result is handed back to a caller that needs dense words.
+    /// WAH bitmaps decompressed to dense words — on a dense-form fetch of
+    /// a compressed slot, or when a compressed result is handed back to a
+    /// caller that needs dense words.
     pub materializations: usize,
     /// Segments driven through the operator tree by segment-at-a-time
     /// execution. Zero under whole-bitmap evaluation. Scan and operation
@@ -116,13 +116,22 @@ impl EvalStats {
 /// another with `engine::batch::BatchOptions::with_segment_bits`.
 pub const DEFAULT_SEGMENT_BITS: usize = 1 << 18;
 
-/// Density above which a WAH operand is decompressed before operating
-/// ([`ExecContext::and_all_reprs`] / [`ExecContext::or_all_reprs`]: WAH
-/// operands at or below it stay compressed). Calibrated by the
-/// `ext_compressed_exec` experiment: below ~5 % density the run-merging
-/// kernels beat the dense word loops; above it the compressed form stops
-/// paying for its branchy decode.
-pub const DEFAULT_WAH_CROSSOVER: f64 = 0.05;
+/// The operator chain of one query (or of one sub-chain of it), over the
+/// `(component, slot)` addresses of the stored bitmaps it reads. It is a
+/// function of the query's digits and the base alone; the bitmaps are
+/// fetched by [`ExecContext::run_plan`], in program order.
+pub(crate) type Plan = Fold<(usize, usize)>;
+
+/// A compressed operand takes part in the compressed-domain fold only if
+/// it is at most 1/16 of its literal size — the one compressed-vs-dense
+/// execution threshold, for every evaluator. Run-merging costs per run and
+/// the dense fold per word, so what matters is the number of runs, not the
+/// number of set bits (a range bitmap of a clustered column is 10–90 %
+/// ones). `BENCH_compressed_exec.json` has the k-ary compressed AND at 16×
+/// and the OR at 3.7× over decompress-then-operate at ratio 0.06, the OR
+/// losing at 0.30; its `served_range` sweep shows the whole chain crossing
+/// between the two, with 1/16 on the winning side.
+const WAH_FOLD_MAX_RATIO: usize = 16;
 
 /// A wall-clock cut-off for a query or workload. Checked cooperatively:
 /// the batch engine checks it between queries and between morsels, and
@@ -480,12 +489,6 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         std::mem::take(&mut self.stats)
     }
 
-    /// `true` while the segmented driver is stepping this context through
-    /// a query window by window.
-    pub fn is_segmented(&self) -> bool {
-        self.seg.is_some()
-    }
-
     /// Width in bits of the bitmaps the evaluators should build: the
     /// current segment's window under segmented execution, the full row
     /// count otherwise. Every accumulator an evaluator seeds
@@ -793,8 +796,8 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
 
     /// Consumes a representation into an owned dense bitmap, counting the
     /// decompression when it was compressed. This is the boundary where an
-    /// adaptive evaluation hands its (possibly still-compressed) result to
-    /// a caller that expects dense words.
+    /// evaluation hands its (possibly still-compressed) result to a caller
+    /// that expects dense words.
     pub fn materialize(&mut self, repr: Repr) -> BitVec {
         match repr {
             Repr::Literal(b) => Arc::try_unwrap(b).unwrap_or_else(|a| (*a).clone()),
@@ -1109,6 +1112,75 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         self.stats.ands += usize::from(program.mask.is_some());
     }
 
+    /// Fetches the stored bitmaps `plan` names and runs it: folded in the
+    /// WAH domain over whole bitmaps ([`ExecContext::fold_wah`]) when every
+    /// operand is served compressed at no more than 1/16 of its literal
+    /// size, no delta overlay is attached and execution is not segmented;
+    /// else over dense words at the context's current width
+    /// ([`ExecContext::fold`]). `masked` ANDs `B_nn` in last — a query's
+    /// whole evaluation; a sub-chain of a larger one leaves the mask to its
+    /// caller. This is the only way a compressed operand reaches a kernel,
+    /// and the 1/16 the only rule that decides it.
+    pub fn run_plan(&mut self, plan: &Fold<(usize, usize)>, masked: bool) -> Result<Repr> {
+        Ok(match self.fold_plan_wah(plan, masked)? {
+            Some(found) => Repr::wah(found),
+            None => Repr::literal(self.fold_plan(plan, masked)?),
+        })
+    }
+
+    /// `plan` over dense words in a single pass ([`ExecContext::fold`]),
+    /// at the context's current width.
+    pub(crate) fn fold_plan(&mut self, plan: &Plan, masked: bool) -> Result<BitVec> {
+        let mut chain = plan.try_map(|&(comp, slot)| self.fetch(comp, slot))?;
+        if masked {
+            chain.mask = self.fetch_nn()?;
+        }
+        Ok(self.fold(&chain))
+    }
+
+    /// `plan` in the WAH domain ([`ExecContext::fold_wah`]) when that is
+    /// possible and worth it: whole bitmaps, no delta overlay (its rows
+    /// exist only as dense words), and every operand — `B_nn` included —
+    /// served compressed within [`WAH_FOLD_MAX_RATIO`]. `Ok(None)`
+    /// declines. Operands are fetched in the order the dense evaluation
+    /// fetches them and the walk stops at the first one that rules the
+    /// fold out, so declining costs no read that evaluation would not have
+    /// made — what was fetched stays in the per-query cache.
+    pub(crate) fn fold_plan_wah(
+        &mut self,
+        plan: &Plan,
+        masked: bool,
+    ) -> Result<Option<wah::WahBitmap>> {
+        if self.seg.is_some() || self.overlay.is_some() {
+            return Ok(None);
+        }
+        // `Err(None)` declines, `Err(Some(_))` is a failed fetch.
+        let foldable = |repr: Repr| match repr {
+            Repr::Wah(w) if w.compressed_bytes() * 8 * WAH_FOLD_MAX_RATIO <= w.len() => Ok(w),
+            _ => Err(None::<Error>),
+        };
+        let chain =
+            plan.try_map(|&(comp, slot)| foldable(self.fetch_repr(comp, slot).map_err(Some)?));
+        let mut chain: Fold<Arc<wah::WahBitmap>> = match chain {
+            Ok(chain) => chain,
+            Err(None) => return Ok(None),
+            Err(Some(e)) => return Err(e),
+        };
+        if masked {
+            if let Some(nn) = self.fetch_nn_repr()? {
+                match foldable(nn) {
+                    Ok(nn) => chain.mask = Some(nn),
+                    Err(_) => return Ok(None),
+                }
+            }
+        }
+        // `A ≥ 0` without nulls reads nothing: there is no operand to judge by.
+        if chain.seed.is_none() && chain.steps.is_empty() && chain.mask.is_none() {
+            return Ok(None);
+        }
+        Ok(Some(self.fold_wah(&chain)))
+    }
+
     /// Counted k-ary threshold: a fresh bitmap with bit `r` set when at
     /// least `k` of the operands have bit `r` set, evaluated in one pass
     /// by the bit-sliced CSA counter network
@@ -1127,112 +1199,6 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         }
         let views: Vec<_> = operands.iter().map(|b| self.opv(b)).collect();
         kernels::threshold_k(&views, k)
-    }
-
-    /// `true` when a k-ary op over `operands` should run in the WAH
-    /// compressed domain: every operand is compressed, none is denser
-    /// than [`DEFAULT_WAH_CROSSOVER`], and every compressed form is at most
-    /// a quarter of its literal size. The ratio guard filters
-    /// poorly-clustered bitmaps whose WAH form is run-dense — in the
-    /// `ext_compressed_exec` sweep, operands compressing to 0.75–1.0 of
-    /// literal size ran ~25% slower in the compressed domain than
-    /// decompress-then-operate even when their density was under the
-    /// crossover.
-    fn stay_compressed(&self, operands: &[Repr]) -> bool {
-        operands.iter().all(|r| {
-            r.is_compressed()
-                && r.density() <= DEFAULT_WAH_CROSSOVER
-                && r.heap_bytes() * 32 <= r.len()
-        })
-    }
-
-    /// Dense operands for the adaptive fallback: each compressed operand
-    /// decompresses (counted), literals pass through as handle clones.
-    fn materialize_operands(&mut self, operands: &[Repr]) -> Vec<Arc<BitVec>> {
-        operands
-            .iter()
-            .map(|r| {
-                if r.is_compressed() {
-                    self.stats.materializations += 1;
-                }
-                r.to_bitvec()
-            })
-            .collect()
-    }
-
-    /// Counted adaptive k-ary AND: runs in the WAH compressed domain while
-    /// every operand is compressed and sparse (at most
-    /// [`DEFAULT_WAH_CROSSOVER`] dense), otherwise materializes and
-    /// uses the fused dense kernel. Charges `operands.len() − 1` ANDs
-    /// either way — the representation changes where the op runs, never
-    /// what the cost model sees.
-    ///
-    /// # Panics
-    /// Panics on an empty operand list or mismatched lengths.
-    pub fn and_all_reprs(&mut self, operands: &[Repr]) -> Repr {
-        debug_assert!(
-            self.seg.is_none(),
-            "repr-domain kernels operate on whole bitmaps; segmented \
-             evaluators must route through the windowed dense ops"
-        );
-        assert!(
-            !operands.is_empty(),
-            "k-ary kernel needs at least one operand"
-        );
-        if operands.len() == 1 {
-            return operands[0].clone();
-        }
-        self.stats.ands += operands.len() - 1;
-        if self.stay_compressed(operands) {
-            self.stats.compressed_ops += operands.len() - 1;
-            let ws: Vec<&wah::WahBitmap> = operands
-                .iter()
-                .map(|r| match r {
-                    Repr::Wah(w) => w.as_ref(),
-                    Repr::Literal(_) => unreachable!("stay_compressed checked"),
-                })
-                .collect();
-            return Repr::wah(wah::and_all(&ws));
-        }
-        let dense = self.materialize_operands(operands);
-        let refs: Vec<&BitVec> = dense.iter().map(Arc::as_ref).collect();
-        Repr::literal(kernels::and_all(&refs))
-    }
-
-    /// Counted adaptive k-ary OR — the compressed-domain counterpart of
-    /// [`ExecContext::or_all`]; accounting as in
-    /// [`ExecContext::and_all_reprs`].
-    ///
-    /// # Panics
-    /// Panics on an empty operand list or mismatched lengths.
-    pub fn or_all_reprs(&mut self, operands: &[Repr]) -> Repr {
-        debug_assert!(
-            self.seg.is_none(),
-            "repr-domain kernels operate on whole bitmaps; segmented \
-             evaluators must route through the windowed dense ops"
-        );
-        assert!(
-            !operands.is_empty(),
-            "k-ary kernel needs at least one operand"
-        );
-        if operands.len() == 1 {
-            return operands[0].clone();
-        }
-        self.stats.ors += operands.len() - 1;
-        if self.stay_compressed(operands) {
-            self.stats.compressed_ops += operands.len() - 1;
-            let ws: Vec<&wah::WahBitmap> = operands
-                .iter()
-                .map(|r| match r {
-                    Repr::Wah(w) => w.as_ref(),
-                    Repr::Literal(_) => unreachable!("stay_compressed checked"),
-                })
-                .collect();
-            return Repr::wah(wah::or_all(&ws));
-        }
-        let dense = self.materialize_operands(operands);
-        let refs: Vec<&BitVec> = dense.iter().map(Arc::as_ref).collect();
-        Repr::literal(kernels::or_all(&refs))
     }
 }
 
@@ -1414,93 +1380,6 @@ mod tests {
         let s = ctx.stats();
         assert_eq!(s.scans, 1);
         assert_eq!(s.materializations, 1);
-    }
-
-    #[test]
-    fn adaptive_ops_stay_compressed_below_crossover() {
-        let n = 4096;
-        // Clustered sparse runs — both compressible (ratio well under 1/4)
-        // and under the density crossover, so the WAH path is eligible.
-        let sparse: Vec<BitVec> = (0..3)
-            .map(|k| BitVec::from_fn(n, move |i| i / 96 == k))
-            .collect();
-        let reprs: Vec<Repr> = sparse
-            .iter()
-            .map(|b| Repr::wah(wah::WahBitmap::from_bitvec(b)))
-            .collect();
-        let idx = small_index();
-        let mut src = idx.source();
-        let mut ctx = ExecContext::new(&mut src);
-        let or = ctx.or_all_reprs(&reprs);
-        assert!(or.is_compressed(), "sparse fold stays in the WAH domain");
-        let and = ctx.and_all_reprs(&reprs);
-        assert!(and.is_compressed());
-        let s = ctx.stats();
-        assert_eq!((s.ors, s.ands), (2, 2), "same charges as the dense fold");
-        assert_eq!(s.compressed_ops, 4);
-        assert_eq!(s.materializations, 0);
-        // Answers are bit-identical to the dense kernels.
-        let refs: Vec<&BitVec> = sparse.iter().collect();
-        assert_eq!(*or.to_bitvec(), kernels::or_all(&refs));
-        assert_eq!(*and.to_bitvec(), kernels::and_all(&refs));
-    }
-
-    #[test]
-    fn adaptive_ops_materialize_past_crossover() {
-        let n = 4096;
-        let dense: Vec<BitVec> = (0..3)
-            .map(|k| BitVec::from_fn(n, move |i| (i + k) % 2 == 0))
-            .collect();
-        let reprs: Vec<Repr> = dense
-            .iter()
-            .map(|b| Repr::wah(wah::WahBitmap::from_bitvec(b)))
-            .collect();
-        let idx = small_index();
-        let mut src = idx.source();
-        let mut ctx = ExecContext::new(&mut src);
-        let or = ctx.or_all_reprs(&reprs);
-        assert!(!or.is_compressed(), "50% density falls back to dense");
-        let s = ctx.stats();
-        assert_eq!(s.ors, 2);
-        assert_eq!(s.compressed_ops, 0);
-        assert_eq!(s.materializations, 3);
-        let refs: Vec<&BitVec> = dense.iter().collect();
-        assert_eq!(*or.to_bitvec(), kernels::or_all(&refs));
-        // Long runs compress as well as the sparse operands of the test
-        // above; at 50% density it is the crossover alone that sends them
-        // to the dense kernel.
-        let runs: Vec<BitVec> = (0..3)
-            .map(|k| BitVec::from_fn(n, move |i| (i / 512 + k) % 2 == 0))
-            .collect();
-        let run_reprs: Vec<Repr> = runs
-            .iter()
-            .map(|b| Repr::wah(wah::WahBitmap::from_bitvec(b)))
-            .collect();
-        assert!(run_reprs.iter().all(|r| r.heap_bytes() * 32 <= r.len()));
-        let mut ctx = ExecContext::new(&mut src);
-        let and = ctx.and_all_reprs(&run_reprs);
-        assert!(!and.is_compressed());
-        assert_eq!(ctx.stats().compressed_ops, 0);
-        let run_refs: Vec<&BitVec> = runs.iter().collect();
-        assert_eq!(*and.to_bitvec(), kernels::and_all(&run_refs));
-    }
-
-    #[test]
-    fn mixed_representations_fall_back_to_dense() {
-        let n = 1024;
-        let a = BitVec::from_fn(n, |i| i % 50 == 0);
-        let b = BitVec::from_fn(n, |i| i % 70 == 0);
-        let reprs = vec![
-            Repr::wah(wah::WahBitmap::from_bitvec(&a)),
-            Repr::literal(b.clone()),
-        ];
-        let idx = small_index();
-        let mut src = idx.source();
-        let mut ctx = ExecContext::new(&mut src);
-        let or = ctx.or_all_reprs(&reprs);
-        assert!(!or.is_compressed());
-        assert_eq!(ctx.stats().materializations, 1, "only the WAH operand");
-        assert_eq!(*or.to_bitvec(), kernels::or_all(&[&a, &b]));
     }
 
     /// A source serving a v4-style summary block alongside its bitmaps,

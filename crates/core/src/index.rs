@@ -538,10 +538,9 @@ mod tests {
         assert_eq!(nn.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2, 4]);
         // Queries must exclude the null row.
         let grown = Column::new(vec![1, 0, 2, 0, 2], 3); // row 3's value is a placeholder
-        let mut src = idx.source();
-        let mut ctx = crate::exec::ExecContext::new(&mut src);
         let q = bindex_relation::query::SelectionQuery::new(bindex_relation::query::Op::Ge, 0);
-        let found = crate::eval::range_opt::evaluate(&mut ctx, q).unwrap();
+        let (found, _) =
+            crate::eval::evaluate(&mut idx.source(), q, crate::eval::Algorithm::Auto).unwrap();
         assert_eq!(found.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2, 4]);
         let _ = grown;
     }

@@ -66,9 +66,6 @@ pub use delta::DeltaOverlay;
 pub use encoding::{Encoding, IndexSpec};
 pub use error::{Error, Result};
 pub use eval::Algorithm;
-pub use exec::{
-    BufferSet, Deadline, EvalStats, ExecContext, RecoveryPolicy, DEFAULT_SEGMENT_BITS,
-    DEFAULT_WAH_CROSSOVER,
-};
+pub use exec::{BufferSet, Deadline, EvalStats, ExecContext, RecoveryPolicy, DEFAULT_SEGMENT_BITS};
 pub use index::{rebuild_slot, BitmapIndex, BitmapSource, MemorySource};
 pub use reorder::{build_reordered, BuildOptions, RowOrder, RowPermutation};

@@ -29,6 +29,22 @@ impl Column {
         }
     }
 
+    /// Appends rows in place, validating only the new values.
+    ///
+    /// # Panics
+    /// Panics at the first value `>= cardinality`; the rows before it stay
+    /// appended.
+    pub fn extend(&mut self, values: impl IntoIterator<Item = u32>) {
+        for v in values {
+            assert!(
+                v < self.cardinality,
+                "column value {v} >= cardinality {}",
+                self.cardinality
+            );
+            self.values.push(v);
+        }
+    }
+
     /// Builds a column from raw values, inferring `C = max + 1`.
     ///
     /// # Panics
@@ -167,6 +183,9 @@ mod tests {
         assert_eq!(c.distinct_count(), 3);
         assert_eq!(c.histogram(), vec![2, 1, 2]);
         assert_eq!(c.get(1), 2);
+        let mut grown = c.clone();
+        grown.extend([1, 1]);
+        assert_eq!(grown, Column::new(vec![0, 2, 1, 2, 0, 1, 1], 3));
     }
 
     #[test]
@@ -179,6 +198,12 @@ mod tests {
     #[should_panic(expected = ">= cardinality")]
     fn rejects_out_of_range() {
         Column::new(vec![0, 3], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = ">= cardinality")]
+    fn extend_rejects_out_of_range() {
+        Column::new(vec![0, 2], 3).extend([1, 3]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use bindex::compress::Repr;
-use bindex::core::eval::Algorithm;
+use bindex::core::eval::{validate, Algorithm};
 use bindex::core::{Deadline, EvalStats};
 use bindex::engine::batch::{evaluate_query, BatchOptions, QueryOutcome, MIN_SEGMENT_BITS};
 use bindex::relation::query::{SelectionQuery, ThresholdQuery};
@@ -233,12 +233,13 @@ impl ServedIndex {
         query: ServedQuery,
         deadline: Option<Deadline>,
     ) -> Result<QueryAnswer, Error> {
+        // A malformed threshold or a constant the base cannot decompose is
+        // the client's mistake: rejected before the cache, the store and
+        // the breaker see anything.
+        validate(&self.spec, &query)?;
         let key = match &query {
             ServedQuery::Selection(q) => normalize(*q),
-            ServedQuery::Threshold(q) => {
-                q.validate().map_err(Error::InvalidQuery)?;
-                normalize_threshold(q.k, &q.predicates)
-            }
+            ServedQuery::Threshold(q) => normalize_threshold(q.k, &q.predicates),
         };
         let guard = self.reader.read().unwrap();
         let epoch = guard.repair_epoch();
@@ -367,7 +368,7 @@ impl ServedIndex {
             let n_after = session.n_rows() + appends.len();
             for &r in deletes {
                 if usize::try_from(r).map_or(true, |r| r >= n_after) {
-                    return Err(Error::CorruptIndex(format!(
+                    return Err(Error::InvalidQuery(format!(
                         "delete targets row {r}, batch leaves {n_after} rows"
                     )));
                 }
@@ -388,23 +389,23 @@ impl ServedIndex {
         // Keep the recovery inputs in step with the rewritten index:
         // appended rows extend the column, nulls and deletions extend the
         // mask — exactly what compaction persisted.
-        if let Some(col) = column.clone() {
-            let mut values = col.values().to_vec();
-            let mut mask = null_mask
-                .take()
-                .unwrap_or_else(|| BitVec::zeros(values.len()));
-            for v in appends {
-                values.push(v.unwrap_or(0));
-                mask.push(v.is_none());
+        match column.as_mut() {
+            Some(col) => {
+                // No query holds the column while the reader is write-locked,
+                // so this grows it in place.
+                let col = Arc::make_mut(col);
+                let mut mask = null_mask.take().unwrap_or_else(|| BitVec::zeros(col.len()));
+                col.extend(appends.iter().map(|v| v.unwrap_or(0)));
+                for v in appends {
+                    mask.push(v.is_none());
+                }
+                for &r in deletes {
+                    mask.set(r as usize, true);
+                }
+                *null_mask = Some(mask);
             }
-            for &r in deletes {
-                mask.set(r as usize, true);
-            }
-            *column = Some(Arc::new(Column::new(values, col.cardinality())));
-            *null_mask = Some(mask);
-        } else {
             // Without a column a stale mask is worse than none.
-            *null_mask = None;
+            None => *null_mask = None,
         }
         self.breaker.on_repair();
         Ok(summary)

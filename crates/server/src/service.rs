@@ -195,7 +195,7 @@ impl Shared {
                     }
                     // An out-of-range value or row id is the client's
                     // mistake; anything else is a server-side failure.
-                    Err(e @ Error::ValueOutOfRange { .. }) => {
+                    Err(e @ (Error::ValueOutOfRange { .. } | Error::InvalidQuery(_))) => {
                         Self::err(ErrorCode::BadRequest, e.to_string())
                     }
                     Err(e) => Self::err(ErrorCode::Internal, e.to_string()),
@@ -330,11 +330,12 @@ fn worker_loop(shared: &Shared) {
                         "deadline expired mid-evaluation; partial work discarded",
                     )
                 }
-                // Defense in depth: the connection layer validates before
-                // admission, but a structurally bad query that slips
-                // through is still the client's mistake, not a server
-                // fault — typed rejection, no breaker or failure count.
-                Err(e @ Error::InvalidQuery(_)) => {
+                // A query the index rejects before evaluating — a constant
+                // its base cannot decompose, or a malformed threshold that
+                // slipped past the connection layer's check — is the
+                // client's mistake, not a server fault: typed rejection,
+                // no breaker or failure count.
+                Err(e @ (Error::InvalidQuery(_) | Error::ValueOutOfRange { .. })) => {
                     Shared::err(ErrorCode::BadRequest, e.to_string())
                 }
                 Err(e) => {

@@ -774,8 +774,22 @@ fn ingest_batch_invalidates_cached_counts_over_the_wire() {
     let (got, _) = count_of(client.query("t", eq7, false, 0).expect("transport"));
     assert_eq!(got, eq_before + 1, "failed ingest must not change answers");
 
+    // So is a delete past the end of the batch: BadRequest, not Internal,
+    // and the valid append beside it was not logged — the next batch
+    // takes the next WAL sequence number.
+    let past_end = served.n_rows() as u64 + 1;
+    let err = client
+        .ingest("t", &[Some(7)], &[past_end])
+        .expect_err("out-of-range delete");
+    assert!(err.to_string().contains("BadRequest"), "{err}");
+    assert_eq!(served.n_rows(), N_ROWS + 4);
+    let (seq, generation, n_rows) = client.ingest("t", &[Some(7)], &[]).expect("ingest");
+    assert_eq!((seq, generation, n_rows), (4, 3, N_ROWS as u64 + 5));
+    let (got, _) = count_of(client.query("t", eq7, false, 0).expect("transport"));
+    assert_eq!(got, eq_before + 2);
+
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.ingests, 2, "stats: {stats:?}");
+    assert_eq!(stats.ingests, 3, "stats: {stats:?}");
     assert!(stats.cache_hits >= 1, "stats: {stats:?}");
     server.shutdown();
 }
@@ -787,8 +801,17 @@ fn ingest_batch_invalidates_cached_counts_over_the_wire() {
 /// delete (so `B_nn` joins the chain). Every answer is the per-row one.
 #[test]
 fn clustered_index_is_served_from_compressed_slots() {
+    for encoding in [Encoding::Range, Encoding::Equality] {
+        clustered_index_is_served_compressed(encoding);
+    }
+}
+
+/// Range-encoded, every query is one RangeEval-Opt plan; equality-encoded,
+/// `=` and `≠` are, and the range operators run window by window.
+fn clustered_index_is_served_compressed(encoding: Encoding) {
     const ROWS: usize = 60_000;
     const CLUSTER: usize = 2048;
+    let spec = || IndexSpec::new(spec().base, encoding);
     let mut values = gen::clustered(ROWS, CARDINALITY, CLUSTER, 31)
         .values()
         .to_vec();
@@ -825,12 +848,16 @@ fn clustered_index_is_served_from_compressed_slots() {
             let want = bindex::core::eval::naive::evaluate_with_nulls(&column, &nulls, q);
             // In process: the foundset never left the compressed domain.
             let answer = served.execute_any(ServedQuery::Selection(q), None).unwrap();
-            assert!(answer.bits.is_compressed(), "round {round} {q}");
+            let folds = encoding == Encoding::Range || matches!(q.op, Op::Eq | Op::Ne);
+            assert_eq!(answer.bits.is_compressed(), folds, "round {round} {q}");
             assert_eq!(answer.cardinality, want.count_ones() as u64, "{q}");
             assert!(!answer.cached && !answer.degraded, "{q}");
-            assert_eq!(answer.stats.materializations, 0, "{q}");
-            assert_eq!(answer.stats.compressed_ops, answer.stats.total_ops(), "{q}");
-            assert_eq!(answer.stats.segments_evaluated, 0, "{q}");
+            if folds {
+                assert!(answer.stats.compressed_ops > 0, "{q}");
+                assert_eq!(answer.stats.materializations, 0, "{q}");
+                assert_eq!(answer.stats.compressed_ops, answer.stats.total_ops(), "{q}");
+                assert_eq!(answer.stats.segments_evaluated, 0, "{q}");
+            }
             // Over the wire: the count, from the cache this time.
             match client.query("t", q, false, 0).expect("transport") {
                 Response::Count {
@@ -871,6 +898,64 @@ fn clustered_index_is_served_from_compressed_slots() {
             nulls = BitVec::from_fn(values.len(), |i| i == 12_345 || i == ROWS + CLUSTER);
         }
     }
+    server.shutdown();
+}
+
+/// A constant the base cannot decompose is the client's mistake: typed
+/// `BadRequest` for a selection and inside a threshold, no worker panic,
+/// no failure counted, and the breaker — which three faults would open —
+/// still closed after five, so the next valid query is answered exactly.
+#[test]
+fn undecomposable_constant_is_a_bad_request_and_leaves_the_breaker_closed() {
+    let (_, index, store) = build();
+    let mut registry = Registry::new();
+    registry.insert(
+        ServedIndex::new(
+            "t",
+            spec(),
+            Box::new(store),
+            None,
+            None,
+            IndexTuning::default(),
+        )
+        .unwrap(),
+    );
+    let served = registry.get("t").unwrap();
+    let server = start_server(registry, ServerConfig::default());
+    let mut client = connect(&server);
+    let bad_request = |resp: Response| match resp {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::BadRequest, "{message}");
+            assert!(message.contains("99"), "{message}");
+        }
+        other => panic!("unexpected response {other:?}"),
+    };
+    for op in [Op::Eq, Op::Le, Op::Ne, Op::Gt, Op::Lt] {
+        let bad = SelectionQuery::new(op, 99);
+        bad_request(client.query("t", bad, false, 0).expect("transport"));
+        let preds = [SelectionQuery::new(Op::Le, 3), bad];
+        bad_request(
+            client
+                .threshold("t", 1, &preds, true, 0)
+                .expect("transport"),
+        );
+    }
+    assert_eq!(served.breaker().state(), BreakerState::Closed);
+    assert!(served.healthy());
+    let q = SelectionQuery::new(Op::Le, 63);
+    match client.query("t", q, false, 0).expect("transport") {
+        Response::Count {
+            cardinality,
+            degraded,
+            ..
+        } => {
+            assert_eq!(cardinality, direct_count(&index, q));
+            assert!(!degraded);
+        }
+        other => panic!("unexpected response {other:?}"),
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.failed, stats.breaker_trips), (0, 0), "{stats:?}");
     server.shutdown();
 }
 

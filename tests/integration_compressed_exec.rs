@@ -41,7 +41,7 @@ fn algorithms(encoding: Encoding) -> &'static [Algorithm] {
 }
 
 /// A clustered (sorted) column: every bitmap slot is a handful of runs, so
-/// the v3 store keeps it WAH and the adaptive executor stays compressed.
+/// the v3 store keeps it WAH and the executor stays compressed.
 fn clustered_column(rows: usize) -> Column {
     let values: Vec<u32> = (0..rows)
         .map(|i| (i * CARDINALITY as usize / rows) as u32)
@@ -231,21 +231,21 @@ fn v3_pool_holds_more_slots_for_the_same_byte_budget() {
     );
 }
 
-/// Adaptive execution on a v3 store actually runs compressed-domain ops on
-/// sparse clustered slots — and still matches the oracle.
+/// Execution on a v3 store actually runs compressed-domain ops on sparse
+/// clustered slots — and still matches the oracle.
 #[test]
-fn v3_adaptive_execution_uses_compressed_ops() {
-    let col = clustered_column(2000);
-    // Single-component base: equality slots sit at density 1/24 ≈ 0.04,
-    // under the default crossover, and the clustered column keeps each a
-    // handful of runs — the operands the WAH kernels are for.
+fn v3_execution_uses_compressed_ops() {
+    // Single-component base: the clustered column keeps each equality
+    // slot a handful of runs — 16 bytes or so, under 1/16 of its literal
+    // size from a few thousand rows up — the operands the WAH fold is for.
+    let col = clustered_column(20_000);
     let spec = IndexSpec::new(Base::single(CARDINALITY).unwrap(), Encoding::Equality);
     let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
     let stored = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
     let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
     let mut ctx = ExecContext::new(&mut src);
     let mut compressed_ops = 0usize;
-    // `Le` probes OR a run of sibling slots — the k-ary compressed path.
+    // `Le` probes OR a run of sibling slots — a plan of their own.
     for v in 1..CARDINALITY - 1 {
         let q = SelectionQuery::new(Op::Le, v);
         let found = bindex::core::eval::evaluate_in(&mut ctx, q, Algorithm::Auto).unwrap();
