@@ -332,17 +332,6 @@ pub fn and_not(a: &WahBitmap, b: &WahBitmap) -> WahBitmap {
 /// Panics if any operand is not `len` bits long.
 #[must_use]
 pub fn fold(len: usize, program: &Fold<&WahBitmap>) -> WahBitmap {
-    // A plain conjunction or disjunction is the k-ary merge, whose
-    // absorbing- and identity-run skips the general walk below does not
-    // have (an OR of sparse slots streams each operand's runs verbatim).
-    if let Some((conjunction, operands)) = kary_operands(program) {
-        assert_eq!(len, operands[0].len, "WAH length mismatch");
-        return if conjunction {
-            and_all(&operands)
-        } else {
-            or_all(&operands)
-        };
-    }
     // One cursor per operand occurrence; the program refers to them by
     // position.
     let mut cursors: Vec<Cursor<'_>> = Vec::new();
@@ -383,25 +372,6 @@ pub fn fold(len: usize, program: &Fold<&WahBitmap>) -> WahBitmap {
     let mut out = WahBitmap { words, len };
     out.mask_tail();
     out
-}
-
-/// The operands of a plain conjunction (`true`) or disjunction (`false`):
-/// a seed and `And` steps alone, or `Or` steps alone — no complement, no
-/// mask.
-fn kary_operands<'a>(program: &Fold<&'a WahBitmap>) -> Option<(bool, Vec<&'a WahBitmap>)> {
-    let seed = program
-        .seed
-        .filter(|_| !program.complement && program.mask.is_none())?;
-    let conjunction = !matches!(program.steps.first(), Some(FoldStep::Or(_)));
-    let mut operands = Vec::with_capacity(1 + program.steps.len());
-    operands.push(seed);
-    for step in &program.steps {
-        match (step, conjunction) {
-            (FoldStep::And(b), true) | (FoldStep::Or(b), false) => operands.push(*b),
-            _ => return None,
-        }
-    }
-    Some((conjunction, operands))
 }
 
 /// `|operands[0] ∧ operands[1] ∧ …|` without producing a result bitmap:
@@ -1365,18 +1335,10 @@ mod tests {
                 complement: true,
                 mask: Some(5),
             };
-            // The plain conjunction and disjunction take the k-ary merge.
-            let kary = |step: fn(usize) -> FoldStep<usize>| Fold {
-                seed: Some(0),
-                steps: (1..6).map(step).collect(),
-                ..Fold::default()
-            };
-            for program in [program, kary(FoldStep::And), kary(FoldStep::Or)] {
-                let want = bindex_bitvec::kernels::fold(len, &program.map(|&i| &owned[i]));
-                let got = fold(len, &program.map(|&i| &wahs[i]));
-                assert_eq!(got, WahBitmap::from_bitvec(&want), "len {len} {program:?}");
-                assert_eq!(got.count_ones(), want.count_ones(), "len {len}");
-            }
+            let want = bindex_bitvec::kernels::fold(len, &program.map(|&i| &owned[i]));
+            let got = fold(len, &program.map(|&i| &wahs[i]));
+            assert_eq!(got, WahBitmap::from_bitvec(&want), "len {len}");
+            assert_eq!(got.count_ones(), want.count_ones(), "len {len}");
             // No operand at all: the constant functions.
             let ones = fold(len, &Fold::default());
             assert_eq!(

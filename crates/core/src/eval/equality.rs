@@ -41,21 +41,27 @@ pub fn evaluate<S: BitmapSource>(
 ) -> Result<BitVec> {
     evaluate_chain(ctx, query, |ctx, chain| match chain {
         Chain::Le(v) => le_chain(ctx, v),
-        Chain::Eq(v) => {
-            let plan = eq_plan(&ctx.spec().base, v);
-            ctx.fold_plan(&plan, false)
-        }
+        Chain::Eq(v) => match eq_plan(&ctx.spec().base, v) {
+            Some(plan) => ctx.fold_plan(&plan, false),
+            None => {
+                let n = ctx.spec().n_components();
+                let digits = (1..=n).map(|i| eq_bitmap(ctx, i, 0));
+                let digits = digits.collect::<Result<Vec<_>>>()?;
+                Ok(ctx.and_all(&digits.iter().collect::<Vec<_>>()))
+            }
+        },
     })
 }
 
 /// `A = v` / `A ≠ v` as one plan — the queries whose whole evaluation is
 /// linear, so [`super::evaluate_repr_in`] can fold them in the WAH domain;
-/// `None` for the range operators.
+/// `None` for the range operators and for the one `=` chain that is no
+/// plan (see `eq_plan`).
 pub(crate) fn plan(base: &Base, query: SelectionQuery) -> Option<Plan> {
     match reduce(query) {
         Reduced::Chain(Chain::Eq(v), complement) => Some(Plan {
             complement,
-            ..eq_plan(base, v)
+            ..eq_plan(base, v)?
         }),
         _ => None,
     }
@@ -65,9 +71,10 @@ pub(crate) fn plan(base: &Base, query: SelectionQuery) -> Option<Plan> {
 /// The first plain stored slot seeds the fold and the rest are `And`
 /// steps, so `n − 1` ANDs are charged, as the pairwise chain would; a
 /// base-2 digit 0 is `AndNot` of the one stored bitmap (`E^0 = ¬E^1`, one
-/// NOT). Only when no component has a plain slot — every base number 2 and
-/// `v = 0` — does the fold start from the all-ones bitmap and charge `n`.
-fn eq_plan(base: &Base, v: u32) -> Plan {
+/// NOT). `None` when no component has a plain slot to seed from — every
+/// base number 2 and `v = 0` — where a fold would start from the all-ones
+/// bitmap and charge `n`: [`evaluate`] runs that one pairwise.
+fn eq_plan(base: &Base, v: u32) -> Option<Plan> {
     let digits = digits_of(base, v);
     let mut plan = Plan::default();
     for i in 1..=base.n_components() {
@@ -84,7 +91,7 @@ fn eq_plan(base: &Base, v: u32) -> Plan {
             plan.steps.push(FoldStep::And(slot));
         }
     }
-    plan
+    plan.seed.is_some().then_some(plan)
 }
 
 /// Fetches the equality bitmap `E_i^j`, deriving `E^0 = ¬E^1` for base-2
@@ -276,16 +283,35 @@ mod tests {
         check_all_queries(&col, Base::from_msb(&[2, 2, 2, 2]).unwrap());
     }
 
+    /// `A = v` costs what the pairwise chain does on every base, the
+    /// all-binary ones included (whose `A = 0` has no plain slot to seed a
+    /// fold from): one scan per component, `n − 1` ANDs, one NOT per base-2
+    /// digit 0.
     #[test]
     fn equality_predicate_one_scan_per_component() {
-        let col = Column::new((0..30u32).collect(), 30);
-        let spec = IndexSpec::new(Base::from_msb(&[2, 5, 3]).unwrap(), Encoding::Equality);
-        let idx = BitmapIndex::build(&col, spec).unwrap();
-        let mut src = idx.source();
-        let mut ctx = ExecContext::new(&mut src);
-        for v in 0..30 {
-            evaluate(&mut ctx, query::SelectionQuery::new(query::Op::Eq, v)).unwrap();
-            assert_eq!(ctx.take_stats().scans, 3, "v={v}");
+        for msb in [&[2, 5, 3][..], &[2, 2, 2], &[3, 2], &[2]] {
+            let base = Base::from_msb(msb).unwrap();
+            let c = base.product() as u32;
+            let col = Column::new((0..c).collect(), c);
+            let spec = IndexSpec::new(base.clone(), Encoding::Equality);
+            let idx = BitmapIndex::build(&col, spec).unwrap();
+            let mut src = idx.source();
+            let mut ctx = ExecContext::new(&mut src);
+            for v in 0..c {
+                let q = query::SelectionQuery::new(query::Op::Eq, v);
+                let found = evaluate(&mut ctx, q).unwrap();
+                assert_eq!(found, naive::evaluate(&col, q), "{base} v={v}");
+                let stats = ctx.take_stats();
+                let digits = base.decompose(v).unwrap();
+                let binary_zeros = (1..=msb.len())
+                    .filter(|&i| base.component(i) == 2 && digits[i - 1] == 0)
+                    .count();
+                assert_eq!(
+                    [stats.scans, stats.ands, stats.nots, stats.ors + stats.xors],
+                    [msb.len(), msb.len() - 1, binary_zeros, 0],
+                    "{base} v={v}"
+                );
+            }
         }
     }
 

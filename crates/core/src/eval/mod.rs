@@ -107,11 +107,14 @@ pub fn evaluate_in<S: BitmapSource>(
 ///   ([`ExecContext::run_plan`]); the result is [`Repr::Wah`] and nothing
 ///   was decoded.
 /// * Everything else — a non-linear chain, a literal or poorly compressed
-///   operand, a reconstructed slot, an overlay, any threshold — runs over
-///   dense words: whole-bitmap when `segment_bits` is `None`, window by
-///   window (with summary pruning, the threshold early-exit bound and
-///   cooperative deadline checks; [`evaluate_segment_range_in`] over the
-///   whole row range) otherwise, and comes back [`Repr::Literal`].
+///   operand, with `segment_bits` a slot the summaries prove all zeros or
+///   all ones (windowed pruning answers it unread), a reconstructed slot,
+///   an overlay, any threshold —
+///   runs over dense words: whole-bitmap when `segment_bits` is `None`,
+///   window by window (with summary pruning, the threshold early-exit
+///   bound and cooperative deadline checks;
+///   [`evaluate_segment_range_in`] over the whole row range) otherwise,
+///   and comes back [`Repr::Literal`].
 ///
 /// Answers and the paper-model counters (scans, ANDs, ORs, XORs, NOTs,
 /// threshold combines) are identical on every path; only where the
@@ -129,9 +132,9 @@ pub fn evaluate_repr_in<S: BitmapSource>(
     segment_bits: Option<usize>,
 ) -> Result<Repr> {
     validate(ctx.spec(), query)?;
-    if let Query::Selection(q) = *query {
-        if let Some(plan) = whole_plan(ctx.spec(), q, algorithm) {
-            if let Some(found) = ctx.fold_plan_wah(&plan, true)? {
+    if let (Query::Selection(q), true) = (query, ctx.folds_whole_bitmaps()) {
+        if let Some(plan) = whole_plan(ctx.spec(), *q, algorithm) {
+            if let Some(found) = ctx.fold_plan_wah(&plan, true, segment_bits.is_some())? {
                 return Ok(Repr::wah(found));
             }
         }
@@ -628,11 +631,20 @@ mod tests {
         layouts().swap_remove(0)
     }
 
-    /// Whether `q`'s whole evaluation is one plan under `encoding` — the
-    /// queries that may be answered in the WAH domain.
-    fn is_whole_plan(encoding: Encoding, q: SelectionQuery) -> bool {
+    /// Whether `q`'s whole evaluation is one plan on `spec` — the queries
+    /// that may be answered in the WAH domain: RangeEval-Opt's all, the
+    /// equality evaluator's `=` and `≠` (bar `A = 0` on an all-binary base,
+    /// which has no plain stored slot to seed the fold).
+    fn is_whole_plan(spec: &IndexSpec, q: SelectionQuery) -> bool {
         use query::Op;
-        encoding == Encoding::Range || matches!(q.op, Op::Eq | Op::Ne)
+        let all_binary = (1..=spec.n_components()).all(|i| spec.base.component(i) == 2);
+        spec.encoding == Encoding::Range
+            || matches!(q.op, Op::Eq | Op::Ne) && !(all_binary && q.constant == 0)
+    }
+
+    /// The equality layout with no plain slot for `A = 0`.
+    fn all_binary_spec() -> IndexSpec {
+        IndexSpec::new(Base::from_msb(&[2; 5]).unwrap(), Encoding::Equality)
     }
 
     /// Runs of 1,500 equal values: every bitmap of every layout is a few
@@ -678,6 +690,7 @@ mod tests {
         let col = clustered_column();
         for (spec, nulls) in layouts()
             .into_iter()
+            .chain([all_binary_spec()])
             .flat_map(|spec| [(spec.clone(), None), (spec, Some(clustered_nulls()))])
         {
             let idx = clustered_index(spec.clone(), nulls.as_ref());
@@ -702,7 +715,7 @@ mod tests {
                     assert_eq!(*found.to_bitvec(), want, "{label}");
                     assert_eq!(paper_counters(&stats), counters, "{label}");
                     // `A < 0` and, without nulls, `A >= 0` read nothing.
-                    let folds = is_whole_plan(spec.encoding, q) && stats.scans > 0;
+                    let folds = is_whole_plan(&spec, q) && stats.scans > 0;
                     assert_eq!(found.is_compressed(), folds, "{label}");
                     if folds {
                         assert_eq!(stats.compressed_ops, stats.total_ops(), "{label}");
@@ -719,7 +732,7 @@ mod tests {
                     let wrapped = ctx.take_stats();
                     assert_eq!(bits, want, "{label}");
                     assert_eq!(paper_counters(&wrapped), counters, "{label}");
-                    if is_whole_plan(spec.encoding, q) {
+                    if is_whole_plan(&spec, q) {
                         assert_eq!(wrapped.materializations, usize::from(folds), "{label}");
                     }
                 }
@@ -757,7 +770,7 @@ mod tests {
                 distinct.sort_unstable();
                 distinct.dedup();
                 assert_eq!(distinct.len(), src.fetched.len(), "{label}");
-                if stats.scans == 0 || !is_whole_plan(idx.spec().encoding, q) {
+                if stats.scans == 0 || !is_whole_plan(idx.spec(), q) {
                     assert!(!found.is_compressed(), "{label}");
                 } else if declines(&src.fetched) {
                     dense += 1;

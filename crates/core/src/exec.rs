@@ -711,40 +711,22 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
 
     /// Summary-based segment pruning: under segmented execution, when the
     /// source's summary block proves stored bitmap `(comp, slot)` all-zero
-    /// (the any-bit plane is clear) or all-ones (the all-ones plane is
-    /// set) over the current window, returns a window-sized zero or ones
-    /// literal — exact bitmap content, safe under every operator —
+    /// or all-ones over the current window
+    /// ([`ExecContext::proven_constant`]), returns a window-sized zero or
+    /// ones literal — exact bitmap content, safe under every operator —
     /// instead of touching storage. The scan/buffer-hit charge is levied
     /// exactly as a real fetch would have charged it (once per slot per
     /// query, by the same deterministic residency rule), so [`EvalStats`]
     /// stay bit-identical with pruning on or off; only
     /// [`EvalStats::segments_pruned`] and the storage layer's byte
     /// counters observe the difference. Returns `None` — fetch normally —
-    /// whenever pruning is off, execution is whole-bitmap, an overlay is
-    /// attached (summaries describe base rows only), the source has no
-    /// usable summaries, or the window is neither provably dead nor
-    /// provably saturated.
+    /// whenever execution is whole-bitmap or nothing is proven.
     fn try_prune(&mut self, comp: usize, slot: usize) -> Option<Repr> {
-        if !self.pruning || self.overlay.is_some() || self.seg.is_none() {
-            return None;
-        }
-        let summaries = self.source_summaries()?;
         let (lo, hi) = {
-            let s = self.seg.as_ref().expect("segmented mode");
+            let s = self.seg.as_ref()?;
             (s.lo, s.hi)
         };
-        let summary = summaries.get(comp, slot)?;
-        // A clear any-bit guarantees all-zeros; a set all-ones bit
-        // guarantees all-ones (a legacy single-plane summary carries an
-        // all-zeros `all` plane, which promises nothing and never fires).
-        let saturated = if summary.range_any(lo, hi) {
-            if !summary.range_all(lo, hi) {
-                return None;
-            }
-            true
-        } else {
-            false
-        };
+        let saturated = self.proven_constant(comp, slot, lo, hi)?;
         if self.pruned_charged.insert((comp, slot)) {
             let resident = self.buffer.is_some_and(|b| b.contains(comp, slot));
             if resident {
@@ -763,6 +745,26 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
                 .get_or_insert_with(|| Arc::new(BitVec::zeros(hi - lo)))
         };
         Some(Repr::Literal(Arc::clone(window)))
+    }
+
+    /// What the source's summaries prove about stored bitmap
+    /// `(comp, slot)` over rows `[lo, hi)`: `Some(false)` is all zeros (the
+    /// any-bit plane is clear), `Some(true)` all ones (the all-ones plane
+    /// is set; a legacy single-plane summary carries an all-zeros `all`
+    /// plane, which promises nothing and never fires). `None` — nothing —
+    /// also whenever pruning is off, an overlay is attached (summaries
+    /// describe base rows only) or the source has no usable summaries.
+    fn proven_constant(&mut self, comp: usize, slot: usize, lo: usize, hi: usize) -> Option<bool> {
+        if !self.pruning || self.overlay.is_some() {
+            return None;
+        }
+        let summaries = self.source_summaries()?;
+        let summary = summaries.get(comp, slot)?;
+        if !summary.range_any(lo, hi) {
+            Some(false)
+        } else {
+            summary.range_all(lo, hi).then_some(true)
+        }
     }
 
     /// The source's summaries, asked for once per context and memoized;
@@ -1122,7 +1124,7 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     /// caller. This is the only way a compressed operand reaches a kernel,
     /// and the 1/16 the only rule that decides it.
     pub fn run_plan(&mut self, plan: &Fold<(usize, usize)>, masked: bool) -> Result<Repr> {
-        Ok(match self.fold_plan_wah(plan, masked)? {
+        Ok(match self.fold_plan_wah(plan, masked, false)? {
             Some(found) => Repr::wah(found),
             None => Repr::literal(self.fold_plan(plan, masked)?),
         })
@@ -1138,20 +1140,33 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         Ok(self.fold(&chain))
     }
 
+    /// Whether a plan may be folded over whole compressed bitmaps at all:
+    /// not under segmented execution (a compressed operand has no window)
+    /// and not with a delta overlay attached (its rows exist only as dense
+    /// words).
+    pub(crate) fn folds_whole_bitmaps(&self) -> bool {
+        self.seg.is_none() && self.overlay.is_none()
+    }
+
     /// `plan` in the WAH domain ([`ExecContext::fold_wah`]) when that is
-    /// possible and worth it: whole bitmaps, no delta overlay (its rows
-    /// exist only as dense words), and every operand — `B_nn` included —
-    /// served compressed within [`WAH_FOLD_MAX_RATIO`]. `Ok(None)`
-    /// declines. Operands are fetched in the order the dense evaluation
-    /// fetches them and the walk stops at the first one that rules the
-    /// fold out, so declining costs no read that evaluation would not have
-    /// made — what was fetched stays in the per-query cache.
+    /// possible and worth it: [`ExecContext::folds_whole_bitmaps`], and
+    /// every operand — `B_nn` included — served compressed within
+    /// [`WAH_FOLD_MAX_RATIO`]. `windowed_fallback` says the caller
+    /// evaluates window by window if this declines: pruning then never
+    /// reads a slot the summaries prove all zeros or all ones over the
+    /// whole relation, which no fold of runs can beat, so a plan naming one
+    /// is left to it. `Ok(None)` declines. Operands are fetched in the
+    /// order the dense evaluation fetches them and the walk stops at the
+    /// first one that rules the fold out, so declining costs no read that
+    /// evaluation would not have made — what was fetched stays in the
+    /// per-query cache.
     pub(crate) fn fold_plan_wah(
         &mut self,
         plan: &Plan,
         masked: bool,
+        windowed_fallback: bool,
     ) -> Result<Option<wah::WahBitmap>> {
-        if self.seg.is_some() || self.overlay.is_some() {
+        if !self.folds_whole_bitmaps() {
             return Ok(None);
         }
         // `Err(None)` declines, `Err(Some(_))` is a failed fetch.
@@ -1159,8 +1174,13 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             Repr::Wah(w) if w.compressed_bytes() * 8 * WAH_FOLD_MAX_RATIO <= w.len() => Ok(w),
             _ => Err(None::<Error>),
         };
-        let chain =
-            plan.try_map(|&(comp, slot)| foldable(self.fetch_repr(comp, slot).map_err(Some)?));
+        let n_rows = self.n_rows();
+        let chain = plan.try_map(|&(comp, slot)| {
+            if windowed_fallback && self.proven_constant(comp, slot, 0, n_rows).is_some() {
+                return Err(None);
+            }
+            foldable(self.fetch_repr(comp, slot).map_err(Some)?)
+        });
         let mut chain: Fold<Arc<wah::WahBitmap>> = match chain {
             Ok(chain) => chain,
             Err(None) => return Ok(None),

@@ -236,26 +236,32 @@ fn v3_pool_holds_more_slots_for_the_same_byte_budget() {
 #[test]
 fn v3_execution_uses_compressed_ops() {
     // Single-component base: the clustered column keeps each equality
-    // slot a handful of runs — 16 bytes or so, under 1/16 of its literal
-    // size from a few thousand rows up — the operands the WAH fold is for.
-    let col = clustered_column(20_000);
-    let spec = IndexSpec::new(Base::single(CARDINALITY).unwrap(), Encoding::Equality);
-    let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-    let stored = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
-    let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
-    let mut ctx = ExecContext::new(&mut src);
-    let mut compressed_ops = 0usize;
-    // `Le` probes OR a run of sibling slots — a plan of their own.
-    for v in 1..CARDINALITY - 1 {
-        let q = SelectionQuery::new(Op::Le, v);
-        let found = bindex::core::eval::evaluate_in(&mut ctx, q, Algorithm::Auto).unwrap();
-        assert_eq!(found, naive::evaluate(&col, q), "{q}");
-        compressed_ops += ctx.take_stats().compressed_ops;
+    // slot a handful of runs, 16–20 bytes of WAH whatever the row count —
+    // the operands the WAH fold is for once that is 1/16 of the literal
+    // size, which a 2,000-bit slot (250 bytes) is too small for: those run
+    // dense, with the same answers.
+    for (rows, folds) in [(2000, false), (20_000, true)] {
+        let col = clustered_column(rows);
+        let spec = IndexSpec::new(Base::single(CARDINALITY).unwrap(), Encoding::Equality);
+        let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
+        let stored = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+        let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
+        let mut ctx = ExecContext::new(&mut src);
+        let mut compressed_ops = 0usize;
+        // `Le` probes OR a run of sibling slots — a plan of their own.
+        for v in 1..CARDINALITY - 1 {
+            let q = SelectionQuery::new(Op::Le, v);
+            let found = bindex::core::eval::evaluate_in(&mut ctx, q, Algorithm::Auto).unwrap();
+            assert_eq!(found, naive::evaluate(&col, q), "{rows} rows {q}");
+            compressed_ops += ctx.take_stats().compressed_ops;
+        }
+        assert_eq!(
+            compressed_ops > 0,
+            folds,
+            "{rows} rows: sparse WAH slots at 1/16 of literal size or less, and only \
+             those, must execute in the compressed domain ({compressed_ops} ops)"
+        );
     }
-    assert!(
-        compressed_ops > 0,
-        "sparse WAH slots must execute in the compressed domain"
-    );
 }
 
 /// RangeEval-Opt over a stored v4 index, through the segmented entry

@@ -405,10 +405,10 @@ fn corrupted_summary_degrades_then_repairs() {
 #[test]
 fn window_pruning_reads_strictly_fewer_bytes() {
     // Only even values occur, clustered: the odd slots are fully dead
-    // (fetching them reads nothing under pruning) and each live slot is a
-    // short run touching one or two of its three summary windows. `≤`
-    // ORs slot prefixes window by window; `=` over these compressed slots
-    // is one fold in the WAH domain, which has no windows to prune.
+    // (their queries fetch nothing under pruning) and each live slot is a
+    // short run touching one or two of its three summary windows. `=` is
+    // one plan over compressed slots, which must leave a dead slot to
+    // pruning rather than fold it; `≤` ORs slot prefixes window by window.
     let rows = 3 * SUMMARY_WINDOW_BITS; // three windows per slot
     let card = 8u32;
     let col = Column::new(
@@ -417,15 +417,14 @@ fn window_pruning_reads_strictly_fewer_bytes() {
     );
     let spec = IndexSpec::new(Base::single(card).unwrap(), Encoding::Equality);
     let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-    let queries: Vec<SelectionQuery> = (0..card).map(|v| SelectionQuery::new(Op::Le, v)).collect();
 
-    let run = |prune: bool| -> (Vec<BitVec>, usize, u64) {
+    let run = |op: Op, prune: bool| -> (Vec<BitVec>, usize, u64) {
         let reader = SharedIndexReader::new(
             persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap(),
         );
         let mut founds = Vec::new();
         let mut pruned = 0usize;
-        for &q in &queries {
+        for q in (0..card).map(|v| SelectionQuery::new(op, v)) {
             let out = run_config(
                 &reader,
                 &spec,
@@ -442,15 +441,18 @@ fn window_pruning_reads_strictly_fewer_bytes() {
         let bytes = reader.stats().bytes_read;
         (founds, pruned, bytes)
     };
-    let (plain_founds, plain_pruned, plain_bytes) = run(false);
-    let (pruned_founds, pruned_pruned, pruned_bytes) = run(true);
-    assert_eq!(plain_founds, pruned_founds, "answers must be bit-identical");
-    assert_eq!(plain_pruned, 0);
-    assert!(pruned_pruned > 0, "clustered windows must prune");
-    assert!(
-        pruned_bytes < plain_bytes,
-        "pruning must fetch strictly fewer bytes ({pruned_bytes} vs {plain_bytes})"
-    );
+    // Each operator on its own: neither may lean on the other's savings.
+    for op in [Op::Eq, Op::Le] {
+        let (plain_founds, plain_pruned, plain_bytes) = run(op, false);
+        let (pruned_founds, pruned_pruned, pruned_bytes) = run(op, true);
+        assert_eq!(plain_founds, pruned_founds, "answers must be bit-identical");
+        assert_eq!(plain_pruned, 0);
+        assert!(pruned_pruned > 0, "{op:?}: clustered windows must prune");
+        assert!(
+            pruned_bytes < plain_bytes,
+            "{op:?}: pruning must fetch strictly fewer bytes ({pruned_bytes} vs {plain_bytes})"
+        );
+    }
 }
 
 /// Row reordering end to end: a frequency-sorted or Gray-ordered index
