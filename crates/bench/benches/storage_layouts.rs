@@ -21,7 +21,7 @@ fn stored(scheme: StorageScheme, codec: CodecKind) -> StoredIndex<MemStore> {
     let col = gen::uniform(N, C, 9);
     let spec = IndexSpec::new(Base::from_msb(&[7, 8]).unwrap(), Encoding::Range);
     let idx = BitmapIndex::build(&col, spec).unwrap();
-    StoredIndex::create(MemStore::new(), idx.components(), scheme, codec).unwrap()
+    StoredIndex::create(MemStore::new(), idx.components(), idx.nn(), scheme, codec).unwrap()
 }
 
 fn bench(c: &mut Criterion) {
@@ -90,7 +90,8 @@ fn bench_verified_read(c: &mut Criterion) {
     g.bench_function("256KiB", |b| b.iter(|| black_box(&bm).to_bytes()));
     g.finish();
 
-    let stored = StoredIndex::create_v4(MemStore::new(), &[vec![bm]], CodecKind::None).unwrap();
+    let stored =
+        StoredIndex::create_v4(MemStore::new(), &[vec![bm]], None, CodecKind::None).unwrap();
     let reader = SharedIndexReader::new(stored);
     assert!(!reader.read_repr(1, 0).unwrap().is_compressed());
     let mut g = c.benchmark_group("read_repr_uncached");

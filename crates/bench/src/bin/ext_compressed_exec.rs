@@ -38,7 +38,7 @@ use bindex::core::ExecContext;
 use bindex::relation::query::{full_space, Query, SelectionQuery};
 use bindex::relation::{gen, Column};
 use bindex::storage::{MemStore, ShardedPool, SharedIndexReader, StorageScheme, StoredIndex};
-use bindex::stored::{persist_index, persist_index_v3, persist_index_v4, SharedSource};
+use bindex::stored::{persist_index, persist_index_v4, SharedSource};
 use bindex::{Base, BitVec, BitmapIndex, Encoding, IndexSpec};
 use bindex_bench::{f2, print_table, results_dir, Csv, RunProvenance};
 
@@ -189,13 +189,13 @@ fn workload_seconds(
 struct EndToEnd {
     label: &'static str,
     literal_s: f64,
-    v3_s: f64,
+    coded_s: f64,
 }
 
 impl EndToEnd {
-    /// Positive = the v3 adaptive path is slower than all-literal.
+    /// Positive = the slot-coded store is slower than all-literal.
     fn loss_pct(&self) -> f64 {
-        (self.v3_s / self.literal_s - 1.0) * 100.0
+        (self.coded_s / self.literal_s - 1.0) * 100.0
     }
 }
 
@@ -218,20 +218,20 @@ fn end_to_end(col: &Column, cfg: &Config, encoding: Encoding, label: &'static st
         CodecKind::None,
     )
     .unwrap();
-    let v3 = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+    let coded = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
     let literal_s = workload_seconds(&literal, &spec, cfg.cardinality, cfg.workload_reps);
-    let v3_s = workload_seconds(&v3, &spec, cfg.cardinality, cfg.workload_reps);
+    let coded_s = workload_seconds(&coded, &spec, cfg.cardinality, cfg.workload_reps);
     EndToEnd {
         label,
         literal_s,
-        v3_s,
+        coded_s,
     }
 }
 
 struct PoolResidency {
     byte_budget: usize,
     literal_resident: usize,
-    v3_resident: usize,
+    coded_resident: usize,
 }
 
 /// Streams every slot of both stores through a byte-budgeted pool and
@@ -246,7 +246,7 @@ fn pool_residency(col: &Column, cfg: &Config) -> PoolResidency {
         CodecKind::None,
     )
     .unwrap();
-    let v3 = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+    let coded = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
     // A budget of a quarter of the literal heap: the dense store must
     // evict, the compressed store should fit far more slots.
     let slot_bytes = cfg.rows.div_ceil(64) * 8;
@@ -271,7 +271,7 @@ fn pool_residency(col: &Column, cfg: &Config) -> PoolResidency {
     PoolResidency {
         byte_budget,
         literal_resident: sweep(&literal),
-        v3_resident: sweep(&v3),
+        coded_resident: sweep(&coded),
     }
 }
 
@@ -489,30 +489,30 @@ fn main() {
         end_to_end(&col, &cfg, Encoding::Range, "range (dense slots)"),
     ];
     print_table(
-        "end-to-end: v3 adaptive vs all-literal store",
-        &["index", "literal s", "v3 s", "v3 loss %"],
+        "end-to-end: slot-coded vs all-literal store",
+        &["index", "literal s", "slot-coded s", "loss %"],
         &runs
             .iter()
             .map(|r| {
                 vec![
                     r.label.to_string(),
                     format!("{:.4}", r.literal_s),
-                    format!("{:.4}", r.v3_s),
+                    format!("{:.4}", r.coded_s),
                     f2(r.loss_pct()),
                 ]
             })
             .collect::<Vec<_>>(),
     );
 
-    // 4: byte-budgeted pool residency (clustered column, where v3
-    // actually stores slots compressed).
+    // 4: byte-budgeted pool residency (clustered column, where the
+    // slot coding actually stores slots compressed).
     let pool = pool_residency(&clustered, &cfg);
     print_table(
         "pool residency under one byte budget",
         &["store", "resident slots"],
         &[
             vec!["literal".into(), pool.literal_resident.to_string()],
-            vec!["v3 compressed".into(), pool.v3_resident.to_string()],
+            vec!["slot-coded".into(), pool.coded_resident.to_string()],
         ],
     );
     println!("  (budget: {} bytes)", pool.byte_budget);
@@ -668,10 +668,10 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"index\": \"{}\", \"literal_seconds\": {:.6}, \
-                 \"v3_seconds\": {:.6}, \"loss_pct\": {:.2}}}",
+                 \"slot_coded_seconds\": {:.6}, \"loss_pct\": {:.2}}}",
                 r.label,
                 r.literal_s,
-                r.v3_s,
+                r.coded_s,
                 r.loss_pct(),
             )
         })
@@ -701,7 +701,7 @@ fn main() {
          \"end_to_end\": [\n{end}\n  ],\n  \
          \"adaptive_high_density_loss_le_5pct\": {adaptive_ok},\n  \
          \"pool\": {{\"byte_budget\": {budget}, \"literal_resident_slots\": {lit_res}, \
-         \"v3_resident_slots\": {v3_res}}},\n  \
+         \"slot_coded_resident_slots\": {coded_res}}},\n  \
          \"served_range\": {{\n    \"rows\": {served_rows}, \"cardinality\": {SERVED_CARDINALITY}, \
          \"base\": \"<10,10,10>\", \"queries\": {served_n}, \
          \"segment_bits\": {SERVED_SEGMENT_BITS}, \"max_folded_ratio\": 0.0625, \
@@ -719,7 +719,7 @@ fn main() {
         end = end_json.join(",\n"),
         budget = pool.byte_budget,
         lit_res = pool.literal_resident,
-        v3_res = pool.v3_resident,
+        coded_res = pool.coded_resident,
     );
     let json_path = results_dir()
         .parent()

@@ -26,7 +26,7 @@ use bindex::relation::query::{Op, SelectionQuery};
 use bindex::relation::{gen, Column};
 use bindex::storage::wal::WalOp;
 use bindex::storage::{ByteStore, FaultPlan, FaultStore, MemStore, StoredIndex};
-use bindex::stored::persist_index_v3;
+use bindex::stored::persist_index_v4;
 use bindex::{Base, BitVec, BitmapIndex, Encoding, IndexSpec, IngestIndex, IngestOptions};
 use bindex_bench::{print_table, results_dir, Csv, RunProvenance};
 
@@ -195,7 +195,7 @@ struct MatrixOutcome {
 /// off-snapshot answer, so `recovered == points` on return.
 fn crash_matrix(base_rows: usize, seed: u64) -> MatrixOutcome {
     let base = gen::uniform(base_rows, CARDINALITY, seed);
-    let initial = persist_index_v3(
+    let initial = persist_index_v4(
         &BitmapIndex::build(&base, spec()).unwrap(),
         MemStore::new(),
         CodecKind::None,
@@ -290,7 +290,7 @@ fn main() {
 
     // -- Stage 1: append throughput, fsync on every commit ---------------
     let mut fsync_stored = StoredIndex::open(
-        persist_index_v3(&built, MemStore::new(), CodecKind::None)
+        persist_index_v4(&built, MemStore::new(), CodecKind::None)
             .expect("persist")
             .into_store(),
     )
@@ -306,7 +306,7 @@ fn main() {
 
     // -- Stage 2: append throughput under group commit --------------------
     let mut group_stored = StoredIndex::open(
-        persist_index_v3(&built, MemStore::new(), CodecKind::None)
+        persist_index_v4(&built, MemStore::new(), CodecKind::None)
             .expect("persist")
             .into_store(),
     )

@@ -5,15 +5,15 @@
 //!   natural on shuffled-cluster and Zipf columns: persisted v4 bytes,
 //!   shrink ratio, and proof (bit-for-bit, after externalizing through
 //!   the persisted permutation) that answers are unchanged.
-//! * **Query-config sweep** — {v3 baseline, v4, v4+prune, v4+pool,
-//!   v4+prune+pool} over sparse and clustered half-dead domains: average
-//!   wall time per workload pass, end-to-end speedup vs the v3 baseline,
-//!   `segments_pruned`, bytes read, and bytes *not* fetched (v3 bytes
-//!   minus config bytes). `+pool` puts a [`ShardedPool`] that holds every
-//!   slot in front of the store, so the timed passes read nothing: what
-//!   the cache buys and what pruning buys are separate rows. Every
-//!   configuration's answers are asserted bit-identical to v3's before
-//!   anything is timed.
+//! * **Query-config sweep** — {v4 (unpruned, the baseline), v4+prune,
+//!   v4+pool, v4+prune+pool} over sparse and clustered half-dead domains:
+//!   average wall time per workload pass, end-to-end speedup vs the
+//!   unpruned baseline, `segments_pruned`, bytes read, and bytes *not*
+//!   fetched (baseline bytes minus config bytes). `+pool` puts a
+//!   [`ShardedPool`] that holds every slot in front of the store, so the
+//!   timed passes read nothing: what the cache buys and what pruning buys
+//!   are separate rows. Every configuration's answers are asserted
+//!   bit-identical to the baseline's before anything is timed.
 //!
 //! Emits `BENCH_physical_layout.json` at the workspace root and the
 //! usual CSV under `results/`. `--smoke` (alias `--quick`) shrinks the
@@ -27,7 +27,7 @@ use bindex::core::ExecContext;
 use bindex::relation::query::{full_space, SelectionQuery};
 use bindex::relation::{gen, Column};
 use bindex::storage::{ByteStore, MemStore, ShardedPool, SharedIndexReader};
-use bindex::stored::{persist_index_v3, persist_index_v4, persist_permutation, SharedSource};
+use bindex::stored::{persist_index_v4, persist_permutation, SharedSource};
 use bindex::{
     build_reordered, Base, BitVec, BuildOptions, Encoding, IndexSpec, RowOrder, SUMMARY_WINDOW_BITS,
 };
@@ -46,39 +46,28 @@ const SEGMENT_BITS: usize = SUMMARY_WINDOW_BITS;
 /// One query-path configuration of the sweep.
 struct LayoutConfig {
     name: &'static str,
-    v4: bool,
     prune: bool,
     pool: bool,
 }
 
-const CONFIGS: [LayoutConfig; 5] = [
-    LayoutConfig {
-        name: "v3",
-        v4: false,
-        prune: false,
-        pool: false,
-    },
+const CONFIGS: [LayoutConfig; 4] = [
     LayoutConfig {
         name: "v4",
-        v4: true,
         prune: false,
         pool: false,
     },
     LayoutConfig {
         name: "v4+prune",
-        v4: true,
         prune: true,
         pool: false,
     },
     LayoutConfig {
         name: "v4+pool",
-        v4: true,
         prune: false,
         pool: true,
     },
     LayoutConfig {
         name: "v4+prune+pool",
-        v4: true,
         prune: true,
         pool: true,
     },
@@ -158,15 +147,15 @@ struct SweepPoint {
     pruning: bool,
     pool: bool,
     seconds: f64,
-    speedup_vs_v3: f64,
+    speedup_vs_unpruned: f64,
     segments_pruned: usize,
     bytes_read: u64,
     bytes_not_fetched: u64,
 }
 
-/// The {v3, v4} × {pruning} × {pool} sweep over one dataset. Answers are
-/// asserted bit-identical to the v3 baseline before timing; the pruning
-/// configurations must read strictly fewer bytes.
+/// The {pruning} × {pool} sweep over one dataset. Answers are asserted
+/// bit-identical to the unpruned, unpooled baseline before timing; the
+/// pruning configurations must read strictly fewer bytes.
 fn query_sweep(cfg: &Config, data: &'static str, col: &Column) -> Vec<SweepPoint> {
     let spec = spec(cfg);
     let idx = bindex::BitmapIndex::build(col, spec.clone()).expect("index builds");
@@ -176,11 +165,7 @@ fn query_sweep(cfg: &Config, data: &'static str, col: &Column) -> Vec<SweepPoint
     for lc in &CONFIGS {
         // A fresh store per configuration: cold-path byte accounting must
         // not be contaminated by a previous configuration's reads.
-        let stored = if lc.v4 {
-            persist_index_v4(&idx, MemStore::new(), CodecKind::None).expect("persist v4")
-        } else {
-            persist_index_v3(&idx, MemStore::new(), CodecKind::None).expect("persist v3")
-        };
+        let stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).expect("persist");
         let reader = if lc.pool {
             // Holds every slot: nothing is evicted, so after the first
             // pass below each slot has been read and verified once.
@@ -192,20 +177,20 @@ fn query_sweep(cfg: &Config, data: &'static str, col: &Column) -> Vec<SweepPoint
         let (answers, pruned) = run_pass(&reader, &spec, lc.prune, &queries);
         let bytes_read = reader.stats().bytes_read;
         let seconds = time_pass(&reader, &spec, lc.prune, &queries, cfg.reps);
-        let (v3_answers, v3_bytes, v3_seconds) = baseline.get_or_insert_with(|| {
-            assert_eq!(lc.name, "v3", "v3 runs first");
+        let (base_answers, base_bytes, base_seconds) = baseline.get_or_insert_with(|| {
+            assert_eq!(lc.name, "v4", "the unpruned, unpooled baseline runs first");
             (answers.clone(), bytes_read, seconds)
         });
         assert_eq!(
-            &answers, v3_answers,
-            "{data}/{}: answers must be bit-identical to v3",
+            &answers, base_answers,
+            "{data}/{}: answers must be bit-identical to the baseline",
             lc.name
         );
         if lc.prune {
             assert!(pruned > 0, "{data}/{}: pruning must fire", lc.name);
             assert!(
-                bytes_read < *v3_bytes,
-                "{data}/{}: pruning must read strictly fewer bytes ({bytes_read} vs {v3_bytes})",
+                bytes_read < *base_bytes,
+                "{data}/{}: pruning must read strictly fewer bytes ({bytes_read} vs {base_bytes})",
                 lc.name
             );
         } else {
@@ -217,10 +202,10 @@ fn query_sweep(cfg: &Config, data: &'static str, col: &Column) -> Vec<SweepPoint
             pruning: lc.prune,
             pool: lc.pool,
             seconds,
-            speedup_vs_v3: *v3_seconds / seconds,
+            speedup_vs_unpruned: *base_seconds / seconds,
             segments_pruned: pruned,
             bytes_read,
-            bytes_not_fetched: v3_bytes.saturating_sub(bytes_read),
+            bytes_not_fetched: base_bytes.saturating_sub(bytes_read),
         });
     }
     points
@@ -369,7 +354,7 @@ fn main() {
             "data",
             "config",
             "seconds",
-            "speedup_vs_v3",
+            "speedup_vs_unpruned",
             "segments_pruned",
             "bytes_read",
             "bytes_not_fetched",
@@ -381,7 +366,7 @@ fn main() {
                     p.data.to_string(),
                     p.config.to_string(),
                     format!("{:.6}", p.seconds),
-                    f2(p.speedup_vs_v3),
+                    f2(p.speedup_vs_unpruned),
                     p.segments_pruned.to_string(),
                     p.bytes_read.to_string(),
                     p.bytes_not_fetched.to_string(),
@@ -422,7 +407,7 @@ fn main() {
             &p.config,
             &p.bytes_read,
             &format!("{:.6}", p.seconds),
-            &f2(p.speedup_vs_v3),
+            &f2(p.speedup_vs_unpruned),
             &p.segments_pruned,
         ])
         .expect("row");
@@ -445,14 +430,14 @@ fn main() {
         .map(|p| {
             format!(
                 "    {{\"data\": \"{}\", \"config\": \"{}\", \"pruning\": {}, \"pool\": {}, \
-                 \"seconds\": {:.6}, \"speedup_vs_v3\": {:.3}, \"segments_pruned\": {}, \
+                 \"seconds\": {:.6}, \"speedup_vs_unpruned\": {:.3}, \"segments_pruned\": {}, \
                  \"bytes_read\": {}, \"bytes_not_fetched\": {}}}",
                 p.data,
                 p.config,
                 p.pruning,
                 p.pool,
                 p.seconds,
-                p.speedup_vs_v3,
+                p.speedup_vs_unpruned,
                 p.segments_pruned,
                 p.bytes_read,
                 p.bytes_not_fetched
@@ -463,7 +448,7 @@ fn main() {
         sweep
             .iter()
             .find(|p| p.data == data && p.config == "v4+prune")
-            .map_or(0.0, |p| p.speedup_vs_v3)
+            .map_or(0.0, |p| p.speedup_vs_unpruned)
     };
     let json = format!(
         "{{\n  \"experiment\": \"physical_layout\",\n  \"smoke\": {smoke},\n  {prov},\n  \

@@ -47,7 +47,7 @@ fn main() {
             let spec = IndexSpec::new(base.clone(), Encoding::Range);
             let idx = BitmapIndex::build(column, spec).unwrap();
             let size = |scheme, codec| -> u64 {
-                StoredIndex::create(MemStore::new(), idx.components(), scheme, codec)
+                StoredIndex::create(MemStore::new(), idx.components(), idx.nn(), scheme, codec)
                     .unwrap()
                     .total_stored_bytes()
             };

@@ -49,6 +49,6 @@ pub use bindex_relation::query::{Op, SelectionQuery};
 pub use bindex_relation::Column;
 pub use ingest::{IngestAck, IngestIndex, IngestOptions};
 pub use stored::{
-    load_permutation, persist_index, persist_index_v3, persist_index_v4, persist_permutation,
-    scrub_and_repair_index, SharedSource, PERMUTATION_FILE,
+    load_permutation, persist_index, persist_index_v4, persist_permutation, scrub_and_repair_index,
+    SharedSource, PERMUTATION_FILE,
 };

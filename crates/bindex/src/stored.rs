@@ -29,9 +29,11 @@ use bindex_storage::{
 /// *logical* row order and survives compaction generation swaps.
 pub const PERMUTATION_FILE: &str = "perm.bix";
 
-/// Maps a storage-layer error onto the core error type, preserving the
-/// transient/permanent distinction the evaluators care about.
-pub(crate) fn storage_error(e: StorageError) -> Error {
+/// The one mapping of a storage-layer error onto the core error type:
+/// a checksum mismatch stays [`Error::ChecksumMismatch`] — the fault the
+/// recovery policies and a server's circuit breaker act on — and every
+/// other store failure is [`Error::Storage`].
+pub fn storage_error(e: StorageError) -> Error {
     match e {
         StorageError::ChecksumMismatch { .. } => Error::ChecksumMismatch(e.to_string()),
         other => Error::Storage(other.to_string()),
@@ -146,39 +148,28 @@ impl<S: ByteStore> BitmapSource for SharedSource<'_, S> {
     }
 }
 
-/// Writes an in-memory [`BitmapIndex`] into `store` under `scheme`,
-/// compressed with `codec`; returns the stored index ready for
-/// [`SharedSource`].
+/// Writes an in-memory [`BitmapIndex`] — its bitmaps and, for a column
+/// with nulls, its non-null bitmap — into `store` as one of the paper's
+/// layouts: under `scheme`, each file compressed with `codec`. Returns the
+/// stored index ready for [`SharedSource`].
 pub fn persist_index<S: ByteStore>(
     index: &BitmapIndex,
     store: S,
     scheme: StorageScheme,
     codec: bindex_compress::CodecKind,
 ) -> Result<StoredIndex<S>, StorageError> {
-    StoredIndex::create(store, index.components(), scheme, codec)
+    StoredIndex::create(store, index.components(), index.nn(), scheme, codec)
 }
 
-/// Writes an in-memory [`BitmapIndex`] into `store` as a **version-3**
-/// per-slot-coded store (bitmap-level layout): sparse slots are kept
+/// Writes an in-memory [`BitmapIndex`] — its bitmaps and, for a column
+/// with nulls, its non-null bitmap — into `store` in the current format:
+/// bitmap-level files coded per slot (sparse slots are kept
 /// WAH-compressed and served to the executor without decompression, dense
-/// slots fall back to `codec`-compressed bytes. The returned index feeds
-/// [`SharedSource`] like any other; the evaluators see compressed slots
-/// through `try_fetch_repr` automatically.
-pub fn persist_index_v3<S: ByteStore>(
-    index: &BitmapIndex,
-    store: S,
-    codec: bindex_compress::CodecKind,
-) -> Result<StoredIndex<S>, StorageError> {
-    StoredIndex::create_v3(store, index.components(), codec)
-}
-
-/// Writes an in-memory [`BitmapIndex`] into `store` as a **version-4**
-/// store: the v3 per-slot coding plus a checksummed hierarchical summary
-/// block (one any-bit per [`SUMMARY_WINDOW_BITS`] window per slot).
-/// Segmented execution consults the summaries *before* fetching a slot
-/// and serves provably-dead windows as exact zeros, so cold queries over
-/// sparse or clustered data skip the file read, the pool admission, and
-/// the WAH decode entirely.
+/// ones fall back to `codec`-compressed bytes) plus a checksummed summary
+/// block (an any-bit and an all-bit per [`SUMMARY_WINDOW_BITS`] window per
+/// slot). Segmented execution consults the summaries *before* fetching a
+/// slot and serves provably-constant windows without the file read, the
+/// pool admission, or the WAH decode.
 ///
 /// [`SUMMARY_WINDOW_BITS`]: bindex_bitvec::SUMMARY_WINDOW_BITS
 pub fn persist_index_v4<S: ByteStore>(
@@ -186,7 +177,7 @@ pub fn persist_index_v4<S: ByteStore>(
     store: S,
     codec: bindex_compress::CodecKind,
 ) -> Result<StoredIndex<S>, StorageError> {
-    StoredIndex::create_v4(store, index.components(), codec)
+    StoredIndex::create_v4(store, index.components(), index.nn(), codec)
 }
 
 /// Persists the row permutation of a reordered index next to its data
@@ -229,9 +220,11 @@ pub fn load_permutation<S: ByteStore>(
 ///
 /// `spec` must be the layout the index was written with; `null_mask`
 /// flags null rows exactly as
-/// [`BitmapIndex::build_with_nulls`] took it. With a `column` every slot
-/// of every scheme is recoverable; without one only equality-encoded BS
-/// slots with readable siblings are.
+/// [`BitmapIndex::build_with_nulls`] took it (deleted rows included, once
+/// a compaction stored them as nulls). With a `column` every slot of
+/// every scheme is recoverable; without one only equality-encoded BS
+/// slots with readable siblings are. A corrupt non-null bitmap is the
+/// mask's complement, so it needs the mask and nothing else.
 pub fn scrub_and_repair_index<S: ByteStore>(
     stored: &mut StoredIndex<S>,
     spec: &IndexSpec,
@@ -252,8 +245,11 @@ pub fn scrub_and_repair_index<S: ByteStore>(
             }
         }
     }
+    let nn = null_mask
+        .filter(|_| stored.meta().has_nn)
+        .map(BitVec::complement);
     stored
-        .scrub_and_repair(|comp, slot| fixes.get(&(comp, slot)).cloned())
+        .scrub_and_repair(|comp, slot| fixes.get(&(comp, slot)).cloned(), nn.as_ref())
         .map_err(storage_error)
 }
 
@@ -346,13 +342,13 @@ mod tests {
             for encoding in [Encoding::Equality, Encoding::Range, Encoding::Interval] {
                 let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), encoding);
                 let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-                let stored = persist_index_v3(&idx, MemStore::new(), codec).unwrap();
-                assert_eq!(stored.format_version(), 3);
+                let stored = persist_index_v4(&idx, MemStore::new(), codec).unwrap();
+                assert_eq!(stored.format_version(), 4);
                 let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
                 for q in full_space(20) {
                     let (got, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
                     let want = bindex_core::eval::naive::evaluate(&col, q);
-                    assert_eq!(got, want, "v3/{codec:?}/{encoding:?} {q}");
+                    assert_eq!(got, want, "{codec:?}/{encoding:?} {q}");
                 }
             }
         }
@@ -363,7 +359,7 @@ mod tests {
         let col = column();
         let spec = IndexSpec::new(Base::single(20).unwrap(), Encoding::Equality);
         let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-        let stored = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+        let stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
         let (mut stored, victim) = corrupt_first_data_file(stored, ".bmp");
 
         let report = scrub_and_repair_index(&mut stored, &spec, None, None).unwrap();
@@ -386,12 +382,12 @@ mod tests {
         let col = Column::new(values, 64);
         let spec = IndexSpec::new(Base::single(64).unwrap(), Encoding::Equality);
         let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-        let stored = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+        let stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
         let reader =
             SharedIndexReader::with_pool(stored, ShardedPool::with_byte_budget(1 << 20, 1));
         let mut src = SharedSource::try_new(&reader, spec).unwrap();
         let repr = bindex_core::BitmapSource::try_fetch_repr(&mut src, 1, 3).unwrap();
-        assert!(repr.is_compressed(), "sparse v3 slot must arrive as WAH");
+        assert!(repr.is_compressed(), "sparse slot must arrive as WAH");
         // Second fetch is a pool hit and preserves the representation.
         let again = bindex_core::BitmapSource::try_fetch_repr(&mut src, 1, 3).unwrap();
         assert!(again.is_compressed());
@@ -497,14 +493,31 @@ mod tests {
         }
     }
 
+    /// A store written before the summary block existed (a `version=3`
+    /// manifest, no block) serves through the same source, unpruned.
     #[test]
     fn v3_store_has_no_summaries() {
         let col = column();
         let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), Encoding::Range);
         let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-        let stored = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+        let mut store = persist_index_v4(&idx, MemStore::new(), CodecKind::None)
+            .unwrap()
+            .into_store();
+        let manifest = store.read_file("manifest.bixm").unwrap();
+        let text = format::unframe("manifest.bixm", &manifest).unwrap();
+        let v3 = String::from_utf8_lossy(text).replace("version=4", "version=3");
+        store
+            .write_file("manifest.bixm", &format::frame(v3.as_bytes()))
+            .unwrap();
+        store.remove_file("summary.bxs").unwrap();
+        let stored = StoredIndex::open(store).unwrap();
+        assert_eq!(stored.format_version(), 3);
         let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
         assert!(bindex_core::BitmapSource::try_fetch_summary(&mut src).is_none());
+        for q in full_space(20) {
+            let (got, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
+            assert_eq!(got, bindex_core::eval::naive::evaluate(&col, q), "{q}");
+        }
     }
 
     #[test]

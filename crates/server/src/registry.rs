@@ -21,9 +21,8 @@ use bindex::core::eval::{validate, Algorithm};
 use bindex::core::{Deadline, EvalStats};
 use bindex::engine::batch::{evaluate_query, BatchOptions, QueryOutcome, MIN_SEGMENT_BITS};
 use bindex::relation::query::{SelectionQuery, ThresholdQuery};
-use bindex::storage::{
-    ByteStore, RepairReport, ShardedPool, SharedIndexReader, StorageError, StoredIndex,
-};
+use bindex::storage::{ByteStore, RepairReport, ShardedPool, SharedIndexReader, StoredIndex};
+use bindex::stored::storage_error;
 use bindex::{
     scrub_and_repair_index, BitVec, Column, Error, IndexSpec, IngestIndex, IngestOptions,
     RecoveryPolicy, SharedSource,
@@ -270,8 +269,12 @@ impl ServedIndex {
         // Columns with nulls (including rows masked out by an ingest
         // delete) carry a stored not-null bitmap; `Ne` and negated
         // predicates are wrong without it. The reader holds it between
-        // repairs, so this is a handle, not a read.
-        let nn = guard.read_nn_repr().map_err(storage_error)?;
+        // repairs, so this is a handle, not a read — and when the read it
+        // stands for fails, that is a faulted fetch like any other.
+        let nn = guard
+            .read_nn_repr()
+            .map_err(storage_error)
+            .inspect_err(|_| self.breaker.record_fault())?;
         let mut source =
             SharedSource::try_new(&guard, spec.clone()).expect("layout validated at registration");
         if let Some(nn) = nn {
@@ -415,10 +418,6 @@ impl ServedIndex {
     pub fn healthy(&self) -> bool {
         self.breaker.state() == BreakerState::Closed
     }
-}
-
-fn storage_error(e: StorageError) -> Error {
-    Error::Storage(e.to_string())
 }
 
 /// The set of indexes one server instance serves, by name.

@@ -12,9 +12,9 @@ use bindex::compress::CodecKind;
 use bindex::core::eval::Algorithm;
 use bindex::relation::gen;
 use bindex::relation::query::{Op, SelectionQuery, ThresholdQuery};
-use bindex::storage::{ByteStore, MemStore, StorageScheme};
-use bindex::stored::{persist_index, persist_index_v3, persist_index_v4};
-use bindex::{Base, BitVec, BitmapIndex, Column, Encoding, IndexSpec};
+use bindex::storage::{ByteStore, DiskStore, MemStore, StorageScheme, TempDir};
+use bindex::stored::{persist_index, persist_index_v4, SharedSource};
+use bindex::{Base, BitVec, BitmapIndex, Column, Encoding, Error, IndexSpec};
 use bindex_server::{
     BreakerState, Client, ErrorCode, IndexTuning, Registry, Response, ServedIndex, ServedQuery,
     Server, ServerConfig,
@@ -677,7 +677,7 @@ fn result_cache_hits_normalized_predicates_and_repair_invalidates() {
 fn ingest_batch_invalidates_cached_counts_over_the_wire() {
     let column = gen::uniform(N_ROWS, CARDINALITY, 23);
     let index = BitmapIndex::build(&column, spec()).unwrap();
-    let store = persist_index_v3(&index, MemStore::new(), CodecKind::None)
+    let store = persist_index_v4(&index, MemStore::new(), CodecKind::None)
         .unwrap()
         .into_store();
     let mut registry = Registry::new();
@@ -735,7 +735,7 @@ fn ingest_batch_invalidates_cached_counts_over_the_wire() {
         .ingest("t", &[Some(7), None, Some(7), Some(7)], &[victim])
         .expect("ingest");
     assert_eq!(seq, 2, "append batch + delete batch");
-    assert_eq!(generation, 1, "first compaction after the v3 seed");
+    assert_eq!(generation, 1, "first compaction after the seed");
     assert_eq!(n_rows, N_ROWS as u64 + 4);
     assert!(
         served.repair_epoch() > epoch_before,
@@ -1061,6 +1061,95 @@ fn null_mask_is_read_once_per_generation() {
     let want = bindex::core::eval::naive::evaluate_with_nulls(&column, &nulls, q);
     assert_eq!(*served.execute(q, None).unwrap().bits.to_bitvec(), want);
     assert!(reads.load(Ordering::Relaxed) > after_ingest);
+}
+
+/// A column with nulls keeps them through `persist_index*`: every
+/// operator over the served current-format store, and over a paper-layout
+/// store read directly, equals the per-row oracle. `≠`, `>` and `≥` are
+/// the ones that count null rows in when `B_nn` is lost.
+#[test]
+fn nulls_survive_persistence() {
+    let column = gen::uniform(4096, CARDINALITY, 29);
+    let nulls = BitVec::from_fn(4096, |i| i % 7 == 0);
+    let index = BitmapIndex::build_with_nulls(&column, &nulls, spec()).unwrap();
+    let queries: Vec<SelectionQuery> = [Op::Lt, Op::Le, Op::Eq, Op::Ne, Op::Ge, Op::Gt]
+        .into_iter()
+        .flat_map(|op| [0, 3, 31, 63].map(|v| SelectionQuery::new(op, v)))
+        .collect();
+    let oracle = |q| bindex::core::eval::naive::evaluate_with_nulls(&column, &nulls, q);
+
+    let store = persist_index_v4(&index, MemStore::new(), CodecKind::None)
+        .unwrap()
+        .into_store();
+    let served = ServedIndex::new(
+        "t",
+        spec(),
+        Box::new(store),
+        Some(Arc::new(column.clone())),
+        Some(nulls.clone()),
+        uncached_tuning(),
+    )
+    .unwrap();
+    for &q in &queries {
+        let answer = served.execute(q, None).unwrap();
+        assert_eq!(*answer.bits.to_bitvec(), oracle(q), "served {q}");
+    }
+
+    let scheme = StorageScheme::ComponentLevel;
+    let stored = persist_index(&index, MemStore::new(), scheme, CodecKind::Deflate).unwrap();
+    let nn = stored.read_nn_repr().unwrap().expect("B_nn is stored");
+    let mut source = SharedSource::try_unpooled(&stored, spec())
+        .unwrap()
+        .with_nn(nn);
+    for &q in &queries {
+        let (found, _) = bindex::core::eval::evaluate(&mut source, q, Algorithm::Auto).unwrap();
+        assert_eq!(found, oracle(q), "cCS {q}");
+    }
+}
+
+/// One flipped bit in the stored `B_nn` is a fault like a damaged slot:
+/// queries fail with the checksum error, three of them open the breaker,
+/// and `repair()` rewrites the file from the null mask the server holds.
+#[test]
+fn damaged_non_null_bitmap_trips_the_breaker_and_is_repaired() {
+    let tmp = TempDir::new("service-nn").unwrap();
+    let column = gen::uniform(N_ROWS, CARDINALITY, 31);
+    let index = BitmapIndex::build(&column, spec()).unwrap();
+    let disk = || DiskStore::open(tmp.path()).unwrap();
+    persist_index_v4(&index, disk(), CodecKind::None).unwrap();
+    let served = ServedIndex::new(
+        "t",
+        spec(),
+        Box::new(disk()),
+        Some(Arc::new(column.clone())),
+        None,
+        uncached_tuning(),
+    )
+    .unwrap();
+    // One delete: generation 1 stores the row as a null, in `g1_nn.bmp`.
+    served.ingest(&[], &[17]).unwrap();
+    let path = tmp.path().join("g1_nn.bmp");
+    let mut bytes = std::fs::read(&path).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x04;
+    std::fs::write(&path, bytes).unwrap();
+
+    let q = SelectionQuery::new(Op::Ne, 9);
+    for _ in 0..3 {
+        let err = served.execute(q, None).unwrap_err();
+        assert!(matches!(err, Error::ChecksumMismatch(_)), "{err}");
+    }
+    assert!(!served.healthy(), "three faulted queries open the breaker");
+    let report = served.repair().unwrap();
+    assert!(report.fully_repaired(), "{report:?}");
+    assert!(report.repaired.contains(&"g1_nn.bmp".to_string()));
+
+    let nulls = BitVec::from_fn(N_ROWS, |i| i == 17);
+    let want = bindex::core::eval::naive::evaluate_with_nulls(&column, &nulls, q);
+    for _ in 0..2 {
+        assert_eq!(*served.execute(q, None).unwrap().bits.to_bitvec(), want);
+    }
+    assert!(served.healthy(), "clean probes close the breaker again");
+    assert!(served.repair().unwrap().scrub.is_clean());
 }
 
 #[test]

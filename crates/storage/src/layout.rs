@@ -1,36 +1,41 @@
-//! The three physical organizations of Section 9.1 and the stored-index
-//! reader with I/O accounting, checksummed framing, and bounded retry.
+//! Stored indexes: the paper's physical organizations (Section 9.1) and
+//! the slot-coded format the engine serves, behind one reader with I/O
+//! accounting, checksummed framing and bounded retry.
 //!
 //! Every store wraps every file — bitmap payloads and the manifest — in
 //! the checksummed frame of [`format`](crate::format), so a read either
-//! returns the bytes that were written or a typed [`StorageError`].
-//! Version 2 is the oldest format: one codec-compressed payload per file
-//! under any of the three schemes.
-//!
-//! There is one read path. [`StoredIndex::read_repr`] is the primitive —
-//! `&self`, so any number of threads read one index, with the I/O cost of
-//! every read accumulated in atomic counters the index owns — and
+//! returns the bytes that were written or a typed [`StorageError`]. There
+//! is one read path: [`StoredIndex::read_repr`] is the primitive — `&self`,
+//! so any number of threads read one index, with the I/O cost of every
+//! read accumulated in atomic counters the index owns — and
 //! [`StoredIndex::read_bitmap`] is that read materialized to dense words.
 //!
-//! Version 3 ([`StoredIndex::create_v3`]) keeps the checksummed frame but
-//! chooses a representation *per slot* at build time: each bitmap file's
-//! payload starts with a one-byte tag selecting either the dense bytes
-//! (compressed with the store's byte codec, as in v2) or the WAH
-//! compressed form — whichever is smaller by the build heuristic. WAH
-//! slots can be handed to the executor still compressed
-//! ([`StoredIndex::read_repr`]), so sparse bitmaps cost less I/O, less
-//! pool memory, *and* no decompression.
+//! **The paper's layouts** ([`StoredIndex::create`], manifest
+//! `version=2`): one codec-compressed payload per file under BS, CS or IS
+//! — what the Section 9 space/time experiments reproduce from.
 //!
-//! Version 4 ([`StoredIndex::create_v4`]) adds a **hierarchical summary
-//! block** on top of the v3 slot coding: one framed file holding, for
-//! every slot, one bit per [`SUMMARY_WINDOW_BITS`]-bit window recording
-//! "any bit set in this window". Segmented execution consults the
-//! summaries *before* fetching a slot and skips fetch + decode of
-//! provably-dead segments. A clear summary bit is a guarantee of zeros; a
-//! missing, corrupt, or shape-mismatched summary block degrades to
-//! fetch-and-check ([`StoredIndex::read_summaries`] returns `None`) —
-//! never to a wrong answer.
+//! **The current format** ([`StoredIndex::create_v4`], manifest
+//! `version=4`) is what the engine serves and ingests into. It is
+//! bitmap-level, and each slot file's payload starts with a one-byte tag
+//! chosen per slot at write time: the dense bytes (compressed with the
+//! store's byte codec, as above) or the WAH form, which
+//! [`StoredIndex::read_repr`] hands to the executor still compressed — so
+//! sparse bitmaps cost less I/O, less pool memory, *and* no decompression.
+//! Beside the slots sits a **summary block**: one framed file holding, for
+//! every slot, an any-bit and an all-bit per [`SUMMARY_WINDOW_BITS`]-bit
+//! window. Segmented execution consults it *before* fetching a slot and
+//! skips fetch + decode of provably-constant segments. A clear any-bit is a
+//! guarantee of zeros; a missing, corrupt, or shape-mismatched block
+//! degrades to fetch-and-check ([`StoredIndex::read_summaries`] returns
+//! `None`) — never to a wrong answer. Build, compaction
+//! ([`StoredIndex::install_generation`]) and repair
+//! ([`StoredIndex::scrub_and_repair`]) encode this format through one
+//! writer, so the three cannot drift. A manifest saying `version=3` — the
+//! same slot files, written before the summary block existed — *is* this
+//! format with the block absent: it opens and reads through the degrade
+//! path, and the first compaction or repair commits it as `version=4`.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -104,17 +109,11 @@ pub struct StoredIndexMeta {
 }
 
 impl StoredIndexMeta {
-    /// Metadata for a freshly built generation-0 store with empty
-    /// journals.
-    fn fresh(
-        n_rows: usize,
-        bitmaps_per_component: Vec<u32>,
-        scheme: StorageScheme,
-        codec: CodecKind,
-    ) -> Self {
+    /// Metadata of an empty generation-0 store with empty journals.
+    fn fresh(scheme: StorageScheme, codec: CodecKind) -> Self {
         Self {
-            n_rows,
-            bitmaps_per_component,
+            n_rows: 0,
+            bitmaps_per_component: Vec::new(),
             scheme,
             codec,
             repairs: Vec::new(),
@@ -123,6 +122,22 @@ impl StoredIndexMeta {
             has_nn: false,
             compactions: Vec::new(),
         }
+    }
+
+    /// `self` reshaped to hold `components[i-1][j]` (bitmap `j` of
+    /// component `i`) and the optional non-null bitmap — where every
+    /// writer's input is checked: all bitmaps share one row count.
+    fn shaped(mut self, components: &[Vec<BitVec>], nn: Option<&BitVec>) -> Self {
+        self.n_rows = components
+            .first()
+            .and_then(|c| c.first())
+            .map_or(0, BitVec::len);
+        for bm in components.iter().flatten().chain(nn) {
+            assert_eq!(bm.len(), self.n_rows, "bitmaps must share the row count");
+        }
+        self.bitmaps_per_component = components.iter().map(|c| c.len() as u32).collect();
+        self.has_nn = nn.is_some();
+        self
     }
 
     /// Total stored bitmaps `n`.
@@ -294,161 +309,170 @@ pub struct StoredIndex<S: ByteStore> {
     store: S,
     meta: StoredIndexMeta,
     stats: AtomicIoStats,
-    /// On-disk format version: 2 one payload per file, 3 per-slot codec,
-    /// 4 per-slot codec + summary block.
+    /// The manifest's version: 2 for the paper's layouts, 4 (or a legacy
+    /// 3) for the slot-coded format.
     version: u32,
     retry: RetryPolicy,
-    /// Lazily loaded, validated summary block (v4 stores). A resolved
-    /// `None` means "no usable summaries" — pre-v4 store, missing file,
+    /// Lazily loaded, validated summary block. A resolved `None` means
+    /// "no usable summaries" — one of the paper's layouts, a missing file,
     /// or a corrupt/mismatched block that must degrade to fetch-and-check.
     summaries: OnceLock<Option<Arc<IndexSummaries>>>,
 }
 
 impl<S: ByteStore> StoredIndex<S> {
-    /// Writes `components[i-1][j]` (bitmap `j` of component `i`) into
-    /// `store` under `scheme`, compressing each file with `codec` and
-    /// wrapping it in the checksummed version-2 frame.
-    pub fn create(
-        mut store: S,
-        components: &[Vec<BitVec>],
-        scheme: StorageScheme,
-        codec: CodecKind,
-    ) -> Result<Self, StorageError> {
-        let n_rows = components
-            .first()
-            .and_then(|c| c.first())
-            .map_or(0, BitVec::len);
-        for comp in components.iter().flatten() {
-            assert_eq!(comp.len(), n_rows, "bitmaps must share the row count");
-        }
-        let meta = StoredIndexMeta::fresh(
-            n_rows,
-            components.iter().map(|c| c.len() as u32).collect(),
-            scheme,
-            codec,
-        );
-        match scheme {
-            StorageScheme::BitmapLevel => {
-                for (ci, comp) in components.iter().enumerate() {
-                    for (j, bm) in comp.iter().enumerate() {
-                        let raw = bm.to_bytes();
-                        store.write_file(
-                            &bitmap_file(ci + 1, j),
-                            &format::frame(&codec.compress(&raw)),
-                        )?;
-                    }
-                }
-            }
-            StorageScheme::ComponentLevel => {
-                for (ci, comp) in components.iter().enumerate() {
-                    let raw = row_major(comp, n_rows);
-                    store.write_file(
-                        &component_file(ci + 1),
-                        &format::frame(&codec.compress(&raw)),
-                    )?;
-                }
-            }
-            StorageScheme::IndexLevel => {
-                let all: Vec<&BitVec> = components.iter().flatten().collect();
-                let raw = row_major_refs(&all, n_rows);
-                store.write_file(INDEX_FILE, &format::frame(&codec.compress(&raw)))?;
-            }
-        }
-        store.write_file(
-            MANIFEST_FILE,
-            &format::frame(meta.to_manifest(format::FORMAT_VERSION).as_bytes()),
-        )?;
-        Ok(Self {
-            store,
-            meta,
-            stats: AtomicIoStats::default(),
-            version: format::FORMAT_VERSION,
-            retry: RetryPolicy::default(),
-            summaries: OnceLock::new(),
-        })
-    }
-
-    /// Writes a **version-3** store: bitmap-level layout where each slot's
-    /// framed payload carries a one-byte representation tag. At build time
-    /// every bitmap is WAH-encoded and the compressed form is kept iff it
-    /// beats the dense bytes by at least 25 % (`4·wah ≤ 3·raw`) — dense
-    /// slots fall back to `codec`-compressed bytes exactly as in v2. WAH
-    /// slots can later be served still-compressed via
-    /// [`StoredIndex::read_repr`].
-    pub fn create_v3(
-        store: S,
-        components: &[Vec<BitVec>],
-        codec: CodecKind,
-    ) -> Result<Self, StorageError> {
-        Self::create_slot_coded(store, components, codec, 3)
-    }
-
-    /// Writes a **version-4** store: the v3 per-slot coding plus a framed
-    /// summary block ([`SUMMARY_FILE`]) recording, per slot, one bit per
-    /// [`SUMMARY_WINDOW_BITS`]-bit window — the pruning layer segmented
-    /// execution consults before fetching
-    /// ([`StoredIndex::read_summaries`]).
-    pub fn create_v4(
-        store: S,
-        components: &[Vec<BitVec>],
-        codec: CodecKind,
-    ) -> Result<Self, StorageError> {
-        Self::create_slot_coded(store, components, codec, 4)
-    }
-
-    /// Shared v3/v4 writer: both formats encode slots through one
-    /// [`SlotEncoder`], so the literal-vs-WAH heuristic and the summary
-    /// block can never drift between build paths.
-    fn create_slot_coded(
-        mut store: S,
-        components: &[Vec<BitVec>],
-        codec: CodecKind,
-        version: u32,
-    ) -> Result<Self, StorageError> {
-        let n_rows = components
-            .first()
-            .and_then(|c| c.first())
-            .map_or(0, BitVec::len);
-        for comp in components.iter().flatten() {
-            assert_eq!(comp.len(), n_rows, "bitmaps must share the row count");
-        }
-        let meta = StoredIndexMeta::fresh(
-            n_rows,
-            components.iter().map(|c| c.len() as u32).collect(),
-            StorageScheme::BitmapLevel,
-            codec,
-        );
-        let mut enc = SlotEncoder::new(codec);
-        for (ci, comp) in components.iter().enumerate() {
-            enc.begin_component();
-            for (j, bm) in comp.iter().enumerate() {
-                store.write_file(
-                    &bitmap_file(ci + 1, j),
-                    &format::frame(&enc.encode_slot(bm)),
-                )?;
-            }
-        }
-        if version >= 4 {
-            store.write_file(SUMMARY_FILE, &format::frame(&enc.summary_payload(n_rows)))?;
-        }
-        store.write_file(
-            MANIFEST_FILE,
-            &format::frame(meta.to_manifest(version).as_bytes()),
-        )?;
-        Ok(Self {
+    /// A handle on `store` as `meta` describes it, nothing read or written.
+    fn handle(store: S, meta: StoredIndexMeta, version: u32) -> Self {
+        Self {
             store,
             meta,
             stats: AtomicIoStats::default(),
             version,
             retry: RetryPolicy::default(),
             summaries: OnceLock::new(),
-        })
+        }
     }
 
-    /// Re-opens an index previously written with [`StoredIndex::create`],
-    /// reading its shape from the manifest file — no rebuild needed. An
-    /// unframed (version-1) manifest, or a framed one declaring a version
-    /// this build does not read, is [`StorageError::Corrupt`].
+    /// Writes one of the paper's layouts: `components[i-1][j]` (bitmap `j`
+    /// of component `i`) and the optional non-null bitmap `nn` go into
+    /// `store` under `scheme`, each file compressed with `codec` and
+    /// wrapped in the checksummed frame.
+    pub fn create(
+        store: S,
+        components: &[Vec<BitVec>],
+        nn: Option<&BitVec>,
+        scheme: StorageScheme,
+        codec: CodecKind,
+    ) -> Result<Self, StorageError> {
+        let empty = StoredIndexMeta::fresh(scheme, codec);
+        let mut index = Self::handle(store, empty, PAPER_VERSION);
+        let meta = index.meta.clone().shaped(components, nn);
+        match scheme {
+            StorageScheme::BitmapLevel => {
+                for (ci, comp) in components.iter().enumerate() {
+                    for (j, bm) in comp.iter().enumerate() {
+                        index.write_dense(&gen_bitmap_file(0, ci + 1, j), &[bm])?;
+                    }
+                }
+            }
+            StorageScheme::ComponentLevel => {
+                for (ci, comp) in components.iter().enumerate() {
+                    let columns: Vec<&BitVec> = comp.iter().collect();
+                    index.write_dense(&component_file(ci + 1), &columns)?;
+                }
+            }
+            StorageScheme::IndexLevel => {
+                let all: Vec<&BitVec> = components.iter().flatten().collect();
+                index.write_dense(INDEX_FILE, &all)?;
+            }
+        }
+        if let Some(nn) = nn {
+            index.write_dense(&gen_nn_file(0), &[nn])?;
+        }
+        index.commit_manifest(meta, PAPER_VERSION)?;
+        Ok(index)
+    }
+
+    /// Writes `bitmaps` as one file of the paper's layouts: row-major
+    /// across the bitmaps, compressed with the store's codec, framed.
+    fn write_dense(&mut self, name: &str, bitmaps: &[&BitVec]) -> Result<(), StorageError> {
+        let raw = match bitmaps {
+            [one] => one.to_bytes(),
+            many => row_major(many),
+        };
+        let payload = self.meta.codec.compress(&raw);
+        Ok(self.store.write_file(name, &format::frame(&payload))?)
+    }
+
+    /// The commit point of every writer: one atomic manifest write, after
+    /// which this handle describes what the store now holds.
+    fn commit_manifest(&mut self, meta: StoredIndexMeta, version: u32) -> Result<(), StorageError> {
+        let text = meta.to_manifest(version);
+        self.store
+            .write_file(MANIFEST_FILE, &format::frame(text.as_bytes()))?;
+        self.meta = meta;
+        self.version = version;
+        // Whatever was committed may have replaced the block, or the slots
+        // it summarizes.
+        self.summaries = OnceLock::new();
+        Ok(())
+    }
+
+    /// Writes a store in the current format: bitmap-level slot files, each
+    /// payload WAH or `codec`-compressed dense bytes behind a one-byte tag
+    /// (the WAH form is kept iff it is at most a quarter of the dense
+    /// bytes), the optional non-null bitmap `nn` coded the same way, and
+    /// the summary block ([`SUMMARY_FILE`]) segmented execution prunes by
+    /// ([`StoredIndex::read_summaries`]).
+    pub fn create_v4(
+        store: S,
+        components: &[Vec<BitVec>],
+        nn: Option<&BitVec>,
+        codec: CodecKind,
+    ) -> Result<Self, StorageError> {
+        let empty = StoredIndexMeta::fresh(StorageScheme::BitmapLevel, codec);
+        let mut index = Self::handle(store, empty, SLOT_CODED_VERSION);
+        let meta = index.meta.clone().shaped(components, nn);
+        index.write_generation(
+            meta,
+            |comp, slot| Some(&components[comp - 1][slot]),
+            nn,
+            true,
+        )?;
+        Ok(index)
+    }
+
+    /// The one writer of the current format. Writes the files of
+    /// generation `meta.generation` in a fixed order — slots, non-null
+    /// bitmap, summary block — all through one [`SlotEncoder`], then
+    /// commits `meta` with the manifest write. Build and compaction write
+    /// every file; repair rewrites the few it has content for: a slot is
+    /// written when `content` returns it, the non-null bitmap when `nn` is
+    /// given, the summary block when `summarize` — and then every bitmap
+    /// not being written is read back from the store to be summarized (not
+    /// re-encoded), so the block always describes exactly the bitmaps the
+    /// generation holds.
+    fn write_generation<'b>(
+        &mut self,
+        meta: StoredIndexMeta,
+        mut content: impl FnMut(usize, usize) -> Option<&'b BitVec>,
+        nn: Option<&BitVec>,
+        summarize: bool,
+    ) -> Result<(), StorageError> {
+        let generation = meta.generation;
+        let mut enc = SlotEncoder::new(meta.codec);
+        for (ci, &n_i) in meta.bitmaps_per_component.iter().enumerate() {
+            for slot in 0..n_i as usize {
+                if let Some(bm) = content(ci + 1, slot) {
+                    self.store.write_file(
+                        &gen_bitmap_file(generation, ci + 1, slot),
+                        &format::frame(&enc.encode_slot(bm)),
+                    )?;
+                } else if summarize {
+                    enc.summarize_slot(&self.read_bitmap(ci + 1, slot)?);
+                }
+            }
+        }
+        if let Some(nn) = nn {
+            self.store
+                .write_file(&gen_nn_file(generation), &format::frame(&enc.encode_nn(nn)))?;
+        } else if summarize && meta.has_nn {
+            if let Some(stored) = self.read_nn()? {
+                enc.summarize_nn(&stored);
+            }
+        }
+        if summarize {
+            let shape = &meta.bitmaps_per_component;
+            let block = encode_summary_block(meta.n_rows, shape, &enc.slots, enc.nn.as_ref());
+            self.store
+                .write_file(&summary_file(generation), &format::frame(&block))?;
+        }
+        self.commit_manifest(meta, SLOT_CODED_VERSION)
+    }
+
+    /// Re-opens a stored index, reading its shape from the manifest file —
+    /// no rebuild needed. An unframed (version-1) manifest, or a framed one
+    /// declaring a version this build does not read, is
+    /// [`StorageError::Corrupt`].
     pub fn open(store: S) -> Result<Self, StorageError> {
         let retry = RetryPolicy::default();
         let mut retries = 0;
@@ -457,27 +481,18 @@ impl<S: ByteStore> StoredIndex<S> {
         let text = std::str::from_utf8(payload)
             .map_err(|_| StorageError::corrupt(MANIFEST_FILE, "manifest not UTF-8"))?;
         let (meta, version) = StoredIndexMeta::from_manifest(text)?;
-        if version >= 3 && meta.scheme != StorageScheme::BitmapLevel {
+        let mut index = Self::handle(store, meta, version);
+        *index.stats.retries.get_mut() = retries;
+        if index.slot_coded() && index.meta.scheme != StorageScheme::BitmapLevel {
             return Err(StorageError::corrupt(
                 MANIFEST_FILE,
-                "version 3 requires the bitmap-level scheme",
+                "the slot-coded format requires the bitmap-level scheme",
             ));
         }
         // The manifest is outside input: a shape whose bit matrix does not
         // fit the address space must never reach the read path's sizing.
-        let width = usize::try_from(meta.total_bitmaps()).unwrap_or(usize::MAX);
-        row_major_len(MANIFEST_FILE, meta.n_rows, width)?;
-        let mut index = Self {
-            store,
-            meta,
-            stats: AtomicIoStats {
-                retries: AtomicU64::new(retries),
-                ..AtomicIoStats::default()
-            },
-            version,
-            retry,
-            summaries: OnceLock::new(),
-        };
+        let width = usize::try_from(index.meta.total_bitmaps()).unwrap_or(usize::MAX);
+        row_major_len(MANIFEST_FILE, index.meta.n_rows, width)?;
         index.scavenge_stale_generations();
         Ok(index)
     }
@@ -488,21 +503,12 @@ impl<S: ByteStore> StoredIndex<S> {
     /// generation whose garbage collection was interrupted). Best-effort:
     /// a store that cannot mutate (e.g. a crashed fault store) keeps its
     /// orphans until the next open; reads never consult them.
-    fn scavenge_stale_generations(&mut self) -> Vec<String> {
-        let names = match self.store.file_names() {
-            Ok(names) => names,
-            Err(_) => return Vec::new(),
-        };
-        let mut removed = Vec::new();
-        for name in names {
-            if data_file_generation(&name).is_some_and(|g| g != self.meta.generation)
-                && self.store.remove_file(&name).is_ok()
-            {
-                removed.push(name);
+    fn scavenge_stale_generations(&mut self) {
+        for name in self.store.file_names().unwrap_or_default() {
+            if data_file_generation(&name).is_some_and(|g| g != self.meta.generation) {
+                let _ = self.store.remove_file(&name);
             }
         }
-        removed.sort();
-        removed
     }
 
     /// Shape metadata.
@@ -510,16 +516,17 @@ impl<S: ByteStore> StoredIndex<S> {
         &self.meta
     }
 
-    /// On-disk format version: 4 for summary-carrying stores, 3 for
-    /// per-slot-coded stores, 2 for one-payload-per-file stores.
+    /// The version the store's manifest declares: 2 for the paper's
+    /// layouts, 4 for the current format — or 3, until the first commit,
+    /// for a store written before the summary block existed.
     pub fn format_version(&self) -> u32 {
         self.version
     }
 
-    /// `true` when each slot payload starts with a representation tag
-    /// (versions ≥ 3).
+    /// `true` for the current format (each bitmap payload starts with a
+    /// representation tag), `false` for the paper's layouts.
     fn slot_coded(&self) -> bool {
-        self.version >= 3
+        self.version > PAPER_VERSION
     }
 
     /// The retry policy applied to transient read failures.
@@ -580,10 +587,11 @@ impl<S: ByteStore> StoredIndex<S> {
     }
 
     /// Reads stored bitmap `slot` of component `comp` (1-based component)
-    /// in its *stored execution representation*: on a slot-coded (v3/v4)
-    /// store a WAH-tagged slot comes back still compressed
+    /// in its *stored execution representation*: in the current format
+    /// a WAH-tagged slot comes back still compressed
     /// ([`Repr::Wah`]), skipping decompression entirely; every other slot
-    /// (and every v2 store) is a dense [`Repr::Literal`].
+    /// (and every slot of the paper's layouts) is a dense
+    /// [`Repr::Literal`].
     ///
     /// Under BS this reads one bitmap file; under CS it reads and
     /// transposes the whole component file; under IS the whole index file
@@ -674,9 +682,9 @@ impl<S: ByteStore> StoredIndex<S> {
         })
     }
 
-    /// The v4 summary block, loaded and shape-validated once per store
-    /// handle (only the call that loads it costs I/O). `None` for pre-v4
-    /// stores and whenever the block is missing, unreadable, corrupt, or
+    /// The summary block, loaded and shape-validated once per store handle
+    /// (only the call that loads it costs I/O). `None` for the paper's
+    /// layouts and whenever the block is missing, unreadable, corrupt, or
     /// disagrees with the stored shape — callers degrade to
     /// fetch-and-check, never to a wrong answer. (That makes summary loss
     /// strictly a performance event, which is why this path is infallible
@@ -686,7 +694,7 @@ impl<S: ByteStore> StoredIndex<S> {
     }
 
     fn load_summaries(&self) -> Option<Arc<IndexSummaries>> {
-        if self.version < 4 {
+        if !self.slot_coded() {
             return None;
         }
         let name = summary_file(self.meta.generation);
@@ -813,126 +821,107 @@ impl<S: ByteStore> StoredIndex<S> {
     }
 
     /// Extends [`StoredIndex::scrub`] into online repair: every corrupt
-    /// file whose bitmaps `content` can supply (`content(comp, slot)` must
-    /// return a bitmap of the store's row count) is rewritten — compressed,
-    /// framed, and through the store's write path, which on
-    /// [`DiskStore`](crate::DiskStore) is the atomic temp-file+rename —
-    /// and journaled in the manifest's `repaired=` lines. A corrupt
-    /// manifest is rewritten from the in-memory metadata. Files `content`
-    /// cannot cover are reported, not failed on.
-    pub fn scrub_and_repair<F>(&mut self, mut content: F) -> Result<RepairReport, StorageError>
+    /// file whose bitmaps the caller can supply is rewritten — encoded as
+    /// the store's format encodes it, framed, and through the store's write
+    /// path, which on [`DiskStore`](crate::DiskStore) is the atomic
+    /// temp-file+rename — and journaled in the manifest's `repaired=`
+    /// lines. `content(comp, slot)` and `nn` (the non-null bitmap) must be
+    /// the bits the store held, at the store's row count. A corrupt
+    /// manifest is rewritten from the in-memory metadata; a corrupt summary
+    /// block is derived data, rebuilt from the stored bitmaps rather than
+    /// asked of the caller — also whenever the non-null bitmap, which it
+    /// summarizes last, is rewritten. Files the caller cannot cover are
+    /// reported, not failed on.
+    pub fn scrub_and_repair<F>(
+        &mut self,
+        mut content: F,
+        nn: Option<&BitVec>,
+    ) -> Result<RepairReport, StorageError>
     where
         F: FnMut(usize, usize) -> Option<BitVec>,
     {
-        let scrub = self.scrub()?;
         let mut report = RepairReport {
-            scrub,
+            scrub: self.scrub()?,
             ..RepairReport::default()
         };
+        let coded = self.slot_coded();
+        let n_rows = self.meta.n_rows;
+        let nn = nn.filter(|nn| nn.len() == n_rows);
+        let nn_file = gen_nn_file(self.meta.generation);
+        let summary = summary_file(self.meta.generation);
         let mut manifest_dirty = false;
-        let mut summary_dirty = false;
-        let current_summary = summary_file(self.meta.generation);
+        let mut summary_failure = None;
+        let mut nn_dirty = false;
+        // The summary block can only describe bitmaps that can be read.
+        let mut bitmaps_lost = false;
+        // Rewrites of the current format wait for the one writer below.
+        let mut fixes: HashMap<(usize, usize), BitVec> = HashMap::new();
         for failure in report.scrub.failures.clone() {
             if failure.file == MANIFEST_FILE {
                 manifest_dirty = true;
                 continue;
             }
-            if failure.file == current_summary {
-                // Rebuilt below, after the slots it summarizes are fixed.
-                summary_dirty = true;
+            if coded && failure.file == summary {
+                summary_failure = Some(failure);
+                continue;
+            }
+            if self.meta.has_nn && failure.file == nn_file {
+                match nn {
+                    Some(_) if coded => nn_dirty = true,
+                    Some(nn) => self.write_dense(&nn_file, &[nn])?,
+                    None => {
+                        bitmaps_lost = true;
+                        report.unrepaired.push(failure);
+                        continue;
+                    }
+                }
+                report.repaired.push(failure.file);
                 continue;
             }
             let slots = self.file_slots(&failure.file);
-            if slots.is_empty() {
+            let bitmaps: Vec<BitVec> = slots
+                .iter()
+                .map_while(|&(comp, slot)| content(comp, slot).filter(|bm| bm.len() == n_rows))
+                .collect();
+            if slots.is_empty() || bitmaps.len() != slots.len() {
+                bitmaps_lost |= !slots.is_empty();
                 report.unrepaired.push(failure);
                 continue;
             }
-            let mut bitmaps = Vec::with_capacity(slots.len());
-            for &(comp, slot) in &slots {
-                match content(comp, slot) {
-                    Some(bm) if bm.len() == self.meta.n_rows => bitmaps.push(bm),
-                    _ => break,
-                }
-            }
-            if bitmaps.len() != slots.len() {
-                report.unrepaired.push(failure);
-                continue;
-            }
-            let payload = if self.slot_coded() {
-                // v3 slots re-encode through the same per-slot heuristic
-                // the store was built with.
-                encode_slot_v3(&bitmaps[0], self.meta.codec)
+            if coded {
+                fixes.extend(slots.into_iter().zip(bitmaps));
             } else {
-                let raw = match self.meta.scheme {
-                    StorageScheme::BitmapLevel => bitmaps[0].to_bytes(),
-                    StorageScheme::ComponentLevel | StorageScheme::IndexLevel => {
-                        row_major(&bitmaps, self.meta.n_rows)
-                    }
-                };
-                self.meta.codec.compress(&raw)
-            };
-            self.store
-                .write_file(&failure.file, &format::frame(&payload))?;
+                self.write_dense(&failure.file, &bitmaps.iter().collect::<Vec<_>>())?;
+            }
             report.repaired.push(failure.file);
         }
-        if summary_dirty {
-            // The summary block is derived data: rebuild it from the (now
-            // repaired) slots rather than asking the caller for content.
-            match self.rebuild_summary_block() {
-                Ok(()) => report.repaired.push(current_summary),
-                Err(e) => report.unrepaired.push(ScrubFailure {
-                    file: current_summary,
-                    error: e.to_string(),
-                }),
-            }
+        let summarize = (summary_failure.is_some() || nn_dirty) && !bitmaps_lost;
+        if summarize {
+            report.repaired.push(summary);
+        } else {
+            report.unrepaired.extend(summary_failure);
         }
         if manifest_dirty {
             report.repaired.push(MANIFEST_FILE.to_string());
         }
-        if !report.repaired.is_empty() {
-            self.meta.repairs.extend(report.repaired.iter().cloned());
-            // Repairs never change a store's format version.
-            let text = self.meta.to_manifest(self.version);
-            self.store
-                .write_file(MANIFEST_FILE, &format::frame(text.as_bytes()))?;
-            // Repairs may have rewritten slots or the summary block; drop
-            // any summaries resolved before the repair.
-            self.summaries = OnceLock::new();
+        if report.repaired.is_empty() {
+            return Ok(report);
+        }
+        let mut meta = self.meta.clone();
+        meta.repairs.extend(report.repaired.iter().cloned());
+        if coded {
+            let nn = nn.filter(|_| nn_dirty);
+            self.write_generation(meta, |comp, slot| fixes.get(&(comp, slot)), nn, summarize)?;
+        } else {
+            self.commit_manifest(meta, PAPER_VERSION)?;
         }
         Ok(report)
-    }
-
-    /// Recomputes the current generation's summary block from the stored
-    /// slots (and non-null bitmap) and rewrites [`SUMMARY_FILE`] — the
-    /// repair path for a corrupted summary. Fails if any slot is
-    /// unreadable; the block then stays corrupt and reads keep degrading
-    /// to fetch-and-check.
-    fn rebuild_summary_block(&mut self) -> Result<(), StorageError> {
-        let shape = self.meta.bitmaps_per_component.clone();
-        let mut enc = SlotEncoder::new(self.meta.codec);
-        for (ci, &n_i) in shape.iter().enumerate() {
-            enc.begin_component();
-            for slot in 0..n_i as usize {
-                let bm = self.read_bitmap(ci + 1, slot)?;
-                let _ = enc.encode_slot(&bm);
-            }
-        }
-        if let Some(nn) = self.read_nn()? {
-            let _ = enc.encode_nn(&nn);
-        }
-        let payload = enc.summary_payload(self.meta.n_rows);
-        self.store.write_file(
-            &summary_file(self.meta.generation),
-            &format::frame(&payload),
-        )?;
-        Ok(())
     }
 
     /// Installs a compacted base as the next generation, atomically.
     ///
     /// The new bitmaps (and optional non-null mask, which also carries
-    /// deleted rows as nulls) are written as **version-4** slot files
-    /// (plus the generation's summary block) under
+    /// deleted rows as nulls) are written in the current format under
     /// `g{G+1}_`-prefixed names, so nothing the current generation reads is
     /// touched. The single commit point is the manifest rewrite — one
     /// atomic `write_file` that flips generation, scheme (always
@@ -957,60 +946,23 @@ impl<S: ByteStore> StoredIndex<S> {
         nn: Option<&BitVec>,
         wal_applied: u64,
     ) -> Result<u64, StorageError> {
-        let n_rows = components
-            .first()
-            .and_then(|c| c.first())
-            .map_or(0, BitVec::len);
-        for comp in components.iter().flatten() {
-            assert_eq!(comp.len(), n_rows, "bitmaps must share the row count");
-        }
-        if let Some(nn) = nn {
-            assert_eq!(nn.len(), n_rows, "nn mask must share the row count");
-        }
         let next = self.meta.generation + 1;
-        // Step 1: write every new-generation file. A crash anywhere in
-        // here leaves orphans; the manifest still names the old base.
-        // Slots and the summary block go through the same SlotEncoder as
-        // the v4 builder, so compaction can never drift from build.
-        let mut enc = SlotEncoder::new(self.meta.codec);
-        for (ci, comp) in components.iter().enumerate() {
-            enc.begin_component();
-            for (j, bm) in comp.iter().enumerate() {
-                self.store.write_file(
-                    &gen_bitmap_file(next, ci + 1, j),
-                    &format::frame(&enc.encode_slot(bm)),
-                )?;
-            }
-        }
-        if let Some(nn) = nn {
-            self.store
-                .write_file(&gen_nn_file(next), &format::frame(&enc.encode_nn(nn)))?;
-        }
-        self.store.write_file(
-            &summary_file(next),
-            &format::frame(&enc.summary_payload(n_rows)),
-        )?;
-        // Step 2: the commit point — one atomic manifest swap. Compaction
-        // always installs the current (v4) format: per-slot coding plus
-        // the summary block just written.
-        let mut meta = self.meta.clone();
-        meta.n_rows = n_rows;
-        meta.bitmaps_per_component = components.iter().map(|c| c.len() as u32).collect();
+        let mut meta = self.meta.clone().shaped(components, nn);
         meta.scheme = StorageScheme::BitmapLevel;
         meta.generation = next;
         meta.wal_applied = wal_applied;
-        meta.has_nn = nn.is_some();
         meta.compactions
-            .push(format!("gen{next}:rows={n_rows}:wal={wal_applied}"));
-        self.store.write_file(
-            MANIFEST_FILE,
-            &format::frame(meta.to_manifest(4).as_bytes()),
+            .push(format!("gen{next}:rows={}:wal={wal_applied}", meta.n_rows));
+        // A crash anywhere before the writer's manifest swap leaves orphans;
+        // the manifest still names the old base.
+        self.write_generation(
+            meta,
+            |comp, slot| Some(&components[comp - 1][slot]),
+            nn,
+            true,
         )?;
-        self.meta = meta;
-        self.version = 4;
-        self.summaries = OnceLock::new();
-        // Step 3: cleanup, best-effort (reopen scavenges whatever this
-        // misses — including everything, if the store just crashed).
+        // Cleanup, best-effort (reopen scavenges whatever this misses —
+        // including everything, if the store just crashed).
         self.scavenge_stale_generations();
         if let Ok(data) = self.store.read_file(crate::wal::WAL_FILE) {
             let covered = crate::wal::replay(&data)
@@ -1116,44 +1068,24 @@ const INDEX_FILE: &str = "index.bix";
 /// Name of the manifest file present under every scheme.
 pub(crate) const MANIFEST_FILE: &str = "manifest.bixm";
 
-/// v3 slot tag: dense bytes, compressed with the store's byte codec.
+/// Manifest version of the paper's layouts ([`StoredIndex::create`]).
+const PAPER_VERSION: u32 = 2;
+/// Manifest version every writer of the current format commits.
+const SLOT_CODED_VERSION: u32 = 4;
+
+/// Slot tag: dense bytes, compressed with the store's byte codec.
 const SLOT_TAG_LITERAL: u8 = 0;
-/// v3 slot tag: WAH compressed words, operable without decompression.
+/// Slot tag: WAH compressed words, operable without decompression.
 const SLOT_TAG_WAH: u8 = 1;
 
-/// Encodes one bitmap as a version-3 slot payload (tag byte + body),
-/// keeping the WAH form iff it is at most a quarter of the dense bytes —
-/// the same structural threshold the executor's stay-compressed rule
-/// uses, so a WAH slot is one the kernels can actually win on. Slots
-/// compressing only marginally (uniform-random bitmaps hover near ratio
-/// 0.75–1.0) stay literal: the modest byte saving does not pay for
-/// decompressing them on every fetch. Shared by
-/// [`StoredIndex::create_v3`] and v3 repair so a repaired slot re-encodes
-/// exactly as the builder would.
-fn encode_slot_v3(bm: &BitVec, codec: CodecKind) -> Vec<u8> {
-    let raw = bm.to_bytes();
-    let wah = WahBitmap::from_bitvec(bm);
-    if wah.compressed_bytes() * 4 <= raw.len() {
-        let mut out = Vec::with_capacity(1 + wah.compressed_bytes());
-        out.push(SLOT_TAG_WAH);
-        out.extend_from_slice(&wah.to_bytes());
-        out
-    } else {
-        let mut out = vec![SLOT_TAG_LITERAL];
-        out.extend_from_slice(&codec.compress(&raw));
-        out
-    }
-}
-
-/// One encoder for every slot-coded writer — build
-/// ([`StoredIndex::create_v3`]/[`StoredIndex::create_v4`]), compaction
-/// ([`StoredIndex::install_generation`]) and summary repair all encode
-/// through this type, so the literal-vs-WAH heuristic and the summary
-/// block construction cannot drift between paths: the summary is built
-/// from exactly the bitmaps whose encodings were emitted.
+/// The encoder behind [`StoredIndex::write_generation`]: every bitmap of a
+/// generation passes through one of these, so the summary block is built
+/// from exactly the bitmaps whose encodings were emitted (or, in a repair,
+/// left in place).
 struct SlotEncoder {
     codec: CodecKind,
-    components: Vec<Vec<SlotSummary>>,
+    /// Slot summaries in component-major order.
+    slots: Vec<SlotSummary>,
     nn: Option<SlotSummary>,
 }
 
@@ -1161,58 +1093,76 @@ impl SlotEncoder {
     fn new(codec: CodecKind) -> Self {
         Self {
             codec,
-            components: Vec::new(),
+            slots: Vec::new(),
             nn: None,
         }
     }
 
-    /// Opens the next component; subsequent [`SlotEncoder::encode_slot`]
-    /// calls append to it.
-    fn begin_component(&mut self) {
-        self.components.push(Vec::new());
+    /// Records the summary of the next slot, whose stored file stays as
+    /// it is.
+    fn summarize_slot(&mut self, bm: &BitVec) {
+        self.slots.push(SlotSummary::build(bm));
     }
 
-    /// Encodes one slot payload (tag byte + body) and records its summary.
+    /// Encodes the next slot's payload and records its summary.
     fn encode_slot(&mut self, bm: &BitVec) -> Vec<u8> {
-        self.components
-            .last_mut()
-            .expect("begin_component before encode_slot")
-            .push(SlotSummary::build(bm));
-        encode_slot_v3(bm, self.codec)
+        self.summarize_slot(bm);
+        self.payload(bm)
+    }
+
+    /// Records the summary of a non-null bitmap whose file stays as it is.
+    fn summarize_nn(&mut self, bm: &BitVec) {
+        self.nn = Some(SlotSummary::build(bm));
     }
 
     /// Encodes the non-null bitmap and records its summary.
     fn encode_nn(&mut self, bm: &BitVec) -> Vec<u8> {
-        self.nn = Some(SlotSummary::build(bm));
-        encode_slot_v3(bm, self.codec)
+        self.summarize_nn(bm);
+        self.payload(bm)
     }
 
-    /// Serializes the accumulated summaries as the v4 summary block
-    /// payload (framed by the caller like any other file).
-    fn summary_payload(&self, n_rows: usize) -> Vec<u8> {
-        encode_summary_block(n_rows, &self.components, self.nn.as_ref())
+    /// One bitmap as a slot payload (tag byte + body), keeping the WAH
+    /// form iff it is at most a quarter of the dense bytes — a WAH slot is
+    /// one the compressed kernels can actually win on. Slots compressing
+    /// only marginally (uniform-random bitmaps hover near ratio 0.75–1.0)
+    /// stay literal: the modest byte saving does not pay for decompressing
+    /// them on every fetch.
+    fn payload(&self, bm: &BitVec) -> Vec<u8> {
+        let raw = bm.to_bytes();
+        let wah = WahBitmap::from_bitvec(bm);
+        if wah.compressed_bytes() * 4 <= raw.len() {
+            let mut out = Vec::with_capacity(1 + wah.compressed_bytes());
+            out.push(SLOT_TAG_WAH);
+            out.extend_from_slice(&wah.to_bytes());
+            out
+        } else {
+            let mut out = vec![SLOT_TAG_LITERAL];
+            out.extend_from_slice(&self.codec.compress(&raw));
+            out
+        }
     }
 }
 
 /// Serializes a summary block: fixed header (row count, window width,
-/// per-component slot counts, nn flag) followed by each slot's packed
-/// window bits in component-major order, nn summary last. Each slot
-/// contributes two equal-sized planes back to back: the "any-bit-set"
-/// bits, then the "all-ones" bits.
+/// per-component slot counts `shape`, nn flag) followed by each slot's
+/// packed window bits in component-major order, nn summary last. Each
+/// summary contributes two equal-sized planes back to back: the
+/// "any-bit-set" bits, then the "all-ones" bits.
 fn encode_summary_block(
     n_rows: usize,
-    components: &[Vec<SlotSummary>],
+    shape: &[u32],
+    slots: &[SlotSummary],
     nn: Option<&SlotSummary>,
 ) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&(n_rows as u64).to_le_bytes());
     out.extend_from_slice(&(SUMMARY_WINDOW_BITS as u32).to_le_bytes());
-    out.extend_from_slice(&(components.len() as u32).to_le_bytes());
-    for comp in components {
-        out.extend_from_slice(&(comp.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(shape.len() as u32).to_le_bytes());
+    for n_i in shape {
+        out.extend_from_slice(&n_i.to_le_bytes());
     }
     out.push(u8::from(nn.is_some()));
-    for summary in components.iter().flatten().chain(nn) {
+    for summary in slots.iter().chain(nn) {
         out.extend_from_slice(&summary.any.to_bytes());
         out.extend_from_slice(&summary.all.to_bytes());
     }
@@ -1255,32 +1205,18 @@ fn decode_summary_block(payload: &[u8]) -> Option<IndexSummaries> {
     let bytes_per = windows.div_ceil(8);
     let total_slots = counts.iter().try_fold(0usize, |a, &c| a.checked_add(c))?;
     let n_summaries = total_slots.checked_add(usize::from(has_nn))?;
-    // Current blocks carry two planes per slot (any + all); blocks written
-    // before the all-ones plane carry one. A legacy block decodes with an
-    // empty all-plane — "no saturation guarantee" — which is never wrong.
-    // Any other size is a structural defect.
-    let two_plane = n_summaries
-        .checked_mul(bytes_per)?
-        .checked_mul(2)
-        .is_some_and(|body| p.len() == body);
-    let legacy = n_summaries
-        .checked_mul(bytes_per)
-        .is_some_and(|body| p.len() == body);
-    if !two_plane && !legacy {
+    // Two equal planes per summary (any + all); a body of any other size
+    // is a structural defect.
+    let body = n_summaries.checked_mul(bytes_per)?.checked_mul(2)?;
+    if p.len() != body {
         return None;
     }
     let read_summary = |p: &mut &[u8]| -> Option<SlotSummary> {
-        let any = BitVec::from_bytes(windows, take(p, bytes_per)?);
-        let all = if two_plane {
-            BitVec::from_bytes(windows, take(p, bytes_per)?)
-        } else {
-            BitVec::zeros(windows)
-        };
         Some(SlotSummary {
             len: n_rows,
             window_bits,
-            any,
-            all,
+            any: BitVec::from_bytes(windows, take(p, bytes_per)?),
+            all: BitVec::from_bytes(windows, take(p, bytes_per)?),
         })
     };
     let mut slots = Vec::with_capacity(n_components);
@@ -1297,10 +1233,6 @@ fn decode_summary_block(payload: &[u8]) -> Option<IndexSummaries> {
         None
     };
     Some(IndexSummaries::new(n_rows, window_bits, slots, nn))
-}
-
-fn bitmap_file(comp: usize, slot: usize) -> String {
-    gen_bitmap_file(0, comp, slot)
 }
 
 /// Slot file name for a given base generation. Generation 0 keeps the
@@ -1324,7 +1256,7 @@ fn gen_nn_file(generation: u64) -> String {
     }
 }
 
-/// Name of the generation-0 summary block file (v4 stores).
+/// Name of the generation-0 summary block file.
 const SUMMARY_FILE: &str = "summary.bxs";
 
 /// Summary block file name for a given base generation.
@@ -1373,15 +1305,10 @@ fn component_file(comp: usize) -> String {
 
 /// Packs `bitmaps` (columns) into a row-major byte buffer: bit
 /// `r * width + j` holds bitmap `j`'s bit for row `r`.
-fn row_major(bitmaps: &[BitVec], n_rows: usize) -> Vec<u8> {
-    let refs: Vec<&BitVec> = bitmaps.iter().collect();
-    row_major_refs(&refs, n_rows)
-}
-
-fn row_major_refs(bitmaps: &[&BitVec], n_rows: usize) -> Vec<u8> {
+fn row_major(bitmaps: &[&BitVec]) -> Vec<u8> {
     let width = bitmaps.len();
-    let total_bits = n_rows * width;
-    let mut out = vec![0u8; total_bits.div_ceil(8)];
+    let n_rows = bitmaps.first().map_or(0, |bm| bm.len());
+    let mut out = vec![0u8; (n_rows * width).div_ceil(8)];
     for (j, bm) in bitmaps.iter().enumerate() {
         for r in bm.iter_ones() {
             let bit = r * width + j;
@@ -1434,24 +1361,57 @@ mod tests {
         ]
     }
 
+    /// `comps`, without nulls, in one of the paper's layouts.
+    fn paper_store(
+        comps: &[Vec<BitVec>],
+        scheme: StorageScheme,
+        codec: CodecKind,
+    ) -> StoredIndex<MemStore> {
+        StoredIndex::create(MemStore::new(), comps, None, scheme, codec).unwrap()
+    }
+
+    /// `comps`, without nulls, in the current format.
+    fn coded_store(comps: &[Vec<BitVec>], codec: CodecKind) -> StoredIndex<MemStore> {
+        StoredIndex::create_v4(MemStore::new(), comps, None, codec).unwrap()
+    }
+
+    /// `stored`, reopened after one bit of `name`'s last byte flipped at
+    /// rest, behind the index's back.
+    fn corrupted(stored: StoredIndex<MemStore>, name: &str) -> StoredIndex<MemStore> {
+        let mut store = stored.into_store();
+        let mut data = store.read_file(name).unwrap();
+        *data.last_mut().unwrap() ^= 0x08;
+        store.write_file(name, &data).unwrap();
+        StoredIndex::open(store).unwrap()
+    }
+
     fn roundtrip(scheme: StorageScheme, codec: CodecKind) {
         let comps = sample_components();
-        let stored = StoredIndex::create(MemStore::new(), &comps, scheme, codec).unwrap();
+        let stored = paper_store(&comps, scheme, codec);
         for (ci, comp) in comps.iter().enumerate() {
             for (j, bm) in comp.iter().enumerate() {
                 let got = stored.read_bitmap(ci + 1, j).unwrap();
                 assert_eq!(&got, bm, "{scheme:?}/{codec:?} comp {} slot {j}", ci + 1);
             }
         }
+        assert_eq!(stored.read_nn().unwrap(), None);
+        // A non-null bitmap rides along as one more bitmap-level file.
+        let nn = BitVec::from_fn(20, |i| i % 6 != 1);
+        let store = StoredIndex::create(MemStore::new(), &comps, Some(&nn), scheme, codec)
+            .unwrap()
+            .into_store();
+        let reopened = StoredIndex::open(store).unwrap();
+        assert_eq!(
+            reopened.read_nn().unwrap(),
+            Some(nn),
+            "{scheme:?}/{codec:?}"
+        );
+        assert_eq!(&reopened.read_bitmap(2, 1).unwrap(), &comps[1][1]);
     }
 
     #[test]
     fn all_schemes_all_codecs_roundtrip() {
-        for scheme in [
-            StorageScheme::BitmapLevel,
-            StorageScheme::ComponentLevel,
-            StorageScheme::IndexLevel,
-        ] {
+        for scheme in SCHEMES {
             for codec in [
                 CodecKind::None,
                 CodecKind::Rle,
@@ -1466,55 +1426,25 @@ mod tests {
     #[test]
     fn file_counts_per_scheme() {
         let comps = sample_components();
-        let bs = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::BitmapLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let bs = paper_store(&comps, StorageScheme::BitmapLevel, CodecKind::None);
         assert_eq!(bs.store.file_names().unwrap().len(), 6); // 5 bitmaps + manifest
-        let cs = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::ComponentLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let cs = paper_store(&comps, StorageScheme::ComponentLevel, CodecKind::None);
         assert_eq!(cs.store.file_names().unwrap().len(), 3); // 2 components + manifest
-        let is = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::IndexLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let is = paper_store(&comps, StorageScheme::IndexLevel, CodecKind::None);
         assert_eq!(is.store.file_names().unwrap().len(), 2); // index + manifest
     }
 
     #[test]
     fn io_accounting_reflects_scheme_asymmetry() {
         let comps = sample_components();
-        let mut bs = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::BitmapLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let mut bs = paper_store(&comps, StorageScheme::BitmapLevel, CodecKind::None);
         bs.read_bitmap(1, 0).unwrap();
         let bs_stats = bs.take_stats();
         assert_eq!(bs_stats.reads, 1);
         // ceil(20/8) = 3 payload bytes + 20-byte frame header.
         assert_eq!(bs_stats.bytes_read, 3 + format::HEADER_LEN as u64);
 
-        let mut cs = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::ComponentLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let mut cs = paper_store(&comps, StorageScheme::ComponentLevel, CodecKind::None);
         cs.read_bitmap(1, 0).unwrap();
         let cs_stats = cs.take_stats();
         // CS reads the whole 20x3-bit component: ceil(60/8) = 8 bytes + header.
@@ -1525,13 +1455,7 @@ mod tests {
     #[test]
     fn decompression_accounted() {
         let comps = sample_components();
-        let mut cbs = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::BitmapLevel,
-            CodecKind::Lzss,
-        )
-        .unwrap();
+        let mut cbs = paper_store(&comps, StorageScheme::BitmapLevel, CodecKind::Lzss);
         cbs.read_bitmap(2, 1).unwrap();
         let s = cbs.take_stats();
         assert_eq!(s.bytes_decompressed, 3);
@@ -1541,13 +1465,7 @@ mod tests {
     #[test]
     fn meta_totals() {
         let comps = sample_components();
-        let s = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::IndexLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let s = paper_store(&comps, StorageScheme::IndexLevel, CodecKind::None);
         assert_eq!(s.meta().total_bitmaps(), 5);
         assert_eq!(s.meta().n_rows, 20);
         // IS file: ceil(20*5/8) = 13 payload bytes + frame header.
@@ -1558,13 +1476,7 @@ mod tests {
     fn open_reloads_without_rebuild() {
         let comps = sample_components();
         let store = {
-            let stored = StoredIndex::create(
-                MemStore::new(),
-                &comps,
-                StorageScheme::ComponentLevel,
-                CodecKind::Deflate,
-            )
-            .unwrap();
+            let stored = paper_store(&comps, StorageScheme::ComponentLevel, CodecKind::Deflate);
             stored.store
         };
         let reopened = StoredIndex::open(store).unwrap();
@@ -1585,13 +1497,8 @@ mod tests {
         let meta = StoredIndexMeta {
             n_rows: 12345,
             bitmaps_per_component: vec![7, 1, 4],
-            scheme: StorageScheme::BitmapLevel,
-            codec: CodecKind::Lzss,
             repairs: vec!["c1_b0.bmp".into(), "c3_b2.bmp".into()],
-            generation: 0,
-            wal_applied: 0,
-            has_nn: false,
-            compactions: Vec::new(),
+            ..StoredIndexMeta::fresh(StorageScheme::BitmapLevel, CodecKind::Lzss)
         };
         let text = meta.to_manifest(2);
         // Defaulted ingest keys are not emitted: pre-ingest manifests stay
@@ -1616,13 +1523,11 @@ mod tests {
         let meta = StoredIndexMeta {
             n_rows: 64,
             bitmaps_per_component: vec![4],
-            scheme: StorageScheme::BitmapLevel,
-            codec: CodecKind::None,
-            repairs: Vec::new(),
             generation: 3,
             wal_applied: 17,
             has_nn: true,
             compactions: vec!["gen3:rows=64:wal=17".into()],
+            ..StoredIndexMeta::fresh(StorageScheme::BitmapLevel, CodecKind::None)
         };
         let text = meta.to_manifest(3);
         let (parsed, version) = StoredIndexMeta::from_manifest(&text).unwrap();
@@ -1653,13 +1558,7 @@ mod tests {
     #[test]
     fn install_generation_swaps_base_atomically() {
         let comps = sample_components();
-        let mut stored = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::BitmapLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let mut stored = paper_store(&comps, StorageScheme::BitmapLevel, CodecKind::None);
         // New base: same shape, first bitmap complemented, one nulled row.
         let mut new_comps = comps.clone();
         new_comps[0][0].not_assign();
@@ -1691,13 +1590,7 @@ mod tests {
     #[test]
     fn open_scavenges_orphaned_generation_files() {
         let comps = sample_components();
-        let stored = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::BitmapLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let stored = paper_store(&comps, StorageScheme::BitmapLevel, CodecKind::None);
         let mut store = stored.into_store();
         // Simulate a crash mid-compaction: new-generation files written,
         // manifest never swapped.
@@ -1718,13 +1611,7 @@ mod tests {
     #[test]
     fn total_bytes_excludes_manifest() {
         let comps = sample_components();
-        let s = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::IndexLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let s = paper_store(&comps, StorageScheme::IndexLevel, CodecKind::None);
         // IS file alone: ceil(20*5/8) = 13 payload bytes + frame header.
         assert_eq!(s.total_stored_bytes(), 13 + format::HEADER_LEN as u64);
     }
@@ -1732,13 +1619,7 @@ mod tests {
     #[test]
     fn bad_slot_is_typed_error() {
         let comps = sample_components();
-        let s = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::BitmapLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let s = paper_store(&comps, StorageScheme::BitmapLevel, CodecKind::None);
         assert!(matches!(
             s.read_bitmap(1, 3),
             Err(StorageError::InvalidSlot { comp: 1, slot: 3 })
@@ -1766,8 +1647,7 @@ mod tests {
     fn version_1_manifests_are_corrupt_not_a_panic() {
         let comps = sample_components();
         for scheme in SCHEMES {
-            let stored =
-                StoredIndex::create(MemStore::new(), &comps, scheme, CodecKind::None).unwrap();
+            let stored = paper_store(&comps, scheme, CodecKind::None);
             let v1 = stored.meta().to_manifest(1);
             let mut store = stored.into_store();
             for manifest in [v1.as_bytes().to_vec(), format::frame(v1.as_bytes())] {
@@ -1808,13 +1688,7 @@ mod tests {
     #[test]
     fn concurrent_reads_account_every_read() {
         let comps = sample_components();
-        let stored = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::BitmapLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let stored = paper_store(&comps, StorageScheme::BitmapLevel, CodecKind::None);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let stored = &stored;
@@ -1835,9 +1709,7 @@ mod tests {
     fn framed_payload_of_wrong_length_is_corrupt() {
         let comps = sample_components();
         for scheme in SCHEMES {
-            let mut store = StoredIndex::create(MemStore::new(), &comps, scheme, CodecKind::None)
-                .unwrap()
-                .into_store();
+            let mut store = paper_store(&comps, scheme, CodecKind::None).into_store();
             for name in store.file_names().unwrap() {
                 if name != MANIFEST_FILE {
                     store.write_file(&name, &format::frame(&[0xFF])).unwrap();
@@ -1858,7 +1730,8 @@ mod tests {
     #[test]
     fn v4_slot_file_bytes_are_frozen() {
         let bm = BitVec::from_fn(300, |i| i % 3 == 0 || i % 7 == 1);
-        let stored = StoredIndex::create_v4(MemStore::new(), &[vec![bm]], CodecKind::None).unwrap();
+        let stored =
+            StoredIndex::create_v4(MemStore::new(), &[vec![bm]], None, CodecKind::None).unwrap();
         assert_eq!(
             stored.store().read_file("c1_b0.bmp").unwrap(),
             [
@@ -1873,21 +1746,8 @@ mod tests {
     #[test]
     fn corruption_is_reported_not_returned() {
         let comps = sample_components();
-        let stored = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::BitmapLevel,
-            CodecKind::None,
-        )
-        .unwrap();
-        let mut store = stored.into_store();
-        // Flip one payload bit of c1_b0.bmp behind the index's back.
-        let mut data = store.read_file("c1_b0.bmp").unwrap();
-        let last = data.len() - 1;
-        data[last] ^= 0x01;
-        store.write_file("c1_b0.bmp", &data).unwrap();
-
-        let mut reopened = StoredIndex::open(store).unwrap();
+        let stored = paper_store(&comps, StorageScheme::BitmapLevel, CodecKind::None);
+        let mut reopened = corrupted(stored, "c1_b0.bmp");
         match reopened.read_bitmap(1, 0) {
             Err(StorageError::ChecksumMismatch { file, .. }) => assert_eq!(file, "c1_b0.bmp"),
             other => panic!("expected checksum mismatch, got {other:?}"),
@@ -1904,13 +1764,7 @@ mod tests {
     #[test]
     fn truncation_is_a_clean_error() {
         let comps = sample_components();
-        let stored = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::IndexLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let stored = paper_store(&comps, StorageScheme::IndexLevel, CodecKind::None);
         let mut store = stored.into_store();
         let data = store.read_file(INDEX_FILE).unwrap();
         store
@@ -1926,31 +1780,13 @@ mod tests {
     #[test]
     fn file_slots_maps_every_scheme() {
         let comps = sample_components();
-        let bs = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::BitmapLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let bs = paper_store(&comps, StorageScheme::BitmapLevel, CodecKind::None);
         assert_eq!(bs.file_slots("c2_b1.bmp"), vec![(2, 1)]);
         assert_eq!(bs.file_slots(MANIFEST_FILE), vec![]);
         assert_eq!(bs.file_slots("stray.tmp"), vec![]);
-        let cs = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::ComponentLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let cs = paper_store(&comps, StorageScheme::ComponentLevel, CodecKind::None);
         assert_eq!(cs.file_slots("c1.cmp"), vec![(1, 0), (1, 1), (1, 2)]);
-        let is = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::IndexLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let is = paper_store(&comps, StorageScheme::IndexLevel, CodecKind::None);
         assert_eq!(
             is.file_slots(INDEX_FILE),
             vec![(1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]
@@ -1959,30 +1795,15 @@ mod tests {
 
     #[test]
     fn scrub_and_repair_restores_corrupt_files_and_journals() {
-        for scheme in [
-            StorageScheme::BitmapLevel,
-            StorageScheme::ComponentLevel,
-            StorageScheme::IndexLevel,
-        ] {
+        for scheme in SCHEMES {
             let comps = sample_components();
-            let stored =
-                StoredIndex::create(MemStore::new(), &comps, scheme, CodecKind::Deflate).unwrap();
-            let mut store = stored.into_store();
+            let stored = paper_store(&comps, scheme, CodecKind::Deflate);
             // Corrupt one payload byte of the first data file.
-            let name = store
-                .file_names()
-                .unwrap()
-                .into_iter()
-                .find(|n| n != MANIFEST_FILE)
-                .unwrap();
-            let mut data = store.read_file(&name).unwrap();
-            let last = data.len() - 1;
-            data[last] ^= 0x10;
-            store.write_file(&name, &data).unwrap();
-
-            let mut stored = StoredIndex::open(store).unwrap();
+            let names = stored.store().file_names().unwrap();
+            let name = names.into_iter().find(|n| n != MANIFEST_FILE).unwrap();
+            let mut stored = corrupted(stored, &name);
             let report = stored
-                .scrub_and_repair(|comp, slot| Some(comps[comp - 1][slot].clone()))
+                .scrub_and_repair(|comp, slot| Some(comps[comp - 1][slot].clone()), None)
                 .unwrap();
             assert_eq!(report.repaired, vec![name.clone()], "{scheme:?}");
             assert!(report.fully_repaired(), "{scheme:?}");
@@ -2001,20 +1822,14 @@ mod tests {
     #[test]
     fn unrepairable_files_are_reported_not_failed() {
         let comps = sample_components();
-        let stored = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::BitmapLevel,
-            CodecKind::None,
-        )
-        .unwrap();
+        let stored = paper_store(&comps, StorageScheme::BitmapLevel, CodecKind::None);
         let mut store = stored.into_store();
         let mut data = store.read_file("c1_b0.bmp").unwrap();
         data[0] ^= 0xFF;
         store.write_file("c1_b0.bmp", &data).unwrap();
         let mut stored = StoredIndex::open(store).unwrap();
         // A provider with nothing to offer leaves the file corrupt.
-        let report = stored.scrub_and_repair(|_, _| None).unwrap();
+        let report = stored.scrub_and_repair(|_, _| None, None).unwrap();
         assert!(report.repaired.is_empty());
         assert_eq!(report.unrepaired.len(), 1);
         assert_eq!(report.unrepaired[0].file, "c1_b0.bmp");
@@ -2027,14 +1842,7 @@ mod tests {
     #[test]
     fn transient_faults_are_retried_within_policy() {
         let comps = sample_components();
-        let store = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::BitmapLevel,
-            CodecKind::None,
-        )
-        .unwrap()
-        .into_store();
+        let store = paper_store(&comps, StorageScheme::BitmapLevel, CodecKind::None).into_store();
         // Two transient failures, then success: within the default 3 attempts.
         let faulty = FaultStore::new(store, FaultPlan::new(5).with_transient_reads("c1_b0", 2));
         let stored = StoredIndex::open(faulty).unwrap();
@@ -2043,14 +1851,7 @@ mod tests {
         assert_eq!(stored.stats().retries, 2);
 
         // Three failures exceed the default policy: the error propagates.
-        let store2 = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::BitmapLevel,
-            CodecKind::None,
-        )
-        .unwrap()
-        .into_store();
+        let store2 = paper_store(&comps, StorageScheme::BitmapLevel, CodecKind::None).into_store();
         let faulty2 = FaultStore::new(store2, FaultPlan::new(5).with_transient_reads("c1_b0", 3));
         let stored2 = StoredIndex::open(faulty2).unwrap();
         let err = stored2.read_bitmap(1, 0).unwrap_err();
@@ -2072,13 +1873,13 @@ mod tests {
     }
 
     #[test]
-    fn v3_roundtrips_and_reopens() {
+    fn slot_coding_roundtrips_and_reopens() {
         let comps = mixed_density_components();
         for codec in [CodecKind::None, CodecKind::Deflate] {
-            let stored = StoredIndex::create_v3(MemStore::new(), &comps, codec).unwrap();
-            assert_eq!(stored.format_version(), 3);
+            let stored = coded_store(&comps, codec);
+            assert_eq!(stored.format_version(), 4);
             let reopened = StoredIndex::open(stored.into_store()).unwrap();
-            assert_eq!(reopened.format_version(), 3);
+            assert_eq!(reopened.format_version(), 4);
             for (j, bm) in comps[0].iter().enumerate() {
                 assert_eq!(
                     &reopened.read_bitmap(1, j).unwrap(),
@@ -2090,9 +1891,9 @@ mod tests {
     }
 
     #[test]
-    fn v3_repr_keeps_sparse_slots_compressed() {
+    fn read_repr_keeps_sparse_slots_compressed() {
         let comps = mixed_density_components();
-        let stored = StoredIndex::create_v3(MemStore::new(), &comps, CodecKind::None).unwrap();
+        let stored = coded_store(&comps, CodecKind::None);
         let sparse = stored.read_repr(1, 0).unwrap();
         assert!(sparse.is_compressed(), "sparse slot should stay WAH");
         let dense = stored.read_repr(1, 1).unwrap();
@@ -2112,56 +1913,37 @@ mod tests {
     }
 
     #[test]
-    fn v3_stores_sparse_slots_smaller_than_v2() {
+    fn slot_coding_stores_sparse_slots_smaller_than_the_paper_layout() {
         let comps = mixed_density_components();
-        let v2 = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::BitmapLevel,
-            CodecKind::None,
-        )
-        .unwrap();
-        let v3 = StoredIndex::create_v3(MemStore::new(), &comps, CodecKind::None).unwrap();
-        assert!(v3.total_stored_bytes() < v2.total_stored_bytes());
+        let v2 = paper_store(&comps, StorageScheme::BitmapLevel, CodecKind::None);
+        let coded = coded_store(&comps, CodecKind::None);
+        assert!(coded.total_stored_bytes() < v2.total_stored_bytes());
     }
 
     #[test]
-    fn v3_scrub_and_repair_preserves_slot_coding() {
+    fn scrub_and_repair_preserves_slot_coding() {
         let comps = mixed_density_components();
-        let stored = StoredIndex::create_v3(MemStore::new(), &comps, CodecKind::Deflate).unwrap();
-        let mut store = stored.into_store();
-        // Corrupt the sparse (WAH-coded) slot file.
-        let mut data = store.read_file("c1_b0.bmp").unwrap();
-        let last = data.len() - 1;
-        data[last] ^= 0x40;
-        store.write_file("c1_b0.bmp", &data).unwrap();
-
-        let mut stored = StoredIndex::open(store).unwrap();
+        let stored = coded_store(&comps, CodecKind::Deflate);
+        let mut stored = corrupted(stored, "c1_b0.bmp");
         assert!(stored.read_repr(1, 0).is_err());
         let report = stored
-            .scrub_and_repair(|comp, slot| Some(comps[comp - 1][slot].clone()))
+            .scrub_and_repair(|comp, slot| Some(comps[comp - 1][slot].clone()), None)
             .unwrap();
         assert_eq!(report.repaired, vec!["c1_b0.bmp".to_string()]);
-        // The repaired slot is WAH again — not silently downgraded to v2.
+        // The repaired slot is WAH again — not silently rewritten dense.
         let repr = stored.read_repr(1, 0).unwrap();
         assert!(repr.is_compressed());
         assert_eq!(*repr.to_bitvec(), comps[0][0]);
-        // Reopen sees version 3 and the repair journal.
+        // Reopen sees the same format and the repair journal.
         let reopened = StoredIndex::open(stored.into_store()).unwrap();
-        assert_eq!(reopened.format_version(), 3);
+        assert_eq!(reopened.format_version(), 4);
         assert_eq!(reopened.meta().repairs, vec!["c1_b0.bmp".to_string()]);
     }
 
     #[test]
     fn pre_v3_read_repr_is_always_literal() {
         let comps = sample_components();
-        let v2 = StoredIndex::create(
-            MemStore::new(),
-            &comps,
-            StorageScheme::ComponentLevel,
-            CodecKind::Rle,
-        )
-        .unwrap();
+        let v2 = paper_store(&comps, StorageScheme::ComponentLevel, CodecKind::Rle);
         let repr = v2.read_repr(1, 2).unwrap();
         assert!(!repr.is_compressed());
         assert_eq!(*repr.to_bitvec(), comps[0][2]);
@@ -2186,7 +1968,7 @@ mod tests {
     #[test]
     fn v4_roundtrips_and_serves_validated_summaries() {
         let comps = windowed_components();
-        let stored = StoredIndex::create_v4(MemStore::new(), &comps, CodecKind::None).unwrap();
+        let stored = coded_store(&comps, CodecKind::None);
         assert_eq!(stored.format_version(), 4);
         let reopened = StoredIndex::open(stored.into_store()).unwrap();
         assert_eq!(reopened.format_version(), 4);
@@ -2213,24 +1995,96 @@ mod tests {
         assert_eq!(reopened.stats().reads, before);
     }
 
+    /// A one-bit slot (stored WAH) beside a dense one (stored literal).
+    fn fixture_components() -> Vec<Vec<BitVec>> {
+        vec![vec![
+            BitVec::from_indices(300, &[299]),
+            BitVec::from_fn(300, |i| i % 3 == 0 || i % 7 == 1),
+        ]]
+    }
+
+    /// The files the commit before this writer existed stored for
+    /// [`fixture_components`]: the two slots and their summary block.
+    const FIXTURE_FILES: [&[u8]; 3] = [
+        &[
+            66, 73, 88, 70, 2, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 5, 185, 25, 21, 1, 9, 0, 0, 128, 0,
+            0, 16, 0,
+        ],
+        &[
+            66, 73, 88, 70, 2, 0, 0, 0, 39, 0, 0, 0, 0, 0, 0, 0, 120, 103, 196, 243, 0, 75, 147,
+            100, 105, 146, 44, 77, 146, 165, 73, 178, 52, 73, 150, 38, 201, 210, 36, 89, 154, 36,
+            75, 147, 100, 105, 146, 44, 77, 146, 165, 73, 178, 52, 73, 150, 38, 201, 2,
+        ],
+        &[
+            66, 73, 88, 70, 2, 0, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 235, 182, 72, 1, 44, 1, 0, 0, 0,
+            0, 0, 0, 0, 128, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 1, 0, 1, 0,
+        ],
+    ];
+    const FIXTURE_SHAPE: &str = "n_rows=300\nscheme=bs\ncodec=none\ncomponents=2\n";
+
+    /// For an index without nulls, build and a first compaction write the
+    /// file names and bytes they wrote before they shared a writer.
     #[test]
-    fn v3_stores_have_no_summaries() {
-        let comps = windowed_components();
-        let stored = StoredIndex::create_v3(MemStore::new(), &comps, CodecKind::None).unwrap();
+    fn null_free_build_and_first_compaction_write_frozen_files() {
+        let comps = fixture_components();
+        let frozen = |stored: &StoredIndex<MemStore>, prefix: &str, manifest: String| {
+            let store = stored.store();
+            let names = ["c1_b0.bmp", "c1_b1.bmp", SUMMARY_FILE];
+            for (name, bytes) in names.iter().zip(FIXTURE_FILES) {
+                assert_eq!(store.read_file(&format!("{prefix}{name}")).unwrap(), bytes);
+            }
+            assert_eq!(store.file_names().unwrap().len(), 4, "and the manifest");
+            let data = store.read_file(MANIFEST_FILE).unwrap();
+            let text = format::unframe(MANIFEST_FILE, &data).unwrap();
+            assert_eq!(text, manifest.as_bytes());
+        };
+        let mut stored = coded_store(&comps, CodecKind::None);
+        frozen(&stored, "", format!("version=4\n{FIXTURE_SHAPE}"));
+        stored.install_generation(&comps, None, 3).unwrap();
+        let journal = "generation=1\nwal_applied=3\ncompacted=gen1:rows=300:wal=3\n";
+        frozen(
+            &stored,
+            "g1_",
+            format!("version=4\n{FIXTURE_SHAPE}{journal}"),
+        );
+    }
+
+    /// A store written before the summary block existed — a `version=3`
+    /// manifest and the same slot files — is the current format with the
+    /// block absent: it opens, answers in the stored representation,
+    /// degrades to no summaries, and its first compaction upgrades it.
+    #[test]
+    fn version_3_manifest_opens_as_the_current_format_without_summaries() {
+        let comps = fixture_components();
+        let mut store = MemStore::new();
+        let manifest = format!("version=3\n{FIXTURE_SHAPE}");
+        store
+            .write_file(MANIFEST_FILE, &format::frame(manifest.as_bytes()))
+            .unwrap();
+        store.write_file("c1_b0.bmp", FIXTURE_FILES[0]).unwrap();
+        store.write_file("c1_b1.bmp", FIXTURE_FILES[1]).unwrap();
+        let mut stored = StoredIndex::open(store).unwrap();
+        assert_eq!(stored.format_version(), 3);
+        assert!(stored.read_repr(1, 0).unwrap().is_compressed());
+        assert!(!stored.read_repr(1, 1).unwrap().is_compressed());
+        for (j, bm) in comps[0].iter().enumerate() {
+            assert_eq!(&stored.read_bitmap(1, j).unwrap(), bm, "slot {j}");
+        }
         assert!(stored.read_summaries().is_none());
+        assert!(stored.scrub().unwrap().is_clean());
+        stored.install_generation(&comps, None, 0).unwrap();
+        assert_eq!(stored.format_version(), 4);
+        assert!(stored.read_summaries().is_some());
+        let reopened = StoredIndex::open(stored.into_store()).unwrap();
+        assert_eq!(reopened.format_version(), 4);
+        assert_eq!(&reopened.read_bitmap(1, 0).unwrap(), &comps[0][0]);
     }
 
     #[test]
     fn corrupt_summary_degrades_to_none_and_repairs() {
         let comps = windowed_components();
-        let stored = StoredIndex::create_v4(MemStore::new(), &comps, CodecKind::None).unwrap();
-        let mut store = stored.into_store();
-        let mut data = store.read_file(SUMMARY_FILE).unwrap();
-        let last = data.len() - 1;
-        data[last] ^= 0x08;
-        store.write_file(SUMMARY_FILE, &data).unwrap();
-
-        let mut stored = StoredIndex::open(store).unwrap();
+        let stored = coded_store(&comps, CodecKind::None);
+        let mut stored = corrupted(stored, SUMMARY_FILE);
         // Corrupt block: no summaries, but every bitmap still reads clean.
         assert!(stored.read_summaries().is_none());
         assert_eq!(&stored.read_bitmap(1, 0).unwrap(), &comps[0][0]);
@@ -2239,7 +2093,7 @@ mod tests {
         assert_eq!(report.failures[0].file, SUMMARY_FILE);
         // Repair rebuilds the block from the stored slots — no caller
         // content needed — and the summaries come back validated.
-        let report = stored.scrub_and_repair(|_, _| None).unwrap();
+        let report = stored.scrub_and_repair(|_, _| None, None).unwrap();
         assert_eq!(report.repaired, vec![SUMMARY_FILE.to_string()]);
         assert!(report.fully_repaired(), "{report:?}");
         assert!(stored.scrub().unwrap().is_clean());
@@ -2249,16 +2103,57 @@ mod tests {
         assert_eq!(reopened.meta().repairs, vec![SUMMARY_FILE.to_string()]);
     }
 
+    /// A corrupt non-null bitmap is a file like any other: rewritten from
+    /// the caller's copy (in the current format together with the summary
+    /// block, whose last entry describes it), reported when there is none.
+    #[test]
+    fn corrupt_nn_is_rewritten_from_the_callers_copy() {
+        let comps = windowed_components();
+        let nn = BitVec::from_fn(comps[0][0].len(), |i| i % 1000 != 3);
+        for coded in [false, true] {
+            let stored = if coded {
+                StoredIndex::create_v4(MemStore::new(), &comps, Some(&nn), CodecKind::None)
+            } else {
+                let scheme = StorageScheme::ComponentLevel;
+                StoredIndex::create(MemStore::new(), &comps, Some(&nn), scheme, CodecKind::None)
+            }
+            .unwrap();
+            let repr = stored.read_nn_repr().unwrap().expect("has_nn");
+            assert_eq!(repr.is_compressed(), coded);
+            let mut stored = corrupted(stored, "nn.bmp");
+            let unreadable = stored.read_nn().unwrap_err();
+            assert!(matches!(unreadable, StorageError::ChecksumMismatch { .. }));
+            let report = stored.scrub_and_repair(|_, _| None, None).unwrap();
+            assert!(report.repaired.is_empty(), "{report:?}");
+            assert_eq!(report.unrepaired[0].file, "nn.bmp");
+            let report = stored.scrub_and_repair(|_, _| None, Some(&nn)).unwrap();
+            let mut rewritten = vec!["nn.bmp".to_string()];
+            rewritten.extend(coded.then(|| SUMMARY_FILE.to_string()));
+            assert_eq!(report.repaired, rewritten);
+            assert!(report.fully_repaired(), "{report:?}");
+            assert!(stored.scrub().unwrap().is_clean());
+            assert_eq!(stored.read_nn().unwrap().as_ref(), Some(&nn));
+            assert_eq!(stored.meta().repairs, rewritten);
+            let summaries = stored.read_summaries();
+            assert_eq!(summaries.is_some(), coded);
+            if let Some(summaries) = summaries {
+                assert_eq!(summaries.nn(), Some(&SlotSummary::build(&nn)));
+                assert_eq!(summaries.get(2, 0), Some(&SlotSummary::build(&comps[1][0])));
+            }
+        }
+    }
+
     #[test]
     fn mismatched_summary_shape_is_rejected() {
         let comps = windowed_components();
-        let stored = StoredIndex::create_v4(MemStore::new(), &comps, CodecKind::None).unwrap();
+        let stored = coded_store(&comps, CodecKind::None);
         let mut store = stored.into_store();
         // A validly framed block whose shape disagrees with the manifest
         // (one component, one slot) must not be served.
         let wrong = encode_summary_block(
             comps[0][0].len(),
-            &[vec![SlotSummary::build(&comps[0][0])]],
+            &[1],
+            &[SlotSummary::build(&comps[0][0])],
             None,
         );
         store
@@ -2272,20 +2167,23 @@ mod tests {
     fn summary_block_decoder_rejects_structural_garbage() {
         assert!(decode_summary_block(&[]).is_none());
         assert!(decode_summary_block(&[0u8; 16]).is_none());
-        let good = encode_summary_block(
-            100,
-            &[vec![SlotSummary::build(&BitVec::ones(100))]],
-            Some(&SlotSummary::build(&BitVec::zeros(100))),
-        );
+        let ones = SlotSummary::build(&BitVec::ones(100));
+        let zeros = SlotSummary::build(&BitVec::zeros(100));
+        let good = encode_summary_block(100, &[1], std::slice::from_ref(&ones), Some(&zeros));
         let decoded = decode_summary_block(&good).unwrap();
         assert_eq!(decoded.n_rows(), 100);
-        assert!(decoded.get(1, 0).unwrap().range_any(0, 100));
+        // Both planes round-trip.
+        assert_eq!(decoded.get(1, 0).unwrap(), &ones);
+        assert!(decoded.get(1, 0).unwrap().range_all(0, 100));
         assert!(!decoded.nn().unwrap().range_any(0, 100));
         // Truncated and padded bodies both fail the exact-length check.
         assert!(decode_summary_block(&good[..good.len() - 1]).is_none());
         let mut padded = good.clone();
         padded.push(0);
         assert!(decode_summary_block(&padded).is_none());
+        // So does a body of one plane per summary, which no writer produces.
+        let plane = ones.any.to_bytes().len();
+        assert!(decode_summary_block(&good[..good.len() - 2 * plane]).is_none());
         // A zero window width cannot be divided by.
         let mut zero_window = good;
         zero_window[8..12].copy_from_slice(&0u32.to_le_bytes());
@@ -2293,38 +2191,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_plane_summary_block_decodes_without_all_guarantees() {
-        // A block written before the all-ones plane: header plus one
-        // plane (`any` bytes) per summary. It must still decode, with the
-        // all-plane empty — no saturation guarantees, never wrong.
-        let n_rows = 2 * SUMMARY_WINDOW_BITS + 5;
-        let ones = BitVec::ones(n_rows);
-        let summary = SlotSummary::build(&ones);
-        let mut legacy = Vec::new();
-        legacy.extend_from_slice(&(n_rows as u64).to_le_bytes());
-        legacy.extend_from_slice(&(SUMMARY_WINDOW_BITS as u32).to_le_bytes());
-        legacy.extend_from_slice(&1u32.to_le_bytes());
-        legacy.extend_from_slice(&1u32.to_le_bytes());
-        legacy.push(0);
-        legacy.extend_from_slice(&summary.any.to_bytes());
-        let decoded = decode_summary_block(&legacy).expect("legacy block decodes");
-        let s = decoded.get(1, 0).unwrap();
-        assert!(s.range_any(0, n_rows));
-        assert!(
-            !s.range_all(0, SUMMARY_WINDOW_BITS),
-            "legacy blocks promise no saturation"
-        );
-        // The current encoder round-trips both planes.
-        let current = encode_summary_block(n_rows, &[vec![summary.clone()]], None);
-        let decoded = decode_summary_block(&current).unwrap();
-        assert_eq!(decoded.get(1, 0).unwrap(), &summary);
-        assert!(decoded.get(1, 0).unwrap().range_all(0, n_rows));
-    }
-
-    #[test]
     fn install_generation_writes_next_summary_block() {
         let comps = windowed_components();
-        let mut stored = StoredIndex::create_v4(MemStore::new(), &comps, CodecKind::None).unwrap();
+        let mut stored = coded_store(&comps, CodecKind::None);
         // Warm the cache so installation must invalidate it.
         assert!(stored.read_summaries().is_some());
         let mut new_comps = comps.clone();
@@ -2342,9 +2211,9 @@ mod tests {
     }
 
     #[test]
-    fn v3_rejects_unknown_tag_and_bad_wah() {
+    fn slot_payload_rejects_unknown_tag_and_bad_wah() {
         let comps = mixed_density_components();
-        let stored = StoredIndex::create_v3(MemStore::new(), &comps, CodecKind::None).unwrap();
+        let stored = coded_store(&comps, CodecKind::None);
         let mut store = stored.into_store();
         // Rewrite the sparse slot with an unknown tag, properly framed so
         // only the tag dispatch can object.

@@ -176,6 +176,7 @@ mod tests {
         let idx = StoredIndex::create(
             MemStore::new(),
             &comps,
+            None,
             StorageScheme::BitmapLevel,
             CodecKind::None,
         )
@@ -223,7 +224,7 @@ mod tests {
             BitVec::from_fn(4096, |i| i % 777 == 0),
             BitVec::from_fn(4096, |i| (i.wrapping_mul(2_654_435_761)) % 3 == 0),
         ]];
-        let idx = StoredIndex::create_v3(MemStore::new(), &comps, CodecKind::None).unwrap();
+        let idx = StoredIndex::create_v4(MemStore::new(), &comps, None, CodecKind::None).unwrap();
         let reader = SharedIndexReader::with_pool(idx, ShardedPool::with_byte_budget(4096, 2));
         let sparse = reader.read_repr(1, 0).unwrap();
         assert!(sparse.is_compressed());
@@ -246,7 +247,7 @@ mod tests {
             BitVec::from_fn(4096, |i| i % 777 == 0),
             BitVec::from_fn(4096, |i| (i.wrapping_mul(2_654_435_761)) % 3 == 0),
         ]];
-        let idx = StoredIndex::create_v3(MemStore::new(), &comps, CodecKind::None).unwrap();
+        let idx = StoredIndex::create_v4(MemStore::new(), &comps, None, CodecKind::None).unwrap();
         let mut reader = SharedIndexReader::with_pool(idx, ShardedPool::new(2, 1));
         for _ in 0..3 {
             assert!(reader.read_repr(1, 0).unwrap().is_compressed());

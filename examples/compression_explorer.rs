@@ -38,7 +38,8 @@ fn report(label: &str, idx: &BitmapIndex) {
             CodecKind::Deflate,
         ] {
             let stored =
-                StoredIndex::create(MemStore::new(), idx.components(), scheme, codec).unwrap();
+                StoredIndex::create(MemStore::new(), idx.components(), idx.nn(), scheme, codec)
+                    .unwrap();
             let bytes = stored.total_stored_bytes() as f64;
             println!(
                 "  {:<22} {:>12.0} {:>7.1}%",

@@ -1,6 +1,8 @@
 //! End-to-end equivalence tests for compressed-domain execution: a
-//! storage-v3 store (per-slot literal-or-WAH payloads) must answer every
-//! query bit-identically to the all-literal v2 stores and the naive oracle
+//! slot-coded store (per-slot literal-or-WAH payloads — the current
+//! format; the `v3_` test names date from the manifest version that
+//! introduced the coding) must answer every query bit-identically to the
+//! all-literal stores of the paper's layouts and the naive oracle
 //! — across all five evaluation algorithms, the parallel batch engine,
 //! every codec choice, and every recovery policy, including the online
 //! repair path from PR 3.
@@ -16,9 +18,7 @@ use bindex::relation::{gen, Column};
 use bindex::storage::{
     ByteStore, MemStore, ShardedPool, SharedIndexReader, StorageScheme, StoredIndex,
 };
-use bindex::stored::{
-    persist_index, persist_index_v3, persist_index_v4, scrub_and_repair_index, SharedSource,
-};
+use bindex::stored::{persist_index, persist_index_v4, scrub_and_repair_index, SharedSource};
 use bindex::{Base, BitmapIndex, Encoding, IndexSpec, RecoveryPolicy};
 
 const CARDINALITY: u32 = 24;
@@ -41,7 +41,7 @@ fn algorithms(encoding: Encoding) -> &'static [Algorithm] {
 }
 
 /// A clustered (sorted) column: every bitmap slot is a handful of runs, so
-/// the v3 store keeps it WAH and the executor stays compressed.
+/// the slot-coded store keeps it WAH and the executor stays compressed.
 fn clustered_column(rows: usize) -> Column {
     let values: Vec<u32> = (0..rows)
         .map(|i| (i * CARDINALITY as usize / rows) as u32)
@@ -50,10 +50,10 @@ fn clustered_column(rows: usize) -> Column {
 }
 
 /// All five algorithms (RangeEval, RangeEvalOpt, EqualityEval,
-/// IntervalEval, plus Auto dispatch), three encodings, both codecs: the v3
-/// store answers exactly like the literal v2 store and the naive oracle —
-/// on a clustered column (slots stored WAH) and a uniform one (slots
-/// mostly fail the WAH heuristic and stay literal).
+/// IntervalEval, plus Auto dispatch), three encodings, both codecs: the
+/// slot-coded store answers exactly like the literal BS store and the
+/// naive oracle — on a clustered column (slots stored WAH) and a uniform
+/// one (slots mostly fail the WAH heuristic and stay literal).
 #[test]
 fn v3_bit_identical_across_encodings_codecs_and_algorithms() {
     let columns = [
@@ -66,8 +66,8 @@ fn v3_bit_identical_across_encodings_codecs_and_algorithms() {
             for codec in CODECS {
                 let lit = persist_index(&idx, MemStore::new(), StorageScheme::BitmapLevel, codec)
                     .unwrap();
-                let v3 = persist_index_v3(&idx, MemStore::new(), codec).unwrap();
-                assert_eq!(v3.format_version(), 3);
+                let coded = persist_index_v4(&idx, MemStore::new(), codec).unwrap();
+                assert_eq!(coded.format_version(), 4);
                 for q in full_space(CARDINALITY) {
                     let want = naive::evaluate(col, q);
                     for &algo in algorithms(encoding) {
@@ -75,9 +75,9 @@ fn v3_bit_identical_across_encodings_codecs_and_algorithms() {
                         let mut src = SharedSource::try_unpooled(&lit, spec(encoding)).unwrap();
                         let (found, _) = evaluate(&mut src, q, algo).unwrap();
                         assert_eq!(found, want, "literal {label}");
-                        let mut src = SharedSource::try_unpooled(&v3, spec(encoding)).unwrap();
+                        let mut src = SharedSource::try_unpooled(&coded, spec(encoding)).unwrap();
                         let (found, _) = evaluate(&mut src, q, algo).unwrap();
-                        assert_eq!(found, want, "v3 {label}");
+                        assert_eq!(found, want, "coded {label}");
                     }
                 }
             }
@@ -85,14 +85,14 @@ fn v3_bit_identical_across_encodings_codecs_and_algorithms() {
     }
 }
 
-/// The parallel batch engine over a shared v3 store answers bit-identically
-/// under every recovery policy on a clean store.
+/// The parallel batch engine over a shared slot-coded store answers
+/// bit-identically under every recovery policy on a clean store.
 #[test]
 fn v3_batch_engine_matches_oracle_under_all_recovery_policies() {
     let col = clustered_column(1500);
     let idx = BitmapIndex::build(&col, spec(Encoding::Equality)).unwrap();
     let reader =
-        SharedIndexReader::new(persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap());
+        SharedIndexReader::new(persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap());
     let queries = full_space(CARDINALITY);
     let column = Arc::new(col.clone());
     for policy in [
@@ -115,14 +115,14 @@ fn v3_batch_engine_matches_oracle_under_all_recovery_policies() {
     }
 }
 
-/// Corrupting a v3 payload degrades (never changes) answers under
+/// Corrupting a slot payload degrades (never changes) answers under
 /// `ReconstructOrScan`, and `scrub_and_repair_index` restores a clean
 /// store — the PR-3 self-healing loop carries over to compressed slots.
 #[test]
 fn v3_degrades_and_repairs_like_literal_stores() {
     let col = clustered_column(1500);
     let idx = BitmapIndex::build(&col, spec(Encoding::Equality)).unwrap();
-    let stored = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+    let stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
     let mut store = stored.into_store();
     // Flip a payload byte of one slot file, at rest. `BINDEX_CHAOS_SEED`
     // (the chaos-smoke CI knob) picks the victim; unset, the first file.
@@ -161,7 +161,7 @@ fn v3_degrades_and_repairs_like_literal_stores() {
     assert!(report.fully_repaired(), "{report:?}");
     let mut fresh = StoredIndex::open(stored.into_store()).unwrap();
     assert!(fresh.scrub().unwrap().is_clean());
-    assert_eq!(fresh.format_version(), 3, "repair keeps the v3 layout");
+    assert_eq!(fresh.format_version(), 4, "repair keeps the slot coding");
     let mut src = SharedSource::try_unpooled(&fresh, spec(Encoding::Equality)).unwrap();
     let mut ctx = ExecContext::new(&mut src);
     for q in full_space(CARDINALITY) {
@@ -172,7 +172,7 @@ fn v3_degrades_and_repairs_like_literal_stores() {
 }
 
 /// With one fixed byte budget, the pool keeps more slots resident when
-/// they are served from a v3 compressed store than from a literal one —
+/// they are served from a slot-coded store than from a literal one —
 /// the point of accounting capacity in bytes rather than slot count.
 #[test]
 fn v3_pool_holds_more_slots_for_the_same_byte_budget() {
@@ -213,15 +213,15 @@ fn v3_pool_holds_more_slots_for_the_same_byte_budget() {
     let (lit_resident, lit_compressed) = sweep(&lit);
     assert_eq!(lit_compressed, 0, "v2 serves only literal reprs");
 
-    let v3 = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
-    let (v3_resident, v3_compressed) = sweep(&v3);
+    let coded = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
+    let (coded_resident, coded_compressed) = sweep(&coded);
     assert!(
-        v3_compressed > n_slots / 2,
-        "clustered slots should be stored WAH ({v3_compressed}/{n_slots})"
+        coded_compressed > n_slots / 2,
+        "clustered slots should be stored WAH ({coded_compressed}/{n_slots})"
     );
     assert!(
-        v3_resident > lit_resident,
-        "byte-accounted pool: v3 keeps {v3_resident} slots resident vs \
+        coded_resident > lit_resident,
+        "byte-accounted pool: coded keeps {coded_resident} slots resident vs \
          {lit_resident} literal under a {budget}-byte budget"
     );
     assert_eq!(
@@ -231,8 +231,8 @@ fn v3_pool_holds_more_slots_for_the_same_byte_budget() {
     );
 }
 
-/// Execution on a v3 store actually runs compressed-domain ops on sparse
-/// clustered slots — and still matches the oracle.
+/// Execution on a slot-coded store actually runs compressed-domain ops on
+/// sparse clustered slots — and still matches the oracle.
 #[test]
 fn v3_execution_uses_compressed_ops() {
     // Single-component base: the clustered column keeps each equality
@@ -244,7 +244,7 @@ fn v3_execution_uses_compressed_ops() {
         let col = clustered_column(rows);
         let spec = IndexSpec::new(Base::single(CARDINALITY).unwrap(), Encoding::Equality);
         let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-        let stored = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+        let stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
         let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
         let mut ctx = ExecContext::new(&mut src);
         let mut compressed_ops = 0usize;

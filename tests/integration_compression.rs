@@ -17,7 +17,7 @@ fn range_index(n: usize, c: u32, seed: u64, msb: &[u32]) -> BitmapIndex {
 }
 
 fn scheme_bytes(idx: &BitmapIndex, scheme: StorageScheme, codec: CodecKind) -> u64 {
-    StoredIndex::create(MemStore::new(), idx.components(), scheme, codec)
+    StoredIndex::create(MemStore::new(), idx.components(), idx.nn(), scheme, codec)
         .unwrap()
         .total_stored_bytes()
 }

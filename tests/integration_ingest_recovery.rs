@@ -26,7 +26,7 @@ use bindex::relation::query::{Op, SelectionQuery};
 use bindex::relation::{gen, Column};
 use bindex::storage::wal::WalOp;
 use bindex::storage::{ByteStore, FaultPlan, FaultStore, MemStore, StoredIndex};
-use bindex::stored::persist_index_v3;
+use bindex::stored::persist_index_v4;
 use bindex::{Base, BitVec, BitmapIndex, Encoding, IndexSpec, IngestIndex, IngestOptions};
 
 const CARDINALITY: u32 = 16;
@@ -231,7 +231,7 @@ fn crash_point_matrix_recovers_a_batch_prefix_under_every_evaluator() {
         for encoding in [Encoding::Range, Encoding::Equality, Encoding::Interval] {
             let base = gen::uniform(BASE_ROWS, CARDINALITY, seed);
             let built = BitmapIndex::build(&base, spec(encoding)).unwrap();
-            let initial = persist_index_v3(&built, MemStore::new(), CodecKind::None)
+            let initial = persist_index_v4(&built, MemStore::new(), CodecKind::None)
                 .unwrap()
                 .into_store();
             let snaps = snapshots(&base, seed);
@@ -328,7 +328,7 @@ fn torn_fsync_append_is_unacknowledged_and_repaired() {
     for seed in seeds() {
         let base = gen::uniform(BASE_ROWS, CARDINALITY, seed);
         let built = BitmapIndex::build(&base, spec(Encoding::Equality)).unwrap();
-        let store = persist_index_v3(&built, MemStore::new(), CodecKind::None)
+        let store = persist_index_v4(&built, MemStore::new(), CodecKind::None)
             .unwrap()
             .into_store();
         let faulted = FaultStore::new(store, FaultPlan::new(seed).with_torn_writes("wal", 1));
@@ -365,7 +365,7 @@ fn torn_fsync_append_is_unacknowledged_and_repaired() {
 fn wal_tail_corruption_truncates_to_valid_prefix() {
     let base = gen::uniform(BASE_ROWS, CARDINALITY, 9);
     let built = BitmapIndex::build(&base, spec(Encoding::Range)).unwrap();
-    let store = persist_index_v3(&built, MemStore::new(), CodecKind::None)
+    let store = persist_index_v4(&built, MemStore::new(), CodecKind::None)
         .unwrap()
         .into_store();
     let mut stored = open_stored(store);
@@ -409,7 +409,7 @@ fn wal_tail_corruption_truncates_to_valid_prefix() {
 fn group_commit_defers_acknowledgement_until_flush() {
     let base = gen::uniform(64, CARDINALITY, 3);
     let built = BitmapIndex::build(&base, spec(Encoding::Equality)).unwrap();
-    let store = persist_index_v3(&built, MemStore::new(), CodecKind::None)
+    let store = persist_index_v4(&built, MemStore::new(), CodecKind::None)
         .unwrap()
         .into_store();
     let mut stored = StoredIndex::open(store).unwrap();
@@ -438,7 +438,7 @@ fn group_commit_defers_acknowledgement_until_flush() {
 fn delta_cap_triggers_automatic_compaction() {
     let base = gen::uniform(100, CARDINALITY, 4);
     let built = BitmapIndex::build(&base, spec(Encoding::Range)).unwrap();
-    let store = persist_index_v3(&built, MemStore::new(), CodecKind::None)
+    let store = persist_index_v4(&built, MemStore::new(), CodecKind::None)
         .unwrap()
         .into_store();
     let mut stored = StoredIndex::open(store).unwrap();

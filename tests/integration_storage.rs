@@ -91,6 +91,7 @@ fn compression_reduces_stored_bytes_on_clustered_data() {
     let raw = StoredIndex::create(
         MemStore::new(),
         idx.components(),
+        idx.nn(),
         StorageScheme::BitmapLevel,
         CodecKind::None,
     )
@@ -98,6 +99,7 @@ fn compression_reduces_stored_bytes_on_clustered_data() {
     let lz = StoredIndex::create(
         MemStore::new(),
         idx.components(),
+        idx.nn(),
         StorageScheme::BitmapLevel,
         CodecKind::Lzss,
     )

@@ -1,7 +1,8 @@
-//! Property tests for the compression-aware physical layout (v4 stores):
-//! over seeded random bases, columns, and row counts, every combination of
-//! {v3, v4} × {pruning on/off} × {unpooled, pool-that-fits} must produce bit-identical
-//! answers — and identical `EvalStats` once the counters that pruning is
+//! Property tests for the compression-aware physical layout (the current
+//! stored format): over seeded random bases, columns, and row counts, every
+//! combination of {pruning on/off} × {unpooled, pool-that-fits} — plus
+//! pruning on over a store whose summary block is gone — must produce
+//! bit-identical answers — and identical `EvalStats` once the counters that pruning is
 //! *allowed* to move (`segments_pruned`, `segments_skipped`,
 //! `materializations`) are set aside — for every evaluator and recovery
 //! policy. A corrupted summary block degrades to fetch-and-check (never a
@@ -20,8 +21,7 @@ use bindex::relation::query::{full_space, Op, SelectionQuery};
 use bindex::relation::{Column, Rng};
 use bindex::storage::{ByteStore, MemStore, ShardedPool, SharedIndexReader, StoredIndex};
 use bindex::stored::{
-    load_permutation, persist_index_v3, persist_index_v4, persist_permutation,
-    scrub_and_repair_index, SharedSource,
+    load_permutation, persist_index_v4, persist_permutation, scrub_and_repair_index, SharedSource,
 };
 use bindex::{
     build_reordered, Base, BitVec, BitmapIndex, BuildOptions, Encoding, IndexSpec, RecoveryPolicy,
@@ -97,45 +97,40 @@ type EvalOutcome = Result<(BitVec, EvalStats), String>;
 /// One layout configuration of the matrix.
 struct Config {
     name: &'static str,
-    v4: bool,
+    /// Serve from the copy of the store whose summary block was removed.
+    summaries: bool,
     prune: bool,
     pool: bool,
 }
 
 const CONFIGS: &[Config] = &[
     Config {
-        name: "v3",
-        v4: false,
+        name: "v4",
+        summaries: true,
         prune: false,
         pool: false,
     },
     Config {
-        name: "v3+prune", // no summary block: pruning must be inert
-        v4: false,
+        name: "no-summary+prune", // no summary block: pruning must be inert
+        summaries: false,
         prune: true,
         pool: false,
     },
     Config {
-        name: "v4",
-        v4: true,
-        prune: false,
-        pool: false,
-    },
-    Config {
         name: "v4+prune",
-        v4: true,
+        summaries: true,
         prune: true,
         pool: false,
     },
     Config {
         name: "v4+pool",
-        v4: true,
+        summaries: true,
         prune: false,
         pool: true,
     },
     Config {
         name: "v4+prune+pool",
-        v4: true,
+        summaries: true,
         prune: true,
         pool: true,
     },
@@ -185,10 +180,12 @@ fn layout_matrix_is_bit_identical() {
         for encoding in [Encoding::Range, Encoding::Equality, Encoding::Interval] {
             let spec = IndexSpec::new(base.clone(), encoding);
             let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-            let v3 = SharedIndexReader::new(
-                persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap(),
-            );
             let v4 = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
+            // The degrade path: the same bytes with the summary block gone.
+            let mut bare = v4.store().clone();
+            bare.remove_file("summary.bxs").unwrap();
+            let bare = SharedIndexReader::new(StoredIndex::open(bare).unwrap());
+            assert!(bare.index().read_summaries().is_none());
             let [v4, v4_pooled] = unpooled_and_pooled(v4.into_store());
             let policies = [
                 RecoveryPolicy::Fail,
@@ -208,8 +205,8 @@ fn layout_matrix_is_bit_identical() {
                         for &segment_bits in sweep {
                             let mut outcomes: Vec<(&str, EvalOutcome)> = Vec::new();
                             for cfg in CONFIGS {
-                                let reader = match (cfg.v4, cfg.pool) {
-                                    (false, _) => &v3,
+                                let reader = match (cfg.summaries, cfg.pool) {
+                                    (false, _) => &bare,
                                     (true, false) => &v4,
                                     (true, true) => &v4_pooled,
                                 };

@@ -2,7 +2,7 @@
 //! bases, columns, and row counts, the segmented driver must be
 //! bit-identical to whole-bitmap evaluation — the result bitmap *and* the
 //! paper-model `EvalStats` counters — for every evaluator, on literal and
-//! v3/WAH stores, under every recovery policy (including a corrupted
+//! slot-coded (WAH) stores, under every recovery policy (including a corrupted
 //! store, where degraded-fetch accounting must also match), and with
 //! early exit changing nothing but `segments_skipped`.
 //!
@@ -17,7 +17,7 @@ use bindex::core::{EvalStats, ExecContext};
 use bindex::relation::query::full_space;
 use bindex::relation::{Column, Rng};
 use bindex::storage::{ByteStore, MemStore, StorageScheme, StoredIndex};
-use bindex::stored::{persist_index, persist_index_v3, SharedSource};
+use bindex::stored::{persist_index, persist_index_v4, SharedSource};
 use bindex::{Base, BitVec, BitmapIndex, BitmapSource, Encoding, IndexSpec, RecoveryPolicy};
 
 fn seeds() -> Vec<u64> {
@@ -152,8 +152,8 @@ fn assert_parity(
     }
 }
 
-/// All five evaluators on clean literal and v3/WAH stores, every recovery
-/// policy, several segment sizes: segmented execution is bit-identical in
+/// All five evaluators on clean literal and slot-coded (WAH) stores, every
+/// recovery policy, several segment sizes: segmented execution is bit-identical in
 /// results and op counts.
 #[test]
 fn segmented_matches_whole_on_clean_stores() {
@@ -173,7 +173,7 @@ fn segmented_matches_whole_on_clean_stores() {
                 CodecKind::None,
             )
             .unwrap();
-            let mut v3 = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+            let mut coded = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
             let policies = [
                 RecoveryPolicy::Fail,
                 RecoveryPolicy::Reconstruct,
@@ -181,7 +181,7 @@ fn segmented_matches_whole_on_clean_stores() {
             ];
             for q in full_space(base.product() as u32) {
                 for &algo in algorithms(encoding) {
-                    for (store_name, stored) in [("literal", &mut lit), ("v3", &mut v3)] {
+                    for (store_name, stored) in [("literal", &mut lit), ("coded", &mut coded)] {
                         for policy in &policies {
                             // The segment-size sweep runs under `Fail`;
                             // the other policies (inert on a clean store,
@@ -212,7 +212,7 @@ fn segmented_matches_whole_on_clean_stores() {
     }
 }
 
-/// A corrupted v3 store: under `Fail` both modes fail on the same
+/// A corrupted slot-coded store: under `Fail` both modes fail on the same
 /// queries; under `Reconstruct` / `ReconstructOrScan` both modes degrade
 /// identically — same answers, same `degraded_fetches`, same
 /// `reconstructed_bitmaps`.
@@ -226,7 +226,7 @@ fn segmented_matches_whole_on_corrupted_stores() {
         let column = Arc::new(col.clone());
         let spec = IndexSpec::new(base.clone(), Encoding::Equality);
         let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
-        let stored = persist_index_v3(&idx, MemStore::new(), CodecKind::None).unwrap();
+        let stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
         let mut store = stored.into_store();
         // Flip a payload byte of one rng-chosen slot file, at rest.
         let mut names: Vec<String> = store
