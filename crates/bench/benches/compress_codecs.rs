@@ -1,7 +1,7 @@
 //! Microbench: the compression substrate — RLE and LZSS on bitmap bytes of
 //! different densities, plus WAH compressed-form logical operations.
 
-use bindex::bitvec::kernels;
+use bindex::bitvec::kernels::{self, Fold, FoldStep};
 use bindex::compress::wah::{self, WahBitmap};
 use bindex::compress::{Codec, Deflate, Lzss, Rle};
 use bindex::BitVec;
@@ -13,6 +13,20 @@ const BITS: usize = 1 << 20;
 
 fn bitmap(step: usize) -> BitVec {
     BitVec::from_fn(BITS, |i| i % step == 0)
+}
+
+/// `|ops[0] ∘ ops[1] ∘ …|` as the one `wah::fold` program a served query
+/// would run, counted on the compressed result.
+fn folded_count<'a>(
+    ops: &'a [WahBitmap],
+    step: fn(&'a WahBitmap) -> FoldStep<&'a WahBitmap>,
+) -> usize {
+    let program = Fold {
+        seed: Some(&ops[0]),
+        steps: ops[1..].iter().map(step).collect(),
+        ..Fold::default()
+    };
+    wah::fold(BITS, &program).count_ones()
 }
 
 fn bench(c: &mut Criterion) {
@@ -67,12 +81,11 @@ fn bench(c: &mut Criterion) {
             .map(|s| BitVec::from_fn(BITS, move |i| ((i >> 5) + s * 7) % m == 0))
             .collect();
         let wahs: Vec<WahBitmap> = dense_ops.iter().map(WahBitmap::from_bitvec).collect();
-        let wrefs: Vec<&WahBitmap> = wahs.iter().collect();
         g.bench_function(format!("wah_and4_{label}"), |b| {
-            b.iter(|| black_box(wah::count_and(&wrefs)))
+            b.iter(|| black_box(folded_count(&wahs, FoldStep::And)))
         });
         g.bench_function(format!("wah_or4_{label}"), |b| {
-            b.iter(|| black_box(wah::count_or(&wrefs)))
+            b.iter(|| black_box(folded_count(&wahs, FoldStep::Or)))
         });
         g.bench_function(format!("decomp_and4_{label}"), |b| {
             b.iter(|| {

@@ -4,8 +4,9 @@
 //! (an operand is folded compressed at no more than 1/16 of its literal
 //! size — `max_folded_ratio`):
 //!
-//! 1. **Kernel density sweep** — k-ary AND/OR on WAH-compressed operands
-//!    vs decompress-then-operate (the cost the executor pays when it
+//! 1. **Kernel density sweep** — k-ary AND/OR [`wah::fold`] programs (the
+//!    engine a served query runs) on WAH-compressed operands vs
+//!    decompress-then-operate (the cost the executor pays when it
 //!    materializes), across densities 0.001–0.5.
 //! 2. **Crossover calibration** — the same sweep also times the dense
 //!    kernels on pre-materialized operands (the steady-state alternative),
@@ -28,7 +29,7 @@
 
 use std::time::Instant;
 
-use bindex::bitvec::kernels;
+use bindex::bitvec::kernels::{self, Fold, FoldStep};
 use bindex::compress::wah::{self, WahBitmap};
 use bindex::compress::CodecKind;
 use bindex::core::eval::{
@@ -90,6 +91,20 @@ fn best_of(reps: usize, mut f: impl FnMut() -> usize) -> f64 {
     best
 }
 
+/// `|ops[0] ∘ ops[1] ∘ …|` as one [`wah::fold`] program, one `step` per
+/// operand after the seed.
+fn folded_count<'a>(
+    ops: &[&'a WahBitmap],
+    step: fn(&'a WahBitmap) -> FoldStep<&'a WahBitmap>,
+) -> usize {
+    let program = Fold {
+        seed: Some(ops[0]),
+        steps: ops[1..].iter().map(|&w| step(w)).collect(),
+        ..Fold::default()
+    };
+    wah::fold(ops[0].len(), &program).count_ones()
+}
+
 struct SweepRow {
     density: f64,
     compressed_ratio: f64,
@@ -113,8 +128,8 @@ fn kernel_sweep(cfg: &Config) -> Vec<SweepRow> {
         let literal_bytes = (cfg.bits.div_ceil(64) * 8 * OPERANDS) as f64;
         let wah_bytes: usize = compressed.iter().map(WahBitmap::compressed_bytes).sum();
 
-        let wah_and = best_of(cfg.kernel_reps, || wah::and_all(&wah_refs).count_ones());
-        let wah_or = best_of(cfg.kernel_reps, || wah::or_all(&wah_refs).count_ones());
+        let wah_and = best_of(cfg.kernel_reps, || folded_count(&wah_refs, FoldStep::And));
+        let wah_or = best_of(cfg.kernel_reps, || folded_count(&wah_refs, FoldStep::Or));
         // What adaptive execution avoids: inflate every operand, then run
         // the dense kernel.
         let decomp_and = best_of(cfg.kernel_reps, || {
@@ -598,7 +613,7 @@ fn main() {
          {fold_faster_at_benchmark_ratio}"
     );
 
-    // CSV: the kernel sweep.    // CSV: the kernel sweep.
+    // CSV: the kernel sweep.
     let mut csv = Csv::create(
         "ext_compressed_exec",
         &[

@@ -11,21 +11,29 @@
 //!   operands with the bit set and compare against k. The row-store
 //!   mental model the bitmap index is supposed to beat.
 //!
-//! A fourth timing, **`wah`**, runs the WAH-native run-merge variant on
-//! the same operands compressed, so the literal-vs-compressed trade is
-//! visible at each density. Every variant's answer is asserted
-//! bit-identical to the CSA kernel's before anything is timed, and the
-//! counting kernel must agree with the materializing one.
+//! A fourth timing, **`wah`**, runs the run-domain threshold
+//! (`wah::threshold_k(..).count_ones()`) on the same operands compressed,
+//! so the literal-vs-compressed trade is visible at each density. Every
+//! variant's answer is asserted bit-identical to the CSA kernel's before
+//! anything is timed, and the counting kernel must agree with the
+//! materializing one.
 //!
 //! Sweeps N ∈ {4, 8, 16, 32} × k ∈ {2, N/2, N−1} × density ∈
-//! {1%, 10%, 50%}. Emits `BENCH_threshold.json` at the workspace root
-//! and the usual CSV under `results/`. `--smoke` (alias `--quick`)
-//! shrinks the sweep for CI.
+//! {1%, 10%, 50%} over uniform bits — where WAH has no runs to merge — and
+//! then a **clustered** sweep: range-slot-shaped operands of
+//! [`gen::clustered`] columns at cluster lengths on both sides of the
+//! executor's 1/16 size rule, N ∈ {4, 8, 16} × k ∈ {2, N/2}, *decode N
+//! operands + CSA* (what a served threshold over compressed slots pays
+//! today) against the run-domain threshold (what it would pay if it took
+//! the road selections take). Emits `BENCH_threshold.json` at the
+//! workspace root and the usual CSV under `results/`. `--smoke` (alias
+//! `--quick`) shrinks both sweeps for CI.
 
 use std::time::Instant;
 
 use bindex::bitvec::kernels;
 use bindex::compress::wah::{self, WahBitmap};
+use bindex::relation::gen;
 use bindex::BitVec;
 use bindex_bench::{f2, print_table, results_dir, Csv, RunProvenance};
 
@@ -38,7 +46,17 @@ struct Config {
     fan_ins: &'static [usize],
     densities: &'static [f64],
     reps: usize,
+    clustered_fan_ins: &'static [usize],
+    cluster_lens: &'static [usize],
 }
+
+/// The executor folds an operand compressed at no more than this share of
+/// its literal size (`core::exec`'s one rule, 1/16).
+const MAX_FOLDED_RATIO: f64 = 0.0625;
+/// Cardinality of the clustered columns: operand `j` is the range slot
+/// `A ≤ j mod 9` of its own column, so densities run 10–90 % the way a
+/// base-10 component's nine stored slots do.
+const CLUSTERED_CARDINALITY: u32 = 10;
 
 /// Deterministic Bernoulli(density) bitmaps (xorshift64 per bit). The
 /// density knob is what `synthetic_bitmaps`' fixed ~50% cannot give us:
@@ -178,7 +196,7 @@ fn sweep_point(cfg: &Config, n: usize, k: usize, density: f64, seed: u64) -> Poi
     }
 
     let csa_s = time_best(cfg.reps, || kernels::threshold_k(&refs, k));
-    let wah_s = time_best(cfg.reps, || wah::count_threshold_k(&wah_refs, k));
+    let wah_s = time_best(cfg.reps, || wah::threshold_k(&wah_refs, k).count_ones());
     let scan_s = time_best(1, || per_row_scan(&refs, k));
     let naive_s = naive_ok.then(|| time_best(1, || naive_or_of_ands(&refs, k)));
 
@@ -197,6 +215,67 @@ fn sweep_point(cfg: &Config, n: usize, k: usize, density: f64, seed: u64) -> Poi
     }
 }
 
+/// One point of the clustered sweep: the same count two ways.
+struct ClusteredPoint {
+    cluster_len: usize,
+    n: usize,
+    k: usize,
+    /// Operands' compressed ÷ literal bytes.
+    compressed_ratio: f64,
+    /// Decode every operand, CSA, count — the result materialized, as the
+    /// executor's threshold path leaves it today.
+    decode_csa_s: f64,
+    /// `wah::threshold_k(..).count_ones()`: nothing decoded.
+    wah_s: f64,
+}
+
+impl ClusteredPoint {
+    /// > 1 = the run-domain threshold is the faster side.
+    fn wah_speedup(&self) -> f64 {
+        self.decode_csa_s / self.wah_s
+    }
+}
+
+fn clustered_point(cfg: &Config, cluster_len: usize, n: usize, k: usize) -> ClusteredPoint {
+    let operands: Vec<BitVec> = (0..n)
+        .map(|j| {
+            let col = gen::clustered(
+                cfg.rows,
+                CLUSTERED_CARDINALITY,
+                cluster_len,
+                0xC1 + j as u64,
+            );
+            let values = col.values();
+            BitVec::from_fn(cfg.rows, |i| values[i] <= (j % 9) as u32)
+        })
+        .collect();
+    let refs: Vec<&BitVec> = operands.iter().collect();
+    let compressed: Vec<WahBitmap> = operands.iter().map(WahBitmap::from_bitvec).collect();
+    let wah_refs: Vec<&WahBitmap> = compressed.iter().collect();
+    let decode_csa = || {
+        let decoded: Vec<BitVec> = compressed.iter().map(WahBitmap::to_bitvec).collect();
+        let refs: Vec<&BitVec> = decoded.iter().collect();
+        kernels::threshold_k(&refs, k).count_ones()
+    };
+    let want = kernels::threshold_k(&refs, k);
+    assert_eq!(
+        wah::threshold_k(&wah_refs, k),
+        WahBitmap::from_bitvec(&want),
+        "run-domain threshold diverges at cluster {cluster_len} n={n} k={k}"
+    );
+    assert_eq!(decode_csa(), want.count_ones());
+    let wah_bytes: usize = compressed.iter().map(WahBitmap::compressed_bytes).sum();
+    let literal_bytes: usize = operands.iter().map(|b| b.words().len() * 8).sum();
+    ClusteredPoint {
+        cluster_len,
+        n,
+        k,
+        compressed_ratio: wah_bytes as f64 / literal_bytes as f64,
+        decode_csa_s: time_best(cfg.reps, decode_csa),
+        wah_s: time_best(cfg.reps, || wah::threshold_k(&wah_refs, k).count_ones()),
+    }
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke" || a == "--quick");
     let provenance = RunProvenance::capture(1);
@@ -206,6 +285,8 @@ fn main() {
             fan_ins: &[4, 8],
             densities: &[0.1],
             reps: 1,
+            clustered_fan_ins: &[4, 8],
+            cluster_lens: &[64, 4096],
         }
     } else {
         Config {
@@ -213,6 +294,8 @@ fn main() {
             fan_ins: &[4, 8, 16, 32],
             densities: &[0.01, 0.1, 0.5],
             reps: 5,
+            clustered_fan_ins: &[4, 8, 16],
+            cluster_lens: &[64, 256, 1024, 4096, 16_384],
         }
     };
 
@@ -298,6 +381,76 @@ fn main() {
          (min {min_naive_n8:.2}x)"
     );
 
+    // The clustered sweep: the one regime where the run merge is expected
+    // to win. No gate on who wins — the artifact records it.
+    let mut clustered: Vec<ClusteredPoint> = Vec::new();
+    for &cluster_len in cfg.cluster_lens {
+        for &n in cfg.clustered_fan_ins {
+            let mut ks = vec![2, n / 2];
+            ks.dedup();
+            for k in ks {
+                clustered.push(clustered_point(&cfg, cluster_len, n, k));
+            }
+        }
+    }
+    print_table(
+        &format!(
+            "clustered range-slot operands, {} rows: decode N + CSA vs wah::threshold_k, counted",
+            cfg.rows
+        ),
+        &[
+            "cluster",
+            "n",
+            "k",
+            "size ratio",
+            "decode+csa_s",
+            "wah_s",
+            "wah speedup",
+        ],
+        &clustered
+            .iter()
+            .map(|p| {
+                vec![
+                    p.cluster_len.to_string(),
+                    p.n.to_string(),
+                    p.k.to_string(),
+                    format!("{:.4}", p.compressed_ratio),
+                    format!("{:.6}", p.decode_csa_s),
+                    format!("{:.6}", p.wah_s),
+                    f2(p.wah_speedup()),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+    // Per cluster length: which side won every point, and by how much.
+    let mut verdict_json: Vec<String> = Vec::new();
+    for &cluster_len in cfg.cluster_lens {
+        let at = || clustered.iter().filter(|p| p.cluster_len == cluster_len);
+        let ratio = at().map(|p| p.compressed_ratio).sum::<f64>() / at().count() as f64;
+        let min = at()
+            .map(ClusteredPoint::wah_speedup)
+            .fold(f64::MAX, f64::min);
+        let max = at()
+            .map(ClusteredPoint::wah_speedup)
+            .fold(f64::MIN, f64::max);
+        let winner = match (min > 1.0, max < 1.0) {
+            (true, _) => "wah_threshold",
+            (_, true) => "decode_csa",
+            _ => "mixed",
+        };
+        let within = ratio <= MAX_FOLDED_RATIO;
+        println!(
+            "  cluster {cluster_len:>6} (ratio {ratio:.4}, within the 1/16 rule: {within}): \
+                 {winner}, decode+csa / wah = {min:.2}x to {max:.2}x"
+        );
+        verdict_json.push(format!(
+            "      {{\"cluster_len\": {cluster_len}, \"compressed_ratio\": {ratio:.4}, \
+                 \"within_folded_ratio\": {within}, \"winner\": \"{winner}\", \
+                 \"min_wah_speedup_vs_decode_csa\": {min:.3}, \
+                 \"max_wah_speedup_vs_decode_csa\": {max:.3}}}"
+        ));
+    }
+
     let mut csv = Csv::create(
         "ext_threshold",
         &[
@@ -332,7 +485,6 @@ fn main() {
         .expect("row");
     }
     println!("\nCSV: {}", csv.path().display());
-
     // Hand-rolled JSON (no serde in the dependency set).
     let point_json: Vec<String> = points
         .iter()
@@ -359,15 +511,37 @@ fn main() {
             )
         })
         .collect();
+    let clustered_json: Vec<String> = clustered
+        .iter()
+        .map(|p| {
+            format!(
+                "      {{\"cluster_len\": {}, \"n\": {}, \"k\": {}, \"compressed_ratio\": {:.4}, \
+                 \"decode_csa_seconds\": {:.6}, \"wah_seconds\": {:.6}, \
+                 \"wah_speedup_vs_decode_csa\": {:.3}}}",
+                p.cluster_len,
+                p.n,
+                p.k,
+                p.compressed_ratio,
+                p.decode_csa_s,
+                p.wah_s,
+                p.wah_speedup(),
+            )
+        })
+        .collect();
     let json = format!(
         "{{\n  \"experiment\": \"threshold\",\n  \"smoke\": {smoke},\n  {prov},\n  \
          \"rows\": {rows},\n  \"identical_answers\": true,\n  \
          \"min_speedup_vs_scan\": {min_scan:.3},\n  \
          \"min_speedup_vs_naive_majority_n8\": {min_naive_n8:.3},\n  \
-         \"points\": [\n{points}\n  ]\n}}\n",
+         \"points\": [\n{points}\n  ],\n  \
+         \"clustered\": {{\n    \"cardinality\": {CLUSTERED_CARDINALITY}, \
+         \"max_folded_ratio\": {MAX_FOLDED_RATIO},\n    \"points\": [\n{clustered}\n    ],\n    \
+         \"by_cluster_len\": [\n{verdicts}\n    ]\n  }}\n}}\n",
         prov = provenance.json_fields(),
         rows = cfg.rows,
         points = point_json.join(",\n"),
+        clustered = clustered_json.join(",\n"),
+        verdicts = verdict_json.join(",\n"),
     );
     let json_path = results_dir()
         .parent()

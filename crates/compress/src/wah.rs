@@ -13,19 +13,21 @@
 //! The final group may be partial; the bitmap remembers its exact bit length
 //! and keeps tail bits zero (same canonical-form rule as `BitVec`).
 //!
-//! Beyond the binary ops, this module provides the compressed-domain
-//! counterparts of [`bindex_bitvec::kernels`]: k-ary [`and_all`] /
-//! [`or_all`] / [`xor_all`], [`and_not`], the whole-function [`fold`], and
-//! the fused counting variants ([`count_and`], [`count_or`], …) that never
-//! materialize a result at all. All of them walk the operands' run
-//! decompositions in lockstep — aligned fill runs are folded `min(count)`
-//! groups at a time, so the work is proportional to the number of *runs*
-//! in the operands, not the bit length. What makes a bitmap cheap here is
-//! long runs, not few set bits: a range-encoded slot of a clustered or
-//! time-ordered column is 10–90 % ones and still a few hundred words,
-//! because its ones and its zeros both come in runs of thousands of rows.
-//! A RangeEval-Opt predicate over such slots touches those few hundred
-//! words per operand where the dense kernels sweep the whole relation.
+//! One lockstep run merge operates on the compressed form: [`fold`]
+//! evaluates a whole Boolean function ([`Fold`]) over its operands' run
+//! decompositions in one pass, and [`WahBitmap::and`] / [`WahBitmap::or`] /
+//! [`WahBitmap::xor`] / [`WahBitmap::not`] are one-step programs handed to
+//! it; [`threshold_k`] drives the same walk with a bit-sliced counter as
+//! the per-stretch function. Over each stretch where no operand changes
+//! run the function is evaluated once on a 31-bit group, so the work is
+//! proportional to the number of *runs* in the operands, not the bit
+//! length. What makes a bitmap cheap here is long runs, not few set bits:
+//! a range-encoded slot of a clustered or time-ordered column is 10–90 %
+//! ones and still a few hundred words, because its ones and its zeros both
+//! come in runs of thousands of rows. A RangeEval-Opt predicate over such
+//! slots touches those few hundred words per operand where the dense
+//! kernels sweep the whole relation. A count is [`WahBitmap::count_ones`]
+//! of the result, itself O(compressed words).
 
 use std::sync::Arc;
 
@@ -101,18 +103,6 @@ impl WahBitmap {
         self.words.len() * 4
     }
 
-    /// Fraction of set bits (`count_ones / len`; 0 for an empty bitmap).
-    /// Computed on the compressed form — cost is proportional to the number
-    /// of compressed words, which is exactly when density is low.
-    #[inline]
-    pub fn density(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.count_ones() as f64 / self.len as f64
-        }
-    }
-
     /// Number of set bits, computed without decompressing: fill runs are
     /// counted arithmetically (O(1) per run, however many groups it spans),
     /// literals by popcount.
@@ -143,14 +133,6 @@ impl WahBitmap {
             }
         }
         ones
-    }
-
-    /// Iterates the run decomposition: one [`Run`] per encoded word, fills
-    /// carrying their group count. This is the raw material of the
-    /// run-merging kernels and is exposed for callers that want to walk
-    /// the compressed form themselves.
-    pub fn runs(&self) -> impl Iterator<Item = Run> + '_ {
-        RunIter::new(&self.words)
     }
 
     /// Serializes the compressed words (little-endian `u32`s). The bit
@@ -205,7 +187,7 @@ impl WahBitmap {
     /// # Panics
     /// Panics if lengths differ.
     pub fn and(&self, rhs: &Self) -> Self {
-        and_all(&[self, rhs])
+        self.seeded(vec![FoldStep::And(rhs)])
     }
 
     /// Bitwise OR on the compressed form.
@@ -213,7 +195,7 @@ impl WahBitmap {
     /// # Panics
     /// Panics if lengths differ.
     pub fn or(&self, rhs: &Self) -> Self {
-        or_all(&[self, rhs])
+        self.seeded(vec![FoldStep::Or(rhs)])
     }
 
     /// Bitwise XOR on the compressed form.
@@ -221,97 +203,32 @@ impl WahBitmap {
     /// # Panics
     /// Panics if lengths differ.
     pub fn xor(&self, rhs: &Self) -> Self {
-        xor_all(&[self, rhs])
+        let program = Fold {
+            steps: vec![FoldStep::AndXor(self, rhs)],
+            ..Fold::default()
+        };
+        fold(self.len, &program)
     }
 
     /// Bitwise NOT on the compressed form (length-aware).
     pub fn not(&self) -> Self {
-        let mut words = Vec::with_capacity(self.words.len());
-        for &w in &self.words {
-            if w & FILL_FLAG != 0 {
-                words.push(w ^ FILL_VALUE);
-            } else {
-                push_group(&mut words, !w & GROUP_MASK);
-            }
-        }
-        let mut out = Self {
-            words,
-            len: self.len,
+        let program = Fold {
+            seed: Some(self),
+            complement: true,
+            ..Fold::default()
         };
-        out.mask_tail();
-        out
+        fold(self.len, &program)
     }
 
-    /// Re-normalizes the (possibly dirty) final group so tail bits are zero.
-    fn mask_tail(&mut self) {
-        let rem = self.len % GROUP_BITS;
-        if rem == 0 || self.len == 0 {
-            return;
-        }
-        let tail_mask = (1u32 << rem) - 1;
-        // Pop trailing words until we isolate the final group, fix it, re-push.
-        let Some(&last) = self.words.last() else {
-            return;
+    /// `steps` applied in order to `self`, as one [`fold`].
+    fn seeded(&self, steps: Vec<FoldStep<&Self>>) -> Self {
+        let program = Fold {
+            seed: Some(self),
+            steps,
+            ..Fold::default()
         };
-        if last & FILL_FLAG != 0 {
-            let count = last & MAX_FILL;
-            let fill = last & FILL_VALUE != 0;
-            if !fill {
-                return; // zero fill already canonical
-            }
-            self.words.pop();
-            if count > 1 {
-                self.words.push(FILL_FLAG | FILL_VALUE | (count - 1));
-            }
-            push_group(&mut self.words, GROUP_MASK & tail_mask);
-        } else {
-            let fixed = last & GROUP_MASK & tail_mask;
-            self.words.pop();
-            push_group(&mut self.words, fixed);
-        }
+        fold(self.len, &program)
     }
-}
-
-/// AND of all operands entirely in the compressed domain: the run
-/// decompositions are merged in lockstep, so aligned fill runs cost one
-/// step regardless of how many groups they span. Mirrors
-/// [`bindex_bitvec::kernels::and_all`].
-///
-/// # Panics
-/// Panics on an empty operand list or mismatched lengths.
-#[must_use]
-pub fn and_all(operands: &[&WahBitmap]) -> WahBitmap {
-    fold_groups(operands, |a, b| a & b, AND_ALGEBRA)
-}
-
-/// OR of all operands in the compressed domain. Mirrors
-/// [`bindex_bitvec::kernels::or_all`].
-///
-/// # Panics
-/// Panics on an empty operand list or mismatched lengths.
-#[must_use]
-pub fn or_all(operands: &[&WahBitmap]) -> WahBitmap {
-    fold_groups(operands, |a, b| a | b, OR_ALGEBRA)
-}
-
-/// XOR of all operands in the compressed domain. Mirrors
-/// [`bindex_bitvec::kernels::xor_all`].
-///
-/// # Panics
-/// Panics on an empty operand list or mismatched lengths.
-#[must_use]
-pub fn xor_all(operands: &[&WahBitmap]) -> WahBitmap {
-    fold_groups(operands, |a, b| a ^ b, XOR_ALGEBRA)
-}
-
-/// `a ∧ ¬b` in the compressed domain. Mirrors
-/// [`bindex_bitvec::kernels::and_not`].
-///
-/// # Panics
-/// Panics if lengths differ.
-#[must_use]
-pub fn and_not(a: &WahBitmap, b: &WahBitmap) -> WahBitmap {
-    fold_groups(&[a, b], |x, y| x & !y, ANDNOT_ALGEBRA)
 }
 
 /// Evaluates `program` over `len`-bit operands entirely in the compressed
@@ -340,9 +257,7 @@ pub fn fold(len: usize, program: &Fold<&WahBitmap>) -> WahBitmap {
         cursors.push(Cursor::new(&w.words));
         cursors.len() - 1
     });
-    let mut words = Vec::new();
-    let mut left = len.div_ceil(GROUP_BITS) as u64;
-    while left > 0 {
+    merge(len, cursors, |cursors| {
         let value = |i: usize| cursors[i].value;
         let mut acc = program.seed.map_or(GROUP_MASK, value);
         for step in &program.steps {
@@ -359,226 +274,101 @@ pub fn fold(len: usize, program: &Fold<&WahBitmap>) -> WahBitmap {
         if let Some(mask) = program.mask {
             acc &= value(mask);
         }
+        acc
+    })
+}
+
+/// The lockstep run merge: over each stretch where no cursor changes run,
+/// `group` maps the cursors' current 31-bit values to the result's, which
+/// is emitted as one fill or as literals (adjacent fills merge, so the
+/// encoding is canonical), and every cursor advances past the stretch.
+fn merge(
+    len: usize,
+    mut cursors: Vec<Cursor<'_>>,
+    group: impl Fn(&[Cursor<'_>]) -> u32,
+) -> WahBitmap {
+    let mut words = Vec::new();
+    let mut left = len.div_ceil(GROUP_BITS) as u64;
+    while left > 0 {
+        let acc = group(&cursors) & GROUP_MASK;
         // Every operand holds its value for `take` more groups; with no
         // operand at all the function is one constant fill.
         let take = cursors.iter().map(|c| c.remaining).min();
         let take = u64::from(take.unwrap_or(u32::MAX)).min(left) as u32;
-        push_fill_or_literals(&mut words, acc & GROUP_MASK, take);
         for c in &mut cursors {
             c.advance(take);
         }
         left -= u64::from(take);
+        if left == 0 {
+            // The final group may be partial: bits past `len` stay zero
+            // whatever the function (a complement) or the operands (a
+            // dirty stored tail) put there.
+            push_fill_or_literals(&mut words, acc, take - 1);
+            push_fill_or_literals(&mut words, acc & tail_mask(len), 1);
+        } else {
+            push_fill_or_literals(&mut words, acc, take);
+        }
     }
-    let mut out = WahBitmap { words, len };
-    out.mask_tail();
-    out
-}
-
-/// `|operands[0] ∧ operands[1] ∧ …|` without producing a result bitmap:
-/// aligned fill runs are counted arithmetically, literal groups by
-/// popcount. Mirrors [`bindex_bitvec::kernels::count_and`].
-///
-/// # Panics
-/// Panics on an empty operand list or mismatched lengths.
-#[must_use]
-pub fn count_and(operands: &[&WahBitmap]) -> usize {
-    count_groups(operands, |a, b| a & b, AND_ALGEBRA)
-}
-
-/// `|operands[0] ∨ operands[1] ∨ …|` without producing a result bitmap.
-/// Mirrors [`bindex_bitvec::kernels::count_or`].
-///
-/// # Panics
-/// Panics on an empty operand list or mismatched lengths.
-#[must_use]
-pub fn count_or(operands: &[&WahBitmap]) -> usize {
-    count_groups(operands, |a, b| a | b, OR_ALGEBRA)
-}
-
-/// `|operands[0] ⊕ operands[1] ⊕ …|` without producing a result bitmap.
-/// Mirrors [`bindex_bitvec::kernels::count_xor`].
-///
-/// # Panics
-/// Panics on an empty operand list or mismatched lengths.
-#[must_use]
-pub fn count_xor(operands: &[&WahBitmap]) -> usize {
-    count_groups(operands, |a, b| a ^ b, XOR_ALGEBRA)
-}
-
-/// `|a ∧ ¬b|` without producing a result bitmap. Mirrors
-/// [`bindex_bitvec::kernels::count_and_not`].
-///
-/// # Panics
-/// Panics if lengths differ.
-#[must_use]
-pub fn count_and_not(a: &WahBitmap, b: &WahBitmap) -> usize {
-    count_groups(&[a, b], |x, y| x & !y, ANDNOT_ALGEBRA)
+    WahBitmap { words, len }
 }
 
 /// "≥ k of the operands set", entirely in the compressed domain: the
-/// run-merge counterpart of [`bindex_bitvec::kernels::threshold_k`].
-/// Operand runs are walked in lockstep with two threshold-specific
-/// absorbing skips layered on top:
-///
-/// * when **k or more** cursors sit in one-fills the result is pinned at
-///   ones for as long as all of them persist — the span advances by the
-///   minimum remaining among the one-fill cursors without folding anyone
-///   else's literals;
-/// * when **fewer than k** cursors can still be live (more than `n − k`
-///   sit in zero-fills) the result is pinned at zeros for the minimum
-///   remaining among the zero-fill cursors.
-///
-/// Outside the skips, every cursor's group value is constant for the
-/// aligned stretch, so one 32-bit bit-sliced counter evaluation covers
-/// the whole stretch. Work stays proportional to the operands'
-/// *compressed* sizes; nothing is materialized.
+/// run-merge counterpart of [`bindex_bitvec::kernels::threshold_k`]
+/// (Kaser & Lemire, *Threshold and symmetric functions over bitmaps*).
+/// It drives the same lockstep walk as [`fold`]: over each stretch where
+/// no operand changes run, **k or more** operands in one-fills pin the
+/// result at ones and **more than `n − k`** in zero-fills pin it at zeros
+/// without looking at anyone's literals; otherwise one 32-bit bit-sliced
+/// counter evaluation covers the whole stretch. Work stays proportional
+/// to the operands' *compressed* sizes; nothing is materialized.
 ///
 /// Degenerate thresholds are total: `k = 0` is all ones, `k > n` is all
-/// zeros; `k = 1` / `k = n` collapse to [`or_all`] / [`and_all`].
+/// zeros; `k = 1` / `k = n` are the `Or` / `And` [`fold`] programs.
 ///
 /// # Panics
 /// Panics on an empty operand list, mismatched lengths, or more than
 /// [`bindex_bitvec::kernels::MAX_THRESHOLD_FAN_IN`] operands.
 #[must_use]
 pub fn threshold_k(operands: &[&WahBitmap], k: usize) -> WahBitmap {
-    let len = check_kary(operands);
-    let n = operands.len();
-    if k == 0 {
-        return filled(len, true);
+    let (&first, rest) = operands
+        .split_first()
+        .expect("WAH threshold needs at least one operand");
+    let (len, n) = (first.len, operands.len());
+    for w in rest {
+        assert_eq!(len, w.len, "WAH length mismatch: {len} vs {}", w.len);
     }
-    if k > n {
-        return filled(len, false);
+    if k == 0 || k > n {
+        let constant = Fold {
+            complement: k > n,
+            ..Fold::default()
+        };
+        return fold(len, &constant);
     }
-    if k == 1 {
-        return or_all(operands);
+    if k == 1 || k == n {
+        let step = if k == 1 { FoldStep::Or } else { FoldStep::And };
+        return first.seeded(rest.iter().map(|&w| step(w)).collect());
     }
-    if k == n {
-        return and_all(operands);
-    }
-    let mut words = Vec::new();
-    merge_threshold(operands, k, |v, count| {
-        push_fill_or_literals(&mut words, v, count);
-    });
-    let mut out = WahBitmap { words, len };
-    out.mask_tail();
-    out
-}
-
-/// `|threshold_k(operands, k)|` without producing a result bitmap: fill
-/// stretches are counted arithmetically, folded literal stretches by
-/// popcount. Mirrors [`bindex_bitvec::kernels::count_threshold_k`].
-///
-/// # Panics
-/// Panics on an empty operand list, mismatched lengths, or more than
-/// [`bindex_bitvec::kernels::MAX_THRESHOLD_FAN_IN`] operands.
-#[must_use]
-pub fn count_threshold_k(operands: &[&WahBitmap], k: usize) -> usize {
-    let len = check_kary(operands);
-    let n = operands.len();
-    if k == 0 {
-        return len;
-    }
-    if k > n {
-        return 0;
-    }
-    if k == 1 {
-        return count_or(operands);
-    }
-    if k == n {
-        return count_and(operands);
-    }
-    let ngroups = len.div_ceil(GROUP_BITS);
-    let tail_mask = tail_mask(len);
-    let mut ones = 0usize;
-    let mut g = 0usize;
-    merge_threshold(operands, k, |v, count| {
-        let count = count as usize;
-        let covers_tail = g + count == ngroups;
-        if v == GROUP_MASK {
-            ones += GROUP_BITS * count;
-            if covers_tail {
-                ones -= GROUP_BITS - tail_mask.count_ones() as usize;
-            }
-        } else if v != 0 {
-            let last = if covers_tail { v & tail_mask } else { v };
-            ones += v.count_ones() as usize * (count - 1) + last.count_ones() as usize;
-        }
-        g += count;
-    });
-    debug_assert_eq!(g, ngroups, "operands cover all groups");
-    ones
-}
-
-/// An all-zeros or all-ones WAH bitmap of `len` bits.
-fn filled(len: usize, ones: bool) -> WahBitmap {
-    let group = if ones { GROUP_MASK } else { 0 };
-    let mut words = Vec::new();
-    let mut remaining = len.div_ceil(GROUP_BITS) as u64;
-    while remaining > 0 {
-        let take = remaining.min(u64::from(MAX_FILL)) as u32;
-        push_fill_or_literals(&mut words, group, take);
-        remaining -= u64::from(take);
-    }
-    let mut out = WahBitmap { words, len };
-    out.mask_tail();
-    out
-}
-
-/// The threshold run-merge core: walks every operand's runs in lockstep,
-/// applies the two absorbing skips described on [`threshold_k`], and
-/// hands `(group value, aligned group count)` stretches to `sink`.
-/// Callers guarantee `2 ≤ k < n`.
-fn merge_threshold(operands: &[&WahBitmap], k: usize, mut sink: impl FnMut(u32, u32)) {
-    let n = operands.len();
     assert!(
         n <= bindex_bitvec::kernels::MAX_THRESHOLD_FAN_IN,
         "threshold fan-in {n} exceeds the kernel maximum {}",
         bindex_bitvec::kernels::MAX_THRESHOLD_FAN_IN
     );
     let levels = (usize::BITS - n.leading_zeros()) as usize;
-    let ngroups = operands[0].len.div_ceil(GROUP_BITS) as u64;
-    let mut cursors: Vec<Cursor<'_>> = operands.iter().map(|w| Cursor::new(&w.words)).collect();
-    let mut left = ngroups;
-    while left > 0 {
-        let mut take = u32::MAX;
-        let mut ones_fills = 0usize;
-        let mut ones_span = u32::MAX;
-        let mut zero_fills = 0usize;
-        let mut zero_span = u32::MAX;
-        for c in cursors.iter() {
-            take = take.min(c.remaining);
-            if c.value == GROUP_MASK {
-                ones_fills += 1;
-                ones_span = ones_span.min(c.remaining);
-            } else if c.value == 0 {
-                zero_fills += 1;
-                zero_span = zero_span.min(c.remaining);
-            }
+    let cursors = operands.iter().map(|w| Cursor::new(&w.words)).collect();
+    merge(len, cursors, |cursors| {
+        let (mut one_fills, mut zero_fills) = (0usize, 0usize);
+        for c in cursors {
+            one_fills += usize::from(c.value == GROUP_MASK);
+            zero_fills += usize::from(c.value == 0);
         }
-        let span = if ones_fills >= k {
-            // At least k cursors sit in one-runs: the result is pinned at
-            // ones until the shortest of them ends.
-            let span = u64::from(ones_span).min(left) as u32;
-            sink(GROUP_MASK, span);
-            span
+        if one_fills >= k {
+            GROUP_MASK
         } else if n - zero_fills < k {
-            // Fewer than k cursors can still contribute a set bit: pinned
-            // at zeros until the shortest zero-run ends.
-            let span = u64::from(zero_span).min(left) as u32;
-            sink(0, span);
-            span
+            0
         } else {
-            // Every cursor's value is constant for `take` aligned groups,
-            // so one bit-sliced counter evaluation covers the stretch.
-            let span = u64::from(take).min(left) as u32;
-            sink(threshold_group(&cursors, k as u32, levels), span);
-            span
-        };
-        for c in cursors.iter_mut() {
-            c.advance(span);
+            threshold_group(cursors, k as u32, levels)
         }
-        left -= u64::from(span);
-    }
+    })
 }
 
 /// Bit-sliced "count ≥ k" over the cursors' current 31-bit group values:
@@ -600,20 +390,6 @@ fn threshold_group(cursors: &[Cursor<'_>], k: u32, levels: usize) -> u32 {
         borrow = (!row & kmask) | ((!row | kmask) & borrow);
     }
     !borrow & GROUP_MASK
-}
-
-fn check_kary(operands: &[&WahBitmap]) -> usize {
-    let first = operands
-        .first()
-        .expect("k-ary WAH kernel needs at least one operand");
-    for op in &operands[1..] {
-        assert_eq!(
-            first.len, op.len,
-            "WAH length mismatch: {} vs {}",
-            first.len, op.len
-        );
-    }
-    first.len
 }
 
 /// One operand's decode state inside the lockstep merge: the current run's
@@ -826,169 +602,6 @@ impl SegmentCursor {
     }
 }
 
-/// Algebraic structure of a fold operator, enabling run skips beyond the
-/// basic lockstep: `absorbing` (`a op x = a` for every `x`) lets a single
-/// run pin the result across its whole width; `identity` (`e op x = x`)
-/// lets the merge stream one operand's runs verbatim while every other
-/// operand sits in an identity fill.
-#[derive(Clone, Copy)]
-struct OpAlgebra {
-    absorbing: Option<u32>,
-    identity: Option<u32>,
-}
-
-const AND_ALGEBRA: OpAlgebra = OpAlgebra {
-    absorbing: Some(0),
-    identity: Some(GROUP_MASK),
-};
-const OR_ALGEBRA: OpAlgebra = OpAlgebra {
-    absorbing: Some(GROUP_MASK),
-    identity: Some(0),
-};
-const XOR_ALGEBRA: OpAlgebra = OpAlgebra {
-    absorbing: None,
-    identity: Some(0),
-};
-/// `x ∧ ¬y` is neither commutative nor associative, so no element is
-/// absorbing or identity for *both* sides; it runs on the plain lockstep.
-const ANDNOT_ALGEBRA: OpAlgebra = OpAlgebra {
-    absorbing: None,
-    identity: None,
-};
-
-/// The shared run-merging core: walks every operand's runs in lockstep and
-/// hands the folded group value plus the number of aligned groups it
-/// covers to `sink`, in O(total runs) independent of how many groups the
-/// fills span. The operator's [`OpAlgebra`] unlocks two further skips:
-///
-/// * an operand in an **absorbing** run pins the result for that run's
-///   whole width — the other operands' literals are hopped over unfolded;
-/// * when every operand but one sits in an **identity** fill, the active
-///   operand's runs are streamed to the sink verbatim, with no per-group
-///   folding at all (the dominant case for ORs of sparse bitmaps).
-fn merge_groups(
-    operands: &[&WahBitmap],
-    op: impl Fn(u32, u32) -> u32,
-    algebra: OpAlgebra,
-    mut sink: impl FnMut(u32, u32),
-) {
-    let ngroups = operands[0].len.div_ceil(GROUP_BITS) as u64;
-    let mut cursors: Vec<Cursor<'_>> = operands.iter().map(|w| Cursor::new(&w.words)).collect();
-    let mut left = ngroups;
-    while left > 0 {
-        let (first, rest) = cursors.split_first_mut().expect("at least one operand");
-        let mut take = first.remaining;
-        let mut acc = first.value;
-        let mut idle_span = u32::MAX;
-        let mut active = 0usize;
-        let mut active_idx = 0usize;
-        if algebra.identity == Some(first.value) {
-            idle_span = first.remaining;
-        } else {
-            active = 1;
-        }
-        for (i, c) in rest.iter().enumerate() {
-            take = take.min(c.remaining);
-            acc = op(acc, c.value) & GROUP_MASK;
-            if algebra.identity == Some(c.value) {
-                idle_span = idle_span.min(c.remaining);
-            } else {
-                active += 1;
-                active_idx = i + 1;
-            }
-        }
-        if algebra.absorbing == Some(acc) {
-            // The fold is pinned at the absorbing element for as long as
-            // any operand's current run keeps producing it.
-            for c in cursors.iter() {
-                if c.value == acc {
-                    take = take.max(c.remaining);
-                }
-            }
-            let take = u64::from(take).min(left) as u32;
-            sink(acc, take);
-            for c in cursors.iter_mut() {
-                c.advance(take);
-            }
-            left -= u64::from(take);
-            continue;
-        }
-        if active <= 1 && algebra.identity.is_some() && idle_span > take {
-            // At most one operand is contributing; stream its runs
-            // verbatim while the rest stay parked in identity fills.
-            let span = u64::from(idle_span).min(left) as u32;
-            let a = &mut cursors[active_idx];
-            let mut emitted = 0u32;
-            while emitted < span {
-                let m = a.remaining.min(span - emitted);
-                sink(a.value, m);
-                a.advance(m);
-                emitted += m;
-            }
-            for (i, c) in cursors.iter_mut().enumerate() {
-                if i != active_idx {
-                    c.advance(emitted);
-                }
-            }
-            left -= u64::from(emitted);
-            continue;
-        }
-        let take = u64::from(take).min(left) as u32;
-        sink(acc, take);
-        for c in cursors.iter_mut() {
-            c.advance(take);
-        }
-        left -= u64::from(take);
-    }
-}
-
-/// K-ary fold producing a compressed result.
-fn fold_groups(
-    operands: &[&WahBitmap],
-    op: impl Fn(u32, u32) -> u32,
-    algebra: OpAlgebra,
-) -> WahBitmap {
-    let len = check_kary(operands);
-    let mut words = Vec::new();
-    merge_groups(operands, op, algebra, |v, count| {
-        push_fill_or_literals(&mut words, v, count);
-    });
-    let mut out = WahBitmap { words, len };
-    out.mask_tail();
-    out
-}
-
-/// K-ary fold producing only the population count of the (virtual) result.
-fn count_groups(
-    operands: &[&WahBitmap],
-    op: impl Fn(u32, u32) -> u32,
-    algebra: OpAlgebra,
-) -> usize {
-    let len = check_kary(operands);
-    let ngroups = len.div_ceil(GROUP_BITS);
-    let tail_mask = tail_mask(len);
-    let mut ones = 0usize;
-    let mut g = 0usize;
-    merge_groups(operands, op, algebra, |v, count| {
-        let count = count as usize;
-        let covers_tail = g + count == ngroups;
-        if v == GROUP_MASK {
-            ones += GROUP_BITS * count;
-            if covers_tail {
-                ones -= GROUP_BITS - tail_mask.count_ones() as usize;
-            }
-        } else if v != 0 {
-            // A non-fill value only ever covers one group per step, but
-            // count it generally; only the final group needs the tail mask.
-            let last = if covers_tail { v & tail_mask } else { v };
-            ones += v.count_ones() as usize * (count - 1) + last.count_ones() as usize;
-        }
-        g += count;
-    });
-    debug_assert_eq!(g, ngroups, "operands cover all groups");
-    ones
-}
-
 /// Mask selecting the valid bits of the final group.
 #[inline]
 fn tail_mask(len: usize) -> u32 {
@@ -1045,7 +658,9 @@ fn set_ones(words: &mut [u64], start: usize, end: usize) {
     }
 }
 
-/// Appends one group, merging into a trailing fill when possible.
+/// Appends one group, merging into a trailing fill when possible: the
+/// encoder's per-group step ([`push_fill_or_literals`] with a count of
+/// one costs half as much again per group).
 fn push_group(words: &mut Vec<u32>, group: u32) {
     let fill = if group == 0 {
         Some(false)
@@ -1100,62 +715,21 @@ fn push_fill_or_literals(words: &mut Vec<u32>, group: u32, count: u32) {
     }
 }
 
-/// Payload of a [`Run`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RunKind {
-    /// Consecutive groups all-zero (`false`) or all-one (`true`).
-    Fill(bool),
-    /// One verbatim 31-bit group.
-    Literal(u32),
-}
-
-/// One encoded run of a WAH bitmap: a [`RunKind`] and the number of 31-bit
-/// groups it covers (always ≥ 1; exactly 1 for literals).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Run {
-    /// What the run holds.
-    pub kind: RunKind,
-    /// Number of groups covered.
-    pub count: u32,
-}
-
-struct RunIter<'a> {
-    words: std::slice::Iter<'a, u32>,
-}
-
-impl<'a> RunIter<'a> {
-    fn new(words: &'a [u32]) -> Self {
-        Self {
-            words: words.iter(),
-        }
-    }
-}
-
-impl Iterator for RunIter<'_> {
-    type Item = Run;
-
-    fn next(&mut self) -> Option<Run> {
-        let &w = self.words.next()?;
-        Some(if w & FILL_FLAG != 0 {
-            Run {
-                kind: RunKind::Fill(w & FILL_VALUE != 0),
-                count: w & MAX_FILL,
-            }
-        } else {
-            Run {
-                kind: RunKind::Literal(w & GROUP_MASK),
-                count: 1,
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sparse(len: usize, step: usize) -> BitVec {
         BitVec::from_fn(len, |i| i % step == 0)
+    }
+
+    /// `ops[0] ∘ ops[1] ∘ …` as one fold program, one `step` per operand
+    /// after the seed.
+    fn chain<'a>(
+        ops: &[&'a WahBitmap],
+        step: fn(&'a WahBitmap) -> FoldStep<&'a WahBitmap>,
+    ) -> WahBitmap {
+        ops[0].seeded(ops[1..].iter().map(|&w| step(w)).collect())
     }
 
     #[test]
@@ -1289,29 +863,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one operand")]
-    fn empty_operand_list_panics() {
-        let _ = and_all(&[]);
-    }
-
-    #[test]
     fn kary_matches_pairwise() {
         let owned: Vec<BitVec> = (0..7)
             .map(|k| BitVec::from_fn(4321, |i| (i * 2654435761 + k * 977) % 13 < 2))
             .collect();
         let wahs: Vec<WahBitmap> = owned.iter().map(WahBitmap::from_bitvec).collect();
         let ops: Vec<&WahBitmap> = wahs.iter().collect();
-        let fold = |f: fn(&WahBitmap, &WahBitmap) -> WahBitmap| {
+        let pairwise = |f: fn(&WahBitmap, &WahBitmap) -> WahBitmap| {
             let mut acc = wahs[0].clone();
             for w in &wahs[1..] {
                 acc = f(&acc, w);
             }
             acc
         };
-        assert_eq!(and_all(&ops), fold(WahBitmap::and));
-        assert_eq!(or_all(&ops), fold(WahBitmap::or));
-        assert_eq!(xor_all(&ops), fold(WahBitmap::xor));
-        assert_eq!(and_all(&[&wahs[0]]), wahs[0]);
+        assert_eq!(chain(&ops, FoldStep::And), pairwise(WahBitmap::and));
+        assert_eq!(chain(&ops, FoldStep::Or), pairwise(WahBitmap::or));
+        let dense: Vec<&BitVec> = owned.iter().collect();
+        let xor = bindex_bitvec::kernels::xor_all(&dense);
+        assert_eq!(pairwise(WahBitmap::xor), WahBitmap::from_bitvec(&xor));
+        assert_eq!(chain(&[&wahs[0]], FoldStep::And), wahs[0]);
     }
 
     /// The `=` chain of RangeEval-Opt with every step kind, complemented
@@ -1363,25 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_counts_match_materialized() {
-        for len in [1usize, 31, 62, 100, 4096] {
-            let owned: Vec<BitVec> = (0..5)
-                .map(|k| BitVec::from_fn(len, |i| (i * 31 + k * 7) % 9 < 3))
-                .collect();
-            let wahs: Vec<WahBitmap> = owned.iter().map(WahBitmap::from_bitvec).collect();
-            let ops: Vec<&WahBitmap> = wahs.iter().collect();
-            assert_eq!(count_and(&ops), and_all(&ops).count_ones(), "len {len}");
-            assert_eq!(count_or(&ops), or_all(&ops).count_ones(), "len {len}");
-            assert_eq!(count_xor(&ops), xor_all(&ops).count_ones(), "len {len}");
-            assert_eq!(
-                count_and_not(&wahs[0], &wahs[1]),
-                and_not(&wahs[0], &wahs[1]).count_ones(),
-                "len {len}"
-            );
-        }
-    }
-
-    #[test]
     fn threshold_matches_dense_kernels() {
         for len in [1usize, 31, 62, 100, 4096, 10_000] {
             let owned: Vec<BitVec> = (0..7)
@@ -1392,12 +943,9 @@ mod tests {
             let dense: Vec<&BitVec> = owned.iter().collect();
             for k in 0..=8 {
                 let want = bindex_bitvec::kernels::threshold_k(&dense, k);
-                assert_eq!(threshold_k(&ops, k).to_bitvec(), want, "len {len} k {k}");
-                assert_eq!(
-                    count_threshold_k(&ops, k),
-                    want.count_ones(),
-                    "count len {len} k {k}"
-                );
+                let got = threshold_k(&ops, k);
+                assert_eq!(got, WahBitmap::from_bitvec(&want), "len {len} k {k}");
+                assert_eq!(got.count_ones(), want.count_ones(), "count len {len} k {k}");
             }
         }
     }
@@ -1441,11 +989,11 @@ mod tests {
             .collect();
         let ops: Vec<&WahBitmap> = wahs.iter().collect();
         assert_eq!(threshold_k(&ops, 0).to_bitvec(), BitVec::ones(500));
-        assert_eq!(count_threshold_k(&ops, 0), 500);
+        assert_eq!(threshold_k(&ops, 0).count_ones(), 500);
         assert_eq!(threshold_k(&ops, 4).to_bitvec(), BitVec::zeros(500));
-        assert_eq!(count_threshold_k(&ops, 4), 0);
-        assert_eq!(threshold_k(&ops, 1), or_all(&ops));
-        assert_eq!(threshold_k(&ops, 3), and_all(&ops));
+        assert_eq!(threshold_k(&ops, 4).count_ones(), 0);
+        assert_eq!(threshold_k(&ops, 1), chain(&ops, FoldStep::Or));
+        assert_eq!(threshold_k(&ops, 3), chain(&ops, FoldStep::And));
     }
 
     #[test]
@@ -1462,7 +1010,7 @@ mod tests {
         let wb = WahBitmap::from_bitvec(&b);
         let mut want = a.clone();
         want.and_not_assign(&b);
-        assert_eq!(and_not(&wa, &wb).to_bitvec(), want);
+        assert_eq!(chain(&[&wa, &wb], FoldStep::AndNot).to_bitvec(), want);
     }
 
     #[test]
@@ -1494,31 +1042,6 @@ mod tests {
         assert!(WahBitmap::from_bytes(31, &one_literal).is_ok());
     }
 
-    #[test]
-    fn runs_expose_decomposition() {
-        let bits = BitVec::from_fn(31 * 5, |i| (31..62).contains(&i));
-        let wah = WahBitmap::from_bitvec(&bits);
-        let runs: Vec<Run> = wah.runs().collect();
-        assert_eq!(
-            runs,
-            vec![
-                Run {
-                    kind: RunKind::Fill(false),
-                    count: 1
-                },
-                Run {
-                    kind: RunKind::Fill(true),
-                    count: 1
-                },
-                Run {
-                    kind: RunKind::Fill(false),
-                    count: 3
-                },
-            ]
-        );
-        assert_eq!(runs.iter().map(|r| r.count).sum::<u32>(), 5);
-    }
-
     /// Ops at the `MAX_FILL` run-length boundary, on directly-constructed
     /// bitmaps (a materialized equivalent would be ~4 GiB): everything is
     /// arithmetic on runs, so these are O(1).
@@ -1540,8 +1063,8 @@ mod tests {
         assert_eq!(ones.and(&zeros), zeros);
         assert_eq!(ones.or(&zeros), ones);
         assert_eq!(ones.xor(&ones), zeros);
-        assert_eq!(count_or(&[&ones, &zeros]), len);
-        assert_eq!(count_and_not(&ones, &zeros), len);
+        assert_eq!(chain(&[&ones, &zeros], FoldStep::Or).count_ones(), len);
+        assert_eq!(chain(&[&ones, &zeros], FoldStep::AndNot).count_ones(), len);
         // One group past MAX_FILL forces a second fill word.
         let mut words = Vec::new();
         push_fill_or_literals(&mut words, GROUP_MASK, MAX_FILL);
@@ -1569,7 +1092,7 @@ mod tests {
         assert_eq!(ones.count_ones(), len);
         let compl = ones.not();
         assert_eq!(compl.count_ones(), 0);
-        assert_eq!(count_xor(&[&ones, &ones]), 0);
-        assert_eq!(count_or(&[&ones, &compl]), len);
+        assert_eq!(ones.xor(&ones).count_ones(), 0);
+        assert_eq!(ones.or(&compl).count_ones(), len);
     }
 }

@@ -188,22 +188,22 @@ pub struct ShardedPool {
 }
 
 impl ShardedPool {
-    /// Creates a pool of `capacity` bitmaps total (`m` in the paper's
-    /// notation), spread over `n_shards` shards (each shard holds
-    /// `⌈capacity / n_shards⌉` at most; zero capacity disables caching).
+    /// Creates a pool of exactly `capacity` bitmaps total (`m` in the
+    /// paper's notation — the §10 budget, never exceeded), split as evenly
+    /// as possible over `n_shards` shards; a capacity below `n_shards` gets
+    /// one single-slot shard per bitmap instead, since a shard without a
+    /// slot could cache none of the keys pinned to it. Zero capacity
+    /// disables caching.
     ///
     /// # Panics
     /// Panics if `n_shards` is zero.
     pub fn new(capacity: usize, n_shards: usize) -> Self {
         assert!(n_shards > 0, "ShardedPool needs at least one shard");
-        let per_shard = if capacity == 0 {
-            0
-        } else {
-            capacity.div_ceil(n_shards)
-        };
+        let n_shards = n_shards.min(capacity.max(1));
+        let (each, extra) = (capacity / n_shards, capacity % n_shards);
         Self {
             shards: (0..n_shards)
-                .map(|_| BufferPool::with_budget(Budget::Slots(per_shard)))
+                .map(|i| BufferPool::with_budget(Budget::Slots(each + usize::from(i < extra))))
                 .collect(),
         }
     }
@@ -438,6 +438,18 @@ mod tests {
         pool.clear();
         assert_eq!(pool.resident(), 0);
         assert_eq!(pool.stats(), PoolStats::default());
+        // The requested capacity is the budget, whatever the shard count:
+        // fewer slots than shards, one each, a ragged split, the
+        // benchmark's two settings.
+        for (capacity, n_shards) in [(1, 8), (4, 8), (8, 8), (12, 8), (512, 8)] {
+            let pool = ShardedPool::new(capacity, n_shards);
+            assert_eq!(pool.capacity(), capacity, "({capacity}, {n_shards})");
+            assert_eq!(pool.n_shards(), n_shards.min(capacity));
+            for key in 0..27 {
+                load(&pool, (1 + key / 9, key % 9), bm(key));
+            }
+            assert!(pool.resident() <= capacity, "({capacity}, {n_shards})");
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property-style tests for the WAH compressed-domain kernels, focused on
 //! the encoding's edge geometry: the `MAX_FILL` (2³⁰ − 1 groups) run-length
 //! boundary, partial tail groups at every offset in `[1, 31]`, degenerate
-//! all-ones/all-zeros inputs, and randomized round-trip plus k-ary op and
-//! whole-function [`wah::fold`] equivalence against the dense [`BitVec`]
-//! kernels.
+//! all-ones/all-zeros inputs, structurally valid but non-canonical payloads,
+//! and randomized round-trip plus k-ary op and whole-function [`wah::fold`]
+//! equivalence against the dense [`BitVec`] kernels. Every k-ary operation
+//! is a [`Fold`] program: `wah::fold` is the one engine that merges runs.
 //!
 //! The `MAX_FILL` cases build bitmaps of ~33 billion bits directly from
 //! serialized fill words ([`WahBitmap::from_bytes`]), so they run in O(1)
@@ -11,7 +12,7 @@
 //! property under test. `to_bitvec` is never called on those inputs.
 
 use bindex::bitvec::kernels::{self, Fold, FoldStep};
-use bindex::compress::wah::{self, WahBitmap};
+use bindex::compress::wah::{self, SegmentCursor, WahBitmap};
 use bindex::relation::Rng;
 use bindex::BitVec;
 
@@ -35,6 +36,20 @@ fn word_bytes(words: &[u32]) -> Vec<u8> {
 
 fn wah_from_words(len: usize, words: &[u32]) -> WahBitmap {
     WahBitmap::from_bytes(len, &word_bytes(words)).expect("valid WAH payload")
+}
+
+/// `ops[0] ∘ ops[1] ∘ …` as one [`wah::fold`] program, one `step` per
+/// operand after the seed.
+fn chain<'a>(
+    ops: &[&'a WahBitmap],
+    step: fn(&'a WahBitmap) -> FoldStep<&'a WahBitmap>,
+) -> WahBitmap {
+    let program = Fold {
+        seed: Some(ops[0]),
+        steps: ops[1..].iter().map(|&w| step(w)).collect(),
+        ..Fold::default()
+    };
+    wah::fold(ops[0].len(), &program)
 }
 
 fn rand_bitvec_len(rng: &mut Rng, len: usize) -> BitVec {
@@ -65,16 +80,12 @@ fn max_fill_single_run_ops_without_expansion() {
     assert_eq!(ones.or(&zeros).count_ones(), len);
     assert_eq!(ones.xor(&zeros).count_ones(), len);
     assert_eq!(ones.xor(&ones).count_ones(), 0);
-    assert_eq!(wah::and_not(&ones, &zeros).count_ones(), len);
-    assert_eq!(wah::and_not(&zeros, &ones).count_ones(), 0);
+    assert_eq!(chain(&[&ones, &zeros], FoldStep::AndNot).count_ones(), len);
+    assert_eq!(chain(&[&zeros, &ones], FoldStep::AndNot).count_ones(), 0);
+    assert_eq!(chain(&[&ones, &zeros], FoldStep::And).count_ones(), 0);
+    assert_eq!(chain(&[&ones, &zeros], FoldStep::Or).count_ones(), len);
 
-    // Fused counts agree with the materializing kernels at the boundary.
-    assert_eq!(wah::count_and(&[&ones, &zeros]), 0);
-    assert_eq!(wah::count_or(&[&ones, &zeros]), len);
-    assert_eq!(wah::count_xor(&[&ones, &zeros]), len);
-    assert_eq!(wah::count_and_not(&ones, &zeros), len);
-
-    // NOT flips a fill in place; serialization round-trips exactly.
+    // NOT of a fill is the other fill; serialization round-trips exactly.
     assert_eq!(zeros.not(), ones);
     assert_eq!(WahBitmap::from_bytes(len, &ones.to_bytes()).unwrap(), ones);
     assert_eq!(ones.compressed_bytes(), 4, "still a single word");
@@ -104,7 +115,7 @@ fn runs_longer_than_max_fill_split_and_remerge() {
         &[fill_word(true, MAX_FILL - 1), fill_word(true, extra + 1)],
     );
     assert_eq!(ones.and(&shifted).count_ones(), len);
-    assert_eq!(wah::count_and(&[&ones, &shifted]), len);
+    assert_eq!(chain(&[&ones, &shifted], FoldStep::And), ones);
     assert_eq!(ones.xor(&shifted).count_ones(), 0);
 }
 
@@ -123,8 +134,8 @@ fn max_fill_boundary_with_literal_tail() {
     assert_eq!(a.or(&b).count_ones(), want_ones);
     assert_eq!(a.and(&b).count_ones(), 0);
     assert_eq!(a.xor(&b).count_ones(), want_ones);
-    assert_eq!(wah::count_or(&[&a, &b]), want_ones);
-    assert_eq!(wah::count_and_not(&a, &b), want_ones);
+    assert_eq!(chain(&[&a, &b], FoldStep::Or).count_ones(), want_ones);
+    assert_eq!(chain(&[&a, &b], FoldStep::AndNot).count_ones(), want_ones);
     assert_eq!(a.not().count_ones(), len - want_ones);
 }
 
@@ -151,9 +162,9 @@ fn partial_tails_at_every_offset() {
             assert_eq!(wa.and(&wb).to_bitvec(), &a & &b, "{ctx}");
             assert_eq!(wa.or(&wb).to_bitvec(), &a | &b, "{ctx}");
             assert_eq!(wa.xor(&wb).to_bitvec(), &a ^ &b, "{ctx}");
-            assert_eq!(wah::count_or(&[&wa, &wb]), (&a | &b).count_ones(), "{ctx}");
+            assert_eq!(wa.or(&wb).count_ones(), (&a | &b).count_ones(), "{ctx}");
             assert_eq!(
-                wah::count_and_not(&wa, &wb),
+                chain(&[&wa, &wb], FoldStep::AndNot).count_ones(),
                 kernels::count_and_not(&a, &b),
                 "{ctx}"
             );
@@ -195,7 +206,7 @@ fn all_ones_compresses_to_fills_at_any_tail() {
         );
         // OR with itself is idempotent and stays canonical.
         assert_eq!(w.or(&w), w, "len {len}");
-        assert_eq!(wah::count_and(&[&w, &w, &w]), len, "len {len}");
+        assert_eq!(chain(&[&w, &w, &w], FoldStep::And), w, "len {len}");
     }
 }
 
@@ -212,11 +223,6 @@ fn random_roundtrip_matches_bitvec() {
         assert_eq!(w.to_bitvec(), a, "seed {seed}");
         assert_eq!(w.count_ones(), a.count_ones(), "seed {seed}");
         assert_eq!(
-            w.density(),
-            a.count_ones() as f64 / len as f64,
-            "seed {seed}"
-        );
-        assert_eq!(
             WahBitmap::from_bytes(len, &w.to_bytes()).unwrap(),
             w,
             "seed {seed}"
@@ -230,8 +236,8 @@ fn random_kary_ops_match_dense_kernels() {
         let mut rng = Rng::seed_from_u64(0x4_0000 + seed);
         let len = rng.range_usize(1, 2500);
         let k = rng.range_usize(2, 7);
-        // Mixed densities in one operand list: sparse operands trigger the
-        // absorbing/identity skips while dense ones force literal folding.
+        // Mixed densities in one operand list: sparse operands bring long
+        // fills, dense ones force literal-by-literal stretches.
         let dense_ops: Vec<BitVec> = (0..k)
             .map(|i| {
                 let per_mille = [5, 50, 300, 700][(seed as usize + i) % 4];
@@ -242,44 +248,25 @@ fn random_kary_ops_match_dense_kernels() {
         let wrefs: Vec<&WahBitmap> = wahs.iter().collect();
         let drefs: Vec<&BitVec> = dense_ops.iter().collect();
 
+        let and = chain(&wrefs, FoldStep::And);
+        let or = chain(&wrefs, FoldStep::Or);
+        let xor = wahs[1..].iter().fold(wahs[0].clone(), |acc, w| acc.xor(w));
+        let and_not = chain(&[wrefs[0], wrefs[k - 1]], FoldStep::AndNot);
+        assert_eq!(and.to_bitvec(), kernels::and_all(&drefs), "seed {seed}");
+        assert_eq!(or.to_bitvec(), kernels::or_all(&drefs), "seed {seed}");
+        assert_eq!(xor.to_bitvec(), kernels::xor_all(&drefs), "seed {seed}");
         assert_eq!(
-            wah::and_all(&wrefs).to_bitvec(),
-            kernels::and_all(&drefs),
-            "seed {seed}"
-        );
-        assert_eq!(
-            wah::or_all(&wrefs).to_bitvec(),
-            kernels::or_all(&drefs),
-            "seed {seed}"
-        );
-        assert_eq!(
-            wah::xor_all(&wrefs).to_bitvec(),
-            kernels::xor_all(&drefs),
-            "seed {seed}"
-        );
-        assert_eq!(
-            wah::and_not(wrefs[0], wrefs[k - 1]).to_bitvec(),
+            and_not.to_bitvec(),
             kernels::and_not(drefs[0], drefs[k - 1]),
             "seed {seed}"
         );
-        // Fused counts never materialize, yet must agree bit-for-bit.
+        // Counted on the compressed result, yet bit-for-bit the fused
+        // dense counts.
+        assert_eq!(and.count_ones(), kernels::count_and(&drefs), "seed {seed}");
+        assert_eq!(or.count_ones(), kernels::count_or(&drefs), "seed {seed}");
+        assert_eq!(xor.count_ones(), kernels::count_xor(&drefs), "seed {seed}");
         assert_eq!(
-            wah::count_and(&wrefs),
-            kernels::count_and(&drefs),
-            "seed {seed}"
-        );
-        assert_eq!(
-            wah::count_or(&wrefs),
-            kernels::count_or(&drefs),
-            "seed {seed}"
-        );
-        assert_eq!(
-            wah::count_xor(&wrefs),
-            kernels::count_xor(&drefs),
-            "seed {seed}"
-        );
-        assert_eq!(
-            wah::count_and_not(wrefs[0], wrefs[k - 1]),
+            and_not.count_ones(),
             kernels::count_and_not(drefs[0], drefs[k - 1]),
             "seed {seed}"
         );
@@ -421,4 +408,102 @@ fn fold_panics_on_mismatched_operand_lengths() {
         ..Fold::default()
     };
     let _ = wah::fold(100, &program);
+}
+
+// ---- structurally valid, non-canonical payloads ----
+
+/// The same bits as `w` in an encoding [`WahBitmap::from_bytes`] accepts
+/// but [`WahBitmap::from_bitvec`] never writes: fills split into adjacent
+/// same-valued fills, groups peeled off a fill as all-zero / all-one
+/// *literal* words, and set bits past `len` in the last literal.
+fn hostile_encoding(rng: &mut Rng, w: &WahBitmap) -> WahBitmap {
+    const FILL_FLAG: u32 = 0x8000_0000;
+    const GROUP_MASK: u32 = 0x7FFF_FFFF;
+    let len = w.len();
+    let bytes = w.to_bytes();
+    let canonical = bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().unwrap()));
+    let ragged = !len.is_multiple_of(GROUP_BITS);
+    let n_words = canonical.len();
+    let mut words = Vec::new();
+    for (i, word) in canonical.enumerate() {
+        if word & FILL_FLAG == 0 {
+            words.push(word);
+            continue;
+        }
+        let value = word & 0x4000_0000 != 0;
+        let mut count = word & MAX_FILL;
+        // A fill over a partial tail group always ends in a literal, so
+        // there is a word to carry the dirty bits.
+        let peel = rng.next_bool() || (ragged && i + 1 == n_words);
+        count -= u32::from(peel);
+        if count >= 2 && rng.next_bool() {
+            let head = 1 + rng.below_u32(count - 1);
+            words.push(fill_word(value, head));
+            count -= head;
+        }
+        if count > 0 {
+            words.push(fill_word(value, count));
+        }
+        if peel {
+            words.push(if value { GROUP_MASK } else { 0 });
+        }
+    }
+    if ragged {
+        let past_len = GROUP_MASK & !((1u32 << (len % GROUP_BITS)) - 1);
+        *words.last_mut().expect("a non-empty bitmap") |= past_len & rng.next_u64() as u32;
+    }
+    wah_from_words(len, &words)
+}
+
+/// A stored slot reaches `wah::fold` through `from_bytes`, which checks
+/// structure, not canonical form. Whatever the operands' encoding, every
+/// reader sees the same bits and every result is the canonical encoding
+/// of the dense answer.
+#[test]
+fn hostile_but_valid_encodings_give_the_canonical_answer() {
+    let lengths = [1usize, 31, 40, 62, 100, 1985, 4099, 20_011];
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0x6_0000 + seed);
+        let len = lengths[seed as usize % lengths.len()];
+        let dense: Vec<BitVec> = (0..4)
+            .map(|i| shaped_bitvec(&mut rng, len, if i < 2 { 0 } else { seed as usize + i }))
+            .collect();
+        let wahs: Vec<WahBitmap> = dense
+            .iter()
+            .map(|d| hostile_encoding(&mut rng, &WahBitmap::from_bitvec(d)))
+            .collect();
+        let canonical = WahBitmap::from_bitvec;
+        for (w, d) in wahs.iter().zip(&dense) {
+            assert_eq!(w.to_bitvec(), *d, "seed {seed}");
+            assert_eq!(w.count_ones(), d.count_ones(), "seed {seed}");
+            assert_eq!(w.not(), canonical(&d.complement()), "seed {seed}");
+            let mut cursor = SegmentCursor::new(w.clone().into());
+            assert_eq!(cursor.window(0, len), *d, "seed {seed}");
+        }
+        let (a, b) = (&wahs[0], &wahs[1]);
+        assert_eq!(a.and(b), canonical(&(&dense[0] & &dense[1])), "seed {seed}");
+        assert_eq!(a.or(b), canonical(&(&dense[0] | &dense[1])), "seed {seed}");
+        assert_eq!(a.xor(b), canonical(&(&dense[0] ^ &dense[1])), "seed {seed}");
+        let program = Fold {
+            seed: Some(2usize),
+            steps: vec![FoldStep::AndNot(3), FoldStep::Or(0)],
+            complement: true,
+            mask: Some(1),
+        };
+        assert_eq!(
+            wah::fold(len, &program.map(|&i| &wahs[i])),
+            canonical(&kernels::fold(len, &program.map(|&i| &dense[i]))),
+            "seed {seed}"
+        );
+        let (wrefs, drefs): (Vec<&WahBitmap>, Vec<&BitVec>) = wahs.iter().zip(&dense).unzip();
+        for k in 0..=5 {
+            assert_eq!(
+                wah::threshold_k(&wrefs, k),
+                canonical(&kernels::threshold_k(&drefs, k)),
+                "seed {seed} k {k}"
+            );
+        }
+    }
 }
