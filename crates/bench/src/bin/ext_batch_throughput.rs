@@ -61,30 +61,19 @@ fn workload(n: usize) -> Vec<ConjunctiveQuery> {
 
 /// Queries/sec of one batch configuration (best of `reps` runs, so a cold
 /// first run doesn't understate the steady state). Returns the effective
-/// worker count and the steal count of the best run alongside —
-/// `BatchOptions` clamps the request to the machine's available
-/// parallelism.
-fn qps(
-    table: &Table,
-    queries: &[ConjunctiveQuery],
-    threads: usize,
-    reps: usize,
-) -> (usize, f64, usize) {
+/// worker count alongside — `BatchOptions` clamps the request to the
+/// machine's available parallelism.
+fn qps(table: &Table, queries: &[ConjunctiveQuery], threads: usize, reps: usize) -> (usize, f64) {
     let opts = BatchOptions::with_threads(threads);
     let mut best = f64::MAX;
-    let mut steals = 0usize;
     for _ in 0..reps {
         let start = Instant::now();
         let out = execute_workload(table, queries, &opts);
         assert!(out.health.all_ok(), "workload executes: {:?}", out.health);
         assert_eq!(out.outcomes.len(), queries.len());
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed < best {
-            best = elapsed;
-            steals = out.steals;
-        }
+        best = best.min(start.elapsed().as_secs_f64());
     }
-    (opts.threads(), queries.len() as f64 / best, steals)
+    (opts.threads(), queries.len() as f64 / best)
 }
 
 /// Best-of-`reps` wall time of `f`, with an accumulated sink so the
@@ -275,30 +264,29 @@ fn main() {
     let provenance = RunProvenance::capture(*thread_counts.iter().max().unwrap());
     let hw_threads = provenance.hardware_threads;
     let reps = if quick { 2 } else { 3 };
-    // (requested, effective, qps, steals) — effective can be lower than
+    // (requested, effective, qps) — effective can be lower than
     // requested on machines with fewer cores than the sweep asks for.
-    let measured: Vec<(usize, usize, f64, usize)> = thread_counts
+    let measured: Vec<(usize, usize, f64)> = thread_counts
         .iter()
         .map(|&t| {
-            let (effective, q, steals) = qps(&table, &queries, t, reps);
-            (t, effective, q, steals)
+            let (effective, q) = qps(&table, &queries, t, reps);
+            (t, effective, q)
         })
         .collect();
     let single_qps = measured[0].2;
 
     let mut rows = Vec::new();
-    for &(t, eff, q, steals) in &measured {
+    for &(t, eff, q) in &measured {
         rows.push(vec![
             t.to_string(),
             eff.to_string(),
             f2(q),
             f2(q / single_qps),
-            steals.to_string(),
         ]);
     }
     print_table(
         "batch throughput (queries/sec)",
-        &["requested", "effective", "qps", "speedup", "steals"],
+        &["requested", "effective", "qps", "speedup"],
         &rows,
     );
     println!(
@@ -376,12 +364,11 @@ fn main() {
             "oversubscribed",
             "qps",
             "speedup",
-            "steals",
         ],
     )
     .expect("csv");
-    for &(t, eff, q, steals) in &measured {
-        csv.row(&[&t, &eff, &(t > eff), &f2(q), &f2(q / single_qps), &steals])
+    for &(t, eff, q) in &measured {
+        csv.row(&[&t, &eff, &(t > eff), &f2(q), &f2(q / single_qps)])
             .expect("row");
     }
     println!("\nCSV: {}", csv.path().display());
@@ -389,11 +376,10 @@ fn main() {
     // Hand-rolled JSON (no serde in the dependency set).
     let threads_json: Vec<String> = measured
         .iter()
-        .map(|(t, eff, q, steals)| {
+        .map(|(t, eff, q)| {
             format!(
                 "    {{\"requested_threads\": {t}, \"effective_threads\": {eff}, \
-                 \"oversubscribed\": {}, \"qps\": {q:.2}, \"speedup\": {:.3}, \
-                 \"steals\": {steals}}}",
+                 \"oversubscribed\": {}, \"qps\": {q:.2}, \"speedup\": {:.3}}}",
                 t > eff,
                 q / single_qps
             )

@@ -32,11 +32,9 @@ use std::time::Instant;
 use bindex::bitvec::kernels::{self, Fold, FoldStep};
 use bindex::compress::wah::{self, WahBitmap};
 use bindex::compress::CodecKind;
-use bindex::core::eval::{
-    evaluate, evaluate_repr_in, evaluate_segment_range_in, evaluate_segmented_in, Algorithm,
-};
+use bindex::core::eval::{evaluate, evaluate_repr_in, evaluate_segmented_in, Algorithm};
 use bindex::core::ExecContext;
-use bindex::relation::query::{full_space, Query, SelectionQuery};
+use bindex::relation::query::{full_space, Query, SelectionQuery, ThresholdQuery};
 use bindex::relation::{gen, Column};
 use bindex::storage::{MemStore, ShardedPool, SharedIndexReader, StorageScheme, StoredIndex};
 use bindex::stored::{persist_index, persist_index_v4, SharedSource};
@@ -368,14 +366,17 @@ fn served_range_row(
     for &q in queries {
         let want = bindex::core::eval::naive::evaluate(&col, q).count_ones();
         let query = Query::Selection(q);
+        // No threshold takes the compressed fold, and a 1-of-1 threshold is
+        // its predicate: the same chain, window by window over decoded words.
+        let decoded = Query::Threshold(ThresholdQuery::new(1, vec![q]));
         let mut folded = false;
         let times = ServedTimes {
             decode_fold: time(&mut |ctx| {
-                let mut out = vec![0u64; rows.div_ceil(64)];
-                let bits = SERVED_SEGMENT_BITS;
-                evaluate_segment_range_in(ctx, &query, Algorithm::Auto, bits, 0, rows, &mut out)
-                    .expect("evaluates");
-                let ones = BitVec::from_words(out, rows).count_ones();
+                let found =
+                    evaluate_repr_in(ctx, &decoded, Algorithm::Auto, Some(SERVED_SEGMENT_BITS))
+                        .expect("evaluates");
+                assert!(!found.is_compressed(), "decode-then-fold {q}");
+                let ones = found.count_ones();
                 assert_eq!(ones, want, "decode-then-fold {q}");
                 ones
             }),

@@ -1,6 +1,8 @@
-//! Extension experiment: segment-at-a-time (morsel-driven) execution.
+//! Extension experiment: segment-at-a-time execution, one query on one
+//! thread — what the windowed path of `evaluate_repr_in` buys over the
+//! whole-bitmap path.
 //!
-//! Three measurements back the segmented executor and its default morsel
+//! Three measurements back the segmented executor and its default segment
 //! size (`DEFAULT_SEGMENT_BITS` = 32 KiB of bits):
 //!
 //! 1. **8-way AND/OR blocking sweep** — the pairwise folds the evaluators
@@ -18,7 +20,8 @@
 //!    dense to sparse slots.
 //!
 //! Emits `BENCH_segmented_exec.json` at the workspace root and the usual
-//! CSV under `results/`. `--quick` shrinks everything for CI smoke runs.
+//! CSV under `results/`. `--quick` shrinks everything for CI smoke runs
+//! and writes neither: the committed artifact is a full run.
 
 use std::time::Instant;
 
@@ -431,6 +434,10 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
+    if quick {
+        println!("\n--quick: smoke only, BENCH_segmented_exec.json and the CSV are left alone");
+        return;
+    }
     let mut csv = Csv::create(
         "ext_segmented_exec",
         &["section", "label", "segment_bits", "seconds", "speedup"],
@@ -522,7 +529,7 @@ fn main() {
             .map_or(0.0, |p| p.speedup)
     };
     let json = format!(
-        "{{\n  \"experiment\": \"segmented_exec\",\n  \"quick\": {quick},\n  {prov},\n  \
+        "{{\n  \"experiment\": \"segmented_exec\",\n  \"quick\": false,\n  {prov},\n  \
          \"default_segment_bits\": {default},\n  \"fold_bits\": {fold_bits},\n  \
          \"fold_operands\": {operands},\n  \"rows\": {rows},\n  \
          \"and_8way_speedup_at_default\": {and_sp:.3},\n  \

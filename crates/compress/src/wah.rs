@@ -495,23 +495,6 @@ impl SegmentCursor {
         }
     }
 
-    /// Number of bits in the underlying bitmap.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.bitmap.len
-    }
-
-    /// `true` if the underlying bitmap holds zero bits.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.bitmap.len == 0
-    }
-
-    /// The shared bitmap behind this cursor.
-    pub fn bitmap(&self) -> &Arc<WahBitmap> {
-        &self.bitmap
-    }
-
     /// Decodes bits `lo..hi` into an owned dense bitmap of `hi - lo` bits.
     /// The window must be word-aligned the same way a
     /// [`BitVec::view_range`] segment is: `lo` on a 64-bit boundary, `hi`
@@ -793,8 +776,6 @@ mod tests {
         assert_eq!(late, BitVec::from_fn(8192, |i| bits.get(32_768 + i)));
         let early = cursor.window(0, 8192);
         assert_eq!(early, BitVec::from_fn(8192, |i| bits.get(i)));
-        assert_eq!(cursor.len(), 50_000);
-        assert!(!cursor.is_empty());
     }
 
     #[test]

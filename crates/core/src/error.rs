@@ -44,7 +44,7 @@ pub enum Error {
     /// interrupted, so the rest of the workload still completes.
     WorkerPanic(String),
     /// The query's deadline expired while it was running. Segment-at-a-time
-    /// evaluation checks the [`Deadline`](crate::Deadline) between morsels
+    /// evaluation checks the [`Deadline`](crate::Deadline) between segments
     /// and bails out with this error, so shed work stops consuming cores
     /// instead of running to completion for an answer nobody is waiting
     /// for. The partial foundset is discarded.

@@ -112,8 +112,7 @@ pub fn evaluate_in<S: BitmapSource>(
 ///   an overlay, any threshold —
 ///   runs over dense words: whole-bitmap when `segment_bits` is `None`,
 ///   window by window (with summary pruning, the threshold early-exit
-///   bound and cooperative deadline checks;
-///   [`evaluate_segment_range_in`] over the whole row range) otherwise,
+///   bound and a cooperative deadline check between windows) otherwise,
 ///   and comes back [`Repr::Literal`].
 ///
 /// Answers and the paper-model counters (scans, ANDs, ORs, XORs, NOTs,
@@ -139,15 +138,15 @@ pub fn evaluate_repr_in<S: BitmapSource>(
             }
         }
     }
-    let Some(segment_bits) = segment_bits else {
-        return evaluate_windowed(ctx, query, algorithm, true).map(Repr::literal);
+    let found = match segment_bits {
+        None => evaluate_windowed(ctx, query, algorithm, true),
+        Some(segment_bits) => {
+            let found = evaluate_segments(ctx, query, algorithm, segment_bits);
+            ctx.exit_segments();
+            found
+        }
     };
-    let n_rows = ctx.n_rows();
-    let mut out = vec![0u64; bindex_bitvec::words_for(n_rows)];
-    let res = evaluate_segment_range_in(ctx, query, algorithm, segment_bits, 0, n_rows, &mut out);
-    ctx.exit_segments();
-    res?;
-    Ok(Repr::literal(BitVec::from_words(out, n_rows)))
+    found.map(Repr::literal)
 }
 
 /// A well-formed query for an index of layout `spec`, decided before
@@ -304,7 +303,7 @@ pub(crate) fn evaluate_predicate<S: BitmapSource>(
 }
 
 /// Segment-at-a-time evaluation within an existing context: the operator
-/// tree runs over fixed-size morsels of `segment_bits` bits so every
+/// tree runs over fixed-size windows of `segment_bits` bits so every
 /// intermediate stays cache-resident, then the per-segment foundsets are
 /// stitched into the full-length result. [`evaluate_repr_in`] with a
 /// segmented fallback, its result decoded if it came back compressed.
@@ -329,62 +328,30 @@ pub fn evaluate_segmented_in<S: BitmapSource>(
     Ok(ctx.materialize(found))
 }
 
-/// Evaluates the segments covering rows `[row_lo, row_hi)` into `out`, a
-/// word buffer covering exactly that row range (`out[0]` holds row
-/// `row_lo`; `row_lo` is segment- and therefore word-aligned).
-/// `row_hi` must be segment-aligned or equal to the row count. This is the
-/// one morsel primitive, for either kind of query: the segmented path of
-/// [`evaluate_repr_in`] is the chunk `[0, n_rows)`, and the engine has
-/// several workers each drive a disjoint chunk of one query into their own
-/// buffers, then stitches.
-///
-/// Op-charge parity holds per chunk: only segment 0 — so only the chunk
-/// containing it — accumulates the paper-model op counts (a threshold runs
-/// every predicate there; its later segments may take the early-exit
-/// bound), so a caller summing stats across chunks of one query reproduces
-/// the whole-bitmap numbers. The caller must invoke
-/// [`ExecContext::take_stats`] (or `exit_segments`) before reusing the
-/// context in whole-bitmap mode; `evaluate_segmented_in` does this itself.
-///
-/// # Panics
-/// Panics if `segment_bits` is zero or not a multiple of 64, or the row
-/// range is not segment-aligned as described.
-pub fn evaluate_segment_range_in<S: BitmapSource>(
+/// The windowed path of [`evaluate_repr_in`], for either kind of (validated)
+/// query, and the only caller of `begin_segment`: every segment of
+/// `[0, n_rows)` in order, each one's foundset copied into place in the
+/// full-length result. Segment 0 runs the full operator sequence and is
+/// the only one charged for it (a threshold's later segments may take the
+/// early-exit bound); an empty relation still runs one empty segment, so
+/// the charges are those of whole-bitmap mode. The first segment always
+/// runs; later ones are shed with [`Error::DeadlineExceeded`] once the
+/// context's deadline has passed. The caller leaves segmented mode.
+fn evaluate_segments<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     query: &Query,
     algorithm: Algorithm,
     segment_bits: usize,
-    row_lo: usize,
-    row_hi: usize,
-    out: &mut [u64],
-) -> Result<()> {
+) -> Result<BitVec> {
     assert!(
         segment_bits > 0 && segment_bits.is_multiple_of(64),
         "segment size must be a positive multiple of 64 bits"
     );
     let n_rows = ctx.n_rows();
-    assert!(
-        row_lo.is_multiple_of(segment_bits)
-            && (row_hi.is_multiple_of(segment_bits) || row_hi == n_rows),
-        "chunk bounds must be segment-aligned"
-    );
-    assert!(row_lo <= row_hi && row_hi <= n_rows, "chunk out of range");
-    validate(ctx.spec(), query)?;
-    if n_rows == 0 {
-        // Degenerate relation: run one empty segment so stats are charged
-        // exactly as whole-bitmap mode would.
-        ctx.begin_segment(0, 0, 0);
-        let r = evaluate_windowed(ctx, query, algorithm, true);
-        ctx.end_segment();
-        r?;
-        return Ok(());
-    }
-    let mut lo = row_lo;
-    while lo < row_hi {
-        // Cooperative cancellation between segments: the chunk's first
-        // segment always runs (guaranteed progress), later ones are shed
-        // once the context's deadline has passed.
-        if lo > row_lo && ctx.deadline_expired() {
+    let mut out = vec![0u64; bindex_bitvec::words_for(n_rows)];
+    let mut lo = 0;
+    loop {
+        if lo > 0 && ctx.deadline_expired() {
             return Err(Error::DeadlineExceeded);
         }
         let hi = (lo + segment_bits).min(n_rows);
@@ -397,11 +364,13 @@ pub fn evaluate_segment_range_in<S: BitmapSource>(
             "evaluator returned a non-window result"
         );
         ctx.end_segment();
-        let w0 = (lo - row_lo) / 64;
+        let w0 = lo / 64;
         out[w0..w0 + part.words().len()].copy_from_slice(part.words());
+        if hi == n_rows {
+            return Ok(BitVec::from_words(out, n_rows));
+        }
         lo = hi;
     }
-    Ok(())
 }
 
 fn require(actual: Encoding, expected: Encoding) -> Result<()> {
@@ -444,7 +413,7 @@ mod tests {
 
     /// Every algorithm × the full selection space, then thresholds over
     /// fan-ins 1, 2, 3 and 7 at every `k`.
-    fn morsel_inputs(encoding: Encoding) -> Vec<(Query, Algorithm)> {
+    fn segmented_inputs(encoding: Encoding) -> Vec<(Query, Algorithm)> {
         use query::{Op, ThresholdQuery};
         let mut inputs = Vec::new();
         for algorithm in algorithms(encoding) {
@@ -484,16 +453,11 @@ mod tests {
         ]
     }
 
-    /// The morsel contract of [`evaluate_segment_range_in`], for every
-    /// encoding and evaluator and both kinds of query, at several segment
-    /// sizes (one larger than the relation, one that does not divide it):
-    /// cut the relation into chunks of one, three or all of its segments,
-    /// evaluate each chunk in a context of its own into a buffer of its
-    /// own — as the engine's workers do — and the stitched words are the
-    /// whole-bitmap foundset (itself the per-row answer), the chunk holding
-    /// segment 0 alone carries the whole-bitmap scan and operator charges,
-    /// no other chunk charges an operator, and `segments_evaluated` sums to
-    /// the segment count.
+    /// The windowed path for every encoding and evaluator and both kinds
+    /// of query, at several segment sizes (one larger than the relation,
+    /// one that does not divide it): the foundset is the whole-bitmap one
+    /// (itself the per-row answer), the scan and operator charges are the
+    /// whole-bitmap charges, and `segments_evaluated` is the segment count.
     #[test]
     fn segmented_matches_whole() {
         const ROWS: usize = 777;
@@ -501,7 +465,7 @@ mod tests {
         let col = Column::new(values, 12);
         for encoding in [Encoding::Range, Encoding::Equality, Encoding::Interval] {
             let idx = BitmapIndex::build(&col, spec_for(encoding)).unwrap();
-            for (query, algorithm) in morsel_inputs(encoding) {
+            for (query, algorithm) in segmented_inputs(encoding) {
                 let (want, whole) = evaluate(&mut idx.source(), query.clone(), algorithm).unwrap();
                 let per_row = match &query {
                     Query::Selection(q) => naive::evaluate(&col, *q),
@@ -509,41 +473,15 @@ mod tests {
                 };
                 assert_eq!(want, per_row, "{encoding:?} {algorithm:?} {query}");
                 for seg_bits in [64usize, 128, 256, 512, 1 << 20] {
-                    let n_segments = ROWS.div_ceil(seg_bits);
-                    for chunk_segments in [1, 3, n_segments] {
-                        let label = format!(
-                            "{encoding:?} {algorithm:?} {query} seg={seg_bits} \
-                             chunk={chunk_segments}"
-                        );
-                        let mut words = vec![0u64; bindex_bitvec::words_for(ROWS)];
-                        let mut segments_evaluated = 0;
-                        let mut row_lo = 0;
-                        while row_lo < ROWS {
-                            let row_hi = (row_lo + chunk_segments * seg_bits).min(ROWS);
-                            let mut source = idx.source();
-                            let mut ctx = ExecContext::new(&mut source);
-                            let w0 = row_lo / 64;
-                            let out = &mut words[w0..bindex_bitvec::words_for(row_hi)];
-                            evaluate_segment_range_in(
-                                &mut ctx, &query, algorithm, seg_bits, row_lo, row_hi, out,
-                            )
-                            .unwrap();
-                            let stats = ctx.take_stats();
-                            if row_lo == 0 {
-                                assert_eq!(
-                                    model_counters(&stats),
-                                    model_counters(&whole),
-                                    "{label}"
-                                );
-                            } else {
-                                assert_eq!(model_counters(&stats)[2..], [0; 5], "{label} {row_lo}");
-                            }
-                            segments_evaluated += stats.segments_evaluated;
-                            row_lo = row_hi;
-                        }
-                        assert_eq!(BitVec::from_words(words, ROWS), want, "{label}");
-                        assert_eq!(segments_evaluated, n_segments, "{label}");
-                    }
+                    let label = format!("{encoding:?} {algorithm:?} {query} seg={seg_bits}");
+                    let mut source = idx.source();
+                    let mut ctx = ExecContext::new(&mut source);
+                    let found =
+                        evaluate_repr_in(&mut ctx, &query, algorithm, Some(seg_bits)).unwrap();
+                    let stats = ctx.take_stats();
+                    assert_eq!(*found.to_bitvec(), want, "{label}");
+                    assert_eq!(model_counters(&stats), model_counters(&whole), "{label}");
+                    assert_eq!(stats.segments_evaluated, ROWS.div_ceil(seg_bits), "{label}");
                 }
             }
         }

@@ -183,8 +183,8 @@ mod tests {
 
     type Evaluator<S> = fn(&mut ExecContext<'_, S>, SelectionQuery) -> Result<BitVec>;
 
-    /// Runs `eval` whole (`None`) or window by window the way
-    /// `evaluate_segment_range_in` drives `evaluate`, and returns the
+    /// Runs `eval` whole (`None`) or window by window the way the windowed
+    /// path of `evaluate_repr_in` drives `evaluate`, and returns the
     /// foundset with the paper-model counters.
     fn run<S: BitmapSource>(
         ctx: &mut ExecContext<'_, S>,

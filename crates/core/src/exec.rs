@@ -134,7 +134,7 @@ pub(crate) type Plan = Fold<(usize, usize)>;
 const WAH_FOLD_MAX_RATIO: usize = 16;
 
 /// A wall-clock cut-off for a query or workload. Checked cooperatively:
-/// the batch engine checks it between queries and between morsels, and
+/// the batch engine checks it between queries, and
 /// segment-at-a-time evaluation checks it between segments (via
 /// [`ExecContext::with_deadline`]), bailing out with
 /// [`Error::DeadlineExceeded`] so cancelled work stops consuming cores.
@@ -510,14 +510,9 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     /// Enters segment `index` covering bits `lo..hi`: subsequent ops see
     /// [`ExecContext::view_len`]` == hi - lo` and slice full-length
     /// operands down to the window. The per-segment window cache resets;
-    /// cursors and the fetch cache persist. Driven by
-    /// `eval::evaluate_segmented_in`.
+    /// cursors and the fetch cache persist. Driven by the windowed path
+    /// of `eval::evaluate_repr_in`.
     pub(crate) fn begin_segment(&mut self, lo: usize, hi: usize, index: usize) {
-        // Warm the *next* window of every dense operand fetched so far
-        // while this segment's compute is about to run: windows are
-        // fixed-size except the last, so the next one is `hi..hi+(hi-lo)`.
-        let next_hi = hi.saturating_add(hi - lo).min(self.n_rows());
-        self.prefetch_next_window(hi, next_hi);
         match &mut self.seg {
             Some(s) => {
                 s.lo = lo;
@@ -543,42 +538,6 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
                 });
             }
         }
-    }
-
-    /// Cap on prefetched words per operand: 4 KiB, one default window's
-    /// worth of lines spread over 8-word strides.
-    const PREFETCH_WORDS: usize = 512;
-
-    /// Software prefetch of the next operand block in the segment loop:
-    /// read-touches one word per cache line of bits `next_lo..next_hi` in
-    /// every dense full-length bitmap in the per-query fetch cache, so the
-    /// lines are L2-resident when the next [`ExecContext::begin_segment`]
-    /// slices them. `forbid(unsafe_code)` rules out `_mm_prefetch`; a
-    /// summed read with a [`std::hint::black_box`] sink is the portable
-    /// safe equivalent, capped at [`Self::PREFETCH_WORDS`] per operand so
-    /// a huge window cannot evict the current working set.
-    fn prefetch_next_window(&self, next_lo: usize, next_hi: usize) {
-        if next_lo >= next_hi || self.fetched.is_empty() {
-            return;
-        }
-        let w_lo = next_lo / 64;
-        let mut sink = 0u64;
-        for repr in self.fetched.values() {
-            if let Repr::Literal(b) = repr {
-                let words = b.words();
-                let end = next_hi
-                    .div_ceil(64)
-                    .min(words.len())
-                    .min(w_lo + Self::PREFETCH_WORDS);
-                let mut i = w_lo;
-                // One read per 64-byte line (8 words) pulls the whole line.
-                while i < end {
-                    sink = sink.wrapping_add(words[i]);
-                    i += 8;
-                }
-            }
-        }
-        std::hint::black_box(sink);
     }
 
     /// Closes the current segment, rolling its outcome into the stats.

@@ -1,22 +1,24 @@
 //! Parallel batch query execution: evaluate a workload of queries across
-//! worker threads with work-stealing-style dynamic dispatch, isolating
-//! each query's failures from the rest of the workload.
+//! worker threads, one query per task, isolating each query's failures
+//! from the rest of the workload.
 //!
 //! A decision-support session rarely asks one question; it asks hundreds
-//! (the paper's Section 9 experiments average over 100-query workloads).
-//! Queries of a workload are independent, so they parallelize trivially —
-//! once everything on the read path is shareable. That is what the `Arc`
-//! fetch cache in [`ExecContext`], the owned [`Table`], and the
-//! `&self`-based `SharedIndexReader` of the storage crate buy: worker
-//! threads borrow one table (or build one [`BitmapSource`] each from a
-//! shared factory) and drain tasks from a work-stealing [`StealQueue`]:
-//! tasks are dealt round-robin over per-worker deques, so the oldest
-//! tasks are in flight on every worker first, and a worker steals half of
-//! a victim's remaining tail when its own deque runs dry, so a skewed mix
-//! (one huge query among many cheap ones) rebalances instead of convoying
-//! behind whichever worker drew the expensive task. Workers that find
-//! nothing to steal spin briefly, then park with a timeout until the
-//! workload drains.
+//! (the paper's Section 9 experiments average over 100-query workloads),
+//! and the paper's unit of cost is the query. Queries of a workload are
+//! independent, so they parallelize trivially — once everything on the
+//! read path is shareable. That is what the `Arc` fetch cache in
+//! [`ExecContext`], the owned [`Table`], and the `&self`-based
+//! `SharedIndexReader` of the storage crate buy: worker threads borrow one
+//! table (or build one [`BitmapSource`] each from a shared factory) and
+//! take the next unclaimed query index off one shared cursor until it
+//! passes the end. The task list is static — nothing is re-enqueued — so
+//! that is all the scheduling there is: queries start oldest first, no
+//! query waits behind a particular worker (a skewed mix cannot convoy),
+//! the imbalance at the end is at most one query, and a worker with
+//! nothing left to claim returns instead of waiting, so one that dies
+//! takes nobody with it. How a query is evaluated — compressed, window by
+//! window, or whole — is [`evaluate_repr_in`]'s decision per query,
+//! identical at every thread count.
 //!
 //! Independence cuts the other way too: one query hitting a corrupt
 //! bitmap — or a bug that panics — is no reason to throw away the other
@@ -33,15 +35,13 @@
 //! baselines measure the sequential path itself rather than a one-worker
 //! thread pool.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
 
 use bindex_bitvec::BitVec;
 use bindex_core::error::{Error, Result};
-use bindex_core::eval::{evaluate_repr_in, evaluate_segment_range_in, Algorithm};
+use bindex_core::eval::{evaluate_repr_in, Algorithm};
 use bindex_core::{BitmapSource, DeltaOverlay, EvalStats, ExecContext, RecoveryPolicy, Repr};
 use bindex_relation::query::{Query, SelectionQuery, ThresholdQuery};
 
@@ -58,7 +58,7 @@ pub const MIN_SEGMENT_BITS: usize = 512;
 
 /// A wall-clock cut-off for a workload — now defined in `bindex-core`
 /// (see [`bindex_core::Deadline`]) so segment-at-a-time evaluation can
-/// check it between morsels, and re-exported here where it has always
+/// check it between segments, and re-exported here where it has always
 /// lived. Queries claimed after expiry come back
 /// [`QueryOutcome::TimedOut`] without running; a segmented query that is
 /// already running is cancelled at its next segment boundary and comes
@@ -116,11 +116,6 @@ impl<T> QueryOutcome<T> {
     /// `true` for [`QueryOutcome::Degraded`].
     pub fn is_degraded(&self) -> bool {
         matches!(self, QueryOutcome::Degraded(_))
-    }
-
-    /// `true` when the query was answered, normally or degraded.
-    pub fn is_answered(&self) -> bool {
-        self.result().is_some()
     }
 
     /// The error, for [`QueryOutcome::Failed`].
@@ -207,10 +202,9 @@ pub struct WorkloadReport<T> {
     pub outcomes: Vec<QueryOutcome<T>>,
     /// Outcome tallies.
     pub health: BatchHealth,
-    /// Successful work-steal operations during the run: how often an idle
-    /// worker took half of another's remaining tasks. Zero on the
-    /// sequential path and on perfectly balanced workloads; greater than
-    /// zero is the signature of a skewed mix being rebalanced.
+    /// Always 0: workers take queries from one shared cursor and there is
+    /// nothing to steal. The field stays while `benchmark/` reads it into
+    /// `engine.steals` (ROADMAP item 1(c) drops both).
     pub steals: usize,
 }
 
@@ -239,7 +233,6 @@ impl<T> WorkloadReport<T> {
 /// Worker configuration for a batch run.
 #[derive(Debug, Clone, Default)]
 pub struct BatchOptions {
-    requested_threads: usize,
     threads: usize,
     deadline: Option<Deadline>,
     max_failures: Option<usize>,
@@ -254,8 +247,7 @@ impl BatchOptions {
     /// Runs with `threads` workers. The request is clamped to at least 1
     /// and at most the machine's available parallelism — oversubscribing
     /// cores only adds scheduler churn for this CPU-bound workload. A
-    /// clamp is logged to stderr; the original request stays visible via
-    /// [`requested_threads`](Self::requested_threads).
+    /// clamp is logged to stderr.
     pub fn with_threads(threads: usize) -> Self {
         let requested = threads.max(1);
         // One thread needs no clamp — and a served request builds its
@@ -270,14 +262,8 @@ impl BatchOptions {
             );
         }
         Self {
-            requested_threads: requested,
             threads: effective,
-            deadline: None,
-            max_failures: None,
-            recovery: RecoveryPolicy::default(),
-            segment_bits: None,
-            overlay: None,
-            no_pruning: false,
+            ..Self::default()
         }
     }
 
@@ -289,12 +275,11 @@ impl BatchOptions {
     /// Runs with exactly `threads` workers, skipping the
     /// available-parallelism clamp — deliberate oversubscription. For
     /// tests and harnesses that must exercise the multi-worker machinery
-    /// (work stealing, morsel assembly, panic isolation) on boxes with
+    /// (the shared cursor, panic isolation) on boxes with
     /// fewer cores than workers; production callers should prefer
     /// [`BatchOptions::with_threads`].
     pub fn with_threads_unclamped(threads: usize) -> Self {
         let mut options = Self::with_threads(1);
-        options.requested_threads = threads.max(1);
         options.threads = threads.max(1);
         options
     }
@@ -336,7 +321,7 @@ impl BatchOptions {
     }
 
     /// Switches the workload drivers and [`evaluate_query`] to
-    /// segment-at-a-time execution with morsels of `bits` bits. (A size
+    /// segment-at-a-time execution with windows of `bits` bits. (A size
     /// larger than the relation is fine — the query just runs as one
     /// segment.)
     ///
@@ -358,18 +343,6 @@ impl BatchOptions {
         self.threads.max(1)
     }
 
-    /// Number of worker threads originally asked for, before clamping.
-    pub fn requested_threads(&self) -> usize {
-        self.requested_threads.max(1)
-    }
-
-    /// `true` when more workers were requested than the machine can run in
-    /// parallel (the clamp kicked in) — worth recording next to any
-    /// throughput number measured under such a configuration.
-    pub fn oversubscribed(&self) -> bool {
-        self.requested_threads() > self.threads()
-    }
-
     /// The segment size for segment-at-a-time execution, if enabled.
     pub fn segment_bits(&self) -> Option<usize> {
         self.segment_bits
@@ -378,16 +351,6 @@ impl BatchOptions {
     /// The workload deadline, if any.
     pub fn deadline(&self) -> Option<Deadline> {
         self.deadline
-    }
-
-    /// The failure cap, if any.
-    pub fn max_failures(&self) -> Option<usize> {
-        self.max_failures
-    }
-
-    /// The degraded-mode recovery policy.
-    pub fn recovery(&self) -> &RecoveryPolicy {
-        &self.recovery
     }
 
     /// Attaches a streaming-ingest [`DeltaOverlay`] applied to every
@@ -412,11 +375,6 @@ impl BatchOptions {
         self.no_pruning = !enabled;
         self
     }
-
-    /// Whether summary-based segment pruning is enabled.
-    pub fn pruning(&self) -> bool {
-        !self.no_pruning
-    }
 }
 
 /// [`std::thread::available_parallelism`], asked once per process: the
@@ -432,125 +390,6 @@ fn available_parallelism() -> Option<usize> {
     })
 }
 
-/// Failed claim attempts a worker spins through (with
-/// [`std::hint::spin_loop`]) before backing off to
-/// [`std::thread::park_timeout`]. Spinning covers the common
-/// milliseconds-long gap while a steal is in flight; parking caps the
-/// cost of waiting out one long straggler task.
-const IDLE_SPINS: u32 = 64;
-
-/// Park interval while idle: long enough not to busy-wait, short enough
-/// that the last worker to finish never strands the others noticeably.
-const PARK_INTERVAL: Duration = Duration::from_micros(100);
-
-/// Work-stealing task queue: per-worker deques of task indices, dealt
-/// round-robin (task `i` to deque `i % workers`) in index order.
-///
-/// A worker pops its own deque from the front (preserving input order, so
-/// early tasks — which seed caches and op accounting — run early) and, on
-/// empty, steals the back *half* of the first non-empty victim's deque.
-/// Steal-half rather than steal-one amortizes the lock traffic: a worker
-/// that went idle takes enough work to stay busy, instead of coming back
-/// for every task. Tasks are never re-enqueued, so `remaining` (tasks not
-/// yet finished) is the drain condition; the brief window where stolen
-/// tasks are in a thief's hands but not yet re-dequed is covered by the
-/// claim-side spin.
-struct StealQueue {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-    /// Tasks claimed but whose execution has not finished, plus tasks
-    /// still queued. Zero ⇔ the workload is fully drained.
-    remaining: AtomicUsize,
-    /// Successful steal operations (each moves half a victim's tail).
-    steals: AtomicUsize,
-}
-
-impl StealQueue {
-    /// Deals task `i` of `0..n_tasks` to deque `i % workers`. Tasks are
-    /// ordered oldest query first (a query's morsels are adjacent), so the
-    /// deal puts the oldest query's morsels in flight on every worker at
-    /// once and finishes queries in arrival order; contiguous blocks would
-    /// instead run one query's morsels back to back on one worker while the
-    /// others start on queries from the middle of the batch, and under a
-    /// deadline nothing finishes.
-    fn new(n_tasks: usize, workers: usize) -> Self {
-        let workers = workers.max(1);
-        let deques = (0..workers)
-            .map(|w| Mutex::new((w..n_tasks).step_by(workers).collect::<VecDeque<usize>>()))
-            .collect();
-        Self {
-            deques,
-            remaining: AtomicUsize::new(n_tasks),
-            steals: AtomicUsize::new(0),
-        }
-    }
-
-    /// Next task for worker `w`: own deque first, else steal. `None`
-    /// means nothing was claimable *right now* — not that the workload is
-    /// done (see [`StealQueue::drained`]).
-    fn claim(&self, w: usize) -> Option<usize> {
-        if let Some(i) = self.deques[w].lock().unwrap().pop_front() {
-            return Some(i);
-        }
-        let n = self.deques.len();
-        for v in (w + 1..n).chain(0..w) {
-            let mut stolen = {
-                let mut victim = self.deques[v].lock().unwrap();
-                let len = victim.len();
-                if len == 0 {
-                    continue;
-                }
-                victim.split_off(len - len.div_ceil(2))
-            };
-            self.steals.fetch_add(1, Ordering::Relaxed);
-            let first = stolen.pop_front().expect("stole at least one task");
-            if !stolen.is_empty() {
-                self.deques[w].lock().unwrap().append(&mut stolen);
-            }
-            return Some(first);
-        }
-        None
-    }
-
-    /// Marks one claimed task as executed.
-    fn finish_task(&self) {
-        self.remaining.fetch_sub(1, Ordering::Release);
-    }
-
-    /// `true` once every task has finished executing.
-    fn drained(&self) -> bool {
-        self.remaining.load(Ordering::Acquire) == 0
-    }
-
-    /// Successful steals over the queue's lifetime.
-    fn steals(&self) -> usize {
-        self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Runs `work(i)` for every task the queue yields to worker `w`,
-    /// with idle-spin → park backoff between failed claims, returning
-    /// when the whole workload has drained.
-    fn drain(&self, w: usize, mut work: impl FnMut(usize)) {
-        let mut idle = 0u32;
-        loop {
-            if let Some(i) = self.claim(w) {
-                idle = 0;
-                work(i);
-                self.finish_task();
-                continue;
-            }
-            if self.drained() {
-                return;
-            }
-            idle += 1;
-            if idle < IDLE_SPINS {
-                std::hint::spin_loop();
-            } else {
-                std::thread::park_timeout(PARK_INTERVAL);
-            }
-        }
-    }
-}
-
 /// Renders a panic payload for [`Error::WorkerPanic`].
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -562,33 +401,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The gate a query passes before it starts: [`QueryOutcome::Skipped`]
-/// once `failures` has reached the cap, [`QueryOutcome::TimedOut`] if the
-/// deadline has already passed, `None` to go ahead.
-fn refuse<T>(options: &BatchOptions, failures: &AtomicUsize) -> Option<QueryOutcome<T>> {
-    if options
-        .max_failures()
-        .is_some_and(|cap| failures.load(Ordering::Relaxed) >= cap)
-    {
-        Some(QueryOutcome::Skipped)
-    } else if options.deadline().is_some_and(|d| d.expired()) {
-        Some(QueryOutcome::TimedOut)
-    } else {
-        None
-    }
-}
-
-/// Runs `step` under [`catch_unwind`]; a panic comes back as
+/// One query as one task under the workload's policy. Before it starts it
+/// is refused — [`QueryOutcome::Skipped`] once `failures` has reached the
+/// cap, [`QueryOutcome::TimedOut`] if the deadline has already passed;
+/// otherwise `step`, which returns the answer plus a flag marking it
+/// degraded, runs under [`catch_unwind`]: a panic is
 /// [`Error::WorkerPanic`], and whatever state `step` was mutating must
-/// then be rebuilt by the caller before it is used again.
-fn isolate<T>(step: impl FnOnce() -> Result<T>) -> Result<T> {
-    catch_unwind(AssertUnwindSafe(step))
-        .unwrap_or_else(|payload| Err(Error::WorkerPanic(panic_message(payload.as_ref()))))
-}
-
-/// One query as one task under the workload's policy: [`refuse`]d, or run
-/// [`isolate`]d, `step` returning the answer plus a flag marking it
-/// degraded. A `step` that cancels itself with [`Error::DeadlineExceeded`]
+/// then be rebuilt by the caller before it is used again. A `step` that
+/// cancels itself with [`Error::DeadlineExceeded`]
 /// (segmented evaluation checks the deadline between segments) is
 /// [`QueryOutcome::DeadlineExceeded`] and — the deadline working as
 /// designed, not a storage fault — is not charged to `failures`; every
@@ -598,10 +418,18 @@ fn run_query<T>(
     failures: &AtomicUsize,
     step: impl FnOnce() -> Result<(T, bool)>,
 ) -> QueryOutcome<T> {
-    if let Some(refused) = refuse(options, failures) {
-        return refused;
+    if options
+        .max_failures
+        .is_some_and(|cap| failures.load(Ordering::Relaxed) >= cap)
+    {
+        return QueryOutcome::Skipped;
     }
-    match isolate(step) {
+    if options.deadline.is_some_and(|d| d.expired()) {
+        return QueryOutcome::TimedOut;
+    }
+    let ran = catch_unwind(AssertUnwindSafe(step))
+        .unwrap_or_else(|payload| Err(Error::WorkerPanic(panic_message(payload.as_ref()))));
+    match ran {
         Ok((v, false)) => QueryOutcome::Ok(v),
         Ok((v, true)) => QueryOutcome::Degraded(v),
         Err(Error::DeadlineExceeded) => QueryOutcome::DeadlineExceeded,
@@ -612,74 +440,12 @@ fn run_query<T>(
     }
 }
 
-/// What a worker hands back: `(index, outcome)` pairs in the order it
-/// finished them.
-type Finished<T> = Vec<(usize, QueryOutcome<T>)>;
-
-/// Runs `worker(w, &mut finished)` for every `w in 0..workers` — inline
-/// for one worker, so a single-worker run measures the sequential
-/// algorithm rather than a one-worker thread pool; on scoped threads
-/// otherwise — and assembles what they finished, in whatever order, into
-/// the `n` outcomes of a [`WorkloadReport`] in input order.
-fn run_workers<T: Send>(
-    n: usize,
-    workers: usize,
-    queue: &StealQueue,
-    worker: impl Fn(usize, &mut Finished<T>) + Sync,
-) -> WorkloadReport<T> {
-    let mut finished: Finished<T> = Vec::with_capacity(n);
-    if workers <= 1 {
-        worker(0, &mut finished);
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let worker = &worker;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        worker(w, &mut out);
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                // A worker can only die outside `catch_unwind` (its state
-                // factory panicked). Its claimed-but-unreported queries
-                // surface below as WorkerPanic outcomes.
-                if let Ok(chunk) = h.join() {
-                    finished.extend(chunk);
-                }
-            }
-        });
-    }
-    let mut slots: Vec<Option<QueryOutcome<T>>> = std::iter::repeat_with(|| None).take(n).collect();
-    for (i, o) in finished {
-        slots[i] = Some(o);
-    }
-    let outcomes: Vec<QueryOutcome<T>> = slots
-        .into_iter()
-        .map(|s| {
-            s.unwrap_or_else(|| {
-                QueryOutcome::Failed(Error::WorkerPanic(
-                    "worker thread died before reporting its results".into(),
-                ))
-            })
-        })
-        .collect();
-    let health = BatchHealth::tally(&outcomes);
-    WorkloadReport {
-        outcomes,
-        health,
-        steals: queue.steals(),
-    }
-}
-
 /// The resilient query-per-task driver behind [`execute_workload`] and
-/// [`evaluate_queries`]. Runs `step(state, i)` for every `i in 0..n`
-/// across the configured workers, keeping outcomes in input order. Workers
-/// claim indices from a work-stealing [`StealQueue`], so long queries don't
-/// stall the queue behind them and a skewed block of expensive queries
-/// gets redistributed.
+/// [`evaluate_queries`], and the one place this module spawns threads. Runs
+/// `step(state, i)` for every `i in 0..n` across the configured workers —
+/// inline for one worker, on scoped threads otherwise — keeping outcomes in
+/// input order. A worker takes the next index off the shared cursor and
+/// returns once it has passed `n`.
 ///
 /// Each worker owns one `init()`-built state (a table handle, a bitmap
 /// source). Every step runs through [`run_query`]; after a panic the
@@ -698,19 +464,57 @@ where
 {
     let threads = options.threads().min(n.max(1));
     let failures = AtomicUsize::new(0);
-    let queue = StealQueue::new(n, threads);
-    run_workers(n, threads, &queue, |w, finished| {
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<QueryOutcome<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let worker = || {
         let mut state = init();
-        queue.drain(w, |i| {
+        loop {
+            // Relaxed: the cursor publishes nothing but the index itself.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return;
+            }
             let outcome = run_query(options, &failures, || step(&mut state, i));
+            let panicked = matches!(outcome, QueryOutcome::Failed(Error::WorkerPanic(_)));
+            *slots[i].lock().expect("a slot is only ever assigned") = Some(outcome);
             // Unwind safety: the state a panic interrupted is discarded
             // and rebuilt, so no broken invariant is observed.
-            if matches!(outcome, QueryOutcome::Failed(Error::WorkerPanic(_))) {
+            if panicked {
                 state = init();
             }
-            finished.push((i, outcome));
+        }
+    };
+    if threads <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            for h in handles {
+                // A worker dies only outside `catch_unwind`: its `init`
+                // panicked. What it finished is already in `slots`; the
+                // others claim on. Queries nobody lived to report surface
+                // below as WorkerPanic outcomes.
+                let _ = h.join();
+            }
         });
-    })
+    }
+    let outcomes: Vec<QueryOutcome<T>> = slots
+        .into_iter()
+        .map(|slot| {
+            let outcome = slot.into_inner().expect("a slot is only ever assigned");
+            outcome.unwrap_or_else(|| {
+                QueryOutcome::Failed(Error::WorkerPanic(
+                    "worker thread died before reporting its results".into(),
+                ))
+            })
+        })
+        .collect();
+    let health = BatchHealth::tally(&outcomes);
+    WorkloadReport {
+        outcomes,
+        health,
+        steals: 0,
+    }
 }
 
 /// Executes a workload of conjunctive queries against `table`, choosing
@@ -737,18 +541,6 @@ pub fn execute_workload(
     )
 }
 
-/// The context every query of a workload evaluates in.
-fn query_context<'a, S: BitmapSource>(
-    source: &'a mut S,
-    options: &BatchOptions,
-) -> ExecContext<'a, S> {
-    ExecContext::new(source)
-        .with_recovery(options.recovery().clone())
-        .with_deadline(options.deadline())
-        .with_overlay(options.overlay().cloned())
-        .with_pruning(options.pruning())
-}
-
 /// Evaluates one query as one task ([`run_query`]'s `step`):
 /// whole-bitmap, or window by window at `options.segment_bits()`, or in
 /// the compressed domain, as [`evaluate_repr_in`] decides. `finish` turns
@@ -761,8 +553,12 @@ fn query_step<S: BitmapSource, T>(
     options: &BatchOptions,
     finish: impl FnOnce(&mut ExecContext<'_, S>, Repr) -> T,
 ) -> Result<((T, EvalStats), bool)> {
-    let mut ctx = query_context(source, options);
-    let found = evaluate_repr_in(&mut ctx, query, algorithm, options.segment_bits())?;
+    let mut ctx = ExecContext::new(source)
+        .with_recovery(options.recovery.clone())
+        .with_deadline(options.deadline)
+        .with_overlay(options.overlay.clone())
+        .with_pruning(!options.no_pruning);
+    let found = evaluate_repr_in(&mut ctx, query, algorithm, options.segment_bits)?;
     let found = finish(&mut ctx, found);
     let stats = ctx.take_stats();
     Ok(((found, stats), stats.degraded_fetches > 0))
@@ -798,9 +594,8 @@ pub fn evaluate_query<S: BitmapSource>(
 /// reconstruct an unreadable bitmap come back
 /// [`QueryOutcome::Degraded`] — still bit-exact.
 ///
-/// A query is one task ([`evaluate_query`]'s evaluation, its foundset
-/// decoded to dense words) except under segment-at-a-time execution on
-/// more than one thread, where it is cut into morsels.
+/// A query is one task: [`evaluate_query`]'s evaluation, its foundset
+/// decoded to dense words.
 pub fn evaluate_selection_workload<S, F>(
     make_source: F,
     queries: &[SelectionQuery],
@@ -840,9 +635,7 @@ where
 }
 
 /// The one driver behind both workload entry points: a query is one task
-/// of [`run_workload`], or — under segment-at-a-time execution on more
-/// than one thread — as many morsels as there are workers
-/// ([`evaluate_morsels`]).
+/// of [`run_workload`], evaluated by [`query_step`].
 fn evaluate_queries<S, F>(
     make_source: F,
     queries: &[Query],
@@ -853,252 +646,11 @@ where
     S: BitmapSource,
     F: Fn() -> S + Sync,
 {
-    if let Some(segment_bits) = options.segment_bits().filter(|_| options.threads() > 1) {
-        return evaluate_morsels(make_source, queries, algorithm, options, segment_bits);
-    }
     run_workload(queries.len(), options, &make_source, |source, i| {
         query_step(source, &queries[i], algorithm, options, |ctx, found| {
             ctx.materialize(found)
         })
     })
-}
-
-/// One morsel of work on the shared queue: a contiguous run of segments
-/// of one query.
-#[derive(Debug, Clone, Copy)]
-struct Morsel {
-    query: usize,
-    row_lo: usize,
-    row_hi: usize,
-}
-
-/// Lifecycle of one query on the segmented path. `FRESH` → (`RUNNING` |
-/// `DEAD`) happens exactly once, on the query's first claimed morsel, so
-/// deadline and failure-cap checks keep whole-query granularity: a query
-/// that has started always finishes (bit-exact answers or a real error),
-/// exactly as on the whole-bitmap path.
-const FRESH: usize = 0;
-const RUNNING: usize = 1;
-const DEAD: usize = 2;
-
-/// Shared per-query assembly state for the segmented path.
-struct QueryCell {
-    state: AtomicUsize,
-    /// Morsels not yet finished; the worker that drops this to zero
-    /// finalizes the outcome.
-    pending: AtomicUsize,
-    /// Full-length foundset words; morsels write disjoint ranges under a
-    /// short lock (evaluation itself runs on a morsel-local buffer).
-    words: Mutex<Vec<u64>>,
-    /// Merged statistics: the morsel containing segment 0 contributes the
-    /// paper-model counters (op charges land only there, and its fetch
-    /// cache touches every slot the query needs, so they equal the
-    /// whole-bitmap numbers); every morsel contributes its segment
-    /// counters.
-    stats: Mutex<EvalStats>,
-    /// The terminal outcome for a `DEAD` query (failed / timed out /
-    /// skipped), recorded by whichever worker killed it.
-    verdict: Mutex<Option<QueryOutcome<(BitVec, EvalStats)>>>,
-}
-
-/// The segmented workload driver for more than one thread: every query is
-/// cut into at most `threads` contiguous segment-aligned morsels, the morsels (in
-/// query-major order) seed a work-stealing [`StealQueue`], and workers
-/// drain it — so a workload of one huge query and a workload of many
-/// small ones saturate the same pool (inter-query and intra-query
-/// parallelism are the same mechanism). The queue deals morsels
-/// round-robin, so a query's morsels start on every worker at once and
-/// queries complete oldest first — under a deadline the head of the batch
-/// finishes and only the tail is shed — while a pathologically expensive
-/// morsel's deque-mates get stolen away as the other workers run dry.
-///
-/// A morsel is one call of [`evaluate_segment_range_in`] into a buffer
-/// covering exactly its rows, in a context of its own.
-fn evaluate_morsels<S, F>(
-    make_source: F,
-    queries: &[Query],
-    algorithm: Algorithm,
-    options: &BatchOptions,
-    segment_bits: usize,
-) -> WorkloadReport<(BitVec, EvalStats)>
-where
-    S: BitmapSource,
-    F: Fn() -> S + Sync,
-{
-    let n = queries.len();
-    if n == 0 {
-        return WorkloadReport {
-            outcomes: Vec::new(),
-            health: BatchHealth::default(),
-            steals: 0,
-        };
-    }
-    // The overlay extends the logical relation past the base index, so
-    // morsel partitioning must cover the merged row count.
-    let n_rows = options
-        .overlay()
-        .map_or_else(|| make_source().n_rows(), |o| o.n_rows());
-    let threads = options.threads();
-    let n_segments = n_rows.div_ceil(segment_bits).max(1);
-    // At most `threads` morsels per query: enough to keep every worker
-    // busy on a single-query workload, without flooding the queue (and
-    // multiplying per-chunk fetch work) on wide ones.
-    let morsels_per_query = threads.min(n_segments).max(1);
-    let segs_per_morsel = n_segments.div_ceil(morsels_per_query);
-    let mut morsels = Vec::with_capacity(n * morsels_per_query);
-    let mut cells = Vec::with_capacity(n);
-    for query in 0..n {
-        let mut count = 0usize;
-        let mut seg0 = 0usize;
-        while seg0 < n_segments {
-            let row_lo = seg0 * segment_bits;
-            let row_hi = ((seg0 + segs_per_morsel) * segment_bits).min(n_rows);
-            morsels.push(Morsel {
-                query,
-                row_lo,
-                row_hi,
-            });
-            count += 1;
-            seg0 += segs_per_morsel;
-        }
-        cells.push(QueryCell {
-            state: AtomicUsize::new(FRESH),
-            pending: AtomicUsize::new(count),
-            words: Mutex::new(vec![0u64; bindex_bitvec::words_for(n_rows)]),
-            stats: Mutex::new(EvalStats::default()),
-            verdict: Mutex::new(None),
-        });
-    }
-
-    let failures = AtomicUsize::new(0);
-    let workers = threads.min(morsels.len()).max(1);
-    let queue = StealQueue::new(morsels.len(), workers);
-    run_workers(n, workers, &queue, |w, finished| {
-        let mut source = make_source();
-        queue.drain(w, |mi| {
-            let morsel = morsels[mi];
-            let cell = &cells[morsel.query];
-            // Deadline / failure-cap gate, decided once per query on its
-            // first claimed morsel.
-            if cell.state.load(Ordering::Acquire) == FRESH {
-                let kill = refuse(options, &failures);
-                let target = if kill.is_some() { DEAD } else { RUNNING };
-                if cell
-                    .state
-                    .compare_exchange(FRESH, target, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    if let Some(v) = kill {
-                        *cell.verdict.lock().unwrap() = Some(v);
-                    }
-                }
-            }
-            if cell.state.load(Ordering::Acquire) == RUNNING
-                && options.deadline().is_some_and(|d| d.expired())
-            {
-                // The deadline expired after this query started: cancel it
-                // before doing any more work, without charging the failure
-                // cap — remaining morsels fall through as no-ops and the
-                // queue keeps serving other queries.
-                if kill_query_quiet(cell) {
-                    *cell.verdict.lock().unwrap() = Some(QueryOutcome::DeadlineExceeded);
-                }
-            }
-            if cell.state.load(Ordering::Acquire) == RUNNING {
-                let words_lo = morsel.row_lo / 64;
-                let span = bindex_bitvec::words_for(morsel.row_hi) - words_lo;
-                // Unwind safety: on panic the morsel buffer and context
-                // are discarded and the source is rebuilt.
-                let ran = isolate(|| {
-                    let mut ctx = query_context(&mut source, options);
-                    let mut local = vec![0u64; span];
-                    evaluate_segment_range_in(
-                        &mut ctx,
-                        &queries[morsel.query],
-                        algorithm,
-                        segment_bits,
-                        morsel.row_lo,
-                        morsel.row_hi,
-                        &mut local,
-                    )?;
-                    Ok((local, ctx.take_stats()))
-                });
-                match ran {
-                    Ok((local, stats)) => {
-                        let contributed = if morsel.row_lo == 0 {
-                            stats
-                        } else {
-                            // Off-zero morsels re-fetch and re-run the op
-                            // sequence for their own rows; only their
-                            // segment counters are new information.
-                            EvalStats {
-                                segments_evaluated: stats.segments_evaluated,
-                                segments_skipped: stats.segments_skipped,
-                                segments_pruned: stats.segments_pruned,
-                                ..EvalStats::default()
-                            }
-                        };
-                        cell.stats.lock().unwrap().add(&contributed);
-                        cell.words.lock().unwrap()[words_lo..words_lo + span]
-                            .copy_from_slice(&local);
-                    }
-                    Err(Error::DeadlineExceeded) => {
-                        // Mid-morsel cooperative cancellation: the eval
-                        // loop noticed the deadline between segments.
-                        if kill_query_quiet(cell) {
-                            *cell.verdict.lock().unwrap() = Some(QueryOutcome::DeadlineExceeded);
-                        }
-                    }
-                    Err(e) => {
-                        if matches!(e, Error::WorkerPanic(_)) {
-                            source = make_source();
-                        }
-                        if kill_query(cell, &failures) {
-                            *cell.verdict.lock().unwrap() = Some(QueryOutcome::Failed(e));
-                        }
-                    }
-                }
-            }
-            if cell.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Last morsel of this query: assemble the outcome.
-                let outcome = match cell.verdict.lock().unwrap().take() {
-                    Some(v) => v,
-                    None => {
-                        let words = std::mem::take(&mut *cell.words.lock().unwrap());
-                        let stats = *cell.stats.lock().unwrap();
-                        let found = BitVec::from_words(words, n_rows);
-                        if stats.degraded_fetches > 0 {
-                            QueryOutcome::Degraded((found, stats))
-                        } else {
-                            QueryOutcome::Ok((found, stats))
-                        }
-                    }
-                };
-                finished.push((morsel.query, outcome));
-            }
-        });
-    })
-}
-
-/// Transitions a query to `DEAD`, charging the workload failure counter.
-/// Returns `true` for the worker that performed the transition (and so
-/// owns writing the verdict); later morsels of an already-dead query are
-/// no-ops.
-fn kill_query(cell: &QueryCell, failures: &AtomicUsize) -> bool {
-    if kill_query_quiet(cell) {
-        failures.fetch_add(1, Ordering::Relaxed);
-        true
-    } else {
-        false
-    }
-}
-
-/// Transitions a query to `DEAD` **without** charging the failure counter
-/// — for deadline cancellations, which are the serving layer shedding load
-/// by design, not evidence of a broken query or store. Returns `true` for
-/// the worker that owns writing the verdict.
-fn kill_query_quiet(cell: &QueryCell) -> bool {
-    cell.state.swap(DEAD, Ordering::AcqRel) != DEAD
 }
 
 #[cfg(test)]
@@ -1137,6 +689,18 @@ mod tests {
         out
     }
 
+    /// The base-<5, 8> range layout most of these workloads run over.
+    fn range_spec() -> IndexSpec {
+        IndexSpec::new(
+            bindex_core::Base::from_msb(&[5, 8]).unwrap(),
+            bindex_core::Encoding::Range,
+        )
+    }
+
+    fn range_index(col: &bindex_relation::Column) -> bindex_core::BitmapIndex {
+        bindex_core::BitmapIndex::build(col, range_spec()).unwrap()
+    }
+
     #[test]
     fn parallel_matches_single_thread() {
         let t = table();
@@ -1154,14 +718,7 @@ mod tests {
     #[test]
     fn selection_workload_matches_naive_in_parallel() {
         let col = gen::uniform(1500, 40, 7);
-        let idx = bindex_core::BitmapIndex::build(
-            &col,
-            IndexSpec::new(
-                bindex_core::Base::from_msb(&[5, 8]).unwrap(),
-                bindex_core::Encoding::Range,
-            ),
-        )
-        .unwrap();
+        let idx = range_index(&col);
         let queries: Vec<SelectionQuery> = (0..40)
             .map(|v| SelectionQuery::new(if v % 2 == 0 { Op::Le } else { Op::Eq }, v))
             .collect();
@@ -1199,10 +756,7 @@ mod tests {
         let cardinality = 40;
         let base_col = gen::uniform(1400, cardinality, 13);
         let delta_col = gen::uniform(200, cardinality, 17);
-        let spec = IndexSpec::new(
-            bindex_core::Base::from_msb(&[5, 8]).unwrap(),
-            bindex_core::Encoding::Range,
-        );
+        let spec = range_spec();
         let base_idx = bindex_core::BitmapIndex::build(&base_col, spec.clone()).unwrap();
         let delta_idx = bindex_core::BitmapIndex::build(&delta_col, spec.clone()).unwrap();
         let n_rows = base_col.len() + delta_col.len();
@@ -1263,14 +817,7 @@ mod tests {
     #[test]
     fn threshold_workload_matches_reference_on_all_paths() {
         let col = gen::uniform(3000, 40, 19);
-        let idx = bindex_core::BitmapIndex::build(
-            &col,
-            IndexSpec::new(
-                bindex_core::Base::from_msb(&[5, 8]).unwrap(),
-                bindex_core::Encoding::Range,
-            ),
-        )
-        .unwrap();
+        let idx = range_index(&col);
         let queries: Vec<ThresholdQuery> = (0..12u32)
             .map(|v| {
                 ThresholdQuery::new(
@@ -1340,19 +887,12 @@ mod tests {
     }
 
     /// Segment-at-a-time workload execution returns the same foundsets
-    /// and the same paper-model statistics as the whole-bitmap path, for
-    /// both the sequential and the morsel-queue parallel drivers.
+    /// and the same paper-model statistics as the whole-bitmap path,
+    /// sequential and parallel.
     #[test]
     fn segmented_workload_matches_whole_bitmap() {
         let col = gen::uniform(3000, 40, 11);
-        let idx = bindex_core::BitmapIndex::build(
-            &col,
-            IndexSpec::new(
-                bindex_core::Base::from_msb(&[5, 8]).unwrap(),
-                bindex_core::Encoding::Range,
-            ),
-        )
-        .unwrap();
+        let idx = range_index(&col);
         let queries: Vec<SelectionQuery> = (0..40)
             .map(|v| SelectionQuery::new(if v % 2 == 0 { Op::Le } else { Op::Gt }, v))
             .collect();
@@ -1384,22 +924,10 @@ mod tests {
 
     #[test]
     fn segmented_workload_isolates_panics_and_deadlines() {
-        let spec = IndexSpec::new(
-            bindex_core::Base::from_msb(&[4, 5]).unwrap(),
-            bindex_core::Encoding::Range,
-        );
-        let queries: Vec<SelectionQuery> = (1..9).map(|v| SelectionQuery::new(Op::Eq, v)).collect();
+        let queries = panicky_queries();
         for threads in [1, 3] {
             let options = BatchOptions::with_threads(threads).with_segment_bits(512);
-            let report = evaluate_selection_workload(
-                || PanickySource {
-                    spec: spec.clone(),
-                    n_rows: 5000,
-                },
-                &queries,
-                Algorithm::Auto,
-                &options,
-            );
+            let report = panicky_workload(5000, &options);
             assert_eq!(report.health.failed, queries.len(), "{:?}", report.health);
             assert_eq!(report.health.worker_panics, queries.len());
         }
@@ -1443,27 +971,19 @@ mod tests {
     fn options_clamp_and_env_parse() {
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         assert_eq!(BatchOptions::with_threads(0).threads(), 1);
-        let eight = BatchOptions::with_threads(8);
-        assert_eq!(eight.requested_threads(), 8);
-        assert_eq!(eight.threads(), 8.min(cores));
-        assert!(BatchOptions::with_threads(1).threads() == 1);
+        assert_eq!(BatchOptions::with_threads(8).threads(), 8.min(cores));
         assert!(BatchOptions::from_env().threads() >= 1);
         assert!(BatchOptions::from_env().threads() <= cores);
     }
 
     #[test]
     fn one_thread_is_never_clamped_and_oversubscription_still_is() {
-        let one = BatchOptions::with_threads(1);
-        assert_eq!((one.threads(), one.requested_threads()), (1, 1));
-        assert!(!one.oversubscribed());
+        assert_eq!(BatchOptions::with_threads(1).threads(), 1);
         assert_eq!(BatchOptions::single_threaded().threads(), 1);
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         // Twice: the second request reads the cap resolved by the first.
         for _ in 0..2 {
-            let over = BatchOptions::with_threads(cores + 3);
-            assert_eq!(over.threads(), cores);
-            assert_eq!(over.requested_threads(), cores + 3);
-            assert!(over.oversubscribed());
+            assert_eq!(BatchOptions::with_threads(cores + 3).threads(), cores);
         }
         assert_eq!(
             BatchOptions::with_threads_unclamped(cores + 3).threads(),
@@ -1504,20 +1024,53 @@ mod tests {
         }
     }
 
+    /// Runs of 2,000 equal values under a range index: every slot
+    /// compresses far below the 1/16 rule.
+    fn clustered() -> (bindex_relation::Column, bindex_core::BitmapIndex) {
+        let col = gen::clustered(40_000, 40, 2000, 5);
+        let idx = range_index(&col);
+        (col, idx)
+    }
+
+    /// A segmented workload is the same workload at every thread count:
+    /// over compressed slots each query is folded in the WAH domain — and
+    /// decoded once, at the workload's `BitVec` boundary — on one thread
+    /// and on four, with the same answers and the same statistics.
+    #[test]
+    fn segmented_workload_reports_the_same_stats_at_every_thread_count() {
+        let (col, idx) = clustered();
+        let queries: Vec<SelectionQuery> = (0..40)
+            .map(|v| SelectionQuery::new([Op::Le, Op::Gt, Op::Eq, Op::Ne][v as usize % 4], v))
+            .collect();
+        let run = |options: BatchOptions| {
+            evaluate_selection_workload(
+                || WahSource {
+                    index: &idx,
+                    broken: None,
+                    fetches: 0,
+                },
+                &queries,
+                Algorithm::Auto,
+                &options.with_segment_bits(4096),
+            )
+            .into_results()
+            .unwrap()
+        };
+        let one = run(BatchOptions::single_threaded());
+        assert_eq!(one, run(BatchOptions::with_threads_unclamped(4)));
+        for (q, (found, stats)) in queries.iter().zip(&one) {
+            assert_eq!(found, &naive::evaluate(&col, *q), "{q}");
+            assert_eq!(stats.compressed_ops, stats.total_ops(), "{q}");
+            assert_eq!(stats.materializations, 1, "{q}");
+        }
+    }
+
     /// The single-query entry answers like a one-query workload — in the
     /// representation evaluation produced — and classifies every ending
     /// the way a workload does.
     #[test]
     fn single_query_entry_matches_a_one_query_workload() {
-        let col = gen::clustered(40_000, 40, 2000, 5);
-        let idx = bindex_core::BitmapIndex::build(
-            &col,
-            IndexSpec::new(
-                bindex_core::Base::from_msb(&[5, 8]).unwrap(),
-                bindex_core::Encoding::Range,
-            ),
-        )
-        .unwrap();
+        let (col, idx) = clustered();
         let wah = |broken| WahSource {
             index: &idx,
             broken,
@@ -1663,23 +1216,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn panicking_queries_become_worker_panic_outcomes() {
+    fn panicky_queries() -> Vec<SelectionQuery> {
+        (1..9).map(|v| SelectionQuery::new(Op::Eq, v)).collect()
+    }
+
+    /// [`panicky_queries`] over an `n_rows`-row source whose every fetch
+    /// panics.
+    fn panicky_workload(
+        n_rows: usize,
+        options: &BatchOptions,
+    ) -> WorkloadReport<(BitVec, EvalStats)> {
         let spec = IndexSpec::new(
             bindex_core::Base::from_msb(&[4, 5]).unwrap(),
             bindex_core::Encoding::Range,
         );
-        let queries: Vec<SelectionQuery> = (1..9).map(|v| SelectionQuery::new(Op::Eq, v)).collect();
+        let make = || PanickySource {
+            spec: spec.clone(),
+            n_rows,
+        };
+        evaluate_selection_workload(make, &panicky_queries(), Algorithm::Auto, options)
+    }
+
+    #[test]
+    fn panicking_queries_become_worker_panic_outcomes() {
+        let queries = panicky_queries();
         for threads in [1, 3] {
-            let report = evaluate_selection_workload(
-                || PanickySource {
-                    spec: spec.clone(),
-                    n_rows: 100,
-                },
-                &queries,
-                Algorithm::Auto,
-                &BatchOptions::with_threads(threads),
-            );
+            let report = panicky_workload(100, &BatchOptions::with_threads(threads));
             assert_eq!(report.health.failed, queries.len(), "{:?}", report.health);
             assert_eq!(
                 report.health.worker_panics,
@@ -1696,6 +1258,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A worker whose source factory panics on the rebuild after a
+    /// panicking query dies alone: that query is its own `WorkerPanic`,
+    /// the surviving worker claims everything else, and the report comes
+    /// back — nobody waits for the dead worker.
+    #[test]
+    fn a_factory_that_panics_on_rebuild_does_not_hang_the_workload() {
+        /// Panics fetching slot (1, 0); slow enough elsewhere that both
+        /// workers are up before the panic.
+        struct FragileSource<S>(S);
+
+        impl<S: BitmapSource> BitmapSource for FragileSource<S> {
+            fn spec(&self) -> &IndexSpec {
+                self.0.spec()
+            }
+            fn n_rows(&self) -> usize {
+                self.0.n_rows()
+            }
+            fn try_fetch(&mut self, comp: usize, slot: usize) -> Result<BitVec> {
+                assert!((comp, slot) != (1, 0), "injected panic fetching (1, 0)");
+                std::thread::sleep(Duration::from_millis(2));
+                self.0.try_fetch(comp, slot)
+            }
+            fn try_fetch_nn(&mut self) -> Result<Option<BitVec>> {
+                self.0.try_fetch_nn()
+            }
+        }
+
+        const CARD: u32 = 16;
+        let col = gen::uniform(2000, CARD, 3);
+        let spec = IndexSpec::new(
+            bindex_core::Base::single(CARD).unwrap(),
+            bindex_core::Encoding::Equality,
+        );
+        let idx = Arc::new(bindex_core::BitmapIndex::build(&col, spec).unwrap());
+        // `A = 0`, the query that reads slot (1, 0), is the sixth.
+        let queries: Vec<SelectionQuery> = (0..CARD)
+            .map(|i| SelectionQuery::new(Op::Eq, (i + 11) % CARD))
+            .collect();
+        // On a thread of its own, so a workload that never returns fails
+        // this test instead of wedging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (shared, workload) = (Arc::clone(&idx), queries.clone());
+        std::thread::spawn(move || {
+            let built = AtomicUsize::new(0);
+            let make = || {
+                // One source per worker, then no more.
+                let nth = built.fetch_add(1, Ordering::Relaxed);
+                assert!(nth < 2, "injected factory panic");
+                FragileSource(shared.source())
+            };
+            let options = BatchOptions::with_threads_unclamped(2);
+            let _ = tx.send(evaluate_selection_workload(
+                make,
+                &workload,
+                Algorithm::Auto,
+                &options,
+            ));
+        });
+        let report = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the workload hung behind its dead worker");
+        // Every query but `A = 0` is answered, bit-exact.
+        let got = report
+            .outcomes
+            .iter()
+            .map(|o| o.result().map(|r| r.0.clone()));
+        let want = queries
+            .iter()
+            .map(|q| (q.constant != 0).then(|| naive::evaluate(&col, *q)));
+        assert!(got.eq(want), "{:?}", report.health);
+        assert_eq!(report.health.worker_panics, 1, "{:?}", report.health);
     }
 
     #[test]
@@ -1731,54 +1366,9 @@ mod tests {
     }
 
     #[test]
-    fn steal_queue_semantics() {
-        // Round-robin deal: 10 tasks over 3 workers.
-        let q = StealQueue::new(10, 3);
-        assert!(!q.drained());
-        // Worker 0 owns {0,3,6,9} and pops them in order.
-        for want in [0, 3, 6, 9] {
-            assert_eq!(q.claim(0), Some(want));
-            q.finish_task();
-        }
-        // Its deque is dry: the next claim steals half of worker 1's
-        // remaining tail {1,4,7} → takes {4,7}, runs 4 first.
-        assert_eq!(q.claim(0), Some(4));
-        q.finish_task();
-        assert_eq!(q.steals(), 1);
-        assert_eq!(q.claim(0), Some(7));
-        q.finish_task();
-        // Worker 1 still holds its unstolen front.
-        assert_eq!(q.claim(1), Some(1));
-        q.finish_task();
-        // Drain the rest from anywhere; claim returns None only when
-        // every deque is empty.
-        let mut rest = Vec::new();
-        while let Some(i) = q.claim(2) {
-            rest.push(i);
-            q.finish_task();
-        }
-        rest.sort_unstable();
-        assert_eq!(rest, vec![2, 5, 8]);
-        assert!(q.drained());
-        assert_eq!(q.claim(0), None);
-    }
-
-    #[test]
-    fn steal_queue_single_worker_never_steals() {
-        let q = StealQueue::new(5, 1);
-        let mut got = Vec::new();
-        q.drain(0, |i| got.push(i));
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-        assert_eq!(q.steals(), 0);
-        assert!(q.drained());
-    }
-
-    #[test]
     fn unclamped_threads_skip_the_parallelism_cap() {
         let o = BatchOptions::with_threads_unclamped(6);
         assert_eq!(o.threads(), 6);
-        assert_eq!(o.requested_threads(), 6);
-        assert!(!o.oversubscribed());
         // And the workload still runs correctly with more workers than
         // cores (the whole point on a small CI box).
         let t = table();

@@ -1,7 +1,7 @@
 //! # bindex-server
 //!
 //! A network-facing query service over stored bitmap indexes — the
-//! serving layer for the batch engine's morsel scheduler, built entirely
+//! serving layer for the batch engine's query evaluation, built entirely
 //! on the standard library (threads, `TcpListener`, a hand-rolled binary
 //! protocol).
 //!

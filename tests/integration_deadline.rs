@@ -4,8 +4,8 @@
 //! is running on the segment-at-a-time path stops at the next segment
 //! boundary, surfaces as [`QueryOutcome::DeadlineExceeded`] (not
 //! `Failed`, not a panic, not a full-duration stall), does not charge
-//! the workload failure cap, and does not poison the shared morsel
-//! queue — queries that completed before the deadline stay bit-exact.
+//! the workload failure cap, and does not poison the rest of the
+//! workload — queries that completed before the deadline stay bit-exact.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -177,7 +177,7 @@ fn deadline_sheds_the_tail_without_poisoning_the_workload() {
         SelectionQuery::new(Op::Gt, 5),
     ];
     // 30ms per fetch against a 150ms budget: the first query (a handful
-    // of fetches) finishes comfortably; with at most two morsels in
+    // of fetches) finishes comfortably; with at most two queries in
     // flight, the eighth query cannot start before 150ms and is shed.
     let options = BatchOptions::with_threads(2)
         .with_segment_bits(SEGMENT_BITS)
@@ -203,7 +203,7 @@ fn deadline_sheds_the_tail_without_poisoning_the_workload() {
     );
     assert_eq!(h.ok + h.deadline_exceeded + h.timed_out, queries.len());
     // Whatever completed must be bit-exact despite cancelled neighbours
-    // on the same morsel queue.
+    // in the same workload.
     for (i, query) in queries.iter().enumerate() {
         if let Some((bits, _)) = report.outcomes[i].result() {
             let (want, _) =
