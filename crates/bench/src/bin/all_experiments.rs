@@ -1,11 +1,10 @@
-//! Runs every experiment binary in sequence — the one-shot reproduction
-//! of the paper's full evaluation. Equivalent to invoking each
-//! `cargo run --release -p bindex-bench --bin <experiment>` by hand.
-//!
-//! `--threads N` sets `BINDEX_THREADS=N` for every child experiment, so
-//! reproductions that use the batch engine (e.g. `ext_batch_throughput`)
-//! opt into the parallel path; experiments that evaluate sequentially
-//! ignore it. Remaining arguments are forwarded to each child.
+//! Runs the paper's evaluation in sequence — every `fig*` / `table*` /
+//! `intro_breakeven` reproduction, then the interval-encoding,
+//! physical-layout and threshold extensions. Equivalent to invoking each
+//! `cargo run --release -p bindex-bench --bin <experiment>` by hand;
+//! arguments are forwarded to each child, so `--quick` sends every CSV to
+//! `target/smoke/` but shrinks only the children that have a smoke
+//! workload (`ext_physical_layout`, `ext_threshold`).
 
 use std::process::Command;
 
@@ -24,36 +23,12 @@ const EXPERIMENTS: &[&str] = &[
     "fig16_compression",
     "fig17_buffering",
     "ext_interval_encoding",
-    "ext_fault_tolerance",
-    "ext_batch_throughput",
     "ext_physical_layout",
     "ext_threshold",
 ];
 
 fn main() {
-    let mut threads: Option<String> = None;
-    let mut forwarded: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            let n = args
-                .next()
-                .expect("--threads requires a value, e.g. --threads 4");
-            assert!(
-                n.parse::<usize>().is_ok_and(|v| v >= 1),
-                "--threads expects a positive integer, got {n:?}"
-            );
-            threads = Some(n);
-        } else if let Some(n) = arg.strip_prefix("--threads=") {
-            assert!(
-                n.parse::<usize>().is_ok_and(|v| v >= 1),
-                "--threads expects a positive integer, got {n:?}"
-            );
-            threads = Some(n.to_string());
-        } else {
-            forwarded.push(arg);
-        }
-    }
+    let forwarded: Vec<String> = std::env::args().skip(1).collect();
 
     let exe = std::env::current_exe().expect("own path");
     let bin_dir = exe.parent().expect("bin dir");
@@ -62,9 +37,6 @@ fn main() {
         println!("\n########## {name} ##########");
         let mut cmd = Command::new(bin_dir.join(name));
         cmd.args(&forwarded);
-        if let Some(n) = &threads {
-            cmd.env("BINDEX_THREADS", n);
-        }
         let status = cmd
             .status()
             .unwrap_or_else(|e| panic!("failed to launch {name}: {e}"));

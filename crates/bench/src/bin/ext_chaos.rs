@@ -15,9 +15,9 @@
 //!   valid record prefix on reopen — acknowledged batches before the
 //!   damage survive, the corrupt suffix is dropped, never a hard error.
 //!
-//! Emits `BENCH_chaos_recovery.json` at the workspace root with the
-//! recovery rate (must be 100%), repair counts, and the wall-clock
-//! overhead of the degraded path. `--quick` shrinks the workload for CI;
+//! Emits `BENCH_chaos_recovery.json` with the recovery rate (must be
+//! 100%), repair counts, and the wall-clock overhead of the degraded
+//! path. `--quick` shrinks the workload for CI;
 //! `BINDEX_CHAOS_SEED` reseeds the fault plans and data.
 
 use std::sync::Arc;
@@ -37,7 +37,7 @@ use bindex::{
     Base, BitVec, BitmapIndex, Column, Encoding, EvalStats, IndexSpec, IngestIndex, IngestOptions,
     RecoveryPolicy, SelectionQuery,
 };
-use bindex_bench::{f2, print_table, results_dir, Csv, RunProvenance};
+use bindex_bench::{f2, print_table, smoke, write_artifact, Csv, RunProvenance};
 
 const CARDINALITY: u32 = 30;
 
@@ -192,7 +192,7 @@ fn degrade_and_repair(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = smoke();
     let seed: u64 = std::env::var("BINDEX_CHAOS_SEED")
         .ok()
         .and_then(|v| v.trim().parse().ok())
@@ -441,10 +441,5 @@ fn main() {
         prov = provenance.json_fields(),
         schemes = scheme_json.join(",\n"),
     );
-    let json_path = results_dir()
-        .parent()
-        .map(|p| p.join("BENCH_chaos_recovery.json"))
-        .expect("results dir has a parent");
-    std::fs::write(&json_path, json).expect("write json");
-    println!("JSON: {}", json_path.display());
+    write_artifact("chaos_recovery", &json).expect("write json");
 }

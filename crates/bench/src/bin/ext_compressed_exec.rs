@@ -24,8 +24,8 @@
 //!    reply and for a dense result, across cluster lengths — which is
 //!    where the executor's 1/16 size rule switches between the two.
 //!
-//! Emits `BENCH_compressed_exec.json` at the workspace root and the usual
-//! CSV under `results/`. `--quick` shrinks everything for CI smoke runs.
+//! Emits `BENCH_compressed_exec.json` and the usual CSV. `--quick` shrinks
+//! everything for CI smoke runs.
 
 use std::time::Instant;
 
@@ -39,7 +39,7 @@ use bindex::relation::{gen, Column};
 use bindex::storage::{MemStore, ShardedPool, SharedIndexReader, StorageScheme, StoredIndex};
 use bindex::stored::{persist_index, persist_index_v4, SharedSource};
 use bindex::{Base, BitVec, BitmapIndex, Encoding, IndexSpec};
-use bindex_bench::{f2, print_table, results_dir, Csv, RunProvenance};
+use bindex_bench::{f2, print_table, smoke, write_artifact, Csv, RunProvenance};
 
 struct Config {
     bits: usize,
@@ -433,7 +433,7 @@ fn served_times_json(t: Option<ServedTimes>) -> String {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = smoke();
     let provenance = RunProvenance::capture(1);
     let cfg = if quick {
         Config {
@@ -737,10 +737,5 @@ fn main() {
         lit_res = pool.literal_resident,
         coded_res = pool.coded_resident,
     );
-    let json_path = results_dir()
-        .parent()
-        .map(|p| p.join("BENCH_compressed_exec.json"))
-        .expect("results dir has a parent");
-    std::fs::write(&json_path, json).expect("write json");
-    println!("JSON: {}", json_path.display());
+    write_artifact("compressed_exec", &json).expect("write json");
 }

@@ -12,7 +12,7 @@ use bindex::core::cost::{expected_scans, time_range_paper};
 use bindex::core::design::frontier::{all_points, pareto};
 use bindex::core::eval::Algorithm;
 use bindex::{Base, Encoding};
-use bindex_bench::{f3, print_table, results_dir, Csv, RunProvenance};
+use bindex_bench::{f3, print_table, write_artifact, Csv, RunProvenance};
 
 fn main() {
     let cards: Vec<u32> = {
@@ -89,10 +89,5 @@ fn main() {
         prov = provenance.json_fields(),
         cards = cards_json.join(", "),
     );
-    let json_path = results_dir()
-        .parent()
-        .map(|p| p.join("BENCH_interval_encoding.json"))
-        .expect("results dir has a parent");
-    std::fs::write(&json_path, json).expect("write json");
-    println!("JSON: {}", json_path.display());
+    write_artifact("interval_encoding", &json).expect("write json");
 }

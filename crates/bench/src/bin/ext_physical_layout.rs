@@ -15,9 +15,8 @@
 //!   are separate rows. Every configuration's answers are asserted
 //!   bit-identical to the baseline's before anything is timed.
 //!
-//! Emits `BENCH_physical_layout.json` at the workspace root and the
-//! usual CSV under `results/`. `--smoke` (alias `--quick`) shrinks the
-//! workload for CI.
+//! Emits `BENCH_physical_layout.json` and the usual CSV. `--smoke` (alias
+//! `--quick`) shrinks the workload for CI.
 
 use std::time::Instant;
 
@@ -31,7 +30,7 @@ use bindex::stored::{persist_index_v4, persist_permutation, SharedSource};
 use bindex::{
     build_reordered, Base, BitVec, BuildOptions, Encoding, IndexSpec, RowOrder, SUMMARY_WINDOW_BITS,
 };
-use bindex_bench::{f2, print_table, results_dir, Csv, RunProvenance};
+use bindex_bench::{f2, print_table, smoke, write_artifact, Csv, RunProvenance};
 
 struct Config {
     rows: usize,
@@ -289,7 +288,7 @@ fn reorder_sweep(cfg: &Config, data: &'static str, col: &Column) -> Vec<ReorderP
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke" || a == "--quick");
+    let smoke = smoke();
     let provenance = RunProvenance::capture(1);
     let cfg = if smoke {
         Config {
@@ -481,10 +480,5 @@ fn main() {
         reorder = reorder_json.join(",\n"),
         sweep = sweep_json.join(",\n"),
     );
-    let json_path = results_dir()
-        .parent()
-        .map(|p| p.join("BENCH_physical_layout.json"))
-        .expect("results dir has a parent");
-    std::fs::write(&json_path, json).expect("write json");
-    println!("JSON: {}", json_path.display());
+    write_artifact("physical_layout", &json).expect("write json");
 }

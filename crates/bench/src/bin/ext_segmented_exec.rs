@@ -19,9 +19,8 @@
 //!    (per-slot density 1/C), checking the segmented path holds up from
 //!    dense to sparse slots.
 //!
-//! Emits `BENCH_segmented_exec.json` at the workspace root and the usual
-//! CSV under `results/`. `--quick` shrinks everything for CI smoke runs
-//! and writes neither: the committed artifact is a full run.
+//! Emits `BENCH_segmented_exec.json` and the usual CSV. `--quick` shrinks
+//! everything for CI smoke runs.
 
 use std::time::Instant;
 
@@ -31,7 +30,7 @@ use bindex::core::{ExecContext, DEFAULT_SEGMENT_BITS};
 use bindex::relation::gen;
 use bindex::relation::query::{full_space, Op, SelectionQuery};
 use bindex::{Base, BitVec, BitmapIndex, Encoding, IndexSpec};
-use bindex_bench::{f2, print_table, results_dir, Csv, RunProvenance};
+use bindex_bench::{f2, print_table, smoke, write_artifact, Csv, RunProvenance};
 
 struct Config {
     /// Bits per operand in the 8-way fold sweep.
@@ -50,10 +49,8 @@ const OPERANDS: usize = 8;
 /// sweep shows why it was chosen.
 const SEGMENT_SWEEP: [usize; 4] = [1 << 16, DEFAULT_SEGMENT_BITS, 1 << 20, 1 << 22];
 
-/// One operand of the shared ~50%-dense generator
-/// ([`bindex_bench::synthetic_bitmaps`]) — the same bits
-/// `ext_batch_throughput`'s union and bandwidth sweeps fold, so the two
-/// experiments measure the same workload. Density is irrelevant to the
+/// One operand of the ~50%-dense generator
+/// ([`bindex_bench::synthetic_bitmaps`]). Density is irrelevant to the
 /// dense kernels' cost — the density axis is swept end-to-end, where it
 /// sets chain lengths.
 fn random_bitmap(bits: usize, seed: u64) -> BitVec {
@@ -362,7 +359,7 @@ fn seg_label(seg: Option<usize>) -> String {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = smoke();
     let provenance = RunProvenance::capture(1);
     let cfg = if quick {
         Config {
@@ -434,10 +431,6 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    if quick {
-        println!("\n--quick: smoke only, BENCH_segmented_exec.json and the CSV are left alone");
-        return;
-    }
     let mut csv = Csv::create(
         "ext_segmented_exec",
         &["section", "label", "segment_bits", "seconds", "speedup"],
@@ -529,7 +522,7 @@ fn main() {
             .map_or(0.0, |p| p.speedup)
     };
     let json = format!(
-        "{{\n  \"experiment\": \"segmented_exec\",\n  \"quick\": false,\n  {prov},\n  \
+        "{{\n  \"experiment\": \"segmented_exec\",\n  \"quick\": {quick},\n  {prov},\n  \
          \"default_segment_bits\": {default},\n  \"fold_bits\": {fold_bits},\n  \
          \"fold_operands\": {operands},\n  \"rows\": {rows},\n  \
          \"and_8way_speedup_at_default\": {and_sp:.3},\n  \
@@ -547,10 +540,5 @@ fn main() {
         evals = eval_json.join(",\n"),
         densities = density_json.join(",\n"),
     );
-    let json_path = results_dir()
-        .parent()
-        .map(|p| p.join("BENCH_segmented_exec.json"))
-        .expect("results dir has a parent");
-    std::fs::write(&json_path, json).expect("write json");
-    println!("JSON: {}", json_path.display());
+    write_artifact("segmented_exec", &json).expect("write json");
 }

@@ -25,9 +25,8 @@
 //! executor's 1/16 size rule, N ∈ {4, 8, 16} × k ∈ {2, N/2}, *decode N
 //! operands + CSA* (what a served threshold over compressed slots pays
 //! today) against the run-domain threshold (what it would pay if it took
-//! the road selections take). Emits `BENCH_threshold.json` at the
-//! workspace root and the usual CSV under `results/`. `--smoke` (alias
-//! `--quick`) shrinks both sweeps for CI.
+//! the road selections take). Emits `BENCH_threshold.json` and the usual
+//! CSV. `--smoke` (alias `--quick`) shrinks both sweeps for CI.
 
 use std::time::Instant;
 
@@ -35,7 +34,7 @@ use bindex::bitvec::kernels;
 use bindex::compress::wah::{self, WahBitmap};
 use bindex::relation::gen;
 use bindex::BitVec;
-use bindex_bench::{f2, print_table, results_dir, Csv, RunProvenance};
+use bindex_bench::{f2, print_table, smoke, write_artifact, Csv, RunProvenance};
 
 /// Naive OR-of-ANDs is only attempted below this many subset terms; the
 /// point is to show the blow-up, not to wait it out.
@@ -277,7 +276,7 @@ fn clustered_point(cfg: &Config, cluster_len: usize, n: usize, k: usize) -> Clus
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke" || a == "--quick");
+    let smoke = smoke();
     let provenance = RunProvenance::capture(1);
     let cfg = if smoke {
         Config {
@@ -543,10 +542,5 @@ fn main() {
         clustered = clustered_json.join(",\n"),
         verdicts = verdict_json.join(",\n"),
     );
-    let json_path = results_dir()
-        .parent()
-        .map(|p| p.join("BENCH_threshold.json"))
-        .expect("results dir has a parent");
-    std::fs::write(&json_path, json).expect("write json");
-    println!("JSON: {}", json_path.display());
+    write_artifact("threshold", &json).expect("write json");
 }

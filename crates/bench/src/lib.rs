@@ -1,9 +1,20 @@
 //! # bindex-bench
 //!
-//! Experiment harness reproducing every table and figure of the paper's
-//! evaluation. One binary per experiment (see `src/bin/`); each prints the
-//! paper's rows/series to stdout and writes a CSV under `results/`. Run
-//! them all with `cargo run --release -p bindex-bench --bin all_experiments`.
+//! Experiment harness: one binary per experiment (see `src/bin/`). The
+//! `fig*` / `table*` / `intro_breakeven` binaries reproduce the paper's
+//! evaluation; each `ext_*` binary defends one choice the code makes (the
+//! 1/16 fold rule, CSA vs run-merge thresholds, the window size, pruning
+//! and the pool, interval encoding, the ingest path's stage costs) or, for
+//! `ext_chaos`, a recovery stage no test asserts yet. Speed of the served
+//! and batch paths is measured in `benchmark/`, recovery is asserted by the
+//! test suites, and neither is repeated here. Run the paper's set with
+//! `cargo run --release -p bindex-bench --bin all_experiments`.
+//!
+//! Every binary prints its rows to stdout and writes `results/<name>.csv`;
+//! an `ext_*` binary also writes `BENCH_<name>.json` at the workspace root
+//! ([`write_artifact`]). Under `--smoke` / `--quick` ([`smoke`]) both land
+//! in `target/smoke/` instead, so a shrunken run never replaces a
+//! committed artifact.
 //!
 //! The micro-benchmarks live in `benches/`, driven by the in-repo
 //! [`microbench`] harness (the build environment has no crates-registry
@@ -26,10 +37,7 @@ use bindex::relation::query::SelectionQuery;
 use bindex::BitVec;
 
 /// Deterministic ~50%-dense pseudo-random operand bitmaps, generated a
-/// word at a time (xorshift64). The one operand generator shared by
-/// `ext_segmented_exec`, `ext_batch_throughput`, and the kernel-bandwidth
-/// sweep — so "the same workload" really is the same bits everywhere,
-/// instead of each experiment seeding its own density. Dense-kernel cost
+/// word at a time (xorshift64). Dense-kernel cost
 /// is density-independent (every word is touched either way); ~50% keeps
 /// popcounts and early-exit checks honest by defeating both all-zero and
 /// all-one shortcuts.
@@ -52,16 +60,44 @@ pub fn synthetic_bitmaps(bits: usize, count: usize, seed: u64) -> Vec<BitVec> {
         .collect()
 }
 
-/// Directory experiment CSVs are written to (`results/` at the workspace
-/// root, overridable with `BINDEX_RESULTS`).
-pub fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("BINDEX_RESULTS") {
-        return PathBuf::from(dir);
-    }
+/// `true` when this process was started with `--smoke` or `--quick`:
+/// everything it writes goes under `target/smoke/`, never over a committed
+/// artifact, and an experiment that has a shrunken workload (CI, a local
+/// check) runs it. The `fig*` / `table*` binaries and
+/// `ext_interval_encoding` have none: for them the flag only redirects the
+/// output of a full-size run.
+pub fn smoke() -> bool {
+    std::env::args().any(|a| a == "--smoke" || a == "--quick")
+}
+
+/// Where a run's output tree starts: the workspace root, or `target/smoke/`
+/// below it for a smoke run.
+fn output_root(smoke: bool) -> PathBuf {
     // crates/bench -> workspace root
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results")
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    if smoke {
+        root.join("target/smoke")
+    } else {
+        root
+    }
+}
+
+fn csv_path(name: &str, smoke: bool) -> PathBuf {
+    output_root(smoke).join(format!("results/{name}.csv"))
+}
+
+fn artifact_path(name: &str, smoke: bool) -> PathBuf {
+    output_root(smoke).join(format!("BENCH_{name}.json"))
+}
+
+/// Writes an experiment's JSON report to `BENCH_<name>.json` under the
+/// output root [`smoke`] selects and prints where it went.
+pub fn write_artifact(name: &str, json: &str) -> std::io::Result<()> {
+    let path = artifact_path(name, smoke());
+    fs::create_dir_all(path.parent().expect("artifact paths have a parent"))?;
+    fs::write(&path, json)?;
+    println!("JSON: {}", path.display());
+    Ok(())
 }
 
 /// A minimal CSV writer for experiment output (no quoting needed for our
@@ -72,11 +108,11 @@ pub struct Csv {
 }
 
 impl Csv {
-    /// Creates `results/<name>.csv` with the given header row.
+    /// Creates `results/<name>.csv`, under the output root [`smoke`]
+    /// selects, with the given header row.
     pub fn create(name: &str, header: &[&str]) -> std::io::Result<Self> {
-        let dir = results_dir();
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{name}.csv"));
+        let path = csv_path(name, smoke());
+        fs::create_dir_all(path.parent().expect("csv paths have a parent"))?;
         let mut file = fs::File::create(&path)?;
         writeln!(file, "{}", header.join(","))?;
         Ok(Self { path, file })
@@ -262,6 +298,19 @@ mod tests {
         let (scans, ops) = average_costs(&mut src, &queries, Algorithm::RangeEvalOpt);
         assert!(scans > 0.0 && scans < 3.0);
         assert!(ops < 3.0);
+    }
+
+    #[test]
+    fn smoke_output_never_lands_on_a_committed_path() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert_eq!(artifact_path("x", false), root.join("BENCH_x.json"));
+        assert_eq!(csv_path("ext_x", false), root.join("results/ext_x.csv"));
+        let smoke_root = root.join("target/smoke");
+        assert_eq!(artifact_path("x", true), smoke_root.join("BENCH_x.json"));
+        assert_eq!(
+            csv_path("ext_x", true),
+            smoke_root.join("results/ext_x.csv")
+        );
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! ninety-nine answers. Each query therefore runs under
 //! [`catch_unwind`], its failure is recorded as its own
 //! [`QueryOutcome`], and the workload keeps draining; a [`Deadline`]
-//! and a failure cap bound how long and how hard a sick store is
-//! hammered. The caller gets every per-query outcome plus a
-//! [`BatchHealth`] summary instead of a first-error abort.
+//! bounds how long a sick store is hammered. The caller gets every
+//! per-query outcome plus a [`BatchHealth`] summary instead of a
+//! first-error abort.
 //!
 //! Built on the standard library's scoped threads — no runtime, no
 //! dependency, no unsafe.
@@ -48,8 +48,7 @@ use bindex_relation::query::{Query, SelectionQuery, ThresholdQuery};
 use crate::plan::{self, ConjunctiveQuery, ExecutionStats};
 use crate::table::Table;
 
-/// Environment variable overriding the default worker count
-/// (`all_experiments --threads N` forwards it to every experiment).
+/// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "BINDEX_THREADS";
 
 /// Smallest accepted segment size: anything below 512 bits spends more
@@ -86,9 +85,6 @@ pub enum QueryOutcome<T> {
     /// cores. Only segment-at-a-time execution can produce this — a
     /// whole-bitmap query that has started always finishes.
     DeadlineExceeded,
-    /// The failure cap ([`BatchOptions::with_max_failures`]) was reached
-    /// before this query started.
-    Skipped,
 }
 
 impl<T> QueryOutcome<T> {
@@ -141,8 +137,6 @@ pub struct BatchHealth {
     /// Queries cancelled mid-run at a segment boundary because the
     /// deadline expired (segmented execution only).
     pub deadline_exceeded: usize,
-    /// Queries not started because the failure cap was reached.
-    pub skipped: usize,
     /// Of `failed`, how many were [`Error::WorkerPanic`]s.
     pub worker_panics: usize,
 }
@@ -162,20 +156,15 @@ impl BatchHealth {
                 }
                 QueryOutcome::TimedOut => h.timed_out += 1,
                 QueryOutcome::DeadlineExceeded => h.deadline_exceeded += 1,
-                QueryOutcome::Skipped => h.skipped += 1,
             }
         }
         h
     }
 
-    /// Every query answered normally — no degradation, failure, timeout,
-    /// cancellation, or skip.
+    /// Every query answered normally — no degradation, failure, timeout
+    /// or cancellation.
     pub fn all_ok(&self) -> bool {
-        self.degraded == 0
-            && self.failed == 0
-            && self.timed_out == 0
-            && self.deadline_exceeded == 0
-            && self.skipped == 0
+        self.degraded == 0 && self.failed == 0 && self.timed_out == 0 && self.deadline_exceeded == 0
     }
 
     /// Queries that produced an answer (ok + degraded).
@@ -185,12 +174,7 @@ impl BatchHealth {
 
     /// Total queries in the workload.
     pub fn total(&self) -> usize {
-        self.ok
-            + self.degraded
-            + self.failed
-            + self.timed_out
-            + self.deadline_exceeded
-            + self.skipped
+        self.ok + self.degraded + self.failed + self.timed_out + self.deadline_exceeded
     }
 }
 
@@ -222,9 +206,6 @@ impl<T> WorkloadReport<T> {
                     "query missed the workload deadline".into(),
                 )),
                 QueryOutcome::DeadlineExceeded => Err(Error::DeadlineExceeded),
-                QueryOutcome::Skipped => Err(Error::Infeasible(
-                    "query skipped after the workload failure cap".into(),
-                )),
             })
             .collect()
     }
@@ -235,7 +216,6 @@ impl<T> WorkloadReport<T> {
 pub struct BatchOptions {
     threads: usize,
     deadline: Option<Deadline>,
-    max_failures: Option<usize>,
     recovery: RecoveryPolicy,
     segment_bits: Option<usize>,
     overlay: Option<Arc<DeltaOverlay>>,
@@ -303,13 +283,6 @@ impl BatchOptions {
     /// back [`QueryOutcome::TimedOut`].
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Stops starting new queries once `max` have failed; the remainder
-    /// come back [`QueryOutcome::Skipped`]. Unlimited by default.
-    pub fn with_max_failures(mut self, max: usize) -> Self {
-        self.max_failures = Some(max);
         self
     }
 
@@ -402,28 +375,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// One query as one task under the workload's policy. Before it starts it
-/// is refused — [`QueryOutcome::Skipped`] once `failures` has reached the
-/// cap, [`QueryOutcome::TimedOut`] if the deadline has already passed;
-/// otherwise `step`, which returns the answer plus a flag marking it
-/// degraded, runs under [`catch_unwind`]: a panic is
+/// is refused — [`QueryOutcome::TimedOut`] — if the deadline has already
+/// passed; otherwise `step`, which returns the answer plus a flag marking
+/// it degraded, runs under [`catch_unwind`]: a panic is
 /// [`Error::WorkerPanic`], and whatever state `step` was mutating must
 /// then be rebuilt by the caller before it is used again. A `step` that
 /// cancels itself with [`Error::DeadlineExceeded`]
 /// (segmented evaluation checks the deadline between segments) is
-/// [`QueryOutcome::DeadlineExceeded`] and — the deadline working as
-/// designed, not a storage fault — is not charged to `failures`; every
-/// other error, a panic included, is.
+/// [`QueryOutcome::DeadlineExceeded`]; every other error is
+/// [`QueryOutcome::Failed`].
 fn run_query<T>(
     options: &BatchOptions,
-    failures: &AtomicUsize,
     step: impl FnOnce() -> Result<(T, bool)>,
 ) -> QueryOutcome<T> {
-    if options
-        .max_failures
-        .is_some_and(|cap| failures.load(Ordering::Relaxed) >= cap)
-    {
-        return QueryOutcome::Skipped;
-    }
     if options.deadline.is_some_and(|d| d.expired()) {
         return QueryOutcome::TimedOut;
     }
@@ -433,10 +397,7 @@ fn run_query<T>(
         Ok((v, false)) => QueryOutcome::Ok(v),
         Ok((v, true)) => QueryOutcome::Degraded(v),
         Err(Error::DeadlineExceeded) => QueryOutcome::DeadlineExceeded,
-        Err(e) => {
-            failures.fetch_add(1, Ordering::Relaxed);
-            QueryOutcome::Failed(e)
-        }
+        Err(e) => QueryOutcome::Failed(e),
     }
 }
 
@@ -463,7 +424,6 @@ where
     W: Fn(&mut St, usize) -> Result<(T, bool)> + Sync,
 {
     let threads = options.threads().min(n.max(1));
-    let failures = AtomicUsize::new(0);
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<QueryOutcome<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let worker = || {
@@ -474,7 +434,7 @@ where
             if i >= n {
                 return;
             }
-            let outcome = run_query(options, &failures, || step(&mut state, i));
+            let outcome = run_query(options, || step(&mut state, i));
             let panicked = matches!(outcome, QueryOutcome::Failed(Error::WorkerPanic(_)));
             *slots[i].lock().expect("a slot is only ever assigned") = Some(outcome);
             // Unwind safety: the state a panic interrupted is discarded
@@ -581,7 +541,7 @@ pub fn evaluate_query<S: BitmapSource>(
     algorithm: Algorithm,
     options: &BatchOptions,
 ) -> QueryOutcome<(Repr, EvalStats)> {
-    run_query(options, &AtomicUsize::new(0), || {
+    run_query(options, || {
         query_step(source, query, algorithm, options, |_, found| found)
     })
 }
@@ -1341,18 +1301,6 @@ mod tests {
         let report = execute_workload(&t, &qs, &options);
         assert_eq!(report.health.timed_out, qs.len(), "{:?}", report.health);
         assert!(report.into_results().is_err());
-    }
-
-    #[test]
-    fn failure_cap_skips_the_tail() {
-        let t = table();
-        let qs: Vec<ConjunctiveQuery> = (0..12)
-            .map(|_| ConjunctiveQuery::new().and("missing", SelectionQuery::new(Op::Le, 1)))
-            .collect();
-        let options = BatchOptions::single_threaded().with_max_failures(3);
-        let report = execute_workload(&t, &qs, &options);
-        assert_eq!(report.health.failed, 3, "{:?}", report.health);
-        assert_eq!(report.health.skipped, 9, "{:?}", report.health);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use bindex::compress::Repr;
 use bindex::core::eval::{validate, Algorithm};
 use bindex::core::{Deadline, EvalStats};
 use bindex::engine::batch::{evaluate_query, BatchOptions, QueryOutcome, MIN_SEGMENT_BITS};
-use bindex::relation::query::{SelectionQuery, ThresholdQuery};
+use bindex::relation::query::SelectionQuery;
 use bindex::storage::{ByteStore, RepairReport, ShardedPool, SharedIndexReader, StoredIndex};
 use bindex::stored::storage_error;
 use bindex::{
@@ -213,20 +213,10 @@ impl ServedIndex {
         self.execute_any(ServedQuery::Selection(query), deadline)
     }
 
-    /// Evaluates a "≥ k of N predicates" query under the same serving
-    /// policy as [`ServedIndex::execute`]. Degenerate shapes (`k = 0`,
-    /// `k` above the predicate count, no predicates) are rejected with
+    /// The serving path for either query kind ([`ServedIndex::execute`]
+    /// is its selection shorthand). A degenerate threshold (`k = 0`, `k`
+    /// above the predicate count, no predicates) is rejected with
     /// [`Error::InvalidQuery`] before touching the store.
-    pub fn execute_threshold(
-        &self,
-        query: ThresholdQuery,
-        deadline: Option<Deadline>,
-    ) -> Result<QueryAnswer, Error> {
-        self.execute_any(ServedQuery::Threshold(query), deadline)
-    }
-
-    /// The shared serving path behind [`ServedIndex::execute`] and
-    /// [`ServedIndex::execute_threshold`].
     pub fn execute_any(
         &self,
         query: ServedQuery,
@@ -318,8 +308,6 @@ impl ServedIndex {
                 Err(e)
             }
             QueryOutcome::TimedOut | QueryOutcome::DeadlineExceeded => Err(Error::DeadlineExceeded),
-            // No failure cap is configured on the serving path.
-            QueryOutcome::Skipped => Err(Error::Storage("query skipped unexpectedly".into())),
         }
     }
 

@@ -97,27 +97,6 @@ impl From<io::Error> for StorageError {
     }
 }
 
-/// Bounded retry for transient read failures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per read, including the first (so `1` disables
-    /// retrying). Permanent errors are never retried.
-    pub max_attempts: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self { max_attempts: 3 }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn none() -> Self {
-        Self { max_attempts: 1 }
-    }
-}
-
 /// One file that failed verification during a [`scrub`](crate::StoredIndex::scrub).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrubFailure {
@@ -195,11 +174,5 @@ mod tests {
         assert!(StorageError::InvalidSlot { comp: 2, slot: 7 }
             .to_string()
             .contains("component 2"));
-    }
-
-    #[test]
-    fn retry_policy_defaults() {
-        assert_eq!(RetryPolicy::default().max_attempts, 3);
-        assert_eq!(RetryPolicy::none().max_attempts, 1);
     }
 }

@@ -43,7 +43,7 @@ use bindex_bitvec::{BitVec, IndexSummaries, SlotSummary, SUMMARY_WINDOW_BITS};
 use bindex_compress::wah::WahBitmap;
 use bindex_compress::{CodecKind, Repr};
 
-use crate::error::{RepairReport, RetryPolicy, ScrubFailure, ScrubReport, StorageError};
+use crate::error::{RepairReport, ScrubFailure, ScrubReport, StorageError};
 use crate::format;
 use crate::store::{ByteStore, IoStats};
 
@@ -302,7 +302,7 @@ impl AtomicIoStats {
 
 /// An index laid out in a [`ByteStore`] under one of the three schemes,
 /// readable bitmap-by-bitmap with byte-level I/O accounting. Reads retry
-/// transient failures per the [`RetryPolicy`]; checksum and structure
+/// transient failures up to three attempts; checksum and structure
 /// failures surface as permanent [`StorageError`]s.
 #[derive(Debug)]
 pub struct StoredIndex<S: ByteStore> {
@@ -312,7 +312,6 @@ pub struct StoredIndex<S: ByteStore> {
     /// The manifest's version: 2 for the paper's layouts, 4 (or a legacy
     /// 3) for the slot-coded format.
     version: u32,
-    retry: RetryPolicy,
     /// Lazily loaded, validated summary block. A resolved `None` means
     /// "no usable summaries" — one of the paper's layouts, a missing file,
     /// or a corrupt/mismatched block that must degrade to fetch-and-check.
@@ -327,7 +326,6 @@ impl<S: ByteStore> StoredIndex<S> {
             meta,
             stats: AtomicIoStats::default(),
             version,
-            retry: RetryPolicy::default(),
             summaries: OnceLock::new(),
         }
     }
@@ -474,9 +472,8 @@ impl<S: ByteStore> StoredIndex<S> {
     /// declaring a version this build does not read, is
     /// [`StorageError::Corrupt`].
     pub fn open(store: S) -> Result<Self, StorageError> {
-        let retry = RetryPolicy::default();
         let mut retries = 0;
-        let data = read_with_retry(&store, MANIFEST_FILE, retry, &mut retries)?;
+        let data = read_with_retry(&store, MANIFEST_FILE, &mut retries)?;
         let payload = format::unframe(MANIFEST_FILE, &data)?;
         let text = std::str::from_utf8(payload)
             .map_err(|_| StorageError::corrupt(MANIFEST_FILE, "manifest not UTF-8"))?;
@@ -527,16 +524,6 @@ impl<S: ByteStore> StoredIndex<S> {
     /// representation tag), `false` for the paper's layouts.
     fn slot_coded(&self) -> bool {
         self.version > PAPER_VERSION
-    }
-
-    /// The retry policy applied to transient read failures.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Replaces the retry policy.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
     }
 
     /// The underlying byte store.
@@ -762,17 +749,16 @@ impl<S: ByteStore> StoredIndex<S> {
         for name in &names {
             report.files_checked += 1;
             let retries = self.stats.retries.get_mut();
-            let outcome =
-                read_with_retry(&self.store, name, self.retry, retries).and_then(|data| {
-                    if name == crate::wal::WAL_FILE {
-                        // The WAL is length-framed per record, not
-                        // checksum-framed per file; a torn tail is a normal
-                        // crash artifact, only a corrupt header fails.
-                        crate::wal::replay(&data).map(|_| ())
-                    } else {
-                        format::unframe(name, &data).map(|_| ())
-                    }
-                });
+            let outcome = read_with_retry(&self.store, name, retries).and_then(|data| {
+                if name == crate::wal::WAL_FILE {
+                    // The WAL is length-framed per record, not
+                    // checksum-framed per file; a torn tail is a normal
+                    // crash artifact, only a corrupt header fails.
+                    crate::wal::replay(&data).map(|_| ())
+                } else {
+                    format::unframe(name, &data).map(|_| ())
+                }
+            });
             if let Err(e) = outcome {
                 report.failures.push(ScrubFailure {
                     file: name.clone(),
@@ -982,7 +968,7 @@ impl<S: ByteStore> StoredIndex<S> {
     /// index's counters.
     fn read_file(&self, name: &str) -> Result<Vec<u8>, StorageError> {
         let mut retries = 0;
-        let data = read_with_retry(&self.store, name, self.retry, &mut retries);
+        let data = read_with_retry(&self.store, name, &mut retries);
         self.stats.retries.fetch_add(retries, Ordering::Relaxed);
         let data = data?;
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
@@ -1038,12 +1024,15 @@ impl<S: ByteStore> StoredIndex<S> {
     }
 }
 
-/// Reads `name`, retrying transient failures up to `retry.max_attempts`
+/// Total attempts per read, including the first. Permanent errors are
+/// never retried.
+const MAX_READ_ATTEMPTS: u32 = 3;
+
+/// Reads `name`, retrying transient failures up to [`MAX_READ_ATTEMPTS`]
 /// total attempts and counting each retry into `retries`.
 fn read_with_retry<S: ByteStore>(
     store: &S,
     name: &str,
-    retry: RetryPolicy,
     retries: &mut u64,
 ) -> Result<Vec<u8>, StorageError> {
     let mut attempt = 1;
@@ -1052,7 +1041,7 @@ fn read_with_retry<S: ByteStore>(
             Ok(data) => return Ok(data),
             Err(e) => {
                 let err = StorageError::from(e);
-                if err.is_transient() && attempt < retry.max_attempts {
+                if err.is_transient() && attempt < MAX_READ_ATTEMPTS {
                     attempt += 1;
                     *retries += 1;
                 } else {

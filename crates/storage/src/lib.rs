@@ -26,8 +26,8 @@
 //! Every stored file — bitmap payloads and the manifest — is wrapped in a
 //! checksummed frame ([`mod@format`], [`checksum`]) verified on every read, so
 //! corruption surfaces as a typed [`StorageError`] rather than a silently
-//! wrong bitmap. Transient I/O failures are retried per [`RetryPolicy`];
-//! [`FaultStore`] injects deterministic faults for robustness testing; and
+//! wrong bitmap. A transient I/O failure is retried up to three attempts per
+//! read; [`FaultStore`] injects deterministic faults for robustness testing; and
 //! [`StoredIndex::scrub`] audits a whole store file-by-file.
 
 #![warn(missing_docs)]
@@ -44,7 +44,7 @@ mod store;
 pub mod wal;
 
 pub use buffer_pool::{PoolStats, ShardedPool};
-pub use error::{RepairReport, RetryPolicy, ScrubFailure, ScrubReport, StorageError};
+pub use error::{RepairReport, ScrubFailure, ScrubReport, StorageError};
 pub use fault::{FaultCounters, FaultPlan, FaultStore};
 pub use layout::{StorageScheme, StoredIndex, StoredIndexMeta};
 pub use shared::SharedIndexReader;

@@ -1,7 +1,7 @@
 //! Chaos acceptance tests for the self-healing batch engine: injected
-//! panics never abort a workload, deadlines and failure caps bound it,
-//! and a corrupted store serves bit-identical (flagged-degraded) answers
-//! until `scrub_and_repair_index` restores a clean store.
+//! panics never abort a workload, deadlines bound it, and a corrupted
+//! store serves bit-identical (flagged-degraded) answers until
+//! `scrub_and_repair_index` restores a clean store.
 //!
 //! The corruption scenarios run over a seed matrix — `BINDEX_CHAOS_SEED`
 //! pins one seed (CI runs several); unset, a default matrix runs.

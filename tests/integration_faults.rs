@@ -10,9 +10,7 @@ use bindex::core::eval::{evaluate, naive, Algorithm};
 use bindex::core::Error;
 use bindex::relation::query::{Op, SelectionQuery};
 use bindex::relation::{gen, Column};
-use bindex::storage::{
-    ByteStore, FaultPlan, FaultStore, MemStore, RetryPolicy, StorageScheme, StoredIndex,
-};
+use bindex::storage::{ByteStore, FaultPlan, FaultStore, MemStore, StorageScheme, StoredIndex};
 use bindex::stored::{persist_index, SharedSource};
 use bindex::{Base, BitmapIndex, Encoding, IndexSpec};
 
@@ -89,8 +87,7 @@ fn transient_faults_beyond_the_policy_surface_as_storage_errors() {
     let (_, store) = persisted(StorageScheme::BitmapLevel, CodecKind::None);
     // Ten consecutive failures on one bitmap exhaust the 3-attempt policy.
     let faulty = FaultStore::new(store, FaultPlan::new(3).with_transient_reads("c1_b0", 10));
-    let mut stored = StoredIndex::open(faulty).unwrap();
-    stored.set_retry_policy(RetryPolicy::default());
+    let stored = StoredIndex::open(faulty).unwrap();
     let mut src = SharedSource::try_unpooled(&stored, spec()).unwrap();
     // Eq 0 must read c1_b0 under range encoding.
     match evaluate(&mut src, SelectionQuery::new(Op::Eq, 0), Algorithm::Auto) {
