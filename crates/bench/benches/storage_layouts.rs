@@ -3,7 +3,8 @@
 //! file; CS/IS read and transpose a whole row-major file) — and the
 //! stages of one verified literal-slot read (`crc32`, bytes↔words, and
 //! the whole uncached `read_repr`), each as bytes per second over one
-//! 256 KiB slot so they compare with the `bitvec_ops` memcpy/AND rows.
+//! 256 KiB slot so they compare with the `bitvec_ops` memcpy/AND rows;
+//! `crc32` also at 1 KiB to 1 MiB, where its lane constants are measured.
 
 use bindex::compress::CodecKind;
 use bindex::relation::gen;
@@ -73,9 +74,20 @@ fn bench_verified_read(c: &mut Criterion) {
     let bytes = bm.to_bytes();
     let per_iter = Throughput::Bytes(bytes.len() as u64);
 
+    // Both sides of the checksum's one-lane threshold, the slot, and a
+    // buffer past L2: the sizes its two private constants are read from.
+    let mebibyte = [bytes.as_slice(); 4].concat();
     let mut g = c.benchmark_group("crc32");
-    g.throughput(per_iter);
-    g.bench_function("256KiB", |b| b.iter(|| crc32(black_box(&bytes))));
+    for (name, len) in [
+        ("1KiB", 1 << 10),
+        ("4KiB", 1 << 12),
+        ("32KiB", 1 << 15),
+        ("256KiB", 1 << 18),
+        ("1MiB", 1 << 20),
+    ] {
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(name, |b| b.iter(|| crc32(black_box(&mebibyte[..len]))));
+    }
     g.finish();
 
     let mut g = c.benchmark_group("bitvec_from_bytes");

@@ -59,10 +59,12 @@ pub fn unframe<'a>(file: &str, data: &'a [u8]) -> Result<&'a [u8], StorageError>
             format!("unsupported format version {version}"),
         ));
     }
-    let payload_len = u64::from_le_bytes(data[8..16].try_into().expect("8 bytes")) as usize;
+    let payload_len = u64::from_le_bytes(data[8..16].try_into().expect("8 bytes"));
     let expected = u32::from_le_bytes(data[16..20].try_into().expect("4 bytes"));
     let payload = &data[HEADER_LEN..];
-    if payload.len() != payload_len {
+    // The length is outside input: a value that does not fit `usize` must
+    // not wrap into one that matches.
+    if usize::try_from(payload_len) != Ok(payload.len()) {
         return Err(StorageError::corrupt(
             file,
             format!(
@@ -143,6 +145,25 @@ mod tests {
         let framed = frame(&[7u8; 64]);
         for keep in [0, 10, HEADER_LEN, framed.len() - 1] {
             assert!(unframe("t", &framed[..keep]).is_err(), "keep {keep}");
+        }
+    }
+
+    /// A declared length no buffer can have is refused on the header
+    /// alone: `Corrupt`, not the `ChecksumMismatch` a checksum pass over
+    /// the payload would have produced.
+    #[test]
+    fn hostile_length_is_corrupt_before_any_checksum() {
+        let payload = [7u8; 64];
+        for declared in [u64::MAX, (1 << 32) + payload.len() as u64] {
+            let mut framed = frame(&payload);
+            framed[8..16].copy_from_slice(&declared.to_le_bytes());
+            framed[16] ^= 0xFF; // a checksum pass would now fail too
+            match unframe("t", &framed) {
+                Err(StorageError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains(&declared.to_string()), "{detail}")
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
         }
     }
 

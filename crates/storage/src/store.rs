@@ -174,12 +174,22 @@ pub struct DiskStore {
 }
 
 impl DiskStore {
-    /// Opens (creating if needed) a store rooted at `dir`.
+    /// Opens (creating if needed) a store rooted at `dir`, and removes
+    /// what an interrupted [`ByteStore::write_file`] left there: a temp
+    /// file is never the live copy (the rename is the commit point), so a
+    /// leftover one is only garbage a later scan would trip over.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
+        let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        Ok(Self {
-            dir: dir.as_ref().to_path_buf(),
-        })
+        for entry in fs::read_dir(&dir)? {
+            let entry = entry?;
+            if entry.file_name().to_str().is_some_and(is_write_temp) {
+                // Best-effort, like every cleanup here: `file_names` hides
+                // a temp that a read-only directory will not let go of.
+                let _ = fs::remove_file(entry.path());
+            }
+        }
+        Ok(Self { dir })
     }
 
     /// The root directory.
@@ -211,12 +221,15 @@ impl ByteStore for DiskStore {
     fn write_file(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
         use std::io::Write;
         let id = TEMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.path_of(&format!("{name}.tmp{id}"));
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(data)?;
-        f.sync_all()?;
-        drop(f);
-        fs::rename(&tmp, self.path_of(name)).inspect_err(|_| {
+        let tmp = self.path_of(&format!("{name}{TEMP_MARK}{id}"));
+        let land = || {
+            let mut f = fs::File::create(&tmp)?;
+            f.write_all(data)?;
+            f.sync_all()?;
+            drop(f);
+            fs::rename(&tmp, self.path_of(name))
+        };
+        land().inspect_err(|_| {
             let _ = fs::remove_file(&tmp);
         })?;
         self.sync_dir()
@@ -230,13 +243,18 @@ impl ByteStore for DiskStore {
         Ok(fs::metadata(self.path_of(name))?.len())
     }
 
+    /// A write temp is not a file of the store — it is another handle's
+    /// write in flight, or garbage the next open removes — so a scrub or a
+    /// size total never sees one.
     fn file_names(&self) -> io::Result<Vec<String>> {
         let mut names = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
             if entry.file_type()?.is_file() {
                 if let Ok(name) = entry.file_name().into_string() {
-                    names.push(name);
+                    if !is_write_temp(&name) {
+                        names.push(name);
+                    }
                 }
             }
         }
@@ -266,6 +284,17 @@ impl ByteStore for DiskStore {
 }
 
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// What [`DiskStore`]'s `write_file` puts between a file's name and the
+/// counter in the name it writes under before the rename.
+const TEMP_MARK: &str = ".tmp";
+
+/// `true` for `"<name>.tmp<digits>"`, the only shape a write temp has —
+/// `"notes.tmp"` is somebody's file.
+fn is_write_temp(name: &str) -> bool {
+    name.rsplit_once(TEMP_MARK)
+        .is_some_and(|(_, id)| !id.is_empty() && id.bytes().all(|b| b.is_ascii_digit()))
+}
 
 /// A process-unique temporary directory, removed on drop. (The `tempfile`
 /// crate is outside the allowed dependency set.)
@@ -345,6 +374,87 @@ mod tests {
         store.write_file("f.bin", &[2; 32]).unwrap();
         assert_eq!(store.read_file("f.bin").unwrap(), vec![2; 32]);
         assert_eq!(store.file_names().unwrap(), vec!["f.bin"]);
+    }
+
+    /// Raw directory listing, write temps included.
+    fn on_disk(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn failed_write_removes_its_temp() {
+        let tmp = TempDir::new("failed-write").unwrap();
+        let mut store = DiskStore::open(tmp.path()).unwrap();
+        // A directory under the target name makes the rename fail.
+        fs::create_dir(tmp.path().join("taken")).unwrap();
+        assert!(store.write_file("taken", &[1; 64]).is_err());
+        assert_eq!(on_disk(tmp.path()), vec!["taken"]);
+    }
+
+    /// A kill between `File::create` and `rename` leaves a torn temp. It
+    /// is never the live copy, so a scrub must not trip over it and the
+    /// next open removes it.
+    #[test]
+    fn torn_write_temp_is_invisible_to_scrub_and_removed_on_reopen() {
+        use crate::layout::StoredIndex;
+        use bindex_bitvec::BitVec;
+        use bindex_compress::CodecKind;
+
+        let tmp = TempDir::new("torn-temp").unwrap();
+        let comps = vec![vec![
+            BitVec::from_fn(1000, |i| i % 3 == 0),
+            BitVec::from_fn(1000, |i| i % 7 < 4),
+        ]];
+        let store = DiskStore::open(tmp.path()).unwrap();
+        let mut stored = StoredIndex::create_v4(store, &comps, None, CodecKind::None).unwrap();
+        let healthy = on_disk(tmp.path());
+        let torn = "g0_c1_b0.bmp.tmp7";
+        fs::write(tmp.path().join(torn), b"BIXF\x02\x00").unwrap();
+        // Ends in `.tmp` but carries no counter: somebody's file, framed
+        // so the scrub that does see it finds it sound.
+        fs::write(tmp.path().join("notes.tmp"), crate::format::frame(b"kept")).unwrap();
+
+        for _ in 0..2 {
+            let scrub = stored.scrub().unwrap();
+            assert_eq!(scrub.failures, vec![]);
+            assert_eq!(scrub.files_checked, healthy.len() + 1);
+            let repair = stored.scrub_and_repair(|_, _| None, None).unwrap();
+            assert_eq!(repair.unrepaired, vec![]);
+        }
+        assert!(on_disk(tmp.path()).contains(&torn.to_string()));
+
+        let reopened = StoredIndex::open(DiskStore::open(tmp.path()).unwrap()).unwrap();
+        let mut expected = healthy;
+        expected.push("notes.tmp".to_string());
+        expected.sort();
+        assert_eq!(on_disk(tmp.path()), expected);
+        assert_eq!(reopened.read_bitmap(1, 1).unwrap(), comps[0][1]);
+    }
+
+    #[test]
+    fn write_temp_names() {
+        for name in [
+            "a.bmp.tmp0",
+            "manifest.bixm.tmp18446744073709551615",
+            ".tmp3",
+        ] {
+            assert!(is_write_temp(name), "{name}");
+        }
+        for name in [
+            "a.bmp",
+            "notes.tmp",
+            "a.tmp7.bmp",
+            "a.tmp7x",
+            "a.tmp-7",
+            "tmp7",
+        ] {
+            assert!(!is_write_temp(name), "{name}");
+        }
     }
 
     #[test]
