@@ -1,19 +1,13 @@
 //! **Extension** — Compression-aware physical layout, measured end to
-//! end:
-//!
-//! * **Row reordering** — `FrequencySort` and `GrayCode` build orders vs
-//!   natural on shuffled-cluster and Zipf columns: persisted v4 bytes,
-//!   shrink ratio, and proof (bit-for-bit, after externalizing through
-//!   the persisted permutation) that answers are unchanged.
-//! * **Query-config sweep** — {v4 (unpruned, the baseline), v4+prune,
-//!   v4+pool, v4+prune+pool} over sparse and clustered half-dead domains:
-//!   average wall time per workload pass, end-to-end speedup vs the
-//!   unpruned baseline, `segments_pruned`, bytes read, and bytes *not*
-//!   fetched (baseline bytes minus config bytes). `+pool` puts a
-//!   [`ShardedPool`] that holds every slot in front of the store, so the
-//!   timed passes read nothing: what the cache buys and what pruning buys
-//!   are separate rows. Every configuration's answers are asserted
-//!   bit-identical to the baseline's before anything is timed.
+//! end: the query-config sweep {v4 (unpruned, the baseline), v4+prune,
+//! v4+pool, v4+prune+pool} over sparse and clustered half-dead domains —
+//! average wall time per workload pass, end-to-end speedup vs the
+//! unpruned baseline, `segments_pruned`, bytes read, and bytes *not*
+//! fetched (baseline bytes minus config bytes). `+pool` puts a
+//! [`ShardedPool`] that holds every slot in front of the store, so the
+//! timed passes read nothing: what the cache buys and what pruning buys
+//! are separate rows. Every configuration's answers are asserted
+//! bit-identical to the baseline's before anything is timed.
 //!
 //! Emits `BENCH_physical_layout.json` and the usual CSV. `--smoke` (alias
 //! `--quick`) shrinks the workload for CI.
@@ -25,11 +19,9 @@ use bindex::core::eval::{evaluate_segmented_in, Algorithm};
 use bindex::core::ExecContext;
 use bindex::relation::query::{full_space, SelectionQuery};
 use bindex::relation::{gen, Column};
-use bindex::storage::{ByteStore, MemStore, ShardedPool, SharedIndexReader};
-use bindex::stored::{persist_index_v4, persist_permutation, SharedSource};
-use bindex::{
-    build_reordered, Base, BitVec, BuildOptions, Encoding, IndexSpec, RowOrder, SUMMARY_WINDOW_BITS,
-};
+use bindex::storage::{MemStore, ShardedPool, SharedIndexReader};
+use bindex::stored::{persist_index_v4, SharedSource};
+use bindex::{Base, BitVec, Encoding, IndexSpec, SUMMARY_WINDOW_BITS};
 use bindex_bench::{f2, print_table, smoke, write_artifact, Csv, RunProvenance};
 
 struct Config {
@@ -210,83 +202,6 @@ fn query_sweep(cfg: &Config, data: &'static str, col: &Column) -> Vec<SweepPoint
     points
 }
 
-struct ReorderPoint {
-    data: &'static str,
-    order: &'static str,
-    /// Bitmap + summary bytes, *excluding* the permutation sidecar — the
-    /// WAH-compressed size the acceptance criterion is about.
-    stored_bytes: u64,
-    /// The permutation sidecar (4 bytes/row + frame); zero for natural
-    /// order. Reported separately: it is row-id metadata shared by every
-    /// index on the table, not compressed bitmap payload.
-    perm_bytes: u64,
-    ratio_vs_natural: f64,
-    /// `(stored_bytes + perm_bytes) / natural stored_bytes`: what the
-    /// reordering costs on disk while the sidecar is kept per index.
-    total_ratio_vs_natural: f64,
-}
-
-/// Build-order sweep: persisted v4 size per row order, with the answers
-/// of each reordered store externalized through its persisted permutation
-/// and asserted identical to natural order.
-fn reorder_sweep(cfg: &Config, data: &'static str, col: &Column) -> Vec<ReorderPoint> {
-    let spec = spec(cfg);
-    let queries = full_space(cfg.cardinality);
-    let mut points: Vec<ReorderPoint> = Vec::new();
-    let mut natural: Option<(Vec<BitVec>, u64)> = None;
-    for order in RowOrder::ALL {
-        let (idx, perm) =
-            build_reordered(col, None, spec.clone(), BuildOptions { row_order: order })
-                .expect("reordered build");
-        let mut stored =
-            persist_index_v4(&idx, MemStore::new(), CodecKind::None).expect("persist v4");
-        let stored_bytes = stored.store().total_bytes().expect("store size");
-        if let Some(p) = &perm {
-            persist_permutation(&mut stored, p).expect("persist permutation");
-        }
-        let perm_bytes = stored
-            .store()
-            .total_bytes()
-            .expect("store size")
-            .saturating_sub(stored_bytes);
-        let (answers, _) = run_pass(&SharedIndexReader::new(stored), &spec, true, &queries);
-        let externalized: Vec<BitVec> = match &perm {
-            None => answers,
-            Some(p) => answers.iter().map(|a| p.externalize(a)).collect(),
-        };
-        let (nat_answers, nat_bytes) = natural.get_or_insert_with(|| {
-            assert!(matches!(order, RowOrder::Natural), "natural runs first");
-            (externalized.clone(), stored_bytes)
-        });
-        assert_eq!(
-            &externalized,
-            nat_answers,
-            "{data}/{}: externalized answers must match natural order",
-            order.as_str()
-        );
-        points.push(ReorderPoint {
-            data,
-            order: order.as_str(),
-            stored_bytes,
-            perm_bytes,
-            ratio_vs_natural: stored_bytes as f64 / *nat_bytes as f64,
-            total_ratio_vs_natural: (stored_bytes + perm_bytes) as f64 / *nat_bytes as f64,
-        });
-    }
-    // The acceptance criterion: frequency sort shrinks the WAH-compressed
-    // store on value-skewed data.
-    let freq = points
-        .iter()
-        .find(|p| p.order == "freq")
-        .expect("freq point");
-    assert!(
-        freq.ratio_vs_natural < 1.0,
-        "{data}: frequency sort must shrink the store (ratio {:.3})",
-        freq.ratio_vs_natural
-    );
-    points
-}
-
 fn main() {
     let smoke = smoke();
     let provenance = RunProvenance::capture(1);
@@ -307,44 +222,6 @@ fn main() {
             reps: 9,
         }
     };
-
-    // Shuffled clusters and Zipf skew: the value-locality shapes row
-    // reordering recovers. (`gen::clustered` scatters runs; Zipf piles
-    // mass on few values; both leave natural row order WAH-hostile.)
-    let reorder_rows = if smoke { 1 << 14 } else { 1 << 17 };
-    let reorder_cfg = Config {
-        rows: reorder_rows,
-        cardinality: cfg.cardinality,
-        reps: 1,
-    };
-    let clustered_col = gen::clustered(reorder_rows, cfg.cardinality, 64, 0xC1);
-    let zipf_col = gen::zipf(reorder_rows, cfg.cardinality, 1.2, 0x21F);
-    let mut reorder = reorder_sweep(&reorder_cfg, "clustered", &clustered_col);
-    reorder.extend(reorder_sweep(&reorder_cfg, "zipf", &zipf_col));
-    print_table(
-        &format!("row reordering, {} rows, v4 stored bytes", reorder_rows),
-        &[
-            "data",
-            "order",
-            "stored_bytes",
-            "perm_bytes",
-            "ratio_vs_natural",
-            "total_ratio_vs_natural",
-        ],
-        &reorder
-            .iter()
-            .map(|p| {
-                vec![
-                    p.data.to_string(),
-                    p.order.to_string(),
-                    p.stored_bytes.to_string(),
-                    p.perm_bytes.to_string(),
-                    format!("{:.3}", p.ratio_vs_natural),
-                    format!("{:.3}", p.total_ratio_vs_natural),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
 
     let clustered_q = clustered_half_dead(&cfg, 0xAB);
     let sparse_q = sparse_domain(&cfg, 0xCD);
@@ -383,62 +260,29 @@ fn main() {
     let mut csv = Csv::create(
         "ext_physical_layout",
         &[
-            "section",
             "data",
-            "label",
-            "bytes",
+            "config",
+            "bytes_read",
             "seconds",
-            "speedup_or_ratio",
+            "speedup_vs_unpruned",
             "segments_pruned",
-            "total_ratio_vs_natural",
         ],
     )
     .expect("csv");
-    for p in &reorder {
-        csv.row(&[
-            &"reorder",
-            &p.data,
-            &p.order,
-            &p.stored_bytes,
-            &"",
-            &format!("{:.3}", p.ratio_vs_natural),
-            &"",
-            &format!("{:.3}", p.total_ratio_vs_natural),
-        ])
-        .expect("row");
-    }
     for p in &sweep {
         csv.row(&[
-            &"query_config",
             &p.data,
             &p.config,
             &p.bytes_read,
             &format!("{:.6}", p.seconds),
             &f2(p.speedup_vs_unpruned),
             &p.segments_pruned,
-            &"",
         ])
         .expect("row");
     }
     println!("\nCSV: {}", csv.path().display());
 
     // Hand-rolled JSON (no serde in the dependency set).
-    let reorder_json: Vec<String> = reorder
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"data\": \"{}\", \"order\": \"{}\", \"stored_bytes\": {}, \
-                 \"perm_bytes\": {}, \"ratio_vs_natural\": {:.4}, \
-                 \"total_ratio_vs_natural\": {:.4}}}",
-                p.data,
-                p.order,
-                p.stored_bytes,
-                p.perm_bytes,
-                p.ratio_vs_natural,
-                p.total_ratio_vs_natural
-            )
-        })
-        .collect();
     let sweep_json: Vec<String> = sweep
         .iter()
         .map(|p| {
@@ -469,7 +313,7 @@ fn main() {
          \"summary_window_bits\": {window},\n  \"segment_bits\": {seg},\n  \
          \"rows\": {rows},\n  \"cardinality\": {card},\n  \"identical_answers\": true,\n  \
          \"pruned_speedup_clustered\": {sp_c:.3},\n  \"pruned_speedup_sparse\": {sp_s:.3},\n  \
-         \"reorder\": [\n{reorder}\n  ],\n  \"query_configs\": [\n{sweep}\n  ]\n}}\n",
+         \"query_configs\": [\n{sweep}\n  ]\n}}\n",
         prov = provenance.json_fields(),
         window = SUMMARY_WINDOW_BITS,
         seg = SEGMENT_BITS,
@@ -477,7 +321,6 @@ fn main() {
         card = cfg.cardinality,
         sp_c = headline("clustered"),
         sp_s = headline("sparse"),
-        reorder = reorder_json.join(",\n"),
         sweep = sweep_json.join(",\n"),
     );
     write_artifact("physical_layout", &json).expect("write json");

@@ -4,11 +4,11 @@
 //! `fig*` / `table*` / `intro_breakeven` binaries reproduce the paper's
 //! evaluation; each `ext_*` binary defends one choice the code makes (the
 //! 1/16 fold rule, CSA vs run-merge thresholds, the window size, pruning
-//! and the pool, interval encoding, the ingest path's stage costs) or, for
-//! `ext_chaos`, a recovery stage no test asserts yet. Speed of the served
-//! and batch paths is measured in `benchmark/`, recovery is asserted by the
-//! test suites, and neither is repeated here. Run the paper's set with
-//! `cargo run --release -p bindex-bench --bin all_experiments`.
+//! and the pool, interval encoding, the ingest path's stage costs). Speed
+//! of the served and batch paths is measured in `benchmark/`, recovery is
+//! asserted by the test suites, and neither is repeated here. Run the
+//! paper's set with `cargo run --release -p bindex-bench --bin
+//! all_experiments`.
 //!
 //! Every binary prints its rows to stdout and writes `results/<name>.csv`;
 //! an `ext_*` binary also writes `BENCH_<name>.json` at the workspace root
@@ -257,16 +257,6 @@ impl RunProvenance {
     }
 }
 
-/// Nearest-rank percentile (`q` in `[0, 1]`) of an ascending-sorted
-/// slice; `0.0` for an empty slice.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// Formats a float with 3 decimal places (paper-style table cells).
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")
@@ -311,17 +301,6 @@ mod tests {
             csv_path("ext_x", true),
             smoke_root.join("results/ext_x.csv")
         );
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        assert_eq!(percentile(&sorted, 0.0), 1.0);
-        assert_eq!(percentile(&sorted, 0.5), 5.0);
-        assert_eq!(percentile(&sorted, 0.99), 10.0);
-        assert_eq!(percentile(&sorted, 1.0), 10.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[42.0], 0.999), 42.0);
     }
 
     #[test]

@@ -42,13 +42,10 @@ pub mod stored;
 
 pub use bindex_bitvec::{BitVec, IndexSummaries, SUMMARY_WINDOW_BITS};
 pub use bindex_core::{
-    build_reordered, Algorithm, Base, BitmapIndex, BitmapSource, BufferSet, BuildOptions, Encoding,
-    Error, EvalStats, IndexSpec, RecoveryPolicy, RowOrder, RowPermutation,
+    Algorithm, Base, BitmapIndex, BitmapSource, BufferSet, Encoding, Error, EvalStats, IndexSpec,
+    RecoveryPolicy,
 };
 pub use bindex_relation::query::{Op, SelectionQuery};
 pub use bindex_relation::Column;
 pub use ingest::{IngestAck, IngestIndex, IngestOptions};
-pub use stored::{
-    load_permutation, persist_index, persist_index_v4, persist_permutation, scrub_and_repair_index,
-    SharedSource, PERMUTATION_FILE,
-};
+pub use stored::{persist_index, persist_index_v4, scrub_and_repair_index, SharedSource};

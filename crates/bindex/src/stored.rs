@@ -15,19 +15,11 @@ use std::sync::Arc;
 
 use bindex_bitvec::{BitVec, IndexSummaries};
 use bindex_compress::Repr;
-use bindex_core::{
-    rebuild_slot, BitmapIndex, BitmapSource, Encoding, Error, IndexSpec, RowPermutation,
-};
+use bindex_core::{rebuild_slot, BitmapIndex, BitmapSource, Encoding, Error, IndexSpec};
 use bindex_relation::Column;
 use bindex_storage::{
-    format, ByteStore, RepairReport, SharedIndexReader, StorageError, StorageScheme, StoredIndex,
+    ByteStore, RepairReport, SharedIndexReader, StorageError, StorageScheme, StoredIndex,
 };
-
-/// File holding the row permutation of a reordered index, framed like
-/// every other stored file. The name is deliberately outside the
-/// generation-classified data layout: the permutation describes the
-/// *logical* row order and survives compaction generation swaps.
-pub const PERMUTATION_FILE: &str = "perm.bix";
 
 /// The one mapping of a storage-layer error onto the core error type:
 /// a checksum mismatch stays [`Error::ChecksumMismatch`] — the fault the
@@ -180,38 +172,6 @@ pub fn persist_index_v4<S: ByteStore>(
     StoredIndex::create_v4(store, index.components(), index.nn(), codec)
 }
 
-/// Persists the row permutation of a reordered index next to its data
-/// files (framed, checksum-verified on load). Call once after
-/// [`persist_index_v4`] when the index was built through
-/// [`build_reordered`](bindex_core::build_reordered) with a non-natural
-/// order; without the sidecar, answers come back in internal row order.
-pub fn persist_permutation<S: ByteStore>(
-    stored: &mut StoredIndex<S>,
-    perm: &RowPermutation,
-) -> Result<(), StorageError> {
-    let framed = format::frame(&perm.to_bytes());
-    stored
-        .store_mut()
-        .write_file(PERMUTATION_FILE, &framed)
-        .map_err(StorageError::Io)
-}
-
-/// Loads the row permutation persisted by [`persist_permutation`].
-/// `Ok(None)` when the index was stored in natural order (no sidecar
-/// file); corrupt frames and non-bijective payloads surface as typed
-/// errors rather than silently scrambled row ids.
-pub fn load_permutation<S: ByteStore>(
-    stored: &StoredIndex<S>,
-) -> Result<Option<RowPermutation>, Error> {
-    let bytes = match stored.store().read_file(PERMUTATION_FILE) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(storage_error(StorageError::Io(e))),
-    };
-    let payload = format::unframe(PERMUTATION_FILE, &bytes).map_err(storage_error)?;
-    RowPermutation::from_bytes(payload).map(Some)
-}
-
 /// Online repair of a damaged stored index: scrubs the store, rebuilds
 /// every bitmap a corrupt file held — from surviving equality siblings
 /// where the identity applies, else by a digit-level scan of `column` —
@@ -302,7 +262,7 @@ mod tests {
     use bindex_core::{Base, Encoding};
     use bindex_relation::query::full_space;
     use bindex_relation::{gen, Column};
-    use bindex_storage::{MemStore, ShardedPool};
+    use bindex_storage::{format, MemStore, ShardedPool};
 
     fn column() -> Column {
         gen::uniform(500, 20, 42)
@@ -518,72 +478,6 @@ mod tests {
             let (got, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
             assert_eq!(got, bindex_core::eval::naive::evaluate(&col, q), "{q}");
         }
-    }
-
-    #[test]
-    fn permutation_roundtrips_through_the_store() {
-        use bindex_core::{build_reordered, BuildOptions, RowOrder};
-
-        let col = column();
-        let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), Encoding::Range);
-        let (idx, perm) = build_reordered(
-            &col,
-            None,
-            spec.clone(),
-            BuildOptions {
-                row_order: RowOrder::FrequencySort,
-            },
-        )
-        .unwrap();
-        let perm = perm.expect("non-natural order produces a permutation");
-        let mut stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
-        assert!(
-            load_permutation(&stored).unwrap().is_none(),
-            "no sidecar yet"
-        );
-        persist_permutation(&mut stored, &perm).unwrap();
-        let loaded = load_permutation(&stored)
-            .unwrap()
-            .expect("sidecar must load");
-        // Externalized answers through the store match the natural-order
-        // ground truth.
-        let mut src = SharedSource::try_unpooled(&stored, spec).unwrap();
-        for q in full_space(20) {
-            let (internal, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
-            let got = loaded.externalize(&internal);
-            assert_eq!(got, bindex_core::eval::naive::evaluate(&col, q), "{q}");
-        }
-        // A flipped payload byte is a typed error, not a scrambled answer.
-        drop(src);
-        let mut bytes = stored.store().read_file(PERMUTATION_FILE).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        stored
-            .store_mut()
-            .write_file(PERMUTATION_FILE, &bytes)
-            .unwrap();
-        assert!(load_permutation(&stored).is_err());
-    }
-
-    #[test]
-    fn permutation_survives_scavenging_generations() {
-        // `perm.bix` is outside the generation-classified layout, so a
-        // reopen (which scavenges stale-generation files) keeps it.
-        let col = column();
-        let spec = IndexSpec::new(Base::from_msb(&[4, 5]).unwrap(), Encoding::Range);
-        let (idx, perm) = bindex_core::build_reordered(
-            &col,
-            None,
-            spec,
-            bindex_core::BuildOptions {
-                row_order: bindex_core::RowOrder::GrayCode,
-            },
-        )
-        .unwrap();
-        let mut stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
-        persist_permutation(&mut stored, &perm.unwrap()).unwrap();
-        let reopened = StoredIndex::open(stored.into_store()).unwrap();
-        assert!(load_permutation(&reopened).unwrap().is_some());
     }
 
     /// Flips one payload byte of the first data file matching `pattern`

@@ -16,9 +16,9 @@
 //!
 //! Reordering permutes the rows the index sees, so query answers come
 //! back in *internal* order; the build returns a [`RowPermutation`] that
-//! maps them back ([`RowPermutation::externalize`]) and serializes for
-//! persistence alongside the stored index. Natural order returns no
-//! permutation and changes nothing.
+//! maps them back ([`RowPermutation::externalize`]). The permutation lives
+//! in memory only — nothing persists it, and nothing serves a reordered
+//! index. Natural order returns no permutation and changes nothing.
 
 use bindex_bitvec::BitVec;
 use bindex_relation::Column;
@@ -30,7 +30,7 @@ use crate::index::BitmapIndex;
 /// Physical row order applied before encoding.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RowOrder {
-    /// Keep rows as given (the only order prior formats knew).
+    /// Keep rows as given.
     #[default]
     Natural,
     /// Group rows by value, value groups by descending frequency (ties by
@@ -39,34 +39,6 @@ pub enum RowOrder {
     /// Sort rows by the reflected mixed-radix Gray rank of their digit
     /// vector under the index base.
     GrayCode,
-}
-
-impl RowOrder {
-    /// Stable lowercase name (CLI flags, manifests, bench emitters).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            RowOrder::Natural => "natural",
-            RowOrder::FrequencySort => "freq",
-            RowOrder::GrayCode => "gray",
-        }
-    }
-
-    /// Parses [`RowOrder::as_str`] names.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "natural" => Some(RowOrder::Natural),
-            "freq" => Some(RowOrder::FrequencySort),
-            "gray" => Some(RowOrder::GrayCode),
-            _ => None,
-        }
-    }
-
-    /// All orders, for sweeps.
-    pub const ALL: [RowOrder; 3] = [
-        RowOrder::Natural,
-        RowOrder::FrequencySort,
-        RowOrder::GrayCode,
-    ];
 }
 
 /// Build-time physical-layout options (extensible; today just the order).
@@ -89,32 +61,6 @@ pub struct RowPermutation {
 }
 
 impl RowPermutation {
-    /// Wraps an explicit permutation, validating that it is one (every
-    /// external id below `len` appears exactly once).
-    pub fn new(perm: Vec<u32>) -> Result<Self> {
-        let n = perm.len();
-        let mut seen = BitVec::zeros(n);
-        for &p in &perm {
-            if (p as usize) >= n || seen.get(p as usize) {
-                return Err(Error::CorruptIndex(format!(
-                    "row permutation of {n} rows is not a bijection (id {p})"
-                )));
-            }
-            seen.set(p as usize, true);
-        }
-        Ok(Self { perm })
-    }
-
-    /// Number of permuted rows.
-    pub fn len(&self) -> usize {
-        self.perm.len()
-    }
-
-    /// `true` when the permutation covers no rows.
-    pub fn is_empty(&self) -> bool {
-        self.perm.is_empty()
-    }
-
     /// External row id of internal row `internal` (identity past the end,
     /// matching appended rows).
     pub fn external_of(&self, internal: usize) -> usize {
@@ -130,32 +76,6 @@ impl RowPermutation {
             out.set(self.external_of(i), true);
         }
         out
-    }
-
-    /// Serializes as little-endian `u32` per internal row, for storing
-    /// next to the index files.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.perm.len() * 4);
-        for &p in &self.perm {
-            out.extend_from_slice(&p.to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserializes [`RowPermutation::to_bytes`] output, re-validating the
-    /// bijection so a corrupt file cannot scramble answers silently.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if !bytes.len().is_multiple_of(4) {
-            return Err(Error::CorruptIndex(format!(
-                "row permutation payload of {} bytes is not u32-aligned",
-                bytes.len()
-            )));
-        }
-        let perm = bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        Self::new(perm)
     }
 }
 
@@ -364,22 +284,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn permutation_roundtrips_and_rejects_corruption() {
-        let perm = RowPermutation::new(vec![2, 0, 3, 1]).unwrap();
-        let bytes = perm.to_bytes();
-        assert_eq!(RowPermutation::from_bytes(&bytes).unwrap(), perm);
-        assert_eq!(perm.external_of(0), 2);
-        assert_eq!(perm.external_of(9), 9, "identity past the end");
-        // Duplicate id, out-of-range id, misaligned payload: all rejected.
-        assert!(RowPermutation::new(vec![0, 0, 1]).is_err());
-        assert!(RowPermutation::new(vec![0, 4]).is_err());
-        assert!(RowPermutation::from_bytes(&bytes[..5]).is_err());
-        let mut bad = bytes.clone();
-        bad[0] = 9;
-        assert!(RowPermutation::from_bytes(&bad).is_err());
     }
 
     #[test]

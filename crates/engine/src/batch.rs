@@ -219,8 +219,6 @@ pub struct BatchOptions {
     recovery: RecoveryPolicy,
     segment_bits: Option<usize>,
     overlay: Option<Arc<DeltaOverlay>>,
-    /// Inverted so `derive(Default)` keeps pruning ON by default.
-    no_pruning: bool,
 }
 
 impl BatchOptions {
@@ -339,14 +337,6 @@ impl BatchOptions {
     /// The ingest overlay, if one is attached (and not quiesced).
     pub fn overlay(&self) -> Option<&Arc<DeltaOverlay>> {
         self.overlay.as_ref()
-    }
-
-    /// Enables or disables summary-based segment pruning on every query's
-    /// [`ExecContext`]. On by default; pruning only fires on v4 stores
-    /// (others have no summary block) and never changes an answer.
-    pub fn with_pruning(mut self, enabled: bool) -> Self {
-        self.no_pruning = !enabled;
-        self
     }
 }
 
@@ -516,8 +506,7 @@ fn query_step<S: BitmapSource, T>(
     let mut ctx = ExecContext::new(source)
         .with_recovery(options.recovery.clone())
         .with_deadline(options.deadline)
-        .with_overlay(options.overlay.clone())
-        .with_pruning(!options.no_pruning);
+        .with_overlay(options.overlay.clone());
     let found = evaluate_repr_in(&mut ctx, query, algorithm, options.segment_bits)?;
     let found = finish(&mut ctx, found);
     let stats = ctx.take_stats();
@@ -525,8 +514,8 @@ fn query_step<S: BitmapSource, T>(
 }
 
 /// Evaluates one query of either kind on the calling thread under the
-/// policy of `options` (deadline, recovery, overlay, pruning, segment size;
-/// the worker count plays no part) — what a one-query workload does,
+/// policy of `options` (deadline, recovery, overlay, segment size; the
+/// worker count plays no part) — what a one-query workload does,
 /// without the workload: no outcome vector, and the foundset comes back in
 /// the representation evaluation produced, so a caller that only counts it
 /// or caches it never pays for dense words ([`Repr::count_ones`] is

@@ -5,7 +5,8 @@
 //! The analytic side of Section 10 lives in `bindex-core::buffer`; this
 //! pool is the runtime counterpart used by the storage-backed experiments:
 //! it caches fetched bitmaps keyed by `(component, slot)` so that a
-//! buffered bitmap costs no file read.
+//! buffered bitmap costs no file read, and a miss costs exactly one — two
+//! threads missing the same key share one read.
 //!
 //! Entries are stored as [`Repr`] — dense or WAH-compressed, whichever
 //! form the store handed out — and handed back as `Arc` clones, so a hit
@@ -18,14 +19,15 @@
 //! it is the pinned cache (each slot verified once, then shared).
 
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use bindex_compress::Repr;
 
 /// Buffer pool statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Fetches served from the pool.
+    /// Fetches served from the pool (including those that waited for
+    /// another thread's read of the same key).
     pub hits: u64,
     /// Fetches that had to go to storage.
     pub misses: u64,
@@ -44,6 +46,11 @@ enum Budget {
 struct Inner {
     /// (component, slot) -> (bitmap representation, last-use tick).
     entries: HashMap<(usize, usize), (Repr, u64)>,
+    /// Keys being read right now: a second miss on one waits for that
+    /// read instead of issuing its own. The [`Flight`] it waits on is made
+    /// by the first waiter, so a read nobody waits for allocates nothing
+    /// and wakes no one.
+    loading: HashMap<(usize, usize), Option<Arc<Flight>>>,
     /// Total [`Repr::heap_bytes`] across resident entries.
     resident_bytes: usize,
     tick: u64,
@@ -61,6 +68,88 @@ impl Inner {
             self.stats.evictions += 1;
         }
         true
+    }
+
+    /// Makes a freshly loaded `repr` resident under `budget`, evicting LRU
+    /// entries to fit; an entry larger than a byte budget is not kept. The
+    /// key is not resident: only its single flight loads it.
+    fn admit(&mut self, budget: Budget, key: (usize, usize), repr: Repr) {
+        self.tick += 1;
+        let tick = self.tick;
+        let bytes = repr.heap_bytes();
+        match budget {
+            Budget::Slots(cap) => {
+                while self.entries.len() >= cap {
+                    if !self.evict_lru() {
+                        break;
+                    }
+                }
+            }
+            Budget::Bytes(cap) => {
+                if bytes > cap {
+                    // Oversized for the whole pool: serve without caching.
+                    return;
+                }
+                while self.resident_bytes + bytes > cap {
+                    if !self.evict_lru() {
+                        break;
+                    }
+                }
+            }
+        }
+        self.resident_bytes += bytes;
+        self.entries.insert(key, (repr, tick));
+    }
+}
+
+/// What the threads waiting on one read block on. Its loader publishes the
+/// outcome — the representation, or `None` when the read failed — and
+/// wakes them.
+#[derive(Default)]
+struct Flight {
+    outcome: Mutex<Option<Option<Repr>>>,
+    done: Condvar,
+}
+
+impl Flight {
+    fn publish(&self, repr: Option<Repr>) {
+        *self.outcome.lock().unwrap_or_else(|e| e.into_inner()) = Some(repr);
+        self.done.notify_all();
+    }
+
+    /// Blocks until the loader publishes; `None` if its read failed.
+    fn wait(&self) -> Option<Repr> {
+        let outcome = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
+        let outcome = self
+            .done
+            .wait_while(outcome, |o| o.is_none())
+            .unwrap_or_else(|e| e.into_inner());
+        outcome.clone().flatten()
+    }
+}
+
+/// Ends a load however it ends — returned, failed or panicked: the key
+/// leaves `loading` in the same critical section that makes a loaded entry
+/// resident (so no third reader finds the key neither loading nor resident
+/// while it is in hand), then its waiters, if any, wake.
+struct Landing<'a> {
+    shard: &'a BufferPool,
+    key: (usize, usize),
+    repr: Option<Repr>,
+}
+
+impl Drop for Landing<'_> {
+    fn drop(&mut self) {
+        let flight = {
+            let mut inner = self.shard.lock();
+            if let Some(repr) = &self.repr {
+                inner.admit(self.shard.budget, self.key, repr.clone());
+            }
+            inner.loading.remove(&self.key).flatten()
+        };
+        if let Some(flight) = flight {
+            flight.publish(self.repr.take());
+        }
     }
 }
 
@@ -84,6 +173,7 @@ impl BufferPool {
             budget,
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
+                loading: HashMap::new(),
                 resident_bytes: 0,
                 tick: 0,
                 stats: PoolStats::default(),
@@ -104,6 +194,11 @@ impl BufferPool {
         matches!(self.budget, Budget::Slots(0) | Budget::Bytes(0))
     }
 
+    /// The miss path is single-flight: the first thread to miss a key
+    /// reads it, and a thread that misses it while that read is in flight
+    /// waits and takes the result — counted as a hit, since it read
+    /// nothing — so `misses` is exactly the number of loads. A failed load
+    /// is not remembered: its waiters go round again and one of them loads.
     fn get_or_load_repr<E>(
         &self,
         key: (usize, usize),
@@ -113,7 +208,7 @@ impl BufferPool {
             self.lock().stats.misses += 1;
             return load();
         }
-        {
+        loop {
             let mut inner = self.lock();
             inner.tick += 1;
             let tick = inner.tick;
@@ -123,39 +218,30 @@ impl BufferPool {
                 inner.stats.hits += 1;
                 return Ok(out);
             }
-            inner.stats.misses += 1;
+            let Some(waiting) = inner.loading.get_mut(&key) else {
+                inner.stats.misses += 1;
+                inner.loading.insert(key, None);
+                break;
+            };
+            let flight = Arc::clone(waiting.get_or_insert_default());
+            inner.stats.hits += 1;
+            drop(inner);
+            match flight.wait() {
+                Some(repr) => return Ok(repr),
+                // The loader's read failed: this fetch was no hit after all.
+                None => {
+                    let mut inner = self.lock();
+                    inner.stats.hits = inner.stats.hits.saturating_sub(1);
+                }
+            }
         }
-        // Load outside the lock; racing loads are benign (last write wins).
+        let mut landing = Landing {
+            shard: self,
+            key,
+            repr: None,
+        };
         let repr = load()?;
-        let bytes = repr.heap_bytes();
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some((old, _)) = inner.entries.remove(&key) {
-            inner.resident_bytes -= old.heap_bytes();
-        }
-        match self.budget {
-            Budget::Slots(cap) => {
-                while inner.entries.len() >= cap {
-                    if !inner.evict_lru() {
-                        break;
-                    }
-                }
-            }
-            Budget::Bytes(cap) => {
-                if bytes > cap {
-                    // Oversized for the whole pool: serve without caching.
-                    return Ok(repr);
-                }
-                while inner.resident_bytes + bytes > cap {
-                    if !inner.evict_lru() {
-                        break;
-                    }
-                }
-            }
-        }
-        inner.resident_bytes += bytes;
-        inner.entries.insert(key, (repr.clone(), tick));
+        landing.repr = Some(repr.clone());
         Ok(repr)
     }
 
@@ -254,7 +340,9 @@ impl ShardedPool {
 
     /// Fetches the representation for `key` from its shard, loading it
     /// with `load` on a miss. The returned [`Repr`] is an `Arc`-backed
-    /// handle — a hit costs a reference bump, not a bitmap copy.
+    /// handle — a hit costs a reference bump, not a bitmap copy. Concurrent
+    /// misses on one key run one `load`: the others wait for it and take
+    /// its result (a hit), or load themselves if it failed.
     pub fn get_or_load_repr<E>(
         &self,
         key: (usize, usize),
@@ -490,5 +578,63 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.hits + s.misses, 128);
         assert!(s.hits >= 64, "second touch of each key must hit");
+    }
+
+    /// A second thread fetches a cold key while the first thread's load of
+    /// it is in hand: that load does not return until the second fetch has
+    /// been counted, so the race is forced, not timed. Returns both
+    /// fetches and the number of loads that ran.
+    fn racing_fetches(first_load_fails: bool) -> (Result<Repr, ()>, Result<Repr, ()>, usize) {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+        let pool = ShardedPool::new(4, 1);
+        let loads = AtomicUsize::new(0);
+        let loading = AtomicBool::new(false);
+        let (first, second) = std::thread::scope(|scope| {
+            let first = scope.spawn(|| {
+                pool.get_or_load_repr((1, 0), || {
+                    loading.store(true, SeqCst);
+                    while pool.stats().hits + pool.stats().misses < 2 {
+                        std::thread::yield_now();
+                    }
+                    loads.fetch_add(1, SeqCst);
+                    if first_load_fails {
+                        Err(())
+                    } else {
+                        Ok(Repr::literal(bm(0)))
+                    }
+                })
+            });
+            while !loading.load(SeqCst) {
+                std::thread::yield_now();
+            }
+            let second = pool.get_or_load_repr((1, 0), || {
+                loads.fetch_add(1, SeqCst);
+                Ok(Repr::literal(bm(0)))
+            });
+            (first.join().unwrap(), second)
+        });
+        let (loads, s) = (loads.into_inner(), pool.stats());
+        assert_eq!(pool.resident(), 1);
+        assert_eq!(s.misses as usize, loads, "one miss, one read");
+        assert_eq!(s.hits + s.misses, 2, "two fetches");
+        (first, second, loads)
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_read_it_once() {
+        let (first, second, loads) = racing_fetches(false);
+        assert_eq!(loads, 1, "the second miss must wait for the first read");
+        match (first.unwrap(), second.unwrap()) {
+            (Repr::Literal(a), Repr::Literal(b)) => assert!(std::sync::Arc::ptr_eq(&a, &b)),
+            other => panic!("expected two literals, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_failed_load_is_not_shared_its_waiter_loads_again() {
+        let (first, second, loads) = racing_fetches(true);
+        assert!(first.is_err());
+        assert_eq!(*second.unwrap().to_bitvec(), bm(0));
+        assert_eq!(loads, 2, "the waiter retries with its own load");
     }
 }

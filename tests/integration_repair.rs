@@ -2,16 +2,20 @@
 //! fault-injection store (bit flips and truncation), repair with
 //! [`scrub_and_repair_index`], and assert that a fresh open of the store
 //! reads every bitmap clean, answers every query correctly, and carries a
-//! repair journal matching the fault count.
+//! repair journal matching the fault count — and, when the repair's own
+//! write is torn, that the damage stays visible and the next pass ends it.
 
 use std::sync::Arc;
 
 use bindex::compress::CodecKind;
 use bindex::core::eval::{evaluate_in, naive, Algorithm};
 use bindex::core::ExecContext;
-use bindex::relation::query::{Op, SelectionQuery};
+use bindex::engine::batch::{evaluate_selection_workload, BatchHealth, BatchOptions};
+use bindex::relation::query::{full_space, Op, SelectionQuery};
 use bindex::relation::{gen, Column};
-use bindex::storage::{ByteStore, FaultPlan, FaultStore, MemStore, StorageScheme, StoredIndex};
+use bindex::storage::{
+    ByteStore, FaultPlan, FaultStore, MemStore, SharedIndexReader, StorageScheme, StoredIndex,
+};
 use bindex::stored::{persist_index, scrub_and_repair_index, SharedSource};
 use bindex::{Base, BitmapIndex, Encoding, IndexSpec, RecoveryPolicy};
 
@@ -231,5 +235,78 @@ fn bs_equality_repair_needs_no_column() {
     for q in probing_queries() {
         let found = evaluate_in(&mut ctx, q, Algorithm::Auto).unwrap();
         assert_eq!(found, naive::evaluate(&col, q), "{q}");
+    }
+}
+
+/// The full query space on two workers under `recovery`: every answer must
+/// be bit-identical to the per-row oracle.
+fn two_worker_batch<S: ByteStore + Sync>(
+    reader: &SharedIndexReader<S>,
+    col: &Column,
+    recovery: RecoveryPolicy,
+    label: &str,
+) -> BatchHealth {
+    let queries = full_space(30);
+    let report = evaluate_selection_workload(
+        || SharedSource::try_new(reader, spec()).unwrap(),
+        &queries,
+        Algorithm::Auto,
+        &BatchOptions::with_threads_unclamped(2).with_recovery(recovery),
+    );
+    for (q, outcome) in queries.iter().zip(&report.outcomes) {
+        let (found, _) = outcome
+            .result()
+            .unwrap_or_else(|| panic!("{label} {q}: not answered ({:?})", report.health));
+        assert_eq!(found, &naive::evaluate(col, *q), "{label} {q}");
+    }
+    report.health
+}
+
+/// Corrupt at rest, serve degraded, then repair through a store that tears
+/// the first repair write: the torn file is caught by the checksum layer,
+/// never served, and the next pass completes the repair.
+#[test]
+fn torn_repair_write_is_caught_and_the_next_pass_completes_it() {
+    for scheme in SCHEMES {
+        let (col, store) = persisted(scheme, CodecKind::None);
+        let damaged = victims(&store, scheme, 1);
+        let store = corrupt_via_faults(
+            store,
+            FaultPlan::new(59).with_bit_flip(&damaged[0]),
+            &damaged,
+        );
+
+        let column = Arc::new(col.clone());
+        let reader = SharedIndexReader::new(StoredIndex::open(store).unwrap());
+        let health = two_worker_batch(
+            &reader,
+            &col,
+            RecoveryPolicy::ReconstructOrScan(column),
+            &format!("{scheme:?}/degraded"),
+        );
+        assert!(health.degraded > 0, "{scheme:?}: {health:?}");
+
+        let plan = FaultPlan::new(61).with_torn_writes(data_pattern(scheme), 1);
+        let faulty = FaultStore::new(reader.into_index().into_store(), plan);
+        let mut stored = StoredIndex::open(faulty).unwrap();
+        let first = scrub_and_repair_index(&mut stored, &spec(), Some(&col), None).unwrap();
+        assert_eq!(first.scrub.failures.len(), 1, "{scheme:?}: {first:?}");
+        assert_eq!(stored.store().counters().torn_writes, 1, "{scheme:?}");
+        assert!(
+            !stored.scrub().unwrap().is_clean(),
+            "{scheme:?}: the torn repair write must be caught"
+        );
+        let second = scrub_and_repair_index(&mut stored, &spec(), Some(&col), None).unwrap();
+        assert!(second.fully_repaired(), "{scheme:?}: {second:?}");
+        assert!(stored.scrub().unwrap().is_clean(), "{scheme:?}");
+
+        let reader = SharedIndexReader::new(stored);
+        let health = two_worker_batch(
+            &reader,
+            &col,
+            RecoveryPolicy::Fail,
+            &format!("{scheme:?}/repaired"),
+        );
+        assert!(health.all_ok(), "{scheme:?}: {health:?}");
     }
 }

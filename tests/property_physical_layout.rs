@@ -20,13 +20,8 @@ use bindex::core::{EvalStats, ExecContext};
 use bindex::relation::query::{full_space, Op, SelectionQuery};
 use bindex::relation::{Column, Rng};
 use bindex::storage::{ByteStore, MemStore, ShardedPool, SharedIndexReader, StoredIndex};
-use bindex::stored::{
-    load_permutation, persist_index_v4, persist_permutation, scrub_and_repair_index, SharedSource,
-};
-use bindex::{
-    build_reordered, Base, BitVec, BitmapIndex, BuildOptions, Encoding, IndexSpec, RecoveryPolicy,
-    RowOrder, SUMMARY_WINDOW_BITS,
-};
+use bindex::stored::{persist_index_v4, scrub_and_repair_index, SharedSource};
+use bindex::{Base, BitVec, BitmapIndex, Encoding, IndexSpec, RecoveryPolicy, SUMMARY_WINDOW_BITS};
 
 fn seeds() -> Vec<u64> {
     match std::env::var("BINDEX_CHAOS_SEED") {
@@ -449,47 +444,5 @@ fn window_pruning_reads_strictly_fewer_bytes() {
             pruned_bytes < plain_bytes,
             "{op:?}: pruning must fetch strictly fewer bytes ({pruned_bytes} vs {plain_bytes})"
         );
-    }
-}
-
-/// Row reordering end to end: a frequency-sorted or Gray-ordered index
-/// persisted as v4 (with its permutation sidecar) answers every query of
-/// the full space identically to natural order once externalized —
-/// including under pruning and a pool that holds every slot.
-#[test]
-fn reordered_stores_answer_identically_after_externalization() {
-    for seed in seeds() {
-        let mut rng = Rng::seed_from_u64(0x14A2 + seed);
-        let base = rand_base(&mut rng);
-        let rows = rng.range_usize(65, 400);
-        let col = rand_column(&mut rng, &base, rows, false);
-        for encoding in [Encoding::Range, Encoding::Equality, Encoding::Interval] {
-            for order in [RowOrder::FrequencySort, RowOrder::GrayCode] {
-                let spec = IndexSpec::new(base.clone(), encoding);
-                let (idx, perm) =
-                    build_reordered(&col, None, spec.clone(), BuildOptions { row_order: order })
-                        .unwrap();
-                let perm = perm.expect("non-natural order");
-                let mut stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
-                persist_permutation(&mut stored, &perm).unwrap();
-                let loaded = load_permutation(&stored).unwrap().expect("sidecar");
-                let [_, reader] = unpooled_and_pooled(stored.into_store());
-                for q in full_space(base.product() as u32) {
-                    let out = run_config(
-                        &reader,
-                        &spec,
-                        true,
-                        q,
-                        Algorithm::Auto,
-                        &RecoveryPolicy::Fail,
-                        64,
-                    );
-                    let (internal, _) = out.expect("clean reordered store");
-                    let got = loaded.externalize(&internal);
-                    let want = bindex::core::eval::naive::evaluate(&col, q);
-                    assert_eq!(got, want, "seed {seed} {encoding:?} {order:?} {q}");
-                }
-            }
-        }
     }
 }
