@@ -4,12 +4,13 @@
 //! stages of one verified literal-slot read (`crc32`, bytes↔words, and
 //! the whole uncached `read_repr`), each as bytes per second over one
 //! 256 KiB slot so they compare with the `bitvec_ops` memcpy/AND rows;
-//! `crc32` also at 1 KiB to 1 MiB, where its lane constants are measured.
+//! `crc32` also at 1 KiB to 1 MiB, where its lane constants are measured;
+//! and one buffer-pool hit (`pool_hit`).
 
-use bindex::compress::CodecKind;
+use bindex::compress::{CodecKind, Repr};
 use bindex::relation::gen;
 use bindex::storage::checksum::crc32;
-use bindex::storage::{MemStore, SharedIndexReader, StorageScheme, StoredIndex};
+use bindex::storage::{MemStore, ShardedPool, SharedIndexReader, StorageScheme, StoredIndex};
 use bindex::{Base, BitVec, BitmapIndex, Encoding, IndexSpec};
 use bindex_bench::microbench::{Criterion, Throughput};
 use bindex_bench::{criterion_group, criterion_main};
@@ -57,6 +58,28 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
     bench_verified_read(c);
+    bench_pool_hit(c);
+}
+
+/// One resident `get_or_load_repr`: the lookup every fetch of a buffered
+/// bitmap pays (the reference count is bumped under the same lock), in ns
+/// per call. A pool that holds every slot — `serve_hot` — pays only this.
+fn bench_pool_hit(c: &mut Criterion) {
+    let pool = ShardedPool::new(27, 8);
+    for slot in 0..27 {
+        pool.get_or_load_repr::<()>((1 + slot / 9, slot % 9), || {
+            Ok(Repr::literal(BitVec::zeros(SLOT_ROWS)))
+        })
+        .unwrap();
+    }
+    let mut g = c.benchmark_group("pool_hit");
+    g.bench_function("resident", |b| {
+        b.iter(|| {
+            pool.get_or_load_repr::<()>(black_box((2, 4)), || unreachable!("resident"))
+                .unwrap()
+        })
+    });
+    g.finish();
 }
 
 /// Rows of the `serve_cold` benchmark workload: one slot is 256 KiB.

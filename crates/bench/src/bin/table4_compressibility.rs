@@ -5,8 +5,8 @@
 //! Reproduced shape claims: CS-organized indexes compress best (each
 //! row-major component row is a `1…10…` pattern under range encoding),
 //! and compression effectiveness falls as the number of components grows.
-//! Pass `--wah` to add the WAH ablation column (a bitmap-native codec the
-//! paper predates).
+//! The last column is the WAH ablation (a bitmap-native codec the paper
+//! predates): the bitmaps' total WAH footprint against BS.
 
 use bindex::compress::wah::WahBitmap;
 use bindex::compress::CodecKind;
@@ -17,7 +17,6 @@ use bindex::{BitmapIndex, Encoding, IndexSpec};
 use bindex_bench::{f2, print_table, Csv};
 
 fn main() {
-    let wah = std::env::args().any(|a| a == "--wah");
     // Deflate (LZ77 + Huffman) is the zlib substitution; --lzss compares
     // the entropy-free variant.
     let codec = if std::env::args().any(|a| a == "--lzss") {
@@ -56,17 +55,13 @@ fn main() {
             let ccs = size(StorageScheme::ComponentLevel, codec);
             let cis = size(StorageScheme::IndexLevel, codec);
             let p = |x: u64| 100.0 * x as f64 / bs as f64;
-            let wah_pct = if wah {
-                let bytes: usize = idx
-                    .components()
-                    .iter()
-                    .flatten()
-                    .map(|bm| WahBitmap::from_bitvec(bm).compressed_bytes())
-                    .sum();
-                p(bytes as u64)
-            } else {
-                f64::NAN
-            };
+            let wah: usize = idx
+                .components()
+                .iter()
+                .flatten()
+                .map(|bm| WahBitmap::from_bitvec(bm).compressed_bytes())
+                .sum();
+            let wah_pct = p(wah as u64);
             csv.row(&[
                 &name,
                 &base,
@@ -77,31 +72,25 @@ fn main() {
                 &f2(wah_pct),
             ])
             .unwrap();
-            let mut row = vec![
+            rows.push(vec![
                 base.to_string(),
                 bs.to_string(),
                 format!("{}%", f2(p(cbs))),
                 format!("{}%", f2(p(ccs))),
                 format!("{}%", f2(p(cis))),
-            ];
-            if wah {
-                row.push(format!("{}%", f2(wah_pct)));
-            }
-            rows.push(row);
-        }
-        let mut header = vec![
-            "base of index I",
-            "size under BS (bytes)",
-            "cBS",
-            "cCS",
-            "cIS",
-        ];
-        if wah {
-            header.push("WAH (ablation)");
+                format!("{}%", f2(wah_pct)),
+            ]);
         }
         print_table(
             &format!("Table 4: compressibility vs uncompressed BS, data set {name}"),
-            &header,
+            &[
+                "base of index I",
+                "size under BS (bytes)",
+                "cBS",
+                "cCS",
+                "cIS",
+                "WAH (ablation)",
+            ],
             &rows,
         );
     }

@@ -252,6 +252,14 @@ impl<'a> Cursor<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| bad("string is not UTF-8"))
     }
 
+    /// Capacity to reserve for `n` declared elements of `size` wire bytes
+    /// each: never more than the rest of the frame can hold, so a frame
+    /// declaring more than it carries reserves at most its own length and
+    /// then fails on the first element it lacks.
+    fn capacity(&self, n: usize, size: usize) -> usize {
+        n.min((self.buf.len() - self.pos) / size)
+    }
+
     fn done(&self) -> io::Result<()> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -359,13 +367,13 @@ impl Request {
             TAG_INGEST => {
                 let index = c.str()?;
                 let n = c.u32()? as usize;
-                let mut appends = Vec::with_capacity(n.min(MAX_FRAME as usize / 4));
+                let mut appends = Vec::with_capacity(c.capacity(n, 4));
                 for _ in 0..n {
                     let v = c.u32()?;
                     appends.push((v != NULL_SENTINEL).then_some(v));
                 }
                 let n = c.u32()? as usize;
-                let mut deletes = Vec::with_capacity(n.min(MAX_FRAME as usize / 8));
+                let mut deletes = Vec::with_capacity(c.capacity(n, 8));
                 for _ in 0..n {
                     deletes.push(c.u64()?);
                 }
@@ -379,7 +387,7 @@ impl Request {
                 let index = c.str()?;
                 let k = c.u32()?;
                 let n = c.u16()? as usize;
-                let mut predicates = Vec::with_capacity(n);
+                let mut predicates = Vec::with_capacity(c.capacity(n, 5));
                 for _ in 0..n {
                     let op = op_from_u8(c.u8()?)?;
                     let constant = c.u32()?;
@@ -603,7 +611,7 @@ impl Response {
                 let cached = c.u8()? != 0;
                 let n_bits = c.u64()?;
                 let n_words = c.u32()? as usize;
-                let mut words = Vec::with_capacity(n_words.min(MAX_FRAME as usize / 8));
+                let mut words = Vec::with_capacity(c.capacity(n_words, 8));
                 for _ in 0..n_words {
                     words.push(c.u64()?);
                 }
@@ -784,6 +792,42 @@ mod tests {
         let mut bytes = Request::Ping.encode().unwrap();
         bytes.push(0xAB);
         assert!(Request::decode(&bytes).is_err());
+    }
+
+    /// Tiny frames that declare a huge element count — the allocation
+    /// request a hostile client would send — are typed errors.
+    #[test]
+    fn frames_declaring_more_elements_than_they_carry_are_rejected() {
+        let huge = u32::MAX.to_le_bytes();
+        let ingest = |appends: [u8; 4], deletes: &[u8]| {
+            let mut f = vec![PROTOCOL_VERSION, TAG_INGEST, 1, 0, b'x'];
+            f.extend_from_slice(&appends);
+            f.extend_from_slice(deletes);
+            f
+        };
+        let mut threshold = vec![PROTOCOL_VERSION, TAG_THRESHOLD, 1, 0, b'x', 1, 0, 0, 0];
+        threshold.extend_from_slice(&u16::MAX.to_le_bytes());
+        for frame in [ingest(huge, &[]), ingest([0; 4], &huge), threshold] {
+            let err = Request::decode(&frame).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{frame:?}");
+        }
+        let mut bitmap = vec![TAG_BITMAP];
+        bitmap.extend_from_slice(&[0; 8 + 1 + 1 + 8]);
+        bitmap.extend_from_slice(&huge);
+        let err = Response::decode(&bitmap).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn reserved_capacity_is_bounded_by_the_bytes_left() {
+        let frame = [0u8; 20];
+        let mut c = Cursor::new(&frame);
+        assert_eq!(c.capacity(u32::MAX as usize, 8), 2);
+        assert_eq!(c.capacity(u32::MAX as usize, 4), 5);
+        assert_eq!(c.capacity(3, 4), 3, "an honest count is reserved whole");
+        c.take(17).unwrap();
+        assert_eq!(c.capacity(usize::MAX, 5), 0);
+        assert_eq!(c.capacity(usize::MAX, 1), 3);
     }
 
     #[test]

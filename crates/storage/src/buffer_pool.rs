@@ -1,12 +1,26 @@
 //! A bitmap-granularity buffer pool (Section 10's unit of buffering),
-//! with an LRU eviction policy and hit/miss accounting — the one cache on
-//! the stored read path.
+//! which keeps the bitmaps queries reference most, with hit/miss
+//! accounting — the one cache on the stored read path.
 //!
 //! The analytic side of Section 10 lives in `bindex-core::buffer`; this
 //! pool is the runtime counterpart used by the storage-backed experiments:
 //! it caches fetched bitmaps keyed by `(component, slot)` so that a
 //! buffered bitmap costs no file read, and a miss costs exactly one — two
 //! threads missing the same key share one read.
+//!
+//! **Policy.** Every fetch counts one reference to its key — hit or miss,
+//! resident or not — and the counts outlive [`ShardedPool::clear`], since
+//! they describe demand, not bytes. A freshly loaded key enters a full
+//! pool only by evicting residents referenced *strictly* less often than
+//! it (least referenced first, until it fits); otherwise it is served
+//! uncached, so keys referenced equally often never displace each other.
+//! A buffered bitmap saves one read per query that references it, so the
+//! keep-set that saves the most reads is the most-referenced one. Under
+//! the paper's uniform-reference model that is Theorem 10.1's
+//! greedy-by-marginal-gain assignment (`bindex-core::buffer::
+//! optimal_assignment`): the pool learns it from the reference stream
+//! without being told the index's base. Ranking is per shard — each shard
+//! keeps its own most-referenced keys within its share of the budget.
 //!
 //! Entries are stored as [`Repr`] — dense or WAH-compressed, whichever
 //! form the store handed out — and handed back as `Arc` clones, so a hit
@@ -15,8 +29,9 @@
 //! Byte budgeting is what makes the compressed execution path pay off
 //! twice: a WAH entry is charged its compressed footprint, so a fixed
 //! memory budget keeps more sparse bitmaps resident than the same budget
-//! over dense words. A pool whose budget covers every slot never evicts:
-//! it is the pinned cache (each slot verified once, then shared).
+//! over dense words. A pool whose budget covers every slot never reaches
+//! the policy and never evicts: it is the pinned cache (each slot verified
+//! once, then shared).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -43,62 +58,68 @@ enum Budget {
     Bytes(usize),
 }
 
+/// What a shard knows of one key: how often it has been fetched (its
+/// rank), and its bitmap while resident.
+#[derive(Default)]
+struct Entry {
+    refs: u64,
+    repr: Option<Repr>,
+}
+
 struct Inner {
-    /// (component, slot) -> (bitmap representation, last-use tick).
-    entries: HashMap<(usize, usize), (Repr, u64)>,
+    /// Every key fetched since the shard was made: cleared of its bitmap
+    /// by [`BufferPool::clear`], never of its count.
+    entries: HashMap<(usize, usize), Entry>,
     /// Keys being read right now: a second miss on one waits for that
     /// read instead of issuing its own. The [`Flight`] it waits on is made
     /// by the first waiter, so a read nobody waits for allocates nothing
     /// and wakes no one.
     loading: HashMap<(usize, usize), Option<Arc<Flight>>>,
-    /// Total [`Repr::heap_bytes`] across resident entries.
+    /// Entries holding a bitmap, and their total [`Repr::heap_bytes`].
+    resident: usize,
     resident_bytes: usize,
-    tick: u64,
     stats: PoolStats,
 }
 
 impl Inner {
-    /// Evicts the least-recently-used entry; returns `false` when empty.
-    fn evict_lru(&mut self) -> bool {
-        let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, (_, last))| *last) else {
-            return false;
-        };
-        if let Some((repr, _)) = self.entries.remove(&victim) {
-            self.resident_bytes -= repr.heap_bytes();
-            self.stats.evictions += 1;
-        }
-        true
-    }
-
-    /// Makes a freshly loaded `repr` resident under `budget`, evicting LRU
-    /// entries to fit; an entry larger than a byte budget is not kept. The
-    /// key is not resident: only its single flight loads it.
+    /// Makes a freshly loaded `repr` resident under `budget` if it can
+    /// make room by evicting residents referenced strictly less often than
+    /// `key`, least referenced first (ties broken by key, so the choice
+    /// repeats); otherwise leaves it uncached and evicts nothing. The key
+    /// is not resident: only its single flight loads it.
     fn admit(&mut self, budget: Budget, key: (usize, usize), repr: Repr) {
-        self.tick += 1;
-        let tick = self.tick;
         let bytes = repr.heap_bytes();
-        match budget {
-            Budget::Slots(cap) => {
-                while self.entries.len() >= cap {
-                    if !self.evict_lru() {
-                        break;
-                    }
-                }
-            }
-            Budget::Bytes(cap) => {
-                if bytes > cap {
-                    // Oversized for the whole pool: serve without caching.
-                    return;
-                }
-                while self.resident_bytes + bytes > cap {
-                    if !self.evict_lru() {
-                        break;
-                    }
-                }
+        let fits = |resident: usize, resident_bytes: usize| match budget {
+            Budget::Slots(cap) => resident < cap,
+            Budget::Bytes(cap) => resident_bytes + bytes <= cap,
+        };
+        let rank = self.entries.get(&key).map_or(0, |e| e.refs);
+        let mut lower: Vec<(u64, (usize, usize), usize)> = self
+            .entries
+            .iter()
+            .filter_map(|(&k, e)| Some((e.refs, k, e.repr.as_ref()?.heap_bytes())))
+            .filter(|&(refs, _, _)| refs < rank)
+            .collect();
+        lower.sort_unstable();
+        let (mut resident, mut resident_bytes, mut victims) =
+            (self.resident, self.resident_bytes, 0);
+        while !fits(resident, resident_bytes) {
+            let Some(&(_, _, victim_bytes)) = lower.get(victims) else {
+                return; // no room it outranks: served uncached
+            };
+            resident -= 1;
+            resident_bytes -= victim_bytes;
+            victims += 1;
+        }
+        for (_, victim, _) in &lower[..victims] {
+            if let Some(e) = self.entries.get_mut(victim) {
+                e.repr = None;
             }
         }
-        self.resident_bytes += bytes;
-        self.entries.insert(key, (repr, tick));
+        self.stats.evictions += victims as u64;
+        self.resident = resident + 1;
+        self.resident_bytes = resident_bytes + bytes;
+        self.entries.entry(key).or_default().repr = Some(repr);
     }
 }
 
@@ -153,8 +174,8 @@ impl Drop for Landing<'_> {
     }
 }
 
-/// One shard of a [`ShardedPool`]: an LRU cache of bitmaps under a slot or
-/// byte budget behind its own lock.
+/// One shard of a [`ShardedPool`]: a cache of its most-referenced bitmaps
+/// under a slot or byte budget behind its own lock.
 struct BufferPool {
     budget: Budget,
     inner: Mutex<Inner>,
@@ -174,8 +195,8 @@ impl BufferPool {
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
                 loading: HashMap::new(),
+                resident: 0,
                 resident_bytes: 0,
-                tick: 0,
                 stats: PoolStats::default(),
             }),
         }
@@ -199,6 +220,7 @@ impl BufferPool {
     /// waits and takes the result — counted as a hit, since it read
     /// nothing — so `misses` is exactly the number of loads. A failed load
     /// is not remembered: its waiters go round again and one of them loads.
+    /// Each call is one reference to `key`, however many rounds it takes.
     fn get_or_load_repr<E>(
         &self,
         key: (usize, usize),
@@ -208,12 +230,12 @@ impl BufferPool {
             self.lock().stats.misses += 1;
             return load();
         }
+        let mut reference = 1;
         loop {
             let mut inner = self.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some((repr, last)) = inner.entries.get_mut(&key) {
-                *last = tick;
+            let entry = inner.entries.entry(key).or_default();
+            entry.refs += std::mem::take(&mut reference);
+            if let Some(repr) = &entry.repr {
                 let out = repr.clone();
                 inner.stats.hits += 1;
                 return Ok(out);
@@ -250,25 +272,32 @@ impl BufferPool {
     }
 
     fn resident(&self) -> usize {
-        self.lock().entries.len()
+        self.lock().resident
     }
 
     fn resident_bytes(&self) -> usize {
         self.lock().resident_bytes
     }
 
+    /// Drops every resident bitmap and resets statistics. The reference
+    /// counts stay: the keys that ranked highest displace whatever refills
+    /// the shard at their next fetch.
     fn clear(&self) {
         let mut inner = self.lock();
-        inner.entries.clear();
+        for entry in inner.entries.values_mut() {
+            entry.repr = None;
+        }
+        inner.resident = 0;
         inner.resident_bytes = 0;
         inner.stats = PoolStats::default();
     }
 }
 
-/// The bitmap cache of the stored read path: `n_shards` independent LRU
+/// The bitmap cache of the stored read path: `n_shards` independent
 /// shards, with each `(component, slot)` key pinned to one shard, so
 /// concurrent readers contend only when they touch the same shard rather
-/// than on one global lock. One shard is a plain LRU buffer pool.
+/// than on one global lock. Each shard ranks its own keys by reference
+/// count (see the module docs); one shard is the paper's §10 buffer pool.
 pub struct ShardedPool {
     shards: Vec<BufferPool>,
 }
@@ -373,7 +402,8 @@ impl ShardedPool {
         self.shards.iter().map(BufferPool::resident_bytes).sum()
     }
 
-    /// Empties every shard and resets statistics.
+    /// Empties every shard and resets statistics. Reference counts survive:
+    /// they describe demand, which a rewrite of the bytes does not change.
     pub fn clear(&self) {
         for s in &self.shards {
             s.clear();
@@ -418,24 +448,124 @@ mod tests {
         assert_eq!((s.hits, s.misses), (1, 1));
     }
 
-    #[test]
-    fn lru_evicts_oldest() {
-        let pool = ShardedPool::new(2, 1);
-        load(&pool, (1, 0), bm(0));
-        load(&pool, (1, 1), bm(1));
-        hit(&pool, (1, 0)); // refresh (1,0)
-        load(&pool, (1, 2), bm(2)); // evicts (1,1)
-        assert_eq!(pool.resident(), 2);
-        assert_eq!(pool.stats().evictions, 1);
-        // (1,1) must reload; (1,0) must still hit.
-        hit(&pool, (1, 0));
-        let mut reloaded = false;
-        pool.get_or_load_repr::<()>((1, 1), || {
-            reloaded = true;
-            Ok(Repr::literal(bm(1)))
+    /// Whether fetching `key` ran its load (a miss).
+    fn missed(pool: &ShardedPool, key: (usize, usize)) -> bool {
+        let mut loaded = false;
+        pool.get_or_load_repr::<()>(key, || {
+            loaded = true;
+            Ok(Repr::literal(bm(key.1)))
         })
         .unwrap();
-        assert!(reloaded);
+        loaded
+    }
+
+    #[test]
+    fn most_referenced_keys_stay_resident() {
+        let pool = ShardedPool::new(2, 1);
+        // (1,0) and (1,1) fill the pool; (1,2) is then referenced three
+        // times, and from its second reference on outranks both.
+        load(&pool, (1, 0), bm(0));
+        load(&pool, (1, 1), bm(1));
+        hit(&pool, (1, 1));
+        assert!(missed(&pool, (1, 2)), "a tie at one reference each");
+        assert!(missed(&pool, (1, 2)), "admitted over (1,0), the lowest");
+        hit(&pool, (1, 2));
+        assert_eq!(pool.stats().evictions, 1);
+        hit(&pool, (1, 1));
+        assert!(missed(&pool, (1, 0)), "(1,0) was evicted");
+        // Under an interleaved stream the two hottest keys stay and the
+        // cold ones are served uncached: nothing more is evicted.
+        for _ in 0..50 {
+            for key in [(1, 1), (1, 2), (1, 1), (1, 2), (1, 3), (1, 0)] {
+                missed(&pool, key);
+            }
+        }
+        let before = pool.stats();
+        for _ in 0..10 {
+            assert!(!missed(&pool, (1, 1)) && !missed(&pool, (1, 2)));
+            assert!(missed(&pool, (1, 3)) && missed(&pool, (1, 0)));
+        }
+        assert_eq!(pool.stats().evictions, before.evictions);
+        assert_eq!(pool.resident(), 2);
+    }
+
+    #[test]
+    fn a_tie_does_not_evict() {
+        let pool = ShardedPool::new(1, 1);
+        load(&pool, (1, 0), bm(0));
+        // (1,1) reaches (1,0)'s count but never passes it: served uncached.
+        for _ in 0..5 {
+            assert!(missed(&pool, (1, 1)));
+            assert!(!missed(&pool, (1, 0)));
+        }
+        assert_eq!(pool.stats().evictions, 0);
+        // Level with (1,0) is still a tie; one reference ahead evicts it.
+        assert!(missed(&pool, (1, 1)));
+        assert!(missed(&pool, (1, 1)));
+        assert!(!missed(&pool, (1, 1)));
+        assert_eq!(pool.stats().evictions, 1);
+    }
+
+    #[test]
+    fn a_failed_load_counts_a_reference_but_caches_nothing() {
+        let pool = ShardedPool::new(1, 1);
+        load(&pool, (1, 0), bm(0));
+        for _ in 0..2 {
+            let r = pool.get_or_load_repr::<&str>((1, 1), || Err("boom"));
+            assert_eq!(r.unwrap_err(), "boom");
+        }
+        assert_eq!(pool.resident(), 1);
+        assert_eq!(pool.stats().misses, 3);
+        // Two failed references already outrank (1,0)'s one: the first
+        // successful load is admitted over it.
+        assert!(missed(&pool, (1, 1)));
+        assert!(!missed(&pool, (1, 1)));
+        assert!(missed(&pool, (1, 0)));
+        assert_eq!(pool.stats().evictions, 1);
+    }
+
+    #[test]
+    fn byte_budget_admission_follows_the_rank() {
+        // Three 8-byte entries fill a 24-byte budget; a 16-byte entry needs
+        // two of them gone, and only residents ranked below it may go.
+        let pool = ShardedPool::with_byte_budget(24, 1);
+        let wide = BitVec::from_fn(128, |i| i % 5 == 0);
+        for slot in 0..3 {
+            load(&pool, (1, slot), bm(slot));
+        }
+        hit(&pool, (1, 0));
+        hit(&pool, (1, 0));
+        hit(&pool, (1, 2));
+        // Ranks: (1,0) 3, (1,1) 1, (1,2) 2. At 2 references the wide entry
+        // outranks only (1,1), which frees too little: nothing is evicted.
+        load(&pool, (2, 0), wide.clone());
+        load(&pool, (2, 0), wide.clone());
+        assert_eq!((pool.resident(), pool.resident_bytes()), (3, 24));
+        assert_eq!(pool.stats().evictions, 0);
+        // At 3 it outranks (1,1) and (1,2): both go, lowest first.
+        load(&pool, (2, 0), wide.clone());
+        assert_eq!((pool.resident(), pool.resident_bytes()), (2, 24));
+        assert_eq!(pool.stats().evictions, 2);
+        assert_eq!(*hit(&pool, (2, 0)).to_bitvec(), wide);
+        hit(&pool, (1, 0));
+    }
+
+    #[test]
+    fn counts_survive_clear() {
+        let pool = ShardedPool::new(1, 1);
+        for _ in 0..3 {
+            missed(&pool, (1, 0));
+        }
+        pool.clear();
+        assert_eq!((pool.resident(), pool.stats()), (0, PoolStats::default()));
+        // (1,1) refills the empty shard, but (1,0)'s three references from
+        // before the clear still outrank its two: (1,0) displaces it.
+        assert!(missed(&pool, (1, 1)));
+        assert!(!missed(&pool, (1, 1)));
+        assert!(missed(&pool, (1, 0)));
+        assert!(!missed(&pool, (1, 0)));
+        assert!(missed(&pool, (1, 1)));
+        assert_eq!(pool.stats().evictions, 1);
     }
 
     #[test]
@@ -455,7 +585,13 @@ mod tests {
         }
         assert_eq!(pool.resident(), 3);
         assert_eq!(pool.resident_bytes(), 24);
-        // A fourth entry must evict the LRU first.
+        // A fourth entry referenced as often as the residents does not fit
+        // and outranks none of them: it is served, not cached.
+        load(&pool, (1, 3), bm(3));
+        assert_eq!(pool.resident(), 3);
+        assert_eq!(pool.resident_bytes(), 24);
+        assert_eq!(pool.stats().evictions, 0);
+        // Referenced again, it outranks them and evicts one to fit.
         load(&pool, (1, 3), bm(3));
         assert_eq!(pool.resident(), 3);
         assert_eq!(pool.resident_bytes(), 24);

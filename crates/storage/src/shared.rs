@@ -57,6 +57,15 @@ impl<S: ByteStore> SharedIndexReader<S> {
     /// pool whose capacity covers every slot never evicts — each slot is
     /// read and checksum-verified once, then served as an `Arc` handle
     /// until the next repair.
+    ///
+    /// A smaller pool keeps the bitmaps this reader's queries reference
+    /// most: every read counts a reference to its `(component, slot)`, and
+    /// a loaded bitmap enters a full shard only by evicting one referenced
+    /// strictly less often. Since a buffered bitmap saves one store read
+    /// per query that references it, that is the paper's Theorem 10.1
+    /// keep-set under uniform queries, learned without knowing the base.
+    /// The ranking is per shard, and the counts survive
+    /// [`repair_index`](Self::repair_index).
     pub fn with_pool(index: StoredIndex<S>, pool: ShardedPool) -> Self {
         Self {
             index,

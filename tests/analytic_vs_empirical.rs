@@ -3,10 +3,13 @@
 //! scan counts for every query, and the analytic expected-scan formulas
 //! must equal the workload averages.
 
+use bindex::compress::CodecKind;
 use bindex::core::cost;
 use bindex::core::eval::{evaluate, evaluate_in, Algorithm};
 use bindex::core::{buffer, BufferSet, ExecContext};
 use bindex::relation::{gen, query};
+use bindex::storage::{MemStore, ShardedPool, SharedIndexReader, StorageScheme};
+use bindex::stored::{persist_index, SharedSource};
 use bindex::{Base, BitmapIndex, Encoding, IndexSpec};
 
 fn test_bases() -> Vec<Base> {
@@ -130,6 +133,51 @@ fn buffered_measurement_matches_buffered_predictor() {
         let measured = total as f64 / queries.len() as f64;
         let analytic = cost::expected_scans_buffered(&base, &f, c);
         assert!((measured - analytic).abs() < 1e-9, "m={m}");
+    }
+}
+
+/// Theorem 10.1, served: a seeded uniform stream over `Q` through a
+/// reader whose 8-bitmap pool ranks keys by reference count. Once warm,
+/// the pool holds the optimal keep-set, so its misses per query — the
+/// store reads — match the buffered predictor for `optimal_assignment`.
+/// The second base is Theorem 10.2's time-optimal index for the same
+/// budget.
+#[test]
+fn served_pool_reads_match_theorem_10_1() {
+    const C: u32 = 1000;
+    const M: u64 = 8;
+    const WARM: usize = 2_000;
+    const MEASURED: usize = 20_000;
+    let (theorem_10_2, _) = buffer::time_optimal_buffered(C, M).unwrap();
+    for base in [Base::from_msb(&[10, 10, 10]).unwrap(), theorem_10_2] {
+        let spec = IndexSpec::new(base.clone(), Encoding::Range);
+        let idx = BitmapIndex::build(&gen::uniform(256, C, 81), spec.clone()).unwrap();
+        let stored = persist_index(
+            &idx,
+            MemStore::new(),
+            StorageScheme::BitmapLevel,
+            CodecKind::None,
+        )
+        .unwrap();
+        let reader = SharedIndexReader::with_pool(stored, ShardedPool::new(M as usize, 8));
+        let mut src = SharedSource::try_new(&reader, spec).unwrap();
+        let stream = query::sample(C, WARM + MEASURED, 82);
+        let (warm, measured) = stream.split_at(WARM);
+        for &q in warm {
+            evaluate(&mut src, q, Algorithm::RangeEvalOpt).unwrap();
+        }
+        let before = reader.pool_stats().unwrap().misses;
+        for &q in measured {
+            evaluate(&mut src, q, Algorithm::RangeEvalOpt).unwrap();
+        }
+        let misses = reader.pool_stats().unwrap().misses - before;
+        let served = misses as f64 / MEASURED as f64;
+        let f = buffer::optimal_assignment(&base, M);
+        let predicted = cost::expected_scans_buffered(&base, &f, C);
+        assert!(
+            (served / predicted - 1.0).abs() <= 0.03,
+            "{base}: served {served} reads per query vs {predicted} predicted for {f:?}"
+        );
     }
 }
 
