@@ -6,7 +6,10 @@
 //!   every commit vs. group commit (deferred fsync inside a window);
 //! * **WAL replay time** — cold reopen of a store whose delta lives
 //!   entirely in the log, and again after compaction truncated it;
-//! * **compaction time** — base ⊕ delta re-encoded into a new generation.
+//! * **compaction time** — base ⊕ delta re-encoded into a new generation,
+//!   on the uniform column above (literal slots: decoded, extended and
+//!   re-encoded dense) and on a clustered column whose slots are all WAH
+//!   (extended in the run domain, never decoded).
 //!
 //! That a crash at any byte of any of these recovers a batch prefix with
 //! no acknowledged batch lost is asserted by
@@ -39,6 +42,12 @@ fn batch(rows: usize, seed: u64) -> Vec<Option<u32>> {
         .enumerate()
         .map(|(i, &v)| (i % 13 != 7).then_some(v))
         .collect()
+}
+
+/// One time-ordered append batch: a single value, so every batch is one
+/// cluster of the clustered column.
+fn cluster_batch(rows: usize, seed: u64) -> Vec<Option<u32>> {
+    vec![Some((seed % u64::from(CARDINALITY)) as u32); rows]
 }
 
 fn open_session<S: ByteStore>(
@@ -152,6 +161,42 @@ fn main() {
     assert_eq!(post.n_rows(), base_rows + appended);
     drop(post);
 
+    // -- Stage 5: compaction of a clustered column, every slot WAH ---------
+    let clustered = gen::clustered(base_rows, CARDINALITY, batch_rows, seed);
+    let built = BitmapIndex::build(&clustered, spec()).unwrap();
+    let mut wah_stored = disk_index(&built, &tmp, "clustered");
+    let slots = wah_stored.meta().total_bitmaps() as usize;
+    let wah_slots = (1..=spec().n_components())
+        .flat_map(|c| (0..spec().stored_in_component(c) as usize).map(move |s| (c, s)))
+        .filter(|&(c, s)| {
+            wah_stored
+                .read_repr(c, s)
+                .expect("slot reads")
+                .is_compressed()
+        })
+        .count();
+    assert_eq!(wah_slots, slots, "a clustered column stores every slot WAH");
+    let mut clustered_ingest = open_session(
+        &mut wah_stored,
+        IngestOptions::new().with_fsync_interval(Some(Duration::from_secs(3600))),
+    );
+    for b in 0..batches {
+        clustered_ingest
+            .append(&cluster_batch(batch_rows, seed.wrapping_add(b as u64)))
+            .expect("append batch");
+    }
+    clustered_ingest.flush().expect("flush");
+    let compact_start = Instant::now();
+    clustered_ingest.compact().expect("compact");
+    let clustered_compact_s = compact_start.elapsed().as_secs_f64();
+    assert_eq!(clustered_ingest.delta_rows(), 0, "delta drained");
+    assert_eq!(
+        clustered_ingest.stored().stats().bytes_decompressed,
+        0,
+        "run-domain compaction decodes no slot"
+    );
+    drop(clustered_ingest);
+
     let rows = vec![
         vec![
             "append fsync-each".to_string(),
@@ -175,6 +220,12 @@ fn main() {
             "compaction".to_string(),
             (base_rows + appended).to_string(),
             format!("{compact_s:.4}"),
+            String::from("-"),
+        ],
+        vec![
+            "compaction (clustered, all WAH)".to_string(),
+            (base_rows + appended).to_string(),
+            format!("{clustered_compact_s:.4}"),
             String::from("-"),
         ],
         vec![
@@ -212,7 +263,10 @@ fn main() {
          \"wal_replay\": {{\"seconds\": {replay_s:.6}, \
          \"replayed_batches\": {batches}, \"replayed_rows\": {appended}, \
          \"post_compaction_seconds\": {post_compact_replay_s:.6}}},\n  \
-         \"compaction_seconds\": {compact_s:.6}\n}}\n",
+         \"compaction_seconds\": {compact_s:.6},\n  \
+         \"clustered_compaction\": {{\"seconds\": {clustered_compact_s:.6}, \
+         \"rows\": {rows}, \"slots\": {slots}, \"wah_slots\": {wah_slots}}}\n}}\n",
+        rows = base_rows + appended,
         prov = provenance.json_fields(),
     );
     write_artifact("ingest_recovery", &json).expect("write json");

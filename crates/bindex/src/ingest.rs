@@ -19,8 +19,10 @@
 //! `BatchOptions::with_overlay`, leaving all five evaluators bit-exact
 //! (deleted rows are treated as nulls).
 //!
-//! [`IngestIndex::compact`] re-encodes base ⊕ delta into a fresh
-//! storage generation via [`StoredIndex::install_generation`]: new
+//! [`IngestIndex::compact`] appends the delta to every base bitmap in the
+//! form it is stored in — a WAH slot in the run domain, never decoded —
+//! and writes the result as a fresh storage generation via
+//! [`StoredIndex::install_generation`]: new
 //! files first, then one atomic manifest swap as the commit point, then
 //! best-effort cleanup. A crash at *any* byte of compaction leaves
 //! either the old generation (WAL intact, delta replayed on reopen) or
@@ -31,7 +33,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bindex_bitvec::kernels::{Fold, FoldStep};
 use bindex_bitvec::BitVec;
+use bindex_compress::wah::{self, WahBitmap};
+use bindex_compress::Repr;
 use bindex_core::eval::evaluate_in;
 use bindex_core::{Algorithm, BitmapIndex, DeltaOverlay, Error, EvalStats, ExecContext, IndexSpec};
 use bindex_relation::query::SelectionQuery;
@@ -221,19 +226,26 @@ impl<'a, S: ByteStore> IngestIndex<'a, S> {
         }
         let seq = self.next_seq;
         let record = wal::encode_record(seq, &op);
-        if self.stored.store().file_size(wal::WAL_FILE).is_err() {
+        match self.stored.store().file_size(wal::WAL_FILE) {
+            Ok(_) => {}
             // First commit against a store created before the WAL existed:
             // seed the header so replay finds a well-formed log. A failure
             // can leave a torn header; mark the log dirty so the next
             // commit rewrites it before appending anything.
-            if let Err(e) = self
-                .stored
-                .store_mut()
-                .append_file(wal::WAL_FILE, &wal::wal_header())
-            {
-                self.wal_dirty = true;
-                return Err(Error::Storage(e.to_string()));
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                if let Err(e) = self
+                    .stored
+                    .store_mut()
+                    .append_file(wal::WAL_FILE, &wal::wal_header())
+                {
+                    self.wal_dirty = true;
+                    return Err(Error::Storage(e.to_string()));
+                }
             }
+            // Any other failure says nothing about whether the log exists:
+            // a second header in the middle of it would end replay there
+            // and drop every acknowledged batch after it. Append nothing.
+            Err(e) => return Err(Error::Storage(e.to_string())),
         }
         if let Err(e) = self.stored.store_mut().append_file(wal::WAL_FILE, &record) {
             // The log may now end in a torn record; truncate before any
@@ -294,8 +306,19 @@ impl<'a, S: ByteStore> IngestIndex<'a, S> {
     /// reopen), a crash after it leaves the new one (the WAL is covered
     /// by `wal_applied` and replay skips it). Returns the new generation
     /// number.
+    ///
+    /// Every base bitmap stays in its stored form: a WAH slot is extended
+    /// in the run domain ([`WahBitmap::extend_from`], O(delta)) and never
+    /// decoded, a literal slot takes the dense route. Deletes, when there
+    /// are any, are encoded once and cleared from each WAH slot by one
+    /// `AndNot` fold.
     pub fn compact(&mut self) -> Result<u64, Error> {
         let wal_applied = self.next_seq - 1;
+        let deleted_runs = self
+            .deleted
+            .any()
+            .then(|| WahBitmap::from_bitvec(&self.deleted));
+        let deletes = deleted_runs.as_ref().map(|runs| (&self.deleted, runs));
         let delta_components = self.delta.components();
         let mut components = Vec::with_capacity(self.spec.n_components());
         for comp in 1..=self.spec.n_components() {
@@ -308,23 +331,23 @@ impl<'a, S: ByteStore> IngestIndex<'a, S> {
             );
             let mut slots = Vec::with_capacity(n_slots);
             for (slot, delta_bm) in delta_slots.iter().enumerate() {
-                let mut bm = self.stored.read_bitmap(comp, slot).map_err(storage_error)?;
-                bm.extend_from(delta_bm);
-                bm.and_not_assign(&self.deleted);
-                slots.push(bm);
+                let base = self.stored.read_repr(comp, slot).map_err(storage_error)?;
+                slots.push(append_rows(base, delta_bm, deletes));
             }
             components.push(slots);
         }
-        let base_nn = self.stored.read_nn().map_err(storage_error)?;
-        let delta_nn = self.delta.nn().cloned();
+        let base_nn = self.stored.read_nn_repr().map_err(storage_error)?;
+        let delta_nn = self.delta.nn();
         let added = self.delta.n_rows();
-        let nn = if base_nn.is_none() && delta_nn.is_none() && self.deleted.none() {
+        let nn = if base_nn.is_none() && delta_nn.is_none() && deletes.is_none() {
             None
         } else {
-            let mut nn = base_nn.unwrap_or_else(|| BitVec::ones(self.base_rows));
-            nn.extend_from(&delta_nn.unwrap_or_else(|| BitVec::ones(added)));
-            nn.and_not_assign(&self.deleted);
-            Some(nn)
+            // No stored non-null bitmap means every base row is non-null:
+            // one ones-fill.
+            let base =
+                base_nn.unwrap_or_else(|| Repr::wah(wah::fold(self.base_rows, &Fold::default())));
+            let delta = delta_nn.cloned().unwrap_or_else(|| BitVec::ones(added));
+            Some(append_rows(base, &delta, deletes))
         };
         let generation = self
             .stored
@@ -519,5 +542,36 @@ impl<'a, S: ByteStore> IngestIndex<'a, S> {
             .map_err(|e| Error::Storage(e.to_string()))?;
         self.wal_dirty = false;
         Ok(())
+    }
+}
+
+/// `base` with `delta`'s rows appended and, when there are `deletes` (the
+/// deleted-row mask, dense and encoded), those rows cleared — in `base`'s
+/// form. A WAH bitmap is extended in the run domain and folded once
+/// against the encoded mask; a literal one is extended and masked over
+/// dense words.
+fn append_rows(base: Repr, delta: &BitVec, deletes: Option<(&BitVec, &WahBitmap)>) -> Repr {
+    match base {
+        Repr::Wah(runs) => {
+            let mut runs = Arc::unwrap_or_clone(runs);
+            runs.extend_from(delta);
+            if let Some((_, deleted)) = deletes {
+                let program = Fold {
+                    seed: Some(&runs),
+                    steps: vec![FoldStep::AndNot(deleted)],
+                    ..Fold::default()
+                };
+                runs = wah::fold(runs.len(), &program);
+            }
+            Repr::wah(runs)
+        }
+        Repr::Literal(bits) => {
+            let mut bits = Arc::unwrap_or_clone(bits);
+            bits.extend_from(delta);
+            if let Some((deleted, _)) = deletes {
+                bits.and_not_assign(deleted);
+            }
+            Repr::literal(bits)
+        }
     }
 }

@@ -28,11 +28,28 @@
 //! slots touches those few hundred words per operand where the dense
 //! kernels sweep the whole relation. A count is [`WahBitmap::count_ones`]
 //! of the result, itself O(compressed words).
+//!
+//! The merge is compiled, not interpreted. Its lanes — one per operand
+//! occurrence — are parallel arrays (current value, groups left in the
+//! run, the next word already loaded), so the per-stretch loop of `take =
+//! min(remaining)`, advance and decode runs over arrays of a length fixed
+//! at compile time for up to eight lanes, and over `Vec`s of the same code
+//! beyond. A [`Fold`] is compiled once into per-step masks, so every step
+//! of a stretch is the same branch-free `v = (a ^ (b & xor)) ^ not; acc =
+//! (acc & (v | or)) | (v & or)`, with the complement an XOR mask and the
+//! mask operand ANDed last.
+//!
+//! Appends stay in the run domain too: [`WahBitmap::extend_from`] reopens
+//! the final partial group and encodes only the appended bits, so a
+//! time-ordered append costs O(appended) whatever the bitmap's length
+//! (Kaser & Lemire, *Sorting improves word-aligned bitmap indexes*), and
+//! [`WahBitmap::summary`] computes the storage layer's per-window any/all
+//! summary from the runs.
 
 use std::sync::Arc;
 
 use bindex_bitvec::kernels::{Fold, FoldStep};
-use bindex_bitvec::{words_for, BitVec};
+use bindex_bitvec::{words_for, BitVec, SlotSummary};
 
 use crate::DecodeError;
 
@@ -54,14 +71,118 @@ impl WahBitmap {
     /// Compresses a [`BitVec`], extracting 31-bit groups straight from the
     /// packed words (no per-bit access).
     pub fn from_bitvec(bits: &BitVec) -> Self {
-        let len = bits.len();
-        let ngroups = len.div_ceil(GROUP_BITS);
-        let src = bits.words();
-        let mut words: Vec<u32> = Vec::new();
-        for g in 0..ngroups {
-            push_group(&mut words, extract_group(src, g));
+        let mut wah = Self {
+            words: Vec::new(),
+            len: 0,
+        };
+        wah.extend_from(bits);
+        wah
+    }
+
+    /// Appends `delta`'s bits after this bitmap's, in the run domain: the
+    /// final partial group (if any) is reopened and completed from the
+    /// head of `delta`, and only `delta`'s groups are encoded — O(delta)
+    /// however long the bitmap already is. Extending a canonical bitmap
+    /// (every encoding this module writes) gives exactly
+    /// [`WahBitmap::from_bitvec`] of the concatenation, so a stored slot
+    /// grown by appends is byte-identical to one rebuilt from scratch.
+    pub fn extend_from(&mut self, delta: &BitVec) {
+        if delta.is_empty() {
+            return;
         }
-        Self { words, len }
+        let src = delta.words();
+        let rem = self.len % GROUP_BITS;
+        let mut pos = 0;
+        if rem != 0 {
+            let open = self.pop_group() & tail_mask(self.len);
+            push_group(
+                &mut self.words,
+                (open | (extract_bits(src, 0) << rem)) & GROUP_MASK,
+            );
+            pos = GROUP_BITS - rem;
+        }
+        while pos < delta.len() {
+            push_group(&mut self.words, extract_bits(src, pos));
+            pos += GROUP_BITS;
+        }
+        self.len += delta.len();
+    }
+
+    /// Removes the final group from the encoding and returns its value
+    /// (a fill gives up one group; a literal word is popped).
+    fn pop_group(&mut self) -> u32 {
+        let last = self
+            .words
+            .last_mut()
+            .expect("a bitmap with a partial group has a word");
+        if *last & FILL_FLAG == 0 {
+            return self.words.pop().expect("the literal just seen");
+        }
+        let value = if *last & FILL_VALUE != 0 {
+            GROUP_MASK
+        } else {
+            0
+        };
+        *last -= 1;
+        if *last & MAX_FILL == 0 {
+            self.words.pop();
+        }
+        value
+    }
+
+    /// The any/all summary per `window_bits`-bit window that
+    /// [`SlotSummary::build_with_window`] computes from the dense form,
+    /// computed from the runs instead: a one-fill adds its span to every
+    /// window it covers and a literal its popcount to the (at most two)
+    /// windows it straddles, so the cost is O(words + windows).
+    ///
+    /// # Panics
+    /// Panics unless `window_bits` is a positive multiple of 64, as
+    /// [`SlotSummary::build_with_window`] does.
+    pub fn summary(&self, window_bits: usize) -> SlotSummary {
+        assert!(
+            window_bits > 0 && window_bits.is_multiple_of(u64::BITS as usize),
+            "summary window must be a positive multiple of {}",
+            u64::BITS
+        );
+        let n_windows = SlotSummary::windows_for(self.len, window_bits);
+        let mut ones = vec![0usize; n_windows];
+        let mut pos = 0usize;
+        for &w in &self.words {
+            if w & FILL_FLAG != 0 {
+                let span = (w & MAX_FILL) as usize * GROUP_BITS;
+                if w & FILL_VALUE != 0 {
+                    let end = (pos + span).min(self.len);
+                    let mut lo = pos;
+                    while lo < end {
+                        let hi = ((lo / window_bits + 1) * window_bits).min(end);
+                        ones[lo / window_bits] += hi - lo;
+                        lo = hi;
+                    }
+                }
+                pos += span;
+            } else {
+                // Bits past `len` in a (non-canonical) final literal are
+                // not the bitmap's.
+                let valid = (self.len - pos).min(GROUP_BITS);
+                let group = u64::from(w) & ((1u64 << valid) - 1);
+                let window = pos / window_bits;
+                let split = ((window + 1) * window_bits - pos).min(GROUP_BITS);
+                ones[window] += (group & ((1u64 << split) - 1)).count_ones() as usize;
+                let spill = group >> split;
+                if spill != 0 {
+                    ones[window + 1] += spill.count_ones() as usize;
+                }
+                pos += GROUP_BITS;
+            }
+        }
+        let window_len = |w: usize| ((w + 1) * window_bits).min(self.len) - w * window_bits;
+        SlotSummary {
+            len: self.len,
+            window_bits,
+            any: BitVec::from_fn(n_windows, |w| ones[w] > 0),
+            all: BitVec::from_fn(n_windows, |w| ones[w] == window_len(w)),
+        }
     }
 
     /// Decompresses back to a [`BitVec`], assembling whole 64-bit words:
@@ -249,55 +370,108 @@ impl WahBitmap {
 /// Panics if any operand is not `len` bits long.
 #[must_use]
 pub fn fold(len: usize, program: &Fold<&WahBitmap>) -> WahBitmap {
-    // One cursor per operand occurrence; the program refers to them by
-    // position.
-    let mut cursors: Vec<Cursor<'_>> = Vec::new();
-    let program = program.map(|w| {
+    // One lane per operand occurrence; the compiled program refers to
+    // them by position.
+    let mut operands: Vec<&WahBitmap> = Vec::new();
+    let program = program.map(|&w| {
         assert_eq!(len, w.len, "WAH length mismatch: {len} vs {}", w.len);
-        cursors.push(Cursor::new(&w.words));
-        cursors.len() - 1
+        operands.push(w);
+        operands.len() - 1
     });
-    merge(len, cursors, |cursors| {
-        let value = |i: usize| cursors[i].value;
-        let mut acc = program.seed.map_or(GROUP_MASK, value);
-        for step in &program.steps {
-            acc = match *step {
-                FoldStep::And(b) => acc & value(b),
-                FoldStep::Or(b) => acc | value(b),
-                FoldStep::AndNot(b) => acc & !value(b),
-                FoldStep::AndXor(a, b) => acc & (value(a) ^ value(b)),
-            };
-        }
-        if program.complement {
-            acc = !acc;
-        }
-        if let Some(mask) = program.mask {
-            acc &= value(mask);
-        }
-        acc
-    })
+    let compiled = CompiledFold::new(&program);
+    merge(len, &operands, |values| compiled.eval(values))
 }
 
-/// The lockstep run merge: over each stretch where no cursor changes run,
-/// `group` maps the cursors' current 31-bit values to the result's, which
-/// is emitted as one fill or as literals (adjacent fills merge, so the
-/// encoding is canonical), and every cursor advances past the stretch.
-fn merge(
+/// A [`Fold`] over lane positions, compiled once into per-step masks so
+/// that every step of every stretch runs the same branch-free body: the
+/// operand `v = (a ^ (b & xor)) ^ not` (`AndXor` sets `xor`, `AndNot` sets
+/// `not`), then `acc = (acc & (v | or)) | (v & or)` (`Or` sets `or`; with
+/// it clear this is `acc & v`). A seed is an `And` into all ones.
+struct CompiledFold {
+    steps: Vec<MaskedStep>,
+    /// XORed into the folded accumulator: all ones to complement it.
+    complement: u32,
+    /// ANDed in last.
+    mask: Option<usize>,
+}
+
+struct MaskedStep {
+    a: usize,
+    b: usize,
+    xor: u32,
+    not: u32,
+    or: u32,
+}
+
+impl CompiledFold {
+    fn new(program: &Fold<usize>) -> Self {
+        let step = |a, b, xor, not, or| MaskedStep { a, b, xor, not, or };
+        let seed = program.seed.map(|s| step(s, s, 0, 0, 0));
+        let steps = program.steps.iter().map(|s| match *s {
+            FoldStep::And(a) => step(a, a, 0, 0, 0),
+            FoldStep::Or(a) => step(a, a, 0, 0, GROUP_MASK),
+            FoldStep::AndNot(a) => step(a, a, 0, GROUP_MASK, 0),
+            FoldStep::AndXor(a, b) => step(a, b, GROUP_MASK, 0, 0),
+        });
+        Self {
+            steps: seed.into_iter().chain(steps).collect(),
+            complement: if program.complement { GROUP_MASK } else { 0 },
+            mask: program.mask,
+        }
+    }
+
+    /// The function on one stretch's lane values.
+    #[inline]
+    fn eval(&self, values: &[u32]) -> u32 {
+        let mut acc = GROUP_MASK;
+        for s in &self.steps {
+            let v = (values[s.a] ^ (values[s.b] & s.xor)) ^ s.not;
+            acc = (acc & (v | s.or)) | (v & s.or);
+        }
+        acc ^= self.complement;
+        if let Some(m) = self.mask {
+            acc &= values[m];
+        }
+        acc
+    }
+}
+
+/// The lockstep run merge over `operands`, dispatched on their count: up
+/// to eight lanes live in arrays whose length the compiler knows, wider
+/// merges run the same [`lockstep`] over `Vec`s.
+fn merge(len: usize, operands: &[&WahBitmap], group: impl Fn(&[u32]) -> u32) -> WahBitmap {
+    match operands.len() {
+        0 => lockstep::<[u32; 0], [&[u32]; 0]>(len, operands, group),
+        1 => lockstep::<[u32; 1], [&[u32]; 1]>(len, operands, group),
+        2 => lockstep::<[u32; 2], [&[u32]; 2]>(len, operands, group),
+        3 => lockstep::<[u32; 3], [&[u32]; 3]>(len, operands, group),
+        4 => lockstep::<[u32; 4], [&[u32]; 4]>(len, operands, group),
+        5 => lockstep::<[u32; 5], [&[u32]; 5]>(len, operands, group),
+        6 => lockstep::<[u32; 6], [&[u32]; 6]>(len, operands, group),
+        7 => lockstep::<[u32; 7], [&[u32]; 7]>(len, operands, group),
+        8 => lockstep::<[u32; 8], [&[u32]; 8]>(len, operands, group),
+        _ => lockstep::<Vec<u32>, Vec<&[u32]>>(len, operands, group),
+    }
+}
+
+/// The merge itself: over each stretch where no lane changes run, `group`
+/// maps the lanes' current 31-bit values to the result's, which is
+/// emitted as one fill or as literals (adjacent fills merge, so the
+/// encoding is canonical), and every lane advances past the stretch.
+fn lockstep<'a, V: PerLane<u32>, W: PerLane<&'a [u32]>>(
     len: usize,
-    mut cursors: Vec<Cursor<'_>>,
-    group: impl Fn(&[Cursor<'_>]) -> u32,
+    operands: &[&'a WahBitmap],
+    group: impl Fn(&[u32]) -> u32,
 ) -> WahBitmap {
+    let mut lanes = Lanes::<V, W>::new(operands);
     let mut words = Vec::new();
     let mut left = len.div_ceil(GROUP_BITS) as u64;
     while left > 0 {
-        let acc = group(&cursors) & GROUP_MASK;
+        let acc = group(lanes.value.as_ref()) & GROUP_MASK;
         // Every operand holds its value for `take` more groups; with no
         // operand at all the function is one constant fill.
-        let take = cursors.iter().map(|c| c.remaining).min();
-        let take = u64::from(take.unwrap_or(u32::MAX)).min(left) as u32;
-        for c in &mut cursors {
-            c.advance(take);
-        }
+        let take = u64::from(lanes.stretch()).min(left) as u32;
+        lanes.advance(take);
         left -= u64::from(take);
         if left == 0 {
             // The final group may be partial: bits past `len` stay zero
@@ -354,30 +528,29 @@ pub fn threshold_k(operands: &[&WahBitmap], k: usize) -> WahBitmap {
         bindex_bitvec::kernels::MAX_THRESHOLD_FAN_IN
     );
     let levels = (usize::BITS - n.leading_zeros()) as usize;
-    let cursors = operands.iter().map(|w| Cursor::new(&w.words)).collect();
-    merge(len, cursors, |cursors| {
+    merge(len, operands, |values| {
         let (mut one_fills, mut zero_fills) = (0usize, 0usize);
-        for c in cursors {
-            one_fills += usize::from(c.value == GROUP_MASK);
-            zero_fills += usize::from(c.value == 0);
+        for &v in values {
+            one_fills += usize::from(v == GROUP_MASK);
+            zero_fills += usize::from(v == 0);
         }
         if one_fills >= k {
             GROUP_MASK
         } else if n - zero_fills < k {
             0
         } else {
-            threshold_group(cursors, k as u32, levels)
+            threshold_group(values, k as u32, levels)
         }
     })
 }
 
-/// Bit-sliced "count ≥ k" over the cursors' current 31-bit group values:
+/// Bit-sliced "count ≥ k" over the lanes' current 31-bit group values:
 /// the same counter-ladder / borrow-chain construction as the dense
 /// kernels, carried in `u32` slices.
-fn threshold_group(cursors: &[Cursor<'_>], k: u32, levels: usize) -> u32 {
+fn threshold_group(values: &[u32], k: u32, levels: usize) -> u32 {
     let mut cnt = [0u32; 8];
-    for c in cursors {
-        let mut carry = c.value;
+    for &value in values {
+        let mut carry = value;
         for row in cnt.iter_mut().take(levels) {
             let s = *row ^ carry;
             carry &= *row;
@@ -392,59 +565,112 @@ fn threshold_group(cursors: &[Cursor<'_>], k: u32, levels: usize) -> u32 {
     !borrow & GROUP_MASK
 }
 
-/// One operand's decode state inside the lockstep merge: the current run's
-/// group value (fills expand to `0`/`GROUP_MASK`) and how many groups of
-/// it remain before the next word must be decoded.
-struct Cursor<'a> {
-    words: &'a [u32],
-    idx: usize,
-    value: u32,
-    remaining: u32,
+/// Storage for one value per lane: an array when the lane count is a
+/// compile-time constant, a `Vec` otherwise.
+trait PerLane<T>: AsRef<[T]> + AsMut<[T]> {
+    fn from_fn(n: usize, f: impl FnMut(usize) -> T) -> Self;
 }
 
-impl<'a> Cursor<'a> {
-    fn new(words: &'a [u32]) -> Self {
-        let mut c = Self {
-            words,
-            idx: 0,
-            value: 0,
-            remaining: 0,
+impl<T, const N: usize> PerLane<T> for [T; N] {
+    fn from_fn(n: usize, f: impl FnMut(usize) -> T) -> Self {
+        debug_assert_eq!(n, N);
+        std::array::from_fn(f)
+    }
+}
+
+impl<T> PerLane<T> for Vec<T> {
+    fn from_fn(n: usize, f: impl FnMut(usize) -> T) -> Self {
+        (0..n).map(f).collect()
+    }
+}
+
+/// The operands' decode state in the lockstep merge, one entry per lane in
+/// each array: the current run's group value (fills expand to
+/// `0`/`GROUP_MASK`), how many groups of it remain, the word after it —
+/// loaded one step ahead, so ending a run decodes from a register — and
+/// the words after that.
+struct Lanes<V, W> {
+    value: V,
+    remaining: V,
+    next: V,
+    rest: W,
+}
+
+/// What an exhausted lane decodes forever: a maximal zero fill. Equal-length
+/// operands only reach it once every real group has been merged, so the
+/// padding is never observed.
+const PARKED: u32 = FILL_FLAG | MAX_FILL;
+
+impl<'a, V: PerLane<u32>, W: PerLane<&'a [u32]>> Lanes<V, W> {
+    fn new(operands: &[&'a WahBitmap]) -> Self {
+        let n = operands.len();
+        let mut rest = W::from_fn(n, |i| operands[i].words.as_slice());
+        let next = V::from_fn(n, |i| pop_word(&mut rest.as_mut()[i]));
+        let mut lanes = Self {
+            value: V::from_fn(n, |_| 0),
+            remaining: V::from_fn(n, |_| 0),
+            next,
+            rest,
         };
-        c.decode();
-        c
+        // Every lane starts at the end of an empty run: decode the first
+        // words.
+        lanes.advance(0);
+        lanes
     }
 
-    /// Decodes the next word. An exhausted operand parks on an unbounded
-    /// zero run — equal-length operands only reach it once every real
-    /// group has been merged, so the padding is never observed.
+    /// Groups every lane holds its value for: the shortest remaining run
+    /// (unbounded with no lane at all).
     #[inline]
-    fn decode(&mut self) {
-        match self.words.get(self.idx) {
-            Some(&w) => {
-                self.idx += 1;
-                if w & FILL_FLAG != 0 {
-                    self.value = if w & FILL_VALUE != 0 { GROUP_MASK } else { 0 };
-                    self.remaining = w & MAX_FILL;
-                } else {
-                    self.value = w;
-                    self.remaining = 1;
-                }
-            }
-            None => {
-                self.value = 0;
-                self.remaining = u32::MAX;
+    fn stretch(&self) -> u32 {
+        self.remaining
+            .as_ref()
+            .iter()
+            .fold(u32::MAX, |m, &r| m.min(r))
+    }
+
+    /// Consumes `take` groups — at most [`Lanes::stretch`], so a lane
+    /// either keeps its run or ends it exactly and decodes its next word.
+    #[inline]
+    fn advance(&mut self, take: u32) {
+        let lanes = self
+            .value
+            .as_mut()
+            .iter_mut()
+            .zip(self.remaining.as_mut())
+            .zip(self.next.as_mut())
+            .zip(self.rest.as_mut());
+        for (((value, remaining), next), rest) in lanes {
+            if *remaining == take {
+                (*value, *remaining) = decode(*next);
+                *next = pop_word(rest);
+            } else {
+                *remaining -= take;
             }
         }
     }
+}
 
-    /// Consumes `n` groups, decoding across run boundaries as needed.
-    #[inline]
-    fn advance(&mut self, mut n: u32) {
-        while n >= self.remaining {
-            n -= self.remaining;
-            self.decode();
+/// One encoded word as a run: its group value and length in groups.
+#[inline]
+fn decode(word: u32) -> (u32, u32) {
+    if word & FILL_FLAG == 0 {
+        (word, 1)
+    } else if word & FILL_VALUE != 0 {
+        (GROUP_MASK, word & MAX_FILL)
+    } else {
+        (0, word & MAX_FILL)
+    }
+}
+
+/// Takes the first word off `words`, or [`PARKED`] when none is left.
+#[inline]
+fn pop_word(words: &mut &[u32]) -> u32 {
+    match words.split_first() {
+        Some((&w, tail)) => {
+            *words = tail;
+            w
         }
-        self.remaining -= n;
+        None => PARKED,
     }
 }
 
@@ -596,11 +822,11 @@ fn tail_mask(len: usize) -> u32 {
     }
 }
 
-/// Extracts 31-bit group `g` from canonical packed 64-bit words (the tail
-/// group is implicitly zero-padded by the canonical-form invariant).
+/// Extracts the 31 bits starting at `bitpos` (below the bitmap's length)
+/// from canonical packed 64-bit words (bits past the length are
+/// implicitly zero by the canonical-form invariant).
 #[inline]
-fn extract_group(words: &[u64], g: usize) -> u32 {
-    let bitpos = g * GROUP_BITS;
+fn extract_bits(words: &[u64], bitpos: usize) -> u32 {
     let w = bitpos / 64;
     let off = bitpos % 64;
     let mut v = words[w] >> off;

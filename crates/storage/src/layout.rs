@@ -125,15 +125,18 @@ impl StoredIndexMeta {
     }
 
     /// `self` reshaped to hold `components[i-1][j]` (bitmap `j` of
-    /// component `i`) and the optional non-null bitmap — where every
-    /// writer's input is checked: all bitmaps share one row count.
-    fn shaped(mut self, components: &[Vec<BitVec>], nn: Option<&BitVec>) -> Self {
-        self.n_rows = components
-            .first()
-            .and_then(|c| c.first())
-            .map_or(0, BitVec::len);
+    /// component `i`, `len` bits long) and the optional non-null bitmap —
+    /// where every writer's input is checked: all bitmaps share one row
+    /// count.
+    fn shaped<B>(
+        mut self,
+        components: &[Vec<B>],
+        nn: Option<&B>,
+        len: impl Fn(&B) -> usize,
+    ) -> Self {
+        self.n_rows = components.first().and_then(|c| c.first()).map_or(0, &len);
         for bm in components.iter().flatten().chain(nn) {
-            assert_eq!(bm.len(), self.n_rows, "bitmaps must share the row count");
+            assert_eq!(len(bm), self.n_rows, "bitmaps must share the row count");
         }
         self.bitmaps_per_component = components.iter().map(|c| c.len() as u32).collect();
         self.has_nn = nn.is_some();
@@ -343,7 +346,7 @@ impl<S: ByteStore> StoredIndex<S> {
     ) -> Result<Self, StorageError> {
         let empty = StoredIndexMeta::fresh(scheme, codec);
         let mut index = Self::handle(store, empty, PAPER_VERSION);
-        let meta = index.meta.clone().shaped(components, nn);
+        let meta = index.meta.clone().shaped(components, nn, BitVec::len);
         match scheme {
             StorageScheme::BitmapLevel => {
                 for (ci, comp) in components.iter().enumerate() {
@@ -409,11 +412,12 @@ impl<S: ByteStore> StoredIndex<S> {
     ) -> Result<Self, StorageError> {
         let empty = StoredIndexMeta::fresh(StorageScheme::BitmapLevel, codec);
         let mut index = Self::handle(store, empty, SLOT_CODED_VERSION);
-        let meta = index.meta.clone().shaped(components, nn);
+        let meta = index.meta.clone().shaped(components, nn, BitVec::len);
+        let nn = nn.map(|nn| Repr::literal(nn.clone()));
         index.write_generation(
             meta,
-            |comp, slot| Some(&components[comp - 1][slot]),
-            nn,
+            |comp, slot| Some(Repr::literal(components[comp - 1][slot].clone())),
+            nn.as_ref(),
             true,
         )?;
         Ok(index)
@@ -422,18 +426,21 @@ impl<S: ByteStore> StoredIndex<S> {
     /// The one writer of the current format. Writes the files of
     /// generation `meta.generation` in a fixed order — slots, non-null
     /// bitmap, summary block — all through one [`SlotEncoder`], then
-    /// commits `meta` with the manifest write. Build and compaction write
-    /// every file; repair rewrites the few it has content for: a slot is
-    /// written when `content` returns it, the non-null bitmap when `nn` is
-    /// given, the summary block when `summarize` — and then every bitmap
-    /// not being written is read back from the store to be summarized (not
+    /// commits `meta` with the manifest write. Each bitmap comes in
+    /// whichever [`Repr`] the caller holds, and is coded and summarized
+    /// from that form: a WAH bitmap is never decoded unless the coding
+    /// rule stores it literal. Build and compaction write every file;
+    /// repair rewrites the few it has content for: a slot is written when
+    /// `content` returns it, the non-null bitmap when `nn` is given, the
+    /// summary block when `summarize` — and then every bitmap not being
+    /// written is read back from the store to be summarized (not
     /// re-encoded), so the block always describes exactly the bitmaps the
     /// generation holds.
-    fn write_generation<'b>(
+    fn write_generation(
         &mut self,
         meta: StoredIndexMeta,
-        mut content: impl FnMut(usize, usize) -> Option<&'b BitVec>,
-        nn: Option<&BitVec>,
+        mut content: impl FnMut(usize, usize) -> Option<Repr>,
+        nn: Option<&Repr>,
         summarize: bool,
     ) -> Result<(), StorageError> {
         let generation = meta.generation;
@@ -443,10 +450,10 @@ impl<S: ByteStore> StoredIndex<S> {
                 if let Some(bm) = content(ci + 1, slot) {
                     self.store.write_file(
                         &gen_bitmap_file(generation, ci + 1, slot),
-                        &format::frame(&enc.encode_slot(bm)),
+                        &format::frame(&enc.encode_slot(&bm)),
                     )?;
                 } else if summarize {
-                    enc.summarize_slot(&self.read_bitmap(ci + 1, slot)?);
+                    enc.summarize_slot(&self.read_repr(ci + 1, slot)?);
                 }
             }
         }
@@ -454,7 +461,7 @@ impl<S: ByteStore> StoredIndex<S> {
             self.store
                 .write_file(&gen_nn_file(generation), &format::frame(&enc.encode_nn(nn)))?;
         } else if summarize && meta.has_nn {
-            if let Some(stored) = self.read_nn()? {
+            if let Some(stored) = self.read_nn_repr()? {
                 enc.summarize_nn(&stored);
             }
         }
@@ -841,7 +848,7 @@ impl<S: ByteStore> StoredIndex<S> {
         // The summary block can only describe bitmaps that can be read.
         let mut bitmaps_lost = false;
         // Rewrites of the current format wait for the one writer below.
-        let mut fixes: HashMap<(usize, usize), BitVec> = HashMap::new();
+        let mut fixes: HashMap<(usize, usize), Repr> = HashMap::new();
         for failure in report.scrub.failures.clone() {
             if failure.file == MANIFEST_FILE {
                 manifest_dirty = true;
@@ -875,7 +882,11 @@ impl<S: ByteStore> StoredIndex<S> {
                 continue;
             }
             if coded {
-                fixes.extend(slots.into_iter().zip(bitmaps));
+                fixes.extend(
+                    slots
+                        .into_iter()
+                        .zip(bitmaps.into_iter().map(Repr::literal)),
+                );
             } else {
                 self.write_dense(&failure.file, &bitmaps.iter().collect::<Vec<_>>())?;
             }
@@ -896,8 +907,13 @@ impl<S: ByteStore> StoredIndex<S> {
         let mut meta = self.meta.clone();
         meta.repairs.extend(report.repaired.iter().cloned());
         if coded {
-            let nn = nn.filter(|_| nn_dirty);
-            self.write_generation(meta, |comp, slot| fixes.get(&(comp, slot)), nn, summarize)?;
+            let nn = nn.filter(|_| nn_dirty).map(|nn| Repr::literal(nn.clone()));
+            self.write_generation(
+                meta,
+                |comp, slot| fixes.get(&(comp, slot)).cloned(),
+                nn.as_ref(),
+                summarize,
+            )?;
         } else {
             self.commit_manifest(meta, PAPER_VERSION)?;
         }
@@ -909,7 +925,10 @@ impl<S: ByteStore> StoredIndex<S> {
     /// The new bitmaps (and optional non-null mask, which also carries
     /// deleted rows as nulls) are written in the current format under
     /// `g{G+1}_`-prefixed names, so nothing the current generation reads is
-    /// touched. The single commit point is the manifest rewrite — one
+    /// touched. Each comes in whichever [`Repr`] the caller holds — a
+    /// compaction that extended a WAH slot in the run domain hands it over
+    /// still compressed — and the files are the same bytes either way. The
+    /// single commit point is the manifest rewrite — one
     /// atomic `write_file` that flips generation, scheme (always
     /// bitmap-level after compaction), `wal_applied` watermark, and appends
     /// a `compacted=` journal line. A crash strictly before that write
@@ -928,12 +947,12 @@ impl<S: ByteStore> StoredIndex<S> {
     /// Returns the new generation number.
     pub fn install_generation(
         &mut self,
-        components: &[Vec<BitVec>],
-        nn: Option<&BitVec>,
+        components: &[Vec<Repr>],
+        nn: Option<&Repr>,
         wal_applied: u64,
     ) -> Result<u64, StorageError> {
         let next = self.meta.generation + 1;
-        let mut meta = self.meta.clone().shaped(components, nn);
+        let mut meta = self.meta.clone().shaped(components, nn, Repr::len);
         meta.scheme = StorageScheme::BitmapLevel;
         meta.generation = next;
         meta.wal_applied = wal_applied;
@@ -943,7 +962,7 @@ impl<S: ByteStore> StoredIndex<S> {
         // the manifest still names the old base.
         self.write_generation(
             meta,
-            |comp, slot| Some(&components[comp - 1][slot]),
+            |comp, slot| Some(components[comp - 1][slot].clone()),
             nn,
             true,
         )?;
@@ -1089,23 +1108,23 @@ impl SlotEncoder {
 
     /// Records the summary of the next slot, whose stored file stays as
     /// it is.
-    fn summarize_slot(&mut self, bm: &BitVec) {
-        self.slots.push(SlotSummary::build(bm));
+    fn summarize_slot(&mut self, bm: &Repr) {
+        self.slots.push(summarize(bm));
     }
 
     /// Encodes the next slot's payload and records its summary.
-    fn encode_slot(&mut self, bm: &BitVec) -> Vec<u8> {
+    fn encode_slot(&mut self, bm: &Repr) -> Vec<u8> {
         self.summarize_slot(bm);
         self.payload(bm)
     }
 
     /// Records the summary of a non-null bitmap whose file stays as it is.
-    fn summarize_nn(&mut self, bm: &BitVec) {
-        self.nn = Some(SlotSummary::build(bm));
+    fn summarize_nn(&mut self, bm: &Repr) {
+        self.nn = Some(summarize(bm));
     }
 
     /// Encodes the non-null bitmap and records its summary.
-    fn encode_nn(&mut self, bm: &BitVec) -> Vec<u8> {
+    fn encode_nn(&mut self, bm: &Repr) -> Vec<u8> {
         self.summarize_nn(bm);
         self.payload(bm)
     }
@@ -1115,20 +1134,38 @@ impl SlotEncoder {
     /// one the compressed kernels can actually win on. Slots compressing
     /// only marginally (uniform-random bitmaps hover near ratio 0.75–1.0)
     /// stay literal: the modest byte saving does not pay for decompressing
-    /// them on every fetch.
-    fn payload(&self, bm: &BitVec) -> Vec<u8> {
-        let raw = bm.to_bytes();
-        let wah = WahBitmap::from_bitvec(bm);
-        if wah.compressed_bytes() * 4 <= raw.len() {
+    /// them on every fetch. The rule is computed from whichever form `bm`
+    /// is in; a canonical WAH bitmap is the same words
+    /// [`WahBitmap::from_bitvec`] gives, so both forms store the same
+    /// bytes.
+    fn payload(&self, bm: &Repr) -> Vec<u8> {
+        let encoded;
+        let wah = match bm {
+            Repr::Wah(wah) => &**wah,
+            Repr::Literal(bits) => {
+                encoded = WahBitmap::from_bitvec(bits);
+                &encoded
+            }
+        };
+        if wah.compressed_bytes() * 4 <= bm.len().div_ceil(8) {
             let mut out = Vec::with_capacity(1 + wah.compressed_bytes());
             out.push(SLOT_TAG_WAH);
             out.extend_from_slice(&wah.to_bytes());
             out
         } else {
             let mut out = vec![SLOT_TAG_LITERAL];
-            out.extend_from_slice(&self.codec.compress(&raw));
+            out.extend_from_slice(&self.codec.compress(&bm.to_bitvec().to_bytes()));
             out
         }
+    }
+}
+
+/// A bitmap's window summary, computed from the form it is in: a WAH
+/// bitmap from its runs, a dense one from its words.
+fn summarize(bm: &Repr) -> SlotSummary {
+    match bm {
+        Repr::Literal(bits) => SlotSummary::build(bits),
+        Repr::Wah(wah) => wah.summary(SUMMARY_WINDOW_BITS),
     }
 }
 
@@ -1350,6 +1387,14 @@ mod tests {
         ]
     }
 
+    /// `comps` as the dense representations a writer takes.
+    fn reprs(comps: &[Vec<BitVec>]) -> Vec<Vec<Repr>> {
+        comps
+            .iter()
+            .map(|c| c.iter().cloned().map(Repr::literal).collect())
+            .collect()
+    }
+
     /// `comps`, without nulls, in one of the paper's layouts.
     fn paper_store(
         comps: &[Vec<BitVec>],
@@ -1553,7 +1598,9 @@ mod tests {
         new_comps[0][0].not_assign();
         let mut nn = BitVec::ones(20);
         nn.set(3, false);
-        let generation = stored.install_generation(&new_comps, Some(&nn), 9).unwrap();
+        let generation = stored
+            .install_generation(&reprs(&new_comps), Some(&Repr::literal(nn.clone())), 9)
+            .unwrap();
         assert_eq!(generation, 1);
         assert_eq!(stored.format_version(), 4);
         assert_eq!(stored.meta().generation, 1);
@@ -2029,7 +2076,7 @@ mod tests {
         };
         let mut stored = coded_store(&comps, CodecKind::None);
         frozen(&stored, "", format!("version=4\n{FIXTURE_SHAPE}"));
-        stored.install_generation(&comps, None, 3).unwrap();
+        stored.install_generation(&reprs(&comps), None, 3).unwrap();
         let journal = "generation=1\nwal_applied=3\ncompacted=gen1:rows=300:wal=3\n";
         frozen(
             &stored,
@@ -2061,7 +2108,7 @@ mod tests {
         }
         assert!(stored.read_summaries().is_none());
         assert!(stored.scrub().unwrap().is_clean());
-        stored.install_generation(&comps, None, 0).unwrap();
+        stored.install_generation(&reprs(&comps), None, 0).unwrap();
         assert_eq!(stored.format_version(), 4);
         assert!(stored.read_summaries().is_some());
         let reopened = StoredIndex::open(stored.into_store()).unwrap();
@@ -2187,7 +2234,9 @@ mod tests {
         assert!(stored.read_summaries().is_some());
         let mut new_comps = comps.clone();
         new_comps[0][2] = BitVec::from_indices(comps[0][0].len(), &[2 * SUMMARY_WINDOW_BITS + 9]);
-        stored.install_generation(&new_comps, None, 1).unwrap();
+        stored
+            .install_generation(&reprs(&new_comps), None, 1)
+            .unwrap();
         assert_eq!(stored.format_version(), 4);
         let summaries = stored.read_summaries().expect("fresh generation summaries");
         let s = summaries.get(1, 2).unwrap();

@@ -281,16 +281,20 @@ mod tests {
     fn nn_is_read_once_and_dropped_on_repair() {
         let mut reader = sample_reader(Some(ShardedPool::new(16, 4)));
         assert!(reader.read_nn_repr().unwrap().is_none(), "no nulls stored");
-        let comps: Vec<Vec<BitVec>> = vec![
+        let comps: Vec<Vec<Repr>> = vec![
             (0..4)
-                .map(|j| BitVec::from_fn(4096, move |i| i / 512 <= j))
+                .map(|j| Repr::literal(BitVec::from_fn(4096, move |i| i / 512 <= j)))
                 .collect(),
             (0..3)
-                .map(|j| BitVec::from_fn(4096, move |i| i % 5 <= j))
+                .map(|j| Repr::literal(BitVec::from_fn(4096, move |i| i % 5 <= j)))
                 .collect(),
         ];
         let nn = BitVec::from_fn(4096, |i| i != 77);
-        reader.repair_index(|stored| stored.install_generation(&comps, Some(&nn), 0).unwrap());
+        let install = |stored: &mut StoredIndex<MemStore>, nn: &BitVec| {
+            let nn = Repr::literal(nn.clone());
+            stored.install_generation(&comps, Some(&nn), 0).unwrap()
+        };
+        reader.repair_index(|stored| install(stored, &nn));
         let before = reader.stats().reads;
         let first = reader.read_nn_repr().unwrap().expect("nulls stored");
         assert!(first.is_compressed(), "one cleared bit: stored as WAH");
@@ -306,7 +310,7 @@ mod tests {
         assert_eq!(reader.stats().reads, before + 1);
         // A mask with runs too short to compress comes back literal, frozen.
         let noisy = BitVec::from_fn(4096, |i| i.wrapping_mul(2_654_435_761) % 3 != 0);
-        reader.repair_index(|stored| stored.install_generation(&comps, Some(&noisy), 0).unwrap());
+        reader.repair_index(|stored| install(stored, &noisy));
         let before = reader.stats().reads;
         let literal = reader.read_nn_repr().unwrap().unwrap();
         assert!(!literal.is_compressed());

@@ -462,3 +462,178 @@ fn delta_cap_triggers_automatic_compaction() {
     assert!((100..110).all(|r| !bits.get(r) || base.values()[r - 100] == 9 || r >= 110));
     assert!((110..120).all(|r| bits.get(r)));
 }
+
+/// Run-domain compaction writes what a rebuild writes. On a clustered
+/// column (every slot and `nn` stored WAH, so each is extended in the run
+/// domain and the deletes are one `AndNot` fold) and on a uniform one
+/// (literal slots, the dense route), both with nulls and with deletes in
+/// the base and the delta, every slot file, the `nn` file and the summary
+/// block of the compacted generation are byte-identical to
+/// `persist_index_v4` of the index rebuilt from the concatenated column.
+#[test]
+fn compaction_writes_the_bytes_a_rebuild_writes() {
+    let rows = 16 * 1024;
+    for clustered in [true, false] {
+        let column = |n: usize, seed: u64| {
+            if clustered {
+                gen::clustered(n, CARDINALITY, 1024, seed)
+            } else {
+                gen::uniform(n, CARDINALITY, seed)
+            }
+        };
+        let base = column(rows, 1);
+        let base_nulls = BitVec::from_fn(rows, |i| (3000..3300).contains(&i) || i % 4093 == 0);
+        let built =
+            BitmapIndex::build_with_nulls(&base, &base_nulls, spec(Encoding::Range)).unwrap();
+        let mut stored = persist_index_v4(&built, MemStore::new(), CodecKind::None).unwrap();
+        let slots: Vec<(usize, usize)> =
+            (1..=2).flat_map(|c| (0..3).map(move |s| (c, s))).collect();
+        let wah_slots = slots
+            .iter()
+            .filter(|&&(c, s)| stored.read_repr(c, s).unwrap().is_compressed())
+            .count();
+        assert_eq!(wah_slots, if clustered { slots.len() } else { 0 });
+
+        let appended = WalOp::Append {
+            values: column(5000, 2)
+                .values()
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (!(700..760).contains(&i)).then_some(v))
+                .collect(),
+        };
+        let deleted = WalOp::Delete {
+            rows: vec![5, 3100, 9000, rows as u64 + 10, rows as u64 + 4999],
+        };
+        let mut ingest = session(&mut stored, Encoding::Range).unwrap();
+        ingest.commit(appended.clone()).unwrap();
+        ingest.commit(deleted.clone()).unwrap();
+        assert_eq!(ingest.compact().unwrap(), 1);
+        drop(ingest);
+
+        let mut logical = Snapshot {
+            values: base.values().to_vec(),
+            nulls: (0..rows).map(|i| base_nulls.get(i)).collect(),
+        };
+        logical.apply(&appended);
+        logical.apply(&deleted);
+        let nulls = BitVec::from_bools(&logical.nulls);
+        let rebuilt = BitmapIndex::build_with_nulls(
+            &Column::new(logical.values, CARDINALITY),
+            &nulls,
+            spec(Encoding::Range),
+        )
+        .unwrap();
+        let fresh = persist_index_v4(&rebuilt, MemStore::new(), CodecKind::None).unwrap();
+        let mut names = fresh.store().file_names().unwrap();
+        names.retain(|name| name != "manifest.bixm");
+        names.sort();
+        assert_eq!(
+            names.len(),
+            slots.len() + 2,
+            "slots, nn and summary: {names:?}"
+        );
+        for name in &names {
+            assert_eq!(
+                stored.store().read_file(&format!("g1_{name}")).unwrap(),
+                fresh.store().read_file(name).unwrap(),
+                "{name} (clustered {clustered})"
+            );
+        }
+    }
+}
+
+/// Compacting a store whose slots and `nn` are all WAH decodes nothing:
+/// every bitmap is read compressed, extended and written compressed.
+#[test]
+fn compacting_an_all_wah_store_decompresses_nothing() {
+    let base = gen::clustered(8 * 1024, CARDINALITY, 512, 3);
+    let nulls = BitVec::from_fn(base.len(), |i| (100..140).contains(&i));
+    let built = BitmapIndex::build_with_nulls(&base, &nulls, spec(Encoding::Range)).unwrap();
+    let store = persist_index_v4(&built, MemStore::new(), CodecKind::Deflate)
+        .unwrap()
+        .into_store();
+    let mut stored = open_stored(store);
+    assert!(stored.read_nn_repr().unwrap().unwrap().is_compressed());
+    let mut ingest = session(&mut stored, Encoding::Range).unwrap();
+    ingest.append(&[Some(4); 700]).unwrap();
+    ingest.append(&[None; 30]).unwrap();
+    ingest.delete(&[7, 8 * 1024 + 3]).unwrap();
+    ingest.compact().unwrap();
+    assert!(ingest.stored().stats().reads > 0);
+    assert_eq!(ingest.stored().stats().bytes_decompressed, 0);
+    let (bits, _) = ingest
+        .evaluate(SelectionQuery::new(Op::Eq, 4), Algorithm::Auto)
+        .unwrap();
+    assert!((8 * 1024 + 4..8 * 1024 + 700).all(|r| bits.get(r)));
+    assert!(!bits.get(8 * 1024 + 3), "deleted");
+}
+
+/// A store whose `file_size` fails once with a transient error, armed on
+/// demand.
+struct FlakySize {
+    inner: MemStore,
+    fail_next: std::cell::Cell<bool>,
+}
+
+impl ByteStore for FlakySize {
+    fn write_file(&mut self, name: &str, data: &[u8]) -> std::io::Result<()> {
+        self.inner.write_file(name, data)
+    }
+    fn read_file(&self, name: &str) -> std::io::Result<Vec<u8>> {
+        self.inner.read_file(name)
+    }
+    fn file_size(&self, name: &str) -> std::io::Result<u64> {
+        if self.fail_next.replace(false) {
+            return Err(std::io::ErrorKind::PermissionDenied.into());
+        }
+        self.inner.file_size(name)
+    }
+    fn file_names(&self) -> std::io::Result<Vec<String>> {
+        self.inner.file_names()
+    }
+    fn append_file(&mut self, name: &str, data: &[u8]) -> std::io::Result<()> {
+        self.inner.append_file(name, data)
+    }
+    fn remove_file(&mut self, name: &str) -> std::io::Result<()> {
+        self.inner.remove_file(name)
+    }
+}
+
+/// Only a missing WAL is seeded with a header. A commit that cannot tell
+/// whether the log exists fails and appends nothing — a second header in
+/// the middle of the log would end replay there and silently drop every
+/// acknowledged batch after it.
+#[test]
+fn a_failed_wal_size_probe_appends_nothing() {
+    let base = gen::uniform(BASE_ROWS, CARDINALITY, 6);
+    let built = BitmapIndex::build(&base, spec(Encoding::Equality)).unwrap();
+    let inner = persist_index_v4(&built, MemStore::new(), CodecKind::None)
+        .unwrap()
+        .into_store();
+    let flaky = FlakySize {
+        inner,
+        fail_next: std::cell::Cell::new(false),
+    };
+    let mut stored = open_stored(flaky);
+    let mut ingest = session(&mut stored, Encoding::Equality).unwrap();
+    let first = ingest.append(&[Some(1), Some(2)]).unwrap();
+    let log = ingest.stored().store().read_file("wal.bixl").unwrap();
+
+    ingest.stored().store().fail_next.set(true);
+    let err = ingest.append(&[Some(3)]).unwrap_err();
+    assert!(matches!(err, bindex::core::Error::Storage(_)), "{err}");
+    assert_eq!(ingest.stored().store().read_file("wal.bixl").unwrap(), log);
+    let last = ingest.append(&[Some(4), Some(5), Some(6)]).unwrap();
+    assert!(first.durable && last.durable);
+
+    drop(ingest);
+    let mut reopened_stored = open_stored(stored.into_store().inner);
+    let reopened = session(&mut reopened_stored, Encoding::Equality).unwrap();
+    assert_eq!(
+        reopened.durable_seq(),
+        last.seq,
+        "no acknowledged batch lost"
+    );
+    assert_eq!(reopened.n_rows(), BASE_ROWS + 5);
+}

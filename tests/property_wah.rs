@@ -3,8 +3,12 @@
 //! boundary, partial tail groups at every offset in `[1, 31]`, degenerate
 //! all-ones/all-zeros inputs, structurally valid but non-canonical payloads,
 //! and randomized round-trip plus k-ary op and whole-function [`wah::fold`]
-//! equivalence against the dense [`BitVec`] kernels. Every k-ary operation
+//! equivalence against the dense [`BitVec`] kernels — at every lane count
+//! on both sides of the merge's fixed-width dispatch. Every k-ary operation
 //! is a [`Fold`] program: `wah::fold` is the one engine that merges runs.
+//! Appends ([`WahBitmap::extend_from`]) and window summaries
+//! ([`WahBitmap::summary`]) stay in the run domain and must equal their
+//! dense counterparts exactly.
 //!
 //! The `MAX_FILL` cases build bitmaps of ~33 billion bits directly from
 //! serialized fill words ([`WahBitmap::from_bytes`]), so they run in O(1)
@@ -395,6 +399,192 @@ fn fold_at_the_max_fill_boundary() {
         wah::fold(len, &program).count_ones(),
         (extra as usize + 1) * GROUP_BITS
     );
+}
+
+/// A random program with exactly `occurrences` operand occurrences over
+/// operand indices `0..n_operands`: seed, steps (`AndXor` takes two) and
+/// mask all count.
+fn program_with_occurrences(rng: &mut Rng, n_operands: usize, occurrences: usize) -> Fold<usize> {
+    let mut program = Fold {
+        complement: rng.next_bool(),
+        ..Fold::default()
+    };
+    let mut left = occurrences;
+    let pick = |rng: &mut Rng| rng.below_usize(n_operands);
+    if left > 0 && rng.next_bool() {
+        program.seed = Some(pick(rng));
+        left -= 1;
+    }
+    if left > 0 && rng.next_bool() {
+        program.mask = Some(pick(rng));
+        left -= 1;
+    }
+    while left > 0 {
+        let step = match rng.below_u32(4) {
+            0 => FoldStep::And(pick(rng)),
+            1 => FoldStep::Or(pick(rng)),
+            2 => FoldStep::AndNot(pick(rng)),
+            _ if left >= 2 => {
+                left -= 1;
+                FoldStep::AndXor(pick(rng), pick(rng))
+            }
+            _ => FoldStep::Or(pick(rng)),
+        };
+        program.steps.push(step);
+        left -= 1;
+    }
+    program
+}
+
+/// The run merge keeps up to eight lanes in fixed-width arrays and runs
+/// wider programs over `Vec`s: at every operand-occurrence count on both
+/// sides of that dispatch, `wah::fold` is `kernels::fold` — same bits,
+/// canonical encoding.
+#[test]
+fn folds_match_the_dense_fold_at_every_lane_count() {
+    let lengths = [1usize, 31, 100, 1985, 4099];
+    for occurrences in 0..=16 {
+        for seed in 0..8u64 {
+            let mut rng = Rng::seed_from_u64(0x7_0000 + seed * 17 + occurrences as u64);
+            let len = lengths[seed as usize % lengths.len()];
+            let dense: Vec<BitVec> = (0..6)
+                .map(|i| shaped_bitvec(&mut rng, len, if i < 3 { 0 } else { seed as usize + i }))
+                .collect();
+            let wahs: Vec<WahBitmap> = dense.iter().map(WahBitmap::from_bitvec).collect();
+            let program = program_with_occurrences(&mut rng, dense.len(), occurrences);
+            let want = kernels::fold(len, &program.map(|&i| &dense[i]));
+            let got = wah::fold(len, &program.map(|&i| &wahs[i]));
+            assert_eq!(
+                got,
+                WahBitmap::from_bitvec(&want),
+                "{occurrences} occurrences, seed {seed}, len {len}: {program:?}"
+            );
+        }
+    }
+}
+
+/// `wah::threshold_k` is the dense carry-save threshold at every fan-in
+/// from 2 to 12 and every `k`, over run-shaped and noisy operands.
+#[test]
+fn thresholds_match_the_dense_csa_at_fan_ins_2_to_12() {
+    for n in 2..=12usize {
+        for seed in 0..3u64 {
+            let mut rng = Rng::seed_from_u64(0x8_0000 + seed * 31 + n as u64);
+            let len = [62usize, 1985, 4099][seed as usize];
+            let dense: Vec<BitVec> = (0..n)
+                .map(|i| shaped_bitvec(&mut rng, len, if i % 3 == 0 { 0 } else { i }))
+                .collect();
+            let wahs: Vec<WahBitmap> = dense.iter().map(WahBitmap::from_bitvec).collect();
+            let (wrefs, drefs): (Vec<&WahBitmap>, Vec<&BitVec>) = wahs.iter().zip(&dense).unzip();
+            for k in 0..=n + 1 {
+                assert_eq!(
+                    wah::threshold_k(&wrefs, k),
+                    WahBitmap::from_bitvec(&kernels::threshold_k(&drefs, k)),
+                    "n {n} k {k} seed {seed} len {len}"
+                );
+            }
+        }
+    }
+}
+
+// ---- appends in the run domain ----
+
+fn concat(a: &BitVec, b: &BitVec) -> BitVec {
+    let mut out = a.clone();
+    out.extend_from(b);
+    out
+}
+
+/// `extend_from` reopens the final partial group wherever it ends: at
+/// every base tail offset, for deltas that stop inside the reopened group,
+/// fill it exactly, or run on for many groups, the result is
+/// `from_bitvec` of the concatenation — the canonical encoding.
+#[test]
+fn extend_from_is_from_bitvec_of_the_concatenation_at_every_tail_offset() {
+    for tail in 0..GROUP_BITS {
+        for seed in 0..6u64 {
+            let mut rng = Rng::seed_from_u64(0x9_0000 + seed * 41 + tail as u64);
+            let base_len = [1usize, 4, 70][(seed % 3) as usize] * GROUP_BITS + tail;
+            let base = shaped_bitvec(&mut rng, base_len, seed as usize);
+            for delta_len in [1, GROUP_BITS - tail, GROUP_BITS - tail + 1, 200, 5000] {
+                let delta = shaped_bitvec(&mut rng, delta_len, seed as usize + delta_len);
+                let mut got = WahBitmap::from_bitvec(&base);
+                got.extend_from(&delta);
+                let want = concat(&base, &delta);
+                let ctx = format!("tail {tail} seed {seed} delta {delta_len}");
+                assert_eq!(got, WahBitmap::from_bitvec(&want), "{ctx}");
+                assert_eq!(got.to_bitvec(), want, "{ctx}");
+                assert_eq!(got.len(), base_len + delta_len, "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
+fn extend_from_an_empty_base_or_by_an_empty_delta() {
+    let mut rng = Rng::seed_from_u64(0xA_0000);
+    for len in [0usize, 1, 31, 62, 1000] {
+        let bits = shaped_bitvec(&mut rng, len, len);
+        let mut from_empty = WahBitmap::from_bitvec(&BitVec::zeros(0));
+        from_empty.extend_from(&bits);
+        assert_eq!(from_empty, WahBitmap::from_bitvec(&bits), "len {len}");
+        let mut unchanged = WahBitmap::from_bitvec(&bits);
+        unchanged.extend_from(&BitVec::zeros(0));
+        assert_eq!(unchanged, WahBitmap::from_bitvec(&bits), "len {len}");
+    }
+}
+
+/// A base ending in a maximal fill: appended groups open a new fill
+/// instead of overflowing it, and a partial group at the end of a
+/// `MAX_FILL` zero-fill is reopened out of it. ~33 Gbit, never expanded.
+#[test]
+fn extend_from_a_base_ending_in_a_max_fill_run() {
+    let len = MAX_FILL as usize * GROUP_BITS;
+    let mut ones = wah_from_words(len, &[fill_word(true, MAX_FILL)]);
+    ones.extend_from(&BitVec::ones(2 * GROUP_BITS + 5));
+    let want = [fill_word(true, MAX_FILL), fill_word(true, 2), (1 << 5) - 1];
+    assert_eq!(ones, wah_from_words(len + 2 * GROUP_BITS + 5, &want));
+    assert_eq!(ones.count_ones(), ones.len());
+
+    // The last group of the zero-fill holds only 26 bits.
+    let len = MAX_FILL as usize * GROUP_BITS - 5;
+    let mut zeros = wah_from_words(len, &[fill_word(false, MAX_FILL)]);
+    zeros.extend_from(&BitVec::ones(5 + GROUP_BITS));
+    let want = [
+        fill_word(false, MAX_FILL - 1),
+        0x7FFF_FFFF & !((1 << 26) - 1),
+        fill_word(true, 1),
+    ];
+    assert_eq!(zeros, wah_from_words(len + 5 + GROUP_BITS, &want));
+    assert_eq!(zeros.count_ones(), 5 + GROUP_BITS);
+}
+
+/// The run-domain summary is the dense one, window for window, at window
+/// boundaries a literal group straddles and at ragged lengths — also for
+/// the hostile encodings a store may hold.
+#[test]
+fn run_domain_summary_matches_the_dense_summary() {
+    use bindex::bitvec::SlotSummary;
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0xB_0000 + seed);
+        let len = [1usize, 63, 64, 65, 1000, 4099, 20_011][seed as usize % 7];
+        let bits = shaped_bitvec(&mut rng, len, seed as usize);
+        let canonical = WahBitmap::from_bitvec(&bits);
+        let hostile = hostile_encoding(&mut rng, &canonical);
+        for window in [64usize, 128, 640, 4096] {
+            let want = SlotSummary::build_with_window(&bits, window);
+            assert_eq!(
+                canonical.summary(window),
+                want,
+                "seed {seed} window {window}"
+            );
+            assert_eq!(
+                hostile.summary(window),
+                want,
+                "hostile seed {seed} window {window}"
+            );
+        }
+    }
 }
 
 #[test]
