@@ -793,6 +793,15 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         }
         if let RecoveryPolicy::ReconstructOrScan(column) = &self.recovery {
             let column = Arc::clone(column);
+            // A column of another length would rebuild a slot of another
+            // length, which no kernel may meet.
+            if column.len() != self.source.n_rows() {
+                return Err(Error::CorruptIndex(format!(
+                    "recovery column has {} rows, the index has {}",
+                    column.len(),
+                    self.source.n_rows()
+                )));
+            }
             let spec = self.source.spec().clone();
             // The relation scan rebuilds the *base* rows only (the policy
             // carries the base column), so the null mask here must be
@@ -1185,7 +1194,9 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
 mod tests {
     use super::*;
     use crate::encoding::{Encoding, IndexSpec};
+    use crate::eval::{evaluate_repr_in, Algorithm};
     use crate::index::BitmapIndex;
+    use bindex_relation::query::{Op, SelectionQuery};
 
     /// A [`BitmapSource`] that fails permanently on chosen slots.
     struct FlakySource<'a> {
@@ -1644,5 +1655,29 @@ mod tests {
         // sibling), but once recovered it sits in the fetch cache, so
         // slot 2 rebuilds from siblings after all.
         assert_eq!(s.reconstructed_bitmaps, 1);
+    }
+
+    #[test]
+    fn scan_fallback_rejects_a_column_one_row_short() {
+        // A rebuilt slot one bit short used to reach the kernels' length
+        // assert (whole-bitmap) or `view_range`'s bound (segmented).
+        let col = Column::new(vec![3, 2, 1, 2, 8, 2, 2, 0, 7, 5, 6, 4], 9);
+        let spec = IndexSpec::new(crate::base::Base::single(9).unwrap(), Encoding::Range);
+        let idx = BitmapIndex::build(&col, spec).unwrap();
+        let short = Arc::new(Column::new(col.values()[..11].to_vec(), 9));
+        let mut src = FlakySource {
+            index: &idx,
+            broken: HashSet::from([(1, 3)]),
+        };
+        let query = SelectionQuery::new(Op::Le, 3).into();
+        for segment_bits in [None, Some(512)] {
+            let mut ctx = ExecContext::new(&mut src)
+                .with_recovery(RecoveryPolicy::ReconstructOrScan(Arc::clone(&short)));
+            let got = evaluate_repr_in(&mut ctx, &query, Algorithm::Auto, segment_bits);
+            assert!(
+                matches!(got, Err(Error::CorruptIndex(_))),
+                "{segment_bits:?}: {got:?}"
+            );
+        }
     }
 }

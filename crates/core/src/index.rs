@@ -1,10 +1,11 @@
 //! In-memory bitmap index construction and the [`BitmapSource`] abstraction
 //! the evaluators read bitmaps through.
 
-use bindex_bitvec::{words_for, BitVec, WORD_BITS};
+use bindex_bitvec::BitVec;
 use bindex_relation::Column;
 
-use crate::encoding::{Encoding, IndexSpec};
+use crate::encode::{encode_index, encode_slot};
+use crate::encoding::IndexSpec;
 use crate::error::{Error, Result};
 
 /// Provider of stored bitmaps to the evaluation algorithms.
@@ -14,7 +15,7 @@ use crate::error::{Error, Result};
 /// implementations under the BS/CS/IS layouts. `try_fetch` models one
 /// *bitmap scan* of stored bitmap `slot` of component `comp` — the unit
 /// of the paper's time metric. Slot numbering follows the storage rule of
-/// [`Encoding`]: range components store `B^0 … B^{b−2}` in slots
+/// [`Encoding`](crate::Encoding): range components store `B^0 … B^{b−2}` in slots
 /// `0 … b−2`; equality components with `b > 2` store `E^0 … E^{b−1}`,
 /// and `b = 2` components store only `E^1` in slot 0.
 ///
@@ -100,74 +101,14 @@ impl BitmapIndex {
     }
 
     fn build_inner(column: &Column, null_mask: Option<&BitVec>, spec: IndexSpec) -> Result<Self> {
-        spec.check_covers(column.cardinality())?;
         let n_rows = column.len();
-        let n = spec.n_components();
-        // Built as bare word buffers: a row ORs one mask into one word of
-        // each bitmap it belongs to, with no per-bit bookkeeping.
-        let n_words = words_for(n_rows);
-        let mut components: Vec<Vec<Vec<u64>>> = (1..=n)
-            .map(|i| {
-                (0..spec.stored_in_component(i))
-                    .map(|_| vec![0u64; n_words])
-                    .collect()
-            })
-            .collect();
-
-        // Precompute digit decompositions of each attribute value once.
-        let card = column.cardinality();
-        let mut digit_table: Vec<Vec<u32>> = Vec::with_capacity(card as usize);
-        for v in 0..card {
-            digit_table.push(spec.base.decompose(v)?);
-        }
-
-        for (rid, &v) in column.values().iter().enumerate() {
-            if let Some(mask) = null_mask {
-                if mask.get(rid) {
-                    continue;
-                }
-            }
-            let (word, bit) = (rid / WORD_BITS, 1u64 << (rid % WORD_BITS));
-            let digits = &digit_table[v as usize];
-            for (ci, &digit) in digits.iter().enumerate() {
-                let b = spec.base.component(ci + 1);
-                let bitmaps = &mut components[ci];
-                match spec.encoding {
-                    Encoding::Equality => {
-                        if b == 2 {
-                            if digit == 1 {
-                                bitmaps[0][word] |= bit;
-                            }
-                        } else {
-                            bitmaps[digit as usize][word] |= bit;
-                        }
-                    }
-                    Encoding::Range => {
-                        // B^j set for all j >= digit (digit <= j), j stored
-                        // up to b-2.
-                        for j in digit..b - 1 {
-                            bitmaps[j as usize][word] |= bit;
-                        }
-                    }
-                    Encoding::Interval => {
-                        // I^j set iff j <= digit <= j + m - 1.
-                        let m = b.div_ceil(2);
-                        let lo = digit.saturating_sub(m - 1);
-                        for j in lo..=digit.min(m - 1) {
-                            bitmaps[j as usize][word] |= bit;
-                        }
-                    }
-                }
-            }
-        }
-
         // Frozen, the bitmaps are handed to the evaluators by reference
         // count ([`MemorySource`]) instead of by copy.
         let frozen = |mut bm: BitVec| {
             bm.freeze();
             bm
         };
-        let components = components
+        let components = encode_index(column, null_mask, &spec)?
             .into_iter()
             .map(|slots| {
                 slots
@@ -180,7 +121,7 @@ impl BitmapIndex {
         Ok(Self {
             spec,
             n_rows,
-            cardinality: card,
+            cardinality: column.cardinality(),
             components,
             nn,
         })
@@ -317,8 +258,9 @@ impl BitmapIndex {
 /// `null_mask` are excluded, matching [`BitmapIndex::build_with_nulls`].
 ///
 /// The result is bit-identical to what [`BitmapIndex::build`] would have
-/// stored: for a range-encoded slot this computes `B^j = OR(E^0..E^j)` at
-/// the digit level (`digit <= j`), without needing any surviving bitmap.
+/// stored: the same word-level encoder builds it, 64 rows at a time, from
+/// a per-value table of [`Encoding::bit_for`](crate::Encoding::bit_for),
+/// without needing any surviving bitmap.
 pub fn rebuild_slot(
     column: &Column,
     null_mask: Option<&BitVec>,
@@ -340,25 +282,8 @@ pub fn rebuild_slot(
             )));
         }
     }
-    let b = spec.base.component(comp);
-    // Per-digit truth table: bit_for depends only on the value's digit, so
-    // decompose each distinct value once, not once per row.
-    let card = column.cardinality();
-    let mut table = Vec::with_capacity(card as usize);
-    for v in 0..card {
-        let digit = spec.base.decompose(v)?[comp - 1];
-        table.push(spec.encoding.bit_for(b, digit, slot));
-    }
-    let mut out = BitVec::zeros(column.len());
-    for (rid, &v) in column.values().iter().enumerate() {
-        if null_mask.is_some_and(|m| m.get(rid)) {
-            continue;
-        }
-        if table[v as usize] {
-            out.set(rid, true);
-        }
-    }
-    Ok(out)
+    let words = encode_slot(column, null_mask, spec, comp, slot)?;
+    Ok(BitVec::from_words(words, column.len()))
 }
 
 /// Borrowing [`BitmapSource`] over an in-memory [`BitmapIndex`].
@@ -388,6 +313,7 @@ impl BitmapSource for MemorySource<'_> {
 mod tests {
     use super::*;
     use crate::base::Base;
+    use crate::encoding::Encoding;
 
     /// The 12-record attribute projection of Figure 1 / Figure 3 / Figure 4.
     /// (The OCR drops the actual values; any fixed 12-row, C=9 column

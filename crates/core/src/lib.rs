@@ -53,6 +53,7 @@ pub mod buffer;
 pub mod cost;
 pub mod delta;
 pub mod design;
+mod encode;
 pub mod encoding;
 pub mod error;
 pub mod eval;

@@ -123,7 +123,8 @@ impl ServedIndex {
     /// `tuning.segment_bits` a power of two of at least
     /// [`MIN_SEGMENT_BITS`] (both validated here, so query-time
     /// construction cannot fail); `column` and `null_mask` feed
-    /// reconstruction and repair when present.
+    /// reconstruction and repair when present, and must cover the stored
+    /// index's rows exactly (also validated here).
     pub fn new(
         name: impl Into<String>,
         spec: IndexSpec,
@@ -148,6 +149,20 @@ impl ServedIndex {
         };
         // Validate the layout once, while we hold the only reference.
         SharedSource::try_new(&reader, spec.clone())?;
+        // Reconstruction rebuilds a slot from the column: one of another
+        // length would hand the kernels a bitmap of another length.
+        let n_rows = reader.meta().n_rows;
+        let lengths = [
+            ("column", column.as_ref().map(|c| c.len())),
+            ("null mask", null_mask.as_ref().map(BitVec::len)),
+        ];
+        for (what, len) in lengths {
+            if let Some(len) = len.filter(|&len| len != n_rows) {
+                return Err(Error::Infeasible(format!(
+                    "recovery {what} has {len} rows, the stored index has {n_rows}"
+                )));
+            }
+        }
         let cardinality = match &column {
             Some(c) => c.cardinality(),
             // Anything the base can decompose is admissible.

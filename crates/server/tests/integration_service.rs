@@ -185,6 +185,66 @@ fn end_to_end_answers_are_exact_over_the_wire() {
     assert_eq!(report.shed_overload, 0);
 }
 
+/// A recovery column or null mask one row short would rebuild a damaged
+/// slot one bit short, which the kernels' length assert turns into a
+/// worker panic: it is refused when the index is registered. With the
+/// right column, the same damaged slot is rebuilt by the relation scan.
+#[test]
+fn recovery_inputs_of_another_length_are_refused_at_registration() {
+    let (column, _index, mut store) = build();
+    let short = Column::new(column.values()[..N_ROWS - 1].to_vec(), CARDINALITY);
+    let refused = ServedIndex::new(
+        "t",
+        spec(),
+        Box::new(store.clone()),
+        Some(Arc::new(short)),
+        None,
+        uncached_tuning(),
+    );
+    assert!(matches!(refused, Err(Error::Infeasible(_))), "short column");
+    let refused = ServedIndex::new(
+        "t",
+        spec(),
+        Box::new(store.clone()),
+        Some(Arc::new(column.clone())),
+        Some(BitVec::zeros(N_ROWS - 1)),
+        uncached_tuning(),
+    );
+    assert!(
+        matches!(refused, Err(Error::Infeasible(_))),
+        "short null mask"
+    );
+
+    // Corrupt every slot file, so any query needs a rebuilt slot.
+    for name in store.file_names().unwrap() {
+        if name.ends_with(".bmp") {
+            let mut bytes = store.read_file(&name).unwrap();
+            *bytes.last_mut().unwrap() ^= 0x01;
+            store.write_file(&name, &bytes).unwrap();
+        }
+    }
+    let served = ServedIndex::new(
+        "t",
+        spec(),
+        Box::new(store),
+        Some(Arc::new(column.clone())),
+        None,
+        IndexTuning {
+            breaker_trip: 1,
+            ..uncached_tuning()
+        },
+    )
+    .unwrap();
+    let q = SelectionQuery::new(Op::Le, 40);
+    assert!(served.execute(q, None).is_err(), "strict serving fails");
+    let answer = served.execute(q, None).unwrap();
+    assert!(answer.degraded);
+    assert_eq!(
+        *answer.bits.to_bitvec(),
+        bindex::core::eval::naive::evaluate(&column, q)
+    );
+}
+
 /// A segment size the engine asserts on at query time — on a pool worker,
 /// which the panic kills, one per request — is refused when the index is
 /// registered; a server over a valid index answers more requests than it
