@@ -7,12 +7,12 @@
 //! and the paper's unit of cost is the query. Queries of a workload are
 //! independent, so they parallelize trivially — once everything on the
 //! read path is shareable. That is what the `Arc` fetch cache in
-//! [`ExecContext`], the owned [`Table`], and the `&self`-based
-//! `SharedIndexReader` of the storage crate buy: worker threads borrow one
-//! table (or build one [`BitmapSource`] each from a shared factory) and
-//! take the next unclaimed query index off one shared cursor until it
-//! passes the end. The task list is static — nothing is re-enqueued — so
-//! that is all the scheduling there is: queries start oldest first, no
+//! [`ExecContext`] and the `&self`-based `SharedIndexReader` of the
+//! storage crate buy: worker threads build one [`BitmapSource`] each from
+//! a shared factory and take the next unclaimed query index off one
+//! shared cursor until it passes the end. The task list is static —
+//! nothing is re-enqueued — so that is all the scheduling there is:
+//! queries start oldest first, no
 //! query waits behind a particular worker (a skewed mix cannot convoy),
 //! the imbalance at the end is at most one query, and a worker with
 //! nothing left to claim returns instead of waiting, so one that dies
@@ -44,12 +44,6 @@ use bindex_core::error::{Error, Result};
 use bindex_core::eval::{evaluate_repr_in, Algorithm};
 use bindex_core::{BitmapSource, DeltaOverlay, EvalStats, ExecContext, RecoveryPolicy, Repr};
 use bindex_relation::query::{Query, SelectionQuery, ThresholdQuery};
-
-use crate::plan::{self, ConjunctiveQuery, ExecutionStats};
-use crate::table::Table;
-
-/// Environment variable overriding the default worker count.
-pub const THREADS_ENV: &str = "BINDEX_THREADS";
 
 /// Smallest accepted segment size: anything below 512 bits spends more
 /// time on per-segment bookkeeping than on bit operations.
@@ -262,21 +256,6 @@ impl BatchOptions {
         options
     }
 
-    /// Reads the worker count from the `BINDEX_THREADS` environment
-    /// variable (falling back to the machine's available parallelism) —
-    /// with a warning to stderr, via [`crate::envcfg::parse_env`], when the
-    /// variable is set to something unusable, rather than silently
-    /// ignoring it.
-    pub fn from_env() -> Self {
-        let threads = crate::envcfg::parse_env(
-            THREADS_ENV,
-            "a positive integer",
-            crate::envcfg::positive_usize,
-        )
-        .unwrap_or_else(|| available_parallelism().unwrap_or(1));
-        Self::with_threads(threads)
-    }
-
     /// Sets a wall-clock deadline; queries claimed after it expires come
     /// back [`QueryOutcome::TimedOut`].
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
@@ -391,17 +370,16 @@ fn run_query<T>(
     }
 }
 
-/// The resilient query-per-task driver behind [`execute_workload`] and
-/// [`evaluate_queries`], and the one place this module spawns threads. Runs
-/// `step(state, i)` for every `i in 0..n` across the configured workers —
-/// inline for one worker, on scoped threads otherwise — keeping outcomes in
-/// input order. A worker takes the next index off the shared cursor and
+/// The resilient query-per-task driver behind [`evaluate_queries`], and
+/// the one place this module spawns threads. Runs `step(state, i)` for
+/// every `i in 0..n` across the configured workers — inline for one
+/// worker, on scoped threads otherwise — keeping outcomes in input order. A worker takes the next index off the shared cursor and
 /// returns once it has passed `n`.
 ///
-/// Each worker owns one `init()`-built state (a table handle, a bitmap
-/// source). Every step runs through [`run_query`]; after a panic the
-/// worker rebuilds its state — which the panic may have left inconsistent
-/// — before claiming the next query.
+/// Each worker owns one `init()`-built state (its bitmap source). Every
+/// step runs through [`run_query`]; after a panic the worker rebuilds its
+/// state — which the panic may have left inconsistent — before claiming
+/// the next query.
 fn run_workload<St, T, I, W>(
     n: usize,
     options: &BatchOptions,
@@ -465,30 +443,6 @@ where
         health,
         steals: 0,
     }
-}
-
-/// Executes a workload of conjunctive queries against `table`, choosing
-/// the cheapest plan per query and fanning the queries out across the
-/// configured worker threads. Outcomes come back in workload order; a
-/// failing (or panicking) query is recorded in its own slot and never
-/// aborts the rest of the workload.
-pub fn execute_workload(
-    table: &Table,
-    queries: &[ConjunctiveQuery],
-    options: &BatchOptions,
-) -> WorkloadReport<(BitVec, ExecutionStats)> {
-    run_workload(
-        queries.len(),
-        options,
-        || (),
-        |_, i| {
-            let q = &queries[i];
-            let best = plan::choose(table, q)?;
-            let (found, stats) = plan::execute(table, q, &best.plan)?;
-            let degraded = stats.degraded_fetches > 0;
-            Ok(((found, stats), degraded))
-        },
-    )
 }
 
 /// Evaluates one query as one task ([`run_query`]'s `step`):
@@ -605,38 +559,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::IndexChoice;
     use bindex_core::eval::naive;
     use bindex_core::IndexSpec;
     use bindex_relation::gen;
     use bindex_relation::query::Op;
     use std::time::{Duration, Instant};
-
-    fn table() -> Table {
-        Table::builder()
-            .column("qty", gen::uniform(2000, 50, 1), IndexChoice::Knee)
-            .column(
-                "day",
-                gen::uniform(2000, 300, 2),
-                IndexChoice::SpaceBudget(40),
-            )
-            .column("note", gen::uniform(2000, 7, 3), IndexChoice::None)
-            .build()
-            .unwrap()
-    }
-
-    fn workload() -> Vec<ConjunctiveQuery> {
-        let mut out = Vec::new();
-        for v in 0..24u32 {
-            out.push(
-                ConjunctiveQuery::new()
-                    .and("qty", SelectionQuery::new(Op::Gt, v % 50))
-                    .and("day", SelectionQuery::new(Op::Le, (v * 11) % 300))
-                    .and("note", SelectionQuery::new(Op::Ne, v % 7)),
-            );
-        }
-        out
-    }
 
     /// The base-<5, 8> range layout most of these workloads run over.
     fn range_spec() -> IndexSpec {
@@ -650,12 +577,21 @@ mod tests {
         bindex_core::BitmapIndex::build(col, range_spec()).unwrap()
     }
 
+    /// Twenty-four `≤` / `>` / `=` / `≠` selections over a 2,000-row
+    /// uniform column under [`range_index`], run with `options`.
+    fn workload(options: &BatchOptions) -> WorkloadReport<(BitVec, EvalStats)> {
+        let col = gen::uniform(2000, 40, 1);
+        let idx = range_index(&col);
+        let queries: Vec<SelectionQuery> = (0..24)
+            .map(|v| SelectionQuery::new([Op::Le, Op::Gt, Op::Eq, Op::Ne][v as usize % 4], v))
+            .collect();
+        evaluate_selection_workload(|| idx.source(), &queries, Algorithm::Auto, options)
+    }
+
     #[test]
     fn parallel_matches_single_thread() {
-        let t = table();
-        let qs = workload();
-        let single = execute_workload(&t, &qs, &BatchOptions::single_threaded());
-        let multi = execute_workload(&t, &qs, &BatchOptions::with_threads(4));
+        let single = workload(&BatchOptions::single_threaded());
+        let multi = workload(&BatchOptions::with_threads(4));
         assert!(single.health.all_ok(), "{:?}", single.health);
         assert!(multi.health.all_ok(), "{:?}", multi.health);
         assert_eq!(single.outcomes.len(), multi.outcomes.len());
@@ -921,8 +857,6 @@ mod tests {
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         assert_eq!(BatchOptions::with_threads(0).threads(), 1);
         assert_eq!(BatchOptions::with_threads(8).threads(), 8.min(cores));
-        assert!(BatchOptions::from_env().threads() >= 1);
-        assert!(BatchOptions::from_env().threads() <= cores);
     }
 
     #[test]
@@ -1122,24 +1056,43 @@ mod tests {
         assert!(matches!(outcome.error(), Some(Error::InvalidQuery(_))));
     }
 
+    /// The one query that reads a permanently unreadable slot fails; every
+    /// other query of the workload is answered, bit-exact.
     #[test]
     fn failing_query_is_isolated() {
-        let t = table();
-        let qs = vec![
-            ConjunctiveQuery::new().and("qty", SelectionQuery::new(Op::Le, 10)),
-            ConjunctiveQuery::new().and("missing", SelectionQuery::new(Op::Le, 1)),
-            ConjunctiveQuery::new().and("day", SelectionQuery::new(Op::Le, 100)),
-        ];
+        const CARD: u32 = 16;
+        let col = gen::uniform(2000, CARD, 3);
+        let spec = IndexSpec::new(
+            bindex_core::Base::single(CARD).unwrap(),
+            bindex_core::Encoding::Equality,
+        );
+        let idx = bindex_core::BitmapIndex::build(&col, spec).unwrap();
+        // On an equality index `A = v` reads slot (1, v) and nothing else.
+        let queries: Vec<SelectionQuery> =
+            (0..CARD).map(|v| SelectionQuery::new(Op::Eq, v)).collect();
+        let source = || WahSource {
+            index: &idx,
+            broken: Some((1, 5)),
+            fetches: 0,
+        };
         for options in [
-            BatchOptions::with_threads(2),
+            BatchOptions::with_threads_unclamped(2),
             BatchOptions::single_threaded(),
         ] {
-            let report = execute_workload(&t, &qs, &options);
-            assert_eq!(report.health.ok, 2, "{:?}", report.health);
+            let report = evaluate_selection_workload(source, &queries, Algorithm::Auto, &options);
+            assert_eq!(report.health.ok, CARD as usize - 1, "{:?}", report.health);
             assert_eq!(report.health.failed, 1, "{:?}", report.health);
-            assert!(report.outcomes[0].is_ok());
-            assert!(report.outcomes[1].error().is_some());
-            assert!(report.outcomes[2].is_ok());
+            for (q, outcome) in queries.iter().zip(&report.outcomes) {
+                if q.constant == 5 {
+                    assert!(matches!(outcome.error(), Some(Error::ChecksumMismatch(_))));
+                } else {
+                    assert_eq!(
+                        outcome.result().unwrap().0,
+                        naive::evaluate(&col, *q),
+                        "{q}"
+                    );
+                }
+            }
             assert!(report.into_results().is_err());
         }
     }
@@ -1284,11 +1237,10 @@ mod tests {
 
     #[test]
     fn expired_deadline_times_out_unstarted_queries() {
-        let t = table();
-        let qs = workload();
         let options = BatchOptions::with_threads(2).with_deadline(Deadline::after(Duration::ZERO));
-        let report = execute_workload(&t, &qs, &options);
-        assert_eq!(report.health.timed_out, qs.len(), "{:?}", report.health);
+        let report = workload(&options);
+        assert_eq!(report.health.timed_out, 24, "{:?}", report.health);
+        assert_eq!(report.health.total(), 24);
         assert!(report.into_results().is_err());
     }
 
@@ -1308,18 +1260,18 @@ mod tests {
         assert_eq!(o.threads(), 6);
         // And the workload still runs correctly with more workers than
         // cores (the whole point on a small CI box).
-        let t = table();
-        let qs = workload();
-        let report = execute_workload(&t, &qs, &o);
+        let report = workload(&o);
         assert!(report.health.all_ok(), "{:?}", report.health);
-        let single = execute_workload(&t, &qs, &BatchOptions::single_threaded());
+        let single = workload(&BatchOptions::single_threaded());
         assert_eq!(report.outcomes, single.outcomes);
     }
 
     #[test]
     fn empty_workload_is_fine() {
-        let t = table();
-        let out = execute_workload(&t, &[], &BatchOptions::with_threads(4));
+        let col = gen::uniform(2000, 40, 1);
+        let idx = range_index(&col);
+        let options = BatchOptions::with_threads(4);
+        let out = evaluate_selection_workload(|| idx.source(), &[], Algorithm::Auto, &options);
         assert!(out.outcomes.is_empty());
         assert!(out.health.all_ok());
         assert_eq!(out.health.total(), 0);

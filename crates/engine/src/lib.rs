@@ -21,23 +21,23 @@
 //! cost model, [`plan::choose`] picks the cheapest, and
 //! [`plan::execute`] runs any of them and reports what it actually read.
 //!
-//! The [`batch`] module fans workloads of queries across worker threads
-//! with per-query fault isolation: failures, panics, deadline expiry, and
-//! degraded (reconstructed-bitmap) evaluations each surface as that
-//! query's own [`QueryOutcome`] in a [`WorkloadReport`], never as a
-//! workload-wide abort.
+//! The [`batch`] module fans workloads of single-index selection and
+//! threshold queries across worker threads with per-query fault
+//! isolation: failures, panics, deadline expiry, and degraded
+//! (reconstructed-bitmap) evaluations each surface as that query's own
+//! [`QueryOutcome`] in a [`WorkloadReport`], never as a workload-wide
+//! abort.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod envcfg;
 pub mod plan;
 mod table;
 
 pub use batch::{
-    evaluate_query, evaluate_selection_workload, execute_workload, BatchHealth, BatchOptions,
-    Deadline, QueryOutcome, WorkloadReport, MIN_SEGMENT_BITS,
+    evaluate_query, evaluate_selection_workload, BatchHealth, BatchOptions, Deadline, QueryOutcome,
+    WorkloadReport, MIN_SEGMENT_BITS,
 };
 pub use plan::{ConjunctiveQuery, ExecutionStats, Plan, PlanCost};
 pub use table::{IndexChoice, Table, TableBuilder};

@@ -74,251 +74,6 @@ impl std::fmt::Display for ConjunctiveQuery {
     }
 }
 
-/// A k-of-N threshold over per-attribute predicates: a row qualifies
-/// when **at least `k`** of the predicates hold ("users matching ≥ 3 of
-/// 7 predicates"). The symmetric-function extension of
-/// [`ConjunctiveQuery`] — `k = N` is the conjunction, `k = 1` the
-/// disjunction, anything between is expressible by neither plan family
-/// above without an exponential OR-of-ANDs expansion.
-#[derive(Debug, Clone)]
-pub struct ThresholdQuery {
-    k: u32,
-    predicates: Vec<(String, SelectionQuery)>,
-}
-
-impl ThresholdQuery {
-    /// Starts a threshold query requiring at least `k` matches.
-    pub fn at_least(k: u32) -> Self {
-        Self {
-            k,
-            predicates: Vec::new(),
-        }
-    }
-
-    /// Adds `attr op v` to the predicate set.
-    pub fn with(mut self, attr: &str, query: SelectionQuery) -> Self {
-        self.predicates.push((attr.to_string(), query));
-        self
-    }
-
-    /// The required match count `k`.
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// The predicates in order.
-    pub fn predicates(&self) -> &[(String, SelectionQuery)] {
-        &self.predicates
-    }
-
-    /// Rejects malformed thresholds (`k = 0`, `k > N`, no predicates)
-    /// with the typed [`Error::InvalidQuery`] instead of panicking or
-    /// silently answering nothing.
-    pub fn validate(&self) -> Result<()> {
-        let n = self.predicates.len();
-        if n == 0 {
-            return Err(Error::InvalidQuery(
-                "threshold query has no predicates".into(),
-            ));
-        }
-        if self.k == 0 {
-            return Err(Error::InvalidQuery(
-                "threshold k = 0 matches every row; use k >= 1".into(),
-            ));
-        }
-        if self.k as usize > n {
-            return Err(Error::InvalidQuery(format!(
-                "threshold k = {} exceeds the {} predicate(s); no row can qualify",
-                self.k, n
-            )));
-        }
-        Ok(())
-    }
-
-    /// Row-level truth against the table's columns.
-    fn matches_row(&self, columns: &[&bindex_relation::Column], row: usize) -> bool {
-        let mut hits = 0usize;
-        for (i, (_, q)) in self.predicates.iter().enumerate() {
-            if q.matches(columns[i].values()[row]) {
-                hits += 1;
-                if hits >= self.k as usize {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Expected fraction of qualifying rows under attribute
-    /// independence: the Poisson-binomial tail `P(X ≥ k)` where each
-    /// predicate holds independently with its histogram selectivity.
-    pub fn estimated_selectivity(&self, table: &Table) -> Result<f64> {
-        let mut dist = vec![1.0f64]; // P(j of the predicates seen so far hold)
-        for (attr, q) in &self.predicates {
-            let p = q.selectivity(&table.column(attr)?.histogram());
-            let mut next = vec![0.0f64; dist.len() + 1];
-            for (j, &dj) in dist.iter().enumerate() {
-                next[j] += dj * (1.0 - p);
-                next[j + 1] += dj * p;
-            }
-            dist = next;
-        }
-        Ok(dist.iter().skip(self.k as usize).sum())
-    }
-}
-
-impl std::fmt::Display for ThresholdQuery {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "AT LEAST {} OF (", self.k)?;
-        for (i, (attr, q)) in self.predicates.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            write!(f, "{attr} {} {}", q.op, q.constant)?;
-        }
-        f.write_str(")")
-    }
-}
-
-/// The two plans for a threshold query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThresholdPlan {
-    /// One index scan per indexed predicate, foundsets combined in a
-    /// single pass by the bit-sliced CSA threshold kernel; unindexed
-    /// predicates evaluate per-row out of one shared relation scan and
-    /// join the combine as ordinary operands.
-    IndexCsa,
-    /// Per-row popcount over all predicates from one relation scan.
-    FullScan,
-}
-
-impl std::fmt::Display for ThresholdPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ThresholdPlan::IndexCsa => f.write_str("T1 index + CSA combine"),
-            ThresholdPlan::FullScan => f.write_str("T2 full scan popcount"),
-        }
-    }
-}
-
-/// Estimated cost of a threshold plan, in the same byte model as
-/// [`estimate`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThresholdCost {
-    /// The plan priced.
-    pub plan: ThresholdPlan,
-    /// Expected bytes read.
-    pub bytes: f64,
-}
-
-/// Prices a threshold plan: [`ThresholdPlan::FullScan`] reads every row;
-/// [`ThresholdPlan::IndexCsa`] reads the predicted bitmap scans of each
-/// indexed predicate, plus one relation scan when any predicate is
-/// unindexed (a threshold cannot post-filter like a conjunction — every
-/// predicate's full foundset participates in the count).
-pub fn estimate_threshold(
-    table: &Table,
-    query: &ThresholdQuery,
-    plan: ThresholdPlan,
-) -> Result<ThresholdCost> {
-    query.validate()?;
-    let n = table.n_rows() as f64;
-    let row = table.row_bytes() as f64;
-    let bytes = match plan {
-        ThresholdPlan::FullScan => n * row,
-        ThresholdPlan::IndexCsa => {
-            let mut bytes = 0.0;
-            let mut any_unindexed = false;
-            for (attr, q) in query.predicates() {
-                match index_scans(table, attr, *q)? {
-                    Some(scans) => bytes += scans as f64 * bitmap_bytes(table.n_rows()) as f64,
-                    None => any_unindexed = true,
-                }
-            }
-            if any_unindexed {
-                bytes += n * row;
-            }
-            bytes
-        }
-    };
-    Ok(ThresholdCost { plan, bytes })
-}
-
-/// Picks the cheaper threshold plan.
-pub fn choose_threshold(table: &Table, query: &ThresholdQuery) -> Result<ThresholdCost> {
-    let candidates = [ThresholdPlan::IndexCsa, ThresholdPlan::FullScan];
-    candidates
-        .into_iter()
-        .map(|p| estimate_threshold(table, query, p))
-        .collect::<Result<Vec<_>>>()?
-        .into_iter()
-        .min_by(|a, b| a.bytes.partial_cmp(&b.bytes).expect("finite costs"))
-        .ok_or_else(|| Error::Infeasible("no applicable plan".into()))
-}
-
-/// Executes a threshold plan, returning the foundset and what was read.
-/// Degenerate `k` routes through the exact plan — `k = 1` combines with
-/// the fused OR kernel and `k = N` with the fused AND kernel — and a
-/// malformed query is the typed [`Error::InvalidQuery`].
-pub fn execute_threshold(
-    table: &Table,
-    query: &ThresholdQuery,
-    plan: ThresholdPlan,
-) -> Result<(BitVec, ExecutionStats)> {
-    query.validate()?;
-    let n_rows = table.n_rows();
-    let k = query.k as usize;
-    let mut stats = ExecutionStats::default();
-    let found = match plan {
-        ThresholdPlan::FullScan => {
-            stats.rows_fetched = n_rows;
-            stats.bytes_read = (n_rows * table.row_bytes()) as u64;
-            let columns: Vec<&bindex_relation::Column> = query
-                .predicates()
-                .iter()
-                .map(|(attr, _)| table.column(attr))
-                .collect::<Result<_>>()?;
-            BitVec::from_fn(n_rows, |row| query.matches_row(&columns, row))
-        }
-        ThresholdPlan::IndexCsa => {
-            let mut foundsets = Vec::with_capacity(query.predicates().len());
-            let mut scanned_rows = false;
-            for (attr, q) in query.predicates() {
-                match table.index(attr)? {
-                    Some(idx) => {
-                        let mut src = idx.source();
-                        let mut ctx = ExecContext::new(&mut src);
-                        foundsets.push(evaluate_in(&mut ctx, *q, Algorithm::Auto)?);
-                        let s = ctx.take_stats();
-                        stats.bitmap_scans += s.scans;
-                        stats.bytes_read += s.scans as u64 * bitmap_bytes(n_rows);
-                        stats.degraded_fetches += s.degraded_fetches;
-                    }
-                    None => {
-                        // One relation scan serves every unindexed
-                        // predicate — the rows are in hand once fetched.
-                        if !scanned_rows {
-                            stats.rows_fetched += n_rows;
-                            stats.bytes_read += (n_rows * table.row_bytes()) as u64;
-                            scanned_rows = true;
-                        }
-                        foundsets.push(naive::evaluate(table.column(attr)?, *q));
-                    }
-                }
-            }
-            let operands: Vec<&BitVec> = foundsets.iter().collect();
-            if k == 1 {
-                kernels::or_all(&operands)
-            } else if k == operands.len() {
-                kernels::and_all(&operands)
-            } else {
-                kernels::threshold_k(&operands, k)
-            }
-        }
-    };
-    Ok((found, stats))
-}
-
 /// The three plans of the paper's introduction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Plan {
@@ -674,96 +429,6 @@ mod tests {
         let q = ConjunctiveQuery::new().and("qty", SelectionQuery::new(Op::Le, 10));
         assert!(execute(&t, &q, &Plan::IndexThenFilter("day".into())).is_err());
         assert!(estimate(&t, &q, &Plan::IndexThenFilter("note".into())).is_err());
-    }
-
-    fn threshold_query() -> ThresholdQuery {
-        ThresholdQuery::at_least(2)
-            .with("qty", SelectionQuery::new(Op::Le, 20))
-            .with("day", SelectionQuery::new(Op::Gt, 150))
-            .with("note", SelectionQuery::new(Op::Eq, 3))
-    }
-
-    fn threshold_oracle(t: &Table, q: &ThresholdQuery) -> BitVec {
-        BitVec::from_fn(t.n_rows(), |row| {
-            let hits = q
-                .predicates()
-                .iter()
-                .filter(|(attr, sq)| sq.matches(t.column(attr).unwrap().values()[row]))
-                .count();
-            hits >= q.k() as usize
-        })
-    }
-
-    #[test]
-    fn threshold_plans_agree_with_oracle() {
-        let t = table();
-        for k in 1..=3u32 {
-            let mut q = threshold_query();
-            q.k = k;
-            let want = threshold_oracle(&t, &q);
-            for plan in [ThresholdPlan::IndexCsa, ThresholdPlan::FullScan] {
-                let (got, stats) = execute_threshold(&t, &q, plan).unwrap();
-                assert_eq!(got, want, "k={k} {plan}");
-                assert!(stats.bytes_read > 0, "k={k} {plan}");
-            }
-        }
-    }
-
-    #[test]
-    fn threshold_validation_is_typed() {
-        let t = table();
-        let no_preds = ThresholdQuery::at_least(1);
-        let zero_k = ThresholdQuery::at_least(0).with("qty", SelectionQuery::new(Op::Le, 5));
-        let big_k = ThresholdQuery::at_least(3).with("qty", SelectionQuery::new(Op::Le, 5));
-        for bad in [no_preds, zero_k, big_k] {
-            for plan in [ThresholdPlan::IndexCsa, ThresholdPlan::FullScan] {
-                let err = execute_threshold(&t, &bad, plan).unwrap_err();
-                assert!(matches!(err, Error::InvalidQuery(_)), "{bad}: {err:?}");
-            }
-            assert!(matches!(
-                choose_threshold(&t, &bad),
-                Err(Error::InvalidQuery(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn threshold_cost_model_prefers_indexes_when_all_indexed() {
-        let t = table();
-        // Both predicates indexed: the CSA plan reads a handful of
-        // bitmaps, the scan reads every row.
-        let q = ThresholdQuery::at_least(1)
-            .with("qty", SelectionQuery::new(Op::Eq, 7))
-            .with("day", SelectionQuery::new(Op::Eq, 17));
-        let best = choose_threshold(&t, &q).unwrap();
-        assert_eq!(best.plan, ThresholdPlan::IndexCsa);
-        let scan = estimate_threshold(&t, &q, ThresholdPlan::FullScan).unwrap();
-        assert!(best.bytes < scan.bytes);
-        // An unindexed predicate drags a relation scan into the CSA
-        // plan, so it can no longer beat the plain scan.
-        let q = threshold_query();
-        let csa = estimate_threshold(&t, &q, ThresholdPlan::IndexCsa).unwrap();
-        assert!(csa.bytes > scan.bytes);
-    }
-
-    #[test]
-    fn threshold_selectivity_is_poisson_binomial_tail() {
-        let t = table();
-        // k = 1 over one predicate: the tail is that predicate's
-        // selectivity.
-        let p = SelectionQuery::new(Op::Le, 24);
-        let single = ThresholdQuery::at_least(1).with("qty", p);
-        let want = p.selectivity(&t.column("qty").unwrap().histogram());
-        assert!((single.estimated_selectivity(&t).unwrap() - want).abs() < 1e-12);
-        // Monotone in k: requiring more matches can only shrink the tail.
-        let mut prev = 1.0f64;
-        for k in 1..=3u32 {
-            let mut q = threshold_query();
-            q.k = k;
-            let sel = q.estimated_selectivity(&t).unwrap();
-            assert!(sel <= prev + 1e-12, "k={k}");
-            prev = sel;
-        }
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! * `--index NAME=DIR:b1,b2,…:range|eq|interval` — serve an existing
 //!   stored index from `DIR` with the given layout;
 //! * `--workers N`, `--queue-depth N`, `--deadline-ms N` — override the
-//!   corresponding `ServerConfig` fields (env: `BINDEX_THREADS`,
-//!   `BINDEX_QUEUE_DEPTH`, `BINDEX_DEADLINE_MS`);
+//!   corresponding `ServerConfig::default()` fields (one worker per
+//!   available CPU, depth 64, 250 ms); the configuration in effect is
+//!   printed at startup;
 //! * `--duration SECS` — exit (gracefully) after this long; for smoke
 //!   tests.
 //!
@@ -108,7 +109,7 @@ fn demo_index() -> Result<(ServedIndex, TempDir), String> {
 
 fn main() -> ExitCode {
     let mut listen = "127.0.0.1:7654".to_string();
-    let mut config = ServerConfig::from_env();
+    let mut config = ServerConfig::default();
     let mut registry = Registry::new();
     let mut duration: Option<Duration> = None;
     let mut _demo_dir: Option<TempDir> = None;

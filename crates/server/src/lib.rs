@@ -43,4 +43,4 @@ pub use protocol::{ErrorCode, Request, Response, StatsSnapshot};
 pub use registry::{
     DynStore, IndexTuning, IngestSummary, QueryAnswer, Registry, ServedIndex, ServedQuery,
 };
-pub use service::{DrainReport, Server, ServerConfig, DEADLINE_MS_ENV, QUEUE_DEPTH_ENV};
+pub use service::{DrainReport, Server, ServerConfig};

@@ -32,18 +32,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bindex::core::{Deadline, Error};
-use bindex::engine::envcfg;
 use bindex::relation::query::ThresholdQuery;
 
 use crate::admission::{BoundedQueue, PushError};
 use crate::protocol::{write_frame, ErrorCode, Request, Response, StatsSnapshot, MAX_FRAME};
 use crate::registry::{Registry, ServedIndex, ServedQuery};
-
-/// Environment variable overriding [`ServerConfig::queue_depth`].
-pub const QUEUE_DEPTH_ENV: &str = "BINDEX_QUEUE_DEPTH";
-/// Environment variable overriding [`ServerConfig::default_deadline`]
-/// (milliseconds).
-pub const DEADLINE_MS_ENV: &str = "BINDEX_DEADLINE_MS";
 
 /// Tuning for one server instance.
 #[derive(Debug, Clone)]
@@ -63,38 +56,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             default_deadline: Duration::from_millis(250),
         }
-    }
-}
-
-impl ServerConfig {
-    /// Defaults overridden by `BINDEX_THREADS` (workers),
-    /// `BINDEX_QUEUE_DEPTH`, and `BINDEX_DEADLINE_MS` — each validated
-    /// through [`envcfg`], so a malformed value warns and falls back
-    /// instead of silently misconfiguring the service.
-    pub fn from_env() -> Self {
-        let mut config = Self::default();
-        if let Some(n) = envcfg::parse_env(
-            bindex::engine::batch::THREADS_ENV,
-            "a positive integer",
-            envcfg::positive_usize,
-        ) {
-            config.workers = n;
-        }
-        if let Some(depth) = envcfg::parse_env(
-            QUEUE_DEPTH_ENV,
-            "a positive integer",
-            envcfg::positive_usize,
-        ) {
-            config.queue_depth = depth;
-        }
-        if let Some(ms) = envcfg::parse_env(
-            DEADLINE_MS_ENV,
-            "a positive integer of milliseconds",
-            envcfg::positive_u64,
-        ) {
-            config.default_deadline = Duration::from_millis(ms);
-        }
-        config
     }
 }
 

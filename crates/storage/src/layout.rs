@@ -102,9 +102,10 @@ pub struct StoredIndexMeta {
     /// (deleted rows are stored as nulls, so any compaction that absorbed
     /// a delete writes one).
     pub has_nn: bool,
-    /// Compaction journal: one line per installed generation, oldest
-    /// first, persisted as `compacted=` manifest lines — the ingest
-    /// counterpart of the `repaired=` journal.
+    /// Compaction journal: the latest installed generation only (empty
+    /// before the first compaction), persisted as one `compacted=`
+    /// manifest line. Every commit rewrites the manifest, so a line per
+    /// compaction would make each ingest write more than the one before.
     pub compactions: Vec<String>,
 }
 
@@ -188,8 +189,7 @@ impl StoredIndexMeta {
             text.push_str(file);
             text.push('\n');
         }
-        // The compaction journal: one repeatable line per installed
-        // generation.
+        // The compaction journal: the latest installed generation.
         for entry in &self.compactions {
             text.push_str("compacted=");
             text.push_str(entry);
@@ -253,7 +253,9 @@ impl StoredIndexMeta {
                         other => return Err(bad(&format!("bad nn flag {other}"))),
                     }
                 }
-                "compacted" => compactions.push(v.to_string()),
+                // An older build kept one line per compaction; the last
+                // one is the latest.
+                "compacted" => compactions = vec![v.to_string()],
                 other => return Err(bad(&format!("unknown key {other}"))),
             }
         }
@@ -930,11 +932,11 @@ impl<S: ByteStore> StoredIndex<S> {
     /// still compressed — and the files are the same bytes either way. The
     /// single commit point is the manifest rewrite — one
     /// atomic `write_file` that flips generation, scheme (always
-    /// bitmap-level after compaction), `wal_applied` watermark, and appends
-    /// a `compacted=` journal line. A crash strictly before that write
-    /// leaves the old generation fully intact (the orphaned `g{G+1}_` files
-    /// are scavenged on the next open); a crash after it leaves the new
-    /// generation committed (stale old files likewise scavenged). There is
+    /// bitmap-level after compaction), `wal_applied` watermark, and the
+    /// `compacted=` journal line, which replaces the previous one. A crash
+    /// strictly before that write leaves the old generation fully intact
+    /// (the orphaned `g{G+1}_` files are scavenged on the next open); a
+    /// crash after it leaves the new generation committed (stale old files likewise scavenged). There is
     /// no intermediate state in which a reader mixes the two.
     ///
     /// After the commit, old-generation files are garbage-collected and the
@@ -956,8 +958,7 @@ impl<S: ByteStore> StoredIndex<S> {
         meta.scheme = StorageScheme::BitmapLevel;
         meta.generation = next;
         meta.wal_applied = wal_applied;
-        meta.compactions
-            .push(format!("gen{next}:rows={}:wal={wal_applied}", meta.n_rows));
+        meta.compactions = vec![format!("gen{next}:rows={}:wal={wal_applied}", meta.n_rows)];
         // A crash anywhere before the writer's manifest swap leaves orphans;
         // the manifest still names the old base.
         self.write_generation(
@@ -2083,6 +2084,47 @@ mod tests {
             "g1_",
             format!("version=4\n{FIXTURE_SHAPE}{journal}"),
         );
+    }
+
+    /// The compaction journal holds the latest generation only: a hundred
+    /// compactions leave one `compacted=` line, and a manifest an older
+    /// build wrote with a line per compaction opens with the last one and
+    /// writes just that one on its next commit.
+    #[test]
+    fn compaction_journal_keeps_only_the_latest_entry() {
+        let comps = fixture_components();
+        let journal_lines = |store: &MemStore| {
+            let data = store.read_file(MANIFEST_FILE).unwrap();
+            let text = format::unframe(MANIFEST_FILE, &data).unwrap();
+            std::str::from_utf8(text)
+                .unwrap()
+                .matches("compacted=")
+                .count()
+        };
+        let mut stored = coded_store(&comps, CodecKind::None);
+        for wal in 1..=100 {
+            stored
+                .install_generation(&reprs(&comps), None, wal)
+                .unwrap();
+        }
+        assert_eq!(stored.meta().compactions.len(), 1);
+        let mut store = StoredIndex::open(stored.into_store()).unwrap().into_store();
+        assert_eq!(journal_lines(&store), 1);
+
+        let manifest = format!(
+            "version=4\n{FIXTURE_SHAPE}generation=100\nwal_applied=100\n\
+             compacted=gen99:rows=300:wal=99\ncompacted=gen100:rows=300:wal=100\n"
+        );
+        store
+            .write_file(MANIFEST_FILE, &format::frame(manifest.as_bytes()))
+            .unwrap();
+        let mut legacy = StoredIndex::open(store).unwrap();
+        assert_eq!(legacy.meta().compactions, vec!["gen100:rows=300:wal=100"]);
+        legacy
+            .install_generation(&reprs(&comps), None, 101)
+            .unwrap();
+        assert_eq!(legacy.meta().compactions, vec!["gen101:rows=300:wal=101"]);
+        assert_eq!(journal_lines(legacy.store()), 1);
     }
 
     /// A store written before the summary block existed — a `version=3`
