@@ -2,7 +2,6 @@
 //! and popcount on 1M-bit bitmaps — the inner loop of every query.
 
 use bindex::bitvec::kernels::{self, Fold, FoldStep};
-use bindex::bitvec::rank::RankIndex;
 use bindex::BitVec;
 use bindex_bench::microbench::{BatchSize, Criterion, Throughput};
 use bindex_bench::{criterion_group, criterion_main};
@@ -55,9 +54,6 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("iter_ones_1m", |bench| {
         bench.iter(|| black_box(&a).iter_ones().sum::<usize>())
-    });
-    g.bench_function("rank_index_build_1m", |bench| {
-        bench.iter(|| RankIndex::new(black_box(&a)).total_ones())
     });
     g.finish();
 

@@ -181,7 +181,11 @@ impl<'a, S: ByteStore> IngestIndex<'a, S> {
             if record.seq <= wal_applied {
                 continue;
             }
-            index.validate(&record.op)?;
+            // A logged delete out of range is damage, not a caller's mistake.
+            index.validate(&record.op).map_err(|e| match e {
+                Error::InvalidQuery(msg) => Error::CorruptIndex(msg),
+                e => e,
+            })?;
             index.apply(&record.op);
             // Everything replayed from disk survived at least one fsync
             // or a clean shutdown; treat it as acknowledged.
@@ -444,7 +448,8 @@ impl<'a, S: ByteStore> IngestIndex<'a, S> {
 
     /// Checks a batch against the current logical state without touching
     /// anything: append values must be within the attribute's
-    /// cardinality, delete row ids within the logical row range.
+    /// cardinality ([`Error::ValueOutOfRange`]), delete row ids within the
+    /// logical row range ([`Error::InvalidQuery`]).
     fn validate(&self, op: &WalOp) -> Result<(), Error> {
         match op {
             WalOp::Append { values } => {
@@ -460,7 +465,7 @@ impl<'a, S: ByteStore> IngestIndex<'a, S> {
             WalOp::Delete { rows } => {
                 for &r in rows {
                     if usize::try_from(r).map_or(true, |r| r >= self.n_rows()) {
-                        return Err(Error::CorruptIndex(format!(
+                        return Err(Error::InvalidQuery(format!(
                             "delete targets row {r}, index holds {} rows",
                             self.n_rows()
                         )));

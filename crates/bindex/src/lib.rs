@@ -6,8 +6,8 @@
 //!
 //! The pieces, re-exported here:
 //!
-//! * [`bitvec`] — dense bit vectors with logical operations and
-//!   rank/select ([`bindex_bitvec`]);
+//! * [`bitvec`] — dense bit vectors with logical operations
+//!   ([`bindex_bitvec`]);
 //! * [`relation`] — columns, synthetic and TPC-D-like data generators,
 //!   selection-query workloads ([`bindex_relation`]);
 //! * [`core`] — the paper's design space: mixed-radix value decomposition,

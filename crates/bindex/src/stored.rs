@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use bindex_bitvec::{BitVec, IndexSummaries};
 use bindex_compress::Repr;
-use bindex_core::{rebuild_slot, BitmapIndex, BitmapSource, Encoding, Error, IndexSpec};
+use bindex_core::{BitmapIndex, BitmapSource, Error, ExecContext, IndexSpec, RecoveryPolicy};
 use bindex_relation::Column;
 use bindex_storage::{
     ByteStore, RepairReport, SharedIndexReader, StorageError, StorageScheme, StoredIndex,
@@ -117,10 +117,10 @@ impl<S: ByteStore> BitmapSource for SharedSource<'_, S> {
     }
 
     fn try_fetch_nn(&mut self) -> Result<Option<BitVec>, Error> {
-        Ok(self.nn.as_ref().map(|nn| match nn {
-            Repr::Literal(bits) => (**bits).clone(),
-            Repr::Wah(wah) => wah.to_bitvec(),
-        }))
+        Ok(self
+            .nn
+            .as_ref()
+            .map(|nn| Arc::unwrap_or_clone(nn.to_bitvec())))
     }
 
     fn try_fetch_nn_repr(&mut self) -> Result<Option<Repr>, Error> {
@@ -172,86 +172,75 @@ pub fn persist_index_v4<S: ByteStore>(
     StoredIndex::create_v4(store, index.components(), index.nn(), codec)
 }
 
-/// Online repair of a damaged stored index: scrubs the store, rebuilds
-/// every bitmap a corrupt file held — from surviving equality siblings
-/// where the identity applies, else by a digit-level scan of `column` —
-/// and drives [`StoredIndex::scrub_and_repair`] to rewrite the files and
-/// journal the repairs in the manifest.
+/// Online repair of a damaged stored index: scrubs the store, asks the
+/// degraded-read path ([`ExecContext::fetch`], under
+/// [`RecoveryPolicy::ReconstructOrScan`] when there is a `column`, else
+/// `Reconstruct`) for every bitmap a corrupt file held, and drives
+/// [`StoredIndex::scrub_and_repair`] to rewrite the files and journal the
+/// repairs — so a repaired file is the one a degraded query would read.
 ///
 /// `spec` must be the layout the index was written with; `null_mask`
-/// flags null rows exactly as
-/// [`BitmapIndex::build_with_nulls`] took it (deleted rows included, once
-/// a compaction stored them as nulls). With a `column` every slot of
-/// every scheme is recoverable; without one only equality-encoded BS
-/// slots with readable siblings are. A corrupt non-null bitmap is the
-/// mask's complement, so it needs the mask and nothing else.
+/// flags null rows exactly as [`BitmapIndex::build_with_nulls`] took it
+/// (deleted rows included, once a compaction stored them as nulls). A
+/// `column` or mask of another row count is [`Error::Infeasible`] before
+/// anything is read. `B_nn` is the mask's complement, else the stored one
+/// if it reads clean; a store with nulls and neither leaves its lost slots
+/// unrepaired, never rebuilt unmasked. A corrupt non-null bitmap needs the
+/// mask and nothing else.
 pub fn scrub_and_repair_index<S: ByteStore>(
     stored: &mut StoredIndex<S>,
     spec: &IndexSpec,
     column: Option<&Column>,
     null_mask: Option<&BitVec>,
 ) -> Result<RepairReport, Error> {
+    let n_rows = stored.meta().n_rows;
+    let lengths = [
+        ("column", column.map(Column::len)),
+        ("null mask", null_mask.map(BitVec::len)),
+    ];
+    for (what, len) in lengths {
+        if let Some(len) = len.filter(|&len| len != n_rows) {
+            return Err(Error::Infeasible(format!(
+                "recovery {what} has {len} rows, the stored index has {n_rows}"
+            )));
+        }
+    }
     let pre = stored.scrub().map_err(storage_error)?;
-    // Reconstruct before repairing: sibling reads must happen while the
-    // store is still readable slot-by-slot.
-    let mut fixes: HashMap<(usize, usize), BitVec> = HashMap::new();
-    for failure in &pre.failures {
-        for (comp, slot) in stored.file_slots(&failure.file) {
-            if fixes.contains_key(&(comp, slot)) {
-                continue;
-            }
-            if let Some(bm) = reconstruct_slot(stored, spec, column, null_mask, comp, slot) {
+    let nn = null_mask.map(BitVec::complement);
+    // Rebuild before repairing, while the store still reads slot by slot;
+    // a store with nulls never has a slot rebuilt without `B_nn`.
+    let lost: Vec<(usize, usize)> = pre
+        .failures
+        .iter()
+        .flat_map(|failure| stored.file_slots(&failure.file))
+        .collect();
+    let b_nn = match &nn {
+        Some(nn) => Some(Repr::literal(nn.clone())),
+        None if lost.is_empty() => None,
+        None => stored.read_nn_repr().ok().flatten(),
+    };
+    let mut fixes = HashMap::new();
+    if !lost.is_empty() && (b_nn.is_some() || !stored.meta().has_nn) {
+        let mut source = SharedSource::try_unpooled(stored, spec.clone())?;
+        source.nn = b_nn;
+        let recovery = match column {
+            Some(column) => RecoveryPolicy::ReconstructOrScan(Arc::new(column.clone())),
+            None => RecoveryPolicy::Reconstruct,
+        };
+        let mut ctx = ExecContext::new(&mut source).with_recovery(recovery);
+        for (comp, slot) in lost {
+            if let Ok(bm) = ctx.fetch(comp, slot) {
                 fixes.insert((comp, slot), bm);
             }
         }
     }
-    let nn = null_mask
-        .filter(|_| stored.meta().has_nn)
-        .map(BitVec::complement);
+    let nn = nn.filter(|_| stored.meta().has_nn);
     stored
-        .scrub_and_repair(|comp, slot| fixes.get(&(comp, slot)).cloned(), nn.as_ref())
+        .scrub_and_repair(
+            |comp, slot| fixes.remove(&(comp, slot)).map(Arc::unwrap_or_clone),
+            nn.as_ref(),
+        )
         .map_err(storage_error)
-}
-
-/// Best-effort reconstruction of one stored bitmap, outside any query:
-/// the equality sibling identity first (only reachable under BS — under
-/// CS/IS the corrupt file took the siblings with it), then the relation
-/// scan. `None` when neither path applies.
-fn reconstruct_slot<S: ByteStore>(
-    stored: &StoredIndex<S>,
-    spec: &IndexSpec,
-    column: Option<&Column>,
-    null_mask: Option<&BitVec>,
-    comp: usize,
-    slot: usize,
-) -> Option<BitVec> {
-    let b = spec.base.component(comp) as usize;
-    if spec.encoding == Encoding::Equality && b > 2 {
-        let mut acc: Option<BitVec> = None;
-        let mut all_readable = true;
-        for s in (0..b).filter(|&s| s != slot) {
-            match stored.read_bitmap(comp, s) {
-                Ok(bm) => match acc.as_mut() {
-                    Some(a) => a.or_assign(&bm),
-                    None => acc = Some(bm),
-                },
-                Err(_) => {
-                    all_readable = false;
-                    break;
-                }
-            }
-        }
-        if all_readable {
-            if let Some(mut bm) = acc {
-                bm.not_assign();
-                if let Some(mask) = null_mask {
-                    bm.and_not_assign(mask);
-                }
-                return Some(bm);
-            }
-        }
-    }
-    rebuild_slot(column?, null_mask, spec, comp, slot).ok()
 }
 
 #[cfg(test)]
@@ -524,6 +513,77 @@ mod tests {
             let (got, _) = evaluate(&mut src, q, Algorithm::Auto).unwrap();
             assert_eq!(got, bindex_core::eval::naive::evaluate(&col, q), "{q}");
         }
+    }
+
+    /// Equality over base <5,6>, 1,500 rows, every 7th row null.
+    fn nullable_index() -> (Column, IndexSpec, BitmapIndex) {
+        let col = gen::uniform(1500, 30, 5);
+        let nulls = BitVec::from_fn(1500, |i| i % 7 == 0);
+        let spec = IndexSpec::new(Base::from_msb(&[5, 6]).unwrap(), Encoding::Equality);
+        let idx = BitmapIndex::build_with_nulls(&col, &nulls, spec.clone()).unwrap();
+        (col, spec, idx)
+    }
+
+    /// The bytes of every file of the store, by name.
+    fn files(stored: &StoredIndex<MemStore>) -> Vec<Vec<u8>> {
+        let mut names = stored.store().file_names().unwrap();
+        names.sort();
+        names
+            .iter()
+            .map(|n| stored.store().read_file(n).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn repair_masks_null_rows_with_the_stored_nn() {
+        let (col, spec, idx) = nullable_index();
+        let bs = StorageScheme::BitmapLevel;
+        // With the column, a second lost sibling sends slot 2 to the scan.
+        for (column, victims) in [(None, &["c1_b2"][..]), (Some(&col), &["c1_b2", "c1_b3"])] {
+            let bs_store = persist_index(&idx, MemStore::new(), bs, CodecKind::None);
+            let v4_store = persist_index_v4(&idx, MemStore::new(), CodecKind::None);
+            for mut stored in [bs_store.unwrap(), v4_store.unwrap()] {
+                for victim in victims {
+                    stored = corrupt_first_data_file(stored, &format!("{victim}.bmp")).0;
+                }
+                let report = scrub_and_repair_index(&mut stored, &spec, column, None).unwrap();
+                let at = format!("v{} {victims:?}", stored.format_version());
+                assert!(report.fully_repaired(), "{at}: {report:?}");
+                for (slot, want) in idx.components()[0].iter().enumerate() {
+                    assert_eq!(&stored.read_bitmap(1, slot).unwrap(), want, "{at}: {slot}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repair_without_a_readable_nn_or_a_mask_rewrites_nothing() {
+        let (_, spec, idx) = nullable_index();
+        let stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
+        let (stored, _) = corrupt_first_data_file(stored, "nn.bmp");
+        let (mut stored, _) = corrupt_first_data_file(stored, "c1_b2.bmp");
+        let before = files(&stored);
+        let report = scrub_and_repair_index(&mut stored, &spec, None, None).unwrap();
+        assert!(report.repaired.is_empty(), "{report:?}");
+        let unrepaired: Vec<&str> = report.unrepaired.iter().map(|f| f.file.as_str()).collect();
+        assert_eq!(unrepaired, ["c1_b2.bmp", "nn.bmp"]);
+        assert_eq!(files(&stored), before);
+    }
+
+    #[test]
+    fn recovery_inputs_of_another_length_are_infeasible() {
+        let (col, spec, idx) = nullable_index();
+        let bs = StorageScheme::BitmapLevel;
+        let stored = persist_index(&idx, MemStore::new(), bs, CodecKind::None).unwrap();
+        let (mut stored, _) = corrupt_first_data_file(stored, "c1_b2.bmp");
+        let before = files(&stored);
+        let short_mask = BitVec::zeros(1499);
+        let short_column = Column::new(col.values()[..1499].to_vec(), 30);
+        for (column, mask) in [(None, Some(&short_mask)), (Some(&short_column), None)] {
+            let got = scrub_and_repair_index(&mut stored, &spec, column, mask);
+            assert!(matches!(got, Err(Error::Infeasible(_))), "{got:?}");
+        }
+        assert_eq!(files(&stored), before);
     }
 
     #[test]

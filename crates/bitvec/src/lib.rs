@@ -15,7 +15,6 @@
 //!   execution drives the same kernels over cache-sized slices,
 //! * population count ([`BitVec::count_ones`]) for foundset cardinalities,
 //! * iteration over set bits ([`BitVec::iter_ones`]) to materialize RID lists,
-//! * O(1) rank and O(log n) select via a sampled [`rank::RankIndex`],
 //! * byte-level (de)serialization for the storage layer.
 //!
 //! Bits beyond `len` inside the last word are kept zero at all times (the
@@ -27,7 +26,6 @@
 
 mod bitvec;
 pub mod kernels;
-pub mod rank;
 pub mod summary;
 
 pub use crate::bitvec::{BitVec, OnesIter, SegmentView};

@@ -354,17 +354,8 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     /// free (no scan charged).
     pub fn with_buffer(source: &'a mut S, buffer: &'a BufferSet) -> Self {
         Self {
-            source,
             buffer: Some(buffer),
-            stats: EvalStats::default(),
-            recovery: RecoveryPolicy::Fail,
-            fetched: HashMap::new(),
-            seg: None,
-            deadline: None,
-            overlay: None,
-            pruning: true,
-            summaries: None,
-            pruned_charged: HashSet::new(),
+            ..Self::new(source)
         }
     }
 
@@ -376,11 +367,6 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     pub fn with_pruning(mut self, pruning: bool) -> Self {
         self.pruning = pruning;
         self
-    }
-
-    /// Whether summary-based segment pruning is enabled.
-    pub fn pruning(&self) -> bool {
-        self.pruning
     }
 
     /// Attaches (or clears) a streaming-ingest delta overlay. Fetches then
@@ -415,11 +401,6 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     pub fn with_deadline(mut self, deadline: Option<Deadline>) -> Self {
         self.deadline = deadline;
         self
-    }
-
-    /// The cooperative deadline, if any.
-    pub fn deadline(&self) -> Option<Deadline> {
-        self.deadline
     }
 
     /// `true` once the attached deadline (if any) has passed.
@@ -463,13 +444,7 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         if self.overlay.is_none() {
             return repr;
         }
-        let mut bm = match repr {
-            Repr::Literal(b) => Arc::try_unwrap(b).unwrap_or_else(|a| (*a).clone()),
-            Repr::Wah(w) => {
-                self.stats.materializations += 1;
-                w.to_bitvec()
-            }
-        };
+        let mut bm = self.materialize(repr);
         self.apply_overlay_dense(comp, slot, &mut bm);
         Repr::literal(bm)
     }
@@ -648,12 +623,7 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
                 // A pruned fetch of this slot in an earlier segment
                 // already levied the deterministic scan/buffer-hit charge.
                 if !self.pruned_charged.remove(&(comp, slot)) {
-                    let resident = self.buffer.is_some_and(|b| b.contains(comp, slot));
-                    if resident {
-                        self.stats.buffer_hits += 1;
-                    } else {
-                        self.stats.scans += 1;
-                    }
+                    self.charge_read(comp, slot);
                 }
                 self.apply_overlay_repr(comp, slot, repr)
             }
@@ -687,12 +657,7 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         };
         let saturated = self.proven_constant(comp, slot, lo, hi)?;
         if self.pruned_charged.insert((comp, slot)) {
-            let resident = self.buffer.is_some_and(|b| b.contains(comp, slot));
-            if resident {
-                self.stats.buffer_hits += 1;
-            } else {
-                self.stats.scans += 1;
-            }
+            self.charge_read(comp, slot);
         }
         let s = self.seg.as_mut().expect("segmented mode");
         s.pruned_any = true;
@@ -761,7 +726,7 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     /// that expects dense words.
     pub fn materialize(&mut self, repr: Repr) -> BitVec {
         match repr {
-            Repr::Literal(b) => Arc::try_unwrap(b).unwrap_or_else(|a| (*a).clone()),
+            Repr::Literal(b) => Arc::unwrap_or_clone(b),
             Repr::Wah(w) => {
                 self.stats.materializations += 1;
                 w.to_bitvec()
@@ -781,28 +746,22 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         // execution this only ever runs on segment 0 (first touch), so
         // its op charges land exactly once — as in whole mode.
         let seg = self.seg.take();
-        let out = self.recover_whole(comp, slot, original);
-        self.seg = seg;
-        out
-    }
-
-    fn recover_whole(&mut self, comp: usize, slot: usize, original: Error) -> Result<BitVec> {
-        if let Some(bm) = self.reconstruct_from_siblings(comp, slot)? {
-            self.stats.reconstructed_bitmaps += 1;
-            return Ok(bm);
-        }
-        if let RecoveryPolicy::ReconstructOrScan(column) = &self.recovery {
-            let column = Arc::clone(column);
+        let out = (|| -> Result<BitVec> {
+            if let Some(bm) = self.reconstruct_from_siblings(comp, slot)? {
+                self.stats.reconstructed_bitmaps += 1;
+                return Ok(bm);
+            }
+            let RecoveryPolicy::ReconstructOrScan(column) = &self.recovery else {
+                return Err(original);
+            };
+            let (column, n_rows) = (Arc::clone(column), self.source.n_rows());
             // A column of another length would rebuild a slot of another
             // length, which no kernel may meet.
-            if column.len() != self.source.n_rows() {
-                return Err(Error::CorruptIndex(format!(
-                    "recovery column has {} rows, the index has {}",
-                    column.len(),
-                    self.source.n_rows()
-                )));
+            if column.len() != n_rows {
+                let len = column.len();
+                let msg = format!("recovery column has {len} rows, the index has {n_rows}");
+                return Err(Error::CorruptIndex(msg));
             }
-            let spec = self.source.spec().clone();
             // The relation scan rebuilds the *base* rows only (the policy
             // carries the base column), so the null mask here must be
             // base-length; the overlay then extends the rebuilt slot to
@@ -810,23 +769,23 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             let null_mask = match &self.overlay {
                 Some(_) => {
                     let base = self.source.try_fetch_nn()?;
-                    if base.is_some() {
-                        self.stats.scans += 1;
-                    }
+                    self.stats.scans += usize::from(base.is_some());
                     base.map(|nn| nn.complement())
                 }
                 None => self.fetch_nn()?.map(|nn| nn.complement()),
             };
-            let mut bm = rebuild_slot(&column, null_mask.as_ref(), &spec, comp, slot)?;
+            let mut bm = rebuild_slot(&column, null_mask.as_ref(), self.source.spec(), comp, slot)?;
             self.apply_overlay_dense(comp, slot, &mut bm);
-            return Ok(bm);
-        }
-        Err(original)
+            Ok(bm)
+        })();
+        self.seg = seg;
+        out
     }
 
     /// `E^j = NOT(OR(siblings)) AND B_nn` for an equality-encoded
-    /// component with base `b > 2`; `Ok(None)` when the identity does not
-    /// apply or a sibling is itself unreadable. Siblings are fetched
+    /// component with base `b > 2`, as one [`ExecContext::fold`] (the mask
+    /// clears the null rows NOT sets); `Ok(None)` when the identity does
+    /// not apply or a sibling is itself unreadable. Siblings are fetched
     /// through the per-query cache (never recursively recovered — two
     /// missing slots of one component cannot rebuild each other).
     fn reconstruct_from_siblings(&mut self, comp: usize, slot: usize) -> Result<Option<BitVec>> {
@@ -844,32 +803,34 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
                 siblings.push(self.materialize_cached((comp, s), &repr));
                 continue;
             }
-            match self.source.try_fetch(comp, s) {
-                Ok(mut bm) => {
-                    let resident = self.buffer.is_some_and(|buf| buf.contains(comp, s));
-                    if resident {
-                        self.stats.buffer_hits += 1;
-                    } else {
-                        self.stats.scans += 1;
-                    }
-                    self.apply_overlay_dense(comp, s, &mut bm);
-                    let bm = Arc::new(bm);
-                    self.fetched
-                        .insert((comp, s), Repr::Literal(Arc::clone(&bm)));
-                    siblings.push(bm);
-                }
-                Err(_) => return Ok(None),
-            }
+            let Ok(mut bm) = self.source.try_fetch(comp, s) else {
+                return Ok(None);
+            };
+            self.charge_read(comp, s);
+            self.apply_overlay_dense(comp, s, &mut bm);
+            let bm = Arc::new(bm);
+            self.fetched
+                .insert((comp, s), Repr::Literal(Arc::clone(&bm)));
+            siblings.push(bm);
         }
-        let refs: Vec<&BitVec> = siblings.iter().map(Arc::as_ref).collect();
-        let mut rebuilt = self.or_all(&refs);
-        self.not(&mut rebuilt);
-        // NOT sets null rows too (they are absent from every bitmap); mask
-        // them back out when the column has nulls.
-        if let Some(nn) = self.fetch_nn()? {
-            self.and(&mut rebuilt, &nn);
+        let mut siblings = siblings.into_iter();
+        let program = Fold {
+            seed: siblings.next(),
+            steps: siblings.map(FoldStep::Or).collect(),
+            complement: true,
+            mask: self.fetch_nn()?,
+        };
+        Ok(Some(self.fold(&program)))
+    }
+
+    /// Charges one read of stored bitmap `(comp, slot)`: a buffer hit when
+    /// it is buffer-resident, else a scan.
+    fn charge_read(&mut self, comp: usize, slot: usize) {
+        if self.buffer.is_some_and(|b| b.contains(comp, slot)) {
+            self.stats.buffer_hits += 1;
+        } else {
+            self.stats.scans += 1;
         }
-        Ok(Some(rebuilt))
     }
 
     /// Fetches the non-null bitmap if the index has one. Charged as a scan
@@ -888,9 +849,7 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             return Ok(Some(repr.clone()));
         }
         let base = self.source.try_fetch_nn_repr()?;
-        if base.is_some() {
-            self.stats.scans += 1;
-        }
+        self.stats.scans += usize::from(base.is_some());
         let merged = match self.overlay.clone() {
             Some(o) => {
                 let base = base.map(|repr| self.materialize(repr));

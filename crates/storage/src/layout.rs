@@ -58,20 +58,6 @@ pub enum StorageScheme {
     IndexLevel,
 }
 
-impl StorageScheme {
-    /// The paper's abbreviation, `c`-prefixed when `compressed`.
-    pub fn label(self, compressed: bool) -> &'static str {
-        match (self, compressed) {
-            (StorageScheme::BitmapLevel, false) => "BS",
-            (StorageScheme::BitmapLevel, true) => "cBS",
-            (StorageScheme::ComponentLevel, false) => "CS",
-            (StorageScheme::ComponentLevel, true) => "cCS",
-            (StorageScheme::IndexLevel, false) => "IS",
-            (StorageScheme::IndexLevel, true) => "cIS",
-        }
-    }
-}
-
 /// Shape metadata of a stored index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredIndexMeta {
@@ -349,24 +335,9 @@ impl<S: ByteStore> StoredIndex<S> {
         let empty = StoredIndexMeta::fresh(scheme, codec);
         let mut index = Self::handle(store, empty, PAPER_VERSION);
         let meta = index.meta.clone().shaped(components, nn, BitVec::len);
-        match scheme {
-            StorageScheme::BitmapLevel => {
-                for (ci, comp) in components.iter().enumerate() {
-                    for (j, bm) in comp.iter().enumerate() {
-                        index.write_dense(&gen_bitmap_file(0, ci + 1, j), &[bm])?;
-                    }
-                }
-            }
-            StorageScheme::ComponentLevel => {
-                for (ci, comp) in components.iter().enumerate() {
-                    let columns: Vec<&BitVec> = comp.iter().collect();
-                    index.write_dense(&component_file(ci + 1), &columns)?;
-                }
-            }
-            StorageScheme::IndexLevel => {
-                let all: Vec<&BitVec> = components.iter().flatten().collect();
-                index.write_dense(INDEX_FILE, &all)?;
-            }
+        for (name, held) in data_files(&meta) {
+            let columns: Vec<&BitVec> = held.iter().map(|&(c, s)| &components[c - 1][s]).collect();
+            index.write_dense(&name, &columns)?;
         }
         if let Some(nn) = nn {
             index.write_dense(&gen_nn_file(0), &[nn])?;
@@ -447,16 +418,14 @@ impl<S: ByteStore> StoredIndex<S> {
     ) -> Result<(), StorageError> {
         let generation = meta.generation;
         let mut enc = SlotEncoder::new(meta.codec);
-        for (ci, &n_i) in meta.bitmaps_per_component.iter().enumerate() {
-            for slot in 0..n_i as usize {
-                if let Some(bm) = content(ci + 1, slot) {
-                    self.store.write_file(
-                        &gen_bitmap_file(generation, ci + 1, slot),
-                        &format::frame(&enc.encode_slot(&bm)),
-                    )?;
-                } else if summarize {
-                    enc.summarize_slot(&self.read_repr(ci + 1, slot)?);
-                }
+        // Bitmap-level: one slot per file.
+        for (name, held) in data_files(&meta) {
+            let (comp, slot) = held[0];
+            if let Some(bm) = content(comp, slot) {
+                self.store
+                    .write_file(&name, &format::frame(&enc.encode_slot(&bm)))?;
+            } else if summarize {
+                enc.summarize_slot(&self.read_repr(comp, slot)?);
             }
         }
         if let Some(nn) = nn {
@@ -547,11 +516,6 @@ impl<S: ByteStore> StoredIndex<S> {
         &mut self.store
     }
 
-    /// Slot file name under this store's current generation.
-    fn slot_file(&self, comp: usize, slot: usize) -> String {
-        gen_bitmap_file(self.meta.generation, comp, slot)
-    }
-
     /// Consumes the index, returning the underlying store.
     pub fn into_store(self) -> S {
         self.store
@@ -598,38 +562,31 @@ impl<S: ByteStore> StoredIndex<S> {
     /// then propagate; corruption is reported as a permanent error, never
     /// as a wrong bitmap.
     pub fn read_repr(&self, comp: usize, slot: usize) -> Result<Repr, StorageError> {
-        let n_i = self.check_slot(comp, slot)?;
         if self.slot_coded() {
-            return self.read_slot_repr(&self.slot_file(comp, slot));
+            self.check_slot(comp, slot)?;
+            return self.read_slot_repr(&gen_bitmap_file(self.meta.generation, comp, slot));
         }
+        let (name, width, j) = data_files(&self.meta)
+            .find_map(|(name, held)| {
+                let j = held.iter().position(|&held| held == (comp, slot))?;
+                Some((name, held.len(), j))
+            })
+            .ok_or(StorageError::InvalidSlot { comp, slot })?;
+        self.read_column(&name, width, j).map(Repr::literal)
+    }
+
+    /// Column `j` of a paper-layout file of `width` bitmaps: a one-bitmap
+    /// file is that bitmap's bytes (as [`StoredIndex::write_dense`] wrote
+    /// them), a wider one is row-major.
+    fn read_column(&self, name: &str, width: usize, j: usize) -> Result<BitVec, StorageError> {
         let n_rows = self.meta.n_rows;
-        let bitmap = match self.meta.scheme {
-            StorageScheme::BitmapLevel => {
-                self.read_and_decompress(&self.slot_file(comp, slot), n_rows.div_ceil(8), |raw| {
-                    BitVec::from_bytes(n_rows, raw)
-                })
-            }
-            StorageScheme::ComponentLevel => {
-                let name = component_file(comp);
-                let raw_len = row_major_len(&name, n_rows, n_i)?;
-                self.read_and_decompress(&name, raw_len, |raw| {
-                    extract_column(raw, n_rows, n_i, slot)
-                })
-            }
-            StorageScheme::IndexLevel => {
-                let n = self.meta.total_bitmaps() as usize;
-                let raw_len = row_major_len(INDEX_FILE, n_rows, n)?;
-                let global: usize = self.meta.bitmaps_per_component[..comp - 1]
-                    .iter()
-                    .map(|&x| x as usize)
-                    .sum::<usize>()
-                    + slot;
-                self.read_and_decompress(INDEX_FILE, raw_len, |raw| {
-                    extract_column(raw, n_rows, n, global)
-                })
-            }
-        }?;
-        Ok(Repr::literal(bitmap))
+        let raw_len = row_major_len(name, n_rows, width)?;
+        let data = self.read_file(name)?;
+        let payload = format::unframe(name, &data)?;
+        self.decode_raw(name, payload, raw_len, |raw| match width {
+            1 => BitVec::from_bytes(n_rows, raw),
+            _ => extract_column(raw, n_rows, width, j),
+        })
     }
 
     /// [`StoredIndex::read_repr`], materialized to dense words.
@@ -672,10 +629,8 @@ impl<S: ByteStore> StoredIndex<S> {
         if self.slot_coded() {
             return self.read_slot_repr(&name).map(Some);
         }
-        let n_rows = self.meta.n_rows;
-        self.read_and_decompress(&name, n_rows.div_ceil(8), |raw| {
-            Some(Repr::literal(BitVec::from_bytes(n_rows, raw)))
-        })
+        self.read_column(&name, 1, 0)
+            .map(|nn| Some(Repr::literal(nn)))
     }
 
     /// The summary block, loaded and shape-validated once per store handle
@@ -712,18 +667,14 @@ impl<S: ByteStore> StoredIndex<S> {
     }
 
     /// Validates a `(component, slot)` address against the stored shape.
-    fn check_slot(&self, comp: usize, slot: usize) -> Result<usize, StorageError> {
-        let n_i = match comp
+    fn check_slot(&self, comp: usize, slot: usize) -> Result<(), StorageError> {
+        let n_i = comp
             .checked_sub(1)
-            .and_then(|c| self.meta.bitmaps_per_component.get(c))
-        {
-            Some(&n) => n as usize,
-            None => return Err(StorageError::InvalidSlot { comp, slot }),
-        };
-        if slot >= n_i {
-            return Err(StorageError::InvalidSlot { comp, slot });
+            .and_then(|c| self.meta.bitmaps_per_component.get(c));
+        match n_i {
+            Some(&n_i) if slot < n_i as usize => Ok(()),
+            _ => Err(StorageError::InvalidSlot { comp, slot }),
         }
-        Ok(n_i)
     }
 
     /// Reads one slot-coded file: unframe, dispatch on the leading
@@ -782,37 +733,9 @@ impl<S: ByteStore> StoredIndex<S> {
     /// one bitmap under BS, a whole component under CS, every bitmap under
     /// IS. Empty for the manifest and for names outside the layout.
     pub fn file_slots(&self, name: &str) -> Vec<(usize, usize)> {
-        let shape = &self.meta.bitmaps_per_component;
-        match self.meta.scheme {
-            StorageScheme::BitmapLevel => {
-                for (ci, &n_i) in shape.iter().enumerate() {
-                    for slot in 0..n_i as usize {
-                        if self.slot_file(ci + 1, slot) == name {
-                            return vec![(ci + 1, slot)];
-                        }
-                    }
-                }
-                Vec::new()
-            }
-            StorageScheme::ComponentLevel => {
-                for (ci, &n_i) in shape.iter().enumerate() {
-                    if component_file(ci + 1) == name {
-                        return (0..n_i as usize).map(|slot| (ci + 1, slot)).collect();
-                    }
-                }
-                Vec::new()
-            }
-            StorageScheme::IndexLevel => {
-                if name != INDEX_FILE {
-                    return Vec::new();
-                }
-                shape
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(ci, &n_i)| (0..n_i as usize).map(move |slot| (ci + 1, slot)))
-                    .collect()
-            }
-        }
+        data_files(&self.meta)
+            .find(|(file, _)| file == name)
+            .map_or_else(Vec::new, |(_, held)| held)
     }
 
     /// Extends [`StoredIndex::scrub`] into online repair: every corrupt
@@ -996,19 +919,6 @@ impl<S: ByteStore> StoredIndex<S> {
             .bytes_read
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         Ok(data)
-    }
-
-    /// Reads `name`, verifies its frame and hands its `raw_len` dense
-    /// bytes to `decode`.
-    fn read_and_decompress<T>(
-        &self,
-        name: &str,
-        raw_len: usize,
-        decode: impl FnOnce(&[u8]) -> T,
-    ) -> Result<T, StorageError> {
-        let data = self.read_file(name)?;
-        let payload = format::unframe(name, &data)?;
-        self.decode_raw(name, payload, raw_len, decode)
     }
 
     /// Undoes the store's byte codec on `payload` and hands exactly
@@ -1328,6 +1238,35 @@ fn parse_component_name(name: &str) -> Option<usize> {
 
 fn component_file(comp: usize) -> String {
     format!("c{comp}.cmp")
+}
+
+/// A data file's name and the `(component, slot)` addresses it holds, in
+/// column order.
+type DataFile = (String, Vec<(usize, usize)>);
+
+/// The file map of a shaped store: its bitmap files in write order — one
+/// slot per file under BS and the current format (named for the
+/// manifest's generation), one component per file under CS, every bitmap
+/// in one file under IS. The non-null bitmap and the summary block are
+/// not in it.
+fn data_files(meta: &StoredIndexMeta) -> Box<dyn Iterator<Item = DataFile> + '_> {
+    let slots = |ci: usize, n_i: u32| (0..n_i as usize).map(move |slot| (ci + 1, slot));
+    let shape = meta.bitmaps_per_component.iter().enumerate();
+    let all = shape.clone().flat_map(move |(ci, &n_i)| slots(ci, n_i));
+    match meta.scheme {
+        StorageScheme::BitmapLevel => Box::new(all.map(|(comp, slot)| {
+            (
+                gen_bitmap_file(meta.generation, comp, slot),
+                vec![(comp, slot)],
+            )
+        })),
+        StorageScheme::ComponentLevel => Box::new(
+            shape.map(move |(ci, &n_i)| (component_file(ci + 1), slots(ci, n_i).collect())),
+        ),
+        StorageScheme::IndexLevel => {
+            Box::new(std::iter::once((INDEX_FILE.to_string(), all.collect())))
+        }
+    }
 }
 
 /// Packs `bitmaps` (columns) into a row-major byte buffer: bit

@@ -24,7 +24,7 @@ use bindex::compress::CodecKind;
 use bindex::core::eval::Algorithm;
 use bindex::relation::query::{Op, SelectionQuery};
 use bindex::relation::{gen, Column};
-use bindex::storage::wal::WalOp;
+use bindex::storage::wal::{self, WalOp};
 use bindex::storage::{ByteStore, FaultPlan, FaultStore, MemStore, StoredIndex};
 use bindex::stored::persist_index_v4;
 use bindex::{Base, BitVec, BitmapIndex, Encoding, IndexSpec, IngestIndex, IngestOptions};
@@ -636,4 +636,35 @@ fn a_failed_wal_size_probe_appends_nothing() {
         "no acknowledged batch lost"
     );
     assert_eq!(reopened.n_rows(), BASE_ROWS + 5);
+}
+
+/// An out-of-range delete is the caller's mistake: `InvalidQuery`, the log
+/// untouched and the sequence number unspent. The same record found in the
+/// log at replay is damage to the store: `CorruptIndex`.
+#[test]
+fn an_out_of_range_delete_is_invalid_and_logs_nothing() {
+    let base = gen::uniform(BASE_ROWS, CARDINALITY, 8);
+    let built = BitmapIndex::build(&base, spec(Encoding::Equality)).unwrap();
+    let mut stored = persist_index_v4(&built, MemStore::new(), CodecKind::None).unwrap();
+    let mut ingest = session(&mut stored, Encoding::Equality).unwrap();
+    let first = ingest.append(&[Some(1)]).unwrap();
+    let log_len =
+        |ingest: &IngestIndex<'_, MemStore>| ingest.stored().store().file_size("wal.bixl");
+    let before = log_len(&ingest).unwrap();
+    let past_end = WalOp::Delete {
+        rows: vec![ingest.n_rows() as u64],
+    };
+    let err = ingest.commit(past_end.clone()).unwrap_err();
+    assert!(matches!(err, bindex::core::Error::InvalidQuery(_)), "{err}");
+    assert_eq!(log_len(&ingest).unwrap(), before);
+    assert_eq!(ingest.delete(&[0]).unwrap().seq, first.seq + 1);
+    drop(ingest);
+
+    let mut log = wal::wal_header();
+    log.extend(wal::encode_record(1, &past_end));
+    let mut store = stored.into_store();
+    store.write_file("wal.bixl", &log).unwrap();
+    let mut replayed = open_stored(store);
+    let err = session(&mut replayed, Encoding::Equality).err().unwrap();
+    assert!(matches!(err, bindex::core::Error::CorruptIndex(_)), "{err}");
 }
