@@ -20,7 +20,9 @@
 //! Range operators reduce to a `≤` chain exactly as in RangeEval-Opt:
 //! `R_1 = (d_1 ≤ v_1)`, `R_i = (d_i < v_i) ∨ ((d_i = v_i) ∧ R_{i−1})`.
 
-use bindex_bitvec::kernels::FoldStep;
+use std::sync::Arc;
+
+use bindex_bitvec::kernels::{Fold, FoldStep};
 use bindex_bitvec::BitVec;
 use bindex_relation::query::SelectionQuery;
 
@@ -41,168 +43,175 @@ pub fn evaluate<S: BitmapSource>(
 ) -> Result<BitVec> {
     evaluate_chain(ctx, query, |ctx, chain| match chain {
         Chain::Le(v) => le_chain(ctx, v),
-        Chain::Eq(v) => match eq_plan(&ctx.spec().base, v) {
-            Some(plan) => ctx.fold_plan(&plan, false),
-            None => {
-                let n = ctx.spec().n_components();
-                let digits = (1..=n).map(|i| eq_bitmap(ctx, i, 0));
-                let digits = digits.collect::<Result<Vec<_>>>()?;
-                Ok(ctx.and_all(&digits.iter().collect::<Vec<_>>()))
-            }
-        },
+        Chain::Eq(v) => eq_chain(ctx, v),
     })
 }
 
 /// `A = v` / `A ≠ v` as one plan — the queries whose whole evaluation is
 /// linear, so [`super::evaluate_repr_in`] can fold them in the WAH domain;
-/// `None` for the range operators and for the one `=` chain that is no
-/// plan (see `eq_plan`).
+/// `None` for the range operators and for the one `=` chain without a
+/// stored slot to seed from (see `eq_plan`).
 pub(crate) fn plan(base: &Base, query: SelectionQuery) -> Option<Plan> {
-    match reduce(query) {
-        Reduced::Chain(Chain::Eq(v), complement) => Some(Plan {
-            complement,
-            ..eq_plan(base, v)?
-        }),
-        _ => None,
-    }
+    let Reduced::Chain(Chain::Eq(v), complement) = reduce(query) else {
+        return None;
+    };
+    let plan = eq_plan(base, v);
+    plan.seed.is_some().then_some(Plan { complement, ..plan })
 }
 
 /// `A = v`: the AND of the per-component equality bitmaps, one scan each.
 /// The first plain stored slot seeds the fold and the rest are `And`
 /// steps, so `n − 1` ANDs are charged, as the pairwise chain would; a
 /// base-2 digit 0 is `AndNot` of the one stored bitmap (`E^0 = ¬E^1`, one
-/// NOT). `None` when no component has a plain slot to seed from — every
-/// base number 2 and `v = 0` — where a fold would start from the all-ones
-/// bitmap and charge `n`: [`evaluate`] runs that one pairwise.
-fn eq_plan(base: &Base, v: u32) -> Option<Plan> {
+/// NOT). Seedless when no component has a plain slot — every base number
+/// 2 and `v = 0` — where a fold would start from the all-ones bitmap and
+/// charge `n` ANDs: `eq_chain` makes the first digit a term of its own.
+fn eq_plan(base: &Base, v: u32) -> Plan {
     let digits = digits_of(base, v);
     let mut plan = Plan::default();
     for i in 1..=base.n_components() {
-        // Base 2 stores `E^1` alone, as slot 0.
-        let (slot, negated) = match (base.component(i), digits[i - 1]) {
-            (2, j) => ((i, 0), j == 0),
-            (_, j) => ((i, j as usize), false),
-        };
-        if negated {
-            plan.steps.push(FoldStep::AndNot(slot));
-        } else if plan.seed.is_none() {
-            plan.seed = Some(slot);
-        } else {
-            plan.steps.push(FoldStep::And(slot));
+        match digit_slot(base, i, digits[i - 1]) {
+            (slot, true) => plan.steps.push(FoldStep::AndNot(slot)),
+            (slot, false) if plan.seed.is_none() => plan.seed = Some(slot),
+            (slot, false) => plan.steps.push(FoldStep::And(slot)),
         }
     }
-    plan.seed.is_some().then_some(plan)
+    plan
 }
 
-/// Fetches the equality bitmap `E_i^j`, deriving `E^0 = ¬E^1` for base-2
-/// components (one counted scan of the single stored bitmap + one NOT).
-fn eq_bitmap<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, comp: usize, j: u32) -> Result<BitVec> {
-    let b = ctx.spec().base.component(comp);
-    if b == 2 {
-        let stored = ctx.fetch(comp, 0)?; // E^1
-        if j == 1 {
-            Ok(ctx.to_window(&stored))
-        } else {
-            let mut out = ctx.to_window(&stored);
-            ctx.not(&mut out);
-            Ok(out)
-        }
+/// The stored slot of `E_i^j`, and whether the digit is its complement:
+/// a base-2 component stores `E^1` alone, as slot 0, and `E^0 = ¬E^1`.
+fn digit_slot(base: &Base, comp: usize, j: u32) -> ((usize, usize), bool) {
+    match base.component(comp) {
+        2 => ((comp, 0), j == 0),
+        _ => ((comp, j as usize), false),
+    }
+}
+
+/// `A = v` as a chain: `eq_plan` over its fetched slots, or — for `A = 0`
+/// on an all-binary base, where every digit is `¬E^1` — the first digit
+/// as a term of its own (one NOT) and the rest as `AndNot` steps.
+fn eq_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, v: u32) -> Result<Fold<Arc<BitVec>>> {
+    let mut plan = eq_plan(&ctx.spec().base, v);
+    if plan.seed.is_some() {
+        return ctx.fetch_plan(&plan);
+    }
+    plan.steps.remove(0); // `∧ ¬E_1^1`
+    let seed = not_e1(ctx, 1)?;
+    Ok(Fold {
+        seed: Some(seed),
+        ..ctx.fetch_plan(&plan)?
+    })
+}
+
+/// `(d_i = j)` as a step of the `≤` chain: `∧ E_i^j`, or `∧ ¬E^1` for a
+/// base-2 digit 0 (one scan of the single stored bitmap + one NOT).
+fn eq_step<S: BitmapSource>(
+    ctx: &mut ExecContext<'_, S>,
+    comp: usize,
+    j: u32,
+) -> Result<FoldStep<Arc<BitVec>>> {
+    let ((comp, slot), negated) = digit_slot(&ctx.spec().base, comp, j);
+    let step = if negated {
+        FoldStep::AndNot
     } else {
-        let stored = ctx.fetch(comp, j as usize)?;
-        Ok(ctx.to_window(&stored))
-    }
+        FoldStep::And
+    };
+    Ok(step(ctx.fetch(comp, slot)?))
 }
 
-/// OR of `E_i^{lo} … E_i^{hi}` (inclusive) — a plan of its own, so the
-/// slots are folded in one pass, in the WAH domain when they are served
-/// compressed within the executor's rule: `hi − lo` ORs charged, as the
-/// pairwise fold would. Assumes `lo <= hi` and the component has base > 2
-/// (callers special-case base 2).
+/// `¬E^1` of a base-2 component as a term — a digit that cannot be a step
+/// (the seed, or an operand of an OR): one scan and one NOT, over dense
+/// words like the step that may read the same slot.
+fn not_e1<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, comp: usize) -> Result<Arc<BitVec>> {
+    let plan = Plan {
+        seed: Some((comp, 0)),
+        complement: true,
+        ..Plan::default()
+    };
+    ctx.fold_plan(&plan, false).map(Arc::new)
+}
+
+/// OR of `E_i^{lo} … E_i^{hi}` (inclusive), complemented when asked — a
+/// plan of its own, so the slots are folded in one pass, in the WAH domain
+/// when they are served compressed within the executor's rule: `hi − lo`
+/// ORs charged, as the pairwise fold would, plus the NOT. Assumes
+/// `lo <= hi` and the component has base > 2 (callers special-case base 2).
 fn or_range<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     comp: usize,
     lo: u32,
     hi: u32,
-) -> Result<BitVec> {
+    complement: bool,
+) -> Result<Arc<BitVec>> {
     let plan = Plan {
         seed: Some((comp, lo as usize)),
         steps: (lo + 1..=hi)
             .map(|j| FoldStep::Or((comp, j as usize)))
             .collect(),
-        ..Plan::default()
+        complement,
+        mask: None,
     };
     let found = ctx.run_plan(&plan, false)?;
-    Ok(ctx.materialize(found))
+    Ok(Arc::new(ctx.materialize(found)))
 }
 
-/// `d_1 ≤ v_1` for component 1, choosing the cheaper of the direct OR-prefix
-/// and the complemented OR-suffix plan by scan count.
-fn le_component1<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, v1: u32) -> Result<BitVec> {
+/// `d_1 ≤ v_1` for component 1 (`None` is all ones), choosing the cheaper
+/// of the direct OR-prefix and the complemented OR-suffix plan by scan
+/// count.
+fn le_component1<S: BitmapSource>(
+    ctx: &mut ExecContext<'_, S>,
+    v1: u32,
+) -> Result<Option<Arc<BitVec>>> {
     let b1 = ctx.spec().base.component(1);
     if v1 == b1 - 1 {
-        return Ok(BitVec::ones(ctx.view_len()));
-    }
-    if b1 == 2 {
-        // v1 = 0: d <= 0 is E^0 = ¬E^1.
-        return eq_bitmap(ctx, 1, 0);
+        return Ok(None);
     }
     let direct_scans = v1 + 1; // E^0 … E^{v1}
     let comp_scans = b1 - 1 - v1; // E^{v1+1} … E^{b1−1}
-    if direct_scans <= comp_scans {
-        or_range(ctx, 1, 0, v1)
+    let term = if b1 == 2 {
+        // v1 = 0: d <= 0 is E^0 = ¬E^1.
+        not_e1(ctx, 1)?
+    } else if direct_scans <= comp_scans {
+        or_range(ctx, 1, 0, v1, false)?
     } else {
-        let mut acc = or_range(ctx, 1, v1 + 1, b1 - 1)?;
-        ctx.not(&mut acc);
-        Ok(acc)
-    }
+        or_range(ctx, 1, v1 + 1, b1 - 1, true)?
+    };
+    Ok(Some(term))
 }
 
-/// `(lt, eq)` digit bitmaps for component `i ≥ 2`: `lt = (d_i < v_i)`,
-/// `eq = (d_i = v_i)`. Returns `lt = None` when `v_i = 0` (empty).
-fn lt_eq_component<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    comp: usize,
-    vi: u32,
-) -> Result<(Option<BitVec>, BitVec)> {
-    let b = ctx.spec().base.component(comp);
-    if vi == 0 {
-        return Ok((None, eq_bitmap(ctx, comp, 0)?));
-    }
-    if b == 2 {
-        // vi = 1: lt = E^0 = ¬E^1, eq = E^1 — one stored bitmap total.
-        let eq = eq_bitmap(ctx, comp, 1)?;
-        let lt = eq_bitmap(ctx, comp, 0)?;
-        return Ok((Some(lt), eq));
-    }
-    let direct_scans = vi + 1; // E^0 … E^{vi−1} plus E^{vi} for eq
-    let comp_scans = b - vi; // E^{vi} … E^{b−1}, E^{vi} shared with eq
-    if direct_scans <= comp_scans {
-        let lt = or_range(ctx, comp, 0, vi - 1)?;
-        let eq = eq_bitmap(ctx, comp, vi)?;
-        Ok((Some(lt), eq))
-    } else {
-        // lt = ¬(d >= vi) = ¬(E^{vi} ∨ … ∨ E^{b−1}); eq scan is shared.
-        let eq = eq_bitmap(ctx, comp, vi)?;
-        let mut lt = or_range(ctx, comp, vi, b - 1)?;
-        ctx.not(&mut lt);
-        Ok((Some(lt), eq))
-    }
-}
-
-/// `A ≤ le` over all components.
-fn le_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<BitVec> {
+/// `A ≤ le` over all components: `R_1 = (d_1 ≤ v_1)`, then
+/// `R_i = lt ∨ (eq ∧ R_{i−1})` with `lt = (d_i < v_i)` a term (empty when
+/// `v_i = 0`) and `eq = (d_i = v_i)` a step over its stored slot. Terms
+/// are built, and slots fetched, component by component in the order the
+/// cheaper plan reads them.
+fn le_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<Fold<Arc<BitVec>>> {
     let digits = digits_of(&ctx.spec().base, le);
-    let n = ctx.spec().n_components();
-    let mut b = le_component1(ctx, digits[0])?;
-    for i in 2..=n {
-        let (lt, eq) = lt_eq_component(ctx, i, digits[i - 1])?;
-        // R_i = lt ∨ (eq ∧ R_{i−1})
-        ctx.and(&mut b, &eq);
-        if let Some(lt) = lt {
-            ctx.or(&mut b, &lt);
-        }
+    let mut chain = Fold {
+        seed: le_component1(ctx, digits[0])?,
+        ..Fold::default()
+    };
+    for i in 2..=ctx.spec().n_components() {
+        let (b, vi) = (ctx.spec().base.component(i), digits[i - 1]);
+        let direct_scans = vi + 1; // E^0 … E^{vi−1} plus E^{vi} for eq
+        let comp_scans = b - vi; // E^{vi} … E^{b−1}, E^{vi} shared with eq
+        let (eq, lt) = if vi == 0 {
+            (eq_step(ctx, i, 0)?, None)
+        } else if b == 2 {
+            // vi = 1: lt = E^0 = ¬E^1, eq = E^1 — one stored bitmap total.
+            (eq_step(ctx, i, 1)?, Some(not_e1(ctx, i)?))
+        } else if direct_scans <= comp_scans {
+            let lt = or_range(ctx, i, 0, vi - 1, false)?;
+            (eq_step(ctx, i, vi)?, Some(lt))
+        } else {
+            // lt = ¬(d >= vi) = ¬(E^{vi} ∨ … ∨ E^{b−1}); eq scan is shared.
+            let eq = eq_step(ctx, i, vi)?;
+            (eq, Some(or_range(ctx, i, vi, b - 1, true)?))
+        };
+        chain.steps.push(eq);
+        chain.steps.extend(lt.map(FoldStep::Or));
     }
-    Ok(b)
+    Ok(chain)
 }
 
 /// Predicted number of bitmap scans for one query on an equality-encoded

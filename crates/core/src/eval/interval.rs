@@ -26,12 +26,15 @@
 //! Multi-component queries chain exactly like the other evaluators:
 //! `R_i = (d_i < v_i) ∨ ((d_i = v_i) ∧ R_{i−1})`.
 
+use std::sync::Arc;
+
+use bindex_bitvec::kernels::{Fold, FoldStep};
 use bindex_bitvec::BitVec;
 use bindex_relation::query::SelectionQuery;
 
 use crate::base::Base;
 use crate::error::Result;
-use crate::exec::ExecContext;
+use crate::exec::{ExecContext, Plan};
 use crate::index::BitmapSource;
 
 use super::{digits_of, evaluate_chain, reduce, Chain, Reduced};
@@ -55,121 +58,98 @@ pub fn evaluate<S: BitmapSource>(
     })
 }
 
-/// `d_i = v` for one component (see module table).
-fn eq_digit<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, comp: usize, v: u32) -> Result<BitVec> {
-    let b = ctx.spec().base.component(comp);
+/// The plan of `d = v` for component `comp` of base `b` (see module table).
+fn eq_digit(b: u32, comp: usize, v: u32) -> Plan {
     let m = windows_of(b);
-    Ok(if m == 1 {
+    let slot = |j: u32| (comp, j as usize);
+    let (seed, step, complement) = if m == 1 {
         // b <= 2: I^0 = {0}.
-        let stored = ctx.fetch(comp, 0)?;
-        let w = ctx.to_window(&stored);
-        if v == 0 {
-            w
-        } else {
-            let mut out = w;
-            ctx.not(&mut out);
-            out
-        }
+        (slot(0), None, v != 0)
     } else if b.is_multiple_of(2) && v == b - 1 {
         // uncovered top digit: ¬(I^0 ∨ I^{m−1})
-        let w0 = ctx.fetch(comp, 0)?;
-        let wt = ctx.fetch(comp, m as usize - 1)?;
-        let mut out = ctx.to_window(&w0);
-        ctx.or(&mut out, &wt);
-        ctx.not(&mut out);
-        out
+        (slot(0), Some(FoldStep::Or(slot(m - 1))), true)
     } else if v == m - 1 {
         // I^{m−1} ∧ I^0
-        let wt = ctx.fetch(comp, m as usize - 1)?;
-        let w0 = ctx.fetch(comp, 0)?;
-        let mut out = ctx.to_window(&wt);
-        ctx.and(&mut out, &w0);
-        out
+        (slot(m - 1), Some(FoldStep::And(slot(0))), false)
     } else if v <= m - 2 {
         // I^v ∧ ¬I^{v+1}
-        let wv = ctx.fetch(comp, v as usize)?;
-        let wn = ctx.fetch(comp, v as usize + 1)?;
-        let mut out = ctx.to_window(&wv);
-        ctx.and_not(&mut out, &wn);
-        out
+        (slot(v), Some(FoldStep::AndNot(slot(v + 1))), false)
     } else {
         // m <= v <= 2m−2: I^{v−m+1} ∧ ¬I^{v−m}
-        let hi = ctx.fetch(comp, (v - m + 1) as usize)?;
-        let lo = ctx.fetch(comp, (v - m) as usize)?;
-        let mut out = ctx.to_window(&hi);
-        ctx.and_not(&mut out, &lo);
-        out
+        (slot(v - m + 1), Some(FoldStep::AndNot(slot(v - m))), false)
+    };
+    Plan {
+        seed: Some(seed),
+        steps: step.into_iter().collect(),
+        complement,
+        mask: None,
+    }
+}
+
+/// The plan of `d ≤ v` for component `comp` of base `b`; `None` means
+/// "all ones" (no work).
+fn le_digit(b: u32, comp: usize, v: u32) -> Option<Plan> {
+    let m = windows_of(b);
+    let slot = |j: u32| (comp, j as usize);
+    if v >= b - 1 {
+        return None;
+    }
+    let step = if m == 1 || v == m - 1 {
+        // I^0 (for b == 2, v == 0, exactly I^0).
+        None
+    } else if v <= m - 2 {
+        // I^0 ∧ ¬I^{v+1}
+        Some(FoldStep::AndNot(slot(v + 1)))
+    } else {
+        // m <= v <= 2m−2: I^0 ∨ I^{v−m+1}
+        Some(FoldStep::Or(slot(v - m + 1)))
+    };
+    Some(Plan {
+        seed: Some(slot(0)),
+        steps: step.into_iter().collect(),
+        ..Plan::default()
     })
 }
 
-/// `d_i ≤ v` for one component; `None` means "all ones" (no work).
-fn le_digit<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    comp: usize,
-    v: u32,
-) -> Result<Option<BitVec>> {
-    let b = ctx.spec().base.component(comp);
-    let m = windows_of(b);
-    if v >= b - 1 {
-        return Ok(None);
-    }
-    Ok(Some(if m == 1 {
-        // b == 2, v == 0: exactly I^0.
-        let stored = ctx.fetch(comp, 0)?;
-        ctx.to_window(&stored)
-    } else if v <= m - 2 {
-        // I^0 ∧ ¬I^{v+1}
-        let w0 = ctx.fetch(comp, 0)?;
-        let wn = ctx.fetch(comp, v as usize + 1)?;
-        let mut out = ctx.to_window(&w0);
-        ctx.and_not(&mut out, &wn);
-        out
-    } else if v == m - 1 {
-        let stored = ctx.fetch(comp, 0)?;
-        ctx.to_window(&stored)
-    } else {
-        // m <= v <= 2m−2: I^0 ∨ I^{v−m+1}
-        let w0 = ctx.fetch(comp, 0)?;
-        let wk = ctx.fetch(comp, (v - m + 1) as usize)?;
-        let mut out = ctx.to_window(&w0);
-        ctx.or(&mut out, &wk);
-        out
-    }))
-}
-
-fn le_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<BitVec> {
-    let digits = digits_of(&ctx.spec().base, le);
-    let n = ctx.spec().n_components();
-    let mut b = match le_digit(ctx, 1, digits[0])? {
-        Some(bm) => bm,
-        None => BitVec::ones(ctx.view_len()),
+/// `A ≤ le`: `R = (d_i < v_i) ∨ ((d_i = v_i) ∧ R)` over the digit terms.
+fn le_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<Fold<Arc<BitVec>>> {
+    let base = ctx.spec().base.clone();
+    let digits = digits_of(&base, le);
+    let seed = le_digit(base.component(1), 1, digits[0])
+        .map(|plan| ctx.fold_plan(&plan, false).map(Arc::new))
+        .transpose()?;
+    let mut chain = Fold {
+        seed,
+        ..Fold::default()
     };
-    for i in 2..=n {
-        let vi = digits[i - 1];
-        // R = (d_i < v_i) ∨ ((d_i = v_i) ∧ R)
-        let eq = eq_digit(ctx, i, vi)?;
-        ctx.and(&mut b, &eq);
+    for i in 2..=base.n_components() {
+        let (b, vi) = (base.component(i), digits[i - 1]);
+        let eq = ctx.fold_plan(&eq_digit(b, i, vi), false)?;
+        chain.steps.push(FoldStep::And(Arc::new(eq)));
         if vi > 0 {
-            if let Some(lt) = le_digit(ctx, i, vi - 1)? {
-                ctx.or(&mut b, &lt);
-            } else {
-                unreachable!("d < v_i with v_i - 1 = b - 1 would make d <= v_i trivial");
-            }
+            let lt = le_digit(b, i, vi - 1)
+                .expect("d < v_i with v_i - 1 = b - 1 would make d <= v_i trivial");
+            let lt = ctx.fold_plan(&lt, false)?;
+            chain.steps.push(FoldStep::Or(Arc::new(lt)));
         }
     }
-    Ok(b)
+    Ok(chain)
 }
 
-/// `A = v`: fused AND of the per-component digit bitmaps (`n − 1` ANDs
+/// `A = v`: the AND of the per-component digit terms (`n − 1` ANDs
 /// charged, exactly as the pairwise chain would).
-fn eq_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, v: u32) -> Result<BitVec> {
-    let digits = digits_of(&ctx.spec().base, v);
-    let n = ctx.spec().n_components();
-    let bitmaps: Vec<BitVec> = (1..=n)
-        .map(|i| eq_digit(ctx, i, digits[i - 1]))
-        .collect::<Result<_>>()?;
-    let operands: Vec<&BitVec> = bitmaps.iter().collect();
-    Ok(ctx.and_all(&operands))
+fn eq_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, v: u32) -> Result<Fold<Arc<BitVec>>> {
+    let base = ctx.spec().base.clone();
+    let digits = digits_of(&base, v);
+    let mut terms = (1..=base.n_components()).map(|i| {
+        ctx.fold_plan(&eq_digit(base.component(i), i, digits[i - 1]), false)
+            .map(Arc::new)
+    });
+    Ok(Fold {
+        seed: terms.next().transpose()?,
+        steps: terms.map(|t| t.map(FoldStep::And)).collect::<Result<_>>()?,
+        ..Fold::default()
+    })
 }
 
 /// Stored window slots a digit-level helper touches (for the predictor).

@@ -25,6 +25,9 @@ pub mod range_eval;
 pub mod range_opt;
 pub mod threshold;
 
+use std::sync::Arc;
+
+use bindex_bitvec::kernels::Fold;
 use bindex_bitvec::BitVec;
 use bindex_compress::Repr;
 use bindex_relation::query::{Op, Query, SelectionQuery};
@@ -215,29 +218,25 @@ pub(crate) fn reduce(query: SelectionQuery) -> Reduced {
     }
 }
 
-/// The chain driver of the evaluators whose chains are built operator by
-/// operator: the reduction, then `chain` at the context's current width,
-/// then the complement and the `B_nn` mask as counted operations.
+/// The chain driver of the evaluators whose chains are built from digit
+/// terms: the reduction, then `chain` — the steps over fetched slots and
+/// materialized terms — finished with the complement and the `B_nn` mask
+/// and run as one [`ExecContext::fold`] at the context's current width.
 pub(crate) fn evaluate_chain<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     query: SelectionQuery,
-    chain: impl FnOnce(&mut ExecContext<'_, S>, Chain) -> Result<BitVec>,
+    chain: impl FnOnce(&mut ExecContext<'_, S>, Chain) -> Result<Fold<Arc<BitVec>>>,
 ) -> Result<BitVec> {
-    let mut found = match reduce(query) {
+    let mut program = match reduce(query) {
         Reduced::Empty => return Ok(BitVec::zeros(ctx.view_len())),
-        Reduced::NonNull => BitVec::ones(ctx.view_len()),
-        Reduced::Chain(c, complement) => {
-            let mut found = chain(ctx, c)?;
-            if complement {
-                ctx.not(&mut found);
-            }
-            found
-        }
+        Reduced::NonNull => Fold::default(),
+        Reduced::Chain(c, complement) => Fold {
+            complement,
+            ..chain(ctx, c)?
+        },
     };
-    if let Some(nn) = ctx.fetch_nn()? {
-        ctx.and(&mut found, &nn);
-    }
-    Ok(found)
+    program.mask = ctx.fetch_nn()?;
+    Ok(ctx.fold(&program))
 }
 
 /// `query`'s whole evaluation — chain, complement, and the `B_nn` mask

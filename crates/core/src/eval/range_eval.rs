@@ -9,6 +9,9 @@
 //! chain — which is why RangeEval-Opt beats it by ~50% in operations and
 //! one scan (Section 3.1, Table 1).
 
+use std::sync::Arc;
+
+use bindex_bitvec::kernels::{Fold, FoldStep};
 use bindex_bitvec::BitVec;
 use bindex_relation::query::{Op, SelectionQuery};
 
@@ -32,82 +35,77 @@ pub fn evaluate<S: BitmapSource>(
     // `A ≥ Π b_i`) is the typed error here.
     let digits = ctx.spec().base.decompose(query.constant)?;
 
-    let needs_lt = matches!(query.op, Op::Lt | Op::Le);
-    let needs_gt = matches!(query.op, Op::Gt | Op::Ge);
-
-    let mut b_lt = needs_lt.then(|| BitVec::zeros(n_rows));
-    let mut b_gt = needs_gt.then(|| BitVec::zeros(n_rows));
+    // Lazy evaluation: `<` and `≤` maintain B_LT, `>` and `≥` B_GT, the
+    // equality operators neither.
+    let below = matches!(query.op, Op::Lt | Op::Le);
+    let mut b_cmp =
+        (below || matches!(query.op, Op::Gt | Op::Ge)).then(|| Arc::new(BitVec::zeros(n_rows)));
     // Line 2 of the listing: B_EQ starts as B_nn (all ones when no nulls).
-    let mut b_eq = match ctx.fetch_nn()? {
-        Some(nn) => ctx.to_window(&nn),
-        None => BitVec::ones(n_rows),
-    };
+    let nn = ctx.fetch_nn()?;
+    let mut b_eq = nn.clone();
 
     for i in (1..=n).rev() {
-        let bi = ctx.spec().base.component(i);
-        let vi = digits[i - 1];
-        if vi > 0 {
-            if let Some(lt) = b_lt.as_mut() {
-                // B_LT = B_LT ∨ (B_EQ ∧ B_i^{v_i − 1})
-                let bm = ctx.fetch(i, vi as usize - 1)?;
-                let t = ctx.and_pair(&b_eq, &bm);
-                ctx.or(lt, &t);
+        let bi = ctx.spec().base.component(i) as usize;
+        let vi = digits[i - 1] as usize;
+        if let Some(cmp) = &mut b_cmp {
+            // B_LT = B_LT ∨ (B_EQ ∧ B_i^{v_i − 1})   (v_i > 0)
+            // B_GT = B_GT ∨ (B_EQ ∧ ¬B_i^{v_i})      (v_i < b_i − 1)
+            let term = match below {
+                true if vi > 0 => Some(FoldStep::And(ctx.fetch(i, vi - 1)?)),
+                false if vi < bi - 1 => Some(FoldStep::AndNot(ctx.fetch(i, vi)?)),
+                _ => None,
+            };
+            if let Some(term) = term {
+                *cmp = update(ctx, &b_eq, vec![term, FoldStep::Or(Arc::clone(cmp))]);
             }
-            if vi < bi - 1 {
-                if let Some(gt) = b_gt.as_mut() {
-                    // B_GT = B_GT ∨ (B_EQ ∧ ¬B_i^{v_i})
-                    let bm = ctx.fetch(i, vi as usize)?;
-                    let t = ctx.and_not_pair(&b_eq, &bm);
-                    ctx.or(gt, &t);
-                }
-                // B_EQ = B_EQ ∧ (B_i^{v_i} ⊕ B_i^{v_i − 1})
-                let hi = ctx.fetch(i, vi as usize)?;
-                let lo = ctx.fetch(i, vi as usize - 1)?;
-                let x = ctx.xor(&hi, &lo);
-                ctx.and(&mut b_eq, &x);
-            } else {
-                // v_i = b_i − 1: B_EQ = B_EQ ∧ ¬B_i^{b_i − 2}
-                let bm = ctx.fetch(i, bi as usize - 2)?;
-                ctx.and_not(&mut b_eq, &bm);
-            }
-        } else {
-            if let Some(gt) = b_gt.as_mut() {
-                // B_GT = B_GT ∨ (B_EQ ∧ ¬B_i^0)
-                let bm = ctx.fetch(i, 0)?;
-                let t = ctx.and_not_pair(&b_eq, &bm);
-                ctx.or(gt, &t);
-            }
-            // B_EQ = B_EQ ∧ B_i^0
-            let bm = ctx.fetch(i, 0)?;
-            ctx.and(&mut b_eq, &bm);
         }
+        let term = if vi == 0 {
+            // B_EQ = B_EQ ∧ B_i^0
+            FoldStep::And(ctx.fetch(i, 0)?)
+        } else if vi == bi - 1 {
+            // B_EQ = B_EQ ∧ ¬B_i^{b_i − 2}
+            FoldStep::AndNot(ctx.fetch(i, bi - 2)?)
+        } else {
+            // B_EQ = B_EQ ∧ (B_i^{v_i} ⊕ B_i^{v_i − 1})
+            FoldStep::AndXor(ctx.fetch(i, vi)?, ctx.fetch(i, vi - 1)?)
+        };
+        b_eq = Some(update(ctx, &b_eq, vec![term]));
     }
 
-    Ok(match query.op {
-        Op::Lt => b_lt.expect("maintained for <"),
-        Op::Gt => b_gt.expect("maintained for >"),
-        Op::Le => {
-            // B_LE = B_LT ∨ B_EQ
-            let mut le = b_lt.expect("maintained for <=");
-            ctx.or(&mut le, &b_eq);
-            le
-        }
-        Op::Ge => {
-            // B_GE = B_GT ∨ B_EQ
-            let mut ge = b_gt.expect("maintained for >=");
-            ctx.or(&mut ge, &b_eq);
-            ge
-        }
+    let b_eq = b_eq.expect("every component updates B_EQ");
+    let found = match query.op {
         Op::Eq => b_eq,
-        Op::Ne => {
-            // B_NE = ¬B_EQ ∧ B_nn
-            ctx.not(&mut b_eq);
-            if let Some(nn) = ctx.fetch_nn()? {
-                ctx.and(&mut b_eq, &nn);
-            }
-            b_eq
+        // B_NE = ¬B_EQ ∧ B_nn
+        Op::Ne => Arc::new(ctx.fold(&Fold {
+            seed: Some(b_eq),
+            complement: true,
+            mask: nn,
+            ..Fold::default()
+        })),
+        Op::Lt | Op::Gt => b_cmp.expect("maintained for < and >"),
+        // B_LE = B_LT ∨ B_EQ, B_GE = B_GT ∨ B_EQ
+        Op::Le | Op::Ge => {
+            let cmp = b_cmp.expect("maintained for ≤ and ≥");
+            update(ctx, &Some(b_eq), vec![FoldStep::Or(cmp)])
         }
-    })
+    };
+    Ok(Arc::unwrap_or_clone(found))
+}
+
+/// `B_EQ` run through `steps` as one fold — every accumulator update of
+/// the listing. A `None` `B_EQ` is the all-ones `B_nn` of an index without
+/// nulls.
+fn update<S: BitmapSource>(
+    ctx: &mut ExecContext<'_, S>,
+    b_eq: &Option<Arc<BitVec>>,
+    steps: Vec<FoldStep<Arc<BitVec>>>,
+) -> Arc<BitVec> {
+    let seed = b_eq.clone();
+    Arc::new(ctx.fold(&Fold {
+        seed,
+        steps,
+        ..Fold::default()
+    }))
 }
 
 #[cfg(test)]

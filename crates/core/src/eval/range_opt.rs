@@ -103,8 +103,10 @@ mod tests {
     use crate::eval::{evaluate_chain, evaluate_predicate, naive, Algorithm};
     use crate::exec::ExecContext;
     use crate::index::{BitmapIndex, BitmapSource};
+    use bindex_bitvec::kernels::Fold;
     use bindex_bitvec::BitVec;
     use bindex_relation::{query, Column};
+    use std::sync::Arc;
 
     /// RangeEval-Opt densely, at the context's current width.
     fn evaluate<S: BitmapSource>(
@@ -116,14 +118,34 @@ mod tests {
 
     /// The pass-per-operator evaluation the fold replaced, kept as its
     /// oracle: the same reduction to a `≤`/`=` chain, but every operator
-    /// is its own counted sweep over the accumulator.
+    /// is a fold of its own — its own counted sweep over the accumulator.
     fn evaluate_pairwise<S: BitmapSource>(
         ctx: &mut ExecContext<'_, S>,
         query: SelectionQuery,
     ) -> Result<BitVec> {
-        evaluate_chain(ctx, query, |ctx, chain| match chain {
-            Chain::Le(v) => le_chain_pairwise(ctx, v),
-            Chain::Eq(v) => eq_chain_pairwise(ctx, v),
+        evaluate_chain(ctx, query, |ctx, chain| {
+            let found = match chain {
+                Chain::Le(v) => le_chain_pairwise(ctx, v),
+                Chain::Eq(v) => eq_chain_pairwise(ctx, v),
+            }?;
+            Ok(Fold {
+                seed: Some(Arc::new(found)),
+                ..Fold::default()
+            })
+        })
+    }
+
+    /// `acc` updated by at most one operator, as a fold of its own.
+    fn apply<S: BitmapSource>(
+        ctx: &mut ExecContext<'_, S>,
+        acc: &BitVec,
+        step: Option<FoldStep<&BitVec>>,
+    ) -> BitVec {
+        let steps = step.into_iter().collect();
+        ctx.fold(&Fold {
+            seed: Some(acc),
+            steps,
+            ..Fold::default()
         })
     }
 
@@ -133,7 +155,7 @@ mod tests {
         let b1 = ctx.spec().base.component(1);
         let mut b = if digits[0] < b1 - 1 {
             let bm = ctx.fetch(1, digits[0] as usize)?;
-            ctx.to_window(&bm)
+            apply(ctx, &bm, None)
         } else {
             BitVec::ones(ctx.view_len())
         };
@@ -142,11 +164,11 @@ mod tests {
             let vi = digits[i - 1];
             if vi != bi - 1 {
                 let bm = ctx.fetch(i, vi as usize)?;
-                ctx.and(&mut b, &bm);
+                b = apply(ctx, &b, Some(FoldStep::And(&bm)));
             }
             if vi != 0 {
                 let bm = ctx.fetch(i, vi as usize - 1)?;
-                ctx.or(&mut b, &bm);
+                b = apply(ctx, &b, Some(FoldStep::Or(&bm)));
             }
         }
         Ok(b)
@@ -155,30 +177,23 @@ mod tests {
     fn eq_chain_pairwise<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, v: u32) -> Result<BitVec> {
         let digits = digits_of(&ctx.spec().base, v);
         let n = ctx.spec().n_components();
-        let ones = BitVec::ones(ctx.view_len());
-        let mut shared = Vec::new();
-        let mut derived = Vec::new();
+        let mut b = BitVec::ones(ctx.view_len());
         for i in 1..=n {
             let bi = ctx.spec().base.component(i);
             let vi = digits[i - 1];
-            if vi == 0 {
-                shared.push(ctx.fetch(i, 0)?);
+            b = if vi == 0 {
+                let bm = ctx.fetch(i, 0)?;
+                apply(ctx, &b, Some(FoldStep::And(&bm)))
             } else if vi == bi - 1 {
                 let bm = ctx.fetch(i, bi as usize - 2)?;
-                let mut not = ctx.to_window(&bm);
-                ctx.not(&mut not);
-                derived.push(not);
+                apply(ctx, &b, Some(FoldStep::AndNot(&bm)))
             } else {
                 let hi = ctx.fetch(i, vi as usize)?;
                 let lo = ctx.fetch(i, vi as usize - 1)?;
-                derived.push(ctx.xor(&hi, &lo));
-            }
+                apply(ctx, &b, Some(FoldStep::AndXor(&hi, &lo)))
+            };
         }
-        let mut operands: Vec<&BitVec> = Vec::with_capacity(1 + n);
-        operands.push(&ones);
-        operands.extend(shared.iter().map(|a| a.as_ref()));
-        operands.extend(derived.iter());
-        Ok(ctx.and_all(&operands))
+        Ok(b)
     }
 
     type Evaluator<S> = fn(&mut ExecContext<'_, S>, SelectionQuery) -> Result<BitVec>;

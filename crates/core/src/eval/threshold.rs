@@ -32,6 +32,7 @@
 //! [`EvalStats::segments_skipped`](crate::exec::EvalStats::segments_skipped)
 //! observes the skip.
 
+use bindex_bitvec::kernels::{Fold, FoldStep};
 use bindex_bitvec::BitVec;
 use bindex_relation::query::ThresholdQuery;
 
@@ -115,13 +116,16 @@ pub(crate) fn evaluate_window<S: BitmapSource>(
     let refs: Vec<&BitVec> = found.iter().collect();
     // Exact-plan degenerations keep the cost model honest: k = 1 *is*
     // the OR plan and k = N *is* the AND plan.
-    if k == 1 {
-        Ok(ctx.or_all(&refs))
-    } else if k == n {
-        Ok(ctx.and_all(&refs))
-    } else {
-        Ok(ctx.threshold_all(&refs, k))
-    }
+    let step = match k {
+        1 => FoldStep::Or,
+        k if k == n => FoldStep::And,
+        _ => return Ok(ctx.threshold_all(&refs, k)),
+    };
+    Ok(ctx.fold(&Fold {
+        seed: Some(refs[0]),
+        steps: refs[1..].iter().copied().map(step).collect(),
+        ..Fold::default()
+    }))
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@
 //!   referenced twice within one evaluation (RangeEval uses `B_i^{v_i}` for
 //!   both its `B_GT` and `B_EQ` updates) is scanned once and then held in
 //!   working memory, so [`ExecContext`] deduplicates fetches per query.
-//! * **bitmap operations** — each executed AND/OR/XOR/NOT, by kind.
+//! * **bitmap operations** — each AND/OR/XOR/NOT an operator chain spells,
+//!   by kind. [`ExecContext::fold`] runs every dense chain; the k-of-N
+//!   combine ([`ExecContext::threshold_all`]) is the one other operator.
 //!
 //! Virtual bitmaps (`B_0` all zeros, `B_1` all ones, the absent `B_nn`)
 //! cost no scan. If a [`BufferSet`] is attached, fetches of resident
@@ -70,9 +72,11 @@ pub struct EvalStats {
     /// runs once over the whole bitmap runs once *per segment* but is
     /// charged only on the first, so the paper's cost model is unchanged.
     pub segments_evaluated: usize,
-    /// Segments where a conjunction's accumulator went all-zero and the
-    /// remaining AND work was short-circuited. Early exit never changes a
-    /// result or a charge — only this counter.
+    /// Segments where some work was skipped: an [`ExecContext::fold`] that
+    /// can only clear bits (no `Or` step, no complement) started from an
+    /// all-zero window and was not run, or a threshold took its early-exit
+    /// bound. A chain that can set bits never skips. Early exit never
+    /// changes a result or a charge — only this counter.
     pub segments_skipped: usize,
     /// Segments where at least one operand fetch was answered from the
     /// hierarchical summary block (v4 stores): the summary proved the
@@ -268,8 +272,8 @@ struct SegmentState {
     /// Ordinal of the current segment within the query (0-based). Ops are
     /// charged only when it is 0.
     index: usize,
-    /// Whether an AND-family op short-circuited on an all-zero window in
-    /// the current segment (rolls into [`EvalStats::segments_skipped`]).
+    /// Whether work of the current segment was skipped ([`ExecContext::mark_skip`];
+    /// rolls into [`EvalStats::segments_skipped`]).
     skipped_work: bool,
     /// Whether a fetch in the current segment was answered from the
     /// summary block instead of storage (rolls into
@@ -466,20 +470,12 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
 
     /// Width in bits of the bitmaps the evaluators should build: the
     /// current segment's window under segmented execution, the full row
-    /// count otherwise. Every accumulator an evaluator seeds
-    /// ([`BitVec::ones`], [`BitVec::zeros`], [`ExecContext::to_window`])
-    /// must use this length so the fused kernels see consistent operands.
+    /// count otherwise. Every bitmap an evaluator makes itself
+    /// ([`BitVec::ones`], [`BitVec::zeros`]) must use this length so the
+    /// fused kernels see consistent operands; [`ExecContext::fold`]
+    /// returns it.
     pub fn view_len(&self) -> usize {
         self.seg.as_ref().map_or(self.n_rows(), |s| s.hi - s.lo)
-    }
-
-    /// An owned copy of `b` at the current evaluation width: the segment
-    /// window of a full-length bitmap under segmented execution, a plain
-    /// clone otherwise. This is how the evaluators seed accumulators from
-    /// fetched bitmaps.
-    #[must_use]
-    pub fn to_window(&self, b: &BitVec) -> BitVec {
-        self.opv(b).to_bitvec()
     }
 
     /// Enters segment `index` covering bits `lo..hi`: subsequent ops see
@@ -553,7 +549,9 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         }
     }
 
-    /// Records an AND-family short-circuit on an all-zero window.
+    /// Records that the current window was answered without running its
+    /// work: [`ExecContext::fold`]'s all-zero short-circuit, or the
+    /// threshold's early-exit bound.
     #[inline]
     pub(crate) fn mark_skip(&mut self) {
         if let Some(s) = &mut self.seg {
@@ -863,133 +861,22 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         Ok(merged)
     }
 
-    /// Counted AND: `acc &= rhs`. `rhs` may be full-length under segmented
-    /// execution (it is sliced to the window); `acc` must match
-    /// [`ExecContext::view_len`]. When `acc` is already all-zero in the
-    /// current segment, the word loop is skipped — the result cannot
-    /// change, only [`EvalStats::segments_skipped`] records it.
-    pub fn and(&mut self, acc: &mut BitVec, rhs: &BitVec) {
-        if self.charge_ops() {
-            self.stats.ands += 1;
-        }
-        if self.seg.is_some() && acc.none() {
-            self.mark_skip();
-            return;
-        }
-        acc.and_assign_view(self.opv(rhs));
-    }
-
-    /// Counted OR: `acc |= rhs` (operand widths as in [`ExecContext::and`]).
-    pub fn or(&mut self, acc: &mut BitVec, rhs: &BitVec) {
-        if self.charge_ops() {
-            self.stats.ors += 1;
-        }
-        acc.or_assign_view(self.opv(rhs));
-    }
-
-    /// Counted XOR returning a fresh bitmap.
-    pub fn xor(&mut self, a: &BitVec, b: &BitVec) -> BitVec {
-        if self.charge_ops() {
-            self.stats.xors += 1;
-        }
-        kernels::xor_all(&[self.opv(a), self.opv(b)])
-    }
-
-    /// Counted NOT in place.
-    pub fn not(&mut self, acc: &mut BitVec) {
-        if self.charge_ops() {
-            self.stats.nots += 1;
-        }
-        acc.not_assign();
-    }
-
-    /// Counted AND-NOT: `acc &= !rhs` (one AND plus one NOT, as the paper's
-    /// algorithms spell it). Short-circuits like [`ExecContext::and`].
-    pub fn and_not(&mut self, acc: &mut BitVec, rhs: &BitVec) {
-        if self.charge_ops() {
-            self.stats.ands += 1;
-            self.stats.nots += 1;
-        }
-        if self.seg.is_some() && acc.none() {
-            self.mark_skip();
-            return;
-        }
-        acc.and_not_assign_view(self.opv(rhs));
-    }
-
-    /// Counted AND returning a fresh bitmap: `a ∧ b` with the output sized
-    /// once (no clone-then-assign double pass). Charges one AND — exactly
-    /// what the pairwise step it replaces would charge.
-    pub fn and_pair(&mut self, a: &BitVec, b: &BitVec) -> BitVec {
-        if self.charge_ops() {
-            self.stats.ands += 1;
-        }
-        let (va, vb) = (self.opv(a), self.opv(b));
-        if self.seg.is_some() && va.none() {
-            self.mark_skip();
-            return BitVec::zeros(va.len());
-        }
-        kernels::and_all(&[va, vb])
-    }
-
-    /// Counted AND-NOT returning a fresh bitmap: `a ∧ ¬b`. Charges one AND
-    /// plus one NOT, matching [`ExecContext::and_not`].
-    pub fn and_not_pair(&mut self, a: &BitVec, b: &BitVec) -> BitVec {
-        if self.charge_ops() {
-            self.stats.ands += 1;
-            self.stats.nots += 1;
-        }
-        let (va, vb) = (self.opv(a), self.opv(b));
-        if self.seg.is_some() && va.none() {
-            self.mark_skip();
-            return BitVec::zeros(va.len());
-        }
-        kernels::and_not(va, vb)
-    }
-
-    /// Counted k-ary AND via the fused kernel: one cache-blocked pass, one
-    /// output allocation. Charges `operands.len() − 1` ANDs — identical to
-    /// the pairwise fold it replaces, so [`EvalStats`] match the paper's
-    /// cost model bit for bit. Under segmented execution an all-zero first
-    /// operand short-circuits the fold.
+    /// The one dense bitmap operator: a whole operator chain evaluated in
+    /// one pass ([`kernels::fold`]), every operand read once and the result
+    /// written once, at the current evaluation width — full-length
+    /// operands are sliced to the segment window, so whole-bitmap and
+    /// segmented execution are one code path. Charges (on segment 0 only)
+    /// what the chain spelled out operator by operator would: one AND per
+    /// `And` step, one OR per `Or`, AND + NOT per `AndNot`, AND + XOR per
+    /// `AndXor`, one NOT for the complement and one AND for the mask — an
+    /// all-ones seed is the listing's `B_1`, an operand of the first AND,
+    /// not an operation; a lone seed charges nothing.
     ///
-    /// # Panics
-    /// Panics on an empty operand list or mismatched lengths.
-    pub fn and_all(&mut self, operands: &[&BitVec]) -> BitVec {
-        if self.charge_ops() {
-            self.stats.ands += operands.len() - 1;
-        }
-        let views: Vec<_> = operands.iter().map(|b| self.opv(b)).collect();
-        if self.seg.is_some() && views[0].none() {
-            self.mark_skip();
-            return BitVec::zeros(views[0].len());
-        }
-        kernels::and_all(&views)
-    }
-
-    /// Counted k-ary OR via the fused kernel; charges
-    /// `operands.len() − 1` ORs (see [`ExecContext::and_all`]).
-    ///
-    /// # Panics
-    /// Panics on an empty operand list or mismatched lengths.
-    pub fn or_all(&mut self, operands: &[&BitVec]) -> BitVec {
-        if self.charge_ops() {
-            self.stats.ors += operands.len() - 1;
-        }
-        let views: Vec<_> = operands.iter().map(|b| self.opv(b)).collect();
-        kernels::or_all(&views)
-    }
-
-    /// Counted one-pass evaluation of a whole operator chain
-    /// ([`kernels::fold`]): every operand is read once and the result is
-    /// written once, at the current evaluation width — operands go
-    /// through the same windowing as every other op, so whole-bitmap and
-    /// segmented execution are one code path. Charges what the chain
-    /// spelled out operator by operator would: one AND per `And` step, one
-    /// OR per `Or`, AND + NOT per `AndNot`, AND + XOR per `AndXor`, one
-    /// NOT for the complement and one AND for the mask — an all-ones seed
-    /// is the listing's `B_1`, an operand of the first AND, not an
-    /// operation.
+    /// Under segmented execution, a chain that can only clear bits (no
+    /// `Or` step, no complement) whose first value — the seed, or a
+    /// seedless chain's leading `And` operand — is all zero over the window
+    /// is all zero: the kernel is not run and the segment counts as
+    /// skipped. The charges stand.
     ///
     /// # Panics
     /// Panics on mismatched operand lengths.
@@ -998,6 +885,16 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             self.charge_fold(program);
         }
         let windowed = program.map(|b| self.opv(b.borrow()));
+        let first = match (windowed.seed, windowed.steps.first()) {
+            (None, Some(&FoldStep::And(b))) => Some(b),
+            (seed, _) => seed,
+        };
+        let clears_only =
+            !windowed.complement && !windowed.steps.iter().any(|s| matches!(s, FoldStep::Or(_)));
+        if self.seg.is_some() && clears_only && first.is_some_and(|b| b.none()) {
+            self.mark_skip();
+            return BitVec::zeros(self.view_len());
+        }
         kernels::fold(self.view_len(), &windowed)
     }
 
@@ -1060,11 +957,17 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     /// `plan` over dense words in a single pass ([`ExecContext::fold`]),
     /// at the context's current width.
     pub(crate) fn fold_plan(&mut self, plan: &Plan, masked: bool) -> Result<BitVec> {
-        let mut chain = plan.try_map(|&(comp, slot)| self.fetch(comp, slot))?;
+        let mut chain = self.fetch_plan(plan)?;
         if masked {
             chain.mask = self.fetch_nn()?;
         }
         Ok(self.fold(&chain))
+    }
+
+    /// `plan` over the dense bitmaps of the slots it names, fetched in
+    /// program order — a chain the caller finishes before it runs it.
+    pub(crate) fn fetch_plan(&mut self, plan: &Plan) -> Result<Fold<Arc<BitVec>>> {
+        plan.try_map(|&(comp, slot)| self.fetch(comp, slot))
     }
 
     /// Whether a plan may be folded over whole compressed bitmaps at all:
@@ -1230,47 +1133,70 @@ mod tests {
     }
 
     #[test]
-    fn op_counting() {
+    fn fold_charges_each_step_as_the_operator_it_spells() {
+        use FoldStep::{And, AndNot, AndXor, Or};
         let idx = small_index();
         let mut src = idx.source();
         let mut ctx = ExecContext::new(&mut src);
-        let mut acc = BitVec::ones(6);
-        let b = BitVec::zeros(6);
-        ctx.and(&mut acc, &b);
-        ctx.or(&mut acc, &b);
-        let _ = ctx.xor(&acc, &b);
-        ctx.not(&mut acc);
-        ctx.and_not(&mut acc, &b);
-        let s = ctx.stats();
-        assert_eq!((s.ands, s.ors, s.xors, s.nots), (2, 1, 1, 2));
-        assert_eq!(s.total_ops(), 6);
-    }
+        let bits = |len, ones: &[usize]| BitVec::from_indices(len, ones);
+        let ops = |s: &EvalStats| [s.ands, s.ors, s.xors, s.nots];
+        let chain = |seed, steps, complement, mask| Fold {
+            seed,
+            steps,
+            complement,
+            mask,
+        };
+        let (a, b, c) = (
+            bits(6, &[0, 1, 2]),
+            bits(6, &[1, 2, 3]),
+            bits(6, &[2, 3, 4]),
+        );
+        // (program, result, [ands, ors, xors, nots] charged): a lone seed
+        // charges nothing, a seedless chain's leading `And` one AND.
+        #[rustfmt::skip]
+        let cases = [
+            (chain(Some(&a), vec![], false, None), bits(6, &[0, 1, 2]), [0, 0, 0, 0]),
+            (chain(Some(&a), vec![And(&b)], false, None), bits(6, &[1, 2]), [1, 0, 0, 0]),
+            (chain(Some(&a), vec![Or(&b)], false, None), bits(6, &[0, 1, 2, 3]), [0, 1, 0, 0]),
+            (chain(Some(&a), vec![AndNot(&b)], false, None), bits(6, &[0]), [1, 0, 0, 1]),
+            (chain(Some(&a), vec![AndXor(&b, &c)], false, None), bits(6, &[1]), [1, 0, 1, 0]),
+            (chain(Some(&a), vec![], true, None), bits(6, &[3, 4, 5]), [0, 0, 0, 1]),
+            (chain(Some(&a), vec![], false, Some(&c)), bits(6, &[2]), [1, 0, 0, 0]),
+            (chain(None, vec![And(&a), And(&b)], false, None), bits(6, &[1, 2]), [2, 0, 0, 0]),
+        ];
+        for (program, want, charged) in cases {
+            let before = ops(ctx.stats());
+            assert_eq!(ctx.fold(&program), want, "{program:?}");
+            let after = ops(ctx.stats());
+            let delta: [usize; 4] = std::array::from_fn(|i| after[i] - before[i]);
+            assert_eq!(delta, charged, "{program:?}");
+        }
 
-    #[test]
-    fn kary_ops_charge_pairwise_equivalent_counts() {
-        let idx = small_index();
-        let mut src = idx.source();
-        let mut ctx = ExecContext::new(&mut src);
-        let a = BitVec::from_indices(8, &[0, 1, 2]);
-        let b = BitVec::from_indices(8, &[1, 2, 3]);
-        let c = BitVec::from_indices(8, &[2, 3, 4]);
-        let and = ctx.and_all(&[&a, &b, &c]);
-        assert_eq!(ctx.stats().ands, 2, "k operands charge k-1 ANDs");
-        assert_eq!(and, BitVec::from_indices(8, &[2]));
-        let or = ctx.or_all(&[&a, &b, &c]);
-        assert_eq!(ctx.stats().ors, 2);
-        assert_eq!(or, BitVec::from_indices(8, &[0, 1, 2, 3, 4]));
-        // Single operand: zero ops charged, identity result.
-        let one = ctx.and_all(&[&a]);
-        assert_eq!(ctx.stats().ands, 2);
-        assert_eq!(one, a);
-        // Pair helpers charge exactly one logical op (AND-NOT = AND + NOT).
-        let d = ctx.and_pair(&a, &b);
-        let f = ctx.and_not_pair(&a, &b);
-        assert_eq!(ctx.stats().ands, 4);
-        assert_eq!(ctx.stats().nots, 1);
-        assert_eq!(d, BitVec::from_indices(8, &[1, 2]));
-        assert_eq!(f, BitVec::from_indices(8, &[0]));
+        // Segmented: charged on segment 0 only. A chain that can only clear
+        // bits and starts all zero in the window is not run; the segment
+        // counts as skipped and the charges stand.
+        ctx.take_stats();
+        let (x, y) = (bits(128, &[70, 80]), bits(128, &[5, 70]));
+        // (segment start, program, result, skipped)
+        #[rustfmt::skip]
+        let segments = [
+            (0, chain(Some(&x), vec![And(&y)], false, None), bits(64, &[]), 1),
+            (64, chain(Some(&x), vec![And(&y)], false, None), bits(64, &[6]), 0),
+            (0, chain(None, vec![And(&x), AndNot(&y)], false, None), bits(64, &[]), 1),
+            (0, chain(Some(&x), vec![Or(&y)], false, None), bits(64, &[5]), 0),
+            (0, chain(Some(&x), vec![And(&y)], true, None), BitVec::ones(64), 0),
+        ];
+        for (index, (lo, program, want, skipped)) in segments.into_iter().enumerate() {
+            ctx.begin_segment(lo, lo + 64, index);
+            assert_eq!(ctx.fold(&program), want, "segment {index}");
+            let before = ctx.stats().segments_skipped;
+            ctx.end_segment();
+            assert_eq!(ctx.stats().segments_skipped - before, skipped, "{index}");
+        }
+        ctx.exit_segments();
+        let s = ctx.take_stats();
+        assert_eq!(ops(&s), [1, 0, 0, 0], "charged on segment 0 only");
+        assert_eq!((s.segments_evaluated, s.segments_skipped), (5, 2));
     }
 
     /// A source that serves sparse slots WAH-compressed, like a v3 store.

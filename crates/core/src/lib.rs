@@ -59,7 +59,6 @@ pub mod error;
 pub mod eval;
 pub mod exec;
 pub mod index;
-pub mod reorder;
 
 pub use base::Base;
 pub use bindex_compress::Repr;
@@ -69,4 +68,3 @@ pub use error::{Error, Result};
 pub use eval::Algorithm;
 pub use exec::{BufferSet, Deadline, EvalStats, ExecContext, RecoveryPolicy, DEFAULT_SEGMENT_BITS};
 pub use index::{rebuild_slot, BitmapIndex, BitmapSource, MemorySource};
-pub use reorder::{build_reordered, BuildOptions, RowOrder, RowPermutation};

@@ -1139,6 +1139,11 @@ fn decode_summary_block(payload: &[u8]) -> Option<IndexSummaries> {
         _ => return None,
     };
     let windows = SlotSummary::windows_for(n_rows, window_bits);
+    // Zero windows leave the body empty, so the length check below would
+    // bound no slot count; an empty relation has nothing to prune anyway.
+    if windows == 0 {
+        return None;
+    }
     let bytes_per = windows.div_ceil(8);
     let total_slots = counts.iter().try_fold(0usize, |a, &c| a.checked_add(c))?;
     let n_summaries = total_slots.checked_add(usize::from(has_nn))?;
@@ -2205,6 +2210,27 @@ mod tests {
         let mut zero_window = good;
         zero_window[8..12].copy_from_slice(&0u32.to_le_bytes());
         assert!(decode_summary_block(&zero_window).is_none());
+    }
+
+    #[test]
+    fn summary_block_of_zero_windows_is_absent() {
+        let comps = windowed_components();
+        let stored = coded_store(&comps, CodecKind::None);
+        let mut store = stored.into_store();
+        // A correctly framed 21-byte block: `n_rows = 0`, one component of
+        // `u32::MAX` slots. Zero windows make its body empty, so no length
+        // check bounds the slot count.
+        let mut block = 0u64.to_le_bytes().to_vec();
+        block.extend_from_slice(&(SUMMARY_WINDOW_BITS as u32).to_le_bytes());
+        block.extend_from_slice(&1u32.to_le_bytes());
+        block.extend_from_slice(&u32::MAX.to_le_bytes());
+        block.push(0);
+        assert_eq!(block.len(), 21);
+        store
+            .write_file(SUMMARY_FILE, &format::frame(&block))
+            .unwrap();
+        let stored = StoredIndex::open(store).unwrap();
+        assert!(stored.read_summaries().is_none());
     }
 
     #[test]

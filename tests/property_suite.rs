@@ -389,6 +389,74 @@ fn evaluators_match_oracle() {
     }
 }
 
+/// `[scans, ands, ors, xors, nots]`.
+type OpCounts = [usize; 5];
+
+/// [`OpCounts`] summed over the full query space, per
+/// base and null mask, for RangeEval, EqualityEval and IntervalEval in that
+/// order. Operator counts depend on the query, the base and `B_nn` alone,
+/// never on the data; these were recorded from the operator-at-a-time
+/// evaluators.
+#[rustfmt::skip]
+const PINNED_DENSE_COUNTS: [(&[u32], bool, [OpCounts; 3]); 10] = [
+    (&[3, 3], false, [[144, 156, 66, 36, 69], [106, 52, 22, 0, 48], [176, 146, 22, 0, 96]]),
+    (&[3, 3], true, [[198, 165, 66, 36, 69], [159, 105, 22, 0, 48], [229, 199, 22, 0, 96]]),
+    (&[2, 5], false, [[156, 172, 72, 36, 78], [126, 58, 34, 0, 93], [154, 94, 26, 0, 89]]),
+    (&[2, 5], true, [[216, 182, 72, 36, 78], [185, 117, 34, 0, 93], [213, 153, 26, 0, 89]]),
+    (&[2, 2, 3], false, [[240, 296, 104, 24, 148], [196, 140, 44, 0, 167], [236, 180, 44, 0, 135]]),
+    (&[2, 2, 3], true, [[312, 308, 104, 24, 148], [267, 211, 44, 0, 167], [307, 251, 44, 0, 135]]),
+    (&[4, 4], false, [[288, 288, 128, 96, 112], [222, 94, 78, 0, 93], [332, 222, 106, 0, 173]]),
+    (&[4, 4], true, [[384, 304, 128, 96, 112], [317, 189, 78, 0, 93], [427, 317, 106, 0, 173]]),
+    (&[9], false, [[96, 86, 50, 42, 31], [98, 0, 48, 0, 42], [96, 34, 12, 0, 58]]),
+    (&[9], true, [[150, 95, 50, 42, 31], [151, 53, 48, 0, 42], [149, 87, 12, 0, 58]]),
+];
+
+/// RangeEval, EqualityEval and IntervalEval charge the pinned totals over
+/// the full query space, whole and at 64-bit segments, with and without
+/// nulls — the operator counts only Table 1 and Fig. 8 pinned before, and
+/// only for RangeEval and RangeEval-Opt.
+#[test]
+fn dense_evaluator_operator_counts_are_pinned() {
+    use bindex::core::eval::evaluate_repr_in;
+    use bindex::core::ExecContext;
+    use bindex::relation::query::full_space;
+
+    let evaluators = [
+        (Algorithm::RangeEval, Encoding::Range),
+        (Algorithm::EqualityEval, Encoding::Equality),
+        (Algorithm::IntervalEval, Encoding::Interval),
+    ];
+    for (msb, nulls, counts) in PINNED_DENSE_COUNTS {
+        let base = Base::from_msb(msb).unwrap();
+        let c = base.product() as u32;
+        let column = Column::new((0..200u32).map(|i| (i * 7 + i / 3) % c).collect(), c);
+        for ((algorithm, encoding), want) in evaluators.into_iter().zip(counts) {
+            let spec = IndexSpec::new(base.clone(), encoding);
+            let idx = if nulls {
+                let mask = BitVec::from_fn(200, |i| i % 5 == 1);
+                BitmapIndex::build_with_nulls(&column, &mask, spec)
+            } else {
+                BitmapIndex::build(&column, spec)
+            }
+            .unwrap();
+            for segment_bits in [None, Some(64)] {
+                let mut total = [0usize; 5];
+                for q in full_space(c) {
+                    let mut src = idx.source();
+                    let mut ctx = ExecContext::new(&mut src);
+                    evaluate_repr_in(&mut ctx, &q.into(), algorithm, segment_bits).unwrap();
+                    let s = ctx.take_stats();
+                    let counts = [s.scans, s.ands, s.ors, s.xors, s.nots];
+                    total.iter_mut().zip(counts).for_each(|(t, n)| *t += n);
+                }
+                let label =
+                    format!("{algorithm:?} {msb:?} nulls {nulls} segments {segment_bits:?}");
+                assert_eq!(total, want, "{label}");
+            }
+        }
+    }
+}
+
 // ---- design-layer invariants ----
 
 #[test]
