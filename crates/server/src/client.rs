@@ -2,7 +2,7 @@
 //! CLI, the load generator, and the integration tests.
 
 use std::io;
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use bindex::relation::query::SelectionQuery;
@@ -16,7 +16,10 @@ fn proto(msg: &str) -> io::Error {
 /// One connection to a `bindex-server`; requests are serial
 /// (request/response lockstep, like the wire protocol itself).
 pub struct Client {
-    stream: TcpStream,
+    /// `None` once a request failed in transport or decoding: the stream
+    /// may still carry that request's late reply, which must never be read
+    /// as the answer to a later one.
+    stream: Option<TcpStream>,
 }
 
 impl Client {
@@ -24,21 +27,43 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Self { stream })
+        Ok(Self {
+            stream: Some(stream),
+        })
+    }
+
+    fn stream(&mut self) -> io::Result<&mut TcpStream> {
+        self.stream.as_mut().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::NotConnected,
+                "connection closed after an earlier request failed",
+            )
+        })
     }
 
     /// Caps how long any single reply is waited for; protects callers
-    /// against a hung server.
+    /// against a hung server. A request that times out closes the
+    /// connection, and every later call on this client fails with
+    /// [`io::ErrorKind::NotConnected`].
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)
+        self.stream()?.set_read_timeout(timeout)
     }
 
-    /// Sends one request and waits for its response.
+    /// Sends one request and waits for its response. Any transport or
+    /// decode error shuts the connection down.
     pub fn request(&mut self, req: &Request) -> io::Result<Response> {
-        write_frame(&mut self.stream, &req.encode()?)?;
-        let payload =
-            read_frame(&mut self.stream)?.ok_or_else(|| proto("server closed the connection"))?;
-        Response::decode(&payload)
+        let payload = req.encode()?;
+        let stream = self.stream()?;
+        let reply = write_frame(stream, &payload)
+            .and_then(|()| read_frame(stream))
+            .and_then(|p| p.ok_or_else(|| proto("server closed the connection")))
+            .and_then(|p| Response::decode(&p));
+        if reply.is_err() {
+            if let Some(stream) = self.stream.take() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
+        reply
     }
 
     /// Evaluates `query` against the served index `index`.
@@ -144,5 +169,94 @@ impl Client {
             Response::ShutdownAck => Ok(()),
             other => Err(proto(&format!("expected ShutdownAck, got {other:?}"))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+    use std::thread;
+
+    use bindex::relation::query::Op;
+
+    use super::*;
+
+    fn count(cardinality: u64) -> Vec<u8> {
+        Response::Count {
+            cardinality,
+            degraded: false,
+            cached: false,
+        }
+        .encode()
+        .unwrap()
+    }
+
+    /// A stand-in server that reads each request, waits for a go from the
+    /// test, answers with `replies[i]` and reports the answer sent. It
+    /// stops at EOF, when the test hangs up, or when its replies run out.
+    fn stand_in(
+        replies: Vec<Vec<u8>>,
+    ) -> (
+        Client,
+        mpsc::Sender<()>,
+        mpsc::Receiver<()>,
+        thread::JoinHandle<()>,
+    ) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (go, go_rx) = mpsc::channel::<()>();
+        let (sent_tx, sent) = mpsc::channel::<()>();
+        let server = thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            for reply in replies {
+                if !matches!(read_frame(&mut conn), Ok(Some(_))) || go_rx.recv().is_err() {
+                    return;
+                }
+                let _ = write_frame(&mut conn, &reply);
+                let _ = sent_tx.send(());
+            }
+        });
+        (Client::connect(addr).unwrap(), go, sent, server)
+    }
+
+    #[test]
+    fn a_timed_out_request_never_hands_its_late_reply_to_the_next() {
+        let (mut client, go, sent, server) = stand_in(vec![count(111), count(222)]);
+        client.set_timeout(Some(Duration::from_millis(20))).unwrap();
+        let q = SelectionQuery::new(Op::Le, 9);
+        let err = client.query("t", q, false, 0).unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "{err:?}"
+        );
+        // The first query's reply is sent only now, after the client gave
+        // up on it.
+        go.send(()).unwrap();
+        sent.recv().unwrap();
+        match client.query("t", q, false, 0) {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::NotConnected, "{e:?}"),
+            Ok(reply) => panic!("the second query was answered with {reply:?}"),
+        }
+        let err = client.set_timeout(None).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotConnected);
+        drop((go, client));
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_reply_that_fails_to_decode_closes_the_connection() {
+        let (mut client, go, _sent, server) = stand_in(vec![vec![0x42], count(222)]);
+        go.send(()).unwrap();
+        go.send(()).unwrap();
+        let err = client.ping().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err:?}");
+        let err = client.ping().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotConnected, "{err:?}");
+        drop((go, client));
+        server.join().unwrap();
     }
 }

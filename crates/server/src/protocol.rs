@@ -10,8 +10,24 @@
 //! Malformed input never panics the server: every decoder returns
 //! `io::Error` with [`io::ErrorKind::InvalidData`], which the connection
 //! handler answers with [`ErrorCode::BadRequest`] before closing.
+//!
+//! **A frame is one write.** [`write_frame`] hands the length prefix and
+//! the payload to one `write_vectored` call over two `IoSlice`s (a short
+//! write advances the slices and continues), never copying the payload.
+//! Both ends set `TCP_NODELAY`, so two `write_all`s put every request and
+//! every reply on loopback as two segments, and the peer was woken for a
+//! 4-byte header before its payload had arrived. One `Server` and one
+//! `Client` pinned to one CPU of a 2-thread x86-64 box (2^18 rows, 20,000
+//! requests per round, three rounds): ping p50 12.7–21.6 → 6.6–9.6 µs,
+//! count p50 30.7–45.8 → 25.6–32.0 µs, 32 KiB bitmap p50 48–67 → 31–48 µs.
+//!
+//! **A header alone reserves at most 64 KiB.** [`read_frame`] and the
+//! server's connection loop share one `FrameReader`, which reserves
+//! `min(len, 64 KiB)` for a declared payload and grows the buffer as bytes
+//! arrive, so a peer must send the bytes it declares before the reader
+//! holds them.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use bindex::relation::query::{Op, SelectionQuery};
 
@@ -29,33 +45,117 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame (length prefix + payload) in one vectored write —
+/// more only if the writer takes it short — and flushes.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| bad("frame too large to encode"))?;
     if len > MAX_FRAME {
         return Err(bad(format!("frame of {len} bytes exceeds MAX_FRAME")));
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let header = len.to_le_bytes();
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut left = &mut slices[..];
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write the whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
 /// Reads one frame, blocking until the payload is complete. Returns
 /// `Ok(None)` on a clean EOF at a frame boundary.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    match r.read(&mut len_buf) {
-        Ok(0) => return Ok(None),
-        Ok(n) => r.read_exact(&mut len_buf[n..])?,
-        Err(e) => return Err(e),
+    FrameReader::new().poll(r)
+}
+
+/// What a frame's length prefix reserves before any payload byte has
+/// arrived, and the least the buffer grows by once it is full.
+const READ_CHUNK: usize = 64 << 10;
+
+/// Incremental frame reader that survives read timeouts: partial header
+/// or payload bytes are kept across [`poll`](FrameReader::poll) calls, so
+/// a connection loop can check a flag between timeouts without ever
+/// corrupting the stream framing.
+pub(crate) struct FrameReader {
+    header: [u8; 4],
+    filled: usize,
+    /// The declared payload length, once the header is complete.
+    want: Option<usize>,
+    /// Received bytes, then zeroed room for the next read.
+    payload: Vec<u8>,
+    got: usize,
+}
+
+impl FrameReader {
+    pub(crate) fn new() -> Self {
+        Self {
+            header: [0; 4],
+            filled: 0,
+            want: None,
+            payload: Vec::new(),
+            got: 0,
+        }
     }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(bad(format!("frame length {len} exceeds MAX_FRAME")));
+
+    /// `Ok(Some(payload))` when a full frame has arrived; `Ok(None)` on a
+    /// clean EOF at a frame boundary. A read timeout is returned as the
+    /// reader's error with every byte so far kept, so polling again
+    /// resumes the frame; EOF mid-frame is `UnexpectedEof`.
+    pub(crate) fn poll(&mut self, r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+        loop {
+            let read = match self.want {
+                None => r.read(&mut self.header[self.filled..]),
+                Some(want) if self.got == want => return Ok(Some(self.finish())),
+                Some(want) => {
+                    if self.got == self.payload.len() {
+                        let room = want.min(self.got + self.got.max(READ_CHUNK));
+                        self.payload.resize(room, 0);
+                    }
+                    r.read(&mut self.payload[self.got..])
+                }
+            };
+            match read {
+                Ok(0) if self.want.is_none() && self.filled == 0 => return Ok(None),
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed mid-frame",
+                    ))
+                }
+                Ok(n) if self.want.is_some() => self.got += n,
+                Ok(n) => {
+                    self.filled += n;
+                    if self.filled == 4 {
+                        let len = u32::from_le_bytes(self.header);
+                        if len > MAX_FRAME {
+                            return Err(bad(format!("frame length {len} exceeds MAX_FRAME")));
+                        }
+                        let len = len as usize;
+                        self.want = Some(len);
+                        self.payload = Vec::with_capacity(len.min(READ_CHUNK));
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+
+    fn finish(&mut self) -> Vec<u8> {
+        self.filled = 0;
+        self.want = None;
+        self.got = 0;
+        std::mem::take(&mut self.payload)
+    }
 }
 
 /// Typed error codes carried in [`Response::Error`] — the client-visible
@@ -551,15 +651,18 @@ impl Response {
                 n_bits,
                 words,
             } => {
+                let n_words = u32::try_from(words.len()).map_err(|_| bad("bitmap too large"))?;
+                out.reserve_exact(1 + 8 + 1 + 1 + 8 + 4 + 8 * words.len());
                 out.push(TAG_BITMAP);
                 out.extend_from_slice(&cardinality.to_le_bytes());
                 out.push(u8::from(*degraded));
                 out.push(u8::from(*cached));
                 out.extend_from_slice(&n_bits.to_le_bytes());
-                let n_words = u32::try_from(words.len()).map_err(|_| bad("bitmap too large"))?;
                 out.extend_from_slice(&n_words.to_le_bytes());
-                for w in words {
-                    out.extend_from_slice(&w.to_le_bytes());
+                let start = out.len();
+                out.resize(start + 8 * words.len(), 0);
+                for (dst, w) in out[start..].chunks_exact_mut(8).zip(words) {
+                    dst.copy_from_slice(&w.to_le_bytes());
                 }
             }
             Response::Pong => out.push(TAG_PONG),
@@ -611,10 +714,14 @@ impl Response {
                 let cached = c.u8()? != 0;
                 let n_bits = c.u64()?;
                 let n_words = c.u32()? as usize;
-                let mut words = Vec::with_capacity(c.capacity(n_words, 8));
-                for _ in 0..n_words {
-                    words.push(c.u64()?);
-                }
+                let bytes = n_words
+                    .checked_mul(8)
+                    .ok_or_else(|| bad("bitmap too large"))?;
+                let words = c
+                    .take(bytes)?
+                    .chunks_exact(8)
+                    .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+                    .collect();
                 Response::Bitmap {
                     cardinality,
                     degraded,
@@ -775,6 +882,152 @@ mod tests {
             Request::Ping
         );
         assert!(read_frame(&mut r).unwrap().is_none());
+    }
+
+    /// The frames of `frames_round_trip_over_a_buffer`.
+    fn two_frames() -> [Vec<u8>; 2] {
+        let req = Request::Query {
+            index: "t".into(),
+            query: SelectionQuery::new(Op::Le, 9),
+            want_bitmap: false,
+            deadline_ms: 0,
+        };
+        [req.encode().unwrap(), Request::Ping.encode().unwrap()]
+    }
+
+    /// Takes everything it is handed and counts the calls.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            self.bytes.write_vectored(bufs)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Takes at most 3 bytes per call and is interrupted once, first.
+    #[derive(Default)]
+    struct DribbleSink {
+        bytes: Vec<u8>,
+        interrupted: bool,
+    }
+
+    impl Write for DribbleSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            if !std::mem::replace(&mut self.interrupted, true) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let before = self.bytes.len();
+            for b in bufs {
+                let n = b.len().min(before + 3 - self.bytes.len());
+                self.bytes.extend_from_slice(&b[..n]);
+            }
+            Ok(self.bytes.len() - before)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Hands out at most 3 bytes per call and is interrupted once, first.
+    struct DribbleSource<'a> {
+        bytes: &'a [u8],
+        interrupted: bool,
+    }
+
+    impl Read for DribbleSource<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if !std::mem::replace(&mut self.interrupted, true) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(3).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut sink = CountingSink::default();
+        let mut wire = Vec::new();
+        for (i, frame) in two_frames().iter().enumerate() {
+            write_frame(&mut sink, frame).unwrap();
+            write_frame(&mut wire, frame).unwrap();
+            assert_eq!(sink.calls, i + 1, "one write call per frame");
+        }
+        let big = vec![0xA5; 3 * READ_CHUNK];
+        write_frame(&mut sink, &big).unwrap();
+        write_frame(&mut wire, &big).unwrap();
+        assert_eq!(sink.calls, 3);
+        assert_eq!(sink.bytes, wire);
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_and_reads_keep_the_stream() {
+        let mut sink = DribbleSink::default();
+        let mut wire = Vec::new();
+        for frame in two_frames() {
+            write_frame(&mut sink, &frame).unwrap();
+            write_frame(&mut wire, &frame).unwrap();
+        }
+        assert_eq!(sink.bytes, wire);
+
+        let mut r = DribbleSource {
+            bytes: &sink.bytes,
+            interrupted: false,
+        };
+        for frame in two_frames() {
+            assert_eq!(read_frame(&mut r).unwrap(), Some(frame));
+        }
+        assert!(read_frame(&mut r).unwrap().is_none());
+    }
+
+    /// A `MAX_FRAME` length prefix followed by 100 payload bytes, then EOF.
+    fn huge_header_short_body() -> Vec<u8> {
+        let mut wire = MAX_FRAME.to_le_bytes().to_vec();
+        wire.extend_from_slice(&[7; 100]);
+        wire
+    }
+
+    #[test]
+    fn a_frame_header_alone_reserves_at_most_64_kib() {
+        let wire = huge_header_short_body();
+        let mut reader = FrameReader::new();
+        let err = reader.poll(&mut &wire[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(reader.got, 100);
+        assert!(
+            reader.payload.capacity() <= 64 << 10,
+            "{}",
+            reader.payload.capacity()
+        );
+
+        /// Records the largest buffer it is handed.
+        struct Widest<'a>(&'a [u8], usize);
+        impl Read for Widest<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1 = self.1.max(buf.len());
+                self.0.read(buf)
+            }
+        }
+        let mut r = Widest(&wire, 0);
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(r.1 <= 64 << 10, "read_frame handed out {} bytes", r.1);
     }
 
     #[test]

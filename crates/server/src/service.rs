@@ -23,7 +23,7 @@
 //! Nothing in flight is dropped; everything not yet admitted is refused
 //! with `ShuttingDown`.
 
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
@@ -35,7 +35,7 @@ use bindex::core::{Deadline, Error};
 use bindex::relation::query::ThresholdQuery;
 
 use crate::admission::{BoundedQueue, PushError};
-use crate::protocol::{write_frame, ErrorCode, Request, Response, StatsSnapshot, MAX_FRAME};
+use crate::protocol::{write_frame, ErrorCode, FrameReader, Request, Response, StatsSnapshot};
 use crate::registry::{Registry, ServedIndex, ServedQuery};
 
 /// Tuning for one server instance.
@@ -312,118 +312,27 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Incremental frame reader that survives read timeouts: partial header
-/// or payload bytes are kept across [`poll`](FrameReader::poll) calls, so
-/// the connection loop can check the drain flag a few times a second
-/// without ever corrupting the stream framing.
-struct FrameReader {
-    header: [u8; 4],
-    filled: usize,
-    payload: Vec<u8>,
-    payload_filled: usize,
-    in_payload: bool,
-}
-
-impl FrameReader {
-    fn new() -> Self {
-        Self {
-            header: [0; 4],
-            filled: 0,
-            payload: Vec::new(),
-            payload_filled: 0,
-            in_payload: false,
-        }
-    }
-
-    /// `Ok(Some(payload))` when a full frame is buffered; `Ok(None)` on a
-    /// read timeout (caller decides whether to keep waiting); `Err` on
-    /// EOF, protocol violation, or hard I/O error.
-    fn poll(&mut self, stream: &mut TcpStream) -> io::Result<Option<Vec<u8>>> {
-        loop {
-            if !self.in_payload {
-                match stream.read(&mut self.header[self.filled..]) {
-                    Ok(0) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "connection closed",
-                        ))
-                    }
-                    Ok(n) => {
-                        self.filled += n;
-                        if self.filled == 4 {
-                            let len = u32::from_le_bytes(self.header);
-                            if len > MAX_FRAME {
-                                return Err(io::Error::new(
-                                    io::ErrorKind::InvalidData,
-                                    format!("frame length {len} exceeds MAX_FRAME"),
-                                ));
-                            }
-                            self.payload = vec![0u8; len as usize];
-                            self.payload_filled = 0;
-                            self.in_payload = true;
-                            if len == 0 {
-                                return Ok(Some(self.finish()));
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        return Ok(None)
-                    }
-                    Err(e) => return Err(e),
-                }
-            } else {
-                match stream.read(&mut self.payload[self.payload_filled..]) {
-                    Ok(0) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-frame",
-                        ))
-                    }
-                    Ok(n) => {
-                        self.payload_filled += n;
-                        if self.payload_filled == self.payload.len() {
-                            return Ok(Some(self.finish()));
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        return Ok(None)
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    }
-
-    fn finish(&mut self) -> Vec<u8> {
-        self.filled = 0;
-        self.in_payload = false;
-        self.payload_filled = 0;
-        std::mem::take(&mut self.payload)
-    }
-}
-
 fn handle_conn(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.set_nodelay(true);
     let mut reader = FrameReader::new();
     loop {
+        // A read timeout keeps the partial frame in `reader` and lets the
+        // loop check the drain flag a few times a second.
         let payload = match reader.poll(&mut stream) {
             Ok(Some(p)) => p,
-            Ok(None) => {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
                 if shared.draining.load(Ordering::SeqCst) {
                     return;
                 }
                 continue;
             }
-            Err(_) => return,
+            Ok(None) | Err(_) => return,
         };
         let resp = match Request::decode(&payload) {
             Ok(req) => shared.handle_request(req),
