@@ -286,9 +286,10 @@ impl BitVec {
         words.truncate(n_words);
     }
 
-    /// Number of set bits (the foundset cardinality of a result bitmap).
+    /// Number of set bits (the foundset cardinality of a result bitmap),
+    /// through the kernels' carry-save popcount.
     pub fn count_ones(&self) -> usize {
-        self.words().iter().map(|w| w.count_ones() as usize).sum()
+        crate::kernels::popcount(self.words())
     }
 
     /// Number of clear bits.
@@ -573,9 +574,10 @@ impl<'a> SegmentView<'a> {
         self.words
     }
 
-    /// Number of set bits in the viewed range.
+    /// Number of set bits in the viewed range, through the kernels'
+    /// carry-save popcount.
     pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        crate::kernels::popcount(self.words)
     }
 
     /// `true` if no bit in the viewed range is set.
@@ -964,6 +966,31 @@ mod tests {
                 owned.iter_ones().collect::<Vec<_>>(),
                 "len {len}"
             );
+        }
+    }
+
+    /// The carry-save popcount against a word-at-a-time count, on whole
+    /// bitmaps around the word, lane-group and 8 KiB block boundaries and on
+    /// views that start at word offsets.
+    #[test]
+    fn count_ones_matches_the_word_at_a_time_count() {
+        let wordwise = |words: &[u64]| words.iter().map(|w| w.count_ones() as usize).sum();
+        for len in [0usize, 1, 63, 64, 65, 511, 512, 513, 8191, 8193] {
+            let mut state = len as u64 + 1;
+            let v = BitVec::from_fn(len, |_| {
+                state = state.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(11);
+                state >> 61 != 0
+            });
+            assert_eq!(v.count_ones(), wordwise(v.words()), "len {len}");
+            assert_eq!(BitVec::ones(len).count_ones(), len, "len {len}");
+            for lo in (0..len).step_by(64).take(5) {
+                let view = v.view_range(lo, len);
+                assert_eq!(
+                    view.count_ones(),
+                    wordwise(view.words()),
+                    "len {len} at {lo}"
+                );
+            }
         }
     }
 

@@ -22,6 +22,8 @@
 //! `&= a ^ b` steps, an optional complement and mask — the whole of a
 //! RangeEval-Opt query — evaluated block by block, so no operator costs a
 //! sweep over the accumulator and no derived bitmap is ever allocated.
+//! [`fold_count`] runs the same block loop and popcounts each finished
+//! block instead of storing it: a count of a query writes no foundset.
 //!
 //! # One loop per kernel
 //!
@@ -229,7 +231,8 @@ fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
 /// compiler run the chain in vector registers. Exact by construction —
 /// carry-save addition loses no bits — hence bit-identical to a
 /// word-at-a-time sweep. Counting a single bitmap reuses this with `OpOr`
-/// and `a == b` (`w | w == w`). `inline(never)`: see [`combine`].
+/// and `a == b` (`w | w == w`; [`popcount`]). `inline(never)`: see
+/// [`combine`].
 #[inline(never)]
 fn csa_count_fused<O: WordOp>(a: &[u64], b: &[u64]) -> usize {
     const STEP: usize = 4 * LANES;
@@ -240,8 +243,7 @@ fn csa_count_fused<O: WordOp>(a: &[u64], b: &[u64]) -> usize {
     // Per-lane popcount accumulator: folding `f.count_ones()` into one
     // scalar inside the lane loop would put a horizontal reduction on the
     // critical path; per-lane sums keep the loop body lane-parallel and
-    // cannot overflow (≤ 64 per step, and callers hand in one
-    // cache-blocked slice at a time).
+    // cannot overflow (≤ 64 per step into a u64, whatever the slice length).
     let mut fours = [0u64; LANES];
     for (ac, bc) in a[..split]
         .chunks_exact(STEP)
@@ -312,8 +314,7 @@ fn count_blocks<T: KernelOperand, O: WordOp>(operands: &[T]) -> usize {
         [] => {
             // Single operand: no combining at all, just a popcount sweep
             // (the CSA path with `w | w == w`).
-            let words = last.words();
-            return csa_count_fused::<OpOr>(words, words);
+            return popcount(last.words());
         }
         // Two operands: one fused pass over the inputs, no buffer.
         [first] => return csa_count_fused::<O>(first.words(), last.words()),
@@ -505,20 +506,8 @@ fn complement_words(dst: &mut [u64]) {
 /// Panics if any operand is not `len` bits long.
 #[must_use]
 pub fn fold<T: KernelOperand>(len: usize, program: &Fold<T>) -> BitVec {
-    let program = program.map(|op| {
-        assert_eq!(
-            len,
-            op.len(),
-            "bitmap length mismatch: {len} vs {}",
-            op.len()
-        );
-        op.words()
-    });
-    // `ones & b` is `b`: seed from a leading AND instead of filling ones.
-    let (seed, steps) = match (program.seed, program.steps.split_first()) {
-        (None, Some((&FoldStep::And(b), rest))) => (Some(b), rest),
-        _ => (program.seed, &program.steps[..]),
-    };
+    let program = program_words(len, program);
+    let (seed, steps) = seed_and_steps(&program);
     let n_words = crate::words_for(len);
     let mut out: Vec<u64> = Vec::with_capacity(n_words);
     let mut xor = [0u64; BLOCK_WORDS];
@@ -530,18 +519,7 @@ pub fn fold<T: KernelOperand>(len: usize, program: &Fold<T>) -> BitVec {
             None => out.resize(end, u64::MAX),
         }
         let acc = &mut out[start..end];
-        for step in steps {
-            match *step {
-                FoldStep::And(b) => combine::<OpAnd>(acc, &b[start..end]),
-                FoldStep::Or(b) => combine::<OpOr>(acc, &b[start..end]),
-                FoldStep::AndNot(b) => combine::<OpAndNot>(acc, &b[start..end]),
-                FoldStep::AndXor(a, b) => {
-                    let xor = &mut xor[..end - start];
-                    combine2::<OpXor>(xor, &a[start..end], &b[start..end]);
-                    combine::<OpAnd>(acc, xor);
-                }
-            }
-        }
+        run_steps(acc, steps, start, &mut xor);
         match (program.complement, program.mask) {
             (true, Some(mask)) => combine::<OpNotAnd>(acc, &mask[start..end]),
             (true, None) => complement_words(acc),
@@ -552,6 +530,100 @@ pub fn fold<T: KernelOperand>(len: usize, program: &Fold<T>) -> BitVec {
     }
     // An all-ones seed and an unmasked complement set bits past `len`.
     BitVec::from_words(out, len)
+}
+
+/// `fold(len, program).count_ones()` without the result: each 8 KiB
+/// accumulator block lives in a stack buffer and ends in the carry-save
+/// popcount (`csa_count_fused`) — fused with the mask, or its
+/// complement-and-mask, where [`fold`] would store it. Nothing is
+/// allocated. Bits past `len` (an all-ones seed, an unmasked complement)
+/// are cleared before they are counted.
+///
+/// # Panics
+/// Panics if any operand is not `len` bits long.
+#[must_use]
+pub fn fold_count<T: KernelOperand>(len: usize, program: &Fold<T>) -> usize {
+    let program = program_words(len, program);
+    let (seed, steps) = seed_and_steps(&program);
+    let n_words = crate::words_for(len);
+    let mut buf = [0u64; BLOCK_WORDS];
+    let mut xor = [0u64; BLOCK_WORDS];
+    let mut ones = 0;
+    let mut start = 0;
+    while start < n_words {
+        let end = (start + BLOCK_WORDS).min(n_words);
+        let acc = &mut buf[..end - start];
+        match seed {
+            Some(seed) => acc.copy_from_slice(&seed[start..end]),
+            None => acc.fill(u64::MAX),
+        }
+        run_steps(acc, steps, start, &mut xor);
+        ones += match (program.complement, program.mask) {
+            (true, Some(mask)) => csa_count_fused::<OpNotAnd>(acc, &mask[start..end]),
+            (false, Some(mask)) => csa_count_fused::<OpAnd>(acc, &mask[start..end]),
+            (complement, None) => {
+                if complement {
+                    complement_words(acc);
+                }
+                if end == n_words && !len.is_multiple_of(64) {
+                    acc[end - start - 1] &= (1u64 << (len % 64)) - 1;
+                }
+                csa_count_fused::<OpOr>(acc, acc)
+            }
+        };
+        start = end;
+    }
+    ones
+}
+
+/// `program`'s operands as their words, each checked to be `len` bits.
+fn program_words<T: KernelOperand>(len: usize, program: &Fold<T>) -> Fold<&[u64]> {
+    program.map(|op| {
+        assert_eq!(
+            len,
+            op.len(),
+            "bitmap length mismatch: {len} vs {}",
+            op.len()
+        );
+        op.words()
+    })
+}
+
+/// The accumulator's first value and the steps left to run: `ones & b` is
+/// `b`, so a seedless program seeds from a leading AND instead of filling
+/// ones.
+fn seed_and_steps<'p, 'w>(
+    program: &'p Fold<&'w [u64]>,
+) -> (Option<&'w [u64]>, &'p [FoldStep<&'w [u64]>]) {
+    match (program.seed, program.steps.split_first()) {
+        (None, Some((&FoldStep::And(b), rest))) => (Some(b), rest),
+        _ => (program.seed, &program.steps[..]),
+    }
+}
+
+/// Runs `steps` over the accumulator block `acc`, which starts at operand
+/// word `start`. `xor` is the work buffer of `AndXor` steps.
+fn run_steps(acc: &mut [u64], steps: &[FoldStep<&[u64]>], start: usize, xor: &mut [u64]) {
+    let end = start + acc.len();
+    for step in steps {
+        match *step {
+            FoldStep::And(b) => combine::<OpAnd>(acc, &b[start..end]),
+            FoldStep::Or(b) => combine::<OpOr>(acc, &b[start..end]),
+            FoldStep::AndNot(b) => combine::<OpAndNot>(acc, &b[start..end]),
+            FoldStep::AndXor(a, b) => {
+                let xor = &mut xor[..acc.len()];
+                combine2::<OpXor>(xor, &a[start..end], &b[start..end]);
+                combine::<OpAnd>(acc, xor);
+            }
+        }
+    }
+}
+
+/// Popcount of `words` through the carry-save counter ([`csa_count_fused`]
+/// with `w | w == w`) — what [`BitVec::count_ones`] and
+/// [`SegmentView::count_ones`] run.
+pub(crate) fn popcount(words: &[u64]) -> usize {
+    csa_count_fused::<OpOr>(words, words)
 }
 
 /// Most counter levels a bit-sliced threshold counter can carry: 8 bits
@@ -770,8 +842,7 @@ mod tests {
 
     /// The word-at-a-time tier: `f` folded over the operands' words one
     /// word at a time, no blocking, no lanes, no carry-save counting. What
-    /// the blocked kernels compute, by the loop they replaced; its
-    /// `count_ones` is the word-at-a-time popcount.
+    /// the blocked kernels compute, by the loop they replaced.
     fn wordwise<T: KernelOperand>(operands: &[T], f: impl Fn(u64, u64) -> u64) -> BitVec {
         let mut words = operands[0].words().to_vec();
         for op in &operands[1..] {
@@ -992,6 +1063,54 @@ mod tests {
             lo = hi;
         }
         assert_eq!(BitVec::from_words(got, owned[0].len()), whole);
+    }
+
+    /// [`fold_count`] is the popcount of [`fold`] — and of the
+    /// word-at-a-time composition — over random programs of every step
+    /// kind, with and without seed, complement and mask, on ragged lengths
+    /// of up to three blocks and on views at word offsets.
+    #[test]
+    fn fold_count_is_the_popcount_of_fold() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for case in 0..300 {
+            let len = match case % 3 {
+                0 => next(200),
+                1 => next(3 * 64 * BLOCK_WORDS),
+                _ => 64 * BLOCK_WORDS * (1 + next(2)) + next(3) * 63,
+            };
+            let owned: Vec<BitVec> = (0..6).map(|k| sample(len, case * 8 + k)).collect();
+            let o = |i: usize| &owned[i];
+            let steps = (0..next(6))
+                .map(|_| match next(4) {
+                    0 => FoldStep::And(o(next(6))),
+                    1 => FoldStep::Or(o(next(6))),
+                    2 => FoldStep::AndNot(o(next(6))),
+                    _ => FoldStep::AndXor(o(next(6)), o(next(6))),
+                })
+                .collect();
+            let program = Fold {
+                seed: (next(2) == 0).then(|| o(next(6))),
+                steps,
+                complement: next(2) == 0,
+                mask: (next(2) == 0).then(|| o(next(6))),
+            };
+            let want = fold(len, &program).count_ones();
+            assert_eq!(fold_count(len, &program), want, "len {len} {program:?}");
+            assert_eq!(fold_pairwise(len, &program).count_ones(), want, "len {len}");
+            let lo = 64 * next(len / 64 + 1);
+            let windowed = program.map(|b| b.view_range(lo, len));
+            assert_eq!(
+                fold_count(len - lo, &windowed),
+                fold(len - lo, &windowed).count_ones(),
+                "len {len} from {lo}"
+            );
+        }
     }
 
     #[test]

@@ -97,10 +97,11 @@ pub fn evaluate_in<S: BitmapSource>(
 
 /// *The* evaluator: one query of either kind to a foundset in whichever
 /// representation the evaluation produced — the entry point for callers
-/// that may never need dense words (a count, a cache); [`evaluate`],
+/// that may never need dense words (a cache); [`evaluate`],
 /// [`evaluate_in`] and [`evaluate_segmented_in`] are this plus
-/// [`ExecContext::materialize`]. The choice is made here, per query, from
-/// what the operands are:
+/// [`ExecContext::materialize`], and [`count_in`] is its cardinality
+/// without the foundset. The choice is made here, per query, from what
+/// the operands are:
 ///
 /// * A selection whose whole evaluation is one plan — any RangeEval-Opt
 ///   query, `A = v` / `A ≠ v` on an equality-encoded index — and whose
@@ -143,11 +144,7 @@ pub fn evaluate_repr_in<S: BitmapSource>(
     }
     let found = match segment_bits {
         None => evaluate_windowed(ctx, query, algorithm, true),
-        Some(segment_bits) => {
-            let found = evaluate_segments(ctx, query, algorithm, segment_bits);
-            ctx.exit_segments();
-            found
-        }
+        Some(segment_bits) => evaluate_segments(ctx, query, algorithm, segment_bits),
     };
     found.map(Repr::literal)
 }
@@ -328,48 +325,113 @@ pub fn evaluate_segmented_in<S: BitmapSource>(
 }
 
 /// The windowed path of [`evaluate_repr_in`], for either kind of (validated)
-/// query, and the only caller of `begin_segment`: every segment of
-/// `[0, n_rows)` in order, each one's foundset copied into place in the
-/// full-length result. Segment 0 runs the full operator sequence and is
-/// the only one charged for it (a threshold's later segments may take the
-/// early-exit bound); an empty relation still runs one empty segment, so
-/// the charges are those of whole-bitmap mode. The first segment always
-/// runs; later ones are shed with [`Error::DeadlineExceeded`] once the
-/// context's deadline has passed. The caller leaves segmented mode.
+/// query: [`walk_segments`] with each segment's foundset copied into place
+/// in the full-length result. Segment 0 runs the full operator sequence
+/// and is the only one charged for it (a threshold's later segments may
+/// take the early-exit bound).
 fn evaluate_segments<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     query: &Query,
     algorithm: Algorithm,
     segment_bits: usize,
 ) -> Result<BitVec> {
+    let n_rows = ctx.n_rows();
+    let mut out = vec![0u64; bindex_bitvec::words_for(n_rows)];
+    walk_segments(ctx, segment_bits, |ctx, lo, index| {
+        let part = evaluate_windowed(ctx, query, algorithm, index == 0)?;
+        debug_assert_eq!(
+            part.len(),
+            ctx.view_len(),
+            "evaluator returned a non-window result"
+        );
+        let w0 = lo / 64;
+        out[w0..w0 + part.words().len()].copy_from_slice(part.words());
+        Ok(())
+    })?;
+    Ok(BitVec::from_words(out, n_rows))
+}
+
+/// The one window walk, and the only caller of `begin_segment`: `window`
+/// runs on every segment of `[0, n_rows)` in order, given the segment's
+/// first row and ordinal; an empty relation still runs one empty segment,
+/// so the charges are those of whole-bitmap mode. The first segment
+/// always runs; later ones are shed with [`Error::DeadlineExceeded`] once
+/// the context's deadline has passed. Leaves segmented mode however the
+/// walk ends.
+///
+/// # Panics
+/// Panics if `segment_bits` is zero or not a multiple of 64.
+fn walk_segments<S: BitmapSource>(
+    ctx: &mut ExecContext<'_, S>,
+    segment_bits: usize,
+    mut window: impl FnMut(&mut ExecContext<'_, S>, usize, usize) -> Result<()>,
+) -> Result<()> {
     assert!(
         segment_bits > 0 && segment_bits.is_multiple_of(64),
         "segment size must be a positive multiple of 64 bits"
     );
     let n_rows = ctx.n_rows();
-    let mut out = vec![0u64; bindex_bitvec::words_for(n_rows)];
     let mut lo = 0;
-    loop {
+    let walked = loop {
         if lo > 0 && ctx.deadline_expired() {
-            return Err(Error::DeadlineExceeded);
+            break Err(Error::DeadlineExceeded);
         }
         let hi = (lo + segment_bits).min(n_rows);
         let index = lo / segment_bits;
         ctx.begin_segment(lo, hi, index);
-        let part = evaluate_windowed(ctx, query, algorithm, index == 0)?;
-        debug_assert_eq!(
-            part.len(),
-            hi - lo,
-            "evaluator returned a non-window result"
-        );
+        if let Err(e) = window(ctx, lo, index) {
+            break Err(e);
+        }
         ctx.end_segment();
-        let w0 = lo / 64;
-        out[w0..w0 + part.words().len()].copy_from_slice(part.words());
         if hi == n_rows {
-            return Ok(BitVec::from_words(out, n_rows));
+            break Ok(());
         }
         lo = hi;
+    };
+    ctx.exit_segments();
+    walked
+}
+
+/// [`evaluate_repr_in`]'s cardinality, without its foundset where the
+/// query allows. A selection whose whole evaluation is one plan (every
+/// RangeEval-Opt query bar `A < 0`; `=` and `≠` on an equality-encoded
+/// index) is counted: in the WAH domain when [`evaluate_repr_in`] would
+/// fold it there (the count is a run-length sum), else over dense words,
+/// whole or window by window exactly as [`evaluate_repr_in`] walks it —
+/// the same reads, pruning, charges and deadline checks — each window
+/// ending in a fused popcount, with no window foundset and no output
+/// buffer. Every other query is [`evaluate_repr_in`] and a popcount of
+/// its foundset. [`EvalStats`] are those of [`evaluate_repr_in`].
+///
+/// # Panics
+/// Panics if `segment_bits` is `Some` of zero or of a non-multiple of 64.
+pub fn count_in<S: BitmapSource>(
+    ctx: &mut ExecContext<'_, S>,
+    query: &Query,
+    algorithm: Algorithm,
+    segment_bits: Option<usize>,
+) -> Result<u64> {
+    validate(ctx.spec(), query)?;
+    let plan = match query {
+        Query::Selection(q) => whole_plan(ctx.spec(), *q, algorithm),
+        Query::Threshold(_) => None,
+    };
+    let Some(plan) = plan else {
+        let found = evaluate_repr_in(ctx, query, algorithm, segment_bits)?;
+        return Ok(found.count_ones() as u64);
+    };
+    if let Some(found) = ctx.fold_plan_wah(&plan, true, segment_bits.is_some())? {
+        return Ok(found.count_ones() as u64);
     }
+    let mut ones = 0;
+    match segment_bits {
+        None => ones = ctx.count_plan(&plan)?,
+        Some(segment_bits) => walk_segments(ctx, segment_bits, |ctx, _, _| {
+            ones += ctx.count_plan(&plan)?;
+            Ok(())
+        })?,
+    }
+    Ok(ones as u64)
 }
 
 fn require(actual: Encoding, expected: Encoding) -> Result<()> {

@@ -481,8 +481,8 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     /// Enters segment `index` covering bits `lo..hi`: subsequent ops see
     /// [`ExecContext::view_len`]` == hi - lo` and slice full-length
     /// operands down to the window. The per-segment window cache resets;
-    /// cursors and the fetch cache persist. Driven by the windowed path
-    /// of `eval::evaluate_repr_in`.
+    /// cursors and the fetch cache persist. Driven by `eval`'s one window
+    /// walk, under `evaluate_repr_in` and `count_in`.
     pub(crate) fn begin_segment(&mut self, lo: usize, hi: usize, index: usize) {
         match &mut self.seg {
             Some(s) => {
@@ -881,6 +881,31 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     /// # Panics
     /// Panics on mismatched operand lengths.
     pub fn fold<B: Borrow<BitVec>>(&mut self, program: &Fold<B>) -> BitVec {
+        let len = self.view_len();
+        self.fold_window(program, |w| kernels::fold(len, w))
+            .unwrap_or_else(|| BitVec::zeros(len))
+    }
+
+    /// [`ExecContext::fold`]'s cardinality, through [`kernels::fold_count`]:
+    /// the same charges, window and all-zero short-circuit, and no result
+    /// is written.
+    ///
+    /// # Panics
+    /// Panics on mismatched operand lengths.
+    pub(crate) fn fold_count<B: Borrow<BitVec>>(&mut self, program: &Fold<B>) -> usize {
+        let len = self.view_len();
+        self.fold_window(program, |w| kernels::fold_count(len, w))
+            .unwrap_or(0)
+    }
+
+    /// What [`ExecContext::fold`] and [`ExecContext::fold_count`] share: the
+    /// charges, the operands sliced to the current window, and `None` — the
+    /// kernel not run — for the all-zero short-circuit.
+    fn fold_window<B: Borrow<BitVec>, R>(
+        &mut self,
+        program: &Fold<B>,
+        kernel: impl FnOnce(&Fold<bindex_bitvec::SegmentView<'_>>) -> R,
+    ) -> Option<R> {
         if self.charge_ops() {
             self.charge_fold(program);
         }
@@ -893,9 +918,9 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             !windowed.complement && !windowed.steps.iter().any(|s| matches!(s, FoldStep::Or(_)));
         if self.seg.is_some() && clears_only && first.is_some_and(|b| b.none()) {
             self.mark_skip();
-            return BitVec::zeros(self.view_len());
+            return None;
         }
-        kernels::fold(self.view_len(), &windowed)
+        Some(kernel(&windowed))
     }
 
     /// [`ExecContext::fold`] over whole compressed operands
@@ -962,6 +987,16 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             chain.mask = self.fetch_nn()?;
         }
         Ok(self.fold(&chain))
+    }
+
+    /// A whole evaluation's `plan`, `B_nn` ANDed in last, counted over
+    /// dense words at the context's current width
+    /// ([`ExecContext::fold_count`]): the reads and charges of
+    /// [`ExecContext::fold_plan`], and no foundset.
+    pub(crate) fn count_plan(&mut self, plan: &Plan) -> Result<usize> {
+        let mut chain = self.fetch_plan(plan)?;
+        chain.mask = self.fetch_nn()?;
+        Ok(self.fold_count(&chain))
     }
 
     /// `plan` over the dense bitmaps of the slots it names, fetched in

@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use bindex_bitvec::BitVec;
 use bindex_core::error::{Error, Result};
-use bindex_core::eval::{evaluate_repr_in, Algorithm};
+use bindex_core::eval::{count_in, evaluate_repr_in, Algorithm};
 use bindex_core::{BitmapSource, DeltaOverlay, EvalStats, ExecContext, RecoveryPolicy, Repr};
 use bindex_relation::query::{Query, SelectionQuery, ThresholdQuery};
 
@@ -445,37 +445,72 @@ where
     }
 }
 
-/// Evaluates one query as one task ([`run_query`]'s `step`):
-/// whole-bitmap, or window by window at `options.segment_bits()`, or in
-/// the compressed domain, as [`evaluate_repr_in`] decides. `finish` turns
-/// the foundset into what the caller returns while the context can still
-/// account for it.
+/// Evaluates one query as one task ([`run_query`]'s `step`): `evaluate`
+/// runs it in a context built from `options` — recovery, deadline,
+/// overlay — and returns what the caller keeps of it while the context can
+/// still account for it.
 fn query_step<S: BitmapSource, T>(
     source: &mut S,
-    query: &Query,
-    algorithm: Algorithm,
     options: &BatchOptions,
-    finish: impl FnOnce(&mut ExecContext<'_, S>, Repr) -> T,
+    evaluate: impl FnOnce(&mut ExecContext<'_, S>) -> Result<T>,
 ) -> Result<((T, EvalStats), bool)> {
     let mut ctx = ExecContext::new(source)
         .with_recovery(options.recovery.clone())
         .with_deadline(options.deadline)
         .with_overlay(options.overlay.clone());
-    let found = evaluate_repr_in(&mut ctx, query, algorithm, options.segment_bits)?;
-    let found = finish(&mut ctx, found);
+    let found = evaluate(&mut ctx)?;
     let stats = ctx.take_stats();
     Ok(((found, stats), stats.degraded_fetches > 0))
+}
+
+/// What [`evaluate_query`] keeps of a query's result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sink {
+    /// The foundset, in the representation evaluation produced
+    /// ([`evaluate_repr_in`]).
+    Keep,
+    /// Its cardinality alone ([`count_in`]): a selection whose whole
+    /// evaluation is one plan writes no foundset at all.
+    Count,
+}
+
+/// A query's result under its [`Sink`].
+#[derive(Debug, Clone)]
+pub enum Found {
+    /// [`Sink::Keep`]: the foundset.
+    Bits(Repr),
+    /// [`Sink::Count`]: the number of qualifying rows.
+    Count(u64),
+}
+
+impl Found {
+    /// The number of qualifying rows, whichever sink produced it.
+    pub fn count_ones(&self) -> u64 {
+        match self {
+            Found::Bits(bits) => bits.count_ones() as u64,
+            Found::Count(n) => *n,
+        }
+    }
+
+    /// The foundset, when [`Sink::Keep`] produced it.
+    pub fn into_bits(self) -> Option<Repr> {
+        match self {
+            Found::Bits(bits) => Some(bits),
+            Found::Count(_) => None,
+        }
+    }
 }
 
 /// Evaluates one query of either kind on the calling thread under the
 /// policy of `options` (deadline, recovery, overlay, segment size; the
 /// worker count plays no part) — what a one-query workload does,
-/// without the workload: no outcome vector, and the foundset comes back in
-/// the representation evaluation produced, so a caller that only counts it
-/// or caches it never pays for dense words ([`Repr::count_ones`] is
-/// O(compressed words) on [`Repr::Wah`]; a threshold's is always
-/// [`Repr::Literal`]). The ending is classified exactly as in a workload —
-/// a malformed threshold is
+/// without the workload: no outcome vector. `sink` picks what comes
+/// back: [`Sink::Keep`] returns the foundset in the representation
+/// evaluation produced, so a caller that caches it never pays for dense
+/// words ([`Repr::count_ones`] is O(compressed words) on [`Repr::Wah`]; a
+/// threshold's is always [`Repr::Literal`]); [`Sink::Count`] returns its
+/// cardinality, with the same [`EvalStats`]. The ending is classified
+/// exactly as in a workload — a malformed threshold is
 /// [`QueryOutcome::Failed`]\([`Error::InvalidQuery`]\); after
 /// [`Error::WorkerPanic`] the caller should rebuild `source`.
 pub fn evaluate_query<S: BitmapSource>(
@@ -483,9 +518,16 @@ pub fn evaluate_query<S: BitmapSource>(
     query: &Query,
     algorithm: Algorithm,
     options: &BatchOptions,
-) -> QueryOutcome<(Repr, EvalStats)> {
+    sink: Sink,
+) -> QueryOutcome<(Found, EvalStats)> {
+    let segment_bits = options.segment_bits;
     run_query(options, || {
-        query_step(source, query, algorithm, options, |_, found| found)
+        query_step(source, options, |ctx| {
+            Ok(match sink {
+                Sink::Keep => Found::Bits(evaluate_repr_in(ctx, query, algorithm, segment_bits)?),
+                Sink::Count => Found::Count(count_in(ctx, query, algorithm, segment_bits)?),
+            })
+        })
     })
 }
 
@@ -538,7 +580,8 @@ where
 }
 
 /// The one driver behind both workload entry points: a query is one task
-/// of [`run_workload`], evaluated by [`query_step`].
+/// of [`run_workload`], evaluated by [`query_step`] and decoded to dense
+/// words.
 fn evaluate_queries<S, F>(
     make_source: F,
     queries: &[Query],
@@ -550,8 +593,9 @@ where
     F: Fn() -> S + Sync,
 {
     run_workload(queries.len(), options, &make_source, |source, i| {
-        query_step(source, &queries[i], algorithm, options, |ctx, found| {
-            ctx.materialize(found)
+        query_step(source, options, |ctx| {
+            let found = evaluate_repr_in(ctx, &queries[i], algorithm, options.segment_bits)?;
+            Ok(ctx.materialize(found))
         })
     })
 }
@@ -965,8 +1009,15 @@ mod tests {
             let want = naive::evaluate(&col, q);
             // Compressed slots: a compressed foundset, nothing decoded; the
             // workload decodes exactly the result at its `BitVec` boundary.
-            let outcome = evaluate_query(&mut wah(None), &q.into(), Algorithm::Auto, &options);
+            let outcome = evaluate_query(
+                &mut wah(None),
+                &q.into(),
+                Algorithm::Auto,
+                &options,
+                Sink::Keep,
+            );
             let (found, stats) = outcome.into_result().expect("answered");
+            let found = found.into_bits().expect("the keep sink keeps the foundset");
             assert!(found.is_compressed(), "{q}");
             assert_eq!(found.count_ones(), want.count_ones(), "{q}");
             assert_eq!(stats.materializations, 0, "{q}");
@@ -987,8 +1038,15 @@ mod tests {
                 "{q}"
             );
             // Literal slots: the segmented dense evaluation, as before.
-            let outcome = evaluate_query(&mut idx.source(), &q.into(), Algorithm::Auto, &options);
+            let outcome = evaluate_query(
+                &mut idx.source(),
+                &q.into(),
+                Algorithm::Auto,
+                &options,
+                Sink::Keep,
+            );
             let (found, stats) = outcome.into_result().expect("answered");
+            let found = found.into_bits().expect("the keep sink keeps the foundset");
             assert!(!found.is_compressed(), "{q}");
             assert_eq!(*found.to_bitvec(), want, "{q}");
             assert_eq!(stats.segments_evaluated, 40_000usize.div_ceil(4096), "{q}");
@@ -1001,21 +1059,40 @@ mod tests {
             .clone()
             .with_deadline(Deadline::after(Duration::ZERO));
         assert!(matches!(
-            evaluate_query(&mut source, &q.into(), Algorithm::Auto, &expired),
+            evaluate_query(
+                &mut source,
+                &q.into(),
+                Algorithm::Auto,
+                &expired,
+                Sink::Keep
+            ),
             QueryOutcome::TimedOut
         ));
         assert_eq!(source.fetches, 0);
         // An unreadable slot fails the query, or degrades it under a policy
         // that can rebuild the slot — to dense words, so on the dense path.
         let broken = Some((2, 1));
-        let outcome = evaluate_query(&mut wah(broken), &q.into(), Algorithm::Auto, &options);
+        let outcome = evaluate_query(
+            &mut wah(broken),
+            &q.into(),
+            Algorithm::Auto,
+            &options,
+            Sink::Keep,
+        );
         assert!(matches!(outcome.error(), Some(Error::ChecksumMismatch(_))));
         let recovering = options
             .clone()
             .with_recovery(RecoveryPolicy::ReconstructOrScan(Arc::new(col.clone())));
-        let outcome = evaluate_query(&mut wah(broken), &q.into(), Algorithm::Auto, &recovering);
+        let outcome = evaluate_query(
+            &mut wah(broken),
+            &q.into(),
+            Algorithm::Auto,
+            &recovering,
+            Sink::Keep,
+        );
         assert!(outcome.is_degraded());
         let (found, stats) = outcome.into_result().unwrap();
+        let found = found.into_bits().expect("the keep sink keeps the foundset");
         assert!(!found.is_compressed());
         assert_eq!(*found.to_bitvec(), naive::evaluate(&col, q));
         assert_eq!((stats.degraded_fetches, stats.compressed_ops), (1, 0));
@@ -1024,7 +1101,13 @@ mod tests {
             spec: idx.spec().clone(),
             n_rows: 100,
         };
-        let outcome = evaluate_query(&mut panicky, &q.into(), Algorithm::Auto, &options);
+        let outcome = evaluate_query(
+            &mut panicky,
+            &q.into(),
+            Algorithm::Auto,
+            &options,
+            Sink::Keep,
+        );
         assert!(matches!(outcome.error(), Some(Error::WorkerPanic(_))));
 
         // A threshold takes the same entry: the one-query workload's dense
@@ -1047,12 +1130,25 @@ mod tests {
             BitVec::from_fn(col.len(), |r| threshold.matches(col.values()[r]))
         );
         let query = Query::Threshold(threshold);
-        let outcome = evaluate_query(&mut wah(None), &query, Algorithm::Auto, &options);
+        let outcome = evaluate_query(
+            &mut wah(None),
+            &query,
+            Algorithm::Auto,
+            &options,
+            Sink::Keep,
+        );
         let (found, stats) = outcome.into_result().expect("answered");
+        let found = found.into_bits().expect("the keep sink keeps the foundset");
         assert!(!found.is_compressed());
         assert_eq!((&*found.to_bitvec(), stats), (&bits, batch_stats));
         let malformed = Query::Threshold(ThresholdQuery::new(4, preds));
-        let outcome = evaluate_query(&mut wah(None), &malformed, Algorithm::Auto, &options);
+        let outcome = evaluate_query(
+            &mut wah(None),
+            &malformed,
+            Algorithm::Auto,
+            &options,
+            Sink::Keep,
+        );
         assert!(matches!(outcome.error(), Some(Error::InvalidQuery(_))));
     }
 

@@ -36,8 +36,8 @@ pub mod plan;
 mod table;
 
 pub use batch::{
-    evaluate_query, evaluate_selection_workload, BatchHealth, BatchOptions, Deadline, QueryOutcome,
-    WorkloadReport, MIN_SEGMENT_BITS,
+    evaluate_query, evaluate_selection_workload, BatchHealth, BatchOptions, Deadline, Found,
+    QueryOutcome, Sink, WorkloadReport, MIN_SEGMENT_BITS,
 };
 pub use plan::{ConjunctiveQuery, ExecutionStats, Plan, PlanCost};
 pub use table::{IndexChoice, Table, TableBuilder};

@@ -1,21 +1,77 @@
-//! Admission control: a bounded MPMC queue between connection handlers
-//! and evaluation workers.
+//! Admission control: the permit pool that decides whether a query may
+//! run now, and a bounded MPMC queue.
 //!
-//! The queue is the server's only buffer, and it is *bounded*: once
-//! `capacity` requests are waiting, further arrivals are rejected
-//! immediately with [`PushError::Full`] and the connection handler turns
-//! that into a typed `Overloaded` response. Rejecting at the door keeps
-//! tail latency bounded — a request that would wait longer than its
-//! deadline is refused in microseconds instead of timing out after
-//! consuming queue space — and puts the backpressure where the client can
-//! see it.
+//! `Permits` is the server's admission rule: at most `capacity` queries
+//! in flight, and an arrival that finds every permit held is refused
+//! immediately with `Overloaded`, which the connection handler turns
+//! into a typed `Overloaded` response. Rejecting at the door keeps tail
+//! latency bounded — a request that would wait longer than its deadline is
+//! refused in microseconds instead of timing out — and puts the
+//! backpressure where the client can see it. An admitted query runs to
+//! completion on the connection thread that read it, so there is nothing
+//! to wait in and no hand-off between threads.
 //!
-//! [`close`](BoundedQueue::close) starts the drain: producers are refused
-//! with [`PushError::Closed`], consumers keep popping until the queue is
-//! empty, then [`pop`](BoundedQueue::pop) returns `None` and workers exit.
+//! [`BoundedQueue`] is a bounded queue with non-blocking producers and
+//! blocking consumers. The server does not use it; it stays exported while
+//! `benchmark/`'s server probe times its hand-off.
+//! [`close`](BoundedQueue::close) refuses producers with
+//! [`PushError::Closed`]; consumers keep popping until the queue is
+//! empty, then [`pop`](BoundedQueue::pop) returns `None`.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
+
+/// Why [`Permits::try_acquire`] refused: every permit is held.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Overloaded;
+
+/// A counting permit pool: at most `capacity` queries hold a permit at
+/// once. Acquiring never blocks.
+pub(crate) struct Permits {
+    held: AtomicUsize,
+    capacity: usize,
+}
+
+/// One query's admission; dropping it returns the permit, on every path
+/// out of the query (a panic included).
+pub(crate) struct Permit<'a>(&'a Permits);
+
+impl Permits {
+    /// A pool of `capacity` permits.
+    pub(crate) fn new(capacity: usize) -> Self {
+        Self {
+            held: AtomicUsize::new(0),
+            capacity,
+        }
+    }
+
+    /// The pool size.
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Permits currently held: the queries in flight.
+    pub(crate) fn held(&self) -> usize {
+        self.held.load(Ordering::SeqCst)
+    }
+
+    /// Takes a permit, or refuses at once when all are held.
+    pub(crate) fn try_acquire(&self) -> Result<Permit<'_>, Overloaded> {
+        self.held
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |held| {
+                (held < self.capacity).then_some(held + 1)
+            })
+            .map(|_| Permit(self))
+            .map_err(|_| Overloaded)
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.held.fetch_sub(1, Ordering::SeqCst);
+    }
+}
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -118,6 +174,21 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn permits_refuse_past_capacity_and_return_on_drop() {
+        let permits = Permits::new(2);
+        let a = permits.try_acquire().unwrap();
+        let b = permits.try_acquire().unwrap();
+        assert_eq!(permits.try_acquire().err(), Some(Overloaded));
+        assert_eq!(permits.held(), 2);
+        drop(a);
+        let c = permits.try_acquire().unwrap();
+        assert_eq!(permits.try_acquire().err(), Some(Overloaded));
+        drop((b, c));
+        assert_eq!(permits.held(), 0);
+        assert!(Permits::new(0).try_acquire().is_err());
+    }
 
     #[test]
     fn rejects_above_capacity_and_recovers() {

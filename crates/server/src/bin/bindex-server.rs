@@ -16,8 +16,10 @@
 //! * `--index NAME=DIR:b1,b2,…:range|eq|interval` — serve an existing
 //!   stored index from `DIR` with the given layout;
 //! * `--workers N`, `--queue-depth N`, `--deadline-ms N` — override the
-//!   corresponding `ServerConfig::default()` fields (one worker per
-//!   available CPU, depth 64, 250 ms); the configuration in effect is
+//!   corresponding `ServerConfig::default()` fields (one per available
+//!   CPU, 64, 250 ms). Queries run on the connection thread that read
+//!   them; `workers + queue-depth` of them may be in flight before an
+//!   arrival is shed with `Overloaded`. The configuration in effect is
 //!   printed at startup;
 //! * `--duration SECS` — exit (gracefully) after this long; for smoke
 //!   tests.
@@ -192,8 +194,8 @@ fn main() -> ExitCode {
     }
     let report = server.shutdown();
     println!(
-        "drained: {} completed, {} shed overloaded, {} shed by deadline, {} queued at close",
-        report.completed, report.shed_overload, report.shed_deadline, report.queued_at_close
+        "drained: {} completed, {} shed overloaded, {} shed by deadline, {} in flight at close",
+        report.completed, report.shed_overload, report.shed_deadline, report.in_flight_at_close
     );
     ExitCode::SUCCESS
 }

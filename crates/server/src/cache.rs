@@ -18,6 +18,12 @@
 //! pre-repair foundset after the bytes underneath changed would be a
 //! silent wrong answer, the one thing a robustness layer must never do.
 //! Only clean (non-degraded) answers are inserted.
+//!
+//! A count request caches its cardinality alone — 8 bytes where the
+//! foundset would be `N/8` — and is answered by an entry of either kind; a
+//! bitmap request is answered only by an entry that holds the foundset
+//! ([`ResultCache::get_bits`]), and its evaluation replaces a count-only
+//! entry.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,14 +78,15 @@ pub fn normalize_threshold(k: u32, predicates: &[SelectionQuery]) -> NormKey {
     NormKey::Threshold(k, preds)
 }
 
-/// A cached foundset — a shared handle in the representation evaluation
+/// A cached answer: the cardinality, and the foundset when a bitmap
+/// request computed it — a shared handle in the representation evaluation
 /// produced, so a foundset computed over compressed slots occupies its
-/// compressed footprint — plus the precomputed cardinality.
+/// compressed footprint. A count request caches its number alone.
 #[derive(Debug, Clone)]
 pub struct CachedAnswer {
-    /// The foundset.
-    pub bits: Repr,
-    /// `bits.count_ones()`, computed once at insert.
+    /// The foundset; `None` for an entry a count request inserted.
+    pub bits: Option<Repr>,
+    /// The number of qualifying rows.
     pub cardinality: u64,
 }
 
@@ -118,12 +125,28 @@ impl ResultCache {
         }
     }
 
-    /// Looks up `key` computed under `epoch`. An epoch change drops every
-    /// resident entry first (counted as one invalidation).
+    /// Looks up `key` computed under `epoch`: an entry of either kind, which
+    /// is all a count needs. An epoch change drops every resident entry
+    /// first (counted as one invalidation).
     pub fn get(&self, key: &NormKey, epoch: u64) -> Option<CachedAnswer> {
+        self.lookup(key, epoch, false)
+    }
+
+    /// [`ResultCache::get`] for a request that needs the foundset: an entry
+    /// holding only a count is a miss, and the evaluation that follows
+    /// replaces it.
+    pub fn get_bits(&self, key: &NormKey, epoch: u64) -> Option<CachedAnswer> {
+        self.lookup(key, epoch, true)
+    }
+
+    fn lookup(&self, key: &NormKey, epoch: u64, need_bits: bool) -> Option<CachedAnswer> {
         let mut inner = self.inner.lock().unwrap();
         self.sync_epoch(&mut inner, epoch);
-        match inner.map.get(key).cloned() {
+        let entry = inner
+            .map
+            .get(key)
+            .filter(|e| !need_bits || e.bits.is_some());
+        match entry.cloned() {
             Some(hit) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(hit)
@@ -135,8 +158,9 @@ impl ResultCache {
         }
     }
 
-    /// Inserts a clean answer computed under `epoch`. Stale-epoch inserts
-    /// (a query that raced with a repair) are dropped — never cached.
+    /// Inserts a clean answer computed under `epoch`, replacing any entry
+    /// for `key`. Stale-epoch inserts (a query that raced with a repair)
+    /// are dropped — never cached.
     pub fn insert(&self, key: NormKey, answer: CachedAnswer, epoch: u64) {
         if self.capacity == 0 {
             return;
@@ -194,7 +218,7 @@ mod tests {
 
     fn answer(n: u64) -> CachedAnswer {
         CachedAnswer {
-            bits: Repr::literal(BitVec::from_fn(64, |i| (i as u64) < n)),
+            bits: Some(Repr::literal(BitVec::from_fn(64, |i| (i as u64) < n))),
             cardinality: n,
         }
     }
@@ -297,6 +321,25 @@ mod tests {
         assert!(cache
             .get(&normalize(SelectionQuery::new(Op::Eq, 0)), 0)
             .is_none());
+    }
+
+    #[test]
+    fn a_count_entry_serves_counts_and_misses_for_bitmaps() {
+        let cache = ResultCache::new(8);
+        let key = normalize(SelectionQuery::new(Op::Le, 4));
+        let count = CachedAnswer {
+            bits: None,
+            cardinality: 5,
+        };
+        cache.insert(key.clone(), count, 0);
+        assert_eq!(cache.get(&key, 0).unwrap().cardinality, 5);
+        assert!(cache.get_bits(&key, 0).is_none());
+        assert_eq!(cache.stats(), (1, 1, 0));
+        // The bitmap answer replaces the count, and serves both kinds.
+        cache.insert(key.clone(), answer(5), 0);
+        assert!(cache.get_bits(&key, 0).unwrap().bits.is_some());
+        assert!(cache.get(&key, 0).unwrap().bits.is_some());
+        assert_eq!((cache.len(), cache.stats()), (1, (3, 1, 0)));
     }
 
     #[test]

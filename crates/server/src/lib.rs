@@ -10,9 +10,9 @@
 //! * [`protocol`] — length-prefixed frames with a typed error taxonomy
 //!   (`Overloaded`, `DeadlineExceeded`, `ShuttingDown`, …): every way of
 //!   *not* answering is a first-class, machine-readable outcome;
-//! * [`admission`] — a bounded queue between connections and workers;
-//!   arrivals beyond the high-water mark are shed immediately, which is
-//!   what keeps p999 bounded under overload;
+//! * [`admission`] — a counting permit pool: an arrival that finds
+//!   `workers + queue_depth` queries in flight is shed immediately, which
+//!   is what keeps p999 bounded under overload;
 //! * [`breaker`] — a per-index circuit breaker that flips serving from
 //!   strict to degraded (bitmap reconstruction) after repeated storage
 //!   faults, and probes its way back after repair;
@@ -20,7 +20,8 @@
 //!   storage repair epoch, so a repair can never leave stale answers;
 //! * [`registry`] — served indexes: `RwLock`-wrapped shared readers where
 //!   the write lock *is* the repair drain;
-//! * [`service`] — acceptor, connection handlers, workers, per-request
+//! * [`service`] — acceptor, connection handlers that run each query to
+//!   completion (a count ends in a popcount, with no foundset), per-request
 //!   deadlines propagated into the engine, graceful drain;
 //! * [`client`] — a small blocking client for tools and tests.
 

@@ -164,7 +164,7 @@ impl FrameReader {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ErrorCode {
-    /// Admission queue at its high-water mark; retry after backoff.
+    /// Every admission permit is held; retry after backoff.
     Overloaded = 1,
     /// The request's deadline expired before an answer was produced.
     DeadlineExceeded = 2,
@@ -175,7 +175,7 @@ pub enum ErrorCode {
     /// The request frame did not decode or carried invalid fields.
     BadRequest = 5,
     /// Evaluation failed (storage fault with strict serving, corrupt
-    /// index, worker panic); the message carries the rendered error.
+    /// index, evaluation panic); the message carries the rendered error.
     QueryFailed = 6,
     /// The server lost the reply path internally; retryable.
     Internal = 7,
@@ -513,13 +513,13 @@ impl Request {
 /// Aggregate server counters, as carried by [`Response::Stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Queries admitted to the queue.
+    /// Queries admitted (given a permit).
     pub admitted: u64,
     /// Queries answered (any terminal response, including typed errors).
     pub completed: u64,
-    /// Queries refused at admission because the queue was full.
+    /// Queries refused at admission because every permit was held.
     pub shed_overload: u64,
-    /// Queries cancelled (pre- or mid-evaluation) by their deadline.
+    /// Queries cancelled by their deadline.
     pub shed_deadline: u64,
     /// Queries answered from reconstructed bitmaps (degraded serving).
     pub degraded: u64,
@@ -714,6 +714,19 @@ impl Response {
                 let cached = c.u8()? != 0;
                 let n_bits = c.u64()?;
                 let n_words = c.u32()? as usize;
+                // A client builds a bitmap of `n_bits` from these words:
+                // a length they do not cover would have it allocate for
+                // bits the frame never carried.
+                if n_bits.div_ceil(64) != n_words as u64 {
+                    return Err(bad(format!(
+                        "bitmap of {n_bits} bits carries {n_words} words"
+                    )));
+                }
+                if cardinality > n_bits {
+                    return Err(bad(format!(
+                        "bitmap of {n_bits} bits claims {cardinality} set"
+                    )));
+                }
                 let bytes = n_words
                     .checked_mul(8)
                     .ok_or_else(|| bad("bitmap too large"))?;
@@ -1069,6 +1082,40 @@ mod tests {
         bitmap.extend_from_slice(&huge);
         let err = Response::decode(&bitmap).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A bitmap reply's length must be what its words cover, and its
+    /// cardinality at most that length: `n_bits = 2^64 − 1` over no words
+    /// would have a client size a bitmap of 2^58 words.
+    #[test]
+    fn a_bitmap_reply_whose_length_its_words_do_not_cover_is_rejected() {
+        let frame = |cardinality: u64, n_bits: u64, words: &[u64]| {
+            let mut f = vec![TAG_BITMAP];
+            f.extend_from_slice(&cardinality.to_le_bytes());
+            f.extend_from_slice(&[0, 0]);
+            f.extend_from_slice(&n_bits.to_le_bytes());
+            f.extend_from_slice(&(words.len() as u32).to_le_bytes());
+            for w in words {
+                f.extend_from_slice(&w.to_le_bytes());
+            }
+            f
+        };
+        for (cardinality, n_bits, words) in [
+            (0, u64::MAX, &[][..]),
+            (0, 65, &[0][..]),
+            (0, 64, &[0, 0][..]),
+            (0, 0, &[0][..]),
+            (3, 2, &[3][..]),
+        ] {
+            let err = Response::decode(&frame(cardinality, n_bits, words)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{n_bits} bits");
+        }
+        for (cardinality, n_bits, words) in
+            [(0, 0, &[][..]), (1, 1, &[1][..]), (2, 65, &[1, 1][..])]
+        {
+            let decoded = Response::decode(&frame(cardinality, n_bits, words)).unwrap();
+            assert!(matches!(decoded, Response::Bitmap { n_bits: n, .. } if n == n_bits));
+        }
     }
 
     #[test]

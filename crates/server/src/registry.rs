@@ -3,7 +3,7 @@
 //!
 //! A [`ServedIndex`] owns one stored bitmap index behind a
 //! [`SharedIndexReader`] in an `RwLock`: query execution takes read locks
-//! (many concurrent workers), repair takes the write lock — which *is*
+//! (one per query in flight), repair takes the write lock — which *is*
 //! the drain: a repair waits for in-flight queries on that index and
 //! blocks new ones only for the rewrite itself. Around the reader sit the
 //! per-index [`CircuitBreaker`] (strict vs. degraded serving) and
@@ -19,7 +19,7 @@ use std::time::Duration;
 use bindex::compress::Repr;
 use bindex::core::eval::{validate, Algorithm};
 use bindex::core::{Deadline, EvalStats};
-use bindex::engine::batch::{evaluate_query, BatchOptions, QueryOutcome, MIN_SEGMENT_BITS};
+use bindex::engine::batch::{evaluate_query, BatchOptions, QueryOutcome, Sink, MIN_SEGMENT_BITS};
 use bindex::relation::query::SelectionQuery;
 use bindex::storage::{ByteStore, RepairReport, ShardedPool, SharedIndexReader, StoredIndex};
 use bindex::stored::storage_error;
@@ -75,8 +75,8 @@ impl Default for IndexTuning {
 /// One query's answer, ready for the wire.
 #[derive(Debug, Clone)]
 pub struct QueryAnswer {
-    /// The foundset, in the representation evaluation produced: a count
-    /// reply never needs it, a bitmap reply calls [`Repr::to_bitvec`].
+    /// The foundset, in the representation evaluation produced: a bitmap
+    /// reply calls [`Repr::to_bitvec`].
     pub bits: Repr,
     /// `bits.count_ones()`.
     pub cardinality: u64,
@@ -86,6 +86,16 @@ pub struct QueryAnswer {
     pub cached: bool,
     /// What evaluating it did; all zeros for a cached answer.
     pub stats: EvalStats,
+}
+
+/// One served answer under either [`Sink`]: what [`QueryAnswer`] holds,
+/// with the foundset only when the keep sink ran or a cached entry held it.
+pub(crate) struct Served {
+    pub(crate) bits: Option<Repr>,
+    pub(crate) cardinality: u64,
+    pub(crate) degraded: bool,
+    pub(crate) cached: bool,
+    pub(crate) stats: EvalStats,
 }
 
 /// What [`ServedIndex::ingest`] returns for an applied batch.
@@ -134,7 +144,7 @@ impl ServedIndex {
         tuning: IndexTuning,
     ) -> Result<Self, Error> {
         // `BatchOptions::with_segment_bits` asserts this on every query —
-        // on a pool worker, outside any `catch_unwind`.
+        // on the connection thread, outside any `catch_unwind`.
         if !(tuning.segment_bits.is_power_of_two() && tuning.segment_bits >= MIN_SEGMENT_BITS) {
             return Err(Error::Infeasible(format!(
                 "segment size must be a power of two >= {MIN_SEGMENT_BITS} bits, got {}",
@@ -217,9 +227,7 @@ impl ServedIndex {
     }
 
     /// Evaluates one selection predicate under this index's serving
-    /// policy: result cache first; then segment-at-a-time evaluation with
-    /// the deadline checked between morsels; recovery strict or degraded
-    /// per the breaker; outcome fed back into breaker and cache.
+    /// policy (see [`ServedIndex::execute_any`]) and returns its foundset.
     pub fn execute(
         &self,
         query: SelectionQuery,
@@ -228,15 +236,41 @@ impl ServedIndex {
         self.execute_any(ServedQuery::Selection(query), deadline)
     }
 
-    /// The serving path for either query kind ([`ServedIndex::execute`]
-    /// is its selection shorthand). A degenerate threshold (`k = 0`, `k`
-    /// above the predicate count, no predicates) is rejected with
-    /// [`Error::InvalidQuery`] before touching the store.
+    /// The serving path for either query kind, returning its foundset
+    /// ([`ServedIndex::execute`] is its selection shorthand): result cache
+    /// first; then segment-at-a-time evaluation with the deadline checked
+    /// between windows; recovery strict or degraded per the breaker;
+    /// outcome fed back into breaker and cache. A degenerate threshold
+    /// (`k = 0`, `k` above the predicate count, no predicates) is rejected
+    /// with [`Error::InvalidQuery`] before touching the store. A count
+    /// request over the wire takes the same path with a count sink.
     pub fn execute_any(
         &self,
         query: ServedQuery,
         deadline: Option<Deadline>,
     ) -> Result<QueryAnswer, Error> {
+        let served = self.serve(query, deadline, Sink::Keep)?;
+        Ok(QueryAnswer {
+            bits: served
+                .bits
+                .expect("a keep-sink answer, cached or not, holds its foundset"),
+            cardinality: served.cardinality,
+            degraded: served.degraded,
+            cached: served.cached,
+            stats: served.stats,
+        })
+    }
+
+    /// [`ServedIndex::execute_any`]'s serving policy, ending in `sink`. A
+    /// count is answered by a cache entry of either kind, a foundset only
+    /// by one that holds it; [`Sink::Count`] caches the cardinality alone
+    /// and leaves `bits` empty.
+    pub(crate) fn serve(
+        &self,
+        query: ServedQuery,
+        deadline: Option<Deadline>,
+        sink: Sink,
+    ) -> Result<Served, Error> {
         // A malformed threshold or a constant the base cannot decompose is
         // the client's mistake: rejected before the cache, the store and
         // the breaker see anything.
@@ -247,8 +281,12 @@ impl ServedIndex {
         };
         let guard = self.reader.read().unwrap();
         let epoch = guard.repair_epoch();
-        if let Some(hit) = self.cache.get(&key, epoch) {
-            return Ok(QueryAnswer {
+        let hit = match sink {
+            Sink::Keep => self.cache.get_bits(&key, epoch),
+            Sink::Count => self.cache.get(&key, epoch),
+        };
+        if let Some(hit) = hit {
+            return Ok(Served {
                 bits: hit.bits,
                 cardinality: hit.cardinality,
                 degraded: false,
@@ -285,45 +323,39 @@ impl ServedIndex {
         if let Some(nn) = nn {
             source = source.with_nn(nn);
         }
-        match evaluate_query(&mut source, &query, Algorithm::Auto, &options) {
-            QueryOutcome::Ok((bits, stats)) => {
-                self.breaker.record_success();
-                let cardinality = bits.count_ones() as u64;
-                self.cache.insert(
-                    key,
-                    CachedAnswer {
-                        bits: bits.clone(),
-                        cardinality,
-                    },
-                    epoch,
-                );
-                Ok(QueryAnswer {
-                    bits,
-                    cardinality,
-                    degraded: false,
-                    cached: false,
-                    stats,
-                })
-            }
-            QueryOutcome::Degraded((bits, stats)) => {
-                // Exact answer, faulty store: count it against the
-                // breaker, serve it, never cache it.
-                self.breaker.record_fault();
-                let cardinality = bits.count_ones() as u64;
-                Ok(QueryAnswer {
-                    bits,
-                    cardinality,
-                    degraded: true,
-                    cached: false,
-                    stats,
-                })
-            }
-            QueryOutcome::Failed(e) => {
-                self.breaker.record_fault();
-                Err(e)
-            }
-            QueryOutcome::TimedOut | QueryOutcome::DeadlineExceeded => Err(Error::DeadlineExceeded),
+        let (found, stats, degraded) =
+            match evaluate_query(&mut source, &query, Algorithm::Auto, &options, sink) {
+                QueryOutcome::Ok((found, stats)) => (found, stats, false),
+                QueryOutcome::Degraded((found, stats)) => (found, stats, true),
+                QueryOutcome::Failed(e) => {
+                    self.breaker.record_fault();
+                    return Err(e);
+                }
+                QueryOutcome::TimedOut | QueryOutcome::DeadlineExceeded => {
+                    return Err(Error::DeadlineExceeded)
+                }
+            };
+        let cardinality = found.count_ones();
+        let bits = found.into_bits();
+        if degraded {
+            // Exact answer, faulty store: count it against the breaker,
+            // serve it, never cache it.
+            self.breaker.record_fault();
+        } else {
+            self.breaker.record_success();
+            let answer = CachedAnswer {
+                bits: bits.clone(),
+                cardinality,
+            };
+            self.cache.insert(key, answer, epoch);
         }
+        Ok(Served {
+            bits,
+            cardinality,
+            degraded,
+            cached: false,
+            stats,
+        })
     }
 
     /// Scrubs and repairs the stored index. Takes the write lock — all

@@ -1,49 +1,54 @@
-//! The server proper: acceptor, connection handlers, bounded admission
-//! queue, evaluation workers, and graceful drain.
+//! The server proper: acceptor, connection handlers, admission, and
+//! graceful drain.
 //!
 //! ```text
-//!  TCP conns ──▶ conn threads ──try_push──▶ BoundedQueue ──pop──▶ workers
-//!                    │   ▲                   (high-water:            │
-//!                    │   └── typed reply ◀── shed Overloaded) ◀─────┘
+//!  TCP conn ──▶ conn thread: decode ──try_acquire──▶ permit ──▶ count or keep sink ──▶ write
+//!                                  └─ all held: typed Overloaded ──────────────────────▶ write
 //! ```
 //!
 //! Each accepted connection gets a thread that decodes frames and answers
-//! control requests inline; queries are wrapped in a [`Job`] carrying a
-//! per-request [`Deadline`] and a rendezvous channel, then offered to the
-//! bounded queue — *offered*, never waited: a full queue is an immediate
-//! typed `Overloaded` response, which is the load-shedding contract.
-//! Workers pop jobs, drop the ones whose deadline already expired while
-//! queued (the deadline also rides into the engine, which cancels
-//! between morsels), and reply through the channel.
+//! every request itself, queries included: a query takes one of
+//! `workers + queue_depth` admission permits (`admission::Permits`) and runs to
+//! completion on that thread, under a per-request [`Deadline`] the engine
+//! checks between windows. Admission is *offered*, never waited for: with
+//! every permit held the reply is an immediate typed `Overloaded`, which
+//! is the load-shedding contract. A count request runs through the count
+//! sink — a one-plan selection ends in a popcount and writes no foundset —
+//! and a bitmap request through the keep sink.
 //!
-//! Drain ([`Server::shutdown`]) is a strict sequence: stop admitting
-//! (flag + queue close), wake the acceptor with a self-connection, join
-//! workers (they finish everything already queued), then join connection
-//! threads (their read loops poll the drain flag on a short timeout).
-//! Nothing in flight is dropped; everything not yet admitted is refused
-//! with `ShuttingDown`.
+//! Drain ([`Server::shutdown`]) is a strict sequence: stop admitting (a
+//! flag every query checks before it takes a permit), wake the acceptor
+//! with a self-connection, then join the connection threads — each
+//! finishes the query it is running and writes its reply; its read loop
+//! polls the drain flag on a short timeout. Nothing in flight is dropped;
+//! everything not yet admitted is refused with `ShuttingDown`.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bindex::core::{Deadline, Error};
+use bindex::engine::batch::Sink;
 use bindex::relation::query::ThresholdQuery;
 
-use crate::admission::{BoundedQueue, PushError};
+use crate::admission::Permits;
 use crate::protocol::{write_frame, ErrorCode, FrameReader, Request, Response, StatsSnapshot};
-use crate::registry::{Registry, ServedIndex, ServedQuery};
+use crate::registry::{Registry, ServedQuery};
 
-/// Tuning for one server instance.
+/// Tuning for one server instance. Queries run on the connection thread
+/// that read them; no evaluation thread is spawned. `workers +
+/// queue_depth` is the admission permit pool: the queries that may be in
+/// flight at once.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Evaluation worker threads.
+    /// Queries expected to evaluate at once — one per CPU by default. With
+    /// `queue_depth` it sizes the permit pool (at least 1 is counted).
     pub workers: usize,
-    /// Admission-queue high-water mark; arrivals beyond it are shed.
+    /// Queries admitted beyond `workers`; an arrival that finds `workers +
+    /// queue_depth` queries in flight is shed with `Overloaded`.
     pub queue_depth: usize,
     /// Deadline applied to queries that do not carry their own.
     pub default_deadline: Duration,
@@ -71,19 +76,10 @@ struct Metrics {
     ingests: AtomicU64,
 }
 
-/// One admitted query on its way to a worker.
-struct Job {
-    index: Arc<ServedIndex>,
-    query: ServedQuery,
-    want_bitmap: bool,
-    deadline: Deadline,
-    reply: SyncSender<Response>,
-}
-
 struct Shared {
     registry: Registry,
     config: ServerConfig,
-    queue: BoundedQueue<Job>,
+    permits: Permits,
     metrics: Metrics,
     draining: AtomicBool,
     shutdown_requested: AtomicBool,
@@ -181,8 +177,8 @@ impl Shared {
                 deadline_ms,
             } => {
                 let query = ThresholdQuery::new(k, predicates);
-                // Reject degenerate thresholds before they consume a
-                // queue slot: the request is wrong, not the server busy.
+                // Reject degenerate thresholds before they take a permit:
+                // the request is wrong, not the server busy.
                 if let Err(msg) = query.validate() {
                     return Self::err(ErrorCode::BadRequest, format!("invalid query: {msg}"));
                 }
@@ -214,101 +210,64 @@ impl Shared {
         } else {
             Duration::from_millis(deadline_ms)
         };
-        let (reply, answer) = sync_channel(1);
-        let job = Job {
-            index: served,
-            query,
-            want_bitmap,
-            deadline: Deadline::after(timeout),
-            reply,
+        let Ok(_permit) = self.permits.try_acquire() else {
+            self.metrics.shed_overload.fetch_add(1, Ordering::Relaxed);
+            return Self::err(
+                ErrorCode::Overloaded,
+                format!(
+                    "{} queries in flight, the admission limit",
+                    self.permits.capacity()
+                ),
+            );
         };
-        match self.queue.try_push(job) {
-            Ok(()) => {
-                self.metrics.admitted.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(PushError::Full(_)) => {
-                self.metrics.shed_overload.fetch_add(1, Ordering::Relaxed);
-                return Self::err(
-                    ErrorCode::Overloaded,
-                    format!("admission queue full (depth {})", self.queue.capacity()),
-                );
-            }
-            Err(PushError::Closed(_)) => {
-                return Self::err(ErrorCode::ShuttingDown, "server is draining");
-            }
-        }
-        // The deadline rides into the engine, which cancels between
-        // morsels — but a single fetch inside one morsel is not
-        // interruptible, so give the worker a grace window beyond the
-        // deadline before declaring the reply lost.
-        let grace = timeout + Duration::from_secs(2);
-        match answer.recv_timeout(grace) {
-            Ok(resp) => resp,
-            Err(RecvTimeoutError::Timeout) => Self::err(
-                ErrorCode::DeadlineExceeded,
-                "no answer within the deadline grace window",
-            ),
-            Err(RecvTimeoutError::Disconnected) => {
-                Self::err(ErrorCode::Internal, "worker dropped the reply channel")
-            }
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop() {
-        let resp = if job.deadline.expired() {
-            // Shed without touching the index: the time budget was spent
-            // waiting in the queue.
-            shared.metrics.shed_deadline.fetch_add(1, Ordering::Relaxed);
-            Shared::err(ErrorCode::DeadlineExceeded, "deadline expired while queued")
-        } else {
-            match job.index.execute_any(job.query, Some(job.deadline)) {
-                Ok(answer) => {
-                    if answer.degraded {
-                        shared.metrics.degraded.fetch_add(1, Ordering::Relaxed);
+        self.metrics.admitted.fetch_add(1, Ordering::Relaxed);
+        let sink = if want_bitmap { Sink::Keep } else { Sink::Count };
+        let resp = match served.serve(query, Some(Deadline::after(timeout)), sink) {
+            Ok(answer) => {
+                if answer.degraded {
+                    self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
+                }
+                if want_bitmap {
+                    let bits = answer
+                        .bits
+                        .expect("a keep-sink answer, cached or not, holds its foundset");
+                    Response::Bitmap {
+                        cardinality: answer.cardinality,
+                        degraded: answer.degraded,
+                        cached: answer.cached,
+                        n_bits: bits.len() as u64,
+                        words: bits.to_bitvec().words().to_vec(),
                     }
-                    if job.want_bitmap {
-                        Response::Bitmap {
-                            cardinality: answer.cardinality,
-                            degraded: answer.degraded,
-                            cached: answer.cached,
-                            n_bits: answer.bits.len() as u64,
-                            words: answer.bits.to_bitvec().words().to_vec(),
-                        }
-                    } else {
-                        Response::Count {
-                            cardinality: answer.cardinality,
-                            degraded: answer.degraded,
-                            cached: answer.cached,
-                        }
+                } else {
+                    Response::Count {
+                        cardinality: answer.cardinality,
+                        degraded: answer.degraded,
+                        cached: answer.cached,
                     }
                 }
-                Err(Error::DeadlineExceeded) => {
-                    shared.metrics.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                    Shared::err(
-                        ErrorCode::DeadlineExceeded,
-                        "deadline expired mid-evaluation; partial work discarded",
-                    )
-                }
-                // A query the index rejects before evaluating — a constant
-                // its base cannot decompose, or a malformed threshold that
-                // slipped past the connection layer's check — is the
-                // client's mistake, not a server fault: typed rejection,
-                // no breaker or failure count.
-                Err(e @ (Error::InvalidQuery(_) | Error::ValueOutOfRange { .. })) => {
-                    Shared::err(ErrorCode::BadRequest, e.to_string())
-                }
-                Err(e) => {
-                    shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                    Shared::err(ErrorCode::QueryFailed, e.to_string())
-                }
+            }
+            Err(Error::DeadlineExceeded) => {
+                self.metrics.shed_deadline.fetch_add(1, Ordering::Relaxed);
+                Self::err(
+                    ErrorCode::DeadlineExceeded,
+                    "deadline expired mid-evaluation; partial work discarded",
+                )
+            }
+            // A query the index rejects before evaluating — a constant
+            // its base cannot decompose, or a malformed threshold that
+            // slipped past the connection layer's check — is the
+            // client's mistake, not a server fault: typed rejection, no
+            // breaker or failure count.
+            Err(e @ (Error::InvalidQuery(_) | Error::ValueOutOfRange { .. })) => {
+                Self::err(ErrorCode::BadRequest, e.to_string())
+            }
+            Err(e) => {
+                self.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                Self::err(ErrorCode::QueryFailed, e.to_string())
             }
         };
-        shared.metrics.completed.fetch_add(1, Ordering::Relaxed);
-        // The connection may have given up (grace window elapsed) — a
-        // dead receiver is fine.
-        let _ = job.reply.send(resp);
+        self.metrics.completed.fetch_add(1, Ordering::Relaxed);
+        resp
     }
 }
 
@@ -355,47 +314,39 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream) {
 /// What the drain left behind; returned by [`Server::shutdown`].
 #[derive(Debug, Clone, Copy)]
 pub struct DrainReport {
-    /// Jobs still queued when the drain began (all of them were finished
-    /// by the workers before shutdown returned).
-    pub queued_at_close: usize,
+    /// Queries holding a permit when the drain began (all of them were
+    /// answered before shutdown returned).
+    pub in_flight_at_close: usize,
     /// Total queries answered over the server's lifetime.
     pub completed: u64,
     /// Queries shed with `Overloaded`.
     pub shed_overload: u64,
-    /// Queries shed by their deadline (queued or mid-evaluation).
+    /// Queries shed by their deadline mid-evaluation.
     pub shed_deadline: u64,
 }
 
-/// A running server: owns the acceptor, workers, and live connections.
+/// A running server: owns the acceptor and live connections.
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
     /// Binds `listen` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the acceptor and `config.workers` evaluation workers.
+    /// starts the acceptor; each connection gets a thread of its own.
     pub fn start(registry: Registry, config: ServerConfig, listen: &str) -> io::Result<Server> {
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             registry,
-            queue: BoundedQueue::new(config.queue_depth),
+            permits: Permits::new(config.workers.max(1) + config.queue_depth),
             config,
             metrics: Metrics::default(),
             draining: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
         });
-        let worker_handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -416,7 +367,6 @@ impl Server {
             shared,
             addr,
             acceptor: Some(acceptor),
-            workers: worker_handles,
             conns,
         })
     }
@@ -437,27 +387,23 @@ impl Server {
         self.shared.snapshot()
     }
 
-    /// Graceful drain: refuse new work, finish queued work, join every
-    /// thread. Consumes the server; returns what was in flight.
+    /// Graceful drain: refuse new work, let every admitted query finish,
+    /// join every thread. Consumes the server; returns what was in flight.
     pub fn shutdown(mut self) -> DrainReport {
         self.shared.draining.store(true, Ordering::SeqCst);
-        let queued_at_close = self.shared.queue.len();
-        self.shared.queue.close();
+        let in_flight_at_close = self.shared.permits.held();
         // Wake the acceptor out of `accept()` with a throwaway
         // connection; it sees the drain flag and exits.
         let _ = TcpStream::connect(self.addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
         let conns = std::mem::take(&mut *self.conns.lock().unwrap());
         for conn in conns {
             let _ = conn.join();
         }
         DrainReport {
-            queued_at_close,
+            in_flight_at_close,
             completed: self.shared.metrics.completed.load(Ordering::Relaxed),
             shed_overload: self.shared.metrics.shed_overload.load(Ordering::Relaxed),
             shed_deadline: self.shared.metrics.shed_deadline.load(Ordering::Relaxed),

@@ -1267,3 +1267,196 @@ fn graceful_drain_finishes_admitted_work() {
     assert_eq!(report.completed, 4, "report: {report:?}");
     assert_eq!(report.shed_overload, 0, "report: {report:?}");
 }
+
+/// A `ByteStore` whose reads, once the gate is shut, wait for the test to
+/// open it again, counting the readers waiting: admission observed without
+/// a clock.
+struct GateStore {
+    inner: MemStore,
+    gate: Arc<Gate>,
+}
+
+#[derive(Default)]
+struct Gate {
+    /// `(shut, readers waiting at the gate)`.
+    state: std::sync::Mutex<(bool, usize)>,
+    changed: std::sync::Condvar,
+}
+
+impl Gate {
+    fn shut(&self) {
+        self.state.lock().unwrap().0 = true;
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().0 = false;
+        self.changed.notify_all();
+    }
+
+    /// Blocks until `n` readers wait at the shut gate.
+    fn await_waiting(&self, n: usize) {
+        let state = self.state.lock().unwrap();
+        drop(self.changed.wait_while(state, |s| s.1 < n).unwrap());
+    }
+
+    fn pass(&self) {
+        let mut state = self.state.lock().unwrap();
+        if state.0 {
+            state.1 += 1;
+            self.changed.notify_all();
+            state = self.changed.wait_while(state, |s| s.0).unwrap();
+            state.1 -= 1;
+        }
+    }
+}
+
+impl ByteStore for GateStore {
+    fn write_file(&mut self, name: &str, data: &[u8]) -> std::io::Result<()> {
+        self.inner.write_file(name, data)
+    }
+
+    fn read_file(&self, name: &str) -> std::io::Result<Vec<u8>> {
+        self.gate.pass();
+        self.inner.read_file(name)
+    }
+
+    fn file_size(&self, name: &str) -> std::io::Result<u64> {
+        self.inner.file_size(name)
+    }
+
+    fn file_names(&self) -> std::io::Result<Vec<String>> {
+        self.inner.file_names()
+    }
+
+    fn append_file(&mut self, name: &str, data: &[u8]) -> std::io::Result<()> {
+        self.inner.append_file(name, data)
+    }
+
+    fn remove_file(&mut self, name: &str) -> std::io::Result<()> {
+        self.inner.remove_file(name)
+    }
+}
+
+/// Admission is `workers + queue_depth` permits: that many queries, each
+/// blocked inside its first read, hold them all; the next arrival is shed
+/// with `Overloaded` at once; opening the gate answers every held query
+/// exactly.
+#[test]
+fn permits_admit_workers_plus_queue_depth_and_shed_the_next() {
+    let (_column, index, store) = build();
+    let gate = Arc::new(Gate::default());
+    let gated = GateStore {
+        inner: store,
+        gate: Arc::clone(&gate),
+    };
+    let mut registry = Registry::new();
+    registry.insert(
+        ServedIndex::new("t", spec(), Box::new(gated), None, None, uncached_tuning()).unwrap(),
+    );
+    let config = ServerConfig {
+        workers: 2,
+        queue_depth: 3,
+        default_deadline: Duration::from_secs(60),
+    };
+    let held = config.workers + config.queue_depth;
+    let server = start_server(registry, config);
+    gate.shut();
+
+    std::thread::scope(|scope| {
+        let answers: Vec<_> = (0..held as u32)
+            .map(|i| {
+                let mut client = connect(&server);
+                let query = SelectionQuery::new(Op::Le, 9 * i % CARDINALITY);
+                scope.spawn(move || (query, client.query("t", query, false, 0)))
+            })
+            .collect();
+        gate.await_waiting(held);
+
+        let mut late = connect(&server);
+        match late.query("t", SelectionQuery::new(Op::Eq, 1), false, 0) {
+            Ok(Response::Error {
+                code: ErrorCode::Overloaded,
+                ..
+            }) => {}
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        gate.open();
+        for answer in answers {
+            let (query, resp) = answer.join().expect("client thread");
+            match resp.expect("transport") {
+                Response::Count { cardinality, .. } => {
+                    assert_eq!(cardinality, direct_count(&index, query), "{query}");
+                }
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+    });
+    let stats = server.stats();
+    assert_eq!(
+        (stats.admitted, stats.completed, stats.shed_overload),
+        (held as u64, held as u64, 1),
+        "stats: {stats:?}"
+    );
+    server.shutdown();
+}
+
+/// A count caches its number alone; a bitmap request on an aliased
+/// predicate then misses, is answered exactly and replaces the entry, and
+/// from there on both kinds hit.
+#[test]
+fn a_count_entry_is_a_miss_for_a_bitmap_and_a_hit_for_a_count() {
+    let (column, _index, store) = build();
+    let mut registry = Registry::new();
+    registry.insert(
+        ServedIndex::new(
+            "t",
+            spec(),
+            Box::new(store),
+            None,
+            None,
+            IndexTuning::default(),
+        )
+        .unwrap(),
+    );
+    let server = start_server(registry, ServerConfig::default());
+    let mut client = connect(&server);
+    let (le, lt) = (
+        SelectionQuery::new(Op::Le, 20),
+        SelectionQuery::new(Op::Lt, 21),
+    );
+    let want = bindex::core::eval::naive::evaluate(&column, le);
+
+    let count = |client: &mut Client, query| match client.query("t", query, false, 0) {
+        Ok(Response::Count {
+            cardinality,
+            cached,
+            ..
+        }) => {
+            assert_eq!(cardinality, want.count_ones() as u64, "{query}");
+            cached
+        }
+        other => panic!("unexpected response {other:?}"),
+    };
+    let bitmap = |client: &mut Client, query| match client.query("t", query, true, 0) {
+        Ok(Response::Bitmap {
+            cardinality,
+            cached,
+            n_bits,
+            words,
+            ..
+        }) => {
+            assert_eq!(BitVec::from_words(words, n_bits as usize), want, "{query}");
+            assert_eq!(cardinality, want.count_ones() as u64, "{query}");
+            cached
+        }
+        other => panic!("unexpected response {other:?}"),
+    };
+    assert!(!count(&mut client, le), "a cold count misses");
+    assert!(!bitmap(&mut client, lt), "a count entry holds no foundset");
+    assert!(count(&mut client, lt), "the foundset entry serves a count");
+    assert!(bitmap(&mut client, le), "and a bitmap");
+    assert!(count(&mut client, le));
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.cache_hits, stats.cache_misses), (3, 2), "{stats:?}");
+    server.shutdown();
+}

@@ -318,3 +318,192 @@ fn early_exit_changes_only_segments_skipped() {
         "clustered equality queries must skip dead segments"
     );
 }
+
+/// The count sink against the keep sink, through the served entry
+/// (`evaluate_query`): every encoding and algorithm, whole and at 512- and
+/// 4,096-bit windows and one window wider than the relation, with and
+/// without nulls, over a uniform column and a clustered one (its slots
+/// stored WAH, its summary windows prunable). The count is the foundset's
+/// popcount and `EvalStats` are identical, field for field.
+#[test]
+fn count_sink_matches_keep_sink() {
+    use bindex::engine::batch::{evaluate_query, BatchOptions, Found, QueryOutcome, Sink};
+    use bindex::relation::query::Query;
+
+    let seed = seeds()[0];
+    let mut rng = Rng::seed_from_u64(0x5E63 + seed);
+    let base = Base::from_msb(&[5, 6]).unwrap();
+    let card = base.product() as u32;
+    // Three summary windows and a ragged fourth: a clustered slot that is
+    // dead or saturated where the walk first reads it is pruned.
+    let rows = 3 * bindex::SUMMARY_WINDOW_BITS + 777;
+    let uniform = rand_column(&mut rng, &base, rows);
+    let clustered = Column::from_values(
+        (0..rows)
+            .map(|i| (i * card as usize / rows) as u32)
+            .collect(),
+    );
+    let nulls = BitVec::from_fn(rows, |r| r % 7 == 3);
+    let queries: Vec<Query> = full_space(card)
+        .into_iter()
+        .filter(|_| rng.below_u32(5) == 0)
+        .map(Query::from)
+        .collect();
+    let (mut wah_counted, mut pruned) = (0, 0);
+    for (data, col) in [("uniform", &uniform), ("clustered", &clustered)] {
+        for masked in [false, true] {
+            for encoding in [Encoding::Range, Encoding::Equality, Encoding::Interval] {
+                let spec = IndexSpec::new(base.clone(), encoding);
+                let idx = if masked {
+                    BitmapIndex::build_with_nulls(col, &nulls, spec.clone())
+                } else {
+                    BitmapIndex::build(col, spec.clone())
+                }
+                .unwrap();
+                let stored = persist_index_v4(&idx, MemStore::new(), CodecKind::None).unwrap();
+                for &algo in algorithms(encoding) {
+                    for segment_bits in [
+                        None,
+                        Some(512),
+                        Some(4096),
+                        Some(4 * rows.next_power_of_two()),
+                    ] {
+                        let mut options = BatchOptions::single_threaded();
+                        if let Some(bits) = segment_bits {
+                            options = options.with_segment_bits(bits);
+                        }
+                        for q in &queries {
+                            let run = |sink| {
+                                let mut src =
+                                    SharedSource::try_unpooled(&stored, spec.clone()).unwrap();
+                                evaluate_query(&mut src, q, algo, &options, sink)
+                            };
+                            let label = format!(
+                                "seed {seed} {data} nulls {masked} {encoding:?} {algo:?} \
+                                 seg={segment_bits:?} {q}"
+                            );
+                            match (run(Sink::Keep), run(Sink::Count)) {
+                                (QueryOutcome::Ok((keep, ks)), QueryOutcome::Ok((count, cs))) => {
+                                    assert!(matches!(count, Found::Count(_)), "{label}");
+                                    assert_eq!(count.count_ones(), keep.count_ones(), "{label}");
+                                    assert_eq!(cs, ks, "{label}");
+                                    wah_counted += usize::from(cs.compressed_ops > 0);
+                                    pruned += cs.segments_pruned;
+                                }
+                                (QueryOutcome::Failed(k), QueryOutcome::Failed(c)) => {
+                                    assert_eq!(c.to_string(), k.to_string(), "{label}");
+                                }
+                                (k, c) => panic!("{label}: keep {k:?}, count {c:?}"),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(wah_counted > 0, "no count ran in the WAH domain");
+    assert!(pruned > 0, "no count pruned a window");
+}
+
+/// A corrupted equality store: both sinks fail on the same queries, and
+/// under the reconstructing policies both degrade the same way — same
+/// count, same `EvalStats`, reconstruction counters included.
+#[test]
+fn count_sink_matches_keep_sink_on_a_corrupted_store() {
+    use bindex::engine::batch::{evaluate_query, BatchOptions, QueryOutcome, Sink};
+
+    let seed = seeds()[0];
+    let mut rng = Rng::seed_from_u64(0x5E64 + seed);
+    let base = Base::from_msb(&[4, 5]).unwrap();
+    let col = rand_column(&mut rng, &base, 1500);
+    let column = Arc::new(col.clone());
+    let spec = IndexSpec::new(base.clone(), Encoding::Equality);
+    let idx = BitmapIndex::build(&col, spec.clone()).unwrap();
+    let mut store = persist_index_v4(&idx, MemStore::new(), CodecKind::None)
+        .unwrap()
+        .into_store();
+    let mut names: Vec<String> = store
+        .file_names()
+        .unwrap()
+        .into_iter()
+        .filter(|n| n.contains(".bmp"))
+        .collect();
+    names.sort();
+    let victim = names.remove(rng.below_usize(names.len()));
+    let mut data = store.read_file(&victim).unwrap();
+    let last = data.len() - 1;
+    data[last] ^= 0x08;
+    store.write_file(&victim, &data).unwrap();
+    let stored = StoredIndex::open(store).unwrap();
+
+    let (mut degraded, mut failed) = (0, 0);
+    for policy in [
+        RecoveryPolicy::Fail,
+        RecoveryPolicy::Reconstruct,
+        RecoveryPolicy::ReconstructOrScan(Arc::clone(&column)),
+    ] {
+        for segment_bits in [None, Some(512), Some(1024)] {
+            let mut options = BatchOptions::single_threaded().with_recovery(policy.clone());
+            if let Some(bits) = segment_bits {
+                options = options.with_segment_bits(bits);
+            }
+            for q in full_space(base.product() as u32) {
+                let run = |sink| {
+                    let mut src = SharedSource::try_unpooled(&stored, spec.clone()).unwrap();
+                    evaluate_query(&mut src, &q.into(), Algorithm::Auto, &options, sink)
+                };
+                let label = format!("seed {seed} {victim} {policy:?} seg={segment_bits:?} {q}");
+                match (run(Sink::Keep), run(Sink::Count)) {
+                    (QueryOutcome::Ok((k, ks)), QueryOutcome::Ok((c, cs))) => {
+                        assert_eq!((c.count_ones(), cs), (k.count_ones(), ks), "{label}");
+                    }
+                    (QueryOutcome::Degraded((k, ks)), QueryOutcome::Degraded((c, cs))) => {
+                        assert_eq!((c.count_ones(), cs), (k.count_ones(), ks), "{label}");
+                        degraded += 1;
+                    }
+                    (QueryOutcome::Failed(k), QueryOutcome::Failed(c)) => {
+                        assert_eq!(c.to_string(), k.to_string(), "{label}");
+                        failed += 1;
+                    }
+                    (k, c) => panic!("{label}: keep {k:?}, count {c:?}"),
+                }
+            }
+        }
+    }
+    assert!(
+        failed > 0 && degraded > 0,
+        "{victim}: failed {failed}, degraded {degraded}"
+    );
+}
+
+/// A count cancelled by its deadline stops at the same window boundary as
+/// the foundset it stands for: the first window runs, the second is shed,
+/// and both report the same `EvalStats`.
+#[test]
+fn an_expired_deadline_cancels_a_count_between_windows() {
+    use bindex::core::eval::{count_in, evaluate_repr_in};
+    use bindex::core::{Deadline, Error};
+    use bindex::relation::query::Query;
+
+    let col = Column::from_values((0..3000u32).map(|i| (i * 7 + i / 5) % 36).collect());
+    let spec = IndexSpec::new(Base::from_msb(&[6, 6]).unwrap(), Encoding::Range);
+    let idx = BitmapIndex::build(&col, spec).unwrap();
+    let query = Query::from(bindex::relation::query::SelectionQuery::new(
+        bindex::relation::query::Op::Le,
+        20,
+    ));
+    let expired = || Some(Deadline::at(std::time::Instant::now()));
+    let mut src = idx.source();
+    let mut ctx = ExecContext::new(&mut src).with_deadline(expired());
+    let keep = evaluate_repr_in(&mut ctx, &query, Algorithm::Auto, Some(512));
+    let keep_stats = ctx.take_stats();
+    let mut src = idx.source();
+    let mut ctx = ExecContext::new(&mut src).with_deadline(expired());
+    let count = count_in(&mut ctx, &query, Algorithm::Auto, Some(512));
+    let count_stats = ctx.take_stats();
+    assert!(matches!(keep, Err(Error::DeadlineExceeded)), "{keep:?}");
+    assert!(matches!(count, Err(Error::DeadlineExceeded)), "{count:?}");
+    assert_eq!(count_stats, keep_stats);
+    assert_eq!(count_stats.segments_evaluated, 1);
+    assert!(count_stats.scans > 0);
+}
