@@ -172,6 +172,30 @@ pub fn persist_index_v4<S: ByteStore>(
     StoredIndex::create_v4(store, index.components(), index.nn(), codec)
 }
 
+/// The one rule for recovery inputs: the `column` that reconstruction
+/// scans and the `null_mask` that repair masks with must each cover the
+/// stored index's `n_rows` rows exactly, since one of another length would
+/// rebuild a slot of another length, which no kernel may meet. Another
+/// length is [`Error::Infeasible`].
+pub fn check_recovery_inputs(
+    n_rows: usize,
+    column: Option<&Column>,
+    null_mask: Option<&BitVec>,
+) -> Result<(), Error> {
+    let lengths = [
+        ("column", column.map(Column::len)),
+        ("null mask", null_mask.map(BitVec::len)),
+    ];
+    for (what, len) in lengths {
+        if let Some(len) = len.filter(|&len| len != n_rows) {
+            return Err(Error::Infeasible(format!(
+                "recovery {what} has {len} rows, the stored index has {n_rows}"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Online repair of a damaged stored index: scrubs the store, asks the
 /// degraded-read path ([`ExecContext::fetch`], under
 /// [`RecoveryPolicy::ReconstructOrScan`] when there is a `column`, else
@@ -193,18 +217,7 @@ pub fn scrub_and_repair_index<S: ByteStore>(
     column: Option<&Column>,
     null_mask: Option<&BitVec>,
 ) -> Result<RepairReport, Error> {
-    let n_rows = stored.meta().n_rows;
-    let lengths = [
-        ("column", column.map(Column::len)),
-        ("null mask", null_mask.map(BitVec::len)),
-    ];
-    for (what, len) in lengths {
-        if let Some(len) = len.filter(|&len| len != n_rows) {
-            return Err(Error::Infeasible(format!(
-                "recovery {what} has {len} rows, the stored index has {n_rows}"
-            )));
-        }
-    }
+    check_recovery_inputs(stored.meta().n_rows, column, null_mask)?;
     let pre = stored.scrub().map_err(storage_error)?;
     let nn = null_mask.map(BitVec::complement);
     // Rebuild before repairing, while the store still reads slot by slot;

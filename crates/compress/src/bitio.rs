@@ -93,11 +93,6 @@ impl<'a> BitReader<'a> {
         Ok(v)
     }
 
-    /// Reads one bit.
-    pub fn read_bit(&mut self) -> Result<u64, DecodeError> {
-        self.read(1)
-    }
-
     /// Peeks up to `count` bits without consuming; missing bits at the end
     /// of the stream read as zero (table-driven Huffman decode relies on
     /// this: a valid short code is still resolvable near the end).

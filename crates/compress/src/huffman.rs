@@ -148,11 +148,6 @@ impl Encoder {
         assert!(len > 0, "symbol {s} has no code");
         w.write(code, len);
     }
-
-    /// Code length of a symbol (0 = absent).
-    pub fn len_of(&self, s: usize) -> u32 {
-        self.codes[s].1
-    }
 }
 
 fn reverse_bits(v: u64, len: u32) -> u64 {

@@ -107,14 +107,6 @@ pub fn expected_scans(base: &Base, c: u32, algorithm: Algorithm) -> f64 {
     total as f64 / (6 * c) as f64
 }
 
-/// Exact `Time(I)` resolved by encoding: RangeEval-Opt for range-encoded
-/// indexes (the paper's choice after Section 3), the equality evaluator
-/// otherwise.
-pub fn expected_scans_spec(spec: &IndexSpec, c: u32) -> f64 {
-    let algorithm = Algorithm::Auto.resolve(spec.encoding);
-    expected_scans(&spec.base, c, algorithm)
-}
-
 /// The paper's closed-form `Time(I)` for **range-encoded** indexes
 /// (Eq. 4): `2(n − Σ 1/b_i) − (2/3)(1 − 1/b_1)`.
 pub fn time_range_paper(base: &Base) -> f64 {

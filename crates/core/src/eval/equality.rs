@@ -20,198 +20,119 @@
 //! Range operators reduce to a `≤` chain exactly as in RangeEval-Opt:
 //! `R_1 = (d_1 ≤ v_1)`, `R_i = (d_i < v_i) ∨ ((d_i = v_i) ∧ R_{i−1})`.
 
-use std::sync::Arc;
-
 use bindex_bitvec::kernels::{Fold, FoldStep};
-use bindex_bitvec::BitVec;
 use bindex_relation::query::SelectionQuery;
 
 use crate::base::Base;
-use crate::error::Result;
-use crate::exec::{ExecContext, Plan};
-use crate::index::BitmapSource;
+use crate::exec::{Operand, Program, Term};
 
-use super::{digits_of, evaluate_chain, reduce, Chain, Reduced};
+use super::{chain_program, digits_of, reduce, Chain, Reduced};
 
-/// Evaluates `query` on an equality-encoded index over dense words, at
-/// the context's current width. The encoding is enforced by the dispatcher
-/// in [`super::evaluate_repr_in`]. Storage failures from the underlying
-/// source propagate as errors.
-pub fn evaluate<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    query: SelectionQuery,
-) -> Result<BitVec> {
-    evaluate_chain(ctx, query, |ctx, chain| match chain {
-        Chain::Le(v) => le_chain(ctx, v),
-        Chain::Eq(v) => eq_chain(ctx, v),
+/// `query`'s program on an equality-encoded index: the digit terms the
+/// chain ORs in, then the chain itself as the answer. `A = v` / `A ≠ v`
+/// is one term, bar the one `=` chain without a stored slot to seed from
+/// (see `eq_chain`).
+pub(crate) fn program(base: &Base, query: SelectionQuery) -> Program {
+    chain_program(query, |program, chain| match chain {
+        Chain::Le(v) => le_chain(program, base, v),
+        Chain::Eq(v) => eq_chain(program, base, v),
     })
-}
-
-/// `A = v` / `A ≠ v` as one plan — the queries whose whole evaluation is
-/// linear, so [`super::evaluate_repr_in`] can fold them in the WAH domain;
-/// `None` for the range operators and for the one `=` chain without a
-/// stored slot to seed from (see `eq_plan`).
-pub(crate) fn plan(base: &Base, query: SelectionQuery) -> Option<Plan> {
-    let Reduced::Chain(Chain::Eq(v), complement) = reduce(query) else {
-        return None;
-    };
-    let plan = eq_plan(base, v);
-    plan.seed.is_some().then_some(Plan { complement, ..plan })
 }
 
 /// `A = v`: the AND of the per-component equality bitmaps, one scan each.
 /// The first plain stored slot seeds the fold and the rest are `And`
 /// steps, so `n − 1` ANDs are charged, as the pairwise chain would; a
 /// base-2 digit 0 is `AndNot` of the one stored bitmap (`E^0 = ¬E^1`, one
-/// NOT). Seedless when no component has a plain slot — every base number
-/// 2 and `v = 0` — where a fold would start from the all-ones bitmap and
-/// charge `n` ANDs: `eq_chain` makes the first digit a term of its own.
-fn eq_plan(base: &Base, v: u32) -> Plan {
+/// NOT). When no component has a plain slot — every base number 2 and
+/// `v = 0` — a fold would start from the all-ones bitmap and charge `n`
+/// ANDs, so the first digit is a term of its own (one NOT) that seeds the
+/// rest.
+fn eq_chain(program: &mut Program, base: &Base, v: u32) -> Term {
     let digits = digits_of(base, v);
-    let mut plan = Plan::default();
+    let mut chain = Term::default();
     for i in 1..=base.n_components() {
-        match digit_slot(base, i, digits[i - 1]) {
-            (slot, true) => plan.steps.push(FoldStep::AndNot(slot)),
-            (slot, false) if plan.seed.is_none() => plan.seed = Some(slot),
-            (slot, false) => plan.steps.push(FoldStep::And(slot)),
+        match eq_step(base, i, digits[i - 1]) {
+            FoldStep::And(slot) if chain.seed.is_none() => chain.seed = Some(slot),
+            step => chain.steps.push(step),
         }
     }
-    plan
+    if chain.seed.is_none() {
+        chain.steps.remove(0); // `∧ ¬E_1^1`
+        chain.seed = Some(program.push(not_e1(1)));
+    }
+    chain
 }
 
-/// The stored slot of `E_i^j`, and whether the digit is its complement:
-/// a base-2 component stores `E^1` alone, as slot 0, and `E^0 = ¬E^1`.
-fn digit_slot(base: &Base, comp: usize, j: u32) -> ((usize, usize), bool) {
+/// `(d_i = j)` as a step: `∧ E_i^j`, or `∧ ¬E^1` for a base-2 digit 0 — a
+/// base-2 component stores `E^1` alone, as slot 0, and `E^0 = ¬E^1` (one
+/// scan of the single stored bitmap + one NOT).
+fn eq_step(base: &Base, comp: usize, j: u32) -> FoldStep<Operand> {
     match base.component(comp) {
-        2 => ((comp, 0), j == 0),
-        _ => ((comp, j as usize), false),
+        2 if j == 0 => FoldStep::AndNot(Operand::Slot(comp, 0)),
+        2 => FoldStep::And(Operand::Slot(comp, 0)),
+        _ => FoldStep::And(Operand::Slot(comp, j as usize)),
     }
-}
-
-/// `A = v` as a chain: `eq_plan` over its fetched slots, or — for `A = 0`
-/// on an all-binary base, where every digit is `¬E^1` — the first digit
-/// as a term of its own (one NOT) and the rest as `AndNot` steps.
-fn eq_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, v: u32) -> Result<Fold<Arc<BitVec>>> {
-    let mut plan = eq_plan(&ctx.spec().base, v);
-    if plan.seed.is_some() {
-        return ctx.fetch_plan(&plan);
-    }
-    plan.steps.remove(0); // `∧ ¬E_1^1`
-    let seed = not_e1(ctx, 1)?;
-    Ok(Fold {
-        seed: Some(seed),
-        ..ctx.fetch_plan(&plan)?
-    })
-}
-
-/// `(d_i = j)` as a step of the `≤` chain: `∧ E_i^j`, or `∧ ¬E^1` for a
-/// base-2 digit 0 (one scan of the single stored bitmap + one NOT).
-fn eq_step<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    comp: usize,
-    j: u32,
-) -> Result<FoldStep<Arc<BitVec>>> {
-    let ((comp, slot), negated) = digit_slot(&ctx.spec().base, comp, j);
-    let step = if negated {
-        FoldStep::AndNot
-    } else {
-        FoldStep::And
-    };
-    Ok(step(ctx.fetch(comp, slot)?))
 }
 
 /// `¬E^1` of a base-2 component as a term — a digit that cannot be a step
-/// (the seed, or an operand of an OR): one scan and one NOT, over dense
-/// words like the step that may read the same slot.
-fn not_e1<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, comp: usize) -> Result<Arc<BitVec>> {
-    let plan = Plan {
-        seed: Some((comp, 0)),
+/// (the seed, or an operand of an OR): one scan and one NOT.
+fn not_e1(comp: usize) -> Term {
+    Fold {
+        seed: Some(Operand::Slot(comp, 0)),
         complement: true,
-        ..Plan::default()
-    };
-    ctx.fold_plan(&plan, false).map(Arc::new)
+        ..Fold::default()
+    }
 }
 
 /// OR of `E_i^{lo} … E_i^{hi}` (inclusive), complemented when asked — a
-/// plan of its own, so the slots are folded in one pass, in the WAH domain
-/// when they are served compressed within the executor's rule: `hi − lo`
-/// ORs charged, as the pairwise fold would, plus the NOT. Assumes
-/// `lo <= hi` and the component has base > 2 (callers special-case base 2).
-fn or_range<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    comp: usize,
-    lo: u32,
-    hi: u32,
-    complement: bool,
-) -> Result<Arc<BitVec>> {
-    let plan = Plan {
-        seed: Some((comp, lo as usize)),
+/// term of its own, so the slots are folded in one pass: `hi − lo` ORs
+/// charged, as the pairwise fold would, plus the NOT. Assumes `lo <= hi`
+/// and the component has base > 2 (callers special-case base 2).
+fn or_range(comp: usize, lo: u32, hi: u32, complement: bool) -> Term {
+    Fold {
+        seed: Some(Operand::Slot(comp, lo as usize)),
         steps: (lo + 1..=hi)
-            .map(|j| FoldStep::Or((comp, j as usize)))
+            .map(|j| FoldStep::Or(Operand::Slot(comp, j as usize)))
             .collect(),
         complement,
         mask: None,
-    };
-    let found = ctx.run_plan(&plan, false)?;
-    Ok(Arc::new(ctx.materialize(found)))
+    }
 }
 
-/// `d_1 ≤ v_1` for component 1 (`None` is all ones), choosing the cheaper
-/// of the direct OR-prefix and the complemented OR-suffix plan by scan
-/// count.
-fn le_component1<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    v1: u32,
-) -> Result<Option<Arc<BitVec>>> {
-    let b1 = ctx.spec().base.component(1);
-    if v1 == b1 - 1 {
-        return Ok(None);
-    }
-    let direct_scans = v1 + 1; // E^0 … E^{v1}
-    let comp_scans = b1 - 1 - v1; // E^{v1+1} … E^{b1−1}
-    let term = if b1 == 2 {
-        // v1 = 0: d <= 0 is E^0 = ¬E^1.
-        not_e1(ctx, 1)?
-    } else if direct_scans <= comp_scans {
-        or_range(ctx, 1, 0, v1, false)?
+/// `d_i < u` as a term, by the cheaper of the direct OR-prefix
+/// `E^0 ∨ … ∨ E^{u−1}` and the complemented OR-suffix
+/// `¬(E^u ∨ … ∨ E^{b−1})` in scans — the suffix shares `E^u` with the
+/// chain's `(d_i = u)` step when `eq_reads_u`. `None` when it is all
+/// zeros (`u = 0`: no term to OR in) or all ones (`u = b`: no seed).
+fn lt_term(b: u32, comp: usize, u: u32, eq_reads_u: bool) -> Option<Term> {
+    if u == 0 || u == b {
+        None
+    } else if b == 2 {
+        // u = 1: d < 1 is E^0 = ¬E^1, one stored bitmap with the step's.
+        Some(not_e1(comp))
+    } else if u + u32::from(eq_reads_u) <= b - u {
+        Some(or_range(comp, 0, u - 1, false))
     } else {
-        or_range(ctx, 1, v1 + 1, b1 - 1, true)?
-    };
-    Ok(Some(term))
+        Some(or_range(comp, u, b - 1, true))
+    }
 }
 
-/// `A ≤ le` over all components: `R_1 = (d_1 ≤ v_1)`, then
-/// `R_i = lt ∨ (eq ∧ R_{i−1})` with `lt = (d_i < v_i)` a term (empty when
-/// `v_i = 0`) and `eq = (d_i = v_i)` a step over its stored slot. Terms
-/// are built, and slots fetched, component by component in the order the
-/// cheaper plan reads them.
-fn le_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<Fold<Arc<BitVec>>> {
-    let digits = digits_of(&ctx.spec().base, le);
-    let mut chain = Fold {
-        seed: le_component1(ctx, digits[0])?,
-        ..Fold::default()
+/// `A ≤ le` over all components: `R_1 = (d_1 ≤ v_1) = (d_1 < v_1 + 1)`,
+/// then `R_i = lt ∨ (eq ∧ R_{i−1})` with `lt = (d_i < v_i)` a term and
+/// `eq = (d_i = v_i)` a step over its stored slot.
+fn le_chain(program: &mut Program, base: &Base, le: u32) -> Term {
+    let digits = digits_of(base, le);
+    let mut chain = Term {
+        seed: lt_term(base.component(1), 1, digits[0] + 1, false).map(|t| program.push(t)),
+        ..Term::default()
     };
-    for i in 2..=ctx.spec().n_components() {
-        let (b, vi) = (ctx.spec().base.component(i), digits[i - 1]);
-        let direct_scans = vi + 1; // E^0 … E^{vi−1} plus E^{vi} for eq
-        let comp_scans = b - vi; // E^{vi} … E^{b−1}, E^{vi} shared with eq
-        let (eq, lt) = if vi == 0 {
-            (eq_step(ctx, i, 0)?, None)
-        } else if b == 2 {
-            // vi = 1: lt = E^0 = ¬E^1, eq = E^1 — one stored bitmap total.
-            (eq_step(ctx, i, 1)?, Some(not_e1(ctx, i)?))
-        } else if direct_scans <= comp_scans {
-            let lt = or_range(ctx, i, 0, vi - 1, false)?;
-            (eq_step(ctx, i, vi)?, Some(lt))
-        } else {
-            // lt = ¬(d >= vi) = ¬(E^{vi} ∨ … ∨ E^{b−1}); eq scan is shared.
-            let eq = eq_step(ctx, i, vi)?;
-            (eq, Some(or_range(ctx, i, vi, b - 1, true)?))
-        };
-        chain.steps.push(eq);
-        chain.steps.extend(lt.map(FoldStep::Or));
+    for i in 2..=base.n_components() {
+        let (b, vi) = (base.component(i), digits[i - 1]);
+        let lt = lt_term(b, i, vi, true).map(|t| FoldStep::Or(program.push(t)));
+        chain.steps.push(eq_step(base, i, vi));
+        chain.steps.extend(lt);
     }
-    Ok(chain)
+    chain
 }
 
 /// Predicted number of bitmap scans for one query on an equality-encoded
@@ -254,9 +175,21 @@ pub fn predicted_scans(base: &Base, query: SelectionQuery) -> usize {
 mod tests {
     use super::*;
     use crate::encoding::{Encoding, IndexSpec};
-    use crate::eval::naive;
-    use crate::index::BitmapIndex;
+    use crate::error::Result;
+    use crate::eval::tests::evaluate_predicate;
+    use crate::eval::{naive, Algorithm};
+    use crate::exec::ExecContext;
+    use crate::index::{BitmapIndex, BitmapSource};
+    use bindex_bitvec::BitVec;
     use bindex_relation::{query, Column};
+
+    /// The equality evaluator over dense words.
+    fn evaluate<S: BitmapSource>(
+        ctx: &mut ExecContext<'_, S>,
+        q: SelectionQuery,
+    ) -> Result<BitVec> {
+        evaluate_predicate(ctx, q, Algorithm::EqualityEval)
+    }
 
     fn check_all_queries(column: &Column, base: Base) {
         let spec = IndexSpec::new(base, Encoding::Equality);

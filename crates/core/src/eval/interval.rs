@@ -26,42 +26,32 @@
 //! Multi-component queries chain exactly like the other evaluators:
 //! `R_i = (d_i < v_i) ∨ ((d_i = v_i) ∧ R_{i−1})`.
 
-use std::sync::Arc;
-
 use bindex_bitvec::kernels::{Fold, FoldStep};
-use bindex_bitvec::BitVec;
 use bindex_relation::query::SelectionQuery;
 
 use crate::base::Base;
-use crate::error::Result;
-use crate::exec::{ExecContext, Plan};
-use crate::index::BitmapSource;
+use crate::exec::{Operand, Program, Term};
 
-use super::{digits_of, evaluate_chain, reduce, Chain, Reduced};
+use super::{chain_program, digits_of, reduce, Chain, Reduced};
 
 /// Number of window bitmaps for a component with base `b`.
 pub fn windows_of(b: u32) -> u32 {
     b.div_ceil(2)
 }
 
-/// Evaluates `query` on an interval-encoded index over dense words, at
-/// the context's current width. The encoding is enforced by the dispatcher
-/// in [`super::evaluate_repr_in`]. Storage failures from the underlying
-/// source propagate as errors.
-pub fn evaluate<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    query: SelectionQuery,
-) -> Result<BitVec> {
-    evaluate_chain(ctx, query, |ctx, chain| match chain {
-        Chain::Le(v) => le_chain(ctx, v),
-        Chain::Eq(v) => eq_chain(ctx, v),
+/// `query`'s program on an interval-encoded index: one term per digit
+/// predicate, then the chain over them as the answer.
+pub(crate) fn program(base: &Base, query: SelectionQuery) -> Program {
+    chain_program(query, |program, chain| match chain {
+        Chain::Le(v) => le_chain(program, base, v),
+        Chain::Eq(v) => eq_chain(program, base, v),
     })
 }
 
-/// The plan of `d = v` for component `comp` of base `b` (see module table).
-fn eq_digit(b: u32, comp: usize, v: u32) -> Plan {
+/// The term of `d = v` for component `comp` of base `b` (see module table).
+fn eq_digit(b: u32, comp: usize, v: u32) -> Term {
     let m = windows_of(b);
-    let slot = |j: u32| (comp, j as usize);
+    let slot = |j: u32| Operand::Slot(comp, j as usize);
     let (seed, step, complement) = if m == 1 {
         // b <= 2: I^0 = {0}.
         (slot(0), None, v != 0)
@@ -78,7 +68,7 @@ fn eq_digit(b: u32, comp: usize, v: u32) -> Plan {
         // m <= v <= 2m−2: I^{v−m+1} ∧ ¬I^{v−m}
         (slot(v - m + 1), Some(FoldStep::AndNot(slot(v - m))), false)
     };
-    Plan {
+    Fold {
         seed: Some(seed),
         steps: step.into_iter().collect(),
         complement,
@@ -86,11 +76,11 @@ fn eq_digit(b: u32, comp: usize, v: u32) -> Plan {
     }
 }
 
-/// The plan of `d ≤ v` for component `comp` of base `b`; `None` means
+/// The term of `d ≤ v` for component `comp` of base `b`; `None` means
 /// "all ones" (no work).
-fn le_digit(b: u32, comp: usize, v: u32) -> Option<Plan> {
+fn le_digit(b: u32, comp: usize, v: u32) -> Option<Term> {
     let m = windows_of(b);
-    let slot = |j: u32| (comp, j as usize);
+    let slot = |j: u32| Operand::Slot(comp, j as usize);
     if v >= b - 1 {
         return None;
     }
@@ -104,52 +94,44 @@ fn le_digit(b: u32, comp: usize, v: u32) -> Option<Plan> {
         // m <= v <= 2m−2: I^0 ∨ I^{v−m+1}
         Some(FoldStep::Or(slot(v - m + 1)))
     };
-    Some(Plan {
+    Some(Fold {
         seed: Some(slot(0)),
         steps: step.into_iter().collect(),
-        ..Plan::default()
+        ..Fold::default()
     })
 }
 
 /// `A ≤ le`: `R = (d_i < v_i) ∨ ((d_i = v_i) ∧ R)` over the digit terms.
-fn le_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, le: u32) -> Result<Fold<Arc<BitVec>>> {
-    let base = ctx.spec().base.clone();
-    let digits = digits_of(&base, le);
-    let seed = le_digit(base.component(1), 1, digits[0])
-        .map(|plan| ctx.fold_plan(&plan, false).map(Arc::new))
-        .transpose()?;
-    let mut chain = Fold {
-        seed,
-        ..Fold::default()
+fn le_chain(program: &mut Program, base: &Base, le: u32) -> Term {
+    let digits = digits_of(base, le);
+    let mut chain = Term {
+        seed: le_digit(base.component(1), 1, digits[0]).map(|term| program.push(term)),
+        ..Term::default()
     };
     for i in 2..=base.n_components() {
         let (b, vi) = (base.component(i), digits[i - 1]);
-        let eq = ctx.fold_plan(&eq_digit(b, i, vi), false)?;
-        chain.steps.push(FoldStep::And(Arc::new(eq)));
+        let eq = program.push(eq_digit(b, i, vi));
+        chain.steps.push(FoldStep::And(eq));
         if vi > 0 {
             let lt = le_digit(b, i, vi - 1)
                 .expect("d < v_i with v_i - 1 = b - 1 would make d <= v_i trivial");
-            let lt = ctx.fold_plan(&lt, false)?;
-            chain.steps.push(FoldStep::Or(Arc::new(lt)));
+            chain.steps.push(FoldStep::Or(program.push(lt)));
         }
     }
-    Ok(chain)
+    chain
 }
 
 /// `A = v`: the AND of the per-component digit terms (`n − 1` ANDs
 /// charged, exactly as the pairwise chain would).
-fn eq_chain<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, v: u32) -> Result<Fold<Arc<BitVec>>> {
-    let base = ctx.spec().base.clone();
-    let digits = digits_of(&base, v);
-    let mut terms = (1..=base.n_components()).map(|i| {
-        ctx.fold_plan(&eq_digit(base.component(i), i, digits[i - 1]), false)
-            .map(Arc::new)
-    });
-    Ok(Fold {
-        seed: terms.next().transpose()?,
-        steps: terms.map(|t| t.map(FoldStep::And)).collect::<Result<_>>()?,
-        ..Fold::default()
-    })
+fn eq_chain(program: &mut Program, base: &Base, v: u32) -> Term {
+    let digits = digits_of(base, v);
+    let mut terms = (1..=base.n_components())
+        .map(|i| program.push(eq_digit(base.component(i), i, digits[i - 1])));
+    Term {
+        seed: terms.next(),
+        steps: terms.map(FoldStep::And).collect(),
+        ..Term::default()
+    }
 }
 
 /// Stored window slots a digit-level helper touches (for the predictor).
@@ -220,9 +202,21 @@ pub fn predicted_scans(base: &Base, query: SelectionQuery) -> usize {
 mod tests {
     use super::*;
     use crate::encoding::{Encoding, IndexSpec};
-    use crate::eval::naive;
-    use crate::index::BitmapIndex;
+    use crate::error::Result;
+    use crate::eval::tests::evaluate_predicate;
+    use crate::eval::{naive, Algorithm};
+    use crate::exec::ExecContext;
+    use crate::index::{BitmapIndex, BitmapSource};
+    use bindex_bitvec::BitVec;
     use bindex_relation::{query, Column};
+
+    /// The interval evaluator over dense words.
+    fn evaluate<S: BitmapSource>(
+        ctx: &mut ExecContext<'_, S>,
+        q: SelectionQuery,
+    ) -> Result<BitVec> {
+        evaluate_predicate(ctx, q, Algorithm::IntervalEval)
+    }
 
     fn check_all_queries(column: &Column, base: Base) {
         let spec = IndexSpec::new(base, Encoding::Interval);

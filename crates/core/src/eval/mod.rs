@@ -15,8 +15,10 @@
 //!   (Chan & Ioannidis, SIGMOD 1999).
 //! * [`naive`] — a direct column scan used as the correctness oracle.
 //!
-//! All index evaluators run through an [`ExecContext`](crate::exec) and
-//! report exact [`EvalStats`](crate::exec) statistics.
+//! Each index evaluator is a builder: a pure function of the base and the
+//! query that returns the query's whole evaluation as one program over
+//! slot addresses. An [`ExecContext`](crate::exec) runs every program and
+//! reports exact [`EvalStats`](crate::exec) statistics.
 
 pub mod equality;
 pub mod interval;
@@ -24,8 +26,6 @@ pub mod naive;
 pub mod range_eval;
 pub mod range_opt;
 pub mod threshold;
-
-use std::sync::Arc;
 
 use bindex_bitvec::kernels::Fold;
 use bindex_bitvec::BitVec;
@@ -35,7 +35,7 @@ use bindex_relation::query::{Op, Query, SelectionQuery};
 use crate::base::Base;
 use crate::encoding::{Encoding, IndexSpec};
 use crate::error::{Error, Result};
-use crate::exec::{EvalStats, ExecContext, Plan};
+use crate::exec::{Answer, EvalStats, ExecContext, Operand, Program, Sink, Term};
 use crate::index::BitmapSource;
 
 /// Which evaluation algorithm to run.
@@ -100,24 +100,21 @@ pub fn evaluate_in<S: BitmapSource>(
 /// that may never need dense words (a cache); [`evaluate`],
 /// [`evaluate_in`] and [`evaluate_segmented_in`] are this plus
 /// [`ExecContext::materialize`], and [`count_in`] is its cardinality
-/// without the foundset. The choice is made here, per query, from what
-/// the operands are:
+/// without the foundset. A selection is its evaluator's program, run by
+/// the context; the route is chosen per query, from what the operands are:
 ///
-/// * A selection whose whole evaluation is one plan — any RangeEval-Opt
-///   query, `A = v` / `A ≠ v` on an equality-encoded index — and whose
-///   every operand (`B_nn` included) is served [`Repr::Wah`] at no more
-///   than 1/16 of its literal size, with no delta overlay attached, is
-///   folded in the compressed domain in one pass over the operands' runs
-///   ([`ExecContext::run_plan`]); the result is [`Repr::Wah`] and nothing
-///   was decoded.
-/// * Everything else — a non-linear chain, a literal or poorly compressed
-///   operand, with `segment_bits` a slot the summaries prove all zeros or
-///   all ones (windowed pruning answers it unread), a reconstructed slot,
-///   an overlay, any threshold —
-///   runs over dense words: whole-bitmap when `segment_bits` is `None`,
-///   window by window (with summary pruning, the threshold early-exit
-///   bound and a cooperative deadline check between windows) otherwise,
-///   and comes back [`Repr::Literal`].
+/// * A program that is one compressible term — any RangeEval-Opt query,
+///   `A = v` / `A ≠ v` on an equality-encoded index — whose every operand
+///   (`B_nn` included) is served [`Repr::Wah`] within the 1/16 rule, with
+///   no delta overlay attached, is folded over the operands' runs; the
+///   result is [`Repr::Wah`] and nothing was decoded.
+/// * Everything else — several terms, a literal or poorly compressed
+///   operand, with `segment_bits` a slot the summaries prove constant, a
+///   reconstructed slot, an overlay, any threshold — comes back
+///   [`Repr::Literal`]: whole-bitmap when `segment_bits` is `None` (where
+///   a term of several may still take the WAH fold), else window by window
+///   with summary pruning, the threshold early-exit bound and a
+///   cooperative deadline check between windows.
 ///
 /// Answers and the paper-model counters (scans, ANDs, ORs, XORs, NOTs,
 /// threshold combines) are identical on every path; only where the
@@ -134,19 +131,69 @@ pub fn evaluate_repr_in<S: BitmapSource>(
     algorithm: Algorithm,
     segment_bits: Option<usize>,
 ) -> Result<Repr> {
+    Ok(run_query(ctx, query, algorithm, segment_bits, Sink::Keep)?.into_repr())
+}
+
+/// [`evaluate_repr_in`]'s cardinality, by the same routes, reads, pruning,
+/// charges and deadline checks, with the same [`EvalStats`]. A selection
+/// writes no foundset: a WAH answer's count is a run-length sum, and a
+/// dense answer term ends in a fused popcount, whole or window by window
+/// with no output buffer — unless it is not the program's last term
+/// (RangeEval's `<`, `>`), whose result is counted. A threshold counts its
+/// combined foundset.
+///
+/// # Panics
+/// Panics if `segment_bits` is `Some` of zero or of a non-multiple of 64.
+pub fn count_in<S: BitmapSource>(
+    ctx: &mut ExecContext<'_, S>,
+    query: &Query,
+    algorithm: Algorithm,
+    segment_bits: Option<usize>,
+) -> Result<u64> {
+    Ok(run_query(ctx, query, algorithm, segment_bits, Sink::Count)?.count_ones() as u64)
+}
+
+/// The one body of [`evaluate_repr_in`] and [`count_in`]: `query`
+/// validated, its programs built before anything is fetched, then run
+/// whole or window by window. A compressible program is offered the WAH
+/// fold before the window walk.
+fn run_query<S: BitmapSource>(
+    ctx: &mut ExecContext<'_, S>,
+    query: &Query,
+    algorithm: Algorithm,
+    segment_bits: Option<usize>,
+    sink: Sink,
+) -> Result<Answer> {
     validate(ctx.spec(), query)?;
-    if let (Query::Selection(q), true) = (query, ctx.folds_whole_bitmaps()) {
-        if let Some(plan) = whole_plan(ctx.spec(), *q, algorithm) {
-            if let Some(found) = ctx.fold_plan_wah(&plan, true, segment_bits.is_some())? {
-                return Ok(Repr::wah(found));
+    match query {
+        Query::Selection(q) => {
+            let program = program(ctx.spec(), *q, algorithm, true)?;
+            let Some(segment_bits) = segment_bits else {
+                return ctx.run(&program, sink);
+            };
+            if let ([term], true) = (&program.terms[..], program.compressible) {
+                if let Some(found) = ctx.fold_term_wah(term, true)? {
+                    return Ok(Answer::Wah(found));
+                }
+            }
+            evaluate_segments(ctx, segment_bits, sink, |ctx, _| ctx.run(&program, sink))
+        }
+        Query::Threshold(q) => {
+            let predicates = q
+                .predicates
+                .iter()
+                .map(|&p| program(ctx.spec(), p, algorithm, false))
+                .collect::<Result<Vec<_>>>()?;
+            let k = q.k as usize;
+            let window = |ctx: &mut ExecContext<'_, S>, charging| {
+                threshold::evaluate_window(ctx, &predicates, k, charging).map(Answer::Dense)
+            };
+            match segment_bits {
+                None => window(ctx, true),
+                Some(segment_bits) => evaluate_segments(ctx, segment_bits, sink, window),
             }
         }
     }
-    let found = match segment_bits {
-        None => evaluate_windowed(ctx, query, algorithm, true),
-        Some(segment_bits) => evaluate_segments(ctx, query, algorithm, segment_bits),
-    };
-    found.map(Repr::literal)
 }
 
 /// A well-formed query for an index of layout `spec`, decided before
@@ -215,102 +262,74 @@ pub(crate) fn reduce(query: SelectionQuery) -> Reduced {
     }
 }
 
-/// The chain driver of the evaluators whose chains are built from digit
-/// terms: the reduction, then `chain` — the steps over fetched slots and
-/// materialized terms — finished with the complement and the `B_nn` mask
-/// and run as one [`ExecContext::fold`] at the context's current width.
-pub(crate) fn evaluate_chain<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
+/// The program of an evaluator that starts from [`reduce`]: `chain` builds
+/// the `≤` or `=` chain, pushing any term it names first, and the answer
+/// is that chain, complemented when the reduction says so and masked by
+/// `B_nn`. `A < 0` adds no term: its answer is the zeros.
+pub(crate) fn chain_program(
     query: SelectionQuery,
-    chain: impl FnOnce(&mut ExecContext<'_, S>, Chain) -> Result<Fold<Arc<BitVec>>>,
-) -> Result<BitVec> {
-    let mut program = match reduce(query) {
-        Reduced::Empty => return Ok(BitVec::zeros(ctx.view_len())),
-        Reduced::NonNull => Fold::default(),
-        Reduced::Chain(c, complement) => Fold {
-            complement,
-            ..chain(ctx, c)?
-        },
+    chain: impl FnOnce(&mut Program, Chain) -> Term,
+) -> Program {
+    let mut program = Program::default();
+    let (chain, complement) = match reduce(query) {
+        Reduced::Empty => return program,
+        Reduced::NonNull => (Term::default(), false),
+        Reduced::Chain(c, complement) => (chain(&mut program, c), complement),
     };
-    program.mask = ctx.fetch_nn()?;
-    Ok(ctx.fold(&program))
+    let mask = Some(Operand::Nn);
+    program.answer = program.push(Fold {
+        complement,
+        mask,
+        ..chain
+    });
+    program
 }
 
-/// `query`'s whole evaluation — chain, complement, and the `B_nn` mask
-/// whoever runs it attaches — as one plan, for the evaluators that have
-/// one: RangeEval-Opt always (bar the empty `A < 0`), the equality
-/// evaluator for `=` and `≠`. An algorithm that does not fit the encoding
-/// has none; [`evaluate_predicate`] reports the mismatch.
-fn whole_plan(spec: &IndexSpec, query: SelectionQuery, algorithm: Algorithm) -> Option<Plan> {
-    match (algorithm.resolve(spec.encoding), spec.encoding) {
-        (Algorithm::RangeEvalOpt, Encoding::Range) => range_opt::plan(&spec.base, query),
-        (Algorithm::EqualityEval, Encoding::Equality) => equality::plan(&spec.base, query),
-        _ => None,
-    }
-}
-
-/// The dense evaluation of one (validated) query at the context's current
-/// width: the whole relation, or the current segment's window under
-/// segmented execution. `charging` is `true` for the run that must execute
-/// the full data-independent operator sequence (whole mode, or segment 0);
-/// only a threshold looks at it.
-fn evaluate_windowed<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    query: &Query,
-    algorithm: Algorithm,
-    charging: bool,
-) -> Result<BitVec> {
-    match query {
-        Query::Selection(q) => evaluate_predicate(ctx, *q, algorithm),
-        Query::Threshold(q) => threshold::evaluate_window(ctx, q, algorithm, charging),
-    }
-}
-
-/// One selection predicate, densely, at the context's current width, by
-/// the evaluator `algorithm` resolves to.
-pub(crate) fn evaluate_predicate<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
+/// `query`'s program on an index of layout `spec`, from the builder of the
+/// evaluator `algorithm` resolves to; an evaluator that does not fit the
+/// encoding is [`Error::EncodingMismatch`]. RangeEval-Opt's every query
+/// and equality's `=` / `≠` are one term; as a selection's `whole`
+/// evaluation, not a threshold's operand, its answer may come back
+/// compressed.
+pub(crate) fn program(
+    spec: &IndexSpec,
     query: SelectionQuery,
     algorithm: Algorithm,
-) -> Result<BitVec> {
-    let encoding = ctx.spec().encoding;
-    match algorithm.resolve(encoding) {
-        Algorithm::RangeEvalOpt => {
-            require(encoding, Encoding::Range)?;
-            match range_opt::plan(&ctx.spec().base, query) {
-                Some(plan) => ctx.fold_plan(&plan, true),
-                None => Ok(BitVec::zeros(ctx.view_len())),
-            }
-        }
-        Algorithm::RangeEval => {
-            require(encoding, Encoding::Range)?;
-            range_eval::evaluate(ctx, query)
-        }
-        Algorithm::EqualityEval => {
-            require(encoding, Encoding::Equality)?;
-            equality::evaluate(ctx, query)
-        }
-        Algorithm::IntervalEval => {
-            require(encoding, Encoding::Interval)?;
-            interval::evaluate(ctx, query)
-        }
+    whole: bool,
+) -> Result<Program> {
+    let (base, actual) = (&spec.base, spec.encoding);
+    let algorithm = algorithm.resolve(actual);
+    let expected = match algorithm {
+        Algorithm::RangeEval | Algorithm::RangeEvalOpt => Encoding::Range,
+        Algorithm::EqualityEval => Encoding::Equality,
+        Algorithm::IntervalEval => Encoding::Interval,
         Algorithm::Auto => unreachable!("resolved above"),
+    };
+    if actual != expected {
+        let (expected, actual) = (expected.name(), actual.name());
+        return Err(Error::EncodingMismatch { expected, actual });
     }
+    let mut program = match algorithm {
+        Algorithm::RangeEval => range_eval::program(base, query)?,
+        Algorithm::EqualityEval => equality::program(base, query),
+        Algorithm::IntervalEval => interval::program(base, query),
+        _ => range_opt::program(base, query),
+    };
+    program.compressible = whole
+        && (algorithm == Algorithm::RangeEvalOpt
+            || algorithm == Algorithm::EqualityEval && matches!(query.op, Op::Eq | Op::Ne));
+    Ok(program)
 }
 
-/// Segment-at-a-time evaluation within an existing context: the operator
-/// tree runs over fixed-size windows of `segment_bits` bits so every
-/// intermediate stays cache-resident, then the per-segment foundsets are
-/// stitched into the full-length result. [`evaluate_repr_in`] with a
-/// segmented fallback, its result decoded if it came back compressed.
-/// Bit-identical to [`evaluate_in`]; [`EvalStats`] match on every
-/// paper-model counter (ops are charged on the first segment only, which
-/// reproduces the whole-bitmap counts exactly because the evaluators'
-/// control flow depends only on the query, never on bitmap contents), plus
-/// the segment counters [`EvalStats::segments_evaluated`] /
-/// [`EvalStats::segments_skipped`] — which stay zero when the query ran in
-/// the compressed domain instead. The context's fetch cache persists
-/// across segments (and across queries, as in [`evaluate_in`]).
+/// Segment-at-a-time evaluation within an existing context: the program
+/// runs over windows of `segment_bits` bits so every intermediate stays
+/// cache-resident. [`evaluate_repr_in`] with a segmented fallback, its
+/// result decoded if it came back compressed. Bit-identical to
+/// [`evaluate_in`], with the same paper-model counters (ops are charged on
+/// the first segment only) plus [`EvalStats::segments_evaluated`] /
+/// [`EvalStats::segments_skipped`], which stay zero when the query ran in
+/// the compressed domain. The context's fetch cache persists across
+/// segments (and across queries, as in [`evaluate_in`]).
 ///
 /// # Panics
 /// Panics if `segment_bits` is zero or not a multiple of 64.
@@ -324,125 +343,59 @@ pub fn evaluate_segmented_in<S: BitmapSource>(
     Ok(ctx.materialize(found))
 }
 
-/// The windowed path of [`evaluate_repr_in`], for either kind of (validated)
-/// query: [`walk_segments`] with each segment's foundset copied into place
-/// in the full-length result. Segment 0 runs the full operator sequence
-/// and is the only one charged for it (a threshold's later segments may
-/// take the early-exit bound).
-fn evaluate_segments<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    query: &Query,
-    algorithm: Algorithm,
-    segment_bits: usize,
-) -> Result<BitVec> {
-    let n_rows = ctx.n_rows();
-    let mut out = vec![0u64; bindex_bitvec::words_for(n_rows)];
-    walk_segments(ctx, segment_bits, |ctx, lo, index| {
-        let part = evaluate_windowed(ctx, query, algorithm, index == 0)?;
-        debug_assert_eq!(
-            part.len(),
-            ctx.view_len(),
-            "evaluator returned a non-window result"
-        );
-        let w0 = lo / 64;
-        out[w0..w0 + part.words().len()].copy_from_slice(part.words());
-        Ok(())
-    })?;
-    Ok(BitVec::from_words(out, n_rows))
-}
-
 /// The one window walk, and the only caller of `begin_segment`: `window`
-/// runs on every segment of `[0, n_rows)` in order, given the segment's
-/// first row and ordinal; an empty relation still runs one empty segment,
-/// so the charges are those of whole-bitmap mode. The first segment
-/// always runs; later ones are shed with [`Error::DeadlineExceeded`] once
-/// the context's deadline has passed. Leaves segmented mode however the
-/// walk ends.
+/// runs on every segment of `[0, n_rows)` in order, given whether it is
+/// segment 0 — the one run charged for the full data-independent operator
+/// sequence (a threshold's later segments may take the early-exit bound) —
+/// and its answers are copied into place in the full-length result under
+/// [`Sink::Keep`], or summed. An empty relation still runs one empty
+/// segment, so the charges are those of whole-bitmap mode. The first
+/// segment always runs; later ones are shed with
+/// [`Error::DeadlineExceeded`] once the context's deadline has passed.
+/// Leaves segmented mode however the walk ends.
 ///
 /// # Panics
 /// Panics if `segment_bits` is zero or not a multiple of 64.
-fn walk_segments<S: BitmapSource>(
+fn evaluate_segments<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     segment_bits: usize,
-    mut window: impl FnMut(&mut ExecContext<'_, S>, usize, usize) -> Result<()>,
-) -> Result<()> {
+    sink: Sink,
+    mut window: impl FnMut(&mut ExecContext<'_, S>, bool) -> Result<Answer>,
+) -> Result<Answer> {
     assert!(
         segment_bits > 0 && segment_bits.is_multiple_of(64),
         "segment size must be a positive multiple of 64 bits"
     );
     let n_rows = ctx.n_rows();
-    let mut lo = 0;
-    let walked = loop {
-        if lo > 0 && ctx.deadline_expired() {
-            break Err(Error::DeadlineExceeded);
+    let mut out = match sink {
+        Sink::Keep => vec![0u64; bindex_bitvec::words_for(n_rows)],
+        Sink::Count => Vec::new(),
+    };
+    let mut ones = 0;
+    // An empty relation is one empty segment.
+    let mut starts = (0..n_rows.max(1)).step_by(segment_bits).enumerate();
+    let walked = starts.try_for_each(|(index, lo)| {
+        if index > 0 && ctx.deadline_expired() {
+            return Err(Error::DeadlineExceeded);
         }
         let hi = (lo + segment_bits).min(n_rows);
-        let index = lo / segment_bits;
         ctx.begin_segment(lo, hi, index);
-        if let Err(e) = window(ctx, lo, index) {
-            break Err(e);
+        match window(ctx, index == 0)? {
+            Answer::Dense(part) if sink == Sink::Keep => {
+                debug_assert_eq!(part.len(), hi - lo, "a non-window result");
+                out[lo / 64..][..part.words().len()].copy_from_slice(part.words());
+            }
+            part => ones += part.count_ones(),
         }
         ctx.end_segment();
-        if hi == n_rows {
-            break Ok(());
-        }
-        lo = hi;
-    };
-    ctx.exit_segments();
-    walked
-}
-
-/// [`evaluate_repr_in`]'s cardinality, without its foundset where the
-/// query allows. A selection whose whole evaluation is one plan (every
-/// RangeEval-Opt query bar `A < 0`; `=` and `≠` on an equality-encoded
-/// index) is counted: in the WAH domain when [`evaluate_repr_in`] would
-/// fold it there (the count is a run-length sum), else over dense words,
-/// whole or window by window exactly as [`evaluate_repr_in`] walks it —
-/// the same reads, pruning, charges and deadline checks — each window
-/// ending in a fused popcount, with no window foundset and no output
-/// buffer. Every other query is [`evaluate_repr_in`] and a popcount of
-/// its foundset. [`EvalStats`] are those of [`evaluate_repr_in`].
-///
-/// # Panics
-/// Panics if `segment_bits` is `Some` of zero or of a non-multiple of 64.
-pub fn count_in<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    query: &Query,
-    algorithm: Algorithm,
-    segment_bits: Option<usize>,
-) -> Result<u64> {
-    validate(ctx.spec(), query)?;
-    let plan = match query {
-        Query::Selection(q) => whole_plan(ctx.spec(), *q, algorithm),
-        Query::Threshold(_) => None,
-    };
-    let Some(plan) = plan else {
-        let found = evaluate_repr_in(ctx, query, algorithm, segment_bits)?;
-        return Ok(found.count_ones() as u64);
-    };
-    if let Some(found) = ctx.fold_plan_wah(&plan, true, segment_bits.is_some())? {
-        return Ok(found.count_ones() as u64);
-    }
-    let mut ones = 0;
-    match segment_bits {
-        None => ones = ctx.count_plan(&plan)?,
-        Some(segment_bits) => walk_segments(ctx, segment_bits, |ctx, _, _| {
-            ones += ctx.count_plan(&plan)?;
-            Ok(())
-        })?,
-    }
-    Ok(ones as u64)
-}
-
-fn require(actual: Encoding, expected: Encoding) -> Result<()> {
-    if actual == expected {
         Ok(())
-    } else {
-        Err(Error::EncodingMismatch {
-            expected: expected.name(),
-            actual: actual.name(),
-        })
-    }
+    });
+    ctx.exit_segments();
+    walked?;
+    Ok(match sink {
+        Sink::Keep => Answer::Dense(BitVec::from_words(out, n_rows)),
+        Sink::Count => Answer::Count(ones),
+    })
 }
 
 /// Digit decomposition of a predicate constant, least significant first.
@@ -452,13 +405,26 @@ pub(crate) fn digits_of(base: &Base, v: u32) -> Vec<u32> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::base::Base;
     use crate::encoding::IndexSpec;
     use crate::index::BitmapIndex;
     use bindex_compress::wah::WahBitmap;
     use bindex_relation::{query, Column};
+
+    /// One selection over dense words at the context's current width —
+    /// the whole relation, or the current window — by `algorithm`'s
+    /// program, its answer never compressed.
+    pub(crate) fn evaluate_predicate<S: BitmapSource>(
+        ctx: &mut ExecContext<'_, S>,
+        query: SelectionQuery,
+        algorithm: Algorithm,
+    ) -> Result<BitVec> {
+        let program = program(ctx.spec(), query, algorithm, false)?;
+        let found = ctx.run(&program, Sink::Keep)?.into_repr();
+        Ok(ctx.materialize(found))
+    }
 
     fn spec_for(encoding: Encoding) -> IndexSpec {
         IndexSpec::new(Base::from_msb(&[3, 4]).unwrap(), encoding)
@@ -1004,6 +970,51 @@ mod tests {
                 let edge = SelectionQuery::new(op, 63 + u32::from(matches!(op, Op::Lt | Op::Ge)));
                 let (found, _) = evaluate(&mut idx.source(), edge, Algorithm::Auto).unwrap();
                 assert_eq!(found, naive::evaluate(&col, edge), "{encoding:?} {edge}");
+            }
+        }
+    }
+
+    /// Every evaluator's program over the full query space, built with no
+    /// source: its distinct stored slots are the scans the paper's
+    /// digit-arithmetic predictor counts (`cost::predicted_scans`, the
+    /// independent reference), and every term names only earlier terms.
+    #[test]
+    fn programs_read_the_slots_the_predictors_count() {
+        use crate::cost::predicted_scans;
+        let evaluators = [
+            (Algorithm::RangeEval, Encoding::Range),
+            (Algorithm::RangeEvalOpt, Encoding::Range),
+            (Algorithm::EqualityEval, Encoding::Equality),
+            (Algorithm::IntervalEval, Encoding::Interval),
+        ];
+        for msb in [
+            &[12][..],
+            &[3, 4],
+            &[2, 2, 3],
+            &[2, 2, 2, 2, 2],
+            &[10, 10, 10],
+        ] {
+            let base = Base::from_msb(msb).unwrap();
+            for (algorithm, encoding) in evaluators {
+                let spec = IndexSpec::new(base.clone(), encoding);
+                for q in query::full_space(base.product() as u32) {
+                    let label = format!("{algorithm:?} {msb:?} {q}");
+                    let program = program(&spec, q, algorithm, true).unwrap();
+                    let mut slots = Vec::new();
+                    for (k, term) in program.terms.iter().enumerate() {
+                        let _ = term.map(|&op| match op {
+                            Operand::Slot(comp, slot) => slots.push((comp, slot)),
+                            Operand::Term(j) => assert!(j < k, "{label}: term {k} names {j}"),
+                            Operand::Nn | Operand::Zeros => {}
+                        });
+                    }
+                    if let Operand::Term(k) = program.answer {
+                        assert!(k < program.terms.len(), "{label}: answer {k}");
+                    }
+                    slots.sort_unstable();
+                    slots.dedup();
+                    assert_eq!(slots.len(), predicted_scans(&base, q, algorithm), "{label}");
+                }
             }
         }
     }

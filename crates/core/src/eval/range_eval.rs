@@ -9,113 +9,101 @@
 //! chain — which is why RangeEval-Opt beats it by ~50% in operations and
 //! one scan (Section 3.1, Table 1).
 
-use std::sync::Arc;
-
 use bindex_bitvec::kernels::{Fold, FoldStep};
-use bindex_bitvec::BitVec;
 use bindex_relation::query::{Op, SelectionQuery};
 
+use crate::base::Base;
 use crate::error::Result;
-use crate::exec::ExecContext;
-use crate::index::BitmapSource;
+use crate::exec::{Operand, Program, Term};
 
-/// Evaluates `query` with RangeEval. The index must be range-encoded
-/// (enforced by the dispatcher in [`super::evaluate`]). Storage failures
-/// from the underlying source propagate as errors.
-pub fn evaluate<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    query: SelectionQuery,
-) -> Result<BitVec> {
-    // Width of the current evaluation window: the full relation in whole
-    // mode, one segment under segmented execution.
-    let n_rows = ctx.view_len();
-    let n = ctx.spec().n_components();
+/// `query`'s RangeEval program: every accumulator update of the listing
+/// is a term, and the answer is the accumulator the operator reads.
+pub(crate) fn program(base: &Base, query: SelectionQuery) -> Result<Program> {
     // RangeEval decomposes the constant itself, not a reduced `v − 1`: the
     // one constant validation lets through that it cannot take (`A < Π b_i`,
-    // `A ≥ Π b_i`) is the typed error here.
-    let digits = ctx.spec().base.decompose(query.constant)?;
+    // `A ≥ Π b_i`) is the typed error here, before anything is read.
+    let digits = base.decompose(query.constant)?;
+    let mut program = Program::default();
+    // `B_EQ` run through `steps`: every accumulator update of the listing.
+    let update = |b_eq, steps| Term {
+        seed: Some(b_eq),
+        steps,
+        ..Fold::default()
+    };
 
     // Lazy evaluation: `<` and `≤` maintain B_LT, `>` and `≥` B_GT, the
     // equality operators neither.
     let below = matches!(query.op, Op::Lt | Op::Le);
-    let mut b_cmp =
-        (below || matches!(query.op, Op::Gt | Op::Ge)).then(|| Arc::new(BitVec::zeros(n_rows)));
+    let mut b_cmp = (below || matches!(query.op, Op::Gt | Op::Ge)).then_some(Operand::Zeros);
     // Line 2 of the listing: B_EQ starts as B_nn (all ones when no nulls).
-    let nn = ctx.fetch_nn()?;
-    let mut b_eq = nn.clone();
+    let mut b_eq = Operand::Nn;
 
-    for i in (1..=n).rev() {
-        let bi = ctx.spec().base.component(i) as usize;
+    for i in (1..=base.n_components()).rev() {
+        let bi = base.component(i) as usize;
         let vi = digits[i - 1] as usize;
+        let slot = |j| Operand::Slot(i, j);
         if let Some(cmp) = &mut b_cmp {
             // B_LT = B_LT ∨ (B_EQ ∧ B_i^{v_i − 1})   (v_i > 0)
             // B_GT = B_GT ∨ (B_EQ ∧ ¬B_i^{v_i})      (v_i < b_i − 1)
             let term = match below {
-                true if vi > 0 => Some(FoldStep::And(ctx.fetch(i, vi - 1)?)),
-                false if vi < bi - 1 => Some(FoldStep::AndNot(ctx.fetch(i, vi)?)),
+                true if vi > 0 => Some(FoldStep::And(slot(vi - 1))),
+                false if vi < bi - 1 => Some(FoldStep::AndNot(slot(vi))),
                 _ => None,
             };
             if let Some(term) = term {
-                *cmp = update(ctx, &b_eq, vec![term, FoldStep::Or(Arc::clone(cmp))]);
+                *cmp = program.push(update(b_eq, vec![term, FoldStep::Or(*cmp)]));
             }
         }
         let term = if vi == 0 {
             // B_EQ = B_EQ ∧ B_i^0
-            FoldStep::And(ctx.fetch(i, 0)?)
+            FoldStep::And(slot(0))
         } else if vi == bi - 1 {
             // B_EQ = B_EQ ∧ ¬B_i^{b_i − 2}
-            FoldStep::AndNot(ctx.fetch(i, bi - 2)?)
+            FoldStep::AndNot(slot(bi - 2))
         } else {
             // B_EQ = B_EQ ∧ (B_i^{v_i} ⊕ B_i^{v_i − 1})
-            FoldStep::AndXor(ctx.fetch(i, vi)?, ctx.fetch(i, vi - 1)?)
+            FoldStep::AndXor(slot(vi), slot(vi - 1))
         };
-        b_eq = Some(update(ctx, &b_eq, vec![term]));
+        b_eq = program.push(update(b_eq, vec![term]));
     }
 
-    let b_eq = b_eq.expect("every component updates B_EQ");
-    let found = match query.op {
+    let answer = match query.op {
         Op::Eq => b_eq,
         // B_NE = ¬B_EQ ∧ B_nn
-        Op::Ne => Arc::new(ctx.fold(&Fold {
+        Op::Ne => program.push(Term {
             seed: Some(b_eq),
             complement: true,
-            mask: nn,
+            mask: Some(Operand::Nn),
             ..Fold::default()
-        })),
+        }),
         Op::Lt | Op::Gt => b_cmp.expect("maintained for < and >"),
         // B_LE = B_LT ∨ B_EQ, B_GE = B_GT ∨ B_EQ
         Op::Le | Op::Ge => {
             let cmp = b_cmp.expect("maintained for ≤ and ≥");
-            update(ctx, &Some(b_eq), vec![FoldStep::Or(cmp)])
+            program.push(update(b_eq, vec![FoldStep::Or(cmp)]))
         }
     };
-    Ok(Arc::unwrap_or_clone(found))
-}
-
-/// `B_EQ` run through `steps` as one fold — every accumulator update of
-/// the listing. A `None` `B_EQ` is the all-ones `B_nn` of an index without
-/// nulls.
-fn update<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    b_eq: &Option<Arc<BitVec>>,
-    steps: Vec<FoldStep<Arc<BitVec>>>,
-) -> Arc<BitVec> {
-    let seed = b_eq.clone();
-    Arc::new(ctx.fold(&Fold {
-        seed,
-        steps,
-        ..Fold::default()
-    }))
+    Ok(Program { answer, ..program })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::base::Base;
     use crate::encoding::{Encoding, IndexSpec};
-    use crate::eval::{evaluate_predicate, naive, Algorithm};
-    use crate::index::BitmapIndex;
+    use crate::eval::tests::evaluate_predicate;
+    use crate::eval::{naive, Algorithm};
+    use crate::exec::ExecContext;
+    use crate::index::{BitmapIndex, BitmapSource};
+    use bindex_bitvec::BitVec;
     use bindex_relation::{query, Column};
+
+    /// RangeEval over dense words.
+    fn evaluate<S: BitmapSource>(
+        ctx: &mut ExecContext<'_, S>,
+        q: SelectionQuery,
+    ) -> Result<BitVec> {
+        evaluate_predicate(ctx, q, Algorithm::RangeEval)
+    }
 
     fn check_all_queries(column: &Column, base: Base) {
         let spec = IndexSpec::new(base, Encoding::Range);

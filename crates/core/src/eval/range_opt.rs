@@ -25,51 +25,45 @@ use bindex_bitvec::kernels::FoldStep;
 use bindex_relation::query::SelectionQuery;
 
 use crate::base::Base;
-use crate::exec::Plan;
+use crate::exec::{Operand, Program, Term};
 
-use super::{digits_of, reduce, Chain, Reduced};
+use super::{chain_program, digits_of, Chain};
 
-/// `query`'s whole evaluation as one plan: the listing's chain — the `≤`
-/// or `=` recurrence and the complement for `>`, `≥`, `≠` — as one step
-/// list that [`ExecContext::run_plan`](crate::exec::ExecContext::run_plan)
-/// runs in a single pass over its operands, compressed or dense: the "one
-/// intermediate bitmap" of the paper is the result itself. `None` is the
-/// empty foundset of `A < 0` (no scan, no operation). The index must be
-/// range-encoded (enforced by the dispatcher in
-/// [`super::evaluate_predicate`]).
-pub(crate) fn plan(base: &Base, query: SelectionQuery) -> Option<Plan> {
-    let (chain, complement) = match reduce(query) {
-        Reduced::Empty => return None,
-        Reduced::NonNull => return Some(Plan::default()),
-        Reduced::Chain(chain, complement) => (chain, complement),
-    };
-    let mut plan = match chain {
-        Chain::Le(v) => le_plan(base, v),
-        Chain::Eq(v) => eq_plan(base, v),
-    };
-    plan.complement = complement;
-    Some(plan)
+/// `query`'s whole evaluation as one term: the listing's chain — the `≤`
+/// or `=` recurrence, the complement for `>`, `≥`, `≠` and the `B_nn`
+/// mask — as one step list run in a single pass over its operands,
+/// compressed or dense: the "one intermediate bitmap" of the paper is the
+/// result itself. `A < 0` is the empty program (no scan, no operation).
+pub(crate) fn program(base: &Base, query: SelectionQuery) -> Program {
+    chain_program(query, |_, chain| match chain {
+        Chain::Le(v) => le_chain(base, v),
+        Chain::Eq(v) => eq_chain(base, v),
+    })
 }
 
 /// The `A ≤ le` chain (lines 4–8 of the listing).
-fn le_plan(base: &Base, le: u32) -> Plan {
+fn le_chain(base: &Base, le: u32) -> Term {
     let digits = digits_of(base, le);
-    let mut plan = Plan::default();
+    let mut chain = Term::default();
 
     // v_1 = b_1 − 1: B_1^{v_1} is the unstored all-ones bitmap.
     if digits[0] < base.component(1) - 1 {
-        plan.seed = Some((1, digits[0] as usize));
+        chain.seed = Some(Operand::Slot(1, digits[0] as usize));
     }
     for i in 2..=base.n_components() {
         let vi = digits[i - 1];
         if vi != base.component(i) - 1 {
-            plan.steps.push(FoldStep::And((i, vi as usize)));
+            chain
+                .steps
+                .push(FoldStep::And(Operand::Slot(i, vi as usize)));
         }
         if vi != 0 {
-            plan.steps.push(FoldStep::Or((i, vi as usize - 1)));
+            chain
+                .steps
+                .push(FoldStep::Or(Operand::Slot(i, vi as usize - 1)));
         }
     }
-    plan
+    chain
 }
 
 /// The `A = v` chain (lines 10–13 of the listing). `B` starts as the
@@ -78,21 +72,22 @@ fn le_plan(base: &Base, le: u32) -> Plan {
 /// `B_i^{v_i} ⊕ B_i^{v_i−1}` in between, derived inside the pass — so
 /// exactly `n` ANDs are charged, plus one NOT per top digit and one XOR
 /// per interior digit.
-fn eq_plan(base: &Base, v: u32) -> Plan {
+fn eq_chain(base: &Base, v: u32) -> Term {
     let digits = digits_of(base, v);
-    let mut plan = Plan::default();
+    let mut chain = Term::default();
     for i in 1..=base.n_components() {
         let bi = base.component(i);
         let vi = digits[i - 1] as usize;
-        plan.steps.push(if vi == 0 {
-            FoldStep::And((i, 0))
+        let slot = |j| Operand::Slot(i, j);
+        chain.steps.push(if vi == 0 {
+            FoldStep::And(slot(0))
         } else if vi == bi as usize - 1 {
-            FoldStep::AndNot((i, vi - 1))
+            FoldStep::AndNot(slot(vi - 1))
         } else {
-            FoldStep::AndXor((i, vi), (i, vi - 1))
+            FoldStep::AndXor(slot(vi), slot(vi - 1))
         });
     }
-    plan
+    chain
 }
 
 #[cfg(test)]
@@ -100,7 +95,8 @@ mod tests {
     use super::*;
     use crate::encoding::{Encoding, IndexSpec};
     use crate::error::Result;
-    use crate::eval::{evaluate_chain, evaluate_predicate, naive, Algorithm};
+    use crate::eval::tests::evaluate_predicate;
+    use crate::eval::{naive, reduce, Algorithm, Reduced};
     use crate::exec::ExecContext;
     use crate::index::{BitmapIndex, BitmapSource};
     use bindex_bitvec::kernels::Fold;
@@ -123,16 +119,23 @@ mod tests {
         ctx: &mut ExecContext<'_, S>,
         query: SelectionQuery,
     ) -> Result<BitVec> {
-        evaluate_chain(ctx, query, |ctx, chain| {
-            let found = match chain {
-                Chain::Le(v) => le_chain_pairwise(ctx, v),
-                Chain::Eq(v) => eq_chain_pairwise(ctx, v),
-            }?;
-            Ok(Fold {
-                seed: Some(Arc::new(found)),
-                ..Fold::default()
-            })
-        })
+        let mut program = match reduce(query) {
+            Reduced::Empty => return Ok(BitVec::zeros(ctx.view_len())),
+            Reduced::NonNull => Fold::default(),
+            Reduced::Chain(chain, complement) => {
+                let found = match chain {
+                    Chain::Le(v) => le_chain_pairwise(ctx, v),
+                    Chain::Eq(v) => eq_chain_pairwise(ctx, v),
+                }?;
+                Fold {
+                    seed: Some(Arc::new(found)),
+                    complement,
+                    ..Fold::default()
+                }
+            }
+        };
+        program.mask = ctx.fetch_nn()?;
+        Ok(ctx.fold(&program))
     }
 
     /// `acc` updated by at most one operator, as a fold of its own.

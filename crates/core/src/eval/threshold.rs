@@ -37,8 +37,7 @@ use bindex_bitvec::BitVec;
 use bindex_relation::query::ThresholdQuery;
 
 use crate::error::{Error, Result};
-use crate::eval::{evaluate_predicate, Algorithm};
-use crate::exec::ExecContext;
+use crate::exec::{ExecContext, Program, Sink};
 use crate::index::BitmapSource;
 
 /// Validates a threshold query, converting a malformed one into the
@@ -47,30 +46,33 @@ pub fn validate(query: &ThresholdQuery) -> Result<()> {
     query.validate().map_err(Error::InvalidQuery)
 }
 
-/// One (validated) threshold at the context's current width — the whole
-/// relation or the current segment's window; the evaluator's entry points
-/// in [`crate::eval`] drive it. `charging` is `true` when this run must
-/// execute the full data-independent op sequence (whole mode, or
-/// segment 0); only non-charging runs may take the early exits.
+/// One (validated) threshold — at least `k` of the `predicates`' programs
+/// — at the context's current width, driven by the entry points in
+/// [`crate::eval`]. `charging` is `true` when this run must execute the
+/// full data-independent op sequence (whole mode, or segment 0); only
+/// non-charging runs may take the early exits.
 ///
-/// Each predicate foundset costs whatever the underlying evaluator
-/// charges; the combine then costs `N − 1`
+/// Each predicate foundset costs what its program charges; the combine
+/// then costs `N − 1`
 /// [`EvalStats::threshold_combines`](crate::exec::EvalStats::threshold_combines)
 /// — except the exact-plan degenerations: a single predicate is evaluated
 /// directly, `k = 1` charges `N − 1` ORs, and `k = N` charges `N − 1` ANDs,
 /// exactly as if the caller had asked for the disjunction or conjunction.
 pub(crate) fn evaluate_window<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
-    query: &ThresholdQuery,
-    algorithm: Algorithm,
+    predicates: &[Program],
+    k: usize,
     charging: bool,
 ) -> Result<BitVec> {
-    let n = query.predicates.len();
-    let k = query.k as usize;
+    let predicate = |ctx: &mut ExecContext<'_, S>, p: &Program| {
+        let found = ctx.run(p, Sink::Keep)?.into_repr();
+        Ok::<_, Error>(ctx.materialize(found))
+    };
+    let n = predicates.len();
     if n == 1 {
         // A single-predicate threshold (k must be 1 post-validation) is
         // exactly that predicate.
-        return evaluate_predicate(ctx, query.predicates[0], algorithm);
+        return predicate(ctx, &predicates[0]);
     }
     let window = ctx.view_len();
     let mut found: Vec<BitVec> = Vec::with_capacity(n);
@@ -81,7 +83,7 @@ pub(crate) fn evaluate_window<S: BitmapSource>(
     // way.
     let mut live = 0usize;
     let mut saturated = 0usize;
-    for (i, &p) in query.predicates.iter().enumerate() {
+    for (i, p) in predicates.iter().enumerate() {
         if !charging {
             if live + (n - i) < k {
                 // Even if every remaining predicate matched every row,
@@ -95,7 +97,7 @@ pub(crate) fn evaluate_window<S: BitmapSource>(
                 return Ok(BitVec::ones(window));
             }
         }
-        let f = evaluate_predicate(ctx, p, algorithm)?;
+        let f = predicate(ctx, p)?;
         if !charging {
             let ones = f.count_ones();
             if ones > 0 {
@@ -133,7 +135,7 @@ mod tests {
     use super::*;
     use crate::base::Base;
     use crate::encoding::{Encoding, IndexSpec};
-    use crate::eval::{evaluate, evaluate_segmented_in};
+    use crate::eval::{evaluate, evaluate_segmented_in, Algorithm};
     use crate::exec::EvalStats;
     use crate::index::BitmapIndex;
     use bindex_relation::query::{Op, SelectionQuery};

@@ -112,19 +112,127 @@ impl EvalStats {
     }
 }
 
-/// Default segment size of segment-at-a-time execution, in bits: 32 KiB
-/// of bitmap (4096 words), chosen by the `ext_segmented_exec` sweep —
-/// small enough that one accumulator plus a handful of operand segments
-/// stay cache-resident, large enough that per-segment overhead (operator
-/// re-dispatch, window bookkeeping) is amortized to noise. Callers choose
-/// another with `engine::batch::BatchOptions::with_segment_bits`.
+/// The reference segment size of the `ext_segmented_exec` sweep, in bits:
+/// 32 KiB of bitmap (4096 words) — small enough that one accumulator plus
+/// a handful of operand segments stay cache-resident, large enough that
+/// per-segment overhead (operator re-dispatch, window bookkeeping) is
+/// amortized to noise. It is no default: batch evaluation is whole-bitmap
+/// unless `engine::batch::BatchOptions::with_segment_bits` says otherwise,
+/// and a served index windows at its `IndexTuning`'s `1 << 16`.
 pub const DEFAULT_SEGMENT_BITS: usize = 1 << 18;
 
-/// The operator chain of one query (or of one sub-chain of it), over the
-/// `(component, slot)` addresses of the stored bitmaps it reads. It is a
-/// function of the query's digits and the base alone; the bitmaps are
-/// fetched by [`ExecContext::run_plan`], in program order.
-pub(crate) type Plan = Fold<(usize, usize)>;
+/// One operand of a [`Program`] term.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Operand {
+    /// Stored bitmap `slot` of component `comp` (1-based): `Slot(comp, slot)`.
+    Slot(usize, usize),
+    /// The result of an earlier term of the same program, by its index.
+    Term(usize),
+    /// `B_nn`; on an index without nulls it is all ones, and a seed or a
+    /// mask of all ones drops out of its fold.
+    Nn,
+    /// The all-zero bitmap.
+    #[default]
+    Zeros,
+}
+
+/// One term of a [`Program`]: a fold over operands.
+pub(crate) type Term = Fold<Operand>;
+
+/// A selection's whole evaluation as straight-line code over slot
+/// addresses. The evaluators' control flow depends on the query's digits,
+/// the base and the encoding alone, so each evaluator's builder is a pure
+/// function of those, and [`ExecContext::run`] is the one code that
+/// fetches the slots and runs the terms.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Program {
+    /// The terms, in the order they run; a term names only earlier terms.
+    pub(crate) terms: Vec<Term>,
+    /// The foundset: a term, or all zeros (`A < 0`, and RangeEval's
+    /// untouched `B_LT`/`B_GT`).
+    pub(crate) answer: Operand,
+    /// Whether the answer term may take the WAH fold and come back
+    /// compressed, as a selection's whole evaluation; else it is dense.
+    pub(crate) compressible: bool,
+}
+
+impl Program {
+    /// Appends `term` and returns the operand that names its result.
+    pub(crate) fn push(&mut self, term: Term) -> Operand {
+        self.terms.push(term);
+        Operand::Term(self.terms.len() - 1)
+    }
+}
+
+/// What [`ExecContext::run`] keeps of an answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Sink {
+    /// The foundset.
+    Keep,
+    /// Its cardinality: an answer that is the last term is counted as it
+    /// is folded ([`kernels::fold_count`]), and no foundset is written.
+    Count,
+}
+
+/// A program's answer, as [`ExecContext::run`] leaves it.
+#[derive(Debug)]
+pub(crate) enum Answer {
+    /// Dense words at the current width.
+    Dense(BitVec),
+    /// The whole relation, in the WAH domain.
+    Wah(wah::WahBitmap),
+    /// The cardinality alone.
+    Count(usize),
+}
+
+impl Answer {
+    /// The number of rows in the answer.
+    pub(crate) fn count_ones(&self) -> usize {
+        match self {
+            Answer::Dense(found) => found.count_ones(),
+            Answer::Wah(found) => found.count_ones(),
+            Answer::Count(n) => *n,
+        }
+    }
+
+    /// The foundset in the representation the run produced.
+    ///
+    /// # Panics
+    /// Panics on a count, which keeps no foundset.
+    pub(crate) fn into_repr(self) -> Repr {
+        match self {
+            Answer::Dense(found) => Repr::literal(found),
+            Answer::Wah(found) => Repr::wah(found),
+            Answer::Count(_) => unreachable!("a count keeps no foundset"),
+        }
+    }
+}
+
+/// `term` with every operand bound by `f`, in program order — seed, steps,
+/// mask. `f` answers `None` for the all-ones `B_nn` of an index without
+/// nulls, which drops out of the seed and the mask.
+///
+/// # Panics
+/// Panics if a step names `B_nn` and the index has none.
+fn bind<T, E>(
+    term: &Term,
+    mut f: impl FnMut(Operand) -> std::result::Result<Option<T>, E>,
+) -> std::result::Result<Fold<T>, E> {
+    let bound = term.try_map(|&op| f(op))?;
+    let operand = |b: Option<T>| b.expect("B_nn is a seed or a mask");
+    let steps = bound.steps.into_iter().map(|step| match step {
+        FoldStep::And(b) => FoldStep::And(operand(b)),
+        FoldStep::Or(b) => FoldStep::Or(operand(b)),
+        FoldStep::AndNot(b) => FoldStep::AndNot(operand(b)),
+        FoldStep::AndXor(a, b) => FoldStep::AndXor(operand(a), operand(b)),
+    });
+    Ok(Fold {
+        seed: bound.seed.flatten(),
+        steps: steps.collect(),
+        complement: bound.complement,
+        mask: bound.mask.flatten(),
+    })
+}
 
 /// A compressed operand takes part in the compressed-domain fold only if
 /// it is at most 1/16 of its literal size — the one compressed-vs-dense
@@ -468,12 +576,9 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         std::mem::take(&mut self.stats)
     }
 
-    /// Width in bits of the bitmaps the evaluators should build: the
-    /// current segment's window under segmented execution, the full row
-    /// count otherwise. Every bitmap an evaluator makes itself
-    /// ([`BitVec::ones`], [`BitVec::zeros`]) must use this length so the
-    /// fused kernels see consistent operands; [`ExecContext::fold`]
-    /// returns it.
+    /// Width in bits of the current evaluation: the current segment's
+    /// window under segmented execution, the full row count otherwise —
+    /// what [`ExecContext::fold`] returns.
     pub fn view_len(&self) -> usize {
         self.seg.as_ref().map_or(self.n_rows(), |s| s.hi - s.lo)
     }
@@ -923,25 +1028,6 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         Some(kernel(&windowed))
     }
 
-    /// [`ExecContext::fold`] over whole compressed operands
-    /// ([`wah::fold`]): the same charges, every one of them also counted
-    /// in [`EvalStats::compressed_ops`], and a compressed result — nothing
-    /// is decoded.
-    ///
-    /// # Panics
-    /// Panics on mismatched operand lengths, or under segmented execution
-    /// (a compressed operand has no window).
-    pub fn fold_wah<W: Borrow<wah::WahBitmap>>(&mut self, program: &Fold<W>) -> wah::WahBitmap {
-        assert!(
-            self.seg.is_none(),
-            "the compressed fold operates on whole bitmaps"
-        );
-        let before = self.stats.total_ops();
-        self.charge_fold(program);
-        self.stats.compressed_ops += self.stats.total_ops() - before;
-        wah::fold(self.n_rows(), &program.map(|w| w.borrow()))
-    }
-
     /// What a [`Fold`] costs spelled out operator by operator — the one
     /// place both representations are charged from.
     fn charge_fold<T>(&mut self, program: &Fold<T>) {
@@ -963,107 +1049,110 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         self.stats.ands += usize::from(program.mask.is_some());
     }
 
-    /// Fetches the stored bitmaps `plan` names and runs it: folded in the
-    /// WAH domain over whole bitmaps ([`ExecContext::fold_wah`]) when every
-    /// operand is served compressed at no more than 1/16 of its literal
-    /// size, no delta overlay is attached and execution is not segmented;
-    /// else over dense words at the context's current width
-    /// ([`ExecContext::fold`]). `masked` ANDs `B_nn` in last — a query's
-    /// whole evaluation; a sub-chain of a larger one leaves the mask to its
-    /// caller. This is the only way a compressed operand reaches a kernel,
-    /// and the 1/16 the only rule that decides it.
-    pub fn run_plan(&mut self, plan: &Fold<(usize, usize)>, masked: bool) -> Result<Repr> {
-        Ok(match self.fold_plan_wah(plan, masked, false)? {
-            Some(found) => Repr::wah(found),
-            None => Repr::literal(self.fold_plan(plan, masked)?),
+    /// Runs `program` at the current width and returns its answer. Terms
+    /// run in order, their slots fetched in program order through the
+    /// per-query cache. A term that may take the WAH fold
+    /// ([`ExecContext::fold_term_wah`]) and does is decoded for the terms
+    /// after it — or, as a compressible program's answer, comes back
+    /// compressed; every other term is one [`ExecContext::fold`]. An answer
+    /// that is the last term is counted as it is folded under
+    /// [`Sink::Count`]; an earlier one is handed back with no further fold.
+    pub(crate) fn run(&mut self, program: &Program, sink: Sink) -> Result<Answer> {
+        let mut done: Vec<Arc<BitVec>> = Vec::new();
+        for (k, term) in program.terms.iter().enumerate() {
+            let answer = program.answer == Operand::Term(k);
+            if !answer || program.compressible {
+                if let Some(found) = self.fold_term_wah(term, false)? {
+                    if answer {
+                        return Ok(Answer::Wah(found));
+                    }
+                    done.push(Arc::new(self.materialize(Repr::wah(found))));
+                    continue;
+                }
+            }
+            let fold = bind(term, |op| self.dense_operand(op, &done))?;
+            if answer && k + 1 == program.terms.len() {
+                return Ok(match sink {
+                    Sink::Keep => Answer::Dense(self.fold(&fold)),
+                    Sink::Count => Answer::Count(self.fold_count(&fold)),
+                });
+            }
+            done.push(Arc::new(self.fold(&fold)));
+        }
+        let found = self.dense_operand(program.answer, &done)?;
+        drop(done);
+        let found = found.expect("an answer is a term or the zeros");
+        Ok(Answer::Dense(Arc::unwrap_or_clone(found)))
+    }
+
+    /// Operand `op` over dense words at the current width: a stored slot
+    /// through the fetch cache, an earlier term's result from `done`,
+    /// `B_nn` (`None` when the index has none) or zeros.
+    fn dense_operand(&mut self, op: Operand, done: &[Arc<BitVec>]) -> Result<Option<Arc<BitVec>>> {
+        Ok(match op {
+            Operand::Slot(comp, slot) => Some(self.fetch(comp, slot)?),
+            Operand::Term(k) => Some(Arc::clone(&done[k])),
+            Operand::Nn => self.fetch_nn()?,
+            Operand::Zeros => Some(Arc::new(BitVec::zeros(self.view_len()))),
         })
     }
 
-    /// `plan` over dense words in a single pass ([`ExecContext::fold`]),
-    /// at the context's current width.
-    pub(crate) fn fold_plan(&mut self, plan: &Plan, masked: bool) -> Result<BitVec> {
-        let mut chain = self.fetch_plan(plan)?;
-        if masked {
-            chain.mask = self.fetch_nn()?;
-        }
-        Ok(self.fold(&chain))
-    }
-
-    /// A whole evaluation's `plan`, `B_nn` ANDed in last, counted over
-    /// dense words at the context's current width
-    /// ([`ExecContext::fold_count`]): the reads and charges of
-    /// [`ExecContext::fold_plan`], and no foundset.
-    pub(crate) fn count_plan(&mut self, plan: &Plan) -> Result<usize> {
-        let mut chain = self.fetch_plan(plan)?;
-        chain.mask = self.fetch_nn()?;
-        Ok(self.fold_count(&chain))
-    }
-
-    /// `plan` over the dense bitmaps of the slots it names, fetched in
-    /// program order — a chain the caller finishes before it runs it.
-    pub(crate) fn fetch_plan(&mut self, plan: &Plan) -> Result<Fold<Arc<BitVec>>> {
-        plan.try_map(|&(comp, slot)| self.fetch(comp, slot))
-    }
-
-    /// Whether a plan may be folded over whole compressed bitmaps at all:
-    /// not under segmented execution (a compressed operand has no window)
-    /// and not with a delta overlay attached (its rows exist only as dense
-    /// words).
-    pub(crate) fn folds_whole_bitmaps(&self) -> bool {
-        self.seg.is_none() && self.overlay.is_none()
-    }
-
-    /// `plan` in the WAH domain ([`ExecContext::fold_wah`]) when that is
-    /// possible and worth it: [`ExecContext::folds_whole_bitmaps`], and
-    /// every operand — `B_nn` included — served compressed within
-    /// [`WAH_FOLD_MAX_RATIO`]. `windowed_fallback` says the caller
-    /// evaluates window by window if this declines: pruning then never
-    /// reads a slot the summaries prove all zeros or all ones over the
-    /// whole relation, which no fold of runs can beat, so a plan naming one
-    /// is left to it. `Ok(None)` declines. Operands are fetched in the
-    /// order the dense evaluation fetches them and the walk stops at the
-    /// first one that rules the fold out, so declining costs no read that
-    /// evaluation would not have made — what was fetched stays in the
-    /// per-query cache.
-    pub(crate) fn fold_plan_wah(
+    /// `term` over whole compressed operands ([`wah::fold`]) — the only way
+    /// a compressed operand reaches a kernel, and the one rule that decides
+    /// it: not under segmented execution (a compressed operand has no
+    /// window), no overlay (its rows exist only as dense words), and every
+    /// operand a stored slot or `B_nn` served compressed at no more than
+    /// 1/16 of its literal size ([`WAH_FOLD_MAX_RATIO`]). The charges are
+    /// [`ExecContext::fold`]'s, each also counted in
+    /// [`EvalStats::compressed_ops`]. With `windowed_fallback` the caller
+    /// walks windows if this declines (`Ok(None)`), where pruning reads no
+    /// slot the summaries prove constant, so a term naming one is left to
+    /// it. The walk stops at the first operand that rules the fold out, so
+    /// declining costs no read the dense fold would not have made.
+    pub(crate) fn fold_term_wah(
         &mut self,
-        plan: &Plan,
-        masked: bool,
+        term: &Term,
         windowed_fallback: bool,
     ) -> Result<Option<wah::WahBitmap>> {
-        if !self.folds_whole_bitmaps() {
+        if self.seg.is_some() || self.overlay.is_some() {
             return Ok(None);
         }
-        // `Err(None)` declines, `Err(Some(_))` is a failed fetch.
-        let foldable = |repr: Repr| match repr {
-            Repr::Wah(w) if w.compressed_bytes() * 8 * WAH_FOLD_MAX_RATIO <= w.len() => Ok(w),
-            _ => Err(None::<Error>),
-        };
         let n_rows = self.n_rows();
-        let chain = plan.try_map(|&(comp, slot)| {
-            if windowed_fallback && self.proven_constant(comp, slot, 0, n_rows).is_some() {
-                return Err(None);
+        // `Err(None)` declines, `Err(Some(_))` is a failed fetch.
+        let bound = bind(term, |op| {
+            let repr = match op {
+                Operand::Slot(comp, slot) => {
+                    if windowed_fallback && self.proven_constant(comp, slot, 0, n_rows).is_some() {
+                        return Err(None);
+                    }
+                    self.fetch_repr(comp, slot).map_err(Some)?
+                }
+                Operand::Nn => match self.fetch_nn_repr().map_err(Some)? {
+                    Some(nn) => nn,
+                    None => return Ok(None),
+                },
+                Operand::Term(_) | Operand::Zeros => return Err(None),
+            };
+            match repr {
+                Repr::Wah(w) if w.compressed_bytes() * 8 * WAH_FOLD_MAX_RATIO <= w.len() => {
+                    Ok(Some(w))
+                }
+                _ => Err(None),
             }
-            foldable(self.fetch_repr(comp, slot).map_err(Some)?)
         });
-        let mut chain: Fold<Arc<wah::WahBitmap>> = match chain {
+        let chain = match bound {
             Ok(chain) => chain,
             Err(None) => return Ok(None),
             Err(Some(e)) => return Err(e),
         };
-        if masked {
-            if let Some(nn) = self.fetch_nn_repr()? {
-                match foldable(nn) {
-                    Ok(nn) => chain.mask = Some(nn),
-                    Err(_) => return Ok(None),
-                }
-            }
-        }
         // `A ≥ 0` without nulls reads nothing: there is no operand to judge by.
         if chain.seed.is_none() && chain.steps.is_empty() && chain.mask.is_none() {
             return Ok(None);
         }
-        Ok(Some(self.fold_wah(&chain)))
+        let before = self.stats.total_ops();
+        self.charge_fold(&chain);
+        self.stats.compressed_ops += self.stats.total_ops() - before;
+        Ok(Some(wah::fold(n_rows, &chain.map(|w| &**w))))
     }
 
     /// Counted k-ary threshold: a fresh bitmap with bit `r` set when at

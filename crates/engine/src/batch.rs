@@ -49,6 +49,19 @@ use bindex_relation::query::{Query, SelectionQuery, ThresholdQuery};
 /// time on per-segment bookkeeping than on bit operations.
 pub const MIN_SEGMENT_BITS: usize = 512;
 
+/// The one segment-size rule: a power of two of at least
+/// [`MIN_SEGMENT_BITS`]. Another size is [`Error::Infeasible`];
+/// [`BatchOptions::with_segment_bits`] panics on it.
+pub fn check_segment_bits(bits: usize) -> Result<()> {
+    if bits.is_power_of_two() && bits >= MIN_SEGMENT_BITS {
+        Ok(())
+    } else {
+        Err(Error::Infeasible(format!(
+            "segment size must be a power of two >= {MIN_SEGMENT_BITS} bits, got {bits}"
+        )))
+    }
+}
+
 /// A wall-clock cut-off for a workload — now defined in `bindex-core`
 /// (see [`bindex_core::Deadline`]) so segment-at-a-time evaluation can
 /// check it between segments, and re-exported here where it has always
@@ -277,12 +290,12 @@ impl BatchOptions {
     ///
     /// # Panics
     /// Panics unless `bits` is a power of two of at least
-    /// [`MIN_SEGMENT_BITS`]; check a value from outside first.
+    /// [`MIN_SEGMENT_BITS`]; check a value from outside first
+    /// ([`check_segment_bits`]).
     pub fn with_segment_bits(mut self, bits: usize) -> Self {
-        assert!(
-            bits.is_power_of_two() && bits >= MIN_SEGMENT_BITS,
-            "segment size must be a power of two >= {MIN_SEGMENT_BITS} bits, got {bits}"
-        );
+        if let Err(e) = check_segment_bits(bits) {
+            panic!("{e}");
+        }
         self.segment_bits = Some(bits);
         self
     }
@@ -469,8 +482,8 @@ pub enum Sink {
     /// The foundset, in the representation evaluation produced
     /// ([`evaluate_repr_in`]).
     Keep,
-    /// Its cardinality alone ([`count_in`]): a selection whose whole
-    /// evaluation is one plan writes no foundset at all.
+    /// Its cardinality alone ([`count_in`]): a selection writes no
+    /// foundset at all.
     Count,
 }
 

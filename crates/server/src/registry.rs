@@ -19,10 +19,10 @@ use std::time::Duration;
 use bindex::compress::Repr;
 use bindex::core::eval::{validate, Algorithm};
 use bindex::core::{Deadline, EvalStats};
-use bindex::engine::batch::{evaluate_query, BatchOptions, QueryOutcome, Sink, MIN_SEGMENT_BITS};
+use bindex::engine::batch::{check_segment_bits, evaluate_query, BatchOptions, QueryOutcome, Sink};
 use bindex::relation::query::SelectionQuery;
 use bindex::storage::{ByteStore, RepairReport, ShardedPool, SharedIndexReader, StoredIndex};
-use bindex::stored::storage_error;
+use bindex::stored::{check_recovery_inputs, storage_error};
 use bindex::{
     scrub_and_repair_index, BitVec, Column, Error, IndexSpec, IngestIndex, IngestOptions,
     RecoveryPolicy, SharedSource,
@@ -130,11 +130,11 @@ pub struct ServedIndex {
 impl ServedIndex {
     /// Opens the stored index in `store` and wraps it for serving.
     /// `spec` must be the layout the index was written with and
-    /// `tuning.segment_bits` a power of two of at least
-    /// [`MIN_SEGMENT_BITS`] (both validated here, so query-time
-    /// construction cannot fail); `column` and `null_mask` feed
-    /// reconstruction and repair when present, and must cover the stored
-    /// index's rows exactly (also validated here).
+    /// `tuning.segment_bits` a size [`check_segment_bits`] accepts (both
+    /// validated here, so query-time construction cannot fail); `column`
+    /// and `null_mask` feed reconstruction and repair when present, and
+    /// must cover the stored index's rows exactly
+    /// ([`check_recovery_inputs`], also here).
     pub fn new(
         name: impl Into<String>,
         spec: IndexSpec,
@@ -145,12 +145,7 @@ impl ServedIndex {
     ) -> Result<Self, Error> {
         // `BatchOptions::with_segment_bits` asserts this on every query —
         // on the connection thread, outside any `catch_unwind`.
-        if !(tuning.segment_bits.is_power_of_two() && tuning.segment_bits >= MIN_SEGMENT_BITS) {
-            return Err(Error::Infeasible(format!(
-                "segment size must be a power of two >= {MIN_SEGMENT_BITS} bits, got {}",
-                tuning.segment_bits
-            )));
-        }
+        check_segment_bits(tuning.segment_bits)?;
         let stored = StoredIndex::open(store).map_err(storage_error)?;
         let reader = if tuning.pool_capacity > 0 {
             SharedIndexReader::with_pool(stored, ShardedPool::new(tuning.pool_capacity, 8))
@@ -159,20 +154,7 @@ impl ServedIndex {
         };
         // Validate the layout once, while we hold the only reference.
         SharedSource::try_new(&reader, spec.clone())?;
-        // Reconstruction rebuilds a slot from the column: one of another
-        // length would hand the kernels a bitmap of another length.
-        let n_rows = reader.meta().n_rows;
-        let lengths = [
-            ("column", column.as_ref().map(|c| c.len())),
-            ("null mask", null_mask.as_ref().map(BitVec::len)),
-        ];
-        for (what, len) in lengths {
-            if let Some(len) = len.filter(|&len| len != n_rows) {
-                return Err(Error::Infeasible(format!(
-                    "recovery {what} has {len} rows, the stored index has {n_rows}"
-                )));
-            }
-        }
+        check_recovery_inputs(reader.meta().n_rows, column.as_deref(), null_mask.as_ref())?;
         let cardinality = match &column {
             Some(c) => c.cardinality(),
             // Anything the base can decompose is admissible.

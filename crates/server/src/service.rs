@@ -13,7 +13,7 @@
 //! checks between windows. Admission is *offered*, never waited for: with
 //! every permit held the reply is an immediate typed `Overloaded`, which
 //! is the load-shedding contract. A count request runs through the count
-//! sink — a one-plan selection ends in a popcount and writes no foundset —
+//! sink — a selection ends in a popcount and writes no foundset —
 //! and a bitmap request through the keep sink.
 //!
 //! Drain ([`Server::shutdown`]) is a strict sequence: stop admitting (a

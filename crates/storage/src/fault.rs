@@ -127,15 +127,6 @@ impl FaultPlan {
         self.push(pattern, FaultKind::BitFlip, 1, None)
     }
 
-    /// The first `count` reads of files whose name contains `pattern`
-    /// return data with one seeded bit flipped; after the budget is spent
-    /// reads are clean again. This models a corrupted-then-repaired store:
-    /// chaos stages use it so that a later scrub-and-repair pass (which
-    /// rewrites the files) leaves the store genuinely healthy.
-    pub fn with_bit_flips(self, pattern: &str, count: u64) -> Self {
-        self.push(pattern, FaultKind::BitFlip, 1, Some(count))
-    }
-
     /// Every read of files whose name contains `pattern` returns only the
     /// first `keep` bytes.
     pub fn with_truncated_reads(self, pattern: &str, keep: usize) -> Self {
