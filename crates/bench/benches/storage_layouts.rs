@@ -4,8 +4,10 @@
 //! stages of one verified literal-slot read (`crc32`, bytes↔words, and
 //! the whole uncached `read_repr`), each as bytes per second over one
 //! 256 KiB slot so they compare with the `bitvec_ops` memcpy/AND rows;
-//! `crc32` also at 1 KiB to 1 MiB, where its lane constants are measured;
-//! and one buffer-pool hit (`pool_hit`).
+//! `crc32` also at 1 KiB to 1 MiB, where its lane constants and its fold
+//! (64-bit words XORed forward through the multiple `x^(64·300) +
+//! x^(64·155) + x^(64·117) + x^(64·89) + 1` of the polynomial, from
+//! 4,800 bytes up) are measured; and one buffer-pool hit (`pool_hit`).
 
 use bindex::compress::{CodecKind, Repr};
 use bindex::relation::gen;
@@ -97,14 +99,18 @@ fn bench_verified_read(c: &mut Criterion) {
     let bytes = bm.to_bytes();
     let per_iter = Throughput::Bytes(bytes.len() as u64);
 
-    // Both sides of the checksum's one-lane threshold, the slot, and a
-    // buffer past L2: the sizes its two private constants are read from.
+    // Both sides of the checksum's one-lane threshold and of its fold
+    // threshold, the slot, and a buffer past L2: the sizes its private
+    // constants are read from.
     let mebibyte = [bytes.as_slice(); 4].concat();
     let mut g = c.benchmark_group("crc32");
     for (name, len) in [
         ("1KiB", 1 << 10),
         ("4KiB", 1 << 12),
+        ("8KiB", 1 << 13),
+        ("16KiB", 1 << 14),
         ("32KiB", 1 << 15),
+        ("64KiB", 1 << 16),
         ("256KiB", 1 << 18),
         ("1MiB", 1 << 20),
     ] {

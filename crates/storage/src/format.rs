@@ -140,6 +140,38 @@ mod tests {
         }
     }
 
+    /// One flipped bit is a `ChecksumMismatch` wherever the checksum's
+    /// fold treats it differently: the first byte, a word at each multiple
+    /// of its 300-word span, the last folded word, a word of the 300 it
+    /// leaves standing, and the tail under one word.
+    #[test]
+    fn detects_a_flipped_bit_wherever_the_checksum_folds() {
+        const SPAN_BYTES: usize = 300 * 8;
+        for len in [1 << 16, (1 << 18) + 3] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 131 + i / 251) as u8).collect();
+            let framed = frame(&payload);
+            let folded_bytes = (len / 8 - 300) * 8;
+            let mut places = vec![0];
+            places.extend(
+                (SPAN_BYTES..folded_bytes)
+                    .step_by(SPAN_BYTES)
+                    .map(|at| at + 5),
+            );
+            places.extend([folded_bytes - 8, folded_bytes + 1234, len - 1]);
+            for at in places {
+                let mut bad = framed.clone();
+                bad[HEADER_LEN + at] ^= 1 << (at % 8);
+                assert!(
+                    matches!(
+                        unframe("t", &bad),
+                        Err(StorageError::ChecksumMismatch { .. })
+                    ),
+                    "len {len}: flip at byte {at} undetected"
+                );
+            }
+        }
+    }
+
     #[test]
     fn detects_truncation() {
         let framed = frame(&[7u8; 64]);

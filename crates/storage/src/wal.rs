@@ -208,7 +208,7 @@ pub fn replay(bytes: &[u8]) -> Result<WalReplay, StorageError> {
                 truncated: false,
             });
         }
-        let Some(record_len) = validate_record(rest, last_seq) else {
+        let Some((record_len, op)) = validate_record(rest, last_seq) else {
             // Torn or corrupt tail: stop at the last good record.
             return Ok(WalReplay {
                 records,
@@ -217,19 +217,16 @@ pub fn replay(bytes: &[u8]) -> Result<WalReplay, StorageError> {
             });
         };
         let seq = u64::from_le_bytes(rest[4..12].try_into().unwrap());
-        let payload = &rest[WAL_RECORD_HEADER_LEN..record_len];
-        // validate_record decoded this payload already.
-        let op = decode_payload(payload).expect("validated payload");
         records.push(WalRecord { seq, op });
         last_seq = Some(seq);
         offset += record_len;
     }
 }
 
-/// Checks one record at the head of `rest`; returns its total length
-/// when every check passes (frame complete, magic, checksum, payload
-/// decodes, sequence increases).
-fn validate_record(rest: &[u8], last_seq: Option<u64>) -> Option<usize> {
+/// Checks one record at the head of `rest`; returns its total length and
+/// decoded operation when every check passes (frame complete, magic,
+/// checksum, payload decodes, sequence increases).
+fn validate_record(rest: &[u8], last_seq: Option<u64>) -> Option<(usize, WalOp)> {
     if rest.len() < WAL_RECORD_HEADER_LEN || &rest[..4] != RECORD_MAGIC {
         return None;
     }
@@ -244,10 +241,10 @@ fn validate_record(rest: &[u8], last_seq: Option<u64>) -> Option<usize> {
         return None;
     }
     let payload = &rest[WAL_RECORD_HEADER_LEN..total];
-    if crc32(payload) != expected_crc || decode_payload(payload).is_none() {
+    if crc32(payload) != expected_crc {
         return None;
     }
-    Some(total)
+    Some((total, decode_payload(payload)?))
 }
 
 #[cfg(test)]
