@@ -97,6 +97,21 @@ fn bench(c: &mut Criterion) {
     let wide: Vec<BitVec> = (0..6)
         .map(|seed| BitVec::from_fn(FOLD_BITS, |i| (i * 2654435761 + seed) % 7 < 3))
         .collect();
+    let le_chain = |fan_in: usize| Fold {
+        seed: Some(&wide[0]),
+        steps: wide[1..fan_in]
+            .iter()
+            .enumerate()
+            .map(|(k, op)| {
+                if k % 2 == 0 {
+                    FoldStep::And(op)
+                } else {
+                    FoldStep::Or(op)
+                }
+            })
+            .collect(),
+        ..Fold::default()
+    };
     let mut f = c.benchmark_group("fold");
     for fan_in in 2..=6 {
         f.throughput(Throughput::Bytes(((fan_in + 1) * FOLD_BITS / 8) as u64));
@@ -113,25 +128,27 @@ fn bench(c: &mut Criterion) {
                 black_box(acc)
             })
         });
-        let program = Fold {
-            seed: Some(&wide[0]),
-            steps: wide[1..fan_in]
-                .iter()
-                .enumerate()
-                .map(|(k, op)| {
-                    if k % 2 == 0 {
-                        FoldStep::And(op)
-                    } else {
-                        FoldStep::Or(op)
-                    }
-                })
-                .collect(),
-            ..Fold::default()
-        };
+        let program = le_chain(fan_in);
         f.bench_function(format!("le_chain_{fan_in}_fold"), |bench| {
             bench.iter(|| black_box(kernels::fold(FOLD_BITS, black_box(&program))))
         });
     }
+    // The batch shape: 400 results alive at once (400 MiB), then all
+    // dropped, as a 400-query `batch_scan` batch holds its foundsets.
+    // `le_chain_*_fold` drops each result before the next fold, so the
+    // allocator recycles its memory; here each fold writes 256 pages the
+    // previous iteration unmapped, unless the spare list kept them.
+    const BATCH: usize = 400;
+    let program = le_chain(5);
+    f.throughput(Throughput::Bytes((BATCH * 6 * FOLD_BITS / 8) as u64));
+    f.bench_function(format!("le_chain_5_fold_batch_{BATCH}"), |bench| {
+        bench.iter(|| {
+            let results: Vec<BitVec> = (0..BATCH)
+                .map(|_| kernels::fold(FOLD_BITS, black_box(&program)))
+                .collect();
+            black_box(results.len())
+        })
+    });
     f.throughput(Throughput::Bytes((7 * FOLD_BITS / 8) as u64));
     f.bench_function("eq_chain_6_pairwise", |bench| {
         bench.iter(|| {

@@ -51,6 +51,17 @@ fn thaw(shared: &mut Arc<Vec<u64>>) -> Vec<u64> {
     }
 }
 
+/// An owned buffer goes to the spare list (`spare.rs`), which keeps it
+/// for the next full-length result if it is at least the list's floor and
+/// the list's bound allows. A frozen buffer is left to its `Arc`.
+impl Drop for BitVec {
+    fn drop(&mut self) {
+        if let Words::Owned(words) = &mut self.words {
+            crate::spare::give(std::mem::take(words));
+        }
+    }
+}
+
 impl Default for BitVec {
     fn default() -> Self {
         Self::from_parts(Vec::new(), 0)
@@ -80,7 +91,7 @@ impl BitVec {
 
     /// Creates a bit vector of `len` bits, all zero.
     pub fn zeros(len: usize) -> Self {
-        Self::from_parts(vec![0; words_for(len)], len)
+        Self::from_parts(crate::zeroed_words(words_for(len)), len)
     }
 
     /// Creates a bit vector of `len` bits, all one.

@@ -509,7 +509,8 @@ pub fn fold<T: KernelOperand>(len: usize, program: &Fold<T>) -> BitVec {
     let program = program_words(len, program);
     let (seed, steps) = seed_and_steps(&program);
     let n_words = crate::words_for(len);
-    let mut out: Vec<u64> = Vec::with_capacity(n_words);
+    // Every word is written below, so a spare buffer needs no zeroing.
+    let mut out = crate::spare::take(n_words).unwrap_or_else(|| Vec::with_capacity(n_words));
     let mut xor = [0u64; BLOCK_WORDS];
     let mut start = 0;
     while start < n_words {
@@ -787,7 +788,7 @@ pub fn threshold_k<T: KernelOperand>(operands: &[T], k: usize) -> BitVec {
         return and_all(operands);
     }
     let ops = threshold_operand_words(operands);
-    let mut out = vec![0u64; crate::words_for(len)];
+    let mut out = crate::zeroed_words(crate::words_for(len));
     threshold_words::<true>(&ops, k as u64, counter_levels(n), &mut out);
     BitVec::from_words_unmasked(out, len)
 }
@@ -1278,6 +1279,72 @@ mod tests {
         assert_eq!(csa_count_fused::<OpOr>(&full, &full), 37 * 64);
         let empty = vec![0u64; 41];
         assert_eq!(csa_count_fused::<OpAnd>(&empty, &empty), 0);
+    }
+
+    /// Leaves an all-ones buffer one word longer than `len` bits on the
+    /// spare list: `zeros` takes it from the list, so the list keeps it
+    /// when it is dropped, and a `len`-bit result that takes it finds its
+    /// tail word all ones too.
+    fn spill_ones(len: usize) {
+        let mut ones = BitVec::zeros(len + 64);
+        ones.set_all();
+        drop(ones);
+    }
+
+    /// Full-length results written into a buffer an all-ones bitmap just
+    /// left on the spare list carry none of its bits: `zeros`, `fold`
+    /// (complement, mask, all-ones seed) and `threshold_k`, against
+    /// references that never take from the list. The length is past the
+    /// list's 128 KiB floor, with a ragged tail.
+    #[test]
+    fn a_recycled_buffer_never_leaks_a_bit() {
+        let len = (crate::spare::SPARE_MIN_WORDS * 64) + 5;
+        let ops: Vec<BitVec> = (0..5).map(|s| sample(len, 70 + s)).collect();
+        let refs: Vec<&BitVec> = ops.iter().collect();
+
+        spill_ones(len);
+        let zeros = BitVec::zeros(len);
+        assert_eq!(zeros.words().len(), crate::words_for(len));
+        assert!(zeros.words().iter().all(|&w| w == 0));
+
+        let programs = [
+            // An all-ones seed, complemented and masked.
+            Fold {
+                seed: None,
+                steps: vec![FoldStep::AndNot(refs[0])],
+                complement: true,
+                mask: Some(refs[1]),
+            },
+            // All ones, unmasked: the tail must be cleared.
+            Fold::default(),
+            // All zeros, by complement.
+            Fold {
+                complement: true,
+                ..Fold::default()
+            },
+            Fold {
+                seed: Some(refs[2]),
+                steps: vec![FoldStep::Or(refs[3]), FoldStep::AndXor(refs[0], refs[4])],
+                complement: false,
+                mask: Some(refs[1]),
+            },
+        ];
+        for (i, program) in programs.iter().enumerate() {
+            spill_ones(len);
+            assert_eq!(
+                fold(len, program),
+                fold_pairwise(len, program),
+                "program {i}"
+            );
+        }
+        for k in 2..5 {
+            spill_ones(len);
+            assert_eq!(
+                threshold_k(&refs, k),
+                threshold_reference(&refs, k),
+                "k {k}"
+            );
+        }
     }
 
     /// Per-row popcount reference for the threshold kernels.

@@ -20,12 +20,21 @@
 //! Bits beyond `len` inside the last word are kept zero at all times (the
 //! *canonical form* invariant); every mutating operation restores it, so
 //! `count_ones` and equality are always exact.
+//!
+//! Foundset memory is recycled through one process-wide *spare list*: a
+//! dropped bitmap's owned buffer of 128 KiB or more goes onto it, and every
+//! full-length dense result ([`kernels::fold`], [`kernels::threshold_k`],
+//! [`BitVec::zeros`], [`zeroed_words`]) takes its buffer from it before it
+//! asks the allocator. The list keeps at most what the process once held
+//! outstanding at the same time, so it never raises peak memory; it saves
+//! a batch of large foundsets from faulting in fresh pages every time.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod bitvec;
 pub mod kernels;
+mod spare;
 pub mod summary;
 
 pub use crate::bitvec::{BitVec, OnesIter, SegmentView};
@@ -38,4 +47,17 @@ pub const WORD_BITS: usize = 64;
 #[inline]
 pub fn words_for(len: usize) -> usize {
     len.div_ceil(WORD_BITS)
+}
+
+/// `n` zero words for a full-length result, written into a buffer from
+/// the spare list when one fits (see the crate doc), freshly allocated
+/// otherwise.
+pub fn zeroed_words(n: usize) -> Vec<u64> {
+    match spare::take(n) {
+        Some(mut words) => {
+            words.resize(n, 0);
+            words
+        }
+        None => vec![0; n],
+    }
 }

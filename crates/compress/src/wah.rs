@@ -49,7 +49,7 @@
 use std::sync::Arc;
 
 use bindex_bitvec::kernels::{Fold, FoldStep};
-use bindex_bitvec::{words_for, BitVec, SlotSummary};
+use bindex_bitvec::{words_for, zeroed_words, BitVec, SlotSummary};
 
 use crate::DecodeError;
 
@@ -189,7 +189,7 @@ impl WahBitmap {
     /// fill runs become word-level memset-style strides, literals are OR-ed
     /// in at their bit offset.
     pub fn to_bitvec(&self) -> BitVec {
-        let mut words = vec![0u64; words_for(self.len)];
+        let mut words = zeroed_words(words_for(self.len));
         let mut bitpos = 0usize;
         for &w in &self.words {
             if w & FILL_FLAG != 0 {
@@ -958,6 +958,28 @@ mod tests {
             let wah = WahBitmap::from_bitvec(&bits);
             assert_eq!(wah.to_bitvec(), bits);
             assert_eq!(wah.count_ones(), bits.count_ones());
+        }
+    }
+
+    /// `to_bitvec` writes into a spare buffer an all-ones bitmap just left
+    /// behind (a zero fill is skipped, so the buffer must start zeroed),
+    /// at a length past the spare list's 128 KiB floor with a ragged tail.
+    #[test]
+    fn to_bitvec_never_leaks_a_recycled_bit() {
+        let len = (1 << 20) + 5;
+        for bits in [
+            BitVec::zeros(len),
+            sparse(len, 100_003),
+            BitVec::from_fn(len, |i| (i / 4096) % 3 == 1 || i + 3 >= len),
+        ] {
+            let wah = WahBitmap::from_bitvec(&bits);
+            // Taken from the list by `zeros`, so the list keeps it when
+            // it is dropped; one word longer, so the result's tail word
+            // lands on an all-ones word.
+            let mut ones = BitVec::zeros(len + 64);
+            ones.set_all();
+            drop(ones);
+            assert_eq!(wah.to_bitvec(), bits);
         }
     }
 

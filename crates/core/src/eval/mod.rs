@@ -368,7 +368,7 @@ fn evaluate_segments<S: BitmapSource>(
     );
     let n_rows = ctx.n_rows();
     let mut out = match sink {
-        Sink::Keep => vec![0u64; bindex_bitvec::words_for(n_rows)],
+        Sink::Keep => bindex_bitvec::zeroed_words(bindex_bitvec::words_for(n_rows)),
         Sink::Count => Vec::new(),
     };
     let mut ones = 0;
@@ -511,6 +511,32 @@ pub(crate) mod tests {
                     assert_eq!(stats.segments_evaluated, ROWS.div_ceil(seg_bits), "{label}");
                 }
             }
+        }
+    }
+
+    /// A segmented [`Sink::Keep`] evaluation copies its windows into a
+    /// full-length buffer from the spare list, where an all-ones bitmap
+    /// was just dropped; the answer carries none of its bits. The relation
+    /// is past the list's 128 KiB floor, with a ragged tail.
+    #[test]
+    fn a_recycled_keep_buffer_never_leaks_a_bit() {
+        use query::Op;
+        const ROWS: usize = (1 << 20) + 5;
+        let values: Vec<u32> = (0..ROWS as u32).map(|i| (i * 37 + i / 5) % 12).collect();
+        let col = Column::new(values, 12);
+        let idx = BitmapIndex::build(&col, spec_for(Encoding::Range)).unwrap();
+        for (op, v) in [(Op::Le, 4), (Op::Eq, 7), (Op::Gt, 11), (Op::Ne, 3)] {
+            let q = SelectionQuery::new(op, v);
+            // Taken from the list by `zeros`, so the list keeps it when
+            // it is dropped; one word longer, so the answer's tail word
+            // lands on an all-ones word.
+            let mut ones = BitVec::zeros(ROWS + 64);
+            ones.set_all();
+            drop(ones);
+            let mut source = idx.source();
+            let mut ctx = ExecContext::new(&mut source);
+            let got = evaluate_segmented_in(&mut ctx, q, Algorithm::RangeEvalOpt, 1 << 16).unwrap();
+            assert_eq!(got, naive::evaluate(&col, q), "{q}");
         }
     }
 

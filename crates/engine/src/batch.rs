@@ -62,10 +62,10 @@ pub fn check_segment_bits(bits: usize) -> Result<()> {
     }
 }
 
-/// A wall-clock cut-off for a workload — now defined in `bindex-core`
-/// (see [`bindex_core::Deadline`]) so segment-at-a-time evaluation can
-/// check it between segments, and re-exported here where it has always
-/// lived. Queries claimed after expiry come back
+/// A wall-clock cut-off for a workload, defined in `bindex-core` (see
+/// [`bindex_core::Deadline`]) so segment-at-a-time evaluation can check it
+/// between segments, and re-exported here beside the workload options
+/// that take it. Queries claimed after expiry come back
 /// [`QueryOutcome::TimedOut`] without running; a segmented query that is
 /// already running is cancelled at its next segment boundary and comes
 /// back [`QueryOutcome::DeadlineExceeded`]; a whole-bitmap query that is
@@ -386,8 +386,9 @@ fn run_query<T>(
 /// The resilient query-per-task driver behind [`evaluate_queries`], and
 /// the one place this module spawns threads. Runs `step(state, i)` for
 /// every `i in 0..n` across the configured workers — inline for one
-/// worker, on scoped threads otherwise — keeping outcomes in input order. A worker takes the next index off the shared cursor and
-/// returns once it has passed `n`.
+/// worker, on scoped threads otherwise — keeping outcomes in input order.
+/// A worker takes the next index off the shared cursor and returns once
+/// it has passed `n`.
 ///
 /// Each worker owns one `init()`-built state (its bitmap source). Every
 /// step runs through [`run_query`]; after a panic the worker rebuilds its
@@ -910,7 +911,7 @@ mod tests {
     }
 
     #[test]
-    fn options_clamp_and_env_parse() {
+    fn options_clamp_the_thread_count() {
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         assert_eq!(BatchOptions::with_threads(0).threads(), 1);
         assert_eq!(BatchOptions::with_threads(8).threads(), 8.min(cores));
