@@ -78,8 +78,13 @@ fn bench(c: &mut Criterion) {
     k.bench_function("count_or_16way_materialized", |bench| {
         bench.iter(|| black_box(kernels::or_all(black_box(&refs)).count_ones()))
     });
+    let or_16way = Fold {
+        seed: Some(refs[0]),
+        steps: refs[1..].iter().map(|&b| FoldStep::Or(b)).collect(),
+        ..Fold::default()
+    };
     k.bench_function("count_or_16way_fused", |bench| {
-        bench.iter(|| black_box(kernels::count_or(black_box(&refs))))
+        bench.iter(|| black_box(kernels::fold_count(BITS, black_box(&or_16way))))
     });
     k.bench_function("and_16way_fused", |bench| {
         bench.iter(|| black_box(kernels::and_all(black_box(&refs))))

@@ -97,8 +97,12 @@ fn bench(c: &mut Criterion) {
         g.bench_function(format!("decomp_or4_{label}"), |b| {
             b.iter(|| {
                 let dense: Vec<BitVec> = wahs.iter().map(WahBitmap::to_bitvec).collect();
-                let refs: Vec<&BitVec> = dense.iter().collect();
-                black_box(kernels::count_or(&refs))
+                let program = Fold {
+                    seed: Some(&dense[0]),
+                    steps: dense[1..].iter().map(FoldStep::Or).collect(),
+                    ..Fold::default()
+                };
+                black_box(kernels::fold_count(BITS, &program))
             })
         });
     }

@@ -5,12 +5,14 @@
 //! Three measurements back the segmented executor and its default segment
 //! size (`DEFAULT_SEGMENT_BITS` = 32 KiB of bits):
 //!
-//! 1. **8-way AND/OR blocking sweep** — the pairwise folds the evaluators
-//!    actually run (RangeEval's chains, equality's `or_range`), whole-
-//!    bitmap vs segmented, across segment sizes. Whole-bitmap mode
-//!    re-streams the full-length accumulator once per operand; blocking
-//!    keeps it cache-resident, which is where the single-thread win
-//!    lives once the working set outgrows L2.
+//! 1. **8-way AND/OR blocking sweep** — an operator-at-a-time pairwise
+//!    fold, whole-bitmap vs segmented, across segment sizes, beside the
+//!    same AND/OR as one `kernels::fold_count` program. The evaluators
+//!    run every selection as one `Fold` program; the pairwise fold is
+//!    the reference the blocking is measured against. Whole-bitmap
+//!    mode re-streams the full-length accumulator once per operand;
+//!    blocking keeps it cache-resident, which is where the single-thread
+//!    win lives once the working set outgrows L2.
 //! 2. **Evaluator sweep** — full query spaces through `evaluate_in` vs
 //!    `evaluate_segmented_in` for all four concrete algorithms, so the
 //!    end-to-end overhead of windowed fetches and per-segment dispatch
@@ -24,7 +26,8 @@
 
 use std::time::Instant;
 
-use bindex::bitvec::{kernels, SegmentView};
+use bindex::bitvec::kernels::{self, Fold, FoldStep};
+use bindex::bitvec::SegmentView;
 use bindex::core::eval::{evaluate_in, evaluate_segmented_in, Algorithm};
 use bindex::core::{ExecContext, DEFAULT_SEGMENT_BITS};
 use bindex::relation::gen;
@@ -110,8 +113,18 @@ fn fold_segmented(operands: &[BitVec], and: bool, segment_bits: usize) -> usize 
     ones
 }
 
+/// The 8-way AND or OR as one `Fold` program over `operands`.
+fn chain<T: Copy>(operands: &[T], and: bool) -> Fold<T> {
+    let step = if and { FoldStep::And } else { FoldStep::Or };
+    Fold {
+        seed: Some(operands[0]),
+        steps: operands[1..].iter().map(|&op| step(op)).collect(),
+        ..Fold::default()
+    }
+}
+
 /// The 8-way count through the segmented executor's fused path: one pass
-/// per segment through `kernels::count_*` over zero-copy views, no
+/// per segment through `kernels::fold_count` over zero-copy views, no
 /// intermediate materialization.
 fn count_segmented(operands: &[BitVec], and: bool, segment_bits: usize) -> usize {
     let bits = operands[0].len();
@@ -120,11 +133,7 @@ fn count_segmented(operands: &[BitVec], and: bool, segment_bits: usize) -> usize
     while lo < bits {
         let hi = (lo + segment_bits).min(bits);
         let views: Vec<SegmentView<'_>> = operands.iter().map(|op| op.view_range(lo, hi)).collect();
-        ones += if and {
-            kernels::count_and(&views)
-        } else {
-            kernels::count_or(&views)
-        };
+        ones += kernels::fold_count(hi - lo, &chain(&views, and));
         lo = hi;
     }
     ones
@@ -172,11 +181,7 @@ fn fold_sweep(cfg: &Config) -> Vec<FoldPoint> {
         // popcounts; the segmented executor runs the fused count kernel
         // per morsel and never materializes the conjunction.
         let fused_whole = best_of(cfg.fold_reps, || {
-            if and {
-                kernels::count_and(&refs)
-            } else {
-                kernels::count_or(&refs)
-            }
+            kernels::fold_count(cfg.fold_bits, &chain(&refs, and))
         });
         points.push(FoldPoint {
             op,

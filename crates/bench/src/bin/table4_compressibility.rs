@@ -17,13 +17,8 @@ use bindex::{BitmapIndex, Encoding, IndexSpec};
 use bindex_bench::{f2, print_table, Csv};
 
 fn main() {
-    // Deflate (LZ77 + Huffman) is the zlib substitution; --lzss compares
-    // the entropy-free variant.
-    let codec = if std::env::args().any(|a| a == "--lzss") {
-        CodecKind::Lzss
-    } else {
-        CodecKind::Deflate
-    };
+    // Deflate (LZ77 + Huffman) is the zlib substitution.
+    let codec = CodecKind::Deflate;
     let scale = tpcd::scale_from_env();
     let data = [
         ("1 (Lineitem.Quantity)", tpcd::lineitem_quantity(scale, 7)),
@@ -95,9 +90,6 @@ fn main() {
         );
     }
     println!("\n(Paper, zlib: cCS compresses best; gains shrink as components grow.)");
-    println!(
-        "Codec used: {} (the zlib substitution; --lzss for the entropy-free ablation).",
-        codec.name()
-    );
+    println!("Codec used: {} (the zlib substitution).", codec.name());
     println!("CSV: {}", csv.path().display());
 }

@@ -567,6 +567,12 @@ pub struct SegmentView<'a> {
 }
 
 impl<'a> SegmentView<'a> {
+    /// `len` bits over `words`, which the caller keeps canonical: how the
+    /// kernels read any of their operands.
+    pub(crate) fn from_words(words: &'a [u64], len: usize) -> Self {
+        Self { words, len }
+    }
+
     /// Number of bits in the view.
     #[inline]
     pub fn len(&self) -> usize {

@@ -1,39 +1,35 @@
-//! Fused k-ary bitmap kernels: horizontal combine and combine-and-count
-//! operations over any number of operands in a single cache-blocked pass.
+//! Fused bitmap kernels: a straight-line Boolean function of any number
+//! of bitmaps, evaluated in one cache-blocked pass.
 //!
-//! The evaluation algorithms frequently fold a *wide* fan-in of bitmaps —
-//! an equality-encoded `≤` predicate ORs up to half a component's slot
-//! bitmaps, the engine's P3 plan ANDs one foundset per predicate. Folding
-//! those pairwise costs `k − 1` full-size allocations and `k − 1` sweeps
-//! over memory. The kernels here combine all `k` operands with **one**
-//! output allocation, walking the operands in blocks small enough that the
-//! accumulator stays L1-resident, so every operand word is read exactly
-//! once (the "horizontal" algorithms of Kaser & Lemire, *Compressed bitmap
-//! indexes: beyond unions and intersections*).
+//! [`fold`] runs a [`Fold`] program — a seed, a list of `&=`, `|=`,
+//! `&= !`, `&= a ^ b` steps, an optional complement and mask, the whole
+//! of a RangeEval-Opt query — block by block, so the accumulator block
+//! stays L1-resident while every operand word is read exactly once, no
+//! operator costs a sweep over the accumulator and no derived bitmap is
+//! ever allocated (Kaser & Lemire, *Compressed bitmap indexes: beyond
+//! unions and intersections*). [`fold_count`] runs the same block loop
+//! and popcounts each finished block instead of storing it: a count of a
+//! query writes no foundset. [`threshold_k`] and [`count_threshold_k`]
+//! answer "at least `k` of `n`" through a bit-sliced counter network.
 //!
-//! The fused counting kernels (`count_and`, `count_or`, `count_xor`) go
-//! one step further for callers that only need the cardinality of a
-//! combination: they popcount the combined words on the fly, in a
-//! fixed-size stack buffer, without materializing the result bitmap at all
-//! (the "symmetric functions over bitmaps" shape).
+//! # One block loop
 //!
-//! [`fold`] does for a *chain of different operators* what the k-ary
-//! kernels do for one operator: a seed, a list of `&=`, `|=`, `&= !`,
-//! `&= a ^ b` steps, an optional complement and mask — the whole of a
-//! RangeEval-Opt query — evaluated block by block, so no operator costs a
-//! sweep over the accumulator and no derived bitmap is ever allocated.
-//! [`fold_count`] runs the same block loop and popcounts each finished
-//! block instead of storing it: a count of a query writes no foundset.
-//!
-//! # One loop per kernel
+//! `fold` and `fold_count` are the only loops over blocks. The k-ary
+//! names [`and_all`], [`or_all`], [`xor_all`] and [`count_and`] are
+//! `Fold` programs — a seed plus an `And` or `Or` step per further
+//! operand; for XOR, a seedless `AndXor` of two operands, chained — and
+//! so are `threshold_k`'s `k = 1` and `k = n`. No product path calls the
+//! four: with `threshold_k` they are the five names the benchmark's
+//! kernel probe compiles against, and they stay until that probe is
+//! pointed at what the product calls (ROADMAP item 1(c)).
 //!
 //! The inner combine loop runs over fixed-size `[u64; LANES]` arrays
 //! (u64x8), which the compiler lowers to vector loads/stores and vector
 //! bitwise ops on any target with SIMD (SSE2, AVX2, NEON) without `unsafe`
-//! or nightly `std::simd`. The counting kernels additionally accumulate
-//! popcounts through a 4-way carry-save adder (the Harley–Seal shape): only
-//! every fourth combined word pays a full popcount, the rest fold into
-//! `ones`/`twos` carry words.
+//! or nightly `std::simd`. Counting accumulates popcounts through a 4-way
+//! carry-save adder (the Harley–Seal shape): only every fourth combined
+//! word pays a full popcount, the rest fold into `ones`/`twos` carry
+//! words.
 //!
 //! AND/OR/XOR/ANDNOT are lane-independent, so any blocking or unrolling of
 //! the same operand walk produces the same words, and the carry-save
@@ -59,13 +55,6 @@ pub const LANES: usize = 8;
 /// Words per block: 8 KiB of accumulator, comfortably L1-resident even
 /// with an operand stream being pulled through the cache alongside it.
 const BLOCK_WORDS: usize = 1024;
-
-/// Words per stack buffer used by the fused counting kernels. Matches
-/// [`BLOCK_WORDS`] (8 KiB): the previous 2 KiB buffer re-entered the
-/// per-block setup (operand slicing, loop prologue) 4× as often, which at
-/// 16-way fan-in cost more than the fused popcount saved — the
-/// `count_fused_speedup < 1.0` regression in `BENCH_batch_throughput.json`.
-const COUNT_BLOCK_WORDS: usize = 1024;
 
 /// A word-level binary operation, monomorphized into every kernel loop.
 trait WordOp {
@@ -190,9 +179,9 @@ fn combine<O: WordOp>(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// `dst[i] = O::apply(a[i], b[i])`: seeds the count buffer from the first
-/// two operands in one pass, where copy-then-combine would take two.
-/// `inline(never)`: see [`combine`].
+/// `dst[i] = O::apply(a[i], b[i])`: an `AndXor` step's `a ^ b` in one
+/// pass, where copy-then-combine would take two. `inline(never)`: see
+/// [`combine`].
 #[inline(never)]
 fn combine2<O: WordOp>(dst: &mut [u64], a: &[u64], b: &[u64]) {
     let n = dst.len();
@@ -276,129 +265,74 @@ fn csa_count_fused<O: WordOp>(a: &[u64], b: &[u64]) -> usize {
     total
 }
 
-/// Folds `operands` into a fresh output vector with `O`, one block at a
-/// time so the output block stays in L1 while each operand streams
-/// through exactly once.
-fn fold_blocks<T: KernelOperand, O: WordOp>(operands: &[T]) -> BitVec {
-    let len = check_operands(operands);
-    let mut words = operands[0].words().to_vec();
-    let n_words = words.len();
-    let mut start = 0;
-    while start < n_words {
-        let end = (start + BLOCK_WORDS).min(n_words);
-        let dst = &mut words[start..end];
-        for op in &operands[1..] {
-            combine::<O>(dst, &op.words()[start..end]);
-        }
-        start = end;
+/// `operands` as one [`Fold`] program: the first seeds the accumulator
+/// and `step` folds in each of the rest. The caller has run
+/// [`check_operands`].
+fn chain<'a, T: KernelOperand>(
+    operands: &'a [T],
+    step: fn(SegmentView<'a>) -> FoldStep<SegmentView<'a>>,
+) -> Fold<SegmentView<'a>> {
+    let mut views = operands.iter().map(view);
+    Fold {
+        seed: views.next(),
+        steps: views.map(step).collect(),
+        ..Fold::default()
     }
-    BitVec::from_words_unmasked(words, len)
 }
 
-/// Counts the set bits of the k-ary combination without materializing it:
-/// each block of combined words lives only in a stack buffer that is
-/// popcounted and discarded.
-///
-/// The buffer is seeded by [`combine2`] (first two operands in one pass)
-/// and the last operand's combine is fused with the popcount
-/// ([`csa_count_fused`]), so a `k`-operand count makes `k − 2`
-/// buffer-writing passes plus one counting pass where
-/// materialize-then-count makes an allocation, `k` passes, and a cold final
-/// sweep — fused counting is strictly less work, never a loss. One- and
-/// two-operand counts skip the buffer entirely and count straight off the
-/// input slices.
-fn count_blocks<T: KernelOperand, O: WordOp>(operands: &[T]) -> usize {
-    check_operands(operands);
-    let (last, rest) = operands.split_last().expect("checked non-empty");
-    let (first, second, mids) = match rest {
-        [] => {
-            // Single operand: no combining at all, just a popcount sweep
-            // (the CSA path with `w | w == w`).
-            return popcount(last.words());
-        }
-        // Two operands: one fused pass over the inputs, no buffer.
-        [first] => return csa_count_fused::<O>(first.words(), last.words()),
-        [first, second, mids @ ..] => (first, second, mids),
-    };
-    let n_words = first.words().len();
-    let mut buf = [0u64; COUNT_BLOCK_WORDS];
-    let mut ones = 0usize;
-    let mut start = 0;
-    while start < n_words {
-        let end = (start + COUNT_BLOCK_WORDS).min(n_words);
-        let width = end - start;
-        combine2::<O>(
-            &mut buf[..width],
-            &first.words()[start..end],
-            &second.words()[start..end],
-        );
-        for op in mids {
-            combine::<O>(&mut buf[..width], &op.words()[start..end]);
-        }
-        ones += csa_count_fused::<O>(&buf[..width], &last.words()[start..end]);
-        start = end;
-    }
-    ones
+/// Any operand as the view [`fold`] reads.
+fn view<T: KernelOperand>(op: &T) -> SegmentView<'_> {
+    SegmentView::from_words(op.words(), op.len())
 }
 
-/// AND of all operands in a single pass with one output allocation.
-///
-/// Equivalent to (but faster than) the pairwise fold
-/// `operands[0] & operands[1] & …`. Operands are whole bitmaps
-/// (`&BitVec`) or word-aligned [`SegmentView`]s — segment-at-a-time
-/// execution drives exactly this kernel over cache-sized slices.
+/// AND of all operands: one [`fold`] program, a seed and an `And` step
+/// per further operand. Operands are whole bitmaps (`&BitVec`) or
+/// word-aligned [`SegmentView`]s.
 #[must_use]
 pub fn and_all<T: KernelOperand>(operands: &[T]) -> BitVec {
-    fold_blocks::<T, OpAnd>(operands)
+    fold(check_operands(operands), &chain(operands, FoldStep::And))
 }
 
-/// OR of all operands in a single pass with one output allocation.
+/// OR of all operands: one [`fold`] program, a seed and an `Or` step per
+/// further operand.
 #[must_use]
 pub fn or_all<T: KernelOperand>(operands: &[T]) -> BitVec {
-    fold_blocks::<T, OpOr>(operands)
+    fold(check_operands(operands), &chain(operands, FoldStep::Or))
 }
 
-/// XOR of all operands in a single pass with one output allocation.
+/// XOR of all operands. [`Fold`] has no step that XORs into the
+/// accumulator, but a seedless `AndXor(a, b)` is `a ⊕ b`, so two
+/// operands are one [`fold`] and each further operand is one more, over
+/// the previous result.
 #[must_use]
 pub fn xor_all<T: KernelOperand>(operands: &[T]) -> BitVec {
-    fold_blocks::<T, OpXor>(operands)
+    fn xor(len: usize, a: SegmentView<'_>, b: SegmentView<'_>) -> BitVec {
+        let program = Fold {
+            steps: vec![FoldStep::AndXor(a, b)],
+            ..Fold::default()
+        };
+        fold(len, &program)
+    }
+    let len = check_operands(operands);
+    let (first, rest) = operands.split_first().expect("checked non-empty");
+    let Some((second, rest)) = rest.split_first() else {
+        let copy = Fold {
+            seed: Some(view(first)),
+            ..Fold::default()
+        };
+        return fold(len, &copy);
+    };
+    rest.iter()
+        .fold(xor(len, view(first), view(second)), |acc, op| {
+            xor(len, acc.view(), view(op))
+        })
 }
 
-/// `a ∧ ¬b` with the output sized once — the owned counterpart of
-/// [`BitVec::and_not_assign`], without the clone-then-assign double pass.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[must_use]
-pub fn and_not<T: KernelOperand + Copy>(a: T, b: T) -> BitVec {
-    fold_blocks::<T, OpAndNot>(&[a, b])
-}
-
-/// `|operands[0] ∧ operands[1] ∧ …|` without materializing the result.
+/// `|operands[0] ∧ operands[1] ∧ …|` without materializing the result:
+/// [`and_all`]'s program through [`fold_count`].
 #[must_use]
 pub fn count_and<T: KernelOperand>(operands: &[T]) -> usize {
-    count_blocks::<T, OpAnd>(operands)
-}
-
-/// `|operands[0] ∨ operands[1] ∨ …|` without materializing the result.
-#[must_use]
-pub fn count_or<T: KernelOperand>(operands: &[T]) -> usize {
-    count_blocks::<T, OpOr>(operands)
-}
-
-/// `|operands[0] ⊕ operands[1] ⊕ …|` without materializing the result.
-#[must_use]
-pub fn count_xor<T: KernelOperand>(operands: &[T]) -> usize {
-    count_blocks::<T, OpXor>(operands)
-}
-
-/// `|a ∧ ¬b|` without materializing the difference.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[must_use]
-pub fn count_and_not<T: KernelOperand + Copy>(a: T, b: T) -> usize {
-    count_blocks::<T, OpAndNot>(&[a, b])
+    fold_count(check_operands(operands), &chain(operands, FoldStep::And))
 }
 
 /// One accumulator update of a [`Fold`].
@@ -766,7 +700,7 @@ fn threshold_operand_words<T: KernelOperand>(operands: &[T]) -> Vec<&[u64]> {
 ///
 /// Degenerate thresholds are total, not errors: `k = 0` is all ones
 /// (every row trivially matches) and `k > n` is all zeros. `k = 1`
-/// and `k = n` fast-path to the fused [`or_all`] / [`and_all`] kernels.
+/// and `k = n` are the [`or_all`] / [`and_all`] [`fold`] programs.
 ///
 /// # Panics
 /// Panics on an empty operand list, mismatched operand lengths, or more
@@ -781,11 +715,9 @@ pub fn threshold_k<T: KernelOperand>(operands: &[T], k: usize) -> BitVec {
     if k > n {
         return BitVec::zeros(len);
     }
-    if k == 1 {
-        return or_all(operands);
-    }
-    if k == n {
-        return and_all(operands);
+    if k == 1 || k == n {
+        let step = if k == 1 { FoldStep::Or } else { FoldStep::And };
+        return fold(len, &chain(operands, step));
     }
     let ops = threshold_operand_words(operands);
     let mut out = crate::zeroed_words(crate::words_for(len));
@@ -810,11 +742,9 @@ pub fn count_threshold_k<T: KernelOperand>(operands: &[T], k: usize) -> usize {
     if k > n {
         return 0;
     }
-    if k == 1 {
-        return count_or(operands);
-    }
-    if k == n {
-        return count_and(operands);
+    if k == 1 || k == n {
+        let step = if k == 1 { FoldStep::Or } else { FoldStep::And };
+        return fold_count(len, &chain(operands, step));
     }
     let ops = threshold_operand_words(operands);
     threshold_words::<false>(&ops, k as u64, counter_levels(n), &mut [])
@@ -852,6 +782,35 @@ mod tests {
             }
         }
         BitVec::from_words(words, operands[0].len())
+    }
+
+    /// `|ops[0] ∨ ops[1] ∨ …|` through [`fold_count`].
+    fn or_count<T: KernelOperand>(ops: &[T]) -> usize {
+        fold_count(check_operands(ops), &chain(ops, FoldStep::Or))
+    }
+
+    /// `|ops[0] ⊕ ops[1] ⊕ …|` through [`fold_count`]: one seedless
+    /// `AndXor` step over the last operand and the XOR of the others.
+    fn xor_count(ops: &[&BitVec]) -> usize {
+        let (last, rest) = ops.split_last().expect("an operand");
+        let head = match rest {
+            [] => BitVec::zeros(last.len()),
+            _ => xor_all(rest),
+        };
+        let program = Fold {
+            steps: vec![FoldStep::AndXor(&head, *last)],
+            ..Fold::default()
+        };
+        fold_count(last.len(), &program)
+    }
+
+    /// `a ∧ ¬b` as a [`Fold`] program.
+    fn minus<T>(a: T, b: T) -> Fold<T> {
+        Fold {
+            seed: Some(a),
+            steps: vec![FoldStep::AndNot(b)],
+            ..Fold::default()
+        }
     }
 
     /// Lengths straddling word, lane (`LANES`·64 bits) and 1,024-word block
@@ -912,15 +871,15 @@ mod tests {
                     wordwise(&ops, |a, b| a & b).count_ones(),
                     "{label}"
                 );
-                assert_eq!(count_or(&ops), or_all(&ops).count_ones(), "{label}");
+                assert_eq!(or_count(&ops), or_all(&ops).count_ones(), "{label}");
                 assert_eq!(
-                    count_or(&ops),
+                    or_count(&ops),
                     wordwise(&ops, |a, b| a | b).count_ones(),
                     "{label}"
                 );
-                assert_eq!(count_xor(&ops), xor_all(&ops).count_ones(), "{label}");
+                assert_eq!(xor_count(&ops), xor_all(&ops).count_ones(), "{label}");
                 assert_eq!(
-                    count_xor(&ops),
+                    xor_count(&ops),
                     wordwise(&ops, |a, b| a ^ b).count_ones(),
                     "{label}"
                 );
@@ -935,9 +894,13 @@ mod tests {
             let b = sample(len, 2);
             let mut want = a.clone();
             want.and_not_assign(&b);
-            assert_eq!(and_not(&a, &b), want, "len {len}");
+            assert_eq!(fold(len, &minus(&a, &b)), want, "len {len}");
             assert_eq!(wordwise(&[&a, &b], |a, b| a & !b), want, "len {len}");
-            assert_eq!(count_and_not(&a, &b), want.count_ones(), "len {len}");
+            assert_eq!(
+                fold_count(len, &minus(&a, &b)),
+                want.count_ones(),
+                "len {len}"
+            );
         }
     }
 
@@ -1167,7 +1130,7 @@ mod tests {
         let a = BitVec::zeros(0);
         let b = BitVec::zeros(0);
         assert_eq!(or_all(&[&a, &b]).len(), 0);
-        assert_eq!(count_or(&[&a, &b]), 0);
+        assert_eq!(or_count(&[&a, &b]), 0);
     }
 
     #[test]
@@ -1197,10 +1160,13 @@ mod tests {
         // Pairwise view ops agree with their whole-bitmap counterparts.
         let (a, b) = (&owned[0], &owned[1]);
         assert_eq!(
-            and_not(a.view_range(0, 4096), b.view_range(0, 4096)),
-            and_not(
-                &a.view_range(0, 4096).to_bitvec(),
-                &b.view_range(0, 4096).to_bitvec()
+            fold(4096, &minus(a.view_range(0, 4096), b.view_range(0, 4096))),
+            fold(
+                4096,
+                &minus(
+                    &a.view_range(0, 4096).to_bitvec(),
+                    &b.view_range(0, 4096).to_bitvec()
+                )
             ),
         );
         let mut acc = a.view_range(64, 4096 + 64).to_bitvec();
@@ -1217,12 +1183,12 @@ mod tests {
             assert_eq!(and_all(&views), wordwise(&views, |a, b| a & b), "{label}");
             assert_eq!(or_all(&views), wordwise(&views, |a, b| a | b), "{label}");
             assert_eq!(
-                count_or(&views),
+                or_count(&views),
                 wordwise(&views, |a, b| a | b).count_ones(),
                 "{label}"
             );
             assert_eq!(
-                and_not(views[0], views[1]),
+                fold(hi - lo, &minus(views[0], views[1])),
                 wordwise(&views[..2], |a, b| a & !b),
                 "{label}"
             );
@@ -1293,7 +1259,8 @@ mod tests {
 
     /// Full-length results written into a buffer an all-ones bitmap just
     /// left on the spare list carry none of its bits: `zeros`, `fold`
-    /// (complement, mask, all-ones seed) and `threshold_k`, against
+    /// (complement, mask, all-ones seed), the k-ary kernels over 2 and 3
+    /// operands and `threshold_k` (`k = 1` and `k = n` included), against
     /// references that never take from the list. The length is past the
     /// list's 128 KiB floor, with a ragged tail.
     #[test]
@@ -1337,7 +1304,16 @@ mod tests {
                 "program {i}"
             );
         }
-        for k in 2..5 {
+        for fan_in in [2, 3] {
+            let ops = &refs[..fan_in];
+            spill_ones(len);
+            assert_eq!(and_all(ops), wordwise(ops, |a, b| a & b), "and {fan_in}");
+            spill_ones(len);
+            assert_eq!(or_all(ops), wordwise(ops, |a, b| a | b), "or {fan_in}");
+            spill_ones(len);
+            assert_eq!(xor_all(ops), wordwise(ops, |a, b| a ^ b), "xor {fan_in}");
+        }
+        for k in 1..=5 {
             spill_ones(len);
             assert_eq!(
                 threshold_k(&refs, k),

@@ -9,8 +9,9 @@
 //! algorithms need, implemented word-at-a-time:
 //!
 //! * logical AND / OR / XOR / AND-NOT / NOT (in-place and owned),
-//! * fused k-ary combine and combine-and-count kernels ([`kernels`]) that
-//!   fold any number of operands in one cache-blocked pass,
+//! * one cache-blocked pass over any number of operands ([`kernels`]):
+//!   [`kernels::fold`] evaluates a whole Boolean function of them and
+//!   [`kernels::fold_count`] counts it without materializing it,
 //! * zero-copy word-aligned [`SegmentView`]s so segment-at-a-time
 //!   execution drives the same kernels over cache-sized slices,
 //! * population count ([`BitVec::count_ones`]) for foundset cardinalities,

@@ -18,8 +18,9 @@
 //! attribute via [`IndexChoice`] — the paper's design points as a menu);
 //! [`ConjunctiveQuery`] is the `AND` of per-attribute predicates;
 //! [`plan::estimate`] prices each plan in bytes read with the paper's
-//! cost model, [`plan::choose`] picks the cheapest, and
-//! [`plan::execute`] runs any of them and reports what it actually read.
+//! cost model and [`plan::choose`] picks the cheapest. The model prices
+//! plans; nothing executes them (`intro_breakeven` reproduces the
+//! paper's `N/32` break-even without them).
 //!
 //! The [`batch`] module fans workloads of single-index selection and
 //! threshold queries across worker threads with per-query fault
@@ -39,5 +40,5 @@ pub use batch::{
     evaluate_query, evaluate_selection_workload, BatchHealth, BatchOptions, Deadline, Found,
     QueryOutcome, Sink, WorkloadReport, MIN_SEGMENT_BITS,
 };
-pub use plan::{ConjunctiveQuery, ExecutionStats, Plan, PlanCost};
+pub use plan::{ConjunctiveQuery, Plan, PlanCost};
 pub use table::{IndexChoice, Table, TableBuilder};

@@ -1,5 +1,6 @@
 //! Conjunctive query plans P1 / P2 / P3 and their byte-cost model
-//! (the paper's Section 1 analysis, made executable).
+//! (the paper's Section 1 analysis). The model prices and picks plans;
+//! nothing executes them.
 //!
 //! The cost model prices plans in **bytes read**, the unit of the paper's
 //! introduction:
@@ -15,11 +16,9 @@
 //! exercise is the *comparison* between plans, which is what the paper's
 //! `N/32` break-even describes.
 
-use bindex_bitvec::{kernels, BitVec};
 use bindex_core::cost::predicted_scans;
 use bindex_core::error::{Error, Result};
-use bindex_core::eval::{evaluate_in, naive, Algorithm};
-use bindex_core::ExecContext;
+use bindex_core::eval::Algorithm;
 use bindex_relation::query::SelectionQuery;
 
 use crate::table::Table;
@@ -106,20 +105,6 @@ pub struct PlanCost {
     pub bytes: f64,
 }
 
-/// What an execution actually did.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ExecutionStats {
-    /// Bytes read (bitmaps at `⌈N/8⌉` each, rows at `row_bytes`).
-    pub bytes_read: u64,
-    /// Bitmap scans performed.
-    pub bitmap_scans: usize,
-    /// Rows fetched for residual filtering (or scanned, for P1).
-    pub rows_fetched: usize,
-    /// Bitmap fetches answered through the degraded path (reconstruction
-    /// of an unreadable stored bitmap). Zero on a healthy store.
-    pub degraded_fetches: usize,
-}
-
 fn bitmap_bytes(n_rows: usize) -> u64 {
     n_rows.div_ceil(8) as u64
 }
@@ -203,116 +188,6 @@ pub fn choose(table: &Table, query: &ConjunctiveQuery) -> Result<PlanCost> {
         .ok_or_else(|| Error::Infeasible("no applicable plan".into()))
 }
 
-/// Executes `plan`, returning the foundset and what was actually read.
-pub fn execute(
-    table: &Table,
-    query: &ConjunctiveQuery,
-    plan: &Plan,
-) -> Result<(BitVec, ExecutionStats)> {
-    let n_rows = table.n_rows();
-    let mut stats = ExecutionStats::default();
-    let found = match plan {
-        Plan::FullScan => {
-            stats.rows_fetched = n_rows;
-            stats.bytes_read = (n_rows * table.row_bytes()) as u64;
-            filter_rows(table, query, &BitVec::ones(n_rows))?
-        }
-        Plan::IndexThenFilter(attr) => {
-            let (_, q) = query
-                .predicates()
-                .iter()
-                .find(|(a, _)| a == attr)
-                .ok_or_else(|| Error::Infeasible(format!("no predicate on {attr}")))?;
-            let idx = table
-                .index(attr)?
-                .ok_or_else(|| Error::Infeasible(format!("{attr} is not indexed")))?;
-            let mut src = idx.source();
-            let mut ctx = ExecContext::new(&mut src);
-            let base_found = evaluate_in(&mut ctx, *q, Algorithm::Auto)?;
-            let s = ctx.take_stats();
-            stats.bitmap_scans += s.scans;
-            stats.bytes_read += s.scans as u64 * bitmap_bytes(n_rows);
-            stats.degraded_fetches += s.degraded_fetches;
-            if query.predicates().len() > 1 {
-                let rest = residual_query(query, std::slice::from_ref(attr));
-                let fetched = base_found.count_ones();
-                stats.rows_fetched += fetched;
-                stats.bytes_read += (fetched * table.row_bytes()) as u64;
-                filter_rows(table, &rest, &base_found)?
-            } else {
-                base_found
-            }
-        }
-        Plan::IndexMerge => {
-            let mut foundsets = Vec::new();
-            let mut residual_attrs = Vec::new();
-            for (attr, q) in query.predicates() {
-                match table.index(attr)? {
-                    Some(idx) => {
-                        let mut src = idx.source();
-                        let mut ctx = ExecContext::new(&mut src);
-                        foundsets.push(evaluate_in(&mut ctx, *q, Algorithm::Auto)?);
-                        let s = ctx.take_stats();
-                        stats.bitmap_scans += s.scans;
-                        stats.bytes_read += s.scans as u64 * bitmap_bytes(n_rows);
-                        stats.degraded_fetches += s.degraded_fetches;
-                    }
-                    None => residual_attrs.push(attr.clone()),
-                }
-            }
-            // Merge all per-predicate foundsets in one fused pass.
-            let merged = if foundsets.is_empty() {
-                BitVec::ones(n_rows)
-            } else {
-                let operands: Vec<&BitVec> = foundsets.iter().collect();
-                kernels::and_all(&operands)
-            };
-            if residual_attrs.is_empty() {
-                merged
-            } else {
-                let keep: Vec<(String, SelectionQuery)> = query
-                    .predicates()
-                    .iter()
-                    .filter(|(a, _)| residual_attrs.contains(a))
-                    .cloned()
-                    .collect();
-                let rest = ConjunctiveQuery { predicates: keep };
-                let fetched = merged.count_ones();
-                stats.rows_fetched += fetched;
-                stats.bytes_read += (fetched * table.row_bytes()) as u64;
-                filter_rows(table, &rest, &merged)?
-            }
-        }
-    };
-    Ok((found, stats))
-}
-
-/// The query minus the predicates on `consumed` attributes.
-fn residual_query(query: &ConjunctiveQuery, consumed: &[String]) -> ConjunctiveQuery {
-    ConjunctiveQuery {
-        predicates: query
-            .predicates()
-            .iter()
-            .filter(|(a, _)| !consumed.contains(a))
-            .cloned()
-            .collect(),
-    }
-}
-
-/// Filters `candidates` by evaluating every predicate against the columns,
-/// intersecting everything in one fused k-ary pass.
-fn filter_rows(table: &Table, query: &ConjunctiveQuery, candidates: &BitVec) -> Result<BitVec> {
-    let per_predicate: Vec<BitVec> = query
-        .predicates()
-        .iter()
-        .map(|(attr, q)| Ok(naive::evaluate(table.column(attr)?, *q)))
-        .collect::<Result<_>>()?;
-    let mut operands: Vec<&BitVec> = Vec::with_capacity(1 + per_predicate.len());
-    operands.push(candidates);
-    operands.extend(per_predicate.iter());
-    Ok(kernels::and_all(&operands))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,26 +215,6 @@ mod tests {
             .and("note", SelectionQuery::new(Op::Ne, 3))
     }
 
-    fn oracle(t: &Table, q: &ConjunctiveQuery) -> BitVec {
-        let mut out = BitVec::ones(t.n_rows());
-        for (attr, sq) in q.predicates() {
-            out.and_assign(&naive::evaluate(t.column(attr).unwrap(), *sq));
-        }
-        out
-    }
-
-    #[test]
-    fn all_plans_agree_with_oracle() {
-        let t = table();
-        let q = query();
-        let want = oracle(&t, &q);
-        for plan in candidate_plans(&t, &q).unwrap() {
-            let (got, stats) = execute(&t, &q, &plan).unwrap();
-            assert_eq!(got, want, "{plan}");
-            assert!(stats.bytes_read > 0);
-        }
-    }
-
     #[test]
     fn candidate_plans_reflect_indexes() {
         let t = table();
@@ -370,26 +225,16 @@ mod tests {
         assert!(plans.contains(&Plan::IndexThenFilter("day".into())));
         assert!(!plans.contains(&Plan::IndexThenFilter("note".into())));
         assert!(plans.contains(&Plan::IndexMerge));
-    }
-
-    #[test]
-    fn chosen_plan_is_cheapest_and_estimates_track_actuals() {
-        let t = table();
-        let q = query();
-        let best = choose(&t, &q).unwrap();
-        for plan in candidate_plans(&t, &q).unwrap() {
-            let est = estimate(&t, &q, &plan).unwrap();
-            assert!(best.bytes <= est.bytes + 1e-9, "{plan}");
-            let (_, stats) = execute(&t, &q, &plan).unwrap();
-            // Estimates are expectations; actuals must be within 2x.
-            let ratio = stats.bytes_read as f64 / est.bytes.max(1.0);
-            assert!(
-                (0.4..2.5).contains(&ratio),
-                "{plan}: est {} actual {}",
-                est.bytes,
-                stats.bytes_read
-            );
-        }
+        // P2 on an unindexed attribute cannot be priced.
+        assert!(estimate(&t, &q, &Plan::IndexThenFilter("note".into())).is_err());
+        // A query on unindexed attributes alone has only the full scan,
+        // and P2 on an attribute it has no predicate on cannot be priced.
+        let unindexed = ConjunctiveQuery::new().and("note", SelectionQuery::new(Op::Eq, 2));
+        assert_eq!(
+            candidate_plans(&t, &unindexed).unwrap(),
+            vec![Plan::FullScan]
+        );
+        assert!(estimate(&t, &unindexed, &Plan::IndexThenFilter("qty".into())).is_err());
     }
 
     #[test]
@@ -402,33 +247,11 @@ mod tests {
         assert_ne!(best.plan, Plan::FullScan);
         let p1 = estimate(&t, &q, &Plan::FullScan).unwrap();
         assert!(best.bytes < p1.bytes / 10.0);
-    }
-
-    #[test]
-    fn unindexed_only_query_full_scans() {
-        let t = table();
-        let q = ConjunctiveQuery::new().and("note", SelectionQuery::new(Op::Eq, 2));
-        let plans = candidate_plans(&t, &q).unwrap();
-        assert_eq!(plans, vec![Plan::FullScan]);
-        let (got, _) = execute(&t, &q, &Plan::FullScan).unwrap();
-        assert_eq!(got, oracle(&t, &q));
-    }
-
-    #[test]
-    fn empty_query_matches_everything() {
-        let t = table();
-        let q = ConjunctiveQuery::new();
-        let (got, _) = execute(&t, &q, &Plan::FullScan).unwrap();
-        assert_eq!(got.count_ones(), t.n_rows());
-        assert!((q.estimated_selectivity(&t).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn p2_on_missing_predicate_errors() {
-        let t = table();
-        let q = ConjunctiveQuery::new().and("qty", SelectionQuery::new(Op::Le, 10));
-        assert!(execute(&t, &q, &Plan::IndexThenFilter("day".into())).is_err());
-        assert!(estimate(&t, &q, &Plan::IndexThenFilter("note".into())).is_err());
+        // The chosen plan is the cheapest candidate.
+        for plan in candidate_plans(&t, &q).unwrap() {
+            let est = estimate(&t, &q, &plan).unwrap();
+            assert!(best.bytes <= est.bytes + 1e-9, "{plan}");
+        }
     }
 
     #[test]

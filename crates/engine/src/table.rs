@@ -50,7 +50,6 @@ impl IndexChoice {
 }
 
 struct Attribute {
-    name: String,
     column: Column,
     index: Option<BitmapIndex>,
 }
@@ -103,12 +102,8 @@ impl TableBuilder {
                 Some(spec) => Some(BitmapIndex::build(&column, spec)?),
                 None => None,
             };
-            by_name.insert(name.clone(), attrs.len());
-            attrs.push(Attribute {
-                name,
-                column,
-                index,
-            });
+            by_name.insert(name, attrs.len());
+            attrs.push(Attribute { column, index });
         }
         Ok(Table {
             n_rows,
@@ -132,11 +127,6 @@ impl Table {
     /// Number of attributes.
     pub fn n_attrs(&self) -> usize {
         self.attrs.len()
-    }
-
-    /// Attribute names in declaration order.
-    pub fn attr_names(&self) -> impl Iterator<Item = &str> {
-        self.attrs.iter().map(|a| a.name.as_str())
     }
 
     /// Column of an attribute.

@@ -1,9 +1,9 @@
-//! End-to-end tests of the query-engine layer on a realistic DSS schema:
+//! End-to-end tests of the §1 plan model on a realistic DSS schema:
 //! TPC-D-like columns, per-attribute design points, conjunctive queries
-//! through all three plans, and the paper's break-even behaviour.
+//! priced under all three plans, and the paper's break-even behaviour.
 
 use bindex::core::eval::naive;
-use bindex::engine::plan::{candidate_plans, choose, estimate, execute};
+use bindex::engine::plan::{choose, estimate};
 use bindex::engine::{ConjunctiveQuery, IndexChoice, Plan, Table};
 use bindex::relation::{gen, query::Op, query::SelectionQuery, tpcd};
 use bindex::BitVec;
@@ -30,29 +30,6 @@ fn oracle(t: &Table, q: &ConjunctiveQuery) -> BitVec {
         out.and_assign(&naive::evaluate(t.column(attr).unwrap(), *sq));
     }
     out
-}
-
-#[test]
-fn dss_queries_correct_under_every_plan() {
-    let t = dss_table();
-    let queries = [
-        ConjunctiveQuery::new()
-            .and("quantity", SelectionQuery::new(Op::Gt, 40))
-            .and("order_day", SelectionQuery::new(Op::Le, 480))
-            .and("priority", SelectionQuery::new(Op::Le, 1)),
-        ConjunctiveQuery::new()
-            .and("quantity", SelectionQuery::new(Op::Eq, 25))
-            .and("comment_len", SelectionQuery::new(Op::Ge, 60)),
-        ConjunctiveQuery::new().and("priority", SelectionQuery::new(Op::Ne, 0)),
-    ];
-    for q in &queries {
-        let want = oracle(&t, q);
-        for plan in candidate_plans(&t, q).unwrap() {
-            let (got, stats) = execute(&t, q, &plan).unwrap();
-            assert_eq!(got, want, "{q} via {plan}");
-            assert!(stats.bytes_read > 0);
-        }
-    }
 }
 
 #[test]
@@ -97,28 +74,7 @@ fn estimated_selectivity_composes() {
         (est - actual).abs() / actual < 0.15,
         "est {est} vs actual {actual}"
     );
-}
-
-#[test]
-fn interval_encoded_attribute_in_a_table() {
-    use bindex::{Base, Encoding, IndexSpec};
-    let col = gen::uniform(5000, 60, 9);
-    let t = Table::builder()
-        .column(
-            "a",
-            col,
-            IndexChoice::Custom(IndexSpec::new(
-                Base::single(60).unwrap(),
-                Encoding::Interval,
-            )),
-        )
-        .build()
-        .unwrap();
-    assert_eq!(t.index("a").unwrap().unwrap().stored_bitmaps(), 30);
-    let q = ConjunctiveQuery::new().and("a", SelectionQuery::new(Op::Le, 41));
-    let want = oracle(&t, &q);
-    for plan in candidate_plans(&t, &q).unwrap() {
-        let (got, _) = execute(&t, &q, &plan).unwrap();
-        assert_eq!(got, want, "{plan}");
-    }
+    // The empty conjunction matches every row.
+    let everything = ConjunctiveQuery::new().estimated_selectivity(&t).unwrap();
+    assert!((everything - 1.0).abs() < 1e-12);
 }

@@ -8,6 +8,7 @@
 //! so an external property-testing framework is not available). Failures
 //! print the case seed, which reproduces the case deterministically.
 
+use bindex::bitvec::kernels::{self, Fold, FoldStep};
 use bindex::compress::wah::WahBitmap;
 use bindex::compress::{Codec, Lzss, Rle};
 use bindex::core::cost::{self, time_range_paper};
@@ -151,9 +152,33 @@ fn rand_operands(rng: &mut Rng, case: u64) -> Vec<BitVec> {
     (0..k).map(|_| rand_bitvec_len(rng, len)).collect()
 }
 
+/// `ops[0] ∘ ops[1] ∘ …` as one `Fold` program, one `step` per operand
+/// after the seed.
+fn chain<'a>(ops: &[&'a BitVec], step: fn(&'a BitVec) -> FoldStep<&'a BitVec>) -> Fold<&'a BitVec> {
+    Fold {
+        seed: Some(ops[0]),
+        steps: ops[1..].iter().map(|&b| step(b)).collect(),
+        ..Fold::default()
+    }
+}
+
+/// `|ops[0] ⊕ ops[1] ⊕ …|` through `fold_count`: one seedless `AndXor`
+/// step over the last operand and the XOR of the others.
+fn xor_count(ops: &[&BitVec]) -> usize {
+    let (last, rest) = ops.split_last().expect("an operand");
+    let head = match rest {
+        [] => BitVec::zeros(last.len()),
+        _ => kernels::xor_all(rest),
+    };
+    let program = Fold {
+        steps: vec![FoldStep::AndXor(&head, *last)],
+        ..Fold::default()
+    };
+    kernels::fold_count(last.len(), &program)
+}
+
 #[test]
 fn kary_kernels_match_pairwise_folds() {
-    use bindex::bitvec::kernels;
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(0x1_1000 + seed);
         let operands = rand_operands(&mut rng, seed);
@@ -185,7 +210,6 @@ fn kary_kernels_match_pairwise_folds() {
 
 #[test]
 fn kary_and_not_matches_two_step() {
-    use bindex::bitvec::kernels;
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(0x1_2000 + seed);
         let len = kernel_len(&mut rng, seed);
@@ -193,13 +217,13 @@ fn kary_and_not_matches_two_step() {
         let b = rand_bitvec_len(&mut rng, len);
         let mut want = a.clone();
         want.and_assign(&b.complement());
-        assert_eq!(kernels::and_not(&a, &b), want, "seed {seed}");
+        let and_not = chain(&[&a, &b], FoldStep::AndNot);
+        assert_eq!(kernels::fold(len, &and_not), want, "seed {seed}");
     }
 }
 
 #[test]
 fn fused_counts_match_materialized_counts() {
-    use bindex::bitvec::kernels;
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(0x1_3000 + seed);
         let operands = rand_operands(&mut rng, seed);
@@ -209,20 +233,21 @@ fn fused_counts_match_materialized_counts() {
             kernels::and_all(&refs).count_ones(),
             "seed {seed}"
         );
+        let len = refs[0].len();
         assert_eq!(
-            kernels::count_or(&refs),
+            kernels::fold_count(len, &chain(&refs, FoldStep::Or)),
             kernels::or_all(&refs).count_ones(),
             "seed {seed}"
         );
         assert_eq!(
-            kernels::count_xor(&refs),
+            xor_count(&refs),
             kernels::xor_all(&refs).count_ones(),
             "seed {seed}"
         );
-        let (a, b) = (refs[0], refs[refs.len() - 1]);
+        let and_not = chain(&[refs[0], refs[refs.len() - 1]], FoldStep::AndNot);
         assert_eq!(
-            kernels::count_and_not(a, b),
-            kernels::and_not(a, b).count_ones(),
+            kernels::fold_count(len, &and_not),
+            kernels::fold(len, &and_not).count_ones(),
             "seed {seed}"
         );
     }
@@ -230,7 +255,6 @@ fn fused_counts_match_materialized_counts() {
 
 #[test]
 fn kary_kernels_preserve_canonical_tail() {
-    use bindex::bitvec::kernels;
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(0x1_4000 + seed);
         let operands = rand_operands(&mut rng, seed);

@@ -56,6 +56,19 @@ fn chain<'a>(
     wah::fold(ops[0].len(), &program)
 }
 
+/// The dense twin of [`chain`]: the same program for [`kernels::fold`]
+/// and [`kernels::fold_count`].
+fn dense_chain<'a>(
+    ops: &[&'a BitVec],
+    step: fn(&'a BitVec) -> FoldStep<&'a BitVec>,
+) -> Fold<&'a BitVec> {
+    Fold {
+        seed: Some(ops[0]),
+        steps: ops[1..].iter().map(|&b| step(b)).collect(),
+        ..Fold::default()
+    }
+}
+
 fn rand_bitvec_len(rng: &mut Rng, len: usize) -> BitVec {
     let bools: Vec<bool> = (0..len).map(|_| rng.next_bool()).collect();
     BitVec::from_bools(&bools)
@@ -169,7 +182,7 @@ fn partial_tails_at_every_offset() {
             assert_eq!(wa.or(&wb).count_ones(), (&a | &b).count_ones(), "{ctx}");
             assert_eq!(
                 chain(&[&wa, &wb], FoldStep::AndNot).count_ones(),
-                kernels::count_and_not(&a, &b),
+                kernels::fold_count(len, &dense_chain(&[&a, &b], FoldStep::AndNot)),
                 "{ctx}"
             );
             // Serialization round-trip at this exact tail offset.
@@ -261,17 +274,37 @@ fn random_kary_ops_match_dense_kernels() {
         assert_eq!(xor.to_bitvec(), kernels::xor_all(&drefs), "seed {seed}");
         assert_eq!(
             and_not.to_bitvec(),
-            kernels::and_not(drefs[0], drefs[k - 1]),
+            kernels::fold(
+                len,
+                &dense_chain(&[drefs[0], drefs[k - 1]], FoldStep::AndNot)
+            ),
             "seed {seed}"
         );
         // Counted on the compressed result, yet bit-for-bit the fused
         // dense counts.
         assert_eq!(and.count_ones(), kernels::count_and(&drefs), "seed {seed}");
-        assert_eq!(or.count_ones(), kernels::count_or(&drefs), "seed {seed}");
-        assert_eq!(xor.count_ones(), kernels::count_xor(&drefs), "seed {seed}");
+        assert_eq!(
+            or.count_ones(),
+            kernels::fold_count(len, &dense_chain(&drefs, FoldStep::Or)),
+            "seed {seed}"
+        );
+        // The XOR of the others, then one seedless `AndXor` step.
+        let head = kernels::xor_all(&drefs[1..]);
+        let xor_last = Fold {
+            steps: vec![FoldStep::AndXor(&head, drefs[0])],
+            ..Fold::default()
+        };
+        assert_eq!(
+            xor.count_ones(),
+            kernels::fold_count(len, &xor_last),
+            "seed {seed}"
+        );
         assert_eq!(
             and_not.count_ones(),
-            kernels::count_and_not(drefs[0], drefs[k - 1]),
+            kernels::fold_count(
+                len,
+                &dense_chain(&[drefs[0], drefs[k - 1]], FoldStep::AndNot)
+            ),
             "seed {seed}"
         );
     }
