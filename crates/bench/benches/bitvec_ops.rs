@@ -57,6 +57,12 @@ fn bench(c: &mut Criterion) {
     });
     g.finish();
 
+    // Operands past L2 (2^23 bits, 1 MiB).
+    const FOLD_BITS: usize = 1 << 23;
+    let wide: Vec<BitVec> = (0..6)
+        .map(|seed| BitVec::from_fn(FOLD_BITS, |i| (i * 2654435761 + seed) % 7 < 3))
+        .collect();
+
     // Fused k-ary kernels vs the pairwise fold they replace: a 16-way
     // union is the shape of a wide equality-encoded `≤` predicate.
     let operands: Vec<BitVec> = (0..16).map(mk).collect();
@@ -92,16 +98,18 @@ fn bench(c: &mut Criterion) {
     k.bench_function("count_and_16way_fused", |bench| {
         bench.iter(|| black_box(kernels::count_and(black_box(&refs))))
     });
+    // Two operands past L2: the count reads each word once, writes none.
+    let pair = [&wide[0], &wide[1]];
+    k.throughput(Throughput::Bytes((2 * FOLD_BITS / 8) as u64));
+    k.bench_function("count_and_2way_fused", |bench| {
+        bench.iter(|| black_box(kernels::count_and(black_box(&pair))))
+    });
     k.finish();
 
     // The one-pass fold vs the pass-per-operator calls it replaced, on
     // bitmaps past L2 (2^23 bits, 1 MiB): a RangeEval-Opt `≤` chain over
     // `fan_in` operands, then the three-interior-digit `=` chain. Bytes
     // are what the query has to move: every operand once plus the result.
-    const FOLD_BITS: usize = 1 << 23;
-    let wide: Vec<BitVec> = (0..6)
-        .map(|seed| BitVec::from_fn(FOLD_BITS, |i| (i * 2654435761 + seed) % 7 < 3))
-        .collect();
     let le_chain = |fan_in: usize| Fold {
         seed: Some(&wide[0]),
         steps: wide[1..fan_in]

@@ -14,18 +14,24 @@
 //!   equality/range encodings, the RangeEval / RangeEval-Opt / equality
 //!   evaluators, the analytic cost model, optimal index design, buffering
 //!   analysis ([`bindex_core`]);
-//! * [`compress`] — RLE / LZSS byte codecs and WAH compressed bitmaps
-//!   ([`bindex_compress`]);
-//! * [`storage`] — BS/CS/IS physical layouts, disk and memory stores,
-//!   buffer pool ([`bindex_storage`]);
-//! * [`engine`] — multi-attribute tables and conjunctive queries with the
-//!   paper's P1/P2/P3 plan cost model ([`bindex_engine`]);
+//! * [`compress`] — the Section 9 byte codecs (RLE, LZSS, LZ77, Deflate
+//!   with Huffman coding) and WAH compressed bitmaps ([`bindex_compress`]);
+//! * [`storage`] — the paper's BS/CS/IS physical layouts, the v4 slot
+//!   format the engine serves, disk and memory stores, the write-ahead
+//!   log and the sharded buffer pool ([`bindex_storage`]);
+//! * [`engine`] — single-query and parallel batch execution with
+//!   per-query fault isolation, and multi-attribute tables
+//!   ([`bindex_engine`]);
 //! * [`stored`] — glue: evaluate queries directly against an index laid
-//!   out in a byte store, with real I/O accounting.
+//!   out in a byte store, with real I/O accounting;
+//! * [`ingest`] — crash-consistent streaming appends and deletes in front
+//!   of a stored index.
 //!
 //! See the repository's `examples/` for runnable walkthroughs
 //! (`quickstart`, `dss_dashboard`, `index_advisor`,
-//! `compression_explorer`).
+//! `compression_explorer`). The paper's Section 1 plan comparison is
+//! reproduced by the `intro_breakeven` binary (the `N/32` break-even)
+//! and by `dss_dashboard` (conjunctive queries answered as plan P3).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -470,9 +470,10 @@ pub fn fold<T: KernelOperand>(len: usize, program: &Fold<T>) -> BitVec {
 /// `fold(len, program).count_ones()` without the result: each 8 KiB
 /// accumulator block lives in a stack buffer and ends in the carry-save
 /// popcount (`csa_count_fused`) — fused with the mask, or its
-/// complement-and-mask, where [`fold`] would store it. Nothing is
-/// allocated. Bits past `len` (an all-ones seed, an unmasked complement)
-/// are cleared before they are counted.
+/// complement-and-mask, or else with a last `And`, `Or` or `AndNot` step,
+/// where [`fold`] would store it. Nothing is allocated. Bits past `len`
+/// (an all-ones seed, an unmasked complement, an operand view's tail) are
+/// cleared before they are counted, so their block fuses no step.
 ///
 /// # Panics
 /// Panics if any operand is not `len` bits long.
@@ -480,6 +481,14 @@ pub fn fold<T: KernelOperand>(len: usize, program: &Fold<T>) -> BitVec {
 pub fn fold_count<T: KernelOperand>(len: usize, program: &Fold<T>) -> usize {
     let program = program_words(len, program);
     let (seed, steps) = seed_and_steps(&program);
+    type Count = fn(&[u64], &[u64]) -> usize;
+    let last: Option<(Count, _, _)> = match steps.split_last() {
+        _ if program.complement || program.mask.is_some() => None,
+        Some((&FoldStep::And(b), rest)) => Some((csa_count_fused::<OpAnd>, b, rest)),
+        Some((&FoldStep::Or(b), rest)) => Some((csa_count_fused::<OpOr>, b, rest)),
+        Some((&FoldStep::AndNot(b), rest)) => Some((csa_count_fused::<OpAndNot>, b, rest)),
+        _ => None,
+    };
     let n_words = crate::words_for(len);
     let mut buf = [0u64; BLOCK_WORDS];
     let mut xor = [0u64; BLOCK_WORDS];
@@ -487,23 +496,33 @@ pub fn fold_count<T: KernelOperand>(len: usize, program: &Fold<T>) -> usize {
     let mut start = 0;
     while start < n_words {
         let end = (start + BLOCK_WORDS).min(n_words);
-        let acc = &mut buf[..end - start];
-        match seed {
-            Some(seed) => acc.copy_from_slice(&seed[start..end]),
-            None => acc.fill(u64::MAX),
-        }
-        run_steps(acc, steps, start, &mut xor);
-        ones += match (program.complement, program.mask) {
-            (true, Some(mask)) => csa_count_fused::<OpNotAnd>(acc, &mask[start..end]),
-            (false, Some(mask)) => csa_count_fused::<OpAnd>(acc, &mask[start..end]),
-            (complement, None) => {
-                if complement {
-                    complement_words(acc);
+        // The block that holds bits past `len` clears them: it fuses no step.
+        let fused = last.filter(|_| end <= len / 64);
+        ones += match (fused, seed) {
+            // A seed and one step: count straight from the two operands.
+            (Some((count, b, [])), Some(seed)) => count(&seed[start..end], &b[start..end]),
+            _ => {
+                let acc = &mut buf[..end - start];
+                match seed {
+                    Some(seed) => acc.copy_from_slice(&seed[start..end]),
+                    None => acc.fill(u64::MAX),
                 }
-                if end == n_words && !len.is_multiple_of(64) {
-                    acc[end - start - 1] &= (1u64 << (len % 64)) - 1;
+                let run = fused.map_or(steps, |(_, _, rest)| rest);
+                run_steps(acc, run, start, &mut xor);
+                match (fused, program.complement, program.mask) {
+                    (Some((count, b, _)), ..) => count(acc, &b[start..end]),
+                    (_, true, Some(mask)) => csa_count_fused::<OpNotAnd>(acc, &mask[start..end]),
+                    (_, false, Some(mask)) => csa_count_fused::<OpAnd>(acc, &mask[start..end]),
+                    (_, complement, None) => {
+                        if complement {
+                            complement_words(acc);
+                        }
+                        if end == n_words && !len.is_multiple_of(64) {
+                            acc[end - start - 1] &= (1u64 << (len % 64)) - 1;
+                        }
+                        csa_count_fused::<OpOr>(acc, acc)
+                    }
                 }
-                csa_count_fused::<OpOr>(acc, acc)
             }
         };
         start = end;

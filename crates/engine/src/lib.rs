@@ -1,26 +1,8 @@
 //! # bindex-engine
 //!
-//! Multi-attribute tables and conjunctive selection queries over bitmap
-//! indexes — the query-processing scenario the paper's introduction
-//! motivates.
-//!
-//! For a query with selection predicates on several attributes, a
-//! conventional optimizer picks one of three plans (Section 1 of the
-//! paper):
-//!
-//! * **P1** — full relation scan;
-//! * **P2** — index scan on the most selective predicate, then a partial
-//!   relation scan over the qualifying rows to filter the rest;
-//! * **P3** — one index scan per predicate, merging the foundsets
-//!   (with bitmap indexes: cheap ANDs of bitmaps).
-//!
-//! [`Table`] holds the columns and their bitmap indexes (chosen per
-//! attribute via [`IndexChoice`] — the paper's design points as a menu);
-//! [`ConjunctiveQuery`] is the `AND` of per-attribute predicates;
-//! [`plan::estimate`] prices each plan in bytes read with the paper's
-//! cost model and [`plan::choose`] picks the cheapest. The model prices
-//! plans; nothing executes them (`intro_breakeven` reproduces the
-//! paper's `N/32` break-even without them).
+//! Query execution over bitmap indexes — one query
+//! ([`evaluate_query`]) or a parallel workload — and multi-attribute
+//! tables.
 //!
 //! The [`batch`] module fans workloads of single-index selection and
 //! threshold queries across worker threads with per-query fault
@@ -28,17 +10,24 @@
 //! (reconstructed-bitmap) evaluations each surface as that query's own
 //! [`QueryOutcome`] in a [`WorkloadReport`], never as a workload-wide
 //! abort.
+//!
+//! [`Table`] holds named columns, each optionally covered by a bitmap
+//! index chosen through [`IndexChoice`] — the paper's design points as a
+//! physical-design menu.
+//!
+//! The paper's Section 1 argument — pricing plans P1/P2/P3 in bytes read
+//! — is reproduced without a plan model: the `intro_breakeven` binary
+//! reproduces the `N/32` break-even, and `examples/dss_dashboard.rs`
+//! answers conjunctive queries by ANDing bitmap foundsets (plan P3).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod plan;
 mod table;
 
 pub use batch::{
     evaluate_query, evaluate_selection_workload, BatchHealth, BatchOptions, Deadline, Found,
     QueryOutcome, Sink, WorkloadReport, MIN_SEGMENT_BITS,
 };
-pub use plan::{ConjunctiveQuery, Plan, PlanCost};
 pub use table::{IndexChoice, Table, TableBuilder};
