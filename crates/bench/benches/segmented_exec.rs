@@ -1,11 +1,14 @@
 //! Microbench: segment-size sensitivity of the morsel-driven executor's
 //! inner loop — an 8-way pairwise AND over 8M-bit operands, whole-bitmap
 //! vs cache-blocked at several morsel sizes, plus the segmented evaluator
-//! end-to-end against the whole-bitmap path.
+//! end-to-end against the whole-bitmap path, and `count_in` in the served
+//! shapes: a `<10,10,10>` range index at 2^18 and 2^21 rows, whole and
+//! over the 2^16-bit windows a served index walks.
 
-use bindex::core::eval::{evaluate, evaluate_segmented_in, Algorithm};
+use bindex::core::eval::{count_in, evaluate, evaluate_segmented_in, Algorithm};
 use bindex::core::{ExecContext, DEFAULT_SEGMENT_BITS};
 use bindex::relation::gen;
+use bindex::relation::query::{Op, Query, SelectionQuery};
 use bindex::{Base, BitVec, BitmapIndex, Encoding, IndexSpec};
 use bindex_bench::microbench::{Criterion, Throughput};
 use bindex_bench::{criterion_group, criterion_main};
@@ -61,7 +64,7 @@ fn bench(c: &mut Criterion) {
     let col = gen::uniform(rows, cardinality, 7);
     let spec = IndexSpec::new(Base::single(cardinality).unwrap(), Encoding::Range);
     let index = BitmapIndex::build(&col, spec).unwrap();
-    let query = bindex::relation::query::SelectionQuery::new(bindex::relation::query::Op::Le, 12);
+    let query = SelectionQuery::new(Op::Le, 12);
 
     let mut g = c.benchmark_group("segmented_eval");
     g.bench_function("range_opt_whole_256k", |bench| {
@@ -86,6 +89,30 @@ fn bench(c: &mut Criterion) {
             .count_ones()
         })
     });
+
+    // One iteration counts 64 uniform queries, each in its own context as
+    // a served query runs; ns/iter ÷ 64 is the time of one count.
+    let spec = IndexSpec::new(Base::from_msb(&[10, 10, 10]).unwrap(), Encoding::Range);
+    let queries: Vec<Query> = (0..64u32)
+        .map(|i| SelectionQuery::new(Op::ALL[i as usize % 6], i * 337 % 1000).into())
+        .collect();
+    g.throughput(Throughput::Elements(queries.len() as u64));
+    for log_rows in [18, 21] {
+        let column = gen::uniform(1 << log_rows, 1000, 7);
+        let index = BitmapIndex::build(&column, spec.clone()).unwrap();
+        for (shape, segment_bits) in [("whole", None), ("win64k", Some(1 << 16))] {
+            g.bench_function(format!("count_in_{shape}_2^{log_rows}"), |bench| {
+                bench.iter(|| {
+                    let count = |q| {
+                        let mut src = index.source();
+                        let mut ctx = ExecContext::new(&mut src);
+                        count_in(&mut ctx, q, Algorithm::Auto, segment_bits).unwrap()
+                    };
+                    queries.iter().map(count).sum::<u64>()
+                })
+            });
+        }
+    }
     g.finish();
 }
 

@@ -6,9 +6,9 @@
 //! This is what the Section 9 experiments evaluate queries through: the
 //! same evaluation algorithms, but every `fetch` is a real file read (and
 //! decompression, for the `c*`-schemes), with byte-level I/O accounting.
-//! Storage failures surface as typed [`Error`](bindex_core::Error)s on the
-//! query path — checksum mismatches as [`Error::ChecksumMismatch`], other
-//! store failures as [`Error::Storage`] — never as panics.
+//! Storage failures surface as typed [`Error`]s on the query path —
+//! checksum mismatches as [`Error::ChecksumMismatch`], other store
+//! failures as [`Error::Storage`] — never as panics.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -14,14 +14,19 @@
 //!
 //! # One block loop
 //!
-//! `fold` and `fold_count` are the only loops over blocks. The k-ary
-//! names [`and_all`], [`or_all`], [`xor_all`] and [`count_and`] are
-//! `Fold` programs — a seed plus an `And` or `Or` step per further
-//! operand; for XOR, a seedless `AndXor` of two operands, chained — and
-//! so are `threshold_k`'s `k = 1` and `k = n`. No product path calls the
-//! four: with `threshold_k` they are the five names the benchmark's
-//! kernel probe compiles against, and they stay until that probe is
-//! pointed at what the product calls (ROADMAP item 1(c)).
+//! [`fold_into`] and [`fold_count_with`] are the only loops over blocks:
+//! they read a program's operands through a closure that gives each
+//! one's words — so a program bound once to its operands by handle is
+//! re-run on every window of a walk — and keep their block buffers in a
+//! caller's [`Scratch`]. `fold` and `fold_count` are them over whole
+//! bitmaps or views. The k-ary names [`and_all`], [`or_all`], [`xor_all`]
+//! and [`count_and`] are `Fold` programs — a seed plus an `And` or `Or`
+//! step per further operand; for XOR, a seedless `AndXor` of two
+//! operands, chained — and so are `threshold_k`'s `k = 1` and `k = n`.
+//! No product path calls the four: with `threshold_k` they are the five
+//! names the benchmark's kernel probe compiles against, and they stay
+//! until that probe is pointed at what the product calls (ROADMAP item
+//! 1(c)).
 //!
 //! The inner combine loop runs over fixed-size `[u64; LANES]` arrays
 //! (u64x8), which the compiler lowers to vector loads/stores and vector
@@ -388,6 +393,28 @@ impl<T> Fold<T> {
         }
     }
 
+    /// Every operand, in program order: seed, steps, mask.
+    pub fn operands(&self) -> impl Iterator<Item = &T> {
+        let steps = self.steps.iter().flat_map(|step| match step {
+            FoldStep::And(b) | FoldStep::Or(b) | FoldStep::AndNot(b) => [Some(b), None],
+            FoldStep::AndXor(a, b) => [Some(a), Some(b)],
+        });
+        self.seed.iter().chain(steps.flatten()).chain(&self.mask)
+    }
+
+    /// Whether the fold is all zero by its first value alone: it can only
+    /// clear bits (no `Or` step, no complement), and its seed — or a
+    /// seedless chain's leading `And` operand — has no bit set in `words`.
+    pub fn clears_from_zero<'w>(&'w self, words: impl Fn(&'w T) -> &'w [u64]) -> bool {
+        let first = match (&self.seed, self.steps.first()) {
+            (None, Some(FoldStep::And(b))) => Some(b),
+            (seed, _) => seed.as_ref(),
+        };
+        let clears_only =
+            !self.complement && !self.steps.iter().any(|s| matches!(s, FoldStep::Or(_)));
+        clears_only && first.is_some_and(|b| words(b).iter().all(|&w| w == 0))
+    }
+
     /// [`Fold::map`] with a conversion that can fail (a slot address to
     /// the bitmap fetched from it): operands are converted in program
     /// order — seed, steps, mask — and the first error ends the walk.
@@ -415,12 +442,54 @@ impl<T> Fold<T> {
     }
 }
 
+impl<T> Fold<Option<T>> {
+    /// The fold with a `None` seed or mask dropped: all ones, which a seed
+    /// or a mask leaves out.
+    ///
+    /// # Panics
+    /// Panics if a step's operand is `None`.
+    pub fn flatten(self) -> Fold<T> {
+        let operand = |b: Option<T>| b.expect("only a seed or a mask may be all ones");
+        let steps = self.steps.into_iter().map(|step| match step {
+            FoldStep::And(b) => FoldStep::And(operand(b)),
+            FoldStep::Or(b) => FoldStep::Or(operand(b)),
+            FoldStep::AndNot(b) => FoldStep::AndNot(operand(b)),
+            FoldStep::AndXor(a, b) => FoldStep::AndXor(operand(a), operand(b)),
+        });
+        Fold {
+            seed: self.seed.flatten(),
+            steps: steps.collect(),
+            complement: self.complement,
+            mask: self.mask.flatten(),
+        }
+    }
+}
+
 /// `!w` over a block. `inline(never)`: see [`combine`].
 #[inline(never)]
 fn complement_words(dst: &mut [u64]) {
     for w in dst {
         *w = !*w;
     }
+}
+
+/// The block buffers [`fold_into`] and [`fold_count_with`] work in. A
+/// caller that runs many folds — a query walking its windows — keeps one,
+/// so the buffers are allocated and zeroed once, not on every call.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    /// The accumulator block of a count.
+    acc: Vec<u64>,
+    /// The `a ^ b` block of an `AndXor` step.
+    xor: Vec<u64>,
+}
+
+/// `buf` grown to one block, at most once per [`Scratch`].
+fn block(buf: &mut Vec<u64>) -> &mut [u64] {
+    if buf.len() < BLOCK_WORDS {
+        buf.resize(BLOCK_WORDS, 0);
+    }
+    buf
 }
 
 /// Evaluates `program` over `len`-bit operands in a single pass: block by
@@ -440,87 +509,134 @@ fn complement_words(dst: &mut [u64]) {
 /// Panics if any operand is not `len` bits long.
 #[must_use]
 pub fn fold<T: KernelOperand>(len: usize, program: &Fold<T>) -> BitVec {
-    let program = program_words(len, program);
-    let (seed, steps) = seed_and_steps(&program);
+    check_program(len, program);
     let n_words = crate::words_for(len);
-    // Every word is written below, so a spare buffer needs no zeroing.
-    let mut out = crate::spare::take(n_words).unwrap_or_else(|| Vec::with_capacity(n_words));
-    let mut xor = [0u64; BLOCK_WORDS];
-    let mut start = 0;
+    let mut out = crate::spare_words(n_words);
+    fold_into(len, program, T::words, &mut Scratch::default(), &mut out);
+    BitVec::from_words_unmasked(out, len)
+}
+
+/// [`fold`] over operands whose words `words` gives, appended to `out` as
+/// `words_for(len)` canonical words. A window of a longer result is
+/// appended in place, and a program bound once to its operands by handle
+/// is re-run on every window by a `words` that slices them.
+///
+/// # Panics
+/// Panics if `words` gives any operand other than `words_for(len)` words.
+pub fn fold_into<'w, T>(
+    len: usize,
+    program: &'w Fold<T>,
+    words: impl Fn(&'w T) -> &'w [u64],
+    scratch: &mut Scratch,
+    out: &mut Vec<u64>,
+) {
+    let n_words = crate::words_for(len);
+    check_words(n_words, program, &words);
+    let (seed, steps) = seed_and_steps(program);
+    let (base, mut start) = (out.len(), 0);
+    out.reserve(n_words);
     while start < n_words {
         let end = (start + BLOCK_WORDS).min(n_words);
         match seed {
-            Some(seed) => out.extend_from_slice(&seed[start..end]),
-            None => out.resize(end, u64::MAX),
+            Some(seed) => out.extend_from_slice(&words(seed)[start..end]),
+            None => out.resize(base + end, u64::MAX),
         }
-        let acc = &mut out[start..end];
-        run_steps(acc, steps, start, &mut xor);
-        match (program.complement, program.mask) {
-            (true, Some(mask)) => combine::<OpNotAnd>(acc, &mask[start..end]),
+        let acc = &mut out[base + start..base + end];
+        run_steps(acc, steps, &words, start, &mut scratch.xor);
+        match (program.complement, &program.mask) {
+            (true, Some(mask)) => combine::<OpNotAnd>(acc, &words(mask)[start..end]),
             (true, None) => complement_words(acc),
-            (false, Some(mask)) => combine::<OpAnd>(acc, &mask[start..end]),
+            (false, Some(mask)) => combine::<OpAnd>(acc, &words(mask)[start..end]),
             (false, None) => {}
         }
         start = end;
     }
     // An all-ones seed and an unmasked complement set bits past `len`.
-    BitVec::from_words(out, len)
+    if let (Some(last), rem @ 1..) = (out.last_mut(), len % 64) {
+        *last &= (1 << rem) - 1;
+    }
 }
 
 /// `fold(len, program).count_ones()` without the result: each 8 KiB
-/// accumulator block lives in a stack buffer and ends in the carry-save
-/// popcount (`csa_count_fused`) — fused with the mask, or its
-/// complement-and-mask, or else with a last `And`, `Or` or `AndNot` step,
-/// where [`fold`] would store it. Nothing is allocated. Bits past `len`
-/// (an all-ones seed, an unmasked complement, an operand view's tail) are
-/// cleared before they are counted, so their block fuses no step.
+/// accumulator block ends in the carry-save popcount (`csa_count_fused`)
+/// — fused with the mask, or its complement-and-mask, or else with a last
+/// `And`, `Or` or `AndNot` step, where [`fold`] would store it. An
+/// unmasked complement is counted as the block's bits less the ones of
+/// what it complements. Bits past `len` (an all-ones seed, an operand
+/// view's tail) are cleared before they are counted, so their block fuses
+/// no step.
 ///
 /// # Panics
 /// Panics if any operand is not `len` bits long.
 #[must_use]
 pub fn fold_count<T: KernelOperand>(len: usize, program: &Fold<T>) -> usize {
-    let program = program_words(len, program);
-    let (seed, steps) = seed_and_steps(&program);
+    check_program(len, program);
+    fold_count_with(len, program, T::words, &mut Scratch::default())
+}
+
+/// [`fold_count`] over operands whose words `words` gives (see
+/// [`fold_into`]), its accumulator block in `scratch`.
+///
+/// # Panics
+/// Panics if `words` gives any operand other than `words_for(len)` words.
+#[must_use]
+pub fn fold_count_with<'w, T>(
+    len: usize,
+    program: &'w Fold<T>,
+    words: impl Fn(&'w T) -> &'w [u64],
+    scratch: &mut Scratch,
+) -> usize {
+    let n_words = crate::words_for(len);
+    check_words(n_words, program, &words);
+    let (seed, steps) = seed_and_steps(program);
     type Count = fn(&[u64], &[u64]) -> usize;
     let last: Option<(Count, _, _)> = match steps.split_last() {
-        _ if program.complement || program.mask.is_some() => None,
-        Some((&FoldStep::And(b), rest)) => Some((csa_count_fused::<OpAnd>, b, rest)),
-        Some((&FoldStep::Or(b), rest)) => Some((csa_count_fused::<OpOr>, b, rest)),
-        Some((&FoldStep::AndNot(b), rest)) => Some((csa_count_fused::<OpAndNot>, b, rest)),
+        _ if program.mask.is_some() => None,
+        Some((FoldStep::And(b), rest)) => Some((csa_count_fused::<OpAnd>, b, rest)),
+        Some((FoldStep::Or(b), rest)) => Some((csa_count_fused::<OpOr>, b, rest)),
+        Some((FoldStep::AndNot(b), rest)) => Some((csa_count_fused::<OpAndNot>, b, rest)),
         _ => None,
     };
-    let n_words = crate::words_for(len);
-    let mut buf = [0u64; BLOCK_WORDS];
-    let mut xor = [0u64; BLOCK_WORDS];
+    let Scratch { acc: buf, xor } = scratch;
+    let buf = block(buf);
     let mut ones = 0;
     let mut start = 0;
     while start < n_words {
         let end = (start + BLOCK_WORDS).min(n_words);
+        // The bits of the block below `len`, which a complement counts from.
+        let bits = len.min(64 * end) - 64 * start;
+        let flip = |counted: usize| match program.complement {
+            true => bits - counted,
+            false => counted,
+        };
         // The block that holds bits past `len` clears them: it fuses no step.
         let fused = last.filter(|_| end <= len / 64);
         ones += match (fused, seed) {
             // A seed and one step: count straight from the two operands.
-            (Some((count, b, [])), Some(seed)) => count(&seed[start..end], &b[start..end]),
+            (Some((count, b, [])), Some(seed)) => {
+                flip(count(&words(seed)[start..end], &words(b)[start..end]))
+            }
             _ => {
                 let acc = &mut buf[..end - start];
                 match seed {
-                    Some(seed) => acc.copy_from_slice(&seed[start..end]),
+                    Some(seed) => acc.copy_from_slice(&words(seed)[start..end]),
                     None => acc.fill(u64::MAX),
                 }
                 let run = fused.map_or(steps, |(_, _, rest)| rest);
-                run_steps(acc, run, start, &mut xor);
-                match (fused, program.complement, program.mask) {
-                    (Some((count, b, _)), ..) => count(acc, &b[start..end]),
-                    (_, true, Some(mask)) => csa_count_fused::<OpNotAnd>(acc, &mask[start..end]),
-                    (_, false, Some(mask)) => csa_count_fused::<OpAnd>(acc, &mask[start..end]),
-                    (_, complement, None) => {
-                        if complement {
-                            complement_words(acc);
-                        }
+                run_steps(acc, run, &words, start, xor);
+                match (fused, program.complement, &program.mask) {
+                    (Some((count, b, _)), ..) => flip(count(acc, &words(b)[start..end])),
+                    (_, true, Some(mask)) => {
+                        csa_count_fused::<OpNotAnd>(acc, &words(mask)[start..end])
+                    }
+                    (_, false, Some(mask)) => {
+                        csa_count_fused::<OpAnd>(acc, &words(mask)[start..end])
+                    }
+                    (_, _, None) => {
                         if end == n_words && !len.is_multiple_of(64) {
                             acc[end - start - 1] &= (1u64 << (len % 64)) - 1;
                         }
-                        csa_count_fused::<OpOr>(acc, acc)
+                        flip(csa_count_fused::<OpOr>(acc, acc))
                     }
                 }
             }
@@ -530,43 +646,57 @@ pub fn fold_count<T: KernelOperand>(len: usize, program: &Fold<T>) -> usize {
     ones
 }
 
-/// `program`'s operands as their words, each checked to be `len` bits.
-fn program_words<T: KernelOperand>(len: usize, program: &Fold<T>) -> Fold<&[u64]> {
-    program.map(|op| {
+/// Checks that every operand of `program` is `len` bits long.
+fn check_program<T: KernelOperand>(len: usize, program: &Fold<T>) {
+    for op in program.operands() {
         assert_eq!(
             len,
             op.len(),
             "bitmap length mismatch: {len} vs {}",
             op.len()
         );
-        op.words()
-    })
+    }
+}
+
+/// Checks that `words` gives every operand of `program` as `n_words` words.
+fn check_words<'w, T>(n_words: usize, program: &'w Fold<T>, words: &impl Fn(&'w T) -> &'w [u64]) {
+    for op in program.operands() {
+        let got = words(op).len();
+        assert_eq!(
+            n_words, got,
+            "bitmap length mismatch: {n_words} vs {got} words"
+        );
+    }
 }
 
 /// The accumulator's first value and the steps left to run: `ones & b` is
 /// `b`, so a seedless program seeds from a leading AND instead of filling
 /// ones.
-fn seed_and_steps<'p, 'w>(
-    program: &'p Fold<&'w [u64]>,
-) -> (Option<&'w [u64]>, &'p [FoldStep<&'w [u64]>]) {
-    match (program.seed, program.steps.split_first()) {
-        (None, Some((&FoldStep::And(b), rest))) => (Some(b), rest),
-        _ => (program.seed, &program.steps[..]),
+fn seed_and_steps<T>(program: &Fold<T>) -> (Option<&T>, &[FoldStep<T>]) {
+    match (&program.seed, program.steps.split_first()) {
+        (None, Some((FoldStep::And(b), rest))) => (Some(b), rest),
+        (seed, _) => (seed.as_ref(), &program.steps[..]),
     }
 }
 
 /// Runs `steps` over the accumulator block `acc`, which starts at operand
-/// word `start`. `xor` is the work buffer of `AndXor` steps.
-fn run_steps(acc: &mut [u64], steps: &[FoldStep<&[u64]>], start: usize, xor: &mut [u64]) {
+/// word `start`. `xor` holds the block of an `AndXor` step.
+fn run_steps<'w, T>(
+    acc: &mut [u64],
+    steps: &'w [FoldStep<T>],
+    words: &impl Fn(&'w T) -> &'w [u64],
+    start: usize,
+    xor: &mut Vec<u64>,
+) {
     let end = start + acc.len();
     for step in steps {
-        match *step {
-            FoldStep::And(b) => combine::<OpAnd>(acc, &b[start..end]),
-            FoldStep::Or(b) => combine::<OpOr>(acc, &b[start..end]),
-            FoldStep::AndNot(b) => combine::<OpAndNot>(acc, &b[start..end]),
+        match step {
+            FoldStep::And(b) => combine::<OpAnd>(acc, &words(b)[start..end]),
+            FoldStep::Or(b) => combine::<OpOr>(acc, &words(b)[start..end]),
+            FoldStep::AndNot(b) => combine::<OpAndNot>(acc, &words(b)[start..end]),
             FoldStep::AndXor(a, b) => {
-                let xor = &mut xor[..acc.len()];
-                combine2::<OpXor>(xor, &a[start..end], &b[start..end]);
+                let xor = &mut block(xor)[..acc.len()];
+                combine2::<OpXor>(xor, &words(a)[start..end], &words(b)[start..end]);
                 combine::<OpAnd>(acc, xor);
             }
         }
@@ -587,7 +717,7 @@ pub(crate) fn popcount(words: &[u64]) -> usize {
 const MAX_COUNTER_LEVELS: usize = 8;
 
 /// Largest operand count the threshold kernels accept (the counter is
-/// [`MAX_COUNTER_LEVELS`] bit-slices wide). Far above any query plan's
+/// `MAX_COUNTER_LEVELS` = 8 bit-slices wide). Far above any query plan's
 /// fan-in; a wider threshold should be split and merged by the caller.
 pub const MAX_THRESHOLD_FAN_IN: usize = (1 << MAX_COUNTER_LEVELS) - 1;
 

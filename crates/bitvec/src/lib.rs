@@ -25,8 +25,8 @@
 //! Foundset memory is recycled through one process-wide *spare list*: a
 //! dropped bitmap's owned buffer of 128 KiB or more goes onto it, and every
 //! full-length dense result ([`kernels::fold`], [`kernels::threshold_k`],
-//! [`BitVec::zeros`], [`zeroed_words`]) takes its buffer from it before it
-//! asks the allocator. The list keeps at most what the process once held
+//! [`BitVec::zeros`], [`zeroed_words`], [`spare_words`]) takes its buffer
+//! from it before it asks the allocator. The list keeps at most what the process once held
 //! outstanding at the same time, so it never raises peak memory; it saves
 //! a batch of large foundsets from faulting in fresh pages every time.
 
@@ -61,4 +61,10 @@ pub fn zeroed_words(n: usize) -> Vec<u64> {
         }
         None => vec![0; n],
     }
+}
+
+/// An empty buffer with room for `n` words, for a result written word by
+/// word: from the spare list when one fits, freshly allocated otherwise.
+pub fn spare_words(n: usize) -> Vec<u64> {
+    spare::take(n).unwrap_or_else(|| Vec::with_capacity(n))
 }

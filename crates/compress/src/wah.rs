@@ -706,6 +706,9 @@ pub struct SegmentCursor {
     /// Next undelivered bit (absolute); `run_start <= pos` once decoding
     /// has begun.
     pos: usize,
+    /// The window last decoded, and its canonical words.
+    decoded: Option<(usize, usize)>,
+    words: Vec<u64>,
 }
 
 impl SegmentCursor {
@@ -718,6 +721,8 @@ impl SegmentCursor {
             run_end: 0,
             run: RunValue::Zeros,
             pos: 0,
+            decoded: None,
+            words: Vec::new(),
         }
     }
 
@@ -729,6 +734,32 @@ impl SegmentCursor {
     /// # Panics
     /// Panics if the window is out of range or misaligned.
     pub fn window(&mut self, lo: usize, hi: usize) -> BitVec {
+        BitVec::from_words(self.window_words(lo, hi).to_vec(), hi - lo)
+    }
+
+    /// [`SegmentCursor::window`]'s canonical words, decoded into the one
+    /// buffer the cursor keeps — so a walk over many windows allocates
+    /// once — unless it holds that window already.
+    ///
+    /// # Panics
+    /// Panics if the window is out of range or misaligned.
+    pub fn window_words(&mut self, lo: usize, hi: usize) -> &[u64] {
+        if self.decoded != Some((lo, hi)) {
+            let mut words = std::mem::take(&mut self.words);
+            self.decode_window(lo, hi, &mut words);
+            self.words = words;
+            self.decoded = Some((lo, hi));
+        }
+        &self.words
+    }
+
+    /// The words of the window last decoded (none before the first).
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Decodes bits `lo..hi` into `words`, overwritten.
+    fn decode_window(&mut self, lo: usize, hi: usize, words: &mut Vec<u64>) {
         let len = self.bitmap.len;
         assert!(
             lo <= hi && hi <= len,
@@ -750,7 +781,8 @@ impl SegmentCursor {
             self.run = RunValue::Zeros;
         }
         self.pos = lo;
-        let mut words = vec![0u64; words_for(hi - lo)];
+        words.clear();
+        words.resize(words_for(hi - lo), 0);
         while self.pos < hi {
             if self.pos >= self.run_end {
                 self.decode();
@@ -759,7 +791,7 @@ impl SegmentCursor {
             let end = self.run_end.min(hi);
             match self.run {
                 RunValue::Zeros => {}
-                RunValue::Ones => set_ones(&mut words, self.pos - lo, end - lo),
+                RunValue::Ones => set_ones(words, self.pos - lo, end - lo),
                 RunValue::Literal(g) => {
                     // The literal run is exactly one 31-bit group starting
                     // at `run_start`; emit its `pos..end` sub-range, which
@@ -777,9 +809,10 @@ impl SegmentCursor {
             }
             self.pos = end;
         }
-        // `from_words` re-masks the tail, so a dirty final literal group
-        // can never leak bits past `hi` into the window.
-        BitVec::from_words(words, hi - lo)
+        // A dirty final literal group must never leak bits past `hi`.
+        if let (Some(last), rem @ 1..) = (words.last_mut(), (hi - lo) % 64) {
+            *last &= (1u64 << rem) - 1;
+        }
     }
 
     /// Decodes the next encoded word into the current-run fields. An

@@ -35,7 +35,7 @@ use bindex_relation::query::{Op, Query, SelectionQuery};
 use crate::base::Base;
 use crate::encoding::{Encoding, IndexSpec};
 use crate::error::{Error, Result};
-use crate::exec::{Answer, EvalStats, ExecContext, Operand, Program, Sink, Term};
+use crate::exec::{Answer, Bound, EvalStats, ExecContext, Operand, Program, Term};
 use crate::index::BitmapSource;
 
 /// Which evaluation algorithm to run.
@@ -131,7 +131,7 @@ pub fn evaluate_repr_in<S: BitmapSource>(
     algorithm: Algorithm,
     segment_bits: Option<usize>,
 ) -> Result<Repr> {
-    Ok(run_query(ctx, query, algorithm, segment_bits, Sink::Keep)?.into_repr())
+    Ok(run_query(ctx, query, algorithm, segment_bits, true)?.into_repr())
 }
 
 /// [`evaluate_repr_in`]'s cardinality, by the same routes, reads, pruning,
@@ -150,33 +150,34 @@ pub fn count_in<S: BitmapSource>(
     algorithm: Algorithm,
     segment_bits: Option<usize>,
 ) -> Result<u64> {
-    Ok(run_query(ctx, query, algorithm, segment_bits, Sink::Count)?.count_ones() as u64)
+    Ok(run_query(ctx, query, algorithm, segment_bits, false)?.count_ones() as u64)
 }
 
 /// The one body of [`evaluate_repr_in`] and [`count_in`]: `query`
 /// validated, its programs built before anything is fetched, then run
-/// whole or window by window. A compressible program is offered the WAH
-/// fold before the window walk.
+/// whole or window by window, each bound once for the query. A
+/// compressible program is offered the WAH fold first.
 fn run_query<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     query: &Query,
     algorithm: Algorithm,
     segment_bits: Option<usize>,
-    sink: Sink,
+    keep: bool,
 ) -> Result<Answer> {
     validate(ctx.spec(), query)?;
+    ctx.forget_bound();
     match query {
         Query::Selection(q) => {
             let program = program(ctx.spec(), *q, algorithm, true)?;
-            let Some(segment_bits) = segment_bits else {
-                return ctx.run(&program, sink);
-            };
             if let ([term], true) = (&program.terms[..], program.compressible) {
-                if let Some(found) = ctx.fold_term_wah(term, true)? {
+                if let Some(found) = ctx.fold_term_wah(term, segment_bits.is_some())? {
                     return Ok(Answer::Wah(found));
                 }
             }
-            evaluate_segments(ctx, segment_bits, sink, |ctx, _| ctx.run(&program, sink))
+            let mut bound = Bound::new();
+            walk(ctx, segment_bits, keep, |ctx, _, keep| {
+                ctx.run(&program, &mut bound, keep)
+            })
         }
         Query::Threshold(q) => {
             let predicates = q
@@ -184,14 +185,22 @@ fn run_query<S: BitmapSource>(
                 .iter()
                 .map(|&p| program(ctx.spec(), p, algorithm, false))
                 .collect::<Result<Vec<_>>>()?;
+            let mut bound = vec![Bound::new(); predicates.len()];
             let k = q.k as usize;
-            let window = |ctx: &mut ExecContext<'_, S>, charging| {
-                threshold::evaluate_window(ctx, &predicates, k, charging).map(Answer::Dense)
+            let Some(segment_bits) = segment_bits else {
+                let found = threshold::evaluate_window(ctx, &predicates, &mut bound, k, true)?;
+                return Ok(Answer::Dense(found));
             };
-            match segment_bits {
-                None => window(ctx, true),
-                Some(segment_bits) => evaluate_segments(ctx, segment_bits, sink, window),
-            }
+            walk(ctx, Some(segment_bits), keep, |ctx, charging, keep| {
+                let found = threshold::evaluate_window(ctx, &predicates, &mut bound, k, charging)?;
+                Ok(match keep {
+                    Some(out) => {
+                        out.extend_from_slice(found.words());
+                        0
+                    }
+                    None => found.count_ones(),
+                })
+            })
         }
     }
 }
@@ -343,58 +352,58 @@ pub fn evaluate_segmented_in<S: BitmapSource>(
     Ok(ctx.materialize(found))
 }
 
-/// The one window walk, and the only caller of `begin_segment`: `window`
-/// runs on every segment of `[0, n_rows)` in order, given whether it is
-/// segment 0 — the one run charged for the full data-independent operator
-/// sequence (a threshold's later segments may take the early-exit bound) —
-/// and its answers are copied into place in the full-length result under
-/// [`Sink::Keep`], or summed. An empty relation still runs one empty
-/// segment, so the charges are those of whole-bitmap mode. The first
-/// segment always runs; later ones are shed with
+/// The one walk over a query's windows, and the only caller of
+/// `begin_segment`: `window` runs on every segment of `[0, n_rows)` in
+/// order — on all rows at once, outside segmented mode, when
+/// `segment_bits` is `None` — given whether its run is charged for the
+/// full data-independent operator sequence (segment 0; a threshold's
+/// later segments may take the early-exit bound), and appends its words
+/// to the foundset when `keep`, or returns its count. An empty relation
+/// still runs one empty segment, so the charges are those of whole-bitmap
+/// mode. The first segment always runs; later ones are shed with
 /// [`Error::DeadlineExceeded`] once the context's deadline has passed.
 /// Leaves segmented mode however the walk ends.
 ///
 /// # Panics
-/// Panics if `segment_bits` is zero or not a multiple of 64.
-fn evaluate_segments<S: BitmapSource>(
+/// Panics if `segment_bits` is `Some` of zero or of a non-multiple of 64.
+fn walk<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
-    segment_bits: usize,
-    sink: Sink,
-    mut window: impl FnMut(&mut ExecContext<'_, S>, bool) -> Result<Answer>,
+    segment_bits: Option<usize>,
+    keep: bool,
+    mut window: impl FnMut(&mut ExecContext<'_, S>, bool, Option<&mut Vec<u64>>) -> Result<usize>,
 ) -> Result<Answer> {
-    assert!(
-        segment_bits > 0 && segment_bits.is_multiple_of(64),
-        "segment size must be a positive multiple of 64 bits"
-    );
     let n_rows = ctx.n_rows();
-    let mut out = match sink {
-        Sink::Keep => bindex_bitvec::zeroed_words(bindex_bitvec::words_for(n_rows)),
-        Sink::Count => Vec::new(),
+    let mut out = match keep {
+        true => bindex_bitvec::spare_words(bindex_bitvec::words_for(n_rows)),
+        false => Vec::new(),
     };
-    let mut ones = 0;
-    // An empty relation is one empty segment.
-    let mut starts = (0..n_rows.max(1)).step_by(segment_bits).enumerate();
-    let walked = starts.try_for_each(|(index, lo)| {
-        if index > 0 && ctx.deadline_expired() {
-            return Err(Error::DeadlineExceeded);
+    let ones = match segment_bits {
+        None => window(ctx, true, keep.then_some(&mut out))?,
+        Some(segment_bits) => {
+            assert!(
+                segment_bits > 0 && segment_bits.is_multiple_of(64),
+                "segment size must be a positive multiple of 64 bits"
+            );
+            let mut ones = 0;
+            // An empty relation is one empty segment.
+            let mut starts = (0..n_rows.max(1)).step_by(segment_bits).enumerate();
+            let walked = starts.try_for_each(|(index, lo)| {
+                if index > 0 && ctx.deadline_expired() {
+                    return Err(Error::DeadlineExceeded);
+                }
+                ctx.begin_segment(lo, (lo + segment_bits).min(n_rows), index);
+                ones += window(ctx, index == 0, keep.then_some(&mut out))?;
+                ctx.end_segment();
+                Ok(())
+            });
+            ctx.exit_segments();
+            walked?;
+            ones
         }
-        let hi = (lo + segment_bits).min(n_rows);
-        ctx.begin_segment(lo, hi, index);
-        match window(ctx, index == 0)? {
-            Answer::Dense(part) if sink == Sink::Keep => {
-                debug_assert_eq!(part.len(), hi - lo, "a non-window result");
-                out[lo / 64..][..part.words().len()].copy_from_slice(part.words());
-            }
-            part => ones += part.count_ones(),
-        }
-        ctx.end_segment();
-        Ok(())
-    });
-    ctx.exit_segments();
-    walked?;
-    Ok(match sink {
-        Sink::Keep => Answer::Dense(BitVec::from_words(out, n_rows)),
-        Sink::Count => Answer::Count(ones),
+    };
+    Ok(match keep {
+        true => Answer::Dense(BitVec::from_words(out, n_rows)),
+        false => Answer::Count(ones),
     })
 }
 
@@ -422,8 +431,9 @@ pub(crate) mod tests {
         algorithm: Algorithm,
     ) -> Result<BitVec> {
         let program = program(ctx.spec(), query, algorithm, false)?;
-        let found = ctx.run(&program, Sink::Keep)?.into_repr();
-        Ok(ctx.materialize(found))
+        let mut found = Vec::new();
+        ctx.run(&program, &mut Bound::new(), Some(&mut found))?;
+        Ok(BitVec::from_words(found, ctx.view_len()))
     }
 
     fn spec_for(encoding: Encoding) -> IndexSpec {

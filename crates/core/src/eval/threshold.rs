@@ -37,7 +37,7 @@ use bindex_bitvec::BitVec;
 use bindex_relation::query::ThresholdQuery;
 
 use crate::error::{Error, Result};
-use crate::exec::{ExecContext, Program, Sink};
+use crate::exec::{Bound, ExecContext, Program};
 use crate::index::BitmapSource;
 
 /// Validates a threshold query, converting a malformed one into the
@@ -61,20 +61,22 @@ pub fn validate(query: &ThresholdQuery) -> Result<()> {
 pub(crate) fn evaluate_window<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     predicates: &[Program],
+    bound: &mut [Bound],
     k: usize,
     charging: bool,
 ) -> Result<BitVec> {
-    let predicate = |ctx: &mut ExecContext<'_, S>, p: &Program| {
-        let found = ctx.run(p, Sink::Keep)?.into_repr();
-        Ok::<_, Error>(ctx.materialize(found))
+    let window = ctx.view_len();
+    let mut predicate = |ctx: &mut ExecContext<'_, S>, i: usize| {
+        let mut found = bindex_bitvec::spare_words(bindex_bitvec::words_for(window));
+        ctx.run(&predicates[i], &mut bound[i], Some(&mut found))?;
+        Ok::<_, Error>(BitVec::from_words(found, window))
     };
     let n = predicates.len();
     if n == 1 {
         // A single-predicate threshold (k must be 1 post-validation) is
         // exactly that predicate.
-        return predicate(ctx, &predicates[0]);
+        return predicate(ctx, 0);
     }
-    let window = ctx.view_len();
     let mut found: Vec<BitVec> = Vec::with_capacity(n);
     // Early-exit bound over the operands evaluated so far: each live
     // (non-empty) foundset can contribute at most 1 to any row's count,
@@ -83,7 +85,7 @@ pub(crate) fn evaluate_window<S: BitmapSource>(
     // way.
     let mut live = 0usize;
     let mut saturated = 0usize;
-    for (i, p) in predicates.iter().enumerate() {
+    for i in 0..n {
         if !charging {
             if live + (n - i) < k {
                 // Even if every remaining predicate matched every row,
@@ -97,7 +99,7 @@ pub(crate) fn evaluate_window<S: BitmapSource>(
                 return Ok(BitVec::ones(window));
             }
         }
-        let f = predicate(ctx, p)?;
+        let f = predicate(ctx, i)?;
         if !charging {
             let ones = f.count_ones();
             if ones > 0 {

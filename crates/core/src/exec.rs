@@ -164,17 +164,63 @@ impl Program {
     }
 }
 
-/// What [`ExecContext::run`] keeps of an answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Sink {
-    /// The foundset.
-    Keep,
-    /// Its cardinality: an answer that is the last term is counted as it
-    /// is folded ([`kernels::fold_count`]), and no foundset is written.
-    Count,
+/// A program's terms bound to the operands its query holds, each on its
+/// first run: per term, its fold over held operands (`None`: it took the
+/// WAH fold) and where its result is held. A later window re-slices what
+/// is held and re-runs the folds, with no fetch-cache lookup and no
+/// allocation.
+pub(crate) type Bound = Vec<(Option<Fold<usize>>, usize)>;
+
+/// An operand as a query holds it from window to window.
+#[derive(Debug)]
+enum Held {
+    /// All ones (`true`) or all zeros over the current window: the zeros
+    /// operand, or a stored slot not read yet that the summaries prove so.
+    Constant(bool),
+    /// Dense words over every row, sliced to each window.
+    Whole(Arc<BitVec>),
+    /// A compressed slot, decoded window by window into one buffer.
+    Wah(wah::SegmentCursor),
+    /// A term's result over the current window.
+    Found(Vec<u64>),
 }
 
-/// A program's answer, as [`ExecContext::run`] leaves it.
+/// What a query holds for the programs it runs, and the constant windows
+/// (each made again only when the window length changes: for a ragged
+/// last window).
+#[derive(Debug, Default)]
+struct Walk {
+    /// Each operand once, with the stored slot it holds (`B_nn` as
+    /// [`NN_KEY`]; `None` for zeros and a term's result).
+    held: Vec<(Option<(usize, usize)>, Held)>,
+    zeros: BitVec,
+    ones: BitVec,
+}
+
+impl Walk {
+    /// Held operand `p` over the window `lo..hi`.
+    fn words(&self, p: usize, lo: usize, hi: usize) -> &[u64] {
+        let n = bindex_bitvec::words_for(hi - lo);
+        match &self.held[p].1 {
+            Held::Whole(b) => &b.words()[lo / 64..][..n],
+            Held::Wah(cursor) => cursor.words(),
+            Held::Found(words) => words,
+            Held::Constant(true) => self.ones.words(),
+            Held::Constant(false) => self.zeros.words(),
+        }
+    }
+
+    /// Makes the constant window of `ones` `len` bits long.
+    fn constant(&mut self, len: usize, ones: bool) {
+        match ones {
+            true if self.ones.len() != len => self.ones = BitVec::ones(len),
+            false if self.zeros.len() != len => self.zeros = BitVec::zeros(len),
+            _ => {}
+        }
+    }
+}
+
+/// A query's answer, as the walk or the WAH fold leaves it.
 #[derive(Debug)]
 pub(crate) enum Answer {
     /// Dense words at the current width.
@@ -206,32 +252,6 @@ impl Answer {
             Answer::Count(_) => unreachable!("a count keeps no foundset"),
         }
     }
-}
-
-/// `term` with every operand bound by `f`, in program order — seed, steps,
-/// mask. `f` answers `None` for the all-ones `B_nn` of an index without
-/// nulls, which drops out of the seed and the mask.
-///
-/// # Panics
-/// Panics if a step names `B_nn` and the index has none.
-fn bind<T, E>(
-    term: &Term,
-    mut f: impl FnMut(Operand) -> std::result::Result<Option<T>, E>,
-) -> std::result::Result<Fold<T>, E> {
-    let bound = term.try_map(|&op| f(op))?;
-    let operand = |b: Option<T>| b.expect("B_nn is a seed or a mask");
-    let steps = bound.steps.into_iter().map(|step| match step {
-        FoldStep::And(b) => FoldStep::And(operand(b)),
-        FoldStep::Or(b) => FoldStep::Or(operand(b)),
-        FoldStep::AndNot(b) => FoldStep::AndNot(operand(b)),
-        FoldStep::AndXor(a, b) => FoldStep::AndXor(operand(a), operand(b)),
-    });
-    Ok(Fold {
-        seed: bound.seed.flatten(),
-        steps: steps.collect(),
-        complement: bound.complement,
-        mask: bound.mask.flatten(),
-    })
 }
 
 /// A compressed operand takes part in the compressed-domain fold only if
@@ -361,18 +381,10 @@ impl BufferSet {
     }
 }
 
-/// Per-segment execution state: the window being evaluated, plus the
-/// compressed-operand machinery that lets `Repr::Wah` slots participate
-/// without full materialization.
-///
-/// The evaluators' control flow is *data-independent* — which bitmaps are
-/// fetched and which ops run depend only on the query's digits, base, and
-/// encoding, never on bitmap contents. Segment-at-a-time execution leans
-/// on that twice: every segment re-runs the same operator sequence (so
-/// charging ops on the first segment only reproduces whole-bitmap
-/// counts exactly), and every slot's first touch happens on segment 0
-/// (so the cross-segment fetch cache dedupes scans exactly as whole-mode
-/// does).
+/// The window being evaluated. The evaluators' control flow is
+/// data-independent, so every segment re-runs segment 0's operator
+/// sequence, and charging ops on segment 0 alone reproduces the
+/// whole-bitmap counts.
 struct SegmentState {
     /// Bit range of the current segment, `lo..hi`, word-aligned at `lo`.
     lo: usize,
@@ -380,28 +392,11 @@ struct SegmentState {
     /// Ordinal of the current segment within the query (0-based). Ops are
     /// charged only when it is 0.
     index: usize,
-    /// Whether work of the current segment was skipped ([`ExecContext::mark_skip`];
-    /// rolls into [`EvalStats::segments_skipped`]).
+    /// Whether work was skipped ([`EvalStats::segments_skipped`]).
     skipped_work: bool,
-    /// Whether a fetch in the current segment was answered from the
-    /// summary block instead of storage (rolls into
-    /// [`EvalStats::segments_pruned`], which takes precedence over
-    /// `skipped_work` so the two counters stay disjoint).
+    /// Whether a fetch was answered from the summary block instead of
+    /// storage ([`EvalStats::segments_pruned`], which takes precedence).
     pruned_any: bool,
-    /// Shared all-zero window served for every fetch this segment proves
-    /// dead; allocated at most once per segment.
-    zero_window: Option<Arc<BitVec>>,
-    /// Shared all-ones window served for every fetch this segment proves
-    /// saturated (the summary's all-ones plane); allocated at most once
-    /// per segment.
-    ones_window: Option<Arc<BitVec>>,
-    /// Dense windows of compressed slots decoded for the *current*
-    /// segment; cleared when the segment advances.
-    windows: HashMap<(usize, usize), Arc<BitVec>>,
-    /// Sequential window decoders over compressed slots; persist across
-    /// segments so each run of the compressed form is decoded once per
-    /// query.
-    cursors: HashMap<(usize, usize), wah::SegmentCursor>,
 }
 
 /// Execution context wrapping a [`BitmapSource`] with accounting.
@@ -410,38 +405,30 @@ pub struct ExecContext<'a, S: BitmapSource> {
     buffer: Option<&'a BufferSet>,
     stats: EvalStats,
     recovery: RecoveryPolicy,
-    /// Per-query cache of fetched bitmaps in their current representation,
-    /// so repeated references within one evaluation cost a single scan.
-    /// `Arc`-backed (not `Rc`) so that contexts — and the sources behind
-    /// them — can live on worker threads of the parallel batch engine.
+    /// Fetched bitmaps in their current representation, so repeated
+    /// references within a query cost a single scan. `Arc`-backed (not
+    /// `Rc`) so that contexts — and the sources behind them — can live on
+    /// worker threads of the parallel batch engine.
     fetched: HashMap<(usize, usize), Repr>,
-    /// `Some` while the segmented driver is stepping this context through
-    /// a query one window at a time; `None` under whole-bitmap execution.
+    /// `Some` while a walk steps this context through a query's windows.
     seg: Option<SegmentState>,
-    /// Cooperative cancellation point: segment-at-a-time evaluation checks
-    /// this between segments and bails out with
-    /// [`Error::DeadlineExceeded`] once it has passed.
+    /// Checked between windows ([`ExecContext::with_deadline`]).
     deadline: Option<Deadline>,
-    /// Streaming-ingest delta overlay: when present, every fetched bitmap
-    /// is extended with the delta rows and masked by the deleted-rows
-    /// mask, so queries see base ⊕ delta as one logical index. A quiesced
-    /// overlay is dropped at attach time, keeping the no-ingest path
-    /// bit-identical.
+    /// Streaming-ingest delta overlay ([`ExecContext::with_overlay`]).
     overlay: Option<Arc<DeltaOverlay>>,
-    /// Whether summary-based segment pruning is enabled (it is by
-    /// default; [`ExecContext::with_pruning`] turns it off for A/B
-    /// comparison). Pruning only ever engages under segmented execution
-    /// on a source that serves summaries, with no overlay attached.
+    /// Whether summary-based segment pruning is on (by default). It only
+    /// engages in a walk over a source that serves summaries, with no
+    /// overlay attached.
     pruning: bool,
-    /// Memoized result of [`BitmapSource::try_fetch_summary`]: `None`
-    /// until first probed, then `Some(outcome)` — the source is asked at
-    /// most once per context.
+    /// [`BitmapSource::try_fetch_summary`], asked at most once.
     summaries: Option<Option<Arc<IndexSummaries>>>,
-    /// Slots whose scan/buffer-hit charge was already levied by a pruned
-    /// fetch; a later *real* fetch of the same slot (a live window of a
-    /// slot that had dead ones) must not charge again. Cleared with the
-    /// fetch cache between queries.
+    /// Slots whose charge a pruned fetch already levied; a later real
+    /// fetch of the slot must not charge again.
     pruned_charged: HashSet<(usize, usize)>,
+    /// The operands of the query's bound programs ([`Bound`]).
+    walk: Walk,
+    /// The kernels' block buffers, kept across folds.
+    scratch: kernels::Scratch,
 }
 
 impl<'a, S: BitmapSource> ExecContext<'a, S> {
@@ -459,6 +446,8 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             pruning: true,
             summaries: None,
             pruned_charged: HashSet::new(),
+            walk: Walk::default(),
+            scratch: kernels::Scratch::default(),
         }
     }
 
@@ -573,7 +562,18 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         self.fetched.clear();
         self.pruned_charged.clear();
         self.seg = None;
+        self.forget_bound();
         std::mem::take(&mut self.stats)
+    }
+
+    /// Drops what the last query's bound programs held; a large result
+    /// buffer is dropped as a bitmap, so the spare list takes it back.
+    pub(crate) fn forget_bound(&mut self) {
+        for (_, held) in self.walk.held.drain(..) {
+            if let Held::Found(words) = held {
+                drop(BitVec::from_words(words, 0));
+            }
+        }
     }
 
     /// Width in bits of the current evaluation: the current segment's
@@ -585,35 +585,17 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
 
     /// Enters segment `index` covering bits `lo..hi`: subsequent ops see
     /// [`ExecContext::view_len`]` == hi - lo` and slice full-length
-    /// operands down to the window. The per-segment window cache resets;
-    /// cursors and the fetch cache persist. Driven by `eval`'s one window
-    /// walk, under `evaluate_repr_in` and `count_in`.
+    /// operands down to the window; what bound programs hold and the fetch
+    /// cache persist. Driven by `eval`'s one window walk, under
+    /// `evaluate_repr_in` and `count_in`.
     pub(crate) fn begin_segment(&mut self, lo: usize, hi: usize, index: usize) {
-        match &mut self.seg {
-            Some(s) => {
-                s.lo = lo;
-                s.hi = hi;
-                s.index = index;
-                s.skipped_work = false;
-                s.pruned_any = false;
-                s.zero_window = None;
-                s.ones_window = None;
-                s.windows.clear();
-            }
-            None => {
-                self.seg = Some(SegmentState {
-                    lo,
-                    hi,
-                    index,
-                    skipped_work: false,
-                    pruned_any: false,
-                    zero_window: None,
-                    ones_window: None,
-                    windows: HashMap::new(),
-                    cursors: HashMap::new(),
-                });
-            }
-        }
+        self.seg = Some(SegmentState {
+            lo,
+            hi,
+            index,
+            skipped_work: false,
+            pruned_any: false,
+        });
     }
 
     /// Closes the current segment, rolling its outcome into the stats.
@@ -628,8 +610,8 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         }
     }
 
-    /// Leaves segmented mode, dropping window caches and cursors. The
-    /// fetch cache and stats stay (they are per-query, not per-segment).
+    /// Leaves segmented mode. The fetch cache and stats stay (they are
+    /// per-query, not per-segment).
     pub(crate) fn exit_segments(&mut self) {
         self.seg = None;
     }
@@ -672,41 +654,20 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     /// propagate; nothing is cached on error, so a retried query re-reads
     /// the bitmap.
     ///
-    /// Under segmented execution a compressed slot is **not** fully
-    /// materialized: a [`wah::SegmentCursor`] decodes just the current
-    /// window (one decompression charged when the cursor is created, like
-    /// the one-time dense upgrade in whole mode), so the returned bitmap
-    /// is window-sized. Literal slots come back full-length and the ops
-    /// slice them — either width is valid op input.
+    /// Under segmented execution a slot the summaries prove constant over
+    /// the window comes back window-sized, without a read; anything else
+    /// comes back full-length, and the ops slice it.
     pub fn fetch(&mut self, comp: usize, slot: usize) -> Result<Arc<BitVec>> {
+        if let Some(ones) = self.try_prune(comp, slot) {
+            let len = self.view_len();
+            return Ok(Arc::new(if ones {
+                BitVec::ones(len)
+            } else {
+                BitVec::zeros(len)
+            }));
+        }
         let repr = self.fetch_repr(comp, slot)?;
-        if self.seg.is_some() {
-            if let Repr::Wah(w) = &repr {
-                let w = Arc::clone(w);
-                return Ok(self.wah_window((comp, slot), w));
-            }
-        }
         Ok(self.materialize_cached((comp, slot), &repr))
-    }
-
-    /// The current segment's window of a compressed slot, decoded through
-    /// the slot's persistent cursor and cached for the segment.
-    fn wah_window(&mut self, key: (usize, usize), w: Arc<wah::WahBitmap>) -> Arc<BitVec> {
-        let seg = self.seg.as_mut().expect("segmented mode");
-        if let Some(win) = seg.windows.get(&key) {
-            return Arc::clone(win);
-        }
-        let created = !seg.cursors.contains_key(&key);
-        let cursor = seg
-            .cursors
-            .entry(key)
-            .or_insert_with(|| wah::SegmentCursor::new(w));
-        let win = Arc::new(cursor.window(seg.lo, seg.hi));
-        seg.windows.insert(key, Arc::clone(&win));
-        if created {
-            self.stats.materializations += 1;
-        }
-        win
     }
 
     /// Fetches stored bitmap `slot` of component `comp` in its **stored
@@ -717,9 +678,6 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     pub fn fetch_repr(&mut self, comp: usize, slot: usize) -> Result<Repr> {
         if let Some(repr) = self.fetched.get(&(comp, slot)) {
             return Ok(repr.clone());
-        }
-        if let Some(zeros) = self.try_prune(comp, slot) {
-            return Ok(zeros);
         }
         let repr = match self.source.try_fetch_repr(comp, slot) {
             Ok(repr) => {
@@ -742,36 +700,28 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     }
 
     /// Summary-based segment pruning: under segmented execution, when the
-    /// source's summary block proves stored bitmap `(comp, slot)` all-zero
-    /// or all-ones over the current window
-    /// ([`ExecContext::proven_constant`]), returns a window-sized zero or
-    /// ones literal — exact bitmap content, safe under every operator —
-    /// instead of touching storage. The scan/buffer-hit charge is levied
-    /// exactly as a real fetch would have charged it (once per slot per
-    /// query, by the same deterministic residency rule), so [`EvalStats`]
-    /// stay bit-identical with pruning on or off; only
+    /// source's summary block proves stored bitmap `(comp, slot)`, not yet
+    /// fetched, all-zero or all-ones over the current window
+    /// ([`ExecContext::proven_constant`]), returns which — the caller reads
+    /// that constant window, exact bitmap content safe under every
+    /// operator, instead of touching storage. The scan/buffer-hit charge
+    /// is levied exactly as a real fetch would have charged it (once per
+    /// slot per query, by the same deterministic residency rule), so
+    /// [`EvalStats`] stay bit-identical with pruning on or off; only
     /// [`EvalStats::segments_pruned`] and the storage layer's byte
     /// counters observe the difference. Returns `None` — fetch normally —
     /// whenever execution is whole-bitmap or nothing is proven.
-    fn try_prune(&mut self, comp: usize, slot: usize) -> Option<Repr> {
-        let (lo, hi) = {
-            let s = self.seg.as_ref()?;
-            (s.lo, s.hi)
-        };
+    fn try_prune(&mut self, comp: usize, slot: usize) -> Option<bool> {
+        let (lo, hi) = self.seg.as_ref().map(|s| (s.lo, s.hi))?;
+        if self.fetched.contains_key(&(comp, slot)) {
+            return None;
+        }
         let saturated = self.proven_constant(comp, slot, lo, hi)?;
         if self.pruned_charged.insert((comp, slot)) {
             self.charge_read(comp, slot);
         }
-        let s = self.seg.as_mut().expect("segmented mode");
-        s.pruned_any = true;
-        let window = if saturated {
-            s.ones_window
-                .get_or_insert_with(|| Arc::new(BitVec::ones(hi - lo)))
-        } else {
-            s.zero_window
-                .get_or_insert_with(|| Arc::new(BitVec::zeros(hi - lo)))
-        };
-        Some(Repr::Literal(Arc::clone(window)))
+        self.seg.as_mut()?.pruned_any = true;
+        Some(saturated)
     }
 
     /// What the source's summaries prove about stored bitmap
@@ -987,45 +937,15 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     /// Panics on mismatched operand lengths.
     pub fn fold<B: Borrow<BitVec>>(&mut self, program: &Fold<B>) -> BitVec {
         let len = self.view_len();
-        self.fold_window(program, |w| kernels::fold(len, w))
-            .unwrap_or_else(|| BitVec::zeros(len))
-    }
-
-    /// [`ExecContext::fold`]'s cardinality, through [`kernels::fold_count`]:
-    /// the same charges, window and all-zero short-circuit, and no result
-    /// is written.
-    ///
-    /// # Panics
-    /// Panics on mismatched operand lengths.
-    pub(crate) fn fold_count<B: Borrow<BitVec>>(&mut self, program: &Fold<B>) -> usize {
-        let len = self.view_len();
-        self.fold_window(program, |w| kernels::fold_count(len, w))
-            .unwrap_or(0)
-    }
-
-    /// What [`ExecContext::fold`] and [`ExecContext::fold_count`] share: the
-    /// charges, the operands sliced to the current window, and `None` — the
-    /// kernel not run — for the all-zero short-circuit.
-    fn fold_window<B: Borrow<BitVec>, R>(
-        &mut self,
-        program: &Fold<B>,
-        kernel: impl FnOnce(&Fold<bindex_bitvec::SegmentView<'_>>) -> R,
-    ) -> Option<R> {
         if self.charge_ops() {
             self.charge_fold(program);
         }
         let windowed = program.map(|b| self.opv(b.borrow()));
-        let first = match (windowed.seed, windowed.steps.first()) {
-            (None, Some(&FoldStep::And(b))) => Some(b),
-            (seed, _) => seed,
-        };
-        let clears_only =
-            !windowed.complement && !windowed.steps.iter().any(|s| matches!(s, FoldStep::Or(_)));
-        if self.seg.is_some() && clears_only && first.is_some_and(|b| b.none()) {
+        if self.seg.is_some() && windowed.clears_from_zero(|v| v.words()) {
             self.mark_skip();
-            return None;
+            return BitVec::zeros(len);
         }
-        Some(kernel(&windowed))
+        kernels::fold(len, &windowed)
     }
 
     /// What a [`Fold`] costs spelled out operator by operator — the one
@@ -1049,52 +969,179 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         self.stats.ands += usize::from(program.mask.is_some());
     }
 
-    /// Runs `program` at the current width and returns its answer. Terms
-    /// run in order, their slots fetched in program order through the
-    /// per-query cache. A term that may take the WAH fold
-    /// ([`ExecContext::fold_term_wah`]) and does is decoded for the terms
-    /// after it — or, as a compressible program's answer, comes back
-    /// compressed; every other term is one [`ExecContext::fold`]. An answer
-    /// that is the last term is counted as it is folded under
-    /// [`Sink::Count`]; an earlier one is handed back with no further fold.
-    pub(crate) fn run(&mut self, program: &Program, sink: Sink) -> Result<Answer> {
-        let mut done: Vec<Arc<BitVec>> = Vec::new();
+    /// Runs `program` over the current width — a window of a walk, else
+    /// every row — appending its answer's words to `keep`, or else
+    /// returning its count. Terms run in order, each bound to what the
+    /// query holds on its first run ([`Bound`]) with its slots read in
+    /// program order, so a later window costs its operands' re-slicing and
+    /// the kernels. A whole-bitmap term that is not the answer may take the
+    /// WAH fold ([`ExecContext::fold_term_wah`]) and is decoded for the
+    /// terms after it; every other term is one dense fold, charged and
+    /// skipped as [`ExecContext::fold`]. An answer that is the last term is
+    /// written or counted as it is folded; an earlier one is copied or
+    /// counted.
+    pub(crate) fn run(
+        &mut self,
+        program: &Program,
+        bound: &mut Bound,
+        keep: Option<&mut Vec<u64>>,
+    ) -> Result<usize> {
         for (k, term) in program.terms.iter().enumerate() {
             let answer = program.answer == Operand::Term(k);
-            if !answer || program.compressible {
-                if let Some(found) = self.fold_term_wah(term, false)? {
-                    if answer {
-                        return Ok(Answer::Wah(found));
-                    }
-                    done.push(Arc::new(self.materialize(Repr::wah(found))));
-                    continue;
-                }
+            if bound.len() == k {
+                let folded = if answer {
+                    None
+                } else {
+                    self.fold_term_wah(term, false)?
+                };
+                let (fold, held) = match folded {
+                    Some(found) => (
+                        None,
+                        Held::Whole(Arc::new(self.materialize(Repr::wah(found)))),
+                    ),
+                    None => (
+                        Some(term.try_map(|&op| self.hold_operand(op, bound))?.flatten()),
+                        Held::Found(Vec::new()),
+                    ),
+                };
+                self.walk.held.push((None, held));
+                bound.push((fold, self.walk.held.len() - 1));
             }
-            let fold = bind(term, |op| self.dense_operand(op, &done))?;
+            let (Some(fold), at) = &bound[k] else {
+                continue;
+            };
+            for &p in fold.operands() {
+                self.ready(p)?;
+            }
             if answer && k + 1 == program.terms.len() {
-                return Ok(match sink {
-                    Sink::Keep => Answer::Dense(self.fold(&fold)),
-                    Sink::Count => Answer::Count(self.fold_count(&fold)),
-                });
+                return Ok(self.fold_held(fold, keep));
             }
-            done.push(Arc::new(self.fold(&fold)));
+            let Held::Found(mut found) =
+                std::mem::replace(&mut self.walk.held[*at].1, Held::Constant(false))
+            else {
+                unreachable!("a dense term's result is found words");
+            };
+            if found.capacity() == 0 {
+                found = bindex_bitvec::spare_words(bindex_bitvec::words_for(self.view_len()));
+            }
+            found.clear();
+            self.fold_held(fold, Some(&mut found));
+            self.walk.held[*at].1 = Held::Found(found);
         }
-        let found = self.dense_operand(program.answer, &done)?;
-        drop(done);
-        let found = found.expect("an answer is a term or the zeros");
-        Ok(Answer::Dense(Arc::unwrap_or_clone(found)))
+        let (lo, hi) = self.window();
+        let answer = match program.answer {
+            Operand::Term(k) => self.walk.words(bound[k].1, lo, hi),
+            _ => {
+                self.walk.constant(hi - lo, false);
+                self.walk.zeros.words()
+            }
+        };
+        Ok(match keep {
+            Some(out) => {
+                out.extend_from_slice(answer);
+                0
+            }
+            None => answer.iter().map(|w| w.count_ones() as usize).sum(),
+        })
     }
 
-    /// Operand `op` over dense words at the current width: a stored slot
-    /// through the fetch cache, an earlier term's result from `done`,
-    /// `B_nn` (`None` when the index has none) or zeros.
-    fn dense_operand(&mut self, op: Operand, done: &[Arc<BitVec>]) -> Result<Option<Arc<BitVec>>> {
-        Ok(match op {
-            Operand::Slot(comp, slot) => Some(self.fetch(comp, slot)?),
-            Operand::Term(k) => Some(Arc::clone(&done[k])),
-            Operand::Nn => self.fetch_nn()?,
-            Operand::Zeros => Some(Arc::new(BitVec::zeros(self.view_len()))),
-        })
+    /// Bound term `fold` run over the current window, appended to `keep`
+    /// or else counted, charged and skipped as [`ExecContext::fold`].
+    fn fold_held(&mut self, fold: &Fold<usize>, keep: Option<&mut Vec<u64>>) -> usize {
+        if self.charge_ops() {
+            self.charge_fold(fold);
+        }
+        let (lo, hi) = self.window();
+        let skipped = self.seg.is_some() && fold.clears_from_zero(|&p| self.walk.words(p, lo, hi));
+        if skipped {
+            self.mark_skip();
+        }
+        let walk = &self.walk;
+        let words = |&p: &usize| walk.words(p, lo, hi);
+        match keep {
+            None if skipped => 0,
+            None => kernels::fold_count_with(hi - lo, fold, words, &mut self.scratch),
+            Some(out) if skipped => {
+                out.resize(out.len() + bindex_bitvec::words_for(hi - lo), 0);
+                0
+            }
+            Some(out) => {
+                kernels::fold_into(hi - lo, fold, words, &mut self.scratch, out);
+                0
+            }
+        }
+    }
+
+    /// The current window's bit range: every row outside a walk.
+    fn window(&self) -> (usize, usize) {
+        self.seg
+            .as_ref()
+            .map_or((0, self.n_rows()), |s| (s.lo, s.hi))
+    }
+
+    /// Where operand `op` of a term being bound is held, made ready for the
+    /// current window: a stored slot once per query, an earlier term's
+    /// result, `B_nn` (`None` when the index has none) or zeros.
+    fn hold_operand(&mut self, op: Operand, bound: &Bound) -> Result<Option<usize>> {
+        let slot = match op {
+            Operand::Term(k) => return Ok(Some(bound[k].1)),
+            Operand::Zeros => None,
+            Operand::Nn => Some(NN_KEY),
+            Operand::Slot(comp, slot) => Some((comp, slot)),
+        };
+        let held = self
+            .walk
+            .held
+            .iter()
+            .position(|h| slot.is_some() && h.0 == slot);
+        let held = match (held, op) {
+            (Some(at), _) => return self.ready(at).map(|()| Some(at)),
+            (None, Operand::Nn) => match self.fetch_nn()? {
+                Some(nn) => Held::Whole(nn),
+                None => return Ok(None),
+            },
+            (None, _) => Held::Constant(false),
+        };
+        self.walk.held.push((slot, held));
+        let at = self.walk.held.len() - 1;
+        self.ready(at).map(|()| Some(at))
+    }
+
+    /// Makes held operand `p` ready for the current window: a compressed
+    /// slot decodes it, a slot not read yet is read unless the summaries
+    /// prove it constant, and the constant windows grow to it.
+    fn ready(&mut self, p: usize) -> Result<()> {
+        let (lo, hi) = self.window();
+        let (comp, slot) = match &mut self.walk.held[p] {
+            (Some(slot), Held::Constant(_)) => *slot,
+            &mut (None, Held::Constant(ones)) => {
+                self.walk.constant(hi - lo, ones);
+                return Ok(());
+            }
+            (_, Held::Wah(cursor)) => {
+                cursor.window_words(lo, hi);
+                return Ok(());
+            }
+            _ => return Ok(()),
+        };
+        self.walk.held[p].1 = match self.try_prune(comp, slot) {
+            Some(ones) => {
+                self.walk.constant(hi - lo, ones);
+                Held::Constant(ones)
+            }
+            None => match self.fetch_repr(comp, slot)? {
+                // A compressed slot decodes window by window: one
+                // decompression, charged once, like whole mode's.
+                Repr::Wah(w) if self.seg.is_some() => {
+                    self.stats.materializations += 1;
+                    let mut cursor = wah::SegmentCursor::new(w);
+                    cursor.window_words(lo, hi);
+                    Held::Wah(cursor)
+                }
+                repr => Held::Whole(self.materialize_cached((comp, slot), &repr)),
+            },
+        };
+        Ok(())
     }
 
     /// `term` over whole compressed operands ([`wah::fold`]) — the only way
@@ -1119,7 +1166,7 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         }
         let n_rows = self.n_rows();
         // `Err(None)` declines, `Err(Some(_))` is a failed fetch.
-        let bound = bind(term, |op| {
+        let bound = term.try_map(|&op| {
             let repr = match op {
                 Operand::Slot(comp, slot) => {
                     if windowed_fallback && self.proven_constant(comp, slot, 0, n_rows).is_some() {
@@ -1141,7 +1188,7 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             }
         });
         let chain = match bound {
-            Ok(chain) => chain,
+            Ok(chain) => chain.flatten(),
             Err(None) => return Ok(None),
             Err(Some(e)) => return Err(e),
         };
@@ -1534,6 +1581,38 @@ mod tests {
         assert_eq!((s.scans, s.buffer_hits, s.segments_pruned), (0, 1, 1));
         drop(ctx);
         assert_eq!(src.repr_fetches, 0);
+    }
+
+    /// A slot the summaries prove all ones reads the shared ones window;
+    /// a ragged last window reads a shorter one, and the next query in the
+    /// same context reads full windows of ones again.
+    #[test]
+    fn a_ragged_last_window_leaves_the_next_query_its_ones() {
+        let w = bindex_bitvec::SUMMARY_WINDOW_BITS;
+        let rows = 2 * w + 100;
+        let idx = windowed_index(rows, |_| true);
+        let summaries = Arc::new(bindex_bitvec::IndexSummaries::build(
+            idx.n_rows(),
+            idx.components(),
+            idx.nn(),
+        ));
+        let mut src = SummarySource {
+            index: &idx,
+            summaries,
+            repr_fetches: 0,
+        };
+        let mut ctx = ExecContext::new(&mut src);
+        let query = SelectionQuery::new(Op::Eq, 1).into();
+        for run in 0..2 {
+            let found = evaluate_repr_in(&mut ctx, &query, Algorithm::Auto, Some(w)).unwrap();
+            assert_eq!(found.to_bitvec().count_ones(), rows, "run {run}");
+            assert_eq!(ctx.take_stats().segments_pruned, 3, "run {run}");
+        }
+        drop(ctx);
+        assert_eq!(
+            src.repr_fetches, 0,
+            "the saturated slot never reached storage"
+        );
     }
 
     #[test]

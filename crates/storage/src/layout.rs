@@ -375,7 +375,7 @@ impl<S: ByteStore> StoredIndex<S> {
     /// payload WAH or `codec`-compressed dense bytes behind a one-byte tag
     /// (the WAH form is kept iff it is at most a quarter of the dense
     /// bytes), the optional non-null bitmap `nn` coded the same way, and
-    /// the summary block ([`SUMMARY_FILE`]) segmented execution prunes by
+    /// the summary block (`summary.bxs`) segmented execution prunes by
     /// ([`StoredIndex::read_summaries`]).
     pub fn create_v4(
         store: S,
