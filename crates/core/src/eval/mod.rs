@@ -136,11 +136,14 @@ pub fn evaluate_repr_in<S: BitmapSource>(
 
 /// [`evaluate_repr_in`]'s cardinality, by the same routes, reads, pruning,
 /// charges and deadline checks, with the same [`EvalStats`]. A selection
-/// writes no foundset: a WAH answer's count is a run-length sum, and a
-/// dense answer term ends in a fused popcount, whole or window by window
-/// with no output buffer — unless it is not the program's last term
-/// (RangeEval's `<`, `>`), whose result is counted. A threshold counts its
-/// combined foundset.
+/// writes no foundset. Over compressed operands the run merge adds up
+/// each stretch's ones as it walks
+/// ([`wah::fold_count`](bindex_compress::wah::fold_count)) and allocates
+/// no result. A dense answer term ends in a fused popcount, whole or
+/// window by window with no output buffer — unless it is not the
+/// program's last term (RangeEval's `<`, `>`), whose result is counted. A
+/// threshold holds its predicates' windows and counts its combine as it
+/// runs it.
 ///
 /// # Panics
 /// Panics if `segment_bits` is `Some` of zero or of a non-multiple of 64.
@@ -150,7 +153,7 @@ pub fn count_in<S: BitmapSource>(
     algorithm: Algorithm,
     segment_bits: Option<usize>,
 ) -> Result<u64> {
-    Ok(run_query(ctx, query, algorithm, segment_bits, false)?.count_ones() as u64)
+    Ok(run_query(ctx, query, algorithm, segment_bits, false)?.into_count() as u64)
 }
 
 /// The one body of [`evaluate_repr_in`] and [`count_in`]: `query`
@@ -170,8 +173,8 @@ fn run_query<S: BitmapSource>(
         Query::Selection(q) => {
             let program = program(ctx.spec(), *q, algorithm, true)?;
             if let ([term], true) = (&program.terms[..], program.compressible) {
-                if let Some(found) = ctx.fold_term_wah(term, segment_bits.is_some())? {
-                    return Ok(Answer::Wah(found));
+                if let Some(answer) = ctx.fold_term_wah(term, segment_bits.is_some(), keep)? {
+                    return Ok(answer);
                 }
             }
             let mut bound = Bound::new();
@@ -185,21 +188,10 @@ fn run_query<S: BitmapSource>(
                 .iter()
                 .map(|&p| program(ctx.spec(), p, algorithm, false))
                 .collect::<Result<Vec<_>>>()?;
-            let mut bound = vec![Bound::new(); predicates.len()];
+            let mut held = threshold::Held::new(predicates.len());
             let k = q.k as usize;
-            let Some(segment_bits) = segment_bits else {
-                let found = threshold::evaluate_window(ctx, &predicates, &mut bound, k, true)?;
-                return Ok(Answer::Dense(found));
-            };
-            walk(ctx, Some(segment_bits), keep, |ctx, charging, keep| {
-                let found = threshold::evaluate_window(ctx, &predicates, &mut bound, k, charging)?;
-                Ok(match keep {
-                    Some(out) => {
-                        out.extend_from_slice(found.words());
-                        0
-                    }
-                    None => found.count_ones(),
-                })
+            walk(ctx, segment_bits, keep, |ctx, charging, keep| {
+                threshold::evaluate_window(ctx, &predicates, &mut held, k, charging, keep)
             })
         }
     }
@@ -739,6 +731,48 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// A count over compressed slots is the foundset's count, by the same
+    /// route with the same [`EvalStats`]: a query folded in the WAH domain
+    /// counts every operation as compressed and decodes nothing, and
+    /// builds no result.
+    #[test]
+    fn a_compressed_count_is_the_foundsets_count_with_its_stats() {
+        let mut folded = 0;
+        for (spec, nulls) in layouts()
+            .into_iter()
+            .chain([all_binary_spec()])
+            .flat_map(|spec| [(spec.clone(), None), (spec, Some(clustered_nulls()))])
+        {
+            let idx = clustered_index(spec.clone(), nulls.as_ref());
+            for q in query::full_space(CARD) {
+                for segment_bits in [None, Some(4096)] {
+                    let label = format!(
+                        "{spec:?} {q} nulls {} seg {segment_bits:?}",
+                        nulls.is_some()
+                    );
+                    let query = Query::from(q);
+                    let mut src = CodedSource::new(&idx);
+                    let mut ctx = ExecContext::new(&mut src);
+                    let found =
+                        evaluate_repr_in(&mut ctx, &query, Algorithm::Auto, segment_bits).unwrap();
+                    let kept = ctx.take_stats();
+                    let mut src = CodedSource::new(&idx);
+                    let mut ctx = ExecContext::new(&mut src);
+                    let count = count_in(&mut ctx, &query, Algorithm::Auto, segment_bits).unwrap();
+                    let counted = ctx.take_stats();
+                    assert_eq!(count, found.count_ones() as u64, "{label}");
+                    assert_eq!(counted, kept, "{label}");
+                    if found.is_compressed() {
+                        folded += 1;
+                        assert_eq!(counted.compressed_ops, counted.total_ops(), "{label}");
+                        assert_eq!(counted.materializations, 0, "{label}");
+                    }
+                }
+            }
+        }
+        assert!(folded > 0);
     }
 
     /// Runs every query over `idx` served through a `configure`d source,

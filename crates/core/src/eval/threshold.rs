@@ -6,8 +6,8 @@
 //! least `k`** of `N` predicates. Each predicate's foundset is produced
 //! by the ordinary encoding-appropriate evaluator, then the foundsets
 //! are combined in a single pass by the bit-sliced carry-save adder
-//! network ([`ExecContext::threshold_all`]) instead of the
-//! exponentially-sized naive "OR of all k-subsets of ANDs".
+//! network instead of the exponentially-sized naive "OR of all k-subsets
+//! of ANDs".
 //!
 //! Degenerate thresholds map to exact plans rather than panicking:
 //! `k = 0`, `k > N`, and an empty predicate set are rejected with
@@ -33,7 +33,6 @@
 //! observes the skip.
 
 use bindex_bitvec::kernels::{Fold, FoldStep};
-use bindex_bitvec::BitVec;
 use bindex_relation::query::ThresholdQuery;
 
 use crate::error::{Error, Result};
@@ -46,11 +45,34 @@ pub fn validate(query: &ThresholdQuery) -> Result<()> {
     query.validate().map_err(Error::InvalidQuery)
 }
 
+/// What a threshold holds across its walk's windows: each predicate's
+/// program bound once, the held result its foundset is written into
+/// window after window, and the `k = 1` / `k = N` combine as a fold over
+/// those — so a window allocates nothing.
+#[derive(Debug)]
+pub(crate) struct Held {
+    bound: Vec<Bound>,
+    found: Vec<usize>,
+    combine: Option<Fold<usize>>,
+}
+
+impl Held {
+    /// Nothing held yet for a threshold over `n` predicates.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            bound: vec![Bound::new(); n],
+            found: Vec::with_capacity(n),
+            combine: None,
+        }
+    }
+}
+
 /// One (validated) threshold — at least `k` of the `predicates`' programs
-/// — at the context's current width, driven by the entry points in
-/// [`crate::eval`]. `charging` is `true` when this run must execute the
-/// full data-independent op sequence (whole mode, or segment 0); only
-/// non-charging runs may take the early exits.
+/// — over the context's current window, appended to `keep` or else
+/// counted, driven by the walk in [`crate::eval`]. `charging` is `true`
+/// when this run must execute the full data-independent op sequence
+/// (whole mode, or segment 0); only non-charging runs may take the early
+/// exits.
 ///
 /// Each predicate foundset costs what its program charges; the combine
 /// then costs `N − 1`
@@ -61,23 +83,18 @@ pub fn validate(query: &ThresholdQuery) -> Result<()> {
 pub(crate) fn evaluate_window<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     predicates: &[Program],
-    bound: &mut [Bound],
+    held: &mut Held,
     k: usize,
     charging: bool,
-) -> Result<BitVec> {
-    let window = ctx.view_len();
-    let mut predicate = |ctx: &mut ExecContext<'_, S>, i: usize| {
-        let mut found = bindex_bitvec::spare_words(bindex_bitvec::words_for(window));
-        ctx.run(&predicates[i], &mut bound[i], Some(&mut found))?;
-        Ok::<_, Error>(BitVec::from_words(found, window))
-    };
+    keep: Option<&mut Vec<u64>>,
+) -> Result<usize> {
     let n = predicates.len();
     if n == 1 {
         // A single-predicate threshold (k must be 1 post-validation) is
         // exactly that predicate.
-        return predicate(ctx, 0);
+        return ctx.run(&predicates[0], &mut held.bound[0], keep);
     }
-    let mut found: Vec<BitVec> = Vec::with_capacity(n);
+    let window = ctx.view_len();
     // Early-exit bound over the operands evaluated so far: each live
     // (non-empty) foundset can contribute at most 1 to any row's count,
     // each saturated (all-ones) foundset contributes exactly 1 to every
@@ -85,51 +102,50 @@ pub(crate) fn evaluate_window<S: BitmapSource>(
     // way.
     let mut live = 0usize;
     let mut saturated = 0usize;
-    for i in 0..n {
+    for (i, (program, bound)) in predicates.iter().zip(&mut held.bound).enumerate() {
         if !charging {
             if live + (n - i) < k {
                 // Even if every remaining predicate matched every row,
                 // no row in this window can reach k.
                 ctx.mark_skip();
-                return Ok(BitVec::zeros(window));
+                return Ok(ctx.constant_window(false, keep));
             }
             if saturated >= k {
                 // Every row in this window already holds ≥ k matches.
                 ctx.mark_skip();
-                return Ok(BitVec::ones(window));
+                return Ok(ctx.constant_window(true, keep));
             }
         }
-        let f = predicate(ctx, i)?;
+        if held.found.len() == i {
+            held.found.push(ctx.hold_found());
+        }
+        ctx.run_held(program, bound, held.found[i])?;
         if !charging {
-            let ones = f.count_ones();
-            if ones > 0 {
-                live += 1;
-            }
-            if ones == window {
-                saturated += 1;
-            }
+            let ones = ctx.held_ones(held.found[i]);
+            live += usize::from(ones > 0);
+            saturated += usize::from(ones == window);
         }
-        found.push(f);
     }
     if !charging && live < k {
         // All predicates evaluated but fewer than k are live anywhere
         // in the window.
         ctx.mark_skip();
-        return Ok(BitVec::zeros(window));
+        return Ok(ctx.constant_window(false, keep));
     }
-    let refs: Vec<&BitVec> = found.iter().collect();
     // Exact-plan degenerations keep the cost model honest: k = 1 *is*
     // the OR plan and k = N *is* the AND plan.
     let step = match k {
         1 => FoldStep::Or,
         k if k == n => FoldStep::And,
-        _ => return Ok(ctx.threshold_all(&refs, k)),
+        _ => return Ok(ctx.threshold_held(&held.found, k, keep)),
     };
-    Ok(ctx.fold(&Fold {
-        seed: Some(refs[0]),
-        steps: refs[1..].iter().copied().map(step).collect(),
+    let found = &held.found;
+    let combine = held.combine.get_or_insert_with(|| Fold {
+        seed: Some(found[0]),
+        steps: found[1..].iter().copied().map(step).collect(),
         ..Fold::default()
-    }))
+    });
+    Ok(ctx.fold_held(combine, keep))
 }
 
 #[cfg(test)]
@@ -140,6 +156,7 @@ mod tests {
     use crate::eval::{evaluate, evaluate_segmented_in, Algorithm};
     use crate::exec::EvalStats;
     use crate::index::BitmapIndex;
+    use bindex_bitvec::BitVec;
     use bindex_relation::query::{Op, SelectionQuery};
     use bindex_relation::Column;
 

@@ -1,25 +1,32 @@
-//! A served query's window walk allocates per query, not per window.
+//! A served query's window walk allocates per query, not per window, and
+//! a count over compressed slots allocates no result.
 //!
 //! A served index evaluates every selection window by window
 //! (`IndexTuning::segment_bits`, 2^16 bits). The walk binds each program
 //! term to its operands once per query and re-slices them per window, so
 //! a query over 32 windows makes the allocations one over 4 windows
-//! makes, and at most a few more than the whole-bitmap evaluation. This
-//! binary installs a counting global allocator (the product crates forbid
-//! `unsafe`; a test binary may count) and counts, per query and after a
-//! warm-up run, the allocations of `count_in` and `evaluate_repr_in` over
-//! a `<10,10,10>` range index at 2^18 rows (4 windows) and 2^21 rows (32
-//! windows). The counter is per thread, so nothing the harness does on
-//! another thread is counted. No wall clock is involved.
+//! makes, and at most a few more than the whole-bitmap evaluation; a
+//! threshold holds each predicate's window and its combine's the same
+//! way. A query over WAH-stored slots folds their runs, and a count adds
+//! up the ones as it walks, so its allocations do not grow with the
+//! slots' run counts. This binary installs a counting global allocator
+//! (the product crates forbid `unsafe`; a test binary may count) and
+//! counts, per query and after a warm-up run, the allocations of
+//! `count_in` and `evaluate_repr_in` over a `<10,10,10>` range index at
+//! 2^18 rows (4 windows) and 2^21 rows (32 windows). The counter is per
+//! thread, so nothing the harness does on another thread is counted. No
+//! wall clock is involved.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
+use bindex::compress::wah::WahBitmap;
 use bindex::core::eval::{count_in, evaluate_repr_in, Algorithm};
-use bindex::core::ExecContext;
+use bindex::core::{ExecContext, Repr, Result};
 use bindex::relation::gen;
-use bindex::relation::query::{Op, Query, SelectionQuery};
-use bindex::{Base, BitmapIndex, Encoding, IndexSpec};
+use bindex::relation::query::{Op, Query, SelectionQuery, ThresholdQuery};
+use bindex::{Base, BitVec, BitmapIndex, BitmapSource, Encoding, IndexSpec};
 
 /// [`System`], counting the allocations made on each thread.
 struct Counting;
@@ -130,5 +137,134 @@ fn a_window_walk_allocates_per_query_not_per_window() {
             large[3] + 1,
             "{query}: a foundset over 32 windows allocates as one over 4, bar its buffer"
         );
+    }
+}
+
+fn range_spec() -> IndexSpec {
+    IndexSpec::new(Base::from_msb(&[10, 10, 10]).unwrap(), Encoding::Range)
+}
+
+/// A threshold's predicates are held across its windows like a
+/// selection's terms: a 2-of-4 count over 32 windows allocates as one
+/// over 4, and at most a few times more than the whole-bitmap count.
+#[test]
+fn a_windowed_threshold_allocates_per_query_not_per_window() {
+    let index = |rows| BitmapIndex::build(&gen::uniform(rows, 1000, 45), range_spec()).unwrap();
+    let (four, thirty_two) = (index(1 << 18), index(1 << 21));
+    let query = Query::from(ThresholdQuery::new(
+        2,
+        vec![
+            SelectionQuery::new(Op::Le, 457),
+            SelectionQuery::new(Op::Ge, 120),
+            SelectionQuery::new(Op::Ne, 500),
+            SelectionQuery::new(Op::Gt, 990),
+        ],
+    ));
+    let small = query_allocations(&four, &query);
+    let large = query_allocations(&thirty_two, &query);
+    for (rows, [count_whole, count_windowed, ..]) in [("2^18", small), ("2^21", large)] {
+        assert!(
+            count_windowed <= count_whole + 4,
+            "at {rows} rows: a windowed threshold count allocates {count_windowed} times, \
+             a whole one {count_whole}"
+        );
+    }
+    assert_eq!(
+        small[1], large[1],
+        "a threshold count over 32 windows allocates as one over 4"
+    );
+}
+
+/// The index's slots served compressed, as a store keeps a clustered
+/// column's: each fetch hands out a shared handle and allocates nothing.
+#[derive(Clone)]
+struct WahSource {
+    spec: IndexSpec,
+    n_rows: usize,
+    slots: Vec<Vec<Arc<WahBitmap>>>,
+}
+
+impl WahSource {
+    fn new(index: &BitmapIndex) -> Self {
+        let slots = index.components().iter();
+        Self {
+            spec: index.spec().clone(),
+            n_rows: index.n_rows(),
+            slots: slots
+                .map(|c| {
+                    c.iter()
+                        .map(|b| Arc::new(WahBitmap::from_bitvec(b)))
+                        .collect()
+                })
+                .collect(),
+        }
+    }
+}
+
+impl BitmapSource for WahSource {
+    fn spec(&self) -> &IndexSpec {
+        &self.spec
+    }
+
+    fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+
+    fn try_fetch(&mut self, comp: usize, slot: usize) -> Result<BitVec> {
+        Ok(self.slots[comp - 1][slot].to_bitvec())
+    }
+
+    fn try_fetch_nn(&mut self) -> Result<Option<BitVec>> {
+        Ok(None)
+    }
+
+    fn try_fetch_repr(&mut self, comp: usize, slot: usize) -> Result<Repr> {
+        Ok(Repr::Wah(Arc::clone(&self.slots[comp - 1][slot])))
+    }
+}
+
+/// A count over WAH slots folds their runs and adds up each stretch's
+/// ones, building no result: over a 2^21-row column clustered into 128 or
+/// into 1,024 runs per slot, whole or served window by window, every
+/// RangeEval-Opt count allocates the same number of times.
+#[test]
+fn a_compressed_count_allocates_no_result() {
+    let rows = 1 << 21;
+    let source = |clusters: usize| {
+        let column = gen::clustered(rows, 1000, rows / clusters, 46);
+        WahSource::new(&BitmapIndex::build(&column, range_spec()).unwrap())
+    };
+    let (few, many) = (source(128), source(1024));
+    for op in Op::ALL {
+        for v in [1, 99, 457, 500, 998] {
+            let query = Query::from(SelectionQuery::new(op, v));
+            for segment_bits in [None, Some(WINDOW_BITS)] {
+                // One query in a context of its own, as a served one runs.
+                let count = |source: &WahSource| {
+                    let mut source = source.clone();
+                    let mut stats = None;
+                    let allocations = allocations(|| {
+                        let mut ctx = ExecContext::new(&mut source);
+                        count_in(&mut ctx, &query, Algorithm::Auto, segment_bits).unwrap();
+                        stats = Some(ctx.take_stats());
+                    });
+                    (allocations, stats.unwrap())
+                };
+                count(&few);
+                let ((few_allocs, few_stats), (many_allocs, many_stats)) =
+                    (count(&few), count(&many));
+                let label = format!("{query} {segment_bits:?}");
+                if few_stats.scans > 0 {
+                    assert!(
+                        few_stats.compressed_ops > 0 && many_stats.compressed_ops > 0,
+                        "{label}"
+                    );
+                }
+                assert_eq!(
+                    few_allocs, many_allocs,
+                    "{label}: a count over 1,024 runs per slot allocates as one over 128"
+                );
+            }
+        }
     }
 }

@@ -496,6 +496,90 @@ fn folds_match_the_dense_fold_at_every_lane_count() {
     }
 }
 
+/// `wah::fold_count` is the popcount of `wah::fold`, by the same walk with
+/// no result: at 0–9 operand occurrences (the constant programs, every
+/// fixed lane count and the `Vec` lanes past eight), with and without
+/// the complement and the mask, over canonical and dirty-tailed operands,
+/// at every length around a group or word boundary — a complemented final
+/// partial group counts no bit past `len`.
+#[test]
+fn fold_count_is_the_popcount_of_fold() {
+    let lengths = [0usize, 1, 30, 31, 32, 62, 64, 100, 1985, 4099];
+    for occurrences in 0..=9 {
+        for seed in 0..2 * lengths.len() as u64 {
+            let mut rng = Rng::seed_from_u64(0x9_0000 + seed * 37 + occurrences as u64);
+            let len = lengths[seed as usize % lengths.len()];
+            let dense: Vec<BitVec> = (0..6)
+                .map(|i| shaped_bitvec(&mut rng, len, if i < 3 { 0 } else { seed as usize + i }))
+                .collect();
+            let wahs: Vec<WahBitmap> = dense
+                .iter()
+                .map(|d| match seed % 2 {
+                    0 => WahBitmap::from_bitvec(d),
+                    _ => hostile_encoding(&mut rng, &WahBitmap::from_bitvec(d)),
+                })
+                .collect();
+            let mut program = program_with_occurrences(&mut rng, dense.len(), occurrences);
+            for complement in [false, true] {
+                program.complement = complement;
+                let want = kernels::fold(len, &program.map(|&i| &dense[i])).count_ones();
+                let program = program.map(|&i| &wahs[i]);
+                let ctx = format!("{occurrences} occurrences, seed {seed}, len {len}: {program:?}");
+                assert_eq!(wah::fold(len, &program).count_ones(), want, "{ctx}");
+                assert_eq!(wah::fold_count(len, &program), want, "{ctx}");
+            }
+        }
+    }
+    // Runs at and across `MAX_FILL`, never expanded: a complemented or
+    // constant program over a final partial group, and a run ending at
+    // the boundary.
+    let len = (MAX_FILL as usize - 1) * GROUP_BITS + 7;
+    let ones = wah_from_words(len, &[fill_word(true, MAX_FILL - 1), (1 << 7) - 1]);
+    let zeros = wah_from_words(len, &[fill_word(false, MAX_FILL)]);
+    let extra = 5u32;
+    let long = (MAX_FILL as usize + extra as usize) * GROUP_BITS + 3;
+    let long_ones = wah_from_words(
+        long,
+        &[fill_word(true, MAX_FILL), fill_word(true, extra), 0b111],
+    );
+    let shifted = wah_from_words(
+        long,
+        &[
+            fill_word(true, MAX_FILL - 1),
+            fill_word(false, extra + 1),
+            0b101,
+        ],
+    );
+    let programs = [
+        (len, vec![], false, None),
+        (len, vec![], true, None),
+        (len, vec![FoldStep::And(&zeros)], true, None),
+        (len, vec![FoldStep::And(&ones)], true, None),
+        (len, vec![FoldStep::AndNot(&zeros)], false, Some(&ones)),
+        (long, vec![], false, None),
+        (
+            long,
+            vec![FoldStep::AndXor(&long_ones, &shifted)],
+            false,
+            None,
+        ),
+        (long, vec![FoldStep::And(&shifted)], true, Some(&long_ones)),
+    ];
+    let xor = (extra as usize + 1) * GROUP_BITS + 1;
+    let wants = [len, 0, len, 0, len, long, xor, xor];
+    for ((len, steps, complement, mask), want) in programs.into_iter().zip(wants) {
+        let program = Fold {
+            seed: None,
+            steps,
+            complement,
+            mask,
+        };
+        let ctx = format!("len {len}: {program:?}");
+        assert_eq!(wah::fold(len, &program).count_ones(), want, "{ctx}");
+        assert_eq!(wah::fold_count(len, &program), want, "{ctx}");
+    }
+}
+
 /// `wah::threshold_k` is the dense carry-save threshold at every fan-in
 /// from 2 to 12 and every `k`, over run-shaped and noisy operands.
 #[test]
