@@ -1,7 +1,8 @@
 //! Microbench: the compression substrate — RLE and LZSS on bitmap bytes of
 //! different densities, plus WAH compressed-form logical operations, and
 //! a compressed count as a served query runs it: `wah::fold_count` against
-//! `wah::fold(..).count_ones()` at one to eight operands.
+//! `wah::fold(..).count_ones()` at one to eight operands and in the `=` /
+//! `≠` shape.
 
 use bindex::bitvec::kernels::{self, Fold, FoldStep};
 use bindex::compress::wah::{self, WahBitmap};
@@ -116,8 +117,9 @@ fn bench(c: &mut Criterion) {
 /// 2^21-row column clustered in 4,096-row runs under a `<10,10,10>` base
 /// (the `ingest_mixed` workload's column), folded by a `≤`-chain-shaped
 /// program — a seed, then `Or` and `And` alternating — over one to eight
-/// of them. Building the result and counting it pays one encoder step per
-/// stretch that the count-only walk does not.
+/// of them, and by the `=` and `≠` chains' shape. Building the result and
+/// counting it pays one encoder step per stretch that the count-only walk
+/// does not.
 fn fold_count_bench(c: &mut Criterion) {
     const ROWS: usize = 1 << 21;
     let spec = IndexSpec::new(Base::from_msb(&[10, 10, 10]).unwrap(), Encoding::Range);
@@ -153,6 +155,28 @@ fn fold_count_bench(c: &mut Criterion) {
             b.iter(|| black_box(wah::fold(ROWS, black_box(&program)).count_ones()))
         });
         g.bench_function(format!("clustered_{n}ops_fold_count"), |b| {
+            b.iter(|| black_box(wah::fold_count(ROWS, black_box(&program))))
+        });
+    }
+    // The `=` chain's shape: a seedless `AndXor` of adjacent slots per
+    // component (six lanes), and `≠` as its complement.
+    let eq: Vec<WahBitmap> = [(1, 5), (1, 4), (2, 7), (2, 6), (3, 3), (3, 2)]
+        .iter()
+        .map(|&(comp, slot)| WahBitmap::from_bitvec(index.bitmap(comp, slot)))
+        .collect();
+    for (name, complement) in [("eq", false), ("ne", true)] {
+        let program = Fold {
+            steps: eq
+                .chunks(2)
+                .map(|pair| FoldStep::AndXor(&pair[0], &pair[1]))
+                .collect(),
+            complement,
+            ..Fold::default()
+        };
+        g.bench_function(format!("clustered_{name}_fold_then_count"), |b| {
+            b.iter(|| black_box(wah::fold(ROWS, black_box(&program)).count_ones()))
+        });
+        g.bench_function(format!("clustered_{name}_fold_count"), |b| {
             b.iter(|| black_box(wah::fold_count(ROWS, black_box(&program))))
         });
     }

@@ -36,14 +36,14 @@
 //! stretch and a growing `Vec`.
 //!
 //! The merge is compiled, not interpreted. Its lanes — one per operand
-//! occurrence — are parallel arrays (current value, groups left in the
-//! run, the next word already loaded), so the per-stretch loop of `take =
-//! min(remaining)`, advance and decode runs over arrays of a length fixed
-//! at compile time for up to eight lanes, and over `Vec`s of the same code
-//! beyond. A [`Fold`] is compiled once into per-step masks, so every step
-//! of a stretch is the same branch-free `v = (a ^ (b & xor)) ^ not; acc =
-//! (acc & (v | or)) | (v & or)`, with the complement an XOR mask and the
-//! mask operand ANDed last.
+//! occurrence, in program order — are parallel arrays (current value,
+//! groups left in the run, the next word already loaded) of a length
+//! fixed at compile time for up to eight lanes, and `Vec`s of the same
+//! code beyond. A lane's role is fixed by its position, so a [`Fold`]
+//! compiles into per-lane masks in the same arrays, and a stretch's value
+//! is one branch-free pass over values and masks with no index: `p = (p &
+//! keep) ^ x` chains an `AndXor`'s operands, `acc = (acc & ((p ^ not) |
+//! force)) ^ flip` ANDs each lane in, an `Or` as the AND on complements.
 //!
 //! Appends stay in the run domain too: [`WahBitmap::extend_from`] reopens
 //! the final partial group and encodes only the appended bits, so a
@@ -402,80 +402,108 @@ pub fn fold_count(len: usize, program: &Fold<&WahBitmap>) -> usize {
 /// `program` compiled over one lane per operand occurrence and merged,
 /// each stretch's value handed to `emit`.
 fn merge_program(len: usize, program: &Fold<&WahBitmap>, emit: impl FnMut(u32, u32)) {
-    // The compiled program refers to the lanes by position.
-    let mut operands: Vec<&WahBitmap> = Vec::new();
-    let program = program.map(|&w| {
-        assert_eq!(len, w.len, "WAH length mismatch: {len} vs {}", w.len);
-        operands.push(w);
-        operands.len() - 1
-    });
-    let compiled = CompiledFold::new(&program);
-    merge(len, &operands, |values| compiled.eval(values), emit);
+    let program = LaneFold::new(len, program);
+    merge(len, &program.operands, &program, emit);
 }
 
-/// A [`Fold`] over lane positions, compiled once into per-step masks so
-/// that every step of every stretch runs the same branch-free body: the
-/// operand `v = (a ^ (b & xor)) ^ not` (`AndXor` sets `xor`, `AndNot` sets
-/// `not`), then `acc = (acc & (v | or)) | (v & or)` (`Or` sets `or`; with
-/// it clear this is `acc & v`). A seed is an `And` into all ones.
-struct CompiledFold {
-    steps: Vec<MaskedStep>,
-    /// XORed into the folded accumulator: all ones to complement it.
+/// What the merge evaluates on each stretch, set up once for the lane
+/// storage `V` the lane count picks. A closure over the lanes' values is
+/// one ([`threshold_k`]'s).
+trait Stretch {
+    fn compile<V: PerLane<u32>>(&self) -> impl Fn(&V) -> u32;
+}
+
+impl<F: Fn(&[u32]) -> u32> Stretch for F {
+    fn compile<V: PerLane<u32>>(&self) -> impl Fn(&V) -> u32 {
+        |values| self(values.as_ref())
+    }
+}
+
+/// A [`Fold`] over one lane per operand occurrence, in [`Fold::operands`]'
+/// order — the seed, each step's operands (`AndXor`'s `a` before its
+/// `b`), the mask — so each lane's role is fixed by its position.
+struct LaneFold<'a> {
+    operands: Vec<&'a WahBitmap>,
+    roles: Vec<Role>,
+    /// XORed into the result: all ones to complement it.
     complement: u32,
-    /// ANDed in last.
-    mask: Option<usize>,
+    /// All ones when no lane is the mask.
+    unmasked: u32,
 }
 
-struct MaskedStep {
-    a: usize,
-    b: usize,
-    xor: u32,
-    not: u32,
-    or: u32,
+/// What one lane does in the fold.
+#[derive(Clone, Copy, PartialEq)]
+enum Role {
+    /// ANDs into the accumulator: a seed, an `And` operand, the mask.
+    And,
+    Or,
+    AndNot,
+    /// `AndXor`'s `a`: updates nothing, its value taken up by the next lane.
+    XorA,
+    /// `AndXor`'s `b`: XORed onto the previous lane's value, then ANDed.
+    XorB,
 }
 
-impl CompiledFold {
-    fn new(program: &Fold<usize>) -> Self {
-        let step = |a, b, xor, not, or| MaskedStep { a, b, xor, not, or };
-        let seed = program.seed.map(|s| step(s, s, 0, 0, 0));
-        let steps = program.steps.iter().map(|s| match *s {
-            FoldStep::And(a) => step(a, a, 0, 0, 0),
-            FoldStep::Or(a) => step(a, a, 0, 0, GROUP_MASK),
-            FoldStep::AndNot(a) => step(a, a, 0, GROUP_MASK, 0),
-            FoldStep::AndXor(a, b) => step(a, b, GROUP_MASK, 0, 0),
+impl<'a> LaneFold<'a> {
+    fn new(len: usize, program: &Fold<&'a WahBitmap>) -> Self {
+        let steps = program.steps.iter().flat_map(|step| match *step {
+            FoldStep::And(a) => [Some((a, Role::And)), None],
+            FoldStep::Or(a) => [Some((a, Role::Or)), None],
+            FoldStep::AndNot(a) => [Some((a, Role::AndNot)), None],
+            FoldStep::AndXor(a, b) => [Some((a, Role::XorA)), Some((b, Role::XorB))],
         });
+        let (operands, roles) = program
+            .seed
+            .map(|s| (s, Role::And))
+            .into_iter()
+            .chain(steps.flatten())
+            .chain(program.mask.map(|m| (m, Role::And)))
+            .inspect(|(w, _)| assert_eq!(len, w.len, "WAH length mismatch: {len} vs {}", w.len))
+            .unzip();
         Self {
-            steps: seed.into_iter().chain(steps).collect(),
-            complement: if program.complement { GROUP_MASK } else { 0 },
-            mask: program.mask,
+            operands,
+            roles,
+            complement: GROUP_MASK * u32::from(program.complement),
+            unmasked: GROUP_MASK * u32::from(program.mask.is_none()),
         }
     }
+}
 
-    /// The function on one stretch's lane values.
-    #[inline]
-    fn eval(&self, values: &[u32]) -> u32 {
-        let mut acc = GROUP_MASK;
-        for s in &self.steps {
-            let v = (values[s.a] ^ (values[s.b] & s.xor)) ^ s.not;
-            acc = (acc & (v | s.or)) | (v & s.or);
+impl Stretch for LaneFold<'_> {
+    /// The roles as per-lane masks in `V`, each all ones or zero, and per
+    /// stretch one pass over the lanes. `p` is the lane's operand (its
+    /// value, XORed onto the previous lane's under `keep`) and `(p ^ not)
+    /// | force` what it ANDs into the accumulator. An `Or` is that AND on
+    /// complements, so the accumulator is carried XORed with the next
+    /// lane's `or`: the operand takes this lane's `or` and `flip` the
+    /// change to the next lane's. The complement comes before the mask,
+    /// and `(acc ^ c) & m` is `(acc & m) ^ (c & m)`, the mask lane leaving
+    /// `m` in `p`.
+    fn compile<V: PerLane<u32>>(&self) -> impl Fn(&V) -> u32 {
+        let n = self.roles.len();
+        let is = |role, i: usize| GROUP_MASK * u32::from(self.roles.get(i) == Some(&role));
+        let keep = V::from_fn(n, |i| is(Role::XorB, i));
+        let not = V::from_fn(n, |i| is(Role::AndNot, i) ^ is(Role::Or, i));
+        let force = V::from_fn(n, |i| is(Role::XorA, i));
+        let flip = V::from_fn(n, |i| is(Role::Or, i) ^ is(Role::Or, i + 1));
+        let start = GROUP_MASK ^ is(Role::Or, 0);
+        move |values| {
+            let (mut acc, mut p) = (start, 0);
+            let lanes = values.as_ref().iter().zip(keep.as_ref());
+            let masks = not.as_ref().iter().zip(force.as_ref()).zip(flip.as_ref());
+            for ((&x, &keep), ((&not, &force), &flip)) in lanes.zip(masks) {
+                p = (p & keep) ^ x;
+                acc = (acc & ((p ^ not) | force)) ^ flip;
+            }
+            acc ^ (self.complement & (p | self.unmasked))
         }
-        acc ^= self.complement;
-        if let Some(m) = self.mask {
-            acc &= values[m];
-        }
-        acc
     }
 }
 
 /// The lockstep run merge over `operands`, dispatched on their count: up
 /// to eight lanes live in arrays whose length the compiler knows, wider
 /// merges run the same [`lockstep`] over `Vec`s.
-fn merge(
-    len: usize,
-    operands: &[&WahBitmap],
-    group: impl Fn(&[u32]) -> u32,
-    emit: impl FnMut(u32, u32),
-) {
+fn merge(len: usize, operands: &[&WahBitmap], group: &impl Stretch, emit: impl FnMut(u32, u32)) {
     match operands.len() {
         0 => lockstep::<[u32; 0], [&[u32]; 0]>(len, operands, group, emit),
         1 => lockstep::<[u32; 1], [&[u32]; 1]>(len, operands, group, emit),
@@ -499,13 +527,14 @@ fn merge(
 fn lockstep<'a, V: PerLane<u32>, W: PerLane<&'a [u32]>>(
     len: usize,
     operands: &[&'a WahBitmap],
-    group: impl Fn(&[u32]) -> u32,
+    group: &impl Stretch,
     mut emit: impl FnMut(u32, u32),
 ) {
+    let group = group.compile::<V>();
     let mut lanes = Lanes::<V, W>::new(operands);
     let mut left = len.div_ceil(GROUP_BITS) as u64;
     while left > 0 {
-        let acc = group(lanes.value.as_ref()) & GROUP_MASK;
+        let acc = group(&lanes.value) & GROUP_MASK;
         // Every operand holds its value for `take` more groups; with no
         // operand at all the function is one constant fill.
         let take = u64::from(lanes.stretch()).min(left) as u32;
@@ -566,7 +595,7 @@ pub fn threshold_k(operands: &[&WahBitmap], k: usize) -> WahBitmap {
     merge(
         len,
         operands,
-        |values| {
+        &|values: &[u32]| {
             let (mut one_fills, mut zero_fills) = (0usize, 0usize);
             for &v in values {
                 one_fills += usize::from(v == GROUP_MASK);

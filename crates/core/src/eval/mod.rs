@@ -199,10 +199,11 @@ fn run_query<S: BitmapSource>(
 
 /// A well-formed query for an index of layout `spec`, decided before
 /// anything is fetched: a malformed threshold (`k = 0`, `k > N`, no
-/// predicates) is [`Error::InvalidQuery`], and a predicate — a selection,
-/// or any of a threshold's — whose chain constant the base cannot
-/// decompose (`A ≤ v` or `A = v` with `v ≥ Π b_i`, so `A < Π b_i` is fine)
-/// is [`Error::ValueOutOfRange`]. Both are the caller's mistake, never a
+/// predicates, more than `MAX_THRESHOLD_FAN_IN`) is
+/// [`Error::InvalidQuery`], and a predicate — a selection, or any of a
+/// threshold's — whose chain constant the base cannot decompose (`A ≤ v`
+/// or `A = v` with `v ≥ Π b_i`, so `A < Π b_i` is fine) is
+/// [`Error::ValueOutOfRange`]. Both are the caller's mistake, never a
 /// fault of the index.
 pub fn validate(spec: &IndexSpec, query: &Query) -> Result<()> {
     let product = spec.base.product();

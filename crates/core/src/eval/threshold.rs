@@ -10,7 +10,8 @@
 //! of ANDs".
 //!
 //! Degenerate thresholds map to exact plans rather than panicking:
-//! `k = 0`, `k > N`, and an empty predicate set are rejected with
+//! `k = 0`, `k > N`, an empty predicate set and more than
+//! [`kernels::MAX_THRESHOLD_FAN_IN`] predicates are rejected with
 //! [`Error::InvalidQuery`]; a single-predicate threshold *is* that
 //! predicate; `k = 1` runs the plain OR plan and `k = N` the plain AND
 //! plan, charged as such.
@@ -32,17 +33,27 @@
 //! [`EvalStats::segments_skipped`](crate::exec::EvalStats::segments_skipped)
 //! observes the skip.
 
-use bindex_bitvec::kernels::{Fold, FoldStep};
+use bindex_bitvec::kernels::{self, Fold, FoldStep};
 use bindex_relation::query::ThresholdQuery;
 
 use crate::error::{Error, Result};
 use crate::exec::{Bound, ExecContext, Program};
 use crate::index::BitmapSource;
 
-/// Validates a threshold query, converting a malformed one into the
-/// typed [`Error::InvalidQuery`].
+/// Validates a threshold query, converting a malformed one — or one over
+/// more predicates than the counter network carries
+/// ([`kernels::MAX_THRESHOLD_FAN_IN`]) — into the typed
+/// [`Error::InvalidQuery`].
 pub fn validate(query: &ThresholdQuery) -> Result<()> {
-    query.validate().map_err(Error::InvalidQuery)
+    query.validate().map_err(Error::InvalidQuery)?;
+    let n = query.predicates.len();
+    if n > kernels::MAX_THRESHOLD_FAN_IN {
+        return Err(Error::InvalidQuery(format!(
+            "threshold over {n} predicates exceeds the maximum fan-in {}",
+            kernels::MAX_THRESHOLD_FAN_IN
+        )));
+    }
+    Ok(())
 }
 
 /// What a threshold holds across its walk's windows: each predicate's
@@ -254,6 +265,30 @@ mod tests {
             );
             let err = segmented(&idx, &bad, 256).unwrap_err();
             assert!(matches!(err, Error::InvalidQuery(_)));
+        }
+    }
+
+    /// The counter network carries at most `MAX_THRESHOLD_FAN_IN` (255)
+    /// predicates: a threshold at that fan-in is answered, whole and
+    /// windowed; one past it — up to the wire format's 65,535 — is a
+    /// typed error before anything is evaluated, not a panic.
+    #[test]
+    fn threshold_fan_in_past_the_counter_is_invalid() {
+        let col = column(3000, 1000);
+        let spec = IndexSpec::new(Base::from_msb(&[10, 10, 10]).unwrap(), Encoding::Range);
+        let idx = BitmapIndex::build(&col, spec).unwrap();
+        let predicates =
+            |n: usize| (0..n).map(|i| SelectionQuery::new(Op::Le, (i * 7 % 1000) as u32));
+        let at_max = ThresholdQuery::new(2, predicates(kernels::MAX_THRESHOLD_FAN_IN).collect());
+        let (found, _) = evaluate(&mut idx.source(), at_max.clone(), Algorithm::Auto).unwrap();
+        assert_eq!(found, reference(&col, &at_max));
+        assert_eq!(segmented(&idx, &at_max, 1024).unwrap().0, found);
+        for n in [kernels::MAX_THRESHOLD_FAN_IN + 1, usize::from(u16::MAX)] {
+            let wide = ThresholdQuery::new(2, predicates(n).collect());
+            let err = evaluate(&mut idx.source(), wide.clone(), Algorithm::Auto).unwrap_err();
+            assert!(matches!(err, Error::InvalidQuery(_)), "N = {n}: {err:?}");
+            let err = segmented(&idx, &wide, 1024).unwrap_err();
+            assert!(matches!(err, Error::InvalidQuery(_)), "N = {n}: {err:?}");
         }
     }
 

@@ -30,6 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use bindex::core::eval::threshold;
 use bindex::core::{Deadline, Error};
 use bindex::engine::batch::Sink;
 use bindex::relation::query::ThresholdQuery;
@@ -177,10 +178,10 @@ impl Shared {
                 deadline_ms,
             } => {
                 let query = ThresholdQuery::new(k, predicates);
-                // Reject degenerate thresholds before they take a permit:
-                // the request is wrong, not the server busy.
-                if let Err(msg) = query.validate() {
-                    return Self::err(ErrorCode::BadRequest, format!("invalid query: {msg}"));
+                // Reject degenerate or too-wide thresholds before they
+                // take a permit: the request is wrong, not the server busy.
+                if let Err(e) = threshold::validate(&query) {
+                    return Self::err(ErrorCode::BadRequest, e.to_string());
                 }
                 self.handle_query(
                     &index,

@@ -432,6 +432,60 @@ fn threshold_queries_over_the_wire() {
     server.shutdown();
 }
 
+/// A threshold over more predicates than the counter network carries
+/// (255) is a typed BadRequest over the wire — at 256 and at the wire
+/// format's 65,535 — and the server keeps serving: one at 255 is answered
+/// exactly, before and after, and nothing counts as a failure.
+#[test]
+fn a_threshold_past_the_fan_in_is_a_bad_request_and_serving_goes_on() {
+    let (_column, index, store) = build();
+    let mut registry = Registry::new();
+    registry.insert(
+        ServedIndex::new(
+            "t",
+            spec(),
+            Box::new(store),
+            None,
+            None,
+            IndexTuning::default(),
+        )
+        .unwrap(),
+    );
+    let server = start_server(registry, ServerConfig::default());
+    let mut client = connect(&server);
+    let predicates = |n: usize| -> Vec<SelectionQuery> {
+        (0..n)
+            .map(|i| SelectionQuery::new(Op::Le, (i * 7) as u32 % CARDINALITY))
+            .collect()
+    };
+    let at_max = predicates(255);
+    let want = direct_threshold(&index, 2, &at_max).count_ones() as u64;
+    let answered = |client: &mut Client| match client
+        .threshold("t", 2, &at_max, false, 0)
+        .expect("transport")
+    {
+        Response::Count { cardinality, .. } => assert_eq!(cardinality, want),
+        other => panic!("unexpected response {other:?}"),
+    };
+    answered(&mut client);
+    for n in [256, usize::from(u16::MAX)] {
+        match client
+            .threshold("t", 2, &predicates(n), false, 0)
+            .expect("transport")
+        {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::BadRequest, "N = {n}: {message}");
+                assert!(message.contains("fan-in"), "{message}");
+            }
+            other => panic!("N = {n}: unexpected response {other:?}"),
+        }
+    }
+    answered(&mut client);
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.failed, 0, "stats: {stats:?}");
+    server.shutdown();
+}
+
 #[test]
 fn overload_is_shed_with_typed_responses() {
     let (_column, index, store) = build();

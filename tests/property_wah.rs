@@ -580,6 +580,80 @@ fn fold_count_is_the_popcount_of_fold() {
     }
 }
 
+/// The walk compiles a program into one role per lane, in program order,
+/// so the shapes where a lane's position decides its role are pinned
+/// here: `AndXor` first in a seedless program (its `b` chains onto a lane
+/// with nothing before it), `AndXor` or `Or` right before the mask, the
+/// complement and the mask with no other lane (the complement is applied
+/// before the mask), `Or` first, and 9–10 lanes (the `Vec` lanes). Each
+/// with and without the complement, at lengths around a group and a word
+/// boundary: `wah::fold` and `wah::fold_count` are `kernels::fold`.
+#[test]
+fn lane_order_shapes_match_the_dense_fold() {
+    use FoldStep::{And, AndNot, AndXor, Or};
+    let fold = |seed, steps, mask| Fold {
+        seed,
+        steps,
+        complement: false,
+        mask,
+    };
+    let shapes = [
+        fold(None, vec![AndXor(0, 1)], None),
+        fold(None, vec![AndXor(0, 1), Or(2), AndXor(3, 4)], None),
+        fold(Some(0), vec![And(1), AndXor(2, 3)], Some(4)),
+        fold(None, vec![Or(5), AndXor(1, 0)], Some(2)),
+        fold(None, vec![], Some(3)),
+        fold(Some(1), vec![AndNot(2), Or(3)], Some(0)),
+        fold(
+            Some(0),
+            vec![AndXor(1, 2), Or(3), AndXor(4, 5), AndNot(0), And(1)],
+            Some(2),
+        ),
+        fold(
+            None,
+            vec![
+                AndXor(0, 1),
+                Or(2),
+                AndXor(3, 4),
+                AndNot(5),
+                Or(4),
+                AndXor(1, 2),
+            ],
+            Some(0),
+        ),
+    ];
+    let lengths = [1usize, 30, 31, 32, 62, 63, 95, 1985, 4099];
+    for seed in 0..2 * lengths.len() as u64 {
+        let mut rng = Rng::seed_from_u64(0xA_0000 + seed);
+        let len = lengths[seed as usize % lengths.len()];
+        let dense: Vec<BitVec> = (0..6)
+            .map(|i| shaped_bitvec(&mut rng, len, if i < 3 { 0 } else { seed as usize + i }))
+            .collect();
+        let wahs: Vec<WahBitmap> = dense.iter().map(WahBitmap::from_bitvec).collect();
+        for shape in &shapes {
+            for complement in [false, true] {
+                let program = Fold {
+                    complement,
+                    ..shape.clone()
+                };
+                let want = kernels::fold(len, &program.map(|&i| &dense[i]));
+                let wah_program = program.map(|&i| &wahs[i]);
+                let ctx = format!("seed {seed} len {len}: {program:?}");
+                assert_eq!(
+                    wah::fold(len, &wah_program),
+                    WahBitmap::from_bitvec(&want),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    wah::fold_count(len, &wah_program),
+                    want.count_ones(),
+                    "{ctx}"
+                );
+            }
+        }
+    }
+}
+
 /// `wah::threshold_k` is the dense carry-save threshold at every fan-in
 /// from 2 to 12 and every `k`, over run-shaped and noisy operands.
 #[test]
