@@ -4,7 +4,10 @@
 //! the `benches/` targets use this in-repo harness instead of Criterion:
 //! same `benchmark_group` / `bench_function` / `iter` / `iter_batched`
 //! call shapes, but a deliberately simple measurement loop (calibrate,
-//! take a few samples, report the best) printing one line per benchmark.
+//! take a few samples, report the best beside their median and range)
+//! printing one line per benchmark. The best alone misleads: one
+//! `wah_fold_count` line read 11.7–20.0 µs over three back-to-back runs,
+//! so read a difference only off lines whose ranges do not overlap.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -66,7 +69,8 @@ impl BenchmarkGroup<'_> {
         self.throughput = Some(t);
     }
 
-    /// Number of samples per benchmark (the best is reported).
+    /// Number of samples per benchmark (the best, the median and the
+    /// range are reported).
     pub fn sample_size(&mut self, n: usize) {
         self.sample_size = n.max(1);
     }
@@ -75,10 +79,17 @@ impl BenchmarkGroup<'_> {
     pub fn bench_function(&mut self, id: impl AsRef<str>, mut f: impl FnMut(&mut Bencher)) {
         let mut b = Bencher {
             sample_size: self.sample_size,
-            best_ns: f64::INFINITY,
+            samples_ns: Vec::new(),
         };
         f(&mut b);
-        let ns = b.best_ns;
+        let mut samples = b.samples_ns;
+        samples.sort_by(f64::total_cmp);
+        let sample = |i: usize| samples.get(i).copied().unwrap_or(f64::INFINITY);
+        let (ns, median, max) = (
+            sample(0),
+            sample(samples.len() / 2),
+            sample(samples.len().saturating_sub(1)),
+        );
         let rate = match self.throughput {
             Some(Throughput::Bytes(bytes)) if ns > 0.0 => {
                 let mib_s = bytes as f64 / (ns * 1e-9) / (1024.0 * 1024.0);
@@ -90,7 +101,16 @@ impl BenchmarkGroup<'_> {
             }
             _ => String::new(),
         };
-        println!("{}/{}: {:.0} ns/iter{}", self.name, id.as_ref(), ns, rate);
+        println!(
+            "{}/{}: {:.0} ns/iter (median {:.0}, range {:.0}–{:.0}){}",
+            self.name,
+            id.as_ref(),
+            ns,
+            median,
+            ns,
+            max,
+            rate
+        );
     }
 
     /// Ends the group (no-op; kept for API familiarity).
@@ -100,7 +120,8 @@ impl BenchmarkGroup<'_> {
 /// Passed to the benchmark closure; runs and times the measured routine.
 pub struct Bencher {
     sample_size: usize,
-    best_ns: f64,
+    /// Time per iteration of each sample.
+    samples_ns: Vec<f64>,
 }
 
 impl Bencher {
@@ -117,7 +138,7 @@ impl Bencher {
                 black_box(f());
             }
             let ns = start.elapsed().as_secs_f64() * 1e9 / iters as f64;
-            self.best_ns = self.best_ns.min(ns);
+            self.samples_ns.push(ns);
         }
     }
 
@@ -140,7 +161,7 @@ impl Bencher {
                 black_box(routine(input));
             }
             let ns = start.elapsed().as_secs_f64() * 1e9 / iters as f64;
-            self.best_ns = self.best_ns.min(ns);
+            self.samples_ns.push(ns);
         }
     }
 }

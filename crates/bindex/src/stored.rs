@@ -38,15 +38,14 @@ pub(crate) fn check_layout<S: ByteStore>(
     index: &StoredIndex<S>,
     spec: &IndexSpec,
 ) -> Result<(), Error> {
-    let expect: Vec<u32> = (1..=spec.n_components())
-        .map(|i| spec.stored_in_component(i))
-        .collect();
-    if index.meta().bitmaps_per_component != expect {
+    let expect = || (1..=spec.n_components()).map(|i| spec.stored_in_component(i));
+    let stored = &index.meta().bitmaps_per_component;
+    if !stored.iter().copied().eq(expect()) {
+        let expect: Vec<u32> = expect().collect();
         return Err(Error::CorruptIndex(format!(
             "stored layout does not match the index spec: store holds {:?} bitmaps per \
              component, spec expects {:?}",
-            index.meta().bitmaps_per_component,
-            expect
+            stored, expect
         )));
     }
     Ok(())

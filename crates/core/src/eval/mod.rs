@@ -172,6 +172,7 @@ fn run_query<S: BitmapSource>(
     match query {
         Query::Selection(q) => {
             let program = program(ctx.spec(), *q, algorithm, true)?;
+            ctx.reserve_for(std::slice::from_ref(&program));
             if let ([term], true) = (&program.terms[..], program.compressible) {
                 if let Some(answer) = ctx.fold_term_wah(term, segment_bits.is_some(), keep)? {
                     return Ok(answer);
@@ -188,6 +189,7 @@ fn run_query<S: BitmapSource>(
                 .iter()
                 .map(|&p| program(ctx.spec(), p, algorithm, false))
                 .collect::<Result<Vec<_>>>()?;
+            ctx.reserve_for(&predicates);
             let mut held = threshold::Held::new(predicates.len());
             let k = q.k as usize;
             walk(ctx, segment_bits, keep, |ctx, charging, keep| {

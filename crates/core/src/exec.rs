@@ -579,6 +579,15 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         }
     }
 
+    /// Makes room, in one allocation each, for every slot `programs` fetch
+    /// and every operand and result they hold.
+    pub(crate) fn reserve_for(&mut self, programs: &[Program]) {
+        let terms = programs.iter().flat_map(|p| &p.terms);
+        let most = terms.map(|t| t.operands().count() + 1).sum();
+        self.walk.held.reserve(most);
+        self.fetched.reserve(most);
+    }
+
     /// Width in bits of the current evaluation: the current segment's
     /// window under segmented execution, the full row count otherwise —
     /// what [`ExecContext::fold`] returns.

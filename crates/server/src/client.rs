@@ -7,19 +7,31 @@ use std::time::Duration;
 
 use bindex::relation::query::SelectionQuery;
 
-use crate::protocol::{read_frame, write_frame, Request, Response, StatsSnapshot};
+use crate::protocol::{FrameReader, FrameWriter, Request, Response, StatsSnapshot};
 
 fn proto(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
+fn not_connected() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::NotConnected,
+        "connection closed after an earlier request failed",
+    )
+}
+
 /// One connection to a `bindex-server`; requests are serial
-/// (request/response lockstep, like the wire protocol itself).
+/// (request/response lockstep, like the wire protocol itself). A request
+/// is encoded in place into the connection's send buffer and its reply
+/// decoded from the receive buffer; both are kept for the connection's
+/// life.
 pub struct Client {
     /// `None` once a request failed in transport or decoding: the stream
     /// may still carry that request's late reply, which must never be read
     /// as the answer to a later one.
     stream: Option<TcpStream>,
+    reader: FrameReader,
+    writer: FrameWriter,
 }
 
 impl Client {
@@ -29,15 +41,8 @@ impl Client {
         stream.set_nodelay(true)?;
         Ok(Self {
             stream: Some(stream),
-        })
-    }
-
-    fn stream(&mut self) -> io::Result<&mut TcpStream> {
-        self.stream.as_mut().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::NotConnected,
-                "connection closed after an earlier request failed",
-            )
+            reader: FrameReader::default(),
+            writer: FrameWriter::default(),
         })
     }
 
@@ -46,18 +51,28 @@ impl Client {
     /// connection, and every later call on this client fails with
     /// [`io::ErrorKind::NotConnected`].
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream()?.set_read_timeout(timeout)
+        self.stream
+            .as_ref()
+            .ok_or_else(not_connected)?
+            .set_read_timeout(timeout)
     }
 
     /// Sends one request and waits for its response. Any transport or
     /// decode error shuts the connection down.
     pub fn request(&mut self, req: &Request) -> io::Result<Response> {
-        let payload = req.encode()?;
-        let stream = self.stream()?;
-        let reply = write_frame(stream, &payload)
-            .and_then(|()| read_frame(stream))
+        self.round_trip(req)
+    }
+
+    /// [`Client::request`] for a request that borrows its index name.
+    fn round_trip(&mut self, req: &Request<impl AsRef<str>>) -> io::Result<Response> {
+        self.writer.encode(|out| req.encode_into(out))?;
+        let stream = self.stream.as_mut().ok_or_else(not_connected)?;
+        let reply = self
+            .writer
+            .send(stream)
+            .and_then(|()| self.reader.poll(stream))
             .and_then(|p| p.ok_or_else(|| proto("server closed the connection")))
-            .and_then(|p| Response::decode(&p));
+            .and_then(Response::decode);
         if reply.is_err() {
             if let Some(stream) = self.stream.take() {
                 let _ = stream.shutdown(Shutdown::Both);
@@ -75,8 +90,8 @@ impl Client {
         want_bitmap: bool,
         deadline_ms: u64,
     ) -> io::Result<Response> {
-        self.request(&Request::Query {
-            index: index.to_string(),
+        self.round_trip(&Request::Query {
+            index,
             query,
             want_bitmap,
             deadline_ms,
@@ -95,8 +110,8 @@ impl Client {
         want_bitmap: bool,
         deadline_ms: u64,
     ) -> io::Result<Response> {
-        self.request(&Request::Threshold {
-            index: index.to_string(),
+        self.round_trip(&Request::Threshold {
+            index,
             k,
             predicates: predicates.to_vec(),
             want_bitmap,
@@ -123,9 +138,7 @@ impl Client {
     /// Runs scrub-and-repair on `index`; returns `(repaired,
     /// unrepaired)` file counts.
     pub fn repair(&mut self, index: &str) -> io::Result<(u32, u32)> {
-        match self.request(&Request::Repair {
-            index: index.to_string(),
-        })? {
+        match self.round_trip(&Request::Repair { index })? {
             Response::Repaired {
                 repaired,
                 unrepaired,
@@ -146,8 +159,8 @@ impl Client {
         appends: &[Option<u32>],
         deletes: &[u64],
     ) -> io::Result<(u64, u64, u64)> {
-        match self.request(&Request::Ingest {
-            index: index.to_string(),
+        match self.round_trip(&Request::Ingest {
+            index,
             appends: appends.to_vec(),
             deletes: deletes.to_vec(),
         })? {
@@ -181,6 +194,7 @@ mod tests {
     use bindex::relation::query::Op;
 
     use super::*;
+    use crate::protocol::{read_frame, write_frame};
 
     fn count(cardinality: u64) -> Vec<u8> {
         Response::Count {

@@ -30,13 +30,16 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use bindex::compress::Repr;
 use bindex::core::eval::threshold;
 use bindex::core::{Deadline, Error};
 use bindex::engine::batch::Sink;
 use bindex::relation::query::ThresholdQuery;
 
 use crate::admission::Permits;
-use crate::protocol::{write_frame, ErrorCode, FrameReader, Request, Response, StatsSnapshot};
+use crate::protocol::{
+    put_bitmap, ErrorCode, FrameReader, FrameWriter, Request, Response, StatsSnapshot,
+};
 use crate::registry::{Registry, ServedQuery};
 
 /// Tuning for one server instance. Queries run on the connection thread
@@ -87,11 +90,12 @@ struct Shared {
 }
 
 impl Shared {
-    fn err(code: ErrorCode, message: impl Into<String>) -> Response {
+    fn err<R: From<Response>>(code: ErrorCode, message: impl Into<String>) -> R {
         Response::Error {
             code,
             message: message.into(),
         }
+        .into()
     }
 
     fn snapshot(&self) -> StatsSnapshot {
@@ -115,15 +119,15 @@ impl Shared {
         s
     }
 
-    fn handle_request(&self, req: Request) -> Response {
-        match req {
+    fn handle_request(&self, req: Request<&str>) -> Reply {
+        let resp = match req {
             Request::Ping => Response::Pong,
             Request::Stats => Response::Stats(self.snapshot()),
             Request::Shutdown => {
                 self.shutdown_requested.store(true, Ordering::SeqCst);
                 Response::ShutdownAck
             }
-            Request::Repair { index } => match self.registry.get(&index) {
+            Request::Repair { index } => match self.registry.get(index) {
                 None => Self::err(ErrorCode::UnknownIndex, format!("no index named {index:?}")),
                 Some(served) => match served.repair() {
                     Ok(report) => {
@@ -140,7 +144,7 @@ impl Shared {
                 index,
                 appends,
                 deletes,
-            } => match self.registry.get(&index) {
+            } => match self.registry.get(index) {
                 None => Self::err(ErrorCode::UnknownIndex, format!("no index named {index:?}")),
                 Some(served) => match served.ingest(&appends, &deletes) {
                     Ok(summary) => {
@@ -164,12 +168,14 @@ impl Shared {
                 query,
                 want_bitmap,
                 deadline_ms,
-            } => self.handle_query(
-                &index,
-                ServedQuery::Selection(query),
-                want_bitmap,
-                deadline_ms,
-            ),
+            } => {
+                return self.handle_query(
+                    index,
+                    ServedQuery::Selection(query),
+                    want_bitmap,
+                    deadline_ms,
+                )
+            }
             Request::Threshold {
                 index,
                 k,
@@ -183,14 +189,15 @@ impl Shared {
                 if let Err(e) = threshold::validate(&query) {
                     return Self::err(ErrorCode::BadRequest, e.to_string());
                 }
-                self.handle_query(
-                    &index,
+                return self.handle_query(
+                    index,
                     ServedQuery::Threshold(query),
                     want_bitmap,
                     deadline_ms,
-                )
+                );
             }
-        }
+        };
+        resp.into()
     }
 
     fn handle_query(
@@ -199,7 +206,7 @@ impl Shared {
         query: ServedQuery,
         want_bitmap: bool,
         deadline_ms: u64,
-    ) -> Response {
+    ) -> Reply {
         if self.draining.load(Ordering::SeqCst) {
             return Self::err(ErrorCode::ShuttingDown, "server is draining");
         }
@@ -229,15 +236,13 @@ impl Shared {
                     self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
                 }
                 if want_bitmap {
-                    let bits = answer
-                        .bits
-                        .expect("a keep-sink answer, cached or not, holds its foundset");
-                    Response::Bitmap {
+                    Reply::Bitmap {
                         cardinality: answer.cardinality,
                         degraded: answer.degraded,
                         cached: answer.cached,
-                        n_bits: bits.len() as u64,
-                        words: bits.to_bitvec().words().to_vec(),
+                        bits: answer
+                            .bits
+                            .expect("a keep-sink answer, cached or not, holds its foundset"),
                     }
                 } else {
                     Response::Count {
@@ -245,6 +250,7 @@ impl Shared {
                         degraded: answer.degraded,
                         cached: answer.cached,
                     }
+                    .into()
                 }
             }
             Err(Error::DeadlineExceeded) => {
@@ -272,10 +278,50 @@ impl Shared {
     }
 }
 
+/// What a request is answered with. A bitmap answer keeps the foundset
+/// handle the engine produced, so its words are copied once, into the
+/// connection's frame.
+enum Reply {
+    Bitmap {
+        cardinality: u64,
+        degraded: bool,
+        cached: bool,
+        bits: Repr,
+    },
+    Other(Response),
+}
+
+impl From<Response> for Reply {
+    fn from(resp: Response) -> Self {
+        Reply::Other(resp)
+    }
+}
+
+impl Reply {
+    fn encode_into(&self, out: &mut Vec<u8>) -> io::Result<()> {
+        match self {
+            Reply::Bitmap {
+                cardinality,
+                degraded,
+                cached,
+                bits,
+            } => {
+                let n_bits = bits.len() as u64;
+                let dense = bits.to_bitvec();
+                put_bitmap(out, *cardinality, *degraded, *cached, n_bits, dense.words())
+            }
+            Reply::Other(resp) => resp.encode_into(out),
+        }
+    }
+}
+
+/// One connection: every frame is read through one buffer and every reply
+/// encoded into another, both kept for the connection's life.
 fn handle_conn(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.set_nodelay(true);
-    let mut reader = FrameReader::new();
+    let mut reader = FrameReader::default();
+    let mut writer = FrameWriter::default();
     loop {
         // A read timeout keeps the partial frame in `reader` and lets the
         // loop check the drain flag a few times a second.
@@ -294,19 +340,20 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream) {
             }
             Ok(None) | Err(_) => return,
         };
-        let resp = match Request::decode(&payload) {
+        let reply = match Request::decode_in(payload) {
             Ok(req) => shared.handle_request(req),
             Err(e) => Shared::err(ErrorCode::BadRequest, e.to_string()),
         };
-        let bytes = resp.encode().unwrap_or_else(|e| {
-            Shared::err(
+        if let Err(e) = writer.encode(|out| reply.encode_into(out)) {
+            let failed: Response = Shared::err(
                 ErrorCode::Internal,
                 format!("response encoding failed: {e}"),
-            )
-            .encode()
-            .expect("error responses always encode")
-        });
-        if write_frame(&mut stream, &bytes).is_err() {
+            );
+            writer
+                .encode(|out| failed.encode_into(out))
+                .expect("error responses always encode");
+        }
+        if writer.send(&mut stream).is_err() {
             return;
         }
     }
