@@ -53,7 +53,7 @@ fn main() {
             let store = DiskStore::open(tmp.path()).unwrap();
             let mut stored = persist_index(&idx, store, scheme, codec).unwrap();
             let space_mb = stored.total_stored_bytes() as f64 / 1e6;
-            let mut src = SharedSource::try_unpooled(&stored, spec.clone()).unwrap();
+            let mut src = SharedSource::try_unpooled(&stored, &spec).unwrap();
             let secs = average_wall_time(&mut src, &queries, Algorithm::RangeEvalOpt);
             let io = stored.take_stats();
             let nq = queries.len() as u64;

@@ -398,7 +398,7 @@ impl<'a, S: ByteStore> IngestIndex<'a, S> {
     ) -> Result<(BitVec, EvalStats), Error> {
         let overlay = self.overlay()?;
         let base_nn = self.stored.read_nn().map_err(storage_error)?;
-        let mut source = SharedSource::try_unpooled(&*self.stored, self.spec.clone())?;
+        let mut source = SharedSource::try_unpooled(&*self.stored, &self.spec)?;
         if let Some(nn) = base_nn {
             source = source.with_nn(nn);
         }

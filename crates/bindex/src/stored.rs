@@ -10,6 +10,7 @@
 //! checksum mismatches as [`Error::ChecksumMismatch`], other store
 //! failures as [`Error::Storage`] — never as panics.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -63,15 +64,19 @@ pub struct SharedSource<'a, S: ByteStore> {
     index: &'a StoredIndex<S>,
     /// The reader whose pool serves the fetches; `None` over a bare index.
     reader: Option<&'a SharedIndexReader<S>>,
-    spec: IndexSpec,
+    /// Borrowed from its owner (a served index's, per query), or owned.
+    spec: Cow<'a, IndexSpec>,
     nn: Option<Repr>,
 }
 
 impl<'a, S: ByteStore> SharedSource<'a, S> {
-    /// Wraps a shared reader. `spec` must describe the layout the index
-    /// was written with; a mismatch against the stored metadata is
-    /// reported as [`Error::CorruptIndex`].
-    pub fn try_new(reader: &'a SharedIndexReader<S>, spec: IndexSpec) -> Result<Self, Error> {
+    /// Wraps a shared reader. `spec` (an `&IndexSpec` or an `IndexSpec`)
+    /// must describe the layout the index was written with; a mismatch
+    /// against the stored metadata is reported as [`Error::CorruptIndex`].
+    pub fn try_new(
+        reader: &'a SharedIndexReader<S>,
+        spec: impl Into<Cow<'a, IndexSpec>>,
+    ) -> Result<Self, Error> {
         let mut source = Self::try_unpooled(reader.index(), spec)?;
         source.reader = Some(reader);
         Ok(source)
@@ -79,7 +84,11 @@ impl<'a, S: ByteStore> SharedSource<'a, S> {
 
     /// Wraps a stored index directly, with no cache in front of it. Same
     /// `spec` check as [`SharedSource::try_new`].
-    pub fn try_unpooled(index: &'a StoredIndex<S>, spec: IndexSpec) -> Result<Self, Error> {
+    pub fn try_unpooled(
+        index: &'a StoredIndex<S>,
+        spec: impl Into<Cow<'a, IndexSpec>>,
+    ) -> Result<Self, Error> {
+        let spec = spec.into();
         check_layout(index, &spec)?;
         Ok(Self {
             index,
@@ -233,7 +242,7 @@ pub fn scrub_and_repair_index<S: ByteStore>(
     };
     let mut fixes = HashMap::new();
     if !lost.is_empty() && (b_nn.is_some() || !stored.meta().has_nn) {
-        let mut source = SharedSource::try_unpooled(stored, spec.clone())?;
+        let mut source = SharedSource::try_unpooled(stored, spec)?;
         source.nn = b_nn;
         let recovery = match column {
             Some(column) => RecoveryPolicy::ReconstructOrScan(Arc::new(column.clone())),
@@ -396,7 +405,7 @@ mod tests {
         let reader = SharedIndexReader::with_pool(stored, ShardedPool::new(32, 4));
         let queries = full_space(20);
         let results = evaluate_selection_workload(
-            || SharedSource::try_new(&reader, spec.clone()).expect("spec matches"),
+            || SharedSource::try_new(&reader, &spec).expect("spec matches"),
             &queries,
             Algorithm::Auto,
             &BatchOptions::with_threads(4),

@@ -30,8 +30,11 @@
 //!
 //! The inner combine loop runs over fixed-size `[u64; LANES]` arrays
 //! (u64x8), which the compiler lowers to vector loads/stores and vector
-//! bitwise ops on any target with SIMD (SSE2, AVX2, NEON) without `unsafe`
-//! or nightly `std::simd`. Counting accumulates popcounts through a 4-way
+//! bitwise ops without `unsafe` or nightly `std::simd`. On x86-64 the
+//! workspace is built for x86-64-v3 (the root `.cargo/config.toml`): a
+//! lane group is two 256-bit AVX2 registers and `count_ones` is one
+//! `popcnt`, where the SSE2 baseline took four 128-bit registers and a
+//! bit-twiddling popcount. Counting accumulates popcounts through a 4-way
 //! carry-save adder (the Harley–Seal shape): only every fourth combined
 //! word pays a full popcount, the rest fold into `ones`/`twos` carry
 //! words.
@@ -1002,6 +1005,21 @@ mod tests {
         lens.extend([lane - 64, lane, lane + 1, lane + 63, 3 * lane + 17]);
         lens.extend([8 * 1024, block, block + 9, block + 63, 99_991]);
         lens
+    }
+
+    /// The root `.cargo/config.toml` compiles every crate for x86-64-v3;
+    /// a lost or overridden profile builds the kernels for the SSE2
+    /// baseline, with no `popcnt`, and fails here.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn built_for_the_pinned_cpu_level() {
+        let features = [
+            ("avx2", cfg!(target_feature = "avx2")),
+            ("popcnt", cfg!(target_feature = "popcnt")),
+            ("bmi2", cfg!(target_feature = "bmi2")),
+        ];
+        let missing: Vec<_> = features.iter().filter(|f| !f.1).map(|f| f.0).collect();
+        assert!(missing.is_empty(), "built without {missing:?}");
     }
 
     /// The blocked kernels and the word-at-a-time tier both produce the

@@ -1,6 +1,8 @@
 //! Bitmap encoding schemes (Section 2, dimension 2 of the design space),
 //! and the [`IndexSpec`] combining a base with an encoding.
 
+use std::borrow::Cow;
+
 use crate::base::Base;
 use crate::error::{Error, Result};
 
@@ -77,6 +79,20 @@ pub struct IndexSpec {
     pub base: Base,
     /// The per-component encoding scheme.
     pub encoding: Encoding,
+}
+
+/// A source built over an index's own spec borrows it; one built from a
+/// spec made on the spot owns it.
+impl<'a> From<&'a IndexSpec> for Cow<'a, IndexSpec> {
+    fn from(spec: &'a IndexSpec) -> Self {
+        Cow::Borrowed(spec)
+    }
+}
+
+impl From<IndexSpec> for Cow<'_, IndexSpec> {
+    fn from(spec: IndexSpec) -> Self {
+        Cow::Owned(spec)
+    }
 }
 
 impl IndexSpec {

@@ -17,6 +17,7 @@
 //! bitmaps cost no scan either (Section 10's buffering model).
 
 use std::borrow::Borrow;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -402,6 +403,31 @@ struct SegmentState {
     pruned_any: bool,
 }
 
+thread_local! {
+    /// This thread's kernel block buffers, lent to one [`ExecContext`] at
+    /// a time, so a query allocates them only on a thread that has none.
+    static SCRATCH: Cell<kernels::Scratch> = Cell::default();
+}
+
+/// A context's kernel block buffers: taken from its thread's [`SCRATCH`]
+/// when it is built, put back when it is dropped. A second context alive
+/// on the same thread starts with empty buffers.
+struct LentScratch(kernels::Scratch);
+
+impl LentScratch {
+    fn take() -> Self {
+        Self(SCRATCH.with(Cell::take))
+    }
+}
+
+impl Drop for LentScratch {
+    fn drop(&mut self) {
+        let scratch = std::mem::take(&mut self.0);
+        // A thread being torn down has no slot left; the buffers are freed.
+        let _ = SCRATCH.try_with(|slot| slot.set(scratch));
+    }
+}
+
 /// Execution context wrapping a [`BitmapSource`] with accounting.
 pub struct ExecContext<'a, S: BitmapSource> {
     source: &'a mut S,
@@ -430,8 +456,8 @@ pub struct ExecContext<'a, S: BitmapSource> {
     pruned_charged: HashSet<(usize, usize)>,
     /// The operands of the query's bound programs ([`Bound`]).
     walk: Walk,
-    /// The kernels' block buffers, kept across folds.
-    scratch: kernels::Scratch,
+    /// The kernels' block buffers, kept across folds and queries.
+    scratch: LentScratch,
 }
 
 impl<'a, S: BitmapSource> ExecContext<'a, S> {
@@ -450,7 +476,7 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             summaries: None,
             pruned_charged: HashSet::new(),
             walk: Walk::default(),
-            scratch: kernels::Scratch::default(),
+            scratch: LentScratch::take(),
         }
     }
 
@@ -1108,13 +1134,13 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         let words = |&p: &usize| walk.words(p, lo, hi);
         match keep {
             None if skipped => 0,
-            None => kernels::fold_count_with(hi - lo, fold, words, &mut self.scratch),
+            None => kernels::fold_count_with(hi - lo, fold, words, &mut self.scratch.0),
             Some(out) if skipped => {
                 out.resize(out.len() + bindex_bitvec::words_for(hi - lo), 0);
                 0
             }
             Some(out) => {
-                kernels::fold_into(hi - lo, fold, words, &mut self.scratch, out);
+                kernels::fold_into(hi - lo, fold, words, &mut self.scratch.0, out);
                 0
             }
         }

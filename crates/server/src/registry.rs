@@ -153,7 +153,7 @@ impl ServedIndex {
             SharedIndexReader::new(stored)
         };
         // Validate the layout once, while we hold the only reference.
-        SharedSource::try_new(&reader, spec.clone())?;
+        SharedSource::try_new(&reader, &spec)?;
         check_recovery_inputs(reader.meta().n_rows, column.as_deref(), null_mask.as_ref())?;
         let cardinality = match &column {
             Some(c) => c.cardinality(),
@@ -301,7 +301,7 @@ impl ServedIndex {
             .map_err(storage_error)
             .inspect_err(|_| self.breaker.record_fault())?;
         let mut source =
-            SharedSource::try_new(&guard, spec.clone()).expect("layout validated at registration");
+            SharedSource::try_new(&guard, spec).expect("layout validated at registration");
         if let Some(nn) = nn {
             source = source.with_nn(nn);
         }

@@ -183,7 +183,9 @@ fn a_served_request_allocates_a_fixed_number_of_times() {
         threshold.0,
     );
     assert!(ping.0 <= 2.0, "a ping allocates {:.1} times", ping.0);
-    assert!(count.0 <= 12.0, "a count allocates {:.1} times", count.0);
+    // 8.0: the source borrows the served spec, and the kernels' block
+    // buffers are the connection thread's, not the query's.
+    assert!(count.0 <= 8.5, "a count allocates {:.1} times", count.0);
     assert!(
         bitmap.1 <= 2.2 * answer_bytes,
         "a bitmap request allocates {:.0} bytes for a {answer_bytes} byte answer",
@@ -195,7 +197,7 @@ fn a_served_request_allocates_a_fixed_number_of_times() {
         cache_hit.0
     );
     assert!(
-        threshold.0 <= 40.0,
+        threshold.0 <= 37.0,
         "a threshold allocates {:.1} times",
         threshold.0
     );

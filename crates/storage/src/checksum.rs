@@ -28,7 +28,9 @@
 //! the last 300, in order, that is the recurrence
 //! `v_k = w_k ⊕ v_(k−145) ⊕ v_(k−183) ⊕ v_(k−211) ⊕ v_(k−300)`
 //! over little-endian words: four XORs and one store per word, in slice
-//! loops the compiler vectorizes on the SSE2 baseline. What bounds it is
+//! loops the compiler vectorizes into 256-bit AVX2 XORs at the
+//! workspace's pinned x86-64-v3 level (the root `.cargo/config.toml`;
+//! 128-bit SSE2 on the x86-64 baseline). What bounds it is
 //! those XOR passes per word, not table loads. The cleared prefix costs
 //! one multiply (the `!0` start register times `x^(8·len)`), and the last
 //! 300 words, with what the fold sent them, take the table walk. A
@@ -39,15 +41,17 @@
 //! the relation, and the threshold is twice its span, not a knob.
 //!
 //! Measured by `cargo bench --bench storage_layouts` (group `crc32`) on
-//! the 2-vCPU reference box, three runs alternated with the table-walk-only
-//! kernel in the same hour: 256 KiB 112–120 → 20–35 µs (7.0–12.1 GiB/s),
-//! 1 MiB 291–468 → 77–138 µs, 32 KiB 14.3–15.4 → 3.6–6.0 µs; 1 KiB and
-//! 4 KiB keep the table walk and its speed, and at the 4,800-byte
+//! the 2-vCPU reference box, one pinned CPU, best of eight runs
+//! alternated with the same source built for the x86-64 baseline:
+//! 256 KiB 15.9 µs (15.4 GiB/s; baseline 17.5 µs), 1 MiB 58.9 µs
+//! (16.6 GiB/s; 66.1 µs), 32 KiB 3.1 µs (3.2 µs). 1 KiB and 4 KiB take
+//! the table walk, at the same speed on both levels. The table walk alone
+//! took 112–120 µs at 256 KiB (3.7 GiB/s), and at the 4,800-byte
 //! threshold the two bodies run within 5 % of each other. A cold slot read
 //! checksums every byte it fetches, so this loop sets much of the speed
 //! of an uncached read. It stays IEEE (the x86 `crc32` instruction
 //! computes Castagnoli, which would change every stored file) and safe
-//! Rust: no `std::arch`, no target feature.
+//! Rust: no `std::arch`, no `#[target_feature]` function.
 
 /// The reflected IEEE 802.3 polynomial.
 const POLY: u32 = 0xEDB8_8320;
