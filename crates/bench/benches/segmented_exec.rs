@@ -3,10 +3,14 @@
 //! vs cache-blocked at several morsel sizes, plus the segmented evaluator
 //! end-to-end against the whole-bitmap path, and `count_in` in the served
 //! shapes: a `<10,10,10>` range index at 2^18 and 2^21 rows, whole and
-//! over the 2^16-bit windows a served index walks.
+//! over the 2^16-bit windows a served index walks. Last, a batch of 64
+//! RangeEval-Opt selections at 2^23 rows through
+//! `evaluate_selection_workload` at one and two threads: the batch path,
+//! which walks a group of queries window-major.
 
 use bindex::core::eval::{count_in, evaluate, evaluate_segmented_in, Algorithm};
 use bindex::core::{ExecContext, DEFAULT_SEGMENT_BITS};
+use bindex::engine::batch::{evaluate_selection_workload, BatchOptions};
 use bindex::relation::gen;
 use bindex::relation::query::{Op, Query, SelectionQuery};
 use bindex::{Base, BitVec, BitmapIndex, Encoding, IndexSpec};
@@ -112,6 +116,32 @@ fn bench(c: &mut Criterion) {
                 })
             });
         }
+    }
+    g.finish();
+
+    // One iteration is one 64-query batch over 27 one-MiB bitmaps, every
+    // foundset kept; ns/iter ÷ 64 is the time of one query.
+    let column = gen::uniform(1 << 23, 1000, 7);
+    let index = BitmapIndex::build(&column, spec).unwrap();
+    let selections: Vec<SelectionQuery> = (0..64u32)
+        .map(|i| SelectionQuery::new(Op::ALL[i as usize % 6], i * 337 % 1000))
+        .collect();
+    let mut g = c.benchmark_group("batch_2^23");
+    g.sample_size(5);
+    g.throughput(Throughput::Elements(selections.len() as u64));
+    for threads in [1, 2] {
+        let options = BatchOptions::with_threads(threads);
+        g.bench_function(format!("range_opt_64_queries_{threads}t"), |bench| {
+            bench.iter(|| {
+                let report = evaluate_selection_workload(
+                    || index.source(),
+                    black_box(&selections),
+                    Algorithm::RangeEvalOpt,
+                    &options,
+                );
+                report.health.ok
+            })
+        });
     }
     g.finish();
 }

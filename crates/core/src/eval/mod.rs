@@ -156,10 +156,8 @@ pub fn count_in<S: BitmapSource>(
     Ok(run_query(ctx, query, algorithm, segment_bits, false)?.into_count() as u64)
 }
 
-/// The one body of [`evaluate_repr_in`] and [`count_in`]: `query`
-/// validated, its programs built before anything is fetched, then run
-/// whole or window by window, each bound once for the query. A
-/// compressible program is offered the WAH fold first.
+/// The one body of [`evaluate_repr_in`] and [`count_in`]: a cursor of
+/// one, stepped through every window.
 fn run_query<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     query: &Query,
@@ -167,34 +165,173 @@ fn run_query<S: BitmapSource>(
     segment_bits: Option<usize>,
     keep: bool,
 ) -> Result<Answer> {
-    validate(ctx.spec(), query)?;
-    ctx.forget_bound();
-    match query {
-        Query::Selection(q) => {
-            let program = program(ctx.spec(), *q, algorithm, true)?;
-            ctx.reserve_for(std::slice::from_ref(&program));
-            if let ([term], true) = (&program.terms[..], program.compressible) {
-                if let Some(answer) = ctx.fold_term_wah(term, segment_bits.is_some(), keep)? {
-                    return Ok(answer);
+    let mut cursor = Cursor::prepare(ctx, query, algorithm, segment_bits, keep)?;
+    while cursor.step(ctx)? {}
+    Ok(cursor.finish())
+}
+
+/// One query's evaluation as a walk over its windows, a step at a time —
+/// the one walk behind every entry point, and the only caller of
+/// `begin_segment`. [`Cursor::prepare`] validates the query, builds its
+/// programs before anything is fetched and offers a compressible program
+/// the WAH fold, which may answer it outright; each [`Cursor::step`] runs
+/// one window — every row at once, outside segmented mode, when
+/// `segment_bits` is `None` — and [`Cursor::finish`] hands back the
+/// [`Answer`]. [`evaluate_repr_in`] and [`count_in`] step a cursor of one
+/// to its end. A batch steps a group of cursors through one context,
+/// window `w` of each before window `w + 1` of any, parking each query's
+/// state between its steps ([`ExecContext::swap_query`]), so the group
+/// reads each operand window while it is cache-resident.
+///
+/// Window 0 runs every charge of the data-independent operator sequence
+/// (a threshold's later windows may take the early-exit bound). An empty
+/// relation still runs one empty window, so the charges are those of
+/// whole-bitmap mode. Window 0 always runs; a later one is shed with
+/// [`Error::DeadlineExceeded`] once the context's deadline has passed.
+#[derive(Debug)]
+pub struct Cursor {
+    plan: Plan,
+    segment_bits: Option<usize>,
+    /// The foundset's words so far, when the cursor keeps one.
+    out: Option<Vec<u64>>,
+    /// The ones counted so far, when it does not.
+    ones: usize,
+    /// The window the next step runs; `None` once there is none.
+    next: Option<usize>,
+    n_rows: usize,
+}
+
+/// What a [`Cursor`] runs on each window.
+#[derive(Debug)]
+enum Plan {
+    /// Answered without a walk, by the WAH fold.
+    Folded(Answer),
+    /// A selection's program, bound once for the query.
+    Selection(Program, Bound),
+    /// A threshold's predicate programs, what it holds of them, and `k`.
+    Threshold(Vec<Program>, threshold::Held, usize),
+}
+
+impl Cursor {
+    /// `query` validated — a query [`validate`] rejects is its typed error
+    /// before anything is fetched — and its programs built, each bound
+    /// once for the query as it runs. A compressible program is offered
+    /// the WAH fold first; a cursor it answered has no window to step.
+    /// With `keep` the walk writes the foundset, else it counts.
+    ///
+    /// # Panics
+    /// Panics if `segment_bits` is `Some` of zero or of a non-multiple of 64.
+    pub fn prepare<S: BitmapSource>(
+        ctx: &mut ExecContext<'_, S>,
+        query: &Query,
+        algorithm: Algorithm,
+        segment_bits: Option<usize>,
+        keep: bool,
+    ) -> Result<Cursor> {
+        if let Some(bits) = segment_bits {
+            assert!(
+                bits > 0 && bits.is_multiple_of(64),
+                "segment size must be a positive multiple of 64 bits"
+            );
+        }
+        validate(ctx.spec(), query)?;
+        ctx.forget_bound();
+        let plan = match query {
+            Query::Selection(q) => {
+                let program = program(ctx.spec(), *q, algorithm, true)?;
+                ctx.reserve_for(std::slice::from_ref(&program));
+                let folded = match (&program.terms[..], program.compressible) {
+                    ([term], true) => ctx.fold_term_wah(term, segment_bits.is_some(), keep)?,
+                    _ => None,
+                };
+                match folded {
+                    Some(answer) => Plan::Folded(answer),
+                    None => Plan::Selection(program, Bound::new()),
                 }
             }
-            let mut bound = Bound::new();
-            walk(ctx, segment_bits, keep, |ctx, _, keep| {
-                ctx.run(&program, &mut bound, keep)
-            })
+            Query::Threshold(q) => {
+                let predicates = q
+                    .predicates
+                    .iter()
+                    .map(|&p| program(ctx.spec(), p, algorithm, false))
+                    .collect::<Result<Vec<_>>>()?;
+                ctx.reserve_for(&predicates);
+                let held = threshold::Held::new(predicates.len());
+                Plan::Threshold(predicates, held, q.k as usize)
+            }
+        };
+        let n_rows = ctx.n_rows();
+        let walks = !matches!(plan, Plan::Folded(_));
+        let words = bindex_bitvec::words_for(n_rows);
+        Ok(Cursor {
+            plan,
+            segment_bits,
+            out: (keep && walks).then(|| bindex_bitvec::spare_words(words)),
+            ones: 0,
+            next: walks.then_some(0),
+            n_rows,
+        })
+    }
+
+    /// Runs the next window in `ctx`, which holds this query's state;
+    /// `Ok(true)` while another window remains. A cursor with none left —
+    /// the WAH fold answered it, or its walk is over — does nothing and
+    /// returns `Ok(false)`. The walk leaves segmented mode however it
+    /// ends.
+    pub fn step<S: BitmapSource>(&mut self, ctx: &mut ExecContext<'_, S>) -> Result<bool> {
+        let Some(index) = self.next else {
+            return Ok(false);
+        };
+        let walked = self.window(ctx, index);
+        let more = walked.is_ok()
+            && self
+                .segment_bits
+                .is_some_and(|bits| (index + 1) * bits < self.n_rows);
+        self.next = more.then_some(index + 1);
+        if !more {
+            ctx.exit_segments();
         }
-        Query::Threshold(q) => {
-            let predicates = q
-                .predicates
-                .iter()
-                .map(|&p| program(ctx.spec(), p, algorithm, false))
-                .collect::<Result<Vec<_>>>()?;
-            ctx.reserve_for(&predicates);
-            let mut held = threshold::Held::new(predicates.len());
-            let k = q.k as usize;
-            walk(ctx, segment_bits, keep, |ctx, charging, keep| {
-                threshold::evaluate_window(ctx, &predicates, &mut held, k, charging, keep)
-            })
+        walked.map(|()| more)
+    }
+
+    /// Window `index` of the walk.
+    fn window<S: BitmapSource>(
+        &mut self,
+        ctx: &mut ExecContext<'_, S>,
+        index: usize,
+    ) -> Result<()> {
+        if let Some(bits) = self.segment_bits {
+            if index > 0 && ctx.deadline_expired() {
+                return Err(Error::DeadlineExceeded);
+            }
+            let lo = index * bits;
+            ctx.begin_segment(lo, (lo + bits).min(self.n_rows), index);
+        }
+        let keep = self.out.as_mut();
+        self.ones += match &mut self.plan {
+            Plan::Selection(program, bound) => ctx.run(program, bound, keep)?,
+            Plan::Threshold(predicates, held, k) => {
+                threshold::evaluate_window(ctx, predicates, held, *k, index == 0, keep)?
+            }
+            Plan::Folded(_) => unreachable!("a folded query has no window"),
+        };
+        ctx.end_segment();
+        Ok(())
+    }
+
+    /// The query's answer: the WAH fold's, or its walk's foundset or count.
+    ///
+    /// # Panics
+    /// Panics in debug builds if a window is left to step.
+    pub fn finish(self) -> Answer {
+        debug_assert!(
+            self.next.is_none(),
+            "a cursor finishes after its last window"
+        );
+        match (self.plan, self.out) {
+            (Plan::Folded(answer), _) => answer,
+            (_, Some(out)) => Answer::Dense(BitVec::from_words(out, self.n_rows)),
+            (_, None) => Answer::Count(self.ones),
         }
     }
 }
@@ -345,61 +482,6 @@ pub fn evaluate_segmented_in<S: BitmapSource>(
 ) -> Result<BitVec> {
     let found = evaluate_repr_in(ctx, &query.into(), algorithm, Some(segment_bits))?;
     Ok(ctx.materialize(found))
-}
-
-/// The one walk over a query's windows, and the only caller of
-/// `begin_segment`: `window` runs on every segment of `[0, n_rows)` in
-/// order — on all rows at once, outside segmented mode, when
-/// `segment_bits` is `None` — given whether its run is charged for the
-/// full data-independent operator sequence (segment 0; a threshold's
-/// later segments may take the early-exit bound), and appends its words
-/// to the foundset when `keep`, or returns its count. An empty relation
-/// still runs one empty segment, so the charges are those of whole-bitmap
-/// mode. The first segment always runs; later ones are shed with
-/// [`Error::DeadlineExceeded`] once the context's deadline has passed.
-/// Leaves segmented mode however the walk ends.
-///
-/// # Panics
-/// Panics if `segment_bits` is `Some` of zero or of a non-multiple of 64.
-fn walk<S: BitmapSource>(
-    ctx: &mut ExecContext<'_, S>,
-    segment_bits: Option<usize>,
-    keep: bool,
-    mut window: impl FnMut(&mut ExecContext<'_, S>, bool, Option<&mut Vec<u64>>) -> Result<usize>,
-) -> Result<Answer> {
-    let n_rows = ctx.n_rows();
-    let mut out = match keep {
-        true => bindex_bitvec::spare_words(bindex_bitvec::words_for(n_rows)),
-        false => Vec::new(),
-    };
-    let ones = match segment_bits {
-        None => window(ctx, true, keep.then_some(&mut out))?,
-        Some(segment_bits) => {
-            assert!(
-                segment_bits > 0 && segment_bits.is_multiple_of(64),
-                "segment size must be a positive multiple of 64 bits"
-            );
-            let mut ones = 0;
-            // An empty relation is one empty segment.
-            let mut starts = (0..n_rows.max(1)).step_by(segment_bits).enumerate();
-            let walked = starts.try_for_each(|(index, lo)| {
-                if index > 0 && ctx.deadline_expired() {
-                    return Err(Error::DeadlineExceeded);
-                }
-                ctx.begin_segment(lo, (lo + segment_bits).min(n_rows), index);
-                ones += window(ctx, index == 0, keep.then_some(&mut out))?;
-                ctx.end_segment();
-                Ok(())
-            });
-            ctx.exit_segments();
-            walked?;
-            ones
-        }
-    };
-    Ok(match keep {
-        true => Answer::Dense(BitVec::from_words(out, n_rows)),
-        false => Answer::Count(ones),
-    })
 }
 
 /// Digit decomposition of a predicate constant, least significant first.
