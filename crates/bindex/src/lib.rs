@@ -20,8 +20,7 @@
 //!   format the engine serves, disk and memory stores, the write-ahead
 //!   log and the sharded buffer pool ([`bindex_storage`]);
 //! * [`engine`] — single-query and parallel batch execution with
-//!   per-query fault isolation, and multi-attribute tables
-//!   ([`bindex_engine`]);
+//!   per-query fault isolation ([`bindex_engine`]);
 //! * [`stored`] — glue: evaluate queries directly against an index laid
 //!   out in a byte store, with real I/O accounting;
 //! * [`ingest`] — crash-consistent streaming appends and deletes in front

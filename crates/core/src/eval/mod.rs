@@ -131,7 +131,8 @@ pub fn evaluate_repr_in<S: BitmapSource>(
     algorithm: Algorithm,
     segment_bits: Option<usize>,
 ) -> Result<Repr> {
-    Ok(run_query(ctx, query, algorithm, segment_bits, true)?.into_repr())
+    let found = run_query(ctx, query, algorithm, segment_bits, true)?;
+    Ok(found.into_bits().expect("a kept run keeps its foundset"))
 }
 
 /// [`evaluate_repr_in`]'s cardinality, by the same routes, reads, pruning,
@@ -153,7 +154,7 @@ pub fn count_in<S: BitmapSource>(
     algorithm: Algorithm,
     segment_bits: Option<usize>,
 ) -> Result<u64> {
-    Ok(run_query(ctx, query, algorithm, segment_bits, false)?.into_count() as u64)
+    Ok(run_query(ctx, query, algorithm, segment_bits, false)?.count_ones())
 }
 
 /// The one body of [`evaluate_repr_in`] and [`count_in`]: a cursor of

@@ -226,8 +226,10 @@ impl Walk {
     }
 }
 
-/// A query's answer, as its walk or the WAH fold leaves it
-/// ([`Cursor::finish`](crate::eval::Cursor::finish)).
+/// A query's answer — a foundset, or its cardinality alone — as its walk
+/// or the WAH fold leaves it
+/// ([`Cursor::finish`](crate::eval::Cursor::finish)), and as the engine's
+/// `evaluate_query` returns it.
 #[derive(Debug)]
 pub enum Answer {
     /// Dense words at the current width.
@@ -239,26 +241,23 @@ pub enum Answer {
 }
 
 impl Answer {
-    /// The number of rows a count found.
-    ///
-    /// # Panics
-    /// Panics on a foundset, which only a run that keeps one builds.
-    pub fn into_count(self) -> usize {
+    /// The number of qualifying rows, whether the run kept a foundset or
+    /// counted: O(compressed words) on [`Answer::Wah`].
+    pub fn count_ones(&self) -> u64 {
         match self {
-            Answer::Count(n) => n,
-            _ => unreachable!("a count builds no foundset"),
+            Answer::Dense(found) => found.count_ones() as u64,
+            Answer::Wah(found) => found.count_ones() as u64,
+            Answer::Count(n) => *n as u64,
         }
     }
 
-    /// The foundset in the representation the run produced.
-    ///
-    /// # Panics
-    /// Panics on a count, which keeps no foundset.
-    pub fn into_repr(self) -> Repr {
+    /// The foundset in the representation the run produced, when it kept
+    /// one; `None` for a count.
+    pub fn into_bits(self) -> Option<Repr> {
         match self {
-            Answer::Dense(found) => Repr::literal(found),
-            Answer::Wah(found) => Repr::wah(found),
-            Answer::Count(_) => unreachable!("a count keeps no foundset"),
+            Answer::Dense(found) => Some(Repr::literal(found)),
+            Answer::Wah(found) => Some(Repr::wah(found)),
+            Answer::Count(_) => None,
         }
     }
 }
@@ -1089,7 +1088,9 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
                 let (fold, held) = match folded {
                     Some(found) => (
                         None,
-                        Held::Whole(Arc::new(self.materialize(found.into_repr()))),
+                        Held::Whole(Arc::new(self.materialize(
+                            found.into_bits().expect("a kept fold keeps its foundset"),
+                        ))),
                     ),
                     None => (
                         Some(term.try_map(|&op| self.hold_operand(op, bound))?.flatten()),

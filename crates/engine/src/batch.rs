@@ -63,10 +63,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use bindex_bitvec::BitVec;
 use bindex_core::error::{Error, Result};
-use bindex_core::eval::{count_in, evaluate_repr_in, Algorithm, Cursor};
+use bindex_core::eval::{Algorithm, Cursor};
 use bindex_core::exec::{Answer, QueryState};
 use bindex_core::{
-    BitmapSource, DeltaOverlay, EvalStats, ExecContext, RecoveryPolicy, Repr, DEFAULT_SEGMENT_BITS,
+    BitmapSource, DeltaOverlay, EvalStats, ExecContext, RecoveryPolicy, DEFAULT_SEGMENT_BITS,
 };
 use bindex_relation::query::{Query, SelectionQuery, ThresholdQuery};
 
@@ -507,7 +507,9 @@ impl<T> Drop for Claim<'_, T> {
 /// [`Error::WorkerPanic`]. The worker then rebuilds its source — which the
 /// panic may have left inconsistent — and runs the claim's unreported
 /// queries again one at a time. A worker whose rebuild panics dies, and
-/// its claim hands the unreported queries back to the others.
+/// its claim hands the unreported queries back to the others; what no
+/// worker lives to report comes back [`Error::WorkerPanic`], also when
+/// the one worker that ran inline died.
 fn run_workload<S, T, I, G>(
     n: usize,
     options: &BatchOptions,
@@ -562,7 +564,9 @@ where
         }
     };
     if threads <= 1 {
-        worker();
+        // As a scoped thread's `join` would: a dead worker leaves its
+        // unreported queries to the WorkerPanic outcomes below.
+        let _ = catch_unwind(AssertUnwindSafe(worker));
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
@@ -608,50 +612,25 @@ fn context<'a, S: BitmapSource>(source: &'a mut S, options: &BatchOptions) -> Ex
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sink {
     /// The foundset, in the representation evaluation produced
-    /// ([`evaluate_repr_in`]).
+    /// ([`evaluate_repr_in`](bindex_core::eval::evaluate_repr_in)).
     Keep,
-    /// Its cardinality alone ([`count_in`]): a selection writes no
-    /// foundset at all.
+    /// Its cardinality alone ([`count_in`](bindex_core::eval::count_in)):
+    /// a selection writes no foundset at all.
     Count,
-}
-
-/// A query's result under its [`Sink`].
-#[derive(Debug, Clone)]
-pub enum Found {
-    /// [`Sink::Keep`]: the foundset.
-    Bits(Repr),
-    /// [`Sink::Count`]: the number of qualifying rows.
-    Count(u64),
-}
-
-impl Found {
-    /// The number of qualifying rows, whichever sink produced it.
-    pub fn count_ones(&self) -> u64 {
-        match self {
-            Found::Bits(bits) => bits.count_ones() as u64,
-            Found::Count(n) => *n,
-        }
-    }
-
-    /// The foundset, when [`Sink::Keep`] produced it.
-    pub fn into_bits(self) -> Option<Repr> {
-        match self {
-            Found::Bits(bits) => Some(bits),
-            Found::Count(_) => None,
-        }
-    }
 }
 
 /// Evaluates one query of either kind on the calling thread under the
 /// policy of `options` (deadline, recovery, overlay, segment size; the
 /// worker count plays no part) — what a one-query workload does,
-/// without the workload: no outcome vector. `sink` picks what comes
-/// back: [`Sink::Keep`] returns the foundset in the representation
-/// evaluation produced, so a caller that caches it never pays for dense
-/// words ([`Repr::count_ones`] is O(compressed words) on [`Repr::Wah`]; a
-/// threshold's is always [`Repr::Literal`]); [`Sink::Count`] returns its
-/// cardinality, with the same [`EvalStats`]. The ending is classified
-/// exactly as in a workload — a query is refused
+/// without the workload: no outcome vector. The query is one [`Cursor`]
+/// stepped to its end, as a workload steps each cursor of a group.
+/// `sink` picks what comes back: [`Sink::Keep`] returns the foundset as
+/// evaluation produced it — [`Answer::Wah`] when the WAH fold answered,
+/// else [`Answer::Dense`] (always, for a threshold) — so a caller that
+/// caches it never pays for dense words ([`Answer::count_ones`] is
+/// O(compressed words) on [`Answer::Wah`]); [`Sink::Count`] returns
+/// [`Answer::Count`], with the same [`EvalStats`]. The ending is
+/// classified exactly as in a workload — a query is refused
 /// [`QueryOutcome::TimedOut`] once the deadline has passed, a malformed
 /// threshold is [`QueryOutcome::Failed`]\([`Error::InvalidQuery`]\), and a
 /// panic is caught as [`Error::WorkerPanic`], after which the caller should
@@ -662,19 +641,17 @@ pub fn evaluate_query<S: BitmapSource>(
     algorithm: Algorithm,
     options: &BatchOptions,
     sink: Sink,
-) -> QueryOutcome<(Found, EvalStats)> {
+) -> QueryOutcome<(Answer, EvalStats)> {
     if options.deadline.is_some_and(|d| d.expired()) {
         return QueryOutcome::TimedOut;
     }
-    let segment_bits = options.segment_bits;
     let ran = catch_unwind(AssertUnwindSafe(|| {
         let mut ctx = context(source, options);
-        let found = match sink {
-            Sink::Keep => Found::Bits(evaluate_repr_in(&mut ctx, query, algorithm, segment_bits)?),
-            Sink::Count => Found::Count(count_in(&mut ctx, query, algorithm, segment_bits)?),
-        };
+        let keep = sink == Sink::Keep;
+        let mut cursor = Cursor::prepare(&mut ctx, query, algorithm, options.segment_bits, keep)?;
+        while cursor.step(&mut ctx)? {}
         let stats = ctx.take_stats();
-        Ok(((found, stats), stats.degraded_fetches > 0))
+        Ok(((cursor.finish(), stats), stats.degraded_fetches > 0))
     }));
     classify(ran.unwrap_or_else(|payload| Err(Error::WorkerPanic(panic_message(payload.as_ref())))))
 }
@@ -825,7 +802,8 @@ fn ended<S: BitmapSource>(
     ctx: &mut ExecContext<'_, S>,
     answer: Result<Answer>,
 ) -> QueryOutcome<(BitVec, EvalStats)> {
-    let found = answer.map(|answer| ctx.materialize(answer.into_repr()));
+    let found = answer
+        .map(|answer| ctx.materialize(answer.into_bits().expect("a workload keeps its foundsets")));
     let stats = ctx.take_stats();
     classify(found.map(|found| ((found, stats), stats.degraded_fetches > 0)))
 }
@@ -834,7 +812,7 @@ fn ended<S: BitmapSource>(
 mod tests {
     use super::*;
     use bindex_core::eval::naive;
-    use bindex_core::IndexSpec;
+    use bindex_core::{IndexSpec, Repr};
     use bindex_relation::gen;
     use bindex_relation::query::Op;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1489,14 +1467,21 @@ mod tests {
         }
     }
 
-    /// A worker whose source factory panics on the rebuild after a
-    /// panicking query dies alone: that query is its own `WorkerPanic`,
-    /// the surviving worker claims everything else, and the report comes
-    /// back — nobody waits for the dead worker.
-    #[test]
-    fn a_factory_that_panics_on_rebuild_does_not_hang_the_workload() {
-        /// Panics fetching slot (1, 0); slow enough elsewhere that both
-        /// workers are up before the panic.
+    /// Sixteen `=` selections over an equality index at `threads`
+    /// workers, whose sources panic fetching slot (1, 0) — the sixth
+    /// query, `A = 0` — and whose factory builds one source per worker,
+    /// then panics. Returns the column, the queries and the report; on a
+    /// thread of its own, so a workload that never returns fails the test
+    /// instead of wedging the suite.
+    fn fragile_workload(
+        threads: usize,
+    ) -> (
+        bindex_relation::Column,
+        Vec<SelectionQuery>,
+        WorkloadReport<(BitVec, EvalStats)>,
+    ) {
+        /// Panics fetching slot (1, 0); slow enough elsewhere that every
+        /// worker is up before the panic.
         struct FragileSource<S>(S);
 
         impl<S: BitmapSource> BitmapSource for FragileSource<S> {
@@ -1523,23 +1508,19 @@ mod tests {
             bindex_core::Encoding::Equality,
         );
         let idx = Arc::new(bindex_core::BitmapIndex::build(&col, spec).unwrap());
-        // `A = 0`, the query that reads slot (1, 0), is the sixth.
         let queries: Vec<SelectionQuery> = (0..CARD)
             .map(|i| SelectionQuery::new(Op::Eq, (i + 11) % CARD))
             .collect();
-        // On a thread of its own, so a workload that never returns fails
-        // this test instead of wedging the suite.
         let (tx, rx) = std::sync::mpsc::channel();
         let (shared, workload) = (Arc::clone(&idx), queries.clone());
         std::thread::spawn(move || {
             let built = AtomicUsize::new(0);
             let make = || {
-                // One source per worker, then no more.
                 let nth = built.fetch_add(1, Ordering::Relaxed);
-                assert!(nth < 2, "injected factory panic");
+                assert!(nth < threads, "injected factory panic");
                 FragileSource(shared.source())
             };
-            let options = BatchOptions::with_threads_unclamped(2);
+            let options = BatchOptions::with_threads_unclamped(threads);
             let _ = tx.send(evaluate_selection_workload(
                 make,
                 &workload,
@@ -1549,7 +1530,17 @@ mod tests {
         });
         let report = rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("the workload hung behind its dead worker");
+            .expect("the workload hung behind its dead worker or panicked");
+        (col, queries, report)
+    }
+
+    /// A worker whose source factory panics on the rebuild after a
+    /// panicking query dies alone: that query is its own `WorkerPanic`,
+    /// the surviving worker claims everything else, and the report comes
+    /// back — nobody waits for the dead worker.
+    #[test]
+    fn a_factory_that_panics_on_rebuild_does_not_hang_the_workload() {
+        let (col, queries, report) = fragile_workload(2);
         // Every query but `A = 0` is answered, bit-exact.
         let got = report
             .outcomes
@@ -1560,6 +1551,19 @@ mod tests {
             .map(|q| (q.constant != 0).then(|| naive::evaluate(&col, *q)));
         assert!(got.eq(want), "{:?}", report.health);
         assert_eq!(report.health.worker_panics, 1, "{:?}", report.health);
+    }
+
+    /// The same factory at one thread, where the worker runs inline: its
+    /// death is the caller's report, not the caller's panic. The first
+    /// claim, one query, is answered; the group that reads (1, 0) is not.
+    #[test]
+    fn a_factory_that_panics_on_rebuild_at_one_thread_returns_its_report() {
+        let (col, queries, report) = fragile_workload(1);
+        let first = report.outcomes[0].result().map(|r| &r.0);
+        assert_eq!(first, Some(&naive::evaluate(&col, queries[0])));
+        let health = report.health;
+        assert_eq!((health.ok, health.worker_panics), (1, 15), "{health:?}");
+        assert_eq!(health.total(), 16, "{health:?}");
     }
 
     #[test]

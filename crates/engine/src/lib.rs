@@ -1,8 +1,7 @@
 //! # bindex-engine
 //!
 //! Query execution over bitmap indexes — one query
-//! ([`evaluate_query`]) or a parallel workload — and multi-attribute
-//! tables.
+//! ([`evaluate_query`]) or a parallel workload.
 //!
 //! The [`batch`] module fans workloads of single-index selection and
 //! threshold queries across worker threads with per-query fault
@@ -10,10 +9,6 @@
 //! (reconstructed-bitmap) evaluations each surface as that query's own
 //! [`QueryOutcome`] in a [`WorkloadReport`], never as a workload-wide
 //! abort.
-//!
-//! [`Table`] holds named columns, each optionally covered by a bitmap
-//! index chosen through [`IndexChoice`] — the paper's design points as a
-//! physical-design menu.
 //!
 //! The paper's Section 1 argument — pricing plans P1/P2/P3 in bytes read
 //! — is reproduced without a plan model: the `intro_breakeven` binary
@@ -24,10 +19,8 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
-mod table;
 
 pub use batch::{
-    evaluate_query, evaluate_selection_workload, BatchHealth, BatchOptions, Deadline, Found,
-    QueryOutcome, Sink, WorkloadReport, MIN_SEGMENT_BITS,
+    evaluate_query, evaluate_selection_workload, BatchHealth, BatchOptions, Deadline, QueryOutcome,
+    Sink, WorkloadReport, MIN_SEGMENT_BITS,
 };
-pub use table::{IndexChoice, Table, TableBuilder};

@@ -327,7 +327,8 @@ fn early_exit_changes_only_segments_skipped() {
 /// popcount and `EvalStats` are identical, field for field.
 #[test]
 fn count_sink_matches_keep_sink() {
-    use bindex::engine::batch::{evaluate_query, BatchOptions, Found, QueryOutcome, Sink};
+    use bindex::core::exec::Answer;
+    use bindex::engine::batch::{evaluate_query, BatchOptions, QueryOutcome, Sink};
     use bindex::relation::query::Query;
 
     let seed = seeds()[0];
@@ -384,7 +385,7 @@ fn count_sink_matches_keep_sink() {
                             );
                             match (run(Sink::Keep), run(Sink::Count)) {
                                 (QueryOutcome::Ok((keep, ks)), QueryOutcome::Ok((count, cs))) => {
-                                    assert!(matches!(count, Found::Count(_)), "{label}");
+                                    assert!(matches!(count, Answer::Count(_)), "{label}");
                                     assert_eq!(count.count_ones(), keep.count_ones(), "{label}");
                                     assert_eq!(cs, ks, "{label}");
                                     wah_counted += usize::from(cs.compressed_ops > 0);
