@@ -10,12 +10,17 @@
 //! allocator, so from the second batch on a batch writes into the words
 //! the previous one dropped.
 //!
-//! The list never raises the process's peak bitmap memory. Outstanding
-//! words are those handed out by `take` and not yet given back; the list
-//! keeps *kept + outstanding ≤ high water*, the largest outstanding total
-//! seen so far. A buffer that did not come from `take` (a decoded slot, a
-//! clone) lowers outstanding with a saturating subtraction when it is
-//! given.
+//! The list keeps one bound, and only over buffers of at least
+//! [`SPARE_MIN_WORDS`]: outstanding words are those handed out by `take`
+//! and not yet given back, and the list keeps *kept + outstanding ≤ high
+//! water*, the largest outstanding total seen so far. So the buffers it
+//! keeps and hands out never add up to more than such buffers once did.
+//! A buffer that did not come from `take` (a decoded slot, a clone)
+//! lowers outstanding with a saturating subtraction when it is given.
+//! Smaller buffers are neither counted nor kept, and they cannot use the
+//! words the list keeps: after a batch has dropped its foundsets onto
+//! the list, whatever it then allocates under the floor (result windows
+//! of 32 KiB, say) raises the process's peak above the list's.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

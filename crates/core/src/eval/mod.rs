@@ -257,7 +257,7 @@ impl Cursor {
                     .map(|&p| program(ctx.spec(), p, algorithm, false))
                     .collect::<Result<Vec<_>>>()?;
                 ctx.reserve_for(&predicates);
-                let held = threshold::Held::new(predicates.len());
+                let held = threshold::Held::new(ctx, predicates.len(), q.k as usize);
                 Plan::Threshold(predicates, held, q.k as usize)
             }
         };

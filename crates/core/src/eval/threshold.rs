@@ -57,23 +57,39 @@ pub fn validate(query: &ThresholdQuery) -> Result<()> {
 }
 
 /// What a threshold holds across its walk's windows: each predicate's
-/// program bound once, the held result its foundset is written into
-/// window after window, and the `k = 1` / `k = N` combine as a fold over
-/// those — so a window allocates nothing.
+/// program bound once, and the `k = 1` / `k = N` combine as a fold over
+/// the predicates' results — so a window allocates nothing. Predicate
+/// `i`'s result is the query's held result `i`, written into the
+/// context's result window `i` window after window.
 #[derive(Debug)]
 pub(crate) struct Held {
     bound: Vec<Bound>,
-    found: Vec<usize>,
     combine: Option<Fold<usize>>,
 }
 
 impl Held {
-    /// Nothing held yet for a threshold over `n` predicates.
-    pub(crate) fn new(n: usize) -> Self {
+    /// Holds the results of a (validated) threshold over `n` predicates,
+    /// first in a query that holds nothing yet, and builds its `k = 1` /
+    /// `k = N` combine. (A single predicate is run directly; its held
+    /// result and combine go unused.)
+    pub(crate) fn new<S: BitmapSource>(ctx: &mut ExecContext<'_, S>, n: usize, k: usize) -> Self {
+        for i in 0..n {
+            let at = ctx.hold_found();
+            debug_assert_eq!(at, i, "a threshold's results are held first");
+        }
+        let step: Option<fn(usize) -> FoldStep<usize>> = match k {
+            1 => Some(FoldStep::Or),
+            k if k == n => Some(FoldStep::And),
+            _ => None,
+        };
+        let combine = step.map(|step| Fold {
+            seed: Some(0),
+            steps: (1..n).map(step).collect(),
+            ..Fold::default()
+        });
         Self {
             bound: vec![Bound::new(); n],
-            found: Vec::with_capacity(n),
-            combine: None,
+            combine,
         }
     }
 }
@@ -127,12 +143,9 @@ pub(crate) fn evaluate_window<S: BitmapSource>(
                 return Ok(ctx.constant_window(true, keep));
             }
         }
-        if held.found.len() == i {
-            held.found.push(ctx.hold_found());
-        }
-        ctx.run_held(program, bound, held.found[i])?;
+        ctx.run_held(program, bound, i)?;
         if !charging {
-            let ones = ctx.held_ones(held.found[i]);
+            let ones = ctx.held_ones(i);
             live += usize::from(ones > 0);
             saturated += usize::from(ones == window);
         }
@@ -143,20 +156,10 @@ pub(crate) fn evaluate_window<S: BitmapSource>(
         ctx.mark_skip();
         return Ok(ctx.constant_window(false, keep));
     }
-    // Exact-plan degenerations keep the cost model honest: k = 1 *is*
-    // the OR plan and k = N *is* the AND plan.
-    let step = match k {
-        1 => FoldStep::Or,
-        k if k == n => FoldStep::And,
-        _ => return Ok(ctx.threshold_held(&held.found, k, keep)),
-    };
-    let found = &held.found;
-    let combine = held.combine.get_or_insert_with(|| Fold {
-        seed: Some(found[0]),
-        steps: found[1..].iter().copied().map(step).collect(),
-        ..Fold::default()
-    });
-    Ok(ctx.fold_held(combine, keep))
+    Ok(match &held.combine {
+        Some(combine) => ctx.fold_held(combine, keep),
+        None => ctx.threshold_held(n, k, keep),
+    })
 }
 
 #[cfg(test)]

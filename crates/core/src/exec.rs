@@ -187,30 +187,35 @@ enum Held {
     Whole(Arc<BitVec>),
     /// A compressed slot, decoded window by window into one buffer.
     Wah(wah::SegmentCursor),
-    /// A term's result over the current window.
-    Found(Vec<u64>),
+    /// A term's result over the current window, in the context's result
+    /// window of this number ([`Windows`]).
+    Found(usize),
 }
 
-/// What a query holds for the programs it runs, and the constant windows
-/// (each made again only when the window length changes: for a ragged
-/// last window).
+/// A context's window-sized buffers, lent to whichever query steps: the
+/// result windows terms and threshold predicates are written into, and
+/// the constant windows (each made again only when the window length
+/// changes: for a ragged last window). Within one window step every
+/// result window is refilled before it is read — [`ExecContext::run`]
+/// runs a program's terms in order, a threshold runs its predicates and
+/// then its combine — and a constant window depends on the window's
+/// length alone, so a batch group that steps many queries through one
+/// context holds one set of them, not one per query.
 #[derive(Debug, Default)]
-struct Walk {
-    /// Each operand once, with the stored slot it holds (`B_nn` as
-    /// [`NN_KEY`]; `None` for zeros and a term's result).
-    held: Vec<(Option<(usize, usize)>, Held)>,
+struct Windows {
+    /// Result window `j`: [`Held::Found`]`(j)` of the query stepping.
+    found: Vec<Vec<u64>>,
     zeros: BitVec,
     ones: BitVec,
 }
 
-impl Walk {
-    /// Held operand `p` over the window `lo..hi`.
-    fn words(&self, p: usize, lo: usize, hi: usize) -> &[u64] {
-        let n = bindex_bitvec::words_for(hi - lo);
-        match &self.held[p].1 {
-            Held::Whole(b) => &b.words()[lo / 64..][..n],
+impl Windows {
+    /// What `held` reads over the window `lo..hi`.
+    fn words<'w>(&'w self, held: &'w Held, lo: usize, hi: usize) -> &'w [u64] {
+        match held {
+            Held::Whole(b) => &b.words()[lo / 64..][..bindex_bitvec::words_for(hi - lo)],
             Held::Wah(cursor) => cursor.words(),
-            Held::Found(words) => words,
+            Held::Found(j) => &self.found[*j],
             Held::Constant(true) => self.ones.words(),
             Held::Constant(false) => self.zeros.words(),
         }
@@ -222,6 +227,16 @@ impl Walk {
             true if self.ones.len() != len => self.ones = BitVec::ones(len),
             false if self.zeros.len() != len => self.zeros = BitVec::zeros(len),
             _ => {}
+        }
+    }
+}
+
+impl Drop for Windows {
+    /// A result window is dropped as a bitmap, so the spare list takes a
+    /// large one (a whole-bitmap term's) back.
+    fn drop(&mut self) {
+        for words in self.found.drain(..) {
+            drop(BitVec::from_words(words, 0));
         }
     }
 }
@@ -435,10 +450,10 @@ impl Drop for LentScratch {
 
 /// What a context holds for the query it is evaluating: its charges, its
 /// reads and the operands it holds from window to window. Everything else
-/// of an [`ExecContext`] — source, policies, summaries, kernel buffers —
-/// serves every query run in it. A batch that steps several queries
-/// through one context parks each query's state here between its windows
-/// ([`ExecContext::swap_query`]).
+/// of an [`ExecContext`] — source, policies, summaries, kernel buffers,
+/// the windows results are written into — serves every query run in it.
+/// A batch that steps several queries through one context parks each
+/// query's state here between its windows ([`ExecContext::swap_query`]).
 #[derive(Debug, Default)]
 pub struct QueryState {
     stats: EvalStats,
@@ -452,8 +467,10 @@ pub struct QueryState {
     /// Slots whose charge a pruned fetch already levied; a later real
     /// fetch of the slot must not charge again.
     pruned_charged: HashSet<(usize, usize)>,
-    /// The operands of the query's bound programs ([`Bound`]).
-    walk: Walk,
+    /// Each operand of the query's bound programs ([`Bound`]) once, with
+    /// the stored slot it holds (`B_nn` as [`NN_KEY`]; `None` for zeros
+    /// and a term's result).
+    held: Vec<(Option<(usize, usize)>, Held)>,
 }
 
 /// Execution context wrapping a [`BitmapSource`] with accounting.
@@ -478,6 +495,8 @@ pub struct ExecContext<'a, S: BitmapSource> {
     summaries: Option<Option<Arc<IndexSummaries>>>,
     /// The kernels' block buffers, kept across folds and queries.
     scratch: LentScratch,
+    /// The result and constant windows, kept across queries.
+    windows: Windows,
 }
 
 impl<'a, S: BitmapSource> ExecContext<'a, S> {
@@ -494,6 +513,7 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             pruning: true,
             summaries: None,
             scratch: LentScratch::take(),
+            windows: Windows::default(),
         }
     }
 
@@ -629,19 +649,15 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     /// reads, window and held operands — with `parked`. A batch steps
     /// several queries through one context this way, each window of each
     /// query with that query's own state; [`QueryState::default`] is a
-    /// query not started.
+    /// query not started. The windows its results are written into stay
+    /// with the context, for the next query to step.
     pub fn swap_query(&mut self, parked: &mut QueryState) {
         std::mem::swap(&mut self.query, parked);
     }
 
-    /// Drops what the last query's bound programs held; a large result
-    /// buffer is dropped as a bitmap, so the spare list takes it back.
+    /// Drops what the last query's bound programs held.
     pub(crate) fn forget_bound(&mut self) {
-        for (_, held) in self.query.walk.held.drain(..) {
-            if let Held::Found(words) = held {
-                drop(BitVec::from_words(words, 0));
-            }
-        }
+        self.query.held.clear();
     }
 
     /// Makes room, in one allocation each, for every slot `programs` fetch
@@ -649,7 +665,7 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     pub(crate) fn reserve_for(&mut self, programs: &[Program]) {
         let terms = programs.iter().flat_map(|p| &p.terms);
         let most = terms.map(|t| t.operands().count() + 1).sum();
-        self.query.walk.held.reserve(most);
+        self.query.held.reserve(most);
         self.query.fetched.reserve(most);
     }
 
@@ -1085,19 +1101,17 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
                 } else {
                     self.fold_term_wah(term, false, true)?
                 };
-                let (fold, held) = match folded {
-                    Some(found) => (
-                        None,
-                        Held::Whole(Arc::new(self.materialize(
-                            found.into_bits().expect("a kept fold keeps its foundset"),
-                        ))),
-                    ),
+                bound.push(match folded {
+                    Some(found) => {
+                        let found = found.into_bits().expect("a kept fold keeps its foundset");
+                        let found = Held::Whole(Arc::new(self.materialize(found)));
+                        (None, self.hold(found))
+                    }
                     None => (
                         Some(term.try_map(|&op| self.hold_operand(op, bound))?.flatten()),
-                        Held::Found(Vec::new()),
+                        self.hold_found(),
                     ),
-                };
-                bound.push((fold, self.hold(held)));
+                });
             }
             let (Some(fold), at) = &bound[k] else {
                 continue;
@@ -1114,7 +1128,7 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             return Ok(self.constant_window(false, keep));
         };
         let (lo, hi) = self.window();
-        let answer = self.query.walk.words(bound[k].1, lo, hi);
+        let answer = self.windows.words(&self.query.held[bound[k].1].1, lo, hi);
         Ok(match keep {
             Some(out) => {
                 out.extend_from_slice(answer);
@@ -1126,33 +1140,39 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
 
     /// Holds `held` for the rest of the query and returns where.
     fn hold(&mut self, held: Held) -> usize {
-        self.query.walk.held.push((None, held));
-        self.query.walk.held.len() - 1
+        self.query.held.push((None, held));
+        self.query.held.len() - 1
     }
 
-    /// A held result for the rest of the query, filled window by window by
-    /// [`ExecContext::run_held`]: one buffer, allocated on its first fill.
+    /// A held result for the rest of the query, written window by window
+    /// into a result window of the context ([`ExecContext::run_held`]):
+    /// the query's `j`-th held result takes window `j`.
     pub(crate) fn hold_found(&mut self) -> usize {
-        self.hold(Held::Found(Vec::new()))
+        let held = self.query.held.iter();
+        let j = held.filter(|(_, h)| matches!(h, Held::Found(_))).count();
+        self.hold(Held::Found(j))
     }
 
-    /// Overwrites held result `at` with what `fill` appends to it.
+    /// Overwrites held result `at`'s window with what `fill` appends to
+    /// it; the window is made on its first fill.
     fn refill(
         &mut self,
         at: usize,
         fill: impl FnOnce(&mut Self, &mut Vec<u64>) -> Result<usize>,
     ) -> Result<()> {
-        let Held::Found(mut found) =
-            std::mem::replace(&mut self.query.walk.held[at].1, Held::Constant(false))
-        else {
-            unreachable!("a term's result is found words");
+        let Held::Found(j) = self.query.held[at].1 else {
+            unreachable!("a term's result is a result window");
         };
+        if self.windows.found.len() <= j {
+            self.windows.found.resize_with(j + 1, Vec::new);
+        }
+        let mut found = std::mem::take(&mut self.windows.found[j]);
         if found.capacity() == 0 {
             found = bindex_bitvec::spare_words(bindex_bitvec::words_for(self.view_len()));
         }
         found.clear();
         let filled = fill(self, &mut found);
-        self.query.walk.held[at].1 = Held::Found(found);
+        self.windows.found[j] = found;
         filled.map(drop)
     }
 
@@ -1170,7 +1190,7 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     /// The number of ones of held result `at` over the current window.
     pub(crate) fn held_ones(&self, at: usize) -> usize {
         let (lo, hi) = self.window();
-        let words = self.query.walk.words(at, lo, hi);
+        let words = self.windows.words(&self.query.held[at].1, lo, hi);
         words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
@@ -1181,13 +1201,14 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             self.charge_fold(fold);
         }
         let (lo, hi) = self.window();
-        let skipped = self.query.seg.is_some()
-            && fold.clears_from_zero(|&p| self.query.walk.words(p, lo, hi));
+        let (held, windows) = (&self.query.held, &self.windows);
+        let words = |&p: &usize| windows.words(&held[p].1, lo, hi);
+        let skipped = self.query.seg.is_some() && fold.clears_from_zero(words);
         if skipped {
             self.mark_skip();
         }
-        let walk = &self.query.walk;
-        let words = |&p: &usize| walk.words(p, lo, hi);
+        let (held, windows) = (&self.query.held, &self.windows);
+        let words = |&p: &usize| windows.words(&held[p].1, lo, hi);
         match keep {
             None if skipped => 0,
             None => kernels::fold_count_with(hi - lo, fold, words, &mut self.scratch.0),
@@ -1222,7 +1243,6 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         };
         let held = self
             .query
-            .walk
             .held
             .iter()
             .position(|h| slot.is_some() && h.0 == slot);
@@ -1234,8 +1254,8 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             },
             (None, _) => Held::Constant(false),
         };
-        self.query.walk.held.push((slot, held));
-        let at = self.query.walk.held.len() - 1;
+        self.query.held.push((slot, held));
+        let at = self.query.held.len() - 1;
         self.ready(at).map(|()| Some(at))
     }
 
@@ -1244,10 +1264,10 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
     /// prove it constant, and the constant windows grow to it.
     fn ready(&mut self, p: usize) -> Result<()> {
         let (lo, hi) = self.window();
-        let (comp, slot) = match &mut self.query.walk.held[p] {
+        let (comp, slot) = match &mut self.query.held[p] {
             (Some(slot), Held::Constant(_)) => *slot,
             &mut (None, Held::Constant(ones)) => {
-                self.query.walk.constant(hi - lo, ones);
+                self.windows.constant(hi - lo, ones);
                 return Ok(());
             }
             (_, Held::Wah(cursor)) => {
@@ -1256,9 +1276,9 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             }
             _ => return Ok(()),
         };
-        self.query.walk.held[p].1 = match self.try_prune(comp, slot) {
+        self.query.held[p].1 = match self.try_prune(comp, slot) {
             Some(ones) => {
-                self.query.walk.constant(hi - lo, ones);
+                self.windows.constant(hi - lo, ones);
                 Held::Constant(ones)
             }
             None => match self.fetch_repr(comp, slot)? {
@@ -1342,31 +1362,32 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         }))
     }
 
-    /// "At least `k` of held results `held`" over the current window,
-    /// appended to `keep` or else counted, in one pass of the bit-sliced
-    /// carry-save counter network ([`kernels::threshold_into`]). Charges
-    /// `held.len() − 1` [`EvalStats::threshold_combines`] — one per CSA
-    /// fold step, mirroring the k-ary AND/OR charge shape — whatever `k`
-    /// is, so the counter network's cost never depends on it.
+    /// "At least `k` of held results `0..n`" — a threshold's predicates'
+    /// — over the current window, appended to `keep` or else counted, in
+    /// one pass of the bit-sliced carry-save counter network
+    /// ([`kernels::threshold_into`]). Charges `n − 1`
+    /// [`EvalStats::threshold_combines`] — one per CSA fold step, mirroring
+    /// the k-ary AND/OR charge shape — whatever `k` is, so the counter
+    /// network's cost never depends on it.
     ///
     /// # Panics
-    /// Panics unless `1 ≤ k ≤ held.len()`, or on more than
+    /// Panics unless `1 ≤ k ≤ n`, or on more than
     /// [`kernels::MAX_THRESHOLD_FAN_IN`] results.
     pub(crate) fn threshold_held(
         &mut self,
-        held: &[usize],
+        n: usize,
         k: usize,
         keep: Option<&mut Vec<u64>>,
     ) -> usize {
         if self.charge_ops() {
-            self.query.stats.threshold_combines += held.len() - 1;
+            self.query.stats.threshold_combines += n - 1;
         }
         let (lo, hi) = self.window();
         // The held results' window words, gathered on the stack.
         let mut ops = [&[][..]; kernels::MAX_THRESHOLD_FAN_IN];
-        let ops = &mut ops[..held.len()];
-        for (op, &h) in ops.iter_mut().zip(held) {
-            *op = self.query.walk.words(h, lo, hi);
+        let ops = &mut ops[..n];
+        for (op, (_, held)) in ops.iter_mut().zip(&self.query.held) {
+            *op = self.windows.words(held, lo, hi);
         }
         kernels::threshold_into(hi - lo, ops, k, keep)
     }
@@ -1378,13 +1399,8 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         let Some(out) = keep else {
             return if ones { hi - lo } else { 0 };
         };
-        self.query.walk.constant(hi - lo, ones);
-        let constant = if ones {
-            &self.query.walk.ones
-        } else {
-            &self.query.walk.zeros
-        };
-        out.extend_from_slice(constant.words());
+        self.windows.constant(hi - lo, ones);
+        out.extend_from_slice(self.windows.words(&Held::Constant(ones), lo, hi));
         0
     }
 }
