@@ -183,6 +183,68 @@ fn bench(c: &mut Criterion) {
     f.bench_function("eq_chain_6_fold", |bench| {
         bench.iter(|| black_box(kernels::fold(FOLD_BITS, black_box(&program))))
     });
+
+    // The batch group shape: 64 programs, one per query of a window-major
+    // group, each re-run over the same 27 resident 2^18-bit windows (the
+    // slots of a `<10,10,10>` range index) and appended to its own 1 MiB
+    // answer, as a group writes the 32 windows of 2^23-row foundsets —
+    // `≤` chains (seed and four `And` / `Or` steps), `=` chains (three
+    // seedless `AndXor` steps) and complemented `≤` chains for `>`. The
+    // count twin runs the same programs as served counts do.
+    const GROUP: usize = 64;
+    const WINDOW_BITS: usize = 1 << 18;
+    let slots: Vec<BitVec> = (0..27)
+        .map(|s| BitVec::from_fn(WINDOW_BITS, |i| (i * 2654435761 + s * 97) % 10 <= s % 9))
+        .collect();
+    let slot = |comp: usize, q: usize| &slots[9 * comp + (q * 7 + comp * 3) % 9];
+    let programs: Vec<Fold<&BitVec>> = (0..GROUP)
+        .map(|q| match q % 3 {
+            1 => Fold {
+                steps: (0..3)
+                    .map(|c| FoldStep::AndXor(slot(c, q), slot(c, q + 1)))
+                    .collect(),
+                ..Fold::default()
+            },
+            kind => Fold {
+                seed: Some(slot(0, q)),
+                steps: vec![
+                    FoldStep::And(slot(1, q)),
+                    FoldStep::Or(slot(1, q + 1)),
+                    FoldStep::And(slot(2, q)),
+                    FoldStep::Or(slot(2, q + 1)),
+                ],
+                complement: kind == 2,
+                mask: None,
+            },
+        })
+        .collect();
+    let words = <&BitVec as kernels::KernelOperand>::words;
+    let mut answers: Vec<Vec<u64>> = (0..GROUP)
+        .map(|_| Vec::with_capacity(FOLD_BITS / 64))
+        .collect();
+    f.throughput(Throughput::Bytes((GROUP * FOLD_BITS / 8) as u64));
+    f.bench_function(format!("group_{GROUP}_windows_append"), |bench| {
+        bench.iter(|| {
+            answers.iter_mut().for_each(Vec::clear);
+            for _ in 0..FOLD_BITS / WINDOW_BITS {
+                for (program, answer) in programs.iter().zip(&mut answers) {
+                    kernels::fold_into(WINDOW_BITS, black_box(program), words, answer);
+                }
+            }
+            black_box(answers[GROUP - 1].len())
+        })
+    });
+    f.bench_function(format!("group_{GROUP}_windows_count"), |bench| {
+        bench.iter(|| {
+            let mut ones = 0;
+            for _ in 0..FOLD_BITS / WINDOW_BITS {
+                for program in &programs {
+                    ones += kernels::fold_count_with(WINDOW_BITS, black_box(program), words);
+                }
+            }
+            black_box(ones)
+        })
+    });
     f.finish();
 }
 

@@ -1,49 +1,49 @@
 //! Fused bitmap kernels: a straight-line Boolean function of any number
-//! of bitmaps, evaluated in one cache-blocked pass.
+//! of bitmaps, evaluated in one register-resident pass.
 //!
 //! [`fold`] runs a [`Fold`] program — a seed, a list of `&=`, `|=`,
 //! `&= !`, `&= a ^ b` steps, an optional complement and mask, the whole
-//! of a RangeEval-Opt query — block by block, so the accumulator block
-//! stays L1-resident while every operand word is read exactly once, no
-//! operator costs a sweep over the accumulator and no derived bitmap is
-//! ever allocated (Kaser & Lemire, *Compressed bitmap indexes: beyond
-//! unions and intersections*). [`fold_count`] runs the same block loop
-//! and popcounts each finished block instead of storing it: a count of a
-//! query writes no foundset. [`threshold_k`] and [`count_threshold_k`]
-//! answer "at least `k` of `n`" through a bit-sliced counter network.
+//! of a RangeEval-Opt query — chunk by chunk: sixteen words are seeded,
+//! taken through every step and finished in registers, then stored once,
+//! so every operand word is read once, every answer word is written once
+//! and no derived bitmap is ever allocated (Kaser & Lemire, *Compressed
+//! bitmap indexes: beyond unions and intersections*). [`fold_count`] runs
+//! the same chunk loop and popcounts each finished chunk instead of
+//! storing it: a count of a query writes no foundset. [`threshold_k`] and
+//! [`count_threshold_k`] answer "at least `k` of `n`" through a bit-sliced
+//! counter network.
 //!
-//! # One block loop
+//! # One chunk loop
 //!
-//! [`fold_into`] and [`fold_count_with`] are the only loops over blocks:
-//! they read a program's operands through a closure that gives each
-//! one's words — so a program bound once to its operands by handle is
-//! re-run on every window of a walk — and keep their block buffers in a
-//! caller's [`Scratch`]. `fold` and `fold_count` are them over whole
-//! bitmaps or views. The k-ary names [`and_all`], [`or_all`], [`xor_all`]
-//! and [`count_and`] are `Fold` programs — a seed plus an `And` or `Or`
-//! step per further operand; for XOR, a seedless `AndXor` of two
-//! operands, chained — and so are `threshold_k`'s `k = 1` and `k = n`.
-//! No product path calls the four: with `threshold_k` they are the five
-//! names the benchmark's kernel probe compiles against, and they stay
-//! until that probe is pointed at what the product calls (ROADMAP item
-//! 1(c)).
+//! [`fold_into`] and [`fold_count_with`] are the only loops over a
+//! program's words: they read its operands through a closure that gives
+//! each one's words — so a program bound once to its operands by handle
+//! is re-run on every window of a walk — resolve every operand once per
+//! call, on the stack, and run one chunk loop over the resolved slices.
+//! `fold` and `fold_count` are them over whole bitmaps or views. The
+//! k-ary names [`and_all`], [`or_all`], [`xor_all`] and [`count_and`] are
+//! `Fold` programs — a seed plus an `And` or `Or` step per further
+//! operand; for XOR, a seedless `AndXor` of two operands, chained — and
+//! so are `threshold_k`'s `k = 1` and `k = n`. No product path calls the
+//! four: with `threshold_k` they are the five names the benchmark's
+//! kernel probe compiles against, and they stay until that probe is
+//! pointed at what the product calls (ROADMAP item 1(c)).
 //!
-//! The inner combine loop runs over fixed-size `[u64; LANES]` arrays
-//! (u64x8), which the compiler lowers to vector loads/stores and vector
-//! bitwise ops without `unsafe` or nightly `std::simd`. On x86-64 the
-//! workspace is built for x86-64-v3 (the root `.cargo/config.toml`): a
-//! lane group is two 256-bit AVX2 registers and `count_ones` is one
-//! `popcnt`, where the SSE2 baseline took four 128-bit registers and a
-//! bit-twiddling popcount. Counting accumulates popcounts through a 4-way
-//! carry-save adder (the Harley–Seal shape): only every fourth combined
-//! word pays a full popcount, the rest fold into `ones`/`twos` carry
-//! words.
+//! A chunk is fixed-size `[u64; N]` arrays, which the compiler lowers to
+//! vector loads and vector bitwise ops on registers without `unsafe` or
+//! nightly `std::simd`. On x86-64 the workspace is built for x86-64-v3
+//! (the root `.cargo/config.toml`): a lane group of [`LANES`] words is two
+//! 256-bit AVX2 registers and `count_ones` is one `popcnt`, where the SSE2
+//! baseline took four 128-bit registers and a bit-twiddling popcount.
+//! Counting a single bitmap ([`BitVec::count_ones`]) runs a 4-way
+//! carry-save adder (the Harley–Seal shape): only every fourth word pays
+//! a full popcount, the rest fold into `ones`/`twos` carry words.
 //!
-//! AND/OR/XOR/ANDNOT are lane-independent, so any blocking or unrolling of
+//! AND/OR/XOR/ANDNOT are lane-independent, so any chunking or unrolling of
 //! the same operand walk produces the same words, and the carry-save
 //! accumulation is exact integer arithmetic. The word-at-a-time loops these
 //! replaced survive only as the reference this module's tests compare
-//! against, over operand lengths straddling lane, word and block
+//! against, over operand lengths straddling lane, chunk and word
 //! boundaries, empty and all-ones operands, and segment views.
 //!
 //! # Panics
@@ -55,14 +55,10 @@
 use crate::bitvec::{BitVec, SegmentView};
 
 /// Words per SIMD lane group: `[u64; 8]` is 512 bits, one AVX-512
-/// register or two AVX2 / four NEON registers — wide enough
-/// that the compiler vectorizes the fixed-size loop on every common
-/// target, narrow enough that the ragged tail costs at most 7 scalar ops.
+/// register or two AVX2 / four NEON registers — wide enough that the
+/// compiler vectorizes the fixed-size loop on every common target. A
+/// fold's chunk is two lane groups (`CHUNK_WORDS`).
 pub const LANES: usize = 8;
-
-/// Words per block: 8 KiB of accumulator, comfortably L1-resident even
-/// with an operand stream being pulled through the cache alongside it.
-const BLOCK_WORDS: usize = 1024;
 
 /// A word-level binary operation, monomorphized into every kernel loop.
 trait WordOp {
@@ -155,60 +151,19 @@ fn check_operands<T: KernelOperand>(operands: &[T]) -> usize {
     first.len()
 }
 
-/// `dst[i] = O::apply(dst[i], src[i])` over `[u64; LANES]` groups the
-/// compiler lowers to vector loads, vector bitwise ops, and vector stores;
-/// the ragged tail (at most `LANES − 1` words, only ever in the final
-/// block) runs word at a time.
-///
-/// `inline(never)` on this and the other per-block loops is deliberate:
-/// inlined into large callers they land in arbitrary codegen-unit contexts
-/// where the vectorizer sometimes gives up (measured ~35% throughput swings
-/// between identical instantiations). As standalone symbols every
-/// instantiation compiles to the same vector loop, and one call per 8 KiB
-/// block is free.
-#[inline(never)]
-fn combine<O: WordOp>(dst: &mut [u64], src: &[u64]) {
-    let n = dst.len().min(src.len());
-    let split = n - n % LANES;
-    let (dst_body, dst_tail) = dst[..n].split_at_mut(split);
-    let (src_body, src_tail) = src[..n].split_at(split);
-    for (dc, sc) in dst_body
-        .chunks_exact_mut(LANES)
-        .zip(src_body.chunks_exact(LANES))
-    {
-        let d: &mut [u64; LANES] = dc.try_into().expect("exact chunk");
-        let s: &[u64; LANES] = sc.try_into().expect("exact chunk");
-        for l in 0..LANES {
-            d[l] = O::apply(d[l], s[l]);
-        }
-    }
-    for (a, &b) in dst_tail.iter_mut().zip(src_tail) {
-        *a = O::apply(*a, b);
+/// `acc[l] = O::apply(acc[l], b[l])` across one chunk, which the
+/// compiler lowers to vector bitwise ops on registers.
+#[inline(always)]
+fn lanes<O: WordOp, const L: usize>(acc: &mut [u64; L], b: [u64; L]) {
+    for l in 0..L {
+        acc[l] = O::apply(acc[l], b[l]);
     }
 }
 
-/// `dst[i] = O::apply(a[i], b[i])`: an `AndXor` step's `a ^ b` in one
-/// pass, where copy-then-combine would take two. `inline(never)`: see
-/// [`combine`].
-#[inline(never)]
-fn combine2<O: WordOp>(dst: &mut [u64], a: &[u64], b: &[u64]) {
-    let n = dst.len();
-    let split = n - n % LANES;
-    for ((dc, xc), yc) in dst[..split]
-        .chunks_exact_mut(LANES)
-        .zip(a[..split].chunks_exact(LANES))
-        .zip(b[..split].chunks_exact(LANES))
-    {
-        let d: &mut [u64; LANES] = dc.try_into().expect("exact chunk");
-        let x: &[u64; LANES] = xc.try_into().expect("exact chunk");
-        let y: &[u64; LANES] = yc.try_into().expect("exact chunk");
-        for l in 0..LANES {
-            d[l] = O::apply(x[l], y[l]);
-        }
-    }
-    for ((d, &x), &y) in dst[split..n].iter_mut().zip(&a[split..n]).zip(&b[split..n]) {
-        *d = O::apply(x, y);
-    }
+/// Words `at..at + L` of `words`, as one chunk.
+#[inline(always)]
+fn load<const L: usize>(words: &[u64], at: usize) -> [u64; L] {
+    words[at..at + L].try_into().expect("exact chunk")
 }
 
 /// One carry-save adder step: `(carry, sum)` of three one-bit-per-lane
@@ -229,7 +184,7 @@ fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
 /// carry-save addition loses no bits — hence bit-identical to a
 /// word-at-a-time sweep. Counting a single bitmap reuses this with `OpOr`
 /// and `a == b` (`w | w == w`; [`popcount`]). `inline(never)`: see
-/// [`combine`].
+/// [`append_chunks`].
 #[inline(never)]
 fn csa_count_fused<O: WordOp>(a: &[u64], b: &[u64]) -> usize {
     const STEP: usize = 4 * LANES;
@@ -468,42 +423,179 @@ impl<T> Fold<Option<T>> {
     }
 }
 
-/// `!w` over a block. `inline(never)`: see [`combine`].
+/// Steps resolved per stack frame. A longer program is resolved into a
+/// chain of frames ([`resolve_steps`]), so no fold allocates.
+const STEPS_PER_LINK: usize = 16;
+
+/// A run of steps resolved to their operands' words, then the run that
+/// follows it.
+struct Steps<'a> {
+    run: &'a [FoldStep<&'a [u64]>],
+    next: Option<&'a Steps<'a>>,
+}
+
+/// A [`Fold`] program with every operand resolved to its words: what the
+/// chunk loops read.
+struct Resolved<'a> {
+    seed: Option<&'a [u64]>,
+    steps: Steps<'a>,
+    complement: bool,
+    mask: Option<&'a [u64]>,
+}
+
+impl Resolved<'_> {
+    /// The program's words `at..at + L`, computed in registers: the seed,
+    /// every step, then the complement and mask.
+    #[inline(always)]
+    fn chunk<const L: usize>(&self, at: usize) -> [u64; L] {
+        let mut acc = self.seed.map_or([u64::MAX; L], |seed| load(seed, at));
+        let mut steps = Some(&self.steps);
+        while let Some(Steps { run, next }) = steps {
+            for step in *run {
+                match *step {
+                    FoldStep::And(b) => lanes::<OpAnd, L>(&mut acc, load(b, at)),
+                    FoldStep::Or(b) => lanes::<OpOr, L>(&mut acc, load(b, at)),
+                    FoldStep::AndNot(b) => lanes::<OpAndNot, L>(&mut acc, load(b, at)),
+                    FoldStep::AndXor(a, b) => {
+                        let mut x = load(a, at);
+                        lanes::<OpXor, L>(&mut x, load(b, at));
+                        lanes::<OpAnd, L>(&mut acc, x);
+                    }
+                }
+            }
+            steps = *next;
+        }
+        match (self.complement, self.mask) {
+            (true, Some(mask)) => lanes::<OpNotAnd, L>(&mut acc, load(mask, at)),
+            (true, None) => acc = acc.map(|w| !w),
+            (false, Some(mask)) => lanes::<OpAnd, L>(&mut acc, load(mask, at)),
+            (false, None) => {}
+        }
+        acc
+    }
+}
+
+/// Resolves `program` over `n_words`-word operands whose words `words`
+/// gives, and runs `run` on it.
+///
+/// # Panics
+/// Panics if `words` gives any operand other than `n_words` words.
+fn resolved<'w, T, R>(
+    n_words: usize,
+    program: &'w Fold<T>,
+    words: impl Fn(&'w T) -> &'w [u64],
+    run: impl FnOnce(&Resolved<'_>) -> R,
+) -> R {
+    let words = |op: &'w T| {
+        let got = words(op);
+        assert_eq!(
+            n_words,
+            got.len(),
+            "bitmap length mismatch: {n_words} vs {} words",
+            got.len()
+        );
+        got
+    };
+    let (seed, steps) = seed_and_steps(program);
+    let (seed, mask) = (seed.map(words), program.mask.as_ref().map(words));
+    resolve_steps(steps, &words, None, |steps| {
+        run(&Resolved {
+            seed,
+            steps,
+            complement: program.complement,
+            mask,
+        })
+    })
+}
+
+/// Resolves `steps`, followed by the resolved `next`, and runs `run` on
+/// them: the last [`STEPS_PER_LINK`] in this frame, the rest in the
+/// frames this one calls.
+fn resolve_steps<'w, T, R>(
+    steps: &'w [FoldStep<T>],
+    words: &impl Fn(&'w T) -> &'w [u64],
+    next: Option<&Steps<'_>>,
+    run: impl FnOnce(Steps<'_>) -> R,
+) -> R {
+    let (head, tail) = steps.split_at(steps.len().saturating_sub(STEPS_PER_LINK));
+    let mut link = [FoldStep::And(&[][..]); STEPS_PER_LINK];
+    for (slot, step) in link.iter_mut().zip(tail) {
+        *slot = match step {
+            FoldStep::And(b) => FoldStep::And(words(b)),
+            FoldStep::Or(b) => FoldStep::Or(words(b)),
+            FoldStep::AndNot(b) => FoldStep::AndNot(words(b)),
+            FoldStep::AndXor(a, b) => FoldStep::AndXor(words(a), words(b)),
+        };
+    }
+    let steps = Steps {
+        run: &link[..tail.len()],
+        next,
+    };
+    match head {
+        [] => run(steps),
+        _ => resolve_steps(head, words, Some(&steps), run),
+    }
+}
+
+/// Words a fold computes per pass over its program: two lane groups,
+/// four AVX2 registers of accumulator. Every step costs a dispatch and a
+/// bounds check per chunk. On a group of 64 programs (the `bitvec_ops`
+/// bench's `fold/group_64_*` shape) one lane group per chunk appended in
+/// 13.8–14.6 ms and counted in 10.3–10.9, two in 12.1–12.9 and 7.1–7.5,
+/// four in 12.9–13.3 and 7.7–8.2 (EXPERIMENTS "One chunk loop").
+const CHUNK_WORDS: usize = 2 * LANES;
+
+/// Appends the program's words `0..n_words` to `out`: chunks of
+/// [`CHUNK_WORDS`], each computed in registers ([`Resolved::chunk`]) and
+/// stored once, then the ragged tail word at a time.
+///
+/// `inline(never)` on this and the other chunk loops is deliberate:
+/// inlined into large callers they land in arbitrary codegen-unit
+/// contexts where the vectorizer sometimes gives up (measured ~35%
+/// throughput swings between identical instantiations). As standalone
+/// symbols they compile to the same vector loop in every build, and one
+/// call per fold is free.
 #[inline(never)]
-fn complement_words(dst: &mut [u64]) {
-    for w in dst {
-        *w = !*w;
+fn append_chunks(program: &Resolved<'_>, n_words: usize, out: &mut Vec<u64>) {
+    let split = n_words - n_words % CHUNK_WORDS;
+    for at in (0..split).step_by(CHUNK_WORDS) {
+        out.extend_from_slice(&program.chunk::<CHUNK_WORDS>(at));
+    }
+    for at in split..n_words {
+        out.push(program.chunk::<1>(at)[0]);
     }
 }
 
-/// The block buffers [`fold_into`] and [`fold_count_with`] work in. A
-/// caller that runs many folds — a query walking its windows — keeps one,
-/// so the buffers are allocated and zeroed once, not on every call.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    /// The accumulator block of a count.
-    acc: Vec<u64>,
-    /// The `a ^ b` block of an `AndXor` step.
-    xor: Vec<u64>,
-}
-
-/// `buf` grown to one block, at most once per [`Scratch`].
-fn block(buf: &mut Vec<u64>) -> &mut [u64] {
-    if buf.len() < BLOCK_WORDS {
-        buf.resize(BLOCK_WORDS, 0);
+/// The ones of the program's words `0..n_words`, each chunk popcounted as
+/// it leaves the registers. A plain per-lane `popcnt` sum: a carry-save
+/// (Harley–Seal) count over pairs of chunks read slower (9.5–9.8 ms
+/// against 7.1–7.5 on the group above).
+/// `inline(never)`: see [`append_chunks`].
+#[inline(never)]
+fn count_chunks(program: &Resolved<'_>, n_words: usize) -> usize {
+    let split = n_words - n_words % CHUNK_WORDS;
+    let mut sums = [0u64; CHUNK_WORDS];
+    for at in (0..split).step_by(CHUNK_WORDS) {
+        let chunk = program.chunk::<CHUNK_WORDS>(at);
+        for l in 0..CHUNK_WORDS {
+            sums[l] += u64::from(chunk[l].count_ones());
+        }
     }
-    buf
+    let tail: u64 = (split..n_words)
+        .map(|at| u64::from(program.chunk::<1>(at)[0].count_ones()))
+        .sum();
+    (sums.iter().sum::<u64>() + tail) as usize
 }
 
-/// Evaluates `program` over `len`-bit operands in a single pass: block by
-/// block, the accumulator block is seeded, updated by every step and
-/// finished while it sits in L1, so each operand word is read once and
-/// each result word is written once, into the one allocation returned.
-/// Composing the same function from binary operations would sweep the
-/// accumulator through memory once per operator and allocate a temporary
-/// per `a ^ b` and per complement — evaluating the whole function at once
-/// is the method of Kaser & Lemire, *Compressed bitmap indexes: beyond
-/// unions and intersections*.
+/// Evaluates `program` over `len`-bit operands in a single pass: chunk by
+/// chunk, eight words are seeded, updated by every step and finished in
+/// registers, so each operand word is read once and each result word is
+/// stored once, into the one allocation returned. Composing the same
+/// function from binary operations would sweep the accumulator through
+/// memory once per operator and allocate a temporary per `a ^ b` and per
+/// complement — evaluating the whole function at once is the method of
+/// Kaser & Lemire, *Compressed bitmap indexes: beyond unions and
+/// intersections*.
 ///
 /// `len` is explicit because a program may have no operand at all (all
 /// ones, or its complement).
@@ -513,16 +605,16 @@ fn block(buf: &mut Vec<u64>) -> &mut [u64] {
 #[must_use]
 pub fn fold<T: KernelOperand>(len: usize, program: &Fold<T>) -> BitVec {
     check_program(len, program);
-    let n_words = crate::words_for(len);
-    let mut out = crate::spare_words(n_words);
-    fold_into(len, program, T::words, &mut Scratch::default(), &mut out);
+    let mut out = crate::spare_words(crate::words_for(len));
+    fold_into(len, program, T::words, &mut out);
     BitVec::from_words_unmasked(out, len)
 }
 
 /// [`fold`] over operands whose words `words` gives, appended to `out` as
 /// `words_for(len)` canonical words. A window of a longer result is
 /// appended in place, and a program bound once to its operands by handle
-/// is re-run on every window by a `words` that slices them.
+/// is re-run on every window by a `words` that slices them. `words` is
+/// asked for each operand once per call.
 ///
 /// # Panics
 /// Panics if `words` gives any operand other than `words_for(len)` words.
@@ -530,55 +622,34 @@ pub fn fold_into<'w, T>(
     len: usize,
     program: &'w Fold<T>,
     words: impl Fn(&'w T) -> &'w [u64],
-    scratch: &mut Scratch,
     out: &mut Vec<u64>,
 ) {
     let n_words = crate::words_for(len);
-    check_words(n_words, program, &words);
-    let (seed, steps) = seed_and_steps(program);
-    let (base, mut start) = (out.len(), 0);
     out.reserve(n_words);
-    while start < n_words {
-        let end = (start + BLOCK_WORDS).min(n_words);
-        match seed {
-            Some(seed) => out.extend_from_slice(&words(seed)[start..end]),
-            None => out.resize(base + end, u64::MAX),
-        }
-        let acc = &mut out[base + start..base + end];
-        run_steps(acc, steps, &words, start, &mut scratch.xor);
-        match (program.complement, &program.mask) {
-            (true, Some(mask)) => combine::<OpNotAnd>(acc, &words(mask)[start..end]),
-            (true, None) => complement_words(acc),
-            (false, Some(mask)) => combine::<OpAnd>(acc, &words(mask)[start..end]),
-            (false, None) => {}
-        }
-        start = end;
-    }
+    resolved(n_words, program, words, |program| {
+        append_chunks(program, n_words, out);
+    });
     // An all-ones seed and an unmasked complement set bits past `len`.
     if let (Some(last), rem @ 1..) = (out.last_mut(), len % 64) {
         *last &= (1 << rem) - 1;
     }
 }
 
-/// `fold(len, program).count_ones()` without the result: each 8 KiB
-/// accumulator block ends in the carry-save popcount (`csa_count_fused`)
-/// — fused with the mask, or its complement-and-mask, or else with a last
-/// `And`, `Or` or `AndNot` step, where [`fold`] would store it. An
-/// unmasked complement is counted as the block's bits less the ones of
-/// what it complements. Bits past `len` (an all-ones seed, an operand
-/// view's tail) are cleared before they are counted, so their block fuses
-/// no step.
+/// `fold(len, program).count_ones()` without the result: the chunk loop
+/// of [`fold`], each chunk popcounted where `fold` would store it. The
+/// word that holds bits past `len` (an all-ones seed, a complement) is
+/// cleared of them before it is counted.
 ///
 /// # Panics
 /// Panics if any operand is not `len` bits long.
 #[must_use]
 pub fn fold_count<T: KernelOperand>(len: usize, program: &Fold<T>) -> usize {
     check_program(len, program);
-    fold_count_with(len, program, T::words, &mut Scratch::default())
+    fold_count_with(len, program, T::words)
 }
 
 /// [`fold_count`] over operands whose words `words` gives (see
-/// [`fold_into`]), its accumulator block in `scratch`.
+/// [`fold_into`]).
 ///
 /// # Panics
 /// Panics if `words` gives any operand other than `words_for(len)` words.
@@ -587,66 +658,15 @@ pub fn fold_count_with<'w, T>(
     len: usize,
     program: &'w Fold<T>,
     words: impl Fn(&'w T) -> &'w [u64],
-    scratch: &mut Scratch,
 ) -> usize {
-    let n_words = crate::words_for(len);
-    check_words(n_words, program, &words);
-    let (seed, steps) = seed_and_steps(program);
-    type Count = fn(&[u64], &[u64]) -> usize;
-    let last: Option<(Count, _, _)> = match steps.split_last() {
-        _ if program.mask.is_some() => None,
-        Some((FoldStep::And(b), rest)) => Some((csa_count_fused::<OpAnd>, b, rest)),
-        Some((FoldStep::Or(b), rest)) => Some((csa_count_fused::<OpOr>, b, rest)),
-        Some((FoldStep::AndNot(b), rest)) => Some((csa_count_fused::<OpAndNot>, b, rest)),
-        _ => None,
-    };
-    let Scratch { acc: buf, xor } = scratch;
-    let buf = block(buf);
-    let mut ones = 0;
-    let mut start = 0;
-    while start < n_words {
-        let end = (start + BLOCK_WORDS).min(n_words);
-        // The bits of the block below `len`, which a complement counts from.
-        let bits = len.min(64 * end) - 64 * start;
-        let flip = |counted: usize| match program.complement {
-            true => bits - counted,
-            false => counted,
+    let full = len / 64;
+    resolved(crate::words_for(len), program, words, |program| {
+        let last = match len % 64 {
+            0 => 0,
+            rem => (program.chunk::<1>(full)[0] & ((1 << rem) - 1)).count_ones() as usize,
         };
-        // The block that holds bits past `len` clears them: it fuses no step.
-        let fused = last.filter(|_| end <= len / 64);
-        ones += match (fused, seed) {
-            // A seed and one step: count straight from the two operands.
-            (Some((count, b, [])), Some(seed)) => {
-                flip(count(&words(seed)[start..end], &words(b)[start..end]))
-            }
-            _ => {
-                let acc = &mut buf[..end - start];
-                match seed {
-                    Some(seed) => acc.copy_from_slice(&words(seed)[start..end]),
-                    None => acc.fill(u64::MAX),
-                }
-                let run = fused.map_or(steps, |(_, _, rest)| rest);
-                run_steps(acc, run, &words, start, xor);
-                match (fused, program.complement, &program.mask) {
-                    (Some((count, b, _)), ..) => flip(count(acc, &words(b)[start..end])),
-                    (_, true, Some(mask)) => {
-                        csa_count_fused::<OpNotAnd>(acc, &words(mask)[start..end])
-                    }
-                    (_, false, Some(mask)) => {
-                        csa_count_fused::<OpAnd>(acc, &words(mask)[start..end])
-                    }
-                    (_, _, None) => {
-                        if end == n_words && !len.is_multiple_of(64) {
-                            acc[end - start - 1] &= (1u64 << (len % 64)) - 1;
-                        }
-                        flip(csa_count_fused::<OpOr>(acc, acc))
-                    }
-                }
-            }
-        };
-        start = end;
-    }
-    ones
+        count_chunks(program, full) + last
+    })
 }
 
 /// Checks that every operand of `program` is `len` bits long.
@@ -661,17 +681,6 @@ fn check_program<T: KernelOperand>(len: usize, program: &Fold<T>) {
     }
 }
 
-/// Checks that `words` gives every operand of `program` as `n_words` words.
-fn check_words<'w, T>(n_words: usize, program: &'w Fold<T>, words: &impl Fn(&'w T) -> &'w [u64]) {
-    for op in program.operands() {
-        let got = words(op).len();
-        assert_eq!(
-            n_words, got,
-            "bitmap length mismatch: {n_words} vs {got} words"
-        );
-    }
-}
-
 /// The accumulator's first value and the steps left to run: `ones & b` is
 /// `b`, so a seedless program seeds from a leading AND instead of filling
 /// ones.
@@ -679,30 +688,6 @@ fn seed_and_steps<T>(program: &Fold<T>) -> (Option<&T>, &[FoldStep<T>]) {
     match (&program.seed, program.steps.split_first()) {
         (None, Some((FoldStep::And(b), rest))) => (Some(b), rest),
         (seed, _) => (seed.as_ref(), &program.steps[..]),
-    }
-}
-
-/// Runs `steps` over the accumulator block `acc`, which starts at operand
-/// word `start`. `xor` holds the block of an `AndXor` step.
-fn run_steps<'w, T>(
-    acc: &mut [u64],
-    steps: &'w [FoldStep<T>],
-    words: &impl Fn(&'w T) -> &'w [u64],
-    start: usize,
-    xor: &mut Vec<u64>,
-) {
-    let end = start + acc.len();
-    for step in steps {
-        match step {
-            FoldStep::And(b) => combine::<OpAnd>(acc, &words(b)[start..end]),
-            FoldStep::Or(b) => combine::<OpOr>(acc, &words(b)[start..end]),
-            FoldStep::AndNot(b) => combine::<OpAndNot>(acc, &words(b)[start..end]),
-            FoldStep::AndXor(a, b) => {
-                let xor = &mut block(xor)[..acc.len()];
-                combine2::<OpXor>(xor, &words(a)[start..end], &words(b)[start..end]);
-                combine::<OpAnd>(acc, xor);
-            }
-        }
     }
 }
 
@@ -748,7 +733,7 @@ fn counter_levels(n: usize) -> usize {
 ///
 /// Callers guarantee `1 ≤ k ≤ n < 2^levels`, so bit positions past a
 /// bitmap's canonical length (count 0) can never satisfy the predicate
-/// and the output needs no re-masking. `inline(never)`: see [`combine`].
+/// and the output needs no re-masking. `inline(never)`: see [`append_chunks`].
 #[inline(never)]
 fn threshold_block<const L: usize, const MATERIALIZE: bool>(
     ops: &[&[u64]],
@@ -935,6 +920,10 @@ pub fn count_threshold_k<T: KernelOperand>(operands: &[T], k: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// 1,024 words (8 KiB): the long lengths below straddle multiples of
+    /// it, so a fold runs many chunks and a ragged tail after them.
+    const BLOCK_WORDS: usize = 1024;
 
     fn sample(len: usize, seed: u64) -> BitVec {
         // Deterministic pseudo-random words (splitmix64), canonically masked.
@@ -1271,6 +1260,144 @@ mod tests {
                 fold(len - lo, &windowed).count_ones(),
                 "len {len} from {lo}"
             );
+        }
+    }
+
+    /// `program` evaluated one word at a time, each operand word read by
+    /// index: the reference the chunk loop is checked against.
+    fn fold_per_word(len: usize, program: &Fold<SegmentView<'_>>) -> Vec<u64> {
+        let n_words = crate::words_for(len);
+        let mut out: Vec<u64> = (0..n_words)
+            .map(|i| {
+                let w = |v: &SegmentView<'_>| v.words()[i];
+                let mut acc = program.seed.as_ref().map_or(u64::MAX, w);
+                for step in &program.steps {
+                    acc = match step {
+                        FoldStep::And(b) => acc & w(b),
+                        FoldStep::Or(b) => acc | w(b),
+                        FoldStep::AndNot(b) => acc & !w(b),
+                        FoldStep::AndXor(a, b) => acc & (w(a) ^ w(b)),
+                    };
+                }
+                if program.complement {
+                    acc = !acc;
+                }
+                program.mask.as_ref().map_or(acc, |m| acc & w(m))
+            })
+            .collect();
+        if let (Some(last), rem @ 1..) = (out.last_mut(), len % 64) {
+            *last &= (1 << rem) - 1;
+        }
+        out
+    }
+
+    /// [`fold_into`], [`fold`] and [`fold_count`] against
+    /// [`fold_per_word`]: every step kind, seeded and seedless, each
+    /// complement × mask trailer, and a 37-step program resolved into three
+    /// links, over views at word offsets 0, 1 and 5 whose word counts leave
+    /// every remainder modulo `LANES` and [`CHUNK_WORDS`] and whose lengths
+    /// end inside a word. Each window is appended after words already in
+    /// `out`, which it must leave alone.
+    #[test]
+    fn chunk_loop_matches_the_per_word_reference() {
+        for n_words in (1..=2 * CHUNK_WORDS + 1).chain([64 * CHUNK_WORDS + 13]) {
+            let len = 64 * n_words - 1 - n_words % 63;
+            for offset in [0usize, 1, 5] {
+                let lo = 64 * offset;
+                let owned: Vec<BitVec> = (0..7)
+                    .map(|k| sample(lo + len, 1000 + 8 * n_words as u64 + k))
+                    .collect();
+                let v: Vec<SegmentView<'_>> =
+                    owned.iter().map(|b| b.view_range(lo, lo + len)).collect();
+                let long = (0..37)
+                    .map(|i| match i % 4 {
+                        0 => FoldStep::Or(v[1 + i % 5]),
+                        1 => FoldStep::And(v[1 + i % 6]),
+                        2 => FoldStep::AndXor(v[1 + i % 3], v[4]),
+                        _ => FoldStep::AndNot(v[2 + i % 4]),
+                    })
+                    .collect();
+                let step_lists = [
+                    vec![],
+                    vec![FoldStep::And(v[1])],
+                    vec![FoldStep::Or(v[1]), FoldStep::AndNot(v[2])],
+                    vec![
+                        FoldStep::AndXor(v[1], v[2]),
+                        FoldStep::And(v[3]),
+                        FoldStep::Or(v[4]),
+                    ],
+                    vec![
+                        FoldStep::AndNot(v[1]),
+                        FoldStep::AndXor(v[2], v[3]),
+                        FoldStep::AndXor(v[4], v[5]),
+                    ],
+                    long,
+                ];
+                for steps in &step_lists {
+                    for (seed, complement, mask) in [None, Some(v[0])]
+                        .into_iter()
+                        .flat_map(|s| [false, true].map(|c| (s, c)))
+                        .flat_map(|(s, c)| [None, Some(v[6])].map(|m| (s, c, m)))
+                    {
+                        let program = Fold {
+                            seed,
+                            steps: steps.clone(),
+                            complement,
+                            mask,
+                        };
+                        let want = fold_per_word(len, &program);
+                        let label = format!(
+                            "len {len} offset {offset} {} steps, seed {} complement {complement} \
+                             mask {}",
+                            steps.len(),
+                            seed.is_some(),
+                            mask.is_some()
+                        );
+                        let mut out = vec![0xDEAD_BEEF; 3];
+                        fold_into(len, &program, SegmentView::words, &mut out);
+                        assert_eq!(out[..3], [0xDEAD_BEEF; 3], "{label}");
+                        assert_eq!(out[3..], want[..], "{label}");
+                        assert_eq!(fold(len, &program).words(), &want[..], "{label}");
+                        let ones: usize = want.iter().map(|w| w.count_ones() as usize).sum();
+                        assert_eq!(fold_count(len, &program), ones, "{label}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A 16-way `or_all` — a seed and 15 `Or` steps, one link — and its
+    /// count, against [`fold_per_word`], on views at a word offset whose
+    /// word counts leave remainders 1 to 7 modulo `LANES`; and windows of
+    /// one bitmap appended one after another reassemble the whole.
+    #[test]
+    fn a_sixteen_way_or_matches_the_per_word_reference() {
+        for n_words in (1..LANES).chain((1..LANES).map(|r| 5 * CHUNK_WORDS + r)) {
+            let len = 64 * n_words - 7;
+            let owned: Vec<BitVec> = (0..16)
+                .map(|k| sample(64 * 3 + len, 3000 + 16 * n_words as u64 + k))
+                .collect();
+            let views: Vec<SegmentView<'_>> = owned
+                .iter()
+                .map(|b| b.view_range(64 * 3, 64 * 3 + len))
+                .collect();
+            let program = chain(&views, FoldStep::Or);
+            let want = fold_per_word(len, &program);
+            assert_eq!(or_all(&views).words(), &want[..], "len {len}");
+            let ones: usize = want.iter().map(|w| w.count_ones() as usize).sum();
+            assert_eq!(or_count(&views), ones, "len {len}");
+
+            let whole = Fold {
+                seed: Some(&owned[0]),
+                steps: owned[1..].iter().map(FoldStep::Or).collect(),
+                ..Fold::default()
+            };
+            let mut out = Vec::new();
+            for (lo, hi) in [(0, 64), (64, 64 * 3), (64 * 3, 64 * 3 + len)] {
+                let windowed = whole.map(|b| b.view_range(lo, hi));
+                fold_into(hi - lo, &windowed, SegmentView::words, &mut out);
+            }
+            assert_eq!(out, fold(64 * 3 + len, &whole).words(), "len {len}");
         }
     }
 

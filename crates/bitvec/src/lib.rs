@@ -9,7 +9,7 @@
 //! algorithms need, implemented word-at-a-time:
 //!
 //! * logical AND / OR / XOR / AND-NOT / NOT (in-place and owned),
-//! * one cache-blocked pass over any number of operands ([`kernels`]):
+//! * one register-resident pass over any number of operands ([`kernels`]):
 //!   [`kernels::fold`] evaluates a whole Boolean function of them and
 //!   [`kernels::fold_count`] counts it without materializing it,
 //! * zero-copy word-aligned [`SegmentView`]s so segment-at-a-time

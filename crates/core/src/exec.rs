@@ -17,7 +17,6 @@
 //! bitmaps cost no scan either (Section 10's buffering model).
 
 use std::borrow::Borrow;
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -423,35 +422,10 @@ struct SegmentState {
     pruned_any: bool,
 }
 
-thread_local! {
-    /// This thread's kernel block buffers, lent to one [`ExecContext`] at
-    /// a time, so a query allocates them only on a thread that has none.
-    static SCRATCH: Cell<kernels::Scratch> = Cell::default();
-}
-
-/// A context's kernel block buffers: taken from its thread's [`SCRATCH`]
-/// when it is built, put back when it is dropped. A second context alive
-/// on the same thread starts with empty buffers.
-struct LentScratch(kernels::Scratch);
-
-impl LentScratch {
-    fn take() -> Self {
-        Self(SCRATCH.with(Cell::take))
-    }
-}
-
-impl Drop for LentScratch {
-    fn drop(&mut self) {
-        let scratch = std::mem::take(&mut self.0);
-        // A thread being torn down has no slot left; the buffers are freed.
-        let _ = SCRATCH.try_with(|slot| slot.set(scratch));
-    }
-}
-
 /// What a context holds for the query it is evaluating: its charges, its
 /// reads and the operands it holds from window to window. Everything else
-/// of an [`ExecContext`] — source, policies, summaries, kernel buffers,
-/// the windows results are written into — serves every query run in it.
+/// of an [`ExecContext`] — source, policies, summaries, the windows
+/// results are written into — serves every query run in it.
 /// A batch that steps several queries through one context parks each
 /// query's state here between its windows ([`ExecContext::swap_query`]).
 #[derive(Debug, Default)]
@@ -493,8 +467,6 @@ pub struct ExecContext<'a, S: BitmapSource> {
     pruning: bool,
     /// [`BitmapSource::try_fetch_summary`], asked at most once.
     summaries: Option<Option<Arc<IndexSummaries>>>,
-    /// The kernels' block buffers, kept across folds and queries.
-    scratch: LentScratch,
     /// The result and constant windows, kept across queries.
     windows: Windows,
 }
@@ -512,7 +484,6 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
             overlay: None,
             pruning: true,
             summaries: None,
-            scratch: LentScratch::take(),
             windows: Windows::default(),
         }
     }
@@ -1211,13 +1182,13 @@ impl<'a, S: BitmapSource> ExecContext<'a, S> {
         let words = |&p: &usize| windows.words(&held[p].1, lo, hi);
         match keep {
             None if skipped => 0,
-            None => kernels::fold_count_with(hi - lo, fold, words, &mut self.scratch.0),
+            None => kernels::fold_count_with(hi - lo, fold, words),
             Some(out) if skipped => {
                 out.resize(out.len() + bindex_bitvec::words_for(hi - lo), 0);
                 0
             }
             Some(out) => {
-                kernels::fold_into(hi - lo, fold, words, &mut self.scratch.0, out);
+                kernels::fold_into(hi - lo, fold, words, out);
                 0
             }
         }

@@ -19,7 +19,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bindex::compress::wah::WahBitmap;
 use bindex::core::eval::{count_in, evaluate_repr_in, Algorithm};
@@ -64,6 +64,19 @@ static ALLOCATOR: Counting = Counting;
 /// The served window.
 const WINDOW_BITS: usize = 1 << 16;
 
+/// Taken first by every test here: the foundsets of one test come off
+/// and go back to the process-wide spare list, which another test's
+/// buffers would otherwise take from or fill on another thread.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// This binary's tests, one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    // A test that failed while holding the lock leaves nothing to repair.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Allocations this thread made while `f` ran.
 fn allocations(f: impl FnOnce()) -> usize {
     let before = ALLOCATIONS.with(Cell::get);
@@ -99,6 +112,7 @@ fn query_allocations(index: &BitmapIndex, query: &Query) -> [usize; 4] {
 
 #[test]
 fn a_window_walk_allocates_per_query_not_per_window() {
+    let _serial = serial();
     let spec = IndexSpec::new(Base::from_msb(&[10, 10, 10]).unwrap(), Encoding::Range);
     let index = |rows| BitmapIndex::build(&gen::uniform(rows, 1000, 44), spec.clone()).unwrap();
     let (four, thirty_two) = (index(1 << 18), index(1 << 21));
@@ -149,6 +163,7 @@ fn range_spec() -> IndexSpec {
 /// over 4, and at most a few times more than the whole-bitmap count.
 #[test]
 fn a_windowed_threshold_allocates_per_query_not_per_window() {
+    let _serial = serial();
     let index = |rows| BitmapIndex::build(&gen::uniform(rows, 1000, 45), range_spec()).unwrap();
     let (four, thirty_two) = (index(1 << 18), index(1 << 21));
     let query = Query::from(ThresholdQuery::new(
@@ -229,6 +244,7 @@ impl BitmapSource for WahSource {
 /// RangeEval-Opt count allocates the same number of times.
 #[test]
 fn a_compressed_count_allocates_no_result() {
+    let _serial = serial();
     let rows = 1 << 21;
     let source = |clusters: usize| {
         let column = gen::clustered(rows, 1000, rows / clusters, 46);
